@@ -1,6 +1,7 @@
 # Repro build/check entry points.
 #
-#   make check   - everything CI runs: gofmt, vet, build, race tests (-short)
+#   make check   - everything CI runs: gofmt, vet, build, race tests (-short),
+#                  and the nested bench/ module's vet + short tests
 #   make test    - full test suite without the race detector
 #   make bench   - throughput benchmarks -> BENCH_parallel.json (perf trajectory)
 #   make bench-smoke - 1x-iteration bench emit + BENCH_*.json schema validation (CI)
@@ -9,9 +10,9 @@
 
 GO ?= go
 
-.PHONY: check fmt-check vet build test test-race bench bench-smoke bench-all tables
+.PHONY: check fmt-check vet build bench-build test test-race bench bench-smoke bench-all tables
 
-check: fmt-check vet build test-race
+check: fmt-check vet build bench-build test-race
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -22,6 +23,11 @@ vet:
 
 build:
 	$(GO) build ./...
+
+# bench/ is a module of its own, so ./... above never compiles it: a
+# rename in the root package would break BENCHMARK.json's ruler unnoticed.
+bench-build:
+	cd bench && $(GO) vet . && $(GO) test -short .
 
 test:
 	$(GO) test ./...

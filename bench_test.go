@@ -86,7 +86,7 @@ func BenchmarkThroughput(b *testing.B) {
 	}
 	for _, c := range cells {
 		b.Run(c.name, func(b *testing.B) {
-			pair, err := replication.NewPair(replication.Config{
+			pair, err := replication.NewGroup(replication.Config{
 				Mode:  c.mode,
 				Store: vista.Config{Version: c.ver, DBSize: db},
 			})
@@ -642,7 +642,7 @@ func BenchmarkFailover(b *testing.B) {
 			// latency is the reported metric of interest.
 			var takeoverUS float64
 			for b.Loop() {
-				pair, err := replication.NewPair(replication.Config{
+				pair, err := replication.NewGroup(replication.Config{
 					Mode:  m.mode,
 					Store: vista.Config{Version: m.ver, DBSize: db},
 				})

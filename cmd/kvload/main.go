@@ -60,7 +60,6 @@ import (
 	"repro"
 	"repro/internal/kvserver"
 	"repro/internal/obs"
-	"repro/internal/tpc"
 	"repro/kv"
 	"repro/kvclient"
 )
@@ -246,7 +245,6 @@ func host(dbMB, backups int, safety string, autopilot, metrics bool, logf func(s
 			Spares:          1,
 		}
 	}
-	var db repro.DB
 	db, err := repro.New(cfg)
 	if err != nil {
 		return "", nil, nil, err
@@ -265,8 +263,7 @@ func host(dbMB, backups int, safety string, autopilot, metrics bool, logf func(s
 		return "", nil, nil, err
 	}
 	go srv.Serve(l)
-	admin, _ := db.(repro.Admin)
-	return l.Addr().String(), admin, srv, nil
+	return l.Addr().String(), db, srv, nil
 }
 
 // versionLen is the length of the version header every value carries:
@@ -281,7 +278,7 @@ type loadSpec struct {
 }
 
 type loadResult struct {
-	hist      tpc.Hist
+	hist      obs.Hist
 	completed int64
 	failed    int64
 	retries   uint64

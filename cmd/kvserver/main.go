@@ -108,20 +108,13 @@ func main() {
 	}
 	cfg.Metrics = *metrics != ""
 
-	var db repro.DB
-	var err error
-	if *shards > 1 {
-		db, err = repro.NewSharded(cfg, *shards)
-	} else {
-		db, err = repro.New(cfg)
-	}
+	db, err := repro.NewSharded(cfg, *shards)
 	if err != nil {
 		log.Fatalf("kvserver: deployment: %v", err)
 	}
-	admin, _ := db.(repro.Admin)
-	if *dataDir != "" && admin != nil {
+	if *dataDir != "" {
 		for i := 0; i < db.Shards(); i++ {
-			st := admin.Durability(i)
+			st := db.Durability(i)
 			if r := st.Recovery; r.Recovered {
 				log.Printf("kvserver: shard %d cold restart: era=%d seq=%d (snapshot %d + %d replayed, %d torn bytes truncated, %d resynced, %d rejoined)",
 					i, r.Era, r.Seq, r.SnapSeq, r.Replayed, r.TruncatedBytes, r.Resynced, r.Rejoined)
@@ -200,10 +193,8 @@ func main() {
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Fatalf("kvserver: drain: %v", err)
 		}
-		if admin != nil {
-			if err := admin.Close(); err != nil {
-				log.Fatalf("kvserver: close: %v", err)
-			}
+		if err := db.Close(); err != nil {
+			log.Fatalf("kvserver: close: %v", err)
 		}
 		logf("kvserver: drained")
 	case err := <-serveErr:

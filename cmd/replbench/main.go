@@ -28,7 +28,7 @@
 //	replbench -experiment group-commit -commit-batch 32         # batched commit sweep
 //	replbench -repair                   # crash→failover→online-repair availability timeline
 //	replbench -chaos -seed 7            # seeded unattended fault schedule (MTTD/MTTR per event)
-//	replbench -kv                       # YCSB-style key-value mixes over both facades
+//	replbench -kv                       # YCSB-style key-value mixes over one shard and four
 //	replbench -experiment readscale     # replica reads per consistency mode vs the primary baseline
 //	replbench -experiment readscale -read-mode bounded  # one mode alongside the baseline
 //	replbench -durability               # disk-tier kill-and-restart recovery matrix
@@ -68,7 +68,7 @@ func run() int {
 		repair     = flag.Bool("repair", false, "run the crash→failover→online-repair availability timeline (windowed txn/s + repair duration/bytes)")
 		chaos      = flag.Bool("chaos", false, "run the unattended chaos schedule against the autopilot (per-event MTTD/failover/repair/MTTR latencies; seeded by -seed)")
 		chaosN     = flag.Int("chaos-events", 0, "fault injections the -chaos schedule lands (0 = default 4)")
-		kvFlag     = flag.Bool("kv", false, "run the key-value YCSB-style mixes over both facades through the DB interface")
+		kvFlag     = flag.Bool("kv", false, "run the key-value YCSB-style mixes over one shard and four through the DB interface")
 		durability = flag.Bool("durability", false, "run the disk tier's kill-and-restart recovery matrix (snapshot interval x corrupt-tail mode; seeded by -seed)")
 		rebalance  = flag.Bool("rebalance", false, "run the elastic online-rebalance timeline: a 2-shard deployment grows through -target-shards under the live Debit-Credit stream (windowed txn/s + migration totals + acked-write audit)")
 		targets    = flag.String("target-shards", "", "comma-separated growth steps for -rebalance as absolute shard counts, each above the last, from the 2-shard start (\"\" = 4,8)")

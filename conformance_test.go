@@ -1,9 +1,8 @@
 // Conformance suite for the DB contract: one table-driven set of
 // behavioral assertions — begin/commit/read-back, settle semantics, the
-// error taxonomy of errors.go, the harmonized Admin fault surface — run
-// identically against a Cluster, a 1-shard ShardedCluster and a 4-shard
-// ShardedCluster. Anything that passes here is interchangeable behind the
-// repro.DB + repro.Admin interfaces.
+// error taxonomy of errors.go, the Admin fault surface — run identically
+// against every shape a deployment can take: one replica group, four, and
+// two placements the range mover built online.
 package repro_test
 
 import (
@@ -17,50 +16,39 @@ import (
 	"repro/kv"
 )
 
-// fullDB is the combined surface the suite exercises.
-type fullDB interface {
-	repro.DB
-	repro.Admin
-}
-
-// conformanceTargets builds the facade matrix for one configuration.
-func conformanceTargets(t *testing.T, cfg repro.Config) map[string]fullDB {
+// conformanceTargets builds the deployment matrix for one configuration.
+func conformanceTargets(t *testing.T, cfg repro.Config) map[string]*repro.Cluster {
 	t.Helper()
-	mk := func(shards int) fullDB {
-		if shards == 0 {
-			c, err := repro.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c
-		}
-		sc, err := repro.NewSharded(cfg, shards)
+	// grown reaches its shape through the elastic path — AddShards +
+	// Rebalance on a smaller deployment — so every contract assertion also
+	// holds on a placement the range mover built.
+	grown := func(c *repro.Cluster, err error, add int) *repro.Cluster {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sc
+		if _, err := c.AddShards(add); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Rebalance(); err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
-	// rebalanced4 reaches the 4-shard shape through the elastic path — a
-	// 2-shard deployment grown online (AddShards + Rebalance) — so every
-	// contract assertion also holds on a placement the range mover built.
-	mkReb := func() fullDB {
-		sc, err := repro.NewSharded(cfg, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sc.AddShards(2); err != nil {
-			t.Fatal(err)
-		}
-		if err := sc.Rebalance(); err != nil {
-			t.Fatal(err)
-		}
-		return sc
+	c1, err := repro.New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return map[string]fullDB{
-		"cluster":     mk(0),
-		"sharded1":    mk(1),
-		"sharded4":    mk(4),
-		"rebalanced4": mkReb(),
+	c4, err := repro.NewSharded(cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2, err2 := repro.New(cfg)
+	r4, err4 := repro.NewSharded(cfg, 2)
+	return map[string]*repro.Cluster{
+		"cluster":     c1,
+		"sharded4":    c4,
+		"grown2":      grown(c2, err2, 1), // started as the paper's single group
+		"rebalanced4": grown(r4, err4, 2),
 	}
 }
 
@@ -148,12 +136,14 @@ func TestDBConformanceReadBack(t *testing.T) {
 }
 
 // TestDBConformanceSettleAndFailover: commit, settle, crash, fail over —
-// everything committed before Settle is on the survivor, on every facade,
-// through the no-argument Admin surface (shard 0).
+// everything committed before Settle is on the survivor, on every target.
+// The faults land on the shard owning the payload, wherever the placement
+// put it.
 func TestDBConformanceSettleAndFailover(t *testing.T) {
 	for name, db := range conformanceTargets(t, replicatedCfg()) {
 		t.Run(name, func(t *testing.T) {
 			payload := []byte("must survive the crash")
+			home := db.ShardFor(64)
 			tx, err := db.Begin()
 			if err != nil {
 				t.Fatal(err)
@@ -171,10 +161,10 @@ func TestDBConformanceSettleAndFailover(t *testing.T) {
 				t.Fatal(err)
 			}
 			db.Settle()
-			if err := db.CrashPrimary(); err != nil {
+			if err := db.CrashPrimary(home); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Failover(); err != nil {
+			if err := db.Failover(home); err != nil {
 				t.Fatal(err)
 			}
 			got := make([]byte, len(payload))
@@ -182,17 +172,17 @@ func TestDBConformanceSettleAndFailover(t *testing.T) {
 				t.Fatalf("after failover Read = %q, %v", got, err)
 			}
 			// The cluster is degraded but repairable.
-			if err := db.Repair(); err != nil {
+			if err := db.Repair(home); err != nil {
 				t.Fatalf("Repair after failover: %v", err)
 			}
-			if got := db.Backups(); got != 2 {
+			if got := db.Backups(home); got != 2 {
 				t.Fatalf("Backups after repair = %d, want 2", got)
 			}
 		})
 	}
 }
 
-// TestDBConformanceErrorTaxonomy: the errors.go table, facade by facade.
+// TestDBConformanceErrorTaxonomy: the errors.go table, target by target.
 func TestDBConformanceErrorTaxonomy(t *testing.T) {
 	for name, db := range conformanceTargets(t, replicatedCfg()) {
 		t.Run(name, func(t *testing.T) {
@@ -276,11 +266,12 @@ func TestDBConformanceErrorTaxonomy(t *testing.T) {
 			}
 
 			// Crash: the transaction path and reads refuse with
-			// ErrCrashed until failover. A Cluster refuses at Begin; a
-			// ShardedCluster's lazy per-shard Begin defers the same
-			// sentinel to the first touch of the dead shard (the DB
-			// contract admits both).
-			if err := db.CrashPrimary(); err != nil {
+			// ErrCrashed until failover. One shard refuses at Begin; with
+			// more, the lazy per-shard Begin defers the same sentinel to
+			// the first touch of the dead shard (the DB contract admits
+			// both).
+			home := db.ShardFor(0)
+			if err := db.CrashPrimary(home); err != nil {
 				t.Fatal(err)
 			}
 			if ctx, err := db.Begin(); err == nil {
@@ -294,12 +285,12 @@ func TestDBConformanceErrorTaxonomy(t *testing.T) {
 			if err := db.Read(0, buf); !errors.Is(err, repro.ErrCrashed) {
 				t.Fatalf("Read on crashed = %v", err)
 			}
-			if err := db.Failover(); err != nil {
+			if err := db.Failover(home); err != nil {
 				t.Fatal(err)
 			}
 			// Quorum still refuses service on the degraded group — the
 			// admission-side face of the same sentinel (deferred to the
-			// first shard touch on the lazy sharded Begin).
+			// first shard touch on the lazy multi-shard Begin).
 			if dtx, err := db.Begin(); err == nil {
 				if err := dtx.SetRange(0, 8); !errors.Is(err, repro.ErrSafetyUnavailable) {
 					t.Fatalf("first touch on degraded quorum group = %v", err)
@@ -308,7 +299,7 @@ func TestDBConformanceErrorTaxonomy(t *testing.T) {
 			} else if !errors.Is(err, repro.ErrSafetyUnavailable) {
 				t.Fatalf("Begin on degraded quorum group = %v", err)
 			}
-			if err := db.Repair(); err != nil {
+			if err := db.Repair(home); err != nil {
 				t.Fatal(err)
 			}
 			tx2, err := db.Begin()
@@ -322,9 +313,8 @@ func TestDBConformanceErrorTaxonomy(t *testing.T) {
 	}
 }
 
-// TestDBConformanceReadRawBounds: an out-of-range ReadRaw panics with the
-// same contract on both facades (it used to silently no-op on the sharded
-// one).
+// TestDBConformanceReadRawBounds: an out-of-range ReadRaw panics on every
+// target.
 func TestDBConformanceReadRawBounds(t *testing.T) {
 	for name, db := range conformanceTargets(t, replicatedCfg()) {
 		t.Run(name, func(t *testing.T) {
@@ -347,7 +337,7 @@ func TestDBConformanceReadRawBounds(t *testing.T) {
 }
 
 // TestDBConformanceNoBackup: Failover without a survivor returns
-// ErrNoBackup on every facade.
+// ErrNoBackup on every target.
 func TestDBConformanceNoBackup(t *testing.T) {
 	cfg := repro.Config{Version: repro.V3InlineLog, Backup: repro.Standalone, DBSize: 64 << 10}
 	for name, db := range conformanceTargets(t, cfg) {
@@ -362,11 +352,50 @@ func TestDBConformanceNoBackup(t *testing.T) {
 	}
 }
 
+// TestDBConformanceCrashAfterBegin: a crash landing between a
+// transaction's Begin and any later call surfaces as the one public
+// ErrCrashed from every handle method — the store-level crash marker never
+// leaks — so layers above (kv marks its store broken, kvserver answers
+// retry) recognize it whichever method meets it first.
+func TestDBConformanceCrashAfterBegin(t *testing.T) {
+	buf := make([]byte, 8)
+	calls := map[string]func(tx repro.Tx) error{
+		"SetRange": func(tx repro.Tx) error { return tx.SetRange(0, 8) },
+		"Write":    func(tx repro.Tx) error { return tx.Write(0, buf) },
+		"Read":     func(tx repro.Tx) error { return tx.Read(0, buf) },
+		"Commit":   func(tx repro.Tx) error { return tx.Commit() },
+		"Abort":    func(tx repro.Tx) error { return tx.Abort() },
+	}
+	for call, f := range calls {
+		for name, db := range conformanceTargets(t, replicatedCfg()) {
+			t.Run(call+"/"+name, func(t *testing.T) {
+				tx, err := db.Begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				// One shard: Begin already holds the transaction the crash
+				// orphans. More: the first touch opens it.
+				if db.Shards() > 1 {
+					if err := tx.SetRange(0, 8); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := db.CrashPrimary(db.ShardFor(0)); err != nil {
+					t.Fatal(err)
+				}
+				if err := f(tx); !errors.Is(err, repro.ErrCrashed) {
+					t.Fatalf("%s after the crash = %v, want ErrCrashed", call, err)
+				}
+			})
+		}
+	}
+}
+
 // TestKVRecoveryRandomized is the key-level committed-prefix property:
 // across randomized workloads and crash points, every acknowledged Put is
 // readable after crash → failover → kv.Open on the survivor (quorum
 // commit), and every acknowledged Delete stays deleted. Runs the same
-// property over a Cluster and a 4-shard ShardedCluster.
+// property over one shard and four.
 func TestKVRecoveryRandomized(t *testing.T) {
 	iters := 12
 	if testing.Short() {
@@ -377,13 +406,7 @@ func TestKVRecoveryRandomized(t *testing.T) {
 			name := fmt.Sprintf("shards%d/seed%d", shards, it)
 			t.Run(name, func(t *testing.T) {
 				cfg := replicatedCfg()
-				var db fullDB
-				var err error
-				if shards == 1 {
-					db, err = repro.New(cfg)
-				} else {
-					db, err = repro.NewSharded(cfg, shards)
-				}
+				db, err := repro.NewSharded(cfg, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -477,7 +500,7 @@ func TestKVRecoveryRandomized(t *testing.T) {
 	}
 }
 
-// writeAt commits one record through the DB facade and returns it.
+// writeAt commits one record through the DB surface and returns it.
 func writeAt(t *testing.T, db repro.DB, off int, fill byte) []byte {
 	t.Helper()
 	payload := bytes.Repeat([]byte{fill}, 12)
@@ -498,7 +521,7 @@ func writeAt(t *testing.T, db repro.DB, off int, fill byte) []byte {
 }
 
 // TestDBConformanceReadOpts: the ReadAt consistency surface behaves
-// identically on a Cluster and on both ShardedCluster arities — the zero
+// identically on every target — the zero
 // ReadOpts is exactly Read, every mode returns committed bytes under its
 // advertised floor, and a pinned unavailable replica surfaces
 // ErrReplicaUnavailable instead of silently falling back.
@@ -562,30 +585,31 @@ func TestDBConformanceReadOpts(t *testing.T) {
 
 // TestDBConformanceMidJoinNeverServes: a replica being rebuilt by the
 // online repair holds a fuzzy copy — a pinned ReadAt must refuse it for
-// the whole transfer, on every facade.
+// the whole transfer, on every target.
 func TestDBConformanceMidJoinNeverServes(t *testing.T) {
 	cfg := replicatedCfg()
 	cfg.Safety = repro.OneSafe // commits must keep flowing while degraded
 	for name, db := range conformanceTargets(t, cfg) {
 		t.Run(name, func(t *testing.T) {
 			const off = 64
+			home := db.ShardFor(off)
 			writeAt(t, db, off, 0x11)
 			if err := db.Flush(); err != nil {
 				t.Fatal(err)
 			}
 			db.Settle()
-			if err := db.CrashBackup(0); err != nil {
+			if err := db.CrashBackup(0, home); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.RepairAsync(); err != nil {
+			if err := db.RepairAsync(home); err != nil {
 				t.Fatal(err)
 			}
 
 			buf := make([]byte, 12)
 			probes := 0
-			for i := 0; i < 200000 && db.RepairProgress().Active; i++ {
+			for i := 0; i < 200000 && db.RepairProgress(home).Active; i++ {
 				writeAt(t, db, off+64+(i%32)*16, byte(i))
-				if db.RepairProgress().Joining > 0 {
+				if db.RepairProgress(home).Joining > 0 {
 					probes++
 					// The repair drops the crashed backup and appends the
 					// joiner after the survivors: it is replica index 2.
@@ -601,7 +625,7 @@ func TestDBConformanceMidJoinNeverServes(t *testing.T) {
 					db.Settle()
 				}
 			}
-			if db.RepairProgress().Active {
+			if db.RepairProgress(home).Active {
 				t.Fatal("repair never completed")
 			}
 			if probes == 0 {

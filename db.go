@@ -3,11 +3,10 @@ package repro
 import "time"
 
 // DB is the package's storage abstraction: the full data-plane and
-// observability surface of one replicated deployment, satisfied by both
-// Cluster and ShardedCluster. Drivers, harness cells and applications
-// written against DB run unchanged over a single replica group or a
-// sharded front-end — a one-shard ShardedCluster and a Cluster are
-// interchangeable, down to the error taxonomy (see errors.go).
+// observability surface of one replicated deployment, satisfied by
+// Cluster. Drivers, harness cells and applications written against DB run
+// unchanged over one replica group or many (see errors.go for the error
+// taxonomy).
 //
 // The kv layer (package repro/kv) builds a typed key-value API on top of
 // any DB, laying its index and record heap out inside the replicated
@@ -16,10 +15,10 @@ type DB interface {
 	// Begin opens a transaction on the serving node; the handle is valid
 	// until Commit or Abort. A dead primary refuses with ErrCrashed, a
 	// group below its safety level with ErrSafetyUnavailable, a deposed
-	// primary with ErrLeaseExpired. A Cluster refuses at Begin itself; a
-	// ShardedCluster opens per-shard transactions lazily, so the same
-	// sentinels surface at the first operation touching the affected
-	// shard — test with errors.Is either way.
+	// primary with ErrLeaseExpired. A one-shard deployment refuses at
+	// Begin itself; with more shards the per-shard transactions open
+	// lazily, so the same sentinels surface at the first operation
+	// touching the affected shard — test with errors.Is either way.
 	Begin() (Tx, error)
 	// Read performs a charged, non-transactional read, serialized with
 	// the deployment's transactions. Returns ErrBounds outside the
@@ -50,7 +49,7 @@ type DB interface {
 	ReplicaElapsed() time.Duration
 	// ReadRaw copies database bytes without charging simulated time
 	// (test oracles, state dumps). It panics if [off, off+len(dst))
-	// falls outside DBSize() — identically on both facades.
+	// falls outside DBSize().
 	ReadRaw(off int, dst []byte)
 	// Load installs initial content without charging simulated time,
 	// keeping every replica's copy in sync (the initial transfer that
@@ -74,8 +73,7 @@ type DB interface {
 	// measurement reset, by category. Never blocks.
 	NetTraffic() Traffic
 	// Elapsed returns the simulated time consumed since the last
-	// measurement reset (the slowest shard's clock on a sharded
-	// deployment). Never blocks.
+	// measurement reset (the slowest shard's clock). Never blocks.
 	Elapsed() time.Duration
 	// ResetMeasurement starts a fresh measured interval: statistics
 	// zeroed, cache and link state preserved.
@@ -85,29 +83,26 @@ type DB interface {
 	AutopilotEvents() []FailureEvent
 	// Metrics snapshots the deployment's observability registry —
 	// counters, gauges, latency histograms and the failure/repair event
-	// ring; the zero Snapshot with Config.Metrics off. A sharded
-	// deployment merges its per-shard registries, stamping each event
-	// with its owning shard. Never blocks.
+	// ring; the zero Snapshot with Config.Metrics off. The per-shard
+	// registries are merged, each event stamped with its owning shard.
+	// Never blocks.
 	Metrics() Metrics
 	// DBSize returns the configured database size — the bound every
 	// offset is validated against.
 	DBSize() int
-	// Capacity returns the allocated size, at least DBSize (a sharded
-	// deployment rounds each shard up to a 4 KB multiple; the rounding
-	// tail is unaddressable).
+	// Capacity returns the allocated size, at least DBSize (each shard
+	// is rounded up to a 4 KB multiple; the rounding tail is
+	// unaddressable).
 	Capacity() int
 	// Shards returns the number of independent replica groups serving
-	// the database: 1 for a Cluster.
+	// the database: 1 for a deployment built by New, until it grows.
 	Shards() int
 }
 
-// Admin is the harmonized fault-injection and recovery surface both
-// facades share. Every method takes an optional trailing shard selector:
-// omitted, it targets shard 0 — which on a Cluster is the whole
-// deployment, making a Cluster and a one-shard ShardedCluster
-// interchangeable for chaos drivers and conformance suites. An
-// out-of-range selector (any index above 0 on a Cluster) returns
-// ErrNoSuchShard; methods without an error return the zero value.
+// Admin is the fault-injection and recovery surface. Every method takes
+// an optional trailing shard selector: omitted, it targets shard 0 —
+// the whole of a deployment built by New. An out-of-range selector
+// returns ErrNoSuchShard; methods without an error return the zero value.
 type Admin interface {
 	// CrashPrimary kills the selected shard's primary mid-flight;
 	// doubled stores still sitting in its write buffers are lost (the
@@ -140,7 +135,7 @@ type Admin interface {
 	// Backups returns the selected shard's current backup count.
 	Backups(shard ...int) int
 	// AutopilotEnabled reports whether the unattended failure loop is
-	// on (per-shard on a sharded deployment, configured uniformly).
+	// on (per shard, configured uniformly).
 	AutopilotEnabled() bool
 	// Durability returns the disk tier's status for the selected shard;
 	// the zero value with Config.Durability off.
@@ -159,19 +154,20 @@ type Admin interface {
 	// a no-op without Config.Durability.
 	Close() error
 
-	// AddShards appends n empty shard groups to an elastic deployment
-	// and returns their ids. The new shards serve no data until a
-	// Rebalance moves ranges onto them. ErrNotElastic on a Cluster.
+	// AddShards appends n empty shard groups and returns their ids. The
+	// new shards serve no data until a Rebalance moves ranges onto them.
+	// ErrNotElastic, here and on RemoveShard and Rebalance, on a
+	// Cluster.Shard view, whose topology is its parent's.
 	AddShards(n int) ([]int, error)
 	// RemoveShard drains every range off the selected shard (an online
 	// rebalance onto the survivors) and tombstones it: the id stays
 	// valid for Token/Stats indexing but owns no data and joins no
-	// future plan. ErrNotElastic on a Cluster.
+	// future plan.
 	RemoveShard(shard int) error
 	// Rebalance plans the minimal-move redistribution toward the shards
 	// added since the last rebalance and blocks until every range has
 	// migrated and cut over. A no-op (nil) when the placement is already
-	// balanced. ErrNotElastic on a Cluster.
+	// balanced.
 	Rebalance() error
 	// RebalanceAsync starts the rebalance and returns immediately; the
 	// range mover then rides the deployment's commit stream (each
@@ -180,30 +176,12 @@ type Admin interface {
 	// RebalanceProgress reports the current (or most recent) rebalance.
 	RebalanceProgress() RebalanceProgress
 	// PlacementEpoch returns the routing table's version: 1 at
-	// construction, +1 at every range cut-over. Constant 1 on a Cluster.
+	// construction, +1 at every range cut-over.
 	PlacementEpoch() uint64
 }
 
-// Compile-time assertions: both facades satisfy the full redesigned
-// surface.
+// Compile-time assertions: Cluster satisfies the full surface.
 var (
 	_ DB    = (*Cluster)(nil)
-	_ DB    = (*ShardedCluster)(nil)
 	_ Admin = (*Cluster)(nil)
-	_ Admin = (*ShardedCluster)(nil)
 )
-
-// shardArg resolves the optional trailing shard selector of the Admin
-// surface: no argument targets shard 0, one argument targets that shard,
-// more than one is rejected. Validation against the shard count is the
-// caller's.
-func shardArg(shard []int) (int, error) {
-	switch len(shard) {
-	case 0:
-		return 0, nil
-	case 1:
-		return shard[0], nil
-	default:
-		return 0, ErrNoSuchShard
-	}
-}

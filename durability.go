@@ -1,11 +1,6 @@
 package repro
 
-import (
-	"fmt"
-	"path/filepath"
-
-	"repro/internal/replication"
-)
+import "repro/internal/replication"
 
 // DurabilityConfig switches on the per-replica disk tier: an append-only
 // redo WAL mirroring the commit stream, periodic snapshot/checkpoint
@@ -20,10 +15,9 @@ import (
 // commit (one fdatasync per batch flush, not per transaction) and never
 // charge the simulated clock, so the paper's tables are unaffected.
 type DurabilityConfig struct {
-	// Dir is the deployment's durability directory. Each replica writes
-	// under its own Dir/node-NNN slot directory; a sharded deployment
-	// gives shard i the subdirectory Dir/shard-NNN. Empty disables the
-	// tier.
+	// Dir is the deployment's durability directory. Shard i persists
+	// under Dir/shard-NNN, each of its replicas in its own node-NNN slot
+	// directory below that. Empty disables the tier.
 	Dir string
 	// SnapshotEvery is the number of commits between checkpoints
 	// (snapshot write + WAL rotation + pruning). Default 1024. Smaller
@@ -67,8 +61,8 @@ type RecoveryInfo struct {
 type DurabilityStatus struct {
 	// Enabled reports whether the tier is on.
 	Enabled bool
-	// Dir is the deployment's durability directory (the per-shard
-	// subdirectory when queried with a shard selector).
+	// Dir is the queried shard's subdirectory of the deployment's
+	// durability directory.
 	Dir string
 	// Era is the current durability era (bumped at every failover and
 	// cold restart).
@@ -132,88 +126,46 @@ func walTails(tails []replication.WALTail) []WALTail {
 }
 
 // Durability returns the disk tier's status for the selected shard
-// (default shard 0); the zero value with the tier off or for an
-// out-of-range selector.
+// (default shard 0; the tier is configured uniformly, so Enabled is
+// uniform too); the zero value with the tier off or for an out-of-range
+// selector.
 func (c *Cluster) Durability(shard ...int) DurabilityStatus {
-	if err := c.checkShard(shard); err != nil {
+	m, err := c.pick(shard)
+	if err != nil {
 		return DurabilityStatus{}
 	}
-	return durabilityStatus(c.group().Durability())
+	return durabilityStatus(m.Durability())
 }
 
 // PowerFail kills every machine of the selected shard (default shard 0)
 // at this instant: unlike CrashPrimary, the backups die too, and nothing
 // past each replica's last fdatasync is guaranteed on disk. The shard is
-// unusable afterwards; a fresh New over the same Durability.Dir performs
-// the cold restart. Returns ErrNoDurability without the disk tier and
-// ErrCrashed when the power is already off.
+// unusable afterwards; a fresh New/NewSharded over the same
+// Durability.Dir performs the cold restart, each shard independently
+// from its own subdirectory (a whole-deployment power loss is a
+// PowerFail of every shard). Returns ErrNoDurability without the disk
+// tier and ErrCrashed when the power is already off.
 func (c *Cluster) PowerFail(shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
+	m, err := c.pick(shard)
+	if err != nil {
 		return err
 	}
-	return mapErr(c.group().PowerFail())
+	return mapErr(m.PowerFail())
 }
 
 // WALTails returns, after a PowerFail, each replica's live WAL segment
-// and its synced offset — the handles a crash harness uses to tear the
-// unsynced tail. Nil before a PowerFail or without the disk tier.
+// and its synced offset on the selected shard (default shard 0) — the
+// handles a crash harness uses to tear the unsynced tail. Nil before a
+// PowerFail or without the disk tier.
 func (c *Cluster) WALTails(shard ...int) []WALTail {
-	if err := c.checkShard(shard); err != nil {
-		return nil
-	}
-	return walTails(c.group().WALTails())
-}
-
-// Close flushes and closes every WAL replica (a clean shutdown, as
-// opposed to PowerFail). The in-memory deployment is untouched; a no-op
-// without the disk tier.
-func (c *Cluster) Close() error { return c.group().Close() }
-
-// shardDurabilityDir returns shard i's subdirectory of the deployment's
-// durability directory.
-func shardDurabilityDir(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
-}
-
-// Durability returns the selected shard's disk-tier status (default
-// shard 0; the tier is configured uniformly, so Enabled is uniform too).
-func (s *ShardedCluster) Durability(shard ...int) DurabilityStatus {
-	i, err := s.checkShard(shard)
-	if err != nil {
-		return DurabilityStatus{}
-	}
-	return s.v().shards[i].Durability()
-}
-
-// PowerFail kills every machine of the selected shard (default shard 0).
-// A whole-deployment power loss is a PowerFail of every shard; each
-// shard then cold-restarts independently from its own subdirectory.
-func (s *ShardedCluster) PowerFail(shard ...int) error {
-	i, err := s.checkShard(shard)
-	if err != nil {
-		return err
-	}
-	return s.v().shards[i].PowerFail()
-}
-
-// WALTails returns the selected shard's post-PowerFail segment handles
-// (default shard 0); nil before a PowerFail or without the disk tier.
-func (s *ShardedCluster) WALTails(shard ...int) []WALTail {
-	i, err := s.checkShard(shard)
+	m, err := c.pick(shard)
 	if err != nil {
 		return nil
 	}
-	return s.v().shards[i].WALTails()
+	return walTails(m.WALTails())
 }
 
-// Close cleanly shuts the disk tier of every shard, returning the first
-// error; a no-op without the tier.
-func (s *ShardedCluster) Close() error {
-	var firstErr error
-	for i, c := range s.v().shards {
-		if err := c.Close(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("repro: shard %d: %w", i, err)
-		}
-	}
-	return firstErr
-}
+// Close flushes and closes every WAL replica of every shard (a clean
+// shutdown, as opposed to PowerFail), returning the first error. The
+// in-memory deployment is untouched; a no-op without the disk tier.
+func (c *Cluster) Close() error { return c.eachShard((*member).Close) }

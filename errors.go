@@ -15,7 +15,7 @@ import (
 // below. Sentinels that flow through transaction handles unchanged are
 // aliases of the internal layer's values, so errors.Is works on every
 // path; the remaining sentinels are owned here and translated at the
-// facade boundary by mapErr.
+// API boundary by mapErr.
 //
 // Which calls return which errors:
 //
@@ -30,7 +30,8 @@ import (
 //	Tx.Read                    ErrBounds, ErrTxDone, ErrCrashed
 //	Tx.Commit                  ErrTxDone, ErrCrashed, ErrSafetyUnavailable
 //	                           (committed locally, acks not collected),
-//	                           *PartialCommitError (sharded multi-shard)
+//	                           *PartialCommitError (two or more shards
+//	                           touched)
 //	Tx.Abort                   ErrTxDone, ErrCrashed
 //	DB.Read / DB.Load          ErrBounds, ErrCrashed (Read only)
 //	DB.ReadAt                  ErrBounds, ErrCrashed,
@@ -49,11 +50,12 @@ import (
 //	Admin.ResumeBackup         ErrNoSuchShard, no-such-backup errors
 //	Admin.PowerFail            ErrNoSuchShard, ErrNoDurability,
 //	                           ErrCrashed (power already off)
-//	Admin.AddShards            ErrNotElastic, ErrRebalanceActive,
+//	Admin.AddShards            ErrNotElastic (Shard views, here and on the
+//	                           next two), ErrRebalanceActive,
 //	                           ErrShardCount, configuration errors
 //	Admin.RemoveShard          ErrNotElastic, ErrRebalanceActive,
 //	                           ErrNoSuchShard, ErrNoCapacity, ErrCrashed
-//	Admin.Rebalance[Async]     ErrNotElastic (Cluster), ErrRebalanceActive
+//	Admin.Rebalance[Async]     ErrNotElastic, ErrRebalanceActive
 //	                           (Async only), ErrCrashed (mover blocked on
 //	                           a dead group; resolve and call again)
 //
@@ -89,7 +91,7 @@ var (
 	ErrReplicaUnavailable = replication.ErrReplicaUnavailable
 	// ErrBounds is returned for any access outside the configured
 	// database size: transactional SetRange/Write/Read, charged Read,
-	// and Load, on both facades.
+	// and Load.
 	ErrBounds = vista.ErrBounds
 	// ErrWriteOutsideRange is returned by Tx.Write for bytes not covered
 	// by a declared set-range (unless the cluster was built with
@@ -108,13 +110,11 @@ var (
 	// count.
 	ErrShardCount = errors.New("repro: shard count must be at least 1")
 	// ErrNoSuchShard is returned for an out-of-range shard selector on
-	// the harmonized fault surface (see Admin): a Cluster is exactly
-	// shard 0 of itself, a ShardedCluster owns shards 0..Shards()-1.
+	// the Admin surface: a Cluster owns shards 0..Shards()-1.
 	ErrNoSuchShard = errors.New("repro: no such shard")
 	// ErrNotElastic is returned by the elastic surface (AddShards,
-	// RemoveShard, Rebalance) on a deployment that cannot change its
-	// topology — a single Cluster, whose one replica group is its whole
-	// identity. Use NewSharded (even with one shard) for elasticity.
+	// RemoveShard, Rebalance) on a Cluster.Shard view: one replica group
+	// of a deployment, whose topology changes through its parent.
 	ErrNotElastic = errors.New("repro: deployment is not elastic")
 	// ErrRebalanceActive is returned by topology changes (AddShards,
 	// RemoveShard, RebalanceAsync) issued while a rebalance is still
@@ -125,7 +125,7 @@ var (
 	ErrNoCapacity = placement.ErrNoCapacity
 )
 
-// PartialCommitError reports a sharded commit that failed part-way: the
+// PartialCommitError reports a multi-shard commit that failed part-way: the
 // shards in Committed had already committed when shard Failed's commit
 // returned Err, and the remaining touched shards were rolled back
 // (Aborted). Cross-shard atomicity is out of scope by design, so callers
@@ -154,7 +154,7 @@ func (e *PartialCommitError) Error() string {
 // Unwrap exposes the underlying shard failure to errors.Is/As.
 func (e *PartialCommitError) Unwrap() error { return e.Err }
 
-// mapErr translates internal-layer sentinels to the facade's taxonomy at
+// mapErr translates internal-layer sentinels to the public taxonomy at
 // an API boundary. It is exhaustive over the errors the internal layers
 // can surface: aliased sentinels (ErrCrashed, ErrSafetyUnavailable,
 // ErrLeaseExpired, ErrBounds, ErrWriteOutsideRange, ErrTxDone) pass
@@ -175,4 +175,14 @@ func mapErr(err error) error {
 	default:
 		return err
 	}
+}
+
+// recoveryErr maps the failure of a Failover or Repair: the two sentinels
+// owned here come back bare, anything else names the operation.
+func recoveryErr(op string, err error) error {
+	err = mapErr(err)
+	if err == nil || err == ErrNoBackup || err == ErrNotRepairable {
+		return err
+	}
+	return fmt.Errorf("repro: %s: %w", op, err)
 }

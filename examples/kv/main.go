@@ -28,8 +28,8 @@ func val(i int) []byte { return []byte(fmt.Sprintf("profile-%d-v1", i*31)) }
 func main() {
 	// A 3-node group (primary + 2 backups) at quorum commit: an acked
 	// write survives the loss of the primary plus any minority of
-	// backups. Both facades satisfy repro.DB — swap in NewSharded and
-	// nothing below changes.
+	// backups. Everything below sees only repro.DB — swap in NewSharded
+	// and nothing changes.
 	var db repro.DB
 	db, err := repro.New(repro.Config{
 		Version: repro.V3InlineLog,

@@ -42,7 +42,7 @@ func init() {
 
 // ablationCell runs Debit-Credit under custom parameters.
 func ablationCell(cfg RunConfig, params sim.Params, ver vista.Version, mode replication.Mode) (tpc.Result, error) {
-	pair, err := replication.NewPair(replication.Config{
+	pair, err := replication.NewGroup(replication.Config{
 		Mode:   mode,
 		Store:  vista.Config{Version: ver, DBSize: cfg.DBSize},
 		Params: &params,
@@ -194,7 +194,7 @@ func runAblationTwoSafe(cfg RunConfig) (*Table, error) {
 		Notes:   append(runNotes(cfg), "the paper chose 1-safe (Section 2.1); 2-safe is the natural extension"),
 	}
 	for _, twoSafe := range []bool{false, true} {
-		pair, err := replication.NewPair(replication.Config{
+		pair, err := replication.NewGroup(replication.Config{
 			Mode:    replication.Active,
 			Store:   vista.Config{Version: vista.V3InlineLog, DBSize: cfg.DBSize},
 			TwoSafe: twoSafe,

@@ -65,7 +65,7 @@ func runCell(cfg RunConfig, bench string, ver vista.Version, mode replication.Mo
 	}
 	cellMu.Unlock()
 
-	pair, err := replication.NewPair(replication.Config{
+	pair, err := replication.NewGroup(replication.Config{
 		Mode:         mode,
 		Store:        vista.Config{Version: ver, DBSize: dbSize, SparseDB: sparse},
 		SparseBackup: sparse,

@@ -116,7 +116,7 @@ func captureTrace(cfg RunConfig, bench string, ver vista.Version, mode replicati
 	}
 	traceMu.Unlock()
 
-	pair, err := replication.NewPair(replication.Config{
+	pair, err := replication.NewGroup(replication.Config{
 		Mode:  mode,
 		Store: vista.Config{Version: ver, DBSize: cfg.SMPDBSize},
 	})

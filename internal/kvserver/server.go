@@ -229,11 +229,8 @@ func (s *Server) Stats() kvwire.Stats {
 		Draining:  draining,
 		Shards:    s.db.Shards(),
 	}
-	// The placement epoch sits on the Admin surface; every facade the
-	// server fronts carries it, but the DB interface alone is enough to
-	// serve, so probe instead of widening the server's dependency.
-	if pe, ok := s.db.(interface{ PlacementEpoch() uint64 }); ok {
-		st.PlacementEpoch = pe.PlacementEpoch()
+	if s.admin != nil {
+		st.PlacementEpoch = s.admin.PlacementEpoch()
 	}
 	return st
 }

@@ -232,6 +232,66 @@ func TestServerGarbageFrames(t *testing.T) {
 	}
 }
 
+// crashAfterBegin is a deployment whose primary dies the instant an armed
+// Begin has opened its transaction: the crash a racing CrashPrimary lands
+// between a PUT's Begin and its first write, made deterministic.
+type crashAfterBegin struct {
+	*repro.Cluster
+	armed atomic.Bool
+}
+
+func (d *crashAfterBegin) Begin() (repro.Tx, error) {
+	tx, err := d.Cluster.Begin()
+	if err == nil && d.armed.CompareAndSwap(true, false) {
+		err = d.CrashPrimary()
+	}
+	return tx, err
+}
+
+// TestServerPutRacingCrash: a PUT whose transaction the crash orphans
+// before its first write is answered StatusRetry — the failure is the
+// retryable "failing over" one, not a terminal StatusErr — and the store
+// is marked for the healer.
+func TestServerPutRacingCrash(t *testing.T) {
+	c, err := repro.New(repro.Config{Version: repro.V3InlineLog, Backup: repro.ActiveBackup, Backups: 1, DBSize: 4 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := &crashAfterBegin{Cluster: c}
+	store, err := kv.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Config{Logf: t.Logf})
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	db.armed.Store(true)
+	if _, err := conn.Write(kvwire.AppendPut(nil, []byte("k"), []byte("v"))); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	resp, err := kvwire.ReadFrame(conn, nil, kvwire.MaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp[0] != kvwire.StatusRetry {
+		t.Fatalf("PUT racing the crash answered status %d %q, want StatusRetry", resp[0], resp[1:])
+	}
+	if got := srv.Stats().Retries; got != 1 {
+		t.Fatalf("server counted %d retries, want 1", got)
+	}
+}
+
 // TestServerScanAndTxn exercises the remaining opcodes through the real
 // client: a multi-key transaction lands atomically and Scan pages the
 // keyspace back.

@@ -7,14 +7,14 @@ import (
 )
 
 // Metric names owned by internal/replication. The latency histograms
-// record *simulated* nanoseconds (the tier's native time domain); the
+// record *simulated* picoseconds (sim.Time, the tier's native unit); the
 // occupancy histogram records a dimensionless count. Full catalog with
 // units in DESIGN.md §Observability.
 const (
 	// per-safety-level histogram name prefixes; the registered name has
 	// the group's safety suffix ("1safe", "2safe", "quorum") appended.
-	MetricCommitLatency = "repl.commit.latency." // sim ns, batch open → ack release
-	MetricFlushLatency  = "repl.flush.latency."  // sim ns, seal → ack release
+	MetricCommitLatency = "repl.commit.latency." // sim ps, batch open → ack release
+	MetricFlushLatency  = "repl.flush.latency."  // sim ps, seal → ack release
 
 	MetricCommitTxns     = "repl.commit.txns"     // counter: committed transactions flushed
 	MetricCommitBatches  = "repl.commit.batches"  // counter: sealed group-commit batches

@@ -185,15 +185,6 @@ var (
 	ErrPartitioned         = errors.New("replication: primary is partitioned from the SAN")
 )
 
-// Pair is the historical name for a Group: the paper evaluates exactly one
-// primary and one backup, and every single-backup call site keeps working
-// through this alias.
-type Pair = Group
-
-// NewPair constructs a deployment with the default replication degree
-// (one backup outside Standalone) — the paper's configuration.
-func NewPair(cfg Config) (*Pair, error) { return NewGroup(cfg) }
-
 // regionBase leaves the zero page unmapped so a zero address is always a
 // wild pointer.
 const regionBase = 8 << 20

@@ -13,9 +13,9 @@ import (
 
 const testDB = 8 << 20
 
-func newPair(t *testing.T, mode replication.Mode, v vista.Version) *replication.Pair {
+func newPair(t *testing.T, mode replication.Mode, v vista.Version) *replication.Group {
 	t.Helper()
-	pair, err := replication.NewPair(replication.Config{
+	pair, err := replication.NewGroup(replication.Config{
 		Mode:  mode,
 		Store: vista.Config{Version: v, DBSize: testDB},
 	})
@@ -26,19 +26,19 @@ func newPair(t *testing.T, mode replication.Mode, v vista.Version) *replication.
 }
 
 func TestNewPairValidation(t *testing.T) {
-	if _, err := replication.NewPair(replication.Config{
+	if _, err := replication.NewGroup(replication.Config{
 		Mode:  replication.Active,
 		Store: vista.Config{Version: vista.V1MirrorCopy, DBSize: testDB},
 	}); !errors.Is(err, replication.ErrActiveNeedV3) {
 		t.Fatalf("active+V1: %v", err)
 	}
-	if _, err := replication.NewPair(replication.Config{
+	if _, err := replication.NewGroup(replication.Config{
 		Mode:  replication.Mode(42),
 		Store: vista.Config{Version: vista.V3InlineLog, DBSize: testDB},
 	}); err == nil {
 		t.Fatal("invalid mode accepted")
 	}
-	if _, err := replication.NewPair(replication.Config{
+	if _, err := replication.NewGroup(replication.Config{
 		Mode:  replication.Standalone,
 		Store: vista.Config{Version: vista.V3InlineLog, DBSize: -1},
 	}); err == nil {
@@ -253,7 +253,7 @@ func TestActiveRingWraparound(t *testing.T) {
 	// and space reuse; state must stay exact.
 	params := sim.Default()
 	params.RingBytes = 4096
-	pair, err := replication.NewPair(replication.Config{
+	pair, err := replication.NewGroup(replication.Config{
 		Mode:   replication.Active,
 		Store:  vista.Config{Version: vista.V3InlineLog, DBSize: testDB},
 		Params: &params,

@@ -10,14 +10,14 @@ import (
 )
 
 func TestTwoSafeRequiresBackup(t *testing.T) {
-	if _, err := replication.NewPair(replication.Config{
+	if _, err := replication.NewGroup(replication.Config{
 		Mode:    replication.Standalone,
 		Store:   vista.Config{Version: vista.V3InlineLog, DBSize: testDB},
 		TwoSafe: true,
 	}); !errors.Is(err, replication.ErrSafetyNeedsBackup) {
 		t.Fatalf("2-safe standalone accepted: %v", err)
 	}
-	if _, err := replication.NewPair(replication.Config{
+	if _, err := replication.NewGroup(replication.Config{
 		Mode:   replication.Standalone,
 		Store:  vista.Config{Version: vista.V3InlineLog, DBSize: testDB},
 		Safety: replication.QuorumSafe,
@@ -29,7 +29,7 @@ func TestTwoSafeRequiresBackup(t *testing.T) {
 // TestTwoSafeClosesTheWindow: with 2-safe commits, a crash at ANY moment —
 // no settling — loses nothing: every commit that returned is on the backup.
 func TestTwoSafeClosesTheWindow(t *testing.T) {
-	pair, err := replication.NewPair(replication.Config{
+	pair, err := replication.NewGroup(replication.Config{
 		Mode:    replication.Active,
 		Store:   vista.Config{Version: vista.V3InlineLog, DBSize: testDB},
 		TwoSafe: true,
@@ -63,7 +63,7 @@ func TestTwoSafeClosesTheWindow(t *testing.T) {
 // (a SAN round trip plus the backup's apply per commit).
 func TestTwoSafeCostsThroughput(t *testing.T) {
 	run := func(twoSafe bool) float64 {
-		pair, err := replication.NewPair(replication.Config{
+		pair, err := replication.NewGroup(replication.Config{
 			Mode:    replication.Active,
 			Store:   vista.Config{Version: vista.V3InlineLog, DBSize: testDB},
 			TwoSafe: twoSafe,

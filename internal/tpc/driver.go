@@ -86,7 +86,7 @@ type Options struct {
 // Run populates the workload's database, warms up, and drives the measured
 // transaction count against the deployment, returning throughput and
 // traffic figures in simulated time.
-func Run(pair *replication.Pair, w Workload, opts Options) (Result, error) {
+func Run(pair *replication.Group, w Workload, opts Options) (Result, error) {
 	if opts.Txns <= 0 {
 		return Result{}, fmt.Errorf("tpc: non-positive transaction count %d", opts.Txns)
 	}
@@ -136,7 +136,7 @@ func Run(pair *replication.Pair, w Workload, opts Options) (Result, error) {
 
 // warmCache sweeps the database region through the primary's cache
 // hierarchy, line by line.
-func warmCache(pair *replication.Pair, dbSize int) {
+func warmCache(pair *replication.Group, dbSize int) {
 	node := pair.Primary()
 	db := node.Space.ByName(vista.RegionDB)
 	if db == nil {
@@ -150,7 +150,7 @@ func warmCache(pair *replication.Pair, dbSize int) {
 
 // one executes a single transaction, committing it or (for failure
 // injection) aborting it.
-func one(pair *replication.Pair, w Workload, r *rand.Rand, i int64, abort bool, oracle *Oracle) error {
+func one(pair *replication.Group, w Workload, r *rand.Rand, i int64, abort bool, oracle *Oracle) error {
 	tx, err := pair.Begin()
 	if err != nil {
 		return err

@@ -20,9 +20,9 @@ import (
 //   - scan (YCSB-E): 95% short range scans, 5% fresh-key inserts
 //
 // Because the driver sees only the DB interface, the same run works over
-// a Cluster and a ShardedCluster — the measured difference is exactly the
-// facades' difference (sharded deployments pay the kv layer's two-phase
-// record-then-flip commit; single groups merge it into one transaction).
+// any shard count — the measured difference is exactly the kv layer's
+// (multi-shard deployments pay its two-phase record-then-flip commit;
+// single groups merge it into one transaction).
 
 // The YCSB-style operation mixes RunKV accepts.
 const (

@@ -21,7 +21,7 @@ func NewOracle(dbSize int) *Oracle {
 	return &Oracle{shadow: make([]byte, dbSize)}
 }
 
-// Load mirrors Pair.Load for initial content.
+// Load mirrors Group.Load for initial content.
 func (o *Oracle) Load(off int, data []byte) error {
 	copy(o.shadow[off:off+len(data)], data)
 	return nil

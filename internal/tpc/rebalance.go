@@ -132,9 +132,8 @@ type RebalanceResult struct {
 
 // RunRebalance populates the workload over the database minus the audit
 // reserve, warms up, and measures the grow → rebalance → grown timeline
-// on the deployment. It is written against the driver-facing FaultDB
-// surface but requires an elastic deployment underneath: a Cluster
-// refuses the first AddShards with ErrNotElastic.
+// on the deployment. Any deployment grows; a Cluster.Shard view refuses
+// the first AddShards with ErrNotElastic.
 func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), opts RebalanceOptions) (RebalanceResult, error) {
 	opts = opts.withDefaults()
 	reserve := opts.AuditSlots * auditSlot

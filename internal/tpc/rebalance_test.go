@@ -1,6 +1,7 @@
 package tpc_test
 
 import (
+	"errors"
 	"testing"
 
 	"repro"
@@ -92,8 +93,12 @@ func TestRunRebalanceDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunRebalanceNonElastic: a plain Cluster underneath refuses growth.
-func TestRunRebalanceNonElastic(t *testing.T) {
+// TestRunRebalanceFromNew: a deployment built by New grows like any
+// other — 1 → 2 mid-workload with zero lost acked writes — while a
+// Shard(i) view, whose topology is its parent's, refuses.
+func TestRunRebalanceFromNew(t *testing.T) {
+	mk := func(dbSize int) (tpc.Workload, error) { return tpc.NewDebitCredit(dbSize) }
+	opts := tpc.RebalanceOptions{TargetShards: []int{2}, BaselineWindows: 1, FinalWindows: 1}
 	c, err := repro.New(repro.Config{
 		Version: repro.V3InlineLog,
 		Backup:  repro.ActiveBackup,
@@ -102,10 +107,14 @@ func TestRunRebalanceNonElastic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = tpc.RunRebalance(c, func(dbSize int) (tpc.Workload, error) {
-		return tpc.NewDebitCredit(dbSize)
-	}, tpc.RebalanceOptions{TargetShards: []int{2}})
-	if err == nil {
-		t.Fatal("expected ErrNotElastic from a Cluster")
+	res, err := tpc.RunRebalance(c, mk, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.RangesMoved == 0 || res.LostAckedWrites != 0 || c.Shards() != 2 {
+		t.Fatalf("grow from New: %d ranges moved, %d lost acked writes, %d shards", res.RangesMoved, res.LostAckedWrites, c.Shards())
+	}
+	if _, err := tpc.RunRebalance(newElastic(t, 2).Shard(0), mk, opts); !errors.Is(err, repro.ErrNotElastic) {
+		t.Fatalf("RunRebalance on a Shard view = %v, want ErrNotElastic", err)
 	}
 }

@@ -29,12 +29,12 @@ func TestSmokeAllModes(t *testing.T) {
 
 func runSmoke(t *testing.T, mode replication.Mode, v vista.Version, dbSize int) {
 	t.Helper()
-	pair, err := replication.NewPair(replication.Config{
+	pair, err := replication.NewGroup(replication.Config{
 		Mode:  mode,
 		Store: vista.Config{Version: v, DBSize: dbSize},
 	})
 	if err != nil {
-		t.Fatalf("NewPair: %v", err)
+		t.Fatalf("NewGroup: %v", err)
 	}
 	w, err := NewDebitCredit(dbSize)
 	if err != nil {

@@ -8,9 +8,8 @@ import (
 )
 
 // FaultDB is the driver-facing surface of a deployment under test: the
-// full data plane (repro.DB) plus the harmonized fault-injection surface
-// (repro.Admin). Both repro.Cluster and repro.ShardedCluster satisfy it,
-// so the availability and chaos drivers run unchanged over either facade.
+// full data plane (repro.DB) plus the fault-injection surface
+// (repro.Admin); *repro.Cluster satisfies it.
 type FaultDB interface {
 	repro.DB
 	repro.Admin

@@ -19,7 +19,7 @@ import (
 
 // Workload is one benchmark: a database layout plus a transaction mix.
 // Implementations are not safe for concurrent use; the multiprocessor
-// experiments give each stream its own Workload over its own Pair.
+// experiments give each stream its own Workload over its own Group.
 type Workload interface {
 	// Name returns the paper's benchmark name.
 	Name() string

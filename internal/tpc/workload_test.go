@@ -60,7 +60,7 @@ func TestOrderEntryScaling(t *testing.T) {
 func TestWorkloadDeterminism(t *testing.T) {
 	for _, name := range []string{"dc", "oe"} {
 		run := func() []byte {
-			pair, err := replication.NewPair(replication.Config{
+			pair, err := replication.NewGroup(replication.Config{
 				Mode:  replication.Standalone,
 				Store: vista.Config{Version: vista.V3InlineLog, DBSize: 8 << 20},
 			})
@@ -95,7 +95,7 @@ func TestWorkloadDeterminism(t *testing.T) {
 // transaction, Order-Entry with a much larger undo-to-modified ratio.
 func TestByteProfileShape(t *testing.T) {
 	profile := func(name string) (mod, undo, meta float64) {
-		pair, err := replication.NewPair(replication.Config{
+		pair, err := replication.NewGroup(replication.Config{
 			Mode:  replication.Passive,
 			Store: vista.Config{Version: vista.V3InlineLog, DBSize: 16 << 20},
 		})
@@ -138,7 +138,7 @@ func TestByteProfileShape(t *testing.T) {
 }
 
 func TestDriverAbortSchedule(t *testing.T) {
-	pair, err := replication.NewPair(replication.Config{
+	pair, err := replication.NewGroup(replication.Config{
 		Mode:  replication.Standalone,
 		Store: vista.Config{Version: vista.V0Vista, DBSize: 8 << 20},
 	})
@@ -166,7 +166,7 @@ func TestDriverAbortSchedule(t *testing.T) {
 }
 
 func TestRunRejectsBadOptions(t *testing.T) {
-	pair, err := replication.NewPair(replication.Config{
+	pair, err := replication.NewGroup(replication.Config{
 		Mode:  replication.Standalone,
 		Store: vista.Config{Version: vista.V3InlineLog, DBSize: 8 << 20},
 	})
@@ -184,7 +184,7 @@ func TestRunRejectsBadOptions(t *testing.T) {
 
 func TestOrderEntryMixCoverage(t *testing.T) {
 	// All three transaction types must execute and mutate state.
-	pair, err := replication.NewPair(replication.Config{
+	pair, err := replication.NewGroup(replication.Config{
 		Mode:  replication.Standalone,
 		Store: vista.Config{Version: vista.V3InlineLog, DBSize: 16 << 20},
 	})

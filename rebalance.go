@@ -1,6 +1,6 @@
 package repro
 
-// This file is the sharded facade's online rebalance engine: the mover
+// This file is the deployment's online rebalance engine: the mover
 // that executes the plans internal/placement produces, riding the same
 // chunked-transfer discipline as replica repair (PR 3) — a paced
 // background bulk copy, dirty-range delta resync, and a brief per-range
@@ -112,7 +112,7 @@ type migState struct {
 // of marking a retired move.
 type rangeMove struct {
 	mv       placement.Move
-	src, dst *Cluster
+	src, dst *member
 	srcGen   int
 	dstGen   int
 
@@ -133,13 +133,13 @@ type rangeMove struct {
 
 // migActive reports whether a rebalance is moving ranges — the hot
 // paths' one-atomic-load gate.
-func (s *ShardedCluster) migActive() bool { return s.mig.active.Load() }
+func (c *Cluster) migActive() bool { return c.mig.active.Load() }
 
 // markDirty records that [off, off+n) of the global space was mutated;
 // the slice overlapping the in-flight move (if any) is queued for delta
 // resync. Called by raw Loads and by transaction finish.
-func (s *ShardedCluster) markDirty(off, n int) {
-	m := s.mig.cur.Load()
+func (c *Cluster) markDirty(off, n int) {
+	m := c.mig.cur.Load()
 	if m == nil {
 		return
 	}
@@ -212,10 +212,26 @@ func (m *rangeMove) dirtyBacklog() int {
 }
 
 // emit appends a deployment-level placement event (node/shard -1).
-func (s *ShardedCluster) emit(kind string, a, b uint64) {
-	if s.reg != nil {
-		s.reg.Emit(kind, int64(s.v().shards[0].simNow()), -1, a, b)
+func (c *Cluster) emit(kind string, a, b uint64) {
+	if c.reg != nil {
+		c.reg.Emit(kind, int64(c.v().shards[0].Now()), -1, a, b)
 	}
+}
+
+// lockTopology takes the admin lock for a topology mutation; on success
+// the caller unlocks. A Shard(i) view has no layout of its own — its
+// topology is its parent's — and refuses with ErrNotElastic; a deployment
+// mid-rebalance refuses with ErrRebalanceActive.
+func (c *Cluster) lockTopology() error {
+	if c.layout == nil {
+		return ErrNotElastic
+	}
+	c.admin.Lock()
+	if c.migActive() {
+		c.admin.Unlock()
+		return ErrRebalanceActive
+	}
+	return nil
 }
 
 // AddShards appends n empty shard groups — built from the deployment's
@@ -224,28 +240,27 @@ func (s *ShardedCluster) emit(kind string, a, b uint64) {
 // RebalanceAsync) moves ~added/total of the space onto them; until then
 // routing, and every existing metric, is untouched. ErrRebalanceActive
 // while a rebalance is running.
-func (s *ShardedCluster) AddShards(n int) ([]int, error) {
+func (c *Cluster) AddShards(n int) ([]int, error) {
 	if n < 1 {
 		return nil, ErrShardCount
 	}
-	s.admin.Lock()
-	defer s.admin.Unlock()
-	if s.migActive() {
-		return nil, ErrRebalanceActive
+	if err := c.lockTopology(); err != nil {
+		return nil, err
 	}
-	v := s.v()
-	list := make([]*Cluster, len(v.shards), len(v.shards)+n)
+	defer c.admin.Unlock()
+	v := c.v()
+	list := make([]*member, len(v.shards), len(v.shards)+n)
 	copy(list, v.shards)
 	for i := 0; i < n; i++ {
-		c, err := s.newShard(len(list))
+		m, err := c.newShard(len(list))
 		if err != nil {
 			return nil, err
 		}
-		list = append(list, c)
+		list = append(list, m)
 	}
-	ids := s.layout.Grow(n)
-	s.pending = append(s.pending, ids...)
-	s.view.Store(&placeView{shards: list, table: v.table})
+	ids := c.layout.Grow(n)
+	c.pending = append(c.pending, ids...)
+	c.view.Store(&placeView{shards: list, table: v.table})
 	return ids, nil
 }
 
@@ -255,21 +270,20 @@ func (s *ShardedCluster) AddShards(n int) ([]int, error) {
 // Returns immediately; the mover rides the commit stream (Commit/Abort
 // and Settle pump it) — watch RebalanceProgress, or call Rebalance to
 // block. Nil with nothing to do; ErrRebalanceActive if already running.
-func (s *ShardedCluster) RebalanceAsync() error {
-	s.admin.Lock()
-	defer s.admin.Unlock()
-	if s.migActive() {
-		return ErrRebalanceActive
+func (c *Cluster) RebalanceAsync() error {
+	if err := c.lockTopology(); err != nil {
+		return err
 	}
-	if len(s.pending) == 0 {
+	defer c.admin.Unlock()
+	if len(c.pending) == 0 {
 		return nil
 	}
-	moves := s.layout.PlanGrow(s.pending)
-	s.pending = nil
+	moves := c.layout.PlanGrow(c.pending)
+	c.pending = nil
 	if len(moves) == 0 {
 		return nil
 	}
-	s.startMoves(moves)
+	c.startMoves(moves)
 	return nil
 }
 
@@ -279,11 +293,11 @@ func (s *ShardedCluster) RebalanceAsync() error {
 // shipped bytes cost their simulated time. An error (a crashed group)
 // leaves the rebalance active and resumable: repair the group and call
 // Rebalance again.
-func (s *ShardedCluster) Rebalance() error {
-	if err := s.RebalanceAsync(); err != nil && !errors.Is(err, ErrRebalanceActive) {
+func (c *Cluster) Rebalance() error {
+	if err := c.RebalanceAsync(); err != nil && !errors.Is(err, ErrRebalanceActive) {
 		return err
 	}
-	return s.drive()
+	return c.drive()
 }
 
 // RemoveShard drains every range off the shard onto its ring successors
@@ -292,85 +306,84 @@ func (s *ShardedCluster) Rebalance() error {
 // when the survivors cannot absorb the data; ErrShardCount when it is
 // the last serving shard. If a crash interrupts the drain, repair the
 // group, finish the moves with Rebalance, then call RemoveShard again.
-func (s *ShardedCluster) RemoveShard(shard int) error {
-	s.admin.Lock()
-	defer s.admin.Unlock()
-	if s.migActive() {
-		return ErrRebalanceActive
+func (c *Cluster) RemoveShard(shard int) error {
+	if err := c.lockTopology(); err != nil {
+		return err
 	}
-	v := s.v()
-	if shard < 0 || shard >= len(v.shards) || s.layout.Removed(shard) {
+	defer c.admin.Unlock()
+	v := c.v()
+	if shard < 0 || shard >= len(v.shards) || c.layout.Removed(shard) {
 		return ErrNoSuchShard
 	}
-	if s.layout.Serving() <= 1 {
+	if c.layout.Serving() <= 1 {
 		return ErrShardCount
 	}
 	// A shard added but never rebalanced onto simply leaves the pending
 	// list again.
-	for i, id := range s.pending {
+	for i, id := range c.pending {
 		if id == shard {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
+			c.pending = append(c.pending[:i], c.pending[i+1:]...)
 			break
 		}
 	}
-	moves, err := s.layout.PlanDrain(shard)
+	moves, err := c.layout.PlanDrain(shard)
 	if err != nil {
 		return err
 	}
 	if len(moves) > 0 {
-		s.startMoves(moves)
-		if err := s.drive(); err != nil {
+		c.startMoves(moves)
+		if err := c.drive(); err != nil {
 			return err
 		}
 	}
-	s.layout.Remove(shard)
+	c.layout.Remove(shard)
 	return nil
 }
 
 // RebalanceProgress reports the mover, lock-free.
-func (s *ShardedCluster) RebalanceProgress() RebalanceProgress {
+func (c *Cluster) RebalanceProgress() RebalanceProgress {
 	return RebalanceProgress{
-		Active:       s.mig.active.Load(),
-		Epoch:        s.v().table.Epoch,
-		Moves:        int(s.mig.moves.Load()),
-		MovesDone:    int(s.mig.movesDone.Load()),
-		BytesTotal:   s.mig.bytesTotal.Load(),
-		BytesShipped: s.mig.shipped.Load(),
-		CurrentFrom:  int(s.mig.curFrom.Load()),
-		CurrentTo:    int(s.mig.curTo.Load()),
-		Stalls:       int(s.mig.stalls.Load()),
+		Active:       c.mig.active.Load(),
+		Epoch:        c.v().table.Epoch,
+		Moves:        int(c.mig.moves.Load()),
+		MovesDone:    int(c.mig.movesDone.Load()),
+		BytesTotal:   c.mig.bytesTotal.Load(),
+		BytesShipped: c.mig.shipped.Load(),
+		CurrentFrom:  int(c.mig.curFrom.Load()),
+		CurrentTo:    int(c.mig.curTo.Load()),
+		Stalls:       int(c.mig.stalls.Load()),
 	}
 }
 
 // PlacementEpoch returns the live routing table's version: 1 at
 // construction, +1 per range cut-over.
-func (s *ShardedCluster) PlacementEpoch() uint64 { return s.v().table.Epoch }
+func (c *Cluster) PlacementEpoch() uint64 { return c.v().table.Epoch }
 
-// startMoves arms the mover with a plan. Caller holds s.admin.
-func (s *ShardedCluster) startMoves(moves []placement.Move) {
-	s.mig.mu.Lock()
-	defer s.mig.mu.Unlock()
+// startMoves arms the mover with a plan. Caller holds c.admin.
+func (c *Cluster) startMoves(moves []placement.Move) {
+	c.mig.mu.Lock()
+	defer c.mig.mu.Unlock()
 	var total int64
 	for _, m := range moves {
 		total += int64(m.Bytes())
 	}
-	s.mig.queue = moves
-	s.mig.moves.Store(int64(len(moves)))
-	s.mig.movesDone.Store(0)
-	s.mig.bytesTotal.Store(total)
-	s.mig.shipped.Store(0)
-	s.mig.stalls.Store(0)
-	s.mig.curFrom.Store(-1)
-	s.mig.curTo.Store(-1)
-	s.mig.active.Store(true)
-	s.emit(obs.EventRebalanceStart, uint64(len(moves)), uint64(total))
+	c.mig.queue = moves
+	c.mig.moves.Store(int64(len(moves)))
+	c.mig.movesDone.Store(0)
+	c.mig.bytesTotal.Store(total)
+	c.mig.shipped.Store(0)
+	c.mig.stalls.Store(0)
+	c.mig.curFrom.Store(-1)
+	c.mig.curTo.Store(-1)
+	c.mig.active.Store(true)
+	c.emit(obs.EventRebalanceStart, uint64(len(moves)), uint64(total))
 }
 
 // drive pumps the mover to completion without pacing (the synchronous
 // Rebalance/RemoveShard path); errors park the mover resumable.
-func (s *ShardedCluster) drive() error {
-	for s.migActive() {
-		if err := s.pump(true, true); err != nil {
+func (c *Cluster) drive() error {
+	for c.migActive() {
+		if err := c.pump(true, true); err != nil {
 			return err
 		}
 	}
@@ -380,27 +393,27 @@ func (s *ShardedCluster) drive() error {
 // pump advances the mover. wait=false (the per-commit hook) skips out if
 // another goroutine is pumping; unpaced=true ignores the bandwidth
 // credit and copies to completion (the synchronous drive).
-func (s *ShardedCluster) pump(wait, unpaced bool) error {
+func (c *Cluster) pump(wait, unpaced bool) error {
 	if wait {
-		s.mig.mu.Lock()
-	} else if !s.mig.mu.TryLock() {
+		c.mig.mu.Lock()
+	} else if !c.mig.mu.TryLock() {
 		return nil
 	}
-	defer s.mig.mu.Unlock()
-	return s.pumpLocked(unpaced)
+	defer c.mig.mu.Unlock()
+	return c.pumpLocked(unpaced)
 }
 
-func (s *ShardedCluster) pumpLocked(unpaced bool) error {
-	for s.mig.active.Load() {
-		if len(s.mig.queue) == 0 {
-			s.finishRebalanceLocked()
+func (c *Cluster) pumpLocked(unpaced bool) error {
+	for c.mig.active.Load() {
+		if len(c.mig.queue) == 0 {
+			c.finishRebalanceLocked()
 			return nil
 		}
-		m := s.mig.cur.Load()
+		m := c.mig.cur.Load()
 		if m == nil {
-			m = s.startMoveLocked(s.mig.queue[0])
+			m = c.startMoveLocked(c.mig.queue[0])
 		}
-		if m.src.crashed() || m.dst.crashed() {
+		if m.src.Crashed() || m.dst.Crashed() {
 			return fmt.Errorf("repro: rebalance parked, move [%d,+%d) %d->%d blocked on a crashed group: %w",
 				m.mv.Start, m.mv.Bytes(), m.mv.From, m.mv.To, ErrCrashed)
 		}
@@ -408,23 +421,23 @@ func (s *ShardedCluster) pumpLocked(unpaced bool) error {
 			// Failover mid-move: restart from the fence. The bulk copy
 			// re-reads the new serving store; raw installs on the target
 			// are idempotent, so repeating shipped work is safe.
-			s.mig.cur.Store(nil)
+			c.mig.cur.Store(nil)
 			continue
 		}
 		if !m.fenced {
 			tx, err := m.src.Begin()
 			if err != nil {
-				return fmt.Errorf("repro: rebalance fence on shard %d: %w", m.mv.From, err)
+				return fmt.Errorf("repro: rebalance fence on shard %d: %w", m.mv.From, mapErr(err))
 			}
 			tx.Abort()
 			m.fenced = true
-			m.last = m.src.simNow()
+			m.last = m.src.Now()
 		}
 		allow := m.mv.Bytes() + cutoverMaxDirty
 		if !unpaced {
-			now := m.src.simNow()
+			now := m.src.Now()
 			if dt := now - m.last; dt > 0 {
-				m.credit += float64(dt) * m.src.transferRate()
+				m.credit += float64(dt) * m.src.TransferRate()
 			}
 			m.last = now
 			allow = int(m.credit)
@@ -434,7 +447,7 @@ func (s *ShardedCluster) pumpLocked(unpaced bool) error {
 		}
 		shipped := 0
 		if m.pos < m.mv.Bytes() {
-			n, err := s.bulkCopy(m, allow)
+			n, err := c.bulkCopy(m, allow)
 			if err != nil {
 				return err
 			}
@@ -449,7 +462,7 @@ func (s *ShardedCluster) pumpLocked(unpaced bool) error {
 			// barrier — a bounded, recorded stall instead of a livelock.
 			forced := m.deltaShipped >= m.deltaBudget()
 			for !forced && allow-shipped >= movePage && m.dirtyBacklog() > cutoverMaxDirty {
-				n, err := s.deltaCopy(m, allow-shipped)
+				n, err := c.deltaCopy(m, allow-shipped)
 				if err != nil {
 					return err
 				}
@@ -470,10 +483,10 @@ func (s *ShardedCluster) pumpLocked(unpaced bool) error {
 				// most cutoverMaxDirty bytes, a forced cut-over the whole
 				// residual backlog — requiring that budget up front keeps
 				// the stall off the pacing path.
-				err := s.cutoverLocked(m)
+				err := c.cutoverLocked(m)
 				switch {
 				case err == errMoveRestart:
-					s.mig.cur.Store(nil)
+					c.mig.cur.Store(nil)
 					continue
 				case err != nil:
 					if !unpaced {
@@ -481,7 +494,7 @@ func (s *ShardedCluster) pumpLocked(unpaced bool) error {
 					}
 					return err
 				}
-				s.mig.queue = s.mig.queue[1:]
+				c.mig.queue = c.mig.queue[1:]
 				continue
 			}
 		}
@@ -499,8 +512,8 @@ func (s *ShardedCluster) pumpLocked(unpaced bool) error {
 
 // startMoveLocked registers queue[0] as the in-flight move: from this
 // point the hot paths record dirty marks for it.
-func (s *ShardedCluster) startMoveLocked(mv placement.Move) *rangeMove {
-	v := s.v()
+func (c *Cluster) startMoveLocked(mv placement.Move) *rangeMove {
+	v := c.v()
 	m := &rangeMove{
 		mv:  mv,
 		src: v.shards[mv.From],
@@ -510,38 +523,38 @@ func (s *ShardedCluster) startMoveLocked(mv placement.Move) *rangeMove {
 	m.dstGen = m.dst.Generation()
 	pages := (mv.Bytes() + movePage - 1) / movePage
 	m.dirty = make([]uint64, (pages+63)/64)
-	s.mig.curFrom.Store(int64(mv.From))
-	s.mig.curTo.Store(int64(mv.To))
-	s.mig.cur.Store(m)
+	c.mig.curFrom.Store(int64(mv.From))
+	c.mig.curTo.Store(int64(mv.To))
+	c.mig.cur.Store(m)
 	return m
 }
 
 // bulkCopy streams the unshipped prefix of the move, up to allow bytes.
-func (s *ShardedCluster) bulkCopy(m *rangeMove, allow int) (int, error) {
+func (c *Cluster) bulkCopy(m *rangeMove, allow int) (int, error) {
 	shipped := 0
 	for shipped < allow && m.pos < m.mv.Bytes() {
-		c := moveChunk
-		if c > allow-shipped {
-			c = allow - shipped
+		sz := moveChunk
+		if sz > allow-shipped {
+			sz = allow - shipped
 		}
-		if c > m.mv.Bytes()-m.pos {
-			c = m.mv.Bytes() - m.pos
+		if sz > m.mv.Bytes()-m.pos {
+			sz = m.mv.Bytes() - m.pos
 		}
-		if c < movePage && m.pos+c < m.mv.Bytes() {
+		if sz < movePage && m.pos+sz < m.mv.Bytes() {
 			// Don't dribble sub-page chunks while paced.
 			break
 		}
-		if err := s.ship(m, m.pos, c); err != nil {
+		if err := c.ship(m, m.pos, sz); err != nil {
 			return shipped, err
 		}
-		m.pos += c
-		shipped += c
+		m.pos += sz
+		shipped += sz
 	}
 	return shipped, nil
 }
 
 // deltaCopy re-ships dirty pages, up to allow bytes.
-func (s *ShardedCluster) deltaCopy(m *rangeMove, allow int) (int, error) {
+func (c *Cluster) deltaCopy(m *rangeMove, allow int) (int, error) {
 	shipped := 0
 	for allow-shipped >= movePage {
 		p := m.popDirty()
@@ -553,7 +566,7 @@ func (s *ShardedCluster) deltaCopy(m *rangeMove, allow int) (int, error) {
 		if off+n > m.mv.Bytes() {
 			n = m.mv.Bytes() - off
 		}
-		if err := s.ship(m, off, n); err != nil {
+		if err := c.ship(m, off, n); err != nil {
 			return shipped, err
 		}
 		shipped += n
@@ -565,45 +578,45 @@ func (s *ShardedCluster) deltaCopy(m *rangeMove, allow int) (int, error) {
 // target, charging both SANs the bulk-transfer cost. The target installs
 // raw on every replica (Load), so a target failover never loses shipped
 // bytes.
-func (s *ShardedCluster) ship(m *rangeMove, rel, n int) error {
+func (c *Cluster) ship(m *rangeMove, rel, n int) error {
 	if m.buf == nil {
 		m.buf = make([]byte, moveChunk)
 	}
 	for n > 0 {
-		c := n
-		if c > moveChunk {
-			c = moveChunk
+		sz := n
+		if sz > moveChunk {
+			sz = moveChunk
 		}
-		buf := m.buf[:c]
+		buf := m.buf[:sz]
 		m.src.ReadRaw(m.mv.FromLocal+rel, buf)
 		if err := m.dst.Load(m.mv.ToLocal+rel, buf); err != nil {
-			return fmt.Errorf("repro: rebalance install on shard %d: %w", m.mv.To, err)
+			return fmt.Errorf("repro: rebalance install on shard %d: %w", m.mv.To, mapErr(err))
 		}
-		m.src.shipBulk(c)
-		m.dst.shipBulk(c)
-		s.mig.shipped.Add(int64(c))
-		s.mBytes.Add(uint64(c))
-		rel += c
-		n -= c
+		m.src.ShipBulk(sz)
+		m.dst.ShipBulk(sz)
+		c.mig.shipped.Add(int64(sz))
+		c.mBytes.Add(uint64(sz))
+		rel += sz
+		n -= sz
 	}
 	return nil
 }
 
 // cutoverLocked performs the per-range cut-over: barrier, residual
 // drain, atomic routing flip.
-func (s *ShardedCluster) cutoverLocked(m *rangeMove) error {
+func (c *Cluster) cutoverLocked(m *rangeMove) error {
 	// Barrier: holding the source's single transaction slot means no
-	// sharded transaction holds — or can open — a write on the source.
+	// transaction holds — or can open — a write on the source.
 	tx, err := m.src.Begin()
 	if err != nil {
-		return fmt.Errorf("repro: rebalance barrier on shard %d: %w", m.mv.From, err)
+		return fmt.Errorf("repro: rebalance barrier on shard %d: %w", m.mv.From, mapErr(err))
 	}
 	defer tx.Abort()
 	// A transaction releases its per-shard slots inside Commit/Abort
 	// before publishing its dirty marks; the finishing counter covers
 	// that window, so waiting it out makes every released write's mark
 	// visible to the drain below.
-	for s.finishing.Load() != 0 {
+	for c.finishing.Load() != 0 {
 		runtime.Gosched()
 	}
 	if m.src.Generation() != m.srcGen || m.dst.Generation() != m.dstGen {
@@ -611,7 +624,7 @@ func (s *ShardedCluster) cutoverLocked(m *rangeMove) error {
 	}
 	stalled := false
 	for {
-		n, err := s.deltaCopy(m, m.mv.Bytes()+movePage)
+		n, err := c.deltaCopy(m, m.mv.Bytes()+movePage)
 		if err != nil {
 			return err
 		}
@@ -630,27 +643,27 @@ func (s *ShardedCluster) cutoverLocked(m *rangeMove) error {
 	// the race blocks in markDirty, observes flipped, skips the mark,
 	// then notices the table changed and re-routes to the new owner.
 	m.flipped = true
-	old := s.v()
-	s.layout.Apply(m.mv)
+	old := c.v()
+	c.layout.Apply(m.mv)
 	epoch := old.table.Epoch + 1
-	s.view.Store(&placeView{shards: old.shards, table: s.layout.Compile(epoch)})
+	c.view.Store(&placeView{shards: old.shards, table: c.layout.Compile(epoch)})
 	m.dirtyMu.Unlock()
-	s.mig.cur.Store(nil)
-	s.mig.movesDone.Add(1)
+	c.mig.cur.Store(nil)
+	c.mig.movesDone.Add(1)
 	if stalled {
-		s.mig.stalls.Add(1)
-		s.mStalls.Inc()
+		c.mig.stalls.Add(1)
+		c.mStalls.Inc()
 	}
-	s.mRanges.Inc()
-	s.mEpoch.Set(int64(epoch))
-	s.emit(obs.EventRangeCutover, epoch, uint64(m.mv.Start))
+	c.mRanges.Inc()
+	c.mEpoch.Set(int64(epoch))
+	c.emit(obs.EventRangeCutover, epoch, uint64(m.mv.Start))
 	return nil
 }
 
 // finishRebalanceLocked retires a drained plan.
-func (s *ShardedCluster) finishRebalanceLocked() {
-	s.mig.curFrom.Store(-1)
-	s.mig.curTo.Store(-1)
-	s.mig.active.Store(false)
-	s.emit(obs.EventRebalanceDone, uint64(s.mig.movesDone.Load()), uint64(s.mig.shipped.Load()))
+func (c *Cluster) finishRebalanceLocked() {
+	c.mig.curFrom.Store(-1)
+	c.mig.curTo.Store(-1)
+	c.mig.active.Store(false)
+	c.emit(obs.EventRebalanceDone, uint64(c.mig.movesDone.Load()), uint64(c.mig.shipped.Load()))
 }

@@ -347,7 +347,9 @@ func TestRemoveShardDrains(t *testing.T) {
 
 // TestElasticDegenerate: the static layout is the degenerate
 // single-epoch ring — without elastic calls the routing is bit-for-bit
-// the fixed off/ShardSize arithmetic, and a Cluster rejects the surface.
+// the fixed off/ShardSize arithmetic. A Shard(i) view refuses the elastic
+// surface (its topology is its parent's); a deployment built by New does
+// not — it grows online and reads back every byte.
 func TestElasticDegenerate(t *testing.T) {
 	sc := newSharded(t, 3)
 	if sc.PlacementEpoch() != 1 {
@@ -368,17 +370,34 @@ func TestElasticDegenerate(t *testing.T) {
 		t.Fatalf("AddShards(0) = %v", err)
 	}
 
+	view := sc.Shard(1)
+	if _, err := view.AddShards(1); !errors.Is(err, repro.ErrNotElastic) {
+		t.Fatalf("view.AddShards = %v", err)
+	}
+	if err := view.RemoveShard(0); !errors.Is(err, repro.ErrNotElastic) {
+		t.Fatalf("view.RemoveShard = %v", err)
+	}
+	if err := view.Rebalance(); !errors.Is(err, repro.ErrNotElastic) {
+		t.Fatalf("view.Rebalance = %v", err)
+	}
+	if view.Shards() != 1 || view.DBSize() != sc.ShardSize() || view.PlacementEpoch() != 1 {
+		t.Fatalf("view = %d shards, %d bytes, epoch %d", view.Shards(), view.DBSize(), view.PlacementEpoch())
+	}
+
 	c, err := repro.New(repro.Config{Version: repro.V3InlineLog, Backup: repro.ActiveBackup, DBSize: testDB})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AddShards(1); !errors.Is(err, repro.ErrNotElastic) {
-		t.Fatalf("Cluster.AddShards = %v", err)
+	shadow := shadowFill(t, c, testDB, 7)
+	ids, err := c.AddShards(1)
+	if err != nil || len(ids) != 1 || ids[0] != 1 {
+		t.Fatalf("New deployment AddShards = %v, %v", ids, err)
 	}
-	if err := c.Rebalance(); !errors.Is(err, repro.ErrNotElastic) {
-		t.Fatalf("Cluster.Rebalance = %v", err)
+	if err := c.Rebalance(); err != nil {
+		t.Fatalf("New deployment Rebalance = %v", err)
 	}
-	if c.PlacementEpoch() != 1 {
-		t.Fatalf("Cluster epoch = %d", c.PlacementEpoch())
+	if c.Shards() != 2 || c.PlacementEpoch() == 1 {
+		t.Fatalf("grown deployment = %d shards, epoch %d", c.Shards(), c.PlacementEpoch())
 	}
+	shadowAudit(t, c, shadow, "New deployment grown 1 -> 2")
 }

@@ -18,13 +18,13 @@
 //
 // # The DB interface
 //
-// Every deployment — a single replica group (New) or a sharded front-end
-// (NewSharded) — satisfies the DB interface: one data-plane and
-// observability surface to write drivers, harnesses and applications
+// Every deployment is a Cluster — New builds it over one replica group,
+// NewSharded over several — and satisfies the DB interface: one data-plane
+// and observability surface to write drivers, harnesses and applications
 // against. Fault injection and recovery live on the companion Admin
-// interface, whose methods take an optional shard selector so a Cluster
-// and a one-shard ShardedCluster are fully interchangeable. The complete
-// error taxonomy is documented in one place; see errors.go.
+// interface, whose methods take an optional shard selector (default shard
+// 0). The complete error taxonomy is documented in one place; see
+// errors.go.
 //
 // Quick start — byte offsets (db satisfies repro.DB):
 //
@@ -55,11 +55,8 @@
 package repro
 
 import (
-	"errors"
-	"fmt"
 	"time"
 
-	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -165,7 +162,7 @@ func (m ReadMode) Valid() bool { return replication.ReadMode(m).Valid() }
 
 // Token is a per-shard commit-sequence vector: element i is a lower bound
 // on the committed-transaction count of shard i that the holder's reads
-// must observe (a Cluster is its own shard 0). Tokens are plain data —
+// must observe (a deployment built by New has one). Tokens are plain data —
 // comparable, mergeable by element-wise max, and portable across
 // deployments: a shard with no element (nil token, or a token captured on
 // a deployment with fewer shards) is simply unconstrained, so a token from
@@ -271,15 +268,14 @@ type Config struct {
 	// Autopilot switches on unattended failure handling: heartbeat
 	// failure detection, lease-guarded auto-failover and self-healing
 	// repair. Off (zero) by default — every fault is then handled by the
-	// manual Failover/Repair calls exactly as before. On a sharded
-	// cluster the configuration applies per shard (each shard runs its
-	// own detector and spare pool).
+	// manual Failover/Repair calls exactly as before. The configuration
+	// applies per shard (each shard runs its own detector and spare pool).
 	Autopilot AutopilotConfig
 	// Durability switches on the per-replica disk tier: redo WAL +
 	// snapshots + cold-restart recovery (see DurabilityConfig). Off
 	// (zero) by default — nothing touches the filesystem and every
-	// simulated metric is bit-for-bit unchanged. On a sharded cluster
-	// each shard persists under its own Dir/shard-NNN subdirectory.
+	// simulated metric is bit-for-bit unchanged. Each shard persists under
+	// its own Dir/shard-NNN subdirectory.
 	Durability DurabilityConfig
 	// Metrics attaches the observability layer: a per-deployment metrics
 	// registry (commit/flush latency histograms, read-route and WAL
@@ -288,9 +284,8 @@ type Config struct {
 	// rotations — snapshot it with DB.Metrics. Off (false) by default:
 	// no instrument is registered, nothing reads any clock on the
 	// instrumentation's behalf, and every simulated metric is
-	// bit-for-bit unchanged. On a sharded cluster each shard owns its
-	// own registry; DB.Metrics merges them, stamping events with their
-	// shard.
+	// bit-for-bit unchanged. Each shard owns its own registry; DB.Metrics
+	// merges them, stamping events with their shard.
 	Metrics bool
 }
 
@@ -356,282 +351,6 @@ func (t Traffic) Total() int64 {
 	return t.ModifiedBytes + t.UndoBytes + t.MetaBytes + t.SyncBytes + t.ControlBytes
 }
 
-// Cluster is one deployment: a primary transaction server and, unless
-// standalone, a backup node fed through the modelled SAN.
-//
-// A Cluster is safe for concurrent use: every transaction-handle call and
-// every management call briefly holds the underlying replica group's
-// mutex. Begin blocks until the previous transaction commits or aborts
-// (one transaction is in flight per cluster — the paper's single-stream
-// engine), while CrashPrimary may land in the middle of an open
-// transaction exactly as on real hardware: the dead transaction's
-// remaining calls fail with ErrCrashed and failover rolls it back. Stats,
-// Committed, NetTraffic and Elapsed sample atomic counters without
-// blocking. Real parallelism comes from driving independent shards (see
-// ShardedCluster).
-type Cluster struct {
-	cfg Config
-	// pair is set once at construction: Failover and Repair rewire the
-	// group in place, so the pointer never changes and every operation
-	// simply delegates (the group's own mutex provides the locking).
-	pair *replication.Pair
-	// reg is the deployment's metrics registry; nil with Config.Metrics
-	// off (Metrics then returns the zero Snapshot).
-	reg *obs.Registry
-}
-
-// group returns the underlying replica group.
-func (c *Cluster) group() *replication.Pair { return c.pair }
-
-// checkShard validates the Admin surface's optional shard selector: a
-// Cluster is exactly shard 0 of itself.
-func (c *Cluster) checkShard(shard []int) error {
-	i, err := shardArg(shard)
-	if err != nil {
-		return err
-	}
-	if i != 0 {
-		return ErrNoSuchShard
-	}
-	return nil
-}
-
-// New builds a cluster per the configuration.
-func New(cfg Config) (*Cluster, error) {
-	if cfg.Backup == 0 {
-		cfg.Backup = Standalone
-	}
-	var reg *obs.Registry
-	if cfg.Metrics {
-		reg = obs.NewRegistry()
-	}
-	pair, err := replication.NewGroup(replication.Config{
-		Mode: replication.Mode(cfg.Backup),
-		Obs:  reg,
-		Store: vista.Config{
-			Version:         vista.Version(cfg.Version),
-			DBSize:          cfg.DBSize,
-			SparseDB:        cfg.SparseDB,
-			UncheckedWrites: cfg.UncheckedWrites,
-		},
-		SparseBackup: cfg.SparseDB,
-		TwoSafe:      cfg.TwoSafe,
-		Backups:      cfg.Backups,
-		Safety:       replication.Safety(cfg.Safety),
-		CommitBatch:  cfg.CommitBatch,
-		CommitWindow: sim.Dur(cfg.CommitWindow.Nanoseconds()) * sim.Nanosecond,
-		RepairChunk:  cfg.RepairChunk,
-		RepairShare:  cfg.RepairShare,
-		SettleGrace:  sim.Dur(cfg.SettleGrace.Nanoseconds()) * sim.Nanosecond,
-		Autopilot: replication.AutopilotConfig{
-			HeartbeatPeriod: sim.Dur(cfg.Autopilot.HeartbeatPeriod.Nanoseconds()) * sim.Nanosecond,
-			SuspectTimeout:  sim.Dur(cfg.Autopilot.SuspectTimeout.Nanoseconds()) * sim.Nanosecond,
-			AutoFailover:    cfg.Autopilot.AutoFailover,
-			AutoRepair:      cfg.Autopilot.AutoRepair,
-			Spares:          cfg.Autopilot.Spares,
-		},
-		Durability: replication.DurabilityConfig{
-			Dir:           cfg.Durability.Dir,
-			SnapshotEvery: cfg.Durability.SnapshotEvery,
-			SyncEvery:     cfg.Durability.SyncEvery,
-		},
-	})
-	if err != nil {
-		return nil, fmt.Errorf("repro: %w", err)
-	}
-	return &Cluster{cfg: cfg, pair: pair, reg: reg}, nil
-}
-
-// Begin opens a transaction on the currently serving node. The transaction
-// holds the cluster's serialization until Commit or Abort.
-func (c *Cluster) Begin() (Tx, error) {
-	tx, err := c.group().Begin()
-	if err != nil {
-		return nil, mapErr(err)
-	}
-	return tx, nil
-}
-
-// Load installs initial database content without charging simulated time,
-// keeping the backup's copies in sync (the initial transfer that precedes
-// failure-free operation).
-func (c *Cluster) Load(off int, data []byte) error { return mapErr(c.group().Load(off, data)) }
-
-// Read performs a charged, non-transactional read on the serving node,
-// serialized with the cluster's transactions.
-func (c *Cluster) Read(off int, dst []byte) error { return mapErr(c.group().Read(off, dst)) }
-
-// ReadAt performs a charged read under opts' consistency discipline,
-// letting backups serve when the mode permits. The zero ReadOpts is
-// exactly Read. See the DB interface documentation for the modes.
-func (c *Cluster) ReadAt(off int, dst []byte, opts ReadOpts) (ReadResult, error) {
-	var minSeq uint64
-	if len(opts.Token) > 0 {
-		minSeq = opts.Token[0]
-	}
-	return c.readAt(off, dst, opts, minSeq)
-}
-
-// readAt is ReadAt with the shard-local token floor already extracted (a
-// ShardedCluster routes each sub-span here with its own element).
-func (c *Cluster) readAt(off int, dst []byte, opts ReadOpts, minSeq uint64) (ReadResult, error) {
-	if opts.Mode == ReadPrimary && opts.Replica == 0 {
-		// The zero-cost default: identical to Read.
-		if err := c.Read(off, dst); err != nil {
-			return ReadResult{}, err
-		}
-		seq := c.Committed()
-		return ReadResult{Replica: 0, Seq: seq, Primary: seq}, nil
-	}
-	res, err := c.group().RouteRead(off, dst, replication.ReadSpec{
-		Mode:    replication.ReadMode(opts.Mode),
-		MinSeq:  minSeq,
-		Bound:   opts.Bound,
-		Replica: opts.Replica,
-	})
-	if err != nil {
-		return ReadResult{}, mapErr(err)
-	}
-	return ReadResult{Replica: res.Replica, Seq: res.Seq, Primary: res.Primary, Repaired: res.Repaired}, nil
-}
-
-// Token appends nothing and fills dst (growing it as needed) with the
-// cluster's commit-sequence vector: the floor a ReadYourWrites read after
-// this instant must observe. Capture it after a Commit returns to make
-// that commit visible to the session's replica reads. Lock-free.
-func (c *Cluster) Token(dst Token) Token {
-	if cap(dst) < 1 {
-		dst = make(Token, 1)
-	}
-	dst = dst[:1]
-	dst[0] = c.group().Committed()
-	return dst
-}
-
-// ReplicaElapsed returns the longest simulated time any node — primary or
-// read-serving backup — has accumulated since ResetMeasurement. Replica
-// reads run on the backups' CPUs in parallel with the primary's commits,
-// so a read-scaled workload's wall time is this max, not Elapsed alone;
-// with no replica reads it equals Elapsed.
-func (c *Cluster) ReplicaElapsed() time.Duration {
-	return c.group().ReplicaElapsed().Duration()
-}
-
-// ReadRaw copies database bytes without charging simulated time,
-// serialized with the cluster's transactions. It panics if the span falls
-// outside the database — the DB contract, identical on both facades.
-func (c *Cluster) ReadRaw(off int, dst []byte) {
-	if off < 0 || off+len(dst) > c.DBSize() {
-		panic(fmt.Sprintf("repro: ReadRaw [%d,+%d) outside the database of %d bytes", off, len(dst), c.DBSize()))
-	}
-	c.group().ReadRaw(off, dst)
-}
-
-// DBSize returns the configured database size — the bound every offset is
-// validated against.
-func (c *Cluster) DBSize() int { return c.cfg.DBSize }
-
-// Capacity returns the allocated size; on a Cluster it equals DBSize.
-func (c *Cluster) Capacity() int { return c.cfg.DBSize }
-
-// Shards returns 1: a Cluster is a single replica group.
-func (c *Cluster) Shards() int { return 1 }
-
-// Committed returns the number of committed transactions recorded in the
-// serving node's reliable memory. Never blocks: the count is an atomic
-// shadow, safe to sample while transactions run.
-func (c *Cluster) Committed() uint64 { return c.group().Committed() }
-
-// Flush seals and ships the open group-commit batch (see
-// Config.CommitBatch); a no-op when group commit is off or nothing is
-// pending.
-func (c *Cluster) Flush() error { return c.group().Flush() }
-
-// Settle lets the cluster sit idle long enough for everything in flight to
-// drain: any open group-commit batch flushes, pending write buffers reach
-// every reachable backup, and an in-flight online repair keeps copying
-// through the quiet period. The quiesce duration is derived from the
-// platform constants (write-buffer drain age, posted-write window, link
-// latency) unless Config.SettleGrace overrides it. A crash after Settle
-// loses nothing; without it, a crash immediately after a commit may lose
-// that commit — the paper's 1-safe window.
-func (c *Cluster) Settle() { c.group().Settle(c.group().QuiesceGrace()) }
-
-// CrashPrimary kills the primary mid-flight: doubled stores still sitting
-// in its write buffers are lost (the paper's 1-safe vulnerability window);
-// packets already posted reach the backup. The optional selector is the
-// Admin surface's shard index (a Cluster is shard 0).
-func (c *Cluster) CrashPrimary(shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
-	}
-	return c.group().Crash()
-}
-
-// Failover performs takeover: the most-caught-up surviving backup recovers
-// from its replicated bytes and starts serving, with any remaining
-// survivors re-synced behind it (replication continues). Returns
-// ErrNoBackup on standalone clusters. The optional selector is the Admin
-// surface's shard index (a Cluster is shard 0).
-func (c *Cluster) Failover(shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
-	}
-	if _, err := c.group().Failover(); err != nil {
-		if errors.Is(err, replication.ErrNoBackup) {
-			return ErrNoBackup
-		}
-		return fmt.Errorf("repro: failover: %w", err)
-	}
-	return nil
-}
-
-// Repair restores redundancy and blocks until the cluster is back at its
-// configured replication degree: fresh backup nodes (and resumed,
-// partitioned ones) enroll behind the serving server through the same
-// incremental transfer RepairAsync uses, driven to completion before the
-// call returns. Concurrent transactions keep committing while it runs.
-// The optional selector is the Admin surface's shard index.
-func (c *Cluster) Repair(shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
-	}
-	// Repair rewires the group in place and returns the same pointer.
-	if _, err := c.group().Repair(); err != nil {
-		if errors.Is(err, replication.ErrNotRepairable) {
-			return ErrNotRepairable
-		}
-		return fmt.Errorf("repro: repair: %w", err)
-	}
-	return nil
-}
-
-// RepairAsync starts an online repair and returns immediately: resumed
-// (partitioned) backups re-enroll by shipping only the pages they missed,
-// crashed backups are replaced by fresh nodes receiving a full copy, and
-// the cluster heals back to its configured replication degree — all while
-// transactions keep committing. The chunked state transfer shares the SAN
-// with the live commit stream (throughput dips while it runs — the
-// availability timeline the paper measures) and advances with the commit
-// stream's simulated time; Settle lets it stream through idle periods.
-// Watch RepairProgress for completion; a joining backup starts counting
-// toward quorum at its cut-over.
-//
-// Returns ErrNotRepairable when there is nothing to repair. The optional
-// selector is the Admin surface's shard index.
-func (c *Cluster) RepairAsync(shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
-	}
-	if err := c.group().RepairAsync(); err != nil {
-		if errors.Is(err, replication.ErrNotRepairable) {
-			return ErrNotRepairable
-		}
-		return fmt.Errorf("repro: repair: %w", err)
-	}
-	return nil
-}
-
 // RepairProgress reports the state of the current (or most recent) online
 // repair.
 type RepairProgress struct {
@@ -651,91 +370,13 @@ type RepairProgress struct {
 	Elapsed time.Duration
 }
 
-// RepairProgress returns the progress of the current or most recent
-// RepairAsync/Repair; the zero value is returned for an out-of-range
-// shard selector.
-func (c *Cluster) RepairProgress(shard ...int) RepairProgress {
-	if err := c.checkShard(shard); err != nil {
-		return RepairProgress{}
-	}
-	st := c.group().RepairStatus()
-	return RepairProgress{
-		Active:       st.Active,
-		Joining:      st.Joining,
-		Phase:        st.Phase,
-		BytesShipped: st.BytesShipped,
-		BytesPlanned: st.BytesPlanned,
-		Elapsed:      time.Duration(st.Elapsed.Nanoseconds()),
-	}
-}
-
-// Safety returns the commit discipline the cluster was configured with.
-func (c *Cluster) Safety() Safety { return c.cfg.Safety }
-
-// Backups returns the current number of backup nodes; zero for an
-// out-of-range shard selector.
-func (c *Cluster) Backups(shard ...int) int {
-	if err := c.checkShard(shard); err != nil {
-		return 0
-	}
-	return c.group().Backups()
-}
-
-// Generation returns how many failovers (manual or unattended) the cluster
-// has completed.
-func (c *Cluster) Generation() int { return c.group().Generation() }
-
-// AddShards is the elastic surface on a non-elastic deployment: a single
-// Cluster is one replica group and cannot change its topology.
-func (c *Cluster) AddShards(n int) ([]int, error) { return nil, ErrNotElastic }
-
-// RemoveShard always returns ErrNotElastic: see AddShards.
-func (c *Cluster) RemoveShard(shard int) error { return ErrNotElastic }
-
-// Rebalance always returns ErrNotElastic: see AddShards.
-func (c *Cluster) Rebalance() error { return ErrNotElastic }
-
-// RebalanceAsync always returns ErrNotElastic: see AddShards.
-func (c *Cluster) RebalanceAsync() error { return ErrNotElastic }
-
-// RebalanceProgress returns the zero value: a Cluster never rebalances.
-func (c *Cluster) RebalanceProgress() RebalanceProgress { return RebalanceProgress{} }
-
-// PlacementEpoch returns 1: a Cluster's placement is its construction-time
-// layout forever (the degenerate single-epoch ring).
-func (c *Cluster) PlacementEpoch() uint64 { return 1 }
-
-// simNow, transferRate, shipBulk and crashed are the hooks the sharded
-// facade's range mover drives a member cluster through: the simulated
-// time base and repair-share bandwidth that pace a bulk copy, the SAN
-// charge for shipped bytes, and the liveness probe that parks a move
-// until failover.
-func (c *Cluster) simNow() sim.Time      { return c.group().Now() }
-func (c *Cluster) transferRate() float64 { return c.group().TransferRate() }
-func (c *Cluster) shipBulk(n int)        { c.group().ShipBulk(n) }
-func (c *Cluster) crashed() bool         { return c.group().Crashed() }
-
-// PartitionPrimary severs the serving primary from the SAN without killing
-// it: heartbeats stop, its lease stops renewing, and every backup is
-// partitioned away. With Autopilot enabled the deposed primary refuses new
-// commits once its lease runs out (ErrLeaseExpired), and with AutoFailover
-// the surviving majority promotes a replacement no earlier than that same
-// instant — the no-split-brain demonstration.
-// The optional selector is the Admin surface's shard index.
-func (c *Cluster) PartitionPrimary(shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
-	}
-	return c.group().PartitionPrimary()
-}
-
 // FailureEvent is the recorded timeline of one fault the autopilot
 // handled. Zero-valued stamps mean "has not happened".
 type FailureEvent struct {
 	// Kind is "primary" or "backup"; Node names the failed machine.
 	Kind string
 	Node string
-	// Shard is the owning shard on a sharded cluster (0 otherwise).
+	// Shard is the owning shard.
 	Shard int
 	// The per-event timeline, in cumulative simulated time: when the
 	// fault was injected, when the detector declared the node dead, when
@@ -775,96 +416,11 @@ func (e FailureEvent) MTTR() time.Duration {
 	return e.RestoredAt - e.FailedAt
 }
 
-// AutopilotEnabled reports whether the unattended failure loop is on.
-func (c *Cluster) AutopilotEnabled() bool { return c.group().Autopilot().Enabled }
-
-// AutopilotEvents returns the fault timeline the autopilot recorded: one
-// event per detected failure, carrying the MTTD/MTTR stamps the chaos
-// harness aggregates. Empty with Autopilot off.
-func (c *Cluster) AutopilotEvents() []FailureEvent {
-	evs := c.group().AutopilotEvents()
-	out := make([]FailureEvent, 0, len(evs))
-	for _, e := range evs {
-		out = append(out, FailureEvent{
-			Kind:            e.Kind,
-			Node:            e.Node,
-			FailedAt:        e.FailedAt.Duration(),
-			DetectedAt:      e.DetectedAt.Duration(),
-			FailedOverAt:    e.FailedOverAt.Duration(),
-			RepairStartedAt: e.RepairStartedAt.Duration(),
-			RestoredAt:      e.RestoredAt.Duration(),
-		})
-	}
-	return out
-}
-
-// CrashBackup kills backup i: it stops receiving and acknowledging and is
-// never promoted. With QuorumSafe, acked commits survive the loss of the
-// primary plus any minority of the backups. The optional selector is the
-// Admin surface's shard index.
-func (c *Cluster) CrashBackup(i int, shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
-	}
-	return c.group().CrashBackup(i)
-}
-
-// PauseBackup partitions backup i away from the cluster; after
-// ResumeBackup it rejoins through RepairAsync/Repair, which ships only the
-// pages it missed (or nothing at all when nothing committed while it was
-// away). The optional selector is the Admin surface's shard index.
-func (c *Cluster) PauseBackup(i int, shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
-	}
-	return c.group().PauseBackup(i)
-}
-
-// ResumeBackup reconnects a paused backup. It stays gated — excluded from
-// acknowledgement — until RepairAsync or Repair re-enrolls it. The
-// optional selector is the Admin surface's shard index.
-func (c *Cluster) ResumeBackup(i int, shard ...int) error {
-	if err := c.checkShard(shard); err != nil {
-		return err
-	}
-	return c.group().ResumeBackup(i)
-}
-
-// Elapsed returns the simulated time consumed on the primary since the
-// cluster was built (or since the last measurement reset). Never blocks:
-// the serving clock is sampled atomically.
-func (c *Cluster) Elapsed() time.Duration { return c.group().Elapsed().Duration() }
-
-// ResetMeasurement starts a fresh measured interval (statistics zeroed,
-// cache and link state preserved).
-func (c *Cluster) ResetMeasurement() { c.group().ResetMeasurement() }
-
-// NetTraffic returns the bytes shipped to the backup since the last
-// measurement reset, in the paper's three categories. The counters are
-// atomic: sampling while transactions run is safe.
-func (c *Cluster) NetTraffic() Traffic {
-	n := c.group().NetBytes()
-	return Traffic{
-		ModifiedBytes: n[mem.CatModified],
-		UndoBytes:     n[mem.CatUndo],
-		MetaBytes:     n[mem.CatMeta],
-		SyncBytes:     n[mem.CatSync],
-		ControlBytes:  n[mem.CatControl],
-	}
-}
-
 // Stats reports transaction counters of the serving store.
 type Stats struct {
 	Begins  int64
 	Commits int64
 	Aborts  int64
-}
-
-// Stats returns the serving store's transaction counters. Never blocks:
-// the counters are atomic, safe to sample while transactions run.
-func (c *Cluster) Stats() Stats {
-	s := c.group().Stats()
-	return Stats{Begins: s.Begins, Commits: s.Commits, Aborts: s.Aborts}
 }
 
 // Metrics is a point-in-time copy of the deployment's observability
@@ -874,9 +430,80 @@ func (c *Cluster) Stats() Stats {
 // through the kvwire METRICS opcode to the Prometheus text endpoint.
 type Metrics = obs.Snapshot
 
-// Metrics snapshots the deployment's observability registry: the zero
-// Snapshot with Config.Metrics off. Safe to call while transactions run;
-// counters and histograms are read atomically.
-func (c *Cluster) Metrics() Metrics {
-	return c.reg.Snapshot()
+// member is one replica group as the router holds it: the group itself,
+// its metrics registry (nil with Config.Metrics off), and the translation
+// of the public configuration and read options into the internal layer's.
+type member struct {
+	*replication.Group
+	reg *obs.Registry
+}
+
+// newMember builds one replica group per cfg, whose DBSize is the group's
+// own slice of the deployment.
+func newMember(cfg Config) (*member, error) {
+	if cfg.Backup == 0 {
+		cfg.Backup = Standalone
+	}
+	var reg *obs.Registry
+	if cfg.Metrics {
+		reg = obs.NewRegistry()
+	}
+	g, err := replication.NewGroup(replication.Config{
+		Mode: replication.Mode(cfg.Backup),
+		Obs:  reg,
+		Store: vista.Config{
+			Version:         vista.Version(cfg.Version),
+			DBSize:          cfg.DBSize,
+			SparseDB:        cfg.SparseDB,
+			UncheckedWrites: cfg.UncheckedWrites,
+		},
+		SparseBackup: cfg.SparseDB,
+		TwoSafe:      cfg.TwoSafe,
+		Backups:      cfg.Backups,
+		Safety:       replication.Safety(cfg.Safety),
+		CommitBatch:  cfg.CommitBatch,
+		CommitWindow: sim.Dur(cfg.CommitWindow.Nanoseconds()) * sim.Nanosecond,
+		RepairChunk:  cfg.RepairChunk,
+		RepairShare:  cfg.RepairShare,
+		SettleGrace:  sim.Dur(cfg.SettleGrace.Nanoseconds()) * sim.Nanosecond,
+		Autopilot: replication.AutopilotConfig{
+			HeartbeatPeriod: sim.Dur(cfg.Autopilot.HeartbeatPeriod.Nanoseconds()) * sim.Nanosecond,
+			SuspectTimeout:  sim.Dur(cfg.Autopilot.SuspectTimeout.Nanoseconds()) * sim.Nanosecond,
+			AutoFailover:    cfg.Autopilot.AutoFailover,
+			AutoRepair:      cfg.Autopilot.AutoRepair,
+			Spares:          cfg.Autopilot.Spares,
+		},
+		Durability: replication.DurabilityConfig{
+			Dir:           cfg.Durability.Dir,
+			SnapshotEvery: cfg.Durability.SnapshotEvery,
+			SyncEvery:     cfg.Durability.SyncEvery,
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &member{Group: g, reg: reg}, nil
+}
+
+// readAt performs a charged read of the group's local bytes under opts,
+// with minSeq the group's own element of the caller's token.
+func (m *member) readAt(off int, dst []byte, opts ReadOpts, minSeq uint64) (ReadResult, error) {
+	if opts.Mode == ReadPrimary && opts.Replica == 0 {
+		// The zero-cost default: identical to Read.
+		if err := m.Read(off, dst); err != nil {
+			return ReadResult{}, mapErr(err)
+		}
+		seq := m.Committed()
+		return ReadResult{Replica: 0, Seq: seq, Primary: seq}, nil
+	}
+	res, err := m.RouteRead(off, dst, replication.ReadSpec{
+		Mode:    replication.ReadMode(opts.Mode),
+		MinSeq:  minSeq,
+		Bound:   opts.Bound,
+		Replica: opts.Replica,
+	})
+	if err != nil {
+		return ReadResult{}, mapErr(err)
+	}
+	return ReadResult{Replica: res.Replica, Seq: res.Seq, Primary: res.Primary, Repaired: res.Repaired}, nil
 }

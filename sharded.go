@@ -3,22 +3,28 @@ package repro
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/placement"
+	"repro/internal/replication"
+	"repro/internal/sim"
 )
 
-// ShardedCluster stripes a database across N independent replica groups.
-// At construction shard i owns database offsets [i*ShardSize,
-// (i+1)*ShardSize); the deployment is elastic, so AddShards + Rebalance
-// (or RemoveShard) later re-home partition-aligned ranges onto other
-// groups while the deployment serves — see rebalance.go. Each shard is a
-// full Cluster — its own primary, backups, SAN link and simulated clocks
-// — so the shards progress in parallel and aggregate throughput scales
-// with the shard count (the ROADMAP's sharding lever).
+// Cluster is one deployment: a database striped across N independent
+// replica groups, each a primary transaction server feeding its backups
+// through the modelled SAN. New builds the paper's system, N = 1;
+// NewSharded any N. At construction shard i owns database offsets
+// [i*ShardSize, (i+1)*ShardSize); every deployment is elastic, so
+// AddShards + Rebalance (or RemoveShard) later re-home partition-aligned
+// ranges onto other groups while the deployment serves — see
+// rebalance.go. Each shard has its own primary, backups, SAN link and
+// simulated clocks, so the shards progress in parallel and aggregate
+// throughput scales with the shard count.
 //
 // Operations are routed by offset through a versioned placement table
 // (internal/placement): readers load the current table through an atomic
@@ -33,16 +39,21 @@ import (
 //
 // # Concurrency
 //
-// A ShardedCluster may be driven from many goroutines at once: each shard
-// serializes its own transactions on its per-shard lock, and transactions
-// on different shards run genuinely in parallel — wall-clock throughput
-// scales with min(shards, GOMAXPROCS). A sharded transaction holds every
-// shard it has touched until Commit/Abort, acquiring shards in the order
-// it first touches them; concurrent multi-shard transactions must touch
-// shards in a consistent (ascending) order or risk deadlock, exactly like
-// any ordered-locking scheme. Aggregate readers (Stats, Committed,
-// NetTraffic, Elapsed) sample atomic counters and never block the shards.
-type ShardedCluster struct {
+// A Cluster may be driven from many goroutines at once: every
+// transaction-handle call and every management call briefly holds the
+// owning replica group's mutex. One transaction is in flight per shard —
+// the paper's single-stream engine — and transactions on different
+// shards run genuinely in parallel: wall-clock throughput scales with
+// min(shards, GOMAXPROCS). A transaction holds every shard it has touched
+// until Commit/Abort, acquiring shards in the order it first touches
+// them; concurrent multi-shard transactions must touch shards in a
+// consistent (ascending) order or risk deadlock, exactly like any
+// ordered-locking scheme. CrashPrimary may land in the middle of an open
+// transaction exactly as on real hardware: the dead transaction's
+// remaining calls fail with ErrCrashed and failover rolls it back.
+// Aggregate readers (Stats, Committed, NetTraffic, Elapsed) sample atomic
+// counters and never block the shards.
+type Cluster struct {
 	cfg       Config
 	shardSize int
 	dbSize    int
@@ -55,7 +66,8 @@ type ShardedCluster struct {
 	view atomic.Pointer[placeView]
 
 	// admin serializes topology mutation (AddShards, RemoveShard, the
-	// planning half of Rebalance) and guards layout + pending.
+	// planning half of Rebalance) and guards layout + pending. A Shard(i)
+	// view has no layout: its topology is its parent's.
 	admin   sync.Mutex
 	layout  *placement.Layout
 	pending []int // shards added since the last rebalance plan
@@ -63,15 +75,15 @@ type ShardedCluster struct {
 	// mig is the range mover's state; see rebalance.go.
 	mig migState
 
-	// finishing counts sharded transactions inside finish(): between
-	// releasing their per-shard transactions and publishing their dirty
-	// marks. The cut-over barrier spin-waits it to zero after taking the
-	// source's transaction slot, closing the release-before-mark window.
+	// finishing counts transactions inside finish(): between releasing
+	// their per-shard transactions and publishing their dirty marks. The
+	// cut-over barrier spin-waits it to zero after taking the source's
+	// transaction slot, closing the release-before-mark window.
 	finishing atomic.Int64
 
 	// reg is the deployment-level metrics registry (rebalance
 	// instruments and ring events live here; per-shard registries hang
-	// off the member clusters). Nil with Config.Metrics off.
+	// off the members). Nil with Config.Metrics off.
 	reg     *obs.Registry
 	mRanges *obs.Counter
 	mBytes  *obs.Counter
@@ -85,19 +97,27 @@ type ShardedCluster struct {
 	txPool sync.Pool
 }
 
+// ShardedCluster is the name NewSharded's result has carried since the
+// sharded front-end was a type of its own.
+type ShardedCluster = Cluster
+
 // placeView is one immutable routing snapshot: the shard list (tombstoned
 // slots included, so shard ids index it forever) plus the placement table
 // mapping global offsets onto it.
 type placeView struct {
-	shards []*Cluster
+	shards []*member
 	table  *placement.Table
 }
 
 // v returns the current routing snapshot.
-func (s *ShardedCluster) v() *placeView { return s.view.Load() }
+func (c *Cluster) v() *placeView { return c.view.Load() }
 
 // shardAlign keeps shard sizes page-friendly.
 const shardAlign = 4096
+
+// New builds the paper's deployment: one primary feeding its backups, a
+// single replica group holding the whole database.
+func New(cfg Config) (*Cluster, error) { return NewSharded(cfg, 1) }
 
 // NewSharded builds a cluster of shards independent replica groups, each
 // configured per cfg with a DBSize slice of the total. cfg.DBSize is the
@@ -105,7 +125,7 @@ const shardAlign = 4096
 // to a 4 KB multiple, so the deployment's Capacity may exceed DBSize —
 // offsets are validated against the configured DBSize, and the rounding
 // tail of the last shard is unused.
-func NewSharded(cfg Config, shards int) (*ShardedCluster, error) {
+func NewSharded(cfg Config, shards int) (*Cluster, error) {
 	if shards < 1 {
 		return nil, ErrShardCount
 	}
@@ -114,110 +134,121 @@ func NewSharded(cfg Config, shards int) (*ShardedCluster, error) {
 	}
 	size := (cfg.DBSize + shards - 1) / shards
 	size = (size + shardAlign - 1) &^ (shardAlign - 1)
-	sc := &ShardedCluster{cfg: cfg, shardSize: size, dbSize: cfg.DBSize}
-	list := make([]*Cluster, 0, shards)
+	c := newCluster(cfg, size, cfg.DBSize)
+	list := make([]*member, 0, shards)
 	for i := 0; i < shards; i++ {
-		c, err := sc.newShard(i)
+		m, err := c.newShard(i)
 		if err != nil {
 			return nil, err
 		}
-		list = append(list, c)
+		list = append(list, m)
 	}
-	sc.layout = placement.NewLayout(shards, size, 0)
-	sc.view.Store(&placeView{shards: list, table: sc.layout.Compile(1)})
-	sc.mig.curFrom.Store(-1)
-	sc.mig.curTo.Store(-1)
+	c.layout = placement.NewLayout(shards, size, 0)
+	c.view.Store(&placeView{shards: list, table: c.layout.Compile(1)})
 	if cfg.Metrics {
-		sc.reg = obs.NewRegistry()
-		sc.mRanges = sc.reg.Counter("place.ranges_moved")
-		sc.mBytes = sc.reg.Counter("place.bytes_shipped")
-		sc.mStalls = sc.reg.Counter("place.cutover_stalls")
-		sc.mEpoch = sc.reg.Gauge("place.epoch")
-		sc.mEpoch.Set(1)
-	}
-	sc.txPool.New = func() any {
-		return &shardedTx{s: sc, open: make([]Tx, shards)}
-	}
-	return sc, nil
-}
-
-// newShard builds member cluster id from the deployment's template
-// configuration (shared by construction and AddShards).
-func (s *ShardedCluster) newShard(id int) (*Cluster, error) {
-	scfg := s.cfg
-	scfg.DBSize = s.shardSize
-	if s.cfg.Durability.Enabled() {
-		scfg.Durability.Dir = shardDurabilityDir(s.cfg.Durability.Dir, id)
-	}
-	c, err := New(scfg)
-	if err != nil {
-		return nil, fmt.Errorf("repro: shard %d: %w", id, err)
+		c.reg = obs.NewRegistry()
+		c.mRanges = c.reg.Counter("place.ranges_moved")
+		c.mBytes = c.reg.Counter("place.bytes_shipped")
+		c.mStalls = c.reg.Counter("place.cutover_stalls")
+		c.mEpoch = c.reg.Gauge("place.epoch")
+		c.mEpoch.Set(1)
 	}
 	return c, nil
 }
 
+// newCluster returns a router with no shards published yet (shared by
+// construction and Shard).
+func newCluster(cfg Config, shardSize, dbSize int) *Cluster {
+	c := &Cluster{cfg: cfg, shardSize: shardSize, dbSize: dbSize}
+	c.mig.curFrom.Store(-1)
+	c.mig.curTo.Store(-1)
+	c.txPool.New = func() any { return &shardedTx{c: c} }
+	return c
+}
+
+// newShard builds replica group id from the deployment's template
+// configuration (shared by construction and AddShards).
+func (c *Cluster) newShard(id int) (*member, error) {
+	scfg := c.cfg
+	scfg.DBSize = c.shardSize
+	if c.cfg.Durability.Enabled() {
+		scfg.Durability.Dir = filepath.Join(c.cfg.Durability.Dir, fmt.Sprintf("shard-%03d", id))
+	}
+	m, err := newMember(scfg)
+	if err != nil {
+		return nil, fmt.Errorf("repro: shard %d: %w", id, err)
+	}
+	return m, nil
+}
+
 // Shards returns the shard slot count, drained tombstones included (ids
 // stay valid for Token and the Admin selectors).
-func (s *ShardedCluster) Shards() int { return len(s.v().shards) }
+func (c *Cluster) Shards() int { return len(c.v().shards) }
 
 // Safety returns the commit discipline every shard was configured with.
-func (s *ShardedCluster) Safety() Safety { return s.cfg.Safety }
+func (c *Cluster) Safety() Safety { return c.cfg.Safety }
 
 // ShardSize returns the per-shard database size in bytes.
-func (s *ShardedCluster) ShardSize() int { return s.shardSize }
+func (c *Cluster) ShardSize() int { return c.shardSize }
 
 // DBSize returns the configured total database size — the bound all
 // offsets are validated against.
-func (s *ShardedCluster) DBSize() int { return s.dbSize }
+func (c *Cluster) DBSize() int { return c.dbSize }
 
 // Capacity returns the allocated size across all shards: ShardSize times
 // Shards, at least DBSize (per-shard sizes are rounded up to 4 KB).
-func (s *ShardedCluster) Capacity() int { return s.shardSize * len(s.v().shards) }
+func (c *Cluster) Capacity() int { return c.shardSize * len(c.v().shards) }
 
 // ShardFor returns the shard currently owning database offset off, per
 // the live placement table; the answer can change across a rebalance.
-func (s *ShardedCluster) ShardFor(off int) int {
-	sh, _, _ := s.v().table.Locate(off)
+func (c *Cluster) ShardFor(off int) int {
+	sh, _, _ := c.v().table.Locate(off)
 	return sh
 }
 
-// Shard exposes one shard's cluster (crash injection, traffic inspection,
-// or single-shard transaction streams that skip the routing layer).
-func (s *ShardedCluster) Shard(i int) *Cluster {
-	v := s.v()
+// Shard returns a one-shard view of shard i — the same replica group, not
+// a copy — addressed by shard-local offsets: crash injection, traffic
+// inspection, or single-shard transaction streams that skip the routing
+// layer. The view's topology is its parent's, so AddShards, RemoveShard
+// and Rebalance refuse on it with ErrNotElastic. Nil for an out-of-range
+// index.
+func (c *Cluster) Shard(i int) *Cluster {
+	v := c.v()
 	if i < 0 || i >= len(v.shards) {
 		return nil
 	}
-	return v.shards[i]
+	view := newCluster(c.cfg, c.shardSize, c.shardSize)
+	view.view.Store(&placeView{shards: v.shards[i : i+1 : i+1], table: placement.Uniform(1, c.shardSize)})
+	return view
 }
 
 // checkRange validates [off, off+n) against the configured database size.
-// The returned error wraps ErrBounds — the same sentinel a Cluster's
-// out-of-range accesses return, keeping the two facades' error taxonomy
-// identical.
-func (s *ShardedCluster) checkRange(off, n int) error {
-	if off < 0 || n < 0 || off+n > s.dbSize {
-		return fmt.Errorf("repro: range [%d,+%d) outside the sharded database of %d bytes: %w", off, n, s.dbSize, ErrBounds)
+func (c *Cluster) checkRange(off, n int) error {
+	if off < 0 || n < 0 || off+n > c.dbSize {
+		return fmt.Errorf("repro: range [%d,+%d) outside the database of %d bytes: %w", off, n, c.dbSize, ErrBounds)
 	}
 	return nil
 }
 
-// checkShard validates the Admin surface's optional shard selector
-// against the shard count, defaulting to shard 0.
-func (s *ShardedCluster) checkShard(shard []int) (int, error) {
-	i, err := shardArg(shard)
-	if err != nil {
-		return 0, err
+// pick resolves the Admin surface's optional trailing shard selector to
+// its replica group: no argument targets shard 0, one argument that
+// shard; anything else, or an index outside the shard list, is
+// ErrNoSuchShard.
+func (c *Cluster) pick(shard []int) (*member, error) {
+	i := 0
+	if len(shard) == 1 {
+		i = shard[0]
 	}
-	if i < 0 || i >= len(s.v().shards) {
-		return 0, ErrNoSuchShard
+	v := c.v()
+	if len(shard) > 1 || i < 0 || i >= len(v.shards) {
+		return nil, ErrNoSuchShard
 	}
-	return i, nil
+	return v.shards[i], nil
 }
 
 // split walks [off, off+n) ownership run by ownership run under one
 // routing snapshot.
-func (s *ShardedCluster) split(v *placeView, off, n int, f func(shard, shardOff, n int) error) error {
+func (c *Cluster) split(v *placeView, off, n int, f func(shard, shardOff, n int) error) error {
 	for n > 0 {
 		i, so, run := v.table.Locate(off)
 		cnt := run
@@ -233,72 +264,59 @@ func (s *ShardedCluster) split(v *placeView, off, n int, f func(shard, shardOff,
 	return nil
 }
 
-// Load installs initial content across the owning shards. Loads landing
-// on a range mid-migration are marked dirty for the delta resync; a load
+// Load installs initial content across the owning shards without charging
+// simulated time, keeping every replica's copy in sync. Loads landing on
+// a range mid-migration are marked dirty for the delta resync; a load
 // that raced a cut-over redoes itself against the new table (raw installs
 // are idempotent), so the flipped-to shard never misses the bytes.
-func (s *ShardedCluster) Load(off int, data []byte) error {
-	if err := s.checkRange(off, len(data)); err != nil {
+func (c *Cluster) Load(off int, data []byte) error {
+	if err := c.checkRange(off, len(data)); err != nil {
 		return err
 	}
 	for {
-		v := s.v()
+		v := c.v()
 		pos := 0
-		err := s.split(v, off, len(data), func(i, so, n int) error {
+		err := c.split(v, off, len(data), func(i, so, n int) error {
 			err := v.shards[i].Load(so, data[pos:pos+n])
 			pos += n
 			return err
 		})
 		if err != nil {
-			return err
+			return mapErr(err)
 		}
-		s.markDirty(off, len(data))
-		if s.v().table == v.table {
+		c.markDirty(off, len(data))
+		if c.v().table == v.table {
 			return nil
 		}
 	}
 }
 
-// Read performs a charged read across the owning shards. A read that
-// raced a cut-over retries whole against the new table, so one call never
-// mixes two placement epochs.
-func (s *ShardedCluster) Read(off int, dst []byte) error {
-	if err := s.checkRange(off, len(dst)); err != nil {
-		return err
-	}
-	for {
-		v := s.v()
-		pos := 0
-		err := s.split(v, off, len(dst), func(i, so, n int) error {
-			err := v.shards[i].Read(so, dst[pos:pos+n])
-			pos += n
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		if s.v().table == v.table {
-			return nil
-		}
-	}
+// Read performs a charged, non-transactional read across the owning
+// shards, serialized with each shard's transactions. A read that raced a
+// cut-over retries whole against the new table, so one call never mixes
+// two placement epochs.
+func (c *Cluster) Read(off int, dst []byte) error {
+	_, err := c.ReadAt(off, dst, ReadOpts{})
+	return err
 }
 
 // ReadAt performs a charged read across the owning shards under opts'
-// consistency discipline. Each sub-span is routed on its own shard with
-// that shard's token element as the floor (a token shorter than the shard
-// count leaves the missing shards unconstrained, so any token — including
-// one minted before a rebalance grew the deployment — is valid on any
-// shard). The result reports the last sub-span's server; when
-// ReadOpts.Replica pins a backup index, the pin applies on every shard.
-func (s *ShardedCluster) ReadAt(off int, dst []byte, opts ReadOpts) (ReadResult, error) {
-	if err := s.checkRange(off, len(dst)); err != nil {
+// consistency discipline; the zero ReadOpts is exactly Read. Each
+// sub-span is routed on its own shard with that shard's token element as
+// the floor (a token shorter than the shard count leaves the missing
+// shards unconstrained, so any token — including one minted before a
+// rebalance grew the deployment — is valid on any shard). The result
+// reports the last sub-span's server; when ReadOpts.Replica pins a backup
+// index, the pin applies on every shard.
+func (c *Cluster) ReadAt(off int, dst []byte, opts ReadOpts) (ReadResult, error) {
+	if err := c.checkRange(off, len(dst)); err != nil {
 		return ReadResult{}, err
 	}
 	for {
 		var res ReadResult
-		v := s.v()
+		v := c.v()
 		pos := 0
-		err := s.split(v, off, len(dst), func(i, so, n int) error {
+		err := c.split(v, off, len(dst), func(i, so, n int) error {
 			var minSeq uint64
 			if i < len(opts.Token) {
 				minSeq = opts.Token[i]
@@ -314,59 +332,71 @@ func (s *ShardedCluster) ReadAt(off int, dst []byte, opts ReadOpts) (ReadResult,
 		if err != nil {
 			return res, err
 		}
-		if s.v().table == v.table {
+		if c.v().table == v.table {
 			return res, nil
 		}
 	}
 }
 
 // Token fills dst (growing it as needed) with the per-shard commit-
-// sequence vector: element i is shard i's committed counter. Lock-free.
-// After AddShards the vector grows; earlier (shorter) tokens stay valid —
-// the missing shards are simply unconstrained.
-func (s *ShardedCluster) Token(dst Token) Token {
-	v := s.v()
+// sequence vector: element i is shard i's committed counter, the floor a
+// ReadYourWrites read after this instant must observe. Capture it after a
+// Commit returns to make that commit visible to the session's replica
+// reads. Lock-free. After AddShards the vector grows; earlier (shorter)
+// tokens stay valid — the missing shards are simply unconstrained.
+func (c *Cluster) Token(dst Token) Token {
+	v := c.v()
 	n := len(v.shards)
 	if cap(dst) < n {
 		dst = make(Token, n)
 	}
 	dst = dst[:n]
-	for i, c := range v.shards {
-		dst[i] = c.Committed()
+	for i, m := range v.shards {
+		dst[i] = m.Committed()
 	}
 	return dst
 }
 
-// ReadRaw copies database bytes without charging simulated time. It
-// panics if the span falls outside the database — the DB contract,
-// identical on both facades (an out-of-range span used to no-op
-// silently here, diverging from Cluster.ReadRaw).
-func (s *ShardedCluster) ReadRaw(off int, dst []byte) {
-	if off < 0 || off+len(dst) > s.dbSize {
-		panic(fmt.Sprintf("repro: ReadRaw [%d,+%d) outside the database of %d bytes", off, len(dst), s.dbSize))
+// ReadRaw copies database bytes without charging simulated time,
+// serialized with each shard's transactions. It panics if the span falls
+// outside the database — the DB contract.
+func (c *Cluster) ReadRaw(off int, dst []byte) {
+	if off < 0 || off+len(dst) > c.dbSize {
+		panic(fmt.Sprintf("repro: ReadRaw [%d,+%d) outside the database of %d bytes", off, len(dst), c.dbSize))
 	}
 	for {
-		v := s.v()
+		v := c.v()
 		pos := 0
-		_ = s.split(v, off, len(dst), func(i, so, n int) error {
+		_ = c.split(v, off, len(dst), func(i, so, n int) error {
 			v.shards[i].ReadRaw(so, dst[pos:pos+n])
 			pos += n
 			return nil
 		})
-		if s.v().table == v.table {
+		if c.v().table == v.table {
 			return
 		}
 	}
 }
 
-// Begin opens a sharded transaction: per-shard transactions open lazily on
-// first touch — taking that shard's lock until the sharded transaction
-// completes — and all touched shards commit (or abort) together, though
-// not atomically across shards. The returned handle is recycled after
-// Commit/Abort and must not be used past that point.
-func (s *ShardedCluster) Begin() (Tx, error) {
-	t := s.txPool.Get().(*shardedTx)
+// Begin opens a transaction. On a one-shard deployment it opens that
+// shard's transaction on the spot — blocking until the previous
+// transaction commits or aborts, and refusing with ErrCrashed,
+// ErrSafetyUnavailable or ErrLeaseExpired when the group cannot serve.
+// With more shards, per-shard transactions open lazily on first touch —
+// taking that shard's transaction slot until the transaction completes,
+// and surfacing the same sentinels there — and all touched shards commit
+// (or abort) together, though not atomically across shards. The returned
+// handle is recycled after Commit/Abort and must not be used past that
+// point.
+func (c *Cluster) Begin() (Tx, error) {
+	t := c.txPool.Get().(*shardedTx)
 	t.done = false
+	if v := c.v(); len(v.shards) == 1 {
+		if _, err := t.at(v, 0); err != nil {
+			c.txPool.Put(t)
+			return nil, err
+		}
+	}
 	return t, nil
 }
 
@@ -378,38 +408,50 @@ type dirtySpan struct{ off, n int }
 // shardedTx routes transactional operations by offset. The hot-path
 // methods walk the placement split inline (closure-free) so a warmed
 // transaction performs no allocation; marks is only appended while a
-// rebalance is active.
+// rebalance is active. Every error a per-shard handle returns passes
+// through mapErr on its way out, so a crash that orphans the transaction
+// surfaces as ErrCrashed from whichever method meets it first.
 type shardedTx struct {
-	s     *ShardedCluster
-	open  []Tx
-	marks []dirtySpan
-	done  bool
+	c       *Cluster
+	open    []replication.TxHandle
+	touched int // non-nil entries of open
+	marks   []dirtySpan
+	done    bool
 }
 
 var _ Tx = (*shardedTx)(nil)
 
 // at returns the transaction's handle on shard i, opening it on first
-// touch. The open table grows lazily when a rebalance added shards after
-// this handle was pooled.
-func (t *shardedTx) at(v *placeView, i int) (Tx, error) {
+// touch. The open table grows lazily to the view's shard count (a
+// rebalance may have added shards since this handle was pooled).
+func (t *shardedTx) at(v *placeView, i int) (replication.TxHandle, error) {
 	for len(t.open) < len(v.shards) {
 		t.open = append(t.open, nil)
 	}
 	if t.open[i] == nil {
 		tx, err := v.shards[i].Begin()
 		if err != nil {
-			return nil, fmt.Errorf("repro: shard %d: %w", i, err)
+			return nil, fmt.Errorf("repro: shard %d: %w", i, mapErr(err))
 		}
 		t.open[i] = tx
+		t.touched++
 	}
 	return t.open[i], nil
+}
+
+// check refuses a completed handle and validates [off, off+n).
+func (t *shardedTx) check(off, n int) error {
+	if t.done {
+		return ErrTxDone
+	}
+	return t.c.checkRange(off, n)
 }
 
 // mark records a mutated span for the delta resync when a range move is
 // in flight. Appending here is op-time bookkeeping only; the spans become
 // dirty marks in finish(), after commit makes the bytes visible.
 func (t *shardedTx) mark(off, n int) {
-	if !t.s.migActive() {
+	if !t.c.migActive() {
 		return
 	}
 	t.marks = append(t.marks, dirtySpan{off: off, n: n})
@@ -420,21 +462,21 @@ func (t *shardedTx) mark(off, n int) {
 // shard's transaction slot; if routing flipped meanwhile, ok is false and
 // the caller re-routes the span on the new table (the speculatively
 // acquired shard simply stays open and idle until finish).
-func (t *shardedTx) route(off int) (tx Tx, so, run int, ok bool, err error) {
-	v := t.s.v()
+func (t *shardedTx) route(off int) (tx replication.TxHandle, so, run int, ok bool, err error) {
+	v := t.c.v()
 	i, so, run := v.table.Locate(off)
 	tx, err = t.at(v, i)
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
-	if t.s.v().table != v.table {
+	if t.c.v().table != v.table {
 		return nil, 0, 0, false, nil
 	}
 	return tx, so, run, true, nil
 }
 
 func (t *shardedTx) SetRange(off, n int) error {
-	if err := t.s.checkRange(off, n); err != nil {
+	if err := t.check(off, n); err != nil {
 		return err
 	}
 	for n > 0 {
@@ -450,7 +492,7 @@ func (t *shardedTx) SetRange(off, n int) error {
 			cnt = n
 		}
 		if err := tx.SetRange(so, cnt); err != nil {
-			return err
+			return mapErr(err)
 		}
 		off += cnt
 		n -= cnt
@@ -459,7 +501,7 @@ func (t *shardedTx) SetRange(off, n int) error {
 }
 
 func (t *shardedTx) Write(off int, src []byte) error {
-	if err := t.s.checkRange(off, len(src)); err != nil {
+	if err := t.check(off, len(src)); err != nil {
 		return err
 	}
 	pos := 0
@@ -476,7 +518,7 @@ func (t *shardedTx) Write(off int, src []byte) error {
 			cnt = len(src) - pos
 		}
 		if err := tx.Write(so, src[pos:pos+cnt]); err != nil {
-			return err
+			return mapErr(err)
 		}
 		t.mark(off, cnt)
 		off += cnt
@@ -486,7 +528,7 @@ func (t *shardedTx) Write(off int, src []byte) error {
 }
 
 func (t *shardedTx) Read(off int, dst []byte) error {
-	if err := t.s.checkRange(off, len(dst)); err != nil {
+	if err := t.check(off, len(dst)); err != nil {
 		return err
 	}
 	pos := 0
@@ -503,7 +545,7 @@ func (t *shardedTx) Read(off int, dst []byte) error {
 			cnt = len(dst) - pos
 		}
 		if err := tx.Read(so, dst[pos:pos+cnt]); err != nil {
-			return err
+			return mapErr(err)
 		}
 		off += cnt
 		pos += cnt
@@ -511,7 +553,8 @@ func (t *shardedTx) Read(off int, dst []byte) error {
 	return nil
 }
 
-// Commit commits every touched shard in shard order. A mid-list failure
+// Commit commits every touched shard in shard order. With one shard
+// touched its error is returned as is. With several, a mid-list failure
 // leaves earlier shards committed and later ones aborted — cross-shard
 // atomicity is out of scope (see the type comment) — and is reported as a
 // *PartialCommitError naming both sets.
@@ -520,14 +563,21 @@ func (t *shardedTx) Commit() error { return t.finish(true) }
 // Abort rolls every touched shard back.
 func (t *shardedTx) Abort() error { return t.finish(false) }
 
+// shardErr reports shard i's failure: as is when it is the only shard the
+// transaction touched, naming the shard otherwise.
+func (t *shardedTx) shardErr(i int, err error) error {
+	if t.touched == 1 {
+		return mapErr(err)
+	}
+	return fmt.Errorf("repro: shard %d: %w", i, mapErr(err))
+}
+
 func (t *shardedTx) finish(commit bool) error {
 	if t.done {
-		// Same sentinel a Cluster's completed handle returns, keeping the
-		// facades' error taxonomy identical.
 		return ErrTxDone
 	}
 	t.done = true
-	s := t.s
+	c := t.c
 	// Enter the finishing window before any per-shard release: the
 	// cut-over barrier holds the source's transaction slot and then waits
 	// for this counter, so every span below is marked dirty before the
@@ -535,7 +585,7 @@ func (t *shardedTx) finish(commit bool) error {
 	// over-copy, never a miss.
 	fin := len(t.marks) > 0
 	if fin {
-		s.finishing.Add(1)
+		c.finishing.Add(1)
 	}
 	var firstErr, ackErr error
 	var pce *PartialCommitError
@@ -555,12 +605,15 @@ func (t *shardedTx) finish(commit bool) error {
 				// it belongs to the committed set. Keep committing the
 				// remaining shards and surface the degradation.
 				if ackErr == nil {
-					ackErr = fmt.Errorf("repro: shard %d: %w", i, err)
+					ackErr = t.shardErr(i, err)
 				}
+			case t.touched == 1:
+				// No committed or aborted set to report.
+				firstErr = mapErr(err)
 			default:
 				// Build the partial-commit report only on the failure
 				// path: the clean path stays allocation-free.
-				pce = &PartialCommitError{Failed: i, Err: err}
+				pce = &PartialCommitError{Failed: i, Err: mapErr(err)}
 				for j := 0; j < i; j++ {
 					if t.open[j] != nil {
 						pce.Committed = append(pce.Committed, j)
@@ -574,26 +627,25 @@ func (t *shardedTx) finish(commit bool) error {
 				pce.Aborted = append(pce.Aborted, i)
 			}
 			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("repro: shard %d: %w", i, err)
+				firstErr = t.shardErr(i, err)
 			}
 		}
 	}
-	for i := range t.open {
-		t.open[i] = nil
-	}
+	clear(t.open)
+	t.touched = 0
 	if fin {
 		for _, m := range t.marks {
-			s.markDirty(m.off, m.n)
+			c.markDirty(m.off, m.n)
 		}
-		s.finishing.Add(-1)
+		c.finishing.Add(-1)
 	}
 	t.marks = t.marks[:0]
-	s.txPool.Put(t)
-	if s.migActive() {
+	c.txPool.Put(t)
+	if c.migActive() {
 		// Ride the commit stream: every completed transaction buys the
 		// range mover a pacing slice (non-blocking; skipped when another
 		// goroutine is already pumping).
-		s.pump(false, false)
+		c.pump(false, false)
 	}
 	if firstErr == nil {
 		firstErr = ackErr
@@ -601,144 +653,241 @@ func (t *shardedTx) finish(commit bool) error {
 	return firstErr
 }
 
-// Settle lets every shard's pending write buffers (and any open
-// group-commit batches) drain, and gives an active rebalance a paced
-// pump — so single-stream drivers that settle between phases keep the
-// mover deterministic.
-func (s *ShardedCluster) Settle() {
-	if s.migActive() {
-		s.pump(true, false)
+// Settle lets the deployment sit idle long enough for everything in
+// flight to drain: any open group-commit batch flushes, pending write
+// buffers reach every reachable backup, and an in-flight online repair
+// keeps copying through the quiet period. The quiesce duration is derived
+// from the platform constants (write-buffer drain age, posted-write
+// window, link latency) unless Config.SettleGrace overrides it. A crash
+// after Settle loses nothing; without it, a crash immediately after a
+// commit may lose that commit — the paper's 1-safe window. An active
+// rebalance gets a paced pump first, so single-stream drivers that settle
+// between phases keep the mover deterministic.
+func (c *Cluster) Settle() {
+	if c.migActive() {
+		c.pump(true, false)
 	}
-	for _, c := range s.v().shards {
-		c.Settle()
+	for _, m := range c.v().shards {
+		m.Settle(m.QuiesceGrace())
 	}
 }
 
-// Flush seals and ships every shard's open group-commit batch.
-func (s *ShardedCluster) Flush() error {
+// Flush seals and ships every shard's open group-commit batch (see
+// Config.CommitBatch); a no-op when group commit is off or nothing is
+// pending.
+func (c *Cluster) Flush() error { return c.eachShard((*member).Flush) }
+
+// eachShard runs f on every shard and returns the first failure, naming
+// its shard.
+func (c *Cluster) eachShard(f func(*member) error) error {
 	var firstErr error
-	for i, c := range s.v().shards {
-		if err := c.Flush(); err != nil && firstErr == nil {
+	for i, m := range c.v().shards {
+		if err := f(m); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("repro: shard %d: %w", i, err)
 		}
 	}
 	return firstErr
 }
 
-// CrashPrimary kills the selected shard's primary (default shard 0); the
-// other shards keep serving.
-func (s *ShardedCluster) CrashPrimary(shard ...int) error {
-	i, err := s.checkShard(shard)
+// CrashPrimary kills the selected shard's primary mid-flight (default
+// shard 0): doubled stores still sitting in its write buffers are lost
+// (the paper's 1-safe vulnerability window); packets already posted reach
+// the backup. The other shards keep serving.
+func (c *Cluster) CrashPrimary(shard ...int) error {
+	m, err := c.pick(shard)
 	if err != nil {
 		return err
 	}
-	return s.v().shards[i].CrashPrimary()
+	return m.Crash()
 }
 
-// Failover performs takeover on the selected shard (default shard 0).
-func (s *ShardedCluster) Failover(shard ...int) error {
-	i, err := s.checkShard(shard)
+// PartitionPrimary severs the selected shard's primary (default shard 0)
+// from the SAN without killing it: heartbeats stop, its lease stops
+// renewing, and every backup is partitioned away. With Autopilot enabled
+// the deposed primary refuses new commits once its lease runs out
+// (ErrLeaseExpired), and with AutoFailover the surviving majority
+// promotes a replacement no earlier than that same instant — the
+// no-split-brain demonstration.
+func (c *Cluster) PartitionPrimary(shard ...int) error {
+	m, err := c.pick(shard)
 	if err != nil {
 		return err
 	}
-	return s.v().shards[i].Failover()
+	return m.PartitionPrimary()
+}
+
+// Failover performs takeover on the selected shard (default shard 0): the
+// most-caught-up surviving backup recovers from its replicated bytes and
+// starts serving, with any remaining survivors re-synced behind it
+// (replication continues). Returns ErrNoBackup when no survivor exists.
+func (c *Cluster) Failover(shard ...int) error {
+	m, err := c.pick(shard)
+	if err != nil {
+		return err
+	}
+	_, err = m.Failover()
+	return recoveryErr("failover", err)
 }
 
 // Repair restores the selected shard (default 0) to its configured
-// replication degree, blocking until the transfer completes (the other
-// shards keep serving throughout; so does the shard's own commit stream,
-// which interleaves with the chunked transfer).
-func (s *ShardedCluster) Repair(shard ...int) error {
-	i, err := s.checkShard(shard)
+// replication degree and blocks until it is there: fresh backup nodes
+// (and resumed, partitioned ones) enroll behind the serving server through
+// the same incremental transfer RepairAsync uses, driven to completion
+// before the call returns. The other shards keep serving throughout; so
+// does the shard's own commit stream, which interleaves with the chunked
+// transfer.
+func (c *Cluster) Repair(shard ...int) error {
+	m, err := c.pick(shard)
 	if err != nil {
 		return err
 	}
-	return s.v().shards[i].Repair()
+	// Repair rewires the group in place and returns the same pointer.
+	_, err = m.Repair()
+	return recoveryErr("repair", err)
 }
 
 // RepairAsync starts an online repair of the selected shard (default 0)
-// and returns immediately: the state transfer runs in the background of
-// the shard's commit stream. Watch RepairProgress for completion.
-func (s *ShardedCluster) RepairAsync(shard ...int) error {
-	i, err := s.checkShard(shard)
+// and returns immediately: resumed (partitioned) backups re-enroll by
+// shipping only the pages they missed, crashed backups are replaced by
+// fresh nodes receiving a full copy, and the shard heals back to its
+// configured replication degree — all while transactions keep
+// committing. The chunked state transfer shares the SAN with the live
+// commit stream (throughput dips while it runs — the availability
+// timeline the paper measures) and advances with the commit stream's
+// simulated time; Settle lets it stream through idle periods. Watch
+// RepairProgress for completion; a joining backup starts counting toward
+// quorum at its cut-over. Returns ErrNotRepairable when there is nothing
+// to repair.
+func (c *Cluster) RepairAsync(shard ...int) error {
+	m, err := c.pick(shard)
 	if err != nil {
 		return err
 	}
-	return s.v().shards[i].RepairAsync()
+	return recoveryErr("repair", m.RepairAsync())
 }
 
 // RepairProgress reports the selected shard's current (or most recent)
-// online repair; the zero value is returned for an out-of-range selector.
-func (s *ShardedCluster) RepairProgress(shard ...int) RepairProgress {
-	i, err := s.checkShard(shard)
+// RepairAsync/Repair; the zero value is returned for an out-of-range
+// selector.
+func (c *Cluster) RepairProgress(shard ...int) RepairProgress {
+	m, err := c.pick(shard)
 	if err != nil {
 		return RepairProgress{}
 	}
-	return s.v().shards[i].RepairProgress()
+	st := m.RepairStatus()
+	return RepairProgress{
+		Active:       st.Active,
+		Joining:      st.Joining,
+		Phase:        st.Phase,
+		BytesShipped: st.BytesShipped,
+		BytesPlanned: st.BytesPlanned,
+		Elapsed:      time.Duration(st.Elapsed.Nanoseconds()),
+	}
 }
 
-// CrashBackup kills backup i of the selected shard (default shard 0).
-func (s *ShardedCluster) CrashBackup(i int, shard ...int) error {
-	si, err := s.checkShard(shard)
+// CrashBackup kills backup i of the selected shard (default shard 0): it
+// stops receiving and acknowledging and is never promoted. With
+// QuorumSafe, acked commits survive the loss of the primary plus any
+// minority of the backups.
+func (c *Cluster) CrashBackup(i int, shard ...int) error {
+	m, err := c.pick(shard)
 	if err != nil {
 		return err
 	}
-	return s.v().shards[si].CrashBackup(i)
+	return m.CrashBackup(i)
 }
 
 // PauseBackup partitions backup i of the selected shard (default 0) away
-// from its SAN; ResumeBackup reconnects it.
-func (s *ShardedCluster) PauseBackup(i int, shard ...int) error {
-	si, err := s.checkShard(shard)
+// from its SAN; after ResumeBackup it rejoins through RepairAsync/Repair,
+// which ships only the pages it missed (or nothing at all when nothing
+// committed while it was away).
+func (c *Cluster) PauseBackup(i int, shard ...int) error {
+	m, err := c.pick(shard)
 	if err != nil {
 		return err
 	}
-	return s.v().shards[si].PauseBackup(i)
+	return m.PauseBackup(i)
 }
 
 // ResumeBackup reconnects a paused backup of the selected shard (default
-// 0); it stays gated until Repair or RepairAsync re-enrolls it.
-func (s *ShardedCluster) ResumeBackup(i int, shard ...int) error {
-	si, err := s.checkShard(shard)
+// 0); it stays gated — excluded from acknowledgement — until Repair or
+// RepairAsync re-enrolls it.
+func (c *Cluster) ResumeBackup(i int, shard ...int) error {
+	m, err := c.pick(shard)
 	if err != nil {
 		return err
 	}
-	return s.v().shards[si].ResumeBackup(i)
+	return m.ResumeBackup(i)
 }
 
 // Backups returns the selected shard's current backup count (default
 // shard 0; every shard is configured to the same degree); zero for an
 // out-of-range selector.
-func (s *ShardedCluster) Backups(shard ...int) int {
-	i, err := s.checkShard(shard)
+func (c *Cluster) Backups(shard ...int) int {
+	m, err := c.pick(shard)
 	if err != nil {
 		return 0
 	}
-	return s.v().shards[i].Backups()
+	return m.Backups()
 }
 
-// AutopilotEnabled reports whether the unattended failure loop is on
-// (configured uniformly across shards).
-func (s *ShardedCluster) AutopilotEnabled() bool {
-	return s.v().shards[0].AutopilotEnabled()
-}
-
-// Committed returns the committed-transaction total across all shards.
-// Never blocks the shards: per-shard counts are atomic.
-func (s *ShardedCluster) Committed() uint64 {
-	var total uint64
-	for _, c := range s.v().shards {
-		total += c.Committed()
+// Generation returns how many failovers (manual or unattended) the
+// deployment has completed, summed across shards.
+func (c *Cluster) Generation() int {
+	total := 0
+	for _, m := range c.v().shards {
+		total += m.Generation()
 	}
 	return total
 }
 
-// Stats aggregates the per-shard transaction counters. Never blocks the
-// shards.
-func (s *ShardedCluster) Stats() Stats {
+// AutopilotEnabled reports whether the unattended failure loop is on
+// (configured uniformly across shards).
+func (c *Cluster) AutopilotEnabled() bool {
+	return c.v().shards[0].Autopilot().Enabled
+}
+
+// AutopilotEvents returns the fault timeline the autopilot recorded: one
+// event per detected failure on any shard, stamped with its owning shard
+// and carrying the MTTD/MTTR stamps the chaos harness aggregates. Empty
+// with Autopilot off.
+func (c *Cluster) AutopilotEvents() []FailureEvent {
+	var out []FailureEvent
+	for i, m := range c.v().shards {
+		for _, e := range m.AutopilotEvents() {
+			out = append(out, FailureEvent{
+				Kind:            e.Kind,
+				Node:            e.Node,
+				Shard:           i,
+				FailedAt:        e.FailedAt.Duration(),
+				DetectedAt:      e.DetectedAt.Duration(),
+				FailedOverAt:    e.FailedOverAt.Duration(),
+				RepairStartedAt: e.RepairStartedAt.Duration(),
+				RestoredAt:      e.RestoredAt.Duration(),
+			})
+		}
+	}
+	return out
+}
+
+// Committed returns the number of committed transactions recorded in the
+// serving nodes' reliable memory, summed across shards. Never blocks: the
+// per-shard counts are atomic shadows, safe to sample while transactions
+// run.
+func (c *Cluster) Committed() uint64 {
+	var total uint64
+	for _, m := range c.v().shards {
+		total += m.Committed()
+	}
+	return total
+}
+
+// Stats aggregates the serving stores' transaction counters. Never
+// blocks: the counters are atomic.
+func (c *Cluster) Stats() Stats {
 	var out Stats
-	for _, c := range s.v().shards {
-		st := c.Stats()
+	for _, m := range c.v().shards {
+		st := m.Stats()
 		out.Begins += st.Begins
 		out.Commits += st.Commits
 		out.Aborts += st.Aborts
@@ -746,79 +895,56 @@ func (s *ShardedCluster) Stats() Stats {
 	return out
 }
 
-// NetTraffic aggregates SAN traffic across all shards' links.
-func (s *ShardedCluster) NetTraffic() Traffic {
+// NetTraffic returns the bytes shipped over every shard's SAN link since
+// the last measurement reset, by category. The counters are atomic:
+// sampling while transactions run is safe.
+func (c *Cluster) NetTraffic() Traffic {
 	var out Traffic
-	for _, c := range s.v().shards {
-		tr := c.NetTraffic()
-		out.ModifiedBytes += tr.ModifiedBytes
-		out.UndoBytes += tr.UndoBytes
-		out.MetaBytes += tr.MetaBytes
-		out.SyncBytes += tr.SyncBytes
-		out.ControlBytes += tr.ControlBytes
+	for _, m := range c.v().shards {
+		n := m.NetBytes()
+		out.ModifiedBytes += n[mem.CatModified]
+		out.UndoBytes += n[mem.CatUndo]
+		out.MetaBytes += n[mem.CatMeta]
+		out.SyncBytes += n[mem.CatSync]
+		out.ControlBytes += n[mem.CatControl]
 	}
 	return out
 }
 
-// PartitionPrimary severs the selected shard's primary (default shard 0)
-// from the SAN (see Cluster.PartitionPrimary).
-func (s *ShardedCluster) PartitionPrimary(shard ...int) error {
-	i, err := s.checkShard(shard)
-	if err != nil {
-		return err
-	}
-	return s.v().shards[i].PartitionPrimary()
-}
+// Elapsed returns the simulated time consumed since the last measurement
+// reset: the slowest shard's primary clock. Shards run in parallel on
+// disjoint hardware, so aggregate throughput is total commits divided by
+// this maximum — which is why it grows with the shard count. Never
+// blocks: the serving clocks are sampled atomically.
+func (c *Cluster) Elapsed() time.Duration { return c.slowest((*member).Elapsed) }
 
-// AutopilotEvents aggregates the fault timelines of every shard's
-// autopilot, with each event stamped with its owning shard.
-func (s *ShardedCluster) AutopilotEvents() []FailureEvent {
-	var out []FailureEvent
-	for i, c := range s.v().shards {
-		for _, e := range c.AutopilotEvents() {
-			e.Shard = i
-			out = append(out, e)
+// slowest returns the furthest-advanced of the shards' clocks.
+func (c *Cluster) slowest(clock func(*member) sim.Time) time.Duration {
+	var max sim.Time
+	for _, m := range c.v().shards {
+		if t := clock(m); t > max {
+			max = t
 		}
 	}
-	return out
+	return max.Duration()
 }
 
-// Elapsed returns the wall-clock of the sharded deployment: the slowest
-// shard's simulated time since the last measurement reset. Shards run in
-// parallel on disjoint hardware, so aggregate throughput is total commits
-// divided by this maximum — which is why it grows with the shard count.
-// Never blocks the shards.
-func (s *ShardedCluster) Elapsed() time.Duration {
-	var max time.Duration
-	for _, c := range s.v().shards {
-		if e := c.Elapsed(); e > max {
-			max = e
-		}
-	}
-	return max
-}
+// ReplicaElapsed returns the longest simulated time any node — primary or
+// read-serving backup, on any shard — has accumulated since the last
+// measurement reset. Replica reads run on the backups' CPUs in parallel
+// with the primary's commits, so a read-scaled workload's wall time is
+// this max, not Elapsed alone; with no replica reads it equals Elapsed.
+func (c *Cluster) ReplicaElapsed() time.Duration { return c.slowest((*member).ReplicaElapsed) }
 
-// ReplicaElapsed returns the wall-clock of the sharded deployment with
-// replica reads in play: the maximum over every shard's ReplicaElapsed.
-// Equals Elapsed when no backup served a read this interval.
-func (s *ShardedCluster) ReplicaElapsed() time.Duration {
-	var max time.Duration
-	for _, c := range s.v().shards {
-		if e := c.ReplicaElapsed(); e > max {
-			max = e
-		}
+// ResetMeasurement starts a fresh measured interval on every shard
+// (statistics zeroed, cache and link state preserved) and zeroes the
+// deployment-level counters (placement gauges persist).
+func (c *Cluster) ResetMeasurement() {
+	for _, m := range c.v().shards {
+		m.ResetMeasurement()
 	}
-	return max
-}
-
-// ResetMeasurement starts a fresh measured interval on every shard and
-// zeroes the deployment-level counters (placement gauges persist).
-func (s *ShardedCluster) ResetMeasurement() {
-	for _, c := range s.v().shards {
-		c.ResetMeasurement()
-	}
-	if s.reg != nil {
-		s.reg.Reset()
+	if c.reg != nil {
+		c.reg.Reset()
 	}
 }
 
@@ -827,18 +953,19 @@ func (s *ShardedCluster) ResetMeasurement() {
 // stamped shard -1): counters and gauges sum, same-name histograms merge
 // bucket-wise, and each per-shard event is stamped with its owning shard
 // before the timelines concatenate. The zero Snapshot with Config.Metrics
-// off. Never blocks the shards.
-func (s *ShardedCluster) Metrics() Metrics {
+// off. Safe to call while transactions run; counters and histograms are
+// read atomically.
+func (c *Cluster) Metrics() Metrics {
 	var out Metrics
-	for i, c := range s.v().shards {
-		snap := c.Metrics()
+	for i, m := range c.v().shards {
+		snap := m.reg.Snapshot()
 		for j := range snap.Events {
 			snap.Events[j].Shard = i
 		}
 		out.Merge(snap)
 	}
-	if s.reg != nil {
-		snap := s.reg.Snapshot()
+	if c.reg != nil {
+		snap := c.reg.Snapshot()
 		for j := range snap.Events {
 			snap.Events[j].Shard = -1
 		}
