@@ -6,25 +6,17 @@
 // record latencies into one shared histogram, so the output is the
 // cross-client p50/p99/p999 a real front-end fleet would see. Writers
 // own disjoint key ranges and version every value, which makes the
-// final audit exact: after the load (and any injected crash +
-// failover), every key whose put was acknowledged must be readable
-// with a version at least as new as the last acknowledged one — a
-// single missing or stale key is acknowledged-write loss and the
+// final audit exact: after the load (and any failover the server went
+// through meanwhile), every key whose put was acknowledged must be
+// readable with a version at least as new as the last acknowledged one —
+// a single missing or stale key is acknowledged-write loss and the
 // process exits nonzero.
-//
-// Against a remote server:
 //
 //	kvload -addr host:7791 -conns 1000 -ops 200000
 //
-// Self-hosted (deployment + server in-process, the `make bench` server
-// cell): add -selfhost and optionally -crash N to kill the primary
-// after N acknowledged operations mid-load:
-//
-//	kvload -selfhost -conns 1000 -ops 100000 -crash 20000 -benchfmt
-//
-// -benchfmt additionally emits the result as a `go test -bench`-format
-// line (BenchmarkServerLoad/...) that cmd/benchjson converts into
-// BENCH_server.json.
+// The repeatable, gated measurement of the served path — steady mixes and
+// the crash drill — is bench/ (see bench/README.md); kvload is the
+// hand-held load generator for a server that is already running.
 //
 // -rate switches from closed-loop (each worker fires its next request
 // when the previous answer lands) to open-loop: operations are launched
@@ -40,9 +32,6 @@
 // exposes:
 //
 //	kvload -addr host:7791 -scrape
-//
-// With -selfhost, -metrics instruments the in-process deployment and
-// server, and the same scrape report prints after the load completes.
 package main
 
 import (
@@ -51,64 +40,42 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"net"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro"
-	"repro/internal/kvserver"
 	"repro/internal/obs"
-	"repro/kv"
 	"repro/kvclient"
 )
 
 func main() {
 	var (
-		addr     = flag.String("addr", "", "kvserver address to load (mutually exclusive with -selfhost)")
-		selfhost = flag.Bool("selfhost", false, "host the deployment and server in-process on 127.0.0.1:0")
-		conns    = flag.Int("conns", 1000, "concurrent client connections (one worker per connection)")
-		ops      = flag.Int("ops", 100_000, "total operations across all workers")
-		keys     = flag.Int("keys", 10_000, "keyspace size")
-		valSize  = flag.Int("value", 128, "value size in bytes (versioned header included)")
-		reads    = flag.Int("reads", 50, "percentage of operations that are GETs")
-		rate     = flag.Int("rate", 0, "open-loop offered load in ops/s across all workers (0 = closed loop)")
-		crashN   = flag.Int("crash", 0, "selfhost only: crash the primary after N acknowledged operations")
-		seed     = flag.Int64("seed", 1, "workload RNG seed")
-		benchfmt = flag.Bool("benchfmt", false, "emit a go test -bench format result line for cmd/benchjson")
-		scrape   = flag.Bool("scrape", false, "fetch the server's metrics snapshot (kvwire METRICS), print per-opcode latency and counters, and exit — no load is run (requires -addr)")
-		metrics  = flag.Bool("metrics", false, "selfhost: instrument the deployment and server; the scrape report prints after the load")
-		quiet    = flag.Bool("q", false, "suppress progress log lines")
-
-		// Selfhost deployment shape (mirrors cmd/kvserver).
-		dbMB      = flag.Int("db-mb", 8, "selfhost: replicated database size in MiB")
-		backups   = flag.Int("backups", 3, "selfhost: backups per replica group")
-		safety    = flag.String("safety", "quorum", "selfhost: commit discipline (1safe, 2safe, quorum)")
-		autopilot = flag.Bool("autopilot", true, "selfhost: run the autopilot (unattended failover)")
+		addr    = flag.String("addr", "", "kvserver address to load or scrape")
+		conns   = flag.Int("conns", 1000, "concurrent client connections (one worker per connection)")
+		ops     = flag.Int("ops", 100_000, "total operations across all workers")
+		keys    = flag.Int("keys", 10_000, "keyspace size")
+		valSize = flag.Int("value", 128, "value size in bytes (versioned header included)")
+		reads   = flag.Int("reads", 50, "percentage of operations that are GETs")
+		rate    = flag.Int("rate", 0, "open-loop offered load in ops/s across all workers (0 = closed loop)")
+		seed    = flag.Int64("seed", 1, "workload RNG seed")
+		scrape  = flag.Bool("scrape", false, "fetch the server's metrics snapshot (kvwire METRICS), print per-opcode latency and counters, and exit — no load is run")
+		quiet   = flag.Bool("q", false, "suppress progress log lines")
 	)
 	flag.Parse()
 	logf := log.Printf
 	if *quiet {
 		logf = func(string, ...any) {}
 	}
-	if (*addr == "") == !*selfhost {
-		fmt.Fprintln(os.Stderr, "kvload: exactly one of -addr or -selfhost is required")
+	if *addr == "" {
+		fmt.Fprintln(os.Stderr, "kvload: -addr is required")
 		os.Exit(2)
 	}
 	if *scrape {
-		if *addr == "" {
-			fmt.Fprintln(os.Stderr, "kvload: -scrape requires -addr")
-			os.Exit(2)
-		}
 		if err := scrapeMetrics(*addr); err != nil {
 			log.Fatalf("kvload: scrape: %v", err)
 		}
 		return
-	}
-	if *metrics && !*selfhost {
-		fmt.Fprintln(os.Stderr, "kvload: -metrics requires -selfhost (point -scrape at a remote server instead)")
-		os.Exit(2)
 	}
 	if *valSize < versionLen || *valSize > 200 {
 		fmt.Fprintf(os.Stderr, "kvload: -value must be in [%d, 200] (kv slot payload)\n", versionLen)
@@ -119,27 +86,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	target := *addr
-	var admin repro.Admin
-	var srv *kvserver.Server
-	if *selfhost {
-		var err error
-		target, admin, srv, err = host(*dbMB, *backups, *safety, *autopilot, *metrics, logf)
-		if err != nil {
-			log.Fatalf("kvload: selfhost: %v", err)
-		}
-		logf("kvload: self-hosted kvserver on %s (backups=%d safety=%s autopilot=%v)",
-			target, *backups, *safety, *autopilot)
-	}
-	if *crashN > 0 && admin == nil {
-		fmt.Fprintln(os.Stderr, "kvload: -crash requires -selfhost")
-		os.Exit(2)
-	}
-
-	res := run(target, loadSpec{
+	res := run(*addr, loadSpec{
 		conns: *conns, ops: *ops, keys: *keys, valSize: *valSize,
-		reads: *reads, rate: *rate, crashN: *crashN, seed: *seed,
-		admin: admin, logf: logf,
+		reads: *reads, rate: *rate, seed: *seed, logf: logf,
 	})
 
 	fmt.Printf("kvload: %d ops over %d conns in %.2fs: %.0f ops/s, %d retries, %d redials, %d failed\n",
@@ -147,40 +96,9 @@ func main() {
 	fmt.Printf("kvload: latency mean=%.3fms p50=%.3fms p99=%.3fms p999=%.3fms\n",
 		ms(res.hist.Mean()), ms(res.hist.Percentile(0.50)),
 		ms(res.hist.Percentile(0.99)), ms(res.hist.Percentile(0.999)))
-	if res.crashed {
-		fmt.Printf("kvload: primary crashed mid-load after %d acked ops; audit of %d acked keys: %d missing, %d stale\n",
-			*crashN, res.audited, res.missing, res.stale)
-	} else {
-		fmt.Printf("kvload: audit of %d acked keys: %d missing, %d stale\n",
-			res.audited, res.missing, res.stale)
-	}
+	fmt.Printf("kvload: audit of %d acked keys: %d missing, %d stale\n",
+		res.audited, res.missing, res.stale)
 
-	if *benchfmt {
-		name := fmt.Sprintf("BenchmarkServerLoad/conns=%d", *conns)
-		if *crashN > 0 {
-			name += "/crash"
-		}
-		mean := res.hist.Mean().Nanoseconds()
-		if mean < 1 {
-			mean = 1
-		}
-		fmt.Printf("%s %d %d ns/op %.0f wall-ops/s %.3f p50-ms %.3f p99-ms %.3f p999-ms %d lost-acked-writes\n",
-			name, res.completed, mean, res.opsPerSec,
-			ms(res.hist.Percentile(0.50)), ms(res.hist.Percentile(0.99)),
-			ms(res.hist.Percentile(0.999)), res.missing+res.stale)
-	}
-
-	if *metrics {
-		if err := scrapeMetrics(target); err != nil {
-			logf("kvload: post-load scrape: %v", err)
-		}
-	}
-
-	if srv != nil {
-		if err := srv.Close(); err != nil {
-			logf("kvload: server close: %v", err)
-		}
-	}
 	if res.missing > 0 || res.stale > 0 {
 		fmt.Fprintf(os.Stderr, "kvload: FAILED: %d acknowledged writes lost\n", res.missing+res.stale)
 		os.Exit(1)
@@ -218,63 +136,14 @@ func scrapeMetrics(addr string) error {
 	return nil
 }
 
-// host builds the in-process deployment + server and returns its address.
-func host(dbMB, backups int, safety string, autopilot, metrics bool, logf func(string, ...any)) (string, repro.Admin, *kvserver.Server, error) {
-	cfg := repro.Config{
-		Version: repro.V3InlineLog,
-		Backup:  repro.ActiveBackup,
-		DBSize:  dbMB << 20,
-		Backups: backups,
-		Metrics: metrics,
-	}
-	switch safety {
-	case "1safe":
-		cfg.Safety = repro.OneSafe
-	case "2safe":
-		cfg.Safety = repro.TwoSafe
-	case "quorum":
-		cfg.Safety = repro.QuorumSafe
-	default:
-		return "", nil, nil, fmt.Errorf("unknown safety level %q", safety)
-	}
-	if autopilot {
-		cfg.Autopilot = repro.AutopilotConfig{
-			HeartbeatPeriod: 200 * time.Microsecond,
-			AutoFailover:    true,
-			AutoRepair:      true,
-			Spares:          1,
-		}
-	}
-	db, err := repro.New(cfg)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	store, err := kv.Open(db)
-	if err != nil {
-		return "", nil, nil, err
-	}
-	scfg := kvserver.Config{Logf: logf}
-	if metrics {
-		scfg.Obs = obs.NewRegistry()
-	}
-	srv := kvserver.New(store, scfg)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, nil, err
-	}
-	go srv.Serve(l)
-	return l.Addr().String(), db, srv, nil
-}
-
 // versionLen is the length of the version header every value carries:
 // "v%012d|".
 const versionLen = 14
 
 type loadSpec struct {
-	conns, ops, keys, valSize, reads, rate, crashN int
-	seed                                           int64
-	admin                                          repro.Admin
-	logf                                           func(string, ...any)
+	conns, ops, keys, valSize, reads, rate int
+	seed                                   int64
+	logf                                   func(string, ...any)
 }
 
 type loadResult struct {
@@ -285,7 +154,6 @@ type loadResult struct {
 	redials   uint64
 	elapsed   time.Duration
 	opsPerSec float64
-	crashed   bool
 	audited   int
 	missing   int
 	stale     int
@@ -303,7 +171,6 @@ func run(target string, spec loadSpec) *loadResult {
 	}
 	var (
 		next      atomic.Int64 // operation dispenser
-		ackedOps  atomic.Int64 // acked mutations, drives -crash
 		completed atomic.Int64
 		failed    atomic.Int64
 	)
@@ -314,20 +181,6 @@ func run(target string, spec loadSpec) *loadResult {
 	}
 
 	start := time.Now()
-	if spec.crashN > 0 {
-		go func() {
-			for ackedOps.Load() < int64(spec.crashN) {
-				time.Sleep(200 * time.Microsecond)
-			}
-			if err := spec.admin.CrashPrimary(); err != nil {
-				spec.logf("kvload: crash injection: %v", err)
-				return
-			}
-			res.crashed = true
-			spec.logf("kvload: *** crashed the primary after %d acked ops ***", spec.crashN)
-		}()
-	}
-
 	// The open-loop schedule: operation i launches at start+i*interval,
 	// whichever worker draws it.
 	var interval time.Duration
@@ -373,7 +226,6 @@ func run(target string, spec loadSpec) *loadResult {
 					copy(val, fmt.Sprintf("v%012d|", i))
 					if err = cl.Put(key(k), val); err == nil {
 						acked[k].Store(i)
-						ackedOps.Add(1)
 					}
 				}
 				if err != nil {

@@ -23,10 +23,7 @@ func init() {
 }
 
 func runChaos(cfg RunConfig) (*Table, error) {
-	db := cfg.SMPDBSize
-	if db <= 0 {
-		db = 10 << 20
-	}
+	const db = 8 << 20
 	backups := cfg.Backups
 	if backups < 2 {
 		backups = 3

@@ -11,7 +11,6 @@ import (
 func TestChaosCell(t *testing.T) {
 	skipShort(t)
 	cfg := testConfig()
-	cfg.SMPDBSize = 4 << 20 // keep the healing transfers short
 	cfg.ChaosEvents = 2
 	tbl, err := registry["chaos"].Run(cfg)
 	if err != nil {

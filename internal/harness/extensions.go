@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 
 	"repro"
@@ -11,10 +10,11 @@ import (
 	"repro/internal/vista"
 )
 
-// Beyond-the-paper capability experiments: the N-replica group's
-// replication-degree/safety trade-off and the sharded front-end's
-// throughput scaling. Registered separately from the paper's exhibits
-// (Extensions) so `replbench -experiment all` shows them after the tables.
+// Beyond-the-paper throughput cells: the N-replica group's
+// replication-degree/safety and group-commit trade-offs and the sharded
+// front-end's scaling. Like every cell in pinnedCells they are registered
+// apart from the paper's exhibits, so `replbench -experiment all` shows
+// them after the tables.
 func init() {
 	register(Experiment{
 		ID:    "repl-degree",
@@ -25,11 +25,6 @@ func init() {
 		ID:    "shard-scaling",
 		Title: "Aggregate throughput vs shard count (sharded cluster front-end)",
 		Run:   runShardScaling,
-	})
-	register(Experiment{
-		ID:    "parallel-shards",
-		Title: "Wall-clock throughput vs shard count (concurrent clients)",
-		Run:   runParallelShards,
 	})
 	register(Experiment{
 		ID:    "group-commit",
@@ -141,9 +136,8 @@ func runShardScaling(cfg RunConfig) (*Table, error) {
 	return t, nil
 }
 
-// shardCell measures one shard count through the same tpc.RunSharded
-// driver every concurrent run uses (one client goroutine keeps the cell
-// deterministic), dividing the row's transaction budget evenly across the
+// shardCell measures one shard count through tpc.RunSharded (one client
+// goroutine keeps the cell deterministic), dividing the row's transaction budget evenly across the
 // shards: throughput is aggregated over the slowest shard's clock.
 func shardCell(cfg RunConfig, shards int, txns int64) (float64, error) {
 	sc, err := repro.NewSharded(repro.Config{
@@ -174,63 +168,6 @@ func shardCell(cfg RunConfig, shards int, txns int64) (float64, error) {
 		return 0, fmt.Errorf("harness: shard cell consumed no simulated time")
 	}
 	return res.TPS, nil
-}
-
-// runParallelShards is the wall-clock face of shard scaling: the same
-// per-shard work driven by concurrent client goroutines (tpc.RunSharded),
-// one stream per shard, reporting how fast the simulator itself runs when
-// shards execute on independent goroutines. Sim txn/s is the paper-style
-// metric (slowest shard's simulated clock); wall txn/s scales with
-// min(shards, GOMAXPROCS) on the host.
-func runParallelShards(cfg RunConfig) (*Table, error) {
-	t := &Table{
-		ID:    "parallel-shards",
-		Title: "Debit-Credit throughput vs shard count, concurrent clients (wall clock)",
-		Headers: []string{"Shards", "Clients", "Wall txn/s", "Wall speedup",
-			"Sim txn/s", "Wall ms"},
-		Notes: append(runNotes(cfg),
-			"per-shard transaction count held constant across rows; wall speedup is relative to 1 shard",
-			fmt.Sprintf("host GOMAXPROCS=%d — wall speedup saturates at min(shards, GOMAXPROCS)", runtime.GOMAXPROCS(0))),
-	}
-	txns := cfg.DCTxns
-	if txns > 10_000 {
-		txns = 10_000 // per shard; the sweep repeats the work per row
-	}
-	warm := cfg.Warmup
-	if warm > txns {
-		warm = txns
-	}
-	var base float64
-	for _, shards := range shardCounts(cfg) {
-		sc, err := repro.NewSharded(repro.Config{
-			Version: repro.V3InlineLog,
-			Backup:  repro.ActiveBackup,
-			DBSize:  cfg.DBSize,
-			Backups: cfg.Backups,
-			Safety:  repro.Safety(cfg.Safety),
-		}, shards)
-		if err != nil {
-			return nil, err
-		}
-		res, err := tpc.RunSharded(sc, func(dbSize int) (tpc.Workload, error) {
-			return tpc.NewDebitCredit(dbSize)
-		}, tpc.Options{Txns: txns, Warmup: warm, Seed: cfg.Seed, Clients: cfg.Clients})
-		if err != nil {
-			return nil, err
-		}
-		if base == 0 {
-			base = res.WallTPS
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", shards),
-			fmt.Sprintf("%d", res.Clients),
-			f0(res.WallTPS),
-			fmt.Sprintf("%.2fx", res.WallTPS/base),
-			f0(res.TPS),
-			fmt.Sprintf("%.0f", res.WallElapsed.Seconds()*1e3),
-		})
-	}
-	return t, nil
 }
 
 // runGroupCommit sweeps the group-commit batch size under each commit

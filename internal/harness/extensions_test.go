@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -70,15 +71,59 @@ func TestShardScalingShape(t *testing.T) {
 	}
 }
 
+// TestExtensionsRegistered: Extensions is the one ordered list of pinned
+// cells, and every registered experiment that is neither a paper exhibit
+// nor an ablation is on it — a cell cannot be registered and then left
+// out of `make bench`, `make tables` and TestCellsPinned.
 func TestExtensionsRegistered(t *testing.T) {
+	want := []string{"repl-degree", "shard-scaling", "group-commit", "availability",
+		"chaos", "kv", "readscale", "durability", "rebalance"}
 	exts := Extensions()
-	want := []string{"repl-degree", "shard-scaling", "rebalance", "chaos", "kv", "readscale", "durability"}
 	if len(exts) != len(want) {
 		t.Fatalf("Extensions() = %v", exts)
 	}
+	listed := map[string]bool{}
 	for i, id := range want {
 		if exts[i].ID != id {
 			t.Fatalf("Extensions()[%d] = %q, want %q", i, exts[i].ID, id)
 		}
+		listed[id] = true
+	}
+	for _, e := range append(All(), Ablations()...) {
+		listed[e.ID] = true
+	}
+	for id := range registry {
+		if !listed[id] {
+			t.Errorf("experiment %q is registered but in no group", id)
+		}
+	}
+}
+
+// TestCellsPinned re-runs every pinned cell at PinnedRunConfig and holds
+// the committed BENCH_cells.csv to the result byte for byte, the way
+// TestNewSimPinned does for Debit-Credit: simulated time is
+// deterministic, so any drifting digit is a behaviour change. Regenerate
+// the file with `make bench` when the change is intended.
+func TestCellsPinned(t *testing.T) {
+	skipShort(t)
+	data, err := os.ReadFile("../../BENCH_cells.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	committed := string(data)
+	var all strings.Builder
+	for _, e := range Extensions() {
+		tbl, err := e.Run(PinnedRunConfig())
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		got := tbl.CSV()
+		all.WriteString(got)
+		if !strings.Contains(committed, got) {
+			t.Errorf("%s differs from its table in BENCH_cells.csv; this run produced:\n%s", e.ID, got)
+		}
+	}
+	if !t.Failed() && all.String() != committed {
+		t.Error("BENCH_cells.csv holds the right tables out of order or with extra content")
 	}
 }

@@ -61,9 +61,12 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// CSV renders the table as comma-separated values.
+// CSV renders the table as comma-separated values under a "# <id>" line
+// that keeps concatenated tables apart. Notes are left out: they carry
+// provenance and host-dependent values, the rows are the result.
 func (t *Table) CSV() string {
 	var b strings.Builder
+	fmt.Fprintf(&b, "# %s\n", t.ID)
 	b.WriteString(strings.Join(t.Headers, ","))
 	b.WriteByte('\n')
 	for _, row := range t.Rows {
@@ -99,12 +102,17 @@ var paperExhibits = []string{"fig1", "table1", "table2", "table3", "table4",
 var ablationExhibits = []string{"ablation-wbuf", "ablation-packet",
 	"ablation-cpu", "ablation-san", "ablation-2safe"}
 
-// extensionExhibits lists the capability experiments that go beyond the
-// paper's two-node deployments: N-replica groups, the sharded cluster,
-// the elastic online rebalance, the autopilot's unattended chaos run,
-// the key-value layer's YCSB-style mixes, the replica-read scaling
-// cell, and the disk tier's cold-restart recovery matrix.
-var extensionExhibits = []string{"repl-degree", "shard-scaling", "rebalance", "chaos", "kv", "readscale", "durability"}
+// pinnedCells lists the beyond-the-paper cells in exhibit order: the
+// N-replica group's degree/safety and group-commit trade-offs, the
+// sharded front-end, the crash → repair availability timeline, the
+// autopilot's unattended chaos run, the key-value layer's YCSB-style
+// mixes, replica-read scaling, the disk tier's cold-restart matrix and
+// the elastic online rebalance. It is the one declaration of the set:
+// Extensions, `replbench -experiment cells|extensions|everything`,
+// `make bench` and TestCellsPinned all read it, and their tables at
+// PinnedRunConfig are committed as BENCH_cells.csv.
+var pinnedCells = []string{"repl-degree", "shard-scaling", "group-commit",
+	"availability", "chaos", "kv", "readscale", "durability", "rebalance"}
 
 // All returns the paper's experiments in exhibit order.
 func All() []Experiment { return byIDs(paperExhibits) }
@@ -112,8 +120,8 @@ func All() []Experiment { return byIDs(paperExhibits) }
 // Ablations returns the design-sensitivity experiments.
 func Ablations() []Experiment { return byIDs(ablationExhibits) }
 
-// Extensions returns the replication-degree and sharding experiments.
-func Extensions() []Experiment { return byIDs(extensionExhibits) }
+// Extensions returns the pinned beyond-the-paper cells.
+func Extensions() []Experiment { return byIDs(pinnedCells) }
 
 func byIDs(ids []string) []Experiment {
 	out := make([]Experiment, 0, len(ids))
@@ -143,8 +151,8 @@ type RunConfig struct {
 	// SMPDBSize is the per-stream database size in the SMP experiments
 	// (paper: 10 MB per transaction stream).
 	SMPDBSize int
-	// Backups is the replication degree for the repl-degree and
-	// shard-scaling experiments (0 = their defaults).
+	// Backups is the replication degree K of the extension cells
+	// (0 = each cell's own default; group-commit pins K=3).
 	Backups int
 	// Shards is the largest shard count the shard-scaling experiment
 	// sweeps to (0 = its default of 4).
@@ -152,12 +160,10 @@ type RunConfig struct {
 	// TargetShards are the growth steps of the rebalance experiment as
 	// absolute shard counts from its 2-shard start (nil = {4, 8}).
 	TargetShards []int
-	// Safety is the commit discipline the shard-scaling experiment runs
-	// under (default 1-safe).
+	// Safety is the commit discipline of the shard-scaling, availability,
+	// chaos and kv cells (default 1-safe); the other cells sweep or pin
+	// their own.
 	Safety replication.Safety
-	// Clients is the concurrent client-goroutine count for the
-	// parallel-shards experiment (0 = one client per shard).
-	Clients int
 	// CommitBatch is the group-commit batch size for the group-commit
 	// experiment cell (0 = its default sweep).
 	CommitBatch int
@@ -187,6 +193,20 @@ func DefaultRunConfig() RunConfig {
 		Seed:       1,
 		SMPStreams: []int{1, 2, 3, 4},
 		SMPDBSize:  10 << 20,
+	}
+}
+
+// PinnedRunConfig is the one scale the committed cell tables
+// (BENCH_cells.csv) and EXPERIMENTS.md are generated at. It sets what the
+// throughput cells need; every field left zero takes its cell's own
+// default, and the timeline and kv cells size their own databases.
+func PinnedRunConfig() RunConfig {
+	return RunConfig{
+		DBSize: 16 << 20,
+		DCTxns: 6000,
+		OETxns: 2500,
+		Warmup: 600,
+		Seed:   1,
 	}
 }
 

@@ -15,18 +15,13 @@ func skipShort(t *testing.T) {
 	}
 }
 
-// testConfig is small enough for CI but large enough that the paper's
-// qualitative orderings hold.
+// testConfig is the pinned scale — small enough for CI but large enough
+// that the paper's qualitative orderings hold — plus the SMP sweep.
 func testConfig() RunConfig {
-	return RunConfig{
-		DBSize:     16 << 20,
-		DCTxns:     6000,
-		OETxns:     2500,
-		Warmup:     600,
-		Seed:       1,
-		SMPStreams: []int{1, 2, 4},
-		SMPDBSize:  10 << 20,
-	}
+	cfg := PinnedRunConfig()
+	cfg.SMPStreams = []int{1, 2, 4}
+	cfg.SMPDBSize = 10 << 20
+	return cfg
 }
 
 func cell(t *testing.T, tbl *Table, row, col int) float64 {
@@ -271,7 +266,7 @@ func TestTableRendering(t *testing.T) {
 		}
 	}
 	csv := tbl.CSV()
-	if !strings.HasPrefix(csv, "a,bee\n1,2\n") {
+	if !strings.HasPrefix(csv, "# t\na,bee\n1,2\n") {
 		t.Errorf("CSV() = %q", csv)
 	}
 }

@@ -24,21 +24,18 @@ func init() {
 }
 
 func runKV(cfg RunConfig) (*Table, error) {
-	db := cfg.SMPDBSize
-	if db <= 0 {
-		db = 8 << 20
-	}
+	const db = 4 << 20
 	backups := cfg.Backups
 	if backups < 1 {
 		backups = 2
 	}
 	ops := cfg.KVOps
 	if ops <= 0 {
-		ops = 20_000
+		ops = 2_000
 	}
 	records := cfg.KVRecords
 	if records <= 0 {
-		records = 5_000
+		records = 2_000
 	}
 	warm := ops / 10
 

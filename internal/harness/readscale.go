@@ -25,17 +25,14 @@ func init() {
 }
 
 func runReadScale(cfg RunConfig) (*Table, error) {
-	db := cfg.SMPDBSize
-	if db <= 0 {
-		db = 8 << 20
-	}
+	const db = 8 << 20
 	backups := cfg.Backups
 	if backups < 1 {
 		backups = 3
 	}
 	ops := cfg.KVOps
 	if ops <= 0 {
-		ops = 20_000
+		ops = 2_000
 	}
 	records := cfg.KVRecords
 	if records <= 0 {
@@ -62,8 +59,8 @@ func runReadScale(cfg RunConfig) (*Table, error) {
 		Title:   "Replica reads per consistency mode (read-heavy mix)",
 		Headers: []string{"Mode", "ops/s", "x primary", "Replica reads", "Primary reads", "Repaired", "Stale violations"},
 		Notes: append(runNotes(cfg),
-			fmt.Sprintf("active backup, K=%d, %s commit, group-commit batch %d, %d records, %d measured ops per cell",
-				backups, cfg.Safety, batch, records, ops),
+			fmt.Sprintf("active backup, K=%d, quorum commit, group-commit batch %d, %d MB database, %d records, %d measured ops per cell",
+				backups, batch, db>>20, records, ops),
 			fmt.Sprintf("bounded rows advertise a staleness bound of %d commit sequences; the audit fails any read outside its bound", bound),
 			"ops/s uses the replica-aware wall clock: the primary and the read-serving backups run in parallel"),
 	}
@@ -74,7 +71,7 @@ func runReadScale(cfg RunConfig) (*Table, error) {
 			Backup:      repro.ActiveBackup,
 			DBSize:      db,
 			Backups:     backups,
-			Safety:      repro.Safety(cfg.Safety),
+			Safety:      repro.QuorumSafe,
 			CommitBatch: batch,
 		})
 		if err != nil {

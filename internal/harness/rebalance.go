@@ -27,14 +27,14 @@ func runRebalance(cfg RunConfig) (*Table, error) {
 	}
 	backups := cfg.Backups
 	if backups < 1 {
-		backups = 1
+		backups = 2
 	}
 	sc, err := repro.NewSharded(repro.Config{
 		Version: repro.V3InlineLog,
 		Backup:  repro.ActiveBackup,
 		DBSize:  cfg.DBSize,
 		Backups: backups,
-		Safety:  repro.Safety(cfg.Safety),
+		Safety:  repro.QuorumSafe,
 		Metrics: true,
 	}, 2)
 	if err != nil {
@@ -51,49 +51,43 @@ func runRebalance(cfg RunConfig) (*Table, error) {
 		return nil, err
 	}
 
-	names := []string{"baseline"}
-	for _, tgt := range targets {
-		names = append(names, fmt.Sprintf("grow-%d", tgt))
-	}
-	names = append(names, "final")
-	t := &Table{
-		ID:    "rebalance",
-		Title: "Debit-Credit throughput (txns/sec) while the deployment grows online",
-		Headers: []string{"Phase", "Windows", "Mean txn/s", "Worst txn/s",
-			"vs baseline"},
-		Notes: append(runNotes(cfg),
-			fmt.Sprintf("grows 2 → %s shards online (active backup, K=%d, %s commit); the mover rides the commit stream",
-				strings.Join(intStrings(targets), " → "), backups, cfg.Safety),
-			fmt.Sprintf("migration: %d ranges, %d bytes shipped, placement epoch %d, %d cut-over stalls",
-				res.RangesMoved, res.BytesShipped, res.PlacementEpoch, sc.RebalanceProgress().Stalls),
-			fmt.Sprintf("acked-write audit: %d stamps acknowledged, %d lost (must be 0)",
-				res.AuditWrites, res.LostAckedWrites)),
-	}
-	for _, phase := range names {
-		var sum, worst float64
-		n := 0
-		for _, w := range res.Windows {
-			if w.Phase != phase {
-				continue
-			}
-			sum += w.TPS
-			if n == 0 || w.TPS < worst {
-				worst = w.TPS
-			}
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		mean := sum / float64(n)
-		t.Rows = append(t.Rows, []string{
-			phase, fmt.Sprintf("%d", n), f0(mean), f0(worst),
-			fmt.Sprintf("%.2fx", mean/res.BaseTPS),
-		})
-	}
 	if res.LostAckedWrites != 0 {
 		return nil, fmt.Errorf("harness: rebalance lost %d acked writes", res.LostAckedWrites)
 	}
+
+	phases := []string{"baseline"}
+	for _, tgt := range targets {
+		phases = append(phases, fmt.Sprintf("grow-%d", tgt))
+	}
+	phases = append(phases, "final")
+	t := &Table{
+		ID:    "rebalance",
+		Title: "Debit-Credit throughput (txns/sec) while the deployment grows online",
+		Headers: []string{"Phase", "Windows", "Mean txn/s", "Worst txn/s", "vs baseline",
+			"Ranges moved", "Bytes shipped", "Epoch", "Stamps acked", "Lost acked"},
+		Notes: append(runNotes(cfg),
+			fmt.Sprintf("grows 2 → %s shards online (active backup, K=%d, quorum commit); the mover rides the commit stream",
+				strings.Join(intStrings(targets), " → "), backups),
+			fmt.Sprintf("the run row covers every window and carries the migration totals and the acked-write audit (Lost acked must be 0); %d cut-over stalls",
+				sc.RebalanceProgress().Stalls)),
+	}
+	row := func(name string, phases ...string) []string {
+		n, mean, worst := tpc.PhaseStats(res.Windows, phases...)
+		return []string{name, fmt.Sprintf("%d", n), f0(mean), f0(worst),
+			fmt.Sprintf("%.2fx", mean/res.BaseTPS), "-", "-", "-", "-", "-"}
+	}
+	for _, phase := range phases {
+		t.Rows = append(t.Rows, row(phase, phase))
+	}
+	run := row("run", phases...)
+	copy(run[5:], []string{
+		fmt.Sprintf("%d", res.RangesMoved),
+		fmt.Sprintf("%d", res.BytesShipped),
+		fmt.Sprintf("%d", res.PlacementEpoch),
+		fmt.Sprintf("%d", res.AuditWrites),
+		fmt.Sprintf("%d", res.LostAckedWrites),
+	})
+	t.Rows = append(t.Rows, run)
 	return t, nil
 }
 

@@ -1,13 +1,10 @@
 package harness
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-// TestRebalanceCellShape: the elastic experiment reports every phase,
-// transactions keep committing in every grow phase, and the acked-write
-// audit note records zero losses.
+// TestRebalanceCellShape: the elastic experiment reports every phase and
+// the whole run, transactions keep committing in every grow phase, and
+// the run row carries the migration totals and a zero-loss audit.
 func TestRebalanceCellShape(t *testing.T) {
 	cfg := testConfig()
 	cfg.DBSize = 8 << 20
@@ -19,7 +16,7 @@ func TestRebalanceCellShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"baseline", "grow-4", "grow-8", "final"}
+	want := []string{"baseline", "grow-4", "grow-8", "final", "run"}
 	if len(tbl.Rows) != len(want) {
 		t.Fatalf("%d rows, want %d: %v", len(tbl.Rows), len(want), tbl.Rows)
 	}
@@ -31,13 +28,11 @@ func TestRebalanceCellShape(t *testing.T) {
 			t.Errorf("%s worst txn/s = %v, want > 0", phase, worst)
 		}
 	}
-	found := false
-	for _, n := range tbl.Notes {
-		if strings.Contains(n, "0 lost") {
-			found = true
-		}
+	run := len(want) - 1
+	if moved, stamps := cell(t, tbl, run, 5), cell(t, tbl, run, 8); moved <= 0 || stamps <= 0 {
+		t.Errorf("run row: %v ranges moved, %v stamps acked, want both > 0", moved, stamps)
 	}
-	if !found {
-		t.Fatalf("no zero-loss audit note in %v", tbl.Notes)
+	if lost := cell(t, tbl, run, 9); lost != 0 {
+		t.Errorf("run row: %v lost acked writes, want 0", lost)
 	}
 }

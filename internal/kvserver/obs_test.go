@@ -16,14 +16,19 @@ import (
 // METRICS opcode with one merged snapshot — per-opcode latency
 // histograms with real counts, the error taxonomy, connection churn, and
 // the replication tier's instruments all flow back through kvclient.
+// The deployment is durable so the WAL's lazily registered instruments
+// are live too, which makes the merged catalogue the full one: no name
+// may be registered by both registries, because METRICS folds them into
+// one namespace.
 func TestMetricsOverWire(t *testing.T) {
 	db, err := repro.New(repro.Config{
-		Version: repro.V3InlineLog,
-		Backup:  repro.ActiveBackup,
-		DBSize:  4 << 20,
-		Backups: 2,
-		Safety:  repro.QuorumSafe,
-		Metrics: true,
+		Version:    repro.V3InlineLog,
+		Backup:     repro.ActiveBackup,
+		DBSize:     4 << 20,
+		Backups:    2,
+		Safety:     repro.QuorumSafe,
+		Metrics:    true,
+		Durability: repro.DurabilityConfig{Dir: t.TempDir()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +37,8 @@ func TestMetricsOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(store, Config{Logf: t.Logf, Obs: obs.NewRegistry()})
+	sreg := obs.NewRegistry()
+	srv := New(store, Config{Logf: t.Logf, Obs: sreg})
 	defer srv.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -79,6 +85,9 @@ func TestMetricsOverWire(t *testing.T) {
 	if got := m.Counter("repl.commit.txns"); got == 0 {
 		t.Error("deployment registry missing from the merged snapshot")
 	}
+	if got := m.Counter("wal.fsyncs"); got == 0 {
+		t.Error("the durable deployment's WAL instruments are missing from the merged snapshot")
+	}
 	if got := m.Counter(MetricConnsOpened); got < 2 {
 		t.Errorf("server.conns.opened = %d, want >= 2", got)
 	}
@@ -90,6 +99,20 @@ func TestMetricsOverWire(t *testing.T) {
 	}
 	if h := m2.Hist(MetricOpLatency + "metrics.latency"); h.Count < 1 {
 		t.Errorf("metrics-op latency observations = %d, want >= 1", h.Count)
+	}
+
+	deployment := map[string]bool{}
+	for _, name := range db.Metrics().Names() {
+		deployment[name] = true
+	}
+	serving := sreg.Snapshot().Names()
+	if len(deployment) == 0 || len(serving) == 0 {
+		t.Fatalf("%d deployment and %d serving metric names, want both registries populated", len(deployment), len(serving))
+	}
+	for _, name := range serving {
+		if deployment[name] {
+			t.Errorf("metric %q is registered by both the deployment and the server", name)
+		}
 	}
 }
 

@@ -58,8 +58,8 @@ func (g *Gauge) Value() int64 {
 }
 
 // MetricName reports whether name is a legal metric name: lowercase
-// dotted identifiers, `^[a-z][a-z0-9_.]*$`. The same predicate is
-// linted over the emitted catalog by `benchjson -check`.
+// dotted identifiers, `^[a-z][a-z0-9_.]*$`. Registration panics on any
+// other name.
 func MetricName(name string) bool {
 	if len(name) == 0 || name[0] < 'a' || name[0] > 'z' {
 		return false

@@ -1,12 +1,6 @@
 package tpc
 
-import (
-	"errors"
-	"fmt"
-	"time"
-
-	"repro"
-)
+import "time"
 
 // RunAvailability drives the paper's availability experiment end to end:
 // throughput delivered while a replica fails and recovers. The timeline is
@@ -60,23 +54,11 @@ func (o AvailabilityOptions) withDefaults() AvailabilityOptions {
 	return o
 }
 
-// AvailabilityWindow is one measured throughput window.
-type AvailabilityWindow struct {
-	// Phase is "healthy", "repair" (between the crash and the repair
-	// cut-over) or "restored".
-	Phase string
-	// Start is the window's opening instant on the cumulative timeline.
-	Start time.Duration
-	// Txns is the number of transactions committed in the window.
-	Txns int64
-	// TPS is the window's throughput in transactions per simulated
-	// second.
-	TPS float64
-}
-
 // AvailabilityResult is the measured timeline.
 type AvailabilityResult struct {
-	Windows []AvailabilityWindow
+	// Windows is the throughput timeline; Phase is "healthy", "repair"
+	// (between the crash and the repair cut-over) or "restored".
+	Windows []Window
 	// BaseTPS is the mean healthy-window throughput; MinTPS the worst
 	// window after the crash (the availability dip); RestoredTPS the
 	// mean restored-window throughput.
@@ -104,110 +86,43 @@ func RunAvailability(c FaultDB, w Workload, opts AvailabilityOptions) (Availabil
 		return AvailabilityResult{}, err
 	}
 	st := &stream{db: c, w: w, r: NewRand(opts.Seed)}
-	one := st.one
-	for i := int64(0); i < opts.Warmup; i++ {
-		if err := one(); err != nil {
-			return AvailabilityResult{}, fmt.Errorf("tpc: warmup txn %d: %w", i, err)
-		}
+	tl, err := startTimeline(c, st.one, opts.Window, opts.Warmup)
+	if err != nil {
+		return AvailabilityResult{}, err
 	}
-	c.ResetMeasurement()
-
 	var res AvailabilityResult
-	// cum stitches the cumulative timeline across the failover, which
-	// re-pins the serving clock to the promoted machine.
-	cum := time.Duration(0)
-	last := time.Duration(0)
-	window := func(phase string) error {
-		startC := c.Committed()
-		start := c.Elapsed()
-		for c.Elapsed()-start < opts.Window {
-			if err := one(); err != nil {
-				// A safety level that refuses degraded service shows up
-				// as an empty window, not a failed run.
-				if errors.Is(err, repro.ErrSafetyUnavailable) && phase == "repair" {
-					c.Settle()
-					continue
-				}
-				return fmt.Errorf("tpc: %s window: %w", phase, err)
-			}
-		}
-		end := c.Elapsed()
-		cum += end - last
-		last = end
-		n := int64(c.Committed() - startC)
-		res.Windows = append(res.Windows, AvailabilityWindow{
-			Phase: phase,
-			Start: cum - (end - start),
-			Txns:  n,
-			TPS:   float64(n) / (end - start).Seconds(),
-		})
-		return nil
-	}
-
-	for i := 0; i < opts.HealthyWindows; i++ {
-		if err := window("healthy"); err != nil {
-			return res, err
-		}
+	if err := tl.measureN("healthy", opts.HealthyWindows); err != nil {
+		return res, err
 	}
 
 	// Crash, fail over, and start healing online.
 	if err := c.CrashPrimary(); err != nil {
 		return res, err
 	}
-	res.CrashAt = cum
+	res.CrashAt = tl.cum
 	if err := c.Failover(); err != nil {
 		return res, err
 	}
-	last = c.Elapsed() // the serving clock moved machines
+	tl.last = c.Elapsed() // the serving clock moved machines
 	if err := c.RepairAsync(); err != nil {
 		return res, err
 	}
-
-	repaired := false
-	for i := 0; i < opts.MaxRepairWindows; i++ {
-		if err := window("repair"); err != nil {
-			return res, err
-		}
-		if !c.RepairProgress().Active {
-			repaired = true
-			break
-		}
-	}
-	if !repaired {
-		return res, fmt.Errorf("tpc: repair did not complete within %d windows", opts.MaxRepairWindows)
+	// A safety level that refuses degraded service shows up as empty
+	// repair windows, not a failed run.
+	if err := tl.measureWhile("repair", opts.MaxRepairWindows, func() bool { return c.RepairProgress().Active }); err != nil {
+		return res, err
 	}
 	p := c.RepairProgress()
 	res.RepairDur = p.Elapsed
 	res.RepairBytes = p.BytesShipped
 	res.RestoredAt = res.CrashAt + p.Elapsed
 
-	for i := 0; i < opts.RestoredWindows; i++ {
-		if err := window("restored"); err != nil {
-			return res, err
-		}
+	if err := tl.measureN("restored", opts.RestoredWindows); err != nil {
+		return res, err
 	}
-
-	var healthySum, restoredSum float64
-	var healthyN, restoredN int
-	for _, win := range res.Windows {
-		switch win.Phase {
-		case "healthy":
-			healthySum += win.TPS
-			healthyN++
-		case "restored":
-			restoredSum += win.TPS
-			restoredN++
-		case "repair":
-			if res.MinTPS == 0 || win.TPS < res.MinTPS {
-				res.MinTPS = win.TPS
-			}
-		}
-	}
-	if healthyN > 0 {
-		res.BaseTPS = healthySum / float64(healthyN)
-	}
-	if restoredN > 0 {
-		res.RestoredTPS = restoredSum / float64(restoredN)
-	}
+	res.Windows = tl.windows
+	_, res.BaseTPS, _ = PhaseStats(res.Windows, "healthy")
+	_, _, res.MinTPS = PhaseStats(res.Windows, "repair")
+	_, res.RestoredTPS, _ = PhaseStats(res.Windows, "restored")
 	return res, nil
 }

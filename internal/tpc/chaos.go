@@ -86,7 +86,7 @@ type InjectedFault struct {
 type ChaosResult struct {
 	// Windows is the throughput timeline; Phase is "healthy", "chaos" or
 	// "tail".
-	Windows []AvailabilityWindow
+	Windows []Window
 	// Injected lists the fault schedule actually executed.
 	Injected []InjectedFault
 	// Events is the autopilot's per-fault timeline (detection, failover,
@@ -120,60 +120,15 @@ func RunChaos(c FaultDB, w Workload, opts ChaosOptions) (ChaosResult, error) {
 	}
 	faults := NewRand(opts.Seed ^ 0xC3A05)
 	st := &stream{db: c, w: w, r: NewRand(opts.Seed)}
-	one := st.one
-	for i := int64(0); i < opts.Warmup; i++ {
-		if err := one(); err != nil {
-			return ChaosResult{}, fmt.Errorf("tpc: warmup txn %d: %w", i, err)
-		}
+	// The autopilot keeps Elapsed continuous across unattended takeovers,
+	// so the cumulative timeline needs no stitching here.
+	tl, err := startTimeline(c, st.one, opts.Window, opts.Warmup)
+	if err != nil {
+		return ChaosResult{}, err
 	}
-	c.ResetMeasurement()
-
 	var res ChaosResult
-	cum := time.Duration(0)
-	last := time.Duration(0)
-	// window measures one fixed simulated-time slice of throughput. The
-	// autopilot keeps Elapsed continuous across unattended takeovers, so
-	// the cumulative timeline needs no stitching; the committed counter
-	// can dip at a takeover (the 1-safe tail died with the old primary),
-	// which shows up as a clamped-to-zero window.
-	window := func(phase string) error {
-		startC := c.Committed()
-		start := c.Elapsed()
-		settles := 0
-		for c.Elapsed()-start < opts.Window {
-			if err := one(); err != nil {
-				if errors.Is(err, repro.ErrSafetyUnavailable) && phase != "healthy" {
-					// A strict safety level refuses degraded service;
-					// idle time still heals the cluster.
-					if settles++; settles > 10_000 {
-						return fmt.Errorf("tpc: cluster never regained its safety level")
-					}
-					c.Settle()
-					continue
-				}
-				return fmt.Errorf("tpc: %s window: %w", phase, err)
-			}
-		}
-		end := c.Elapsed()
-		cum += end - last
-		last = end
-		n := int64(c.Committed()) - int64(startC)
-		if n < 0 {
-			n = 0
-		}
-		res.Windows = append(res.Windows, AvailabilityWindow{
-			Phase: phase,
-			Start: cum - (end - start),
-			Txns:  n,
-			TPS:   float64(n) / (end - start).Seconds(),
-		})
-		return nil
-	}
-
-	for i := 0; i < opts.HealthyWindows; i++ {
-		if err := window("healthy"); err != nil {
-			return res, err
-		}
+	if err := tl.measureN("healthy", opts.HealthyWindows); err != nil {
+		return res, err
 	}
 
 	// The seeded schedule: Events injections separated by 1..MaxGap
@@ -184,7 +139,7 @@ func RunChaos(c FaultDB, w Workload, opts ChaosOptions) (ChaosResult, error) {
 	pendingMidRepair := false
 	pendingSince := 0
 	for wi := 0; ; wi++ {
-		if len(res.Windows) >= opts.MaxWindows {
+		if len(tl.windows) >= opts.MaxWindows {
 			return res, fmt.Errorf("tpc: chaos did not settle within %d windows", opts.MaxWindows)
 		}
 		acted := false
@@ -194,7 +149,7 @@ func RunChaos(c FaultDB, w Workload, opts ChaosOptions) (ChaosResult, error) {
 				// The repair the previous backup crash triggered is
 				// running: kill the transfer source mid-flight.
 				if err := c.CrashPrimary(); err == nil {
-					res.Injected = append(res.Injected, InjectedFault{Kind: FaultCrashDuringRepair, At: cum})
+					res.Injected = append(res.Injected, InjectedFault{Kind: FaultCrashDuringRepair, At: tl.cum})
 				}
 				pendingMidRepair = false
 				acted = true
@@ -210,12 +165,12 @@ func RunChaos(c FaultDB, w Workload, opts ChaosOptions) (ChaosResult, error) {
 			switch {
 			case kind == FaultKindPrimary || c.Backups() == 0:
 				if err := c.CrashPrimary(); err == nil {
-					res.Injected = append(res.Injected, InjectedFault{Kind: FaultCrashPrimary, At: cum})
+					res.Injected = append(res.Injected, InjectedFault{Kind: FaultCrashPrimary, At: tl.cum})
 				}
 			default:
 				i := faults.IntN(c.Backups())
 				if err := c.CrashBackup(i); err == nil {
-					f := InjectedFault{Kind: FaultCrashBackup, At: cum, Backup: i}
+					f := InjectedFault{Kind: FaultCrashBackup, At: tl.cum, Backup: i}
 					if kind == FaultKindDuringRepair {
 						f.Kind = FaultCrashDuringRepair
 						pendingMidRepair = true
@@ -227,7 +182,7 @@ func RunChaos(c FaultDB, w Workload, opts ChaosOptions) (ChaosResult, error) {
 			injected++
 			gap = wi + 1 + faults.IntN(opts.MaxGap)
 		}
-		if err := window("chaos"); err != nil {
+		if err := tl.measure("chaos", true); err != nil {
 			return res, err
 		}
 		if injected >= opts.Events && !pendingMidRepair && !c.RepairProgress().Active {
@@ -242,11 +197,12 @@ func RunChaos(c FaultDB, w Workload, opts ChaosOptions) (ChaosResult, error) {
 	}
 
 	for i := 0; i < opts.TailWindows; i++ {
-		if err := window("tail"); err != nil {
+		if err := tl.measure("tail", true); err != nil {
 			return res, err
 		}
 	}
 
+	res.Windows = tl.windows
 	res.Events = c.AutopilotEvents()
 	res.Committed = c.Committed()
 	aggregate(&res)
@@ -262,26 +218,8 @@ const (
 
 // aggregate computes the run's throughput and latency summaries.
 func aggregate(res *ChaosResult) {
-	var healthySum float64
-	var healthyN int
-	minSeen := false
-	for _, win := range res.Windows {
-		switch win.Phase {
-		case "healthy":
-			healthySum += win.TPS
-			healthyN++
-		default:
-			// A window can genuinely hold zero transactions (the
-			// committed counter clamps at a takeover), so zero is a
-			// value, not the unset sentinel.
-			if !minSeen || win.TPS < res.MinTPS {
-				res.MinTPS, minSeen = win.TPS, true
-			}
-		}
-	}
-	if healthyN > 0 {
-		res.BaseTPS = healthySum / float64(healthyN)
-	}
+	_, res.BaseTPS, _ = PhaseStats(res.Windows, "healthy")
+	_, _, res.MinTPS = PhaseStats(res.Windows, "chaos", "tail")
 	var mttdSum, mttrSum time.Duration
 	for _, e := range res.Events {
 		d := e.MTTD()

@@ -3,7 +3,6 @@ package tpc
 import (
 	"fmt"
 	"math/rand/v2"
-	"time"
 
 	"repro/internal/mem"
 	"repro/internal/replication"
@@ -19,13 +18,6 @@ type Result struct {
 	// TPS is transactions per simulated second — the paper's headline
 	// metric.
 	TPS float64
-	// WallElapsed and WallTPS report the host's real clock for the
-	// multi-client sharded runs (RunSharded): how fast the simulator
-	// itself executes when shards are driven from parallel goroutines.
-	// Zero for single-stream runs, where wall time measures nothing but
-	// the host.
-	WallElapsed time.Duration
-	WallTPS     float64
 	// Clients is the number of concurrent client goroutines that drove
 	// the run (1 for single-stream runs).
 	Clients int

@@ -3,7 +3,6 @@ package tpc
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro"
 	"repro/internal/mem"
@@ -19,10 +18,8 @@ import (
 // stream reproducible regardless of goroutine scheduling.
 //
 // opts.Txns and opts.Warmup are per shard: the measured total is
-// opts.Txns * Shards. The result reports both the paper's metric —
-// simulated txn/s over the slowest shard's clock — and the wall-clock
-// txn/s of the simulator itself, which is what actually scales with
-// min(shards, GOMAXPROCS) now that shards run on independent goroutines.
+// opts.Txns * Shards. The result reports the paper's metric: simulated
+// txn/s over the slowest shard's clock.
 // opts.Oracle, AbortEvery, WarmCache and StartMeasured are not supported
 // here (they are single-stream concepts).
 func RunSharded(sc *repro.ShardedCluster, mk func(dbSize int) (Workload, error), opts Options) (Result, error) {
@@ -60,11 +57,9 @@ func RunSharded(sc *repro.ShardedCluster, mk func(dbSize int) (Workload, error),
 	}
 	sc.ResetMeasurement()
 
-	wallStart := time.Now()
 	if err := driveClients(streams, clients, opts.Txns); err != nil {
 		return Result{}, err
 	}
-	wall := time.Since(wallStart)
 
 	tr := sc.NetTraffic()
 	res := Result{
@@ -77,13 +72,9 @@ func RunSharded(sc *repro.ShardedCluster, mk func(dbSize int) (Workload, error),
 			mem.CatUndo:     tr.UndoBytes,
 			mem.CatMeta:     tr.MetaBytes,
 		},
-		WallElapsed: wall,
 	}
 	if res.Elapsed > 0 {
 		res.TPS = float64(res.Txns) / res.Elapsed.Seconds()
-	}
-	if wall > 0 {
-		res.WallTPS = float64(res.Txns) / wall.Seconds()
 	}
 	return res, nil
 }

@@ -2,11 +2,8 @@ package tpc
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"time"
-
-	"repro"
 )
 
 // RunRebalance drives the elastic-placement experiment end to end:
@@ -92,25 +89,13 @@ func (o RebalanceOptions) withDefaults() RebalanceOptions {
 	return o
 }
 
-// RebalanceWindow is one measured throughput window.
-type RebalanceWindow struct {
-	// Phase is "baseline", "grow-<target>" (while that step's ranges
-	// migrate) or "final".
-	Phase string
-	// Start is the window's opening instant on the cumulative timeline.
-	Start time.Duration
-	// Txns is the number of transactions committed in the window
-	// (workload and audit transactions both count).
-	Txns int64
-	// TPS is the window's throughput in transactions per simulated
-	// second.
-	TPS float64
-}
-
 // RebalanceResult is the measured timeline plus the migration totals and
 // the acked-write audit verdict.
 type RebalanceResult struct {
-	Windows []RebalanceWindow
+	// Windows is the throughput timeline (workload and audit
+	// transactions both count); Phase is "baseline", "grow-<target>"
+	// (while that step's ranges migrate) or "final".
+	Windows []Window
 	// BaseTPS is the mean baseline-window throughput; MinTPS the worst
 	// window measured while any rebalance was in flight (the elasticity
 	// dip); FinalTPS the mean final-window throughput on the full fleet.
@@ -199,54 +184,15 @@ func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), opts Rebalan
 		}
 		return nil
 	}
-	for i := int64(0); i < opts.Warmup; i++ {
-		if err := one(); err != nil {
-			return res, fmt.Errorf("tpc: warmup txn %d: %w", i, err)
-		}
+	tl, err := startTimeline(c, one, opts.Window, opts.Warmup)
+	if err != nil {
+		return res, err
 	}
-	c.ResetMeasurement()
-
-	cum := time.Duration(0)
-	last := time.Duration(0)
-	rebalancing := false
-	window := func(phase string) error {
-		startC := c.Committed()
-		start := c.Elapsed()
-		for c.Elapsed()-start < opts.Window {
-			if err := one(); err != nil {
-				// A safety level briefly below strength (a shard mid
-				// cut-over under a strict mode) shows up as a slow
-				// window, not a failed run.
-				if errors.Is(err, repro.ErrSafetyUnavailable) && rebalancing {
-					c.Settle()
-					continue
-				}
-				return fmt.Errorf("tpc: %s window: %w", phase, err)
-			}
-		}
-		end := c.Elapsed()
-		cum += end - last
-		last = end
-		n := int64(c.Committed() - startC)
-		win := RebalanceWindow{
-			Phase: phase,
-			Start: cum - (end - start),
-			Txns:  n,
-			TPS:   float64(n) / (end - start).Seconds(),
-		}
-		res.Windows = append(res.Windows, win)
-		if rebalancing && (res.MinTPS == 0 || win.TPS < res.MinTPS) {
-			res.MinTPS = win.TPS
-		}
-		return nil
+	if err := tl.measureN("baseline", opts.BaselineWindows); err != nil {
+		return res, err
 	}
 
-	for i := 0; i < opts.BaselineWindows; i++ {
-		if err := window("baseline"); err != nil {
-			return res, err
-		}
-	}
-
+	var growPhases []string
 	for _, target := range opts.TargetShards {
 		cur := c.Shards()
 		if target <= cur {
@@ -258,52 +204,27 @@ func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), opts Rebalan
 		if err := c.RebalanceAsync(); err != nil {
 			return res, err
 		}
-		rebalancing = true
+		// A shard briefly below its safety level mid cut-over shows up
+		// as a slow window, not a failed run.
 		phase := fmt.Sprintf("grow-%d", target)
-		done := false
-		for i := 0; i < opts.MaxRebalanceWindows; i++ {
-			if err := window(phase); err != nil {
-				return res, err
-			}
-			if !c.RebalanceProgress().Active {
-				done = true
-				break
-			}
+		growPhases = append(growPhases, phase)
+		if err := tl.measureWhile(phase, opts.MaxRebalanceWindows, func() bool { return c.RebalanceProgress().Active }); err != nil {
+			return res, err
 		}
-		if !done {
-			return res, fmt.Errorf("tpc: rebalance to %d shards did not drain within %d windows", target, opts.MaxRebalanceWindows)
-		}
-		rebalancing = false
 		p := c.RebalanceProgress()
 		res.RangesMoved += int64(p.MovesDone)
 		res.BytesShipped += p.BytesShipped
 	}
 
-	for i := 0; i < opts.FinalWindows; i++ {
-		if err := window("final"); err != nil {
-			return res, err
-		}
+	if err := tl.measureN("final", opts.FinalWindows); err != nil {
+		return res, err
 	}
 	c.Settle()
 
-	var baseSum, finalSum float64
-	var baseN, finalN int
-	for _, win := range res.Windows {
-		switch win.Phase {
-		case "baseline":
-			baseSum += win.TPS
-			baseN++
-		case "final":
-			finalSum += win.TPS
-			finalN++
-		}
-	}
-	if baseN > 0 {
-		res.BaseTPS = baseSum / float64(baseN)
-	}
-	if finalN > 0 {
-		res.FinalTPS = finalSum / float64(finalN)
-	}
+	res.Windows = tl.windows
+	_, res.BaseTPS, _ = PhaseStats(res.Windows, "baseline")
+	_, _, res.MinTPS = PhaseStats(res.Windows, growPhases...)
+	_, res.FinalTPS, _ = PhaseStats(res.Windows, "final")
 	res.PlacementEpoch = c.PlacementEpoch()
 
 	// The audit: every slot's stored version must be at least the last
