@@ -182,6 +182,64 @@ func TestDBConformanceSettleAndFailover(t *testing.T) {
 	}
 }
 
+// TestDBConformanceDeferAcks: the deferral scope on every target. Sealed,
+// what it covered survives the loss of the primary; a primary lost while
+// the scope holds unsealed commits fails that seal — and the Begins before
+// it — and nothing afterwards.
+func TestDBConformanceDeferAcks(t *testing.T) {
+	for name, db := range conformanceTargets(t, replicatedCfg()) {
+		t.Run(name, func(t *testing.T) {
+			const off = 64
+			home := db.ShardFor(off)
+			got := make([]byte, 12)
+
+			scope := db.DeferAcks()
+			first := writeAt(t, db, off, 'a')
+			writeAt(t, db, off+16, 'b')
+			if err := scope.Seal(); err != nil {
+				t.Fatalf("seal: %v", err)
+			}
+
+			scope = db.DeferAcks()
+			writeAt(t, db, off, 'c')
+			if err := db.CrashPrimary(home); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Failover(home); err != nil {
+				t.Fatal(err)
+			}
+			tx, err := db.Begin()
+			if err == nil {
+				// Lazy Begin (several shards): the refusal comes with the
+				// first operation on the shard that lost commits.
+				err = tx.SetRange(off, 1)
+				_ = tx.Abort()
+			}
+			if !errors.Is(err, repro.ErrCrashed) {
+				t.Fatalf("transaction inside the scope that lost a commit = %v, want ErrCrashed", err)
+			}
+			if err := scope.Seal(); !errors.Is(err, repro.ErrCrashed) {
+				t.Fatalf("seal after the crash = %v, want ErrCrashed", err)
+			}
+			if err := db.Read(off, got); err != nil || !bytes.Equal(got, first) {
+				t.Fatalf("survivor reads %q, %v; want the sealed %q", got, err, first)
+			}
+			// The promoted lineage owes the dead scope nothing (K=2 at
+			// quorum needs its second backup back to commit at all).
+			if err := db.Repair(home); err != nil {
+				t.Fatal(err)
+			}
+			last := writeAt(t, db, off, 'd')
+			if err := db.Flush(); err != nil {
+				t.Fatalf("flush after the failed seal: %v", err)
+			}
+			if err := db.Read(off, got); err != nil || !bytes.Equal(got, last) {
+				t.Fatalf("Read = %q, %v; want %q", got, err, last)
+			}
+		})
+	}
+}
+
 // TestDBConformanceErrorTaxonomy: the errors.go table, target by target.
 func TestDBConformanceErrorTaxonomy(t *testing.T) {
 	for name, db := range conformanceTargets(t, replicatedCfg()) {

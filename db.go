@@ -57,8 +57,22 @@ type DB interface {
 	// database.
 	Load(off int, data []byte) error
 	// Flush seals and ships any open group-commit batch (see
-	// Config.CommitBatch); a no-op when group commit is off.
+	// Config.CommitBatch and DeferAcks); a no-op when nothing is pending.
+	// It answers for the batch it ships and nothing else: commits a
+	// primary crash already dropped from an open batch are not its to
+	// report, so after a crash it returns nil — a caller that must know
+	// whether a run of commits survived wraps the run in DeferAcks.
 	Flush() error
+	// DeferAcks opens an acknowledgement-deferral scope on every shard:
+	// until the scope's Seal, commits join the open group-commit batch
+	// without sealing it by count, whatever Config.CommitBatch says, and
+	// Seal pays the one pointer publish, acknowledgement wait and disk
+	// sync for all of them. Commit returns at the local (1-safe) commit
+	// point inside a scope; nothing committed there may be acknowledged
+	// to anyone before Seal returns nil. If a primary dies holding such
+	// commits, Begin refuses with ErrCrashed until the scope has sealed —
+	// with ErrCrashed. Seal exactly once, and promptly.
+	DeferAcks() AckScope
 	// Settle lets the deployment sit idle long enough for everything in
 	// flight to drain; a crash after Settle loses nothing.
 	Settle()

@@ -41,6 +41,8 @@ import (
 //	DB.Token / ReplicaElapsed  none
 //	DB.ReadRaw                 none — panics on an out-of-range span
 //	DB.Flush                   ErrSafetyUnavailable
+//	AckScope.Seal              ErrSafetyUnavailable, ErrCrashed (a primary
+//	                           died holding the scope's unsealed commits)
 //	Admin.CrashPrimary         ErrNoSuchShard, ErrCrashed (already dead)
 //	Admin.PartitionPrimary     ErrNoSuchShard, ErrCrashed
 //	Admin.Failover             ErrNoSuchShard, ErrNoBackup
@@ -65,7 +67,9 @@ var (
 	// ErrCrashed is returned once the serving primary has crashed and no
 	// failover has happened yet: by Begin, by every method of a
 	// transaction handle the crash orphaned, and by charged reads. Call
-	// Failover (or enable Config.Autopilot) to restore service.
+	// Failover (or enable Config.Autopilot) to restore service. Also by
+	// the Seal of an AckScope that held unsealed commits at the crash, and
+	// by Begin from the crash until that Seal.
 	ErrCrashed = replication.ErrCrashed
 	// ErrSafetyUnavailable is returned when too few backups are
 	// reachable for the configured safety level: by Begin before a

@@ -47,7 +47,8 @@ func runKV(cfg RunConfig) (*Table, error) {
 			fmt.Sprintf("active backup, K=%d, %s commit, %d MB database, %d records preloaded, %d measured ops per cell",
 				backups, cfg.Safety, db>>20, records, ops),
 			"read-heavy = 95/5 read/update (YCSB-B), update-heavy = 50/50 (YCSB-A), scan = 95/5 scan/insert (YCSB-E)",
-			"one driver, one storage abstraction: the sharded rows run the identical code path through repro.DB"),
+			"one driver, one storage abstraction: the sharded rows run the identical code path through repro.DB",
+			"burst-k = value updates through kv.Burst, k PUTs per seal, always at quorum commit (Updates counts the PUTs; SAN B/op is per PUT)"),
 	}
 	deployments := []struct {
 		name   string
@@ -58,14 +59,7 @@ func runKV(cfg RunConfig) (*Table, error) {
 	}
 	for _, d := range deployments {
 		for _, mix := range tpc.KVMixes() {
-			cfgc := repro.Config{
-				Version: repro.V3InlineLog,
-				Backup:  repro.ActiveBackup,
-				DBSize:  db,
-				Backups: backups,
-				Safety:  repro.Safety(cfg.Safety),
-			}
-			dep, err := repro.NewSharded(cfgc, d.shards)
+			dep, err := repro.NewSharded(kvConfig(db, backups, repro.Safety(cfg.Safety)), d.shards)
 			if err != nil {
 				return nil, err
 			}
@@ -76,17 +70,50 @@ func runKV(cfg RunConfig) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("harness: kv %s/%s: %w", d.name, mix, err)
 			}
-			t.Rows = append(t.Rows, []string{
-				d.name,
-				mix,
-				f0(res.OPS),
-				fmt.Sprintf("%d", res.Reads),
-				fmt.Sprintf("%d", res.Updates),
-				fmt.Sprintf("%d", res.Inserts),
-				fmt.Sprintf("%d", res.Scans),
-				f1(res.BytesPerOp()),
-			})
+			t.Rows = append(t.Rows, kvRow(d.name, res))
 		}
 	}
+	// The burst rows: the one-shard store under acknowledgement deferral,
+	// k PUTs per seal — the sim-domain half of what kvserver's pipelined
+	// bursts buy, pinned here because the served figure itself depends on
+	// how frames happen to arrive. They run at quorum commit whatever the
+	// cell's safety: the wait a burst defers is the acknowledgement's, and
+	// 1-safe has none.
+	for _, k := range []int{1, 2, 4, 8, 16} {
+		dep, err := repro.New(kvConfig(db, backups, repro.QuorumSafe))
+		if err != nil {
+			return nil, err
+		}
+		res, err := tpc.RunKVBurst(dep, tpc.KVOptions{Records: records, Ops: ops, Warmup: warm, Seed: cfg.Seed}, k)
+		if err != nil {
+			return nil, fmt.Errorf("harness: kv cluster-quorum/burst-%d: %w", k, err)
+		}
+		t.Rows = append(t.Rows, kvRow("cluster-quorum", res))
+	}
 	return t, nil
+}
+
+// kvConfig is the cell's deployment: active backup, K backups, a 4 MB
+// database.
+func kvConfig(db, backups int, safety repro.Safety) repro.Config {
+	return repro.Config{
+		Version: repro.V3InlineLog,
+		Backup:  repro.ActiveBackup,
+		DBSize:  db,
+		Backups: backups,
+		Safety:  safety,
+	}
+}
+
+func kvRow(deployment string, res tpc.KVResult) []string {
+	return []string{
+		deployment,
+		res.Mix,
+		f0(res.OPS),
+		fmt.Sprintf("%d", res.Reads),
+		fmt.Sprintf("%d", res.Updates),
+		fmt.Sprintf("%d", res.Inserts),
+		fmt.Sprintf("%d", res.Scans),
+		f1(res.BytesPerOp()),
+	}
 }

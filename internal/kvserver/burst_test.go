@@ -1,0 +1,453 @@
+package kvserver
+
+import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
+	"io"
+	"net"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro"
+	"repro/internal/kvwire"
+	"repro/internal/obs"
+	"repro/kv"
+	"repro/kvclient"
+)
+
+// quorumAutopilot is the benchmark's served deployment at test size.
+func quorumAutopilot(cfg repro.Config) repro.Config {
+	cfg.Version = repro.V3InlineLog
+	cfg.Backup = repro.ActiveBackup
+	cfg.Backups = 3
+	cfg.Safety = repro.QuorumSafe
+	cfg.Metrics = true
+	if cfg.DBSize == 0 {
+		cfg.DBSize = 4 << 20
+	}
+	cfg.Autopilot = repro.AutopilotConfig{HeartbeatPeriod: 200 * time.Microsecond, AutoFailover: true}
+	return cfg
+}
+
+// serveDB serves db — a deployment or a fault-injecting wrapper of one —
+// and returns the server (the caller closes it), its store, and a raw
+// connection to it.
+func serveDB(t *testing.T, db repro.DB, opt kv.Options, cfg Config) (*Server, *kv.Store, net.Conn) {
+	t.Helper()
+	store, err := kv.OpenWith(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Logf = t.Logf
+	srv := New(store, cfg)
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	conn.SetDeadline(time.Now().Add(20 * time.Second))
+	return srv, store, conn
+}
+
+func mustCluster(t *testing.T, cfg repro.Config) *repro.Cluster {
+	t.Helper()
+	c, err := repro.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func bkey(i int) []byte { return []byte(fmt.Sprintf("key%03d", i)) }
+func bval(tag string, i int) []byte {
+	return []byte(fmt.Sprintf("%s%03d", tag, i))
+}
+
+// putFrames returns PUT frames for keys [0, n) with values <tag><i>, back
+// to back (kvwire's Append functions each build one frame from buf[:0]).
+func putFrames(tag string, n int) []byte {
+	var frames []byte
+	for i := 0; i < n; i++ {
+		frames = append(frames, kvwire.AppendPut(nil, bkey(i), bval(tag, i))...)
+	}
+	return frames
+}
+
+// readResponses reads n response frames and returns their status bytes
+// and bodies.
+func readResponses(t *testing.T, c net.Conn, n int) (status []byte, bodies [][]byte) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		resp, err := kvwire.ReadFrame(c, nil, kvwire.MaxFrame)
+		if err != nil {
+			t.Fatalf("response %d of %d: %v", i+1, n, err)
+		}
+		status = append(status, resp[0])
+		bodies = append(bodies, resp[1:])
+	}
+	return status, bodies
+}
+
+func wantStatuses(t *testing.T, got []byte, want ...byte) {
+	t.Helper()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("response statuses %v, want %v", got, want)
+	}
+}
+
+func repeat(b byte, n int) []byte { return bytes.Repeat([]byte{b}, n) }
+
+func commitCounters(db repro.DB) (batches, txns uint64) {
+	m := db.Metrics()
+	return m.Counter("repl.commit.batches"), m.Counter("repl.commit.txns")
+}
+
+// TestBurstSealsOnce is the tier-1 guard of the served path's group
+// commit: eight PUT frames arriving in one write are eight transactions
+// under one seal, and a GET pipelined behind a PUT of its key reads that
+// PUT's value.
+func TestBurstSealsOnce(t *testing.T) {
+	db := mustCluster(t, quorumAutopilot(repro.Config{}))
+	reg := obs.NewRegistry()
+	srv, _, conn := serveDB(t, db, kv.Options{}, Config{Obs: reg})
+	defer srv.Close()
+
+	b0, t0 := commitCounters(db)
+	if _, err := conn.Write(putFrames("a", 8)); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := readResponses(t, conn, 8)
+	wantStatuses(t, st, repeat(kvwire.StatusOK, 8)...)
+	if b1, t1 := commitCounters(db); b1-b0 != 1 || t1-t0 != 8 {
+		t.Fatalf("eight pipelined PUTs sealed %d batches for %d transactions, want 1 for 8", b1-b0, t1-t0)
+	}
+
+	frames := kvwire.AppendPut(nil, bkey(3), []byte("fresh"))
+	frames = append(frames, kvwire.AppendGet(nil, bkey(3))...)
+	if _, err := conn.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	st, bodies := readResponses(t, conn, 2)
+	wantStatuses(t, st, kvwire.StatusOK, kvwire.StatusOK)
+	if string(bodies[1]) != "fresh" {
+		t.Fatalf("GET pipelined behind its PUT read %q, want %q", bodies[1], "fresh")
+	}
+
+	// The scrape explains the occupancy: two bursts, of 8 and 2 frames
+	// with 8 and 1 mutations.
+	snap := reg.Snapshot()
+	fr, mu := snap.Hist(MetricBurstFrames), snap.Hist(MetricBurstMutations)
+	if fr.Count != 2 || fr.Sum != 10 || mu.Count != 2 || mu.Sum != 9 {
+		t.Fatalf("burst histograms: %d bursts of %d frames, %d of %d mutations; want 2 of 10 and 2 of 9",
+			fr.Count, fr.Sum, mu.Count, mu.Sum)
+	}
+}
+
+// TestBurstMalformedFrame: a frame the server must refuse, arriving
+// behind two good PUTs in the same write, does not cost them their
+// answers — the burst before it is sealed and delivered, then comes
+// StatusBad, then the close.
+func TestBurstMalformedFrame(t *testing.T) {
+	for name, garbage := range map[string][]byte{
+		"unknown-opcode": kvwire.AppendEmpty(nil, 0x7f),
+		"huge-length":    {0xff, 0xff, 0xff, 0xff, 1, 2, 3},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := mustCluster(t, quorumAutopilot(repro.Config{}))
+			srv, store, conn := serveDB(t, db, kv.Options{}, Config{})
+			defer srv.Close()
+			b0, t0 := commitCounters(db)
+			frames := append(putFrames("a", 2), garbage...)
+			frames = append(frames, kvwire.AppendPut(nil, bkey(9), []byte("after the garbage"))...)
+			if _, err := conn.Write(frames); err != nil {
+				t.Fatal(err)
+			}
+			st, _ := readResponses(t, conn, 3)
+			wantStatuses(t, st, kvwire.StatusOK, kvwire.StatusOK, kvwire.StatusBad)
+			if _, err := kvwire.ReadFrame(conn, nil, kvwire.MaxFrame); err == nil {
+				t.Fatal("connection still serving after StatusBad")
+			}
+			if b1, t1 := commitCounters(db); b1-b0 != 1 || t1-t0 != 2 {
+				t.Fatalf("%d batches for %d transactions, want 1 for the 2 PUTs before the garbage", b1-b0, t1-t0)
+			}
+			if _, err := store.Get(bkey(9)); err == nil {
+				t.Fatal("the PUT behind the malformed frame was executed")
+			}
+			if got := srv.Stats().BadFrames; got != 1 {
+				t.Fatalf("%d bad frames counted, want 1", got)
+			}
+		})
+	}
+}
+
+// gateBegin is a deployment whose armed Begin stops and waits: the test
+// learns that a burst is under way, does what it came to do, and lets it
+// continue.
+type gateBegin struct {
+	*repro.Cluster
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (d *gateBegin) Begin() (repro.Tx, error) {
+	if d.armed.CompareAndSwap(true, false) {
+		close(d.entered)
+		<-d.release
+	}
+	return d.Cluster.Begin()
+}
+
+// TestBurstShutdownMidBurst: a drain that starts while a burst runs does
+// not drop the requests the reader had already taken off the socket —
+// each is executed, sealed and answered before the connection closes.
+func TestBurstShutdownMidBurst(t *testing.T) {
+	db := &gateBegin{
+		Cluster: mustCluster(t, quorumAutopilot(repro.Config{})),
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	srv, _, conn := serveDB(t, db, kv.Options{}, Config{})
+	db.armed.Store(true)
+	if _, err := conn.Write(putFrames("a", 8)); err != nil {
+		t.Fatal(err)
+	}
+	<-db.entered // the first PUT of the burst is at its Begin
+	drained := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		drained <- srv.Shutdown(ctx)
+	}()
+	for !srv.draining.Load() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(db.release)
+	st, _ := readResponses(t, conn, 8)
+	wantStatuses(t, st, repeat(kvwire.StatusOK, 8)...)
+	if _, err := kvwire.ReadFrame(conn, nil, kvwire.MaxFrame); err != io.EOF {
+		t.Fatalf("read after the drain = %v, want EOF", err)
+	}
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
+// TestBurstHeldOnlyWhileASealIsPending: requests are served ahead of their
+// answers only while that saves a mutation its acknowledgement wait. GETs
+// ahead of a burst's first mutation are answered as served, and so is
+// everything on a multi-shard store, where nothing is deferred.
+func TestBurstHeldOnlyWhileASealIsPending(t *testing.T) {
+	frames := kvwire.AppendGet(nil, bkey(0))
+	frames = append(frames, kvwire.AppendGet(nil, bkey(1))...)
+	frames = append(frames, kvwire.AppendPut(nil, bkey(0), []byte("fresh"))...)
+	frames = append(frames, kvwire.AppendGet(nil, bkey(0))...)
+	for name, tc := range map[string]struct {
+		shards     int
+		wantBursts uint64 // seals that answered the four frames
+	}{
+		"one-shard":  {1, 3}, // GET, GET, then PUT+GET under one seal
+		"two-shards": {2, 4},
+	} {
+		t.Run(name, func(t *testing.T) {
+			db, err := repro.NewSharded(quorumAutopilot(repro.Config{}), tc.shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			srv, store, conn := serveDB(t, db, kv.Options{}, Config{Obs: reg})
+			defer srv.Close()
+			for i := 0; i < 2; i++ {
+				if err := store.Put(bkey(i), bval("old", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := conn.Write(frames); err != nil {
+				t.Fatal(err)
+			}
+			st, bodies := readResponses(t, conn, 4)
+			wantStatuses(t, st, repeat(kvwire.StatusOK, 4)...)
+			if string(bodies[0]) != "old000" || string(bodies[3]) != "fresh" {
+				t.Fatalf("GETs around the PUT read %q and %q, want old000 and fresh", bodies[0], bodies[3])
+			}
+			if fr := reg.Snapshot().Hist(MetricBurstFrames); fr.Count != tc.wantBursts || fr.Sum != 4 {
+				t.Fatalf("%d seals answered %d frames, want %d for 4", fr.Count, fr.Sum, tc.wantBursts)
+			}
+		})
+	}
+}
+
+// TestBurstLargerThanWindow: sixteen buffered requests — PUTs that keep a
+// burst going, GETs with large answers — against a window of two and a
+// peer that is not reading. The window bounds what a burst may stage, so
+// the reader ends up blocked on its queue with requests still unserved —
+// and must have let go of the store first: the healer's Reopen and every
+// other connection need it.
+func TestBurstLargerThanWindow(t *testing.T) {
+	db := mustCluster(t, quorumAutopilot(repro.Config{}))
+	store, err := kv.OpenWith(db, kv.Options{SlotSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eight of these outgrow the writer's 16 KiB buffer plus two queued.
+	big := bytes.Repeat([]byte{'v'}, 3900)
+	for i := 0; i < 8; i++ {
+		if err := store.Put(bkey(i), big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(store, Config{Window: 2, Logf: t.Logf})
+	defer srv.Close()
+	// A synchronous pipe: nothing is buffered between the server's writer
+	// and this test, so an unread response blocks the writer for certain.
+	client, server := net.Pipe()
+	defer client.Close()
+	srv.mu.Lock()
+	srv.conns[server] = struct{}{}
+	srv.connWg.Add(1)
+	srv.mu.Unlock()
+	go srv.handleConn(server)
+
+	var frames []byte
+	for i := 0; i < 8; i++ {
+		frames = append(frames, kvwire.AppendPut(nil, []byte("small"), []byte{byte(i)})...)
+		frames = append(frames, kvwire.AppendGet(nil, bkey(i))...)
+	}
+	client.SetDeadline(time.Now().Add(20 * time.Second))
+	go client.Write(frames) // returns once the server's one read took them
+
+	// Nobody reads the responses yet. The store must come free anyway.
+	got := make(chan error, 1)
+	go func() {
+		_, err := store.Get(bkey(0))
+		got <- err
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the store is still held while the reader waits for room in its response queue")
+	}
+	st, bodies := readResponses(t, client, 16)
+	wantStatuses(t, st, repeat(kvwire.StatusOK, 16)...)
+	for i := 1; i < 16; i += 2 {
+		if !bytes.Equal(bodies[i], big) {
+			t.Fatalf("response %d carries %d bytes, want the %d-byte value", i, len(bodies[i]), len(big))
+		}
+	}
+}
+
+// crashAtBegin is a deployment whose primary dies just before the n-th
+// Begin after arming: with n = 3, between a burst's second commit and its
+// third transaction — in the gap before the seal.
+type crashAtBegin struct {
+	*repro.Cluster
+	countdown atomic.Int32
+}
+
+func (d *crashAtBegin) Begin() (repro.Tx, error) {
+	if d.countdown.Add(-1) == 0 {
+		if err := d.CrashPrimary(); err != nil {
+			return nil, err
+		}
+	}
+	return d.Cluster.Begin()
+}
+
+// TestBurstCrashInTheGap is the invariant over TCP: the primary dies
+// after two of a burst's eight PUTs have committed and before the seal.
+// The two commits died with it — so not one of the eight requests may be
+// answered StatusOK, whichever side of the crash it ran on. The client's
+// retry lands all of them once the healer has reopened the store on the
+// promoted survivor, and every key then reads right.
+func TestBurstCrashInTheGap(t *testing.T) {
+	db := &crashAtBegin{Cluster: mustCluster(t, quorumAutopilot(repro.Config{}))}
+	srv, store, conn := serveDB(t, db, kv.Options{}, Config{})
+	defer srv.Close()
+	const keys = 20
+	for i := 0; i < keys; i++ {
+		if err := store.Put(bkey(i), bval("old", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	db.countdown.Store(3)
+	if _, err := conn.Write(putFrames("new", 8)); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := readResponses(t, conn, 8)
+	wantStatuses(t, st, repeat(kvwire.StatusRetry, 8)...)
+
+	// What a client does with StatusRetry: send it again until it lands.
+	cl := kvclient.Dial(conn.RemoteAddr().String(), kvclient.Options{Conns: 1, RetryBudget: 20 * time.Second})
+	defer cl.Close()
+	for i := 0; i < 8; i++ {
+		if err := cl.Put(bkey(i), bval("new", i)); err != nil {
+			t.Fatalf("retried put %d: %v", i, err)
+		}
+	}
+	// The healer counts its Reopen just after the store serves again.
+	for deadline := time.Now().Add(5 * time.Second); srv.Stats().Reopens == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the store was never reopened")
+		}
+	}
+	for i := 0; i < keys; i++ {
+		want := bval("old", i)
+		if i < 8 {
+			want = bval("new", i)
+		}
+		if got, err := cl.Get(bkey(i)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("key %d reads %q, %v; want %q", i, got, err, want)
+		}
+	}
+}
+
+// TestServedCommitBatchNeverAcksFromOpenBatch: a deployment built with
+// Config.CommitBatch and served over the wire. The server used to answer
+// each PUT at its Commit — from an open batch — so up to CommitBatch-1
+// acknowledged writes died with the primary. A burst's seal flushes the
+// batch before anything is answered.
+func TestServedCommitBatchNeverAcksFromOpenBatch(t *testing.T) {
+	cfg := quorumAutopilot(repro.Config{})
+	cfg.CommitBatch = 16
+	db := mustCluster(t, cfg)
+	srv, _, conn := serveDB(t, db, kv.Options{}, Config{})
+	defer srv.Close()
+	cl := kvclient.Dial(conn.RemoteAddr().String(), kvclient.Options{Conns: 1, RetryBudget: 20 * time.Second})
+	defer cl.Close()
+
+	// Twenty acknowledged writes: one full batch of sixteen and four more.
+	const acked = 20
+	version := make([]uint64, acked)
+	stamp := func(v uint64) []byte { return binary.BigEndian.AppendUint64(nil, v) }
+	for i := 0; i < acked; i++ {
+		version[i] = uint64(100 + i)
+		if err := cl.Put(bkey(i), stamp(version[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CrashPrimary(); err != nil {
+		t.Fatal(err)
+	}
+	// The next write rides out the failover on the client's retries.
+	if err := cl.Put([]byte("after"), stamp(1)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < acked; i++ {
+		got, err := cl.Get(bkey(i))
+		if err != nil || len(got) != 8 || binary.BigEndian.Uint64(got) < version[i] {
+			t.Errorf("acknowledged key %d reads %x, %v after the failover; want version %d", i, got, err, version[i])
+		}
+	}
+}

@@ -12,12 +12,20 @@ import (
 // simulated-time histograms; the two never share a histogram.
 const (
 	// MetricOpLatency is the per-opcode latency prefix; the opcode name
-	// ("put", "get", ...) completes it. Wall ns from parse to sealed
-	// response.
+	// ("put", "get", ...) completes it. Wall ns from parse to encoded
+	// response: execution of the one operation, without the seal of the
+	// burst it ran in.
 	MetricOpLatency = "server.op."
 	// MetricWindowOccupancy samples the per-connection response queue
 	// depth at each request (ns-encoded count, like repl.batch.occupancy).
 	MetricWindowOccupancy = "server.window.occupancy"
+	// MetricBurstFrames and MetricBurstMutations sample, per seal, how
+	// many request frames the seal answered and how many of them were
+	// mutations (PUT, DELETE, TXN) — what the deployment's
+	// repl.batch.occupancy is made of. Counts, ns-encoded like the window
+	// occupancy; no time domain.
+	MetricBurstFrames    = "server.burst.frames"
+	MetricBurstMutations = "server.burst.mutations"
 	// MetricConnsOpened / MetricConnsClosed count connection churn.
 	MetricConnsOpened = "server.conns.opened"
 	MetricConnsClosed = "server.conns.closed"
@@ -52,6 +60,8 @@ type serverObs struct {
 	opLat     [len(opNames)]*obs.Hist
 	badOpLat  *obs.Hist // malformed frames have no decodable opcode
 	window    *obs.Hist
+	frames    *obs.Hist
+	mutations *obs.Hist
 	opened    *obs.Counter
 	closed    *obs.Counter
 	notFound  *obs.Counter
@@ -70,6 +80,8 @@ func newServerObs(reg *obs.Registry) *serverObs {
 		reg:       reg,
 		badOpLat:  reg.Hist(MetricOpLatency + "bad.latency"),
 		window:    reg.Hist(MetricWindowOccupancy),
+		frames:    reg.Hist(MetricBurstFrames),
+		mutations: reg.Hist(MetricBurstMutations),
 		opened:    reg.Counter(MetricConnsOpened),
 		closed:    reg.Counter(MetricConnsClosed),
 		notFound:  reg.Counter(MetricErrNotFound),
@@ -100,6 +112,15 @@ func (o *serverObs) observeOp(op byte, d time.Duration, queued int) {
 	}
 	h.Record(d)
 	o.window.Record(time.Duration(queued))
+}
+
+// observeBurst records one sealed burst's shape.
+func (o *serverObs) observeBurst(frames, mutations int) {
+	if o == nil {
+		return
+	}
+	o.frames.Record(time.Duration(frames))
+	o.mutations.Record(time.Duration(mutations))
 }
 
 func (o *serverObs) connOpened() {

@@ -2,7 +2,9 @@
 // turns the in-process reproduction into a system real clients can
 // talk to. It speaks the kvwire length-prefixed binary protocol
 // (PUT/GET/DELETE/SCAN/TXN/STATS/PING), pipelines requests per
-// connection behind a bounded in-flight window, recycles every frame
+// connection behind a bounded in-flight window, commits the mutations of
+// each pipelined burst as one group-commit batch and answers only after
+// its seal (see handleConn), recycles every frame
 // buffer through kvwire's pool (no per-operation allocations or
 // goroutines on the steady-state path — two goroutines per connection,
 // period), routes GETs and SCANs carrying a kvwire consistency block
@@ -29,6 +31,7 @@ package kvserver
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -48,8 +51,8 @@ import (
 type Config struct {
 	// Window is the per-connection in-flight window: how many parsed-
 	// but-unsent responses may queue before the reader stops consuming
-	// requests (backpressure propagates to the client through TCP).
-	// Default 64.
+	// requests (backpressure propagates to the client through TCP). A
+	// burst stages at most as many before it seals. Default 64.
 	Window int
 	// MaxFrame caps the request frame body size (default
 	// kvwire.MaxFrame).
@@ -76,10 +79,13 @@ type Server struct {
 	logf     func(string, ...any)
 	obs      *serverObs // nil when uninstrumented
 
-	mu       sync.Mutex
-	lns      map[net.Listener]struct{}
-	conns    map[net.Conn]struct{}
-	draining bool
+	mu    sync.Mutex
+	lns   map[net.Listener]struct{}
+	conns map[net.Conn]struct{}
+	// draining is written under mu (Serve's check-and-register must not
+	// interleave with Shutdown's sweep) and read bare by the connection
+	// readers, once per burst.
+	draining atomic.Bool
 
 	connWg sync.WaitGroup
 	healWg sync.WaitGroup
@@ -128,7 +134,7 @@ func New(store *kv.Store, cfg Config) *Server {
 // listener fails. It blocks; run one goroutine per listener.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
-	if s.draining {
+	if s.draining.Load() {
 		s.mu.Unlock()
 		l.Close()
 		return errors.New("kvserver: server is draining")
@@ -140,15 +146,14 @@ func (s *Server) Serve(l net.Listener) error {
 		if err != nil {
 			s.mu.Lock()
 			delete(s.lns, l)
-			draining := s.draining
 			s.mu.Unlock()
-			if draining {
+			if s.draining.Load() {
 				return nil
 			}
 			return err
 		}
 		s.mu.Lock()
-		if s.draining {
+		if s.draining.Load() {
 			s.mu.Unlock()
 			c.Close()
 			continue
@@ -167,7 +172,7 @@ func (s *Server) Serve(l net.Listener) error {
 // connections are then closed hard).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	s.draining = true
+	s.draining.Store(true)
 	for l := range s.lns {
 		l.Close()
 	}
@@ -216,7 +221,6 @@ func (s *Server) Close() error {
 func (s *Server) Stats() kvwire.Stats {
 	s.mu.Lock()
 	conns := len(s.conns)
-	draining := s.draining
 	s.mu.Unlock()
 	st := kvwire.Stats{
 		Keys:      s.store.Len(),
@@ -226,7 +230,7 @@ func (s *Server) Stats() kvwire.Stats {
 		Retries:   s.retries.Load(),
 		Reopens:   s.reopens.Load(),
 		BadFrames: s.badFrames.Load(),
-		Draining:  draining,
+		Draining:  s.draining.Load(),
 		Shards:    s.db.Shards(),
 	}
 	if s.admin != nil {
@@ -247,15 +251,27 @@ func (s *Server) Metrics() obs.Snapshot {
 	return snap
 }
 
-func (s *Server) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // handleConn runs one connection: a reader that parses and executes
-// requests in arrival order, and a writer that flushes the bounded
-// response queue. No other goroutines ever exist for the connection.
+// requests burst by burst, and a writer that flushes the bounded response
+// queue. No other goroutines ever exist for the connection.
+//
+// A burst is the frame that woke the reader plus every complete frame
+// already sitting in its buffer. The reader never waits for input it does
+// not hold, so there is no delay to tune and a lone request is a burst of
+// one. PUT, DELETE, TXN and primary-mode GET join the open burst: they run
+// back to back through a kv.Burst, which holds the store and defers the
+// mutations' acknowledgement wait, and one seal covers them all. Anything
+// else seals and answers the open burst first, then runs on its own. A
+// burst goes on only while that buys something — while it holds a mutation
+// whose wait is deferred (sealPending): reads ahead of the first mutation,
+// and everything on a multi-shard store, where nothing is deferred, are
+// answered as they are served, one-frame bursts each.
+//
+// The invariant: no response — GETs included — is queued before a seal
+// covering every commit it could have observed has returned nil. If the
+// seal fails, every response of the burst is replaced by the seal's
+// error. The store is released before anything is queued: out blocks on a
+// slow peer, and the healer's Reopen needs the store.
 func (s *Server) handleConn(c net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -288,37 +304,33 @@ func (s *Server) handleConn(c net.Conn) {
 		}
 	}()
 
+	// The read buffer bounds a burst — a frame it cannot hold whole is
+	// never "already there" and starts the next one — and so does the
+	// window: staged responses are parsed-but-unsent ones too.
 	br := bufio.NewReaderSize(c, 16<<10)
 	buf := kvwire.GetBuf()
-	var req kvwire.Request
-	var sess session
-	for {
-		if s.isDraining() {
-			break
-		}
+	r := connReader{s: s, out: out, burst: s.store.Burst()}
+	// A drain does not drop what is already off the socket: draining is
+	// looked at only when the buffer holds no whole frame, once per burst.
+	for frameBuffered(br, s.maxFrame) || !s.draining.Load() {
+		// The frame that wakes the reader: the only read that may block.
 		var err error
 		buf, err = kvwire.ReadFrame(br, buf, s.maxFrame)
+		fatal := false
+		for err == nil {
+			fatal = r.serve(buf)
+			if fatal || !r.sealPending() || len(r.resps) >= s.window || !frameBuffered(br, s.maxFrame) {
+				break
+			}
+			buf, err = kvwire.ReadFrame(br, buf, s.maxFrame)
+		}
+		r.deliver()
 		if err != nil {
 			if errors.Is(err, kvwire.ErrFrame) {
-				s.badFrames.Add(1)
-				if s.obs != nil {
-					s.obs.bad.Inc()
-				}
-				out <- kvwire.AppendMsg(kvwire.GetBuf(), kvwire.StatusBad, err.Error())
+				out <- s.badFrame(err)
 			}
 			break
 		}
-		var start time.Time
-		if s.obs != nil {
-			start = time.Now()
-		}
-		resp, fatal := s.execute(buf, &req, &sess)
-		if s.obs != nil {
-			// Queue depth before this response enqueues: the occupancy the
-			// request found, 0..window-1.
-			s.obs.observeOp(req.Op, time.Since(start), len(out))
-		}
-		out <- resp
 		if fatal {
 			break
 		}
@@ -326,6 +338,112 @@ func (s *Server) handleConn(c net.Conn) {
 	kvwire.PutBuf(buf)
 	close(out)
 	<-writerDone
+}
+
+// frameBuffered reports whether the next ReadFrame can finish without
+// reading from the socket: br holds a whole frame, or a length prefix
+// ReadFrame refuses before it reads a body.
+func frameBuffered(br *bufio.Reader, max int) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	head, _ := br.Peek(4)
+	n := int(binary.BigEndian.Uint32(head))
+	return n < 1 || n > max || br.Buffered() >= 4+n
+}
+
+// connReader is the state of one connection's reader goroutine.
+type connReader struct {
+	s     *Server
+	out   chan<- []byte
+	burst *kv.Burst
+	resps [][]byte // the open burst's responses, in request order
+	muts  int      // the mutations among them
+	req   kvwire.Request
+	sess  session
+}
+
+// serve runs one request frame and stages its response in the open burst.
+// fatal reports that the connection must close (malformed frame).
+func (r *connReader) serve(frame []byte) (fatal bool) {
+	s := r.s
+	var start time.Time
+	if s.obs != nil {
+		start = time.Now()
+	}
+	s.ops.Add(1)
+	perr := kvwire.ParseRequest(frame, &r.req)
+	joins := perr == nil && joinsBurst(&r.req)
+	if !joins && len(r.resps) > 0 {
+		r.deliver()
+		if s.obs != nil {
+			start = time.Now() // the earlier requests' seal is not this one's time
+		}
+	}
+	var resp []byte
+	if perr != nil {
+		resp = s.badFrame(perr)
+	} else {
+		resp = s.execute(r.burst, &r.req, &r.sess)
+	}
+	if s.obs != nil {
+		// Execution of this one operation, the burst's seal excluded; and
+		// the queue depth it found, 0..window.
+		s.obs.observeOp(r.req.Op, time.Since(start), len(r.out))
+	}
+	r.resps = append(r.resps, resp)
+	if perr == nil && isMutation(r.req.Op) {
+		r.muts++
+	}
+	if !joins {
+		r.deliver()
+	}
+	return perr != nil
+}
+
+// joinsBurst reports whether a request runs inside the connection's open
+// burst: the mutations, and the reads that go through the store's own
+// lock to the primary. Replica-mode reads are served from views that
+// cannot hold an unsealed commit and take the store themselves.
+func joinsBurst(req *kvwire.Request) bool {
+	return isMutation(req.Op) || req.Op == kvwire.OpGet && req.Mode == kvwire.ModePrimary
+}
+
+func isMutation(op byte) bool {
+	return op == kvwire.OpPut || op == kvwire.OpDelete || op == kvwire.OpTxn
+}
+
+// sealPending reports whether the open burst holds a mutation whose
+// acknowledgement wait its seal will pay: the one reason to serve more
+// requests before answering the ones already served.
+func (r *connReader) sealPending() bool { return r.muts > 0 && r.burst.Deferring() }
+
+// deliver seals the open burst — which releases the store — and queues its
+// responses, or the seal's error in place of each of them.
+func (r *connReader) deliver() {
+	if len(r.resps) == 0 {
+		return
+	}
+	err := r.burst.Seal()
+	r.s.obs.observeBurst(len(r.resps), r.muts)
+	for i, resp := range r.resps {
+		if err != nil {
+			kvwire.PutBuf(resp)
+			resp = r.s.errResp(err)
+		}
+		r.out <- resp
+		r.resps[i] = nil
+	}
+	r.resps, r.muts = r.resps[:0], 0
+}
+
+// badFrame counts a malformed frame and encodes its StatusBad response.
+func (s *Server) badFrame(err error) []byte {
+	s.badFrames.Add(1)
+	if s.obs != nil {
+		s.obs.bad.Inc()
+	}
+	return kvwire.AppendMsg(kvwire.GetBuf(), kvwire.StatusBad, err.Error())
 }
 
 // errScanTruncated stops a scan whose response frame is about to
@@ -360,24 +478,16 @@ func (s *Server) wrote(sess *session) []byte {
 	return kvwire.AppendOKToken(kvwire.GetBuf(), sess.tok)
 }
 
-// execute runs one decoded request against the store and encodes the
-// response into a pooled buffer. fatal reports that the connection must
-// close after the response (malformed frame).
-func (s *Server) execute(frame []byte, req *kvwire.Request, sess *session) (resp []byte, fatal bool) {
-	s.ops.Add(1)
-	if err := kvwire.ParseRequest(frame, req); err != nil {
-		s.badFrames.Add(1)
-		if s.obs != nil {
-			s.obs.bad.Inc()
-		}
-		return kvwire.AppendMsg(kvwire.GetBuf(), kvwire.StatusBad, err.Error()), true
-	}
+// execute runs one parsed request and encodes the response into a pooled
+// buffer. Requests that join a burst (joinsBurst) go through b; the rest
+// find it idle and take the store themselves.
+func (s *Server) execute(b *kv.Burst, req *kvwire.Request, sess *session) []byte {
 	switch req.Op {
 	case kvwire.OpPut:
-		if err := s.store.Put(req.Key, req.Val); err != nil {
-			return s.errResp(err), false
+		if err := b.Put(req.Key, req.Val); err != nil {
+			return s.errResp(err)
 		}
-		return s.wrote(sess), false
+		return s.wrote(sess)
 
 	case kvwire.OpGet:
 		buf := kvwire.BeginFrame(kvwire.GetBuf(), kvwire.StatusOK)
@@ -386,21 +496,21 @@ func (s *Server) execute(frame []byte, req *kvwire.Request, sess *session) (resp
 			err error
 		)
 		if req.Mode == kvwire.ModePrimary {
-			out, err = s.store.GetAppend(req.Key, buf)
+			out, err = b.GetAppend(req.Key, buf)
 		} else {
 			out, _, err = s.store.GetAppendAt(req.Key, buf, sess.readOpts(req))
 		}
 		if err != nil {
 			kvwire.PutBuf(out)
-			return s.errResp(err), false
+			return s.errResp(err)
 		}
-		return kvwire.EndFrame(out), false
+		return kvwire.EndFrame(out)
 
 	case kvwire.OpDelete:
-		if err := s.store.Delete(req.Key); err != nil {
-			return s.errResp(err), false
+		if err := b.Delete(req.Key); err != nil {
+			return s.errResp(err)
 		}
-		return s.wrote(sess), false
+		return s.wrote(sess)
 
 	case kvwire.OpScan:
 		buf, countOff := kvwire.BeginScanResponse(kvwire.GetBuf())
@@ -421,48 +531,48 @@ func (s *Server) execute(frame []byte, req *kvwire.Request, sess *session) (resp
 		}
 		if err != nil && !errors.Is(err, errScanTruncated) {
 			kvwire.PutBuf(buf)
-			return s.errResp(err), false
+			return s.errResp(err)
 		}
-		return kvwire.FinishScanResponse(buf, countOff, n), false
+		return kvwire.FinishScanResponse(buf, countOff, n)
 
 	case kvwire.OpTxn:
-		if err := s.executeTxn(req.Ops); err != nil {
-			return s.errResp(err), false
+		if err := executeTxn(b, req.Ops); err != nil {
+			return s.errResp(err)
 		}
-		return s.wrote(sess), false
+		return s.wrote(sess)
 
 	case kvwire.OpStats:
 		data, err := json.Marshal(s.Stats())
 		if err != nil {
-			return s.errResp(err), false
+			return s.errResp(err)
 		}
 		buf := kvwire.BeginFrame(kvwire.GetBuf(), kvwire.StatusOK)
 		buf = append(buf, data...)
-		return kvwire.EndFrame(buf), false
+		return kvwire.EndFrame(buf)
 
 	case kvwire.OpPing:
-		return kvwire.AppendEmpty(kvwire.GetBuf(), kvwire.StatusOK), false
+		return kvwire.AppendEmpty(kvwire.GetBuf(), kvwire.StatusOK)
 
 	case kvwire.OpMetrics:
 		data, err := json.Marshal(s.Metrics())
 		if err != nil {
-			return s.errResp(err), false
+			return s.errResp(err)
 		}
 		buf := kvwire.BeginFrame(kvwire.GetBuf(), kvwire.StatusOK)
 		buf = append(buf, data...)
-		return kvwire.EndFrame(buf), false
+		return kvwire.EndFrame(buf)
 	}
 	// Unreachable: ParseRequest rejects unknown opcodes.
-	return kvwire.AppendMsg(kvwire.GetBuf(), kvwire.StatusBad, "unhandled opcode"), true
+	return kvwire.AppendMsg(kvwire.GetBuf(), kvwire.StatusBad, "unhandled opcode")
 }
 
 // executeTxn applies one wire transaction through the store's multi-key
-// commit path.
-func (s *Server) executeTxn(ops []kvwire.Op) error {
+// commit path, inside the burst.
+func executeTxn(b *kv.Burst, ops []kvwire.Op) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	txn, err := s.store.Begin()
+	txn, err := b.Begin()
 	if err != nil {
 		return err
 	}

@@ -116,8 +116,12 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 	wg.Wait()
 	<-crashed
-	if srv.Stats().Reopens == 0 {
-		t.Error("server never reopened the store (crash not observed?)")
+	// Usually a request meets the dead primary and the healer reopens the
+	// store. A crash that lands between a PUT's probe and its Begin is
+	// taken over by that Begin's admission with nobody told — safe at
+	// quorum, and no Reopen — so the failover itself is what to look for.
+	if admin.(*repro.Cluster).Generation() == 0 {
+		t.Errorf("no failover happened (crash not observed?); %d reopens", srv.Stats().Reopens)
 	}
 
 	// Graceful drain, then serve the same store on a fresh listener —

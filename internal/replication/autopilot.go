@@ -457,6 +457,10 @@ func (g *Group) PartitionPrimary() error {
 func (g *Group) crashPrimaryLocked() {
 	g.durCrashLocked()
 	g.crashed = true
+	if g.deferDepth > 0 && g.batchCount > 0 {
+		// The open scopes' unsealed commits die here; their Seal says so.
+		g.deferLost = true
+	}
 	g.batchCount = 0
 	g.batchStart = 0
 	// The open transaction (if any) died with the node: free the slot so
@@ -493,6 +497,11 @@ func (g *Group) admitLocked() error {
 	}
 	if a.cfg.AutoFailover && a.det.State(g.primary.Name) == detect.Dead {
 		g.crashPrimaryLocked()
+		if g.deferLost {
+			// The deposed primary held a deferral scope's unsealed commits:
+			// as in Begin, the takeover waits for the scope's Seal.
+			return ErrCrashed
+		}
 		return g.autoFailoverLocked()
 	}
 	if !a.lease.Valid(g.primary.Clock.Now()) {

@@ -65,6 +65,13 @@ func (g *Group) Begin() (TxHandle, error) {
 	for g.curHandle != nil && !g.crashed {
 		g.txFree.Wait()
 	}
+	if g.deferLost {
+		// A deferral scope lost its unsealed commits to a primary death and
+		// has not sealed yet. Whatever its owner commits next was computed
+		// over state no survivor holds, so nothing is admitted — and no
+		// survivor promoted — until the scope's Seal has reported the loss.
+		return nil, ErrCrashed
+	}
 	// The autopilot's admission gate: pump the failure loop, perform the
 	// unattended takeover of a dead or deposed primary, and fence a
 	// deposed primary whose lease ran out. A no-op when autopilot is off.
@@ -269,17 +276,22 @@ func (t *safetyTx) Commit() error {
 	return err
 }
 
-// batchLimit returns the commit count that seals a batch: 1 when group
-// commit is off (flush every commit), CommitBatch when set, otherwise
-// unbounded (window- or Flush-driven sealing).
+// batchLimit returns the commit count that seals a batch: unbounded while
+// a deferral scope is open (its Seal flushes), else 1 when group commit is
+// off (flush every commit), CommitBatch when set, otherwise unbounded
+// (window- or Flush-driven sealing).
 func (g *Group) batchLimit() int {
+	const unbounded = int(^uint(0) >> 1)
+	if g.deferDepth > 0 {
+		return unbounded
+	}
 	if g.cfg.CommitBatch > 1 {
 		return g.cfg.CommitBatch
 	}
 	if g.cfg.CommitBatch <= 1 && g.cfg.CommitWindow <= 0 {
 		return 1
 	}
-	return int(^uint(0) >> 1) // window-only batching: no count cap
+	return unbounded // window-only batching: no count cap
 }
 
 // joinBatchLocked adds the just-committed transaction to the open batch
@@ -314,6 +326,42 @@ func (g *Group) joinBatchLocked() error {
 func (g *Group) Flush() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	return g.flushLocked()
+}
+
+// Defer opens an acknowledgement-deferral scope: until the matching Seal,
+// commits join the open batch without sealing it by count, so a caller
+// that acknowledges a run of back-to-back transactions together — a
+// server answering a pipelined burst — pays one pointer publish, one
+// acknowledgement wait and one disk sync for the run, whatever CommitBatch
+// says. Sealing sooner is always safe, so the ring-capacity guard of the
+// active commit path, a CommitWindow, Flush and Settle keep sealing inside
+// a scope. Scopes nest; count-based sealing resumes when the last closes.
+func (g *Group) Defer() {
+	g.mu.Lock()
+	g.deferDepth++
+	g.mu.Unlock()
+}
+
+// Seal closes the scope the matching Defer opened and flushes the open
+// batch. The seal is bound to its scope: if a primary died while a scope
+// held unsealed commits — no delivered pointer ever named them, so no
+// survivor has them — Seal returns ErrCrashed, Failover or no Failover in
+// between. From that death until the last open scope has sealed, Begin
+// refuses with ErrCrashed as well (the autopilot's unattended takeover
+// waits with it), so a scope never straddles two lineages. Nothing outside
+// a scope ever sees the error: a later Commit or Flush answers for its own
+// batch only.
+func (g *Group) Seal() error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.deferDepth--
+	if g.deferLost {
+		if g.deferDepth == 0 {
+			g.deferLost = false
+		}
+		return ErrCrashed
+	}
 	return g.flushLocked()
 }
 

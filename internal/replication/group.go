@@ -99,6 +99,12 @@ type Group struct {
 	batchCount int
 	batchStart sim.Time
 
+	// Deferral state (see Defer/Seal): the number of open acknowledgement-
+	// deferral scopes — count-based sealing is suspended while any is
+	// open — and whether a primary died holding their unsealed commits.
+	deferDepth int
+	deferLost  bool
+
 	// Recycled scratch for the commit path (all under mu). Handles are
 	// recycled only after a clean Commit/Abort: a handle orphaned by a
 	// mid-transaction crash keeps sole ownership of its value forever, so

@@ -479,3 +479,62 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 	}
 	return res, nil
 }
+
+// RunKVBurst measures the kv layer under acknowledgement deferral: after
+// the usual preload, opts.Ops value updates of uniformly drawn keys run in
+// bursts of burst PUTs, each burst a kv.Burst sealed once — what kvserver
+// does with the PUTs of one pipelined burst of requests, minus the wire.
+// burst = 1 is one seal per PUT. Only Updates, Elapsed, OPS, Net and Keys
+// of the result are set.
+func RunKVBurst(db repro.DB, opts KVOptions, burst int) (KVResult, error) {
+	opts = opts.withDefaults()
+	if opts.Ops <= 0 || burst <= 0 {
+		return KVResult{}, fmt.Errorf("tpc: kv burst run needs positive counts, got %d operations in bursts of %d", opts.Ops, burst)
+	}
+	store, err := kv.Open(db)
+	if err != nil {
+		return KVResult{}, err
+	}
+	if opts.Records >= store.Slots() {
+		return KVResult{}, fmt.Errorf("tpc: %d records leave no slot headroom in the store's %d slots", opts.Records, store.Slots())
+	}
+	r := NewRand(opts.Seed)
+	value := make([]byte, opts.ValueSize)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
+	for i := 0; i < opts.Records; i++ {
+		if err := store.Put(key(i), value); err != nil {
+			return KVResult{}, fmt.Errorf("tpc: kv preload %d: %w", i, err)
+		}
+	}
+	b := store.Burst()
+	run := func(n int64) error {
+		for done := int64(0); done < n; {
+			for i := 0; i < burst && done < n; i++ {
+				if err := b.Put(key(r.IntN(opts.Records)), value); err != nil {
+					_ = b.Seal()
+					return err
+				}
+				done++
+			}
+			if err := b.Seal(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := run(opts.Warmup); err != nil {
+		return KVResult{}, fmt.Errorf("tpc: kv burst warmup: %w", err)
+	}
+	db.ResetMeasurement()
+	if err := run(opts.Ops); err != nil {
+		return KVResult{}, fmt.Errorf("tpc: kv burst run: %w", err)
+	}
+	res := KVResult{Mix: fmt.Sprintf("burst-%d", burst), Ops: opts.Ops, Updates: opts.Ops, ReadMode: "primary"}
+	res.Elapsed = db.Elapsed()
+	res.Net = db.NetTraffic()
+	res.Keys = store.Len()
+	if res.Elapsed > 0 {
+		res.OPS = float64(res.Ops) / res.Elapsed.Seconds()
+	}
+	return res, nil
+}

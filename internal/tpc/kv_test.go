@@ -93,3 +93,40 @@ func TestRunKVDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestRunKVBurst: at quorum commit the acknowledgement wait is what a seal
+// costs, so the same PUTs take less simulated time and fewer SAN bytes the
+// more of them share one — and a burst of one is already the whole
+// accounting.
+func TestRunKVBurst(t *testing.T) {
+	run := func(burst int) KVResult {
+		db, err := repro.New(repro.Config{
+			Version: repro.V3InlineLog,
+			Backup:  repro.ActiveBackup,
+			DBSize:  1 << 20,
+			Backups: 2,
+			Safety:  repro.QuorumSafe,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunKVBurst(db, KVOptions{Records: 300, Ops: 800, Warmup: 50, Seed: 11}, burst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Updates != 800 || res.Keys != 300 {
+			t.Fatalf("burst %d: %d updates over %d keys, want 800 over 300", burst, res.Updates, res.Keys)
+		}
+		return res
+	}
+	one, eight := run(1), run(8)
+	if eight.OPS < 2*one.OPS {
+		t.Fatalf("8 PUTs per seal ran at %.0f sim-ops/s, not twice the %.0f of one per seal", eight.OPS, one.OPS)
+	}
+	if eight.BytesPerOp() >= one.BytesPerOp() {
+		t.Fatalf("8 PUTs per seal shipped %.1f B/PUT, not fewer than the %.1f of one per seal", eight.BytesPerOp(), one.BytesPerOp())
+	}
+	if again := run(8); again != eight {
+		t.Fatalf("run not deterministic:\n  %+v\n  %+v", eight, again)
+	}
+}

@@ -1,0 +1,374 @@
+package kv_test
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro"
+	"repro/kv"
+)
+
+// quorum3 is the served deployment's shape: three backups, quorum commit.
+func quorum3(cfg repro.Config) repro.Config {
+	cfg.Backups = 3
+	cfg.Safety = repro.QuorumSafe
+	return cfg
+}
+
+func burstKey(i int) []byte { return []byte(fmt.Sprintf("key%03d", i)) }
+
+// preload writes n keys with value "old<i>" through the store's own,
+// per-call acknowledged path.
+func preload(t *testing.T, s *kv.Store, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := s.Put(burstKey(i), []byte(fmt.Sprintf("old%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// wantValues checks keys [from, to) against a value prefix.
+func wantValues(t *testing.T, s *kv.Store, from, to int, prefix string) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		want := fmt.Sprintf("%s%03d", prefix, i)
+		if got, err := s.Get(burstKey(i)); err != nil || string(got) != want {
+			t.Errorf("key %d reads %q, %v; want %q", i, got, err, want)
+		}
+	}
+}
+
+func commitCounters(db repro.DB) (batches, txns uint64) {
+	m := db.Metrics()
+	return m.Counter("repl.commit.batches"), m.Counter("repl.commit.txns")
+}
+
+// TestBurstSealsOnce: on a one-shard deployment a burst's mutations are
+// back-to-back transactions under one seal, a Get inside the burst sees
+// the burst's own write, and a direct Put afterwards is acknowledged per
+// call as ever.
+func TestBurstSealsOnce(t *testing.T) {
+	db := newCluster(t, quorum3(repro.Config{Metrics: true}))
+	s, err := kv.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preload(t, s, 4)
+	b0, t0 := commitCounters(db)
+
+	b := s.Burst()
+	for i := 0; i < 3; i++ {
+		if err := b.Put(burstKey(i), []byte(fmt.Sprintf("new%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := b.Get(burstKey(1)); err != nil || string(got) != "new001" {
+		t.Fatalf("Get inside the burst = %q, %v; want the burst's own write", got, err)
+	}
+	if err := b.Delete(burstKey(3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Seal(); err != nil {
+		t.Fatalf("seal: %v", err)
+	}
+	if b1, t1 := commitCounters(db); b1-b0 != 1 || t1-t0 != 4 {
+		t.Fatalf("burst sealed %d batches for %d transactions, want 1 for 4", b1-b0, t1-t0)
+	}
+	wantValues(t, s, 0, 3, "new")
+	if _, err := s.Get(burstKey(3)); !errors.Is(err, kv.ErrNotFound) {
+		t.Fatalf("deleted key reads %v, want ErrNotFound", err)
+	}
+
+	b0, t0 = commitCounters(db)
+	if err := s.Put(burstKey(0), []byte("direct")); err != nil {
+		t.Fatal(err)
+	}
+	if b1, t1 := commitCounters(db); b1-b0 != 1 || t1-t0 != 1 {
+		t.Fatalf("direct Put sealed %d batches for %d transactions, want 1 for 1", b1-b0, t1-t0)
+	}
+
+	// The burst is reusable, and an idle Seal is a no-op.
+	if err := b.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put(burstKey(3), []byte("new003")); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	wantValues(t, s, 3, 4, "new")
+}
+
+// TestBurstHoldsTheStore: from a burst's first operation to its seal no
+// other caller gets at the store — the reason nobody can observe a write
+// whose acknowledgement is still pending.
+func TestBurstHoldsTheStore(t *testing.T) {
+	db := newCluster(t, quorum3(repro.Config{}))
+	s, err := kv.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preload(t, s, 1)
+	b := s.Burst()
+	if err := b.Put(burstKey(0), []byte("new000")); err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan string, 1)
+	go func() {
+		v, err := s.Get(burstKey(0))
+		read <- fmt.Sprintf("%s %v", v, err)
+	}()
+	select {
+	case got := <-read:
+		t.Fatalf("a Get from outside the burst returned %q before the seal", got)
+	case <-time.After(50 * time.Millisecond):
+	}
+	if err := b.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-read; got != "new000 <nil>" {
+		t.Fatalf("Get after the seal = %q", got)
+	}
+}
+
+// TestBurstCrashInTheGap: the primary dies between a burst's commits and
+// its seal. The seal fails, the store is broken, and after failover and
+// Reopen the keys read what was acknowledged before the burst.
+func TestBurstCrashInTheGap(t *testing.T) {
+	const keys = 40
+
+	t.Run("manual-failover", func(t *testing.T) {
+		db := newCluster(t, quorum3(repro.Config{}))
+		admin := db.(repro.Admin)
+		s, err := kv.Open(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preload(t, s, keys)
+		b := s.Burst()
+		for i := 0; i < 3; i++ {
+			if err := b.Put(burstKey(i), []byte(fmt.Sprintf("new%03d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := admin.CrashPrimary(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Seal(); !errors.Is(err, repro.ErrCrashed) {
+			t.Fatalf("seal after the crash = %v, want ErrCrashed", err)
+		}
+		if _, err := s.Get(burstKey(0)); !errors.Is(err, kv.ErrBroken) {
+			t.Fatalf("Get on the store after the failed seal = %v, want ErrBroken", err)
+		}
+		if err := admin.Failover(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Reopen(); err != nil {
+			t.Fatal(err)
+		}
+		wantValues(t, s, 0, keys, "old")
+	})
+
+	// The crash lands between the second PUT's probe and its Begin, on a
+	// deployment whose autopilot would promote a survivor at that Begin
+	// without telling anyone — and the PUT, planned over state only the
+	// dead primary had, would commit on a node that never saw the first.
+	// Inside a burst that lost commits the Begin is refused instead; the
+	// takeover waits for Reopen.
+	t.Run("autopilot-crash-before-begin", func(t *testing.T) {
+		c := newCluster(t, quorum3(repro.Config{Autopilot: repro.AutopilotConfig{
+			HeartbeatPeriod: 200 * time.Microsecond,
+			AutoFailover:    true,
+		}})).(*repro.Cluster)
+		db := &crashBeforeBegin{Cluster: c}
+		s, err := kv.Open(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preload(t, s, keys)
+		b := s.Burst()
+		if err := b.Put(burstKey(0), []byte("new000")); err != nil {
+			t.Fatal(err)
+		}
+		db.armed = true
+		if err := b.Put(burstKey(1), []byte("new001")); !errors.Is(err, repro.ErrCrashed) {
+			t.Fatalf("PUT whose Begin follows the crash = %v, want ErrCrashed", err)
+		}
+		if got := c.Generation(); got != 0 {
+			t.Fatalf("generation %d: a survivor was promoted inside the burst", got)
+		}
+		if err := b.Put(burstKey(2), []byte("new002")); !errors.Is(err, kv.ErrBroken) {
+			t.Fatalf("PUT after the refused one = %v, want ErrBroken", err)
+		}
+		if err := b.Seal(); !errors.Is(err, repro.ErrCrashed) {
+			t.Fatalf("seal = %v, want ErrCrashed", err)
+		}
+		if err := s.Reopen(); err != nil { // its admission probe promotes
+			t.Fatal(err)
+		}
+		if got := c.Generation(); got != 1 {
+			t.Fatalf("generation %d after Reopen, want 1", got)
+		}
+		wantValues(t, s, 0, keys, "old")
+		if got := s.Len(); got != keys {
+			t.Fatalf("%d live keys after Reopen, want %d", got, keys)
+		}
+	})
+}
+
+// crashBeforeBegin is a deployment whose primary dies the instant before
+// an armed Begin: the crash a racing CrashPrimary lands between a PUT's
+// probe and its transaction, made deterministic.
+type crashBeforeBegin struct {
+	*repro.Cluster
+	armed bool
+}
+
+func (d *crashBeforeBegin) Begin() (repro.Tx, error) {
+	if d.armed {
+		d.armed = false
+		if err := d.CrashPrimary(); err != nil {
+			return nil, err
+		}
+	}
+	return d.Cluster.Begin()
+}
+
+// TestBurstDegradedSeal: backups lost mid-burst leave the seal short of
+// its quorum. The writes are durable on the serving node, the index is
+// right, the store is not broken — and the seal says so.
+func TestBurstDegradedSeal(t *testing.T) {
+	db := newCluster(t, quorum3(repro.Config{}))
+	admin := db.(repro.Admin)
+	s, err := kv.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preload(t, s, 2)
+	b := s.Burst()
+	if err := b.Put(burstKey(0), []byte("new000")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := admin.CrashBackup(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Seal(); !errors.Is(err, repro.ErrSafetyUnavailable) {
+		t.Fatalf("seal with one of three backups left = %v, want ErrSafetyUnavailable", err)
+	}
+	wantValues(t, s, 0, 1, "new")
+	wantValues(t, s, 1, 2, "old")
+}
+
+// TestBurstTxn: a multi-key transaction joins a burst — its reads go
+// through the burst, its commit is covered by the burst's seal.
+func TestBurstTxn(t *testing.T) {
+	db := newCluster(t, quorum3(repro.Config{Metrics: true}))
+	s, err := kv.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preload(t, s, 3)
+	b0, t0 := commitCounters(db)
+	b := s.Burst()
+	if err := b.Put(burstKey(0), []byte("new000")); err != nil {
+		t.Fatal(err)
+	}
+	txn, err := b.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := txn.Get(burstKey(0)); err != nil || string(got) != "new000" {
+		t.Fatalf("txn.Get inside the burst = %q, %v", got, err)
+	}
+	if err := txn.Put(burstKey(1), []byte("new001")); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Delete(burstKey(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if b1, t1 := commitCounters(db); b1-b0 != 1 || t1-t0 != 2 {
+		t.Fatalf("burst sealed %d batches for %d transactions, want 1 for 2", b1-b0, t1-t0)
+	}
+	wantValues(t, s, 0, 2, "new")
+	if _, err := s.Get(burstKey(2)); !errors.Is(err, kv.ErrNotFound) {
+		t.Fatalf("deleted key reads %v, want ErrNotFound", err)
+	}
+}
+
+// TestBurstMultiShardKeepsPerCommitWaits: where a PUT is record-then-flip
+// on two groups nothing is deferred — every commit is its own batch — and
+// the burst only holds the store.
+func TestBurstMultiShardKeepsPerCommitWaits(t *testing.T) {
+	db := newSharded(t, 4, quorum3(repro.Config{Metrics: true}))
+	s, err := kv.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preload(t, s, 3)
+	b0, t0 := commitCounters(db)
+	b := s.Burst()
+	for i := 0; i < 3; i++ {
+		if err := b.Put(burstKey(i), []byte(fmt.Sprintf("new%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := b.Get(burstKey(2)); err != nil || string(got) != "new002" {
+		t.Fatalf("Get inside the burst = %q, %v", got, err)
+	}
+	if err := b.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if b1, t1 := commitCounters(db); b1-b0 != t1-t0 || t1-t0 < 3 {
+		t.Fatalf("%d batches for %d transactions on four shards, want one each", b1-b0, t1-t0)
+	}
+	wantValues(t, s, 0, 3, "new")
+}
+
+// TestBurstDeploymentGrowsUnderIt: a burst that opened on one shard —
+// deferring — finds two when its next mutation commits. The scope closes
+// before the record-then-flip pair runs, so no flip can publish ahead of
+// its record; the burst carries on with per-commit waits.
+func TestBurstDeploymentGrowsUnderIt(t *testing.T) {
+	c := newCluster(t, quorum3(repro.Config{Metrics: true})).(*repro.Cluster)
+	s, err := kv.Open(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preload(t, s, 8)
+	b := s.Burst()
+	if err := b.Put(burstKey(0), []byte("new000")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddShards(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	b0, t0 := commitCounters(c)
+	if err := b.Put(burstKey(1), []byte("new001")); err != nil {
+		t.Fatal(err)
+	}
+	// The deferred first PUT and the second's record and flip: all sealed,
+	// one batch each, before the burst's own seal.
+	if b1, t1 := commitCounters(c); b1-b0 != 3 || t1-t0 != 3 {
+		t.Fatalf("%d batches for %d transactions once the deployment had grown, want 3 for 3", b1-b0, t1-t0)
+	}
+	if err := b.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	wantValues(t, s, 0, 2, "new")
+	wantValues(t, s, 2, 8, "old")
+}

@@ -37,6 +37,20 @@
 // bucket (slot range, record-header sanity, duplicate references and
 // duplicate keys from torn multi-shard flips) and tombstones the losers.
 //
+// A Burst (burst.go) stretches the unit of acknowledgement from one
+// mutation to a run of them: on a one-shard deployment its mutations are
+// back-to-back transactions whose acknowledgement wait is paid once, at
+// Seal. Between a burst's commit and its seal a write is where a 1-safe
+// write always is — committed on the primary, named to no backup — so the
+// committed-prefix argument above still gives the survivor a consistent
+// store; what changes is who may see it. The burst holds the store until
+// the seal, so nobody reads such a write; a primary death in that gap
+// fails the seal, the deployment admits nothing further from the burst
+// (no later mutation lands on a survivor that lacks the earlier ones),
+// the Store breaks as for a failed Commit, and after Reopen every key
+// reads what it held before the burst. Put, Delete and Txn.Commit called
+// directly are not bursts: each is acknowledged when it returns.
+//
 // # Errors
 //
 //	Call            Errors
@@ -48,6 +62,8 @@
 //	Delete          ErrNotFound, ErrEmptyKey, ErrBroken, repro errors
 //	Scan            ErrBroken, repro.ErrCrashed
 //	Txn.Commit      ErrTxnDone plus everything Put and Delete return
+//	Burst.Seal      repro.ErrCrashed (the burst's writes are lost; the
+//	                Store is broken), repro.ErrSafetyUnavailable
 //
 // A repro.ErrSafetyUnavailable from Put, Delete or Txn.Commit means the
 // mutation is durable on the serving node but its acknowledgement
@@ -174,6 +190,7 @@ type Store struct {
 	live   int      // live keys
 	tombs  int      // tombstoned buckets
 	broken bool
+	burst  *Burst // the burst holding mu, nil between bursts (see burst.go)
 
 	// scratch buffers recycled across operations.
 	word [bucketWidth]byte
@@ -545,8 +562,11 @@ func grow(buf []byte, n int) []byte {
 
 // Get returns the value stored under key. The returned slice is freshly
 // allocated.
-func (s *Store) Get(key []byte) ([]byte, error) {
-	val, err := s.GetAppend(key, nil)
+func (s *Store) Get(key []byte) ([]byte, error) { return fresh(s.GetAppend(key, nil)) }
+
+// fresh turns a GetAppend(key, nil) result into Get's: nil on error, and
+// never nil for a value that exists but is empty.
+func fresh(val []byte, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -563,6 +583,11 @@ func (s *Store) Get(key []byte) ([]byte, error) {
 func (s *Store) GetAppend(key, dst []byte) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.get(key, dst)
+}
+
+// get is GetAppend under s.mu.
+func (s *Store) get(key, dst []byte) ([]byte, error) {
 	if err := s.check(key); err != nil {
 		return dst, err
 	}
@@ -594,6 +619,11 @@ func (s *Store) getAppend(rd readFn, key, dst []byte) ([]byte, error) {
 func (s *Store) Put(key, value []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.put(key, value)
+}
+
+// put is Put under s.mu.
+func (s *Store) put(key, value []byte) error {
 	if err := s.check(key); err != nil {
 		return err
 	}
@@ -628,6 +658,11 @@ func (s *Store) Put(key, value []byte) error {
 func (s *Store) Delete(key []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.del(key)
+}
+
+// del is Delete under s.mu.
+func (s *Store) del(key []byte) error {
 	if err := s.check(key); err != nil {
 		return err
 	}
@@ -751,6 +786,15 @@ func (s *Store) commitWrites(writes []*write, flips map[uint64]*write) error {
 			}
 			return flipsBody(tx)
 		})
+	}
+	if s.burst != nil {
+		// The deployment grew under a burst that opened on one shard. With
+		// both acknowledgements deferred a flip's shard could publish
+		// before its record's: the two-phase path keeps its per-commit
+		// waits, so the scope closes here.
+		if err := s.burst.sealScope(); err != nil {
+			return err
+		}
 	}
 	err := s.runTx(records)
 	if err != nil && !errors.Is(err, repro.ErrSafetyUnavailable) {

@@ -20,6 +20,7 @@ import (
 // atomically.
 type Txn struct {
 	s     *Store
+	b     *Burst // the burst the transaction joins, nil for Store.Begin
 	done  bool
 	order []string        // distinct keys in first-touch order
 	ops   map[string]txOp // latest buffered op per key
@@ -58,6 +59,9 @@ func (t *Txn) Get(key []byte) ([]byte, error) {
 		out := make([]byte, len(op.val))
 		copy(out, op.val)
 		return out, nil
+	}
+	if t.b != nil {
+		return t.b.Get(key)
 	}
 	return t.s.Get(key)
 }
@@ -118,8 +122,12 @@ func (t *Txn) Commit() error {
 	}
 	t.done = true
 	s := t.s
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	if t.b != nil {
+		t.b.hold()
+	} else {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+	}
 	if s.broken {
 		return ErrBroken
 	}

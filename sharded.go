@@ -673,21 +673,50 @@ func (c *Cluster) Settle() {
 }
 
 // Flush seals and ships every shard's open group-commit batch (see
-// Config.CommitBatch); a no-op when group commit is off or nothing is
-// pending.
+// Config.CommitBatch and DeferAcks); a no-op when nothing is pending —
+// which includes "a crash already dropped it": see DB.Flush.
 func (c *Cluster) Flush() error { return c.eachShard((*member).Flush) }
 
 // eachShard runs f on every shard and returns the first failure, naming
 // its shard.
-func (c *Cluster) eachShard(f func(*member) error) error {
+func (c *Cluster) eachShard(f func(*member) error) error { return each(c.v().shards, f) }
+
+func each(shards []*member, f func(*member) error) error {
 	var firstErr error
-	for i, m := range c.v().shards {
+	for i, m := range shards {
 		if err := f(m); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("repro: shard %d: %w", i, err)
 		}
 	}
 	return firstErr
 }
+
+// AckScope is an open acknowledgement-deferral scope (see DB.DeferAcks).
+type AckScope struct {
+	shards []*member // the shards the scope opened on
+}
+
+// DeferAcks opens an acknowledgement-deferral scope on every current
+// shard; a shard added while it is open is outside it.
+func (c *Cluster) DeferAcks() AckScope {
+	shards := c.v().shards
+	for _, m := range shards {
+		m.Defer()
+	}
+	return AckScope{shards: shards}
+}
+
+// Seal closes the scope: every shard's open batch is published, its
+// acknowledgements awaited and, on a durable deployment, its WAL synced,
+// once. ErrSafetyUnavailable means what it means from Commit: committed
+// on the serving node, acknowledgement discipline not met. ErrCrashed
+// means a primary died while the scope held unsealed commits: they are
+// lost — no survivor has them — nothing committed inside the scope may be
+// acknowledged, and from the crash until this Seal the shard's Begin
+// refused with ErrCrashed (an autopilot's takeover included), so nothing
+// planned over the lost commits reached a survivor. The error belongs to
+// this scope alone; later commits and flushes never report it.
+func (s AckScope) Seal() error { return each(s.shards, (*member).Seal) }
 
 // CrashPrimary kills the selected shard's primary mid-flight (default
 // shard 0): doubled stores still sitting in its write buffers are lost
