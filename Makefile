@@ -6,12 +6,14 @@
 #   make bench   - regenerate the pinned extension cells -> BENCH_cells.csv
 #   make bench-all - every developer benchmark including exhibit regeneration
 #   make tables  - print the paper's tables, the ablations and the extension cells
+#   make loc     - lines of non-test Go outside bench/: the figure a simplicity
+#                  entry in CHANGES.md quotes before and after
 #
 # The gated end-to-end benchmark is bench/ (bash bench/run.sh, BENCHMARK.json).
 
 GO ?= go
 
-.PHONY: check fmt-check vet build bench-build test test-race bench bench-all tables
+.PHONY: check fmt-check vet build bench-build test test-race bench bench-all tables loc
 
 check: fmt-check vet build bench-build test-race
 
@@ -49,3 +51,6 @@ bench-all:
 
 tables:
 	$(GO) run ./cmd/replbench -experiment everything
+
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs wc -l | tail -1

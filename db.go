@@ -57,7 +57,8 @@ type DB interface {
 	// database.
 	Load(off int, data []byte) error
 	// Flush seals and ships any open group-commit batch (see
-	// Config.CommitBatch and DeferAcks); a no-op when nothing is pending.
+	// Config.CommitBatch and DeferAcks; Settle and Repair seal it too); a
+	// no-op when nothing is pending.
 	// It answers for the batch it ships and nothing else: commits a
 	// primary crash already dropped from an open batch are not its to
 	// report, so after a crash it returns nil — a caller that must know

@@ -98,8 +98,7 @@ var (
 	// and Load.
 	ErrBounds = vista.ErrBounds
 	// ErrWriteOutsideRange is returned by Tx.Write for bytes not covered
-	// by a declared set-range (unless the cluster was built with
-	// Config.UncheckedWrites).
+	// by a declared set-range.
 	ErrWriteOutsideRange = vista.ErrOutOfRange
 	// ErrTxDone is returned by operations on a transaction handle that
 	// has already committed or aborted.

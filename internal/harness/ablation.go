@@ -193,11 +193,11 @@ func runAblationTwoSafe(cfg RunConfig) (*Table, error) {
 		Headers: []string{"Commit discipline", "Debit-Credit", "Loss window"},
 		Notes:   append(runNotes(cfg), "the paper chose 1-safe (Section 2.1); 2-safe is the natural extension"),
 	}
-	for _, twoSafe := range []bool{false, true} {
+	for _, safety := range []replication.Safety{replication.OneSafe, replication.TwoSafe} {
 		pair, err := replication.NewGroup(replication.Config{
-			Mode:    replication.Active,
-			Store:   vista.Config{Version: vista.V3InlineLog, DBSize: cfg.DBSize},
-			TwoSafe: twoSafe,
+			Mode:   replication.Active,
+			Store:  vista.Config{Version: vista.V3InlineLog, DBSize: cfg.DBSize},
+			Safety: safety,
 		})
 		if err != nil {
 			return nil, err
@@ -213,7 +213,7 @@ func runAblationTwoSafe(cfg RunConfig) (*Table, error) {
 			return nil, err
 		}
 		label, window := "1-safe (paper)", "a few microseconds"
-		if twoSafe {
+		if safety == replication.TwoSafe {
 			label, window = "2-safe", "none"
 		}
 		t.Rows = append(t.Rows, []string{label, f0(res.TPS), window})

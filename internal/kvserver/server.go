@@ -54,9 +54,6 @@ type Config struct {
 	// requests (backpressure propagates to the client through TCP). A
 	// burst stages at most as many before it seals. Default 64.
 	Window int
-	// MaxFrame caps the request frame body size (default
-	// kvwire.MaxFrame).
-	MaxFrame int
 	// Logf, when set, receives serving-lifecycle log lines.
 	Logf func(format string, args ...any)
 	// Obs, when set, attaches the server's own instruments (per-opcode
@@ -71,13 +68,12 @@ type Config struct {
 
 // Server serves one kv.Store over any number of listeners.
 type Server struct {
-	store    *kv.Store
-	db       repro.DB
-	admin    repro.Admin // nil when the deployment exposes no Admin
-	window   int
-	maxFrame int
-	logf     func(string, ...any)
-	obs      *serverObs // nil when uninstrumented
+	store  *kv.Store
+	db     repro.DB
+	admin  repro.Admin // nil when the deployment exposes no Admin
+	window int
+	logf   func(string, ...any)
+	obs    *serverObs // nil when uninstrumented
 
 	mu    sync.Mutex
 	lns   map[net.Listener]struct{}
@@ -106,23 +102,19 @@ func New(store *kv.Store, cfg Config) *Server {
 	if cfg.Window <= 0 {
 		cfg.Window = 64
 	}
-	if cfg.MaxFrame <= 0 {
-		cfg.MaxFrame = kvwire.MaxFrame
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	s := &Server{
-		store:    store,
-		db:       store.DB(),
-		window:   cfg.Window,
-		maxFrame: cfg.MaxFrame,
-		logf:     cfg.Logf,
-		obs:      newServerObs(cfg.Obs),
-		lns:      make(map[net.Listener]struct{}),
-		conns:    make(map[net.Conn]struct{}),
-		healCh:   make(chan struct{}, 1),
-		done:     make(chan struct{}),
+		store:  store,
+		db:     store.DB(),
+		window: cfg.Window,
+		logf:   cfg.Logf,
+		obs:    newServerObs(cfg.Obs),
+		lns:    make(map[net.Listener]struct{}),
+		conns:  make(map[net.Conn]struct{}),
+		healCh: make(chan struct{}, 1),
+		done:   make(chan struct{}),
 	}
 	s.admin, _ = s.db.(repro.Admin)
 	s.healWg.Add(1)
@@ -312,17 +304,17 @@ func (s *Server) handleConn(c net.Conn) {
 	r := connReader{s: s, out: out, burst: s.store.Burst()}
 	// A drain does not drop what is already off the socket: draining is
 	// looked at only when the buffer holds no whole frame, once per burst.
-	for frameBuffered(br, s.maxFrame) || !s.draining.Load() {
+	for frameBuffered(br, kvwire.MaxFrame) || !s.draining.Load() {
 		// The frame that wakes the reader: the only read that may block.
 		var err error
-		buf, err = kvwire.ReadFrame(br, buf, s.maxFrame)
+		buf, err = kvwire.ReadFrame(br, buf, kvwire.MaxFrame)
 		fatal := false
 		for err == nil {
 			fatal = r.serve(buf)
-			if fatal || !r.sealPending() || len(r.resps) >= s.window || !frameBuffered(br, s.maxFrame) {
+			if fatal || !r.sealPending() || len(r.resps) >= s.window || !frameBuffered(br, kvwire.MaxFrame) {
 				break
 			}
-			buf, err = kvwire.ReadFrame(br, buf, s.maxFrame)
+			buf, err = kvwire.ReadFrame(br, buf, kvwire.MaxFrame)
 		}
 		r.deliver()
 		if err != nil {
@@ -516,7 +508,7 @@ func (s *Server) execute(b *kv.Burst, req *kvwire.Request, sess *session) []byte
 		buf, countOff := kvwire.BeginScanResponse(kvwire.GetBuf())
 		n := 0
 		entry := func(k, v []byte) error {
-			if len(buf)+len(k)+len(v)+6 > s.maxFrame {
+			if len(buf)+len(k)+len(v)+6 > kvwire.MaxFrame {
 				return errScanTruncated
 			}
 			buf = kvwire.AppendScanEntry(buf, k, v)

@@ -47,12 +47,6 @@ type redoChannel struct {
 	// catches up at each flush.
 	pubTotal uint64
 
-	// free is the recycled transaction handle (one transaction is open at
-	// a time). Recycled only after a clean Commit/Abort — a handle
-	// orphaned by a crash keeps its value, so it can never alias a newer
-	// transaction.
-	free *activeTx
-
 	// Reusable scratch for the zero-alloc commit/apply path. Stack arrays
 	// would escape through the Backing/IOSink interfaces and charge the
 	// allocator per record; the channel is single-stream under the group
@@ -114,112 +108,17 @@ func (g *Group) buildActive(specs []vista.RegionSpec) error {
 	return nil
 }
 
-// activeTx wraps a vista transaction with redo capture. One transaction is
-// open at a time, so the channel reuses a single value and its buffers.
-// Commit/Abort release the group mutex taken at Begin.
-type activeTx struct {
-	ch   *redoChannel
-	tx   *vista.Tx
-	offs []int
-	lens []int
-	data []byte // concatenated payloads, entries indexed via offs/lens
-	done bool
-}
-
-var _ TxHandle = (*activeTx)(nil)
-
-func (c *redoChannel) wrap(tx *vista.Tx) *activeTx {
-	t := c.free
-	if t == nil {
-		t = &activeTx{}
-	}
-	c.free = nil
-	t.ch, t.tx, t.done = c, tx, false
-	t.offs, t.lens, t.data = t.offs[:0], t.lens[:0], t.data[:0]
-	return t
-}
-
-// SetRange delegates to the local engine (undo capture).
-func (t *activeTx) SetRange(off, n int) error {
-	t.ch.g.mu.Lock()
-	defer t.ch.g.mu.Unlock()
-	return t.tx.SetRange(off, n)
-}
-
-// Read delegates to the local engine.
-func (t *activeTx) Read(off int, dst []byte) error {
-	t.ch.g.mu.Lock()
-	defer t.ch.g.mu.Unlock()
-	return t.tx.Read(off, dst)
-}
-
 // maxEntryLen is the largest single redo entry (16-bit length field);
 // larger application writes are staged as several entries.
 const maxEntryLen = 1<<16 - 1
 
-// Write performs the local in-place write and stages the bytes for the
-// commit-time redo record.
-func (t *activeTx) Write(off int, src []byte) error {
-	t.ch.g.mu.Lock()
-	defer t.ch.g.mu.Unlock()
-	if err := t.tx.Write(off, src); err != nil {
-		return err
-	}
-	for len(src) > 0 {
-		n := len(src)
-		if n > maxEntryLen {
-			n = maxEntryLen
-		}
-		t.offs = append(t.offs, off)
-		t.lens = append(t.lens, n)
-		t.data = append(t.data, src[:n]...)
-		off += n
-		src = src[n:]
-	}
-	return nil
-}
-
-// Abort rolls back locally; nothing was shipped yet.
-func (t *activeTx) Abort() error {
-	g := t.ch.g
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if t.done {
-		return vista.ErrTxDone
-	}
-	if g.orphanedLocked(t) {
-		t.done = true
-		return ErrCrashed
-	}
-	t.offs, t.lens, t.data = t.offs[:0], t.lens[:0], t.data[:0]
-	err := t.tx.Abort()
-	t.done = true
-	g.finishTxLocked(t)
-	t.ch.free = t
-	return err
-}
-
-// Commit writes the redo record through the SAN and commits locally (the
-// 1-safe commit point). The producer-pointer publish — which is what lets
-// the backups consume the record — and the TwoSafe/QuorumSafe
-// acknowledgement wait happen in the batch flush: immediately when group
-// commit is off, once per CommitBatch/CommitWindow batch when it is on.
-func (t *activeTx) Commit() error {
-	c := t.ch
+// ship writes t's redo record through the SAN, ahead of the local commit.
+// The record is not yet visible to the backups: the producer pointer that
+// names it is published by the batch flush. The returned error is the
+// acknowledgement failure, if any, of a batch ship had to seal early to
+// make room.
+func (c *redoChannel) ship(t *groupTx) error {
 	g := c.g
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if t.done {
-		return vista.ErrTxDone
-	}
-	if g.orphanedLocked(t) || g.crashed {
-		// The node died mid-transaction: nothing to ship, and the handle
-		// must not touch ring or clock state that may already belong to
-		// a successor era.
-		t.done = true
-		g.finishTxLocked(t)
-		return ErrCrashed
-	}
 	size := 8
 	for _, n := range t.lens {
 		size += 6 + n
@@ -295,28 +194,10 @@ func (t *activeTx) Commit() error {
 	// does it advance the end of buffer pointer").
 	acc.Fence()
 
-	// Local commit: the 1-safe commit point. A crash between here and
-	// the pointer's delivery loses this transaction on the backups.
-	if err := t.tx.Commit(); err != nil {
-		t.done = true
-		g.finishTxLocked(t)
-		t.ch.free = t
-		return err
-	}
-
-	// Join the group-commit batch; the flush (inside joinBatchLocked when
-	// the batch seals) publishes the pointer and pays the ack wait.
-	ackErr := g.joinBatchLocked()
-	if ackErr == nil {
-		// Surface an ack failure from the early capacity flush above:
-		// those batch members' degradation would otherwise be silent.
-		ackErr = preErr
-	}
-	t.offs, t.lens, t.data = t.offs[:0], t.lens[:0], t.data[:0]
-	t.done = true
-	g.finishTxLocked(t)
-	t.ch.free = t
-	return ackErr
+	// The local commit that follows is the 1-safe commit point: a crash
+	// between it and the pointer's delivery loses this transaction on the
+	// backups.
+	return preErr
 }
 
 // flush publishes the producer pointer covering every record written since

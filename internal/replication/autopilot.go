@@ -464,8 +464,11 @@ func (g *Group) crashPrimaryLocked() {
 	g.batchCount = 0
 	g.batchStart = 0
 	// The open transaction (if any) died with the node: free the slot so
-	// post-failover Begins are not blocked by a ghost.
+	// post-failover Begins are not blocked by a ghost. The recycled handle
+	// goes too: it points into the dead node's store and would keep that
+	// node's memory alive until the next Begin.
 	g.curHandle = nil
+	g.freeTx = nil
 	g.txFree.Broadcast()
 	g.store.MarkCrashed()
 	if g.primary.MC != nil {

@@ -88,198 +88,161 @@ func (g *Group) Begin() (TxHandle, error) {
 	if err != nil {
 		return nil, err
 	}
-	var h TxHandle
-	switch {
-	case g.redo != nil:
-		h = g.redo.wrap(tx)
-	case g.cfg.Safety != OneSafe && len(g.backups) > 0:
-		st := g.freeSafety
-		if st == nil {
-			st = &safetyTx{}
-		}
-		g.freeSafety = nil
-		*st = safetyTx{g: g, tx: tx}
-		h = st
-	default:
-		pt := g.freePlain
-		if pt == nil {
-			pt = &plainTx{}
-		}
-		g.freePlain = nil
-		*pt = plainTx{g: g, tx: tx}
-		h = pt
+	t := g.freeTx
+	if t == nil {
+		t = &groupTx{}
 	}
-	g.curHandle = h
-	return h, nil
+	g.freeTx = nil
+	t.g, t.tx, t.done = g, tx, false
+	t.offs, t.lens, t.data = t.offs[:0], t.lens[:0], t.data[:0]
+	g.curHandle = t
+	return t, nil
 }
 
-// finishTxLocked releases the open-transaction slot (h is known to own
-// it) and wakes one Begin waiter.
-func (g *Group) finishTxLocked(h TxHandle) {
-	if g.curHandle == h {
-		g.curHandle = nil
-		g.txFree.Signal()
-	}
-}
-
-// orphanedLocked reports whether h lost the open-transaction slot to a
-// crash: its node died under it, so the handle must refuse further work
-// without touching state that may meanwhile belong to a fresh
-// transaction. An orphaned handle is never recycled.
-func (g *Group) orphanedLocked(h TxHandle) bool { return g.curHandle != h }
-
-// plainTx is the standalone / passive-1-safe handle: it only adds the
-// per-operation locking and the open-slot release at the end of the
-// transaction. One value is recycled per group (a single transaction is
-// open at a time), so a handle must not be used after Commit/Abort.
-type plainTx struct {
+// groupTx is the one transaction handle of every mode and era: it adds the
+// per-operation locking, the redo capture of the active era and the
+// commit-time shipping, batching and acknowledgement wait to the local
+// engine's transaction. One value and its buffers are recycled per group (a
+// single transaction is open at a time), so a handle must not be used after
+// Commit/Abort.
+type groupTx struct {
 	g    *Group
 	tx   *vista.Tx
 	done bool
+	// The writes staged for the commit-time redo record (active era only):
+	// concatenated payloads, entries indexed via offs/lens.
+	offs []int
+	lens []int
+	data []byte
 }
 
-var _ TxHandle = (*plainTx)(nil)
+var _ TxHandle = (*groupTx)(nil)
 
-func (t *plainTx) SetRange(off, n int) error {
+// SetRange delegates to the local engine (undo capture).
+func (t *groupTx) SetRange(off, n int) error {
 	t.g.mu.Lock()
 	defer t.g.mu.Unlock()
 	return t.tx.SetRange(off, n)
 }
 
-func (t *plainTx) Write(off int, src []byte) error {
-	t.g.mu.Lock()
-	defer t.g.mu.Unlock()
-	return t.tx.Write(off, src)
-}
-
-func (t *plainTx) Read(off int, dst []byte) error {
+// Read delegates to the local engine.
+func (t *groupTx) Read(off int, dst []byte) error {
 	t.g.mu.Lock()
 	defer t.g.mu.Unlock()
 	return t.tx.Read(off, dst)
 }
 
-func (t *plainTx) Commit() error {
+// Write performs the local in-place write (doubled onto the backups in the
+// passive era) and, in the active era, stages the bytes for the commit-time
+// redo record.
+func (t *groupTx) Write(off int, src []byte) error {
 	g := t.g
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if t.done {
-		return vista.ErrTxDone
-	}
-	if g.orphanedLocked(t) {
-		t.done = true
-		return ErrCrashed
-	}
-	err := t.tx.Commit()
-	t.done = true
-	g.finishTxLocked(t)
-	g.freePlain = t
-	if err == nil {
-		// Plain commits never batch, so each one is its own durability
-		// flush (the Standalone and 1-safe-passive disk discipline).
-		if derr := g.durFlushLocked(); derr != nil {
-			err = derr
-		}
-	}
-	g.pumpRepairLocked(false, true)
-	g.autopilotPumpLocked()
-	return err
-}
-
-func (t *plainTx) Abort() error {
-	g := t.g
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if t.done {
-		return vista.ErrTxDone
-	}
-	if g.orphanedLocked(t) {
-		t.done = true
-		return ErrCrashed
-	}
-	err := t.tx.Abort()
-	t.done = true
-	g.finishTxLocked(t)
-	g.freePlain = t
-	return err
-}
-
-// safetyTx wraps a passive-era transaction with the commit-safety wait:
-// the doubled writes already carry the state, so closing the window only
-// needs the write buffers drained and the acknowledgement round trip. With
-// group commit enabled the drain and the round trip are paid once per
-// batch instead of once per transaction.
-type safetyTx struct {
-	g    *Group
-	tx   *vista.Tx
-	done bool
-}
-
-var _ TxHandle = (*safetyTx)(nil)
-
-func (t *safetyTx) SetRange(off, n int) error {
-	t.g.mu.Lock()
-	defer t.g.mu.Unlock()
-	return t.tx.SetRange(off, n)
-}
-
-func (t *safetyTx) Write(off int, src []byte) error {
-	t.g.mu.Lock()
-	defer t.g.mu.Unlock()
-	return t.tx.Write(off, src)
-}
-
-func (t *safetyTx) Read(off int, dst []byte) error {
-	t.g.mu.Lock()
-	defer t.g.mu.Unlock()
-	return t.tx.Read(off, dst)
-}
-
-func (t *safetyTx) Abort() error {
-	g := t.g
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if t.done {
-		return vista.ErrTxDone
-	}
-	if g.orphanedLocked(t) {
-		t.done = true
-		return ErrCrashed
-	}
-	err := t.tx.Abort()
-	t.done = true
-	g.finishTxLocked(t)
-	g.freeSafety = t
-	return err
-}
-
-func (t *safetyTx) Commit() error {
-	g := t.g
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if t.done {
-		return vista.ErrTxDone
-	}
-	if g.orphanedLocked(t) {
-		t.done = true
-		return ErrCrashed
-	}
-	if err := t.tx.Commit(); err != nil {
-		t.done = true
-		g.finishTxLocked(t)
-		g.freeSafety = t
+	if err := t.tx.Write(off, src); err != nil || g.redo == nil {
 		return err
 	}
-	err := g.joinBatchLocked()
+	for len(src) > 0 {
+		n := len(src)
+		if n > maxEntryLen {
+			n = maxEntryLen
+		}
+		t.offs = append(t.offs, off)
+		t.lens = append(t.lens, n)
+		t.data = append(t.data, src[:n]...)
+		off += n
+		src = src[n:]
+	}
+	return nil
+}
+
+// closeLocked is the shared opening of Commit and Abort: a finished handle
+// answers ErrTxDone, and one that lost the open-transaction slot to a crash
+// — its node died under it — refuses with ErrCrashed without touching ring,
+// clock or slot state that may meanwhile belong to a fresh transaction. An
+// orphaned handle is never recycled, so it can never alias a newer one.
+func (t *groupTx) closeLocked() error {
+	if t.done {
+		return vista.ErrTxDone
+	}
 	t.done = true
-	g.finishTxLocked(t)
-	g.freeSafety = t
+	if t.g.curHandle != t {
+		return ErrCrashed
+	}
+	return nil
+}
+
+// releaseLocked frees the open-transaction slot t owns, wakes one Begin
+// waiter and recycles the handle.
+func (t *groupTx) releaseLocked() {
+	g := t.g
+	g.curHandle = nil
+	g.txFree.Signal()
+	g.freeTx = t
+}
+
+// Abort rolls back locally; nothing was shipped yet.
+func (t *groupTx) Abort() error {
+	t.g.mu.Lock()
+	defer t.g.mu.Unlock()
+	if err := t.closeLocked(); err != nil {
+		return err
+	}
+	err := t.tx.Abort()
+	t.releaseLocked()
 	return err
+}
+
+// Commit commits locally — the 1-safe commit point — after, in the active
+// era, writing the transaction's redo record through the SAN. What is left
+// of the commit is deferred work a batch can share: the producer-pointer
+// publish that lets the backups consume the record, and the
+// TwoSafe/QuorumSafe acknowledgement wait. It happens in the batch flush:
+// immediately when group commit is off, once per batch when it is on. A
+// passive 1-safe or standalone commit defers nothing (the doubled stores
+// drain on their own), so it never batches and is its own durability flush.
+func (t *groupTx) Commit() error {
+	g := t.g
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if err := t.closeLocked(); err != nil {
+		return err
+	}
+	var shipErr error
+	if g.redo != nil {
+		shipErr = g.redo.ship(t)
+	}
+	err := t.tx.Commit()
+	t.releaseLocked()
+	if err != nil {
+		return err
+	}
+	if g.redo == nil && !g.passiveAcksLocked() {
+		err = g.durFlushLocked()
+		g.pumpRepairLocked(false, true)
+		g.autopilotPumpLocked()
+		return err
+	}
+	// The flush (inside joinBatchLocked when the batch seals) publishes the
+	// pointer and pays the ack wait.
+	if err = g.joinBatchLocked(); err == nil {
+		// Surface an ack failure from ship's early capacity flush: those
+		// batch members' degradation would otherwise be silent.
+		err = shipErr
+	}
+	return err
+}
+
+// passiveAcksLocked reports whether a passive-era commit owes an
+// acknowledgement wait. Without one (1-safe, or no backup left to ask) it
+// carries no deferred work at all.
+func (g *Group) passiveAcksLocked() bool {
+	return g.cfg.Safety != OneSafe && len(g.backups) > 0
 }
 
 // batchLimit returns the commit count that seals a batch: unbounded while
-// a deferral scope is open (its Seal flushes), else 1 when group commit is
-// off (flush every commit), CommitBatch when set, otherwise unbounded
-// (window- or Flush-driven sealing).
+// a deferral scope is open (its Seal flushes), else CommitBatch, or 1 when
+// group commit is off (flush every commit).
 func (g *Group) batchLimit() int {
 	const unbounded = int(^uint(0) >> 1)
 	if g.deferDepth > 0 {
@@ -288,27 +251,21 @@ func (g *Group) batchLimit() int {
 	if g.cfg.CommitBatch > 1 {
 		return g.cfg.CommitBatch
 	}
-	if g.cfg.CommitBatch <= 1 && g.cfg.CommitWindow <= 0 {
-		return 1
-	}
-	return unbounded // window-only batching: no count cap
+	return 1
 }
 
 // joinBatchLocked adds the just-committed transaction to the open batch
-// and flushes when the batch seals: at the CommitBatch-th member, or when
-// this commit landed CommitWindow past the batch's opening instant. With
-// group commit off the batch seals at every commit, reproducing the
-// unbatched pipeline exactly. Every commit also grants the background
-// repair copier the simulated time that has passed since its last pump.
+// and flushes when the batch seals at its batchLimit-th member. With group
+// commit off the batch seals at every commit, reproducing the unbatched
+// pipeline exactly. Every commit also grants the background repair copier
+// the simulated time that has passed since its last pump.
 func (g *Group) joinBatchLocked() error {
-	now := g.primary.Clock.Now()
 	if g.batchCount == 0 {
-		g.batchStart = now
+		g.batchStart = g.primary.Clock.Now()
 	}
 	g.batchCount++
 	var err error
-	if g.batchCount >= g.batchLimit() ||
-		(g.cfg.CommitWindow > 0 && sim.Dur(now-g.batchStart) >= g.cfg.CommitWindow) {
+	if g.batchCount >= g.batchLimit() {
 		err = g.flushLocked()
 	}
 	g.pumpRepairLocked(false, true)
@@ -335,8 +292,8 @@ func (g *Group) Flush() error {
 // server answering a pipelined burst — pays one pointer publish, one
 // acknowledgement wait and one disk sync for the run, whatever CommitBatch
 // says. Sealing sooner is always safe, so the ring-capacity guard of the
-// active commit path, a CommitWindow, Flush and Settle keep sealing inside
-// a scope. Scopes nest; count-based sealing resumes when the last closes.
+// active commit path, Flush, Settle and Repair keep sealing inside a
+// scope. Scopes nest; count-based sealing resumes when the last closes.
 func (g *Group) Defer() {
 	g.mu.Lock()
 	g.deferDepth++
@@ -402,9 +359,7 @@ func (g *Group) flushLocked() error {
 // flushPassiveLocked closes the passive-era batch: one buffer drain and
 // one acknowledgement round trip cover every commit in the batch.
 func (g *Group) flushPassiveLocked() error {
-	if g.cfg.Safety == OneSafe || len(g.backups) == 0 {
-		// 1-safe passive commits carry no deferred work: the doubled
-		// stores drain on their own.
+	if !g.passiveAcksLocked() {
 		return nil
 	}
 	// Everything the batch doubled must leave the write buffers before

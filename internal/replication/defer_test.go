@@ -122,7 +122,7 @@ func TestDeferCrashInTheGap(t *testing.T) {
 	// open returns a quorum group with `sealed` acknowledged commits and an
 	// open scope holding `inScope` more.
 	open := func(t *testing.T) (*replication.Group, *dcStream) {
-		g := newGCGroup(t, replication.QuorumSafe, 0, 0)
+		g := newGCGroup(t, replication.QuorumSafe, 0)
 		s := newDCStream(t, g, seed)
 		s.commit(sealed)
 		g.Defer()

@@ -52,7 +52,7 @@ type Group struct {
 	// open transaction finishes (or dies with a crashed primary).
 	mu        sync.Mutex
 	txFree    *sync.Cond
-	curHandle TxHandle // the open transaction's handle, nil when idle
+	curHandle *groupTx // the open transaction's handle, nil when idle
 
 	primary *Node
 	backups []*backup
@@ -93,9 +93,9 @@ type Group struct {
 	servingRef   atomic.Pointer[measureRef]
 	servingStore atomic.Pointer[vista.Store]
 
-	// Group-commit state (see Config.CommitBatch/CommitWindow): commits
-	// joined to the open batch since the last flush, and the simulated
-	// time the batch opened.
+	// Group-commit state (see Config.CommitBatch): commits joined to the
+	// open batch since the last flush, and the simulated time the batch
+	// opened.
 	batchCount int
 	batchStart sim.Time
 
@@ -105,13 +105,12 @@ type Group struct {
 	deferDepth int
 	deferLost  bool
 
-	// Recycled scratch for the commit path (all under mu). Handles are
+	// Recycled scratch for the commit path (all under mu). The handle is
 	// recycled only after a clean Commit/Abort: a handle orphaned by a
 	// mid-transaction crash keeps sole ownership of its value forever, so
 	// a stale holder can never alias a newer transaction.
-	ackBuf     []sim.Time
-	freePlain  *plainTx
-	freeSafety *safetyTx
+	ackBuf []sim.Time
+	freeTx *groupTx
 
 	// Replica-read state (see readview.go): the measurement generation
 	// read-view anchors are tied to, and the round-robin cursor that
@@ -134,9 +133,6 @@ func NewGroup(cfg Config) (*Group, error) {
 		def := sim.Default()
 		params = &def
 	}
-	if cfg.TwoSafe && cfg.Safety == OneSafe {
-		cfg.Safety = TwoSafe
-	}
 	if !cfg.Safety.Valid() {
 		return nil, fmt.Errorf("replication: invalid safety level %d", int(cfg.Safety))
 	}
@@ -152,14 +148,8 @@ func NewGroup(cfg Config) (*Group, error) {
 	if cfg.CommitBatch < 0 {
 		return nil, fmt.Errorf("replication: negative commit batch %d", cfg.CommitBatch)
 	}
-	if cfg.CommitWindow < 0 {
-		return nil, fmt.Errorf("replication: negative commit window %d", cfg.CommitWindow)
-	}
 	if cfg.RepairChunk < 0 {
 		return nil, fmt.Errorf("replication: negative repair chunk %d", cfg.RepairChunk)
-	}
-	if cfg.RepairShare < 0 || cfg.RepairShare > 1 {
-		return nil, fmt.Errorf("replication: repair share %v outside (0,1]", cfg.RepairShare)
 	}
 	if cfg.Autopilot.HeartbeatPeriod < 0 {
 		return nil, fmt.Errorf("replication: negative heartbeat period %v", cfg.Autopilot.HeartbeatPeriod)
@@ -383,13 +373,9 @@ func (g *Group) Link() *sim.Link {
 
 // QuiesceGrace returns the simulated idle time that drains everything in
 // flight: the stale-buffer age, the posted-write window's serialization,
-// and the delivery plus acknowledgement latency. Config.SettleGrace
-// overrides the derivation. Facades use it as the Settle duration instead
-// of a hardcoded constant.
+// and the delivery plus acknowledgement latency. Facades use it as the
+// Settle duration instead of a hardcoded constant.
 func (g *Group) QuiesceGrace() sim.Dur {
-	if g.cfg.SettleGrace > 0 {
-		return g.cfg.SettleGrace
-	}
 	p := g.params
 	return p.DrainAge + sim.Dur(p.PostedDepth)*p.PacketTime(p.MaxPacket) + 2*p.LinkLatency
 }
@@ -399,10 +385,9 @@ func (g *Group) QuiesceGrace() sim.Dur {
 func (g *Group) Now() sim.Time { return g.Primary().Clock.Now() }
 
 // TransferRate returns the background copier's bandwidth in bytes per
-// unit of simulated time: the configured RepairShare of the SAN's
-// full-packet rate. Exported so cross-group movers (the facade's
-// rebalancer) pace bulk range transfers with the same discipline as
-// repair.
+// unit of simulated time: half the SAN's full-packet rate. Exported so
+// cross-group movers (the facade's rebalancer) pace bulk range transfers
+// with the same discipline as repair.
 func (g *Group) TransferRate() float64 { return g.repairRate() }
 
 // ShipBulk charges n bulk-category bytes to the serving node's SAN at its

@@ -12,15 +12,14 @@ import (
 
 const gcDB = 4 << 20
 
-func newGCGroup(t *testing.T, safety replication.Safety, batch int, window sim.Dur) *replication.Group {
+func newGCGroup(t *testing.T, safety replication.Safety, batch int) *replication.Group {
 	t.Helper()
 	g, err := replication.NewGroup(replication.Config{
-		Mode:         replication.Active,
-		Store:        vista.Config{Version: vista.V3InlineLog, DBSize: gcDB},
-		Backups:      3,
-		Safety:       safety,
-		CommitBatch:  batch,
-		CommitWindow: window,
+		Mode:        replication.Active,
+		Store:       vista.Config{Version: vista.V3InlineLog, DBSize: gcDB},
+		Backups:     3,
+		Safety:      safety,
+		CommitBatch: batch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +75,7 @@ func TestGroupCommitQuorumZeroLoss(t *testing.T) {
 		{"open-tail", 43, 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := newGCGroup(t, replication.QuorumSafe, 5, 0)
+			g := newGCGroup(t, replication.QuorumSafe, 5)
 			w := driveDC(t, g, seed, tc.commits)
 
 			if err := g.Crash(); err != nil {
@@ -109,7 +108,7 @@ func TestGroupCommitQuorumZeroLoss(t *testing.T) {
 // TestGroupCommitFlushShipsTail: Flush (and Settle) seal the open batch,
 // so an explicit flush before the crash closes the batched loss window.
 func TestGroupCommitFlushShipsTail(t *testing.T) {
-	g := newGCGroup(t, replication.QuorumSafe, 5, 0)
+	g := newGCGroup(t, replication.QuorumSafe, 5)
 	w := driveDC(t, g, 99, 43)
 	if err := g.Flush(); err != nil {
 		t.Fatal(err)
@@ -135,41 +134,17 @@ func TestGroupCommitFlushShipsTail(t *testing.T) {
 	}
 }
 
-// TestGroupCommitWindowDefers: with only a (large) CommitWindow set, the
-// backups see nothing until the window closes or a flush forces the seal —
-// the producer pointer is what publishes a batch.
-func TestGroupCommitWindowDefers(t *testing.T) {
-	g := newGCGroup(t, replication.OneSafe, 0, sim.Dur(10)*sim.Millisecond)
-	driveDC(t, g, 5, 10)
-	if got := g.BackupApplied(); got != 0 {
-		t.Fatalf("backup applied %d transactions before any flush, want 0", got)
-	}
-	// Settle seals the batch and lets the (1-safe, unfenced) pointer
-	// packet drain out of the write buffers to the backups.
-	g.Settle(10 * sim.Microsecond)
-	if got := g.BackupApplied(); got != 10 {
-		t.Fatalf("backup applied %d transactions after Settle, want 10", got)
-	}
-
-	// A small window seals batches on its own: a commit landing past the
-	// window flushes without any explicit Flush.
-	g2 := newGCGroup(t, replication.OneSafe, 0, sim.Dur(1)*sim.Microsecond)
-	driveDC(t, g2, 5, 10)
-	if got := g2.BackupApplied(); got == 0 {
-		t.Fatal("small commit window never sealed a batch")
-	}
-}
-
 // TestGroupCommitRingCapacityFlush: reserved-but-unpublished redo bytes
-// must never outgrow the ring. An unbounded window-only batch pushing
-// multiple ring capacities of large records through the channel forces
-// early capacity flushes instead of deadlocking the ring reservation
-// (this panicked before the capacity guard in activeTx.Commit).
+// must never outgrow the ring. An unbounded batch pushing multiple ring
+// capacities of large records through the channel forces early capacity
+// flushes instead of deadlocking the ring reservation (this panicked
+// before the capacity guard in redoChannel.ship).
 func TestGroupCommitRingCapacityFlush(t *testing.T) {
-	// Window-only batching: batchLimit is unbounded, so only the
+	// An open deferral scope: batchLimit is unbounded, so only the
 	// capacity guard seals batches. Default ring is 1 MB; 400 x 8 KB
 	// records push ~3.3 MB through it.
-	g := newGCGroup(t, replication.QuorumSafe, 0, sim.Dur(1)*sim.Second)
+	g := newGCGroup(t, replication.QuorumSafe, 0)
+	g.Defer()
 	const (
 		txns    = 400
 		payload = 8 << 10
@@ -193,7 +168,7 @@ func TestGroupCommitRingCapacityFlush(t *testing.T) {
 			t.Fatalf("commit %d: %v", i, err)
 		}
 	}
-	if err := g.Flush(); err != nil {
+	if err := g.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	g.Settle(10 * sim.Microsecond)
@@ -208,7 +183,7 @@ func TestGroupCommitRingCapacityFlush(t *testing.T) {
 // identical.
 func TestGroupCommitAmortizesAcks(t *testing.T) {
 	elapsed := func(batch int) (sim.Time, []byte) {
-		g := newGCGroup(t, replication.TwoSafe, batch, 0)
+		g := newGCGroup(t, replication.TwoSafe, batch)
 		g.ResetMeasurement()
 		driveDC(t, g, 7, 60)
 		if err := g.Flush(); err != nil {
@@ -233,7 +208,7 @@ func TestGroupCommitAmortizesAcks(t *testing.T) {
 // default preserves the unbatched numbers exactly.
 func TestGroupCommitOffMatchesUnbatched(t *testing.T) {
 	run := func(batch int) sim.Time {
-		g := newGCGroup(t, replication.QuorumSafe, batch, 0)
+		g := newGCGroup(t, replication.QuorumSafe, batch)
 		g.ResetMeasurement()
 		driveDC(t, g, 11, 50)
 		return g.Elapsed()

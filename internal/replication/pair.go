@@ -108,35 +108,18 @@ type Config struct {
 	// Safety selects the commit discipline (default OneSafe). Anything
 	// stronger than OneSafe requires a replicated mode.
 	Safety Safety
-	// TwoSafe is the legacy toggle for Safety == TwoSafe; setting it with
-	// Safety left at OneSafe upgrades the safety level.
-	TwoSafe bool
 	// CommitBatch enables group commit: up to CommitBatch transactions
 	// committing back to back coalesce into one producer-pointer publish
 	// and (under TwoSafe/QuorumSafe) one acknowledgement wait. 0 or 1
 	// disables batching, reproducing the per-commit pipeline exactly.
 	// Commits sitting in an unflushed batch at a primary crash are lost —
-	// the batched generalization of the paper's 1-safe window.
+	// the batched generalization of the paper's 1-safe window. Flush,
+	// Settle and Repair always ship the open batch.
 	CommitBatch int
-	// CommitWindow bounds, in simulated time, how long a commit may wait
-	// in an open batch: a commit landing CommitWindow or more after the
-	// batch opened seals and flushes it (itself included). Setting only
-	// CommitWindow (CommitBatch 0) gives pure window-based batching;
-	// setting neither disables group commit. Settle and Flush always ship
-	// the open batch.
-	CommitWindow sim.Dur
 	// RepairChunk bounds the bytes one background-repair pump ships, so
 	// the state transfer interleaves with commits at a fine grain
 	// (default 64 KB).
 	RepairChunk int
-	// RepairShare is the fraction of the SAN bandwidth the online
-	// repair's background copier may consume while transactions run
-	// (default 0.5; must lie in (0, 1]).
-	RepairShare float64
-	// SettleGrace overrides the derived quiesce duration QuiesceGrace
-	// computes from the platform constants (drain age, posted window,
-	// link latency). Zero derives.
-	SettleGrace sim.Dur
 	// Autopilot switches on the unattended failure-detection/response
 	// subsystem (heartbeats, lease-guarded auto-failover, self-healing
 	// repair). The zero value disables it, leaving every fault to the
@@ -157,8 +140,8 @@ type Config struct {
 }
 
 // TxHandle is the transactional surface shared by all modes; vista.Tx
-// satisfies it, and the replicated modes wrap it with redo capture and/or
-// the configured commit-safety wait.
+// satisfies it, and Group.Begin wraps it in a groupTx, which adds redo
+// capture and the configured commit-safety wait where the era has them.
 type TxHandle interface {
 	SetRange(off, n int) error
 	Write(off int, src []byte) error

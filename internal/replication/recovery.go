@@ -42,14 +42,15 @@ import (
 // nothing to repair: every configured replica is enrolled and in sync.
 var ErrNotRepairable = errors.New("replication: nothing to repair")
 
-// Online-repair tuning defaults (overridable via Config).
+// Online-repair tuning.
 const (
 	// defaultRepairChunk bounds the bytes one pump ships, so the copier
-	// interleaves with commits at a fine grain.
+	// interleaves with commits at a fine grain (Config.RepairChunk
+	// overrides it).
 	defaultRepairChunk = 64 << 10
-	// defaultRepairShare is the fraction of the SAN bandwidth the
-	// background copier may consume while transactions run.
-	defaultRepairShare = 0.5
+	// repairShare is the fraction of the SAN bandwidth the background
+	// copier may consume while transactions run.
+	repairShare = 0.5
 	// cutoverLag is the unapplied redo-ring span under which a
 	// catching-up joiner is close enough for the brief cut-over.
 	cutoverLag = 4096
@@ -105,18 +106,14 @@ func (g *Group) chunkBytes() int {
 	return defaultRepairChunk
 }
 
-// repairRate returns the copier's bandwidth in bytes per picosecond: the
-// configured share of the SAN's full-packet bandwidth.
+// repairRate returns the copier's bandwidth in bytes per picosecond:
+// repairShare of the SAN's full-packet bandwidth.
 func (g *Group) repairRate() float64 {
-	share := g.cfg.RepairShare
-	if share <= 0 || share > 1 {
-		share = defaultRepairShare
-	}
 	pt := g.params.PacketTime(g.params.MaxPacket)
 	if pt <= 0 {
 		return 0
 	}
-	return share * float64(g.params.MaxPacket) / float64(pt)
+	return repairShare * float64(g.params.MaxPacket) / float64(pt)
 }
 
 // syncRegionsLocked returns the serving node's regions a joiner must hold:
@@ -291,6 +288,11 @@ func (g *Group) Repair() (*Group, error) {
 			g.mu.Unlock()
 			return g, nil
 		}
+		// Cut-over waits for a closed batch (see pumpJobLocked), and the
+		// commits that would seal an open one may never come: seal it here.
+		// An acknowledgement the degraded group cannot give is no reason to
+		// stop: the repair is what restores it.
+		_ = g.flushLocked()
 		g.pumpRepairLocked(true, true)
 		g.mu.Unlock()
 	}
@@ -464,7 +466,7 @@ func (g *Group) enrollFreshLocked(i int, wire bool) (*backup, error) {
 
 // pumpRepairLocked advances every in-flight join. With sync false (the
 // background mode), each job's transfer budget is the simulated time that
-// passed since its last pump, bought at the configured share of the SAN
+// passed since its last pump, bought at repairShare of the SAN
 // bandwidth; with sync true one chunk ships unconditionally per call (the
 // synchronous Repair loop). charged bulk bytes occupy the link and are
 // accounted under mem.CatSync; the failover re-sync runs uncharged, like

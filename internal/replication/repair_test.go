@@ -3,6 +3,7 @@ package replication_test
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -14,6 +15,71 @@ func TestRepairPreconditions(t *testing.T) {
 	pair := newPair(t, replication.Passive, vista.V3InlineLog)
 	if _, err := pair.Repair(); !errors.Is(err, replication.ErrNotRepairable) {
 		t.Fatalf("repair before failover: %v", err)
+	}
+}
+
+// repairWithin runs a synchronous repair on its own goroutine and fails the
+// test if it has not returned in time: a Repair that cannot finish spins
+// instead of returning an error.
+func repairWithin(t *testing.T, repair func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- repair() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("repair: %v", err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("Repair has not returned: it is waiting for a cut-over that needs the open batch sealed")
+	}
+}
+
+// TestRepairSealsOpenBatch: a joiner's cut-over waits for the open
+// group-commit batch to close, and the commits that would close it may
+// never come — Repair is synchronous — so Repair seals the batch itself.
+func TestRepairSealsOpenBatch(t *testing.T) {
+	const commits = 3
+	for _, tc := range []struct {
+		name  string
+		batch int
+		scope bool
+	}{
+		{"CommitBatch-tail", 16, false},
+		{"deferral-scope", 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := newGCGroup(t, replication.QuorumSafe, tc.batch)
+			if tc.scope {
+				g.Defer()
+			}
+			for i := 0; i < commits; i++ {
+				commitSlot(t, g, i, byte(i+1))
+			}
+			if got := g.BackupApplied(); got != 0 {
+				t.Fatalf("backup applied %d transactions: the batch is not open", got)
+			}
+			if err := g.CrashBackup(0); err != nil {
+				t.Fatal(err)
+			}
+			repairWithin(t, func() error {
+				_, err := g.Repair()
+				return err
+			})
+			// The crashed backup was dropped, so the joiner is the last of
+			// the three.
+			if st := g.BackupState(2); st != replication.StateInSync {
+				t.Fatalf("joiner is %v after Repair, want InSync", st)
+			}
+			if got := g.BackupApplied(); got != commits {
+				t.Fatalf("backup applied %d transactions after Repair, want %d", got, commits)
+			}
+			if tc.scope {
+				if err := g.Seal(); err != nil {
+					t.Fatalf("seal after the repair = %v, want nil", err)
+				}
+			}
+		})
 	}
 }
 

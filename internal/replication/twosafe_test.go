@@ -11,9 +11,9 @@ import (
 
 func TestTwoSafeRequiresBackup(t *testing.T) {
 	if _, err := replication.NewGroup(replication.Config{
-		Mode:    replication.Standalone,
-		Store:   vista.Config{Version: vista.V3InlineLog, DBSize: testDB},
-		TwoSafe: true,
+		Mode:   replication.Standalone,
+		Store:  vista.Config{Version: vista.V3InlineLog, DBSize: testDB},
+		Safety: replication.TwoSafe,
 	}); !errors.Is(err, replication.ErrSafetyNeedsBackup) {
 		t.Fatalf("2-safe standalone accepted: %v", err)
 	}
@@ -30,9 +30,9 @@ func TestTwoSafeRequiresBackup(t *testing.T) {
 // no settling — loses nothing: every commit that returned is on the backup.
 func TestTwoSafeClosesTheWindow(t *testing.T) {
 	pair, err := replication.NewGroup(replication.Config{
-		Mode:    replication.Active,
-		Store:   vista.Config{Version: vista.V3InlineLog, DBSize: testDB},
-		TwoSafe: true,
+		Mode:   replication.Active,
+		Store:  vista.Config{Version: vista.V3InlineLog, DBSize: testDB},
+		Safety: replication.TwoSafe,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -62,11 +62,11 @@ func TestTwoSafeClosesTheWindow(t *testing.T) {
 // TestTwoSafeCostsThroughput: closing the window must cost simulated time
 // (a SAN round trip plus the backup's apply per commit).
 func TestTwoSafeCostsThroughput(t *testing.T) {
-	run := func(twoSafe bool) float64 {
+	run := func(safety replication.Safety) float64 {
 		pair, err := replication.NewGroup(replication.Config{
-			Mode:    replication.Active,
-			Store:   vista.Config{Version: vista.V3InlineLog, DBSize: testDB},
-			TwoSafe: twoSafe,
+			Mode:   replication.Active,
+			Store:  vista.Config{Version: vista.V3InlineLog, DBSize: testDB},
+			Safety: safety,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +81,7 @@ func TestTwoSafeCostsThroughput(t *testing.T) {
 		}
 		return res.TPS
 	}
-	oneSafe, twoSafe := run(false), run(true)
+	oneSafe, twoSafe := run(replication.OneSafe), run(replication.TwoSafe)
 	if twoSafe >= oneSafe {
 		t.Fatalf("2-safe (%0.f) not slower than 1-safe (%0.f)", twoSafe, oneSafe)
 	}

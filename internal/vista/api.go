@@ -90,9 +90,6 @@ type Config struct {
 	// SparseDB backs the database (and mirror) with page-on-demand
 	// storage for the large-database experiment (paper Table 8).
 	SparseDB bool
-	// UncheckedWrites disables set-range enforcement on Tx.Write,
-	// matching Vista's raw (unchecked) memory interface.
-	UncheckedWrites bool
 }
 
 // withDefaults fills in unset sizes.

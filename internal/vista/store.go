@@ -350,8 +350,7 @@ func (t *Tx) SetRange(off, n int) error {
 }
 
 // Write stores src at database offset off, in place. The bytes must lie
-// within a declared range unless the store was configured with
-// UncheckedWrites.
+// within a declared range.
 func (t *Tx) Write(off int, src []byte) error {
 	s, err := t.check()
 	if err != nil {
@@ -360,7 +359,7 @@ func (t *Tx) Write(off int, src []byte) error {
 	if off < 0 || off+len(src) > s.cfg.DBSize {
 		return ErrBounds
 	}
-	if !s.cfg.UncheckedWrites && !t.covered(off, len(src)) {
+	if !t.covered(off, len(src)) {
 		return ErrOutOfRange
 	}
 	s.acc.Write(s.db.Base+uint64(off), src, mem.CatModified)

@@ -140,20 +140,6 @@ func TestAPIMisuse(t *testing.T) {
 	}
 }
 
-func TestUncheckedWrites(t *testing.T) {
-	s, _, _ := newTestStore(t, Config{Version: V3InlineLog, DBSize: 1 << 16, UncheckedWrites: true})
-	tx, err := s.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tx.Write(4096, []byte{1, 2}); err != nil {
-		t.Fatalf("unchecked write rejected: %v", err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCrashedStoreRefusesWork(t *testing.T) {
 	s, _, _ := newTestStore(t, Config{Version: V0Vista, DBSize: 1 << 16})
 	tx, err := s.Begin()

@@ -111,11 +111,6 @@ type Options struct {
 	// retrying the retryable error class (default 15s). Zero uses the
 	// default; negative disables retries.
 	RetryBudget time.Duration
-	// RetryDegraded additionally retries ErrDegraded responses.
-	// Mutations are idempotent, so this is safe — but a deployment
-	// stuck below its safety level turns every call into a full budget
-	// wait, so it is off by default.
-	RetryDegraded bool
 	// OpTimeout bounds one attempt's round trip on the wire (0 = no
 	// deadline). Responses are matched to callers by position, so a
 	// timed-out waiter cannot be skipped: the deadline poisons the
@@ -408,8 +403,8 @@ func (c *Client) do(encode func([]byte) []byte, parseOK func([]byte) error) (sta
 		if err == nil {
 			return status, nil
 		}
-		if !c.retryable(err) || c.opts.RetryBudget < 0 || time.Now().After(deadline) {
-			if c.retryable(err) {
+		if !retryable(err) || c.opts.RetryBudget < 0 || time.Now().After(deadline) {
+			if retryable(err) {
 				return status, fmt.Errorf("%w (last error: %v)", ErrRetryBudget, err)
 			}
 			return status, err
@@ -422,22 +417,12 @@ func (c *Client) do(encode func([]byte) []byte, parseOK func([]byte) error) (sta
 	}
 }
 
-// retryable classifies an error for the retry loop: the wire's retry
-// class and transport failures are retryable; ErrDegraded only when
-// configured.
-func (c *Client) retryable(err error) bool {
-	var se *ServerError
-	switch {
-	case errors.Is(err, errWireRetry), errors.Is(err, errTransport):
-		return true
-	case errors.Is(err, ErrDegraded):
-		return c.opts.RetryDegraded
-	case errors.As(err, &se), errors.Is(err, ErrNotFound), errors.Is(err, ErrClosed),
-		errors.Is(err, ErrTooLarge), errors.Is(err, ErrOpTimeout):
-		return false
-	default:
-		return false
-	}
+// retryable classifies an error for the retry loop: only the wire's retry
+// class and transport failures are retryable. ErrDegraded is not — a
+// deployment stuck below its safety level would turn every call into a
+// full budget wait.
+func retryable(err error) bool {
+	return errors.Is(err, errWireRetry) || errors.Is(err, errTransport)
 }
 
 // Sentinel classes used inside the retry loop.

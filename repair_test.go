@@ -8,8 +8,6 @@ import (
 	"repro"
 )
 
-func durNS(ns int64) time.Duration { return time.Duration(ns) * time.Nanosecond }
-
 // TestFacadeRepairAsync drives the online repair through the public API:
 // crash, fail over, RepairAsync, keep committing while the transfer is in
 // flight, watch RepairProgress to completion, and verify the healed
@@ -142,31 +140,47 @@ func TestShardedRepairAsync(t *testing.T) {
 	}
 }
 
-// TestSettleGraceKnob: the quiesce duration is a Config knob, and the
-// derived default still closes the 1-safe window.
-func TestSettleGraceKnob(t *testing.T) {
-	for _, grace := range []int64{0, 50_000} { // derived, explicit 50us
-		c, err := repro.New(repro.Config{
-			Version:     repro.V3InlineLog,
-			Backup:      repro.ActiveBackup,
-			DBSize:      testDB,
-			SettleGrace: durNS(grace),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+// TestFacadeRepairSealsOpenBatch: the synchronous Repair of the public API
+// returns with commits still sitting in an open CommitBatch batch (it seals
+// them; it used to wait forever for the cut-over they blocked), and what it
+// sealed is on the survivors.
+func TestFacadeRepairSealsOpenBatch(t *testing.T) {
+	c, err := repro.New(repro.Config{
+		Version:     repro.V3InlineLog,
+		Backup:      repro.ActiveBackup,
+		DBSize:      testDB,
+		Backups:     3,
+		Safety:      repro.QuorumSafe,
+		CommitBatch: 16,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const commits = 3
+	for i := 0; i < commits; i++ {
 		tx, err := c.Begin()
 		if err != nil {
 			t.Fatal(err)
 		}
-		must(t, tx.SetRange(0, 8))
-		must(t, tx.Write(0, []byte("settled!")))
+		must(t, tx.SetRange(i*32, 8))
+		must(t, tx.Write(i*32, []byte("unsealed")))
 		must(t, tx.Commit())
-		c.Settle()
-		must(t, c.CrashPrimary())
-		must(t, c.Failover())
-		if got := c.Committed(); got != 1 {
-			t.Fatalf("grace %dns: settled commit lost (%d)", grace, got)
-		}
+	}
+	must(t, c.CrashBackup(0))
+	done := make(chan error, 1)
+	go func() { done <- c.Repair() }()
+	select {
+	case err := <-done:
+		must(t, err)
+	case <-time.After(20 * time.Second):
+		t.Fatal("Repair has not returned: it is waiting for a cut-over that needs the open batch sealed")
+	}
+	if p := c.RepairProgress(); p.Active || c.Backups() != 3 {
+		t.Fatalf("after Repair: %d backups, progress %+v", c.Backups(), p)
+	}
+	must(t, c.CrashPrimary()) // no Settle, no Flush: Repair sealed the batch
+	must(t, c.Failover())
+	if got := c.Committed(); got != commits {
+		t.Fatalf("survivor holds %d commits, want the %d Repair sealed", got, commits)
 	}
 }

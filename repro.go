@@ -227,14 +227,6 @@ type Config struct {
 	DBSize int
 	// SparseDB backs very large databases with page-on-demand storage.
 	SparseDB bool
-	// UncheckedWrites disables set-range enforcement, matching Vista's
-	// raw memory interface.
-	UncheckedWrites bool
-	// TwoSafe upgrades the commit to 2-safe: Commit returns only after
-	// the backups have applied and acknowledged the transaction, closing
-	// the lost-transaction window at the price of a SAN round trip per
-	// commit. Legacy toggle for Safety: TwoSafe.
-	TwoSafe bool
 	// Backups is the replication degree K: how many backup nodes the
 	// primary feeds. Zero means one backup for the replicated modes —
 	// the paper's pair.
@@ -246,25 +238,13 @@ type Config struct {
 	// committing back to back share one redo-ring pointer publish and one
 	// acknowledgement wait. 0 or 1 disables batching (the default,
 	// preserving per-commit behavior exactly). Commits in an unflushed
-	// batch at a crash are lost — the batched 1-safe window; Settle
-	// flushes.
+	// batch at a crash are lost — the batched 1-safe window; Flush,
+	// Settle and Repair seal the open batch.
 	CommitBatch int
-	// CommitWindow bounds how long (in simulated time) a commit may sit
-	// in an open batch before a later commit seals it. Zero means no
-	// window; see CommitBatch.
-	CommitWindow time.Duration
 	// RepairChunk bounds the bytes one background-repair pump ships
 	// during RepairAsync, so the state transfer interleaves with commits
 	// at a fine grain (0 = 64 KB).
 	RepairChunk int
-	// RepairShare is the fraction of the SAN bandwidth the online
-	// repair's background copier may consume while transactions run
-	// (0 = 0.5; must lie in (0, 1]).
-	RepairShare float64
-	// SettleGrace overrides the quiesce duration Settle derives from the
-	// platform constants (write-buffer drain age, posted-write window,
-	// link latency). Zero derives.
-	SettleGrace time.Duration
 	// Autopilot switches on unattended failure handling: heartbeat
 	// failure detection, lease-guarded auto-failover and self-healing
 	// repair. Off (zero) by default — every fault is then handled by the
@@ -314,8 +294,7 @@ type AutopilotConfig struct {
 }
 
 // Tx is one open transaction: the paper's RVM-style API (Section 2.1).
-// Writes must fall inside a declared range unless the cluster was created
-// with UncheckedWrites.
+// Writes must fall inside a declared range.
 type Tx interface {
 	// SetRange declares that [off, off+n) of the database may be
 	// modified, capturing undo information.
@@ -452,20 +431,15 @@ func newMember(cfg Config) (*member, error) {
 		Mode: replication.Mode(cfg.Backup),
 		Obs:  reg,
 		Store: vista.Config{
-			Version:         vista.Version(cfg.Version),
-			DBSize:          cfg.DBSize,
-			SparseDB:        cfg.SparseDB,
-			UncheckedWrites: cfg.UncheckedWrites,
+			Version:  vista.Version(cfg.Version),
+			DBSize:   cfg.DBSize,
+			SparseDB: cfg.SparseDB,
 		},
 		SparseBackup: cfg.SparseDB,
-		TwoSafe:      cfg.TwoSafe,
 		Backups:      cfg.Backups,
 		Safety:       replication.Safety(cfg.Safety),
 		CommitBatch:  cfg.CommitBatch,
-		CommitWindow: sim.Dur(cfg.CommitWindow.Nanoseconds()) * sim.Nanosecond,
 		RepairChunk:  cfg.RepairChunk,
-		RepairShare:  cfg.RepairShare,
-		SettleGrace:  sim.Dur(cfg.SettleGrace.Nanoseconds()) * sim.Nanosecond,
 		Autopilot: replication.AutopilotConfig{
 			HeartbeatPeriod: sim.Dur(cfg.Autopilot.HeartbeatPeriod.Nanoseconds()) * sim.Nanosecond,
 			SuspectTimeout:  sim.Dur(cfg.Autopilot.SuspectTimeout.Nanoseconds()) * sim.Nanosecond,

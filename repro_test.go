@@ -247,7 +247,7 @@ func TestFacadeTwoSafe(t *testing.T) {
 		Version: repro.V3InlineLog,
 		Backup:  repro.ActiveBackup,
 		DBSize:  testDB,
-		TwoSafe: true,
+		Safety:  repro.TwoSafe,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -658,8 +658,7 @@ func (t *shardedTx) finish(commit bool) error {
 // buffers reach every reachable backup, and an in-flight online repair
 // keeps copying through the quiet period. The quiesce duration is derived
 // from the platform constants (write-buffer drain age, posted-write
-// window, link latency) unless Config.SettleGrace overrides it. A crash
-// after Settle loses nothing; without it, a crash immediately after a
+// window, link latency). A crash after Settle loses nothing; without it, a crash immediately after a
 // commit may lose that commit — the paper's 1-safe window. An active
 // rebalance gets a paced pump first, so single-stream drivers that settle
 // between phases keep the mover deterministic.
@@ -764,7 +763,7 @@ func (c *Cluster) Failover(shard ...int) error {
 // the same incremental transfer RepairAsync uses, driven to completion
 // before the call returns. The other shards keep serving throughout; so
 // does the shard's own commit stream, which interleaves with the chunked
-// transfer.
+// transfer. An open group-commit batch is sealed on the way, as by Flush.
 func (c *Cluster) Repair(shard ...int) error {
 	m, err := c.pick(shard)
 	if err != nil {
