@@ -1,10 +1,12 @@
 package repro_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro"
 	"repro/internal/tpc"
+	"repro/kv"
 )
 
 // TestCommitPathZeroAllocs pins the steady-state Debit-Credit commit path
@@ -120,6 +122,71 @@ func TestShardedCommitPathZeroAllocs(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(500, txn); allocs != 0 {
 				t.Fatalf("sharded commit path (%s) allocates %.1f times per txn, want 0", name, allocs)
+			}
+		})
+	}
+}
+
+// TestKVPutZeroAllocs pins the kv layer's single-key mutations to the
+// allocation count of the commit path beneath them: none. A Put or Delete
+// is a probe, one Begin, one or two declared writes and a Commit, written
+// straight through — no plan to build, no closure to run — on one shard and
+// on four alike. The deployment is the neighbouring tests': a quorum commit
+// sorts its acknowledgements through sort.Slice, two allocations that are
+// the replication layer's (the benchmark's replication.commit_allocs), not
+// this path's.
+func TestKVPutZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c, err := repro.NewSharded(repro.Config{
+				Version: repro.V3InlineLog,
+				Backup:  repro.ActiveBackup,
+				DBSize:  8 << 20,
+			}, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := kv.Open(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 1024
+			var resident, transient [n][]byte
+			for i := range resident {
+				resident[i] = []byte(fmt.Sprintf("resident%06d", i))
+				transient[i] = []byte(fmt.Sprintf("transient%05d", i))
+			}
+			val := make([]byte, 64)
+			i := 0
+			overwrite := func() {
+				if err := s.Put(resident[i%n], val); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			insertDelete := func() {
+				if err := s.Put(transient[i%n], val); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Delete(transient[i%n]); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			// The first pass inserts the resident keys and warms every pool
+			// and scratch buffer on the path.
+			for k := 0; k < 2*n; k++ {
+				overwrite()
+				insertDelete()
+			}
+			if allocs := testing.AllocsPerRun(500, overwrite); allocs != 0 {
+				t.Fatalf("an overwriting Put allocates %.1f times, want 0", allocs)
+			}
+			if allocs := testing.AllocsPerRun(500, insertDelete); allocs != 0 {
+				t.Fatalf("an inserting Put and its Delete allocate %.1f times, want 0", allocs)
 			}
 		})
 	}

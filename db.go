@@ -112,6 +112,12 @@ type DB interface {
 	// Shards returns the number of independent replica groups serving
 	// the database: 1 for a deployment built by New, until it grows.
 	Shards() int
+	// PartSize returns the placement partition in bytes — the unit of
+	// placement and therefore of atomicity: offsets inside one
+	// partition-aligned PartSize span live on one shard at every placement
+	// epoch, so a transaction confined to the span commits on one replica
+	// group, atomically. Constant for the deployment's life.
+	PartSize() int
 }
 
 // Admin is the fault-injection and recovery surface. Every method takes

@@ -12,9 +12,8 @@ import (
 // driven by the YCSB-style mixes of tpc.RunKV — and, because the driver
 // sees only the DB interface, the same cell runs over one shard and four.
 // The per-row comparison is the point: both serve the identical typed
-// workload, and the four-shard rows pay the kv layer's two-phase
-// record-then-flip commit in exchange for torn-write safety across shard
-// boundaries.
+// workload, every mutation one transaction on the shard its key's region
+// lives on, so the four-shard rows are four commit streams side by side.
 func init() {
 	register(Experiment{
 		ID:    "kv",

@@ -21,8 +21,8 @@ import (
 //
 // Because the driver sees only the DB interface, the same run works over
 // any shard count — the measured difference is exactly the kv layer's
-// (multi-shard deployments pay its two-phase record-then-flip commit;
-// single groups merge it into one transaction).
+// (every mutation is one transaction on one shard, so more shards are
+// more commit streams running side by side).
 
 // The YCSB-style operation mixes RunKV accepts.
 const (
@@ -150,8 +150,9 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 	if err != nil {
 		return KVResult{}, err
 	}
-	// Updates are out of place, so even an overwrite transiently needs a
-	// free slot: require headroom beyond the preloaded keyspace.
+	// A store with fewer slots than records cannot hold the preload; one
+	// whose regions fill unevenly says so itself (kv.ErrFull from the
+	// preload's Put).
 	if opts.Records >= store.Slots() {
 		return KVResult{}, fmt.Errorf("tpc: %d records leave no slot headroom in the store's %d slots", opts.Records, store.Slots())
 	}
@@ -395,10 +396,8 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 		case opts.Mix == MixScan && draw < 95:
 			return scanOnce(measured)
 		case opts.Mix == MixScan:
-			// Insert a fresh key; at slot capacity substitute a scan —
-			// the mix's dominant operation — since every write
-			// (overwrites included, being out of place) needs a free
-			// slot and would just re-raise ErrFull.
+			// Insert a fresh key; when its region is full substitute a
+			// scan — the mix's dominant operation.
 			fillValue(int64(nextKey))
 			if replica {
 				stamp(nextKey)

@@ -307,9 +307,9 @@ func TestBurstTxn(t *testing.T) {
 	}
 }
 
-// TestBurstMultiShardKeepsPerCommitWaits: where a PUT is record-then-flip
-// on two groups nothing is deferred — every commit is its own batch — and
-// the burst only holds the store.
+// TestBurstMultiShardKeepsPerCommitWaits: on several shards nothing is
+// deferred — every PUT is one transaction, its own batch with its own wait
+// — and the burst only holds the store.
 func TestBurstMultiShardKeepsPerCommitWaits(t *testing.T) {
 	db := newSharded(t, 4, quorum3(repro.Config{Metrics: true}))
 	s, err := kv.Open(db)
@@ -330,45 +330,66 @@ func TestBurstMultiShardKeepsPerCommitWaits(t *testing.T) {
 	if err := b.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if b1, t1 := commitCounters(db); b1-b0 != t1-t0 || t1-t0 < 3 {
-		t.Fatalf("%d batches for %d transactions on four shards, want one each", b1-b0, t1-t0)
+	if b1, t1 := commitCounters(db); b1-b0 != 3 || t1-t0 != 3 {
+		t.Fatalf("%d batches for %d transactions on four shards, want 3 for 3 PUTs", b1-b0, t1-t0)
 	}
 	wantValues(t, s, 0, 3, "new")
 }
 
 // TestBurstDeploymentGrowsUnderIt: a burst that opened on one shard —
-// deferring — finds two when its next mutation commits. The scope closes
-// before the record-then-flip pair runs, so no flip can publish ahead of
-// its record; the burst carries on with per-commit waits.
+// deferring — finds four when its next mutations commit. A PUT is one
+// transaction on one shard wherever its region now lives, so there is no
+// order between groups to protect: PUTs that land on the old shard stay in
+// the burst's scope, PUTs that land on a new one are acknowledged on their
+// own, and the seal answers for the former.
 func TestBurstDeploymentGrowsUnderIt(t *testing.T) {
 	c := newCluster(t, quorum3(repro.Config{Metrics: true})).(*repro.Cluster)
 	s, err := kv.Open(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	preload(t, s, 8)
+	const keys = 64
+	preload(t, s, keys)
 	b := s.Burst()
 	if err := b.Put(burstKey(0), []byte("new000")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AddShards(1); err != nil {
+	if _, err := c.AddShards(3); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
+	// Enough PUTs after the grow that some land on a shard the scope never
+	// opened on.
+	moved := 0
 	b0, t0 := commitCounters(c)
-	if err := b.Put(burstKey(1), []byte("new001")); err != nil {
-		t.Fatal(err)
+	for i := 1; i < keys/2; i++ {
+		if err := b.Put(burstKey(i), []byte(fmt.Sprintf("new%03d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if r, _ := s.Place(burstKey(i)); c.ShardFor(r*c.PartSize()) != 0 {
+			moved++
+		}
 	}
-	// The deferred first PUT and the second's record and flip: all sealed,
-	// one batch each, before the burst's own seal.
-	if b1, t1 := commitCounters(c); b1-b0 != 3 || t1-t0 != 3 {
-		t.Fatalf("%d batches for %d transactions once the deployment had grown, want 3 for 3", b1-b0, t1-t0)
+	if moved == 0 || moved == keys/2-1 {
+		t.Fatalf("%d of %d PUTs landed off shard 0; the test needs some on either side", moved, keys/2-1)
+	}
+	// One transaction per PUT. Those off the scope's shard have each sealed
+	// a batch of their own; the rest wait, with the PUT from before the
+	// grow, for the burst's seal to ship them as one.
+	if b1, t1 := commitCounters(c); int(b1-b0) != moved || int(t1-t0) != moved {
+		t.Fatalf("%d batches for %d transactions before the seal, want %d for %d", b1-b0, t1-t0, moved, moved)
+	}
+	if !b.Deferring() {
+		t.Fatal("the scope closed before the seal")
 	}
 	if err := b.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	wantValues(t, s, 0, 2, "new")
-	wantValues(t, s, 2, 8, "old")
+	if b1, t1 := commitCounters(c); int(b1-b0) != moved+1 || int(t1-t0) != keys/2 {
+		t.Fatalf("%d batches for %d transactions after the seal, want %d for %d", b1-b0, t1-t0, moved+1, keys/2)
+	}
+	wantValues(t, s, 0, keys/2, "new")
+	wantValues(t, s, keys/2, keys, "old")
 }

@@ -1,41 +1,51 @@
 // Package kv is a replicated key-value store laid out inside the bytes of
-// a repro.DB. The index — an open-addressed hash table with linear
-// probing — and the record heap — a slab of fixed-size slots — both live
-// in the replicated database itself and are mutated only through the
-// DB's transactional SetRange/Write path, so the entire keyspace inherits
-// the deployment's fault tolerance with zero new replication code: crash
-// the primary at any instant, fail over, Open the survivor, and every
+// a repro.DB. The index — open-addressed hash tables with linear probing —
+// and the record heap — slabs of fixed-size slots — both live in the
+// replicated database itself and are mutated only through the DB's
+// transactional SetRange/Write path, so the entire keyspace inherits the
+// deployment's fault tolerance with zero new replication code: crash the
+// primary at any instant, fail over, Open the survivor, and every
 // acknowledged Put is readable (at quorum or 2-safe commit; 1-safe keeps
 // the paper's lost-window semantics, now observable at the key level).
 //
 // # Layout
 //
-// The database bytes are carved into three areas at format time:
+// The database is carved into regions that are exactly the deployment's
+// placement partitions (repro.DB.PartSize): region r is the bytes
+// [r*PartSize, (r+1)*PartSize), which live on one shard at every placement
+// epoch because a rebalance moves partitions whole. Every region has the
+// same shape:
 //
-//	[0, 64)              header: magic, geometry
-//	[64, slotsOff)       bucket array: one 8-byte word per bucket
-//	[slotsOff, ...)      slot slab: fixed-size key+value records
+//	[0, 64)              region 0: header (magic, geometry); else unused
+//	[64, slabOff)        bucket array: one 8-byte word per bucket
+//	[slabOff, ...)       slot slab: fixed-size key+value records
 //
-// A bucket word is 0 (empty), 1 (tombstone) or slotIndex+2 (live). A slot
-// holds an 8-byte record header (key length, value length) followed by
-// the key and value bytes. Geometry is chosen so the table's load factor
-// stays at or below one half.
+// A key belongs to one region, chosen from finalised hash bits that are
+// independent of its bucket index inside the region; its bucket word and
+// its record both live there, and nothing is ever borrowed from another
+// region. A bucket word is 0 (empty), 1 (tombstone) or slotIndex+2 (live),
+// the slot index counting across all regions. A slot holds an 8-byte
+// record header (key length, value length) followed by the key and value
+// bytes. A region's bucket count is a power of two at least twice its slot
+// count, so no table's load factor exceeds one half. A database tail
+// shorter than a partition is unused.
 //
 // # Crash consistency
 //
-// Every mutation is a transaction (or two) on the underlying DB, and the
-// replication layer guarantees a committed prefix — so consistency
-// reduces to write ordering. A bucket word is 8-byte aligned and never
-// spans a shard boundary, making the bucket flip the atomic commit point
-// of every operation. New and updated records are written out of place
-// into a free slot and committed *before* the bucket flip that makes them
-// reachable; on a sharded deployment the two writes may land on different
-// shards, so they are issued as two transactions in that order (a
-// single-shard deployment merges them into one atomic transaction). A
-// crash between the two leaks at most a slot, which Open reclaims; it
-// never corrupts a reachable record. Open validates every reachable
-// bucket (slot range, record-header sanity, duplicate references and
-// duplicate keys from torn multi-shard flips) and tombstones the losers.
+// Every mutation is one transaction on the underlying DB, confined to one
+// region and therefore to one replica group, which commits it atomically:
+// an insert writes the record and flips its bucket word together, an
+// overwrite rewrites the record in the slot it already has, a delete
+// tombstones the bucket word. The replication layer guarantees a committed
+// prefix per group, so after any crash and failover a key reads the whole
+// of its last surviving mutation — there is no intermediate state for a
+// crash to expose and nothing for recovery to reclaim. A multi-key
+// Txn.Commit is one DB transaction too: atomic where its keys share a
+// shard, per shard otherwise (see Txn). Open still validates every
+// reachable bucket (slot range and region, record-header sanity, the
+// key's own region, duplicate references and duplicate keys) and
+// tombstones what fails; that guards against bytes this package did not
+// write, not against its own crashes.
 //
 // A Burst (burst.go) stretches the unit of acknowledgement from one
 // mutation to a run of them: on a one-shard deployment its mutations are
@@ -57,11 +67,12 @@
 //	----            ------
 //	Open            ErrBadFormat, ErrTooSmall, plus repro errors
 //	Get             ErrNotFound, ErrEmptyKey, ErrBroken, repro.ErrCrashed
-//	Put             ErrTooLarge, ErrEmptyKey, ErrFull, ErrBroken,
-//	                repro.ErrCrashed, repro.ErrSafetyUnavailable
+//	Put             ErrTooLarge, ErrEmptyKey, ErrFull (inserts only),
+//	                ErrBroken, repro.ErrCrashed, repro.ErrSafetyUnavailable
 //	Delete          ErrNotFound, ErrEmptyKey, ErrBroken, repro errors
 //	Scan            ErrBroken, repro.ErrCrashed
 //	Txn.Commit      ErrTxnDone plus everything Put and Delete return
+//	Reopen          ErrBadFormat plus repro errors
 //	Burst.Seal      repro.ErrCrashed (the burst's writes are lost; the
 //	                Store is broken), repro.ErrSafetyUnavailable
 //
@@ -79,8 +90,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro"
@@ -89,22 +100,27 @@ import (
 // Store errors.
 var (
 	// ErrBadFormat is returned by Open when the database bytes are
-	// neither zeroed (formattable) nor a kv store.
+	// neither zeroed (formattable) nor a kv store laid out for this
+	// deployment, and by Reopen when the persisted header no longer
+	// matches the geometry the Store was opened with.
 	ErrBadFormat = errors.New("kv: database bytes are not a kv store")
-	// ErrTooSmall is returned by Open when the database cannot hold the
-	// header, a minimal bucket array and at least one slot.
+	// ErrTooSmall is returned by Open when the database cannot hold one
+	// region with the header, a minimal bucket array and at least one
+	// slot.
 	ErrTooSmall = errors.New("kv: database too small for a kv store")
 	// ErrEmptyKey is returned for a zero-length key.
 	ErrEmptyKey = errors.New("kv: empty key")
 	// ErrTooLarge is returned by Put when key+value exceed the slot
 	// payload (SlotPayload bytes).
 	ErrTooLarge = errors.New("kv: key+value exceed the slot payload")
-	// ErrFull is returned by Put when no free slot (or no reusable
-	// bucket) remains. Updates are out of place, so even an overwrite
-	// of an existing key transiently needs one free slot: a store
-	// filled to exact slot capacity rejects every write until a
-	// Delete makes room.
-	ErrFull = errors.New("kv: store is full")
+	// ErrFull is returned by Put when the new key's region has no free
+	// slot; nothing is borrowed from another region, so it can come back
+	// while Len is below Slots. Only an insert can meet it: an overwrite
+	// rewrites the record in the slot the key already has and succeeds in
+	// a full region. (Before the REPROKV2 layout updates were out of place
+	// and an overwrite at exact capacity was refused too.) A Delete in the
+	// region makes room for one insert there.
+	ErrFull = errors.New("kv: the key's region is full")
 	// ErrNotFound is returned by Get and Delete for an absent key.
 	ErrNotFound = errors.New("kv: key not found")
 	// ErrBroken is returned once a commit failed mid-operation (the
@@ -116,24 +132,25 @@ var (
 	ErrTxnDone = errors.New("kv: transaction already completed")
 )
 
-// Layout constants. The header is one 64-byte line: an 8-byte magic
-// followed by five 8-byte geometry words.
+// Layout constants. The header is one 64-byte line at the front of region
+// 0: an 8-byte magic followed by five 8-byte geometry words. Every region
+// keeps its first headerSize bytes clear so all regions share one shape.
 const (
 	headerSize  = 64
 	bucketWidth = 8
 	slotHeader  = 8 // key length u32 + value length u32
 
-	hMagic       = 0
-	hBucketCount = 8
-	hSlotSize    = 16
-	hSlotCount   = 24
-	hBucketsOff  = 32
-	hSlotsOff    = 40
+	hMagic    = 0
+	hPartSize = 8
+	hRegions  = 16
+	hSlotSize = 24
+	hBuckets  = 32
+	hSlots    = 40
 )
 
 // magic identifies a formatted store; the trailing digit versions the
 // layout.
-var magic = []byte("REPROKV1")
+var magic = []byte("REPROKV2")
 
 // Bucket-word states; a live word is slotIndex+bucketBase.
 const (
@@ -155,23 +172,40 @@ type Options struct {
 	SlotSize int
 }
 
-// geometry is the persisted layout, cached from the header.
+// geometry is the persisted layout, cached from the header and immutable
+// once the Store is open. Bucket and slot indices count across regions:
+// bucket b is bucket b%buckets of region b/buckets, and likewise slots.
 type geometry struct {
-	bucketCount uint64 // power of two
-	slotSize    uint64
-	slotCount   uint64
-	bucketsOff  uint64
-	slotsOff    uint64
+	partSize uint64 // region stride: the deployment's placement partition
+	regions  uint64
+	slotSize uint64
+	buckets  uint64 // per region, a power of two
+	slots    uint64 // per region
 }
 
-func (g geometry) bucketOff(b uint64) int { return int(g.bucketsOff + b*bucketWidth) }
-func (g geometry) slotOff(i uint64) int   { return int(g.slotsOff + i*g.slotSize) }
-func (g geometry) payload() int           { return int(g.slotSize) - slotHeader }
-func (g geometry) mask() uint64           { return g.bucketCount - 1 }
+func (g geometry) bucketOff(b uint64) int {
+	return int(b/g.buckets*g.partSize + headerSize + b%g.buckets*bucketWidth)
+}
+
+func (g geometry) slotOff(i uint64) int {
+	return int(i/g.slots*g.partSize + headerSize + g.buckets*bucketWidth + i%g.slots*g.slotSize)
+}
+
+func (g geometry) payload() int { return int(g.slotSize) - slotHeader }
+
+// place returns key's region and its natural bucket there. FNV-1a's raw
+// upper bits cluster for keys that differ only in their last bytes, so
+// both come from the finalised hash: the region from its top bits
+// (multiply-shift), the bucket from its low bits.
+func (g geometry) place(key []byte) (region, bucket uint64) {
+	h := mix(hash(key))
+	region, _ = bits.Mul64(h, g.regions)
+	return region, h & (g.buckets - 1)
+}
 
 // Store is a key-value view over a repro.DB. All state of record lives in
 // the replicated database bytes; the Store itself holds only derived
-// acceleration (the free-slot list and live counters), rebuilt by Open.
+// acceleration (the free-slot lists and live counters), rebuilt by Open.
 // A Store is safe for concurrent use; operations serialize on its mutex
 // (the underlying deployment runs one transaction at a time per shard
 // anyway). Once any operation observes the deployment crashed, the Store
@@ -185,12 +219,11 @@ func (g geometry) mask() uint64           { return g.bucketCount - 1 }
 type Store struct {
 	mu     sync.Mutex
 	db     repro.DB
-	geo    geometry
-	free   []uint32 // free slot indices, LIFO
-	live   int      // live keys
-	tombs  int      // tombstoned buckets
+	geo    geometry   // set by Open, never assigned again: read without mu
+	free   [][]uint32 // per region: its free slot indices, LIFO
+	live   int        // live keys
+	tombs  int        // tombstoned buckets
 	broken bool
-	burst  *Burst // the burst holding mu, nil between bursts (see burst.go)
 
 	// scratch buffers recycled across operations.
 	word [bucketWidth]byte
@@ -209,8 +242,7 @@ type Store struct {
 // Open opens (or, on an all-zero database, formats) a key-value store
 // over db with default options. Recovery is Open: after a crash and
 // failover, Open on the promoted survivor rebuilds the store from the
-// replicated bytes, validating every reachable record and reclaiming
-// slots leaked by interrupted operations.
+// replicated bytes, validating every reachable record.
 func Open(db repro.DB) (*Store, error) { return OpenWith(db, Options{}) }
 
 // OpenWith opens or formats a store with explicit options.
@@ -230,30 +262,26 @@ func OpenWith(db repro.DB, opt Options) (*Store, error) {
 		return nil, ErrTooSmall
 	}
 	db.ReadRaw(0, head[:])
-	switch {
-	case bytes.Equal(head[hMagic:hMagic+8], magic):
-		if err := s.adoptHeader(head[:]); err != nil {
-			return nil, err
-		}
-		if err := s.recover(); err != nil {
-			return nil, err
-		}
-	case bytes.Equal(head[:], make([]byte, headerSize)):
-		if err := s.format(opt); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, ErrBadFormat
+	var err error
+	if head == [headerSize]byte{} {
+		err = s.format(opt)
+	} else if s.geo, err = parseHeader(db, head[:]); err == nil {
+		err = s.recover()
+	}
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
 // Reopen re-runs Open-time recovery in place: it probes the deployment
 // for admission (which pumps the autopilot, so a dead primary with
-// AutoFailover configured is promoted by the probe itself), re-adopts
-// the persisted header, clears the broken flag and rebuilds the
-// in-memory acceleration from the replicated bytes — exactly what a
-// fresh Open would do, without invalidating the handle callers hold.
+// AutoFailover configured is promoted by the probe itself), checks the
+// persisted header against the geometry the Store was opened with, clears
+// the broken flag and rebuilds the in-memory acceleration from the
+// replicated bytes — exactly what a fresh Open would do, without
+// invalidating the handle callers hold. Geometry never changes after
+// Open, so Reopen assigns none: a header that differs is ErrBadFormat.
 //
 // It is the serving-path heal: a Store that observed ErrBroken after a
 // primary crash (or a lease-fenced deposition) becomes usable again once
@@ -273,11 +301,10 @@ func (s *Store) Reopen() error {
 	}
 	var head [headerSize]byte
 	s.db.ReadRaw(0, head[:])
-	if !bytes.Equal(head[hMagic:hMagic+8], magic) {
-		return ErrBadFormat
-	}
-	if err := s.adoptHeader(head[:]); err != nil {
+	if g, err := parseHeader(s.db, head[:]); err != nil {
 		return err
+	} else if g != s.geo {
+		return fmt.Errorf("kv: header geometry changed under an open store: %w", ErrBadFormat)
 	}
 	wasBroken := s.broken
 	s.broken = false
@@ -288,83 +315,81 @@ func (s *Store) Reopen() error {
 	return nil
 }
 
-// format computes the geometry for the database size and persists the
-// header in one transaction. The bucket array and slab are already zero
-// (empty) on a fresh database.
+// format computes the geometry for the deployment and persists the header
+// in one transaction. The bucket arrays and slabs are already zero (empty)
+// on a fresh database.
 func (s *Store) format(opt Options) error {
-	geo, err := computeGeometry(s.db.DBSize(), opt.SlotSize)
+	geo, err := computeGeometry(s.db, opt.SlotSize)
 	if err != nil {
 		return err
 	}
 	s.geo = geo
-	var head [headerSize]byte
-	copy(head[hMagic:], magic)
-	binary.LittleEndian.PutUint64(head[hBucketCount:], geo.bucketCount)
-	binary.LittleEndian.PutUint64(head[hSlotSize:], geo.slotSize)
-	binary.LittleEndian.PutUint64(head[hSlotCount:], geo.slotCount)
-	binary.LittleEndian.PutUint64(head[hBucketsOff:], geo.bucketsOff)
-	binary.LittleEndian.PutUint64(head[hSlotsOff:], geo.slotsOff)
-	if err := s.runTx(func(tx repro.Tx) error {
-		if err := tx.SetRange(0, headerSize); err != nil {
-			return err
-		}
-		return tx.Write(0, head[:])
-	}); err != nil {
+	tx, err := s.db.Begin()
+	if err != nil {
+		return s.observe(err)
+	}
+	if err := s.finish(tx, write(tx, 0, geo.header())); err != nil {
 		return err
 	}
 	s.resetFree(nil)
 	return nil
 }
 
-// adoptHeader validates a persisted header and caches its geometry.
-func (s *Store) adoptHeader(head []byte) error {
-	g := geometry{
-		bucketCount: binary.LittleEndian.Uint64(head[hBucketCount:]),
-		slotSize:    binary.LittleEndian.Uint64(head[hSlotSize:]),
-		slotCount:   binary.LittleEndian.Uint64(head[hSlotCount:]),
-		bucketsOff:  binary.LittleEndian.Uint64(head[hBucketsOff:]),
-		slotsOff:    binary.LittleEndian.Uint64(head[hSlotsOff:]),
-	}
-	size := uint64(s.db.DBSize())
-	ok := g.bucketCount >= 8 && g.bucketCount&(g.bucketCount-1) == 0 &&
-		g.slotSize >= 64 && g.slotCount >= 1 &&
-		g.bucketsOff == headerSize &&
-		g.slotsOff == g.bucketsOff+g.bucketCount*bucketWidth &&
-		g.slotsOff+g.slotCount*g.slotSize <= size
-	if !ok {
-		return fmt.Errorf("kv: corrupt header geometry: %w", ErrBadFormat)
-	}
-	s.geo = g
-	return nil
+// header encodes the persisted header.
+func (g geometry) header() []byte {
+	head := make([]byte, headerSize)
+	copy(head[hMagic:], magic)
+	binary.LittleEndian.PutUint64(head[hPartSize:], g.partSize)
+	binary.LittleEndian.PutUint64(head[hRegions:], g.regions)
+	binary.LittleEndian.PutUint64(head[hSlotSize:], g.slotSize)
+	binary.LittleEndian.PutUint64(head[hBuckets:], g.buckets)
+	binary.LittleEndian.PutUint64(head[hSlots:], g.slots)
+	return head
 }
 
-// computeGeometry carves size bytes into a header, a power-of-two bucket
-// array and a slot slab, keeping bucketCount at least twice slotCount so
-// the load factor never exceeds one half.
-func computeGeometry(size, slotSize int) (geometry, error) {
-	usable := size - headerSize
-	slotCount := usable / slotSize
+// parseHeader decodes a persisted header. Geometry is a function of the
+// deployment and the slot size, so the only header accepted is the one
+// format would write for this deployment at the slot size it names.
+func parseHeader(db repro.DB, head []byte) (geometry, error) {
+	slotSize := binary.LittleEndian.Uint64(head[hSlotSize:])
+	if bytes.Equal(head[hMagic:hMagic+8], magic) && slotSize >= 64 && slotSize <= uint64(db.PartSize()) {
+		if g, err := computeGeometry(db, int(slotSize)); err == nil && bytes.Equal(head, g.header()) {
+			return g, nil
+		}
+	}
+	return geometry{}, ErrBadFormat
+}
+
+// computeGeometry makes every whole placement partition of db a region and
+// carves one region into the reserved head, a power-of-two bucket array
+// and a slot slab, keeping the bucket count at least twice the slot count
+// so the load factor never exceeds one half.
+func computeGeometry(db repro.DB, slotSize int) (geometry, error) {
+	part := db.PartSize()
+	usable := part - headerSize
+	slots := usable / slotSize
 	var buckets int
 	for i := 0; i < 64; i++ {
-		buckets = nextPow2(2 * slotCount)
+		buckets = nextPow2(2 * slots)
 		if buckets < 8 {
 			buckets = 8
 		}
 		fit := (usable - buckets*bucketWidth) / slotSize
-		if fit >= slotCount {
+		if fit >= slots {
 			break
 		}
-		slotCount = fit
+		slots = fit
 	}
-	if slotCount < 1 {
+	regions := db.DBSize() / part
+	if slots < 1 || regions < 1 {
 		return geometry{}, ErrTooSmall
 	}
 	return geometry{
-		bucketCount: uint64(buckets),
-		slotSize:    uint64(slotSize),
-		slotCount:   uint64(slotCount),
-		bucketsOff:  headerSize,
-		slotsOff:    uint64(headerSize + buckets*bucketWidth),
+		partSize: uint64(part),
+		regions:  uint64(regions),
+		slotSize: uint64(slotSize),
+		buckets:  uint64(buckets),
+		slots:    uint64(slots),
 	}, nil
 }
 
@@ -387,14 +412,44 @@ func hash(key []byte) uint64 {
 	return h
 }
 
-// resetFree rebuilds the free list from a used-slot set (nil = all free).
+// mix is the 64-bit finaliser of MurmurHash3: every output bit depends on
+// every input bit.
+func mix(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
+}
+
+// resetFree rebuilds the per-region free lists from a used-slot set (nil =
+// all free). Region r hands its slots out in slab order starting r/regions
+// of the way through its slab, wrapping: regions sit at a power-of-two
+// stride, and without the rotation the first slots of every region would
+// contend for the same sets of a direct-mapped or few-way cache.
 func (s *Store) resetFree(used []bool) {
-	s.free = s.free[:0]
-	// LIFO from the top so low slots are handed out first.
-	for i := int(s.geo.slotCount) - 1; i >= 0; i-- {
-		if used == nil || !used[i] {
-			s.free = append(s.free, uint32(i))
+	g := s.geo
+	if s.free == nil {
+		backing := make([]uint32, g.regions*g.slots)
+		s.free = make([][]uint32, g.regions)
+		for r := range s.free {
+			lo := uint64(r) * g.slots
+			s.free[r] = backing[lo : lo : lo+g.slots]
 		}
+	}
+	for r := range s.free {
+		base := uint64(r) * g.slots
+		first := base / g.regions // r*slots/regions
+		f := s.free[r][:0]
+		// LIFO: push in reverse of the hand-out order.
+		for k := g.slots; k > 0; k-- {
+			i := base + (first+k-1)%g.slots
+			if used == nil || !used[i] {
+				f = append(f, uint32(i))
+			}
+		}
+		s.free[r] = f
 	}
 }
 
@@ -405,15 +460,17 @@ func (s *Store) Len() int {
 	return s.live
 }
 
-// Slots returns the record-slot capacity of the store.
-func (s *Store) Slots() int { return int(s.geo.slotCount) }
+// Slots returns the record-slot capacity of the store, summed over its
+// regions; a region fills on its own (see ErrFull).
+func (s *Store) Slots() int { return int(s.geo.regions * s.geo.slots) }
 
 // SlotPayload returns the maximum key length + value length one record
 // can hold.
 func (s *Store) SlotPayload() int { return s.geo.payload() }
 
-// Buckets returns the index size (for observability and tests).
-func (s *Store) Buckets() int { return int(s.geo.bucketCount) }
+// Buckets returns the index size, summed over the regions (for
+// observability and tests).
+func (s *Store) Buckets() int { return int(s.geo.regions * s.geo.buckets) }
 
 // DB returns the underlying deployment.
 func (s *Store) DB() repro.DB { return s.db }
@@ -432,8 +489,8 @@ func (s *Store) fail(err error) error {
 
 // observe inspects an error flowing out of any operation: once the
 // deployment is seen crashed, the Store marks itself broken — after the
-// failover the survivor's bytes may sit behind the in-memory free list
-// (a 1-safe loss window), so continuing to allocate from it could
+// failover the survivor's bytes may sit behind the in-memory free lists
+// (a 1-safe loss window), so continuing to allocate from them could
 // overwrite reachable records. Re-Open rebuilds the index from the
 // recovered bytes. (An unattended autopilot takeover that surfaces no
 // error at all cannot be caught here; see the package comment.)
@@ -446,14 +503,11 @@ func (s *Store) observe(err error) error {
 	return err
 }
 
-// runTx runs body inside one transaction on the underlying DB, aborting
-// on body errors and marking the store broken on commit failures.
-func (s *Store) runTx(body func(tx repro.Tx) error) error {
-	tx, err := s.db.Begin()
+// finish ends the transaction a mutation issued its writes on: Commit when
+// they all went through (a failure there breaks the store), Abort with
+// their error otherwise.
+func (s *Store) finish(tx repro.Tx, err error) error {
 	if err != nil {
-		return s.observe(err)
-	}
-	if err := body(tx); err != nil {
 		if abortErr := tx.Abort(); abortErr != nil {
 			return s.observe(fmt.Errorf("%w (abort also failed: %v)", err, abortErr))
 		}
@@ -465,10 +519,19 @@ func (s *Store) runTx(body func(tx repro.Tx) error) error {
 	return nil
 }
 
+// write declares and writes one range inside tx.
+func write(tx repro.Tx, off int, src []byte) error {
+	if err := tx.SetRange(off, len(src)); err != nil {
+		return err
+	}
+	return tx.Write(off, src)
+}
+
 // readFn is one operation's charged-read routing: the primary's
-// serialized read (Store.readPrimary) or a replica read view (see
-// readat.go). Injected so the probe and scan walks are identical — same
-// offsets, same charges — wherever they are served.
+// serialized read (Store.readPrimary), a transaction's own read (Txn), or
+// a replica read view (see readat.go). Injected so the probe and scan
+// walks are identical — same offsets, same charges — wherever they are
+// served.
 type readFn func(off int, dst []byte) error
 
 // readBucket reads bucket b's word with a charged read.
@@ -490,66 +553,57 @@ func (s *Store) readSlotHeader(rd readFn, i uint64) (keyLen, valLen int, err err
 // probeResult is where a key's probe ended.
 type probeResult struct {
 	found      bool
+	region     uint64 // the key's region
 	bucket     uint64 // the key's bucket (found) — else the insert position
-	slot       uint64 // the key's slot (found only)
+	slot       uint64 // the key's slot (found; an insert's, once allocated)
 	valLen     int    // the record's value length (found only)
 	reusedTomb bool   // the insert position is a tombstone
 	full       bool   // no insert position exists
 }
 
-// probe walks key's chain from its natural bucket: first matching live
-// entry wins; the insert position is the first tombstone seen, else the
-// terminating empty bucket. overlay, when non-nil, shadows bucket words
-// with a transaction's planned flips — a planned live word never matches
-// (a transaction probes each distinct key once), so it only occupies the
-// bucket.
-func (s *Store) probe(rd readFn, key []byte, overlay map[uint64]uint64) (probeResult, error) {
-	h := hash(key)
-	mask := s.geo.mask()
-	firstFree := uint64(0)
+// probe walks key's chain around its region's bucket array from its
+// natural bucket: first matching live entry wins; the insert position is
+// the first tombstone seen, else the terminating empty bucket.
+func (s *Store) probe(rd readFn, key []byte) (probeResult, error) {
+	g := &s.geo
+	region, start := g.place(key)
+	p := probeResult{region: region}
 	haveFree := false
-	for i := uint64(0); i < s.geo.bucketCount; i++ {
-		b := (h + i) & mask
-		w, fromOverlay := overlay[b]
-		if !fromOverlay {
-			var err error
-			if w, err = s.readBucket(rd, b); err != nil {
-				return probeResult{}, err
-			}
+	for i := uint64(0); i < g.buckets; i++ {
+		b := region*g.buckets + (start+i)&(g.buckets-1)
+		w, err := s.readBucket(rd, b)
+		if err != nil {
+			return p, err
 		}
-		switch {
-		case w == bucketEmpty:
-			if haveFree {
-				return probeResult{bucket: firstFree, reusedTomb: true}, nil
-			}
-			return probeResult{bucket: b}, nil
-		case w == bucketTomb:
+		switch w {
+		case bucketEmpty:
 			if !haveFree {
-				firstFree, haveFree = b, true
+				p.bucket = b
 			}
-		case fromOverlay:
-			// Another key's planned record: occupied, cannot match.
+			return p, nil
+		case bucketTomb:
+			if !haveFree {
+				p.bucket, p.reusedTomb, haveFree = b, true, true
+			}
 		default:
 			slot := w - bucketBase
 			kl, vl, err := s.readSlotHeader(rd, slot)
 			if err != nil {
-				return probeResult{}, err
+				return p, err
 			}
 			if kl == len(key) {
 				s.kbuf = grow(s.kbuf, kl)
-				if err := rd(s.geo.slotOff(slot)+slotHeader, s.kbuf); err != nil {
-					return probeResult{}, err
+				if err := rd(g.slotOff(slot)+slotHeader, s.kbuf); err != nil {
+					return p, err
 				}
 				if bytes.Equal(s.kbuf, key) {
-					return probeResult{found: true, bucket: b, slot: slot, valLen: vl}, nil
+					return probeResult{found: true, region: region, bucket: b, slot: slot, valLen: vl}, nil
 				}
 			}
 		}
 	}
-	if haveFree {
-		return probeResult{bucket: firstFree, reusedTomb: true}, nil
-	}
-	return probeResult{full: true}, nil
+	p.full = !haveFree
+	return p, nil
 }
 
 // grow returns buf resized to n, reallocating only when needed.
@@ -598,7 +652,7 @@ func (s *Store) get(key, dst []byte) ([]byte, error) {
 // charged reads routed through rd. Callers hold s.mu and have validated
 // the key.
 func (s *Store) getAppend(rd readFn, key, dst []byte) ([]byte, error) {
-	p, err := s.probe(rd, key, nil)
+	p, err := s.probe(rd, key)
 	if err != nil {
 		return dst, s.observe(err)
 	}
@@ -613,9 +667,9 @@ func (s *Store) getAppend(rd readFn, key, dst []byte) ([]byte, error) {
 	return out, nil
 }
 
-// Put stores value under key, overwriting any previous value. The record
-// is written out of place and made reachable by an atomic bucket flip, so
-// a crash mid-Put never damages the previous value.
+// Put stores value under key, overwriting any previous value, in one
+// transaction on the key's shard: a crash mid-Put leaves the key reading
+// its previous value or the new one, whole.
 func (s *Store) Put(key, value []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -630,31 +684,23 @@ func (s *Store) put(key, value []byte) error {
 	if len(key)+len(value) > s.geo.payload() {
 		return ErrTooLarge
 	}
-	p, err := s.probe(s.readPrimary, key, nil)
+	p, err := s.probe(s.readPrimary, key)
 	if err != nil {
 		return s.observe(err)
 	}
-	if !p.found && p.full {
-		return ErrFull
-	}
-	w := write{key: key, val: value}
-	if err := s.alloc(&w); err != nil {
+	if err := s.alloc(&p); err != nil {
 		return err
 	}
-	if err := s.commitWrites([]*write{&w}, map[uint64]*write{p.bucket: &w}); err != nil {
-		if !errors.Is(err, repro.ErrSafetyUnavailable) {
-			s.unalloc([]*write{&w})
-			return err
-		}
-		s.applyWrite(&w, p)
-		return err
+	tx, err := s.db.Begin()
+	if err != nil {
+		s.unalloc(p)
+		return s.observe(err)
 	}
-	s.applyWrite(&w, p)
-	return nil
+	return s.settle(p, false, s.finish(tx, s.writePut(tx, p, key, value)))
 }
 
 // Delete removes key. The tombstoned bucket keeps later entries of the
-// chain reachable; its slot returns to the free list.
+// chain reachable; its slot returns to its region's free list.
 func (s *Store) Delete(key []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -666,23 +712,18 @@ func (s *Store) del(key []byte) error {
 	if err := s.check(key); err != nil {
 		return err
 	}
-	p, err := s.probe(s.readPrimary, key, nil)
+	p, err := s.probe(s.readPrimary, key)
 	if err != nil {
 		return s.observe(err)
 	}
 	if !p.found {
 		return ErrNotFound
 	}
-	w := write{key: key, del: true}
-	if err := s.commitWrites([]*write{&w}, map[uint64]*write{p.bucket: &w}); err != nil {
-		if !errors.Is(err, repro.ErrSafetyUnavailable) {
-			return err
-		}
-		s.applyWrite(&w, p)
-		return err
+	tx, err := s.db.Begin()
+	if err != nil {
+		return s.observe(err)
 	}
-	s.applyWrite(&w, p)
-	return nil
+	return s.settle(p, true, s.finish(tx, s.writeBucket(tx, p.bucket, bucketTomb)))
 }
 
 // check validates the key and the store's health.
@@ -696,160 +737,98 @@ func (s *Store) check(key []byte) error {
 	return nil
 }
 
-// write is one planned mutation: a record landing in slot (puts) and a
-// bucket flip.
-type write struct {
-	key, val []byte
-	del      bool
-	slot     uint32 // allocated slot (puts)
-}
-
-// alloc reserves a free slot for a put.
-func (s *Store) alloc(w *write) error {
-	if len(s.free) == 0 {
+// alloc gives a put its slot: the one the key already has, or — for an
+// insert — the top of its region's free list, and only that region's.
+func (s *Store) alloc(p *probeResult) error {
+	if p.found {
+		return nil
+	}
+	f := s.free[p.region]
+	if p.full || len(f) == 0 {
 		return ErrFull
 	}
-	w.slot = s.free[len(s.free)-1]
-	s.free = s.free[:len(s.free)-1]
+	p.slot = uint64(f[len(f)-1])
+	s.free[p.region] = f[:len(f)-1]
 	return nil
 }
 
-// unalloc returns planned puts' slots to the pool after a failed commit.
-func (s *Store) unalloc(writes []*write) {
-	for i := len(writes) - 1; i >= 0; i-- {
-		if !writes[i].del {
-			s.free = append(s.free, writes[i].slot)
-		}
+// unalloc returns the slot alloc took for a put that did not commit.
+func (s *Store) unalloc(p probeResult) {
+	if !p.found {
+		s.free[p.region] = append(s.free[p.region], uint32(p.slot))
 	}
 }
 
-// commitWrites persists a batch of planned writes: phase one writes every
-// new record into its allocated slot, phase two flips every bucket word.
-// On a single-shard deployment both phases share one atomic transaction;
-// on a sharded deployment they are two transactions in record-then-flip
-// order, so a crash between them leaks at most slots (reclaimed by the
-// next Open) and never tears a reachable record. flips maps bucket index
-// → the write that owns it.
-func (s *Store) commitWrites(writes []*write, flips map[uint64]*write) error {
-	records := func(tx repro.Tx) error {
-		for _, w := range writes {
-			if w.del {
-				continue
-			}
-			off := s.geo.slotOff(uint64(w.slot))
-			n := slotHeader + len(w.key) + len(w.val)
-			if err := tx.SetRange(off, n); err != nil {
-				return err
-			}
-			s.vbuf = grow(s.vbuf, n)
-			binary.LittleEndian.PutUint32(s.vbuf[:4], uint32(len(w.key)))
-			binary.LittleEndian.PutUint32(s.vbuf[4:8], uint32(len(w.val)))
-			copy(s.vbuf[slotHeader:], w.key)
-			copy(s.vbuf[slotHeader+len(w.key):], w.val)
-			if err := tx.Write(off, s.vbuf); err != nil {
-				return err
-			}
-		}
-		return nil
+// writePut issues a put's writes on tx. An overwrite rewrites the record
+// in the slot it has; an insert writes the record into its allocated slot
+// and flips the bucket word to name it. Both ranges are in the key's
+// region, so the transaction commits them together on one group.
+func (s *Store) writePut(tx repro.Tx, p probeResult, key, value []byte) error {
+	n := slotHeader + len(key) + len(value)
+	s.vbuf = grow(s.vbuf, n)
+	binary.LittleEndian.PutUint32(s.vbuf[:4], uint32(len(key)))
+	binary.LittleEndian.PutUint32(s.vbuf[4:8], uint32(len(value)))
+	copy(s.vbuf[slotHeader:], key)
+	copy(s.vbuf[slotHeader+len(key):], value)
+	if err := write(tx, s.geo.slotOff(p.slot), s.vbuf); err != nil || p.found {
+		return err
 	}
-	// Flip in ascending bucket order: map iteration order is randomized
-	// and the charged write sequence must stay deterministic.
-	buckets := make([]uint64, 0, len(flips))
-	for b := range flips {
-		buckets = append(buckets, b)
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i] < buckets[j] })
-	flipsBody := func(tx repro.Tx) error {
-		for _, b := range buckets {
-			w := flips[b]
-			word := uint64(bucketTomb)
-			if !w.del {
-				word = uint64(w.slot) + bucketBase
-			}
-			off := s.geo.bucketOff(b)
-			if err := tx.SetRange(off, bucketWidth); err != nil {
-				return err
-			}
-			var buf [bucketWidth]byte
-			binary.LittleEndian.PutUint64(buf[:], word)
-			if err := tx.Write(off, buf[:]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	return s.writeBucket(tx, p.bucket, p.slot+bucketBase)
+}
 
-	if s.singleTx() {
-		return s.runTx(func(tx repro.Tx) error {
-			if err := records(tx); err != nil {
-				return err
-			}
-			return flipsBody(tx)
-		})
-	}
-	if s.burst != nil {
-		// The deployment grew under a burst that opened on one shard. With
-		// both acknowledgements deferred a flip's shard could publish
-		// before its record's: the two-phase path keeps its per-commit
-		// waits, so the scope closes here.
-		if err := s.burst.sealScope(); err != nil {
-			return err
-		}
-	}
-	err := s.runTx(records)
+// writeBucket sets bucket b's word inside tx.
+func (s *Store) writeBucket(tx repro.Tx, b, word uint64) error {
+	binary.LittleEndian.PutUint64(s.word[:], word)
+	return write(tx, s.geo.bucketOff(b), s.word[:])
+}
+
+// settle folds a mutation into the in-memory acceleration once its
+// transaction has ended with err: applied when it committed (a degraded
+// acknowledgement included — the bytes are there), taken back otherwise.
+func (s *Store) settle(p probeResult, del bool, err error) error {
 	if err != nil && !errors.Is(err, repro.ErrSafetyUnavailable) {
+		if !del {
+			s.unalloc(p)
+		}
 		return err
 	}
-	degraded := err
-	if err := s.runTx(flipsBody); err != nil {
-		return err
-	}
-	return degraded
-}
-
-// singleTx reports whether the commit protocol may collapse record
-// writes and bucket flips into one atomic transaction. Evaluated per
-// commit, not at Open: an elastic deployment opened at one shard can
-// grow mid-lifetime, after which the two-phase order (records first,
-// flips second) is what keeps partially committed batches recoverable.
-func (s *Store) singleTx() bool { return s.db.Shards() == 1 }
-
-// applyWrite folds one committed write into the in-memory acceleration.
-func (s *Store) applyWrite(w *write, p probeResult) {
 	switch {
-	case w.del:
-		s.free = append(s.free, uint32(p.slot))
+	case del:
+		s.free[p.region] = append(s.free[p.region], uint32(p.slot))
 		s.live--
 		s.tombs++
-	case p.found:
-		// Overwrite: the displaced record's slot returns to the pool.
-		s.free = append(s.free, uint32(p.slot))
-	default:
+	case !p.found:
 		s.live++
 		if p.reusedTomb {
 			s.tombs--
 		}
 	}
+	return err
 }
 
 // Scan visits up to limit live entries in bucket order, starting at
-// start's natural bucket (or bucket 0 when start is nil), wrapping once
-// around the table — the short range scan of YCSB-style workloads.
-// Iteration order is hash order, not key order. The entries are staged
-// under the store's lock and fn runs after it is released, so a callback
-// is free to call back into the Store (Get, Put, even another Scan)
-// without deadlocking; what it sees is a consistent snapshot taken at
-// the Scan call, not the live table. fn's slices are reused between
-// calls; copy what must outlive the callback. Returns the number of
-// entries delivered to fn; a non-nil fn error stops the scan and is
-// returned. A read error during staging delivers nothing.
+// start's natural bucket in its region (or region 0's first bucket when
+// start is nil), wrapping once around the regions — the short range scan
+// of YCSB-style workloads. Iteration order is hash order, not key order.
+// The entries are staged under the store's lock and fn runs after it is
+// released, so a callback is free to call back into the Store (Get, Put,
+// even another Scan) without deadlocking; what it sees is a consistent
+// snapshot taken at the Scan call, not the live table. fn's slices are
+// reused between calls; copy what must outlive the callback. Returns the
+// number of entries delivered to fn; a non-nil fn error stops the scan and
+// is returned. A read error during staging delivers nothing.
 func (s *Store) Scan(start []byte, limit int, fn func(key, value []byte) error) (int, error) {
 	s.mu.Lock()
-	flat, bounds, err := s.stageScan(s.readPrimary, start, limit)
+	flat, bounds, err := s.stageScan(s.readPrimary, nil, start, limit)
 	s.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
+	return deliver(flat, bounds, fn)
+}
+
+// deliver hands a staged scan to fn, entry by entry.
+func deliver(flat []byte, bounds []scanEntry, fn func(key, value []byte) error) (int, error) {
 	for i, bd := range bounds {
 		if err := fn(flat[bd.off:bd.off+bd.kl], flat[bd.off+bd.kl:bd.off+bd.kl+bd.vl]); err != nil {
 			return i + 1, err
@@ -863,43 +842,62 @@ type scanEntry struct {
 	off, kl, vl int
 }
 
-// stageScan copies up to limit live entries out of the table into one
+// stageScan copies up to limit live entries out of the tables into one
 // flat buffer, under s.mu. The buffer is call-local: it must survive
 // after the lock is released, and concurrent Scans must not share it, so
-// it cannot live in the Store's recycled scratch space.
-func (s *Store) stageScan(rd readFn, start []byte, limit int) ([]byte, []scanEntry, error) {
+// it cannot live in the Store's recycled scratch space. v is the replica
+// view rd reads through, nil on the primary: an entry whose three reads
+// did not see one view is read again (see view.moved).
+func (s *Store) stageScan(rd readFn, v *view, start []byte, limit int) ([]byte, []scanEntry, error) {
 	if s.broken {
 		return nil, nil, ErrBroken
 	}
 	if limit <= 0 {
 		return nil, nil, nil
 	}
-	b0 := uint64(0)
+	g := &s.geo
+	total := g.regions * g.buckets
+	b := uint64(0)
 	if len(start) > 0 {
-		b0 = hash(start) & s.geo.mask()
+		region, bucket := g.place(start)
+		b = region*g.buckets + bucket
 	}
 	var flat []byte
 	var bounds []scanEntry
-	for i := uint64(0); i < s.geo.bucketCount && len(bounds) < limit; i++ {
-		b := (b0 + i) & s.geo.mask()
-		w, err := s.readBucket(rd, b)
-		if err != nil {
-			return nil, nil, s.observe(err)
+	for i := uint64(0); i < total && len(bounds) < limit; i++ {
+		for try := 0; ; try++ {
+			v.mark()
+			w, err := s.readBucket(rd, b)
+			if err != nil {
+				return nil, nil, s.observe(err)
+			}
+			if w == bucketEmpty || w == bucketTomb {
+				break
+			}
+			slot := w - bucketBase
+			kl, vl, err := s.readSlotHeader(rd, slot)
+			if err != nil {
+				return nil, nil, s.observe(err)
+			}
+			off := len(flat)
+			flat = slices.Grow(flat, kl+vl)[:off+kl+vl]
+			if err := rd(g.slotOff(slot)+slotHeader, flat[off:]); err != nil {
+				return nil, nil, s.observe(err)
+			}
+			if !v.moved() {
+				bounds = append(bounds, scanEntry{off: off, kl: kl, vl: vl})
+				break
+			}
+			flat = flat[:off]
+			if try == viewRetries {
+				// What a replica that cannot serve reports: ScanAt
+				// restages on the primary.
+				return nil, nil, repro.ErrReplicaUnavailable
+			}
 		}
-		if w == bucketEmpty || w == bucketTomb {
-			continue
+		if b++; b == total {
+			b = 0
 		}
-		slot := w - bucketBase
-		kl, vl, err := s.readSlotHeader(rd, slot)
-		if err != nil {
-			return nil, nil, s.observe(err)
-		}
-		off := len(flat)
-		flat = slices.Grow(flat, kl+vl)[:off+kl+vl]
-		if err := rd(s.geo.slotOff(slot)+slotHeader, flat[off:]); err != nil {
-			return nil, nil, s.observe(err)
-		}
-		bounds = append(bounds, scanEntry{off: off, kl: kl, vl: vl})
 	}
 	return flat, bounds, nil
 }

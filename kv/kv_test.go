@@ -203,43 +203,81 @@ func TestTombstoneReuse(t *testing.T) {
 	}
 }
 
+// TestFull: a region fills on its own. Inserts take slots from their key's
+// region and nowhere else, so ErrFull arrives with the store as a whole far
+// from full; an overwrite rewrites its record in place and needs no slot.
 func TestFull(t *testing.T) {
 	s, err := kv.Open(newCluster(t, repro.Config{DBSize: 64 << 10}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var filled int
-	for i := 0; ; i++ {
-		err := s.Put([]byte(fmt.Sprintf("fill%06d", i)), bytes.Repeat([]byte("v"), 100))
-		if errors.Is(err, kv.ErrFull) {
-			filled = i
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i > 1<<20 {
-			t.Fatal("store never filled")
+	_, _, slots := s.Geometry()
+	const region = 3
+	// in yields fresh keys of the region (want) or of any other.
+	next := 0
+	in := func(want bool) []byte {
+		for {
+			k := []byte(fmt.Sprintf("fill%06d", next))
+			next++
+			if r, _ := s.Place(k); (r == region) == want {
+				return k
+			}
 		}
 	}
-	if filled != s.Slots() {
-		t.Fatalf("filled %d keys, slot capacity %d", filled, s.Slots())
+	val := bytes.Repeat([]byte("v"), 100)
+	var keys [][]byte
+	for i := 0; i < slots; i++ {
+		keys = append(keys, in(true))
+		if err := s.Put(keys[i], val); err != nil {
+			t.Fatalf("insert %d of %d into the region: %v", i, slots, err)
+		}
 	}
-	// Deleting one key makes room for exactly one more.
-	if err := s.Delete([]byte("fill000000")); err != nil {
+	if err := s.Put(in(true), val); !errors.Is(err, kv.ErrFull) {
+		t.Fatalf("insert into the full region = %v, want ErrFull", err)
+	}
+	if s.Len() != slots || s.Len() >= s.Slots() {
+		t.Fatalf("Len %d, Slots %d: the region's %d slots should be the only ones taken", s.Len(), s.Slots(), slots)
+	}
+	// The other regions are unaffected.
+	if err := s.Put(in(false), val); err != nil {
+		t.Fatalf("insert into another region: %v", err)
+	}
+	// An overwrite in the full region succeeds, whatever the new length.
+	for _, v := range [][]byte{bytes.Repeat([]byte("w"), 100), []byte("short"), bytes.Repeat([]byte("x"), 200)} {
+		if err := s.Put(keys[0], v); err != nil {
+			t.Fatalf("overwrite in the full region (%d bytes): %v", len(v), err)
+		}
+		if got, err := s.Get(keys[0]); err != nil || !bytes.Equal(got, v) {
+			t.Fatalf("overwritten key reads %q, %v", got, err)
+		}
+	}
+	// One delete admits exactly one insert.
+	if err := s.Delete(keys[1]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put([]byte("replacement"), []byte("v")); err != nil {
+	if err := s.Put(in(true), val); err != nil {
+		t.Fatalf("insert after a delete: %v", err)
+	}
+	if err := s.Put(in(true), val); !errors.Is(err, kv.ErrFull) {
+		t.Fatalf("second insert after one delete = %v, want ErrFull", err)
+	}
+	// A transaction that needs a slot the region does not have applies
+	// nothing, its keys in other regions included.
+	txn, err := s.Begin()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put([]byte("overflow"), []byte("v")); !errors.Is(err, kv.ErrFull) {
-		t.Fatalf("Put past capacity = %v", err)
+	elsewhere := in(false)
+	txn.Put(elsewhere, val)
+	txn.Put(in(true), val)
+	if err := txn.Commit(); !errors.Is(err, kv.ErrFull) {
+		t.Fatalf("txn with an insert into the full region = %v, want ErrFull", err)
 	}
-	// Updates are out of place, so at exact slot capacity even an
-	// overwrite of an existing key needs a free slot — the documented
-	// ErrFull contract.
-	if err := s.Put([]byte("replacement"), []byte("w")); !errors.Is(err, kv.ErrFull) {
-		t.Fatalf("overwrite at capacity = %v", err)
+	if _, err := s.Get(elsewhere); !errors.Is(err, kv.ErrNotFound) {
+		t.Fatalf("a key of the refused txn reads %v, want ErrNotFound", err)
+	}
+	if s.Len() != slots+1 {
+		t.Fatalf("Len %d after the refused txn, want %d", s.Len(), slots+1)
 	}
 }
 
@@ -366,6 +404,78 @@ func TestTxn(t *testing.T) {
 			if _, err := s.Get([]byte("ephemeral")); !errors.Is(err, kv.ErrNotFound) {
 				t.Fatal("put-then-delete left the key behind")
 			}
+		})
+	}
+}
+
+// TestTxnKeysShareChains: a transaction's keys are probed through the
+// transaction itself, so a key sees the buckets the keys before it took —
+// in tables this small most chains are shared — and a slot a delete of the
+// same transaction vacates is not handed out before the commit.
+func TestTxnKeysShareChains(t *testing.T) {
+	for name, db := range map[string]repro.DB{
+		"cluster":  newCluster(t, repro.Config{DBSize: 128 << 10}),
+		"sharded4": newSharded(t, 4, repro.Config{DBSize: 256 << 10}),
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := kv.Open(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, buckets, _ := s.Geometry()
+			const n = 120
+			key := func(i int) []byte { return []byte(fmt.Sprintf("chain%04d", i)) }
+			txn, _ := s.Begin()
+			for i := 0; i < n; i++ {
+				txn.Put(key(i), []byte(fmt.Sprintf("first%04d", i)))
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatalf("commit of %d inserts into regions of %d buckets: %v", n, buckets, err)
+			}
+			// Delete the even keys, overwrite the odd ones, insert more.
+			txn, _ = s.Begin()
+			for i := 0; i < n; i++ {
+				if i%2 == 0 {
+					txn.Delete(key(i))
+				} else {
+					txn.Put(key(i), []byte("second"))
+				}
+			}
+			for i := n; i < n+n/4; i++ {
+				txn.Put(key(i), []byte("late"))
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			verify := func(s *kv.Store) {
+				t.Helper()
+				if want := n/2 + n/4; s.Len() != want {
+					t.Fatalf("Len = %d, want %d", s.Len(), want)
+				}
+				for i := 0; i < n+n/4; i++ {
+					got, err := s.Get(key(i))
+					switch {
+					case i >= n:
+						if err != nil || string(got) != "late" {
+							t.Fatalf("key %d reads %q, %v", i, got, err)
+						}
+					case i%2 == 0:
+						if !errors.Is(err, kv.ErrNotFound) {
+							t.Fatalf("deleted key %d reads %q, %v", i, got, err)
+						}
+					default:
+						if err != nil || string(got) != "second" {
+							t.Fatalf("key %d reads %q, %v", i, got, err)
+						}
+					}
+				}
+			}
+			verify(s)
+			reopened, err := kv.Open(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verify(reopened)
 		})
 	}
 }

@@ -5,11 +5,16 @@
 //
 // One operation, one view: the first routed read picks a serving replica
 // (or the primary) per the consistency mode, and every subsequent read of
-// the operation is pinned to that same replica — the probe chain and the
-// value bytes come from a single consistent snapshot, never a mix of
-// views. A backup's copy is transaction-consistent at every applied
-// commit (active scheme), and its applied sequence only advances during
-// the operation, so the pinned walk observes a monotone view that already
+// the operation is pinned to that same replica. A backup's copy is
+// transaction-consistent at every applied commit (active scheme), but the
+// backup applies what has been delivered before each read it serves, so
+// its view can advance between two reads of one lookup — and an overwrite
+// rewrites a record in place, so a bucket word, a record header and the
+// value bytes read across such an advance need not belong together. Every
+// read reports the view's commit sequence (repro.ReadResult.Seq); a lookup,
+// or one entry of a scan, whose reads did not all report the same one is
+// read again, viewRetries times at most, and then served by the primary.
+// What is returned therefore comes from a single consistent snapshot that
 // satisfies the mode's floor:
 //
 //   - ReadYourWrites with the session's token (repro.DB.Token captured
@@ -33,6 +38,10 @@ import (
 	"repro"
 )
 
+// viewRetries is how often a lookup or scan entry that saw its replica
+// view advance is read again before the primary serves it.
+const viewRetries = 2
+
 // view routes one operation's charged reads per the caller's ReadOpts,
 // pinning the replica the first routed read chose. It is recycled under
 // the Store mutex (Store.vw/vwRead), so GetAt/ScanAt stay allocation-free.
@@ -40,13 +49,30 @@ type view struct {
 	s    *Store
 	opts repro.ReadOpts
 	res  repro.ReadResult
+	// Reads since mark: a lookup's reads all land in the key's region,
+	// hence on one shard, so their sequences are comparable.
+	reads   int
+	seq     uint64 // the first one's view
+	shifted bool   // a later one saw another
 }
 
 // begin arms the recycled view for one operation.
 func (v *view) begin(opts repro.ReadOpts) {
 	v.opts = opts
 	v.res = repro.ReadResult{}
+	v.mark()
 }
+
+// mark starts a run of reads that must see one view. The nil view is the
+// primary's, which the store mutex keeps still.
+func (v *view) mark() {
+	if v != nil {
+		v.reads, v.shifted = 0, false
+	}
+}
+
+// moved reports whether the reads since mark saw more than one view.
+func (v *view) moved() bool { return v != nil && v.shifted }
 
 // read is the operation's readFn.
 func (v *view) read(off int, dst []byte) error {
@@ -66,6 +92,14 @@ func (v *view) read(off int, dst []byte) error {
 			// The primary served; keep the whole operation there.
 			v.opts.Mode = repro.ReadPrimary
 		}
+	}
+	if res.Replica > 0 {
+		if v.reads == 0 {
+			v.seq = res.Seq
+		} else if res.Seq != v.seq {
+			v.shifted = true
+		}
+		v.reads++
 	}
 	v.res = res
 	return nil
@@ -99,18 +133,23 @@ func (s *Store) GetAppendAt(key, dst []byte, opts repro.ReadOpts) ([]byte, repro
 		out, err := s.getAppend(s.readPrimary, key, dst)
 		return out, repro.ReadResult{}, err
 	}
-	s.vw.begin(opts)
-	out, err := s.getAppend(s.vwRead, key, dst)
-	if err != nil && errors.Is(err, repro.ErrReplicaUnavailable) {
-		out, err = s.getAppend(s.readPrimary, key, dst)
-		return out, repro.ReadResult{}, err
+	for try := 0; try <= viewRetries; try++ {
+		s.vw.begin(opts)
+		out, err := s.getAppend(s.vwRead, key, dst)
+		if errors.Is(err, repro.ErrReplicaUnavailable) {
+			break
+		}
+		if !s.vw.moved() {
+			return out, s.vw.res, err
+		}
 	}
-	return out, s.vw.res, err
+	out, err := s.getAppend(s.readPrimary, key, dst)
+	return out, repro.ReadResult{}, err
 }
 
 // ScanAt is Scan served under opts' consistency discipline: the staged
-// snapshot comes from one replica view (or the primary), with the same
-// restart-on-primary fallback as GetAt. fn runs after the store lock is
+// entries come from one replica (or the primary), each entry whole from
+// one view of it, with the same restart-on-primary fallback as GetAt. fn runs after the store lock is
 // released, on slices reused between calls.
 func (s *Store) ScanAt(start []byte, limit int, opts repro.ReadOpts, fn func(key, value []byte) error) (int, repro.ReadResult, error) {
 	s.mu.Lock()
@@ -121,12 +160,12 @@ func (s *Store) ScanAt(start []byte, limit int, opts repro.ReadOpts, fn func(key
 		err    error
 	)
 	if opts.Mode == repro.ReadPrimary && opts.Replica == 0 {
-		flat, bounds, err = s.stageScan(s.readPrimary, start, limit)
+		flat, bounds, err = s.stageScan(s.readPrimary, nil, start, limit)
 	} else {
 		s.vw.begin(opts)
-		flat, bounds, err = s.stageScan(s.vwRead, start, limit)
-		if err != nil && errors.Is(err, repro.ErrReplicaUnavailable) {
-			flat, bounds, err = s.stageScan(s.readPrimary, start, limit)
+		flat, bounds, err = s.stageScan(s.vwRead, &s.vw, start, limit)
+		if errors.Is(err, repro.ErrReplicaUnavailable) {
+			flat, bounds, err = s.stageScan(s.readPrimary, nil, start, limit)
 		} else {
 			res = s.vw.res
 		}
@@ -135,10 +174,6 @@ func (s *Store) ScanAt(start []byte, limit int, opts repro.ReadOpts, fn func(key
 	if err != nil {
 		return 0, res, err
 	}
-	for i, bd := range bounds {
-		if err := fn(flat[bd.off:bd.off+bd.kl], flat[bd.off+bd.kl:bd.off+bd.kl+bd.vl]); err != nil {
-			return i + 1, res, err
-		}
-	}
-	return len(bounds), res, nil
+	n, err := deliver(flat, bounds, fn)
+	return n, res, err
 }

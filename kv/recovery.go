@@ -3,118 +3,106 @@ package kv
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro"
 )
 
-// recover rebuilds the in-memory acceleration (free list, live and
-// tombstone counts) from the database bytes and repairs the damage an
-// interrupted operation can leave behind. It runs on every Open of a
-// formatted store — in particular on the promoted survivor after a crash
-// and failover, where it makes the committed-prefix guarantee observable
-// at the key level: every record whose bucket flip committed is kept,
-// everything else is reclaimed.
+// recover rebuilds the in-memory acceleration (free lists, live and
+// tombstone counts) from the database bytes, region by region. It runs on
+// every Open of a formatted store — in particular on the promoted survivor
+// after a crash and failover, where the committed-prefix guarantee is
+// already observable at the key level: every mutation is one transaction
+// on one group, so the survivor holds each key's record and bucket word
+// from the same commit and there is nothing torn to repair.
 //
-// Damage taxonomy (only possible for operations whose commit was never
-// acknowledged):
-//
-//   - A record slot written but never flipped reachable: the slot is
-//     simply free (slot used-ness is defined by bucket references).
-//   - A bucket flip torn away from its record phase (possible only on a
-//     multi-shard deployment at 1-safe, where the two commits land on
-//     different shards): the bucket may reference an out-of-range slot,
-//     a slot with an implausible record header, or a stale record of a
-//     key that is also live elsewhere. Such buckets are tombstoned; for
-//     duplicate keys the entry earlier in the key's own probe order wins
-//     — the same record a Get would return.
+// What it still does is validate every reachable bucket, because a record
+// read through a bad word would be served as data. A live word is
+// tombstoned when it names a slot out of range or in another region, a
+// slot with an implausible record header, a key that hashes to another
+// region, or a key another bucket of the region also holds (two words
+// naming one slot included) — there the entry earlier in the key's own
+// probe order wins, the same record a Get returns. None of that is
+// produced by this package's own crashes; it is the guard against bytes
+// something else wrote.
 //
 // The repair writes go through one ordinary transaction, so they are
 // themselves replicated.
 func (s *Store) recover() error {
 	g := s.geo
-	used := make([]bool, g.slotCount)
+	used := make([]bool, g.regions*g.slots)
 	type entry struct {
 		bucket uint64
 		slot   uint64
 		dist   uint64
 	}
-	keys := make(map[string]entry)
+	keys := make(map[string]entry) // one region's live keys
 	var clears []uint64
 	s.live, s.tombs = 0, 0
 
-	// Walk the bucket array in raw chunks (recovery is management plane:
-	// it charges no simulated time).
-	const chunk = 1 << 16
-	total := int(g.bucketCount) * bucketWidth
-	buf := make([]byte, chunk)
+	// Recovery is management plane: raw reads charge no simulated time.
+	words := make([]byte, g.buckets*bucketWidth)
 	var hdr [slotHeader]byte
-	for off := 0; off < total; off += chunk {
-		n := chunk
-		if total-off < n {
-			n = total - off
-		}
-		s.db.ReadRaw(int(g.bucketsOff)+off, buf[:n])
-		for i := 0; i+bucketWidth <= n; i += bucketWidth {
-			b := uint64(off+i) / bucketWidth
-			w := binary.LittleEndian.Uint64(buf[i:])
-			switch {
-			case w == bucketEmpty:
-			case w == bucketTomb:
-				s.tombs++
-			default:
-				slot := w - bucketBase
-				if slot >= g.slotCount {
-					clears = append(clears, b)
-					continue
-				}
-				s.db.ReadRaw(g.slotOff(slot), hdr[:])
-				kl := int(binary.LittleEndian.Uint32(hdr[:4]))
-				vl := int(binary.LittleEndian.Uint32(hdr[4:]))
-				if kl <= 0 || kl+vl > g.payload() {
-					clears = append(clears, b)
-					continue
-				}
-				key := make([]byte, kl)
-				s.db.ReadRaw(g.slotOff(slot)+slotHeader, key)
-				dist := (b - hash(key)) & g.mask()
-				if prev, dup := keys[string(key)]; dup {
-					// Two buckets claim the same key: keep the one a Get
-					// would reach first (smaller probe distance from the
-					// key's natural bucket), tombstone the other.
-					if dist < prev.dist {
-						clears = append(clears, prev.bucket)
-						used[prev.slot] = false
-						keys[string(key)] = entry{bucket: b, slot: slot, dist: dist}
-						used[slot] = true
-					} else {
-						clears = append(clears, b)
-					}
-					continue
-				}
-				keys[string(key)] = entry{bucket: b, slot: slot, dist: dist}
-				used[slot] = true
-				s.live++
+	for r := uint64(0); r < g.regions; r++ {
+		clear(keys)
+		s.db.ReadRaw(g.bucketOff(r*g.buckets), words)
+		for i := uint64(0); i < g.buckets; i++ {
+			b := r*g.buckets + i
+			w := binary.LittleEndian.Uint64(words[i*bucketWidth:])
+			if w == bucketEmpty {
+				continue
 			}
+			if w == bucketTomb {
+				s.tombs++
+				continue
+			}
+			slot := w - bucketBase
+			if slot/g.slots != r { // out of range, or another region's
+				clears = append(clears, b)
+				continue
+			}
+			s.db.ReadRaw(g.slotOff(slot), hdr[:])
+			kl := int(binary.LittleEndian.Uint32(hdr[:4]))
+			vl := int(binary.LittleEndian.Uint32(hdr[4:]))
+			if kl == 0 || kl+vl > g.payload() {
+				clears = append(clears, b)
+				continue
+			}
+			key := make([]byte, kl)
+			s.db.ReadRaw(g.slotOff(slot)+slotHeader, key)
+			region, natural := g.place(key)
+			if region != r {
+				clears = append(clears, b)
+				continue
+			}
+			dist := (i - natural) & (g.buckets - 1)
+			if prev, dup := keys[string(key)]; dup {
+				// Two buckets claim the key: keep the one a Get reaches
+				// first (smaller probe distance from the key's natural
+				// bucket), tombstone the other.
+				if dist > prev.dist {
+					clears = append(clears, b)
+					continue
+				}
+				clears = append(clears, prev.bucket)
+				used[prev.slot] = false
+				s.live--
+			}
+			keys[string(key)] = entry{bucket: b, slot: slot, dist: dist}
+			used[slot] = true
+			s.live++
 		}
 	}
 	s.resetFree(used)
 
 	if len(clears) > 0 {
-		err := s.runTx(func(tx repro.Tx) error {
-			var word [bucketWidth]byte
-			binary.LittleEndian.PutUint64(word[:], bucketTomb)
-			for _, b := range clears {
-				off := g.bucketOff(b)
-				if err := tx.SetRange(off, bucketWidth); err != nil {
-					return err
-				}
-				if err := tx.Write(off, word[:]); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		tx, err := s.db.Begin()
 		if err != nil {
+			return fmt.Errorf("kv: recovery repair: %w", s.observe(err))
+		}
+		for _, b := range clears {
+			if err = s.writeBucket(tx, b, bucketTomb); err != nil {
+				break
+			}
+		}
+		if err := s.finish(tx, err); err != nil {
 			return fmt.Errorf("kv: recovery repair: %w", err)
 		}
 		s.tombs += len(clears)

@@ -203,3 +203,81 @@ func TestReopenAutopilot(t *testing.T) {
 		t.Fatalf("Put after autopilot Reopen: %v", err)
 	}
 }
+
+// TestReopenAssignsNoGeometry is the race detector's probe of a Store
+// documented safe for concurrent use: Slots, Buckets, SlotPayload and
+// Txn.Put read the geometry without the lock, which is sound only because
+// nothing assigns it after Open — Reopen checks the persisted header
+// against it and leaves it alone. (It used to re-adopt the header under the
+// lock, a write racing every one of those reads.)
+func TestReopenAssignsNoGeometry(t *testing.T) {
+	s, err := kv.Open(newCluster(t, repro.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots, buckets, payload := s.Slots(), s.Buckets(), s.SlotPayload()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if err := s.Reopen(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if s.Slots() != slots || s.Buckets() != buckets || s.SlotPayload() != payload {
+			t.Fatal("geometry changed under an open store")
+		}
+		txn, err := s.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Put([]byte("k"), make([]byte, payload-1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Abort(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestReopenRejectsAnotherGeometry: the header under an open store is
+// compared, not adopted.
+func TestReopenRejectsAnotherGeometry(t *testing.T) {
+	db := newCluster(t, repro.Config{})
+	s, err := kv.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put([]byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	var word [8]byte
+	db.ReadRaw(24, word[:]) // the header's slot-size word
+	if err := db.Load(24, []byte{128, 0, 0, 0, 0, 0, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	slots := s.Slots()
+	if err := s.Reopen(); !errors.Is(err, kv.ErrBadFormat) {
+		t.Fatalf("Reopen over a header with another slot size = %v, want ErrBadFormat", err)
+	}
+	if s.Slots() != slots {
+		t.Fatalf("Slots %d after the refused Reopen, was %d", s.Slots(), slots)
+	}
+	if err := db.Load(24, word[:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := s.Get([]byte("k")); err != nil || string(v) != "v" {
+		t.Fatalf("Get after Reopen = %q, %v", v, err)
+	}
+}

@@ -1,23 +1,21 @@
 package kv
 
 import (
-	"errors"
-
-	"repro"
+	"cmp"
+	"slices"
 )
 
 // Txn is a multi-key transaction: reads see the store plus the
 // transaction's own buffered writes; Put and Delete buffer until Commit,
-// which persists the whole set through the store's two-phase protocol —
-// every record lands in its slot before any bucket flips, so a crash
-// mid-commit never exposes a half-written record. On a single-shard
-// deployment (a Cluster, or a one-shard ShardedCluster) the commit is one
-// underlying transaction and therefore atomic: all of the transaction's
-// keys become visible together or not at all. On a multi-shard deployment
-// the bucket flips commit shard by shard — the underlying layer has no
-// cross-shard atomic commit — so a crash at the wrong instant can expose
-// a prefix of the transaction's keys; each individual key still flips
-// atomically.
+// which issues every key's mutation — the same writes Store.Put and
+// Store.Delete make — inside one transaction on the underlying DB, keys in
+// ascending region order. Each key is confined to its region, hence to one
+// shard, so each key changes atomically, and all of the transaction's keys
+// on one shard become visible together or not at all. On a one-shard
+// deployment that is the whole transaction. On a multi-shard deployment
+// the DB commits the touched shards one after another — the underlying
+// layer has no cross-shard atomic commit — so a crash at the wrong instant
+// can expose the keys of a prefix of the shards.
 type Txn struct {
 	s     *Store
 	b     *Burst // the burst the transaction joins, nil for Store.Begin
@@ -112,8 +110,8 @@ func (t *Txn) Abort() error {
 }
 
 // Commit persists every buffered write. On error nothing is applied
-// (single-shard deployments) or at most a shard-prefix of the flips is
-// (multi-shard; see the type comment). A repro.ErrSafetyUnavailable
+// (single-shard deployments) or at most the keys of a prefix of the shards
+// are (multi-shard; see the type comment). A repro.ErrSafetyUnavailable
 // return means the writes are durable on the serving node but were not
 // acknowledged at the configured safety level.
 func (t *Txn) Commit() error {
@@ -134,57 +132,51 @@ func (t *Txn) Commit() error {
 	if len(t.order) == 0 {
 		return nil
 	}
+	// Ascending region order makes the order shards are touched in — and
+	// the charged write sequence — a function of the key set alone.
+	region := func(k string) uint64 { r, _ := s.geo.place([]byte(k)); return r }
+	slices.SortStableFunc(t.order, func(a, b string) int { return cmp.Compare(region(a), region(b)) })
 
-	// Plan: probe every key against the live table shadowed by the flips
-	// planned so far, allocating slots as puts are laid out.
-	overlay := make(map[uint64]uint64, len(t.order))
-	writes := make([]*write, 0, len(t.order))
-	probes := make([]probeResult, 0, len(t.order))
-	flips := make(map[uint64]*write, len(t.order))
-	fail := func(err error) error {
-		s.unalloc(writes)
-		return err
+	tx, err := s.db.Begin()
+	if err != nil {
+		return s.observe(err)
 	}
+	// Probe through the transaction: a key sees the flips of the keys
+	// before it. done collects what was issued, to settle after the commit.
+	type issued struct {
+		p   probeResult
+		del bool
+	}
+	var done []issued
+	rd := readFn(tx.Read)
 	for _, k := range t.order {
-		op := t.ops[k]
-		key := []byte(k)
-		p, err := s.probe(s.readPrimary, key, overlay)
-		if err != nil {
-			return fail(s.observe(err))
+		op, key := t.ops[k], []byte(k)
+		var p probeResult
+		if p, err = s.probe(rd, key); err != nil {
+			break
 		}
-		if op.del {
-			if !p.found {
-				continue // deleting an absent key: no-op
+		switch {
+		case !op.del:
+			if err = s.alloc(&p); err == nil {
+				done = append(done, issued{p, false})
+				err = s.writePut(tx, p, key, op.val)
 			}
-			w := &write{key: key, del: true}
-			writes = append(writes, w)
-			probes = append(probes, p)
-			flips[p.bucket] = w
-			overlay[p.bucket] = bucketTomb
-			continue
+		case p.found:
+			done = append(done, issued{p, true})
+			err = s.writeBucket(tx, p.bucket, bucketTomb)
 		}
-		if !p.found && p.full {
-			return fail(ErrFull)
+		if err != nil {
+			break
 		}
-		w := &write{key: key, val: op.val}
-		if err := s.alloc(w); err != nil {
-			return fail(err)
-		}
-		writes = append(writes, w)
-		probes = append(probes, p)
-		flips[p.bucket] = w
-		overlay[p.bucket] = uint64(w.slot) + bucketBase
 	}
-	if len(writes) == 0 {
-		return nil
+	if err == nil && len(done) == 0 {
+		return s.observe(tx.Abort()) // every op deleted an absent key
 	}
-
-	err := s.commitWrites(writes, flips)
-	if err != nil && !errors.Is(err, repro.ErrSafetyUnavailable) {
-		return fail(err)
-	}
-	for i, w := range writes {
-		s.applyWrite(w, probes[i])
+	err = s.finish(tx, err)
+	// Settle newest first so a failed commit's slots go back in the order
+	// they came.
+	for i := len(done) - 1; i >= 0; i-- {
+		s.settle(done[i].p, done[i].del, err)
 	}
 	return err
 }

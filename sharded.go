@@ -56,6 +56,7 @@ import (
 type Cluster struct {
 	cfg       Config
 	shardSize int
+	partSize  int // the placement partition, fixed by shardSize
 	dbSize    int
 
 	// view is the atomically published routing state: the shard list and
@@ -144,6 +145,7 @@ func NewSharded(cfg Config, shards int) (*Cluster, error) {
 		list = append(list, m)
 	}
 	c.layout = placement.NewLayout(shards, size, 0)
+	c.partSize = c.layout.PartSize()
 	c.view.Store(&placeView{shards: list, table: c.layout.Compile(1)})
 	if cfg.Metrics {
 		c.reg = obs.NewRegistry()
@@ -191,6 +193,13 @@ func (c *Cluster) Safety() Safety { return c.cfg.Safety }
 // ShardSize returns the per-shard database size in bytes.
 func (c *Cluster) ShardSize() int { return c.shardSize }
 
+// PartSize returns the placement partition in bytes: the database is
+// tiled by partitions of this size, each wholly on one shard at every
+// placement epoch, and a rebalance moves them whole. It is a function of
+// ShardSize (at least 16 page-aligned partitions per shard), so it never
+// changes over the deployment's life, growth included.
+func (c *Cluster) PartSize() int { return c.partSize }
+
 // DBSize returns the configured total database size — the bound all
 // offsets are validated against.
 func (c *Cluster) DBSize() int { return c.dbSize }
@@ -218,6 +227,7 @@ func (c *Cluster) Shard(i int) *Cluster {
 		return nil
 	}
 	view := newCluster(c.cfg, c.shardSize, c.shardSize)
+	view.partSize = c.partSize
 	view.view.Store(&placeView{shards: v.shards[i : i+1 : i+1], table: placement.Uniform(1, c.shardSize)})
 	return view
 }
