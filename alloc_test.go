@@ -17,23 +17,21 @@ import (
 // repository. The instrumented variant attaches the obs registry
 // (Config.Metrics) and must hold the same zero: instruments are plain
 // atomics recording into preallocated buckets, so observability costs
-// cycles, never allocations.
+// cycles, never allocations. The quorum variant (K=3) adds the
+// acknowledgement wait: collecting and ordering the backups' ack times
+// uses the group's scratch and allocates nothing either.
 func TestCommitPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	for _, metrics := range []bool{false, true} {
-		name := "bare"
-		if metrics {
-			name = "instrumented"
-		}
+	for name, cfg := range map[string]repro.Config{
+		"bare":         {},
+		"instrumented": {Metrics: true},
+		"quorum":       {Backups: 3, Safety: repro.QuorumSafe},
+	} {
 		t.Run(name, func(t *testing.T) {
-			c, err := repro.New(repro.Config{
-				Version: repro.V3InlineLog,
-				Backup:  repro.ActiveBackup,
-				DBSize:  8 << 20,
-				Metrics: metrics,
-			})
+			cfg.Version, cfg.Backup, cfg.DBSize = repro.V3InlineLog, repro.ActiveBackup, 8<<20
+			c, err := repro.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,21 +129,23 @@ func TestShardedCommitPathZeroAllocs(t *testing.T) {
 // allocation count of the commit path beneath them: none. A Put or Delete
 // is a probe, one Begin, one or two declared writes and a Commit, written
 // straight through — no plan to build, no closure to run — on one shard and
-// on four alike. The deployment is the neighbouring tests': a quorum commit
-// sorts its acknowledgements through sort.Slice, two allocations that are
-// the replication layer's (the benchmark's replication.commit_allocs), not
-// this path's.
+// on four alike, 1-safe and at a K=3 quorum alike.
 func TestKVPutZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			c, err := repro.NewSharded(repro.Config{
-				Version: repro.V3InlineLog,
-				Backup:  repro.ActiveBackup,
-				DBSize:  8 << 20,
-			}, shards)
+	for name, tc := range map[string]struct {
+		shards int
+		cfg    repro.Config
+	}{
+		"shards=1": {shards: 1},
+		"shards=4": {shards: 4},
+		"quorum":   {shards: 1, cfg: repro.Config{Backups: 3, Safety: repro.QuorumSafe}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Version, cfg.Backup, cfg.DBSize = repro.V3InlineLog, repro.ActiveBackup, 8<<20
+			c, err := repro.NewSharded(cfg, tc.shards)
 			if err != nil {
 				t.Fatal(err)
 			}

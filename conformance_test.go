@@ -13,6 +13,8 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/replication"
+	"repro/internal/vista"
 	"repro/kv"
 )
 
@@ -412,10 +414,15 @@ func TestDBConformanceNoBackup(t *testing.T) {
 
 // TestDBConformanceCrashAfterBegin: a crash landing between a
 // transaction's Begin and any later call surfaces as the one public
-// ErrCrashed from every handle method — the store-level crash marker never
-// leaks — so layers above (kv marks its store broken, kvserver answers
-// retry) recognize it whichever method meets it first.
+// ErrCrashed from every handle method, so layers above (kv marks its store
+// broken, kvserver answers retry) recognize it whichever method meets it
+// first. Nothing maps it on the way up: the store's sentinel, the group's
+// and the facade's are one value, so there is no second marker to leak.
 func TestDBConformanceCrashAfterBegin(t *testing.T) {
+	if vista.ErrCrashed != replication.ErrCrashed || replication.ErrCrashed != repro.ErrCrashed {
+		t.Fatalf("three crashed sentinels: vista %q, replication %q, repro %q",
+			vista.ErrCrashed, replication.ErrCrashed, repro.ErrCrashed)
+	}
 	buf := make([]byte, 8)
 	calls := map[string]func(tx repro.Tx) error{
 		"SetRange": func(tx repro.Tx) error { return tx.SetRange(0, 8) },
@@ -443,6 +450,10 @@ func TestDBConformanceCrashAfterBegin(t *testing.T) {
 				}
 				if err := f(tx); !errors.Is(err, repro.ErrCrashed) {
 					t.Fatalf("%s after the crash = %v, want ErrCrashed", call, err)
+				}
+				// So does a charged read on the dead node.
+				if err := db.Read(0, buf); !errors.Is(err, repro.ErrCrashed) {
+					t.Fatalf("Read on the dead node = %v, want ErrCrashed", err)
 				}
 			})
 		}

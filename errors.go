@@ -12,10 +12,10 @@ import (
 
 // This file is the package's complete error taxonomy: every sentinel an
 // API call can return lives here, in one place, with the call → error map
-// below. Sentinels that flow through transaction handles unchanged are
-// aliases of the internal layer's values, so errors.Is works on every
-// path; the remaining sentinels are owned here and translated at the
-// API boundary by mapErr.
+// below. Every sentinel an internal layer can surface is an alias of that
+// layer's value, so an error crosses the facade as it is — nothing is
+// translated, and errors.Is works on every path; the sentinels owned here
+// are the ones only the facade can raise.
 //
 // Which calls return which errors:
 //
@@ -105,10 +105,10 @@ var (
 	ErrTxDone = vista.ErrTxDone
 	// ErrNoBackup is returned by Failover when no surviving backup can
 	// take over (standalone clusters, or every backup dead).
-	ErrNoBackup = errors.New("repro: cluster has no backup")
+	ErrNoBackup = replication.ErrNoBackup
 	// ErrNotRepairable is returned by Repair and RepairAsync when every
 	// configured replica is already enrolled and in sync.
-	ErrNotRepairable = errors.New("repro: nothing to repair")
+	ErrNotRepairable = replication.ErrNotRepairable
 	// ErrShardCount is returned by NewSharded for a non-positive shard
 	// count.
 	ErrShardCount = errors.New("repro: shard count must be at least 1")
@@ -157,33 +157,9 @@ func (e *PartialCommitError) Error() string {
 // Unwrap exposes the underlying shard failure to errors.Is/As.
 func (e *PartialCommitError) Unwrap() error { return e.Err }
 
-// mapErr translates internal-layer sentinels to the public taxonomy at
-// an API boundary. It is exhaustive over the errors the internal layers
-// can surface: aliased sentinels (ErrCrashed, ErrSafetyUnavailable,
-// ErrLeaseExpired, ErrBounds, ErrWriteOutsideRange, ErrTxDone) pass
-// through by identity, and the remaining internal values are mapped to
-// their public counterparts here.
-func mapErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, vista.ErrCrashed):
-		// The store-level crash marker surfaces through charged reads on
-		// a dead node; fold it into the one public crashed sentinel.
-		return ErrCrashed
-	case errors.Is(err, replication.ErrNoBackup):
-		return ErrNoBackup
-	case errors.Is(err, replication.ErrNotRepairable):
-		return ErrNotRepairable
-	default:
-		return err
-	}
-}
-
-// recoveryErr maps the failure of a Failover or Repair: the two sentinels
-// owned here come back bare, anything else names the operation.
+// recoveryErr reports the failure of a Failover or Repair: the operation's
+// own two sentinels come back bare, anything else names the operation.
 func recoveryErr(op string, err error) error {
-	err = mapErr(err)
 	if err == nil || err == ErrNoBackup || err == ErrNotRepairable {
 		return err
 	}

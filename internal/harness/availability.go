@@ -35,7 +35,7 @@ func runAvailability(cfg RunConfig) (*Table, error) {
 		Backup:  repro.ActiveBackup,
 		DBSize:  db,
 		Backups: backups,
-		Safety:  repro.Safety(cfg.Safety),
+		Safety:  cfg.Safety,
 	})
 	if err != nil {
 		return nil, err

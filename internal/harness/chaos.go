@@ -39,7 +39,7 @@ func runChaos(cfg RunConfig) (*Table, error) {
 		Backup:  repro.ActiveBackup,
 		DBSize:  db,
 		Backups: backups,
-		Safety:  repro.Safety(cfg.Safety),
+		Safety:  cfg.Safety,
 		Autopilot: repro.AutopilotConfig{
 			HeartbeatPeriod: hb,
 			SuspectTimeout:  suspect,

@@ -145,7 +145,7 @@ func shardCell(cfg RunConfig, shards int, txns int64) (float64, error) {
 		Backup:  repro.ActiveBackup,
 		DBSize:  cfg.DBSize,
 		Backups: cfg.Backups,
-		Safety:  repro.Safety(cfg.Safety),
+		Safety:  cfg.Safety,
 	}, shards)
 	if err != nil {
 		return 0, err

@@ -58,7 +58,7 @@ func runKV(cfg RunConfig) (*Table, error) {
 	}
 	for _, d := range deployments {
 		for _, mix := range tpc.KVMixes() {
-			dep, err := repro.NewSharded(kvConfig(db, backups, repro.Safety(cfg.Safety)), d.shards)
+			dep, err := repro.NewSharded(kvConfig(db, backups, cfg.Safety), d.shards)
 			if err != nil {
 				return nil, err
 			}

@@ -13,10 +13,14 @@
 // deployment's failure taxonomy onto the wire:
 //
 //   - kv.ErrBroken / repro.ErrCrashed / repro.ErrLeaseExpired become
-//     StatusRetry — the client retries, and the server's healer
-//     re-Opens the store in place (kv.Store.Reopen) as soon as the
-//     autopilot has promoted a survivor, calling Admin.Failover itself
-//     when no autopilot is configured.
+//     StatusRetry — and before that answer is queued, the connection
+//     reader that met the failure re-Opens the store in place
+//     (kv.Store.Reopen, whose admission probe is where an autopilot
+//     promotes a survivor; Admin.Failover first when no autopilot is
+//     configured). A StatusRetry is an invitation to a store that is
+//     already healed; if the heal could not succeed yet, the next burst
+//     delivered — the retried request's — attempts it again, so the
+//     client's back-off is the only polling loop on the path.
 //   - repro.ErrSafetyUnavailable becomes StatusDegraded — the
 //     deployment cannot currently meet its configured safety level.
 //   - terminal operation errors (store full, key too large, ...)
@@ -35,7 +39,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -58,7 +61,7 @@ type Config struct {
 	Logf func(format string, args ...any)
 	// Obs, when set, attaches the server's own instruments (per-opcode
 	// latency, window occupancy, connection churn, error taxonomy) to the
-	// registry and routes healer decisions through its event ring. Keep
+	// registry and routes heal outcomes through its event ring. Keep
 	// it distinct from the deployment's registry (repro.Config.Metrics):
 	// OpMetrics responses merge the two, so sharing one would double-
 	// count. Nil (the default) leaves the serving path uninstrumented —
@@ -84,9 +87,13 @@ type Server struct {
 	draining atomic.Bool
 
 	connWg sync.WaitGroup
-	healWg sync.WaitGroup
-	healCh chan struct{}
-	done   chan struct{}
+
+	// needHeal is set by every StatusRetry answer and cleared by the heal
+	// that succeeds; healMu admits one healing reader at a time and guards
+	// healFails, the failed attempts since the last success.
+	needHeal  atomic.Bool
+	healMu    sync.Mutex
+	healFails uint64
 
 	ops       atomic.Uint64
 	retries   atomic.Uint64
@@ -94,10 +101,10 @@ type Server struct {
 	badFrames atomic.Uint64
 }
 
-// New builds a Server over store and starts its healer loop. The
-// deployment behind the store is probed for the repro.Admin surface;
-// with it, the healer can drive a manual failover when no autopilot is
-// configured.
+// New builds a Server over store. The deployment behind the store is
+// probed for the repro.Admin surface; with it, a heal can drive a manual
+// failover when no autopilot is configured. It starts no goroutine: a
+// server owns none, each connection two.
 func New(store *kv.Store, cfg Config) *Server {
 	if cfg.Window <= 0 {
 		cfg.Window = 64
@@ -113,12 +120,8 @@ func New(store *kv.Store, cfg Config) *Server {
 		obs:    newServerObs(cfg.Obs),
 		lns:    make(map[net.Listener]struct{}),
 		conns:  make(map[net.Conn]struct{}),
-		healCh: make(chan struct{}, 1),
-		done:   make(chan struct{}),
 	}
 	s.admin, _ = s.db.(repro.Admin)
-	s.healWg.Add(1)
-	go s.healLoop()
 	return s
 }
 
@@ -192,8 +195,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.mu.Unlock()
 		<-drained
 	}
-	close(s.done)
-	s.healWg.Wait()
 	return err
 }
 
@@ -262,8 +263,11 @@ func (s *Server) Metrics() obs.Snapshot {
 // The invariant: no response — GETs included — is queued before a seal
 // covering every commit it could have observed has returned nil. If the
 // seal fails, every response of the burst is replaced by the seal's
-// error. The store is released before anything is queued: out blocks on a
-// slow peer, and the healer's Reopen needs the store.
+// error. The order at the end of a burst is seal — which releases the
+// store — then heal, if anything was answered StatusRetry, then queue: the
+// heal's Reopen needs the store, so does every other connection while out
+// blocks on a slow peer, and a client that reads StatusRetry must find the
+// heal already attempted.
 func (s *Server) handleConn(c net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -410,19 +414,26 @@ func isMutation(op byte) bool {
 // requests before answering the ones already served.
 func (r *connReader) sealPending() bool { return r.muts > 0 && r.burst.Deferring() }
 
-// deliver seals the open burst — which releases the store — and queues its
+// deliver seals the open burst — which releases the store — heals the
+// store if the deployment failed under it, and queues the burst's
 // responses, or the seal's error in place of each of them.
 func (r *connReader) deliver() {
 	if len(r.resps) == 0 {
 		return
 	}
+	s := r.s
 	err := r.burst.Seal()
-	r.s.obs.observeBurst(len(r.resps), r.muts)
-	for i, resp := range r.resps {
-		if err != nil {
+	s.obs.observeBurst(len(r.resps), r.muts)
+	if err != nil {
+		for i, resp := range r.resps {
 			kvwire.PutBuf(resp)
-			resp = r.s.errResp(err)
+			r.resps[i] = s.errResp(err)
 		}
+	}
+	if s.needHeal.Load() {
+		s.heal()
+	}
+	for i, resp := range r.resps {
 		r.out <- resp
 		r.resps[i] = nil
 	}
@@ -593,13 +604,13 @@ func (s *Server) errResp(err error) []byte {
 		return kvwire.AppendEmpty(kvwire.GetBuf(), kvwire.StatusNotFound)
 	case errors.Is(err, kv.ErrBroken), errors.Is(err, repro.ErrCrashed), errors.Is(err, repro.ErrLeaseExpired):
 		// The serving deployment crashed under the store (or this node
-		// was deposed): retryable. Kick the healer; the client backs
-		// off and retries against the same address.
+		// was deposed): retryable. The reader heals before it queues this
+		// answer (deliver); the client retries against the same address.
 		s.retries.Add(1)
 		if s.obs != nil {
 			s.obs.retry.Inc()
 		}
-		s.triggerHeal()
+		s.needHeal.Store(true)
 		return kvwire.AppendMsg(kvwire.GetBuf(), kvwire.StatusRetry, "failing over; retry")
 	case errors.Is(err, repro.ErrSafetyUnavailable):
 		if s.obs != nil {
@@ -614,77 +625,28 @@ func (s *Server) errResp(err error) []byte {
 	}
 }
 
-// triggerHeal nudges the healer loop; triggers coalesce.
-func (s *Server) triggerHeal() {
-	select {
-	case s.healCh <- struct{}{}:
-	default:
+// heal runs on a connection reader between its burst's seal and the
+// queueing of its answers, never while the reader holds the store. Readers
+// that met the same crash line up on healMu, and all but the first find
+// the flag cleared; requests on other connections meanwhile park on the
+// store's lock behind the Reopen instead of bouncing off kv.ErrBroken. A
+// heal that cannot succeed yet (no survivor promoted, lease still expired)
+// leaves the flag set for whoever delivers next.
+func (s *Server) heal() {
+	s.healMu.Lock()
+	defer s.healMu.Unlock()
+	if !s.needHeal.Load() {
+		return
 	}
-}
-
-// healLoop re-Opens the store after a crash: every retryable error
-// observed on the serving path lands here, and the loop keeps trying —
-// with exponential backoff — until the deployment admits transactions
-// again and kv.Store.Reopen rebuilds the index from the survivor's
-// bytes. With an autopilot, the Reopen admission probe itself triggers
-// the unattended promotion; without one, the healer drives
-// Admin.Failover and a background RepairAsync itself.
-func (s *Server) healLoop() {
-	defer s.healWg.Done()
-	rng := rand.New(rand.NewSource(time.Now().UnixNano()))
-	for {
-		select {
-		case <-s.done:
-			return
-		case <-s.healCh:
-		}
-		backoff := healBackoffBase
-		for attempt := 1; ; attempt++ {
-			select {
-			case <-s.done:
-				return
-			default:
-			}
-			if s.tryHeal() {
-				s.obs.emit(obs.EventHealed, 0, uint64(attempt), 0)
-				break
-			}
-			var sleep time.Duration
-			sleep, backoff = nextBackoff(backoff, rng)
-			// The retry decision lands in the event ring: attempt ordinal
-			// in A, the jittered backoff (ns) in B.
-			s.obs.emit(obs.EventHealRetry, 0, uint64(attempt), uint64(sleep))
-			time.Sleep(sleep)
-		}
+	// Both outcomes land in the event ring with the attempt ordinal in A.
+	if s.tryHeal() {
+		s.needHeal.Store(false)
+		s.obs.emit(obs.EventHealed, 0, s.healFails+1, 0)
+		s.healFails = 0
+	} else {
+		s.healFails++
+		s.obs.emit(obs.EventHealRetry, 0, s.healFails, 0)
 	}
-}
-
-// The heal retry delay doubles from healBackoffBase and is capped at
-// healBackoffCap, so a long outage (say, a quorum wait) never pushes the
-// retry period past the point where recovery detection feels instant.
-const (
-	healBackoffBase = 500 * time.Microsecond
-	healBackoffCap  = 20 * time.Millisecond
-)
-
-// nextBackoff returns the jittered delay to sleep now and the doubled,
-// capped backoff to carry into the next round. The ±25% jitter keeps a
-// fleet of healers (or a healer racing the autopilot's own probes) from
-// retrying in lockstep against a deployment that is mid-failover.
-func nextBackoff(cur time.Duration, rng *rand.Rand) (sleep, next time.Duration) {
-	if cur < healBackoffBase {
-		cur = healBackoffBase
-	}
-	if cur > healBackoffCap {
-		cur = healBackoffCap
-	}
-	spread := int64(cur / 2)
-	sleep = cur - cur/4 + time.Duration(rng.Int63n(spread+1))
-	next = cur * 2
-	if next > healBackoffCap {
-		next = healBackoffCap
-	}
-	return sleep, next
 }
 
 // tryHeal attempts one heal round. Reports whether the store serves

@@ -7,8 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -254,8 +254,7 @@ func (d *crashAfterBegin) Begin() (repro.Tx, error) {
 
 // TestServerPutRacingCrash: a PUT whose transaction the crash orphans
 // before its first write is answered StatusRetry — the failure is the
-// retryable "failing over" one, not a terminal StatusErr — and the store
-// is marked for the healer.
+// retryable "failing over" one, not a terminal StatusErr.
 func TestServerPutRacingCrash(t *testing.T) {
 	c, err := repro.New(repro.Config{Version: repro.V3InlineLog, Backup: repro.ActiveBackup, Backups: 1, DBSize: 4 << 20})
 	if err != nil {
@@ -402,50 +401,92 @@ func TestServerShardedStats(t *testing.T) {
 	}
 }
 
-// TestNextBackoff pins the healer's retry policy: exponential doubling
-// from the base, a hard cap, and jitter bounded to ±25% of the current
-// delay — never zero, never past 125% of the cap.
-func TestNextBackoff(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
+// TestRetryIsAnInvitationToAHealedStore: the reader that answers
+// StatusRetry has healed the store before the answer is on the wire, so the
+// same frame sent again with no pause lands — with an autopilot (the
+// promotion happens inside Reopen's admission probe) and without one (the
+// heal calls Failover itself). The database is the benchmark's size: its
+// Reopen is tens of milliseconds, which a resend would beat if anything
+// healed in the background.
+func TestRetryIsAnInvitationToAHealedStore(t *testing.T) {
+	rounds := 20
+	if testing.Short() {
+		rounds = 4
+	}
+	frame := kvwire.AppendPut(nil, []byte("k"), []byte("v"))
+	for name, autopilot := range map[string]bool{"autopilot": true, "manual": false} {
+		t.Run(name, func(t *testing.T) {
+			for round := 0; round < rounds; round++ {
+				cfg := quorumAutopilot(repro.Config{DBSize: 32 << 20})
+				if !autopilot {
+					cfg.Autopilot = repro.AutopilotConfig{}
+				}
+				db := &crashAfterBegin{Cluster: mustCluster(t, cfg)}
+				srv, _, conn := serveDB(t, db, kv.Options{}, Config{})
+				db.armed.Store(true)
+				for _, want := range []byte{kvwire.StatusRetry, kvwire.StatusOK} {
+					if _, err := conn.Write(frame); err != nil {
+						t.Fatal(err)
+					}
+					st, bodies := readResponses(t, conn, 1)
+					if st[0] != want {
+						t.Fatalf("round %d: PUT answered status %d %q, want %d", round, st[0], bodies[0], want)
+					}
+				}
+				if got := srv.Stats().Reopens; got != 1 {
+					t.Fatalf("round %d: %d reopens, want 1", round, got)
+				}
+				srv.Close()
+			}
+		})
+	}
+}
 
-	// Doubling walk: base, 2x, 4x, ... until the cap, then flat.
-	cur := healBackoffBase
-	want := healBackoffBase
-	for i := 0; i < 12; i++ {
-		sleep, next := nextBackoff(cur, rng)
-		lo, hi := want-want/4, want+want/2
-		if sleep < lo || sleep > hi {
-			t.Fatalf("round %d: sleep %v outside [%v, %v]", i, sleep, lo, hi)
-		}
-		want *= 2
-		if want > healBackoffCap {
-			want = healBackoffCap
-		}
-		if next != want {
-			t.Fatalf("round %d: next backoff %v, want %v", i, next, want)
-		}
-		cur = next
+// TestHealThatCannotSucceed: the one backup died before the primary, so no
+// heal can succeed. Every request is answered StatusRetry on the spot,
+// nothing is reopened, nothing polls in the background — the goroutines are
+// the accept loop and two per connection, as before the crash — and a drain
+// has nothing to wait for.
+func TestHealThatCannotSucceed(t *testing.T) {
+	idle := runtime.NumGoroutine()
+	c := mustCluster(t, repro.Config{Version: repro.V3InlineLog, Backup: repro.ActiveBackup, Backups: 1, DBSize: 4 << 20})
+	srv, _, conn := serveDB(t, c, kv.Options{}, Config{})
+	put, get := kvwire.AppendPut(nil, []byte("k"), []byte("v")), kvwire.AppendGet(nil, []byte("k"))
+	if _, err := conn.Write(put); err != nil {
+		t.Fatal(err)
 	}
-	if cur != healBackoffCap {
-		t.Fatalf("walk never reached the cap: %v", cur)
+	st, _ := readResponses(t, conn, 1)
+	wantStatuses(t, st, kvwire.StatusOK)
+	if n := runtime.NumGoroutine(); n > idle+3 {
+		t.Fatalf("%d goroutines serve one connection, want the accept loop and two", n-idle)
 	}
 
-	// Out-of-range inputs clamp instead of exploding.
-	if sleep, next := nextBackoff(0, rng); sleep <= 0 || next != 2*healBackoffBase {
-		t.Fatalf("zero input: sleep=%v next=%v", sleep, next)
+	if err := c.CrashBackup(0); err != nil {
+		t.Fatal(err)
 	}
-	if _, next := nextBackoff(time.Hour, rng); next != healBackoffCap {
-		t.Fatalf("huge input: next=%v, want cap %v", next, healBackoffCap)
+	if err := c.CrashPrimary(); err != nil {
+		t.Fatal(err)
 	}
-
-	// Jitter actually spreads: across many draws at the cap we should
-	// see at least two distinct sleeps.
-	seen := map[time.Duration]bool{}
-	for i := 0; i < 64; i++ {
-		sleep, _ := nextBackoff(healBackoffCap, rng)
-		seen[sleep] = true
+	for i := 0; i < 50; i++ {
+		frame := put
+		if i%2 == 1 {
+			frame = get
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := readResponses(t, conn, 1)
+		wantStatuses(t, st, kvwire.StatusRetry)
 	}
-	if len(seen) < 2 {
-		t.Fatalf("jitter produced a constant sleep: %v", seen)
+	if got := srv.Stats(); got.Reopens != 0 || got.Retries != 50 {
+		t.Fatalf("%d reopens and %d retries, want 0 and 50", got.Reopens, got.Retries)
+	}
+	if n := runtime.NumGoroutine(); n > idle+3 {
+		t.Fatalf("%d goroutines after fifty failed heals, want the accept loop and two for the connection", n-idle)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 }

@@ -2,7 +2,7 @@
 // a registry of atomic counters, gauges and log-bucketed latency
 // histograms, plus a fixed-size structured event ring for control-plane
 // traces (failover, lease expiry, epoch bumps, repair phase
-// transitions, WAL rotation and fsync, healer retries).
+// transitions, WAL rotation and fsync, heal attempts).
 //
 // The layer is built for two hostile environments at once. On the
 // simulated side, instruments must not perturb the deterministic sim

@@ -19,8 +19,8 @@ const (
 	EventWALRotate     = "wal.rotate"     // checkpoint snapshot + log rotation; A = synced seq
 	EventWALFsync      = "wal.fsync"      // A = batched frames, B = bytes (sampled: first sync and every 1024th)
 	EventWALTruncate   = "wal.truncate"   // torn tail dropped on recovery; A = bytes
-	EventHealRetry     = "heal.retry"     // kvserver healer attempt failed; A = attempt, B = backoff ns
-	EventHealed        = "heal.ok"        // kvserver healer reopened the store; A = attempts
+	EventHealRetry     = "heal.retry"     // kvserver's heal of the store failed; A = attempt since the last success
+	EventHealed        = "heal.ok"        // kvserver reopened the store; A = attempts it took
 
 	EventRebalanceStart = "rebalance.start" // elastic rebalance begins; A = planned moves, B = planned bytes
 	EventRangeCutover   = "range.cutover"   // one range's routing flipped; A = new placement epoch, B = range start offset

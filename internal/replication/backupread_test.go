@@ -2,6 +2,7 @@ package replication_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/replication"
@@ -9,9 +10,15 @@ import (
 	"repro/internal/vista"
 )
 
+// onBackup pins a read to the pair's one backup.
+var onBackup = replication.ReadSpec{Replica: 1}
+
 // TestBackupServesConsistentReads: the active backup's database copy is
 // transaction-consistent at every applied commit, so read-only queries can
-// be offloaded to it while the primary keeps committing.
+// be offloaded to it while the primary keeps committing — the paper's
+// Section 1 asks "whether the backup can or should be used to execute
+// transactions itself". A read pinned to the backup (ReadSpec.Replica)
+// observes its applied prefix and charges its CPU.
 func TestBackupServesConsistentReads(t *testing.T) {
 	pair := newPair(t, replication.Active, vista.V3InlineLog)
 
@@ -35,13 +42,13 @@ func TestBackupServesConsistentReads(t *testing.T) {
 	}
 	pair.Settle(10 * sim.Microsecond)
 
-	if got := pair.BackupApplied(); got != 60 {
+	if got := pair.AppliedTxns(0); got != 60 {
 		t.Fatalf("backup applied %d of 60 commits after settle", got)
 	}
 	buf := make([]byte, 64)
 	for i := 0; i < 60; i++ {
-		if err := pair.BackupRead(i*64, buf); err != nil {
-			t.Fatal(err)
+		if res, err := pair.RouteRead(i*64, buf, onBackup); err != nil || res.Replica != 1 || res.Seq != 60 {
+			t.Fatalf("read of slot %d pinned to the backup: %+v, %v", i, res, err)
 		}
 		if !bytes.Equal(buf, bytes.Repeat([]byte{byte(i + 1)}, 64)) {
 			t.Fatalf("backup read of slot %d inconsistent", i)
@@ -55,11 +62,11 @@ func TestBackupServesConsistentReads(t *testing.T) {
 
 func TestBackupReadValidation(t *testing.T) {
 	passive := newPair(t, replication.Passive, vista.V3InlineLog)
-	if err := passive.BackupRead(0, make([]byte, 8)); err == nil {
-		t.Fatal("passive backup served a read")
+	if _, err := passive.RouteRead(0, make([]byte, 8), onBackup); !errors.Is(err, replication.ErrReplicaUnavailable) {
+		t.Fatalf("passive backup served a read: %v", err)
 	}
 	active := newPair(t, replication.Active, vista.V3InlineLog)
-	if err := active.BackupRead(testDB-4, make([]byte, 8)); err == nil {
-		t.Fatal("out-of-bounds backup read accepted")
+	if _, err := active.RouteRead(testDB-4, make([]byte, 8), onBackup); !errors.Is(err, vista.ErrBounds) {
+		t.Fatalf("out-of-bounds backup read: %v", err)
 	}
 }

@@ -78,7 +78,7 @@ func TestDeferSealsOnce(t *testing.T) {
 		}
 		s.commit(commits)
 		if scoped {
-			if got := g.BackupApplied(); got != 0 {
+			if got := g.AppliedTxns(0); got != 0 {
 				t.Fatalf("backup applied %d transactions inside the scope, want 0", got)
 			}
 			if err := g.Seal(); err != nil {
@@ -102,7 +102,7 @@ func TestDeferSealsOnce(t *testing.T) {
 	if b, n := snap.Counter(replication.MetricCommitBatches), snap.Counter(replication.MetricCommitTxns); b != 1 || n != commits {
 		t.Fatalf("scope sealed %d batches for %d transactions, want 1 for %d", b, n, commits)
 	}
-	if got := g.BackupApplied(); got != commits {
+	if got := g.AppliedTxns(0); got != commits {
 		t.Fatalf("backup applied %d transactions after the seal, want %d", got, commits)
 	}
 

@@ -46,14 +46,21 @@ import (
 )
 
 // DurabilityConfig switches on and tunes the per-replica disk tier. The
-// zero value disables it entirely (no files, no fsyncs, simulation
-// metrics unchanged).
+// zero value disables it entirely: nothing touches the host filesystem
+// and the simulation's metrics are bit-for-bit those of a purely
+// memory-replicated group.
+//
+// Disk time is host time, not simulated time: fsyncs piggyback on group
+// commit (one fdatasync per batch flush, not per transaction) and never
+// charge the simulated clock, so the paper's tables are unaffected.
 type DurabilityConfig struct {
 	// Dir is the deployment's durability directory; each replica slot
 	// writes under Dir/node-NNN. Empty disables the tier.
 	Dir string
 	// SnapshotEvery is the number of commits between checkpoints
-	// (snapshot write + WAL rotation + pruning). Default 1024.
+	// (snapshot write + WAL rotation + pruning). Default 1024. Smaller
+	// intervals shorten cold-restart replay at the price of more
+	// snapshot writes.
 	SnapshotEvery int
 	// SyncEvery is the number of group-commit flushes one fdatasync
 	// covers. Default 1 — every flush is durable on return; larger
@@ -83,7 +90,8 @@ var ErrNoDurability = errors.New("replication: durability not configured")
 type RecoveryInfo struct {
 	// Recovered is true when any replica directory yielded prior state.
 	Recovered bool
-	// Era and Seq identify the winning replica's recovered position.
+	// Era and Seq identify the winning replica's recovered position
+	// (the era fences a deposed lineage's orphaned tail out).
 	Era uint32
 	Seq uint64
 	// SnapSeq is the winner's base snapshot sequence; Replayed counts
@@ -167,7 +175,8 @@ type durable struct {
 // WALTail describes one replica's live WAL segment at the instant of a
 // power failure. Bytes past Synced were written without an fsync and
 // carry no durability guarantee — the scenario layer tears, flips or
-// zeroes them to model what a power loss may do to the page cache.
+// zeroes them to model what a power loss may do to the page cache, and
+// recovery must still come back with every synced transaction.
 type WALTail struct {
 	// Path is the live segment's file path.
 	Path string

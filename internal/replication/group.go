@@ -61,7 +61,6 @@ type Group struct {
 	redo *redoChannel // active-era shipping lane, nil otherwise
 
 	crashed    bool
-	takeover   *vista.Store
 	generation int // bumped at every completed failover
 	// epoch is the membership epoch: bumped at every failover and
 	// enrollment, stamped onto fully enrolled members, and used to fence
@@ -339,9 +338,6 @@ func (g *Group) Backups() int {
 	return len(g.backups)
 }
 
-// Degree returns the configured replication degree K.
-func (g *Group) Degree() int { return g.cfg.Backups }
-
 // Generation returns how many failovers the group has completed.
 func (g *Group) Generation() int {
 	g.mu.Lock()
@@ -392,13 +388,15 @@ func (g *Group) TransferRate() float64 { return g.repairRate() }
 
 // ShipBulk charges n bulk-category bytes to the serving node's SAN at its
 // current clock — the wire cost of a cross-group range transfer leaving
-// (or entering) this group. A no-op in Standalone mode.
+// (or entering) this group. A no-op in Standalone mode. It takes the group
+// lock: the link is the one every committing transaction charges.
 func (g *Group) ShipBulk(n int) {
 	if n <= 0 {
 		return
 	}
-	node := g.Primary()
-	if node.MC != nil {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if node := g.primary; node.MC != nil {
 		node.MC.EmitBulk(node.Clock.Now(), n, mem.CatSync)
 	}
 }
@@ -650,7 +648,6 @@ func (g *Group) failoverLocked() (*vista.Store, error) {
 	g.generation++
 	g.primary = best.node
 	g.store = st
-	g.takeover = st
 	g.crashed = false
 	g.redo = nil
 	// servingRef (node + interval origin) is swapped as one value by
@@ -706,47 +703,6 @@ func (g *Group) wireSurvivors(survivors []*backup) error {
 		g.resyncSurvivorLocked(b)
 	}
 	return g.mapFanout()
-}
-
-// Takeover returns the store recovered by the most recent failover, or nil.
-func (g *Group) Takeover() *vista.Store {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.takeover
-}
-
-// BackupRead serves a read-only query from the first backup's database
-// copy — the paper's Section 1 asks "whether the backup can or should be
-// used to execute transactions itself"; with the active scheme its copy is
-// transaction-consistent at every applied commit, so read-only work can be
-// offloaded. The read observes the applied prefix (which trails the
-// primary by the 1-safe window) and charges the backup's own CPU.
-func (g *Group) BackupRead(off int, dst []byte) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.redo == nil {
-		return fmt.Errorf("replication: backup reads require the active backup (mode %s)", g.cfg.Mode)
-	}
-	b := g.backups[0]
-	db := b.node.Space.ByName(vista.RegionDB)
-	if db == nil || off < 0 || off+len(dst) > db.Size() {
-		return vista.ErrBounds
-	}
-	g.redo.applyDelivered(b) // serve the freshest applied prefix
-	b.node.Acc.Read(db.Base+uint64(off), dst)
-	return nil
-}
-
-// BackupApplied returns how many transactions the first active backup has
-// applied (trails the primary's commit count by the in-flight window).
-func (g *Group) BackupApplied() uint64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.redo == nil || len(g.backups) == 0 {
-		return 0
-	}
-	g.redo.applyDelivered(g.backups[0])
-	return g.backups[0].appliedTxns
 }
 
 // SetTrace attaches a trace recorder to the primary's SAN interactions for

@@ -58,12 +58,12 @@ func TestGroupValidation(t *testing.T) {
 		t.Fatal("bogus safety level accepted")
 	}
 	g := newGroup(t, replication.Standalone, 0, replication.OneSafe)
-	if g.Backups() != 0 || g.Degree() != 0 {
-		t.Fatalf("standalone group has backups: %d/%d", g.Backups(), g.Degree())
+	if g.Backups() != 0 {
+		t.Fatalf("standalone group has %d backups", g.Backups())
 	}
 	g = newGroup(t, replication.Active, 3, replication.QuorumSafe)
-	if g.Backups() != 3 || g.Degree() != 3 {
-		t.Fatalf("K=3 group reports %d/%d", g.Backups(), g.Degree())
+	if g.Backups() != 3 {
+		t.Fatalf("K=3 group reports %d backups", g.Backups())
 	}
 	if g.Safety() != replication.QuorumSafe {
 		t.Fatalf("safety %v", g.Safety())

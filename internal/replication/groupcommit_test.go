@@ -172,7 +172,7 @@ func TestGroupCommitRingCapacityFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Settle(10 * sim.Microsecond)
-	if got := g.BackupApplied(); got != txns {
+	if got := g.AppliedTxns(0); got != txns {
 		t.Fatalf("backup applied %d of %d large-record commits", got, txns)
 	}
 }

@@ -12,8 +12,6 @@
 package replication
 
 import (
-	"fmt"
-
 	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/memchannel"
@@ -53,33 +51,4 @@ func NewNode(name string, p *sim.Params, link *sim.Link) *Node {
 		n.Acc.IO = n.MC
 	}
 	return n
-}
-
-// MapIdentity maps every write-through region of the node's space onto the
-// same-named region of the destination space (the identity layout both
-// sides of a pair share).
-func (n *Node) MapIdentity(dst *mem.Space) error {
-	if n.MC == nil {
-		return fmt.Errorf("replication: node %q has no Memory Channel", n.Name)
-	}
-	for _, r := range n.Space.Regions() {
-		if !r.WriteThrough && !r.IOOnly {
-			continue
-		}
-		d := dst.ByName(r.Name)
-		if d == nil {
-			return fmt.Errorf("replication: destination lacks region %q", r.Name)
-		}
-		if d.Size() < r.Size() {
-			return fmt.Errorf("replication: destination region %q smaller than source", r.Name)
-		}
-		if err := n.MC.Map(memchannel.Mapping{
-			SrcBase: r.Base,
-			Size:    r.Size(),
-			Dst:     d,
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -154,9 +154,9 @@ var _ TxHandle = (*vista.Tx)(nil)
 
 // Group state errors.
 var (
-	// ErrCrashed is aliased as the facade's public crashed sentinel, so
-	// its message speaks the facade's language.
-	ErrCrashed             = errors.New("repro: primary crashed; call Failover")
+	// ErrCrashed is the store's own sentinel: a crash is the same value
+	// whether the group, an orphaned handle or a dead node's store meets it.
+	ErrCrashed             = vista.ErrCrashed
 	ErrNotCrashed          = errors.New("replication: primary still alive")
 	ErrNoBackup            = errors.New("replication: no surviving backup")
 	ErrActiveNeedV3        = errors.New("replication: active backup requires the Version 3 local scheme")

@@ -56,7 +56,7 @@ func TestRepairSealsOpenBatch(t *testing.T) {
 			for i := 0; i < commits; i++ {
 				commitSlot(t, g, i, byte(i+1))
 			}
-			if got := g.BackupApplied(); got != 0 {
+			if got := g.AppliedTxns(0); got != 0 {
 				t.Fatalf("backup applied %d transactions: the batch is not open", got)
 			}
 			if err := g.CrashBackup(0); err != nil {
@@ -71,7 +71,7 @@ func TestRepairSealsOpenBatch(t *testing.T) {
 			if st := g.BackupState(2); st != replication.StateInSync {
 				t.Fatalf("joiner is %v after Repair, want InSync", st)
 			}
-			if got := g.BackupApplied(); got != commits {
+			if got := g.AppliedTxns(0); got != commits {
 				t.Fatalf("backup applied %d transactions after Repair, want %d", got, commits)
 			}
 			if tc.scope {

@@ -71,8 +71,10 @@ var (
 	ErrOutOfRange = errors.New("vista: write outside any declared set_range")
 	// ErrBounds is returned for accesses outside the database.
 	ErrBounds = errors.New("vista: access outside database bounds")
-	// ErrCrashed is returned once the store's node has crashed.
-	ErrCrashed = errors.New("vista: store has crashed")
+	// ErrCrashed is returned once the store's node has crashed. It is the
+	// one crashed sentinel of every layer above — replication and the
+	// facade alias it — so its message speaks the facade's language.
+	ErrCrashed = errors.New("repro: primary crashed; call Failover")
 )
 
 // Config sizes a Store.

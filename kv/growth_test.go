@@ -139,34 +139,33 @@ func TestKeyspaceThroughGrowth(t *testing.T) {
 	}
 
 	// Drain a shard away. RemoveShard blocks and cuts over as it goes, so
-	// an auditor beside it checks every routing table it catches. (No writer
-	// here: Group.ShipBulk charges the primary's link outside the group
-	// lock, so a blocking drain beside a writer on another goroutine is a
-	// data race below this package — see ROADMAP.)
-	stop, audited := make(chan struct{}), make(chan int)
-	go func() {
-		n := 0
-		for last := uint64(0); ; {
-			select {
-			case <-stop:
-				audited <- n
-				return
-			default:
+	// it runs beside the writer, which checks every routing table it
+	// catches.
+	drained := make(chan error, 1)
+	go func() { drained <- c.RemoveShard(1) }()
+	drainEpochs := 0
+	for last, done := c.PlacementEpoch(), false; !done; {
+		select {
+		case err := <-drained:
+			if err != nil {
+				t.Fatal(err)
 			}
-			if e := c.PlacementEpoch(); e != last {
-				last = e
-				n++
-				if err := regionsWhole(c, s); err != nil {
-					t.Error(err)
-				}
+			done = true
+		default:
+			write()
+		}
+		if e := c.PlacementEpoch(); e != last {
+			last = e
+			drainEpochs++
+			if err := regionsWhole(c, s); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}()
-	if err := c.RemoveShard(1); err != nil {
-		t.Fatal(err)
 	}
-	close(stop)
-	t.Logf("audited %d epochs of the grow and %d of the drain", epochs, <-audited)
+	if drainEpochs == 0 {
+		t.Fatal("the drain cut nothing over")
+	}
+	t.Logf("audited %d epochs of the grow and %d of the drain", epochs, drainEpochs)
 	v.audit("after the drain")
 
 	// Every acknowledged version is on the survivors.

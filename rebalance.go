@@ -427,7 +427,7 @@ func (c *Cluster) pumpLocked(unpaced bool) error {
 		if !m.fenced {
 			tx, err := m.src.Begin()
 			if err != nil {
-				return fmt.Errorf("repro: rebalance fence on shard %d: %w", m.mv.From, mapErr(err))
+				return fmt.Errorf("repro: rebalance fence on shard %d: %w", m.mv.From, err)
 			}
 			tx.Abort()
 			m.fenced = true
@@ -590,7 +590,7 @@ func (c *Cluster) ship(m *rangeMove, rel, n int) error {
 		buf := m.buf[:sz]
 		m.src.ReadRaw(m.mv.FromLocal+rel, buf)
 		if err := m.dst.Load(m.mv.ToLocal+rel, buf); err != nil {
-			return fmt.Errorf("repro: rebalance install on shard %d: %w", m.mv.To, mapErr(err))
+			return fmt.Errorf("repro: rebalance install on shard %d: %w", m.mv.To, err)
 		}
 		m.src.ShipBulk(sz)
 		m.dst.ShipBulk(sz)
@@ -609,7 +609,7 @@ func (c *Cluster) cutoverLocked(m *rangeMove) error {
 	// transaction holds — or can open — a write on the source.
 	tx, err := m.src.Begin()
 	if err != nil {
-		return fmt.Errorf("repro: rebalance barrier on shard %d: %w", m.mv.From, mapErr(err))
+		return fmt.Errorf("repro: rebalance barrier on shard %d: %w", m.mv.From, err)
 	}
 	defer tx.Abort()
 	// A transaction releases its per-shard slots inside Commit/Abort

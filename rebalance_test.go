@@ -169,6 +169,43 @@ func TestRebalanceGrowMovesData(t *testing.T) {
 	}
 }
 
+// TestRebalanceBlockingBesideAWriter: a blocking 2→4 Rebalance on one
+// goroutine beside a committing writer on another. The mover charges both
+// groups' SAN links (Group.ShipBulk) while the writer's commits charge the
+// same links, so under -race this is the probe for anything the mover
+// touches outside a group's lock; the audit is that no write was lost to a
+// cut-over.
+func TestRebalanceBlockingBesideAWriter(t *testing.T) {
+	const dbSize = 2 << 20
+	sc, err := repro.NewSharded(elasticConfig(dbSize, false), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := shadowFill(t, sc, dbSize, 5)
+	if _, err := sc.AddShards(2); err != nil {
+		t.Fatal(err)
+	}
+	moved := make(chan error, 1)
+	go func() { moved <- sc.Rebalance() }()
+	r := rand.New(rand.NewSource(6))
+	for done := false; !done; {
+		select {
+		case err := <-moved:
+			if err != nil {
+				t.Fatal(err)
+			}
+			done = true
+		default:
+			shadowTxn(t, sc, shadow, r, r.Intn(dbSize-64))
+		}
+	}
+	if sc.PlacementEpoch() == 1 {
+		t.Fatal("placement epoch never advanced")
+	}
+	sc.Settle()
+	shadowAudit(t, sc, shadow, "blocking rebalance beside a writer")
+}
+
 // TestRebalanceAsyncRidesCommitStream: an asynchronous rebalance makes
 // paced progress purely from the foreground commit stream, transactions
 // keep committing on every shard throughout, and the final placement

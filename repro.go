@@ -64,72 +64,63 @@ import (
 )
 
 // Version selects one of the paper's four engine designs (Section 4).
-type Version int
+type Version = vista.Version
 
 // Engine versions, numbered as in the paper.
 const (
 	// V0Vista is the original Vista design: heap-allocated undo records
 	// on a linked list.
-	V0Vista Version = iota
+	V0Vista = vista.V0Vista
 	// V1MirrorCopy mirrors the database and copies set-range areas to
 	// the mirror on commit.
-	V1MirrorCopy
+	V1MirrorCopy = vista.V1MirrorCopy
 	// V2MirrorDiff mirrors the database and writes only differing words
 	// to the mirror on commit.
-	V2MirrorDiff
+	V2MirrorDiff = vista.V2MirrorDiff
 	// V3InlineLog keeps before-images inline in a bump-pointer undo log
 	// — the paper's best design.
-	V3InlineLog
+	V3InlineLog = vista.V3InlineLog
 )
 
-// String returns the paper's name for the version.
-func (v Version) String() string { return vista.Version(v).String() }
-
 // BackupMode selects the replication architecture (Sections 5 and 6).
-type BackupMode int
+type BackupMode = replication.Mode
 
 // Backup modes.
 const (
 	// Standalone runs without a backup (paper Table 3).
-	Standalone BackupMode = iota + 1
+	Standalone = replication.Standalone
 	// PassiveBackup replicates the engine's structures by write-through
 	// doubling; the backup CPU idles until failover.
-	PassiveBackup
+	PassiveBackup = replication.Passive
 	// ActiveBackup ships a redo log that the backup CPU applies to its
 	// own database copy; requires V3InlineLog as the local scheme.
-	ActiveBackup
+	ActiveBackup = replication.Active
 )
 
-// String names the mode as the paper does.
-func (m BackupMode) String() string { return replication.Mode(m).String() }
-
 // Safety selects the commit discipline of a replicated cluster.
-type Safety int
+type Safety = replication.Safety
 
 // Safety levels.
 const (
 	// OneSafe returns from Commit at the local commit point (the paper's
 	// choice): a crash in the next few microseconds may lose the
 	// transaction.
-	OneSafe Safety = Safety(replication.OneSafe)
+	OneSafe = replication.OneSafe
 	// TwoSafe holds Commit until every live backup has applied and
 	// acknowledged the transaction.
-	TwoSafe Safety = Safety(replication.TwoSafe)
+	TwoSafe = replication.TwoSafe
 	// QuorumSafe holds Commit until a majority of the replica group
 	// (primary included) has the transaction: with K backups,
 	// ceil((K+1)/2) acknowledgements. An acked commit survives the
 	// simultaneous loss of the primary and any minority of backups.
-	QuorumSafe Safety = Safety(replication.QuorumSafe)
+	QuorumSafe = replication.QuorumSafe
 )
-
-// String names the safety level.
-func (s Safety) String() string { return replication.Safety(s).String() }
 
 // ReadMode selects the consistency discipline of a ReadAt: which replicas
 // may serve the read and how stale a view the caller tolerates. The zero
 // value is ReadPrimary — exactly today's Read, bit-for-bit identical sim
 // metrics — so existing callers pay nothing.
-type ReadMode int
+type ReadMode = replication.ReadMode
 
 // Read modes. Replica reads require the active backup scheme (whose
 // backup copies are transaction-consistent at every applied commit);
@@ -137,28 +128,22 @@ type ReadMode int
 // primary.
 const (
 	// ReadPrimary serializes the read through the primary (the default).
-	ReadPrimary ReadMode = ReadMode(replication.ReadPrimary)
+	ReadPrimary = replication.ReadPrimary
 	// ReadYourWrites serves from any backup whose applied sequence has
 	// reached the caller's token (see DB.Token), else the primary: the
 	// caller observes every write it has ever committed, and never an
 	// older view.
-	ReadYourWrites ReadMode = ReadMode(replication.ReadYourWrites)
+	ReadYourWrites = replication.ReadYourWrites
 	// ReadBounded serves from any backup within ReadOpts.Bound commit
 	// sequences of the primary's committed counter, else the primary:
 	// staleness is capped by an explicit, advertised bound.
-	ReadBounded ReadMode = ReadMode(replication.ReadBounded)
+	ReadBounded = replication.ReadBounded
 	// ReadQuorum reads a majority of the replica group — which intersects
 	// every commit quorum — serves the max-sequence view and repairs
 	// laggards: the paranoid tier, guaranteed to observe every
 	// acknowledged commit.
-	ReadQuorum ReadMode = ReadMode(replication.ReadQuorum)
+	ReadQuorum = replication.ReadQuorum
 )
-
-// String names the mode.
-func (m ReadMode) String() string { return replication.ReadMode(m).String() }
-
-// Valid reports whether m is a defined read mode.
-func (m ReadMode) Valid() bool { return replication.ReadMode(m).Valid() }
 
 // Token is a per-shard commit-sequence vector: element i is a lower bound
 // on the committed-transaction count of shard i that the holder's reads
@@ -203,19 +188,11 @@ type ReadOpts struct {
 	Replica int
 }
 
-// ReadResult reports where a ReadAt was served.
-type ReadResult struct {
-	// Replica is 0 when the primary served, r ≥ 1 when backup r-1 did.
-	// On a sharded deployment it reports the last sub-span's server.
-	Replica int
-	// Seq is the serving view's commit sequence and Primary the shard's
-	// committed counter at routing time; Primary-Seq is the staleness the
-	// read actually observed, in commit sequences (both are shard-local).
-	Seq, Primary uint64
-	// Repaired counts quorum-read laggards whose applied prefix the read
-	// pumped forward (read repair).
-	Repaired int
-}
+// ReadResult reports where a ReadAt was served: Replica is 0 for the
+// primary and r ≥ 1 for backup r-1, Primary-Seq is the staleness the read
+// observed in commit sequences (both shard-local). On a sharded deployment
+// it reports the last sub-span's server.
+type ReadResult = replication.ReadResult
 
 // Config sizes a Cluster.
 type Config struct {
@@ -241,10 +218,6 @@ type Config struct {
 	// batch at a crash are lost — the batched 1-safe window; Flush,
 	// Settle and Repair seal the open batch.
 	CommitBatch int
-	// RepairChunk bounds the bytes one background-repair pump ships
-	// during RepairAsync, so the state transfer interleaves with commits
-	// at a fine grain (0 = 64 KB).
-	RepairChunk int
 	// Autopilot switches on unattended failure handling: heartbeat
 	// failure detection, lease-guarded auto-failover and self-healing
 	// repair. Off (zero) by default — every fault is then handled by the
@@ -396,11 +369,7 @@ func (e FailureEvent) MTTR() time.Duration {
 }
 
 // Stats reports transaction counters of the serving store.
-type Stats struct {
-	Begins  int64
-	Commits int64
-	Aborts  int64
-}
+type Stats = vista.Stats
 
 // Metrics is a point-in-time copy of the deployment's observability
 // registry: counters, gauges, latency histograms and the failure/repair
@@ -428,18 +397,17 @@ func newMember(cfg Config) (*member, error) {
 		reg = obs.NewRegistry()
 	}
 	g, err := replication.NewGroup(replication.Config{
-		Mode: replication.Mode(cfg.Backup),
+		Mode: cfg.Backup,
 		Obs:  reg,
 		Store: vista.Config{
-			Version:  vista.Version(cfg.Version),
+			Version:  cfg.Version,
 			DBSize:   cfg.DBSize,
 			SparseDB: cfg.SparseDB,
 		},
 		SparseBackup: cfg.SparseDB,
 		Backups:      cfg.Backups,
-		Safety:       replication.Safety(cfg.Safety),
+		Safety:       cfg.Safety,
 		CommitBatch:  cfg.CommitBatch,
-		RepairChunk:  cfg.RepairChunk,
 		Autopilot: replication.AutopilotConfig{
 			HeartbeatPeriod: sim.Dur(cfg.Autopilot.HeartbeatPeriod.Nanoseconds()) * sim.Nanosecond,
 			SuspectTimeout:  sim.Dur(cfg.Autopilot.SuspectTimeout.Nanoseconds()) * sim.Nanosecond,
@@ -447,11 +415,7 @@ func newMember(cfg Config) (*member, error) {
 			AutoRepair:      cfg.Autopilot.AutoRepair,
 			Spares:          cfg.Autopilot.Spares,
 		},
-		Durability: replication.DurabilityConfig{
-			Dir:           cfg.Durability.Dir,
-			SnapshotEvery: cfg.Durability.SnapshotEvery,
-			SyncEvery:     cfg.Durability.SyncEvery,
-		},
+		Durability: cfg.Durability,
 	})
 	if err != nil {
 		return nil, err
@@ -465,19 +429,15 @@ func (m *member) readAt(off int, dst []byte, opts ReadOpts, minSeq uint64) (Read
 	if opts.Mode == ReadPrimary && opts.Replica == 0 {
 		// The zero-cost default: identical to Read.
 		if err := m.Read(off, dst); err != nil {
-			return ReadResult{}, mapErr(err)
+			return ReadResult{}, err
 		}
 		seq := m.Committed()
 		return ReadResult{Replica: 0, Seq: seq, Primary: seq}, nil
 	}
-	res, err := m.RouteRead(off, dst, replication.ReadSpec{
-		Mode:    replication.ReadMode(opts.Mode),
+	return m.RouteRead(off, dst, replication.ReadSpec{
+		Mode:    opts.Mode,
 		MinSeq:  minSeq,
 		Bound:   opts.Bound,
 		Replica: opts.Replica,
 	})
-	if err != nil {
-		return ReadResult{}, mapErr(err)
-	}
-	return ReadResult{Replica: res.Replica, Seq: res.Seq, Primary: res.Primary, Repaired: res.Repaired}, nil
 }

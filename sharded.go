@@ -292,7 +292,7 @@ func (c *Cluster) Load(off int, data []byte) error {
 			return err
 		})
 		if err != nil {
-			return mapErr(err)
+			return err
 		}
 		c.markDirty(off, len(data))
 		if c.v().table == v.table {
@@ -418,9 +418,10 @@ type dirtySpan struct{ off, n int }
 // shardedTx routes transactional operations by offset. The hot-path
 // methods walk the placement split inline (closure-free) so a warmed
 // transaction performs no allocation; marks is only appended while a
-// rebalance is active. Every error a per-shard handle returns passes
-// through mapErr on its way out, so a crash that orphans the transaction
-// surfaces as ErrCrashed from whichever method meets it first.
+// rebalance is active. A per-shard handle's error goes out as it came:
+// the crashed sentinel is one value from the store up, so a crash that
+// orphans the transaction is ErrCrashed from whichever method meets it
+// first.
 type shardedTx struct {
 	c       *Cluster
 	open    []replication.TxHandle
@@ -441,7 +442,7 @@ func (t *shardedTx) at(v *placeView, i int) (replication.TxHandle, error) {
 	if t.open[i] == nil {
 		tx, err := v.shards[i].Begin()
 		if err != nil {
-			return nil, fmt.Errorf("repro: shard %d: %w", i, mapErr(err))
+			return nil, fmt.Errorf("repro: shard %d: %w", i, err)
 		}
 		t.open[i] = tx
 		t.touched++
@@ -502,7 +503,7 @@ func (t *shardedTx) SetRange(off, n int) error {
 			cnt = n
 		}
 		if err := tx.SetRange(so, cnt); err != nil {
-			return mapErr(err)
+			return err
 		}
 		off += cnt
 		n -= cnt
@@ -528,7 +529,7 @@ func (t *shardedTx) Write(off int, src []byte) error {
 			cnt = len(src) - pos
 		}
 		if err := tx.Write(so, src[pos:pos+cnt]); err != nil {
-			return mapErr(err)
+			return err
 		}
 		t.mark(off, cnt)
 		off += cnt
@@ -555,7 +556,7 @@ func (t *shardedTx) Read(off int, dst []byte) error {
 			cnt = len(dst) - pos
 		}
 		if err := tx.Read(so, dst[pos:pos+cnt]); err != nil {
-			return mapErr(err)
+			return err
 		}
 		off += cnt
 		pos += cnt
@@ -577,9 +578,9 @@ func (t *shardedTx) Abort() error { return t.finish(false) }
 // transaction touched, naming the shard otherwise.
 func (t *shardedTx) shardErr(i int, err error) error {
 	if t.touched == 1 {
-		return mapErr(err)
+		return err
 	}
-	return fmt.Errorf("repro: shard %d: %w", i, mapErr(err))
+	return fmt.Errorf("repro: shard %d: %w", i, err)
 }
 
 func (t *shardedTx) finish(commit bool) error {
@@ -619,11 +620,11 @@ func (t *shardedTx) finish(commit bool) error {
 				}
 			case t.touched == 1:
 				// No committed or aborted set to report.
-				firstErr = mapErr(err)
+				firstErr = err
 			default:
 				// Build the partial-commit report only on the failure
 				// path: the clean path stays allocation-free.
-				pce = &PartialCommitError{Failed: i, Err: mapErr(err)}
+				pce = &PartialCommitError{Failed: i, Err: err}
 				for j := 0; j < i; j++ {
 					if t.open[j] != nil {
 						pce.Committed = append(pce.Committed, j)
