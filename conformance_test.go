@@ -180,6 +180,21 @@ func TestDBConformanceSettleAndFailover(t *testing.T) {
 			if got := db.Backups(home); got != 2 {
 				t.Fatalf("Backups after repair = %d, want 2", got)
 			}
+			// Behind the promoted node the deployment is still active: a
+			// commit ships as redo and a backup serves the bounded read.
+			want := writeAt(t, db, 64, 0x3C)
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			db.Settle()
+			got = got[:len(want)]
+			res, err := db.ReadAt(64, got, repro.ReadOpts{Mode: repro.ReadBounded, Bound: 4})
+			if err != nil || !bytes.Equal(got, want) || res.Replica == 0 {
+				t.Fatalf("bounded ReadAt after failover and repair = %q, %+v, %v; want a replica's view", got, res, err)
+			}
+			if undo := db.NetTraffic().UndoBytes; undo != 0 {
+				t.Fatalf("%d undo bytes on the SAN after failover: the passive scheme's traffic", undo)
+			}
 		})
 	}
 }

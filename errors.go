@@ -88,9 +88,10 @@ var (
 	ErrNoDurability = replication.ErrNoDurability
 	// ErrReplicaUnavailable is returned by ReadAt for a read pinned to a
 	// specific replica (ReadOpts.Replica > 0) that the replica cannot
-	// serve: passive scheme, not fully enrolled (mid-join, paused, gated,
-	// crashed, epoch-fenced), or unable to satisfy the requested
-	// consistency mode. Automatically routed reads never return it — they
+	// serve: a deployment built passive, a replica not fully enrolled
+	// (mid-join, paused, gated, crashed, epoch-fenced — never "failed over":
+	// an active deployment stays active), or one unable to satisfy the
+	// requested consistency mode. Automatically routed reads never return it — they
 	// fall back to the primary.
 	ErrReplicaUnavailable = replication.ErrReplicaUnavailable
 	// ErrBounds is returned for any access outside the configured

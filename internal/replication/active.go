@@ -57,54 +57,61 @@ type redoChannel struct {
 	applyBuf []byte
 }
 
-func (g *Group) buildActive(specs []vista.RegionSpec) error {
-	g.link = g.cfg.Link
-	if g.link == nil {
-		g.link = sim.NewLink(g.params)
+// establish opens an era of the active scheme on whichever node now serves:
+// at construction, on the survivor a failover promoted, and over the state a
+// cold restart recovered. The engine's own structures stay local — the
+// active scheme replicates nothing but the redo log — and the node's copy of
+// the ring and pointer word (a promoted backup's consumer copy, reused)
+// becomes the I/O-only producer window, broadcast onto every backup. The
+// byte stream restarts at zero while the commit sequence carries on from the
+// store's committed count. With no backup left the window maps nowhere: the
+// node ships nothing until RepairAsync attaches a joiner (see attachLocked).
+func (g *Group) establish() error {
+	p := g.primary
+	for _, r := range p.Space.Regions() {
+		r.WriteThrough = false
 	}
-	g.primary = NewNode("primary", g.params, g.link)
-
-	next, err := vista.PlaceRegions(g.primary.Space, specs, regionBase)
+	ring, ctl, err := g.laneRegions(p)
 	if err != nil {
 		return err
 	}
-	// The active scheme replicates nothing but the redo log: the engine's
-	// own structures stay local.
-	for _, r := range g.primary.Space.Regions() {
-		r.WriteThrough = false
-	}
-	if err := g.newBackupNodes(specs); err != nil {
-		return err
-	}
-
-	ringSize := g.params.RingBytes
-	ch := &redoChannel{g: g, ringSize: ringSize}
-
-	ringBase := next
-	ctlBase := ringBase + uint64(ringSize) + regionBase
-	ch.ringIO = mem.NewRegion(regionRedoRing, ringBase, mem.NewDense(ringSize))
-	ch.ringIO.IOOnly = true
-	ch.ctlIO = mem.NewRegion(regionRingCtl, ctlBase, mem.NewDense(64))
-	ch.ctlIO.IOOnly = true
-	for _, r := range []*mem.Region{ch.ringIO, ch.ctlIO} {
-		if err := g.primary.Space.Add(r); err != nil {
+	ring.IOOnly, ctl.IOOnly = true, true
+	g.redo = &redoChannel{g: g, ringIO: ring, ctlIO: ctl, ringSize: ring.Size()}
+	for _, b := range g.backups {
+		if err := g.redo.attach(b); err != nil {
 			return err
 		}
 	}
-	for _, b := range g.backups {
-		b.ring = sim.NewRing(g.params, ringSize)
-		b.bRing = mem.NewRegion(regionRedoRing, ringBase, mem.NewDense(ringSize))
-		b.bCtl = mem.NewRegion(regionRingCtl, ctlBase, mem.NewDense(64))
-		for _, r := range []*mem.Region{b.bRing, b.bCtl} {
-			if err := b.node.Space.Add(r); err != nil {
-				return err
-			}
-		}
+	return g.attachLocked()
+}
+
+// laneRegions returns n's copy of the redo ring and of the pointer word,
+// placing them past the engine's regions on a node that has none yet.
+func (g *Group) laneRegions(n *Node) (ring, ctl *mem.Region, err error) {
+	if ring = n.Space.ByName(regionRedoRing); ring != nil {
+		return ring, n.Space.ByName(regionRingCtl), nil
 	}
-	if err := g.mapFanout(); err != nil {
+	size := g.params.RingBytes
+	ring = mem.NewRegion(regionRedoRing, g.laneBase, mem.NewDense(size))
+	ctl = mem.NewRegion(regionRingCtl, g.laneBase+uint64(size)+regionBase, mem.NewDense(64))
+	if err = n.Space.Add(ring); err == nil {
+		err = n.Space.Add(ctl)
+	}
+	return ring, ctl, err
+}
+
+// attach hands backup b the consumer end of the lane: its ring copy, a fresh
+// timing model, a zeroed delivered pointer, and an applied sequence that
+// starts at the store's committed count.
+func (c *redoChannel) attach(b *backup) error {
+	ring, ctl, err := c.g.laneRegions(b.node)
+	if err != nil {
 		return err
 	}
-	g.redo = ch
+	b.ring, b.bRing, b.bCtl = sim.NewRing(c.g.params, c.ringSize), ring, ctl
+	c.ptrBuf = [8]byte{}
+	ctl.WriteRaw(0, c.ptrBuf[:])
+	b.appliedTotal, b.appliedTxns = 0, c.g.store.Committed()
 	return nil
 }
 
@@ -327,7 +334,7 @@ func (c *redoChannel) applyRecord(b *backup, off, nWrites, size int) {
 // store over its database (paper: the active backup's copy is
 // transaction-consistent, so recovery is trivial — apply complete records,
 // discard the partial tail).
-func (c *redoChannel) takeover(g *Group, b *backup) (*vista.Store, error) {
+func (c *redoChannel) takeover(b *backup) (*vista.Store, error) {
 	c.applyDelivered(b)
 
 	// Seed the committed-transaction counter before the engine opens.
@@ -336,7 +343,7 @@ func (c *redoChannel) takeover(g *Group, b *backup) (*vista.Store, error) {
 	ctl := b.node.Space.ByName(vista.RegionControl)
 	ctl.WriteRaw(0, buf[:])
 
-	return vista.Open(g.cfg.Store, b.node.Acc, b.node.Rio)
+	return vista.Open(c.g.cfg.Store, b.node.Acc, b.node.Rio)
 }
 
 func pad8(n int) int { return (n + 7) &^ 7 }

@@ -56,7 +56,7 @@ func (g *Group) safetyAvailable() error {
 
 // Begin opens a transaction on the serving store, blocking while another
 // transaction is open on this group (the engine runs one at a time). In
-// the active era the handle captures the transaction's writes as redo
+// the active scheme the handle captures the transaction's writes as redo
 // records; under TwoSafe or QuorumSafe it additionally holds Commit for
 // the configured acknowledgements (per flush when group commit is on).
 func (g *Group) Begin() (TxHandle, error) {
@@ -99,8 +99,8 @@ func (g *Group) Begin() (TxHandle, error) {
 	return t, nil
 }
 
-// groupTx is the one transaction handle of every mode and era: it adds the
-// per-operation locking, the redo capture of the active era and the
+// groupTx is the one transaction handle of every mode, in every era: it adds
+// the per-operation locking, the redo capture of the active scheme and the
 // commit-time shipping, batching and acknowledgement wait to the local
 // engine's transaction. One value and its buffers are recycled per group (a
 // single transaction is open at a time), so a handle must not be used after
@@ -109,7 +109,7 @@ type groupTx struct {
 	g    *Group
 	tx   *vista.Tx
 	done bool
-	// The writes staged for the commit-time redo record (active era only):
+	// The writes staged for the commit-time redo record (active scheme only):
 	// concatenated payloads, entries indexed via offs/lens.
 	offs []int
 	lens []int
@@ -133,8 +133,8 @@ func (t *groupTx) Read(off int, dst []byte) error {
 }
 
 // Write performs the local in-place write (doubled onto the backups in the
-// passive era) and, in the active era, stages the bytes for the commit-time
-// redo record.
+// passive scheme) and, in the active scheme, stages the bytes for the
+// commit-time redo record.
 func (t *groupTx) Write(off int, src []byte) error {
 	g := t.g
 	g.mu.Lock()
@@ -194,7 +194,7 @@ func (t *groupTx) Abort() error {
 }
 
 // Commit commits locally — the 1-safe commit point — after, in the active
-// era, writing the transaction's redo record through the SAN. What is left
+// scheme, writing the transaction's redo record through the SAN. What is left
 // of the commit is deferred work a batch can share: the producer-pointer
 // publish that lets the backups consume the record, and the
 // TwoSafe/QuorumSafe acknowledgement wait. It happens in the batch flush:
@@ -233,7 +233,7 @@ func (t *groupTx) Commit() error {
 	return err
 }
 
-// passiveAcksLocked reports whether a passive-era commit owes an
+// passiveAcksLocked reports whether a passive-scheme commit owes an
 // acknowledgement wait. Without one (1-safe, or no backup left to ask) it
 // carries no deferred work at all.
 func (g *Group) passiveAcksLocked() bool {
@@ -277,8 +277,8 @@ func (g *Group) joinBatchLocked() error {
 }
 
 // Flush seals and ships the open group-commit batch: the redo-ring
-// producer pointer is published (active era) or the write buffers fenced
-// (passive era), and under TwoSafe/QuorumSafe the batch's single
+// producer pointer is published (active scheme) or the write buffers fenced
+// (passive scheme), and under TwoSafe/QuorumSafe the batch's single
 // acknowledgement wait is charged. A no-op when no commits are pending.
 func (g *Group) Flush() error {
 	g.mu.Lock()
@@ -356,7 +356,7 @@ func (g *Group) flushLocked() error {
 	return err
 }
 
-// flushPassiveLocked closes the passive-era batch: one buffer drain and
+// flushPassiveLocked closes the passive-scheme batch: one buffer drain and
 // one acknowledgement round trip cover every commit in the batch.
 func (g *Group) flushPassiveLocked() error {
 	if !g.passiveAcksLocked() {

@@ -523,6 +523,13 @@ func (g *Group) initDurability() error {
 		}
 		g.store.AdoptCommitSeq(w.Seq)
 		d.seq = w.Seq
+		if g.redo != nil {
+			// The lane NewGroup opened counts from zero: the restart era's
+			// consumers start at the recovered sequence.
+			if err := g.establish(); err != nil {
+				return err
+			}
+		}
 
 		// Each backup machine restarts from its own disk: one whose
 		// recovered position matches the winner provably holds the same

@@ -21,11 +21,12 @@ import (
 //
 // After a failover the group rewires itself in place: the most-caught-up
 // promotable survivor is promoted, the remaining survivors re-sync behind
-// it, and replication continues — the group tolerates sequential failures
-// for as long as replicas remain. RepairAsync re-enrolls resumed backups
-// and fresh nodes online: the state transfer runs in the background of the
-// commit stream (see recovery.go and the BackupState lifecycle), so the
-// cluster keeps serving while it heals.
+// it, and replication continues in the mode the group was built in — the
+// group tolerates sequential failures for as long as replicas remain, and
+// an Active group runs the active scheme through all of them. RepairAsync
+// re-enrolls resumed backups and fresh nodes online: the state transfer
+// runs in the background of the commit stream (see recovery.go and the
+// BackupState lifecycle), so the cluster keeps serving while it heals.
 //
 // # Concurrency
 //
@@ -58,7 +59,11 @@ type Group struct {
 	backups []*backup
 	store   *vista.Store
 
-	redo *redoChannel // active-era shipping lane, nil otherwise
+	// redo is an Active group's shipping lane, rebuilt by establish in every
+	// era; nil in the other modes. laneBase is where each node's copy of the
+	// ring sits: the first address past the engine's regions.
+	redo     *redoChannel
+	laneBase uint64
 
 	crashed    bool
 	generation int // bumped at every completed failover
@@ -187,28 +192,35 @@ func NewGroup(cfg Config) (*Group, error) {
 		return nil, err
 	}
 
-	switch cfg.Mode {
-	case Standalone:
-		g.primary = NewNode("primary", params, nil)
-		if _, err := vista.PlaceRegions(g.primary.Space, specs, regionBase); err != nil {
-			return nil, err
-		}
-	case Passive:
-		if err := g.buildPassive(specs); err != nil {
-			return nil, err
-		}
-	case Active:
-		if err := g.buildActive(specs); err != nil {
+	g.primary = NewNode("primary", params, nil)
+	if g.laneBase, err = vista.PlaceRegions(g.primary.Space, specs, regionBase); err != nil {
+		return nil, err
+	}
+	if cfg.Mode != Standalone {
+		g.link = cfg.Link
+		if err := g.newBackupNodes(specs); err != nil {
 			return nil, err
 		}
 	}
-
+	// The passive scheme doubles the engine's own stores, formatting
+	// included, so its fan-out is mapped before the store opens; the active
+	// lane starts from the open store's committed count.
+	if cfg.Mode == Passive {
+		if err := g.attachLocked(); err != nil {
+			return nil, err
+		}
+	}
 	store, err := vista.Open(cfg.Store, g.primary.Acc, g.primary.Rio)
 	if err != nil {
 		return nil, err
 	}
 	g.store = store
 	g.servingStore.Store(store)
+	if cfg.Mode == Active {
+		if err := g.establish(); err != nil {
+			return nil, err
+		}
+	}
 	if cfg.Autopilot.Enabled() {
 		g.autop = newAutopilot(cfg.Autopilot)
 		now := g.primary.Clock.Now()
@@ -242,18 +254,21 @@ func (g *Group) newBackupNodes(specs []vista.RegionSpec) error {
 	return nil
 }
 
-func (g *Group) buildPassive(specs []vista.RegionSpec) error {
-	g.link = g.cfg.Link
+// attachLocked puts the serving node on the SAN: a fresh Memory Channel
+// attachment whose windows are mapped onto every backup. The group has no
+// link after a failover — the dead primary's kept time on that node's clock
+// — so the promoted node gets a new one; with no backup to ship to it stays
+// off the SAN until RepairAsync brings a joiner.
+func (g *Group) attachLocked() error {
+	if len(g.backups) == 0 {
+		return nil
+	}
 	if g.link == nil {
 		g.link = sim.NewLink(g.params)
 	}
-	g.primary = NewNode("primary", g.params, g.link)
-	if _, err := vista.PlaceRegions(g.primary.Space, specs, regionBase); err != nil {
-		return err
-	}
-	if err := g.newBackupNodes(specs); err != nil {
-		return err
-	}
+	p := g.primary
+	p.MC = memchannel.NewNode(g.params, p.Clock, g.link)
+	p.Acc.IO = p.MC
 	return g.mapFanout()
 }
 
@@ -343,15 +358,6 @@ func (g *Group) Generation() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.generation
-}
-
-// Mode returns the deployment mode of the current era: groups that began
-// Active continue passively after a failover (re-enrolling an active
-// backup would need a fresh redo ring).
-func (g *Group) Mode() Mode {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.cfg.Mode
 }
 
 // Safety returns the configured commit discipline.
@@ -583,8 +589,9 @@ func (g *Group) Crashed() bool {
 // applied commit sequence; mid-join replicas hold fuzzy copies and are
 // never candidates) and rewires the group in place: the promoted node
 // serves, the remaining survivors are re-synced behind it and replication
-// continues passively, so another Crash/Failover cycle works for as long
-// as replicas remain. Returns the recovered store, ready to serve.
+// continues in the group's own scheme (an Active group establishes a fresh
+// redo lane on the promoted node), so another Crash/Failover cycle works for
+// as long as replicas remain. Returns the recovered store, ready to serve.
 func (g *Group) Failover() (*vista.Store, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -629,7 +636,7 @@ func (g *Group) failoverLocked() (*vista.Store, error) {
 		err error
 	)
 	if g.redo != nil {
-		st, err = g.redo.takeover(g, best)
+		st, err = g.redo.takeover(best)
 	} else {
 		st, err = vista.Recover(g.cfg.Store, best.node.Acc, best.node.Rio, vista.RecoverBackup)
 	}
@@ -649,18 +656,10 @@ func (g *Group) failoverLocked() (*vista.Store, error) {
 	g.primary = best.node
 	g.store = st
 	g.crashed = false
-	g.redo = nil
 	// servingRef (node + interval origin) is swapped as one value by
 	// resetMeasurementLocked below; until then lock-free readers keep a
 	// consistent view of the old era.
 	g.servingStore.Store(st)
-	if g.cfg.Mode == Active {
-		// Re-established replication uses the passive scheme: the
-		// promoted node's recoverable structures are simply mapped
-		// write-through again (a fresh redo ring would be needed to
-		// stay active).
-		g.cfg.Mode = Passive
-	}
 	if err := g.wireSurvivors(survivors); err != nil {
 		return nil, err
 	}
@@ -682,27 +681,26 @@ func (g *Group) failoverLocked() (*vista.Store, error) {
 	return st, nil
 }
 
-// wireSurvivors re-synchronizes the given backups behind the (new) primary
-// through the chunked transfer engine — driven to completion on the spot,
-// since takeover happens with the cluster already down — and maps the
-// primary's recoverable regions onto them.
+// wireSurvivors opens the promoted node's era in the group's own scheme —
+// an Active group establishes a fresh lane, a Passive one maps the node's
+// recoverable regions — and re-synchronizes the given backups behind it
+// through the chunked transfer engine, driven to completion on the spot,
+// since takeover happens with the cluster already down.
 func (g *Group) wireSurvivors(survivors []*backup) error {
 	g.backups = survivors
-	if len(survivors) == 0 {
-		g.link = nil
-		return nil
+	g.link = nil
+	wire := g.attachLocked
+	if g.cfg.Mode == Active {
+		wire = g.establish
 	}
-	g.link = sim.NewLink(g.params)
-	g.primary.MC = memchannel.NewNode(g.params, g.primary.Clock, g.link)
-	g.primary.Acc.IO = g.primary.MC
-
+	if err := wire(); err != nil {
+		return err
+	}
 	for i, b := range g.backups {
-		b.ring, b.bRing, b.bCtl = nil, nil, nil
-		b.appliedTotal, b.appliedTxns = 0, 0
 		b.ackLag = ackStagger(g.params, i)
 		g.resyncSurvivorLocked(b)
 	}
-	return g.mapFanout()
+	return nil
 }
 
 // SetTrace attaches a trace recorder to the primary's SAN interactions for

@@ -279,8 +279,8 @@ func (g *Group) CrashBackup(i int) error {
 	return nil
 }
 
-// AppliedTxns returns how many transactions backup i has applied (active
-// era; passive backups report the committed count in their control copy).
+// AppliedTxns returns the commit sequence backup i has applied (active
+// scheme; passive backups report the committed count in their control copy).
 func (g *Group) AppliedTxns(i int) uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()

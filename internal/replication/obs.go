@@ -107,7 +107,7 @@ func (g *Group) emit(kind string, node int, a, b uint64) {
 
 // observeFlush records one sealed batch: its occupancy, the flush's
 // simulated cost, the batch's open→release commit latency, and each
-// active-era backup's applied-sequence lag.
+// active backup's applied-sequence lag.
 func (g *Group) observeFlush(batch int, opened, sealed, released int64) {
 	o := g.obs
 	o.commitTxns.Add(uint64(batch))

@@ -141,7 +141,7 @@ type Config struct {
 
 // TxHandle is the transactional surface shared by all modes; vista.Tx
 // satisfies it, and Group.Begin wraps it in a groupTx, which adds redo
-// capture and the configured commit-safety wait where the era has them.
+// capture and the configured commit-safety wait where the mode has them.
 type TxHandle interface {
 	SetRange(off, n int) error
 	Write(off int, src []byte) error

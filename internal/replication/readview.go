@@ -37,10 +37,11 @@ import (
 )
 
 // ErrReplicaUnavailable is returned when a read pinned to a specific
-// replica cannot be served by it: the group runs the passive scheme (whose
-// mirror copies are torn mid-transaction), the replica is not fully
-// enrolled (mid-join, paused, gated, crashed, or epoch-fenced), or its
-// applied sequence cannot satisfy the requested consistency mode.
+// replica cannot be served by it: the group was built Passive (whose mirror
+// copies are torn mid-transaction), the replica is not fully enrolled
+// (mid-join, paused, gated, crashed, or epoch-fenced — after a failover,
+// until Repair re-enrolls it), or its applied sequence cannot satisfy the
+// requested consistency mode.
 var ErrReplicaUnavailable = errors.New("replication: replica cannot serve this read")
 
 // ReadMode selects the consistency discipline of a routed read.

@@ -117,10 +117,10 @@ func (g *Group) repairRate() float64 {
 }
 
 // syncRegionsLocked returns the serving node's regions a joiner must hold:
-// every write-through (replicated) region in the passive era, and the
-// database copy alone in the active era (control is seeded from the ring
-// sequence at takeover, and the engine's local structures are formatted
-// fresh).
+// every write-through (replicated) region of a Passive group, and in every
+// era of an Active one the database copy alone (control is seeded from the
+// applied sequence at takeover, and the engine's local structures are
+// formatted fresh).
 func (g *Group) syncRegionsLocked() []*mem.Region {
 	var out []*mem.Region
 	for _, r := range g.primary.Space.Regions() {
@@ -219,11 +219,8 @@ func (g *Group) repairAsyncLocked() error {
 		fresh = append(fresh, b)
 		started = true
 	}
-	if !wired && len(fresh) > 0 {
-		g.link = sim.NewLink(g.params)
-		g.primary.MC = memchannel.NewNode(g.params, g.primary.Clock, g.link)
-		g.primary.Acc.IO = g.primary.MC
-		if err := g.mapFanout(); err != nil {
+	if !wired {
+		if err := g.attachLocked(); err != nil {
 			return err
 		}
 	}
@@ -362,11 +359,7 @@ func (g *Group) startJoinLocked(b *backup, epochs map[string]uint64) {
 	now := g.primary.Clock.Now()
 	j := &repairJob{b: b, lastPump: now}
 	for _, src := range g.syncRegionsLocked() {
-		dst := b.node.Space.ByName(src.Name)
-		if dst == nil || dst.Size() < src.Size() {
-			continue
-		}
-		rr := repairRegion{src: src, dst: dst, pageSize: 4096}
+		rr := repairRegion{src: src, dst: b.node.Space.ByName(src.Name), pageSize: 4096}
 		if src.Dirty != nil {
 			rr.pageSize = src.Dirty.PageSize()
 		}
@@ -415,7 +408,8 @@ func (g *Group) abortJobLocked(b *backup) {
 }
 
 // enrollFreshLocked builds a brand-new backup node with the group's region
-// layout. With wire set it attaches the node to every live replication
+// layout and, in an Active group, the consumer end of the current era's
+// lane. With wire set it attaches the node to every live replication
 // window on the spot — without touching the serving node's Memory Channel
 // state; the caller wires the whole fanout afresh otherwise (the primary
 // had no attachment left).
@@ -438,13 +432,8 @@ func (g *Group) enrollFreshLocked(i int, wire bool) (*backup, error) {
 		return nil, err
 	}
 	if g.redo != nil {
-		b.ring = sim.NewRing(g.params, g.redo.ringSize)
-		b.bRing = mem.NewRegion(regionRedoRing, g.redo.ringIO.Base, mem.NewDense(g.redo.ringSize))
-		b.bCtl = mem.NewRegion(regionRingCtl, g.redo.ctlIO.Base, mem.NewDense(64))
-		for _, r := range []*mem.Region{b.bRing, b.bCtl} {
-			if err := b.node.Space.Add(r); err != nil {
-				return nil, err
-			}
+		if err := g.redo.attach(b); err != nil {
+			return nil, err
 		}
 	}
 	if wire {
@@ -669,17 +658,11 @@ func (j *repairJob) copyDone() bool {
 func (g *Group) resyncSurvivorLocked(b *backup) {
 	j := &repairJob{b: b}
 	for _, src := range g.syncRegionsLocked() {
-		dst := b.node.Space.ByName(src.Name)
-		if dst == nil || dst.Size() < src.Size() {
-			// Regions with no counterpart on this backup (a promoted
-			// active backup's old redo ring) are not replicated.
-			continue
-		}
 		ps := 4096
 		if src.Dirty != nil {
 			ps = src.Dirty.PageSize()
 		}
-		j.regions = append(j.regions, repairRegion{src: src, dst: dst, pageSize: ps})
+		j.regions = append(j.regions, repairRegion{src: src, dst: b.node.Space.ByName(src.Name), pageSize: ps})
 	}
 	for !j.copyDone() {
 		j.copyChunk(int64(g.chunkBytes()))

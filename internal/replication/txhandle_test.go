@@ -19,7 +19,8 @@ func TestTxHandleContract(t *testing.T) {
 		name   string
 		mode   replication.Mode
 		safety replication.Safety
-		// failedOver opens the group in the passive era of an active group.
+		// failedOver opens the group behind a promoted survivor: an active
+		// group's second era, on the active path like its first.
 		failedOver bool
 	}{
 		{"standalone", replication.Standalone, replication.OneSafe, false},
@@ -41,6 +42,9 @@ func TestTxHandleContract(t *testing.T) {
 					// failover the orphan checks below add.
 					_, err = g.Repair()
 					mustNil(t, err)
+					if _, err := g.ReadAt(0, 0, make([]byte, 8)); err != nil {
+						t.Fatalf("ReadAt behind the promoted node = %v: not the active path", err)
+					}
 				}
 				return g
 			}

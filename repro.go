@@ -125,7 +125,9 @@ type ReadMode = replication.ReadMode
 // Read modes. Replica reads require the active backup scheme (whose
 // backup copies are transaction-consistent at every applied commit);
 // under the passive scheme or standalone every mode degrades to the
-// primary.
+// primary. An active deployment stays active behind every promoted
+// survivor, so its replica reads are back as soon as Repair has enrolled
+// backups again.
 const (
 	// ReadPrimary serializes the read through the primary (the default).
 	ReadPrimary = replication.ReadPrimary

@@ -31,10 +31,11 @@ func TestNewSimPinned(t *testing.T) {
 	}{
 		{1, false, 1_965_677_474, repro.Traffic{ModifiedBytes: 5_600_000, MetaBytes: 8_800_000}, 202_000},
 		{16, false, 620_739_974, repro.Traffic{ModifiedBytes: 5_600_000, MetaBytes: 7_300_000}, 202_000},
-		// Failover restarts the serving node's counters, and replication
-		// continues passively behind the promoted survivor: undo data ships.
-		{1, true, 1_893_249_321, repro.Traffic{ModifiedBytes: 2_799_972, UndoBytes: 6_399_936, MetaBytes: 3_999_960}, 99_999},
-		{16, true, 1_240_488_991, repro.Traffic{ModifiedBytes: 2_799_972, UndoBytes: 6_399_936, MetaBytes: 3_999_960}, 99_999},
+		// Failover restarts the serving node's counters, and the promoted
+		// survivor establishes a fresh redo lane: the second half ships what
+		// the first did (28 + 44 and 28 + 36.5 B/txn), and no undo data.
+		{1, true, 1_818_495_786, repro.Traffic{ModifiedBytes: 2_799_972, MetaBytes: 4_399_956}, 99_999},
+		{16, true, 1_146_025_876, repro.Traffic{ModifiedBytes: 2_799_972, MetaBytes: 3_649_964}, 99_999},
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("batch%d/crash=%v", tc.batch, tc.crash), func(t *testing.T) {
