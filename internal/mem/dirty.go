@@ -51,9 +51,14 @@ func (d *DirtyLog) Mark(off, n int) {
 	}
 }
 
+// Written reports whether page p has ever been marked. Memory starts zeroed
+// and every mutation is marked, so a page that was never written reads zero:
+// a full (enrollment) transfer ships only the pages its source or its
+// destination has written.
+func (d *DirtyLog) Written(p int) bool { return d.pages[p] != 0 }
+
 // NextDirty returns the first page index >= from stamped after epoch, or -1
-// when no such page remains. Epoch 0 walks every page ever written; a full
-// (enrollment) transfer does not consult the log at all.
+// when no such page remains.
 func (d *DirtyLog) NextDirty(from int, epoch uint64) int {
 	for p := from; p < len(d.pages); p++ {
 		if d.pages[p] > epoch {

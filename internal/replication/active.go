@@ -261,6 +261,7 @@ func (c *redoChannel) flush() error {
 			// acknowledgement discipline cannot be honored.
 			ackErr = err
 		} else {
+			g.payRepairLocked(at, false)
 			g.primary.Clock.AdvanceTo(at)
 		}
 	}

@@ -219,7 +219,7 @@ func (t *groupTx) Commit() error {
 	}
 	if g.redo == nil && !g.passiveAcksLocked() {
 		err = g.durFlushLocked()
-		g.pumpRepairLocked(false, true)
+		g.pumpRepairLocked(false)
 		g.autopilotPumpLocked()
 		return err
 	}
@@ -268,7 +268,7 @@ func (g *Group) joinBatchLocked() error {
 	if g.batchCount >= g.batchLimit() {
 		err = g.flushLocked()
 	}
-	g.pumpRepairLocked(false, true)
+	g.pumpRepairLocked(false)
 	// Control traffic is pumped here too, but it bypasses the write
 	// buffers entirely: heartbeats never join a batch and never perturb
 	// the batch-sealing accounting above.
@@ -377,6 +377,7 @@ func (g *Group) flushPassiveLocked() error {
 	if err != nil {
 		return err
 	}
+	g.payRepairLocked(at, false)
 	g.primary.Clock.AdvanceTo(at)
 	return nil
 }

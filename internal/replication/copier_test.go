@@ -1,0 +1,322 @@
+package replication_test
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/mem"
+	"repro/internal/replication"
+	"repro/internal/sim"
+	"repro/internal/vista"
+)
+
+const sparseDB = 1 << 20
+
+// dbRegion returns node i's database region: -1 is the serving node.
+func dbRegion(g *replication.Group, i int) *mem.Region {
+	n := g.Primary()
+	if i >= 0 {
+		n = g.BackupNode(i)
+	}
+	return n.Space.ByName(vista.RegionDB)
+}
+
+// checkSparse holds a group to what a transfer that skips never-written
+// pages must leave behind: after a quiet moment every in-sync backup's
+// database equals the primary's over its whole size, and on every node a
+// page its dirty log never marked reads all-zero.
+func checkSparse(t *testing.T, g *replication.Group, when string) {
+	t.Helper()
+	g.Settle(g.QuiesceGrace())
+	want := make([]byte, sparseDB)
+	got := make([]byte, sparseDB)
+	zero := make([]byte, 4096)
+	dbRegion(g, -1).ReadRaw(0, want)
+	for i := -1; i < g.Backups(); i++ {
+		r := dbRegion(g, i)
+		r.ReadRaw(0, got)
+		if i >= 0 && g.BackupState(i) == replication.StateInSync && !bytes.Equal(got, want) {
+			t.Fatalf("%s: in-sync backup %d differs from the primary at byte %d", when, i, firstDiff(got, want))
+		}
+		ps := r.Dirty.PageSize()
+		for p := 0; p < r.Dirty.Pages(); p++ {
+			if !r.Dirty.Written(p) && !bytes.Equal(got[p*ps:(p+1)*ps], zero[:ps]) {
+				t.Fatalf("%s: node %d page %d was never marked written and is not zero", when, i, p)
+			}
+		}
+	}
+}
+
+// TestSparseTransferByteExact drives every full transfer there is — a fresh
+// join, a fuzzy re-join, the takeover re-sync — through a seeded mix of
+// loads, committed and aborted transactions, partitions, backup crashes and
+// primary crashes mid-join, on databases that are mostly never-written
+// pages, and checks byte equality after every cut-over and every takeover.
+func TestSparseTransferByteExact(t *testing.T) {
+	for _, mode := range []replication.Mode{replication.Passive, replication.Active} {
+		for _, safety := range []replication.Safety{replication.OneSafe, replication.QuorumSafe} {
+			t.Run(fmt.Sprintf("%v/%v", mode, safety), func(t *testing.T) {
+				for seed := int64(1); seed <= 4; seed++ {
+					runSparseScenario(t, mode, safety, seed)
+				}
+			})
+		}
+	}
+}
+
+func runSparseScenario(t *testing.T, mode replication.Mode, safety replication.Safety, seed int64) {
+	t.Helper()
+	const k = 3
+	g, err := replication.NewGroup(replication.Config{
+		Mode:    mode,
+		Store:   vista.Config{Version: vista.V3InlineLog, DBSize: sparseDB},
+		Backups: k,
+		Safety:  safety,
+	})
+	mustNil(t, err)
+	rng := rand.New(rand.NewSource(seed))
+	pages := sparseDB / 4096
+	// Writes land on a third of the pages, so most of the database stays
+	// never-written on every node for the whole run.
+	spot := func() int { return rng.Intn(pages/3)*3*4096 + rng.Intn(4096-64) }
+	fill := func() []byte {
+		b := make([]byte, 64)
+		rng.Read(b)
+		return b
+	}
+	txn := func(commit bool) {
+		t.Helper()
+		tx, err := g.Begin()
+		mustNil(t, err)
+		for w := 1 + rng.Intn(3); w > 0; w-- {
+			off := spot()
+			mustNil(t, tx.SetRange(off, 64))
+			mustNil(t, tx.Write(off, fill()))
+		}
+		if commit {
+			mustNil(t, tx.Commit())
+		} else {
+			mustNil(t, tx.Abort())
+		}
+	}
+	traffic := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			switch rng.Intn(8) {
+			case 0:
+				// Load is out of band: it must not overtake a store still
+				// on its way to a backup.
+				g.Settle(g.QuiesceGrace())
+				mustNil(t, g.Load(spot(), fill()))
+			case 1:
+				txn(false)
+			default:
+				txn(true)
+			}
+		}
+	}
+	// heal drives the open repair to its cut-over under live traffic.
+	heal := func(when string) {
+		t.Helper()
+		for i := 0; g.RepairStatus().Active; i++ {
+			if i > 100000 {
+				t.Fatalf("%s: repair never completed: %+v", when, g.RepairStatus())
+			}
+			traffic(1)
+		}
+		for i := 0; i < k; i++ {
+			if st := g.BackupState(i); st != replication.StateInSync {
+				t.Fatalf("%s: backup %d is %v after the repair", when, i, st)
+			}
+		}
+		checkSparse(t, g, when)
+	}
+
+	traffic(40)
+	for round := 0; round < 6; round++ {
+		when := fmt.Sprintf("seed %d round %d", seed, round)
+		victim := rng.Intn(k)
+		switch rng.Intn(3) {
+		case 0: // a partition: delta re-join, or a full one if it lands mid-join
+			mustNil(t, g.PauseBackup(victim))
+			traffic(1 + rng.Intn(30))
+			mustNil(t, g.ResumeBackup(victim))
+			mustNil(t, g.RepairAsync())
+			if rng.Intn(2) == 0 && g.RepairStatus().Active {
+				traffic(1 + rng.Intn(5))
+				mustNil(t, g.PauseBackup(victim)) // mid-join: the copy is fuzzy now
+				traffic(1 + rng.Intn(10))
+				mustNil(t, g.ResumeBackup(victim))
+				mustNil(t, g.RepairAsync())
+			}
+			heal(when + " partition")
+		case 1: // a dead backup: a fresh node joins
+			mustNil(t, g.CrashBackup(victim))
+			mustNil(t, g.RepairAsync())
+			heal(when + " fresh join")
+		case 2: // the primary dies with a join in flight and its window open
+			mustNil(t, g.CrashBackup(victim))
+			mustNil(t, g.RepairAsync())
+			traffic(1 + rng.Intn(20))
+			mustNil(t, g.Crash())
+			_, err := g.Failover()
+			mustNil(t, err)
+			checkSparse(t, g, when+" takeover")
+			mustNil(t, g.RepairAsync())
+			heal(when + " join after takeover")
+		}
+		traffic(rng.Intn(20))
+	}
+}
+
+// TestSparseTransferZeroesWhatTheSourceNeverWrote builds by hand the case the
+// union with the destination's dirty log exists for: a joiner copies a page
+// holding a commit its primary never published, the primary dies, and the
+// promoted node — which never wrote that page — must leave it zero on the
+// joiner too.
+func TestSparseTransferZeroesWhatTheSourceNeverWrote(t *testing.T) {
+	g, err := replication.NewGroup(replication.Config{
+		Mode:        replication.Active,
+		Store:       vista.Config{Version: vista.V3InlineLog, DBSize: sparseDB},
+		Backups:     2,
+		CommitBatch: 16,   // the commit below stays in an open batch
+		RepairChunk: 4096, // one page a pump
+	})
+	mustNil(t, err)
+	const lost = 5 * 4096 // a page nothing else writes
+	for _, p := range []int{0, 2, 7} {
+		mustNil(t, g.Load(p*4096, []byte("loaded")))
+	}
+	mustNil(t, g.CrashBackup(1))
+	mustNil(t, g.RepairAsync())
+	// A long quiet period banks budget; its pump ships page 0 and no more.
+	g.Settle(sim.Millisecond)
+	// Two commits in the open batch: the first's pump ships page 2, the
+	// second's the page both wrote. Page 7 keeps the join open.
+	for _, val := range []string{"unpubl'd", "as well."} {
+		tx, err := g.Begin()
+		mustNil(t, err)
+		mustNil(t, tx.SetRange(lost, 8))
+		mustNil(t, tx.Write(lost, []byte(val)))
+		mustNil(t, tx.Commit())
+	}
+	if st := g.BackupState(1); st != replication.StateSyncing {
+		t.Fatalf("joiner is %v, want still syncing", st)
+	}
+	got := make([]byte, 8)
+	dbRegion(g, 1).ReadRaw(lost, got)
+	if string(got) != "as well." {
+		t.Fatalf("the rig did not copy the unpublished page to the joiner: %q", got)
+	}
+	mustNil(t, g.Crash())
+	_, err = g.Failover()
+	mustNil(t, err)
+	if g.Committed() != 0 {
+		t.Fatalf("the promoted node holds %d commits: the batch was published", g.Committed())
+	}
+	if dbRegion(g, -1).Dirty.Written(lost / 4096) {
+		t.Fatal("the promoted node wrote the page: the rig proves nothing")
+	}
+	if g.Backups() != 1 || g.BackupState(0) != replication.StateInSync {
+		t.Fatalf("the joiner was not re-synced as a survivor: %d backups", g.Backups())
+	}
+	dbRegion(g, 0).ReadRaw(lost, got)
+	if !bytes.Equal(got, make([]byte, 8)) {
+		t.Fatalf("the former joiner kept a dead era's page: %q", got)
+	}
+	checkSparse(t, g, "takeover")
+}
+
+// TestSparseTransferAfterDirtyGate: a backup partitioned away while the
+// primary's last commit had not reached it — its pointer still in a write
+// buffer, or held back by an open batch — missed a page its gating epochs do
+// not name, so it re-joins by a full transfer, not by delta. Found by
+// TestSparseTransferByteExact; the delta used to leave that commit out.
+func TestSparseTransferAfterDirtyGate(t *testing.T) {
+	for name, cfg := range map[string]replication.Config{
+		"lingering-pointer": {},
+		"open-batch":        {Safety: replication.QuorumSafe, CommitBatch: 16},
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg.Mode, cfg.Backups = replication.Active, 3
+			cfg.Store = vista.Config{Version: vista.V3InlineLog, DBSize: sparseDB}
+			g, err := replication.NewGroup(cfg)
+			mustNil(t, err)
+			commitSlot(t, g, 0, 1)
+			g.Settle(g.QuiesceGrace())
+			commitSlot(t, g, 1, 2) // page 0, and not on backup 2 yet
+			mustNil(t, g.PauseBackup(2))
+			commitSlot(t, g, 4096, 3) // another page
+			mustNil(t, g.ResumeBackup(2))
+			_, err = g.Repair()
+			mustNil(t, err)
+			if st := g.BackupState(2); st != replication.StateInSync {
+				t.Fatalf("rejoined backup is %v", st)
+			}
+			checkSparse(t, g, "rejoin")
+		})
+	}
+}
+
+// TestCopierPaysAsItGoes: the copier charges the link as its budget accrues —
+// between two consecutive commits never more than the simulated time between
+// them bought — and at the end of a fresh join it has charged exactly its
+// plan, which is exactly the pages ever written.
+func TestCopierPaysAsItGoes(t *testing.T) {
+	g := newGroup(t, replication.Active, 3, replication.QuorumSafe)
+	const written = 24
+	for p := 0; p < written; p++ {
+		mustNil(t, g.Load(p*2*4096, []byte{byte(p + 1)}))
+	}
+	mustNil(t, g.CrashBackup(2))
+	base := g.NetBytes()[mem.CatSync]
+	mustNil(t, g.RepairAsync())
+	if st := g.RepairStatus(); st.BytesPlanned != written*4096 {
+		t.Fatalf("planned %d bytes, want the %d written pages", st.BytesPlanned, written)
+	}
+	packet := float64(g.Params().MaxPacket)
+	sync, now := base, g.Now()
+	commits := 0
+	for ; g.RepairStatus().Active; commits++ {
+		commitSlot(t, g, commits%64, byte(commits)) // page 0: written already
+		s, at := g.NetBytes()[mem.CatSync], g.Now()
+		// What a pump cannot pay in whole packets it carries: under one.
+		if bought := float64(at-now)*g.TransferRate() + packet; float64(s-sync) > bought {
+			t.Fatalf("commit %d: %d sync bytes charged in %v, which bought %.0f", commits, s-sync, sim.Dur(at-now), bought)
+		}
+		sync, now = s, at
+	}
+	if commits < written {
+		t.Fatalf("the join took %d commits: not paid for as it went", commits)
+	}
+	st := g.RepairStatus()
+	if got := g.NetBytes()[mem.CatSync] - base; st.BytesShipped != st.BytesPlanned || got != st.BytesPlanned {
+		t.Fatalf("planned %d, shipped %d, %d sync bytes on the link", st.BytesPlanned, st.BytesShipped, got)
+	}
+	if st := g.BackupState(2); st != replication.StateInSync {
+		t.Fatalf("joiner is %v", st)
+	}
+}
+
+// TestTwoJoinersShareOneBudget: the copier's share of the link is the
+// group's, however many joiners draw on it.
+func TestTwoJoinersShareOneBudget(t *testing.T) {
+	g := newGroup(t, replication.Active, 3, replication.OneSafe)
+	mustNil(t, g.Load(0, make([]byte, 1<<20)))
+	mustNil(t, g.CrashBackup(1))
+	mustNil(t, g.CrashBackup(2))
+	base, start := g.NetBytes()[mem.CatSync], g.Now()
+	mustNil(t, g.RepairAsync())
+	for i := 0; i < 2000; i++ {
+		commitSlot(t, g, i%64, byte(i))
+	}
+	shipped, elapsed := g.NetBytes()[mem.CatSync]-base, g.Now()-start
+	if rate := float64(shipped) / float64(elapsed); shipped == 0 || rate > g.TransferRate() {
+		t.Fatalf("two joiners shipped %d bytes in %v: %.2f of the group's share", shipped, sim.Dur(elapsed), rate/g.TransferRate())
+	}
+	if st := g.RepairStatus(); st.Joining != 2 {
+		t.Fatalf("%d joins in flight, want 2: %+v", st.Joining, st)
+	}
+}

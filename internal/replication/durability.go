@@ -552,8 +552,9 @@ func (g *Group) initDurability() error {
 				return err
 			}
 			for len(g.jobs) > 0 {
-				g.pumpRepairLocked(true, true)
+				g.pumpRepairLocked(true)
 			}
+			g.drainLinkLocked()
 		}
 	}
 

@@ -84,11 +84,15 @@ type Group struct {
 	// Config.Obs attaches a registry (see obs.go).
 	obs *groupObs
 
-	// Online-repair state: the in-flight joins and the aggregate summary
-	// RepairStatus reports (see recovery.go).
+	// Online-repair state: the in-flight joins, the aggregate summary
+	// RepairStatus reports, and the copier's one budget — the bytes bought
+	// and not yet spent, and the instant they are bought through (see
+	// recovery.go).
 	jobs          []*repairJob
 	repair        RepairStatus
 	repairStarted sim.Time
+	repairCredit  float64
+	repairPumped  sim.Time
 
 	// servingRef and servingStore shadow the serving node and store for
 	// the lock-free statistics readers. The node and its measured-
@@ -547,7 +551,7 @@ func (g *Group) Settle(d sim.Dur) {
 		}
 	}
 	if !g.crashed {
-		g.pumpRepairLocked(false, true)
+		g.pumpRepairLocked(false)
 		g.autopilotPumpLocked()
 		g.durSettleLocked()
 	}

@@ -183,7 +183,10 @@ func (g *Group) BackupState(i int) BackupState {
 
 // snapshotGateLocked captures the departure point of a backup leaving the
 // live stream: the per-region dirty epochs, the committed count, and
-// whether any bytes destined for it were still coalescing.
+// whether it left clean — holding everything committed so far: no byte still
+// coalescing toward it and, in the active scheme, no record whose pointer
+// (lingering in a write buffer, or held back by an open batch) it never saw.
+// Only then do the epochs bound what it missed.
 func (g *Group) snapshotGateLocked(b *backup) {
 	epochs := make(map[string]uint64)
 	for _, r := range g.syncRegionsLocked() {
@@ -195,6 +198,9 @@ func (g *Group) snapshotGateLocked(b *backup) {
 	b.gateCommitted = g.store.Committed()
 	b.gateGen = g.generation
 	b.cleanGate = g.primary.MC == nil || g.primary.MC.PendingBufs() == 0
+	if g.redo != nil {
+		b.cleanGate = b.appliedTotal == g.redo.prodTotal
+	}
 }
 
 // PauseBackup partitions backup i away from the SAN: it stops receiving

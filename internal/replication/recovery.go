@@ -3,15 +3,17 @@
 //
 // A join runs in three phases (see BackupState):
 //
-//  1. Syncing — a fuzzy chunked background copy of the primary's
-//     recoverable regions crosses the Memory Channel while the joiner is
-//     already attached to the live replication stream. Each page is copied
+//  1. Syncing — a fuzzy background copy of the primary's recoverable
+//     regions crosses the Memory Channel while the joiner is already
+//     attached to the live replication stream. Each page is copied
 //     atomically at a commit boundary, and every page written after the
 //     attach instant is (re)delivered by the live stream, so the copy
 //     converges on the primary's current state without ever stopping the
-//     world. Chunk bytes occupy the SAN like any other traffic (the
-//     recovering cluster's availability dip) and are accounted under
-//     mem.CatSync.
+//     world. The copier's bytes occupy the SAN like any other traffic and
+//     are accounted under mem.CatSync, but they are charged a few packets
+//     at a time as simulated time buys them (see payRepairLocked), and
+//     where a commit waits for acknowledgements they travel during the
+//     wait, so the commit stream barely notices them.
 //  2. CatchingUp — active scheme only: the joiner drains the redo ring
 //     from its copy-start sequence until the unapplied lag falls under the
 //     cut-over threshold. Redo records are absolute physical writes, so
@@ -30,6 +32,7 @@ package replication
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/mem"
 	"repro/internal/memchannel"
@@ -80,22 +83,43 @@ type RepairStatus struct {
 type repairRegion struct {
 	src, dst *mem.Region
 	// epoch > 0 restricts the copy to pages dirtied after it (delta
-	// resync); 0 copies the whole region.
-	epoch    uint64
-	page     int
-	pageSize int
-	done     bool
+	// resync); 0 is a full transfer: every page either side ever wrote.
+	epoch uint64
+	page  int // every page before it is shipped, or needs no shipping
+}
+
+// next returns the first page at or after from the transfer must ship, or
+// -1. A full transfer skips the pages neither node's dirty log has ever
+// marked: memory starts zeroed and every mutation is marked, so they are
+// zero on both sides. The destination's log is in the union because a fuzzy
+// joiner may hold a page the source never wrote — copied from a primary that
+// died with that commit unpublished.
+func (rr *repairRegion) next(from int) int {
+	if rr.epoch > 0 {
+		return rr.src.Dirty.NextDirty(from, rr.epoch)
+	}
+	for p := from; p < rr.src.Dirty.Pages(); p++ {
+		if rr.src.Dirty.Written(p) || rr.dst.Dirty.Written(p) {
+			return p
+		}
+	}
+	return -1
+}
+
+// span returns page p's byte range within the region.
+func (rr *repairRegion) span(p int) (off, n int) {
+	off = p * rr.src.Dirty.PageSize()
+	return off, min(rr.src.Dirty.PageSize(), rr.src.Size()-off)
 }
 
 // repairJob is one backup's in-flight join.
 type repairJob struct {
-	b        *backup
-	regions  []repairRegion
-	planned  int64
-	shipped  int64
-	credit   float64 // byte budget bought by elapsed simulated time
-	lastPump sim.Time
-	buf      []byte
+	b       *backup
+	regions []repairRegion
+	planned int64
+	shipped int64 // link bytes charged so far
+	paid    int64 // of them, toward the page not yet copied
+	buf     []byte
 }
 
 // chunkBytes returns the per-pump transfer bound.
@@ -279,18 +303,19 @@ func (g *Group) Repair() (*Group, error) {
 			return nil, ErrCrashed
 		}
 		if len(g.jobs) == 0 {
-			// Enrollment is not part of any measured interval, exactly
-			// like the initial Load transfer.
+			// Repaired includes transferred. Enrollment is not part of any
+			// measured interval, exactly like the initial Load transfer.
+			g.drainLinkLocked()
 			g.resetMeasurementLocked()
 			g.mu.Unlock()
 			return g, nil
 		}
-		// Cut-over waits for a closed batch (see pumpJobLocked), and the
+		// Cut-over waits for a closed batch (see advanceJobLocked), and the
 		// commits that would seal an open one may never come: seal it here.
 		// An acknowledgement the degraded group cannot give is no reason to
 		// stop: the repair is what restores it.
 		_ = g.flushLocked()
-		g.pumpRepairLocked(true, true)
+		g.pumpRepairLocked(true)
 		g.mu.Unlock()
 	}
 }
@@ -319,10 +344,10 @@ func (g *Group) RepairStatus() RepairStatus {
 }
 
 // deltaEpochsLocked returns the dirty epochs bounding backup b's gap, or
-// nil when only a full transfer is safe (a fuzzy copy, a snapshot from an
-// earlier era, or no snapshot at all).
+// nil when only a full transfer is safe (a fuzzy copy, a departure that was
+// not clean, a snapshot from an earlier era, or no snapshot at all).
 func (g *Group) deltaEpochsLocked(b *backup) map[string]uint64 {
-	if b.fuzzy || b.gateEpochs == nil || b.gateGen != g.generation {
+	if b.fuzzy || !b.cleanGate || b.gateEpochs == nil || b.gateGen != g.generation {
 		return nil
 	}
 	return b.gateEpochs
@@ -333,18 +358,12 @@ func (g *Group) deltaEpochsLocked(b *backup) map[string]uint64 {
 // since, no tracked page has been dirtied since, and the era is unchanged.
 // Such a replica rejoins by ring catch-up alone — zero transfer bytes.
 func (g *Group) gapFreeLocked(b *backup) bool {
-	if b.fuzzy || !b.cleanGate || b.gateEpochs == nil || b.gateGen != g.generation {
-		return false
-	}
-	if b.gateCommitted != g.store.Committed() {
+	epochs := g.deltaEpochsLocked(b)
+	if epochs == nil || b.gateCommitted != g.store.Committed() {
 		return false
 	}
 	for _, r := range g.syncRegionsLocked() {
-		e, ok := b.gateEpochs[r.Name]
-		if !ok || r.Dirty == nil {
-			return false
-		}
-		if r.Dirty.BytesSince(e) != 0 {
+		if e, ok := epochs[r.Name]; !ok || r.Dirty.BytesSince(e) != 0 {
 			return false
 		}
 	}
@@ -352,28 +371,21 @@ func (g *Group) gapFreeLocked(b *backup) bool {
 }
 
 // startJoinLocked attaches backup b to the live stream and opens its
-// transfer plan: delta pages when epochs bound the gap, whole regions
-// otherwise. The copy is fuzzy from here on, so the replica is not
-// promotion-eligible until cut-over.
+// transfer plan: delta pages when epochs bound the gap, every page either
+// side ever wrote otherwise. The copy is fuzzy from here on, so the replica
+// is not promotion-eligible until cut-over.
 func (g *Group) startJoinLocked(b *backup, epochs map[string]uint64) {
-	now := g.primary.Clock.Now()
-	j := &repairJob{b: b, lastPump: now}
-	for _, src := range g.syncRegionsLocked() {
-		rr := repairRegion{src: src, dst: b.node.Space.ByName(src.Name), pageSize: 4096}
-		if src.Dirty != nil {
-			rr.pageSize = src.Dirty.PageSize()
+	if len(g.jobs) == 0 {
+		// The group's copier budget starts accruing with its first job.
+		g.repairPumped, g.repairCredit = g.primary.Clock.Now(), 0
+	}
+	j := newRepairJob(b, g.syncRegionsLocked(), epochs)
+	for i := range j.regions {
+		rr := &j.regions[i]
+		for p := rr.next(0); p >= 0; p = rr.next(p + 1) {
+			_, n := rr.span(p)
+			j.planned += int64(n)
 		}
-		if epochs != nil {
-			e, ok := epochs[src.Name]
-			if ok && src.Dirty != nil {
-				rr.epoch = e
-				j.planned += src.Dirty.BytesSince(e)
-				j.regions = append(j.regions, rr)
-				continue
-			}
-		}
-		j.planned += int64(src.Size())
-		j.regions = append(j.regions, rr)
 	}
 	b.fuzzy = true
 	b.setState(StateSyncing)
@@ -453,24 +465,20 @@ func (g *Group) enrollFreshLocked(i int, wire bool) (*backup, error) {
 	return b, nil
 }
 
-// pumpRepairLocked advances every in-flight join. With sync false (the
-// background mode), each job's transfer budget is the simulated time that
-// passed since its last pump, bought at repairShare of the SAN
-// bandwidth; with sync true one chunk ships unconditionally per call (the
-// synchronous Repair loop). charged bulk bytes occupy the link and are
-// accounted under mem.CatSync; the failover re-sync runs uncharged, like
-// the initial Load transfer.
-func (g *Group) pumpRepairLocked(sync, charged bool) {
+// pumpRepairLocked advances every in-flight join: the copier's payment and
+// page copies (payRepairLocked), then each join's phase — ring drain and
+// cut-over once its copy is complete.
+func (g *Group) pumpRepairLocked(sync bool) {
 	if len(g.jobs) == 0 || g.crashed {
 		// A crashed primary's regions may hold a torn mid-transaction
 		// state: nothing ships until failover re-establishes a serving
 		// source (which drops these jobs).
 		return
 	}
-	now := g.primary.Clock.Now()
+	g.payRepairLocked(g.primary.Clock.Now(), sync)
 	for i := 0; i < len(g.jobs); {
 		j := g.jobs[i]
-		g.pumpJobLocked(j, now, sync, charged)
+		g.advanceJobLocked(j)
 		if j.b.job != j { // cut over (slot cleared): drop the job
 			g.jobs = append(g.jobs[:i], g.jobs[i+1:]...)
 			continue
@@ -480,41 +488,55 @@ func (g *Group) pumpRepairLocked(sync, charged bool) {
 	g.finishRepairIfIdleLocked()
 }
 
-// pumpJobLocked advances one join: chunk copies while Syncing, ring drain
-// and cut-over once CatchingUp.
-func (g *Group) pumpJobLocked(j *repairJob, now sim.Time, sync, charged bool) {
+// payRepairLocked is the copier's share of a pump. The group has one budget,
+// whatever the number of joiners: the simulated time up to until buys bytes
+// at repairShare of the SAN bandwidth (with sync set, the synchronous Repair
+// loop, every call is granted a whole chunk instead), the Syncing jobs draw
+// on it in order, and what they draw is charged to the link at once, in
+// whole packets — a few per commit, not a page-sized lump in front of every
+// ninth. A page is copied, atomically at this commit boundary, by the pump
+// that completes its payment. A flush calls this before its acknowledgement
+// wait with the instant the wait will end: the wait's share then serializes
+// behind the pointer packet on a link the commit path leaves idle, instead
+// of in front of the next record. (No flush runs on a crashed primary.)
+func (g *Group) payRepairLocked(until sim.Time, sync bool) {
+	if len(g.jobs) == 0 {
+		return
+	}
+	chunk := int64(g.chunkBytes())
+	if sync {
+		g.repairCredit = float64(chunk)
+	} else if dt := until - g.repairPumped; dt > 0 {
+		g.repairCredit += float64(dt) * g.repairRate()
+		g.repairPumped = until
+	}
+	budget := min(int64(g.repairCredit), chunk)
+	budget -= budget % int64(g.params.MaxPacket)
+	var spent int64
+	for _, j := range g.jobs {
+		if j.b.state == StateSyncing {
+			spent += j.pay(budget - spent)
+		}
+	}
+	g.repairCredit -= float64(spent)
+	g.repair.BytesShipped += spent
+	g.primary.MC.EmitBulk(g.primary.Clock.Now(), int(spent), mem.CatSync)
+}
+
+// advanceJobLocked moves one join through its phases: out of Syncing once
+// every page is shipped, then ring drain and cut-over.
+func (g *Group) advanceJobLocked(j *repairJob) {
 	b := j.b
-	if b.state == StateSyncing {
-		allow := int64(g.chunkBytes())
-		if !sync {
-			if dt := now - j.lastPump; dt > 0 {
-				j.credit += float64(dt) * g.repairRate()
-			}
-			if j.credit < float64(allow) {
-				allow = int64(j.credit)
-			}
-		}
-		j.lastPump = now
-		shipped := j.copyChunk(allow)
-		if shipped > 0 {
-			j.credit -= float64(shipped)
-			j.shipped += shipped
-			g.repair.BytesShipped += shipped
-			if charged && g.primary.MC != nil {
-				g.primary.MC.EmitBulk(now, int(shipped), mem.CatSync)
-			}
-		}
-		if j.copyDone() {
-			if g.redo != nil {
-				b.setState(StateCatchingUp)
-				g.emit(obs.EventRepairCatchup, g.nodeIndexLocked(b.node.Name), uint64(j.shipped), 0)
-			} else {
-				// Passive cut-over: the live stream has covered every
-				// page written since the attach, so the copy already
-				// equals the primary modulo in-flight write buffers —
-				// exactly a normal backup's position.
-				g.cutOverLocked(b)
-			}
+	if b.state == StateSyncing && j.head() == nil {
+		if g.redo != nil {
+			b.setState(StateCatchingUp)
+			g.emit(obs.EventRepairCatchup, g.nodeIndexLocked(b.node.Name), uint64(j.shipped), 0)
+		} else {
+			// Passive cut-over: the live stream has covered every page
+			// written since the attach, so the copy already equals the
+			// primary modulo in-flight write buffers — exactly a normal
+			// backup's position.
+			g.cutOverLocked(b)
 		}
 	}
 	if b.state == StateCatchingUp {
@@ -532,6 +554,16 @@ func (g *Group) pumpJobLocked(j *repairJob, now sim.Time, sync, charged bool) {
 			c.applyDelivered(b)
 			g.cutOverLocked(b)
 		}
+	}
+}
+
+// drainLinkLocked idles the serving node until everything submitted to the
+// link has left it. A synchronous transfer is pushed onto the link at one
+// clock reading; without this its tail would queue ahead of the commits that
+// follow the call that claimed to have completed it.
+func (g *Group) drainLinkLocked() {
+	if d := sim.Dur(g.link.Drained() - g.primary.Clock.Now()); d > 0 {
+		g.primary.MC.Idle(d)
 	}
 }
 
@@ -583,71 +615,54 @@ func (g *Group) restoredLocked() bool {
 	return true
 }
 
-// copyChunk ships up to allow bytes of the job's remaining pages (whole
-// pages, copied atomically at the current commit boundary) and returns the
-// bytes shipped.
-func (j *repairJob) copyChunk(allow int64) int64 {
-	if allow <= 0 {
-		return 0
+// newRepairJob opens backup b's transfer plan over the given source regions.
+func newRepairJob(b *backup, srcs []*mem.Region, epochs map[string]uint64) *repairJob {
+	j := &repairJob{b: b}
+	for _, src := range srcs {
+		j.regions = append(j.regions, repairRegion{src: src, dst: b.node.Space.ByName(src.Name), epoch: epochs[src.Name]})
 	}
-	var shipped int64
+	return j
+}
+
+// head advances the cursors to the next page the join must ship and returns
+// its region, or nil once every region is through.
+func (j *repairJob) head() *repairRegion {
 	for i := range j.regions {
 		rr := &j.regions[i]
-		for !rr.done && shipped < allow {
-			if rr.epoch > 0 {
-				next := rr.src.Dirty.NextDirty(rr.page, rr.epoch)
-				if next < 0 {
-					rr.done = true
-					break
-				}
-				rr.page = next
-			}
-			off := rr.page * rr.pageSize
-			if off >= rr.src.Size() {
-				rr.done = true
-				break
-			}
-			n := rr.pageSize
-			if off+n > rr.src.Size() {
-				n = rr.src.Size() - off
-			}
+		if rr.page = rr.next(rr.page); rr.page >= 0 {
+			return rr
+		}
+		rr.page = rr.src.Dirty.Pages()
+	}
+	return nil
+}
+
+// pay spends up to allow bytes of link budget on the job's remaining pages,
+// in order, and returns the bytes spent. A page wholly paid for is copied —
+// whole, at the current commit boundary — before the next one is started.
+func (j *repairJob) pay(allow int64) int64 {
+	left := allow
+	for left > 0 {
+		rr := j.head()
+		if rr == nil {
+			break
+		}
+		off, n := rr.span(rr.page)
+		due := min(left, int64(n)-j.paid)
+		j.paid += due
+		left -= due
+		if j.paid == int64(n) {
 			if cap(j.buf) < n {
 				j.buf = make([]byte, n)
 			}
-			buf := j.buf[:n]
-			rr.src.ReadRaw(off, buf)
-			rr.dst.WriteRaw(off, buf)
+			rr.src.ReadRaw(off, j.buf[:n])
+			rr.dst.WriteRaw(off, j.buf[:n])
+			j.paid = 0
 			rr.page++
-			shipped += int64(n)
-		}
-		if !rr.done && rr.epoch == 0 && rr.page*rr.pageSize >= rr.src.Size() {
-			rr.done = true
-		}
-		if shipped >= allow {
-			break
 		}
 	}
-	return shipped
-}
-
-// copyDone reports whether every region's transfer has completed.
-func (j *repairJob) copyDone() bool {
-	for i := range j.regions {
-		rr := &j.regions[i]
-		if !rr.done {
-			if rr.epoch > 0 {
-				if rr.src.Dirty.NextDirty(rr.page, rr.epoch) >= 0 {
-					return false
-				}
-				rr.done = true
-			} else if rr.page*rr.pageSize < rr.src.Size() {
-				return false
-			} else {
-				rr.done = true
-			}
-		}
-	}
-	return true
+	j.shipped += allow - left
+	return allow - left
 }
 
 // resyncSurvivorLocked brings a failover survivor behind the new primary
@@ -656,17 +671,7 @@ func (j *repairJob) copyDone() bool {
 // for; the transfer is raw and uncharged, like Load's initial copy, and
 // the survivor emerges InSync.
 func (g *Group) resyncSurvivorLocked(b *backup) {
-	j := &repairJob{b: b}
-	for _, src := range g.syncRegionsLocked() {
-		ps := 4096
-		if src.Dirty != nil {
-			ps = src.Dirty.PageSize()
-		}
-		j.regions = append(j.regions, repairRegion{src: src, dst: b.node.Space.ByName(src.Name), pageSize: ps})
-	}
-	for !j.copyDone() {
-		j.copyChunk(int64(g.chunkBytes()))
-	}
+	newRepairJob(b, g.syncRegionsLocked(), nil).pay(math.MaxInt64)
 	b.job = nil
 	b.fuzzy = false
 	b.gateEpochs = nil

@@ -321,7 +321,22 @@ func TestRepairStatusPhases(t *testing.T) {
 	if st.Active || st.Phase != "idle" {
 		t.Fatalf("completed repair status %+v", st)
 	}
-	if st.BytesShipped < int64(testDB) {
-		t.Fatalf("fresh join shipped %d bytes, want at least the %d-byte database", st.BytesShipped, testDB)
+	// Populate writes a header and nothing else: a fresh join ships the pages
+	// ever written, not the zeros around them.
+	src, dst := dbRegion(g, -1), dbRegion(g, 0)
+	written := 0
+	for p := 0; p < src.Dirty.Pages(); p++ {
+		if src.Dirty.Written(p) {
+			written++
+		}
+	}
+	if want := int64(written * src.Dirty.PageSize()); written == 0 || st.BytesShipped != want {
+		t.Fatalf("fresh join shipped %d bytes, want the %d written pages' %d", st.BytesShipped, written, want)
+	}
+	want, got := make([]byte, testDB), make([]byte, testDB)
+	src.ReadRaw(0, want)
+	dst.ReadRaw(0, got)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("joiner differs from the primary at byte %d", firstDiff(got, want))
 	}
 }

@@ -112,12 +112,12 @@ func (l *Link) Submit(now Time, size int, sync bool) (readyAt, deliveredAt Time)
 	return readyAt, done + Time(l.params.LinkLatency)
 }
 
-// SubmitBulk serializes a bulk background stream — the chunked state
-// transfer of an online repair — submitted at time now: full-size packets
-// back to back, occupying the link like any other traffic (which is what
-// makes concurrent transaction commits queue behind it — the availability
-// dip of a recovering cluster) but without stalling the submitting CPU,
-// which is the repair copier, not the transaction stream. Returns the
+// SubmitBulk serializes a bulk background stream — the state transfer of an
+// online repair — submitted at time now: full-size packets back to back,
+// occupying the link like any other traffic (a later packet queues behind
+// them, so how much a caller submits at one instant, and when, decides what
+// the commit stream pays for a transfer) but without stalling the submitting
+// CPU, which is the repair copier, not the transaction stream. Returns the
 // delivery time of the stream's last byte.
 func (l *Link) SubmitBulk(now Time, bytes int) Time {
 	if bytes <= 0 {

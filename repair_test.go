@@ -2,10 +2,12 @@ package repro_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
 	"repro"
+	"repro/kv"
 )
 
 // TestFacadeRepairAsync drives the online repair through the public API:
@@ -182,5 +184,59 @@ func TestFacadeRepairSealsOpenBatch(t *testing.T) {
 	must(t, c.Failover())
 	if got := c.Committed(); got != commits {
 		t.Fatalf("survivor holds %d commits, want the %d Repair sealed", got, commits)
+	}
+}
+
+// TestRepairLeavesNoBacklog: "repaired" includes "transferred". The
+// synchronous Repair pushes its whole transfer onto the link at one clock
+// reading; it must not return with those bytes still queued ahead of the
+// commits that follow. The probe is EXPERIMENTS.md's: 100 B kv.Put over
+// 4 000 keys on an 8 MiB V3 / active / K=3 / quorum deployment, three
+// windows of 20 000 PUTs around CrashPrimary → Failover → Repair → Reopen.
+// The first window after Repair must serve what the window before the crash
+// did; it read a third less while the transfer's tail was left on the link.
+func TestRepairLeavesNoBacklog(t *testing.T) {
+	db, err := repro.New(repro.Config{
+		Version: repro.V3InlineLog,
+		Backup:  repro.ActiveBackup,
+		Backups: 3,
+		Safety:  repro.QuorumSafe,
+		DBSize:  8 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := kv.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, window = 4000, 20000
+	key := make([][]byte, keys)
+	for i := range key {
+		key[i] = []byte(fmt.Sprintf("key%06d", i))
+		must(t, s.Put(key[i], make([]byte, 100)))
+	}
+	n := 0
+	putsPerSec := func() float64 {
+		db.ResetMeasurement()
+		val := make([]byte, 100)
+		for i := 0; i < window; i++ {
+			val[0] = byte(n)
+			must(t, s.Put(key[n%keys], val))
+			n++
+		}
+		return window / db.Elapsed().Seconds()
+	}
+	before := putsPerSec()
+	must(t, db.CrashPrimary())
+	must(t, db.Failover())
+	must(t, db.Repair())
+	must(t, s.Reopen())
+	first, second := putsPerSec(), putsPerSec()
+	t.Logf("sim PUT/s: %.0f before the crash, %.0f and %.0f after Repair", before, first, second)
+	for _, after := range []float64{first, second} {
+		if after < 0.99*before || after > 1.01*before {
+			t.Fatalf("a window after Repair serves %.0f PUT/s, not within 1%% of the %.0f before the crash", after, before)
+		}
 	}
 }

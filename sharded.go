@@ -788,12 +788,12 @@ func (c *Cluster) Repair(shard ...int) error {
 // RepairAsync starts an online repair of the selected shard (default 0)
 // and returns immediately: resumed (partitioned) backups re-enroll by
 // shipping only the pages they missed, crashed backups are replaced by
-// fresh nodes receiving a full copy, and the shard heals back to its
-// configured replication degree — all while transactions keep
-// committing. The chunked state transfer shares the SAN with the live
-// commit stream (throughput dips while it runs — the availability
-// timeline the paper measures) and advances with the commit stream's
-// simulated time; Settle lets it stream through idle periods. Watch
+// fresh nodes receiving every page ever written, and the shard heals back
+// to its configured replication degree — all while transactions keep
+// committing. The state transfer shares the SAN with the live commit
+// stream at a fixed half of its bandwidth, a few packets at a time (the
+// availability timeline the paper measures), and advances with the commit
+// stream's simulated time; Settle lets it stream through idle periods. Watch
 // RepairProgress for completion; a joining backup starts counting toward
 // quorum at its cut-over. Returns ErrNotRepairable when there is nothing
 // to repair.
