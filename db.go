@@ -121,9 +121,11 @@ type DB interface {
 }
 
 // Admin is the fault-injection and recovery surface. Every method takes
-// an optional trailing shard selector: omitted, it targets shard 0 —
-// the whole of a deployment built by New. An out-of-range selector
-// returns ErrNoSuchShard; methods without an error return the zero value.
+// an optional trailing shard selector: omitted, it targets shard 0 and
+// only shard 0 — all there is on one shard, one group of Shards() on
+// several, where a caller healing "the deployment" must name each shard.
+// An out-of-range selector returns ErrNoSuchShard; methods without an
+// error return the zero value.
 type Admin interface {
 	// CrashPrimary kills the selected shard's primary mid-flight;
 	// doubled stores still sitting in its write buffers are lost (the

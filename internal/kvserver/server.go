@@ -654,14 +654,17 @@ func (s *Server) heal() {
 func (s *Server) tryHeal() bool {
 	err := s.store.Reopen()
 	if errors.Is(err, repro.ErrCrashed) && s.admin != nil && !s.admin.AutopilotEnabled() {
-		// No autopilot to promote a survivor: do it ourselves, then
-		// heal the keyspace back to full redundancy in the background.
-		if ferr := s.admin.Failover(); ferr != nil {
-			return false
+		// No autopilot to promote a survivor: offer every shard a failover
+		// ourselves (a live primary refuses), then heal the keyspace back
+		// to full redundancy in the background.
+		for i := 0; i < s.db.Shards(); i++ {
+			_ = s.admin.Failover(i)
 		}
 		if err = s.store.Reopen(); err == nil {
-			if rerr := s.admin.RepairAsync(); rerr != nil && !errors.Is(rerr, repro.ErrNotRepairable) {
-				s.logf("kvserver: post-failover repair: %v", rerr)
+			for i := 0; i < s.db.Shards(); i++ {
+				if rerr := s.admin.RepairAsync(i); rerr != nil && !errors.Is(rerr, repro.ErrNotRepairable) {
+					s.logf("kvserver: post-failover repair of shard %d: %v", i, rerr)
+				}
 			}
 		}
 	}

@@ -490,3 +490,68 @@ func TestHealThatCannotSucceed(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 }
+
+// TestHealOnAnyShard: whichever shard's primary dies, with an autopilot or
+// without, the first request to meet it is answered StatusRetry by a reader
+// that has healed the store — Reopen's admission probe reaches every shard
+// that holds a region, and a manual heal offers every shard its failover —
+// so that one answer is the only retry: every later PUT lands and all 64
+// keys read back their last value.
+func TestHealOnAnyShard(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, autopilot := range []bool{true, false} {
+			for victim := 0; victim < shards; victim++ {
+				t.Run(fmt.Sprintf("shards=%d/autopilot=%v/victim=%d", shards, autopilot, victim), func(t *testing.T) {
+					cfg := quorumAutopilot(repro.Config{})
+					if !autopilot {
+						cfg.Autopilot = repro.AutopilotConfig{}
+					}
+					db, err := repro.NewSharded(cfg, shards)
+					if err != nil {
+						t.Fatal(err)
+					}
+					srv, _, conn := serveDB(t, db, kv.Options{}, Config{})
+					defer srv.Close()
+					ask := func(frame []byte) (byte, []byte) {
+						if _, err := conn.Write(frame); err != nil {
+							t.Fatal(err)
+						}
+						st, bodies := readResponses(t, conn, 1)
+						return st[0], bodies[0]
+					}
+					for i := 0; i < 64; i++ {
+						if st, body := ask(kvwire.AppendPut(nil, bkey(i), bval("seed", i))); st != kvwire.StatusOK {
+							t.Fatalf("seeding key %d: status %d %q", i, st, body)
+						}
+					}
+					if err := db.CrashPrimary(victim); err != nil {
+						t.Fatal(err)
+					}
+					retries := 0
+					for round := 0; round < 5; round++ {
+						for i := 0; i < 64; i++ {
+							frame := kvwire.AppendPut(nil, bkey(i), bval(fmt.Sprintf("r%d-", round), i))
+							st, body := ask(frame)
+							if st == kvwire.StatusRetry {
+								retries++
+								st, body = ask(frame)
+							}
+							if st != kvwire.StatusOK {
+								t.Fatalf("round %d key %d: status %d %q", round, i, st, body)
+							}
+						}
+					}
+					if got := srv.Stats().Reopens; retries != 1 || got != 1 {
+						t.Fatalf("%d retries and %d reopens, want one of each", retries, got)
+					}
+					for i := 0; i < 64; i++ {
+						st, body := ask(kvwire.AppendGet(nil, bkey(i)))
+						if want := bval("r4-", i); st != kvwire.StatusOK || !bytes.Equal(body, want) {
+							t.Fatalf("key %d reads status %d %q, want %q", i, st, body, want)
+						}
+					}
+				})
+			}
+		}
+	}
+}

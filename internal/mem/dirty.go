@@ -79,3 +79,8 @@ func (d *DirtyLog) BytesSince(epoch uint64) int64 {
 	}
 	return n
 }
+
+// Stamps copies the last-mark sequences of the pages from the one holding
+// byte off onward into dst: the image a reader keeps of the pages it has
+// read, to tell later which of them were written since.
+func (d *DirtyLog) Stamps(off int, dst []uint64) { copy(dst, d.pages[off/d.pageSize:]) }

@@ -527,6 +527,18 @@ func (g *Group) ReadRaw(off int, dst []byte) {
 	g.store.ReadRaw(off, dst)
 }
 
+// DirtyStamps images the serving database's per-page dirty stamps, from the
+// page holding byte off, into dst and returns the generation they were read
+// in, under one hold of the group lock: a cross-group mover that compares
+// two images learns from the return value that a failover came between them
+// and the stamps are two nodes' unrelated sequences.
+func (g *Group) DirtyStamps(off int, dst []uint64) (generation int) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.primary.Space.ByName(vista.RegionDB).Dirty.Stamps(off, dst)
+	return g.generation
+}
+
 // Settle lets the deployment go idle for d of simulated time: any open
 // group-commit batch is flushed, pending write buffers self-drain, and the
 // background state-transfer copier — if a repair is in flight — keeps

@@ -274,9 +274,9 @@ func OpenWith(db repro.DB, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// Reopen re-runs Open-time recovery in place: it probes the deployment
-// for admission (which pumps the autopilot, so a dead primary with
-// AutoFailover configured is promoted by the probe itself), checks the
+// Reopen re-runs Open-time recovery in place: it probes every shard that
+// holds a region for admission (which pumps the autopilot, so a dead primary
+// with AutoFailover configured is promoted by the probe itself), checks the
 // persisted header against the geometry the Store was opened with, clears
 // the broken flag and rebuilds the in-memory acceleration from the
 // replicated bytes — exactly what a fresh Open would do, without
@@ -296,10 +296,19 @@ func (s *Store) Reopen() error {
 	if err != nil {
 		return err
 	}
-	if err := tx.Abort(); err != nil {
+	// Begin opens nothing on several shards (it is lazy there): one byte of
+	// every region — a region is one shard's at every epoch — takes the
+	// probe to each shard that holds keys.
+	var head [headerSize]byte
+	for r := uint64(0); err == nil && s.db.Shards() > 1 && r < s.geo.regions; r++ {
+		err = tx.Read(int(r*s.geo.partSize), head[:1])
+	}
+	if aerr := tx.Abort(); err == nil {
+		err = aerr
+	}
+	if err != nil {
 		return err
 	}
-	var head [headerSize]byte
 	s.db.ReadRaw(0, head[:])
 	if g, err := parseHeader(s.db, head[:]); err != nil {
 		return err

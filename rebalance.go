@@ -8,29 +8,29 @@ package repro
 //
 // One range move runs at a time, in five steps:
 //
-//  1. Register: the move is published (mig.cur) so the hot paths start
-//     recording dirty marks for writes landing inside it.
-//  2. Fence: Begin+Abort on the source shard. Transactions that predate
-//     the registration finish before the copy reads, so their (unmarked)
-//     writes are always visible to the bulk pass.
+//  1. Fence: Begin+Abort on the source shard, the admission probe. A
+//     source that cannot serve parks the mover here with its own sentinel,
+//     and an autopilot's takeover is pumped before anything is read.
+//  2. Image: sent[p] takes the source database log's stamp for every page
+//     of the range (Group.DirtyStamps). Whatever writes the source —
+//     commit, abort-undo, raw Load, through this router or a Shard view —
+//     stamps its pages where it lands (mem.Region.WriteRaw), so "stamped
+//     since the mover read it" is all the dirty tracking there is.
 //  3. Bulk copy: the moving range streams source→target in chunks, raw
 //     (the target installs on every replica, like an initial Load), paced
 //     by the source's repair-share bandwidth — credit accrues with the
 //     source's simulated clock, bought by the foreground commit stream
 //     that pumps the mover from Commit/Abort and Settle. Both SANs are
 //     charged for the shipped bytes (CatSync, like repair traffic).
-//  4. Delta resync: ranges dirtied during the copy (recorded by
-//     transactions at commit and by raw Loads) are re-shipped page by
-//     page until the backlog is small.
+//  4. Delta resync: pages stamped past sent[p] are re-shipped, sent[p]
+//     re-imaged before each read, until the backlog is small.
 //  5. Cut-over barrier: the mover takes the source's single transaction
-//     slot (quiescing writers), waits out the finishing window (a
-//     transaction releases its per-shard slots before publishing its
-//     marks — the `finishing` counter covers that gap), drains the
-//     residual dirt, and flips the routing table under the dirty lock:
-//     a new placement epoch is published through the view's atomic
-//     pointer. Readers that raced the flip detect the table change and
-//     re-route; transactions that blocked on the barrier re-route when
-//     it releases.
+//     slot (quiescing writers, whose stores are already stamped) and the
+//     load lock (a raw Load bypasses the slot), drains the residual dirt
+//     and flips the routing table: a new placement epoch is published
+//     through the view's atomic pointer. Readers that raced the flip
+//     detect the table change and re-route; transactions that blocked on
+//     the barrier re-route when it releases.
 //
 // A failover on either end (generation change) restarts the move from
 // the fence — raw installs are idempotent, and the target's replicas all
@@ -42,8 +42,6 @@ package repro
 import (
 	"errors"
 	"fmt"
-	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -53,7 +51,8 @@ import (
 )
 
 const (
-	// movePage is the dirty-tracking granularity of a range move.
+	// movePage is the delta-resync granule: the page of the groups' dirty
+	// logs.
 	movePage = 4096
 	// moveChunk bounds one transfer chunk, like repair's chunking.
 	moveChunk = 64 << 10
@@ -86,15 +85,15 @@ type RebalanceProgress struct {
 }
 
 // migState is the mover's state. mu serializes the mover itself (hot
-// paths never take it — they gate on the active flag and the cur
-// pointer); the progress fields are atomics so RebalanceProgress never
-// blocks on a pumping goroutine.
+// paths never take it — they gate on the active flag); the progress
+// fields are atomics so RebalanceProgress never blocks on a pumping
+// goroutine.
 type migState struct {
 	mu     sync.Mutex
 	active atomic.Bool
-	cur    atomic.Pointer[rangeMove]
 
 	queue []placement.Move // remaining plan; queue[0] is the current move
+	cur   *rangeMove       // the in-flight move, nil between moves
 
 	moves      atomic.Int64
 	movesDone  atomic.Int64
@@ -105,11 +104,9 @@ type migState struct {
 	curTo      atomic.Int64
 }
 
-// rangeMove is one in-flight range migration. The dirty bitmap (movePage
-// grain over [mv.Start, mv.End)) is guarded by dirtyMu, which doubles as
-// the flip lock: the cut-over publishes the new table while holding it,
-// so a marker that loses the race observes flipped and re-routes instead
-// of marking a retired move.
+// rangeMove is one in-flight range migration, private to the mover. The
+// source's generation is the one sent was imaged in: stamps from another
+// generation are another node's sequence, and restart the move.
 type rangeMove struct {
 	mv       placement.Move
 	src, dst *member
@@ -125,71 +122,29 @@ type rangeMove struct {
 	// it exceeds deltaBudget the cut-over is forced (see pumpLocked).
 	deltaShipped int
 
-	dirtyMu  sync.Mutex
-	dirty    []uint64
-	dirtyCnt int
-	flipped  bool
+	// sent[p] is the source database log's stamp of page p of the range
+	// as it stood just before the mover last read the page; now is the
+	// image scan compares it with. A page is dirty iff now[p] > sent[p].
+	sent, now []uint64
 }
 
 // migActive reports whether a rebalance is moving ranges — the hot
 // paths' one-atomic-load gate.
 func (c *Cluster) migActive() bool { return c.mig.active.Load() }
 
-// markDirty records that [off, off+n) of the global space was mutated;
-// the slice overlapping the in-flight move (if any) is queued for delta
-// resync. Called by raw Loads and by transaction finish.
-func (c *Cluster) markDirty(off, n int) {
-	m := c.mig.cur.Load()
-	if m == nil {
-		return
+// scan images the source's stamps and returns the bytes awaiting delta
+// resync; errMoveRestart when the source failed over under the move.
+func (m *rangeMove) scan() (int, error) {
+	if m.src.DirtyStamps(m.mv.FromLocal, m.now) != m.srcGen {
+		return 0, errMoveRestart
 	}
-	m.markDirty(off, n)
-}
-
-func (m *rangeMove) markDirty(off, n int) {
-	lo, hi := off, off+n
-	if lo < m.mv.Start {
-		lo = m.mv.Start
-	}
-	if hi > m.mv.End {
-		hi = m.mv.End
-	}
-	if lo >= hi {
-		return
-	}
-	m.dirtyMu.Lock()
-	if !m.flipped {
-		p0 := (lo - m.mv.Start) / movePage
-		p1 := (hi - m.mv.Start + movePage - 1) / movePage
-		for p := p0; p < p1; p++ {
-			w, b := p/64, uint(p%64)
-			if m.dirty[w]&(1<<b) == 0 {
-				m.dirty[w] |= 1 << b
-				m.dirtyCnt++
-			}
+	n := 0
+	for p, s := range m.now {
+		if s > m.sent[p] {
+			n++
 		}
 	}
-	m.dirtyMu.Unlock()
-}
-
-// popDirty removes and returns the lowest dirty page index, -1 when
-// clean.
-func (m *rangeMove) popDirty() int {
-	m.dirtyMu.Lock()
-	defer m.dirtyMu.Unlock()
-	if m.dirtyCnt == 0 {
-		return -1
-	}
-	for w, word := range m.dirty {
-		if word != 0 {
-			b := bits.TrailingZeros64(word)
-			m.dirty[w] = word &^ (1 << uint(b))
-			m.dirtyCnt--
-			return w*64 + b
-		}
-	}
-	m.dirtyCnt = 0
-	return -1
+	return n * movePage, nil
 }
 
 // deltaBudget returns the delta-resync bytes the mover is willing to
@@ -201,14 +156,6 @@ func (m *rangeMove) deltaBudget() int {
 		b = 4 * cutoverMaxDirty
 	}
 	return b
-}
-
-// dirtyBacklog returns the bytes awaiting delta resync.
-func (m *rangeMove) dirtyBacklog() int {
-	m.dirtyMu.Lock()
-	n := m.dirtyCnt
-	m.dirtyMu.Unlock()
-	return n * movePage
 }
 
 // emit appends a deployment-level placement event (node/shard -1).
@@ -409,7 +356,7 @@ func (c *Cluster) pumpLocked(unpaced bool) error {
 			c.finishRebalanceLocked()
 			return nil
 		}
-		m := c.mig.cur.Load()
+		m := c.mig.cur
 		if m == nil {
 			m = c.startMoveLocked(c.mig.queue[0])
 		}
@@ -417,21 +364,23 @@ func (c *Cluster) pumpLocked(unpaced bool) error {
 			return fmt.Errorf("repro: rebalance parked, move [%d,+%d) %d->%d blocked on a crashed group: %w",
 				m.mv.Start, m.mv.Bytes(), m.mv.From, m.mv.To, ErrCrashed)
 		}
-		if m.src.Generation() != m.srcGen || m.dst.Generation() != m.dstGen {
-			// Failover mid-move: restart from the fence. The bulk copy
-			// re-reads the new serving store; raw installs on the target
-			// are idempotent, so repeating shipped work is safe.
-			c.mig.cur.Store(nil)
-			continue
-		}
 		if !m.fenced {
+			// The admission probe (step 1), then the image (step 2).
 			tx, err := m.src.Begin()
 			if err != nil {
 				return fmt.Errorf("repro: rebalance fence on shard %d: %w", m.mv.From, err)
 			}
 			tx.Abort()
+			m.srcGen = m.src.DirtyStamps(m.mv.FromLocal, m.sent)
+			m.dstGen = m.dst.Generation()
 			m.fenced = true
 			m.last = m.src.Now()
+		} else if m.src.Generation() != m.srcGen || m.dst.Generation() != m.dstGen {
+			// Failover mid-move: restart from the fence. The bulk copy
+			// re-reads the new serving store; raw installs on the target
+			// are idempotent, so repeating shipped work is safe.
+			c.mig.cur = nil
+			continue
 		}
 		allow := m.mv.Bytes() + cutoverMaxDirty
 		if !unpaced {
@@ -461,39 +410,38 @@ func (c *Cluster) pumpLocked(unpaced bool) error {
 			// chasing and cuts over, draining the residual under the
 			// barrier — a bounded, recorded stall instead of a livelock.
 			forced := m.deltaShipped >= m.deltaBudget()
-			for !forced && allow-shipped >= movePage && m.dirtyBacklog() > cutoverMaxDirty {
-				n, err := c.deltaCopy(m, allow-shipped)
-				if err != nil {
-					return err
+			backlog, err := m.scan()
+			for err == nil && !forced && allow-shipped >= movePage && backlog > cutoverMaxDirty {
+				var n int
+				if n, err = c.deltaCopy(m, allow-shipped); err == nil {
+					shipped += n
+					m.deltaShipped += n
+					forced = m.deltaShipped >= m.deltaBudget()
+					backlog, err = m.scan()
 				}
-				if n == 0 {
-					break
-				}
-				shipped += n
-				m.deltaShipped += n
-				forced = m.deltaShipped >= m.deltaBudget()
 			}
-			backlog := m.dirtyBacklog()
+			// The barrier drain is pre-paid: the normal path owes at most
+			// cutoverMaxDirty bytes, a forced cut-over the whole residual
+			// backlog — requiring that budget up front keeps the stall off
+			// the pacing path.
 			need := cutoverMaxDirty
 			if forced && backlog > need {
 				need = backlog
 			}
-			if (backlog <= cutoverMaxDirty || forced) && (unpaced || allow-shipped >= need) {
-				// The barrier drain is pre-paid: the normal path owes at
-				// most cutoverMaxDirty bytes, a forced cut-over the whole
-				// residual backlog — requiring that budget up front keeps
-				// the stall off the pacing path.
-				err := c.cutoverLocked(m)
-				switch {
-				case err == errMoveRestart:
-					c.mig.cur.Store(nil)
-					continue
-				case err != nil:
-					if !unpaced {
-						m.credit -= float64(shipped)
-					}
-					return err
+			cut := err == nil && (backlog <= cutoverMaxDirty || forced) && (unpaced || allow-shipped >= need)
+			if cut {
+				err = c.cutoverLocked(m)
+			}
+			switch {
+			case err == errMoveRestart:
+				c.mig.cur = nil
+				continue
+			case err != nil:
+				if !unpaced {
+					m.credit -= float64(shipped)
 				}
+				return err
+			case cut:
 				c.mig.queue = c.mig.queue[1:]
 				continue
 			}
@@ -510,22 +458,21 @@ func (c *Cluster) pumpLocked(unpaced bool) error {
 	return nil
 }
 
-// startMoveLocked registers queue[0] as the in-flight move: from this
-// point the hot paths record dirty marks for it.
+// startMoveLocked makes queue[0] the in-flight move. Nothing outside the
+// mover learns of it: the source stamps its pages, move or no move.
 func (c *Cluster) startMoveLocked(mv placement.Move) *rangeMove {
 	v := c.v()
-	m := &rangeMove{
-		mv:  mv,
-		src: v.shards[mv.From],
-		dst: v.shards[mv.To],
-	}
-	m.srcGen = m.src.Generation()
-	m.dstGen = m.dst.Generation()
 	pages := (mv.Bytes() + movePage - 1) / movePage
-	m.dirty = make([]uint64, (pages+63)/64)
+	m := &rangeMove{
+		mv:   mv,
+		src:  v.shards[mv.From],
+		dst:  v.shards[mv.To],
+		sent: make([]uint64, pages),
+		now:  make([]uint64, pages),
+	}
 	c.mig.curFrom.Store(int64(mv.From))
 	c.mig.curTo.Store(int64(mv.To))
-	c.mig.cur.Store(m)
+	c.mig.cur = m
 	return m
 }
 
@@ -553,19 +500,21 @@ func (c *Cluster) bulkCopy(m *rangeMove, allow int) (int, error) {
 	return shipped, nil
 }
 
-// deltaCopy re-ships dirty pages, up to allow bytes.
+// deltaCopy re-ships the pages the last scan found dirty, lowest first, up
+// to allow bytes. sent takes the scanned stamp before the page is read, so
+// a write racing the read is shipped again, never missed.
 func (c *Cluster) deltaCopy(m *rangeMove, allow int) (int, error) {
 	shipped := 0
-	for allow-shipped >= movePage {
-		p := m.popDirty()
-		if p < 0 {
+	for p, s := range m.now {
+		if s <= m.sent[p] {
+			continue
+		}
+		if allow-shipped < movePage {
 			break
 		}
+		m.sent[p] = s
 		off := p * movePage
-		n := movePage
-		if off+n > m.mv.Bytes() {
-			n = m.mv.Bytes() - off
-		}
+		n := min(movePage, m.mv.Bytes()-off)
 		if err := c.ship(m, off, n); err != nil {
 			return shipped, err
 		}
@@ -606,49 +555,39 @@ func (c *Cluster) ship(m *rangeMove, rel, n int) error {
 // drain, atomic routing flip.
 func (c *Cluster) cutoverLocked(m *rangeMove) error {
 	// Barrier: holding the source's single transaction slot means no
-	// transaction holds — or can open — a write on the source.
+	// transaction holds — or can open — a write on the source, and what
+	// the finished ones wrote was stamped as it landed.
 	tx, err := m.src.Begin()
 	if err != nil {
 		return fmt.Errorf("repro: rebalance barrier on shard %d: %w", m.mv.From, err)
 	}
 	defer tx.Abort()
-	// A transaction releases its per-shard slots inside Commit/Abort
-	// before publishing its dirty marks; the finishing counter covers
-	// that window, so waiting it out makes every released write's mark
-	// visible to the drain below.
-	for c.finishing.Load() != 0 {
-		runtime.Gosched()
-	}
-	if m.src.Generation() != m.srcGen || m.dst.Generation() != m.dstGen {
-		return errMoveRestart
-	}
+	// A raw Load bypasses the slot; the load lock keeps it out from the
+	// last scan to the flip.
+	c.loads.Lock()
+	defer c.loads.Unlock()
 	stalled := false
 	for {
-		n, err := c.deltaCopy(m, m.mv.Bytes()+movePage)
+		backlog, err := m.scan()
 		if err != nil {
 			return err
 		}
-		if n > 0 {
-			stalled = true
+		if m.dst.Generation() != m.dstGen {
+			return errMoveRestart
 		}
-		m.dirtyMu.Lock()
-		if m.dirtyCnt == 0 {
+		if backlog == 0 {
 			break
 		}
-		// A raw Load dirtied the range between the drain and the lock
-		// (Loads bypass the transaction slot); drain again.
-		m.dirtyMu.Unlock()
+		if _, err := c.deltaCopy(m, backlog); err != nil {
+			return err
+		}
+		stalled = true
 	}
-	// dirtyMu is held with a clean page set: flip. A marker that lost
-	// the race blocks in markDirty, observes flipped, skips the mark,
-	// then notices the table changed and re-routes to the new owner.
-	m.flipped = true
 	old := c.v()
 	c.layout.Apply(m.mv)
 	epoch := old.table.Epoch + 1
 	c.view.Store(&placeView{shards: old.shards, table: c.layout.Compile(epoch)})
-	m.dirtyMu.Unlock()
-	c.mig.cur.Store(nil)
+	c.mig.cur = nil
 	c.mig.movesDone.Add(1)
 	if stalled {
 		c.mig.stalls.Add(1)

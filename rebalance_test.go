@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro"
@@ -437,4 +438,159 @@ func TestElasticDegenerate(t *testing.T) {
 		t.Fatalf("grown deployment = %d shards, epoch %d", c.Shards(), c.PlacementEpoch())
 	}
 	shadowAudit(t, c, shadow, "New deployment grown 1 -> 2")
+}
+
+// TestViewCommitsSurviveCutover: a Shard(0) view commits straight onto the
+// replica group, past the parent's router, and the mover sees those writes
+// like any other — the deployment serves the last bytes the view committed
+// before the cell's range cut over. A scout run names the first range to
+// leave shard 0 (whose local offsets are the global ones until then); a
+// fresh deployment then rewrites a cell of it through the view, one parent
+// transaction on the other half per step to pump the mover, until routing
+// flips.
+func TestViewCommitsSurviveCutover(t *testing.T) {
+	const dbSize = 512 << 10
+	grown := func(metrics bool) *repro.ShardedCluster {
+		sc, err := repro.NewSharded(elasticConfig(dbSize, metrics), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sc.AddShards(2); err != nil {
+			t.Fatal(err)
+		}
+		return sc
+	}
+	scout := grown(true)
+	if err := scout.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	cell := -1
+	for _, e := range scout.Metrics().EventsKind(obs.EventRangeCutover) {
+		if int(e.B) < scout.ShardSize() {
+			cell = int(e.B)
+			break
+		}
+	}
+	if cell < 0 {
+		t.Fatal("the scout rebalance moved no range off shard 0")
+	}
+
+	sc := grown(false)
+	if err := sc.RebalanceAsync(); err != nil {
+		t.Fatal(err)
+	}
+	view, shadow, r := sc.Shard(0), make([]byte, dbSize), rand.New(rand.NewSource(7))
+	for k := 0; sc.ShardFor(cell) == 0; k++ {
+		if k == 100000 {
+			t.Fatal("the cell's range never cut over")
+		}
+		shadowTxn(t, view, shadow, r, cell)
+		shadowTxn(t, sc, shadow, r, dbSize/2+r.Intn(dbSize/2-64))
+	}
+	shadowAudit(t, sc, shadow, "view commits through a cut-over")
+}
+
+// TestMoverBesideWritersAndLoads: a blocking 2→4 Rebalance and a
+// RemoveShard beside four transactional writers (one commit in four is an
+// abort instead) and one raw Loader. Each worker owns its own 64-byte cells
+// of every page and touches two cells of one page per step, so a
+// transaction stays on one shard and the shared shadow is written at
+// disjoint bytes. The mover holds no transaction while it copies and a Load
+// holds none at all: whatever lands on a moving range between the mover's
+// read and the flip must be shipped again, and the audit is byte-exact.
+func TestMoverBesideWritersAndLoads(t *testing.T) {
+	const (
+		dbSize  = 512 << 10
+		cell    = 64
+		workers = 5 // the last one is the Loader
+		owned   = 4096 / cell / workers
+	)
+	for seed := int64(0); seed < 6; seed++ {
+		sc, err := repro.NewSharded(elasticConfig(dbSize, false), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shadow := shadowFill(t, sc, dbSize, 300+seed)
+		if _, err := sc.AddShards(2); err != nil {
+			t.Fatal(err)
+		}
+		step := func(w, i int, r *rand.Rand) error {
+			a := r.Intn(owned)
+			page, slots := r.Intn(dbSize/4096)*4096, [2]int{a, (a + 1 + r.Intn(owned-1)) % owned}
+			var offs [2]int
+			var vals [2][cell]byte
+			for j, slot := range slots {
+				offs[j] = page + (w+workers*slot)*cell
+				r.Read(vals[j][:])
+			}
+			keep := w == workers-1 || i%4 != 3
+			if w == workers-1 {
+				if err := errors.Join(sc.Load(offs[0], vals[0][:]), sc.Load(offs[1], vals[1][:])); err != nil {
+					return err
+				}
+			} else {
+				tx, err := sc.Begin()
+				if err != nil {
+					return err
+				}
+				for j, off := range offs {
+					if err := errors.Join(tx.SetRange(off, cell), tx.Write(off, vals[j][:])); err != nil {
+						return err
+					}
+				}
+				if keep {
+					err = tx.Commit()
+				} else {
+					err = tx.Abort()
+				}
+				if err != nil {
+					return err
+				}
+			}
+			for j := 0; keep && j < len(offs); j++ {
+				copy(shadow[offs[j]:], vals[j][:])
+			}
+			return nil
+		}
+		stop, started := make(chan struct{}), make(chan struct{}, workers)
+		errs := make(chan error, workers)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(seed*workers + int64(w)))
+				for i := 0; ; i++ {
+					if err := step(w, i, r); err != nil {
+						errs <- err
+						return
+					}
+					select {
+					case <-stop:
+						return
+					case started <- struct{}{}:
+					default:
+					}
+				}
+			}(w)
+		}
+		for w := 0; w < workers; w++ {
+			<-started
+		}
+		err = errors.Join(sc.Rebalance(), sc.RemoveShard(3))
+		close(stop)
+		wg.Wait()
+		close(errs)
+		for werr := range errs {
+			err = errors.Join(err, werr)
+		}
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if sc.PlacementEpoch() == 1 {
+			t.Fatalf("seed %d: placement epoch never advanced", seed)
+		}
+		sc.Settle()
+		shadowAudit(t, sc, shadow, "mover beside writers and loads")
+	}
 }

@@ -76,11 +76,10 @@ type Cluster struct {
 	// mig is the range mover's state; see rebalance.go.
 	mig migState
 
-	// finishing counts transactions inside finish(): between releasing
-	// their per-shard transactions and publishing their dirty marks. The
-	// cut-over barrier spin-waits it to zero after taking the source's
-	// transaction slot, closing the release-before-mark window.
-	finishing atomic.Int64
+	// loads is held shared by a raw Load and exclusively by a cut-over from
+	// its last dirty scan to the flip: a Load bypasses the transaction slot
+	// the barrier holds. A Shard(i) view shares its parent's.
+	loads *sync.RWMutex
 
 	// reg is the deployment-level metrics registry (rebalance
 	// instruments and ring events live here; per-shard registries hang
@@ -144,6 +143,7 @@ func NewSharded(cfg Config, shards int) (*Cluster, error) {
 		}
 		list = append(list, m)
 	}
+	c.loads = new(sync.RWMutex)
 	c.layout = placement.NewLayout(shards, size, 0)
 	c.partSize = c.layout.PartSize()
 	c.view.Store(&placeView{shards: list, table: c.layout.Compile(1)})
@@ -218,16 +218,19 @@ func (c *Cluster) ShardFor(off int) int {
 // Shard returns a one-shard view of shard i — the same replica group, not
 // a copy — addressed by shard-local offsets: crash injection, traffic
 // inspection, or single-shard transaction streams that skip the routing
-// layer. The view's topology is its parent's, so AddShards, RemoveShard
-// and Rebalance refuse on it with ErrNotElastic. Nil for an out-of-range
-// index.
+// layer. A view's writes are the parent's range mover's to see like any
+// other — committed before a range's cut-over, they move with it — but the
+// view itself never re-routes: past the cut-over the same local offset is
+// a retired copy. The view's topology is its parent's, so AddShards,
+// RemoveShard and Rebalance refuse on it with ErrNotElastic. Nil for an
+// out-of-range index.
 func (c *Cluster) Shard(i int) *Cluster {
 	v := c.v()
 	if i < 0 || i >= len(v.shards) {
 		return nil
 	}
 	view := newCluster(c.cfg, c.shardSize, c.shardSize)
-	view.partSize = c.partSize
+	view.partSize, view.loads = c.partSize, c.loads
 	view.view.Store(&placeView{shards: v.shards[i : i+1 : i+1], table: placement.Uniform(1, c.shardSize)})
 	return view
 }
@@ -275,30 +278,22 @@ func (c *Cluster) split(v *placeView, off, n int, f func(shard, shardOff, n int)
 }
 
 // Load installs initial content across the owning shards without charging
-// simulated time, keeping every replica's copy in sync. Loads landing on
-// a range mid-migration are marked dirty for the delta resync; a load
-// that raced a cut-over redoes itself against the new table (raw installs
-// are idempotent), so the flipped-to shard never misses the bytes.
+// simulated time, keeping every replica's copy in sync. The load lock keeps
+// the routing table still under it, so the bytes land — and are stamped for
+// a range mover's delta resync — on the shard that owns them.
 func (c *Cluster) Load(off int, data []byte) error {
 	if err := c.checkRange(off, len(data)); err != nil {
 		return err
 	}
-	for {
-		v := c.v()
-		pos := 0
-		err := c.split(v, off, len(data), func(i, so, n int) error {
-			err := v.shards[i].Load(so, data[pos:pos+n])
-			pos += n
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		c.markDirty(off, len(data))
-		if c.v().table == v.table {
-			return nil
-		}
-	}
+	c.loads.RLock()
+	defer c.loads.RUnlock()
+	v := c.v()
+	pos := 0
+	return c.split(v, off, len(data), func(i, so, n int) error {
+		err := v.shards[i].Load(so, data[pos:pos+n])
+		pos += n
+		return err
+	})
 }
 
 // Read performs a charged, non-transactional read across the owning
@@ -410,23 +405,16 @@ func (c *Cluster) Begin() (Tx, error) {
 	return t, nil
 }
 
-// dirtySpan records one global range a transaction mutated while a
-// rebalance was active; finish() republishes them as dirty marks after
-// the commits make the bytes visible.
-type dirtySpan struct{ off, n int }
-
 // shardedTx routes transactional operations by offset. The hot-path
 // methods walk the placement split inline (closure-free) so a warmed
-// transaction performs no allocation; marks is only appended while a
-// rebalance is active. A per-shard handle's error goes out as it came:
-// the crashed sentinel is one value from the store up, so a crash that
-// orphans the transaction is ErrCrashed from whichever method meets it
-// first.
+// transaction performs no allocation. A per-shard handle's error goes out
+// as it came: the crashed sentinel is one value from the store up, so a
+// crash that orphans the transaction is ErrCrashed from whichever method
+// meets it first.
 type shardedTx struct {
 	c       *Cluster
 	open    []replication.TxHandle
 	touched int // non-nil entries of open
-	marks   []dirtySpan
 	done    bool
 }
 
@@ -458,29 +446,28 @@ func (t *shardedTx) check(off, n int) error {
 	return t.c.checkRange(off, n)
 }
 
-// mark records a mutated span for the delta resync when a range move is
-// in flight. Appending here is op-time bookkeeping only; the spans become
-// dirty marks in finish(), after commit makes the bytes visible.
-func (t *shardedTx) mark(off, n int) {
-	if !t.c.migActive() {
-		return
-	}
-	t.marks = append(t.marks, dirtySpan{off: off, n: n})
-}
-
 // route resolves one span under the current snapshot and acquires the
 // owning shard. Acquiring can block behind a cut-over barrier holding the
 // shard's transaction slot; if routing flipped meanwhile, ok is false and
-// the caller re-routes the span on the new table (the speculatively
-// acquired shard simply stays open and idle until finish).
+// the caller re-routes the span on the new table. A shard this call opened
+// for nothing is released first: held idle until finish it would be a lock
+// the transaction never ordered, and two transactions that waited out
+// opposite moves (a grow, then a drain) would each hold what the other
+// re-routes to.
 func (t *shardedTx) route(off int) (tx replication.TxHandle, so, run int, ok bool, err error) {
 	v := t.c.v()
 	i, so, run := v.table.Locate(off)
+	held := i < len(t.open) && t.open[i] != nil
 	tx, err = t.at(v, i)
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
 	if t.c.v().table != v.table {
+		if !held {
+			tx.Abort() // untouched: its outcome is not this transaction's
+			t.open[i] = nil
+			t.touched--
+		}
 		return nil, 0, 0, false, nil
 	}
 	return tx, so, run, true, nil
@@ -531,7 +518,6 @@ func (t *shardedTx) Write(off int, src []byte) error {
 		if err := tx.Write(so, src[pos:pos+cnt]); err != nil {
 			return err
 		}
-		t.mark(off, cnt)
 		off += cnt
 		pos += cnt
 	}
@@ -589,15 +575,6 @@ func (t *shardedTx) finish(commit bool) error {
 	}
 	t.done = true
 	c := t.c
-	// Enter the finishing window before any per-shard release: the
-	// cut-over barrier holds the source's transaction slot and then waits
-	// for this counter, so every span below is marked dirty before the
-	// mover trusts its dirty set. Aborted spans re-mark too — harmless
-	// over-copy, never a miss.
-	fin := len(t.marks) > 0
-	if fin {
-		c.finishing.Add(1)
-	}
 	var firstErr, ackErr error
 	var pce *PartialCommitError
 	for i, tx := range t.open {
@@ -644,13 +621,6 @@ func (t *shardedTx) finish(commit bool) error {
 	}
 	clear(t.open)
 	t.touched = 0
-	if fin {
-		for _, m := range t.marks {
-			c.markDirty(m.off, m.n)
-		}
-		c.finishing.Add(-1)
-	}
-	t.marks = t.marks[:0]
 	c.txPool.Put(t)
 	if c.migActive() {
 		// Ride the commit stream: every completed transaction buys the
