@@ -188,7 +188,7 @@ func TestShardedAutopilot(t *testing.T) {
 		must(t, commitAt(i*32))                // shard 0
 		must(t, commitAt(sc.ShardSize()+i*32)) // shard 1
 	}
-	must(t, sc.CrashPrimary(0))
+	must(t, sc.Shard(0).CrashPrimary())
 
 	// Shard 1 is untouched; shard 0 heals itself on the next touch.
 	must(t, commitAt(sc.ShardSize()))
@@ -197,7 +197,7 @@ func TestShardedAutopilot(t *testing.T) {
 			t.Fatalf("shard 0 commit: %v", err)
 		}
 		sc.Settle()
-		if !sc.RepairProgress(0).Active && sc.Shard(0).Backups() == 2 {
+		if !sc.Shard(0).RepairProgress().Active && sc.Shard(0).Backups() == 2 {
 			break
 		}
 	}

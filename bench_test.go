@@ -1,65 +1,21 @@
-// Developer benchmarks (`make bench-all`): one per exhibit of the paper's
-// evaluation, plus per-configuration throughput benchmarks that report
-// both the simulated result (sim-tps — the paper's metric) and the
-// simulator's own wall-clock speed (ns/op per transaction). They feed no
-// committed file: the pinned extension cells are internal/harness's
-// (BENCH_cells.csv, TestCellsPinned) and the gated benchmark is bench/.
-//
-// Run all exhibits:
-//
-//	go test -bench=Benchmark -benchmem
+// Developer benchmarks (`make bench-all`): per-configuration throughput
+// and takeover benchmarks that report both the simulated result (sim-tps —
+// the paper's metric) and the simulator's own wall-clock speed (ns/op per
+// transaction). They feed no committed file: the paper's exhibits are
+// `replbench -experiment paper`, the pinned extension cells are
+// internal/harness's (BENCH_cells.csv, TestCellsPinned) and the gated
+// benchmark is bench/.
 package repro_test
 
 import (
 	"testing"
 
 	"repro"
-	"repro/internal/harness"
 	"repro/internal/mem"
 	"repro/internal/replication"
 	"repro/internal/tpc"
 	"repro/internal/vista"
 )
-
-// benchCfg keeps exhibit regeneration around a second per iteration.
-var benchCfg = harness.RunConfig{
-	DBSize:     16 << 20,
-	DCTxns:     3000,
-	OETxns:     1200,
-	Warmup:     300,
-	Seed:       1,
-	SMPStreams: []int{1, 2, 4},
-	SMPDBSize:  10 << 20,
-}
-
-// benchExhibit regenerates one paper table or figure per iteration.
-func benchExhibit(b *testing.B, id string) {
-	b.Helper()
-	e, ok := harness.Lookup(id)
-	if !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
-	for b.Loop() {
-		harness.ResetCache()
-		if _, err := e.Run(benchCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// One benchmark per exhibit in the paper's evaluation section.
-
-func BenchmarkFig1Bandwidth(b *testing.B)         { benchExhibit(b, "fig1") }
-func BenchmarkTable1Straightforward(b *testing.B) { benchExhibit(b, "table1") }
-func BenchmarkTable2TrafficV0(b *testing.B)       { benchExhibit(b, "table2") }
-func BenchmarkTable3Standalone(b *testing.B)      { benchExhibit(b, "table3") }
-func BenchmarkTable4Passive(b *testing.B)         { benchExhibit(b, "table4") }
-func BenchmarkTable5PassiveTraffic(b *testing.B)  { benchExhibit(b, "table5") }
-func BenchmarkTable6PassiveVsActive(b *testing.B) { benchExhibit(b, "table6") }
-func BenchmarkTable7ActiveTraffic(b *testing.B)   { benchExhibit(b, "table7") }
-func BenchmarkTable8DatabaseSizes(b *testing.B)   { benchExhibit(b, "table8") }
-func BenchmarkFig2SMPDebitCredit(b *testing.B)    { benchExhibit(b, "fig2") }
-func BenchmarkFig3SMPOrderEntry(b *testing.B)     { benchExhibit(b, "fig3") }
 
 // BenchmarkThroughput drives b.N transactions through each configuration
 // of the paper's comparison, reporting the simulated throughput alongside

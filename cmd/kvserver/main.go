@@ -21,8 +21,8 @@
 // per-opcode serving latencies, WAL fsync costs, read-route counters and
 // the failure/repair event ring's depth. The same snapshot is available
 // in JSON over the wire itself (the kvwire METRICS opcode — see
-// kvclient.Metrics and kvload -scrape). Without the flag nothing is
-// instrumented and the serving path is exactly the uninstrumented build.
+// kvclient.Metrics). Without the flag nothing is instrumented and the
+// serving path is exactly the uninstrumented build.
 //
 // With -data-dir set, every replica keeps a redo WAL plus periodic
 // snapshots under DIR (per shard under DIR/shard-NNN), fsynced on the
@@ -114,7 +114,7 @@ func main() {
 	}
 	if *dataDir != "" {
 		for i := 0; i < db.Shards(); i++ {
-			st := db.Durability(i)
+			st := db.Shard(i).Durability()
 			if r := st.Recovery; r.Recovered {
 				log.Printf("kvserver: shard %d cold restart: era=%d seq=%d (snapshot %d + %d replayed, %d torn bytes truncated, %d resynced, %d rejoined)",
 					i, r.Era, r.Seq, r.SnapSeq, r.Replayed, r.TruncatedBytes, r.Resynced, r.Rejoined)

@@ -99,15 +99,15 @@ func TestConcurrentShardDriving(t *testing.T) {
 	go func() {
 		defer work.Done()
 		for round := 0; round < 3; round++ {
-			if err := sc.CrashPrimary(chaosShard); err != nil {
+			if err := sc.Shard(chaosShard).CrashPrimary(); err != nil {
 				t.Errorf("chaos crash: %v", err)
 				return
 			}
-			if err := sc.Failover(chaosShard); err != nil {
+			if err := sc.Shard(chaosShard).Failover(); err != nil {
 				t.Errorf("chaos failover: %v", err)
 				return
 			}
-			if err := sc.Repair(chaosShard); err != nil {
+			if err := sc.Shard(chaosShard).Repair(); err != nil {
 				t.Errorf("chaos repair: %v", err)
 				return
 			}

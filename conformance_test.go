@@ -163,10 +163,10 @@ func TestDBConformanceSettleAndFailover(t *testing.T) {
 				t.Fatal(err)
 			}
 			db.Settle()
-			if err := db.CrashPrimary(home); err != nil {
+			if err := db.Shard(home).CrashPrimary(); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Failover(home); err != nil {
+			if err := db.Shard(home).Failover(); err != nil {
 				t.Fatal(err)
 			}
 			got := make([]byte, len(payload))
@@ -174,10 +174,10 @@ func TestDBConformanceSettleAndFailover(t *testing.T) {
 				t.Fatalf("after failover Read = %q, %v", got, err)
 			}
 			// The cluster is degraded but repairable.
-			if err := db.Repair(home); err != nil {
+			if err := db.Shard(home).Repair(); err != nil {
 				t.Fatalf("Repair after failover: %v", err)
 			}
-			if got := db.Backups(home); got != 2 {
+			if got := db.Shard(home).Backups(); got != 2 {
 				t.Fatalf("Backups after repair = %d, want 2", got)
 			}
 			// Behind the promoted node the deployment is still active: a
@@ -219,10 +219,10 @@ func TestDBConformanceDeferAcks(t *testing.T) {
 
 			scope = db.DeferAcks()
 			writeAt(t, db, off, 'c')
-			if err := db.CrashPrimary(home); err != nil {
+			if err := db.Shard(home).CrashPrimary(); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Failover(home); err != nil {
+			if err := db.Shard(home).Failover(); err != nil {
 				t.Fatal(err)
 			}
 			tx, err := db.Begin()
@@ -243,7 +243,7 @@ func TestDBConformanceDeferAcks(t *testing.T) {
 			}
 			// The promoted lineage owes the dead scope nothing (K=2 at
 			// quorum needs its second backup back to commit at all).
-			if err := db.Repair(home); err != nil {
+			if err := db.Shard(home).Repair(); err != nil {
 				t.Fatal(err)
 			}
 			last := writeAt(t, db, off, 'd')
@@ -302,37 +302,15 @@ func TestDBConformanceErrorTaxonomy(t *testing.T) {
 				t.Fatalf("Abort after Commit = %v", err)
 			}
 
-			// Shard selectors: out of range on every Admin method.
-			bad := db.Shards() + 3
-			if err := db.CrashPrimary(bad); !errors.Is(err, repro.ErrNoSuchShard) {
-				t.Fatalf("CrashPrimary(bad shard) = %v", err)
+			// Shard is the one selector: out of range is nil, in range a
+			// one-shard view.
+			for _, bad := range []int{-1, db.Shards(), db.Shards() + 3} {
+				if v := db.Shard(bad); v != nil {
+					t.Fatalf("Shard(%d) = %v on %d shards", bad, v, db.Shards())
+				}
 			}
-			if err := db.Failover(bad); !errors.Is(err, repro.ErrNoSuchShard) {
-				t.Fatalf("Failover(bad shard) = %v", err)
-			}
-			if err := db.Repair(bad); !errors.Is(err, repro.ErrNoSuchShard) {
-				t.Fatalf("Repair(bad shard) = %v", err)
-			}
-			if err := db.RepairAsync(bad); !errors.Is(err, repro.ErrNoSuchShard) {
-				t.Fatalf("RepairAsync(bad shard) = %v", err)
-			}
-			if err := db.PartitionPrimary(bad); !errors.Is(err, repro.ErrNoSuchShard) {
-				t.Fatalf("PartitionPrimary(bad shard) = %v", err)
-			}
-			if err := db.CrashBackup(0, bad); !errors.Is(err, repro.ErrNoSuchShard) {
-				t.Fatalf("CrashBackup(bad shard) = %v", err)
-			}
-			if err := db.PauseBackup(0, bad); !errors.Is(err, repro.ErrNoSuchShard) {
-				t.Fatalf("PauseBackup(bad shard) = %v", err)
-			}
-			if err := db.ResumeBackup(0, bad); !errors.Is(err, repro.ErrNoSuchShard) {
-				t.Fatalf("ResumeBackup(bad shard) = %v", err)
-			}
-			if got := db.Backups(bad); got != 0 {
-				t.Fatalf("Backups(bad shard) = %d", got)
-			}
-			if p := db.RepairProgress(bad); p != (repro.RepairProgress{}) {
-				t.Fatalf("RepairProgress(bad shard) = %+v", p)
+			if v := db.Shard(db.Shards() - 1); v == nil || v.Shards() != 1 {
+				t.Fatalf("Shard(last) = %v", v)
 			}
 
 			// Nothing to repair on a healthy deployment.
@@ -346,7 +324,7 @@ func TestDBConformanceErrorTaxonomy(t *testing.T) {
 			// the first touch of the dead shard (the DB contract admits
 			// both).
 			home := db.ShardFor(0)
-			if err := db.CrashPrimary(home); err != nil {
+			if err := db.Shard(home).CrashPrimary(); err != nil {
 				t.Fatal(err)
 			}
 			if ctx, err := db.Begin(); err == nil {
@@ -360,7 +338,7 @@ func TestDBConformanceErrorTaxonomy(t *testing.T) {
 			if err := db.Read(0, buf); !errors.Is(err, repro.ErrCrashed) {
 				t.Fatalf("Read on crashed = %v", err)
 			}
-			if err := db.Failover(home); err != nil {
+			if err := db.Shard(home).Failover(); err != nil {
 				t.Fatal(err)
 			}
 			// Quorum still refuses service on the degraded group — the
@@ -374,7 +352,7 @@ func TestDBConformanceErrorTaxonomy(t *testing.T) {
 			} else if !errors.Is(err, repro.ErrSafetyUnavailable) {
 				t.Fatalf("Begin on degraded quorum group = %v", err)
 			}
-			if err := db.Repair(home); err != nil {
+			if err := db.Shard(home).Repair(); err != nil {
 				t.Fatal(err)
 			}
 			tx2, err := db.Begin()
@@ -460,7 +438,7 @@ func TestDBConformanceCrashAfterBegin(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := db.CrashPrimary(db.ShardFor(0)); err != nil {
+				if err := db.Shard(db.ShardFor(0)).CrashPrimary(); err != nil {
 					t.Fatal(err)
 				}
 				if err := f(tx); !errors.Is(err, repro.ErrCrashed) {
@@ -511,13 +489,13 @@ func TestKVRecoveryRandomized(t *testing.T) {
 						// degree (quorum refuses degraded service);
 						// acked state must hold across all of it.
 						shard := r.IntN(db.Shards())
-						if err := db.CrashPrimary(shard); err != nil {
+						if err := db.Shard(shard).CrashPrimary(); err != nil {
 							t.Fatal(err)
 						}
-						if err := db.Failover(shard); err != nil {
+						if err := db.Shard(shard).Failover(); err != nil {
 							t.Fatal(err)
 						}
-						if err := db.Repair(shard); err != nil {
+						if err := db.Shard(shard).Repair(); err != nil {
 							t.Fatal(err)
 						}
 						store, err = kv.Open(db)
@@ -682,18 +660,18 @@ func TestDBConformanceMidJoinNeverServes(t *testing.T) {
 				t.Fatal(err)
 			}
 			db.Settle()
-			if err := db.CrashBackup(0, home); err != nil {
+			if err := db.Shard(home).CrashBackup(0); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.RepairAsync(home); err != nil {
+			if err := db.Shard(home).RepairAsync(); err != nil {
 				t.Fatal(err)
 			}
 
 			buf := make([]byte, 12)
 			probes := 0
-			for i := 0; i < 200000 && db.RepairProgress(home).Active; i++ {
+			for i := 0; i < 200000 && db.Shard(home).RepairProgress().Active; i++ {
 				writeAt(t, db, off+64+(i%32)*16, byte(i))
-				if db.RepairProgress(home).Joining > 0 {
+				if db.Shard(home).RepairProgress().Joining > 0 {
 					probes++
 					// The repair drops the crashed backup and appends the
 					// joiner after the survivors: it is replica index 2.
@@ -709,7 +687,7 @@ func TestDBConformanceMidJoinNeverServes(t *testing.T) {
 					db.Settle()
 				}
 			}
-			if db.RepairProgress(home).Active {
+			if db.Shard(home).RepairProgress().Active {
 				t.Fatal("repair never completed")
 			}
 			if probes == 0 {

@@ -120,59 +120,62 @@ type DB interface {
 	PartSize() int
 }
 
-// Admin is the fault-injection and recovery surface. Every method takes
-// an optional trailing shard selector: omitted, it targets shard 0 and
-// only shard 0 — all there is on one shard, one group of Shards() on
-// several, where a caller healing "the deployment" must name each shard.
-// An out-of-range selector returns ErrNoSuchShard; methods without an
-// error return the zero value.
+// Admin is the fault-injection and recovery surface. The per-group methods
+// — everything from CrashPrimary to WALTails — act on the receiver's first
+// shard: all there is on one shard, one group of Shards() on several,
+// where Shard(i) is the one way to address another and a caller healing
+// "the deployment" visits each.
 type Admin interface {
-	// CrashPrimary kills the selected shard's primary mid-flight;
-	// doubled stores still sitting in its write buffers are lost (the
-	// paper's 1-safe vulnerability window).
-	CrashPrimary(shard ...int) error
-	// PartitionPrimary severs the selected shard's primary from the SAN
-	// without killing it (the no-split-brain demonstration; see
+	// Shard returns the one-shard view of shard i, itself an Admin (and a
+	// DB over shard-local offsets); nil for an index outside
+	// [0, Shards()).
+	Shard(i int) *Cluster
+	// CrashPrimary kills the shard's primary mid-flight; doubled stores
+	// still sitting in its write buffers are lost (the paper's 1-safe
+	// vulnerability window).
+	CrashPrimary() error
+	// PartitionPrimary severs the shard's primary from the SAN without
+	// killing it (the no-split-brain demonstration; see
 	// Config.Autopilot).
-	PartitionPrimary(shard ...int) error
-	// Failover promotes the most-caught-up surviving backup of the
-	// selected shard. Returns ErrNoBackup when no survivor exists.
-	Failover(shard ...int) error
-	// Repair restores the selected shard to its configured replication
-	// degree, blocking until the incremental transfer completes.
-	Repair(shard ...int) error
-	// RepairAsync starts an online repair of the selected shard and
-	// returns immediately; watch RepairProgress for completion.
-	RepairAsync(shard ...int) error
-	// RepairProgress reports the selected shard's current (or most
-	// recent) online repair.
-	RepairProgress(shard ...int) RepairProgress
-	// CrashBackup kills backup i of the selected shard.
-	CrashBackup(i int, shard ...int) error
-	// PauseBackup partitions backup i of the selected shard away from
-	// the SAN; ResumeBackup reconnects it (gated until re-enrolled by
-	// Repair or RepairAsync).
-	PauseBackup(i int, shard ...int) error
-	// ResumeBackup reconnects a paused backup of the selected shard.
-	ResumeBackup(i int, shard ...int) error
-	// Backups returns the selected shard's current backup count.
-	Backups(shard ...int) int
+	PartitionPrimary() error
+	// Failover promotes the shard's most-caught-up surviving backup.
+	// Returns ErrNoBackup when no survivor exists.
+	Failover() error
+	// Repair restores the shard to its configured replication degree,
+	// blocking until the incremental transfer completes.
+	Repair() error
+	// RepairAsync starts an online repair of the shard and returns
+	// immediately; watch RepairProgress for completion.
+	RepairAsync() error
+	// RepairProgress reports the shard's current (or most recent) online
+	// repair.
+	RepairProgress() RepairProgress
+	// CrashBackup kills backup i of the shard.
+	CrashBackup(i int) error
+	// PauseBackup partitions backup i of the shard away from the SAN;
+	// ResumeBackup reconnects it (gated until re-enrolled by Repair or
+	// RepairAsync).
+	PauseBackup(i int) error
+	// ResumeBackup reconnects a paused backup of the shard.
+	ResumeBackup(i int) error
+	// Backups returns the shard's current backup count.
+	Backups() int
 	// AutopilotEnabled reports whether the unattended failure loop is
 	// on (per shard, configured uniformly).
 	AutopilotEnabled() bool
-	// Durability returns the disk tier's status for the selected shard;
-	// the zero value with Config.Durability off.
-	Durability(shard ...int) DurabilityStatus
-	// PowerFail kills every machine of the selected shard at once —
-	// backups included; nothing past each replica's last fdatasync is
-	// guaranteed on disk. Returns ErrNoDurability without the disk
-	// tier. A fresh New/NewSharded over the same Durability.Dir
-	// performs the cold restart.
-	PowerFail(shard ...int) error
-	// WALTails returns, after a PowerFail, the selected shard's live
-	// WAL segments and their synced offsets — the handles a crash
-	// harness uses to tear the unsynced tail.
-	WALTails(shard ...int) []WALTail
+	// Durability returns the disk tier's status for the shard; the zero
+	// value with Config.Durability off.
+	Durability() DurabilityStatus
+	// PowerFail kills every machine of the shard at once — backups
+	// included; nothing past each replica's last fdatasync is guaranteed
+	// on disk. Returns ErrNoDurability without the disk tier. A fresh
+	// New/NewSharded over the same Durability.Dir performs the cold
+	// restart.
+	PowerFail() error
+	// WALTails returns, after a PowerFail, the shard's live WAL segments
+	// and their synced offsets — the handles a crash harness uses to tear
+	// the unsynced tail.
+	WALTails() []WALTail
 	// Close cleanly shuts the disk tier (flush + close every WAL);
 	// a no-op without Config.Durability.
 	Close() error
@@ -182,10 +185,11 @@ type Admin interface {
 	// ErrNotElastic, here and on RemoveShard and Rebalance, on a
 	// Cluster.Shard view, whose topology is its parent's.
 	AddShards(n int) ([]int, error)
-	// RemoveShard drains every range off the selected shard (an online
+	// RemoveShard drains every range off the named shard (an online
 	// rebalance onto the survivors) and tombstones it: the id stays
-	// valid for Token/Stats indexing but owns no data and joins no
-	// future plan.
+	// valid for Token, Stats and Shard indexing but owns no data and
+	// joins no future plan. ErrNoSuchShard outside [0, Shards()) or
+	// already drained.
 	RemoveShard(shard int) error
 	// Rebalance plans the minimal-move redistribution toward the shards
 	// added since the last rebalance and blocks until every range has

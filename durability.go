@@ -25,45 +25,26 @@ type DurabilityStatus = replication.DurabilityStatus
 // PowerFail, with the offset the last fdatasync covered.
 type WALTail = replication.WALTail
 
-// Durability returns the disk tier's status for the selected shard
-// (default shard 0; the tier is configured uniformly, so Enabled is
-// uniform too); the zero value with the tier off or for an out-of-range
-// selector.
-func (c *Cluster) Durability(shard ...int) DurabilityStatus {
-	m, err := c.pick(shard)
-	if err != nil {
-		return DurabilityStatus{}
-	}
-	return m.Durability()
-}
+// Durability returns the disk tier's status for the first shard (the tier
+// is configured uniformly, so Enabled is uniform too); the zero value with
+// the tier off.
+func (c *Cluster) Durability() DurabilityStatus { return c.first().Durability() }
 
-// PowerFail kills every machine of the selected shard (default shard 0)
-// at this instant: unlike CrashPrimary, the backups die too, and nothing
-// past each replica's last fdatasync is guaranteed on disk. The shard is
-// unusable afterwards; a fresh New/NewSharded over the same
-// Durability.Dir performs the cold restart, each shard independently
-// from its own subdirectory (a whole-deployment power loss is a
-// PowerFail of every shard). Returns ErrNoDurability without the disk
-// tier and ErrCrashed when the power is already off.
-func (c *Cluster) PowerFail(shard ...int) error {
-	m, err := c.pick(shard)
-	if err != nil {
-		return err
-	}
-	return m.PowerFail()
-}
+// PowerFail kills every machine of the first shard at this instant: unlike
+// CrashPrimary, the backups die too, and nothing past each replica's last
+// fdatasync is guaranteed on disk. The shard is unusable afterwards; a
+// fresh New/NewSharded over the same Durability.Dir performs the cold
+// restart, each shard independently from its own subdirectory (a
+// whole-deployment power loss is a PowerFail of every Shard(i)). Returns
+// ErrNoDurability without the disk tier and ErrCrashed when the power is
+// already off.
+func (c *Cluster) PowerFail() error { return c.first().PowerFail() }
 
-// WALTails returns, after a PowerFail, each replica's live WAL segment
-// and its synced offset on the selected shard (default shard 0) — the
-// handles a crash harness uses to tear the unsynced tail. Nil before a
-// PowerFail or without the disk tier.
-func (c *Cluster) WALTails(shard ...int) []WALTail {
-	m, err := c.pick(shard)
-	if err != nil {
-		return nil
-	}
-	return m.WALTails()
-}
+// WALTails returns, after a PowerFail, each replica's live WAL segment and
+// its synced offset on the first shard — the handles a crash harness uses
+// to tear the unsynced tail. Nil before a PowerFail or without the disk
+// tier.
+func (c *Cluster) WALTails() []WALTail { return c.first().WALTails() }
 
 // Close flushes and closes every WAL replica of every shard (a clean
 // shutdown, as opposed to PowerFail), returning the first error. The

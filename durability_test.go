@@ -141,10 +141,10 @@ func TestShardedPowerFailRestart(t *testing.T) {
 	}
 	db.Settle()
 	for i := 0; i < shards; i++ {
-		if st := db.Durability(i); !st.Enabled {
+		if st := db.Shard(i).Durability(); !st.Enabled {
 			t.Fatalf("shard %d: durability off", i)
 		}
-		if err := db.PowerFail(i); err != nil {
+		if err := db.Shard(i).PowerFail(); err != nil {
 			t.Fatalf("shard %d: PowerFail: %v", i, err)
 		}
 	}

@@ -43,15 +43,16 @@ import (
 //	DB.Flush                   ErrSafetyUnavailable
 //	AckScope.Seal              ErrSafetyUnavailable, ErrCrashed (a primary
 //	                           died holding the scope's unsealed commits)
-//	Admin.CrashPrimary         ErrNoSuchShard, ErrCrashed (already dead)
-//	Admin.PartitionPrimary     ErrNoSuchShard, ErrCrashed
-//	Admin.Failover             ErrNoSuchShard, ErrNoBackup
-//	Admin.Repair / RepairAsync ErrNoSuchShard, ErrNotRepairable
-//	Admin.CrashBackup          ErrNoSuchShard, no-such-backup errors
-//	Admin.PauseBackup          ErrNoSuchShard, no-such-backup errors
-//	Admin.ResumeBackup         ErrNoSuchShard, no-such-backup errors
-//	Admin.PowerFail            ErrNoSuchShard, ErrNoDurability,
-//	                           ErrCrashed (power already off)
+//	Admin.Shard                none — nil for an out-of-range index
+//	Admin.CrashPrimary         ErrCrashed (already dead)
+//	Admin.PartitionPrimary     ErrCrashed, ErrNoBackup
+//	Admin.Failover             ErrNoBackup
+//	Admin.Repair / RepairAsync ErrNotRepairable
+//	Admin.CrashBackup          no-such-backup errors
+//	Admin.PauseBackup          no-such-backup errors
+//	Admin.ResumeBackup         no-such-backup errors
+//	Admin.PowerFail            ErrNoDurability, ErrCrashed (power already
+//	                           off)
 //	Admin.AddShards            ErrNotElastic (Shard views, here and on the
 //	                           next two), ErrRebalanceActive,
 //	                           ErrShardCount, configuration errors
@@ -113,8 +114,8 @@ var (
 	// ErrShardCount is returned by NewSharded for a non-positive shard
 	// count.
 	ErrShardCount = errors.New("repro: shard count must be at least 1")
-	// ErrNoSuchShard is returned for an out-of-range shard selector on
-	// the Admin surface: a Cluster owns shards 0..Shards()-1.
+	// ErrNoSuchShard is returned by RemoveShard for a shard id outside
+	// 0..Shards()-1 or already drained.
 	ErrNoSuchShard = errors.New("repro: no such shard")
 	// ErrNotElastic is returned by the elastic surface (AddShards,
 	// RemoveShard, Rebalance) on a Cluster.Shard view: one replica group

@@ -78,7 +78,7 @@ func main() {
 	fmt.Println("shard 0 committed a transaction while shard 1 was down")
 
 	// Failover promotes the most-caught-up surviving backup.
-	if err := sc.Failover(victim); err != nil {
+	if err := sc.Shard(victim).Failover(); err != nil {
 		log.Fatal(err)
 	}
 	if got := sc.Committed(); got != committedBefore+1 {
@@ -95,7 +95,7 @@ func main() {
 	if !bytes.Equal(buf, want) {
 		log.Fatalf("recovered shard serves wrong bytes: %v, want %v", buf, want)
 	}
-	if err := sc.Repair(victim); err != nil {
+	if err := sc.Shard(victim).Repair(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("shard %d repaired: %d backups enrolled again, cluster at full degree\n",

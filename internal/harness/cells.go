@@ -46,14 +46,6 @@ var (
 	cellMemo = map[cellKey]tpc.Result{}
 )
 
-// ResetCache drops memoized cell results (tests use it when they vary
-// parameters that are not part of the key).
-func ResetCache() {
-	cellMu.Lock()
-	defer cellMu.Unlock()
-	cellMemo = map[cellKey]tpc.Result{}
-}
-
 // runCell measures one (benchmark, version, mode) configuration.
 func runCell(cfg RunConfig, bench string, ver vista.Version, mode replication.Mode, dbSize int, txns int64, sparse bool) (tpc.Result, error) {
 	key := cellKey{bench: bench, ver: ver, mode: mode, dbSize: dbSize,

@@ -658,11 +658,11 @@ func (s *Server) tryHeal() bool {
 		// ourselves (a live primary refuses), then heal the keyspace back
 		// to full redundancy in the background.
 		for i := 0; i < s.db.Shards(); i++ {
-			_ = s.admin.Failover(i)
+			_ = s.admin.Shard(i).Failover()
 		}
 		if err = s.store.Reopen(); err == nil {
 			for i := 0; i < s.db.Shards(); i++ {
-				if rerr := s.admin.RepairAsync(i); rerr != nil && !errors.Is(rerr, repro.ErrNotRepairable) {
+				if rerr := s.admin.Shard(i).RepairAsync(); rerr != nil && !errors.Is(rerr, repro.ErrNotRepairable) {
 					s.logf("kvserver: post-failover repair of shard %d: %v", i, rerr)
 				}
 			}

@@ -524,7 +524,7 @@ func TestHealOnAnyShard(t *testing.T) {
 							t.Fatalf("seeding key %d: status %d %q", i, st, body)
 						}
 					}
-					if err := db.CrashPrimary(victim); err != nil {
+					if err := db.Shard(victim).CrashPrimary(); err != nil {
 						t.Fatal(err)
 					}
 					retries := 0

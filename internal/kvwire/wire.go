@@ -1,6 +1,6 @@
 // Package kvwire is the client/server wire protocol of the kv serving
-// stack: a length-prefixed binary framing shared by cmd/kvserver,
-// package kvclient and cmd/kvload.
+// stack: a length-prefixed binary framing shared by cmd/kvserver and
+// package kvclient.
 //
 // # Framing
 //

@@ -22,14 +22,13 @@ import (
 	"time"
 )
 
-// Hist is a concurrency-safe log-bucketed latency histogram — promoted
-// from internal/tpc, where it was the shared wall-clock instrument of
-// the serving stack (cmd/kvload, the kvserver tests). Values are
-// recorded in nanoseconds into buckets of ~3% relative width (32
-// sub-buckets per power of two), so a p999 read out of the histogram is
-// within a few percent of the exact order statistic while Record stays
-// a single atomic add — cheap enough to call from thousands of client
-// goroutines without coordinating.
+// Hist is a concurrency-safe log-bucketed latency histogram — the shared
+// wall-clock instrument of the serving stack. Values are recorded in
+// nanoseconds into buckets of ~3% relative width (32 sub-buckets per
+// power of two), so a p999 read out of the histogram is within a few
+// percent of the exact order statistic while Record stays a single atomic
+// add — cheap enough to call from thousands of client goroutines without
+// coordinating.
 //
 // The zero value is ready to use. Record, Count, Sum, Percentile,
 // Snapshot and Merge may be called concurrently; percentiles read a

@@ -379,7 +379,7 @@ func TestEpochFencesStaleAcks(t *testing.T) {
 	if err := g.CrashBackup(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.Repair(); err != nil {
+	if err := g.Repair(); err != nil {
 		t.Fatal(err)
 	}
 	commitSlot(t, g, 1, 2) // both members ack under the new epoch

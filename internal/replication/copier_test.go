@@ -250,7 +250,7 @@ func TestSparseTransferAfterDirtyGate(t *testing.T) {
 			mustNil(t, g.PauseBackup(2))
 			commitSlot(t, g, 4096, 3) // another page
 			mustNil(t, g.ResumeBackup(2))
-			_, err = g.Repair()
+			err = g.Repair()
 			mustNil(t, err)
 			if st := g.BackupState(2); st != replication.StateInSync {
 				t.Fatalf("rejoined backup is %v", st)

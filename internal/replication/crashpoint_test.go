@@ -329,7 +329,7 @@ func runRepairScenario(t *testing.T, iter int, sc repairScenario) {
 		for i := 0; i < 5; i++ {
 			commit()
 		}
-		if _, err := g.Repair(); err != nil {
+		if err := g.Repair(); err != nil {
 			fail("re-repair after joiner crash: %v", err)
 		}
 		g.Settle(g.QuiesceGrace())

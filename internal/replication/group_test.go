@@ -306,7 +306,7 @@ func TestRepairRestoresDegree(t *testing.T) {
 	if g.Backups() != 1 {
 		t.Fatalf("%d survivors, want 1", g.Backups())
 	}
-	if _, err := g.Repair(); err != nil {
+	if err := g.Repair(); err != nil {
 		t.Fatal(err)
 	}
 	if g.Backups() != 2 {

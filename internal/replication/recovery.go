@@ -288,19 +288,18 @@ func (g *Group) repairAsyncLocked() error {
 // as a postcondition. The transfer still runs through the incremental
 // engine (chunk by chunk, releasing the group between chunks, bytes
 // accounted), so concurrent transactions keep committing while it runs.
-// It returns the (rewired) group itself.
-func (g *Group) Repair() (*Group, error) {
+func (g *Group) Repair() error {
 	g.mu.Lock()
 	if err := g.repairAsyncLocked(); err != nil {
 		g.mu.Unlock()
-		return nil, err
+		return err
 	}
 	g.mu.Unlock()
 	for {
 		g.mu.Lock()
 		if g.crashed {
 			g.mu.Unlock()
-			return nil, ErrCrashed
+			return ErrCrashed
 		}
 		if len(g.jobs) == 0 {
 			// Repaired includes transferred. Enrollment is not part of any
@@ -308,7 +307,7 @@ func (g *Group) Repair() (*Group, error) {
 			g.drainLinkLocked()
 			g.resetMeasurementLocked()
 			g.mu.Unlock()
-			return g, nil
+			return nil
 		}
 		// Cut-over waits for a closed batch (see advanceJobLocked), and the
 		// commits that would seal an open one may never come: seal it here.

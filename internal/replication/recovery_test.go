@@ -173,7 +173,7 @@ func TestDeltaResyncShipsLessThanFullDB(t *testing.T) {
 	if got := g.BackupState(2); got != replication.StateGated {
 		t.Fatalf("resumed backup state %v, want gated", got)
 	}
-	if _, err := g.Repair(); err != nil {
+	if err := g.Repair(); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
 	st := g.RepairStatus()
@@ -314,7 +314,7 @@ func TestRepairStatusPhases(t *testing.T) {
 	if st.Phase != "syncing" || st.Joining != 1 {
 		t.Fatalf("fresh join status %+v, want syncing/1", st)
 	}
-	if _, err := g.Repair(); err != nil {
+	if err := g.Repair(); err != nil {
 		t.Fatal(err)
 	}
 	st = g.RepairStatus()

@@ -13,7 +13,7 @@ import (
 
 func TestRepairPreconditions(t *testing.T) {
 	pair := newPair(t, replication.Passive, vista.V3InlineLog)
-	if _, err := pair.Repair(); !errors.Is(err, replication.ErrNotRepairable) {
+	if err := pair.Repair(); !errors.Is(err, replication.ErrNotRepairable) {
 		t.Fatalf("repair before failover: %v", err)
 	}
 }
@@ -63,7 +63,7 @@ func TestRepairSealsOpenBatch(t *testing.T) {
 				t.Fatal(err)
 			}
 			repairWithin(t, func() error {
-				_, err := g.Repair()
+				err := g.Repair()
 				return err
 			})
 			// The crashed backup was dropped, so the joiner is the last of
@@ -115,19 +115,18 @@ func TestChainedFailover(t *testing.T) {
 			}
 
 			// Machine 2 serves; machine 3 enrolls.
-			pair2, err := pair.Repair()
-			if err != nil {
+			if err := pair.Repair(); err != nil {
 				t.Fatal(err)
 			}
-			if pair2.Store().Committed() != 150 {
-				t.Fatalf("survivor lost commits before repair: %d", pair2.Store().Committed())
+			if pair.Store().Committed() != 150 {
+				t.Fatalf("survivor lost commits before repair: %d", pair.Store().Committed())
 			}
 
 			// More traffic on the repaired deployment (drive the store
 			// directly so the workload continues where it left off).
 			r := tpc.NewRand(99)
 			for i := int64(0); i < 100; i++ {
-				tx, err := pair2.Begin()
+				tx, err := pair.Begin()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -138,11 +137,11 @@ func TestChainedFailover(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			pair2.Settle(10 * sim.Microsecond)
-			if err := pair2.Crash(); err != nil {
+			pair.Settle(10 * sim.Microsecond)
+			if err := pair.Crash(); err != nil {
 				t.Fatal(err)
 			}
-			st, err := pair2.Failover()
+			st, err := pair.Failover()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +152,7 @@ func TestChainedFailover(t *testing.T) {
 			// The third machine's database must equal the second's.
 			want := make([]byte, testDB)
 			got := make([]byte, testDB)
-			pair2.Store().ReadRaw(0, want)
+			pair.Store().ReadRaw(0, want)
 			st.ReadRaw(0, got)
 			for i := range got {
 				if got[i] != want[i] {
@@ -196,12 +195,11 @@ func TestRepairReplicationIsLive(t *testing.T) {
 	if _, err := pair.Failover(); err != nil {
 		t.Fatal(err)
 	}
-	pair2, err := pair.Repair()
-	if err != nil {
+	if err := pair.Repair(); err != nil {
 		t.Fatal(err)
 	}
 
-	tx, err := pair2.Begin()
+	tx, err := pair.Begin()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,11 +212,11 @@ func TestRepairReplicationIsLive(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	pair2.Settle(10 * sim.Microsecond)
-	if pair2.NetBytes()[2] == 0 { // CatUndo
+	pair.Settle(10 * sim.Microsecond)
+	if pair.NetBytes()[2] == 0 { // CatUndo
 		t.Fatal("no undo bytes crossed the new link")
 	}
-	db := pair2.Backup().Space.ByName(vista.RegionDB)
+	db := pair.Backup().Space.ByName(vista.RegionDB)
 	got := make([]byte, 16)
 	db.ReadRaw(64, got)
 	if string(got) != "replicated-again" {

@@ -74,7 +74,7 @@ func (r *eraRig) failover() {
 func (r *eraRig) repair() {
 	r.t.Helper()
 	before := r.g.Committed()
-	_, err := r.g.Repair()
+	err := r.g.Repair()
 	mustNil(r.t, err)
 	if got := r.g.Committed(); got != before {
 		r.t.Fatalf("repair moved the committed count %d -> %d", before, got)
@@ -333,7 +333,7 @@ func TestColdRestartThenFailoverKeepsCommitSeq(t *testing.T) {
 	if got := g.Committed(); got != seq {
 		t.Fatalf("failover after the restart serves commit %d, below the %d acknowledged", got, seq)
 	}
-	_, err = g.Repair()
+	err = g.Repair()
 	mustNil(t, err)
 	commit(5)
 	if got := g.Committed(); got != seq {

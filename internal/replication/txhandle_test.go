@@ -40,7 +40,7 @@ func TestTxHandleContract(t *testing.T) {
 					mustNil(t, err)
 					// Back to three backups, so the quorum survives the
 					// failover the orphan checks below add.
-					_, err = g.Repair()
+					err = g.Repair()
 					mustNil(t, err)
 					if _, err := g.ReadAt(0, 0, make([]byte, 8)); err != nil {
 						t.Fatalf("ReadAt behind the promoted node = %v: not the active path", err)

@@ -235,6 +235,56 @@ func TestOverlappingSetRangesAbort(t *testing.T) {
 	}
 }
 
+// An abort leaves the committed count where it was, so the next transaction
+// carries the same id: an undo that runs later — an empty transaction's
+// abort, or recovery with nothing or something shorter in flight — must not
+// reach the aborted transaction's records again and put their before-images
+// over bytes installed since.
+func TestAbortedUndoIsNotReplayed(t *testing.T) {
+	for _, v := range allVersions {
+		for _, later := range []string{"empty abort", "recovery", "recovery of a shorter transaction"} {
+			t.Run(v.String()+"/"+later, func(t *testing.T) {
+				cfg := Config{Version: v, DBSize: 1 << 16}
+				s, rm, acc := newTestStore(t, cfg)
+				tx, err := s.Begin()
+				must(t, err)
+				must(t, tx.SetRange(0, 8))
+				must(t, tx.Write(0, []byte("AAAAAAAA")))
+				must(t, tx.SetRange(64, 8))
+				must(t, tx.Write(64, []byte("AAAAAAAA")))
+				must(t, tx.Abort())
+				must(t, s.Load(0, []byte("BBBBBBBB")))
+				must(t, s.Load(64, []byte("BBBBBBBB")))
+
+				switch later {
+				case "empty abort":
+					tx, err = s.Begin()
+					must(t, err)
+					must(t, tx.Abort())
+				case "recovery of a shorter transaction":
+					tx, err = s.Begin()
+					must(t, err)
+					must(t, tx.SetRange(128, 8))
+					must(t, tx.Write(128, []byte("CCCCCCCC")))
+					fallthrough
+				case "recovery":
+					if s, err = Recover(cfg, acc, rm, RecoverLocal); err != nil {
+						t.Fatal(err)
+					}
+				}
+				got := make([]byte, 136)
+				s.ReadRaw(0, got)
+				want := make([]byte, 136)
+				copy(want, "BBBBBBBB")
+				copy(want[64:], "BBBBBBBB")
+				if !bytes.Equal(got, want) {
+					t.Fatalf("a later undo replayed the aborted transaction: %q / %q / %q", got[:8], got[64:72], got[128:])
+				}
+			})
+		}
+	}
+}
+
 func TestLocalRecoveryRollsBackInFlight(t *testing.T) {
 	// Simulate a Rio reboot: the store object dies mid-transaction, a
 	// new one recovers over the same reliable memory.

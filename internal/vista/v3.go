@@ -106,6 +106,13 @@ func (e *v3) abort(s *Store) error { return e.undoScan(s) }
 // reverse so overlapping set_ranges resolve to the oldest image. The scan
 // is idempotent — re-running after an interrupted recovery replays the
 // same restores.
+//
+// An undo does not advance the committed count, so the next transaction
+// reuses the tag: each restored record is therefore retired (its length/tag
+// word zeroed), or a later, shorter transaction's undo would walk past its
+// own tail into these records and put their before-images over whatever
+// has been installed since. The first record goes last, so an interrupted
+// retirement leaves a prefix the next scan replays whole.
 func (e *v3) undoScan(s *Store) error {
 	seq := s.acc.ReadU64(s.control.Base + ctlCommitSeq)
 	want := uint16(seq + 1)
@@ -128,6 +135,9 @@ func (e *v3) undoScan(s *Store) error {
 	for i := len(recs) - 1; i >= 0; i-- {
 		r := recs[i]
 		s.acc.Copy(s.dbAddr(r.base), e.logReg.Base+uint64(r.dataOff), r.n, mem.CatModified)
+	}
+	for i := len(recs) - 1; i >= 0; i-- {
+		s.acc.WriteU32(e.logReg.Base+uint64(recs[i].dataOff-4), 0, mem.CatMeta)
 	}
 	e.tail = 0
 	return nil

@@ -56,7 +56,7 @@ func TestColdRestartKeyspace(t *testing.T) {
 			db.Settle()
 			admin := db.(repro.Admin)
 			for i := 0; i < db.Shards(); i++ {
-				if err := admin.PowerFail(i); err != nil {
+				if err := admin.Shard(i).PowerFail(); err != nil {
 					t.Fatalf("shard %d: PowerFail: %v", i, err)
 				}
 			}

@@ -170,10 +170,10 @@ func TestKeyspaceThroughGrowth(t *testing.T) {
 
 	// Every acknowledged version is on the survivors.
 	for shard := 0; shard < c.Shards(); shard++ {
-		if err := c.CrashPrimary(shard); err != nil {
+		if err := c.Shard(shard).CrashPrimary(); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Failover(shard); err != nil {
+		if err := c.Shard(shard).Failover(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -562,10 +562,10 @@ func TestCrashFailoverRecovery(t *testing.T) {
 			}
 			admin := db.(repro.Admin)
 			for shard := 0; shard < db.Shards(); shard++ {
-				if err := admin.CrashPrimary(shard); err != nil {
+				if err := admin.Shard(shard).CrashPrimary(); err != nil {
 					t.Fatal(err)
 				}
-				if err := admin.Failover(shard); err != nil {
+				if err := admin.Shard(shard).Failover(); err != nil {
 					t.Fatal(err)
 				}
 			}

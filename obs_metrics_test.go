@@ -326,10 +326,10 @@ func TestShardedMetricsMerge(t *testing.T) {
 	}
 	sc.Settle()
 	// Fail shard 1 only: its events must carry Shard == 1.
-	if err := sc.CrashPrimary(1); err != nil {
+	if err := sc.Shard(1).CrashPrimary(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sc.Failover(1); err != nil {
+	if err := sc.Shard(1).Failover(); err != nil {
 		t.Fatal(err)
 	}
 

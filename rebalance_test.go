@@ -301,7 +301,7 @@ func TestRebalanceCrashDuringMove(t *testing.T) {
 			if r.Intn(2) == 1 {
 				victim = p.CurrentTo
 			}
-			if err := sc.CrashPrimary(victim); err != nil {
+			if err := sc.Shard(victim).CrashPrimary(); err != nil {
 				t.Fatalf("seed %d: crash shard %d: %v", seed, victim, err)
 			}
 			// The mover parks on the dead group; a blocking Rebalance
@@ -309,10 +309,10 @@ func TestRebalanceCrashDuringMove(t *testing.T) {
 			if err := sc.Rebalance(); !errors.Is(err, repro.ErrCrashed) {
 				t.Fatalf("seed %d: parked rebalance = %v, want ErrCrashed", seed, err)
 			}
-			if err := sc.Failover(victim); err != nil {
+			if err := sc.Shard(victim).Failover(); err != nil {
 				t.Fatalf("seed %d: failover shard %d: %v", seed, victim, err)
 			}
-			if err := sc.Repair(victim); err != nil {
+			if err := sc.Shard(victim).Repair(); err != nil {
 				t.Fatalf("seed %d: repair shard %d: %v", seed, victim, err)
 			}
 		}

@@ -114,31 +114,31 @@ func TestShardedRepairAsync(t *testing.T) {
 		commitAt(i * sc.ShardSize())
 	}
 	sc.Settle()
-	must(t, sc.CrashPrimary(1))
-	must(t, sc.Failover(1))
-	must(t, sc.RepairAsync(1))
-	if !sc.RepairProgress(1).Active {
+	must(t, sc.Shard(1).CrashPrimary())
+	must(t, sc.Shard(1).Failover())
+	must(t, sc.Shard(1).RepairAsync())
+	if !sc.Shard(1).RepairProgress().Active {
 		t.Fatal("shard 1 repair not in flight")
 	}
-	if sc.RepairProgress(0).Active {
+	if sc.Shard(0).RepairProgress().Active {
 		t.Fatal("shard 0 reports a repair it never started")
 	}
 	// Other shards serve while shard 1 heals; shard 1's own stream pumps
 	// its transfer along.
-	for i := 0; i < 200000 && sc.RepairProgress(1).Active; i++ {
+	for i := 0; i < 200000 && sc.Shard(1).RepairProgress().Active; i++ {
 		commitAt((i % 4) * sc.ShardSize())
 		if i%100 == 0 {
 			sc.Settle()
 		}
 	}
-	if p := sc.RepairProgress(1); p.Active {
+	if p := sc.Shard(1).RepairProgress(); p.Active {
 		t.Fatalf("shard repair never completed: %+v", p)
 	}
 	if sc.Shard(1).Backups() != 1 {
 		t.Fatalf("shard 1 has %d backups after repair, want 1", sc.Shard(1).Backups())
 	}
-	if err := sc.RepairAsync(9); !errors.Is(err, repro.ErrNoSuchShard) {
-		t.Fatalf("out-of-range shard repair: %v", err)
+	if v := sc.Shard(9); v != nil {
+		t.Fatalf("out-of-range shard view: %v", v)
 	}
 }
 

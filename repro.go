@@ -22,9 +22,9 @@
 // NewSharded over several — and satisfies the DB interface: one data-plane
 // and observability surface to write drivers, harnesses and applications
 // against. Fault injection and recovery live on the companion Admin
-// interface, whose methods take an optional shard selector (default shard
-// 0). The complete error taxonomy is documented in one place; see
-// errors.go.
+// interface, whose per-group methods act on the first shard; Shard(i)
+// addresses another. The complete error taxonomy is documented in one
+// place; see errors.go.
 //
 // Quick start — byte offsets (db satisfies repro.DB):
 //

@@ -267,3 +267,58 @@ func TestFacadeTwoSafe(t *testing.T) {
 		t.Fatalf("2-safe cluster lost commits: %d of 30", got)
 	}
 }
+
+// TestAbortedUndoIsNotReplayed: an abort leaves the committed count — and so
+// the next transaction's undo tag — where it was; bytes installed after it
+// must survive every later undo: an empty transaction's abort, a takeover
+// with nothing in flight, a takeover rolling back a shorter transaction.
+func TestAbortedUndoIsNotReplayed(t *testing.T) {
+	versions := []repro.Version{repro.V0Vista, repro.V1MirrorCopy, repro.V2MirrorDiff, repro.V3InlineLog}
+	for _, v := range versions {
+		for _, b := range []repro.BackupMode{repro.PassiveBackup, repro.ActiveBackup} {
+			if b == repro.ActiveBackup && v != repro.V3InlineLog {
+				continue
+			}
+			for _, later := range []string{"empty abort", "takeover", "takeover of a shorter transaction"} {
+				t.Run(v.String()+"/"+b.String()+"/"+later, func(t *testing.T) {
+					c := newCluster(t, v, b)
+					tx, err := c.Begin()
+					must(t, err)
+					must(t, tx.SetRange(0, 8))
+					must(t, tx.Write(0, []byte("AAAAAAAA")))
+					must(t, tx.SetRange(64, 8))
+					must(t, tx.Write(64, []byte("AAAAAAAA")))
+					must(t, tx.Abort())
+					c.Settle() // a raw Load does not queue behind buffered restores
+					must(t, c.Load(0, []byte("BBBBBBBB")))
+					must(t, c.Load(64, []byte("BBBBBBBB")))
+
+					switch later {
+					case "empty abort":
+						tx, err = c.Begin()
+						must(t, err)
+						must(t, tx.Abort())
+					case "takeover of a shorter transaction":
+						tx, err = c.Begin()
+						must(t, err)
+						must(t, tx.SetRange(128, 8))
+						must(t, tx.Write(128, []byte("CCCCCCCC")))
+						fallthrough
+					case "takeover":
+						c.Settle()
+						must(t, c.CrashPrimary())
+						must(t, c.Failover())
+					}
+					got := make([]byte, 136)
+					c.ReadRaw(0, got)
+					want := make([]byte, 136)
+					copy(want, "BBBBBBBB")
+					copy(want[64:], "BBBBBBBB")
+					if !bytes.Equal(got, want) {
+						t.Fatalf("a later undo replayed the aborted transaction: %q / %q / %q", got[:8], got[64:72], got[128:])
+					}
+				})
+			}
+		}
+	}
+}

@@ -184,7 +184,7 @@ func (c *Cluster) newShard(id int) (*member, error) {
 }
 
 // Shards returns the shard slot count, drained tombstones included (ids
-// stay valid for Token and the Admin selectors).
+// stay valid for Token and Shard).
 func (c *Cluster) Shards() int { return len(c.v().shards) }
 
 // Safety returns the commit discipline every shard was configured with.
@@ -216,9 +216,10 @@ func (c *Cluster) ShardFor(off int) int {
 }
 
 // Shard returns a one-shard view of shard i — the same replica group, not
-// a copy — addressed by shard-local offsets: crash injection, traffic
-// inspection, or single-shard transaction streams that skip the routing
-// layer. A view's writes are the parent's range mover's to see like any
+// a copy — addressed by shard-local offsets: crash injection and recovery
+// (it is the only way to name a shard to the per-group Admin methods),
+// traffic inspection, or single-shard transaction streams that skip the
+// routing layer. A view's writes are the parent's range mover's to see like any
 // other — committed before a range's cut-over, they move with it — but the
 // view itself never re-routes: past the cut-over the same local offset is
 // a retired copy. The view's topology is its parent's, so AddShards,
@@ -243,21 +244,9 @@ func (c *Cluster) checkRange(off, n int) error {
 	return nil
 }
 
-// pick resolves the Admin surface's optional trailing shard selector to
-// its replica group: no argument targets shard 0, one argument that
-// shard; anything else, or an index outside the shard list, is
-// ErrNoSuchShard.
-func (c *Cluster) pick(shard []int) (*member, error) {
-	i := 0
-	if len(shard) == 1 {
-		i = shard[0]
-	}
-	v := c.v()
-	if len(shard) > 1 || i < 0 || i >= len(v.shards) {
-		return nil, ErrNoSuchShard
-	}
-	return v.shards[i], nil
-}
+// first returns the receiver's first replica group: the one the per-group
+// Admin methods act on, and all a Shard(i) view has.
+func (c *Cluster) first() *member { return c.v().shards[0] }
 
 // split walks [off, off+n) ownership run by ownership run under one
 // routing snapshot.
@@ -698,92 +687,56 @@ func (c *Cluster) DeferAcks() AckScope {
 // this scope alone; later commits and flushes never report it.
 func (s AckScope) Seal() error { return each(s.shards, (*member).Seal) }
 
-// CrashPrimary kills the selected shard's primary mid-flight (default
-// shard 0): doubled stores still sitting in its write buffers are lost
-// (the paper's 1-safe vulnerability window); packets already posted reach
-// the backup. The other shards keep serving.
-func (c *Cluster) CrashPrimary(shard ...int) error {
-	m, err := c.pick(shard)
-	if err != nil {
-		return err
-	}
-	return m.Crash()
-}
+// CrashPrimary kills the first shard's primary mid-flight (address another
+// through Shard(i)): doubled stores still sitting in its write buffers are
+// lost (the paper's 1-safe vulnerability window); packets already posted
+// reach the backup. The other shards keep serving.
+func (c *Cluster) CrashPrimary() error { return c.first().Crash() }
 
-// PartitionPrimary severs the selected shard's primary (default shard 0)
-// from the SAN without killing it: heartbeats stop, its lease stops
-// renewing, and every backup is partitioned away. With Autopilot enabled
-// the deposed primary refuses new commits once its lease runs out
-// (ErrLeaseExpired), and with AutoFailover the surviving majority
-// promotes a replacement no earlier than that same instant — the
-// no-split-brain demonstration.
-func (c *Cluster) PartitionPrimary(shard ...int) error {
-	m, err := c.pick(shard)
-	if err != nil {
-		return err
-	}
-	return m.PartitionPrimary()
-}
+// PartitionPrimary severs the first shard's primary from the SAN without
+// killing it: heartbeats stop, its lease stops renewing, and every backup
+// is partitioned away. With Autopilot enabled the deposed primary refuses
+// new commits once its lease runs out (ErrLeaseExpired), and with
+// AutoFailover the surviving majority promotes a replacement no earlier
+// than that same instant — the no-split-brain demonstration.
+func (c *Cluster) PartitionPrimary() error { return c.first().PartitionPrimary() }
 
-// Failover performs takeover on the selected shard (default shard 0): the
-// most-caught-up surviving backup recovers from its replicated bytes and
-// starts serving, with any remaining survivors re-synced behind it
-// (replication continues). Returns ErrNoBackup when no survivor exists.
-func (c *Cluster) Failover(shard ...int) error {
-	m, err := c.pick(shard)
-	if err != nil {
-		return err
-	}
-	_, err = m.Failover()
+// Failover performs takeover on the first shard: the most-caught-up
+// surviving backup recovers from its replicated bytes and starts serving,
+// with any remaining survivors re-synced behind it (replication
+// continues). Returns ErrNoBackup when no survivor exists.
+func (c *Cluster) Failover() error {
+	_, err := c.first().Failover()
 	return recoveryErr("failover", err)
 }
 
-// Repair restores the selected shard (default 0) to its configured
-// replication degree and blocks until it is there: fresh backup nodes
-// (and resumed, partitioned ones) enroll behind the serving server through
-// the same incremental transfer RepairAsync uses, driven to completion
-// before the call returns. The other shards keep serving throughout; so
-// does the shard's own commit stream, which interleaves with the chunked
-// transfer. An open group-commit batch is sealed on the way, as by Flush.
-func (c *Cluster) Repair(shard ...int) error {
-	m, err := c.pick(shard)
-	if err != nil {
-		return err
-	}
-	// Repair rewires the group in place and returns the same pointer.
-	_, err = m.Repair()
-	return recoveryErr("repair", err)
-}
+// Repair restores the first shard to its configured replication degree and
+// blocks until it is there: fresh backup nodes (and resumed, partitioned
+// ones) enroll behind the serving server through the same incremental
+// transfer RepairAsync uses, driven to completion before the call returns.
+// The other shards keep serving throughout; so does the shard's own commit
+// stream, which interleaves with the chunked transfer. An open
+// group-commit batch is sealed on the way, as by Flush.
+func (c *Cluster) Repair() error { return recoveryErr("repair", c.first().Repair()) }
 
-// RepairAsync starts an online repair of the selected shard (default 0)
-// and returns immediately: resumed (partitioned) backups re-enroll by
-// shipping only the pages they missed, crashed backups are replaced by
-// fresh nodes receiving every page ever written, and the shard heals back
-// to its configured replication degree — all while transactions keep
-// committing. The state transfer shares the SAN with the live commit
-// stream at a fixed half of its bandwidth, a few packets at a time (the
-// availability timeline the paper measures), and advances with the commit
-// stream's simulated time; Settle lets it stream through idle periods. Watch
+// RepairAsync starts an online repair of the first shard and returns
+// immediately: resumed (partitioned) backups re-enroll by shipping only
+// the pages they missed, crashed backups are replaced by fresh nodes
+// receiving every page ever written, and the shard heals back to its
+// configured replication degree — all while transactions keep committing.
+// The state transfer shares the SAN with the live commit stream at a fixed
+// half of its bandwidth, a few packets at a time (the availability
+// timeline the paper measures), and advances with the commit stream's
+// simulated time; Settle lets it stream through idle periods. Watch
 // RepairProgress for completion; a joining backup starts counting toward
 // quorum at its cut-over. Returns ErrNotRepairable when there is nothing
 // to repair.
-func (c *Cluster) RepairAsync(shard ...int) error {
-	m, err := c.pick(shard)
-	if err != nil {
-		return err
-	}
-	return recoveryErr("repair", m.RepairAsync())
-}
+func (c *Cluster) RepairAsync() error { return recoveryErr("repair", c.first().RepairAsync()) }
 
-// RepairProgress reports the selected shard's current (or most recent)
-// RepairAsync/Repair; the zero value is returned for an out-of-range
-// selector.
-func (c *Cluster) RepairProgress(shard ...int) RepairProgress {
-	m, err := c.pick(shard)
-	if err != nil {
-		return RepairProgress{}
-	}
-	st := m.RepairStatus()
+// RepairProgress reports the first shard's current (or most recent)
+// RepairAsync/Repair.
+func (c *Cluster) RepairProgress() RepairProgress {
+	st := c.first().RepairStatus()
 	return RepairProgress{
 		Active:       st.Active,
 		Joining:      st.Joining,
@@ -794,51 +747,25 @@ func (c *Cluster) RepairProgress(shard ...int) RepairProgress {
 	}
 }
 
-// CrashBackup kills backup i of the selected shard (default shard 0): it
-// stops receiving and acknowledging and is never promoted. With
-// QuorumSafe, acked commits survive the loss of the primary plus any
-// minority of the backups.
-func (c *Cluster) CrashBackup(i int, shard ...int) error {
-	m, err := c.pick(shard)
-	if err != nil {
-		return err
-	}
-	return m.CrashBackup(i)
-}
+// CrashBackup kills backup i of the first shard: it stops receiving and
+// acknowledging and is never promoted. With QuorumSafe, acked commits
+// survive the loss of the primary plus any minority of the backups.
+func (c *Cluster) CrashBackup(i int) error { return c.first().CrashBackup(i) }
 
-// PauseBackup partitions backup i of the selected shard (default 0) away
-// from its SAN; after ResumeBackup it rejoins through RepairAsync/Repair,
-// which ships only the pages it missed (or nothing at all when nothing
-// committed while it was away).
-func (c *Cluster) PauseBackup(i int, shard ...int) error {
-	m, err := c.pick(shard)
-	if err != nil {
-		return err
-	}
-	return m.PauseBackup(i)
-}
+// PauseBackup partitions backup i of the first shard away from its SAN;
+// after ResumeBackup it rejoins through RepairAsync/Repair, which ships
+// only the pages it missed (or nothing at all when nothing committed while
+// it was away).
+func (c *Cluster) PauseBackup(i int) error { return c.first().PauseBackup(i) }
 
-// ResumeBackup reconnects a paused backup of the selected shard (default
-// 0); it stays gated — excluded from acknowledgement — until Repair or
-// RepairAsync re-enrolls it.
-func (c *Cluster) ResumeBackup(i int, shard ...int) error {
-	m, err := c.pick(shard)
-	if err != nil {
-		return err
-	}
-	return m.ResumeBackup(i)
-}
+// ResumeBackup reconnects a paused backup of the first shard; it stays
+// gated — excluded from acknowledgement — until Repair or RepairAsync
+// re-enrolls it.
+func (c *Cluster) ResumeBackup(i int) error { return c.first().ResumeBackup(i) }
 
-// Backups returns the selected shard's current backup count (default
-// shard 0; every shard is configured to the same degree); zero for an
-// out-of-range selector.
-func (c *Cluster) Backups(shard ...int) int {
-	m, err := c.pick(shard)
-	if err != nil {
-		return 0
-	}
-	return m.Backups()
-}
+// Backups returns the first shard's current backup count (every shard is
+// configured to the same degree).
+func (c *Cluster) Backups() int { return c.first().Backups() }
 
 // Generation returns how many failovers (manual or unattended) the
 // deployment has completed, summed across shards.
@@ -852,9 +779,7 @@ func (c *Cluster) Generation() int {
 
 // AutopilotEnabled reports whether the unattended failure loop is on
 // (configured uniformly across shards).
-func (c *Cluster) AutopilotEnabled() bool {
-	return c.v().shards[0].Autopilot().Enabled
-}
+func (c *Cluster) AutopilotEnabled() bool { return c.first().Autopilot().Enabled }
 
 // AutopilotEvents returns the fault timeline the autopilot recorded: one
 // event per detected failure on any shard, stamped with its owning shard

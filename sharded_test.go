@@ -3,6 +3,7 @@ package repro_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro"
@@ -102,7 +103,7 @@ func TestShardedPartialCommit(t *testing.T) {
 		must(t, tx.Write(off, []byte("spanning")))
 	}
 	// Shard 1 dies before the commit fan-out reaches it.
-	must(t, sc.CrashPrimary(1))
+	must(t, sc.Shard(1).CrashPrimary())
 	err = tx.Commit()
 	var pce *repro.PartialCommitError
 	if !errors.As(err, &pce) {
@@ -302,9 +303,9 @@ func TestShardedFailoverIsolation(t *testing.T) {
 		}
 	}
 	sc.Settle()
-	must(t, sc.CrashPrimary(1))
-	if err := sc.CrashPrimary(7); err == nil {
-		t.Fatal("bogus shard crash accepted")
+	must(t, sc.Shard(1).CrashPrimary())
+	if sc.Shard(7) != nil {
+		t.Fatal("bogus shard addressed")
 	}
 
 	// Shard 1 refuses, others serve.
@@ -319,7 +320,7 @@ func TestShardedFailoverIsolation(t *testing.T) {
 	write(0, 20, 99)
 	write(2, 20, 99)
 
-	must(t, sc.Failover(1))
+	must(t, sc.Shard(1).Failover())
 	buf := make([]byte, 64)
 	for i := 0; i < 10; i++ {
 		sc.ReadRaw(sc.ShardSize()+i*64, buf)
@@ -328,7 +329,7 @@ func TestShardedFailoverIsolation(t *testing.T) {
 		}
 	}
 	write(1, 20, 99) // the failed-over shard serves again
-	must(t, sc.Repair(1))
+	must(t, sc.Shard(1).Repair())
 	write(1, 21, 100)
 }
 
@@ -368,5 +369,89 @@ func TestFacadeQuorumGroup(t *testing.T) {
 	c.ReadRaw(39*64, buf)
 	if !bytes.Equal(buf, bytes.Repeat([]byte{40}, 64)) {
 		t.Fatal("last acked commit's data lost")
+	}
+}
+
+// TestShardViewIsTheOnlySelector drives every per-group Admin method through
+// Shard(i), for each i of a four-shard deployment, and holds the other three
+// shards still: the view is the one way to name a shard, and it names one.
+func TestShardViewIsTheOnlySelector(t *testing.T) {
+	const shards = 4
+	sc, err := repro.NewSharded(durCfg(t.TempDir()), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type state struct {
+		backups, generation int
+		committed           uint64
+		repair              repro.RepairProgress
+	}
+	snap := func(v *repro.Cluster) state {
+		return state{v.Backups(), v.Generation(), v.Committed(), v.RepairProgress()}
+	}
+	heal := func(v *repro.Cluster) error {
+		if err := v.RepairAsync(); err != nil {
+			return err
+		}
+		for n := 0; n < 100000 && v.RepairProgress().Active; n++ {
+			v.Settle()
+		}
+		if p := v.RepairProgress(); p.Active || v.Backups() != 2 {
+			return fmt.Errorf("repair left %d backups, %+v", v.Backups(), p)
+		}
+		return nil
+	}
+	want := func(ok bool, format string, a ...any) error {
+		if ok {
+			return nil
+		}
+		return fmt.Errorf(format, a...)
+	}
+	steps := []struct {
+		name string
+		do   func(v *repro.Cluster) error
+	}{
+		{"PauseBackup", func(v *repro.Cluster) error { return v.PauseBackup(0) }},
+		{"ResumeBackup", func(v *repro.Cluster) error { return v.ResumeBackup(0) }},
+		{"RepairAsync+RepairProgress", heal},
+		{"CrashBackup", func(v *repro.Cluster) error { return v.CrashBackup(1) }},
+		{"Repair", func(v *repro.Cluster) error { return v.Repair() }},
+		{"Backups", func(v *repro.Cluster) error { return want(v.Backups() == 2, "Backups = %d after Repair", v.Backups()) }},
+		{"PartitionPrimary", func(v *repro.Cluster) error {
+			if err := v.PartitionPrimary(); err != nil {
+				return err
+			}
+			return errors.Join(v.ResumeBackup(0), v.ResumeBackup(1), v.Repair())
+		}},
+		{"CrashPrimary", func(v *repro.Cluster) error { return v.CrashPrimary() }},
+		{"Failover", func(v *repro.Cluster) error {
+			if err := v.Failover(); err != nil {
+				return err
+			}
+			return want(v.Generation() == 1, "Generation = %d after a failover", v.Generation())
+		}},
+		{"Repair after failover", func(v *repro.Cluster) error { return v.Repair() }},
+		{"Durability", func(v *repro.Cluster) error { return want(v.Durability().Enabled, "disk tier off") }},
+		{"PowerFail", func(v *repro.Cluster) error { return v.PowerFail() }},
+		{"WALTails", func(v *repro.Cluster) error { return want(len(v.WALTails()) > 0, "no WAL tails after PowerFail") }},
+	}
+	for i := 0; i < shards; i++ {
+		v := sc.Shard(i)
+		durPut(t, v, i+1)
+		v.Settle()
+		var before [shards]state
+		for j := range before {
+			before[j] = snap(sc.Shard(j))
+		}
+		for _, s := range steps {
+			if err := s.do(v); err != nil {
+				t.Fatalf("shard %d: %s: %v", i, s.name, err)
+			}
+			for j := range before {
+				if got := snap(sc.Shard(j)); j != i && got != before[j] {
+					t.Fatalf("shard %d: %s moved shard %d: %+v, was %+v", i, s.name, j, got, before[j])
+				}
+			}
+		}
 	}
 }
