@@ -188,20 +188,35 @@ func TestBurstMalformedFrame(t *testing.T) {
 	}
 }
 
-// gateBegin is a deployment whose armed Begin stops and waits: the test
-// learns that a burst is under way, does what it came to do, and lets it
-// continue.
+// gateBegin is a deployment whose Begins count down to two events. At
+// the parkAt-th it stops and waits: the test learns that a group is under
+// way — its leader holding the store — does what it came to do, and lets it
+// continue. Just before the crashAt-th the primary dies: with the
+// crashAt-th Begin inside a group, that is the gap between the group's
+// earlier commits and its seal. A countdown left at 0 never fires.
 type gateBegin struct {
 	*repro.Cluster
-	armed   atomic.Bool
-	entered chan struct{}
-	release chan struct{}
+	parkAt, crashAt atomic.Int32
+	parked, release chan struct{}
+}
+
+func newGateBegin(t *testing.T) *gateBegin {
+	return &gateBegin{
+		Cluster: mustCluster(t, quorumAutopilot(repro.Config{})),
+		parked:  make(chan struct{}),
+		release: make(chan struct{}),
+	}
 }
 
 func (d *gateBegin) Begin() (repro.Tx, error) {
-	if d.armed.CompareAndSwap(true, false) {
-		close(d.entered)
+	if d.parkAt.Add(-1) == 0 {
+		close(d.parked)
 		<-d.release
+	}
+	if d.crashAt.Add(-1) == 0 {
+		if err := d.CrashPrimary(); err != nil {
+			return nil, err
+		}
 	}
 	return d.Cluster.Begin()
 }
@@ -210,17 +225,13 @@ func (d *gateBegin) Begin() (repro.Tx, error) {
 // not drop the requests the reader had already taken off the socket —
 // each is executed, sealed and answered before the connection closes.
 func TestBurstShutdownMidBurst(t *testing.T) {
-	db := &gateBegin{
-		Cluster: mustCluster(t, quorumAutopilot(repro.Config{})),
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-	}
+	db := newGateBegin(t)
 	srv, _, conn := serveDB(t, db, kv.Options{}, Config{})
-	db.armed.Store(true)
+	db.parkAt.Store(1)
 	if _, err := conn.Write(putFrames("a", 8)); err != nil {
 		t.Fatal(err)
 	}
-	<-db.entered // the first PUT of the burst is at its Begin
+	<-db.parked // the first PUT of the burst is at its Begin
 	drained := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -292,38 +303,7 @@ func TestBurstHeldOnlyWhileASealIsPending(t *testing.T) {
 // and must have let go of the store first: the healer's Reopen and every
 // other connection need it.
 func TestBurstLargerThanWindow(t *testing.T) {
-	db := mustCluster(t, quorumAutopilot(repro.Config{}))
-	store, err := kv.OpenWith(db, kv.Options{SlotSize: 4096})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Eight of these outgrow the writer's 16 KiB buffer plus two queued.
-	big := bytes.Repeat([]byte{'v'}, 3900)
-	for i := 0; i < 8; i++ {
-		if err := store.Put(bkey(i), big); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv := New(store, Config{Window: 2, Logf: t.Logf})
-	defer srv.Close()
-	// A synchronous pipe: nothing is buffered between the server's writer
-	// and this test, so an unread response blocks the writer for certain.
-	client, server := net.Pipe()
-	defer client.Close()
-	srv.mu.Lock()
-	srv.conns[server] = struct{}{}
-	srv.connWg.Add(1)
-	srv.mu.Unlock()
-	go srv.handleConn(server)
-
-	var frames []byte
-	for i := 0; i < 8; i++ {
-		frames = append(frames, kvwire.AppendPut(nil, []byte("small"), []byte{byte(i)})...)
-		frames = append(frames, kvwire.AppendGet(nil, bkey(i))...)
-	}
-	client.SetDeadline(time.Now().Add(20 * time.Second))
-	go client.Write(frames) // returns once the server's one read took them
-
+	_, store, client, big := stallWindow(t)
 	// Nobody reads the responses yet. The store must come free anyway.
 	got := make(chan error, 1)
 	go func() {
@@ -338,6 +318,41 @@ func TestBurstLargerThanWindow(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the store is still held while the reader waits for room in its response queue")
 	}
+	readStalled(t, client, big)
+}
+
+// stallWindow serves a store over a window of two and sends one connection
+// sixteen requests whose answers outgrow the window and the writer's
+// buffer; nobody reads them. It returns the server, the store, the
+// connection's client end and the value the GETs among them read.
+func stallWindow(t *testing.T) (*Server, *kv.Store, net.Conn, []byte) {
+	db := mustCluster(t, quorumAutopilot(repro.Config{}))
+	store, err := kv.OpenWith(db, kv.Options{SlotSize: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Eight of these outgrow the writer's 16 KiB buffer plus two queued.
+	big := bytes.Repeat([]byte{'v'}, 3900)
+	for i := 0; i < 8; i++ {
+		if err := store.Put(bkey(i), big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := New(store, Config{Window: 2, Logf: t.Logf})
+	t.Cleanup(func() { srv.Close() })
+	client := servePipe(t, srv)
+	var frames []byte
+	for i := 0; i < 8; i++ {
+		frames = append(frames, kvwire.AppendPut(nil, []byte("small"), []byte{byte(i)})...)
+		frames = append(frames, kvwire.AppendGet(nil, bkey(i))...)
+	}
+	go client.Write(frames) // returns once the server's one read took them
+	return srv, store, client, big
+}
+
+// readStalled reads stallWindow's sixteen answers.
+func readStalled(t *testing.T, client net.Conn, big []byte) {
+	t.Helper()
 	st, bodies := readResponses(t, client, 16)
 	wantStatuses(t, st, repeat(kvwire.StatusOK, 16)...)
 	for i := 1; i < 16; i += 2 {
@@ -347,21 +362,19 @@ func TestBurstLargerThanWindow(t *testing.T) {
 	}
 }
 
-// crashAtBegin is a deployment whose primary dies just before the n-th
-// Begin after arming: with n = 3, between a burst's second commit and its
-// third transaction — in the gap before the seal.
-type crashAtBegin struct {
-	*repro.Cluster
-	countdown atomic.Int32
-}
-
-func (d *crashAtBegin) Begin() (repro.Tx, error) {
-	if d.countdown.Add(-1) == 0 {
-		if err := d.CrashPrimary(); err != nil {
-			return nil, err
-		}
-	}
-	return d.Cluster.Begin()
+// servePipe serves one end of a synchronous pipe and returns the other:
+// nothing is buffered between the server's writer and the test, so an
+// unread response blocks the writer for certain.
+func servePipe(t *testing.T, srv *Server) net.Conn {
+	client, server := net.Pipe()
+	t.Cleanup(func() { client.Close() })
+	srv.mu.Lock()
+	srv.conns[server] = struct{}{}
+	srv.connWg.Add(1)
+	srv.mu.Unlock()
+	go srv.handleConn(server)
+	client.SetDeadline(time.Now().Add(20 * time.Second))
+	return client
 }
 
 // TestBurstCrashInTheGap is the invariant over TCP: the primary dies
@@ -371,7 +384,7 @@ func (d *crashAtBegin) Begin() (repro.Tx, error) {
 // retry lands all of them once the healer has reopened the store on the
 // promoted survivor, and every key then reads right.
 func TestBurstCrashInTheGap(t *testing.T) {
-	db := &crashAtBegin{Cluster: mustCluster(t, quorumAutopilot(repro.Config{}))}
+	db := newGateBegin(t)
 	srv, store, conn := serveDB(t, db, kv.Options{}, Config{})
 	defer srv.Close()
 	const keys = 20
@@ -381,7 +394,7 @@ func TestBurstCrashInTheGap(t *testing.T) {
 		}
 	}
 
-	db.countdown.Store(3)
+	db.crashAt.Store(3) // between the burst's second commit and its third transaction
 	if _, err := conn.Write(putFrames("new", 8)); err != nil {
 		t.Fatal(err)
 	}

@@ -12,20 +12,22 @@ import (
 // simulated-time histograms; the two never share a histogram.
 const (
 	// MetricOpLatency is the per-opcode latency prefix; the opcode name
-	// ("put", "get", ...) completes it. Wall ns from parse to encoded
-	// response: execution of the one operation, without the seal of the
-	// burst it ran in.
+	// ("put", "get", ...) completes it. Wall ns of the one operation's
+	// execution, to its encoded response, without the seal of the group
+	// it ran in.
 	MetricOpLatency = "server.op."
 	// MetricWindowOccupancy samples the per-connection response queue
 	// depth at each request (ns-encoded count, like repl.batch.occupancy).
 	MetricWindowOccupancy = "server.window.occupancy"
-	// MetricBurstFrames and MetricBurstMutations sample, per seal, how
-	// many request frames the seal answered and how many of them were
-	// mutations (PUT, DELETE, TXN) — what the deployment's
-	// repl.batch.occupancy is made of. Counts, ns-encoded like the window
-	// occupancy; no time domain.
+	// MetricBurstFrames, MetricBurstMutations and MetricBurstConns
+	// sample, per seal, how many request frames the seal answered across
+	// every connection of its group, how many of them were mutations (PUT,
+	// DELETE, TXN) — what the deployment's repl.batch.occupancy is made of
+	// — and how many connections they came from. Counts, ns-encoded like
+	// the window occupancy; no time domain.
 	MetricBurstFrames    = "server.burst.frames"
 	MetricBurstMutations = "server.burst.mutations"
+	MetricBurstConns     = "server.burst.conns"
 	// MetricConnsOpened / MetricConnsClosed count connection churn.
 	MetricConnsOpened = "server.conns.opened"
 	MetricConnsClosed = "server.conns.closed"
@@ -52,8 +54,8 @@ var opNames = [...]string{
 	kvwire.OpMetrics: "metrics",
 }
 
-// serverObs is the server's attached instrument set; a nil *serverObs
-// means uninstrumented, and every method no-ops — the serving path then
+// serverObs is the server's attached instrument set. Uninstrumented, it is
+// the zero value: every instrument is nil and no-ops, and the serving path
 // never reads the wall clock on the instrumentation's behalf.
 type serverObs struct {
 	reg       *obs.Registry
@@ -62,6 +64,7 @@ type serverObs struct {
 	window    *obs.Hist
 	frames    *obs.Hist
 	mutations *obs.Hist
+	conns     *obs.Hist
 	opened    *obs.Counter
 	closed    *obs.Counter
 	notFound  *obs.Counter
@@ -72,16 +75,17 @@ type serverObs struct {
 	reopenCnt *obs.Counter
 }
 
-func newServerObs(reg *obs.Registry) *serverObs {
+func newServerObs(reg *obs.Registry) serverObs {
 	if reg == nil {
-		return nil
+		return serverObs{}
 	}
-	o := &serverObs{
+	o := serverObs{
 		reg:       reg,
 		badOpLat:  reg.Hist(MetricOpLatency + "bad.latency"),
 		window:    reg.Hist(MetricWindowOccupancy),
 		frames:    reg.Hist(MetricBurstFrames),
 		mutations: reg.Hist(MetricBurstMutations),
+		conns:     reg.Hist(MetricBurstConns),
 		opened:    reg.Counter(MetricConnsOpened),
 		closed:    reg.Counter(MetricConnsClosed),
 		notFound:  reg.Counter(MetricErrNotFound),
@@ -99,45 +103,40 @@ func newServerObs(reg *obs.Registry) *serverObs {
 	return o
 }
 
-// observeOp records one executed request: latency under its opcode's
-// histogram (the bad-frame histogram when the opcode never decoded) and
-// the response-queue depth the request saw.
-func (o *serverObs) observeOp(op byte, d time.Duration, queued int) {
-	if o == nil {
+// clock starts one request's execution time: the wall clock, read only
+// when instrumented.
+func (o *serverObs) clock() time.Time {
+	if o.reg == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// observeOp records one executed request: its execution since start under
+// its opcode's histogram (the bad-frame histogram when the opcode never
+// decoded) and the response-queue depth its connection had.
+func (o *serverObs) observeOp(op byte, start time.Time, queued int) {
+	if o.reg == nil {
 		return
 	}
 	h := o.badOpLat
 	if int(op) < len(o.opLat) && o.opLat[op] != nil {
 		h = o.opLat[op]
 	}
-	h.Record(d)
+	h.Record(time.Since(start))
 	o.window.Record(time.Duration(queued))
 }
 
-// observeBurst records one sealed burst's shape.
-func (o *serverObs) observeBurst(frames, mutations int) {
-	if o == nil {
-		return
-	}
+// observeBurst records one seal's shape.
+func (o *serverObs) observeBurst(frames, mutations, conns int) {
 	o.frames.Record(time.Duration(frames))
 	o.mutations.Record(time.Duration(mutations))
-}
-
-func (o *serverObs) connOpened() {
-	if o != nil {
-		o.opened.Inc()
-	}
-}
-
-func (o *serverObs) connClosed() {
-	if o != nil {
-		o.closed.Inc()
-	}
+	o.conns.Record(time.Duration(conns))
 }
 
 // emit lands one serving-tier event in the ring (host wall time domain).
 func (o *serverObs) emit(kind string, node int, a, b uint64) {
-	if o != nil {
+	if o.reg != nil {
 		o.reg.Emit(kind, time.Now().UnixNano(), node, a, b)
 	}
 }

@@ -2,9 +2,9 @@
 // turns the in-process reproduction into a system real clients can
 // talk to. It speaks the kvwire length-prefixed binary protocol
 // (PUT/GET/DELETE/SCAN/TXN/STATS/PING), pipelines requests per
-// connection behind a bounded in-flight window, commits the mutations of
-// each pipelined burst as one group-commit batch and answers only after
-// its seal (see handleConn), recycles every frame
+// connection behind a bounded in-flight window, commits the pipelined
+// bursts of every connection as one leader-led group under one seal and
+// answers only after it (see handleConn), recycles every frame
 // buffer through kvwire's pool (no per-operation allocations or
 // goroutines on the steady-state path — two goroutines per connection,
 // period), routes GETs and SCANs carrying a kvwire consistency block
@@ -13,14 +13,14 @@
 // deployment's failure taxonomy onto the wire:
 //
 //   - kv.ErrBroken / repro.ErrCrashed / repro.ErrLeaseExpired become
-//     StatusRetry — and before that answer is queued, the connection
-//     reader that met the failure re-Opens the store in place
-//     (kv.Store.Reopen, whose admission probe is where an autopilot
-//     promotes a survivor; Admin.Failover first when no autopilot is
-//     configured). A StatusRetry is an invitation to a store that is
-//     already healed; if the heal could not succeed yet, the next burst
-//     delivered — the retried request's — attempts it again, so the
-//     client's back-off is the only polling loop on the path.
+//     StatusRetry — and before that answer is queued, the reader leading
+//     the commit group re-Opens the store in place (kv.Store.Reopen, whose
+//     admission probe is where an autopilot promotes a survivor;
+//     Admin.Failover first when no autopilot is configured). A StatusRetry
+//     is an invitation to a store that is already healed; if the heal
+//     could not succeed yet, the next group — the retried request's —
+//     attempts it again, so the client's back-off is the only polling loop
+//     on the path.
 //   - repro.ErrSafetyUnavailable becomes StatusDegraded — the
 //     deployment cannot currently meet its configured safety level.
 //   - terminal operation errors (store full, key too large, ...)
@@ -55,7 +55,8 @@ type Config struct {
 	// Window is the per-connection in-flight window: how many parsed-
 	// but-unsent responses may queue before the reader stops consuming
 	// requests (backpressure propagates to the client through TCP). A
-	// burst stages at most as many before it seals. Default 64.
+	// connection stages at most as many frames before it joins the commit
+	// group. Default 64.
 	Window int
 	// Logf, when set, receives serving-lifecycle log lines.
 	Logf func(format string, args ...any)
@@ -76,7 +77,7 @@ type Server struct {
 	admin  repro.Admin // nil when the deployment exposes no Admin
 	window int
 	logf   func(string, ...any)
-	obs    *serverObs // nil when uninstrumented
+	obs    serverObs
 
 	mu    sync.Mutex
 	lns   map[net.Listener]struct{}
@@ -88,11 +89,16 @@ type Server struct {
 
 	connWg sync.WaitGroup
 
-	// needHeal is set by every StatusRetry answer and cleared by the heal
-	// that succeeds; healMu admits one healing reader at a time and guards
-	// healFails, the failed attempts since the last success.
-	needHeal  atomic.Bool
-	healMu    sync.Mutex
+	// The commit group (commit): gmu guards leading and queue. The rest is
+	// the leader's: the one kv.Burst, the group, and the heal state —
+	// needHeal, set by a StatusRetry answer and cleared by a heal that
+	// succeeds, and healFails, the failed attempts since.
+	gmu       sync.Mutex
+	leading   bool
+	queue     []*connReader
+	burst     *kv.Burst
+	group     []*connReader
+	needHeal  bool
 	healFails uint64
 
 	ops       atomic.Uint64
@@ -115,6 +121,7 @@ func New(store *kv.Store, cfg Config) *Server {
 	s := &Server{
 		store:  store,
 		db:     store.DB(),
+		burst:  store.Burst(),
 		window: cfg.Window,
 		logf:   cfg.Logf,
 		obs:    newServerObs(cfg.Obs),
@@ -156,7 +163,7 @@ func (s *Server) Serve(l net.Listener) error {
 		s.conns[c] = struct{}{}
 		s.connWg.Add(1)
 		s.mu.Unlock()
-		s.obs.connOpened()
+		s.obs.opened.Inc()
 		go s.handleConn(c)
 	}
 }
@@ -238,43 +245,34 @@ func (s *Server) Stats() kvwire.Stats {
 // instrumented.
 func (s *Server) Metrics() obs.Snapshot {
 	snap := s.db.Metrics()
-	if s.obs != nil {
+	if s.obs.reg != nil {
 		snap.Merge(s.obs.reg.Snapshot())
 	}
 	return snap
 }
 
-// handleConn runs one connection: a reader that parses and executes
-// requests burst by burst, and a writer that flushes the bounded response
+// handleConn runs one connection: a reader that parses requests and stages
+// them burst by burst, and a writer that flushes the bounded response
 // queue. No other goroutines ever exist for the connection.
 //
 // A burst is the frame that woke the reader plus every complete frame
-// already sitting in its buffer. The reader never waits for input it does
-// not hold, so there is no delay to tune and a lone request is a burst of
-// one. PUT, DELETE, TXN and primary-mode GET join the open burst: they run
-// back to back through a kv.Burst, which holds the store and defers the
-// mutations' acknowledgement wait, and one seal covers them all. Anything
-// else seals and answers the open burst first, then runs on its own. A
-// burst goes on only while that buys something — while it holds a mutation
-// whose wait is deferred (sealPending): reads ahead of the first mutation,
-// and everything on a multi-shard store, where nothing is deferred, are
-// answered as they are served, one-frame bursts each.
-//
-// The invariant: no response — GETs included — is queued before a seal
-// covering every commit it could have observed has returned nil. If the
-// seal fails, every response of the burst is replaced by the seal's
-// error. The order at the end of a burst is seal — which releases the
-// store — then heal, if anything was answered StatusRetry, then queue: the
-// heal's Reopen needs the store, so does every other connection while out
-// blocks on a slow peer, and a client that reads StatusRetry must find the
-// heal already attempted.
+// already in its buffer, up to the window. The reader never waits for input
+// it does not hold, so a lone request is a burst of one. PUT, DELETE, TXN
+// and primary-mode GET join the burst; anything else commits the staged
+// burst first, then runs on its own. A burst goes on only while it holds a
+// mutation whose acknowledgement wait a seal will pay (sealPending). It
+// commits in the server's group (commit) with the bursts of every other
+// connection that queued meanwhile, under one seal. The invariant: no
+// response — GETs included — is queued before a seal covering every commit
+// it could have observed has returned nil; if the seal fails, every
+// response it covered, in every connection, carries its error instead.
 func (s *Server) handleConn(c net.Conn) {
 	defer func() {
 		s.mu.Lock()
 		delete(s.conns, c)
 		s.mu.Unlock()
 		c.Close()
-		s.obs.connClosed()
+		s.obs.closed.Inc()
 		s.connWg.Done()
 	}()
 
@@ -302,26 +300,25 @@ func (s *Server) handleConn(c net.Conn) {
 
 	// The read buffer bounds a burst — a frame it cannot hold whole is
 	// never "already there" and starts the next one — and so does the
-	// window: staged responses are parsed-but-unsent ones too.
+	// window: staged requests are parsed-but-unsent ones too.
 	br := bufio.NewReaderSize(c, 16<<10)
-	buf := kvwire.GetBuf()
-	r := connReader{s: s, out: out, burst: s.store.Burst()}
+	r := &connReader{s: s, out: out, turn: make(chan bool, 1)}
 	// A drain does not drop what is already off the socket: draining is
 	// looked at only when the buffer holds no whole frame, once per burst.
 	for frameBuffered(br, kvwire.MaxFrame) || !s.draining.Load() {
 		// The frame that wakes the reader: the only read that may block.
-		var err error
-		buf, err = kvwire.ReadFrame(br, buf, kvwire.MaxFrame)
+		buf, err := kvwire.ReadFrame(br, kvwire.GetBuf(), kvwire.MaxFrame)
 		fatal := false
 		for err == nil {
-			fatal = r.serve(buf)
-			if fatal || !r.sealPending() || len(r.resps) >= s.window || !frameBuffered(br, kvwire.MaxFrame) {
+			fatal = r.stage(buf)
+			if fatal || !r.sealPending() || len(r.frames) >= s.window || !frameBuffered(br, kvwire.MaxFrame) {
 				break
 			}
-			buf, err = kvwire.ReadFrame(br, buf, kvwire.MaxFrame)
+			buf, err = kvwire.ReadFrame(br, kvwire.GetBuf(), kvwire.MaxFrame)
 		}
 		r.deliver()
 		if err != nil {
+			kvwire.PutBuf(buf)
 			if errors.Is(err, kvwire.ErrFrame) {
 				out <- s.badFrame(err)
 			}
@@ -331,7 +328,6 @@ func (s *Server) handleConn(c net.Conn) {
 			break
 		}
 	}
-	kvwire.PutBuf(buf)
 	close(out)
 	<-writerDone
 }
@@ -348,59 +344,63 @@ func frameBuffered(br *bufio.Reader, max int) bool {
 	return n < 1 || n > max || br.Buffered() >= 4+n
 }
 
-// connReader is the state of one connection's reader goroutine.
+// connReader is one connection's reader state; while the reader waits in
+// commit, the group's leader owns it.
 type connReader struct {
-	s     *Server
-	out   chan<- []byte
-	burst *kv.Burst
-	resps [][]byte // the open burst's responses, in request order
-	muts  int      // the mutations among them
-	req   kvwire.Request
-	sess  session
+	s      *Server
+	out    chan<- []byte
+	frames [][]byte         // the staged burst's request frames, pooled
+	reqs   []kvwire.Request // frames[i] parsed; kept, so each Token keeps its storage
+	muts   int              // the mutations among them
+	resps  [][]byte         // their responses, in request order, staged by the leader
+	heal   bool             // a lone request was answered StatusRetry: the leader heals
+	turn   chan bool        // the leader's word: false, answered; true, lead
+	sess   session
 }
 
-// serve runs one request frame and stages its response in the open burst.
-// fatal reports that the connection must close (malformed frame).
-func (r *connReader) serve(frame []byte) (fatal bool) {
+// stage parses one request frame and adds it to the staged burst — or, if
+// it does not join a burst, delivers the staged burst first and serves the
+// frame on its own. fatal reports that the connection must close
+// (malformed frame).
+func (r *connReader) stage(frame []byte) (fatal bool) {
 	s := r.s
-	var start time.Time
-	if s.obs != nil {
-		start = time.Now()
-	}
 	s.ops.Add(1)
-	perr := kvwire.ParseRequest(frame, &r.req)
-	joins := perr == nil && joinsBurst(&r.req)
-	if !joins && len(r.resps) > 0 {
-		r.deliver()
-		if s.obs != nil {
-			start = time.Now() // the earlier requests' seal is not this one's time
-		}
+	n := len(r.frames)
+	if n == len(r.reqs) {
+		r.reqs = append(r.reqs, kvwire.Request{})
 	}
+	req := &r.reqs[n]
+	perr := kvwire.ParseRequest(frame, req)
+	if perr == nil && joinsBurst(req) {
+		r.frames = append(r.frames, frame)
+		if isMutation(req.Op) {
+			r.muts++
+		}
+		return false
+	}
+	r.deliver()
+	start := s.obs.clock()
 	var resp []byte
 	if perr != nil {
 		resp = s.badFrame(perr)
 	} else {
-		resp = s.execute(r.burst, &r.req, &r.sess)
+		resp = s.execute(nil, req, &r.sess)
 	}
-	if s.obs != nil {
-		// Execution of this one operation, the burst's seal excluded; and
-		// the queue depth it found, 0..window.
-		s.obs.observeOp(r.req.Op, time.Since(start), len(r.out))
+	s.obs.observeOp(req.Op, start, len(r.out))
+	kvwire.PutBuf(frame)
+	if retried(resp) {
+		// The heal comes before the answer, and the leader is the one healer.
+		r.heal = true
+		s.commit(r)
 	}
-	r.resps = append(r.resps, resp)
-	if perr == nil && isMutation(r.req.Op) {
-		r.muts++
-	}
-	if !joins {
-		r.deliver()
-	}
+	r.out <- resp
 	return perr != nil
 }
 
-// joinsBurst reports whether a request runs inside the connection's open
-// burst: the mutations, and the reads that go through the store's own
-// lock to the primary. Replica-mode reads are served from views that
-// cannot hold an unsealed commit and take the store themselves.
+// joinsBurst reports whether a request runs inside a burst: the mutations,
+// and the reads that go through the store's own lock to the primary.
+// Replica-mode reads are served from views that cannot hold an unsealed
+// commit and take the store themselves.
 func joinsBurst(req *kvwire.Request) bool {
 	return isMutation(req.Op) || req.Op == kvwire.OpGet && req.Mode == kvwire.ModePrimary
 }
@@ -409,43 +409,109 @@ func isMutation(op byte) bool {
 	return op == kvwire.OpPut || op == kvwire.OpDelete || op == kvwire.OpTxn
 }
 
-// sealPending reports whether the open burst holds a mutation whose
-// acknowledgement wait its seal will pay: the one reason to serve more
-// requests before answering the ones already served.
-func (r *connReader) sealPending() bool { return r.muts > 0 && r.burst.Deferring() }
+// sealPending reports whether the staged burst holds a mutation whose
+// acknowledgement wait its seal will pay: the one reason to stage more
+// requests before answering the ones already staged. kv.Burst defers on a
+// one-shard deployment only.
+func (r *connReader) sealPending() bool { return r.muts > 0 && r.s.db.Shards() == 1 }
 
-// deliver seals the open burst — which releases the store — heals the
-// store if the deployment failed under it, and queues the burst's
-// responses, or the seal's error in place of each of them.
+// deliver commits the staged burst and queues its responses.
 func (r *connReader) deliver() {
-	if len(r.resps) == 0 {
+	if len(r.frames) == 0 {
 		return
 	}
-	s := r.s
-	err := r.burst.Seal()
-	s.obs.observeBurst(len(r.resps), r.muts)
-	if err != nil {
-		for i, resp := range r.resps {
-			kvwire.PutBuf(resp)
-			r.resps[i] = s.errResp(err)
-		}
-	}
-	if s.needHeal.Load() {
-		s.heal()
-	}
+	r.s.commit(r)
 	for i, resp := range r.resps {
 		r.out <- resp
 		r.resps[i] = nil
 	}
-	r.resps, r.muts = r.resps[:0], 0
+	r.resps = r.resps[:0]
+}
+
+// retried reports whether resp answers StatusRetry (resp[4] is a response
+// frame's status byte, kvwire.BeginFrame).
+func retried(resp []byte) bool { return resp[4] == kvwire.StatusRetry }
+
+// commit runs r's staged burst in the server's group and returns once a
+// seal covering it has returned, r.resps then holding its answers. The
+// first reader to find no group running leads; the others queue and wait
+// for the leader's word: answered, or lead the next group. A leader runs
+// every queued burst — those that queue while it runs included — through
+// the one kv.Burst, seals once, heals if anything was answered
+// StatusRetry, releases its members and hands the lead to the first reader
+// queued since. It queues its own answers only after that (deliver), so a
+// slow peer never holds the lead.
+func (s *Server) commit(r *connReader) {
+	s.gmu.Lock()
+	s.queue = append(s.queue, r)
+	led := s.leading
+	s.leading = true
+	s.gmu.Unlock()
+	if led && !<-r.turn {
+		return
+	}
+	g := s.group[:0] // g[0] is the leader: the queue's head when it took it
+	frames, muts, conns := 0, 0, 0
+	for i := 0; ; i++ {
+		if i == len(g) {
+			s.gmu.Lock()
+			g = append(g, s.queue...)
+			clear(s.queue)
+			s.queue = s.queue[:0]
+			s.gmu.Unlock()
+			if i == len(g) {
+				break
+			}
+		}
+		m := g[i]
+		if len(m.frames) > 0 {
+			frames, muts, conns = frames+len(m.frames), muts+m.muts, conns+1
+		}
+		for j, frame := range m.frames {
+			start := s.obs.clock()
+			m.resps = append(m.resps, s.execute(s.burst, &m.reqs[j], &m.sess))
+			s.obs.observeOp(m.reqs[j].Op, start, len(m.out))
+			kvwire.PutBuf(frame)
+		}
+		m.frames, m.muts = m.frames[:0], 0
+	}
+	err := s.burst.Seal()
+	if frames > 0 {
+		s.obs.observeBurst(frames, muts, conns)
+	}
+	for _, m := range g {
+		for i := range m.resps {
+			if err != nil {
+				kvwire.PutBuf(m.resps[i])
+				m.resps[i] = s.errResp(err)
+			}
+			s.needHeal = s.needHeal || retried(m.resps[i])
+		}
+		s.needHeal, m.heal = s.needHeal || m.heal, false
+	}
+	if s.needHeal {
+		s.heal()
+	}
+	for _, m := range g[1:] {
+		m.turn <- false
+	}
+	clear(g)
+	s.group = g[:0]
+	var next *connReader
+	s.gmu.Lock()
+	if s.leading = len(s.queue) > 0; s.leading {
+		next = s.queue[0]
+	}
+	s.gmu.Unlock()
+	if next != nil {
+		next.turn <- true
+	}
 }
 
 // badFrame counts a malformed frame and encodes its StatusBad response.
 func (s *Server) badFrame(err error) []byte {
 	s.badFrames.Add(1)
-	if s.obs != nil {
-		s.obs.bad.Inc()
-	}
+	s.obs.bad.Inc()
 	return kvwire.AppendMsg(kvwire.GetBuf(), kvwire.StatusBad, err.Error())
 }
 
@@ -598,49 +664,36 @@ func executeTxn(b *kv.Burst, ops []kvwire.Op) error {
 func (s *Server) errResp(err error) []byte {
 	switch {
 	case errors.Is(err, kv.ErrNotFound):
-		if s.obs != nil {
-			s.obs.notFound.Inc()
-		}
+		s.obs.notFound.Inc()
 		return kvwire.AppendEmpty(kvwire.GetBuf(), kvwire.StatusNotFound)
 	case errors.Is(err, kv.ErrBroken), errors.Is(err, repro.ErrCrashed), errors.Is(err, repro.ErrLeaseExpired):
 		// The serving deployment crashed under the store (or this node
-		// was deposed): retryable. The reader heals before it queues this
-		// answer (deliver); the client retries against the same address.
+		// was deposed): retryable. The group's leader heals before this
+		// answer is queued (lead); the client retries against the same
+		// address.
 		s.retries.Add(1)
-		if s.obs != nil {
-			s.obs.retry.Inc()
-		}
-		s.needHeal.Store(true)
+		s.obs.retry.Inc()
 		return kvwire.AppendMsg(kvwire.GetBuf(), kvwire.StatusRetry, "failing over; retry")
 	case errors.Is(err, repro.ErrSafetyUnavailable):
-		if s.obs != nil {
-			s.obs.degraded.Inc()
-		}
+		s.obs.degraded.Inc()
 		return kvwire.AppendMsg(kvwire.GetBuf(), kvwire.StatusDegraded, err.Error())
 	default:
-		if s.obs != nil {
-			s.obs.terminal.Inc()
-		}
+		s.obs.terminal.Inc()
 		return kvwire.AppendMsg(kvwire.GetBuf(), kvwire.StatusErr, err.Error())
 	}
 }
 
-// heal runs on a connection reader between its burst's seal and the
-// queueing of its answers, never while the reader holds the store. Readers
-// that met the same crash line up on healMu, and all but the first find
-// the flag cleared; requests on other connections meanwhile park on the
-// store's lock behind the Reopen instead of bouncing off kv.ErrBroken. A
-// heal that cannot succeed yet (no survivor promoted, lease still expired)
-// leaves the flag set for whoever delivers next.
+// heal runs on the group's leader between the seal and the handoff, never
+// while the leader holds the store: it is the one healer, and the readers
+// that met the same crash are answered after it. Lone requests on other
+// connections meanwhile park on the store's lock behind the Reopen instead
+// of bouncing off kv.ErrBroken. A heal that cannot succeed yet (no
+// survivor promoted, lease still expired) leaves the flag set for the next
+// group's leader.
 func (s *Server) heal() {
-	s.healMu.Lock()
-	defer s.healMu.Unlock()
-	if !s.needHeal.Load() {
-		return
-	}
 	// Both outcomes land in the event ring with the attempt ordinal in A.
 	if s.tryHeal() {
-		s.needHeal.Store(false)
+		s.needHeal = false
 		s.obs.emit(obs.EventHealed, 0, s.healFails+1, 0)
 		s.healFails = 0
 	} else {
@@ -672,9 +725,7 @@ func (s *Server) tryHeal() bool {
 		return false
 	}
 	s.reopens.Add(1)
-	if s.obs != nil {
-		s.obs.reopenCnt.Inc()
-	}
+	s.obs.reopenCnt.Inc()
 	s.logf("kvserver: store reopened on the promoted survivor (%d live keys)", s.store.Len())
 	return true
 }

@@ -23,7 +23,8 @@ import "repro"
 // newer shard is acknowledged on its own.
 //
 // A Burst is reusable: after Seal the next operation takes the store
-// again. It belongs to one goroutine, which must not call the Store's own
+// again. It belongs to one goroutine at a time — kvserver's is passed from
+// group leader to group leader — which must not call the Store's own
 // methods (they take the same lock) between an operation and Seal.
 type Burst struct {
 	s         *Store

@@ -35,8 +35,9 @@
 // Every mutation is one transaction on the underlying DB, confined to one
 // region and therefore to one replica group, which commits it atomically:
 // an insert writes the record and flips its bucket word together, an
-// overwrite rewrites the record in the slot it already has, a delete
-// tombstones the bucket word. The replication layer guarantees a committed
+// overwrite rewrites the record in the slot it already has (only the value,
+// when its length is unchanged: header and key already read right), a
+// delete tombstones the bucket word. The replication layer guarantees a committed
 // prefix per group, so after any crash and failover a key reads the whole
 // of its last surviving mutation — there is no intermediate state for a
 // crash to expose and nothing for recovery to reclaim. A multi-key
@@ -769,10 +770,15 @@ func (s *Store) unalloc(p probeResult) {
 }
 
 // writePut issues a put's writes on tx. An overwrite rewrites the record
-// in the slot it has; an insert writes the record into its allocated slot
-// and flips the bucket word to name it. Both ranges are in the key's
-// region, so the transaction commits them together on one group.
+// in the slot it has — only its value when the length is unchanged, since
+// the header and the key already read right; an insert writes the record
+// into its allocated slot and flips the bucket word to name it. Both ranges
+// are in the key's region, so the transaction commits them together on one
+// group.
 func (s *Store) writePut(tx repro.Tx, p probeResult, key, value []byte) error {
+	if p.found && p.valLen == len(value) {
+		return write(tx, s.geo.slotOff(p.slot)+slotHeader+len(key), value)
+	}
 	n := slotHeader + len(key) + len(value)
 	s.vbuf = grow(s.vbuf, n)
 	binary.LittleEndian.PutUint32(s.vbuf[:4], uint32(len(key)))

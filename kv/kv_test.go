@@ -538,6 +538,49 @@ func TestBrokenAfterObservedCrash(t *testing.T) {
 	}
 }
 
+// TestSameLengthOverwriteShipsTheValue: an overwrite that keeps the value's
+// length writes the value alone — the modified bytes shipped grow by exactly
+// its length — while one that changes it rewrites the whole record; both
+// keys read back whole after a crash, a failover and Reopen.
+func TestSameLengthOverwriteShipsTheValue(t *testing.T) {
+	db := newCluster(t, repro.Config{Backups: 3, Safety: repro.QuorumSafe})
+	s, err := kv.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	put := func(key, val string) int64 {
+		t.Helper()
+		before := db.NetTraffic().ModifiedBytes
+		if err := s.Put([]byte(key), []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		return db.NetTraffic().ModifiedBytes - before
+	}
+	put("same", "first")
+	put("other", "first")
+	if got := put("same", "again"); got != 5 {
+		t.Fatalf("same-length overwrite shipped %d modified bytes, want the value's 5", got)
+	}
+	if got, want := put("other", "much longer"), int64(8+len("other")+len("much longer")); got != want {
+		t.Fatalf("overwrite to a new length shipped %d modified bytes, want the record's %d", got, want)
+	}
+	admin := db.(repro.Admin)
+	if err := admin.CrashPrimary(); err != nil {
+		t.Fatal(err)
+	}
+	if err := admin.Failover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reopen(); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]string{"same": "again", "other": "much longer"} {
+		if v, err := s.Get([]byte(key)); err != nil || string(v) != want {
+			t.Fatalf("%s after failover reads %q, %v; want %q", key, v, err, want)
+		}
+	}
+}
+
 // TestCrashFailoverRecovery is the deterministic core of the committed-
 // prefix guarantee at key level: acked puts at quorum survive a primary
 // crash, failover, and re-Open.
