@@ -320,3 +320,38 @@ func TestTwoJoinersShareOneBudget(t *testing.T) {
 		t.Fatalf("%d joins in flight, want 2: %+v", st.Joining, st)
 	}
 }
+
+// TestCopierWaitsOutAnOpenTransaction: a pump that lands between another
+// transaction's Write and its Abort — Settle here, Repair's loop alike — must
+// not copy the page the transaction dirtied. On an Active group the abort's
+// restore is never streamed and a full transfer's cursor never comes back to
+// a page, so the joiner would keep the aborted bytes for good.
+func TestCopierWaitsOutAnOpenTransaction(t *testing.T) {
+	g, err := replication.NewGroup(replication.Config{
+		Mode:    replication.Active,
+		Store:   vista.Config{Version: vista.V3InlineLog, DBSize: sparseDB},
+		Backups: 2,
+	})
+	mustNil(t, err)
+	const p = 4096 // the page the aborted transaction writes
+	mustNil(t, g.Load(p, []byte("committed")))
+	for q := 2; q < 40; q++ { // pages that keep the join open past the Settle
+		mustNil(t, g.Load(q*4096, []byte{byte(q)}))
+	}
+	mustNil(t, g.CrashBackup(1))
+	mustNil(t, g.RepairAsync())
+	tx, err := g.Begin()
+	mustNil(t, err)
+	mustNil(t, tx.SetRange(p, 9))
+	mustNil(t, tx.Write(p, []byte("uncommitd")))
+	g.Settle(sim.Millisecond) // banks a few pages' worth of budget
+	mustNil(t, tx.Abort())
+	mustNil(t, g.Repair())
+	want, got := make([]byte, 9), make([]byte, 9)
+	dbRegion(g, -1).ReadRaw(p, want)
+	dbRegion(g, 1).ReadRaw(p, got)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("the joiner holds %q where the primary holds %q", got, want)
+	}
+	checkSparse(t, g, "repair around an aborted transaction")
+}

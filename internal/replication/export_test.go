@@ -1,5 +1,9 @@
 package replication
 
+// TransferRate returns the copier's budget rate in bytes per unit of
+// simulated time, for the tests that hold its charges to it.
+func (g *Group) TransferRate() float64 { return g.repairRate() }
+
 // SetBackupEpochForTest regresses backup i onto an arbitrary membership
 // epoch — white-box access for the epoch-fencing tests, which need a
 // replica that "missed" a membership change without rebuilding one.

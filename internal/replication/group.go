@@ -87,12 +87,16 @@ type Group struct {
 	// Online-repair state: the in-flight joins, the aggregate summary
 	// RepairStatus reports, and the copier's one budget — the bytes bought
 	// and not yet spent, and the instant they are bought through (see
-	// recovery.go).
+	// recovery.go). A range move out of the group draws on the same budget:
+	// moveWant is what it asked for and was not paid yet, movePaid what was
+	// paid and not yet taken (see MoveBudget).
 	jobs          []*repairJob
 	repair        RepairStatus
 	repairStarted sim.Time
 	repairCredit  float64
 	repairPumped  sim.Time
+	moveWant      int64
+	movePaid      int64
 
 	// servingRef and servingStore shadow the serving node and store for
 	// the lock-free statistics readers. The node and its measured-
@@ -386,29 +390,28 @@ func (g *Group) QuiesceGrace() sim.Dur {
 	return p.DrainAge + sim.Dur(p.PostedDepth)*p.PacketTime(p.MaxPacket) + 2*p.LinkLatency
 }
 
-// Now returns the serving node's simulated clock reading — the time base
-// a cross-group mover uses to pace its copies against this group.
+// Now returns the serving node's simulated clock reading.
 func (g *Group) Now() sim.Time { return g.Primary().Clock.Now() }
 
-// TransferRate returns the background copier's bandwidth in bytes per
-// unit of simulated time: half the SAN's full-packet rate. Exported so
-// cross-group movers (the facade's rebalancer) pace bulk range transfers
-// with the same discipline as repair.
-func (g *Group) TransferRate() float64 { return g.repairRate() }
-
-// ShipBulk charges n bulk-category bytes to the serving node's SAN at its
-// current clock — the wire cost of a cross-group range transfer leaving
-// (or entering) this group. A no-op in Standalone mode. It takes the group
-// lock: the link is the one every committing transaction charges.
-func (g *Group) ShipBulk(n int) {
-	if n <= 0 {
-		return
-	}
+// MoveBudget is a cross-group range mover's draw on the group's copier
+// budget, the one its joiners draw on: the mover wants want more bytes
+// shipped out of the group, and gets back the bytes the copier has paid for
+// the move since its last call — what it may now copy. The copier pays the
+// move from what the joiners leave, on this group's link alone (see
+// payRepairLocked): the target group receives the bytes without
+// transmitting any. The call pumps the copier like a commit does; with sync
+// set — a synchronous drive — the pump is granted the whole chunk Repair's
+// loop takes. A failover drops the demand with the move it belonged to.
+func (g *Group) MoveBudget(want int, sync bool) (paid int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if node := g.primary; node.MC != nil {
-		node.MC.EmitBulk(node.Clock.Now(), n, mem.CatSync)
+	if g.copierIdleLocked() {
+		g.repairPumped, g.repairCredit = g.primary.Clock.Now(), 0
 	}
+	g.moveWant = max(int64(want)-g.movePaid, 0)
+	g.pumpRepairLocked(sync)
+	paid, g.movePaid = int(g.movePaid), 0
+	return paid
 }
 
 // Load installs initial database content on the primary and synchronizes
@@ -619,7 +622,8 @@ func (g *Group) failoverLocked() (*vista.Store, error) {
 	case !g.crashed:
 		return nil, ErrNotCrashed
 	}
-	// The transfer source is gone: every in-flight join dies with it.
+	// The transfer source is gone: every in-flight join dies with it, and so
+	// does a range move's demand (the mover restarts from its fence).
 	for _, b := range g.backups {
 		if b.joining() {
 			g.abortJobLocked(b)
@@ -627,6 +631,7 @@ func (g *Group) failoverLocked() (*vista.Store, error) {
 		}
 	}
 	g.jobs = nil
+	g.moveWant, g.movePaid = 0, 0
 	// Pick the most-caught-up promotable survivor.
 	var best *backup
 	var bestProgress uint64

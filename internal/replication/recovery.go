@@ -27,6 +27,10 @@
 // pages it missed, so the transfer ships the delta instead of the whole
 // database — and when the gap is provably empty (a clean, commit-free
 // partition), it rejoins with no transfer at all.
+//
+// A range move out of the group draws on the same copier budget, after the
+// joiners (see MoveBudget): the group's link carries one copier's share of
+// background bytes, whatever is copying.
 package replication
 
 import (
@@ -287,7 +291,8 @@ func (g *Group) repairAsyncLocked() error {
 // face of RepairAsync, used by demos and orchestration that want "repaired"
 // as a postcondition. The transfer still runs through the incremental
 // engine (chunk by chunk, releasing the group between chunks, bytes
-// accounted), so concurrent transactions keep committing while it runs.
+// accounted), so concurrent transactions keep committing while it runs; a
+// transaction open on the group holds the page copies back until it ends.
 func (g *Group) Repair() error {
 	g.mu.Lock()
 	if err := g.repairAsyncLocked(); err != nil {
@@ -374,8 +379,8 @@ func (g *Group) gapFreeLocked(b *backup) bool {
 // side ever wrote otherwise. The copy is fuzzy from here on, so the replica
 // is not promotion-eligible until cut-over.
 func (g *Group) startJoinLocked(b *backup, epochs map[string]uint64) {
-	if len(g.jobs) == 0 {
-		// The group's copier budget starts accruing with its first job.
+	if g.copierIdleLocked() {
+		// The group's copier budget starts accruing with its first draw.
 		g.repairPumped, g.repairCredit = g.primary.Clock.Now(), 0
 	}
 	j := newRepairJob(b, g.syncRegionsLocked(), epochs)
@@ -464,11 +469,15 @@ func (g *Group) enrollFreshLocked(i int, wire bool) (*backup, error) {
 	return b, nil
 }
 
+// copierIdleLocked reports whether nothing draws on the copier's budget: no
+// join in flight and no range move waiting to be paid.
+func (g *Group) copierIdleLocked() bool { return len(g.jobs) == 0 && g.moveWant == 0 }
+
 // pumpRepairLocked advances every in-flight join: the copier's payment and
 // page copies (payRepairLocked), then each join's phase — ring drain and
 // cut-over once its copy is complete.
 func (g *Group) pumpRepairLocked(sync bool) {
-	if len(g.jobs) == 0 || g.crashed {
+	if g.copierIdleLocked() || g.crashed {
 		// A crashed primary's regions may hold a torn mid-transaction
 		// state: nothing ships until failover re-establishes a serving
 		// source (which drops these jobs).
@@ -488,18 +497,22 @@ func (g *Group) pumpRepairLocked(sync bool) {
 }
 
 // payRepairLocked is the copier's share of a pump. The group has one budget,
-// whatever the number of joiners: the simulated time up to until buys bytes
-// at repairShare of the SAN bandwidth (with sync set, the synchronous Repair
-// loop, every call is granted a whole chunk instead), the Syncing jobs draw
-// on it in order, and what they draw is charged to the link at once, in
-// whole packets — a few per commit, not a page-sized lump in front of every
-// ninth. A page is copied, atomically at this commit boundary, by the pump
-// that completes its payment. A flush calls this before its acknowledgement
-// wait with the instant the wait will end: the wait's share then serializes
-// behind the pointer packet on a link the commit path leaves idle, instead
-// of in front of the next record. (No flush runs on a crashed primary.)
+// whatever draws on it: the simulated time up to until buys bytes at
+// repairShare of the SAN bandwidth (with sync set, a synchronous Repair or
+// range-move drive, every call is granted a whole chunk instead), the
+// Syncing jobs draw on it in order, a range move out of the group (see
+// MoveBudget) draws on what they leave, and what they draw is charged to the
+// link at once, in whole packets — a few per commit, not a page-sized lump in
+// front of every ninth. A joiner's page is copied, atomically at this commit
+// boundary, by the pump that completes its payment; a move's paid pages are
+// copied by the mover at its next pump. A flush calls this before its
+// acknowledgement wait with the instant the wait will end: the wait's share
+// then serializes behind the pointer packet on a link the commit path leaves
+// idle, instead of in front of the next record. (No flush runs on a crashed
+// primary.) A serving node with no SAN attachment accrues the budget and
+// charges nothing.
 func (g *Group) payRepairLocked(until sim.Time, sync bool) {
-	if len(g.jobs) == 0 {
+	if g.copierIdleLocked() {
 		return
 	}
 	chunk := int64(g.chunkBytes())
@@ -512,14 +525,26 @@ func (g *Group) payRepairLocked(until sim.Time, sync bool) {
 	budget := min(int64(g.repairCredit), chunk)
 	budget -= budget % int64(g.params.MaxPacket)
 	var spent int64
-	for _, j := range g.jobs {
-		if j.b.state == StateSyncing {
-			spent += j.pay(budget - spent)
+	// A page copied while a transaction is open could carry bytes its abort
+	// restores on the primary alone (the active scheme streams no undo, and
+	// a full transfer's cursor never comes back): the joiners wait for a
+	// pump outside the transaction while the budget accrues.
+	if t := g.curHandle; t == nil || t.done {
+		for _, j := range g.jobs {
+			if j.b.state == StateSyncing {
+				spent += j.pay(budget - spent)
+			}
 		}
+		g.repair.BytesShipped += spent
 	}
+	move := min(budget-spent, g.moveWant)
+	g.moveWant -= move
+	g.movePaid += move
+	spent += move
 	g.repairCredit -= float64(spent)
-	g.repair.BytesShipped += spent
-	g.primary.MC.EmitBulk(g.primary.Clock.Now(), int(spent), mem.CatSync)
+	if mc := g.primary.MC; mc != nil {
+		mc.EmitBulk(g.primary.Clock.Now(), int(spent), mem.CatSync)
+	}
 }
 
 // advanceJobLocked moves one join through its phases: out of Syncing once

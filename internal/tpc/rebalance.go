@@ -12,8 +12,8 @@ import (
 // initial shard count first, then for each growth step the driver adds
 // the new shard groups, starts the rebalance asynchronously, and keeps
 // measuring windows while the range mover rides the commit stream
-// (paced chunked copy, dirty-range delta resync, per-range cut-over
-// barrier); once the plan drains, the next step begins, and a few final
+// (a sparse copy paid from the source's repair budget that re-ships
+// what is written under it, per-range cut-over barrier); once the plan drains, the next step begins, and a few final
 // windows close the run on the full fleet. The windowed throughput
 // curve, the ranges and bytes migrated, and the exact acked-write audit
 // are the elasticity metrics a resharding production system tracks.

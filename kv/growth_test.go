@@ -140,11 +140,13 @@ func TestKeyspaceThroughGrowth(t *testing.T) {
 
 	// Drain a shard away. RemoveShard blocks and cuts over as it goes, so
 	// it runs beside the writer, which checks every routing table it
-	// catches.
+	// catches. The epoch is read before the drain starts: a drain quicker
+	// than the writer's first look must still count.
 	drained := make(chan error, 1)
+	last := c.PlacementEpoch()
 	go func() { drained <- c.RemoveShard(1) }()
 	drainEpochs := 0
-	for last, done := c.PlacementEpoch(), false; !done; {
+	for done := false; !done; {
 		select {
 		case err := <-drained:
 			if err != nil {

@@ -2,35 +2,42 @@ package repro
 
 // This file is the deployment's online rebalance engine: the mover
 // that executes the plans internal/placement produces, riding the same
-// chunked-transfer discipline as replica repair (PR 3) — a paced
-// background bulk copy, dirty-range delta resync, and a brief per-range
-// cut-over barrier after which routing flips atomically.
+// copier as replica repair — a paid, sparse background copy that re-ships
+// what gets written under it, and a brief per-range cut-over barrier after
+// which routing flips atomically.
 //
-// One range move runs at a time, in five steps:
+// One range move runs at a time, in four steps:
 //
 //  1. Fence: Begin+Abort on the source shard, the admission probe. A
 //     source that cannot serve parks the mover here with its own sentinel,
 //     and an autopilot's takeover is pumped before anything is read.
-//  2. Image: sent[p] takes the source database log's stamp for every page
-//     of the range (Group.DirtyStamps). Whatever writes the source —
-//     commit, abort-undo, raw Load, through this router or a Shard view —
-//     stamps its pages where it lands (mem.Region.WriteRaw), so "stamped
-//     since the mover read it" is all the dirty tracking there is.
-//  3. Bulk copy: the moving range streams source→target in chunks, raw
-//     (the target installs on every replica, like an initial Load), paced
-//     by the source's repair-share bandwidth — credit accrues with the
-//     source's simulated clock, bought by the foreground commit stream
-//     that pumps the mover from Commit/Abort and Settle. Both SANs are
-//     charged for the shipped bytes (CatSync, like repair traffic).
-//  4. Delta resync: pages stamped past sent[p] are re-shipped, sent[p]
-//     re-imaged before each read, until the backlog is small.
-//  5. Cut-over barrier: the mover takes the source's single transaction
-//     slot (quiescing writers, whose stores are already stamped) and the
-//     load lock (a raw Load bypasses the slot), drains the residual dirt
-//     and flips the routing table: a new placement epoch is published
-//     through the view's atomic pointer. Readers that raced the flip
-//     detect the table change and re-route; transactions that blocked on
-//     the barrier re-route when it releases.
+//  2. Image: sent[] marks owed every page of the range that either shard's
+//     database log ever stamped (Group.DirtyStamps) — the target's too,
+//     because its partition may still hold the bytes of a range moved away
+//     from it earlier. A page neither ever wrote reads zero on both.
+//     Whatever writes the source afterwards — commit, abort-undo, raw Load,
+//     through this router or a Shard view — stamps its pages where it lands
+//     (mem.Region.WriteRaw), so "stamped since the mover read it" is all the
+//     dirty tracking there is.
+//  3. Copy: one loop ships the dirty pages raw (the target installs on
+//     every replica, like an initial Load), stamping sent[p] before each
+//     read — the owed pages no read has reached first, so the first pass
+//     ships exactly the pages either log ever stamped, then whatever was
+//     written since its read. The mover pays for nothing itself: it tells the
+//     source group how many bytes it wants (Group.MoveBudget), the group's
+//     one copier budget pays them after its joiners — inside the
+//     acknowledgement wait of the source's commits — and the mover copies
+//     what was paid at its next pump, from Commit/Abort or Settle. Only the
+//     source's link is charged (CatSync, like repair traffic): as in every
+//     other transfer of the model, the link that transmits pays.
+//  4. Cut-over barrier: once the backlog is small (or the chase has
+//     re-shipped its bound) and paid for, the mover takes the source's
+//     single transaction slot (quiescing writers, whose stores are already
+//     stamped) and the load lock (a raw Load bypasses the slot), drains the
+//     residual dirt and flips the routing table: a new placement epoch is
+//     published through the view's atomic pointer. Readers that raced the
+//     flip detect the table change and re-route; transactions that blocked
+//     on the barrier re-route when it releases.
 //
 // A failover on either end (generation change) restarts the move from
 // the fence — raw installs are idempotent, and the target's replicas all
@@ -47,31 +54,31 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/placement"
-	"repro/internal/sim"
 )
 
 const (
-	// movePage is the delta-resync granule: the page of the groups' dirty
-	// logs.
+	// movePage is the copy granule: the page of the groups' dirty logs.
 	movePage = 4096
-	// moveChunk bounds one transfer chunk, like repair's chunking.
-	moveChunk = 64 << 10
 	// cutoverMaxDirty is the dirty backlog (bytes) below which the mover
-	// stops delta-copying in the open and takes the cut-over barrier:
-	// the barrier drains at most this much, keeping the write stall
-	// brief and bounded.
+	// stops copying in the open and takes the cut-over barrier: the
+	// barrier drains at most this much, keeping the write stall brief and
+	// bounded.
 	cutoverMaxDirty = 8 * movePage
 )
 
-// errMoveRestart signals a generation change detected under the barrier:
-// the move restarts from the fence.
+// errMoveRestart signals a generation change: the move restarts from the
+// fence.
 var errMoveRestart = errors.New("repro: move restarted by failover")
 
 // RebalanceProgress is a point-in-time report of the elastic mover.
 // Moves counts the coalesced range moves of the current (or most recent)
 // plan; CurrentFrom/CurrentTo name the shards of the in-flight move (-1
 // when idle); Stalls counts cut-overs that had to drain residual dirty
-// pages under the barrier.
+// pages under the barrier. BytesTotal is the size of the plan's ranges.
+// BytesShipped counts the pages copied: only pages either end ever wrote
+// are, so on a partly written database it can end below BytesTotal, and
+// pages written under the copy are copied again — up to half a range (at
+// least 128 KB) beyond its first pass, plus what the barrier drains.
 type RebalanceProgress struct {
 	Active       bool
 	Epoch        uint64
@@ -105,7 +112,7 @@ type migState struct {
 }
 
 // rangeMove is one in-flight range migration, private to the mover. The
-// source's generation is the one sent was imaged in: stamps from another
+// generations are the ones sent was imaged in: stamps from another
 // generation are another node's sequence, and restart the move.
 type rangeMove struct {
 	mv       placement.Move
@@ -114,17 +121,17 @@ type rangeMove struct {
 	dstGen   int
 
 	fenced bool
-	pos    int // bulk-copied bytes so far
-	credit float64
-	last   sim.Time
-	buf    []byte
-	// deltaShipped totals the delta-resync bytes re-shipped so far; once
-	// it exceeds deltaBudget the cut-over is forced (see pumpLocked).
-	deltaShipped int
+	// planned is the first pass: the bytes of the pages owed at the fence.
+	// shipped totals the bytes copied since; once it exceeds planned by
+	// chaseBudget the cut-over is forced (see pumpLocked). paid is what the
+	// source's copier paid toward the move that no page has used yet.
+	planned, shipped, paid int
+	buf                    []byte
 
-	// sent[p] is the source database log's stamp of page p of the range
-	// as it stood just before the mover last read the page; now is the
-	// image scan compares it with. A page is dirty iff now[p] > sent[p].
+	// sent[p] is one past the source database log's stamp of page p of the
+	// range as it stood just before the mover last read the page: 0 for a
+	// page owed and not read yet. now is the image scan compares it with. A
+	// page is dirty iff now[p] >= sent[p].
 	sent, now []uint64
 }
 
@@ -132,31 +139,46 @@ type rangeMove struct {
 // paths' one-atomic-load gate.
 func (c *Cluster) migActive() bool { return c.mig.active.Load() }
 
-// scan images the source's stamps and returns the bytes awaiting delta
-// resync; errMoveRestart when the source failed over under the move.
+// fence images both ends' logs into sent (step 2) and pins both
+// generations.
+func (m *rangeMove) fence() {
+	m.dstGen = m.dst.DirtyStamps(m.mv.ToLocal, m.sent)
+	m.srcGen = m.src.DirtyStamps(m.mv.FromLocal, m.now)
+	for p := range m.sent {
+		if m.sent[p] == 0 && m.now[p] == 0 {
+			m.sent[p] = 1 // neither end ever wrote it: it reads zero on both
+		} else {
+			m.sent[p] = 0
+		}
+	}
+	m.planned = m.count()
+	m.fenced = true
+}
+
+// scan images the source's stamps and returns the bytes awaiting a copy;
+// errMoveRestart when the source failed over under the move.
 func (m *rangeMove) scan() (int, error) {
 	if m.src.DirtyStamps(m.mv.FromLocal, m.now) != m.srcGen {
 		return 0, errMoveRestart
 	}
+	return m.count(), nil
+}
+
+// count returns the bytes of the pages the last image found dirty.
+func (m *rangeMove) count() int {
 	n := 0
 	for p, s := range m.now {
-		if s > m.sent[p] {
+		if s >= m.sent[p] {
 			n++
 		}
 	}
-	return n * movePage, nil
+	return n * movePage
 }
 
-// deltaBudget returns the delta-resync bytes the mover is willing to
-// chase before forcing the cut-over: half the range (a 1.5× shipping
-// overhead bound), floored so small moves still get a few passes.
-func (m *rangeMove) deltaBudget() int {
-	b := m.mv.Bytes() / 2
-	if b < 4*cutoverMaxDirty {
-		b = 4 * cutoverMaxDirty
-	}
-	return b
-}
+// chaseBudget returns the bytes the mover is willing to re-ship beyond
+// its first pass before forcing the cut-over: half the range (a 1.5×
+// shipping overhead bound), floored so small moves still get a few passes.
+func (m *rangeMove) chaseBudget() int { return max(m.mv.Bytes()/2, 4*cutoverMaxDirty) }
 
 // emit appends a deployment-level placement event (node/shard -1).
 func (c *Cluster) emit(kind string, a, b uint64) {
@@ -236,10 +258,10 @@ func (c *Cluster) RebalanceAsync() error {
 
 // Rebalance is the blocking form: plan (unless a rebalance is already
 // active, which it then adopts) and drive the mover to completion. The
-// copy is driven synchronously but still charges both SANs, so the
-// shipped bytes cost their simulated time. An error (a crashed group)
-// leaves the rebalance active and resumable: repair the group and call
-// Rebalance again.
+// copy is driven synchronously, a chunk per grant of the source's copier,
+// but still charges the source's SAN, so the shipped bytes cost their
+// simulated time. An error (a crashed group) leaves the rebalance active
+// and resumable: repair the group and call Rebalance again.
 func (c *Cluster) Rebalance() error {
 	if err := c.RebalanceAsync(); err != nil && !errors.Is(err, ErrRebalanceActive) {
 		return err
@@ -326,8 +348,9 @@ func (c *Cluster) startMoves(moves []placement.Move) {
 	c.emit(obs.EventRebalanceStart, uint64(len(moves)), uint64(total))
 }
 
-// drive pumps the mover to completion without pacing (the synchronous
-// Rebalance/RemoveShard path); errors park the mover resumable.
+// drive pumps the mover to completion (the synchronous Rebalance/RemoveShard
+// path), every pump taking the source copier's whole-chunk grant; errors
+// park the mover resumable.
 func (c *Cluster) drive() error {
 	for c.migActive() {
 		if err := c.pump(true, true); err != nil {
@@ -338,19 +361,19 @@ func (c *Cluster) drive() error {
 }
 
 // pump advances the mover. wait=false (the per-commit hook) skips out if
-// another goroutine is pumping; unpaced=true ignores the bandwidth
-// credit and copies to completion (the synchronous drive).
-func (c *Cluster) pump(wait, unpaced bool) error {
+// another goroutine is pumping; sync=true (the synchronous drive) has the
+// source's copier grant a whole chunk instead of what its budget accrued.
+func (c *Cluster) pump(wait, sync bool) error {
 	if wait {
 		c.mig.mu.Lock()
 	} else if !c.mig.mu.TryLock() {
 		return nil
 	}
 	defer c.mig.mu.Unlock()
-	return c.pumpLocked(unpaced)
+	return c.pumpLocked(sync)
 }
 
-func (c *Cluster) pumpLocked(unpaced bool) error {
+func (c *Cluster) pumpLocked(sync bool) error {
 	for c.mig.active.Load() {
 		if len(c.mig.queue) == 0 {
 			c.finishRebalanceLocked()
@@ -371,88 +394,46 @@ func (c *Cluster) pumpLocked(unpaced bool) error {
 				return fmt.Errorf("repro: rebalance fence on shard %d: %w", m.mv.From, err)
 			}
 			tx.Abort()
-			m.srcGen = m.src.DirtyStamps(m.mv.FromLocal, m.sent)
-			m.dstGen = m.dst.Generation()
-			m.fenced = true
-			m.last = m.src.Now()
-		} else if m.src.Generation() != m.srcGen || m.dst.Generation() != m.dstGen {
-			// Failover mid-move: restart from the fence. The bulk copy
-			// re-reads the new serving store; raw installs on the target
-			// are idempotent, so repeating shipped work is safe.
+			m.fence()
+		}
+		backlog, err := m.scan()
+		if err != nil || m.dst.Generation() != m.dstGen {
+			// Failover mid-move: restart from the fence. The copy re-reads
+			// the new serving store; raw installs on the target are
+			// idempotent, so repeating shipped work is safe.
 			c.mig.cur = nil
 			continue
 		}
-		allow := m.mv.Bytes() + cutoverMaxDirty
-		if !unpaced {
-			now := m.src.Now()
-			if dt := now - m.last; dt > 0 {
-				m.credit += float64(dt) * m.src.TransferRate()
-			}
-			m.last = now
-			allow = int(m.credit)
-			if allow > m.mv.Bytes()+cutoverMaxDirty {
-				allow = m.mv.Bytes() + cutoverMaxDirty
-			}
-		}
-		shipped := 0
-		if m.pos < m.mv.Bytes() {
-			n, err := c.bulkCopy(m, allow)
+		// The chase is bounded: a range written faster than the copier pays
+		// never converges below the threshold (every small store dirties a
+		// whole page), so once the re-shipping passes its budget the mover
+		// stops chasing and cuts over, draining the residual under the
+		// barrier — a bounded, recorded stall instead of a livelock.
+		cut := backlog <= cutoverMaxDirty || m.shipped >= m.planned+m.chaseBudget()
+		m.paid += m.src.MoveBudget(backlog-m.paid, sync)
+		if !cut {
+			n, err := c.copyPaid(m)
 			if err != nil {
 				return err
 			}
-			shipped += n
-		}
-		if m.pos == m.mv.Bytes() {
-			// The delta phase is bounded: a range written faster than the
-			// mover's bandwidth share never converges below the threshold
-			// (every small store dirties a whole page), so after
-			// re-shipping a budget's worth of deltas the mover stops
-			// chasing and cuts over, draining the residual under the
-			// barrier — a bounded, recorded stall instead of a livelock.
-			forced := m.deltaShipped >= m.deltaBudget()
-			backlog, err := m.scan()
-			for err == nil && !forced && allow-shipped >= movePage && backlog > cutoverMaxDirty {
-				var n int
-				if n, err = c.deltaCopy(m, allow-shipped); err == nil {
-					shipped += n
-					m.deltaShipped += n
-					forced = m.deltaShipped >= m.deltaBudget()
-					backlog, err = m.scan()
-				}
-			}
-			// The barrier drain is pre-paid: the normal path owes at most
-			// cutoverMaxDirty bytes, a forced cut-over the whole residual
-			// backlog — requiring that budget up front keeps the stall off
-			// the pacing path.
-			need := cutoverMaxDirty
-			if forced && backlog > need {
-				need = backlog
-			}
-			cut := err == nil && (backlog <= cutoverMaxDirty || forced) && (unpaced || allow-shipped >= need)
-			if cut {
-				err = c.cutoverLocked(m)
-			}
-			switch {
-			case err == errMoveRestart:
-				c.mig.cur = nil
-				continue
-			case err != nil:
-				if !unpaced {
-					m.credit -= float64(shipped)
-				}
-				return err
-			case cut:
-				c.mig.queue = c.mig.queue[1:]
-				continue
-			}
-		}
-		if !unpaced {
-			m.credit -= float64(shipped)
-			if shipped == 0 {
-				// Out of bandwidth credit: park until the commit stream
-				// buys more simulated time.
+			if n == 0 {
+				// Nothing paid yet: park until the source's commits pay.
 				return nil
 			}
+			continue
+		}
+		// The barrier drain is pre-paid: the barrier is taken once the
+		// whole backlog is paid for, keeping the stall off the payment path.
+		if m.paid < backlog {
+			return nil
+		}
+		switch err := c.cutoverLocked(m); {
+		case err == errMoveRestart:
+			c.mig.cur = nil
+		case err != nil:
+			return err
+		default:
+			c.mig.queue = c.mig.queue[1:]
 		}
 	}
 	return nil
@@ -469,6 +450,7 @@ func (c *Cluster) startMoveLocked(mv placement.Move) *rangeMove {
 		dst:  v.shards[mv.To],
 		sent: make([]uint64, pages),
 		now:  make([]uint64, pages),
+		buf:  make([]byte, movePage),
 	}
 	c.mig.curFrom.Store(int64(mv.From))
 	c.mig.curTo.Store(int64(mv.To))
@@ -476,79 +458,40 @@ func (c *Cluster) startMoveLocked(mv placement.Move) *rangeMove {
 	return m
 }
 
-// bulkCopy streams the unshipped prefix of the move, up to allow bytes.
-func (c *Cluster) bulkCopy(m *rangeMove, allow int) (int, error) {
+// copyPaid ships the pages the last scan found dirty while the move holds
+// a page's worth of paid budget, and returns the bytes shipped. The owed
+// pages no read has reached go first, lowest first, then the pages written
+// since their read: re-shipping a page before the first pass is through
+// would spend the budget on dirt the pass has not finished. sent takes one
+// past the scanned stamp before the page is read, so a write racing the read
+// is shipped again, never missed. The target installs raw on every replica
+// (Load), so a target failover never loses shipped bytes.
+func (c *Cluster) copyPaid(m *rangeMove) (int, error) {
 	shipped := 0
-	for shipped < allow && m.pos < m.mv.Bytes() {
-		sz := moveChunk
-		if sz > allow-shipped {
-			sz = allow - shipped
+	for _, first := range [2]bool{true, false} {
+		for p, s := range m.now {
+			if s < m.sent[p] || (m.sent[p] == 0) != first {
+				continue
+			}
+			off := p * movePage
+			n := min(movePage, m.mv.Bytes()-off)
+			if m.paid < n {
+				return shipped, nil
+			}
+			m.sent[p] = s + 1
+			buf := m.buf[:n]
+			m.src.ReadRaw(m.mv.FromLocal+off, buf)
+			if err := m.dst.Load(m.mv.ToLocal+off, buf); err != nil {
+				return shipped, fmt.Errorf("repro: rebalance install on shard %d: %w", m.mv.To, err)
+			}
+			m.paid -= n
+			m.shipped += n
+			shipped += n
+			c.mig.shipped.Add(int64(n))
+			c.mBytes.Add(uint64(n))
 		}
-		if sz > m.mv.Bytes()-m.pos {
-			sz = m.mv.Bytes() - m.pos
-		}
-		if sz < movePage && m.pos+sz < m.mv.Bytes() {
-			// Don't dribble sub-page chunks while paced.
-			break
-		}
-		if err := c.ship(m, m.pos, sz); err != nil {
-			return shipped, err
-		}
-		m.pos += sz
-		shipped += sz
 	}
 	return shipped, nil
-}
-
-// deltaCopy re-ships the pages the last scan found dirty, lowest first, up
-// to allow bytes. sent takes the scanned stamp before the page is read, so
-// a write racing the read is shipped again, never missed.
-func (c *Cluster) deltaCopy(m *rangeMove, allow int) (int, error) {
-	shipped := 0
-	for p, s := range m.now {
-		if s <= m.sent[p] {
-			continue
-		}
-		if allow-shipped < movePage {
-			break
-		}
-		m.sent[p] = s
-		off := p * movePage
-		n := min(movePage, m.mv.Bytes()-off)
-		if err := c.ship(m, off, n); err != nil {
-			return shipped, err
-		}
-		shipped += n
-	}
-	return shipped, nil
-}
-
-// ship copies n bytes at relative offset rel of the move, source to
-// target, charging both SANs the bulk-transfer cost. The target installs
-// raw on every replica (Load), so a target failover never loses shipped
-// bytes.
-func (c *Cluster) ship(m *rangeMove, rel, n int) error {
-	if m.buf == nil {
-		m.buf = make([]byte, moveChunk)
-	}
-	for n > 0 {
-		sz := n
-		if sz > moveChunk {
-			sz = moveChunk
-		}
-		buf := m.buf[:sz]
-		m.src.ReadRaw(m.mv.FromLocal+rel, buf)
-		if err := m.dst.Load(m.mv.ToLocal+rel, buf); err != nil {
-			return fmt.Errorf("repro: rebalance install on shard %d: %w", m.mv.To, err)
-		}
-		m.src.ShipBulk(sz)
-		m.dst.ShipBulk(sz)
-		c.mig.shipped.Add(int64(sz))
-		c.mBytes.Add(uint64(sz))
-		rel += sz
-		n -= sz
-	}
-	return nil
 }
 
 // cutoverLocked performs the per-range cut-over: barrier, residual
@@ -578,8 +521,18 @@ func (c *Cluster) cutoverLocked(m *rangeMove) error {
 		if backlog == 0 {
 			break
 		}
-		if _, err := c.deltaCopy(m, backlog); err != nil {
+		if m.paid < backlog {
+			// Written since the pump that paid for the drain: the shortfall
+			// takes the copier's whole-chunk grant.
+			m.paid += m.src.MoveBudget(backlog-m.paid, true)
+		}
+		n, err := c.copyPaid(m)
+		if err != nil {
 			return err
+		}
+		if n == 0 {
+			// Only a crashed source pays nothing for a sync grant.
+			return fmt.Errorf("repro: rebalance barrier on shard %d: %w", m.mv.From, ErrCrashed)
 		}
 		stalled = true
 	}

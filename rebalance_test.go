@@ -9,6 +9,7 @@ import (
 
 	"repro"
 	"repro/internal/obs"
+	"repro/internal/sim"
 )
 
 // elasticConfig is the deployment template the rebalance tests share:
@@ -117,7 +118,9 @@ func TestRebalanceGrowMovesData(t *testing.T) {
 	if prog.Active || prog.MovesDone != prog.Moves || prog.Moves == 0 {
 		t.Fatalf("progress after sync rebalance: %+v", prog)
 	}
-	if prog.BytesShipped < prog.BytesTotal || prog.BytesTotal == 0 {
+	// Every page was loaded, the added shards never wrote, and nothing
+	// writes during the blocking drive: each moved page ships once.
+	if prog.BytesShipped != prog.BytesTotal || prog.BytesTotal == 0 {
 		t.Fatalf("shipped %d of %d planned bytes", prog.BytesShipped, prog.BytesTotal)
 	}
 	if got := sc.PlacementEpoch(); got != uint64(1+prog.Moves) {
@@ -164,18 +167,19 @@ func TestRebalanceGrowMovesData(t *testing.T) {
 			t.Fatalf("no %s event in the merged snapshot", kind)
 		}
 	}
-	// The moved bytes were charged to the SANs as sync-category traffic.
+	// The moved bytes were charged to the sources' SANs as sync-category
+	// traffic.
 	if tr := sc.NetTraffic(); tr.SyncBytes < prog.BytesShipped {
 		t.Fatalf("SyncBytes %d below shipped %d", tr.SyncBytes, prog.BytesShipped)
 	}
 }
 
 // TestRebalanceBlockingBesideAWriter: a blocking 2→4 Rebalance on one
-// goroutine beside a committing writer on another. The mover charges both
-// groups' SAN links (Group.ShipBulk) while the writer's commits charge the
-// same links, so under -race this is the probe for anything the mover
-// touches outside a group's lock; the audit is that no write was lost to a
-// cut-over.
+// goroutine beside a committing writer on another. The mover draws on the
+// source group's copier budget (Group.MoveBudget), which the writer's
+// commits pay from too, and copies the paid pages between the two groups,
+// so under -race this is the probe for anything the mover touches outside
+// a group's lock; the audit is that no write was lost to a cut-over.
 func TestRebalanceBlockingBesideAWriter(t *testing.T) {
 	const dbSize = 2 << 20
 	sc, err := repro.NewSharded(elasticConfig(dbSize, false), 2)
@@ -593,4 +597,96 @@ func TestMoverBesideWritersAndLoads(t *testing.T) {
 		sc.Settle()
 		shadowAudit(t, sc, shadow, "mover beside writers and loads")
 	}
+}
+
+// TestRepairAndMoveShareOneBudget: a range move out of shard 0 and a repair
+// of shard 0 draw on the group's one copier budget, so together they charge
+// shard 0's link no faster than a lone repair does — half its full-packet
+// bandwidth, plus the packet a pump may carry — as TwoJoinersShareOneBudget
+// holds two joiners to it.
+func TestRepairAndMoveShareOneBudget(t *testing.T) {
+	const dbSize = 8 << 20
+	cfg := elasticConfig(dbSize, false)
+	cfg.Backups = 3 // a quorum of two outlives the crashed backup
+	sc, err := repro.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := shadowFill(t, sc, dbSize, 11)
+	if _, err := sc.AddShards(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.RebalanceAsync(); err != nil {
+		t.Fatal(err)
+	}
+	src := sc.Shard(0)
+	if err := errors.Join(src.CrashBackup(1), src.RepairAsync()); err != nil {
+		t.Fatal(err)
+	}
+	base, start := src.NetTraffic().SyncBytes, src.Elapsed()
+	r := rand.New(rand.NewSource(12))
+	for i := 0; i < 200; i++ {
+		if off := r.Intn(dbSize - 64); sc.ShardFor(off) == 0 {
+			shadowTxn(t, sc, shadow, r, off)
+		}
+	}
+	// The joiners are paid first: the move gets what they leave.
+	move, repair := sc.RebalanceProgress(), src.RepairProgress()
+	if !move.Active || !repair.Active || repair.BytesShipped == 0 {
+		t.Fatalf("both copies must be in flight through the interval: move %+v, repair %+v", move, repair)
+	}
+	p := sim.Default()
+	share := 0.5 * float64(p.MaxPacket) / float64(p.PacketTime(p.MaxPacket))
+	elapsed := src.Elapsed() - start
+	bought := float64(sim.Dur(elapsed.Nanoseconds())*sim.Nanosecond) * share
+	shipped := src.NetTraffic().SyncBytes - base
+	ratio := float64(shipped) / bought
+	t.Logf("move (%d B copied) and repair (%d B) charged %d bytes in %v: %.3f of one copier's share",
+		move.BytesShipped, repair.BytesShipped, shipped, elapsed, ratio)
+	if float64(shipped) > bought+float64(p.MaxPacket) {
+		t.Fatalf("move and repair charged %.2f× one copier's share of shard 0's link", ratio)
+	}
+	if err := errors.Join(src.Repair(), sc.Rebalance()); err != nil {
+		t.Fatal(err)
+	}
+	sc.Settle()
+	shadowAudit(t, sc, shadow, "move beside a repair")
+}
+
+// TestSparseMoveClearsStalePartitions: a move's first pass ships only the
+// pages either end ever wrote, and the target's end counts — a partition a
+// range moved away from keeps that range's bytes, and a range landing there
+// later must overwrite with zeros the pages its own source never wrote. One
+// page of each partition is written, a different page from partition to
+// partition, so the drain after a grow lands ranges on partitions that hold
+// another range's bytes at pages the landing range lacks.
+func TestSparseMoveClearsStalePartitions(t *testing.T) {
+	const dbSize = 1 << 20
+	sc, err := repro.NewSharded(elasticConfig(dbSize, false), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow, r := make([]byte, dbSize), rand.New(rand.NewSource(21))
+	part := sc.PartSize()
+	for off := 0; off < dbSize; off += part {
+		at := off + (off/part)%7*4096
+		r.Read(shadow[at : at+64])
+		if err := sc.Load(at, shadow[at:at+64]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sc.AddShards(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	if p := sc.RebalanceProgress(); p.BytesShipped >= p.BytesTotal {
+		t.Fatalf("the grow shipped %d of %d bytes: the moved ranges are not sparse", p.BytesShipped, p.BytesTotal)
+	}
+	shadowAudit(t, sc, shadow, "grown")
+	if err := sc.RemoveShard(2); err != nil {
+		t.Fatal(err)
+	}
+	shadowAudit(t, sc, shadow, "drained onto vacated partitions")
 }

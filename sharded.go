@@ -612,9 +612,10 @@ func (t *shardedTx) finish(commit bool) error {
 	t.touched = 0
 	c.txPool.Put(t)
 	if c.migActive() {
-		// Ride the commit stream: every completed transaction buys the
-		// range mover a pacing slice (non-blocking; skipped when another
-		// goroutine is already pumping).
+		// Ride the commit stream: every completed transaction lets the
+		// range mover copy what its source's copier has paid for
+		// (non-blocking; skipped when another goroutine is already
+		// pumping).
 		c.pump(false, false)
 	}
 	if firstErr == nil {
@@ -630,7 +631,7 @@ func (t *shardedTx) finish(commit bool) error {
 // from the platform constants (write-buffer drain age, posted-write
 // window, link latency). A crash after Settle loses nothing; without it, a crash immediately after a
 // commit may lose that commit — the paper's 1-safe window. An active
-// rebalance gets a paced pump first, so single-stream drivers that settle
+// rebalance gets a pump first, so single-stream drivers that settle
 // between phases keep the mover deterministic.
 func (c *Cluster) Settle() {
 	if c.migActive() {
