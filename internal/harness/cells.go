@@ -36,7 +36,6 @@ type cellKey struct {
 	txns   int64
 	warmup int64
 	seed   uint64
-	sparse bool
 }
 
 // cellMemo caches cell results: paired exhibits (Tables 1/2, 4/5, 6/7)
@@ -47,9 +46,9 @@ var (
 )
 
 // runCell measures one (benchmark, version, mode) configuration.
-func runCell(cfg RunConfig, bench string, ver vista.Version, mode replication.Mode, dbSize int, txns int64, sparse bool) (tpc.Result, error) {
+func runCell(cfg RunConfig, bench string, ver vista.Version, mode replication.Mode, dbSize int, txns int64) (tpc.Result, error) {
 	key := cellKey{bench: bench, ver: ver, mode: mode, dbSize: dbSize,
-		txns: txns, warmup: cfg.Warmup, seed: cfg.Seed, sparse: sparse}
+		txns: txns, warmup: cfg.Warmup, seed: cfg.Seed}
 	cellMu.Lock()
 	if res, ok := cellMemo[key]; ok {
 		cellMu.Unlock()
@@ -58,9 +57,8 @@ func runCell(cfg RunConfig, bench string, ver vista.Version, mode replication.Mo
 	cellMu.Unlock()
 
 	pair, err := replication.NewGroup(replication.Config{
-		Mode:         mode,
-		Store:        vista.Config{Version: ver, DBSize: dbSize, SparseDB: sparse},
-		SparseBackup: sparse,
+		Mode:  mode,
+		Store: vista.Config{Version: ver, DBSize: dbSize},
 	})
 	if err != nil {
 		return tpc.Result{}, err

@@ -63,7 +63,7 @@ func runTable1(cfg RunConfig) (*Table, error) {
 	for _, r := range rows {
 		cells := []string{r.label}
 		for _, bench := range []string{benchDC, benchOE} {
-			res, err := runCell(cfg, bench, vista.V0Vista, r.mode, cfg.DBSize, benchTxns(cfg, bench), false)
+			res, err := runCell(cfg, bench, vista.V0Vista, r.mode, cfg.DBSize, benchTxns(cfg, bench))
 			if err != nil {
 				return nil, err
 			}
@@ -85,7 +85,7 @@ func runTable2(cfg RunConfig) (*Table, error) {
 	byCat := map[mem.Category][]string{}
 	totals := []string{"Total data"}
 	for _, bench := range []string{benchDC, benchOE} {
-		res, err := runCell(cfg, bench, vista.V0Vista, replication.Passive, cfg.DBSize, benchTxns(cfg, bench), false)
+		res, err := runCell(cfg, bench, vista.V0Vista, replication.Passive, cfg.DBSize, benchTxns(cfg, bench))
 		if err != nil {
 			return nil, err
 		}
@@ -125,7 +125,7 @@ func versionSweep(cfg RunConfig, id, title string, mode replication.Mode) (*Tabl
 	for _, v := range allVersions {
 		cells := []string{v.String()}
 		for _, bench := range []string{benchDC, benchOE} {
-			res, err := runCell(cfg, bench, v, mode, cfg.DBSize, benchTxns(cfg, bench), false)
+			res, err := runCell(cfg, bench, v, mode, cfg.DBSize, benchTxns(cfg, bench))
 			if err != nil {
 				return nil, err
 			}
@@ -146,7 +146,7 @@ func runTable5(cfg RunConfig) (*Table, error) {
 	}
 	for _, bench := range []string{benchDC, benchOE} {
 		for _, v := range allVersions {
-			res, err := runCell(cfg, bench, v, replication.Passive, cfg.DBSize, benchTxns(cfg, bench), false)
+			res, err := runCell(cfg, bench, v, replication.Passive, cfg.DBSize, benchTxns(cfg, bench))
 			if err != nil {
 				return nil, err
 			}
@@ -174,7 +174,7 @@ func runTable6(cfg RunConfig) (*Table, error) {
 	for _, r := range rows {
 		cells := []string{r.label}
 		for _, bench := range []string{benchDC, benchOE} {
-			res, err := runCell(cfg, bench, vista.V3InlineLog, r.mode, cfg.DBSize, benchTxns(cfg, bench), false)
+			res, err := runCell(cfg, bench, vista.V3InlineLog, r.mode, cfg.DBSize, benchTxns(cfg, bench))
 			if err != nil {
 				return nil, err
 			}
@@ -201,7 +201,7 @@ func runTable7(cfg RunConfig) (*Table, error) {
 			{"Best Passive (Version 3)", replication.Passive},
 			{"Active", replication.Active},
 		} {
-			res, err := runCell(cfg, bench, vista.V3InlineLog, r.mode, cfg.DBSize, benchTxns(cfg, bench), false)
+			res, err := runCell(cfg, bench, vista.V3InlineLog, r.mode, cfg.DBSize, benchTxns(cfg, bench))
 			if err != nil {
 				return nil, err
 			}
@@ -219,18 +219,10 @@ func runTable8(cfg RunConfig) (*Table, error) {
 		Headers: []string{"Benchmark", "10 MB", "100 MB", "1 GB"},
 		Notes:   runNotes(cfg),
 	}
-	sizes := []struct {
-		bytes  int
-		sparse bool
-	}{
-		{10 << 20, false},
-		{100 << 20, false},
-		{1 << 30, true},
-	}
 	for _, bench := range []string{benchDC, benchOE} {
 		cells := []string{bench}
-		for _, sz := range sizes {
-			res, err := runCell(cfg, bench, vista.V3InlineLog, replication.Active, sz.bytes, benchTxns(cfg, bench), sz.sparse)
+		for _, size := range []int{10 << 20, 100 << 20, 1 << 30} {
+			res, err := runCell(cfg, bench, vista.V3InlineLog, replication.Active, size, benchTxns(cfg, bench))
 			if err != nil {
 				return nil, err
 			}

@@ -4,94 +4,164 @@ import (
 	"bytes"
 	"math/rand/v2"
 	"testing"
-	"testing/quick"
 )
 
+// backingSizes are the region shapes the backing tests cover: shorter than
+// one chunk, whole chunks and a short last chunk.
+var backingSizes = []int{100, 3*chunkSize + 1000, 4 * chunkSize}
+
+// TestDenseBacking: a region shorter than one chunk round-trips a write in
+// a single chunk sized to the region.
 func TestDenseBacking(t *testing.T) {
-	d := NewDense(64)
-	d.WriteAt(10, []byte("hello"))
+	b := newBacking(64)
+	b.writeAt(10, []byte("hello"))
 	got := make([]byte, 5)
-	d.ReadAt(10, got)
+	b.readAt(10, got)
 	if string(got) != "hello" {
 		t.Fatalf("got %q", got)
 	}
-	if d.Size() != 64 {
-		t.Fatalf("Size() = %d", d.Size())
+	if b.size != 64 || len(b.chunks) != 1 || len(b.chunks[0]) != 64 {
+		t.Fatalf("size %d, %d chunks, first %d bytes; want 64, 1, 64", b.size, len(b.chunks), len(b.chunks[0]))
 	}
 }
 
+// TestSparseBackingHolesReadZero: unwritten memory reads as zero, before
+// any write and beside a written chunk, and a read allocates nothing.
 func TestSparseBackingHolesReadZero(t *testing.T) {
-	s := NewSparse(3 * sparsePage)
-	got := make([]byte, 16)
-	s.ReadAt(sparsePage+100, got)
+	b := newBacking(3 * chunkSize)
+	got := bytes.Repeat([]byte{0xAA}, 16)
+	b.readAt(chunkSize+100, got)
 	if !bytes.Equal(got, make([]byte, 16)) {
 		t.Fatalf("hole read non-zero: %v", got)
 	}
-	if s.Pages() != 0 {
-		t.Fatalf("reading allocated %d pages", s.Pages())
+	if b.Chunks() != 0 {
+		t.Fatalf("reading allocated %d chunks", b.Chunks())
+	}
+	b.writeAt(chunkSize-8, bytes.Repeat([]byte{1}, 8))
+	span := bytes.Repeat([]byte{0xAA}, 24)
+	b.readAt(chunkSize-8, span)
+	if !bytes.Equal(span, append(bytes.Repeat([]byte{1}, 8), make([]byte, 16)...)) {
+		t.Fatalf("read across a written chunk into a hole: %v", span)
+	}
+	if b.Chunks() != 1 {
+		t.Fatalf("%d chunks held after one write inside chunk 0, want 1", b.Chunks())
 	}
 }
 
+// TestSparseBackingPageCrossing: a write crossing two chunk boundaries
+// allocates exactly the three chunks it touches, and a write into a short
+// last chunk allocates it at what the region has left.
 func TestSparseBackingPageCrossing(t *testing.T) {
-	s := NewSparse(4 * sparsePage)
-	data := make([]byte, sparsePage+100)
+	b := newBacking(3*chunkSize + 1000)
+	data := make([]byte, chunkSize+100)
 	for i := range data {
 		data[i] = byte(i)
 	}
-	off := sparsePage - 50 // crosses two boundaries
-	s.WriteAt(off, data)
+	off := chunkSize - 50 // crosses two boundaries
+	b.writeAt(off, data)
 	got := make([]byte, len(data))
-	s.ReadAt(off, got)
+	b.readAt(off, got)
 	if !bytes.Equal(got, data) {
-		t.Fatal("page-crossing write/read mismatch")
+		t.Fatal("chunk-crossing write/read mismatch")
 	}
-	if s.Pages() != 3 {
-		t.Fatalf("allocated %d pages, want 3", s.Pages())
+	if b.Chunks() != 3 || b.chunks[0] == nil || b.chunks[1] == nil || b.chunks[2] == nil {
+		t.Fatalf("allocated %d chunks, want chunks 0-2", b.Chunks())
+	}
+	b.writeAt(b.size-10, data[:10])
+	if b.Chunks() != 4 || len(b.chunks[3]) != 1000 {
+		t.Fatalf("last chunk: %d chunks held, last %d bytes; want 4, 1000", b.Chunks(), len(b.chunks[3]))
 	}
 }
 
+// TestSparseBackingOutOfRangePanics: reads and writes that start before the
+// region, overrun its end or start past it panic, on every region shape.
 func TestSparseBackingOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range sparse write did not panic")
+	for _, size := range backingSizes {
+		b := newBacking(size)
+		for _, s := range [][2]int{{-1, 1}, {size - 1, 2}, {size, 1}} {
+			for name, op := range map[string]func(int, []byte){"read": b.readAt, "write": b.writeAt} {
+				if !panics(func() { op(s[0], make([]byte, s[1])) }) {
+					t.Fatalf("size %d: %s [%d,+%d) did not panic", size, name, s[0], s[1])
+				}
+			}
 		}
-	}()
-	NewSparse(100).WriteAt(90, make([]byte, 20))
+	}
 }
 
-// TestSparseMatchesDense: a sparse backing behaves exactly like a dense
-// one under arbitrary write/read sequences.
+// TestSparseMatchesDense holds the backing to a dense reference, a plain
+// []byte, over seeded random spans on every region shape: holes read as
+// zero, a read allocates no chunk, and a write allocates exactly the chunks
+// it touches, each sized to what the region has left.
 func TestSparseMatchesDense(t *testing.T) {
-	const size = 4 * sparsePage
-	f := func(seed uint64) bool {
-		r := rand.New(rand.NewPCG(seed, 99))
-		sp := NewSparse(size)
-		de := NewDense(size)
-		for i := 0; i < 200; i++ {
-			off := r.IntN(size - 64)
-			n := 1 + r.IntN(64)
-			buf := make([]byte, n)
+	for _, size := range backingSizes {
+		b, ref := newBacking(size), make([]byte, size)
+		touched := map[int]bool{}
+		r := rand.New(rand.NewPCG(uint64(size), 7))
+		for i := 0; i < 400; i++ {
+			off := r.IntN(size)
+			if i%2 == 0 { // start within 32 bytes of a chunk boundary
+				off = min(max(r.IntN(size/chunkSize+1)*chunkSize+r.IntN(64)-32, 0), size-1)
+			}
+			span := ref[off : off+r.IntN(min(size-off, 2*chunkSize+100)+1)]
+			buf := make([]byte, len(span))
+			if r.IntN(2) == 0 {
+				for j := range buf {
+					buf[j] = 0xAA
+				}
+				held := b.Chunks()
+				b.readAt(off, buf)
+				if !bytes.Equal(buf, span) {
+					t.Fatalf("size %d: read [%d,+%d) differs from the reference", size, off, len(buf))
+				}
+				if b.Chunks() != held {
+					t.Fatalf("size %d: a read allocated %d chunks", size, b.Chunks()-held)
+				}
+				continue
+			}
 			for j := range buf {
 				buf[j] = byte(r.Uint32())
 			}
-			sp.WriteAt(off, buf)
-			de.WriteAt(off, buf)
+			b.writeAt(off, buf)
+			copy(span, buf)
+			for c := off / chunkSize; len(buf) > 0 && c <= (off+len(buf)-1)/chunkSize; c++ {
+				touched[c] = true
+			}
+			if b.Chunks() != len(touched) {
+				t.Fatalf("size %d: write [%d,+%d) leaves %d chunks held, want %d", size, off, len(buf), b.Chunks(), len(touched))
+			}
 		}
-		a := make([]byte, size)
-		b := make([]byte, size)
-		sp.ReadAt(0, a)
-		de.ReadAt(0, b)
-		return bytes.Equal(a, b)
+		got := make([]byte, size)
+		b.readAt(0, got)
+		if !bytes.Equal(got, ref) {
+			t.Fatalf("size %d: whole read differs from the reference at byte %d", size, firstDiff(got, ref))
+		}
+		for c, ch := range b.chunks {
+			if ch != nil && len(ch) != min(chunkSize, size-c*chunkSize) {
+				t.Fatalf("size %d: chunk %d holds %d bytes", size, c, len(ch))
+			}
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
+}
+
+func firstDiff(a, b []byte) int {
+	for i := range a {
+		if a[i] != b[i] {
+			return i
+		}
 	}
+	return -1
+}
+
+func panics(f func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	f()
+	return false
 }
 
 func TestSpaceAddAndLookup(t *testing.T) {
 	s := NewSpace()
-	r1 := NewRegion("a", 0x1000, NewDense(256))
-	r2 := NewRegion("b", 0x2000, NewDense(256))
+	r1 := NewRegion("a", 0x1000, 256)
+	r2 := NewRegion("b", 0x2000, 256)
 	for _, r := range []*Region{r1, r2} {
 		if err := s.Add(r); err != nil {
 			t.Fatal(err)
@@ -116,19 +186,19 @@ func TestSpaceAddAndLookup(t *testing.T) {
 
 func TestSpaceRejectsOverlapAndDuplicates(t *testing.T) {
 	s := NewSpace()
-	if err := s.Add(NewRegion("a", 0x1000, NewDense(256))); err != nil {
+	if err := s.Add(NewRegion("a", 0x1000, 256)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(NewRegion("a", 0x9000, NewDense(16))); err == nil {
+	if err := s.Add(NewRegion("a", 0x9000, 16)); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	if err := s.Add(NewRegion("c", 0x10FF, NewDense(16))); err == nil {
+	if err := s.Add(NewRegion("c", 0x10FF, 16)); err == nil {
 		t.Fatal("overlapping region accepted")
 	}
 }
 
 func TestRegionContains(t *testing.T) {
-	r := NewRegion("r", 100, NewDense(50))
+	r := NewRegion("r", 100, 50)
 	cases := []struct {
 		addr uint64
 		n    int

@@ -69,10 +69,6 @@ type Node struct {
 
 	bufs    []wbuf // allocation (FIFO) order, len <= params.WriteBuffers
 	nextSeq uint64
-	// emitScratch stages the buffer being flushed in emit: a stack copy
-	// would escape through the Backing interface and charge the allocator
-	// one wbuf per emitted packet.
-	emitScratch wbuf
 
 	trace    *sim.Trace
 	lastMark sim.Time
@@ -186,7 +182,7 @@ func (n *Node) RemoveTargets(down *bool) {
 // deadWindow backs windows whose every receiver has been removed: the
 // permanently-gated mapping still needs a non-nil destination to satisfy
 // the mapping invariants, but never receives a byte.
-var deadWindow = mem.NewRegion("dead-window", 0, nil)
+var deadWindow = mem.NewRegion("dead-window", 0, 0)
 
 // EmitBulk charges a bulk background transfer (the chunked state copy of an
 // online repair) to the SAN: the bytes occupy the link like any other
@@ -286,9 +282,9 @@ func (n *Node) removeBuf(block uint64) {
 
 // emit flushes the buffer at index i (in FIFO order bookkeeping).
 func (n *Node) emit(i int, sync bool) {
-	n.emitScratch = n.bufs[i]
+	b := n.bufs[i]
 	n.bufs = append(n.bufs[:i], n.bufs[i+1:]...)
-	n.emitBuf(&n.emitScratch, sync)
+	n.emitBuf(&b, sync)
 }
 
 // emitBuf turns one buffer into a SAN packet: it charges the link, applies

@@ -40,7 +40,7 @@ func measureOne(p *sim.Params, totalBytes, packetBytes int) float64 {
 	// block within the run; revisits would coalesce across iterations
 	// and distort packet sizes.
 	const window = 1 << 20
-	region := mem.NewRegion("probe", 0, mem.NewDense(window))
+	region := mem.NewRegion("probe", 0, window)
 	if err := node.Map(Mapping{SrcBase: 0, Size: window, Dst: region}); err != nil {
 		panic(err)
 	}
@@ -83,7 +83,7 @@ func MeasureLatency(p *sim.Params) sim.Dur {
 	var clk sim.Clock
 	link := sim.NewLink(p)
 	node := NewNode(p, &clk, link)
-	region := mem.NewRegion("probe", 0, mem.NewDense(64))
+	region := mem.NewRegion("probe", 0, 64)
 	if err := node.Map(Mapping{SrcBase: 0, Size: 64, Dst: region}); err != nil {
 		panic(err)
 	}

@@ -48,7 +48,7 @@ type redoChannel struct {
 	pubTotal uint64
 
 	// Reusable scratch for the zero-alloc commit/apply path. Stack arrays
-	// would escape through the Backing/IOSink interfaces and charge the
+	// would escape through the IOSink interface and charge the
 	// allocator per record; the channel is single-stream under the group
 	// mutex, so shared buffers are safe.
 	hdrBuf   [8]byte
@@ -92,8 +92,8 @@ func (g *Group) laneRegions(n *Node) (ring, ctl *mem.Region, err error) {
 		return ring, n.Space.ByName(regionRingCtl), nil
 	}
 	size := g.params.RingBytes
-	ring = mem.NewRegion(regionRedoRing, g.laneBase, mem.NewDense(size))
-	ctl = mem.NewRegion(regionRingCtl, g.laneBase+uint64(size)+regionBase, mem.NewDense(64))
+	ring = mem.NewRegion(regionRedoRing, g.laneBase, size)
+	ctl = mem.NewRegion(regionRingCtl, g.laneBase+uint64(size)+regionBase, 64)
 	if err = n.Space.Add(ring); err == nil {
 		err = n.Space.Add(ctl)
 	}

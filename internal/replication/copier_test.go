@@ -355,3 +355,29 @@ func TestCopierWaitsOutAnOpenTransaction(t *testing.T) {
 	}
 	checkSparse(t, g, "repair around an aborted transaction")
 }
+
+// TestLoadAfterAbort: on a Passive group an abort's restores are doubled
+// stores that may still sit in the primary's write buffers when a raw Load of
+// the same page follows. Load writes every backup directly, so the buffered
+// restores must leave first, or they land on top of the loaded bytes.
+func TestLoadAfterAbort(t *testing.T) {
+	g, err := replication.NewGroup(replication.Config{
+		Mode:  replication.Passive,
+		Store: vista.Config{Version: vista.V3InlineLog, DBSize: sparseDB},
+	})
+	mustNil(t, err)
+	const p = 3 * 4096
+	tx, err := g.Begin()
+	mustNil(t, err)
+	mustNil(t, tx.SetRange(p, 8))
+	mustNil(t, tx.Write(p, []byte("aborted.")))
+	mustNil(t, tx.Abort())
+	mustNil(t, g.Load(p, []byte("loaded..")))
+	g.Settle(g.QuiesceGrace())
+	want, got := make([]byte, 8), make([]byte, 8)
+	dbRegion(g, -1).ReadRaw(p, want)
+	dbRegion(g, 0).ReadRaw(p, got)
+	if string(want) != "loaded.." || !bytes.Equal(got, want) {
+		t.Fatalf("the backup holds %q where the primary holds %q", got, want)
+	}
+}

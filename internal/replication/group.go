@@ -254,7 +254,7 @@ func (g *Group) newBackupNodes(specs []vista.RegionSpec) error {
 			ackLag: ackStagger(g.params, i),
 		}
 		b.setState(StateInSync)
-		if _, err := vista.PlaceRegions(b.node.Space, g.backupSpecs(specs), regionBase); err != nil {
+		if _, err := vista.PlaceRegions(b.node.Space, specs, regionBase); err != nil {
 			return err
 		}
 		g.backups = append(g.backups, b)
@@ -308,20 +308,6 @@ func (g *Group) mapFanout() error {
 		}
 	}
 	return nil
-}
-
-// backupSpecs optionally converts big regions to sparse backing.
-func (g *Group) backupSpecs(specs []vista.RegionSpec) []vista.RegionSpec {
-	out := make([]vista.RegionSpec, len(specs))
-	copy(out, specs)
-	if g.cfg.SparseBackup {
-		for i := range out {
-			if out[i].Size >= 1<<20 {
-				out[i].Sparse = true
-			}
-		}
-	}
-	return out
 }
 
 // Store returns the currently serving transaction server: the primary, or
@@ -416,10 +402,13 @@ func (g *Group) MoveBudget(want int, sync bool) (paid int) {
 
 // Load installs initial database content on the primary and synchronizes
 // every backup's copies raw (the initial full-database transfer that
-// precedes failure-free operation).
+// precedes failure-free operation). Doubled stores still in the primary's
+// write buffers — an abort's restores on a Passive group — leave first, so
+// none of them lands on a backup over the loaded bytes.
 func (g *Group) Load(off int, data []byte) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	g.primary.Acc.Fence()
 	if err := g.store.Load(off, data); err != nil {
 		return err
 	}

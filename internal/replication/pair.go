@@ -98,9 +98,6 @@ type Config struct {
 	// several groups to one link via trace capture and replay). When nil,
 	// a replicated group gets a private link.
 	Link *sim.Link
-	// SparseBackup backs the backups' large regions with page-on-demand
-	// storage (Table 8's 1 GB database without 3x host memory).
-	SparseBackup bool
 	// Backups is the replication degree K: the number of backup nodes fed
 	// by the primary. Zero means one backup for the replicated modes
 	// (the paper's pair); Standalone ignores it.

@@ -444,7 +444,7 @@ func (g *Group) enrollFreshLocked(i int, wire bool) (*backup, error) {
 		b.walIdx = g.dur.newSlot()
 	}
 	b.setState(StateGated) // gated until its join opens the stream
-	if _, err := vista.PlaceRegions(b.node.Space, g.backupSpecs(specs), regionBase); err != nil {
+	if _, err := vista.PlaceRegions(b.node.Space, specs, regionBase); err != nil {
 		return nil, err
 	}
 	if g.redo != nil {

@@ -30,15 +30,8 @@ func New(space *mem.Space) *Memory {
 func (m *Memory) Space() *mem.Space { return m.space }
 
 // Segment creates a recoverable segment as a region in the address space.
-// sparse selects page-on-demand backing for very large segments.
-func (m *Memory) Segment(name string, base uint64, size int, sparse bool) (*mem.Region, error) {
-	var b mem.Backing
-	if sparse {
-		b = mem.NewSparse(size)
-	} else {
-		b = mem.NewDense(size)
-	}
-	r := mem.NewRegion(name, base, b)
+func (m *Memory) Segment(name string, base uint64, size int) (*mem.Region, error) {
+	r := mem.NewRegion(name, base, size)
 	if err := m.space.Add(r); err != nil {
 		return nil, fmt.Errorf("rio: %w", err)
 	}

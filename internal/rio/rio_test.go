@@ -20,7 +20,7 @@ func newTestMemory(t *testing.T) (*Memory, *mem.Accessor) {
 
 func TestSegmentCreateAndLookup(t *testing.T) {
 	m, _ := newTestMemory(t)
-	r, err := m.Segment("db", 0x1000, 4096, false)
+	r, err := m.Segment("db", 0x1000, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,25 +31,31 @@ func TestSegmentCreateAndLookup(t *testing.T) {
 	if _, err := m.Lookup("nope"); err == nil {
 		t.Fatal("missing segment found")
 	}
-	if _, err := m.Segment("db", 0x9000, 64, false); err == nil {
+	if _, err := m.Segment("db", 0x9000, 64); err == nil {
 		t.Fatal("duplicate segment accepted")
 	}
 }
 
+// TestSegmentSparse: a segment holds no host memory until written, and a
+// write holds only the chunk it lands in.
 func TestSegmentSparse(t *testing.T) {
-	m, _ := newTestMemory(t)
-	r, err := m.Segment("big", 0x100000, 1<<20, true)
+	m, acc := newTestMemory(t)
+	r, err := m.Segment("big", 0x100000, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.Backing().(*mem.Sparse); !ok {
-		t.Fatal("sparse segment has dense backing")
+	if n := r.Backing().Chunks(); n != 0 {
+		t.Fatalf("a fresh segment holds %d chunks", n)
+	}
+	acc.WriteU64(r.Base+5000, 1, mem.CatMeta)
+	if n := r.Backing().Chunks(); n != 1 {
+		t.Fatalf("one word written, %d chunks held", n)
 	}
 }
 
 func TestAttach(t *testing.T) {
 	m, _ := newTestMemory(t)
-	r := mem.NewRegion("x", 0x5000, mem.NewDense(64))
+	r := mem.NewRegion("x", 0x5000, 64)
 	if err := m.Attach(r); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +67,7 @@ func TestAttach(t *testing.T) {
 func newTestHeap(t *testing.T, size int) (*Heap, *mem.Accessor, *mem.Region) {
 	t.Helper()
 	m, acc := newTestMemory(t)
-	reg, err := m.Segment("heap", 0x10000, size, false)
+	reg, err := m.Segment("heap", 0x10000, size)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +169,7 @@ func TestHeapOpenAfterRestart(t *testing.T) {
 
 func TestHeapOpenCorruptRoot(t *testing.T) {
 	m, acc := newTestMemory(t)
-	reg, err := m.Segment("heap", 0x10000, 4096, false)
+	reg, err := m.Segment("heap", 0x10000, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}

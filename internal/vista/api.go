@@ -89,9 +89,6 @@ type Config struct {
 	LogSize int
 	// SRMax is the Version 1/2 set-range array capacity (default 1024).
 	SRMax int
-	// SparseDB backs the database (and mirror) with page-on-demand
-	// storage for the large-database experiment (paper Table 8).
-	SparseDB bool
 }
 
 // withDefaults fills in unset sizes.
@@ -130,8 +127,6 @@ const (
 type RegionSpec struct {
 	Name string
 	Size int
-	// Sparse requests page-on-demand backing.
-	Sparse bool
 	// Replicated regions are mapped write-through in the passive
 	// primary-backup configuration. The set-range array is deliberately
 	// not replicated: the paper's Section 5.1 optimization trades it for
@@ -152,14 +147,14 @@ func Layout(cfg Config) ([]RegionSpec, error) {
 	}
 	specs := []RegionSpec{
 		{Name: RegionControl, Size: 4096, Replicated: true},
-		{Name: RegionDB, Size: cfg.DBSize, Sparse: cfg.SparseDB, Replicated: true},
+		{Name: RegionDB, Size: cfg.DBSize, Replicated: true},
 	}
 	switch cfg.Version {
 	case V0Vista:
 		specs = append(specs, RegionSpec{Name: RegionHeap, Size: cfg.HeapSize, Replicated: true})
 	case V1MirrorCopy, V2MirrorDiff:
 		specs = append(specs,
-			RegionSpec{Name: RegionMirror, Size: cfg.DBSize, Sparse: cfg.SparseDB, Replicated: true},
+			RegionSpec{Name: RegionMirror, Size: cfg.DBSize, Replicated: true},
 			RegionSpec{Name: RegionSRArray, Size: 16 + 16*cfg.SRMax, Replicated: false},
 		)
 	case V3InlineLog:
@@ -181,13 +176,7 @@ const pageStagger = 13 * 8 << 10
 // returning the first address past the last region (aligned).
 func PlaceRegions(space *mem.Space, specs []RegionSpec, base uint64) (uint64, error) {
 	for i, sp := range specs {
-		var b mem.Backing
-		if sp.Sparse {
-			b = mem.NewSparse(sp.Size)
-		} else {
-			b = mem.NewDense(sp.Size)
-		}
-		r := mem.NewRegion(sp.Name, base+uint64(i+1)*pageStagger, b)
+		r := mem.NewRegion(sp.Name, base+uint64(i+1)*pageStagger, sp.Size)
 		r.WriteThrough = sp.Replicated
 		// Every engine region is dirty-tracked so a briefly-partitioned
 		// replica can be delta-resynced: the tracker stamps written pages,

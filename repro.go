@@ -204,8 +204,6 @@ type Config struct {
 	Backup BackupMode
 	// DBSize is the database size in bytes (paper default: 50 MB).
 	DBSize int
-	// SparseDB backs very large databases with page-on-demand storage.
-	SparseDB bool
 	// Backups is the replication degree K: how many backup nodes the
 	// primary feeds. Zero means one backup for the replicated modes —
 	// the paper's pair.
@@ -402,14 +400,12 @@ func newMember(cfg Config) (*member, error) {
 		Mode: cfg.Backup,
 		Obs:  reg,
 		Store: vista.Config{
-			Version:  cfg.Version,
-			DBSize:   cfg.DBSize,
-			SparseDB: cfg.SparseDB,
+			Version: cfg.Version,
+			DBSize:  cfg.DBSize,
 		},
-		SparseBackup: cfg.SparseDB,
-		Backups:      cfg.Backups,
-		Safety:       cfg.Safety,
-		CommitBatch:  cfg.CommitBatch,
+		Backups:     cfg.Backups,
+		Safety:      cfg.Safety,
+		CommitBatch: cfg.CommitBatch,
 		Autopilot: replication.AutopilotConfig{
 			HeartbeatPeriod: sim.Dur(cfg.Autopilot.HeartbeatPeriod.Nanoseconds()) * sim.Nanosecond,
 			SuspectTimeout:  sim.Dur(cfg.Autopilot.SuspectTimeout.Nanoseconds()) * sim.Nanosecond,
