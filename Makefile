@@ -55,7 +55,7 @@ tables:
 
 # The ceiling is the last diet PR's result: a PR that removes code lowers
 # it to what it measures, and no PR raises it without saying why.
-LOC_CEILING := 22292
+LOC_CEILING := 22440
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

@@ -663,6 +663,9 @@ func TestDBConformanceMidJoinNeverServes(t *testing.T) {
 			if err := db.Shard(home).CrashBackup(0); err != nil {
 				t.Fatal(err)
 			}
+			// The crashed backup re-joins from its own memory, by the
+			// pages committed while it was down.
+			writeAt(t, db, off, 0x22)
 			if err := db.Shard(home).RepairAsync(); err != nil {
 				t.Fatal(err)
 			}
@@ -673,13 +676,12 @@ func TestDBConformanceMidJoinNeverServes(t *testing.T) {
 				writeAt(t, db, off+64+(i%32)*16, byte(i))
 				if db.Shard(home).RepairProgress().Joining > 0 {
 					probes++
-					// The repair drops the crashed backup and appends the
-					// joiner after the survivors: it is replica index 2.
-					if _, err := db.ReadAt(off, buf, repro.ReadOpts{Replica: 2}); !errors.Is(err, repro.ErrReplicaUnavailable) {
+					// The joiner keeps its slot: backup 0 is replica 1.
+					if _, err := db.ReadAt(off, buf, repro.ReadOpts{Replica: 1}); !errors.Is(err, repro.ErrReplicaUnavailable) {
 						t.Fatalf("mid-join replica served a pinned read: %v", err)
 					}
 					// The surviving enrolled backup keeps serving throughout.
-					if res, err := db.ReadAt(off, buf, repro.ReadOpts{Replica: 1}); err != nil || res.Replica != 1 {
+					if res, err := db.ReadAt(off, buf, repro.ReadOpts{Replica: 2}); err != nil || res.Replica != 2 {
 						t.Fatalf("survivor refused a pinned read mid-repair: %+v, %v", res, err)
 					}
 				}
@@ -694,7 +696,7 @@ func TestDBConformanceMidJoinNeverServes(t *testing.T) {
 				t.Fatal("never observed the joiner mid-transfer")
 			}
 			db.Settle()
-			if res, err := db.ReadAt(off, buf, repro.ReadOpts{Replica: 2}); err != nil || res.Replica != 2 {
+			if res, err := db.ReadAt(off, buf, repro.ReadOpts{Replica: 1}); err != nil || res.Replica != 1 {
 				t.Fatalf("re-enrolled replica refuses pinned reads: %+v, %v", res, err)
 			}
 		})

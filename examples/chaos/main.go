@@ -2,7 +2,8 @@
 // autopilot. Mid-workload the primary is killed — and nothing else is done.
 // No Failover call, no Repair call: the heartbeat detector declares the
 // primary dead, the most-caught-up backup is promoted under the lease rule,
-// the spare enrolls through the online-repair engine, and commits resume.
+// the crashed primary re-joins from its own memory through the online-repair
+// engine (the spare stays on the shelf), and commits resume.
 // The program prints the cluster's own account of the incident (detection
 // latency, failover latency, repair duration, time-to-restored) and proves
 // the committed prefix survived.
@@ -79,7 +80,7 @@ func main() {
 	for end := txns + 3_000; txns < end; txns++ {
 		commit(txns)
 		if txns%100 == 0 {
-			cluster.Settle() // idle time streams the spare's state transfer
+			cluster.Settle() // idle time streams any state transfer still due
 		}
 	}
 	for cluster.RepairProgress().Active {

@@ -16,3 +16,22 @@ func DBBackings(c *Cluster) []*mem.Backing {
 	}
 	return out
 }
+
+// RegionChunks returns, for node i of the first shard in DBBackings' order,
+// the chunks of host storage each region holds, by region name.
+func RegionChunks(c *Cluster, i int) map[string]int {
+	g := c.first().Group
+	n := g.Primary()
+	if i > 0 {
+		n = g.BackupNode(i - 1)
+	}
+	out := make(map[string]int)
+	for _, r := range n.Space.Regions() {
+		out[r.Name] = r.Backing().Chunks()
+	}
+	return out
+}
+
+// PowerFailPrimary cuts the first shard's serving node's power: unlike
+// CrashPrimary, its memory is gone.
+func PowerFailPrimary(c *Cluster) error { return c.first().Group.PowerFailNode(-1) }

@@ -74,7 +74,7 @@ func runChaos(cfg RunConfig) (*Table, error) {
 	t := &Table{
 		ID:      "chaos",
 		Title:   "Unattended chaos run: per-event fault timeline (Debit-Credit workload)",
-		Headers: []string{"Event", "Kind", "Node", "Failed (ms)", "MTTD (us)", "Failover (us)", "Repair (ms)", "MTTR (ms)"},
+		Headers: []string{"Event", "Kind", "Node", "Failed (ms)", "MTTD (us)", "Failover (us)", "Repair (ms)", "Repair bytes", "MTTR (ms)"},
 		Notes: append(runNotes(cfg),
 			fmt.Sprintf("active backup, K=%d, %s commit, %d MB database, autopilot: heartbeat %v, suspect %v, %d spares",
 				backups, cfg.Safety, db>>20, hb, suspect, 2*events),
@@ -94,6 +94,7 @@ func runChaos(cfg RunConfig) (*Table, error) {
 			us(e.MTTD()),
 			us(e.FailoverLatency()),
 			ms(e.RepairDuration()),
+			fmt.Sprintf("%d", e.RepairBytes),
 			ms(e.MTTR()),
 		})
 	}

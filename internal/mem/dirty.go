@@ -57,6 +57,9 @@ func (d *DirtyLog) Mark(off, n int) {
 // destination has written.
 func (d *DirtyLog) Written(p int) bool { return d.pages[p] != 0 }
 
+// Stamp returns the sequence of page p's last mark, 0 if it was never marked.
+func (d *DirtyLog) Stamp(p int) uint64 { return d.pages[p] }
+
 // NextDirty returns the first page index >= from stamped after epoch, or -1
 // when no such page remains.
 func (d *DirtyLog) NextDirty(from int, epoch uint64) int {
@@ -66,18 +69,6 @@ func (d *DirtyLog) NextDirty(from int, epoch uint64) int {
 		}
 	}
 	return -1
-}
-
-// BytesSince returns the total size of the pages stamped after epoch — the
-// delta a replica gated at that epoch must receive to catch up.
-func (d *DirtyLog) BytesSince(epoch uint64) int64 {
-	var n int64
-	for _, s := range d.pages {
-		if s > epoch {
-			n += int64(d.pageSize)
-		}
-	}
-	return n
 }
 
 // Stamps copies the last-mark sequences of the pages from the one holding

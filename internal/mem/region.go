@@ -140,6 +140,15 @@ func (r *Region) WriteRaw(off int, src []byte) {
 	r.backing.writeAt(off, src)
 }
 
+// Release returns the region to a fresh machine's state: it reads zero, holds
+// no host memory, and its dirty log, if any, has marked nothing.
+func (r *Region) Release() {
+	r.backing = newBacking(r.Size())
+	if r.Dirty != nil {
+		r.Dirty = NewDirtyLog(r.Size(), r.Dirty.PageSize())
+	}
+}
+
 // Backing exposes the region's host storage, for footprint checks.
 func (r *Region) Backing() *Backing { return r.backing }
 

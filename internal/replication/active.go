@@ -86,8 +86,10 @@ func (g *Group) establish() error {
 }
 
 // laneRegions returns n's copy of the redo ring and of the pointer word,
-// placing them past the engine's regions on a node that has none yet.
+// placing them past the engine's regions on a node that has none yet, and
+// gives the node its commit-stamp record.
 func (g *Group) laneRegions(n *Node) (ring, ctl *mem.Region, err error) {
+	n.stamps.init(n.Space.ByName(vista.RegionDB))
 	if ring = n.Space.ByName(regionRedoRing); ring != nil {
 		return ring, n.Space.ByName(regionRingCtl), nil
 	}
@@ -307,6 +309,9 @@ func (c *redoChannel) applyDelivered(b *backup) {
 		c.applyRecord(b, off, int(nWrites), int(size))
 		b.appliedTotal += uint64(size)
 		b.appliedTxns++
+		if b.state == StateInSync {
+			b.node.stamps.record(b.appliedTxns)
+		}
 	}
 }
 

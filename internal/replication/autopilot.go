@@ -25,11 +25,11 @@
 //     acknowledgements are only counted from replicas carrying the current
 //     epoch, so a replica that missed a membership change can never vouch
 //     for data.
-//   - Self-healing. On backup death the group re-enrolls replacements from
-//     a bounded spare pool through the PR 3 online-repair engine; the
-//     timeline of every fault (failed/detected/failed-over/repair-started/
-//     restored) is recorded as a FailureEvent for the MTTD/MTTR metrics the
-//     chaos harness reports.
+//   - Self-healing. On a node's death the group re-joins it from its own
+//     memory through the online-repair engine, and replaces a node whose
+//     memory is gone from a bounded spare pool; the timeline of every fault
+//     (failed/detected/failed-over/repair-started/restored) is recorded as a
+//     FailureEvent for the MTTD/MTTR metrics the chaos harness reports.
 package replication
 
 import (
@@ -92,6 +92,9 @@ type FailureEvent struct {
 	// RestoredAt is the instant the group was back at full redundancy;
 	// RestoredAt - FailedAt is the event's MTTR.
 	RestoredAt sim.Time
+	// RepairBytes is the state-transfer payload the group shipped while the
+	// event was open.
+	RepairBytes int64
 }
 
 // beatBytes is the payload of one heartbeat (and of one acknowledgement):
@@ -137,12 +140,15 @@ func newAutopilot(cfg AutopilotConfig) *autopilot {
 }
 
 // rewatch rebuilds the detector over the group's current membership and
-// restarts the heartbeat grid at now.
+// restarts the heartbeat grid at now. A crashed member is not watched: it
+// re-joins at the next repair, which watches it again.
 func (a *autopilot) rewatch(g *Group, now sim.Time) {
 	a.det = detect.New(a.cfg.detectConfig())
 	a.det.Watch(g.primary.Name, now)
 	for _, b := range g.backups {
-		a.det.Watch(b.node.Name, now)
+		if b.alive() {
+			a.det.Watch(b.node.Name, now)
+		}
 	}
 	a.lastBeat = now
 }
@@ -326,8 +332,10 @@ func (g *Group) autopilotPumpLocked() {
 			// dead one: expel it — the epoch fence keeps anything it
 			// still holds from ever vouching — so the repair below can
 			// heal around it instead of leaving the group degraded (and,
-			// under 2-safe, refusing every commit). A later ResumeBackup
-			// of the expelled machine is a no-op: its slot is gone.
+			// under 2-safe, refusing every commit). The machine stays out
+			// of reach, so a spare replaces it; a later ResumeBackup of
+			// it is a no-op: its slot is gone.
+			b.node.lost = true
 			b.setState(StateCrashed)
 		}
 		g.autoRepairLocked()

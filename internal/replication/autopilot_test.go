@@ -159,9 +159,9 @@ func TestGroupCommitBatchUnaffectedByControl(t *testing.T) {
 	}
 }
 
-// TestBackupDeathDetectionLatency: a crashed backup is declared dead within
+// TestBackupDeathDetectionLatency: a dead backup is declared dead within
 // SuspectTimeout + HeartbeatPeriod of the fault, and self-healing re-enrolls
-// a spare without any manual Repair call.
+// a spare — its memory went with its power — without any manual Repair call.
 func TestBackupDeathDetectionLatency(t *testing.T) {
 	ap := apTiming
 	ap.AutoRepair = true
@@ -170,7 +170,7 @@ func TestBackupDeathDetectionLatency(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		commitSlot(t, g, i, 1)
 	}
-	if err := g.CrashBackup(1); err != nil {
+	if err := g.PowerFailNode(1); err != nil {
 		t.Fatal(err)
 	}
 	// Keep the cluster busy: commits pump detection and the repair
@@ -442,7 +442,8 @@ func TestAutoRepairReplacesPartitionedBackup(t *testing.T) {
 }
 
 // TestAutoRepairSparePoolBounds: the spare pool limits how many fresh
-// nodes self-healing may enroll; once dry the group serves degraded.
+// nodes self-healing may enroll in place of nodes whose memory is gone;
+// once dry the group serves degraded.
 func TestAutoRepairSparePoolBounds(t *testing.T) {
 	ap := apTiming
 	ap.AutoRepair = true
@@ -461,7 +462,7 @@ func TestAutoRepairSparePoolBounds(t *testing.T) {
 			}
 		}
 	}
-	if err := g.CrashBackup(1); err != nil {
+	if err := g.PowerFailNode(1); err != nil {
 		t.Fatal(err)
 	}
 	heal()
@@ -473,7 +474,7 @@ func TestAutoRepairSparePoolBounds(t *testing.T) {
 	}
 
 	// Second fault: pool is dry, the group stays degraded but serving.
-	if err := g.CrashBackup(1); err != nil {
+	if err := g.PowerFailNode(1); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {

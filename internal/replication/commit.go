@@ -217,6 +217,7 @@ func (t *groupTx) Commit() error {
 	if err != nil {
 		return err
 	}
+	g.primary.stamps.record(g.store.Committed())
 	if g.redo == nil && !g.passiveAcksLocked() {
 		err = g.durFlushLocked()
 		g.pumpRepairLocked(false)

@@ -152,12 +152,12 @@ func runSparseScenario(t *testing.T, mode replication.Mode, safety replication.S
 				mustNil(t, g.RepairAsync())
 			}
 			heal(when + " partition")
-		case 1: // a dead backup: a fresh node joins
-			mustNil(t, g.CrashBackup(victim))
+		case 1: // a backup whose memory is gone: a fresh node joins
+			mustNil(t, g.PowerFailNode(victim))
 			mustNil(t, g.RepairAsync())
 			heal(when + " fresh join")
 		case 2: // the primary dies with a join in flight and its window open
-			mustNil(t, g.CrashBackup(victim))
+			mustNil(t, g.PowerFailNode(victim))
 			mustNil(t, g.RepairAsync())
 			traffic(1 + rng.Intn(20))
 			mustNil(t, g.Crash())
@@ -171,62 +171,94 @@ func runSparseScenario(t *testing.T, mode replication.Mode, safety replication.S
 	}
 }
 
-// TestSparseTransferZeroesWhatTheSourceNeverWrote builds by hand the case the
-// union with the destination's dirty log exists for: a joiner copies a page
-// holding a commit its primary never published, the primary dies, and the
-// promoted node — which never wrote that page — must leave it zero on the
-// joiner too.
+// TestSparseTransferZeroesWhatTheSourceNeverWrote builds by hand the cases
+// the union with the destination's dirty log exists for: a node holds a page
+// carrying a commit the primary never published, the primary dies, and the
+// promoted node — which never wrote that page — must leave it zero there too.
+// The node is either a fresh joiner that copied the page mid-join (re-synced
+// as a survivor by a full transfer) or the old primary itself, re-joining
+// from its own memory by delta.
 func TestSparseTransferZeroesWhatTheSourceNeverWrote(t *testing.T) {
-	g, err := replication.NewGroup(replication.Config{
-		Mode:        replication.Active,
-		Store:       vista.Config{Version: vista.V3InlineLog, DBSize: sparseDB},
-		Backups:     2,
-		CommitBatch: 16,   // the commit below stays in an open batch
-		RepairChunk: 4096, // one page a pump
-	})
-	mustNil(t, err)
 	const lost = 5 * 4096 // a page nothing else writes
-	for _, p := range []int{0, 2, 7} {
-		mustNil(t, g.Load(p*4096, []byte("loaded")))
+	newGroup := func(t *testing.T, batch int) *replication.Group {
+		g, err := replication.NewGroup(replication.Config{
+			Mode:        replication.Active,
+			Store:       vista.Config{Version: vista.V3InlineLog, DBSize: sparseDB},
+			Backups:     2,
+			CommitBatch: batch, // the commits below stay in an open batch
+		})
+		mustNil(t, err)
+		for _, p := range []int{0, 2, 7} {
+			mustNil(t, g.Load(p*4096, []byte("loaded")))
+		}
+		return g
 	}
-	mustNil(t, g.CrashBackup(1))
-	mustNil(t, g.RepairAsync())
-	// A long quiet period banks budget; its pump ships page 0 and no more.
-	g.Settle(sim.Millisecond)
-	// Two commits in the open batch: the first's pump ships page 2, the
-	// second's the page both wrote. Page 7 keeps the join open.
-	for _, val := range []string{"unpubl'd", "as well."} {
+	commit := func(t *testing.T, g *replication.Group, val string) {
 		tx, err := g.Begin()
 		mustNil(t, err)
 		mustNil(t, tx.SetRange(lost, 8))
 		mustNil(t, tx.Write(lost, []byte(val)))
 		mustNil(t, tx.Commit())
 	}
-	if st := g.BackupState(1); st != replication.StateSyncing {
-		t.Fatalf("joiner is %v, want still syncing", st)
+	failover := func(t *testing.T, g *replication.Group) {
+		mustNil(t, g.Crash())
+		_, err := g.Failover()
+		mustNil(t, err)
+		if g.Committed() != 0 {
+			t.Fatalf("the promoted node holds %d commits: the batch was published", g.Committed())
+		}
+		if dbRegion(g, -1).Dirty.Written(lost / 4096) {
+			t.Fatal("the promoted node wrote the page: the rig proves nothing")
+		}
 	}
-	got := make([]byte, 8)
-	dbRegion(g, 1).ReadRaw(lost, got)
-	if string(got) != "as well." {
-		t.Fatalf("the rig did not copy the unpublished page to the joiner: %q", got)
+	zeroAt := func(t *testing.T, g *replication.Group, i int, who string) {
+		got := make([]byte, 8)
+		dbRegion(g, i).ReadRaw(lost, got)
+		if !bytes.Equal(got, make([]byte, 8)) {
+			t.Fatalf("%s kept a dead era's page: %q", who, got)
+		}
 	}
-	mustNil(t, g.Crash())
-	_, err = g.Failover()
-	mustNil(t, err)
-	if g.Committed() != 0 {
-		t.Fatalf("the promoted node holds %d commits: the batch was published", g.Committed())
-	}
-	if dbRegion(g, -1).Dirty.Written(lost / 4096) {
-		t.Fatal("the promoted node wrote the page: the rig proves nothing")
-	}
-	if g.Backups() != 1 || g.BackupState(0) != replication.StateInSync {
-		t.Fatalf("the joiner was not re-synced as a survivor: %d backups", g.Backups())
-	}
-	dbRegion(g, 0).ReadRaw(lost, got)
-	if !bytes.Equal(got, make([]byte, 8)) {
-		t.Fatalf("the former joiner kept a dead era's page: %q", got)
-	}
-	checkSparse(t, g, "takeover")
+
+	t.Run("fresh-joiner", func(t *testing.T) {
+		g := newGroup(t, 1024)
+		mustNil(t, g.PowerFailNode(1))
+		// The page is written before the join opens, so the joiner's plan
+		// holds it; every commit here stays in the open batch.
+		commit(t, g, "unpubl'd")
+		mustNil(t, g.RepairAsync())
+		// Each commit's pump pays a little of the copy: stop once the page
+		// has reached the joiner, with page 7 still to ship.
+		got := make([]byte, 8)
+		for n := 0; got[0] == 0; n++ {
+			if n == 1000 {
+				t.Fatal("the rig never copied the unpublished page to the joiner")
+			}
+			commit(t, g, "as well.")
+			dbRegion(g, 1).ReadRaw(lost, got)
+		}
+		if st := g.BackupState(1); st != replication.StateSyncing {
+			t.Fatalf("joiner is %v, want still syncing", st)
+		}
+		failover(t, g)
+		if g.Backups() != 2 || g.BackupState(0) != replication.StateInSync {
+			t.Fatalf("the joiner was not re-synced as a survivor: %d backups, %v", g.Backups(), g.BackupState(0))
+		}
+		zeroAt(t, g, 0, "the former joiner")
+		checkSparse(t, g, "takeover")
+	})
+
+	t.Run("old-primary", func(t *testing.T) {
+		g := newGroup(t, 16)
+		g.Settle(g.QuiesceGrace())
+		commit(t, g, "unpubl'd")
+		failover(t, g)
+		if g.Backups() != 2 || g.BackupState(1) != replication.StateCrashed {
+			t.Fatalf("want a survivor and the old primary kept crashed: %d backups", g.Backups())
+		}
+		mustNil(t, g.Repair())
+		zeroAt(t, g, 1, "the re-joined old primary")
+		checkSparse(t, g, "re-join")
+	})
 }
 
 // TestSparseTransferAfterDirtyGate: a backup partitioned away while the

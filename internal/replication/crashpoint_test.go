@@ -306,8 +306,8 @@ func runRepairScenario(t *testing.T, iter int, sc repairScenario) {
 	}
 	g.Settle(g.QuiesceGrace())
 	victim := sc.backups - 1
-	if err := g.CrashBackup(victim); err != nil {
-		fail("crash backup: %v", err)
+	if err := g.PowerFailNode(victim); err != nil {
+		fail("power-fail backup: %v", err)
 	}
 	if err := g.RepairAsync(); err != nil {
 		fail("repair async: %v", err)
@@ -322,7 +322,8 @@ func runRepairScenario(t *testing.T, iter int, sc repairScenario) {
 
 	if sc.crashJoiner {
 		// The joining backup dies mid-transfer: the group must shrug it
-		// off, repair again with another fresh node, and lose nothing.
+		// off, re-join it by a full transfer (its copy is fuzzy), and
+		// lose nothing.
 		if err := g.CrashBackup(joiner); err != nil {
 			fail("crash joiner: %v", err)
 		}

@@ -529,6 +529,7 @@ func (g *Group) initDurability() error {
 			if err := g.establish(); err != nil {
 				return err
 			}
+			g.primary.stamps.record(w.Seq)
 		}
 
 		// Each backup machine restarts from its own disk: one whose
@@ -638,10 +639,10 @@ func (g *Group) PowerFail() error {
 		}
 		g.crashPrimaryLocked()
 	}
+	g.primary.lost = true
 	for _, b := range g.backups {
-		if b.alive() {
-			b.setState(StateCrashed)
-		}
+		b.node.lost = true
+		b.setState(StateCrashed)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,9 +25,10 @@ import (
 // it, and replication continues in the mode the group was built in — the
 // group tolerates sequential failures for as long as replicas remain, and
 // an Active group runs the active scheme through all of them. RepairAsync
-// re-enrolls resumed backups and fresh nodes online: the state transfer
-// runs in the background of the commit stream (see recovery.go and the
-// BackupState lifecycle), so the cluster keeps serving while it heals.
+// re-enrolls resumed and crashed nodes (the old primary included) from
+// their own memory, and fresh nodes where memory is gone, online: the state
+// transfer runs in the background of the commit stream (see recovery.go and
+// the BackupState lifecycle), so the cluster keeps serving while it heals.
 //
 // # Concurrency
 //
@@ -228,6 +230,11 @@ func NewGroup(cfg Config) (*Group, error) {
 		if err := g.establish(); err != nil {
 			return nil, err
 		}
+		// Every node starts out holding the store's opening state.
+		g.primary.stamps.record(store.Committed())
+		for _, b := range g.backups {
+			b.node.stamps.record(store.Committed())
+		}
 	}
 	if cfg.Autopilot.Enabled() {
 		g.autop = newAutopilot(cfg.Autopilot)
@@ -265,10 +272,10 @@ func (g *Group) newBackupNodes(specs []vista.RegionSpec) error {
 // attachLocked puts the serving node on the SAN: a fresh Memory Channel
 // attachment whose windows are mapped onto every backup. The group has no
 // link after a failover — the dead primary's kept time on that node's clock
-// — so the promoted node gets a new one; with no backup to ship to it stays
-// off the SAN until RepairAsync brings a joiner.
+// — so the promoted node gets a new one; with no live backup to ship to it
+// stays off the SAN until RepairAsync brings one back.
 func (g *Group) attachLocked() error {
-	if len(g.backups) == 0 {
+	if !slices.ContainsFunc(g.backups, (*backup).alive) {
 		return nil
 	}
 	if g.link == nil {
@@ -339,8 +346,8 @@ func (g *Group) BackupNode(i int) *Node {
 	return g.backups[i].node
 }
 
-// Backups returns the current number of backup nodes (crashed ones
-// included until the next failover or repair drops them).
+// Backups returns the current number of backup nodes, crashed ones included
+// until a repair re-joins them (or drops those whose memory is gone).
 func (g *Group) Backups() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -575,6 +582,11 @@ func (g *Group) Crash() error {
 	if g.crashed {
 		return ErrCrashed
 	}
+	g.crashLocked()
+	return nil
+}
+
+func (g *Group) crashLocked() {
 	// Heartbeat rounds due before the failure instant were genuinely
 	// emitted by the then-alive node; exchange them first, then stamp the
 	// fault's ground-truth instant for the MTTD accounting.
@@ -583,7 +595,6 @@ func (g *Group) Crash() error {
 		g.autop.crashedAt = g.primary.Clock.Now()
 	}
 	g.crashPrimaryLocked()
-	return nil
 }
 
 // Crashed reports whether the serving primary has crashed.
@@ -599,7 +610,9 @@ func (g *Group) Crashed() bool {
 // serves, the remaining survivors are re-synced behind it and replication
 // continues in the group's own scheme (an Active group establishes a fresh
 // redo lane on the promoted node), so another Crash/Failover cycle works for
-// as long as replicas remain. Returns the recovered store, ready to serve.
+// as long as replicas remain. The crashed primary stays a member, crashed,
+// for the next repair to re-join from its own memory (see demoteLocked).
+// Returns the recovered store, ready to serve.
 func (g *Group) Failover() (*vista.Store, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -654,13 +667,19 @@ func (g *Group) failoverLocked() (*vista.Store, error) {
 		return nil, err
 	}
 
-	// Era transition: the survivor serves, everyone else re-enrolls
-	// behind it.
-	survivors := make([]*backup, 0, len(g.backups))
+	// Era transition: the survivor serves, and every other node whose
+	// memory survived re-enrolls behind it, its record cut back to the
+	// promoted prefix t: the new lineage reuses the later commit numbers.
+	t := st.Committed()
+	kept := make([]*backup, 0, len(g.backups)+1)
 	for _, b := range g.backups {
-		if b != best && b.alive() {
-			survivors = append(survivors, b)
+		if b != best && !b.node.lost {
+			b.node.stamps.forget(t)
+			kept = append(kept, b)
 		}
+	}
+	if b := g.demoteLocked(t); b != nil {
+		kept = append(kept, b)
 	}
 	g.generation++
 	g.primary = best.node
@@ -670,7 +689,7 @@ func (g *Group) failoverLocked() (*vista.Store, error) {
 	// resetMeasurementLocked below; until then lock-free readers keep a
 	// consistent view of the old era.
 	g.servingStore.Store(st)
-	if err := g.wireSurvivors(survivors); err != nil {
+	if err := g.wireSurvivors(kept); err != nil {
 		return nil, err
 	}
 	// Era transition complete: a fresh membership epoch fences any
@@ -691,13 +710,43 @@ func (g *Group) failoverLocked() (*vista.Store, error) {
 	return st, nil
 }
 
+// demoteLocked keeps the crashed primary's node as a crashed backup that
+// re-joins from its own memory; nil when its memory is gone or out of reach,
+// or its commit stamps do not reach back to t, the promoted prefix (the
+// passive scheme records none). Its database keeps everything, the commits
+// after t it must lose included; its primary-only regions — undo log,
+// control, producer lane — are released.
+func (g *Group) demoteLocked(t uint64) *backup {
+	n := g.primary
+	if n.lost || (g.autop != nil && g.autop.partitioned) {
+		return nil
+	}
+	n.stamps.forget(t)
+	if _, ok := n.stamps.stamp(t); !ok {
+		return nil
+	}
+	for _, r := range n.Space.Regions() {
+		if r.Name != vista.RegionDB {
+			r.Release()
+			r.IOOnly = false
+		}
+	}
+	n.MC, n.Acc.IO = nil, nil
+	b := &backup{node: n}
+	if g.dur != nil {
+		b.walIdx = g.dur.primarySlot
+	}
+	b.setState(StateCrashed)
+	return b
+}
+
 // wireSurvivors opens the promoted node's era in the group's own scheme —
 // an Active group establishes a fresh lane, a Passive one maps the node's
-// recoverable regions — and re-synchronizes the given backups behind it
-// through the chunked transfer engine, driven to completion on the spot,
-// since takeover happens with the cluster already down.
-func (g *Group) wireSurvivors(survivors []*backup) error {
-	g.backups = survivors
+// recoverable regions — for the given backups, and re-synchronizes the live
+// ones behind it, driven to completion on the spot, since takeover happens
+// with the cluster already down.
+func (g *Group) wireSurvivors(backups []*backup) error {
+	g.backups = backups
 	g.link = nil
 	wire := g.attachLocked
 	if g.cfg.Mode == Active {
@@ -708,7 +757,9 @@ func (g *Group) wireSurvivors(survivors []*backup) error {
 	}
 	for i, b := range g.backups {
 		b.ackLag = ackStagger(g.params, i)
-		g.resyncSurvivorLocked(b)
+		if b.alive() {
+			g.resyncSurvivorLocked(b)
+		}
 	}
 	return nil
 }

@@ -151,13 +151,14 @@ func TestFailoverPromotesMostCaughtUp(t *testing.T) {
 	}
 
 	// The survivors (both formerly paused) re-synced behind the new
-	// primary: their database copies now equal the promoted state.
-	if g.Backups() != 2 {
-		t.Fatalf("%d survivors wired, want 2", g.Backups())
+	// primary: their database copies now equal the promoted state. The
+	// old primary stays a member, crashed, until a repair re-joins it.
+	if g.Backups() != 3 || g.BackupState(2) != replication.StateCrashed {
+		t.Fatalf("%d members wired, want 2 survivors and the crashed old primary", g.Backups())
 	}
 	want := make([]byte, testDB)
 	st.ReadRaw(0, want)
-	for i := 0; i < g.Backups(); i++ {
+	for i := 0; i < 2; i++ {
 		got := make([]byte, testDB)
 		g.BackupNode(i).Space.ByName(vista.RegionDB).ReadRaw(0, got)
 		if !bytes.Equal(got, want) {

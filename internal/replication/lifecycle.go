@@ -28,7 +28,9 @@ import (
 //	CatchingUp  transfer complete (active scheme): draining the redo ring
 //	            from its copy-start sequence until the lag falls under
 //	            the cut-over threshold. Still not promotion-eligible.
-//	Crashed     dead; dropped and replaced at the next failover or repair.
+//	Crashed     dead. Its reliable memory survives a crash (Rio), so the
+//	            next repair re-joins the same node by delta; a node whose
+//	            memory is gone (PowerFailNode) is replaced by a spare.
 type BackupState int
 
 // Backup lifecycle states.
@@ -83,13 +85,12 @@ type backup struct {
 	// re-enrolls (see Group.bumpEpochLocked).
 	epoch int
 
-	// Gating snapshot, captured when the backup leaves the live stream:
-	// the dirty-log epochs of the primary's recoverable regions, the
-	// committed count, and whether the departure was clean (no bytes
-	// still coalescing toward it). RepairAsync uses it to ship only the
-	// pages dirtied since — or to skip the transfer entirely when the
-	// stream has a provably empty gap.
-	gateEpochs    map[string]uint64
+	// Gating snapshot of a passive-scheme backup, captured when it leaves
+	// the live stream: both sides' dirty-log epochs of every recoverable
+	// region, the committed count, and whether the departure was clean (no
+	// bytes still coalescing toward it). An active backup's commit stamps
+	// bound the same gap (see rejoinPlanLocked).
+	gateEpochs    map[string]since
 	gateCommitted uint64
 	gateGen       int
 	cleanGate     bool
@@ -181,25 +182,33 @@ func (g *Group) BackupState(i int) BackupState {
 	return b.state
 }
 
-// snapshotGateLocked captures the departure point of a backup leaving the
-// live stream: the per-region dirty epochs, the committed count, and
-// whether it left clean — holding everything committed so far: no byte still
-// coalescing toward it and, in the active scheme, no record whose pointer
-// (lingering in a write buffer, or held back by an open batch) it never saw.
-// Only then do the epochs bound what it missed.
-func (g *Group) snapshotGateLocked(b *backup) {
-	epochs := make(map[string]uint64)
-	for _, r := range g.syncRegionsLocked() {
-		if r.Dirty != nil {
-			epochs[r.Name] = r.Dirty.Seq()
+// leaveStreamLocked takes backup b off the live stream (a partition or a
+// crash): an active backup applies what was delivered to it, which its commit
+// stamps record; a passive one snapshots its gate, whose epochs bound what it
+// missed only if no byte was still coalescing toward it. A join in flight is
+// aborted and its copy stays fuzzy.
+func (g *Group) leaveStreamLocked(b *backup) {
+	switch b.state {
+	case StateInSync:
+		if g.redo != nil {
+			g.redo.applyDelivered(b)
+			break
 		}
+		epochs := make(map[string]since)
+		for _, r := range g.syncRegionsLocked() {
+			epochs[r.Name] = since{r.Dirty.Seq(), b.node.Space.ByName(r.Name).Dirty.Seq()}
+		}
+		b.gateEpochs = epochs
+		b.gateCommitted = g.store.Committed()
+		b.gateGen = g.generation
+		b.cleanGate = g.primary.MC == nil || g.primary.MC.PendingBufs() == 0
+	case StateSyncing, StateCatchingUp:
+		g.abortJobLocked(b)
+	case StatePaused, StateGated:
+		// Keep the earlier snapshot: the gap began at the original pause.
 	}
-	b.gateEpochs = epochs
-	b.gateCommitted = g.store.Committed()
-	b.gateGen = g.generation
-	b.cleanGate = g.primary.MC == nil || g.primary.MC.PendingBufs() == 0
-	if g.redo != nil {
-		b.cleanGate = b.appliedTotal == g.redo.prodTotal
+	if g.autop != nil {
+		g.autop.noteFault(b.node.Name, g.primary.Clock.Now())
 	}
 }
 
@@ -222,22 +231,10 @@ func (g *Group) PauseBackup(i int) error {
 // pauseBackupLocked partitions one backup away from the SAN (shared by
 // PauseBackup and PartitionPrimary, which severs every backup at once).
 func (g *Group) pauseBackupLocked(b *backup) {
-	switch b.state {
-	case StateCrashed, StatePaused:
+	if b.state == StateCrashed || b.state == StatePaused {
 		return
-	case StateInSync:
-		if g.redo != nil {
-			g.redo.applyDelivered(b) // capture the delivered prefix first
-		}
-		g.snapshotGateLocked(b)
-	case StateSyncing, StateCatchingUp:
-		g.abortJobLocked(b)
-	case StateGated:
-		// Keep the earlier snapshot: the gap began at the original pause.
 	}
-	if g.autop != nil {
-		g.autop.noteFault(b.node.Name, g.primary.Clock.Now())
-	}
+	g.leaveStreamLocked(b)
 	// A partition is not a power loss: the replica's WAL closes cleanly
 	// at its frozen prefix.
 	g.durDropBackupLocked(b, true)
@@ -264,6 +261,8 @@ func (g *Group) ResumeBackup(i int) error {
 
 // CrashBackup kills backup i: it stops receiving, never acknowledges, and
 // is not eligible for promotion. A mid-join victim's transfer is aborted.
+// Its reliable memory survives, so the next repair re-joins the same node by
+// the pages that changed since the last commit it holds.
 func (g *Group) CrashBackup(i int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -271,17 +270,37 @@ func (g *Group) CrashBackup(i int) error {
 	if err != nil {
 		return err
 	}
+	g.crashBackupLocked(b)
+	return nil
+}
+
+func (g *Group) crashBackupLocked(b *backup) {
 	if b.state == StateCrashed {
-		return nil
+		return
 	}
-	if b.joining() {
-		g.abortJobLocked(b)
-	}
-	if g.autop != nil {
-		g.autop.noteFault(b.node.Name, g.primary.Clock.Now())
-	}
+	g.leaveStreamLocked(b)
 	g.durDropBackupLocked(b, false)
 	b.setState(StateCrashed)
+}
+
+// PowerFailNode cuts one machine's power (-1 is the serving primary). Unlike
+// a crash, its memory is gone: a spare replaces it, by a full transfer.
+func (g *Group) PowerFailNode(i int) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if i < 0 {
+		g.primary.lost = true
+		if !g.crashed {
+			g.crashLocked()
+		}
+		return nil
+	}
+	b, err := g.backupAt(i)
+	if err != nil {
+		return err
+	}
+	b.node.lost = true
+	g.crashBackupLocked(b)
 	return nil
 }
 

@@ -107,8 +107,9 @@ func TestBackupStateMachine(t *testing.T) {
 		// another RepairAsync leaves the in-flight join running.
 		{Y, map[lifecycleEvent]replication.BackupState{evPause: P, evResume: Y, evCrash: C, evRepair: Y}},
 		// Dead machines stay dead under every event except repair, which
-		// replaces the slot with a fresh joining node.
-		{C, map[lifecycleEvent]replication.BackupState{evPause: C, evResume: C, evCrash: C, evRepair: Y}},
+		// re-joins the node from its own memory: with nothing committed
+		// since its crash, at once.
+		{C, map[lifecycleEvent]replication.BackupState{evPause: C, evResume: C, evCrash: C, evRepair: S}},
 	}
 	for _, row := range matrix {
 		for _, ev := range []lifecycleEvent{evPause, evResume, evCrash, evRepair} {

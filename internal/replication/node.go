@@ -30,6 +30,64 @@ type Node struct {
 	Rio   *rio.Memory
 	Acc   *mem.Accessor
 	MC    *memchannel.Node
+
+	stamps commitStamps // active scheme only
+	lost   bool         // memory gone or out of reach: replace, never re-join
+}
+
+// commitStamps records a node's database dirty-log sequence at each of its
+// last len(at) commits, indexed by commit sequence: at the reading for commit
+// c the database held exactly the state c left, so it can differ from that
+// state only on the pages stamped since. A primary records at each commit, an
+// in-sync backup at each record it applies; a join in flight clears it.
+type commitStamps struct {
+	db *mem.Region
+	at []uint64
+	// hi is the newest commit recorded and n how many are, hi among them.
+	hi, n uint64
+}
+
+// init allocates the record once: 4096 commits, 15× the widest re-join gap
+// measured (DESIGN.md, repair section); a wider gap takes a full transfer.
+func (s *commitStamps) init(db *mem.Region) {
+	if s.at == nil {
+		s.db, s.at = db, make([]uint64, 4096)
+	}
+}
+
+// record stamps commit c with the log's current sequence. Re-reading the
+// newest commit keeps the older readings (they still bound everything the log
+// stamped since); any other commit that does not follow the newest one
+// starts the record afresh.
+func (s *commitStamps) record(c uint64) {
+	if s.at == nil {
+		return
+	}
+	switch {
+	case s.n > 0 && c == s.hi+1:
+		s.n = min(s.n+1, uint64(len(s.at)))
+	case s.n == 0 || c != s.hi:
+		s.n = 1
+	}
+	s.hi = c
+	s.at[c%uint64(len(s.at))] = s.db.Dirty.Seq()
+}
+
+// stamp returns the log's sequence at commit c, if it is still recorded.
+func (s *commitStamps) stamp(c uint64) (uint64, bool) {
+	if c > s.hi || s.hi-c >= s.n {
+		return 0, false
+	}
+	return s.at[c%uint64(len(s.at))], true
+}
+
+// forget drops the commits after c: a failover chose a lineage that never
+// saw them, and its own commits will reuse their sequence numbers.
+func (s *commitStamps) forget(c uint64) {
+	if c < s.hi {
+		s.n -= min(s.n, s.hi-c)
+		s.hi = c
+	}
 }
 
 // NewNode constructs a node. link may be nil for a machine that never

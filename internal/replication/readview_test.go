@@ -97,7 +97,7 @@ func TestReadAtMidJoinNeverServes(t *testing.T) {
 		commitSlot(t, g, i, byte(i))
 	}
 	g.Settle(g.QuiesceGrace())
-	if err := g.CrashBackup(1); err != nil {
+	if err := g.PowerFailNode(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.RepairAsync(); err != nil {

@@ -22,11 +22,11 @@
 //     are applied, and the replica flips to InSync: from this instant it
 //     counts toward quorum and acknowledges commits.
 //
-// A replica that was only briefly partitioned re-enrolls by delta: the
-// dirty-page epochs snapshotted when it left the stream bound exactly the
-// pages it missed, so the transfer ships the delta instead of the whole
-// database — and when the gap is provably empty (a clean, commit-free
-// partition), it rejoins with no transfer at all.
+// A node whose memory survived — a resumed partition, a crashed backup, the
+// crashed primary after a failover — re-enrolls by delta: the union of the
+// pages either side changed since the last commit both held (see
+// rejoinPlanLocked), or no transfer at all when that is empty. Only a node
+// whose memory is gone is replaced by a fresh one.
 //
 // A range move out of the group draws on the same copier budget, after the
 // joiners (see MoveBudget): the group's link carries one copier's share of
@@ -83,31 +83,31 @@ type RepairStatus struct {
 	Elapsed sim.Dur
 }
 
-// repairRegion is one region's transfer cursor within a join.
+// since bounds a delta transfer of one region by a state both ends once held:
+// src and dst are the source's and the destination's dirty-log sequences at
+// that state. The zero value bounds a full transfer.
+type since struct{ src, dst uint64 }
+
+// repairRegion is one region's share of a join.
 type repairRegion struct {
 	src, dst *mem.Region
-	// epoch > 0 restricts the copy to pages dirtied after it (delta
-	// resync); 0 is a full transfer: every page either side ever wrote.
-	epoch uint64
-	page  int // every page before it is shipped, or needs no shipping
+	pages    []int // still to ship, ascending
 }
 
-// next returns the first page at or after from the transfer must ship, or
-// -1. A full transfer skips the pages neither node's dirty log has ever
-// marked: memory starts zeroed and every mutation is marked, so they are
-// zero on both sides. The destination's log is in the union because a fuzzy
-// joiner may hold a page the source never wrote — copied from a primary that
-// died with that commit unpublished.
-func (rr *repairRegion) next(from int) int {
-	if rr.epoch > 0 {
-		return rr.src.Dirty.NextDirty(from, rr.epoch)
-	}
-	for p := from; p < rr.src.Dirty.Pages(); p++ {
-		if rr.src.Dirty.Written(p) || rr.dst.Dirty.Written(p) {
-			return p
+// plan fixes the pages the join must ship when it opens: those the source
+// stamped after s.src or the destination after s.dst. A full transfer skips
+// the pages neither log has ever marked: memory starts zeroed and every
+// mutation is marked, so they are zero on both sides. The destination's half
+// takes back what it holds and the source never wrote, such as an old
+// primary's unpublished commits. A page first written after the join opens
+// needs no copy: the live stream delivers it.
+func (rr *repairRegion) plan(s since) {
+	src, dst := rr.src.Dirty, rr.dst.Dirty
+	for p := 0; p < src.Pages(); p++ {
+		if src.Stamp(p) > s.src || dst.Stamp(p) > s.dst {
+			rr.pages = append(rr.pages, p)
 		}
 	}
-	return -1
 }
 
 // span returns page p's byte range within the region.
@@ -166,13 +166,13 @@ func (g *Group) syncRegionsLocked() []*mem.Region {
 }
 
 // RepairAsync starts the online repair of every deficiency the group has:
-// resumed (Gated) backups are re-enrolled by delta, crashed backups are
-// replaced by fresh nodes, and the group is filled back to its configured
-// replication degree after a failover. The call returns immediately; the
-// transfer advances in the background of the commit stream (every commit
-// grants the copier the simulated time that has passed) and of Settle's
-// idle periods. Progress is visible through RepairStatus; a joiner starts
-// acknowledging — and counting toward quorum — at its cut-over.
+// resumed (Gated) and crashed backups re-join from their own memory, by
+// delta, backups whose memory is gone are replaced by fresh nodes, and the
+// group is filled back to its configured replication degree. The call
+// returns immediately; the transfer advances in the background of the
+// commit stream (every commit grants the copier the simulated time that has
+// passed) and of Settle's idle periods. Progress is visible through
+// RepairStatus; a joiner starts acknowledging at its cut-over.
 //
 // Returns ErrNotRepairable when every configured replica is enrolled and
 // in sync, and ErrCrashed when the primary is down (call Failover first).
@@ -195,39 +195,39 @@ func (g *Group) repairAsyncLocked() error {
 		return ErrNotRepairable
 	}
 	started := false
-	// Re-enroll resumed backups: by delta when their gating snapshot
-	// bounds the gap, with no transfer at all when the gap is empty.
+	// Drop the backups whose memory is gone — detaching their receive
+	// targets so the live mappings neither pin nor iterate dead regions —
+	// and re-join resumed and crashed ones from what they hold.
+	live := make([]*backup, 0, g.cfg.Backups)
 	for _, b := range g.backups {
-		if b.state != StateGated {
+		if b.node.lost {
+			if g.primary.MC != nil {
+				g.primary.MC.RemoveTargets(&b.off)
+			}
 			continue
 		}
-		if g.gapFreeLocked(b) {
-			b.setState(StateInSync)
-			b.fuzzy = false
-			b.gateEpochs = nil
-			g.durActivateBackupLocked(b)
+		live = append(live, b)
+		if b.state != StateGated && b.state != StateCrashed {
+			continue
+		}
+		epochs, at, ok := g.rejoinPlanLocked(b)
+		if j := newRepairJob(b, g.syncRegionsLocked(), epochs); !ok || at != g.store.Committed() || j.planned > 0 {
+			g.startJoinLocked(j)
 		} else {
-			g.startJoinLocked(b, g.deltaEpochsLocked(b))
+			// The gap is provably empty: rejoin with no transfer at all.
+			if g.redo != nil {
+				b.appliedTotal, b.appliedTxns = g.redo.prodTotal, at
+			}
+			b.setState(StateInSync)
+			b.fuzzy, b.gateEpochs = false, nil
+			g.durActivateBackupLocked(b)
 		}
 		started = true
 	}
-	// Drop crashed backups — detaching their receive targets so the live
-	// mappings neither pin nor iterate dead regions — and enroll fresh
-	// nodes up to the configured degree (the post-failover path, and
-	// mid-era backup replacement).
-	live := make([]*backup, 0, g.cfg.Backups)
-	for _, b := range g.backups {
-		if b.alive() {
-			live = append(live, b)
-			continue
-		}
-		if g.primary.MC != nil {
-			g.primary.MC.RemoveTargets(&b.off)
-		}
-	}
 	g.backups = live
-	// A primary that lost every backup has no Memory Channel attachment
-	// left; rebuild the SAN wiring before fresh nodes can attach to it.
+	// Enroll fresh nodes up to the configured degree. A primary that lost
+	// every backup has no Memory Channel attachment left; rebuild the SAN
+	// wiring before fresh nodes can attach to it.
 	wired := g.primary.MC != nil
 	var fresh []*backup
 	for len(g.backups) < g.cfg.Backups {
@@ -253,7 +253,7 @@ func (g *Group) repairAsyncLocked() error {
 		}
 	}
 	for _, b := range fresh {
-		g.startJoinLocked(b, nil)
+		g.startJoinLocked(newRepairJob(b, g.syncRegionsLocked(), nil))
 	}
 	if started {
 		// Membership changed: restore the deterministic per-index ack
@@ -347,51 +347,38 @@ func (g *Group) RepairStatus() RepairStatus {
 	return st
 }
 
-// deltaEpochsLocked returns the dirty epochs bounding backup b's gap, or
-// nil when only a full transfer is safe (a fuzzy copy, a departure that was
-// not clean, a snapshot from an earlier era, or no snapshot at all).
-func (g *Group) deltaEpochsLocked(b *backup) map[string]uint64 {
-	if b.fuzzy || !b.cleanGate || b.gateEpochs == nil || b.gateGen != g.generation {
-		return nil
-	}
-	return b.gateEpochs
-}
-
-// gapFreeLocked reports whether backup b's stream gap is provably empty:
-// it left cleanly (nothing coalescing toward it), nothing has committed
-// since, no tracked page has been dirtied since, and the era is unchanged.
-// Such a replica rejoins by ring catch-up alone — zero transfer bytes.
-func (g *Group) gapFreeLocked(b *backup) bool {
-	epochs := g.deltaEpochsLocked(b)
-	if epochs == nil || b.gateCommitted != g.store.Committed() {
-		return false
-	}
-	for _, r := range g.syncRegionsLocked() {
-		if e, ok := epochs[r.Name]; !ok || r.Dirty.BytesSince(e) != 0 {
-			return false
+// rejoinPlanLocked bounds the re-join of a backup whose memory survived: the
+// per-region delta epochs and the commit they are relative to, or ok false
+// when only a full transfer is safe. In the active scheme that commit is the
+// newest c the node holds, and the epochs are both sides' readings for c. The
+// passive scheme uses the gate snapshot of a clean departure in this era.
+func (g *Group) rejoinPlanLocked(b *backup) (epochs map[string]since, at uint64, ok bool) {
+	if g.redo != nil {
+		at = b.node.stamps.hi
+		dst, held := b.node.stamps.stamp(at)
+		src, found := g.primary.stamps.stamp(at)
+		if !held || !found {
+			return nil, 0, false
 		}
+		return map[string]since{vista.RegionDB: {src, dst}}, at, true
 	}
-	return true
+	if b.fuzzy || !b.cleanGate || b.gateEpochs == nil || b.gateGen != g.generation {
+		return nil, 0, false
+	}
+	return b.gateEpochs, b.gateCommitted, true
 }
 
-// startJoinLocked attaches backup b to the live stream and opens its
-// transfer plan: delta pages when epochs bound the gap, every page either
-// side ever wrote otherwise. The copy is fuzzy from here on, so the replica
-// is not promotion-eligible until cut-over.
-func (g *Group) startJoinLocked(b *backup, epochs map[string]uint64) {
+// startJoinLocked attaches job j's backup to the live stream and opens its
+// transfer. The copy is fuzzy from here on, so the replica is not
+// promotion-eligible until cut-over and its commit stamps vouch for nothing.
+func (g *Group) startJoinLocked(j *repairJob) {
+	b := j.b
 	if g.copierIdleLocked() {
 		// The group's copier budget starts accruing with its first draw.
 		g.repairPumped, g.repairCredit = g.primary.Clock.Now(), 0
 	}
-	j := newRepairJob(b, g.syncRegionsLocked(), epochs)
-	for i := range j.regions {
-		rr := &j.regions[i]
-		for p := rr.next(0); p >= 0; p = rr.next(p + 1) {
-			_, n := rr.span(p)
-			j.planned += int64(n)
-		}
-	}
 	b.fuzzy = true
+	b.node.stamps.n = 0
 	b.setState(StateSyncing)
 	if g.redo != nil {
 		// The joiner consumes the redo ring from this instant: records
@@ -536,6 +523,11 @@ func (g *Group) payRepairLocked(until sim.Time, sync bool) {
 			}
 		}
 		g.repair.BytesShipped += spent
+		if a := g.autop; a != nil {
+			for _, i := range a.open {
+				a.events[i].RepairBytes += spent
+			}
+		}
 	}
 	move := min(budget-spent, g.moveWant)
 	g.moveWant -= move
@@ -593,11 +585,12 @@ func (g *Group) drainLinkLocked() {
 
 // cutOverLocked completes backup b's join: from this instant it is a full
 // member — it receives, acknowledges, counts toward quorum, and is
-// promotion-eligible again.
+// promotion-eligible again, and its copy holds exactly the commit it applied.
 func (g *Group) cutOverLocked(b *backup) {
 	b.job = nil
 	b.fuzzy = false
 	b.gateEpochs = nil
+	b.node.stamps.record(b.appliedTxns)
 	b.epoch = g.epoch // full member of the current era from this instant
 	b.setState(StateInSync)
 	g.durActivateBackupLocked(b)
@@ -640,23 +633,27 @@ func (g *Group) restoredLocked() bool {
 }
 
 // newRepairJob opens backup b's transfer plan over the given source regions.
-func newRepairJob(b *backup, srcs []*mem.Region, epochs map[string]uint64) *repairJob {
+func newRepairJob(b *backup, srcs []*mem.Region, epochs map[string]since) *repairJob {
 	j := &repairJob{b: b}
 	for _, src := range srcs {
-		j.regions = append(j.regions, repairRegion{src: src, dst: b.node.Space.ByName(src.Name), epoch: epochs[src.Name]})
+		rr := repairRegion{src: src, dst: b.node.Space.ByName(src.Name)}
+		rr.plan(epochs[src.Name])
+		for _, p := range rr.pages {
+			_, n := rr.span(p)
+			j.planned += int64(n)
+		}
+		j.regions = append(j.regions, rr)
 	}
 	return j
 }
 
-// head advances the cursors to the next page the join must ship and returns
-// its region, or nil once every region is through.
+// head returns the region of the next page the join must ship, or nil once
+// every region is through.
 func (j *repairJob) head() *repairRegion {
 	for i := range j.regions {
-		rr := &j.regions[i]
-		if rr.page = rr.next(rr.page); rr.page >= 0 {
+		if rr := &j.regions[i]; len(rr.pages) > 0 {
 			return rr
 		}
-		rr.page = rr.src.Dirty.Pages()
 	}
 	return nil
 }
@@ -671,7 +668,7 @@ func (j *repairJob) pay(allow int64) int64 {
 		if rr == nil {
 			break
 		}
-		off, n := rr.span(rr.page)
+		off, n := rr.span(rr.pages[0])
 		due := min(left, int64(n)-j.paid)
 		j.paid += due
 		left -= due
@@ -682,22 +679,24 @@ func (j *repairJob) pay(allow int64) int64 {
 			rr.src.ReadRaw(off, j.buf[:n])
 			rr.dst.WriteRaw(off, j.buf[:n])
 			j.paid = 0
-			rr.page++
+			rr.pages = rr.pages[1:]
 		}
 	}
 	j.shipped += allow - left
 	return allow - left
 }
 
-// resyncSurvivorLocked brings a failover survivor behind the new primary
-// with a full transfer driven to completion on the spot. Takeover happens
-// with the cluster already down, so there is no stream to stay available
-// for; the transfer is raw and uncharged, like Load's initial copy, and
-// the survivor emerges InSync.
+// resyncSurvivorLocked brings a failover survivor behind the new primary by
+// the re-join rule, driven to completion on the spot. Takeover happens with
+// the cluster already down, so there is no stream to stay available for; the
+// transfer is raw and uncharged, like Load's initial copy, and the survivor
+// emerges InSync.
 func (g *Group) resyncSurvivorLocked(b *backup) {
-	newRepairJob(b, g.syncRegionsLocked(), nil).pay(math.MaxInt64)
+	epochs, _, _ := g.rejoinPlanLocked(b)
+	newRepairJob(b, g.syncRegionsLocked(), epochs).pay(math.MaxInt64)
 	b.job = nil
 	b.fuzzy = false
 	b.gateEpochs = nil
 	b.setState(StateInSync)
+	b.node.stamps.record(g.store.Committed())
 }

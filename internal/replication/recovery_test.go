@@ -58,7 +58,7 @@ func TestRepairAsyncNonBlocking(t *testing.T) {
 		commit()
 	}
 	g.Settle(g.QuiesceGrace())
-	if err := g.CrashBackup(1); err != nil {
+	if err := g.PowerFailNode(1); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.RepairAsync(); err != nil {
@@ -304,7 +304,7 @@ func TestRepairStatusPhases(t *testing.T) {
 	if err := w.Populate(g.Load); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.CrashBackup(0); err != nil {
+	if err := g.PowerFailNode(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.RepairAsync(); err != nil {

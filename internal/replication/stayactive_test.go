@@ -231,7 +231,7 @@ func TestFailoverStaysActive(t *testing.T) {
 
 	t.Run("crash-mid-join", func(t *testing.T) {
 		r := secondEra(t, replication.Config{RepairChunk: 4096})
-		mustNil(t, r.g.CrashBackup(1))
+		mustNil(t, r.g.PowerFailNode(1))
 		mustNil(t, r.g.RepairAsync())
 		r.commit(3)
 		if st := r.g.BackupState(2); st != replication.StateSyncing {

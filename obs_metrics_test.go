@@ -63,10 +63,14 @@ func obsRun(t *testing.T, metrics bool) (repro.DB, repro.Stats, repro.Traffic, t
 	if err := c.Failover(); err != nil {
 		t.Fatal(err)
 	}
+	// The old primary re-joins from its own memory, by what it missed.
+	for i := int64(300); i < 400; i++ {
+		txn(i)
+	}
 	if err := c.Repair(); err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(300); i < 600; i++ {
+	for i := int64(400); i < 600; i++ {
 		txn(i)
 	}
 	if err := c.Flush(); err != nil {

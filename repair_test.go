@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/tpc"
 	"repro/kv"
 )
 
@@ -46,6 +47,11 @@ func TestFacadeRepairAsync(t *testing.T) {
 	c.Settle()
 	must(t, c.CrashPrimary())
 	must(t, c.Failover())
+	// The old primary re-joins from its own memory: it misses what the
+	// promoted node commits from here on.
+	for i := 0; i < 20; i++ {
+		commit(20+i, "after")
+	}
 	must(t, c.RepairAsync())
 
 	p := c.RepairProgress()
@@ -116,6 +122,7 @@ func TestShardedRepairAsync(t *testing.T) {
 	sc.Settle()
 	must(t, sc.Shard(1).CrashPrimary())
 	must(t, sc.Shard(1).Failover())
+	commitAt(sc.ShardSize()) // a page the re-joining old primary misses
 	must(t, sc.Shard(1).RepairAsync())
 	if !sc.Shard(1).RepairProgress().Active {
 		t.Fatal("shard 1 repair not in flight")
@@ -238,5 +245,88 @@ func TestRepairLeavesNoBacklog(t *testing.T) {
 		if after < 0.99*before || after > 1.01*before {
 			t.Fatalf("a window after Repair serves %.0f PUT/s, not within 1%% of the %.0f before the crash", after, before)
 		}
+	}
+}
+
+// powerFailing is a deployment whose primary crash loses its memory, so the
+// availability timeline heals through a spare and a full transfer.
+type powerFailing struct{ *repro.Cluster }
+
+func (p powerFailing) CrashPrimary() error { return repro.PowerFailPrimary(p.Cluster) }
+
+// TestAvailabilityAfterPowerFail runs the crash→failover→repair timeline with
+// the primary's memory gone. A spare re-seeds in full, so the repair ships
+// bytes and takes time. Under 1-safe commits flow in every repair window and
+// the dip stays above zero; under 2-safe with the only backup being the
+// joiner, the group refuses service until the cut-over, so repair windows are
+// empty and the dip is a genuine zero that a later positive window must not
+// overwrite.
+func TestAvailabilityAfterPowerFail(t *testing.T) {
+	const db = 4 << 20
+	for _, tc := range []struct {
+		name    string
+		backups int
+		safety  repro.Safety
+		serves  bool // commits flow while the repair runs
+	}{
+		{"1safe-K2", 2, repro.OneSafe, true},
+		{"2safe-K1", 1, repro.TwoSafe, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := repro.New(repro.Config{
+				Version: repro.V3InlineLog,
+				Backup:  repro.ActiveBackup,
+				DBSize:  db,
+				Backups: tc.backups,
+				Safety:  tc.safety,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := tpc.NewDebitCredit(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tpc.RunAvailability(powerFailing{c}, w, tpc.AvailabilityOptions{
+				Window:          2 * time.Millisecond,
+				HealthyWindows:  2,
+				RestoredWindows: 2,
+				Warmup:          100,
+				Seed:            3,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.BaseTPS <= 0 {
+				t.Fatalf("no healthy baseline: %+v", res)
+			}
+			if res.RepairBytes == 0 || res.RepairDur <= 0 {
+				t.Fatalf("repair did no measurable work: %+v", res)
+			}
+			if res.RestoredAt <= res.CrashAt {
+				t.Fatalf("restoration instant %v not after the crash %v", res.RestoredAt, res.CrashAt)
+			}
+			empty := 0
+			for _, win := range res.Windows {
+				if win.Phase == "repair" && win.Txns == 0 {
+					empty++
+				}
+			}
+			if tc.serves {
+				if empty != 0 {
+					t.Fatalf("%d repair windows committed nothing", empty)
+				}
+				if res.MinTPS <= 0 || res.MinTPS >= res.BaseTPS {
+					t.Fatalf("no availability dip: min %f, base %f", res.MinTPS, res.BaseTPS)
+				}
+			} else {
+				if empty == 0 {
+					t.Fatal("a 2-safe group with no backup committed in every repair window")
+				}
+				if res.MinTPS != 0 {
+					t.Fatalf("MinTPS = %f, want 0: %d repair windows were empty", res.MinTPS, empty)
+				}
+			}
+		})
 	}
 }

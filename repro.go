@@ -336,6 +336,9 @@ type FailureEvent struct {
 	// self-healing re-enrollment began, and when the cluster was back at
 	// full redundancy.
 	FailedAt, DetectedAt, FailedOverAt, RepairStartedAt, RestoredAt time.Duration
+	// RepairBytes is the state-transfer payload the shard shipped between
+	// the event's opening and its restoration.
+	RepairBytes int64
 }
 
 // MTTD is the mean-time-to-detect component: fault to dead-declaration.

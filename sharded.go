@@ -799,6 +799,7 @@ func (c *Cluster) AutopilotEvents() []FailureEvent {
 				FailedOverAt:    e.FailedOverAt.Duration(),
 				RepairStartedAt: e.RepairStartedAt.Duration(),
 				RestoredAt:      e.RestoredAt.Duration(),
+				RepairBytes:     e.RepairBytes,
 			})
 		}
 	}
