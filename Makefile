@@ -55,7 +55,10 @@ tables:
 
 # The ceiling is the last diet PR's result: a PR that removes code lowers
 # it to what it measures, and no PR raises it without saying why.
-LOC_CEILING := 22440
+# Raised 22440 -> 22476 for the host-memory allocator: a mapped and a heap
+# build of it, and the mapping's error returned through the region
+# constructors.
+LOC_CEILING := 22476
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

@@ -17,9 +17,9 @@ func DBBackings(c *Cluster) []*mem.Backing {
 	return out
 }
 
-// RegionChunks returns, for node i of the first shard in DBBackings' order,
-// the chunks of host storage each region holds, by region name.
-func RegionChunks(c *Cluster, i int) map[string]int {
+// RegionPages returns, for node i of the first shard in DBBackings' order,
+// the pages of host storage each region holds, by region name.
+func RegionPages(c *Cluster, i int) map[string]int {
 	g := c.first().Group
 	n := g.Primary()
 	if i > 0 {
@@ -27,7 +27,7 @@ func RegionChunks(c *Cluster, i int) map[string]int {
 	}
 	out := make(map[string]int)
 	for _, r := range n.Space.Regions() {
-		out[r.Name] = r.Backing().Chunks()
+		out[r.Name] = r.Backing().Pages()
 	}
 	return out
 }

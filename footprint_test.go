@@ -1,8 +1,12 @@
 package repro_test
 
 import (
+	"bytes"
+	"os"
 	"runtime"
+	"strconv"
 	"testing"
+	"time"
 	"weak"
 
 	"repro"
@@ -11,7 +15,7 @@ import (
 
 // TestFreshStoreHoldsOnlyItsHeader: a node holds only the memory it wrote.
 // Opening a kv store on a fresh 64 MiB deployment writes its header, so every
-// node's database holds the one chunk with the header and nothing else.
+// node's database holds the one page with the header and nothing else.
 func TestFreshStoreHoldsOnlyItsHeader(t *testing.T) {
 	c, err := repro.New(repro.Config{
 		Version: repro.V3InlineLog,
@@ -27,8 +31,8 @@ func TestFreshStoreHoldsOnlyItsHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, b := range repro.DBBackings(c) {
-		if n := b.Chunks(); n != 1 {
-			t.Errorf("node %d's database holds %d chunks after kv.Open, want the header's one", i, n)
+		if n := b.Pages(); n != 1 {
+			t.Errorf("node %d's database holds %d pages after kv.Open, want the header's one", i, n)
 		}
 	}
 }
@@ -38,7 +42,8 @@ func TestFreshStoreHoldsOnlyItsHeader(t *testing.T) {
 // backing and holds nothing in the regions only a primary writes — undo log,
 // control, producer lane. A power-failed primary's memory is gone: once it
 // has been failed over and replaced, nothing the deployment keeps still
-// reaches its database, so the collector returns that memory to the heap.
+// reaches its database, so the collector drops it and its memory goes back
+// to the host.
 func TestDeadPrimaryMemoryIsReleased(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -88,10 +93,10 @@ func TestDeadPrimaryMemoryIsReleased(t *testing.T) {
 				if len(dbs) != 3 || dbs[2] != oldDB {
 					t.Fatal("the crashed primary did not re-join on its own database")
 				}
-				plain, rejoined := repro.RegionChunks(c, 1), repro.RegionChunks(c, 2)
+				plain, rejoined := repro.RegionPages(c, 1), repro.RegionPages(c, 2)
 				for name, n := range rejoined {
 					if plain[name] == 0 && n != 0 {
-						t.Errorf("the re-joined old primary holds %d chunks of %s, which no backup writes", n, name)
+						t.Errorf("the re-joined old primary holds %d pages of %s, which no backup writes", n, name)
 					}
 				}
 				return
@@ -104,4 +109,54 @@ func TestDeadPrimaryMemoryIsReleased(t *testing.T) {
 			runtime.KeepAlive(s)
 		})
 	}
+}
+
+// TestDroppedDeploymentsReturnTheirMemory: a node's memory is mapped outside
+// the Go heap, and a cleanup unmaps it once the deployment is unreachable.
+// Eight 64 MiB deployments, each loaded in full and dropped, leave the
+// process's resident set within two deployments of where it started once
+// the collector has run. Race builds keep the memory on the heap, so the
+// test is for the mapped path alone.
+func TestDroppedDeploymentsReturnTheirMemory(t *testing.T) {
+	if runtime.GOOS != "linux" || raceEnabled {
+		t.Skip("the mapped backing is measured through Linux's /proc under a non-race build")
+	}
+	const size = 64 << 20
+	data := bytes.Repeat([]byte{0x5A}, size)
+	runtime.GC()
+	start := vmRSS(t)
+	for i := 0; i < 8; i++ {
+		c, err := repro.New(repro.Config{Version: repro.V3InlineLog, DBSize: size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Load(0, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end := vmRSS(t)
+	for deadline := time.Now().Add(10 * time.Second); end-start > 2*size && time.Now().Before(deadline); end = vmRSS(t) {
+		runtime.GC() // queues the cleanups of the backings it found unreachable
+		time.Sleep(10 * time.Millisecond)
+	}
+	if end-start > 2*size {
+		t.Fatalf("resident set grew by %d MiB over eight dropped %d MiB deployments", (end-start)>>20, size>>20)
+	}
+	runtime.KeepAlive(data)
+}
+
+// vmRSS returns the process's resident set in bytes, from /proc/self/status.
+func vmRSS(t *testing.T) int {
+	t.Helper()
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, _ := bytes.Cut(status, []byte("VmRSS:"))
+	line, _, _ := bytes.Cut(rest, []byte("\n"))
+	kb, err := strconv.Atoi(string(bytes.TrimSpace(bytes.TrimSuffix(bytes.TrimSpace(line), []byte("kB")))))
+	if err != nil {
+		t.Fatalf("VmRSS in /proc/self/status: %v", err)
+	}
+	return kb << 10
 }

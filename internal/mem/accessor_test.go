@@ -35,8 +35,8 @@ func newTestAccessor(t *testing.T) (*Accessor, *Region, *Region, *fakeSink) {
 	p := sim.Default()
 	clk := &sim.Clock{}
 	sp := NewSpace()
-	local := NewRegion("local", 0x10000, 4096)
-	repl := NewRegion("repl", 0x20000, 4096)
+	local := newTestRegion(t, "local", 0x10000, 4096)
+	repl := newTestRegion(t, "repl", 0x20000, 4096)
 	repl.WriteThrough = true
 	for _, r := range []*Region{local, repl} {
 		if err := sp.Add(r); err != nil {
@@ -92,7 +92,7 @@ func TestWriteNoSinkStandalone(t *testing.T) {
 
 func TestIOOnlyRegionSkipsLocal(t *testing.T) {
 	acc, _, _, sink := newTestAccessor(t)
-	ioReg := NewRegion("ioonly", 0x30000, 64)
+	ioReg := newTestRegion(t, "ioonly", 0x30000, 64)
 	ioReg.IOOnly = true
 	if err := acc.Space.Add(ioReg); err != nil {
 		t.Fatal(err)
@@ -174,7 +174,7 @@ func TestDiffThenCopyEqualizes(t *testing.T) {
 		p := sim.Default()
 		clk := &sim.Clock{}
 		sp := NewSpace()
-		reg := NewRegion("r", 0, 2048)
+		reg := newTestRegion(t, "r", 0, 2048)
 		if err := sp.Add(reg); err != nil {
 			return false
 		}

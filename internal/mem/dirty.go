@@ -60,17 +60,6 @@ func (d *DirtyLog) Written(p int) bool { return d.pages[p] != 0 }
 // Stamp returns the sequence of page p's last mark, 0 if it was never marked.
 func (d *DirtyLog) Stamp(p int) uint64 { return d.pages[p] }
 
-// NextDirty returns the first page index >= from stamped after epoch, or -1
-// when no such page remains.
-func (d *DirtyLog) NextDirty(from int, epoch uint64) int {
-	for p := from; p < len(d.pages); p++ {
-		if d.pages[p] > epoch {
-			return p
-		}
-	}
-	return -1
-}
-
 // Stamps copies the last-mark sequences of the pages from the one holding
 // byte off onward into dst: the image a reader keeps of the pages it has
 // read, to tell later which of them were written since.

@@ -9,79 +9,67 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
 	"sort"
 )
 
-// chunkSize is the host allocation granule of a Backing. It trades set-up
-// allocations against slack: a populated 64 MiB node makes 16 384
-// allocations at 4 KiB and 1 024 at 64 KiB, while a page written alone
-// holds a whole chunk.
-const chunkSize = 64 << 10
+// pageSize is the granule Pages counts in: a host page, and the dirty
+// tracking page of the engine's regions.
+const pageSize = 4096
 
-// Backing is the host storage behind a region: fixed chunks, each allocated
-// on its first write, so a node holds only the memory it wrote. An unwritten
-// chunk reads as zero, exactly like the zeroed memory of a fresh machine. A
-// region shorter than a chunk, or its short last chunk, is sized to the
-// region. Out-of-range accesses are programmer errors (panic), mirroring a
-// wild pointer on the modelled hardware. The simulated cost model never
-// looks at it.
+// Backing is the host storage behind a region: memory that reads as zero
+// until written, like a fresh machine's. On unix it is one anonymous mapping
+// outside the Go heap, paged in by the kernel on first write, so a node holds
+// only the memory it wrote and the collector never counts it; race builds
+// keep it on the heap (see alloc). Out-of-range accesses panic, as a wild
+// pointer faults on the modelled hardware. The cost model never reads it.
+//
+// A cleanup unmaps the memory once the Backing is unreachable, so the
+// Backing never hands out a slice of its memory, only copies.
 type Backing struct {
-	size   int
-	chunks [][]byte // nil until first written
+	mem     []byte
+	written []uint64 // bit p set once page p has been written
 }
 
-func newBacking(n int) *Backing {
-	return &Backing{size: n, chunks: make([][]byte, (n+chunkSize-1)/chunkSize)}
+func newBacking(n int) (*Backing, error) {
+	m, err := alloc(n)
+	if err != nil {
+		return nil, fmt.Errorf("mem: mapping %d bytes: %w", n, err)
+	}
+	b := &Backing{mem: m, written: make([]uint64, (n+64*pageSize-1)/(64*pageSize))}
+	if offHeap {
+		runtime.AddCleanup(b, free, m)
+	}
+	return b, nil
 }
 
-// Chunks returns the number of chunks holding host memory.
-func (b *Backing) Chunks() int {
+// Pages returns the number of 4 KiB pages written, the host memory the
+// backing holds. It counts writes, not resident pages: a read of an unwritten
+// mapped page maps the kernel's zero page, which holds no memory.
+func (b *Backing) Pages() int {
 	n := 0
-	for _, c := range b.chunks {
-		if c != nil {
-			n++
-		}
+	for _, w := range b.written {
+		n += bits.OnesCount64(w)
 	}
 	return n
 }
 
-// chunkLen returns the length of chunk c: chunkSize, or what is left of the
-// region for its last chunk.
-func (b *Backing) chunkLen(c int) int { return min(chunkSize, b.size-c*chunkSize) }
-
-func (b *Backing) check(op string, off, n int) {
-	if off < 0 || off+n > b.size {
-		panic(fmt.Sprintf("mem: %s [%d,%d) out of range %d", op, off, off+n, b.size))
-	}
-}
-
-// readAt copies len(dst) bytes at off into dst.
+// readAt copies len(dst) bytes at off into dst. The slice expression is the
+// bounds check.
 func (b *Backing) readAt(off int, dst []byte) {
-	b.check("read", off, len(dst))
-	for len(dst) > 0 {
-		c, co := off/chunkSize, off%chunkSize
-		n := min(b.chunkLen(c)-co, len(dst))
-		if ch := b.chunks[c]; ch != nil {
-			copy(dst[:n], ch[co:])
-		} else {
-			clear(dst[:n])
-		}
-		dst, off = dst[n:], off+n
-	}
+	copy(dst, b.mem[off:off+len(dst)])
+	runtime.KeepAlive(b) // the cleanup must not unmap mid-copy
 }
 
-// writeAt copies src into the backing at off, allocating the chunks it
-// touches that hold no memory yet.
+// writeAt copies src into the backing at off and marks the pages it touches
+// written.
 func (b *Backing) writeAt(off int, src []byte) {
-	b.check("write", off, len(src))
-	for len(src) > 0 {
-		c, co := off/chunkSize, off%chunkSize
-		if b.chunks[c] == nil {
-			b.chunks[c] = make([]byte, b.chunkLen(c))
-		}
-		n := copy(b.chunks[c][co:], src)
-		src, off = src[n:], off+n
+	copy(b.mem[off:off+len(src)], src)
+	for p := off / pageSize; p < (off+len(src)+pageSize-1)/pageSize; p++ {
+		b.written[p/64] |= 1 << (p % 64)
 	}
+	runtime.KeepAlive(b)
 }
 
 // Region is a named, contiguous range of the simulated address space.
@@ -109,13 +97,18 @@ type Region struct {
 }
 
 // NewRegion returns a region of size bytes that reads as zero and holds no
-// host memory until written.
-func NewRegion(name string, base uint64, size int) *Region {
-	return &Region{Name: name, Base: base, backing: newBacking(size)}
+// host memory until written. Its error is the host's refusal to map the
+// memory.
+func NewRegion(name string, base uint64, size int) (*Region, error) {
+	b, err := newBacking(size)
+	if err != nil {
+		return nil, err
+	}
+	return &Region{Name: name, Base: base, backing: b}, nil
 }
 
 // Size returns the region size in bytes.
-func (r *Region) Size() int { return r.backing.size }
+func (r *Region) Size() int { return len(r.backing.mem) }
 
 // End returns the first simulated address past the region.
 func (r *Region) End() uint64 { return r.Base + uint64(r.Size()) }
@@ -141,12 +134,18 @@ func (r *Region) WriteRaw(off int, src []byte) {
 }
 
 // Release returns the region to a fresh machine's state: it reads zero, holds
-// no host memory, and its dirty log, if any, has marked nothing.
-func (r *Region) Release() {
-	r.backing = newBacking(r.Size())
+// no host memory, and its dirty log, if any, has marked nothing. On an error
+// (the host refused a fresh mapping) the region is unchanged.
+func (r *Region) Release() error {
+	b, err := newBacking(r.Size())
+	if err != nil {
+		return err
+	}
+	r.backing = b
 	if r.Dirty != nil {
 		r.Dirty = NewDirtyLog(r.Size(), r.Dirty.PageSize())
 	}
+	return nil
 }
 
 // Backing exposes the region's host storage, for footprint checks.

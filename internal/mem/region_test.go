@@ -7,77 +7,98 @@ import (
 )
 
 // backingSizes are the region shapes the backing tests cover: shorter than
-// one chunk, whole chunks and a short last chunk.
-var backingSizes = []int{100, 3*chunkSize + 1000, 4 * chunkSize}
+// one page, whole pages, a short last page, and more pages than one word of
+// the written-page bitmap holds.
+var backingSizes = []int{100, 3*pageSize + 1000, 4 * pageSize, 70*pageSize + 5}
 
-// TestDenseBacking: a region shorter than one chunk round-trips a write in
-// a single chunk sized to the region.
-func TestDenseBacking(t *testing.T) {
-	b := newBacking(64)
+func newTestBacking(t *testing.T, n int) *Backing {
+	t.Helper()
+	b, err := newBacking(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func newTestRegion(t *testing.T, name string, base uint64, size int) *Region {
+	t.Helper()
+	r, err := NewRegion(name, base, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestBackingAsSliceRoundTrip: a region shorter than one page reads back a
+// write as a plain []byte would, and holds the one page it wrote.
+func TestBackingAsSliceRoundTrip(t *testing.T) {
+	b := newTestBacking(t, 64)
 	b.writeAt(10, []byte("hello"))
 	got := make([]byte, 5)
 	b.readAt(10, got)
 	if string(got) != "hello" {
 		t.Fatalf("got %q", got)
 	}
-	if b.size != 64 || len(b.chunks) != 1 || len(b.chunks[0]) != 64 {
-		t.Fatalf("size %d, %d chunks, first %d bytes; want 64, 1, 64", b.size, len(b.chunks), len(b.chunks[0]))
+	if len(b.mem) != 64 || b.Pages() != 1 {
+		t.Fatalf("size %d, %d pages written; want 64, 1", len(b.mem), b.Pages())
 	}
 }
 
-// TestSparseBackingHolesReadZero: unwritten memory reads as zero, before
-// any write and beside a written chunk, and a read allocates nothing.
-func TestSparseBackingHolesReadZero(t *testing.T) {
-	b := newBacking(3 * chunkSize)
+// TestBackingAsSliceHolesReadZero: unwritten memory reads as zero, as a fresh
+// []byte does, before any write and beside a written page, and a read marks
+// no page written.
+func TestBackingAsSliceHolesReadZero(t *testing.T) {
+	b := newTestBacking(t, 3*pageSize)
 	got := bytes.Repeat([]byte{0xAA}, 16)
-	b.readAt(chunkSize+100, got)
+	b.readAt(pageSize+100, got)
 	if !bytes.Equal(got, make([]byte, 16)) {
 		t.Fatalf("hole read non-zero: %v", got)
 	}
-	if b.Chunks() != 0 {
-		t.Fatalf("reading allocated %d chunks", b.Chunks())
+	if b.Pages() != 0 {
+		t.Fatalf("reading marked %d pages", b.Pages())
 	}
-	b.writeAt(chunkSize-8, bytes.Repeat([]byte{1}, 8))
+	b.writeAt(pageSize-8, bytes.Repeat([]byte{1}, 8))
 	span := bytes.Repeat([]byte{0xAA}, 24)
-	b.readAt(chunkSize-8, span)
+	b.readAt(pageSize-8, span)
 	if !bytes.Equal(span, append(bytes.Repeat([]byte{1}, 8), make([]byte, 16)...)) {
-		t.Fatalf("read across a written chunk into a hole: %v", span)
+		t.Fatalf("read across a written page into a hole: %v", span)
 	}
-	if b.Chunks() != 1 {
-		t.Fatalf("%d chunks held after one write inside chunk 0, want 1", b.Chunks())
+	if b.Pages() != 1 {
+		t.Fatalf("%d pages held after one write inside page 0, want 1", b.Pages())
 	}
 }
 
-// TestSparseBackingPageCrossing: a write crossing two chunk boundaries
-// allocates exactly the three chunks it touches, and a write into a short
-// last chunk allocates it at what the region has left.
-func TestSparseBackingPageCrossing(t *testing.T) {
-	b := newBacking(3*chunkSize + 1000)
-	data := make([]byte, chunkSize+100)
+// TestBackingAsSlicePageCrossing: a write crossing two page boundaries reads
+// back like a []byte and marks exactly the three pages it touches, and a
+// write into a short last page marks it.
+func TestBackingAsSlicePageCrossing(t *testing.T) {
+	b := newTestBacking(t, 3*pageSize+1000)
+	data := make([]byte, pageSize+100)
 	for i := range data {
 		data[i] = byte(i)
 	}
-	off := chunkSize - 50 // crosses two boundaries
+	off := pageSize - 50 // crosses two boundaries
 	b.writeAt(off, data)
 	got := make([]byte, len(data))
 	b.readAt(off, got)
 	if !bytes.Equal(got, data) {
-		t.Fatal("chunk-crossing write/read mismatch")
+		t.Fatal("page-crossing write/read mismatch")
 	}
-	if b.Chunks() != 3 || b.chunks[0] == nil || b.chunks[1] == nil || b.chunks[2] == nil {
-		t.Fatalf("allocated %d chunks, want chunks 0-2", b.Chunks())
+	if b.Pages() != 3 || b.written[0] != 0b111 {
+		t.Fatalf("marked %d pages (%b), want pages 0-2", b.Pages(), b.written[0])
 	}
-	b.writeAt(b.size-10, data[:10])
-	if b.Chunks() != 4 || len(b.chunks[3]) != 1000 {
-		t.Fatalf("last chunk: %d chunks held, last %d bytes; want 4, 1000", b.Chunks(), len(b.chunks[3]))
+	b.writeAt(len(b.mem)-10, data[:10])
+	if b.Pages() != 4 {
+		t.Fatalf("a write into the short last page: %d pages held, want 4", b.Pages())
 	}
 }
 
-// TestSparseBackingOutOfRangePanics: reads and writes that start before the
-// region, overrun its end or start past it panic, on every region shape.
-func TestSparseBackingOutOfRangePanics(t *testing.T) {
+// TestBackingAsSliceOutOfRangePanics: reads and writes that start before the
+// region, overrun its end or start past it panic, as they would on a []byte,
+// on every region shape.
+func TestBackingAsSliceOutOfRangePanics(t *testing.T) {
 	for _, size := range backingSizes {
-		b := newBacking(size)
+		b := newTestBacking(t, size)
 		for _, s := range [][2]int{{-1, 1}, {size - 1, 2}, {size, 1}} {
 			for name, op := range map[string]func(int, []byte){"read": b.readAt, "write": b.writeAt} {
 				if !panics(func() { op(s[0], make([]byte, s[1])) }) {
@@ -88,33 +109,33 @@ func TestSparseBackingOutOfRangePanics(t *testing.T) {
 	}
 }
 
-// TestSparseMatchesDense holds the backing to a dense reference, a plain
-// []byte, over seeded random spans on every region shape: holes read as
-// zero, a read allocates no chunk, and a write allocates exactly the chunks
-// it touches, each sized to what the region has left.
-func TestSparseMatchesDense(t *testing.T) {
+// TestBackingAsSliceRandomSpans holds the backing to a plain []byte over
+// seeded random spans, half of them straddling a page boundary, on every
+// region shape: holes read as zero, a read marks no page, and a write marks
+// exactly the pages it touches.
+func TestBackingAsSliceRandomSpans(t *testing.T) {
 	for _, size := range backingSizes {
-		b, ref := newBacking(size), make([]byte, size)
+		b, ref := newTestBacking(t, size), make([]byte, size)
 		touched := map[int]bool{}
 		r := rand.New(rand.NewPCG(uint64(size), 7))
 		for i := 0; i < 400; i++ {
 			off := r.IntN(size)
-			if i%2 == 0 { // start within 32 bytes of a chunk boundary
-				off = min(max(r.IntN(size/chunkSize+1)*chunkSize+r.IntN(64)-32, 0), size-1)
+			if i%2 == 0 { // start within 32 bytes of a page boundary
+				off = min(max(r.IntN(size/pageSize+1)*pageSize+r.IntN(64)-32, 0), size-1)
 			}
-			span := ref[off : off+r.IntN(min(size-off, 2*chunkSize+100)+1)]
+			span := ref[off : off+r.IntN(min(size-off, 2*pageSize+100)+1)]
 			buf := make([]byte, len(span))
 			if r.IntN(2) == 0 {
 				for j := range buf {
 					buf[j] = 0xAA
 				}
-				held := b.Chunks()
+				held := b.Pages()
 				b.readAt(off, buf)
 				if !bytes.Equal(buf, span) {
 					t.Fatalf("size %d: read [%d,+%d) differs from the reference", size, off, len(buf))
 				}
-				if b.Chunks() != held {
-					t.Fatalf("size %d: a read allocated %d chunks", size, b.Chunks()-held)
+				if b.Pages() != held {
+					t.Fatalf("size %d: a read marked %d pages", size, b.Pages()-held)
 				}
 				continue
 			}
@@ -123,22 +144,17 @@ func TestSparseMatchesDense(t *testing.T) {
 			}
 			b.writeAt(off, buf)
 			copy(span, buf)
-			for c := off / chunkSize; len(buf) > 0 && c <= (off+len(buf)-1)/chunkSize; c++ {
-				touched[c] = true
+			for p := off / pageSize; len(buf) > 0 && p <= (off+len(buf)-1)/pageSize; p++ {
+				touched[p] = true
 			}
-			if b.Chunks() != len(touched) {
-				t.Fatalf("size %d: write [%d,+%d) leaves %d chunks held, want %d", size, off, len(buf), b.Chunks(), len(touched))
+			if b.Pages() != len(touched) {
+				t.Fatalf("size %d: write [%d,+%d) leaves %d pages marked, want %d", size, off, len(buf), b.Pages(), len(touched))
 			}
 		}
 		got := make([]byte, size)
 		b.readAt(0, got)
 		if !bytes.Equal(got, ref) {
 			t.Fatalf("size %d: whole read differs from the reference at byte %d", size, firstDiff(got, ref))
-		}
-		for c, ch := range b.chunks {
-			if ch != nil && len(ch) != min(chunkSize, size-c*chunkSize) {
-				t.Fatalf("size %d: chunk %d holds %d bytes", size, c, len(ch))
-			}
 		}
 	}
 }
@@ -160,8 +176,8 @@ func panics(f func()) (did bool) {
 
 func TestSpaceAddAndLookup(t *testing.T) {
 	s := NewSpace()
-	r1 := NewRegion("a", 0x1000, 256)
-	r2 := NewRegion("b", 0x2000, 256)
+	r1 := newTestRegion(t, "a", 0x1000, 256)
+	r2 := newTestRegion(t, "b", 0x2000, 256)
 	for _, r := range []*Region{r1, r2} {
 		if err := s.Add(r); err != nil {
 			t.Fatal(err)
@@ -186,19 +202,19 @@ func TestSpaceAddAndLookup(t *testing.T) {
 
 func TestSpaceRejectsOverlapAndDuplicates(t *testing.T) {
 	s := NewSpace()
-	if err := s.Add(NewRegion("a", 0x1000, 256)); err != nil {
+	if err := s.Add(newTestRegion(t, "a", 0x1000, 256)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Add(NewRegion("a", 0x9000, 16)); err == nil {
+	if err := s.Add(newTestRegion(t, "a", 0x9000, 16)); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
-	if err := s.Add(NewRegion("c", 0x10FF, 16)); err == nil {
+	if err := s.Add(newTestRegion(t, "c", 0x10FF, 16)); err == nil {
 		t.Fatal("overlapping region accepted")
 	}
 }
 
 func TestRegionContains(t *testing.T) {
-	r := NewRegion("r", 100, 50)
+	r := newTestRegion(t, "r", 100, 50)
 	cases := []struct {
 		addr uint64
 		n    int

@@ -181,8 +181,9 @@ func (n *Node) RemoveTargets(down *bool) {
 
 // deadWindow backs windows whose every receiver has been removed: the
 // permanently-gated mapping still needs a non-nil destination to satisfy
-// the mapping invariants, but never receives a byte.
-var deadWindow = mem.NewRegion("dead-window", 0, 0)
+// the mapping invariants, but never receives a byte. Zero bytes map nothing,
+// so its constructor cannot fail.
+var deadWindow, _ = mem.NewRegion("dead-window", 0, 0)
 
 // EmitBulk charges a bulk background transfer (the chunked state copy of an
 // online repair) to the SAN: the bytes occupy the link like any other

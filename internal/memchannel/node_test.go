@@ -10,13 +10,22 @@ import (
 	"repro/internal/sim"
 )
 
+func newRegion(t *testing.T, name string, base uint64, size int) *mem.Region {
+	t.Helper()
+	r, err := mem.NewRegion(name, base, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func newTestNode(t *testing.T, size int) (*Node, *mem.Region, *sim.Clock, *sim.Link) {
 	t.Helper()
 	p := sim.Default()
 	clk := &sim.Clock{}
 	link := sim.NewLink(&p)
 	n := NewNode(&p, clk, link)
-	remote := mem.NewRegion("remote", 0, size)
+	remote := newRegion(t, "remote", 0, size)
 	if err := n.Map(Mapping{SrcBase: 0, Size: size, Dst: remote}); err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +221,7 @@ func TestMappingValidation(t *testing.T) {
 	p := sim.Default()
 	clk := &sim.Clock{}
 	n := NewNode(&p, clk, sim.NewLink(&p))
-	r := mem.NewRegion("r", 0, 128)
+	r := newRegion(t, "r", 0, 128)
 	if err := n.Map(Mapping{SrcBase: 0, Size: 256, Dst: r}); err == nil {
 		t.Fatal("mapping overrunning destination accepted")
 	}
@@ -288,9 +297,9 @@ func TestAddAndRemoveTargets(t *testing.T) {
 	p := sim.Default()
 	clk := &sim.Clock{}
 	n := NewNode(&p, clk, sim.NewLink(&p))
-	first := mem.NewRegion("first", 0, 64)
-	second := mem.NewRegion("second", 0, 64)
-	third := mem.NewRegion("third", 0, 64)
+	first := newRegion(t, "first", 0, 64)
+	second := newRegion(t, "second", 0, 64)
+	third := newRegion(t, "third", 0, 64)
 	var downFirst, downSecond, downThird bool
 	if err := n.Map(Mapping{SrcBase: 0, Size: 64, Dst: first, Down: &downFirst}); err != nil {
 		t.Fatal(err)
@@ -343,7 +352,7 @@ func TestAddAndRemoveTargets(t *testing.T) {
 	if got := read(third, 9); got != "survivors" {
 		t.Fatalf("fully-detached window still delivered: %q", got)
 	}
-	fourth := mem.NewRegion("fourth", 0, 64)
+	fourth := newRegion(t, "fourth", 0, 64)
 	var downFourth bool
 	if err := n.AddTarget(0, Target{Dst: fourth, Down: &downFourth}); err != nil {
 		t.Fatal(err)

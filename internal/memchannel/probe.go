@@ -32,18 +32,11 @@ func MeasureBandwidth(p *sim.Params, totalBytes int, packetSizes []int) []Bandwi
 // measureOne writes enough strided data to send totalBytes of payload and
 // returns payload MB per simulated second.
 func measureOne(p *sim.Params, totalBytes, packetBytes int) float64 {
-	var clk sim.Clock
-	link := sim.NewLink(p)
-	node := NewNode(p, &clk, link)
-
 	// A window large enough that the stride pattern never revisits a
 	// block within the run; revisits would coalesce across iterations
 	// and distort packet sizes.
 	const window = 1 << 20
-	region := mem.NewRegion("probe", 0, window)
-	if err := node.Map(Mapping{SrcBase: 0, Size: window, Dst: region}); err != nil {
-		panic(err)
-	}
+	node, link := probeNode(p, window)
 
 	storeSize := 8
 	if packetBytes < storeSize {
@@ -80,14 +73,23 @@ func measureOne(p *sim.Params, totalBytes, packetBytes int) float64 {
 // MeasureLatency returns the simulated one-way latency of a single 4-byte
 // write on an otherwise idle network (paper: 3.3 microseconds).
 func MeasureLatency(p *sim.Params) sim.Dur {
-	var clk sim.Clock
-	link := sim.NewLink(p)
-	node := NewNode(p, &clk, link)
-	region := mem.NewRegion("probe", 0, 64)
-	if err := node.Map(Mapping{SrcBase: 0, Size: 64, Dst: region}); err != nil {
-		panic(err)
-	}
+	node, _ := probeNode(p, 64)
 	node.StoreIO(0, []byte{1, 2, 3, 4}, mem.CatModified)
 	node.Fence()
 	return sim.Dur(node.LastDelivered())
+}
+
+// probeNode returns a node on a link of its own whose first n bytes of I/O
+// space are mapped onto a fresh remote region.
+func probeNode(p *sim.Params, n int) (*Node, *sim.Link) {
+	link := sim.NewLink(p)
+	node := NewNode(p, new(sim.Clock), link)
+	region, err := mem.NewRegion("probe", 0, n)
+	if err == nil {
+		err = node.Map(Mapping{SrcBase: 0, Size: n, Dst: region})
+	}
+	if err != nil {
+		panic(err)
+	}
+	return node, link
 }

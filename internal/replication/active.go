@@ -94,9 +94,13 @@ func (g *Group) laneRegions(n *Node) (ring, ctl *mem.Region, err error) {
 		return ring, n.Space.ByName(regionRingCtl), nil
 	}
 	size := g.params.RingBytes
-	ring = mem.NewRegion(regionRedoRing, g.laneBase, size)
-	ctl = mem.NewRegion(regionRingCtl, g.laneBase+uint64(size)+regionBase, 64)
-	if err = n.Space.Add(ring); err == nil {
+	if ring, err = mem.NewRegion(regionRedoRing, g.laneBase, size); err == nil {
+		ctl, err = mem.NewRegion(regionRingCtl, g.laneBase+uint64(size)+regionBase, 64)
+	}
+	if err == nil {
+		err = n.Space.Add(ring)
+	}
+	if err == nil {
 		err = n.Space.Add(ctl)
 	}
 	return ring, ctl, err

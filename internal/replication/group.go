@@ -727,7 +727,9 @@ func (g *Group) demoteLocked(t uint64) *backup {
 	}
 	for _, r := range n.Space.Regions() {
 		if r.Name != vista.RegionDB {
-			r.Release()
+			if r.Release() != nil {
+				return nil // the host refused fresh memory: a spare replaces the node
+			}
 			r.IOOnly = false
 		}
 	}

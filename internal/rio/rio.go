@@ -31,8 +31,11 @@ func (m *Memory) Space() *mem.Space { return m.space }
 
 // Segment creates a recoverable segment as a region in the address space.
 func (m *Memory) Segment(name string, base uint64, size int) (*mem.Region, error) {
-	r := mem.NewRegion(name, base, size)
-	if err := m.space.Add(r); err != nil {
+	r, err := mem.NewRegion(name, base, size)
+	if err == nil {
+		err = m.space.Add(r)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("rio: %w", err)
 	}
 	return r, nil

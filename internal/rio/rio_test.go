@@ -37,25 +37,28 @@ func TestSegmentCreateAndLookup(t *testing.T) {
 }
 
 // TestSegmentSparse: a segment holds no host memory until written, and a
-// write holds only the chunk it lands in.
+// write holds only the page it lands in.
 func TestSegmentSparse(t *testing.T) {
 	m, acc := newTestMemory(t)
 	r, err := m.Segment("big", 0x100000, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := r.Backing().Chunks(); n != 0 {
-		t.Fatalf("a fresh segment holds %d chunks", n)
+	if n := r.Backing().Pages(); n != 0 {
+		t.Fatalf("a fresh segment holds %d pages", n)
 	}
 	acc.WriteU64(r.Base+5000, 1, mem.CatMeta)
-	if n := r.Backing().Chunks(); n != 1 {
-		t.Fatalf("one word written, %d chunks held", n)
+	if n := r.Backing().Pages(); n != 1 {
+		t.Fatalf("one word written, %d pages held", n)
 	}
 }
 
 func TestAttach(t *testing.T) {
 	m, _ := newTestMemory(t)
-	r := mem.NewRegion("x", 0x5000, 64)
+	r, err := mem.NewRegion("x", 0x5000, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := m.Attach(r); err != nil {
 		t.Fatal(err)
 	}

@@ -176,7 +176,10 @@ const pageStagger = 13 * 8 << 10
 // returning the first address past the last region (aligned).
 func PlaceRegions(space *mem.Space, specs []RegionSpec, base uint64) (uint64, error) {
 	for i, sp := range specs {
-		r := mem.NewRegion(sp.Name, base+uint64(i+1)*pageStagger, sp.Size)
+		r, err := mem.NewRegion(sp.Name, base+uint64(i+1)*pageStagger, sp.Size)
+		if err != nil {
+			return 0, err
+		}
 		r.WriteThrough = sp.Replicated
 		// Every engine region is dirty-tracked so a briefly-partitioned
 		// replica can be delta-resynced: the tracker stamps written pages,
