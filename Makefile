@@ -57,8 +57,11 @@ tables:
 # it to what it measures, and no PR raises it without saying why.
 # Raised 22440 -> 22476 for the host-memory allocator: a mapped and a heap
 # build of it, and the mapping's error returned through the region
-# constructors.
-LOC_CEILING := 22476
+# constructors. Raised 22476 -> 22516 for kvclient's coalesced write path (a
+# writer goroutine, pooled waiters, a request-kind switch in place of
+# closures, a lock-free pool) and pprof beside -metrics-addr; ROADMAP item
+# 12's diet is the payback.
+LOC_CEILING := 22516
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

@@ -21,8 +21,9 @@
 // per-opcode serving latencies, WAL fsync costs, read-route counters and
 // the failure/repair event ring's depth. The same snapshot is available
 // in JSON over the wire itself (the kvwire METRICS opcode — see
-// kvclient.Metrics). Without the flag nothing is instrumented and the
-// serving path is exactly the uninstrumented build.
+// kvclient.Metrics), and net/http/pprof is served under /debug/pprof/.
+// Without the flag nothing is instrumented and the serving path is
+// exactly the uninstrumented build.
 //
 // With -data-dir set, every replica keeps a redo WAL plus periodic
 // snapshots under DIR (per shard under DIR/shard-NNN), fsynced on the
@@ -43,6 +44,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -157,6 +159,8 @@ func main() {
 				logf("kvserver: metrics scrape: %v", err)
 			}
 		})
+		mux.HandleFunc("/debug/pprof/", pprof.Index)
+		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		msrv = &http.Server{Handler: mux}
 		go func() {
 			if err := msrv.Serve(ml); err != nil && err != http.ErrServerClosed {

@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/kvwire"
 	"repro/internal/obs"
 	"repro/kv"
+	"repro/kvclient"
 )
 
 // queued reports how many readers wait for the running group's leader.
@@ -175,4 +177,39 @@ func TestGroupSlowPeerStallsNoOne(t *testing.T) {
 		}
 	}
 	readStalled(t, stalled, big)
+}
+
+// TestClientRoundTripZeroAllocs: with kvclient and the server in one
+// process, a PUT round trip allocates nothing on either side of the socket
+// and a GET only the fresh value it returns.
+func TestClientRoundTripZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	srv, _, addr := serve(t, repro.Config{Backups: 1})
+	defer srv.Close()
+	cl := kvclient.Dial(addr, kvclient.Options{Conns: 1})
+	defer cl.Close()
+	key, val := []byte("key"), bytes.Repeat([]byte{7}, 64)
+	put := func() {
+		if err := cl.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func() {
+		if got, err := cl.Get(key); err != nil || !bytes.Equal(got, val) {
+			t.Fatalf("Get = %q, %v", got, err)
+		}
+	}
+	// Warm the waiter pool, the frame pools and the connection's buffers.
+	for range 1000 {
+		put()
+		get()
+	}
+	if n := testing.AllocsPerRun(2000, put); n != 0 {
+		t.Errorf("PUT round trip: %v allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(2000, get); n != 1 {
+		t.Errorf("GET round trip: %v allocations, want 1 (the value)", n)
+	}
 }

@@ -202,18 +202,19 @@ type Stats struct {
 
 // bufPool recycles frame buffers across requests and responses — the
 // serving path's analogue of the facade's pooled redo encode buffers:
-// steady-state request handling allocates no per-op buffers.
-var bufPool = sync.Pool{New: func() any { return make([]byte, 0, 4096) }}
+// steady-state request handling allocates no per-op buffers. It holds
+// array pointers: a slice put in a Pool boxes its header, an allocation.
+var bufPool = sync.Pool{New: func() any { return new([4096]byte) }}
 
 // GetBuf returns a pooled zero-length buffer.
-func GetBuf() []byte { return bufPool.Get().([]byte)[:0] }
+func GetBuf() []byte { return bufPool.Get().(*[4096]byte)[:0] }
 
-// PutBuf recycles a buffer obtained from GetBuf (or grown from one).
+// PutBuf recycles a buffer obtained from GetBuf. One grown past the pooled
+// size (a large scan, a large value) is let go instead of pinned.
 func PutBuf(b []byte) {
-	if cap(b) > MaxFrame+8 {
-		return // oversized outlier: let it go instead of pinning it
+	if cap(b) == 4096 {
+		bufPool.Put((*[4096]byte)(b[:4096]))
 	}
-	bufPool.Put(b[:0]) //nolint:staticcheck // slice sizes are pooled intentionally
 }
 
 // BeginFrame starts a frame in buf: the 4-byte length placeholder plus
@@ -404,14 +405,15 @@ func AppendMsg(buf []byte, code byte, msg string) []byte {
 // when the stream ends cleanly between frames; a declared length outside
 // (0, max] returns ErrFrame without consuming the body.
 func ReadFrame(r io.Reader, buf []byte, max int) ([]byte, error) {
-	var head [4]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+	// The prefix lands in buf: a local array would escape through r.
+	buf = append(buf[:0], 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, buf); err != nil {
 		if errors.Is(err, io.ErrUnexpectedEOF) {
 			return buf, fmt.Errorf("%w: truncated length prefix", ErrFrame)
 		}
 		return buf, err
 	}
-	n := int(binary.BigEndian.Uint32(head[:]))
+	n := int(binary.BigEndian.Uint32(buf))
 	if n < 1 || n > max {
 		return buf, fmt.Errorf("%w: declared body of %d bytes (max %d)", ErrFrame, n, max)
 	}

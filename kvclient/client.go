@@ -4,13 +4,17 @@
 //
 // A Client owns a small pool of TCP connections. Each connection
 // pipelines: any number of goroutines may issue operations through the
-// same connection, requests are written back to back, and responses —
-// which the server returns strictly in order — are matched to callers
-// by position. With Options.ReadMode set, reads are served under an
-// explicit consistency discipline (read-your-writes, bounded staleness
-// or quorum) by the deployment's backup replicas: the client tracks the
-// commit tokens mutation responses carry and sends the merged session
-// floor with every read. Operations that fail with the retryable wire class
+// same connection, and responses — which the server returns strictly in
+// order — are matched to callers by position. A caller only appends its
+// request to the connection's write buffer. One writer goroutine per
+// connection yields once, so that callers already runnable append theirs
+// too, then sends the whole buffer with one write: requests that arrive
+// together leave together, and the server commits them as one burst.
+// With Options.ReadMode set, reads are served under an explicit
+// consistency discipline (read-your-writes, bounded staleness or quorum)
+// by the deployment's backup replicas: the client tracks the commit tokens
+// mutation responses carry and sends the merged session floor with every
+// read. Operations that fail with the retryable wire class
 // (StatusRetry: the deployment is failing over) or with a transport
 // error are retried with exponential backoff against a fresh connection
 // until RetryBudget is exhausted; PUT, DELETE and TXN are last-writer-
@@ -33,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -166,8 +171,9 @@ type Client struct {
 	next   atomic.Uint64
 	closed atomic.Bool
 
+	// conns is the pool; mu is taken only to install a re-dialed slot.
 	mu    sync.Mutex
-	conns []*conn
+	conns []atomic.Pointer[conn]
 
 	// Session commit token (non-default ReadMode only): the element-wise
 	// maximum over every mutation response's token. Pipelined responses
@@ -185,7 +191,7 @@ type Client struct {
 // coming up; the first operation pays the dial.
 func Dial(addr string, opts Options) *Client {
 	opts = opts.withDefaults()
-	return &Client{addr: addr, opts: opts, conns: make([]*conn, opts.Conns)}
+	return &Client{addr: addr, opts: opts, conns: make([]atomic.Pointer[conn], opts.Conns)}
 }
 
 // Retries returns the number of operation retries performed (failovers
@@ -201,49 +207,31 @@ func (c *Client) Close() error {
 	c.closed.Store(true)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, cn := range c.conns {
-		if cn != nil {
+	for i := range c.conns {
+		if cn := c.conns[i].Swap(nil); cn != nil {
 			cn.close(ErrClosed)
-			c.conns[i] = nil
 		}
 	}
 	return nil
 }
 
-// mergeToken folds a mutation response's commit token into the session
-// floor, element-wise maximum (see Client.tok).
-func (c *Client) mergeToken(t []uint64) {
+// trackToken folds a mutation response's commit token into the session
+// floor, element-wise maximum (see Client.tok). Old servers send an empty
+// body, which parses to no token.
+func (c *Client) trackToken(body []byte) error {
+	t, err := kvwire.ParseTokenBody(body, nil)
+	if err != nil {
+		return err
+	}
 	c.tokMu.Lock()
+	defer c.tokMu.Unlock()
 	for len(c.tok) < len(t) {
 		c.tok = append(c.tok, 0)
 	}
 	for i, v := range t {
-		if v > c.tok[i] {
-			c.tok[i] = v
-		}
+		c.tok[i] = max(c.tok[i], v)
 	}
-	c.tokMu.Unlock()
-}
-
-// trackToken is the mutation parseOK when a read mode is in play: it
-// harvests the response's commit token. Old servers send an empty body,
-// which parses to no token.
-func (c *Client) trackToken(body []byte) error {
-	tok, err := kvwire.ParseTokenBody(body, nil)
-	if err != nil {
-		return err
-	}
-	c.mergeToken(tok)
 	return nil
-}
-
-// mutParse returns the StatusOK body parser for mutations: token
-// harvesting with a read mode configured, nil (body ignored) otherwise.
-func (c *Client) mutParse() func([]byte) error {
-	if c.opts.ReadMode == ReadPrimary {
-		return nil
-	}
-	return c.trackToken
 }
 
 // Token returns a copy of the session's commit token — the floor a
@@ -260,8 +248,7 @@ func (c *Client) Put(key, value []byte) error {
 	if len(key) > kvwire.MaxKey || len(value) > kvwire.MaxValue {
 		return ErrTooLarge
 	}
-	_, err := c.do(func(buf []byte) []byte { return kvwire.AppendPut(buf, key, value) }, c.mutParse())
-	return err
+	return c.do(&request{op: kvwire.OpPut, key: key, val: value})
 }
 
 // Get returns the value under key (freshly allocated), served per
@@ -270,26 +257,9 @@ func (c *Client) Get(key []byte) ([]byte, error) {
 	if len(key) > kvwire.MaxKey {
 		return nil, ErrTooLarge
 	}
-	var val []byte
-	var tokBuf []uint64
-	_, err := c.do(
-		func(buf []byte) []byte {
-			if c.opts.ReadMode == ReadPrimary {
-				return kvwire.AppendGet(buf, key)
-			}
-			c.tokMu.Lock()
-			tokBuf = append(tokBuf[:0], c.tok...)
-			c.tokMu.Unlock()
-			return kvwire.AppendGetAt(buf, key, c.opts.ReadMode, c.opts.StalenessBound, tokBuf)
-		},
-		func(body []byte) error {
-			val = append([]byte(nil), body...)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return val, nil
+	r := request{op: kvwire.OpGet, key: key}
+	err := c.do(&r)
+	return r.val, err
 }
 
 // Delete removes key.
@@ -297,8 +267,7 @@ func (c *Client) Delete(key []byte) error {
 	if len(key) > kvwire.MaxKey {
 		return ErrTooLarge
 	}
-	_, err := c.do(func(buf []byte) []byte { return kvwire.AppendDelete(buf, key) }, c.mutParse())
-	return err
+	return c.do(&request{op: kvwire.OpDelete, key: key})
 }
 
 // Scan returns up to limit entries in the store's bucket order starting
@@ -309,35 +278,11 @@ func (c *Client) Scan(start []byte, limit int) ([]Entry, error) {
 	if len(start) > kvwire.MaxKey {
 		return nil, ErrTooLarge
 	}
-	if limit > kvwire.MaxScan {
-		limit = kvwire.MaxScan
-	}
-	var entries []Entry
-	var tokBuf []uint64
-	_, err := c.do(
-		func(buf []byte) []byte {
-			if c.opts.ReadMode == ReadPrimary {
-				return kvwire.AppendScan(buf, start, limit)
-			}
-			c.tokMu.Lock()
-			tokBuf = append(tokBuf[:0], c.tok...)
-			c.tokMu.Unlock()
-			return kvwire.AppendScanAt(buf, start, limit, c.opts.ReadMode, c.opts.StalenessBound, tokBuf)
-		},
-		func(body []byte) error {
-			entries = entries[:0]
-			return kvwire.ParseScanBody(body, func(k, v []byte) error {
-				entries = append(entries, Entry{
-					Key: append([]byte(nil), k...),
-					Val: append([]byte(nil), v...),
-				})
-				return nil
-			})
-		})
-	if err != nil {
+	r := request{op: kvwire.OpScan, key: start, limit: min(limit, kvwire.MaxScan)}
+	if err := c.do(&r); err != nil {
 		return nil, err
 	}
-	return entries, nil
+	return r.entries, nil
 }
 
 // Txn applies a batch of puts and deletes through the server's
@@ -357,16 +302,13 @@ func (c *Client) Txn(ops []Op) error {
 			wireOps[i].Kind = kvwire.TxnDelete
 		}
 	}
-	_, err := c.do(func(buf []byte) []byte { return kvwire.AppendTxn(buf, wireOps) }, c.mutParse())
-	return err
+	return c.do(&request{op: kvwire.OpTxn, ops: wireOps})
 }
 
 // Stats fetches the server's serving counters.
 func (c *Client) Stats() (Stats, error) {
 	var st Stats
-	_, err := c.do(
-		func(buf []byte) []byte { return kvwire.AppendEmpty(buf, kvwire.OpStats) },
-		func(body []byte) error { return json.Unmarshal(body, &st) })
+	err := c.do(&request{op: kvwire.OpStats, doc: &st})
 	return st, err
 }
 
@@ -377,37 +319,94 @@ func (c *Client) Stats() (Stats, error) {
 // opcode as malformed, which surfaces as a terminal ServerError.
 func (c *Client) Metrics() (Metrics, error) {
 	var m Metrics
-	_, err := c.do(
-		func(buf []byte) []byte { return kvwire.AppendEmpty(buf, kvwire.OpMetrics) },
-		func(body []byte) error { return json.Unmarshal(body, &m) })
+	err := c.do(&request{op: kvwire.OpMetrics, doc: &m})
 	return m, err
 }
 
 // Ping round-trips an empty frame.
 func (c *Client) Ping() error {
-	_, err := c.do(func(buf []byte) []byte { return kvwire.AppendEmpty(buf, kvwire.OpPing) }, nil)
-	return err
+	return c.do(&request{op: kvwire.OpPing})
 }
 
-// do runs one operation with the client's retry policy: encode sends
-// the request (into a pooled buffer), parseOK consumes a StatusOK body
-// (nil for empty-bodied operations).
-func (c *Client) do(encode func([]byte) []byte, parseOK func([]byte) error) (status byte, err error) {
+// request is one operation's arguments and result: a struct read by two
+// switches, not a pair of closures, so a round trip allocates nothing.
+type request struct {
+	op      byte
+	key     []byte // Scan's start
+	val     []byte // Put's value; Get's answer
+	limit   int
+	ops     []kvwire.Op
+	entries []Entry
+	doc     any // Stats' or Metrics' destination
+}
+
+// encode appends r's request frame to buf. Reads outside ReadPrimary carry
+// the session token, read under tokMu.
+func (c *Client) encode(buf []byte, r *request) []byte {
+	switch mode := c.opts.ReadMode; {
+	case r.op == kvwire.OpPut:
+		return kvwire.AppendPut(buf, r.key, r.val)
+	case r.op == kvwire.OpDelete:
+		return kvwire.AppendDelete(buf, r.key)
+	case r.op == kvwire.OpTxn:
+		return kvwire.AppendTxn(buf, r.ops)
+	case r.op == kvwire.OpGet && mode == ReadPrimary:
+		return kvwire.AppendGet(buf, r.key)
+	case r.op == kvwire.OpScan && mode == ReadPrimary:
+		return kvwire.AppendScan(buf, r.key, r.limit)
+	case r.op == kvwire.OpGet, r.op == kvwire.OpScan:
+		c.tokMu.Lock()
+		defer c.tokMu.Unlock()
+		if r.op == kvwire.OpGet {
+			return kvwire.AppendGetAt(buf, r.key, mode, c.opts.StalenessBound, c.tok)
+		}
+		return kvwire.AppendScanAt(buf, r.key, r.limit, mode, c.opts.StalenessBound, c.tok)
+	}
+	return kvwire.AppendEmpty(buf, r.op)
+}
+
+// parse consumes a StatusOK body into r. The body is the waiter's buffer,
+// recycled once the round trip returns, so what r keeps is copied.
+func (c *Client) parse(r *request, body []byte) error {
+	switch r.op {
+	case kvwire.OpPut, kvwire.OpDelete, kvwire.OpTxn:
+		if c.opts.ReadMode != ReadPrimary {
+			return c.trackToken(body)
+		}
+	case kvwire.OpGet:
+		r.val = append([]byte(nil), body...)
+	case kvwire.OpScan:
+		r.entries = r.entries[:0]
+		return kvwire.ParseScanBody(body, func(k, v []byte) error {
+			r.entries = append(r.entries, Entry{
+				Key: append([]byte(nil), k...),
+				Val: append([]byte(nil), v...),
+			})
+			return nil
+		})
+	case kvwire.OpStats, kvwire.OpMetrics:
+		return json.Unmarshal(body, r.doc)
+	}
+	return nil
+}
+
+// do runs one operation with the client's retry policy.
+func (c *Client) do(r *request) error {
 	deadline := time.Now().Add(c.opts.RetryBudget)
 	backoff := 200 * time.Microsecond
-	for attempt := 0; ; attempt++ {
+	for {
 		if c.closed.Load() {
-			return 0, ErrClosed
+			return ErrClosed
 		}
-		status, err = c.doOnce(encode, parseOK)
+		err := c.doOnce(r)
 		if err == nil {
-			return status, nil
+			return nil
 		}
 		if !retryable(err) || c.opts.RetryBudget < 0 || time.Now().After(deadline) {
 			if retryable(err) {
-				return status, fmt.Errorf("%w (last error: %v)", ErrRetryBudget, err)
+				return fmt.Errorf("%w (last error: %v)", ErrRetryBudget, err)
 			}
-			return status, err
+			return err
 		}
 		c.retries.Add(1)
 		time.Sleep(backoff)
@@ -432,55 +431,48 @@ var (
 )
 
 // doOnce performs one attempt over one pooled connection.
-func (c *Client) doOnce(encode func([]byte) []byte, parseOK func([]byte) error) (byte, error) {
+func (c *Client) doOnce(r *request) error {
 	cn, err := c.conn(int(c.next.Add(1)))
 	if err != nil {
-		return 0, fmt.Errorf("%w: dial: %v", errTransport, err)
+		return fmt.Errorf("%w: dial: %v", errTransport, err)
 	}
-	body, err := cn.roundTrip(encode, c.opts.OpTimeout)
-	if err != nil {
-		return 0, err
+	w := waiters.Get().(*waiter)
+	defer waiters.Put(w)
+	w.buf, w.err = c.encode(w.buf, r), nil
+	if err := cn.roundTrip(w, c.opts.OpTimeout); err != nil {
+		return err
 	}
-	defer kvwire.PutBuf(body)
-	status := body[0]
-	switch status {
+	body := w.buf
+	switch body[0] {
 	case kvwire.StatusOK:
-		if parseOK != nil {
-			if err := parseOK(body[1:]); err != nil {
-				return status, err
-			}
-		}
-		return status, nil
+		return c.parse(r, body[1:])
 	case kvwire.StatusNotFound:
-		return status, ErrNotFound
+		return ErrNotFound
 	case kvwire.StatusRetry:
-		return status, fmt.Errorf("%w: %s", errWireRetry, body[1:])
+		return fmt.Errorf("%w: %s", errWireRetry, body[1:])
 	case kvwire.StatusDegraded:
-		return status, fmt.Errorf("%w: %s", ErrDegraded, body[1:])
+		return fmt.Errorf("%w: %s", ErrDegraded, body[1:])
 	case kvwire.StatusErr:
-		return status, &ServerError{Msg: string(body[1:])}
+		return &ServerError{Msg: string(body[1:])}
 	case kvwire.StatusBad:
 		// The server is about to close the connection; surface as a
 		// terminal protocol error.
-		return status, &ServerError{Msg: "protocol: " + string(body[1:])}
+		return &ServerError{Msg: "protocol: " + string(body[1:])}
 	default:
-		return status, &ServerError{Msg: fmt.Sprintf("unknown status %d", status)}
+		return &ServerError{Msg: fmt.Sprintf("unknown status %d", body[0])}
 	}
 }
 
-// conn returns pool slot i%Conns, dialing or re-dialing it if needed.
+// conn returns pool slot i%Conns: one atomic load, unless the slot is
+// empty or its connection dead. Then it dials a replacement outside mu, so
+// a slow peer stalls only this slot's callers. Of the callers racing on one
+// dead slot, the first to finish installs its connection; the others close
+// theirs and use it.
 func (c *Client) conn(i int) (*conn, error) {
-	slot := i % c.opts.Conns
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed.Load() {
-		return nil, ErrClosed
-	}
-	if cn := c.conns[slot]; cn != nil && !cn.dead() {
-		return cn, nil
-	}
-	if c.conns[slot] != nil {
-		c.redials.Add(1)
+	slot := &c.conns[i%len(c.conns)]
+	old := slot.Load()
+	if old != nil && !old.dead() {
+		return old, nil
 	}
 	nc, err := net.DialTimeout("tcp", c.addr, c.opts.DialTimeout)
 	if err != nil {
@@ -489,41 +481,64 @@ func (c *Client) conn(i int) (*conn, error) {
 	if tc, ok := nc.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed.Load() {
+		nc.Close()
+		return nil, ErrClosed
+	}
+	if cur := slot.Load(); cur != old {
+		nc.Close()
+		return cur, nil
+	}
+	if old != nil {
+		c.redials.Add(1)
+	}
 	cn := newConn(nc)
-	c.conns[slot] = cn
+	slot.Store(cn)
 	return cn, nil
 }
 
-// conn is one pipelining connection: writes serialize on mu, responses
-// are matched to callers in FIFO order by the reader goroutine. The
-// waiter is enqueued before its request bytes go out, so a response can
-// never outrun its waiter.
+// conn is one pipelining connection. A caller enqueues its waiter and
+// appends its request to wbuf in one critical section of mu, so the order
+// of the waiters is the order of the bytes, and a waiter exists before the
+// server can see its request. The writer goroutine sends wbuf; the reader
+// goroutine matches responses to waiters in FIFO order.
 type conn struct {
 	c  net.Conn
-	mu sync.Mutex // serializes request writes + pending enqueue
-	bw *bufio.Writer
+	mu sync.Mutex // orders a waiter's enqueue with its request's bytes
 	// pending is the client-side in-flight window: a caller issuing
-	// request N+cap blocks until response N has been read, bounding
-	// per-connection pipelining depth.
-	pending chan chan result
-	once    sync.Once
-	dying   chan struct{}         // closed on first failure
-	errp    atomic.Pointer[error] // set before dying closes
+	// request N+cap blocks (under mu) until response N has been read.
+	pending chan *waiter
+	// wbuf holds the requests appended since the writer last took it, under
+	// a lock of its own: a caller may wait under mu for the window to open.
+	wmu   sync.Mutex
+	wbuf  []byte
+	wake  chan struct{} // one token: wbuf has bytes for the writer
+	once  sync.Once
+	dying chan struct{}         // closed on first failure
+	errp  atomic.Pointer[error] // set before dying closes
 }
 
-type result struct {
-	body []byte // pooled; receiver recycles
+// waiter is one request in flight, pooled: its frame is copied out of buf,
+// and the read loop swaps the response in (or sets err), then signals done.
+type waiter struct {
+	buf  []byte
 	err  error
+	done chan struct{}
 }
+
+var waiters = sync.Pool{New: func() any { return &waiter{done: make(chan struct{}, 1)} }}
 
 func newConn(nc net.Conn) *conn {
 	cn := &conn{
 		c:       nc,
-		bw:      bufio.NewWriterSize(nc, 16<<10),
-		pending: make(chan chan result, 128),
+		pending: make(chan *waiter, 128),
+		wake:    make(chan struct{}, 1),
 		dying:   make(chan struct{}),
 	}
 	go cn.readLoop()
+	go cn.writeLoop()
 	return cn
 }
 
@@ -537,98 +552,117 @@ func (cn *conn) close(err error) {
 	})
 }
 
-// roundTrip writes one request and waits for its response body (pooled;
-// caller recycles). A positive opTimeout bounds the wait; on expiry the
-// connection is poisoned (see Options.OpTimeout) and ErrOpTimeout is
-// returned.
-func (cn *conn) roundTrip(encode func([]byte) []byte, opTimeout time.Duration) ([]byte, error) {
-	waiter := make(chan result, 1)
-	buf := encode(kvwire.GetBuf())
+// roundTrip sends the request frame in w.buf and waits for its response,
+// which it leaves in w.buf. A positive opTimeout bounds the wait; on
+// expiry the connection is poisoned (see Options.OpTimeout) and
+// ErrOpTimeout is returned.
+func (cn *conn) roundTrip(w *waiter, opTimeout time.Duration) error {
 	cn.mu.Lock()
 	if cn.dead() {
 		cn.mu.Unlock()
-		kvwire.PutBuf(buf)
-		return nil, fmt.Errorf("%w: %v", errTransport, *cn.errp.Load())
+		return fmt.Errorf("%w: %v", errTransport, *cn.errp.Load())
 	}
-	// Enqueue before writing: the read loop matches responses to
-	// waiters positionally, so the waiter must exist before the server
-	// can possibly answer. The dying case keeps a full window from
-	// deadlocking against a read loop that has stopped draining.
+	// The dying case keeps a full window from deadlocking against a read
+	// loop that has stopped draining.
 	select {
-	case cn.pending <- waiter:
+	case cn.pending <- w:
 	case <-cn.dying:
 		cn.mu.Unlock()
-		kvwire.PutBuf(buf)
-		return nil, fmt.Errorf("%w: %v", errTransport, *cn.errp.Load())
+		return fmt.Errorf("%w: %v", errTransport, *cn.errp.Load())
 	}
-	_, werr := cn.bw.Write(buf)
-	if werr == nil {
-		werr = cn.bw.Flush()
-	}
+	cn.wmu.Lock()
+	cn.wbuf = append(cn.wbuf, w.buf...)
+	first := len(cn.wbuf) == len(w.buf)
+	cn.wmu.Unlock()
 	cn.mu.Unlock()
-	kvwire.PutBuf(buf)
-	if werr != nil {
-		// The waiter is already queued; poisoning the connection makes
-		// the read loop fail it (and everything else in flight).
-		cn.close(werr)
-		return nil, fmt.Errorf("%w: write: %v", errTransport, werr)
+	if first {
+		select {
+		case cn.wake <- struct{}{}:
+		default:
+		}
 	}
-	var res result
 	if opTimeout > 0 {
 		timer := time.NewTimer(opTimeout)
 		select {
-		case res = <-waiter:
+		case <-w.done:
 			timer.Stop()
 		case <-timer.C:
 			// The read loop matches responses to waiters positionally, so
 			// an abandoned waiter cannot be skipped: kill the connection.
 			// Its read loop then settles this waiter (and fails the rest
-			// of the in-flight window, which retries elsewhere).
+			// of the in-flight window, which retries elsewhere). A response
+			// that raced the close still counts as unknown to the caller,
+			// who asked for bounded latency.
 			terr := fmt.Errorf("%w after %v", ErrOpTimeout, opTimeout)
 			cn.close(terr)
-			if res = <-waiter; res.body != nil {
-				// The response raced the close; the outcome still counts
-				// as unknown to the caller, who asked for bounded latency.
-				kvwire.PutBuf(res.body)
-			}
-			return nil, terr
+			<-w.done
+			return terr
 		}
 	} else {
-		res = <-waiter
+		<-w.done
 	}
-	if res.err != nil {
-		return nil, fmt.Errorf("%w: %v", errTransport, res.err)
+	if w.err != nil {
+		return fmt.Errorf("%w: %v", errTransport, w.err)
 	}
-	return res.body, nil
+	return nil
+}
+
+// writeLoop sends what callers have appended to wbuf, everything gathered
+// in one write. Before it takes the buffer it yields once: the scheduler
+// runs a goroutine it has just woken next, so without the yield the writer
+// woken by a burst's first caller would send that request alone, ahead of
+// the callers that are already runnable (the read loop has just woken
+// them with their responses) and about to append theirs. A failed write
+// poisons the connection; the read loop then fails every waiter.
+func (cn *conn) writeLoop() {
+	var out []byte
+	for {
+		select {
+		case <-cn.wake:
+		case <-cn.dying:
+			return
+		}
+		runtime.Gosched()
+		cn.wmu.Lock()
+		out, cn.wbuf = cn.wbuf, out[:0]
+		cn.wmu.Unlock()
+		if _, err := cn.c.Write(out); err != nil {
+			cn.close(err)
+			return
+		}
+	}
 }
 
 // readLoop delivers responses to waiters in order; on any read error it
-// poisons the connection and fails every pending waiter (their
-// operations retry on a fresh connection). The drain runs under mu:
-// once it holds the lock, every enqueued waiter is in the channel and
-// no new one can enter (roundTrip checks dead() under the same lock),
-// so nothing is orphaned.
+// poisons the connection and fails every pending waiter with its first
+// error (their operations retry on a fresh connection). The drain runs
+// under mu: once it holds the lock, every enqueued waiter
+// is in the channel and no new one can enter (roundTrip checks dead()
+// under the same lock), so nothing is orphaned.
 func (cn *conn) readLoop() {
 	br := bufio.NewReaderSize(cn.c, 16<<10)
+	var buf []byte
 	for {
-		buf, err := kvwire.ReadFrame(br, kvwire.GetBuf(), kvwire.MaxFrame)
+		frame, err := kvwire.ReadFrame(br, buf, kvwire.MaxFrame)
 		if err == nil {
 			select {
 			case w := <-cn.pending:
-				w <- result{body: buf}
+				w.buf, buf = frame, w.buf[:0]
+				w.done <- struct{}{}
 				continue
 			default:
 				// A response nobody asked for: protocol desync.
 				err = errors.New("kvclient: unsolicited response")
-				kvwire.PutBuf(buf)
 			}
 		}
 		cn.close(err)
+		err = *cn.errp.Load()
 		cn.mu.Lock()
 		for {
 			select {
 			case w := <-cn.pending:
-				w <- result{err: err}
+				w.err = err
+				w.done <- struct{}{}
 			default:
 				cn.mu.Unlock()
 				return
