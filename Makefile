@@ -60,8 +60,10 @@ tables:
 # constructors. Raised 22476 -> 22516 for kvclient's coalesced write path (a
 # writer goroutine, pooled waiters, a request-kind switch in place of
 # closures, a lock-free pool) and pprof beside -metrics-addr; ROADMAP item
-# 12's diet is the payback.
-LOC_CEILING := 22516
+# 12's diet is the payback. Lowered 22516 -> 21475 by that diet's first
+# part: examples/ became two checked Examples, cmd/mcpingpong went, the
+# extension cells lost the configuration knobs only their defaults took.
+LOC_CEILING := 21475
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

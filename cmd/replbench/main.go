@@ -13,14 +13,13 @@
 //	                  repl-degree shard-scaling group-commit availability chaos
 //	                  kv readscale durability rebalance
 //	          [-db MB] [-dc-txns N] [-oe-txns N] [-warmup N] [-seed N] [-full]
-//	          [-backups K] [-safety 1safe|2safe|quorum] [-shards N] [-commit-batch B]
-//	          [-chaos-events N] [-target-shards N,N,...]
-//	          [-kv-ops N] [-kv-records N] [-kv-scan-len N] [-read-mode M]
 //	          [-csv] [-q]
 //
-// cells is extensions at the one pinned scale (harness.PinnedRunConfig),
-// ignoring every scale flag: `make bench` writes its -csv output to
-// BENCH_cells.csv and TestCellsPinned holds the file to it byte for byte.
+// The flags set the run's scale alone; every extension cell fixes its own
+// deployment (replication degree, safety, batch, schedule). cells is
+// extensions at the one pinned scale (harness.PinnedRunConfig), ignoring
+// every scale flag: `make bench` writes its -csv output to BENCH_cells.csv
+// and TestCellsPinned holds the file to it byte for byte.
 //
 // Examples:
 //
@@ -28,24 +27,18 @@
 //	replbench -experiment all -full     # paper-scale transaction counts
 //	replbench -experiment ablations     # beyond-the-paper sensitivity studies
 //	replbench -experiment cells         # the nine pinned cells, as committed
-//	replbench -experiment shard-scaling -shards 8               # sharded front-end scaling
-//	replbench -experiment repl-degree -backups 5                # replication degree sweep to K=5
-//	replbench -experiment group-commit -commit-batch 32         # batched commit sweep
-//	replbench -experiment chaos -seed 7                         # another seeded fault schedule
-//	replbench -experiment readscale -read-mode bounded          # one mode alongside the baseline
-//	replbench -experiment rebalance -target-shards 4,8,16       # custom growth steps
+//	replbench -experiment chaos -seed 7 # another seeded fault schedule
+//	replbench -experiment shard-scaling,repl-degree -db 16 -dc-txns 3000 -q
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/harness"
-	"repro/internal/replication"
 )
 
 func main() {
@@ -60,16 +53,6 @@ func run() int {
 		oeTxns     = flag.Int64("oe-txns", 0, "Order-Entry transactions per cell (0 = default)")
 		warmup     = flag.Int64("warmup", 0, "warmup transactions per cell (0 = default)")
 		seed       = flag.Uint64("seed", 1, "workload seed")
-		backups    = flag.Int("backups", 0, "replication degree K for the replicated cells (0 = each cell's own default): repl-degree sweeps 1..K; shard-scaling, availability, chaos, kv, readscale, durability and rebalance build K-backup groups (group-commit pins K=3)")
-		shards     = flag.Int("shards", 4, "largest shard count the shard-scaling sweep reaches")
-		batch      = flag.Int("commit-batch", 0, "extra batch size appended to the group-commit sweep (1, 4, 16); the readscale group-commit batch (0 = 96)")
-		safety     = flag.String("safety", "1safe", "commit discipline (1safe, 2safe, quorum) for shard-scaling, availability, chaos and kv; repl-degree and group-commit sweep every level themselves, readscale, durability and rebalance pin quorum")
-		chaosN     = flag.Int("chaos-events", 0, "fault injections the chaos schedule lands (0 = default 4)")
-		targets    = flag.String("target-shards", "", "comma-separated growth steps for rebalance as absolute shard counts, each above the last, from the 2-shard start (\"\" = 4,8)")
-		kvOps      = flag.Int64("kv-ops", 0, "measured kv operations per kv and readscale cell (0 = default)")
-		kvRecords  = flag.Int("kv-records", 0, "preloaded kv keyspace size (0 = default)")
-		kvScanLen  = flag.Int("kv-scan-len", 0, "range-scan length of the kv and readscale scan mixes (0 = default 10)")
-		readMode   = flag.String("read-mode", "", "restrict the readscale experiment to one replica-read mode (ryw, bounded, quorum) next to the primary baseline (\"\" = sweep every mode)")
 		full       = flag.Bool("full", false, "paper-scale transaction counts (slow)")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		quiet      = flag.Bool("q", false, "suppress progress output")
@@ -79,20 +62,6 @@ func run() int {
 	cfg := harness.DefaultRunConfig()
 	cfg.DBSize = *dbMB << 20
 	cfg.Seed = *seed
-	cfg.Backups = *backups
-	cfg.Shards = *shards
-	cfg.CommitBatch = *batch
-	switch *safety {
-	case "1safe", "1-safe":
-		cfg.Safety = replication.OneSafe
-	case "2safe", "2-safe":
-		cfg.Safety = replication.TwoSafe
-	case "quorum":
-		cfg.Safety = replication.QuorumSafe
-	default:
-		fmt.Fprintf(os.Stderr, "replbench: unknown safety level %q\n", *safety)
-		return 2
-	}
 	if *full {
 		cfg.DCTxns, cfg.OETxns, cfg.Warmup = 1_000_000, 200_000, 20_000
 	}
@@ -105,22 +74,6 @@ func run() int {
 	if *warmup > 0 {
 		cfg.Warmup = *warmup
 	}
-
-	if *targets != "" {
-		for _, s := range strings.Split(*targets, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || n < 2 {
-				fmt.Fprintf(os.Stderr, "replbench: bad -target-shards step %q\n", s)
-				return 2
-			}
-			cfg.TargetShards = append(cfg.TargetShards, n)
-		}
-	}
-	cfg.ChaosEvents = *chaosN
-	cfg.KVOps = *kvOps
-	cfg.KVRecords = *kvRecords
-	cfg.KVScanLen = *kvScanLen
-	cfg.ReadMode = *readMode
 
 	exps := selectExperiments(*experiment)
 	if exps == nil {

@@ -20,22 +20,18 @@ func init() {
 	})
 }
 
-// runAvailability measures the crash→failover→repair timeline on an
-// active-scheme cluster, one row per phase. The database is small enough
-// to keep the run short and large enough that the repair transfer spans
-// tens of windows instead of vanishing into one.
+// runAvailability measures the crash→failover→repair timeline on a
+// 1-safe active-scheme cluster with two backups, one row per phase. The
+// database is small enough to keep the run short and large enough that a
+// full repair transfer would span tens of windows instead of vanishing
+// into one.
 func runAvailability(cfg RunConfig) (*Table, error) {
 	const db = 8 << 20
-	backups := cfg.Backups
-	if backups < 1 {
-		backups = 2
-	}
 	c, err := repro.New(repro.Config{
 		Version: repro.V3InlineLog,
 		Backup:  repro.ActiveBackup,
 		DBSize:  db,
-		Backups: backups,
-		Safety:  cfg.Safety,
+		Backups: 2,
 	})
 	if err != nil {
 		return nil, err
@@ -63,7 +59,7 @@ func runAvailability(cfg RunConfig) (*Table, error) {
 		Headers: []string{"Phase", "Windows", "Mean txn/s", "Worst txn/s", "vs healthy",
 			"Repair (ms)", "Repair bytes", "Restored after (ms)"},
 		Notes: append(runNotes(cfg),
-			fmt.Sprintf("active backup, K=%d, %s commit, %d MB database, 10 ms windows", backups, cfg.Safety, db>>20),
+			fmt.Sprintf("active backup, K=2, 1-safe commit, %d MB database, 10 ms windows", db>>20),
 			"repair = between the primary crash and the online repair's cut-over; Restored after = crash to full redundancy"),
 	}
 	for _, phase := range []string{"healthy", "repair", "restored"} {

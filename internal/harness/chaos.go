@@ -22,16 +22,14 @@ func init() {
 	})
 }
 
+// runChaos lands four seeded faults on a 1-safe active-scheme cluster with
+// three backups and two spares per fault.
 func runChaos(cfg RunConfig) (*Table, error) {
-	const db = 8 << 20
-	backups := cfg.Backups
-	if backups < 2 {
+	const (
+		db      = 8 << 20
 		backups = 3
-	}
-	events := cfg.ChaosEvents
-	if events <= 0 {
-		events = 4
-	}
+		events  = 4
+	)
 	hb := 50 * time.Microsecond
 	suspect := 200 * time.Microsecond
 	c, err := repro.New(repro.Config{
@@ -39,7 +37,6 @@ func runChaos(cfg RunConfig) (*Table, error) {
 		Backup:  repro.ActiveBackup,
 		DBSize:  db,
 		Backups: backups,
-		Safety:  cfg.Safety,
 		Autopilot: repro.AutopilotConfig{
 			HeartbeatPeriod: hb,
 			SuspectTimeout:  suspect,
@@ -76,8 +73,8 @@ func runChaos(cfg RunConfig) (*Table, error) {
 		Title:   "Unattended chaos run: per-event fault timeline (Debit-Credit workload)",
 		Headers: []string{"Event", "Kind", "Node", "Failed (ms)", "MTTD (us)", "Failover (us)", "Repair (ms)", "Repair bytes", "MTTR (ms)"},
 		Notes: append(runNotes(cfg),
-			fmt.Sprintf("active backup, K=%d, %s commit, %d MB database, autopilot: heartbeat %v, suspect %v, %d spares",
-				backups, cfg.Safety, db>>20, hb, suspect, 2*events),
+			fmt.Sprintf("active backup, K=%d, 1-safe commit, %d MB database, autopilot: heartbeat %v, suspect %v, %d spares",
+				backups, db>>20, hb, suspect, 2*events),
 			fmt.Sprintf("schedule: %d seeded injections (%s); zero manual Failover/Repair calls", len(res.Injected), injectedKinds(res.Injected)),
 			fmt.Sprintf("detection: mean MTTD %s us (max %s, bound %s); restoration: %d/%d events, mean MTTR %s ms (max %s)",
 				us(res.MeanMTTD), us(res.MaxMTTD), us(suspect+hb), res.Restored, len(res.Events), ms(res.MeanMTTR), ms(res.MaxMTTR)),

@@ -5,19 +5,19 @@ import (
 	"testing"
 )
 
-// TestChaosCell regenerates the chaos exhibit at a reduced scale and
-// checks its shape: one row per detected fault, MTTD within the
-// configured bound, and every event eventually restored.
+// TestChaosCell regenerates the chaos exhibit and checks its shape: the
+// pinned schedule's four faults land as six injections (a
+// crash-during-repair is a backup crash plus a primary crash mid-repair),
+// one row per detected fault, MTTD within the configured bound, and every
+// event eventually restored.
 func TestChaosCell(t *testing.T) {
 	skipShort(t)
-	cfg := testConfig()
-	cfg.ChaosEvents = 2
-	tbl, err := registry["chaos"].Run(cfg)
+	tbl, err := registry["chaos"].Run(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) == 0 {
-		t.Fatal("chaos cell produced no events")
+	if len(tbl.Rows) != 6 {
+		t.Fatalf("chaos cell produced %d events, want 6", len(tbl.Rows))
 	}
 	// MTTD column stays under the suspect-timeout + heartbeat bound the
 	// cell configures (250 us).
@@ -31,11 +31,11 @@ func TestChaosCell(t *testing.T) {
 	}
 	found := false
 	for _, n := range tbl.Notes {
-		if strings.Contains(n, "zero manual Failover/Repair calls") {
+		if strings.Contains(n, "schedule: 6 seeded injections") && strings.Contains(n, "zero manual Failover/Repair calls") {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("chaos cell notes missing the unattended statement")
+		t.Errorf("chaos cell notes missing the unattended six-injection statement: %q", tbl.Notes)
 	}
 }

@@ -25,11 +25,10 @@ func init() {
 }
 
 func runDurability(cfg RunConfig) (*Table, error) {
-	const db = 4 << 20
-	backups := cfg.Backups
-	if backups < 1 {
+	const (
+		db      = 4 << 20
 		backups = 2
-	}
+	)
 	// The kill point is fixed: recovery cost is a function of the
 	// snapshot interval and the tail, not of how long the run was.
 	const txns = 240

@@ -30,13 +30,20 @@ var allVersions = []vista.Version{vista.V0Vista, vista.V1MirrorCopy, vista.V2Mir
 // runFig1 reproduces the stride bandwidth probe of Section 2.3.
 func runFig1(cfg RunConfig) (*Table, error) {
 	params := sim.Default()
-	points := memchannel.MeasureBandwidth(&params, 1<<20, []int{4, 8, 16, 32})
+	points, err := memchannel.MeasureBandwidth(&params, 1<<20, []int{4, 8, 16, 32})
+	if err != nil {
+		return nil, err
+	}
+	lat, err := memchannel.MeasureLatency(&params)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID:      "fig1",
 		Title:   "Effective bandwidth (MB/s) with different packet sizes",
 		Headers: []string{"Packet size", "Bandwidth (MB/s)"},
 		Notes: []string{fmt.Sprintf("one-way 4-byte write latency: %.2f us (paper: 3.3 us)",
-			memchannel.MeasureLatency(&params).Nanoseconds()/1000)},
+			lat.Nanoseconds()/1000)},
 	}
 	for _, pt := range points {
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%dbytes", pt.PacketBytes), f1(pt.MBPerSec)})

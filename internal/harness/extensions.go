@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 
 	"repro"
 	"repro/internal/replication"
@@ -33,15 +32,11 @@ func init() {
 	})
 }
 
-// runReplDegree sweeps the backup count K for each commit-safety level on
-// the active scheme: 1-safe throughput is nearly flat in K (one broadcast,
-// no waiting), quorum pays the median backup's round trip, 2-safe the
-// slowest backup's.
+// runReplDegree sweeps the backup count K = 1..3 for each commit-safety
+// level on the active scheme: 1-safe throughput is nearly flat in K (one
+// broadcast, no waiting), quorum pays the median backup's round trip,
+// 2-safe the slowest backup's.
 func runReplDegree(cfg RunConfig) (*Table, error) {
-	maxK := cfg.Backups
-	if maxK < 1 {
-		maxK = 3
-	}
 	t := &Table{
 		ID:      "repl-degree",
 		Title:   "Active-group Debit-Credit throughput (txns/sec) by backups K and commit safety",
@@ -49,7 +44,7 @@ func runReplDegree(cfg RunConfig) (*Table, error) {
 		Notes: append(runNotes(cfg),
 			"quorum = ceil((K+1)/2) backup acks; an acked commit survives the primary plus any minority of backups"),
 	}
-	for k := 1; k <= maxK; k++ {
+	for k := 1; k <= 3; k++ {
 		row := []string{fmt.Sprintf("%d", k)}
 		for _, s := range []replication.Safety{replication.OneSafe, replication.QuorumSafe, replication.TwoSafe} {
 			group, err := replication.NewGroup(replication.Config{
@@ -79,48 +74,24 @@ func runReplDegree(cfg RunConfig) (*Table, error) {
 	return t, nil
 }
 
-// shardCounts returns the sweep for the shard-scaling experiment: the
-// powers of two up to (and always including) the configured shard count.
-func shardCounts(cfg RunConfig) []int {
-	want := cfg.Shards
-	if want < 1 {
-		want = 4
-	}
-	set := map[int]bool{1: true, want: true}
-	for n := 2; n < want; n *= 2 {
-		set[n] = true
-	}
-	out := make([]int, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// runShardScaling drives the same total transaction count against 1..N
-// shards of the sharded cluster front-end. Shards are independent replica
+// runShardScaling drives the same total transaction count against 1, 2 and
+// 4 shards of the sharded cluster front-end. Shards are independent replica
 // groups on disjoint hardware, so the run's wall-clock is the slowest
 // shard's simulated time and aggregate txn/s grows with the shard count.
 func runShardScaling(cfg RunConfig) (*Table, error) {
-	backups := cfg.Backups
-	if backups < 1 {
-		backups = 1
-	}
 	t := &Table{
 		ID:      "shard-scaling",
 		Title:   "Aggregate Debit-Credit throughput (txns/sec) vs shard count",
 		Headers: []string{"Shards", "Aggregate txn/s", "Per-shard txn/s", "Speedup"},
 		Notes: append(runNotes(cfg),
-			fmt.Sprintf("same total transaction count per row, striped round-robin across shards (active backup, K=%d, %s commit)",
-				backups, cfg.Safety)),
+			"same total transaction count per row, striped round-robin across shards (active backup, K=1, 1-safe commit)"),
 	}
 	txns := cfg.DCTxns
 	if txns > 20_000 {
 		txns = 20_000 // the sweep repeats the work per row
 	}
 	var base float64
-	for _, shards := range shardCounts(cfg) {
+	for _, shards := range []int{1, 2, 4} {
 		tps, err := shardCell(cfg, shards, txns)
 		if err != nil {
 			return nil, err
@@ -144,8 +115,7 @@ func shardCell(cfg RunConfig, shards int, txns int64) (float64, error) {
 		Version: repro.V3InlineLog,
 		Backup:  repro.ActiveBackup,
 		DBSize:  cfg.DBSize,
-		Backups: cfg.Backups,
-		Safety:  cfg.Safety,
+		Backups: 1,
 	}, shards)
 	if err != nil {
 		return 0, err
@@ -176,11 +146,6 @@ func shardCell(cfg RunConfig, shards int, txns int64) (float64, error) {
 // round trip — the batched generalization of the paper's "commit does not
 // wait" argument.
 func runGroupCommit(cfg RunConfig) (*Table, error) {
-	batches := []int{1, 4, 16}
-	if cfg.CommitBatch > 1 {
-		batches = append(batches, cfg.CommitBatch)
-		sort.Ints(batches)
-	}
 	t := &Table{
 		ID:      "group-commit",
 		Title:   "Active-group Debit-Credit throughput (txns/sec) by commit batch and safety",
@@ -192,7 +157,7 @@ func runGroupCommit(cfg RunConfig) (*Table, error) {
 	if txns > 20_000 {
 		txns = 20_000
 	}
-	for _, batch := range batches {
+	for _, batch := range []int{1, 4, 16} {
 		row := []string{fmt.Sprintf("%d", batch)}
 		for _, s := range []replication.Safety{replication.OneSafe, replication.QuorumSafe, replication.TwoSafe} {
 			group, err := replication.NewGroup(replication.Config{

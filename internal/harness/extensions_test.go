@@ -13,7 +13,6 @@ import (
 func TestReplDegreeShape(t *testing.T) {
 	cfg := testConfig()
 	cfg.DCTxns = 3000
-	cfg.Backups = 3
 	e, ok := Lookup("repl-degree")
 	if !ok {
 		t.Fatal("repl-degree not registered")
@@ -49,7 +48,6 @@ func TestReplDegreeShape(t *testing.T) {
 func TestShardScalingShape(t *testing.T) {
 	cfg := testConfig()
 	cfg.DCTxns = 3000
-	cfg.Shards = 4
 	e, ok := Lookup("shard-scaling")
 	if !ok {
 		t.Fatal("shard-scaling not registered")

@@ -7,8 +7,6 @@ package harness
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/replication"
 )
 
 // Table is a rendered experiment result.
@@ -135,7 +133,9 @@ func byIDs(ids []string) []Experiment {
 
 // RunConfig scales the experiments. The defaults aim at a few seconds per
 // exhibit; the paper's own runs used millions of transactions, which the
-// -full flag of cmd/replbench approaches.
+// -full flag of cmd/replbench approaches. It carries the run's scale
+// alone: every extension cell fixes its own deployment (replication
+// degree, safety, batch, schedule), as committed in BENCH_cells.csv.
 type RunConfig struct {
 	// DBSize is the database size (paper default 50 MB).
 	DBSize int
@@ -151,36 +151,6 @@ type RunConfig struct {
 	// SMPDBSize is the per-stream database size in the SMP experiments
 	// (paper: 10 MB per transaction stream).
 	SMPDBSize int
-	// Backups is the replication degree K of the extension cells
-	// (0 = each cell's own default; group-commit pins K=3).
-	Backups int
-	// Shards is the largest shard count the shard-scaling experiment
-	// sweeps to (0 = its default of 4).
-	Shards int
-	// TargetShards are the growth steps of the rebalance experiment as
-	// absolute shard counts from its 2-shard start (nil = {4, 8}).
-	TargetShards []int
-	// Safety is the commit discipline of the shard-scaling, availability,
-	// chaos and kv cells (default 1-safe); the other cells sweep or pin
-	// their own.
-	Safety replication.Safety
-	// CommitBatch is the group-commit batch size for the group-commit
-	// experiment cell (0 = its default sweep).
-	CommitBatch int
-	// ChaosEvents is the number of fault injections the chaos experiment
-	// schedules (0 = its default of 4); the schedule is seeded by Seed.
-	ChaosEvents int
-	// KVRecords and KVOps size the kv experiment: preloaded keys and
-	// measured operations per mix cell (0 = the cell's defaults).
-	KVRecords int
-	KVOps     int64
-	// KVScanLen is the range-scan length of the kv and readscale scan
-	// operations (0 = tpc.RunKV's default of 10).
-	KVScanLen int
-	// ReadMode restricts the readscale experiment to one replica-read
-	// consistency mode ("ryw", "bounded", "quorum"), always alongside the
-	// primary baseline row ("" = sweep every mode).
-	ReadMode string
 }
 
 // DefaultRunConfig returns the scaled-down default configuration.
@@ -198,8 +168,8 @@ func DefaultRunConfig() RunConfig {
 
 // PinnedRunConfig is the one scale the committed cell tables
 // (BENCH_cells.csv) and EXPERIMENTS.md are generated at. It sets what the
-// throughput cells need; every field left zero takes its cell's own
-// default, and the timeline and kv cells size their own databases.
+// throughput cells need; the timeline and kv cells size their own
+// databases.
 func PinnedRunConfig() RunConfig {
 	return RunConfig{
 		DBSize: 16 << 20,

@@ -22,29 +22,29 @@ func init() {
 	})
 }
 
+// The kv and readscale cells' keyspace: preloaded records and measured
+// operations per row.
+const (
+	kvRecords = 2_000
+	kvOps     = 2_000
+)
+
+// runKV drives each mix over a 1-safe active-scheme deployment with two
+// backups, on one shard and on four.
 func runKV(cfg RunConfig) (*Table, error) {
-	const db = 4 << 20
-	backups := cfg.Backups
-	if backups < 1 {
+	const (
+		db      = 4 << 20
 		backups = 2
-	}
-	ops := cfg.KVOps
-	if ops <= 0 {
-		ops = 2_000
-	}
-	records := cfg.KVRecords
-	if records <= 0 {
-		records = 2_000
-	}
-	warm := ops / 10
+		warm    = kvOps / 10
+	)
 
 	t := &Table{
 		ID:      "kv",
 		Title:   "Key-value YCSB-style mixes (kv layer over repro.DB)",
 		Headers: []string{"Deployment", "Mix", "ops/s", "Reads", "Updates", "Inserts", "Scans", "SAN B/op"},
 		Notes: append(runNotes(cfg),
-			fmt.Sprintf("active backup, K=%d, %s commit, %d MB database, %d records preloaded, %d measured ops per cell",
-				backups, cfg.Safety, db>>20, records, ops),
+			fmt.Sprintf("active backup, K=%d, 1-safe commit, %d MB database, %d records preloaded, %d measured ops per cell",
+				backups, db>>20, kvRecords, kvOps),
 			"read-heavy = 95/5 read/update (YCSB-B), update-heavy = 50/50 (YCSB-A), scan = 95/5 scan/insert (YCSB-E)",
 			"one driver, one storage abstraction: the sharded rows run the identical code path through repro.DB",
 			"burst-k = value updates through kv.Burst, k PUTs per seal, always at quorum commit (Updates counts the PUTs; SAN B/op is per PUT)"),
@@ -58,13 +58,12 @@ func runKV(cfg RunConfig) (*Table, error) {
 	}
 	for _, d := range deployments {
 		for _, mix := range tpc.KVMixes() {
-			dep, err := repro.NewSharded(kvConfig(db, backups, cfg.Safety), d.shards)
+			dep, err := repro.NewSharded(kvConfig(db, backups, repro.OneSafe), d.shards)
 			if err != nil {
 				return nil, err
 			}
 			res, err := tpc.RunKV(dep, tpc.KVOptions{
-				Mix: mix, Records: records, Ops: ops, Warmup: warm, Seed: cfg.Seed,
-				ScanLen: cfg.KVScanLen,
+				Mix: mix, Records: kvRecords, Ops: kvOps, Warmup: warm, Seed: cfg.Seed,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("harness: kv %s/%s: %w", d.name, mix, err)
@@ -75,15 +74,15 @@ func runKV(cfg RunConfig) (*Table, error) {
 	// The burst rows: the one-shard store under acknowledgement deferral,
 	// k PUTs per seal — the sim-domain half of what kvserver's pipelined
 	// bursts buy, pinned here because the served figure itself depends on
-	// how frames happen to arrive. They run at quorum commit whatever the
-	// cell's safety: the wait a burst defers is the acknowledgement's, and
+	// how frames happen to arrive. They run at quorum commit, not the
+	// cell's 1-safe: the wait a burst defers is the acknowledgement's, and
 	// 1-safe has none.
 	for _, k := range []int{1, 2, 4, 8, 16} {
 		dep, err := repro.New(kvConfig(db, backups, repro.QuorumSafe))
 		if err != nil {
 			return nil, err
 		}
-		res, err := tpc.RunKVBurst(dep, tpc.KVOptions{Records: records, Ops: ops, Warmup: warm, Seed: cfg.Seed}, k)
+		res, err := tpc.RunKVBurst(dep, tpc.KVOptions{Records: kvRecords, Ops: kvOps, Warmup: warm, Seed: cfg.Seed}, k)
 		if err != nil {
 			return nil, fmt.Errorf("harness: kv cluster-quorum/burst-%d: %w", k, err)
 		}

@@ -24,35 +24,17 @@ func init() {
 	})
 }
 
+// runReadScale runs the read-heavy mix at quorum commit on an
+// active-scheme cluster with three backups and a group-commit batch of 96.
 func runReadScale(cfg RunConfig) (*Table, error) {
-	const db = 8 << 20
-	backups := cfg.Backups
-	if backups < 1 {
+	const (
+		db      = 8 << 20
 		backups = 3
-	}
-	ops := cfg.KVOps
-	if ops <= 0 {
-		ops = 2_000
-	}
-	records := cfg.KVRecords
-	if records <= 0 {
-		records = 2_000
-	}
-	batch := cfg.CommitBatch
-	if batch <= 0 {
-		batch = 96
-	}
-	// The advertised bound must exceed the group-commit batch: commits
-	// parked in the open batch count against every backup's lag.
-	bound := uint64(batch) + 32
-
-	modes := []string{"primary", "ryw", "bounded", "quorum"}
-	if cfg.ReadMode != "" && cfg.ReadMode != "primary" {
-		if _, err := tpc.ParseReadMode(cfg.ReadMode); err != nil {
-			return nil, fmt.Errorf("harness: readscale: %w", err)
-		}
-		modes = []string{"primary", cfg.ReadMode} // keep the baseline for the ratio
-	}
+		batch   = 96
+		// The advertised bound must exceed the group-commit batch: commits
+		// parked in the open batch count against every backup's lag.
+		bound = batch + 32
+	)
 
 	t := &Table{
 		ID:      "readscale",
@@ -60,12 +42,12 @@ func runReadScale(cfg RunConfig) (*Table, error) {
 		Headers: []string{"Mode", "ops/s", "x primary", "Replica reads", "Primary reads", "Repaired", "Stale violations"},
 		Notes: append(runNotes(cfg),
 			fmt.Sprintf("active backup, K=%d, quorum commit, group-commit batch %d, %d MB database, %d records, %d measured ops per cell",
-				backups, batch, db>>20, records, ops),
+				backups, batch, db>>20, kvRecords, kvOps),
 			fmt.Sprintf("bounded rows advertise a staleness bound of %d commit sequences; the audit fails any read outside its bound", bound),
 			"ops/s uses the replica-aware wall clock: the primary and the read-serving backups run in parallel"),
 	}
 	var base float64
-	for _, mode := range modes {
+	for _, mode := range []string{"primary", "ryw", "bounded", "quorum"} {
 		c, err := repro.New(repro.Config{
 			Version:     repro.V3InlineLog,
 			Backup:      repro.ActiveBackup,
@@ -79,11 +61,10 @@ func runReadScale(cfg RunConfig) (*Table, error) {
 		}
 		res, err := tpc.RunKV(c, tpc.KVOptions{
 			Mix:            tpc.MixReadHeavy,
-			Records:        records,
-			Ops:            ops,
-			Warmup:         ops / 10,
+			Records:        kvRecords,
+			Ops:            kvOps,
+			Warmup:         kvOps / 10,
 			Seed:           cfg.Seed,
-			ScanLen:        cfg.KVScanLen,
 			ReadMode:       mode,
 			StalenessBound: bound,
 		})

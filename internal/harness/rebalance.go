@@ -20,15 +20,11 @@ func init() {
 	})
 }
 
+// runRebalance grows a two-shard quorum-commit deployment with two
+// backups per shard to four shards, then to eight.
 func runRebalance(cfg RunConfig) (*Table, error) {
-	targets := cfg.TargetShards
-	if len(targets) == 0 {
-		targets = []int{4, 8}
-	}
-	backups := cfg.Backups
-	if backups < 1 {
-		backups = 2
-	}
+	const backups = 2
+	targets := []int{4, 8}
 	sc, err := repro.NewSharded(repro.Config{
 		Version: repro.V3InlineLog,
 		Backup:  repro.ActiveBackup,

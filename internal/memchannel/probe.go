@@ -18,25 +18,30 @@ type BandwidthPoint struct {
 // 32-byte blocks (32-byte packets), a stride of two writes every other
 // 8-byte word (16-byte packets), and so on. It returns one point per
 // requested packet size; sizes must divide blockSize and be multiples of 8.
-func MeasureBandwidth(p *sim.Params, totalBytes int, packetSizes []int) []BandwidthPoint {
+// The error is the probe region's mapping failure.
+func MeasureBandwidth(p *sim.Params, totalBytes int, packetSizes []int) ([]BandwidthPoint, error) {
 	out := make([]BandwidthPoint, 0, len(packetSizes))
 	for _, size := range packetSizes {
-		out = append(out, BandwidthPoint{
-			PacketBytes: size,
-			MBPerSec:    measureOne(p, totalBytes, size),
-		})
+		mbps, err := measureOne(p, totalBytes, size)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, BandwidthPoint{PacketBytes: size, MBPerSec: mbps})
 	}
-	return out
+	return out, nil
 }
 
 // measureOne writes enough strided data to send totalBytes of payload and
 // returns payload MB per simulated second.
-func measureOne(p *sim.Params, totalBytes, packetBytes int) float64 {
+func measureOne(p *sim.Params, totalBytes, packetBytes int) (float64, error) {
 	// A window large enough that the stride pattern never revisits a
 	// block within the run; revisits would coalesce across iterations
 	// and distort packet sizes.
 	const window = 1 << 20
-	node, link := probeNode(p, window)
+	node, link, err := probeNode(p, window)
+	if err != nil {
+		return 0, err
+	}
 
 	storeSize := 8
 	if packetBytes < storeSize {
@@ -65,23 +70,27 @@ func measureOne(p *sim.Params, totalBytes, packetBytes int) float64 {
 	// time.
 	elapsed := link.Drained()
 	if elapsed <= 0 {
-		return 0
+		return 0, nil
 	}
-	return float64(sent) / 1e6 / elapsed.Seconds()
+	return float64(sent) / 1e6 / elapsed.Seconds(), nil
 }
 
 // MeasureLatency returns the simulated one-way latency of a single 4-byte
-// write on an otherwise idle network (paper: 3.3 microseconds).
-func MeasureLatency(p *sim.Params) sim.Dur {
-	node, _ := probeNode(p, 64)
+// write on an otherwise idle network (paper: 3.3 microseconds). The error
+// is the probe region's mapping failure.
+func MeasureLatency(p *sim.Params) (sim.Dur, error) {
+	node, _, err := probeNode(p, 64)
+	if err != nil {
+		return 0, err
+	}
 	node.StoreIO(0, []byte{1, 2, 3, 4}, mem.CatModified)
 	node.Fence()
-	return sim.Dur(node.LastDelivered())
+	return sim.Dur(node.LastDelivered()), nil
 }
 
 // probeNode returns a node on a link of its own whose first n bytes of I/O
 // space are mapped onto a fresh remote region.
-func probeNode(p *sim.Params, n int) (*Node, *sim.Link) {
+func probeNode(p *sim.Params, n int) (*Node, *sim.Link, error) {
 	link := sim.NewLink(p)
 	node := NewNode(p, new(sim.Clock), link)
 	region, err := mem.NewRegion("probe", 0, n)
@@ -89,7 +98,7 @@ func probeNode(p *sim.Params, n int) (*Node, *sim.Link) {
 		err = node.Map(Mapping{SrcBase: 0, Size: n, Dst: region})
 	}
 	if err != nil {
-		panic(err)
+		return nil, nil, err
 	}
-	return node, link
+	return node, link, nil
 }

@@ -8,7 +8,10 @@ import (
 
 func TestMeasureBandwidthMatchesPaperFigure1(t *testing.T) {
 	p := sim.Default()
-	points := MeasureBandwidth(&p, 1<<20, []int{4, 8, 16, 32})
+	points, err := MeasureBandwidth(&p, 1<<20, []int{4, 8, 16, 32})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []struct {
 		size     int
 		min, max float64
@@ -37,8 +40,11 @@ func TestMeasureBandwidthMatchesPaperFigure1(t *testing.T) {
 
 func TestMeasureLatencyMatchesPaper(t *testing.T) {
 	p := sim.Default()
-	got := MeasureLatency(&p).Nanoseconds()
-	if got < 3100 || got > 3500 {
+	lat, err := MeasureLatency(&p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := lat.Nanoseconds(); got < 3100 || got > 3500 {
 		t.Fatalf("4-byte write latency %.0fns, want ~3300ns (paper: 3.3us)", got)
 	}
 }

@@ -55,7 +55,7 @@ func TestRingMinimalMovement(t *testing.T) {
 	}
 }
 
-func TestRingOwnerExcludingAndOwners(t *testing.T) {
+func TestRingOwnerExcluding(t *testing.T) {
 	r := NewRing(8)
 	for i := 0; i < 3; i++ {
 		r.Add(i)
@@ -68,10 +68,6 @@ func TestRingOwnerExcludingAndOwners(t *testing.T) {
 	second, ok := r.OwnerExcluding(key, func(s int) bool { return s == first })
 	if !ok || second == first {
 		t.Fatalf("successor %d (ok=%v) should differ from owner %d", second, ok, first)
-	}
-	owners := r.Owners(key, 3)
-	if len(owners) != 3 || owners[0] != first || owners[1] != second {
-		t.Fatalf("Owners(3) = %v, want [%d %d x]", owners, first, second)
 	}
 	if _, ok := r.OwnerExcluding(key, func(int) bool { return true }); ok {
 		t.Fatal("all-excluded lookup reported an owner")

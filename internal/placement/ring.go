@@ -85,20 +85,6 @@ func (r *Ring) Remove(shard int) {
 	r.points = kept
 }
 
-// Shards returns the distinct shard ids on the ring, ascending.
-func (r *Ring) Shards() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, p := range r.points {
-		if !seen[p.shard] {
-			seen[p.shard] = true
-			out = append(out, p.shard)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Owner returns the shard owning key: the first virtual node at or
 // clockwise after the key's hash. ok is false on an empty ring.
 func (r *Ring) Owner(key uint64) (shard int, ok bool) {
@@ -122,34 +108,6 @@ func (r *Ring) OwnerExcluding(key uint64, skip func(shard int) bool) (shard int,
 		}
 	}
 	return 0, false
-}
-
-// Owners returns up to n distinct shards clockwise from the key — the
-// placement-replication view for callers that spread a partition across
-// several groups. The repro facade's shard groups already replicate
-// internally, so its rebalancer uses n=1; the wider surface keeps the
-// ring reusable for placement-replicated layouts.
-func (r *Ring) Owners(key uint64, n int) []int {
-	cnt := len(r.points)
-	if cnt == 0 || n <= 0 {
-		return nil
-	}
-	start := sort.Search(cnt, func(i int) bool { return r.points[i].hash >= key })
-	var out []int
-	for i := 0; i < cnt && len(out) < n; i++ {
-		sh := r.points[(start+i)%cnt].shard
-		dup := false
-		for _, s := range out {
-			if s == sh {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			out = append(out, sh)
-		}
-	}
-	return out
 }
 
 // PartKey hashes a partition index onto the ring's key space.

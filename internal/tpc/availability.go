@@ -18,6 +18,10 @@ import "time"
 // 2-safe refuse commits until enough replicas are back, which the result
 // reports as zero-throughput windows rather than an error.
 
+// maxRepairWindows caps the windows spent waiting for the repair; the run
+// errors out if the repair has not completed by then.
+const maxRepairWindows = 200
+
 // AvailabilityOptions tunes a RunAvailability timeline.
 type AvailabilityOptions struct {
 	// Window is the simulated duration of one throughput window
@@ -27,10 +31,6 @@ type AvailabilityOptions struct {
 	HealthyWindows int
 	// RestoredWindows measures after the repair completes (default 3).
 	RestoredWindows int
-	// MaxRepairWindows caps the windows spent waiting for the repair
-	// (default 200); the run errors out if the repair has not completed
-	// by then.
-	MaxRepairWindows int
 	// Warmup transactions run before the first window (cache and SAN
 	// state carry over; counters reset).
 	Warmup int64
@@ -47,9 +47,6 @@ func (o AvailabilityOptions) withDefaults() AvailabilityOptions {
 	}
 	if o.RestoredWindows <= 0 {
 		o.RestoredWindows = 3
-	}
-	if o.MaxRepairWindows <= 0 {
-		o.MaxRepairWindows = 200
 	}
 	return o
 }
@@ -109,7 +106,7 @@ func RunAvailability(c FaultDB, w Workload, opts AvailabilityOptions) (Availabil
 	}
 	// A safety level that refuses degraded service shows up as empty
 	// repair windows, not a failed run.
-	if err := tl.measureWhile("repair", opts.MaxRepairWindows, func() bool { return c.RepairProgress().Active }); err != nil {
+	if err := tl.measureWhile("repair", maxRepairWindows, func() bool { return c.RepairProgress().Active }); err != nil {
 		return res, err
 	}
 	p := c.RepairProgress()

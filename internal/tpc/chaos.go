@@ -26,6 +26,16 @@ const (
 	FaultCrashDuringRepair = "crash-during-repair"
 )
 
+// The chaos run's fixed shape: windows measured after the last event
+// settles, the cap on the whole run (exceeding it is an error, the cluster
+// never settled), and the bound on the seeded number of windows between
+// injections (the minimum gap is 1).
+const (
+	chaosTailWindows = 2
+	chaosMaxWindows  = 600
+	chaosMaxGap      = 4
+)
+
 // ChaosOptions tunes a RunChaos schedule.
 type ChaosOptions struct {
 	// Window is the simulated duration of one throughput window
@@ -35,14 +45,6 @@ type ChaosOptions struct {
 	Events int
 	// HealthyWindows measures the pre-fault baseline (default 2).
 	HealthyWindows int
-	// TailWindows measures after the last event settles (default 2).
-	TailWindows int
-	// MaxWindows caps the run (default 600); exceeding it is an error —
-	// the cluster never settled.
-	MaxWindows int
-	// MaxGap bounds the seeded number of windows between injections
-	// (default 4; minimum gap is 1).
-	MaxGap int
 	// Warmup transactions run before the first window.
 	Warmup int64
 	// Seed feeds both the workload and the fault schedule, making the
@@ -59,15 +61,6 @@ func (o ChaosOptions) withDefaults() ChaosOptions {
 	}
 	if o.HealthyWindows <= 0 {
 		o.HealthyWindows = 2
-	}
-	if o.TailWindows <= 0 {
-		o.TailWindows = 2
-	}
-	if o.MaxWindows <= 0 {
-		o.MaxWindows = 600
-	}
-	if o.MaxGap <= 0 {
-		o.MaxGap = 4
 	}
 	return o
 }
@@ -131,16 +124,16 @@ func RunChaos(c FaultDB, w Workload, opts ChaosOptions) (ChaosResult, error) {
 		return res, err
 	}
 
-	// The seeded schedule: Events injections separated by 1..MaxGap
+	// The seeded schedule: Events injections separated by 1..chaosMaxGap
 	// chaos windows, a primary crash pending while a repair is in flight
 	// for the crash-during-repair kind.
 	injected := 0
-	gap := 1 + faults.IntN(opts.MaxGap)
+	gap := 1 + faults.IntN(chaosMaxGap)
 	pendingMidRepair := false
 	pendingSince := 0
 	for wi := 0; ; wi++ {
-		if len(tl.windows) >= opts.MaxWindows {
-			return res, fmt.Errorf("tpc: chaos did not settle within %d windows", opts.MaxWindows)
+		if len(tl.windows) >= chaosMaxWindows {
+			return res, fmt.Errorf("tpc: chaos did not settle within %d windows", chaosMaxWindows)
 		}
 		acted := false
 		if pendingMidRepair {
@@ -180,7 +173,7 @@ func RunChaos(c FaultDB, w Workload, opts ChaosOptions) (ChaosResult, error) {
 				}
 			}
 			injected++
-			gap = wi + 1 + faults.IntN(opts.MaxGap)
+			gap = wi + 1 + faults.IntN(chaosMaxGap)
 		}
 		if err := tl.measure("chaos", true); err != nil {
 			return res, err
@@ -196,7 +189,7 @@ func RunChaos(c FaultDB, w Workload, opts ChaosOptions) (ChaosResult, error) {
 		}
 	}
 
-	for i := 0; i < opts.TailWindows; i++ {
+	for i := 0; i < chaosTailWindows; i++ {
 		if err := tl.measure("tail", true); err != nil {
 			return res, err
 		}

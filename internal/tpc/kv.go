@@ -34,6 +34,13 @@ const (
 // KVMixes lists the mixes in reporting order.
 func KVMixes() []string { return []string{MixReadHeavy, MixUpdateHeavy, MixScan} }
 
+// The kv runs' fixed shape: the value payload per record (the YCSB default
+// field size) and the range-scan length of the scan mix.
+const (
+	kvValueSize = 100
+	kvScanLen   = 10
+)
+
 // KVOptions tunes a RunKV run.
 type KVOptions struct {
 	// Mix is one of MixReadHeavy, MixUpdateHeavy, MixScan (default
@@ -45,11 +52,6 @@ type KVOptions struct {
 	Ops int64
 	// Warmup operations run before measurement starts.
 	Warmup int64
-	// ValueSize is the value payload per record (default 100 bytes, the
-	// YCSB default field size).
-	ValueSize int
-	// ScanLen is the range-scan length of the scan mix (default 10).
-	ScanLen int
 	// Seed feeds the deterministic generator.
 	Seed uint64
 	// ReadMode routes the mix's point reads and scans through replica
@@ -70,12 +72,6 @@ func (o KVOptions) withDefaults() KVOptions {
 	}
 	if o.Records <= 0 {
 		o.Records = 2000
-	}
-	if o.ValueSize <= 0 {
-		o.ValueSize = 100
-	}
-	if o.ScanLen <= 0 {
-		o.ScanLen = 10
 	}
 	if o.StalenessBound == 0 {
 		o.StalenessBound = 64
@@ -161,11 +157,8 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 		return KVResult{}, err
 	}
 	replica := mode != repro.ReadPrimary
-	if replica && opts.ValueSize < 8 {
-		return KVResult{}, fmt.Errorf("tpc: replica-read audit needs an 8-byte version prefix; value size %d too small", opts.ValueSize)
-	}
 	r := NewRand(opts.Seed)
-	value := make([]byte, opts.ValueSize)
+	value := make([]byte, kvValueSize)
 	fillValue := func(tag int64) {
 		for i := range value {
 			value[i] = byte(tag + int64(i)*131)
@@ -366,7 +359,7 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 		)
 		if replica {
 			var rres repro.ReadResult
-			n, rres, err = store.ScanAt(start, opts.ScanLen, repro.ReadOpts{Mode: mode, Token: tok, Bound: opts.StalenessBound}, record)
+			n, rres, err = store.ScanAt(start, kvScanLen, repro.ReadOpts{Mode: mode, Token: tok, Bound: opts.StalenessBound}, record)
 			if err != nil {
 				pend = pend[:0]
 				return err
@@ -374,7 +367,7 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 			flushScanAudit(rres)
 			served(rres, measured)
 		} else {
-			n, err = store.Scan(start, opts.ScanLen, func(k, v []byte) error { return nil })
+			n, err = store.Scan(start, kvScanLen, func(k, v []byte) error { return nil })
 			if err != nil {
 				return err
 			}
@@ -498,7 +491,7 @@ func RunKVBurst(db repro.DB, opts KVOptions, burst int) (KVResult, error) {
 		return KVResult{}, fmt.Errorf("tpc: %d records leave no slot headroom in the store's %d slots", opts.Records, store.Slots())
 	}
 	r := NewRand(opts.Seed)
-	value := make([]byte, opts.ValueSize)
+	value := make([]byte, kvValueSize)
 	key := func(i int) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
 	for i := 0; i < opts.Records; i++ {
 		if err := store.Put(key(i), value); err != nil {

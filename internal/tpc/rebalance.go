@@ -34,6 +34,17 @@ const auditSlot = 16
 // auditMagic tags the second word of an audit slot.
 const auditMagic uint64 = 0xA5D1_57A3_0B5E_55ED
 
+// The rebalance run's fixed shape: the cap on the windows spent waiting
+// for one growth step's plan to drain (the run errors out if the mover has
+// not finished by then), the version-stamped audit slots reserved at the
+// database tail, and one audit stamp transaction every auditEvery workload
+// transactions.
+const (
+	maxRebalanceWindows = 400
+	auditSlots          = 64
+	auditEvery          = 4
+)
+
 // RebalanceOptions tunes a RunRebalance timeline.
 type RebalanceOptions struct {
 	// Window is the simulated duration of one throughput window
@@ -43,20 +54,10 @@ type RebalanceOptions struct {
 	BaselineWindows int
 	// FinalWindows measures after the last growth step (default 3).
 	FinalWindows int
-	// MaxRebalanceWindows caps the windows spent waiting for one growth
-	// step's plan to drain (default 400); the run errors out if the
-	// mover has not finished by then.
-	MaxRebalanceWindows int
 	// TargetShards are the growth steps as absolute shard counts, each
 	// larger than the last (default {4, 8} from a 2-shard start). Every
 	// step adds the missing groups and rebalances onto them.
 	TargetShards []int
-	// AuditSlots is the number of version-stamped audit slots reserved
-	// at the database tail (default 64).
-	AuditSlots int
-	// AuditEvery interleaves one audit stamp transaction every N
-	// workload transactions (default 4).
-	AuditEvery int
 	// Warmup transactions run before the first window (cache and SAN
 	// state carry over; counters reset).
 	Warmup int64
@@ -74,17 +75,8 @@ func (o RebalanceOptions) withDefaults() RebalanceOptions {
 	if o.FinalWindows <= 0 {
 		o.FinalWindows = 3
 	}
-	if o.MaxRebalanceWindows <= 0 {
-		o.MaxRebalanceWindows = 400
-	}
 	if len(o.TargetShards) == 0 {
 		o.TargetShards = []int{4, 8}
-	}
-	if o.AuditSlots <= 0 {
-		o.AuditSlots = 64
-	}
-	if o.AuditEvery <= 0 {
-		o.AuditEvery = 4
 	}
 	return o
 }
@@ -121,10 +113,10 @@ type RebalanceResult struct {
 // the first AddShards with ErrNotElastic.
 func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), opts RebalanceOptions) (RebalanceResult, error) {
 	opts = opts.withDefaults()
-	reserve := opts.AuditSlots * auditSlot
+	reserve := auditSlots * auditSlot
 	usable := c.DBSize() - reserve
 	if usable <= 0 {
-		return RebalanceResult{}, fmt.Errorf("tpc: database %d too small for %d audit slots", c.DBSize(), opts.AuditSlots)
+		return RebalanceResult{}, fmt.Errorf("tpc: database %d too small for %d audit slots", c.DBSize(), auditSlots)
 	}
 	w, err := mk(usable)
 	if err != nil {
@@ -136,13 +128,13 @@ func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), opts Rebalan
 
 	var res RebalanceResult
 	auditBase := c.DBSize() - reserve
-	issued := make([]uint64, opts.AuditSlots)
-	acked := make([]uint64, opts.AuditSlots)
+	issued := make([]uint64, auditSlots)
+	acked := make([]uint64, auditSlots)
 	var auditN int64
 	// stamp writes the next version into one audit slot in its own
 	// transaction and records the acknowledgement iff Commit returned.
 	stamp := func() error {
-		slot := int(auditN % int64(opts.AuditSlots))
+		slot := int(auditN % auditSlots)
 		auditN++
 		ver := issued[slot] + 1
 		issued[slot] = ver
@@ -179,7 +171,7 @@ func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), opts Rebalan
 		if err := st.one(); err != nil {
 			return err
 		}
-		if st.n%int64(opts.AuditEvery) == 0 {
+		if st.n%auditEvery == 0 {
 			return stamp()
 		}
 		return nil
@@ -208,7 +200,7 @@ func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), opts Rebalan
 		// as a slow window, not a failed run.
 		phase := fmt.Sprintf("grow-%d", target)
 		growPhases = append(growPhases, phase)
-		if err := tl.measureWhile(phase, opts.MaxRebalanceWindows, func() bool { return c.RebalanceProgress().Active }); err != nil {
+		if err := tl.measureWhile(phase, maxRebalanceWindows, func() bool { return c.RebalanceProgress().Active }); err != nil {
 			return res, err
 		}
 		p := c.RebalanceProgress()
@@ -230,7 +222,7 @@ func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), opts Rebalan
 	// The audit: every slot's stored version must be at least the last
 	// acknowledged one (and never past the last issued one).
 	var buf [auditSlot]byte
-	for slot := 0; slot < opts.AuditSlots; slot++ {
+	for slot := 0; slot < auditSlots; slot++ {
 		c.ReadRaw(auditBase+slot*auditSlot, buf[:])
 		got := binary.LittleEndian.Uint64(buf[0:])
 		tag := binary.LittleEndian.Uint64(buf[8:])
