@@ -8,7 +8,9 @@
 #   make tables  - print the paper's tables, the ablations and the extension cells
 #   make loc     - lines of non-test Go outside bench/: the figure a simplicity
 #                  entry in CHANGES.md quotes before and after; fails above
-#                  LOC_CEILING
+#                  LOC_CEILING. Also prints the _test.go lines beside it
+#                  (reported, not gated: a diet that moves code into tests
+#                  is not a diet)
 #
 # The gated end-to-end benchmark is bench/ (bash bench/run.sh, BENCHMARK.json).
 
@@ -63,9 +65,13 @@ tables:
 # 12's diet is the payback. Lowered 22516 -> 21475 by that diet's first
 # part: examples/ became two checked Examples, cmd/mcpingpong went, the
 # extension cells lost the configuration knobs only their defaults took.
-LOC_CEILING := 21475
+# Lowered 21475 -> 21209 by its second part: the fault and kv drivers take
+# only what their cells set, and ablation-2safe folded into repl-degree.
+LOC_CEILING := 21209
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \
+		t=$$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \
 		echo "$$n lines of non-test Go outside bench/ (ceiling $(LOC_CEILING))"; \
+		echo "$$t lines of _test.go outside bench/ (reported, not gated)"; \
 		[ $$n -le $(LOC_CEILING) ]

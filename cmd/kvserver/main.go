@@ -12,7 +12,7 @@
 //	kvserver [-addr :7791] [-db-mb 8] [-backups 3]
 //	         [-safety 1safe|2safe|quorum] [-shards 1]
 //	         [-autopilot=true] [-window 64] [-q]
-//	         [-data-dir DIR] [-snapshot-every N] [-sync-every N]
+//	         [-data-dir DIR] [-snapshot-every N]
 //	         [-metrics-addr :7792]
 //
 // With -metrics-addr set, the deployment and the serving tier are
@@ -67,7 +67,6 @@ func main() {
 		window    = flag.Int("window", 64, "per-connection in-flight response window")
 		dataDir   = flag.String("data-dir", "", "durability directory: per-replica redo WAL + snapshots; relaunch with the same dir to cold-restart from disk (empty = memory-only)")
 		snapEvery = flag.Int("snapshot-every", 0, "checkpoint a snapshot every N commits per replica (0 = default; needs -data-dir)")
-		syncEvery = flag.Int("sync-every", 0, "fdatasync the WAL every N group-commit flushes (0 = default of 1; needs -data-dir)")
 		metrics   = flag.String("metrics-addr", "", "HTTP listen address for the Prometheus /metrics endpoint; also instruments the deployment and serving tier (empty = observability off)")
 		quiet     = flag.Bool("q", false, "suppress serving log lines")
 	)
@@ -94,10 +93,9 @@ func main() {
 		cfg.Durability = repro.DurabilityConfig{
 			Dir:           *dataDir,
 			SnapshotEvery: *snapEvery,
-			SyncEvery:     *syncEvery,
 		}
-	} else if *snapEvery != 0 || *syncEvery != 0 {
-		fmt.Fprintln(os.Stderr, "kvserver: -snapshot-every/-sync-every need -data-dir")
+	} else if *snapEvery != 0 {
+		fmt.Fprintln(os.Stderr, "kvserver: -snapshot-every needs -data-dir")
 		os.Exit(2)
 	}
 	if *autopilot {

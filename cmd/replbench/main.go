@@ -7,13 +7,11 @@
 // Usage:
 //
 //	replbench [-experiment <group>|<id>[,<id>...]]
-//	          groups: all, paper, ablations, extensions, everything, cells
-//	          ids:    fig1 fig2 fig3 table1..table8
-//	                  ablation-2safe ablation-cpu ablation-packet ablation-san ablation-wbuf
-//	                  repl-degree shard-scaling group-commit availability chaos
-//	                  kv readscale durability rebalance
 //	          [-db MB] [-dc-txns N] [-oe-txns N] [-warmup N] [-seed N] [-full]
 //	          [-csv] [-q]
+//
+// The groups are all (paper + extensions), paper, ablations, extensions,
+// everything and cells; `replbench -h` lists every exhibit id.
 //
 // The flags set the run's scale alone; every extension cell fixes its own
 // deployment (replication degree, safety, batch, schedule). cells is
@@ -46,8 +44,12 @@ func main() {
 }
 
 func run() int {
+	var ids []string
+	for _, e := range selectExperiments("everything") {
+		ids = append(ids, e.ID)
+	}
 	var (
-		experiment = flag.String("experiment", "all", "exhibits to regenerate: a group (all, paper, ablations, extensions, everything, cells) or comma-separated ids (fig1..fig3, table1..table8, ablation-2safe/cpu/packet/san/wbuf, repl-degree, shard-scaling, group-commit, availability, chaos, kv, readscale, durability, rebalance); cells = extensions at the pinned scale, scale flags ignored")
+		experiment = flag.String("experiment", "all", "exhibits to regenerate: a group (all, paper, ablations, extensions, everything, cells) or comma-separated ids ("+strings.Join(ids, ", ")+"); cells = extensions at the pinned scale, scale flags ignored")
 		dbMB       = flag.Int("db", 50, "database size in MB")
 		dcTxns     = flag.Int64("dc-txns", 0, "Debit-Credit transactions per cell (0 = default)")
 		oeTxns     = flag.Int64("oe-txns", 0, "Order-Entry transactions per cell (0 = default)")

@@ -33,11 +33,6 @@ func init() {
 		Title: "Would a faster SAN rescue mirroring?",
 		Run:   runAblationSANSpeed,
 	})
-	register(Experiment{
-		ID:    "ablation-2safe",
-		Title: "The price of closing the 1-safe window (active backup)",
-		Run:   runAblationTwoSafe,
-	})
 }
 
 // ablationCell runs Debit-Credit under custom parameters.
@@ -179,46 +174,6 @@ func scaleCPU(p *sim.Params, factor sim.Dur) {
 	p.MemAccess *= factor
 	p.WriteMiss *= factor
 	p.TLBFill *= factor
-}
-
-// runAblationTwoSafe compares the paper's 1-safe commit (return on local
-// commit; a microsecond window can lose the last transactions) with a
-// 2-safe variant (commit waits for the backup's acknowledgement): the
-// window closes, and every commit pays a SAN round trip plus the backup's
-// apply time.
-func runAblationTwoSafe(cfg RunConfig) (*Table, error) {
-	t := &Table{
-		ID:      "ablation-2safe",
-		Title:   "Active-backup throughput: 1-safe vs 2-safe commit (txns/sec)",
-		Headers: []string{"Commit discipline", "Debit-Credit", "Loss window"},
-		Notes:   append(runNotes(cfg), "the paper chose 1-safe (Section 2.1); 2-safe is the natural extension"),
-	}
-	for _, safety := range []replication.Safety{replication.OneSafe, replication.TwoSafe} {
-		pair, err := replication.NewGroup(replication.Config{
-			Mode:   replication.Active,
-			Store:  vista.Config{Version: vista.V3InlineLog, DBSize: cfg.DBSize},
-			Safety: safety,
-		})
-		if err != nil {
-			return nil, err
-		}
-		w, err := tpc.NewDebitCredit(cfg.DBSize)
-		if err != nil {
-			return nil, err
-		}
-		res, err := tpc.Run(pair, w, tpc.Options{
-			Txns: cfg.DCTxns, Warmup: cfg.Warmup, Seed: cfg.Seed, WarmCache: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		label, window := "1-safe (paper)", "a few microseconds"
-		if safety == replication.TwoSafe {
-			label, window = "2-safe", "none"
-		}
-		t.Rows = append(t.Rows, []string{label, f0(res.TPS), window})
-	}
-	return t, nil
 }
 
 // runAblationSANSpeed scales the link: with a SAN an order of magnitude

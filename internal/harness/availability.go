@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"repro"
 	"repro/internal/tpc"
@@ -44,11 +43,7 @@ func runAvailability(cfg RunConfig) (*Table, error) {
 	if warm > 2000 {
 		warm = 2000
 	}
-	res, err := tpc.RunAvailability(c, w, tpc.AvailabilityOptions{
-		Window: 10 * time.Millisecond,
-		Warmup: warm,
-		Seed:   cfg.Seed,
-	})
+	res, err := tpc.RunAvailability(c, w, warm, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

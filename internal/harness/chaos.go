@@ -56,12 +56,7 @@ func runChaos(cfg RunConfig) (*Table, error) {
 	if warm > 2000 {
 		warm = 2000
 	}
-	res, err := tpc.RunChaos(c, w, tpc.ChaosOptions{
-		Window: 5 * time.Millisecond,
-		Events: events,
-		Warmup: warm,
-		Seed:   cfg.Seed,
-	})
+	res, err := tpc.RunChaos(c, w, warm, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

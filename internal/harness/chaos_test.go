@@ -12,7 +12,7 @@ import (
 // event eventually restored.
 func TestChaosCell(t *testing.T) {
 	skipShort(t)
-	tbl, err := registry["chaos"].Run(testConfig())
+	tbl, err := registry["chaos"].Run(PinnedRunConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

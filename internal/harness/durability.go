@@ -29,17 +29,13 @@ func runDurability(cfg RunConfig) (*Table, error) {
 		db      = 4 << 20
 		backups = 2
 	)
-	// The kill point is fixed: recovery cost is a function of the
-	// snapshot interval and the tail, not of how long the run was.
-	const txns = 240
-
 	t := &Table{
 		ID:    "durability",
 		Title: "Cold-restart recovery: snapshot interval × corrupt-tail mode",
 		Headers: []string{"SnapshotEvery", "Tail", "Committed", "Durable", "Recovered",
 			"Replayed", "TruncBytes", "LostAcked"},
 		Notes: append(runNotes(cfg),
-			fmt.Sprintf("passive-style disk tier under the active scheme, K=%d, quorum commit, batch 8, %d MB database, kill after ~%d txns (seeded)", backups, db>>20, txns),
+			fmt.Sprintf("passive-style disk tier under the active scheme, K=%d, quorum commit, batch 8, %d MB database, kill after ~240 txns (seeded)", backups, db>>20),
 			"Durable = last fdatasync'd commit at the power loss; LostAcked must be 0 in every row"),
 	}
 	var recoveryMS []string
@@ -68,11 +64,7 @@ func runDurability(cfg RunConfig) (*Table, error) {
 				os.RemoveAll(dir)
 				return nil, err
 			}
-			res, err := tpc.RunDurability(open, w, tpc.DurabilityOptions{
-				Txns:    txns,
-				Corrupt: mode,
-				Seed:    cfg.Seed,
-			})
+			res, err := tpc.RunDurability(open, w, mode, cfg.Seed)
 			os.RemoveAll(dir)
 			if err != nil {
 				return nil, fmt.Errorf("harness: durability snap=%d/%s: %w", every, mode, err)

@@ -107,9 +107,9 @@ func runShardScaling(cfg RunConfig) (*Table, error) {
 	return t, nil
 }
 
-// shardCell measures one shard count through tpc.RunSharded (one client
-// goroutine keeps the cell deterministic), dividing the row's transaction budget evenly across the
-// shards: throughput is aggregated over the slowest shard's clock.
+// shardCell measures one shard count through tpc.RunSharded, dividing the
+// row's transaction budget evenly across the shards: throughput is
+// aggregated over the slowest shard's clock.
 func shardCell(cfg RunConfig, shards int, txns int64) (float64, error) {
 	sc, err := repro.NewSharded(repro.Config{
 		Version: repro.V3InlineLog,
@@ -130,7 +130,7 @@ func shardCell(cfg RunConfig, shards int, txns int64) (float64, error) {
 	}
 	res, err := tpc.RunSharded(sc, func(dbSize int) (tpc.Workload, error) {
 		return tpc.NewDebitCredit(dbSize)
-	}, tpc.Options{Txns: perShard, Warmup: warm, Seed: cfg.Seed, Clients: 1})
+	}, tpc.Options{Txns: perShard, Warmup: warm, Seed: cfg.Seed})
 	if err != nil {
 		return 0, err
 	}

@@ -11,7 +11,7 @@ import (
 // 2-safe; at K=3 the quorum wait (median backup) strictly beats the
 // 2-safe wait (slowest backup).
 func TestReplDegreeShape(t *testing.T) {
-	cfg := testConfig()
+	cfg := PinnedRunConfig()
 	cfg.DCTxns = 3000
 	e, ok := Lookup("repl-degree")
 	if !ok {
@@ -46,7 +46,7 @@ func TestReplDegreeShape(t *testing.T) {
 // TestShardScalingShape: aggregate throughput grows near-linearly with the
 // shard count (independent replica groups on disjoint hardware).
 func TestShardScalingShape(t *testing.T) {
-	cfg := testConfig()
+	cfg := PinnedRunConfig()
 	cfg.DCTxns = 3000
 	e, ok := Lookup("shard-scaling")
 	if !ok {

@@ -98,7 +98,7 @@ var paperExhibits = []string{"fig1", "table1", "table2", "table3", "table4",
 
 // ablationExhibits lists the beyond-the-paper sensitivity studies.
 var ablationExhibits = []string{"ablation-wbuf", "ablation-packet",
-	"ablation-cpu", "ablation-san", "ablation-2safe"}
+	"ablation-cpu", "ablation-san"}
 
 // pinnedCells lists the beyond-the-paper cells in exhibit order: the
 // N-replica group's degree/safety and group-commit trade-offs, the
@@ -146,30 +146,24 @@ type RunConfig struct {
 	Warmup int64
 	// Seed feeds the workload generators.
 	Seed uint64
-	// SMPStreams is the processor-count sweep for Figures 2 and 3.
-	SMPStreams []int
-	// SMPDBSize is the per-stream database size in the SMP experiments
-	// (paper: 10 MB per transaction stream).
-	SMPDBSize int
 }
 
 // DefaultRunConfig returns the scaled-down default configuration.
 func DefaultRunConfig() RunConfig {
 	return RunConfig{
-		DBSize:     50 << 20,
-		DCTxns:     60_000,
-		OETxns:     15_000,
-		Warmup:     3_000,
-		Seed:       1,
-		SMPStreams: []int{1, 2, 3, 4},
-		SMPDBSize:  10 << 20,
+		DBSize: 50 << 20,
+		DCTxns: 60_000,
+		OETxns: 15_000,
+		Warmup: 3_000,
+		Seed:   1,
 	}
 }
 
 // PinnedRunConfig is the one scale the committed cell tables
 // (BENCH_cells.csv) and EXPERIMENTS.md are generated at. It sets what the
 // throughput cells need; the timeline and kv cells size their own
-// databases.
+// databases. The harness tests run at it too: small enough for CI, large
+// enough that the paper's qualitative orderings hold.
 func PinnedRunConfig() RunConfig {
 	return RunConfig{
 		DBSize: 16 << 20,

@@ -15,15 +15,6 @@ func skipShort(t *testing.T) {
 	}
 }
 
-// testConfig is the pinned scale — small enough for CI but large enough
-// that the paper's qualitative orderings hold — plus the SMP sweep.
-func testConfig() RunConfig {
-	cfg := PinnedRunConfig()
-	cfg.SMPStreams = []int{1, 2, 4}
-	cfg.SMPDBSize = 10 << 20
-	return cfg
-}
-
 func cell(t *testing.T, tbl *Table, row, col int) float64 {
 	t.Helper()
 	v, err := strconv.ParseFloat(tbl.Rows[row][col], 64)
@@ -39,7 +30,7 @@ func runExp(t *testing.T, id string) *Table {
 	if !ok {
 		t.Fatalf("experiment %q not registered", id)
 	}
-	tbl, err := e.Run(testConfig())
+	tbl, err := e.Run(PinnedRunConfig())
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}
@@ -189,7 +180,7 @@ func TestTable7ActiveShipsLess(t *testing.T) {
 
 func TestTable8GracefulDegradation(t *testing.T) {
 	skipShort(t)
-	cfg := testConfig()
+	cfg := PinnedRunConfig()
 	cfg.DCTxns, cfg.OETxns = 4000, 1500
 	e, _ := Lookup("table8")
 	tbl, err := e.Run(cfg)
@@ -229,7 +220,7 @@ func TestFig2SMPShape(t *testing.T) {
 		t.Errorf("active backup does not scale: %v -> %v", cell(t, tbl, 0, 1), active)
 	}
 	// Passive versions saturate: growth from 2 to 4 CPUs is marginal.
-	mid := 1 // row for 2 CPUs in the test config {1,2,4}
+	mid := 1 // row for 2 CPUs
 	for col := 2; col <= 4; col++ {
 		if cell(t, tbl, last, col) > 1.25*cell(t, tbl, mid, col) {
 			t.Errorf("passive column %d kept scaling past 2 CPUs: %v -> %v",
@@ -273,7 +264,7 @@ func TestTableRendering(t *testing.T) {
 
 func TestAblationShapes(t *testing.T) {
 	skipShort(t)
-	cfg := testConfig()
+	cfg := PinnedRunConfig()
 	cfg.DCTxns = 3000
 
 	// CPU-speed ablation: the write-through slowdown must SHRINK as the
@@ -313,15 +304,5 @@ func TestAblationShapes(t *testing.T) {
 	}
 	if v3At4 >= 1 {
 		t.Fatalf("V3 still ahead at 4B packets (%.2fx) — the full-line mechanism is broken", v3At4)
-	}
-
-	// 2-safe ablation: closing the window costs throughput.
-	e, _ = Lookup("ablation-2safe")
-	tbl, err = e.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cell(t, tbl, 1, 1) >= cell(t, tbl, 0, 1) {
-		t.Fatal("2-safe commit did not cost throughput")
 	}
 }

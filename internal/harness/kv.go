@@ -22,8 +22,8 @@ func init() {
 	})
 }
 
-// The kv and readscale cells' keyspace: preloaded records and measured
-// operations per row.
+// The kv and readscale cells' keyspace: the records tpc.RunKV preloads and
+// the measured operations per row.
 const (
 	kvRecords = 2_000
 	kvOps     = 2_000
@@ -63,7 +63,7 @@ func runKV(cfg RunConfig) (*Table, error) {
 				return nil, err
 			}
 			res, err := tpc.RunKV(dep, tpc.KVOptions{
-				Mix: mix, Records: kvRecords, Ops: kvOps, Warmup: warm, Seed: cfg.Seed,
+				Mix: mix, Ops: kvOps, Warmup: warm, Seed: cfg.Seed,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("harness: kv %s/%s: %w", d.name, mix, err)
@@ -82,7 +82,7 @@ func runKV(cfg RunConfig) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := tpc.RunKVBurst(dep, tpc.KVOptions{Records: kvRecords, Ops: kvOps, Warmup: warm, Seed: cfg.Seed}, k)
+		res, err := tpc.RunKVBurst(dep, tpc.KVOptions{Ops: kvOps, Warmup: warm, Seed: cfg.Seed}, k)
 		if err != nil {
 			return nil, fmt.Errorf("harness: kv cluster-quorum/burst-%d: %w", k, err)
 		}

@@ -47,7 +47,7 @@ func runReadScale(cfg RunConfig) (*Table, error) {
 			"ops/s uses the replica-aware wall clock: the primary and the read-serving backups run in parallel"),
 	}
 	var base float64
-	for _, mode := range []string{"primary", "ryw", "bounded", "quorum"} {
+	for _, mode := range []repro.ReadMode{repro.ReadPrimary, repro.ReadYourWrites, repro.ReadBounded, repro.ReadQuorum} {
 		c, err := repro.New(repro.Config{
 			Version:     repro.V3InlineLog,
 			Backup:      repro.ActiveBackup,
@@ -61,7 +61,6 @@ func runReadScale(cfg RunConfig) (*Table, error) {
 		}
 		res, err := tpc.RunKV(c, tpc.KVOptions{
 			Mix:            tpc.MixReadHeavy,
-			Records:        kvRecords,
 			Ops:            kvOps,
 			Warmup:         kvOps / 10,
 			Seed:           cfg.Seed,
@@ -74,7 +73,7 @@ func runReadScale(cfg RunConfig) (*Table, error) {
 		if res.StaleViolations != 0 {
 			return nil, fmt.Errorf("harness: readscale %s: %d stale-read violations", mode, res.StaleViolations)
 		}
-		if mode == "primary" {
+		if mode == repro.ReadPrimary {
 			base = res.OPS
 		}
 		ratio := "1.00"
@@ -82,7 +81,7 @@ func runReadScale(cfg RunConfig) (*Table, error) {
 			ratio = fmt.Sprintf("%.2f", res.OPS/base)
 		}
 		t.Rows = append(t.Rows, []string{
-			mode,
+			mode.String(),
 			f0(res.OPS),
 			ratio,
 			fmt.Sprintf("%d", res.ReplicaReads),

@@ -6,7 +6,7 @@ import "testing"
 // the whole run, transactions keep committing in every grow phase, and
 // the run row carries the migration totals and a zero-loss audit.
 func TestRebalanceCellShape(t *testing.T) {
-	cfg := testConfig()
+	cfg := PinnedRunConfig()
 	cfg.DBSize = 8 << 20
 	e, ok := Lookup("rebalance")
 	if !ok {

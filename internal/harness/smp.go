@@ -10,6 +10,13 @@ import (
 	"repro/internal/vista"
 )
 
+// The SMP sweep of Section 8, as in the paper: 1 to smpProcs processors,
+// each running one transaction stream over a private smpDBSize database.
+const (
+	smpProcs  = 4
+	smpDBSize = 10 << 20
+)
+
 // smpSeries is the protocol grid of the paper's Figures 2 and 3.
 var smpSeries = []struct {
 	label string
@@ -36,25 +43,18 @@ func runSMP(cfg RunConfig, id, bench string) (*Table, error) {
 		Title:   fmt.Sprintf("Aggregate throughput with an SMP primary (%s, txns/sec)", bench),
 		Headers: []string{"Processors"},
 		Notes: append(runNotes(cfg),
-			fmt.Sprintf("%d MB database per stream, as in the paper", cfg.SMPDBSize>>20)),
+			fmt.Sprintf("%d MB database per stream, as in the paper", smpDBSize>>20)),
 	}
 	for _, s := range smpSeries {
 		t.Headers = append(t.Headers, s.label)
-	}
-
-	maxStreams := 0
-	for _, n := range cfg.SMPStreams {
-		if n > maxStreams {
-			maxStreams = n
-		}
 	}
 
 	// Capture one trace per (series, stream ordinal); stream k gets its
 	// own seed so replays mix distinct access patterns.
 	traces := make([][]*sim.Trace, len(smpSeries))
 	for i, s := range smpSeries {
-		traces[i] = make([]*sim.Trace, maxStreams)
-		for k := 0; k < maxStreams; k++ {
+		traces[i] = make([]*sim.Trace, smpProcs)
+		for k := 0; k < smpProcs; k++ {
 			tr, err := captureTrace(cfg, bench, s.ver, s.mode, uint64(k))
 			if err != nil {
 				return nil, fmt.Errorf("harness: capture %s stream %d: %w", s.label, k, err)
@@ -64,7 +64,7 @@ func runSMP(cfg RunConfig, id, bench string) (*Table, error) {
 	}
 
 	params := sim.Default()
-	for _, n := range cfg.SMPStreams {
+	for n := 1; n <= smpProcs; n++ {
 		row := []string{fmt.Sprintf("%d", n)}
 		for i := range smpSeries {
 			res := sim.Replay(&params, traces[i][:n])
@@ -75,10 +75,9 @@ func runSMP(cfg RunConfig, id, bench string) (*Table, error) {
 
 	// SAN goodput at the largest configuration — the paper's Section 8
 	// observation that the mirroring protocols see "below 20 Mbytes/sec".
-	last := cfg.SMPStreams[len(cfg.SMPStreams)-1]
-	good := fmt.Sprintf("SAN goodput at %d CPUs (MB/s):", last)
+	good := fmt.Sprintf("SAN goodput at %d CPUs (MB/s):", smpProcs)
 	for i, s := range smpSeries {
-		res := sim.Replay(&params, traces[i][:last])
+		res := sim.Replay(&params, traces[i])
 		mbps := float64(res.Link.Bytes) / 1e6 / res.Makespan.Seconds()
 		good += fmt.Sprintf(" %s=%.1f", s.label, mbps)
 	}
@@ -88,12 +87,11 @@ func runSMP(cfg RunConfig, id, bench string) (*Table, error) {
 
 // traceKey identifies a captured stream trace.
 type traceKey struct {
-	bench  string
-	ver    vista.Version
-	mode   replication.Mode
-	dbSize int
-	txns   int64
-	seed   uint64
+	bench string
+	ver   vista.Version
+	mode  replication.Mode
+	txns  int64
+	seed  uint64
 }
 
 var (
@@ -108,7 +106,7 @@ func captureTrace(cfg RunConfig, bench string, ver vista.Version, mode replicati
 	if txns < 1000 {
 		txns = 1000
 	}
-	key := traceKey{bench: bench, ver: ver, mode: mode, dbSize: cfg.SMPDBSize, txns: txns, seed: cfg.Seed + streamSeed}
+	key := traceKey{bench: bench, ver: ver, mode: mode, txns: txns, seed: cfg.Seed + streamSeed}
 	traceMu.Lock()
 	if tr, ok := traceMemo[key]; ok {
 		traceMu.Unlock()
@@ -118,12 +116,12 @@ func captureTrace(cfg RunConfig, bench string, ver vista.Version, mode replicati
 
 	pair, err := replication.NewGroup(replication.Config{
 		Mode:  mode,
-		Store: vista.Config{Version: ver, DBSize: cfg.SMPDBSize},
+		Store: vista.Config{Version: ver, DBSize: smpDBSize},
 	})
 	if err != nil {
 		return nil, err
 	}
-	w, err := newWorkload(bench, cfg.SMPDBSize)
+	w, err := newWorkload(bench, smpDBSize)
 	if err != nil {
 		return nil, err
 	}

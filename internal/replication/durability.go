@@ -11,7 +11,7 @@
 // encoded once per transaction (from the vista.Sink hooks, under the
 // group mutex) into a shared pending buffer; the buffer is appended to
 // every in-sync replica's segment at each batch flush, and the fdatasync
-// is paid once per flush (or once per SyncEvery flushes) — never per
+// is paid once per flush — never per
 // transaction. The disk tier is host-side bookkeeping: it charges no
 // simulated time, and with Durability off the group is bit-for-bit the
 // PR 1–6 simulation.
@@ -62,11 +62,6 @@ type DurabilityConfig struct {
 	// intervals shorten cold-restart replay at the price of more
 	// snapshot writes.
 	SnapshotEvery int
-	// SyncEvery is the number of group-commit flushes one fdatasync
-	// covers. Default 1 — every flush is durable on return; larger
-	// values trade a bounded tail of acked-but-unsynced transactions
-	// for fewer fsyncs, exactly like group commit trades latency.
-	SyncEvery int
 }
 
 // Enabled reports whether the configuration switches the disk tier on.
@@ -75,9 +70,6 @@ func (c DurabilityConfig) Enabled() bool { return c.Dir != "" }
 func (c DurabilityConfig) withDefaults() DurabilityConfig {
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = 1024
-	}
-	if c.SyncEvery <= 0 {
-		c.SyncEvery = 1
 	}
 	return c
 }
@@ -155,7 +147,6 @@ type durable struct {
 	// one flush appends it to every active replica in a single write.
 	pending []byte
 
-	flushes  int
 	lastCkpt uint64
 	img      []byte
 
@@ -263,7 +254,6 @@ func (d *durable) appendPending() {
 
 // syncActive pays the piggybacked fdatasync on every active replica.
 func (d *durable) syncActive() error {
-	d.flushes = 0
 	for slot, rep := range d.reps {
 		if d.active[slot] && rep != nil {
 			if err := rep.Sync(); err != nil {
@@ -276,18 +266,15 @@ func (d *durable) syncActive() error {
 
 // durFlushLocked is the group-commit piggyback: called once per batch
 // flush (and once per commit in the unbatched modes), it ships the
-// pending frames and syncs every SyncEvery flushes.
+// pending frames and syncs them.
 func (g *Group) durFlushLocked() error {
 	d := g.dur
 	if d == nil || d.dead {
 		return nil
 	}
 	d.appendPending()
-	d.flushes++
-	if d.flushes >= d.cfg.SyncEvery {
-		if err := d.syncActive(); err != nil {
-			return err
-		}
+	if err := d.syncActive(); err != nil {
+		return err
 	}
 	return g.durMaybeCheckpointLocked()
 }

@@ -207,7 +207,6 @@ func NewGroup(cfg Config) (*Group, error) {
 		return nil, err
 	}
 	if cfg.Mode != Standalone {
-		g.link = cfg.Link
 		if err := g.newBackupNodes(specs); err != nil {
 			return nil, err
 		}

@@ -94,10 +94,6 @@ type Config struct {
 	Store vista.Config
 	// Params defaults to sim.Default().
 	Params *sim.Params
-	// Link, when set, is a shared SAN link (the SMP experiments attach
-	// several groups to one link via trace capture and replay). When nil,
-	// a replicated group gets a private link.
-	Link *sim.Link
 	// Backups is the replication degree K: the number of backup nodes fed
 	// by the primary. Zero means one backup for the replicated modes
 	// (the paper's pair); Standalone ignores it.

@@ -18,38 +18,16 @@ import "time"
 // 2-safe refuse commits until enough replicas are back, which the result
 // reports as zero-throughput windows rather than an error.
 
-// maxRepairWindows caps the windows spent waiting for the repair; the run
-// errors out if the repair has not completed by then.
-const maxRepairWindows = 200
-
-// AvailabilityOptions tunes a RunAvailability timeline.
-type AvailabilityOptions struct {
-	// Window is the simulated duration of one throughput window
-	// (default 10 ms).
-	Window time.Duration
-	// HealthyWindows measures the pre-crash baseline (default 3).
-	HealthyWindows int
-	// RestoredWindows measures after the repair completes (default 3).
-	RestoredWindows int
-	// Warmup transactions run before the first window (cache and SAN
-	// state carry over; counters reset).
-	Warmup int64
-	// Seed feeds the deterministic generator.
-	Seed uint64
-}
-
-func (o AvailabilityOptions) withDefaults() AvailabilityOptions {
-	if o.Window <= 0 {
-		o.Window = 10 * time.Millisecond
-	}
-	if o.HealthyWindows <= 0 {
-		o.HealthyWindows = 3
-	}
-	if o.RestoredWindows <= 0 {
-		o.RestoredWindows = 3
-	}
-	return o
-}
+// The availability run's fixed shape: the simulated duration of one
+// throughput window, the windows measured before the crash and after the
+// repair cuts over, and the cap on the windows spent waiting for the
+// repair (the run errors out if the repair has not completed by then).
+const (
+	availWindow          = 10 * time.Millisecond
+	availHealthyWindows  = 3
+	availRestoredWindows = 3
+	maxRepairWindows     = 200
+)
 
 // AvailabilityResult is the measured timeline.
 type AvailabilityResult struct {
@@ -72,23 +50,23 @@ type AvailabilityResult struct {
 	RestoredAt time.Duration
 }
 
-// RunAvailability populates the workload, warms up, and measures the
-// crash → failover → repair → restored timeline on the deployment. It is
-// written against the DB abstraction: any FaultDB — a Cluster or a
-// ShardedCluster (the crash and repair land on shard 0) — can sit under
-// it.
-func RunAvailability(c FaultDB, w Workload, opts AvailabilityOptions) (AvailabilityResult, error) {
-	opts = opts.withDefaults()
+// RunAvailability populates the workload, runs warmup transactions (cache
+// and SAN state carry over; counters reset), and measures the crash →
+// failover → repair → restored timeline on the deployment, drawing the
+// workload from seed. It is written against the DB abstraction: any
+// FaultDB — a Cluster or a ShardedCluster (the crash and repair land on
+// shard 0) — can sit under it.
+func RunAvailability(c FaultDB, w Workload, warmup int64, seed uint64) (AvailabilityResult, error) {
 	if err := w.Populate(c.Load); err != nil {
 		return AvailabilityResult{}, err
 	}
-	st := &stream{db: c, w: w, r: NewRand(opts.Seed)}
-	tl, err := startTimeline(c, st.one, opts.Window, opts.Warmup)
+	st := &stream{db: c, w: w, r: NewRand(seed)}
+	tl, err := startTimeline(c, st.one, availWindow, warmup)
 	if err != nil {
 		return AvailabilityResult{}, err
 	}
 	var res AvailabilityResult
-	if err := tl.measureN("healthy", opts.HealthyWindows); err != nil {
+	if err := tl.measureN("healthy", availHealthyWindows); err != nil {
 		return res, err
 	}
 
@@ -114,7 +92,7 @@ func RunAvailability(c FaultDB, w Workload, opts AvailabilityOptions) (Availabil
 	res.RepairBytes = p.BytesShipped
 	res.RestoredAt = res.CrashAt + p.Elapsed
 
-	if err := tl.measureN("restored", opts.RestoredWindows); err != nil {
+	if err := tl.measureN("restored", availRestoredWindows); err != nil {
 		return res, err
 	}
 	res.Windows = tl.windows

@@ -2,7 +2,6 @@ package tpc_test
 
 import (
 	"testing"
-	"time"
 
 	"repro"
 	"repro/internal/tpc"
@@ -44,13 +43,7 @@ func TestRunAvailabilityTimeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := tpc.RunAvailability(c, w, tpc.AvailabilityOptions{
-				Window:          2 * time.Millisecond,
-				HealthyWindows:  2,
-				RestoredWindows: 2,
-				Warmup:          100,
-				Seed:            3,
-			})
+			res, err := tpc.RunAvailability(c, w, 100, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +71,7 @@ func TestRunAvailabilityTimeline(t *testing.T) {
 				}
 				lastPhase = win.Phase
 			}
-			if phases["healthy"] != 2 || phases["restored"] != 2 || phases["repair"] == 0 {
+			if phases["healthy"] != 3 || phases["restored"] != 3 || phases["repair"] == 0 {
 				t.Fatalf("unexpected phase mix: %v", phases)
 			}
 			if res.MinTPS <= 0 || res.MinTPS >= res.BaseTPS {

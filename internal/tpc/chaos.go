@@ -26,44 +26,19 @@ const (
 	FaultCrashDuringRepair = "crash-during-repair"
 )
 
-// The chaos run's fixed shape: windows measured after the last event
-// settles, the cap on the whole run (exceeding it is an error, the cluster
-// never settled), and the bound on the seeded number of windows between
-// injections (the minimum gap is 1).
+// The chaos run's fixed shape: the simulated duration of one throughput
+// window, the number of fault injections, the windows measured before the
+// first fault and after the last event settles, the cap on the whole run
+// (exceeding it is an error, the cluster never settled), and the bound on
+// the seeded number of windows between injections (the minimum gap is 1).
 const (
-	chaosTailWindows = 2
-	chaosMaxWindows  = 600
-	chaosMaxGap      = 4
+	chaosWindow         = 5 * time.Millisecond
+	chaosEvents         = 4
+	chaosHealthyWindows = 2
+	chaosTailWindows    = 2
+	chaosMaxWindows     = 600
+	chaosMaxGap         = 4
 )
-
-// ChaosOptions tunes a RunChaos schedule.
-type ChaosOptions struct {
-	// Window is the simulated duration of one throughput window
-	// (default 5 ms).
-	Window time.Duration
-	// Events is the number of fault injections (default 4).
-	Events int
-	// HealthyWindows measures the pre-fault baseline (default 2).
-	HealthyWindows int
-	// Warmup transactions run before the first window.
-	Warmup int64
-	// Seed feeds both the workload and the fault schedule, making the
-	// whole run reproducible.
-	Seed uint64
-}
-
-func (o ChaosOptions) withDefaults() ChaosOptions {
-	if o.Window <= 0 {
-		o.Window = 5 * time.Millisecond
-	}
-	if o.Events <= 0 {
-		o.Events = 4
-	}
-	if o.HealthyWindows <= 0 {
-		o.HealthyWindows = 2
-	}
-	return o
-}
 
 // InjectedFault records one scheduled injection.
 type InjectedFault struct {
@@ -98,33 +73,33 @@ type ChaosResult struct {
 	Committed uint64
 }
 
-// RunChaos populates the workload, warms up, and runs the seeded fault
-// schedule against the deployment's autopilot. Written against the DB
-// abstraction: any FaultDB with Config.Autopilot enabled (AutoFailover,
-// AutoRepair, and enough Spares for the schedule) can sit under it; the
-// injections land on shard 0.
-func RunChaos(c FaultDB, w Workload, opts ChaosOptions) (ChaosResult, error) {
-	opts = opts.withDefaults()
+// RunChaos populates the workload, runs warmup transactions, and runs the
+// fault schedule seed draws against the deployment's autopilot; seed also
+// feeds the workload, making the whole run reproducible. Written against
+// the DB abstraction: any FaultDB with Config.Autopilot enabled
+// (AutoFailover, AutoRepair, and enough Spares for the schedule) can sit
+// under it; the injections land on shard 0.
+func RunChaos(c FaultDB, w Workload, warmup int64, seed uint64) (ChaosResult, error) {
 	if !c.AutopilotEnabled() {
 		return ChaosResult{}, errors.New("tpc: chaos needs Config.Autopilot enabled")
 	}
 	if err := w.Populate(c.Load); err != nil {
 		return ChaosResult{}, err
 	}
-	faults := NewRand(opts.Seed ^ 0xC3A05)
-	st := &stream{db: c, w: w, r: NewRand(opts.Seed)}
+	faults := NewRand(seed ^ 0xC3A05)
+	st := &stream{db: c, w: w, r: NewRand(seed)}
 	// The autopilot keeps Elapsed continuous across unattended takeovers,
 	// so the cumulative timeline needs no stitching here.
-	tl, err := startTimeline(c, st.one, opts.Window, opts.Warmup)
+	tl, err := startTimeline(c, st.one, chaosWindow, warmup)
 	if err != nil {
 		return ChaosResult{}, err
 	}
 	var res ChaosResult
-	if err := tl.measureN("healthy", opts.HealthyWindows); err != nil {
+	if err := tl.measureN("healthy", chaosHealthyWindows); err != nil {
 		return res, err
 	}
 
-	// The seeded schedule: Events injections separated by 1..chaosMaxGap
+	// The seeded schedule: chaosEvents injections separated by 1..chaosMaxGap
 	// chaos windows, a primary crash pending while a repair is in flight
 	// for the crash-during-repair kind.
 	injected := 0
@@ -153,7 +128,7 @@ func RunChaos(c FaultDB, w Workload, opts ChaosOptions) (ChaosResult, error) {
 				pendingMidRepair = false
 			}
 		}
-		if !acted && !pendingMidRepair && injected < opts.Events && wi >= gap {
+		if !acted && !pendingMidRepair && injected < chaosEvents && wi >= gap {
 			kind := faults.IntN(3)
 			switch {
 			case kind == FaultKindPrimary || c.Backups() == 0:
@@ -178,7 +153,7 @@ func RunChaos(c FaultDB, w Workload, opts ChaosOptions) (ChaosResult, error) {
 		if err := tl.measure("chaos", true); err != nil {
 			return res, err
 		}
-		if injected >= opts.Events && !pendingMidRepair && !c.RepairProgress().Active {
+		if injected >= chaosEvents && !pendingMidRepair && !c.RepairProgress().Active {
 			// All faults landed and the last repair cut over; let any
 			// trailing detection work (a dead backup not yet declared)
 			// surface before closing.

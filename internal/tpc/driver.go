@@ -18,9 +18,6 @@ type Result struct {
 	// TPS is transactions per simulated second — the paper's headline
 	// metric.
 	TPS float64
-	// Clients is the number of concurrent client goroutines that drove
-	// the run (1 for single-stream runs).
-	Clients int
 	// Net is the SAN payload broken down as in paper Tables 2/5/7
 	// (zero-valued in standalone runs).
 	Net map[mem.Category]int64
@@ -69,10 +66,6 @@ type Options struct {
 	// their wall-clock cost. Measured intervals start after a reset, so
 	// the sweep itself is never charged.
 	WarmCache bool
-	// Clients is the number of concurrent client goroutines RunSharded
-	// drives (capped at the shard count; 0 means one client per shard).
-	// Ignored by the single-stream Run.
-	Clients int
 }
 
 // Run populates the workload's database, warms up, and drives the measured

@@ -40,28 +40,11 @@ const (
 	TailMixed = "mixed"
 )
 
-// DurabilityOptions tunes one RunDurability drill.
-type DurabilityOptions struct {
-	// Txns bounds the workload: the power fails after a seeded number
-	// of committed transactions in [Txns/2, Txns] (default 300).
-	Txns int
-	// Corrupt is the tail treatment after the power loss: one of the
-	// Tail* constants (default TailMixed).
-	Corrupt string
-	// Seed feeds the workload, the kill point and the corruption draws,
-	// making the whole drill reproducible.
-	Seed uint64
-}
-
-func (o DurabilityOptions) withDefaults() DurabilityOptions {
-	if o.Txns <= 0 {
-		o.Txns = 300
-	}
-	if o.Corrupt == "" {
-		o.Corrupt = TailMixed
-	}
-	return o
-}
+// durabilityTxns bounds a drill's workload: the power fails after a seeded
+// number of committed transactions in [durabilityTxns/2, durabilityTxns].
+// The bound is fixed because recovery cost is a function of the snapshot
+// interval and the tail, not of how long the run was.
+const durabilityTxns = 240
 
 // DurabilityResult is the measured record of one kill-and-restart drill.
 type DurabilityResult struct {
@@ -96,16 +79,23 @@ type DurabilityResult struct {
 	Tails int
 }
 
-// RunDurability runs one seeded kill-and-restart drill. open constructs
-// the deployment; it is called twice — once for the doomed incarnation,
-// once, after the power loss and tail corruption, for the cold restart —
-// and must return a deployment over the same Durability.Dir both times.
+// RunDurability runs one kill-and-restart drill, leaving the unsynced WAL
+// tails to the corrupt treatment (one of the Tail* constants); seed feeds
+// the workload, the kill point and the corruption draws, making the whole
+// drill reproducible. open constructs the deployment; it is called twice —
+// once for the doomed incarnation, once, after the power loss and tail
+// corruption, for the cold restart — and must return a deployment over the
+// same Durability.Dir both times.
 // The drill needs a single replica group (Shards() == 1): the replay
 // oracle reconstructs "state after K commits", which has no meaning
 // across independently-failing shards.
-func RunDurability(open func() (FaultDB, error), w Workload, opts DurabilityOptions) (DurabilityResult, error) {
-	opts = opts.withDefaults()
+func RunDurability(open func() (FaultDB, error), w Workload, corrupt string, seed uint64) (DurabilityResult, error) {
 	var res DurabilityResult
+	switch corrupt {
+	case TailIntact, TailTorn, TailBitFlip, TailZeroed, TailMixed:
+	default:
+		return res, fmt.Errorf("tpc: unknown corrupt-tail mode %q", corrupt)
+	}
 
 	db, err := open()
 	if err != nil {
@@ -120,9 +110,9 @@ func RunDurability(open func() (FaultDB, error), w Workload, opts DurabilityOpti
 	if err := w.Populate(db.Load); err != nil {
 		return res, err
 	}
-	kills := NewRand(opts.Seed ^ 0xD15C)
-	kill := opts.Txns/2 + kills.IntN(opts.Txns/2+1)
-	st := &stream{db: db, w: w, r: NewRand(opts.Seed)}
+	kills := NewRand(seed ^ 0xD15C)
+	kill := durabilityTxns/2 + kills.IntN(durabilityTxns/2+1)
+	st := &stream{db: db, w: w, r: NewRand(seed)}
 	for i := 0; i < kill; i++ {
 		if err := st.one(); err != nil {
 			return res, fmt.Errorf("tpc: txn %d: %w", i, err)
@@ -136,7 +126,7 @@ func RunDurability(open func() (FaultDB, error), w Workload, opts DurabilityOpti
 	tails := db.WALTails()
 	res.Tails = len(tails)
 	for _, tail := range tails {
-		if err := corruptTail(kills, opts.Corrupt, tail); err != nil {
+		if err := corruptTail(kills, corrupt, tail); err != nil {
 			return res, fmt.Errorf("tpc: corrupt %s: %w", tail.Path, err)
 		}
 	}
@@ -164,7 +154,7 @@ func RunDurability(open func() (FaultDB, error), w Workload, opts DurabilityOpti
 	// The recovered image must be exactly "state after Recovered
 	// commits" of the deterministic workload — not one byte of a torn
 	// transaction applied, not one byte of a recovered one missing.
-	want, err := Replay(w, Options{Seed: opts.Seed}, int64(res.Recovered))
+	want, err := Replay(w, Options{Seed: seed}, int64(res.Recovered))
 	if err != nil {
 		return res, err
 	}
@@ -176,7 +166,7 @@ func RunDurability(open func() (FaultDB, error), w Workload, opts DurabilityOpti
 
 	// The restarted deployment serves: continue the stream where the
 	// recovered prefix ends, then shut down cleanly.
-	st2 := &stream{db: db2, w: w, r: NewRand(opts.Seed ^ 0xAF7E12), n: int64(res.Recovered)}
+	st2 := &stream{db: db2, w: w, r: NewRand(seed ^ 0xAF7E12), n: int64(res.Recovered)}
 	for i := 0; i < 5; i++ {
 		if err := st2.one(); err != nil {
 			return res, fmt.Errorf("tpc: post-restart txn %d: %w", i, err)
@@ -189,9 +179,10 @@ func RunDurability(open func() (FaultDB, error), w Workload, opts DurabilityOpti
 	return res, nil
 }
 
-// corruptTail applies one corrupt-tail mode to the bytes of a WAL segment
-// strictly past its synced offset — the durable prefix is what an fsync
-// promised and stays untouched, exactly as on a real disk.
+// corruptTail applies one corrupt-tail mode, already validated, to the
+// bytes of a WAL segment strictly past its synced offset — the durable
+// prefix is what an fsync promised and stays untouched, exactly as on a
+// real disk.
 func corruptTail(r *rand.Rand, mode string, tail repro.WALTail) error {
 	info, err := os.Stat(tail.Path)
 	if err != nil {
@@ -224,8 +215,6 @@ func corruptTail(r *rand.Rand, mode string, tail repro.WALTail) error {
 		for i := from; i < to; i++ {
 			unsynced[i] = 0
 		}
-	default:
-		return fmt.Errorf("tpc: unknown corrupt-tail mode %q", mode)
 	}
 	return os.WriteFile(tail.Path, buf, 0o644)
 }

@@ -36,8 +36,37 @@ func TestRunDurabilityNeedsDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tpc.RunDurability(open, w, tpc.DurabilityOptions{}); err == nil || !strings.Contains(err.Error(), "Durability") {
+	if _, err := tpc.RunDurability(open, w, tpc.TailMixed, 1); err == nil || !strings.Contains(err.Error(), "Durability") {
 		t.Fatalf("drill accepted a deployment without the disk tier: %v", err)
+	}
+}
+
+// TestRunDurabilityRejectsUnknownMode: an unknown corrupt-tail mode fails
+// before the drill starts. The deployment commits unbatched, so every WAL
+// tail is synced at the power loss and none reaches the per-tail
+// corruption: only a check ahead of the drill can see the mode.
+func TestRunDurabilityRejectsUnknownMode(t *testing.T) {
+	dir, opened := t.TempDir(), 0
+	open := func() (tpc.FaultDB, error) {
+		opened++
+		return repro.New(repro.Config{
+			Version:    repro.V3InlineLog,
+			Backup:     repro.ActiveBackup,
+			DBSize:     4 << 20,
+			Backups:    1,
+			Safety:     repro.TwoSafe,
+			Durability: repro.DurabilityConfig{Dir: dir},
+		})
+	}
+	w, err := tpc.NewDebitCredit(4 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tpc.RunDurability(open, w, "bogus", 1); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("drill with corrupt-tail mode %q = %v, want an unknown-mode error", "bogus", err)
+	}
+	if opened != 0 {
+		t.Fatalf("the deployment was opened %d times before the mode was rejected", opened)
 	}
 }
 
@@ -50,11 +79,7 @@ func TestRunDurabilityDrill(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := tpc.RunDurability(durOpen(t.TempDir(), 50), w, tpc.DurabilityOptions{
-				Txns:    160,
-				Corrupt: mode,
-				Seed:    uint64(31 + len(mode)),
-			})
+			res, err := tpc.RunDurability(durOpen(t.TempDir(), 50), w, mode, uint64(31+len(mode)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,11 +107,7 @@ func TestRunDurabilitySnapshotInterval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := tpc.RunDurability(durOpen(t.TempDir(), every), w, tpc.DurabilityOptions{
-			Txns:    200,
-			Corrupt: tpc.TailIntact,
-			Seed:    99,
-		})
+		res, err := tpc.RunDurability(durOpen(t.TempDir(), every), w, tpc.TailIntact, 99)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,9 +34,11 @@ const (
 // KVMixes lists the mixes in reporting order.
 func KVMixes() []string { return []string{MixReadHeavy, MixUpdateHeavy, MixScan} }
 
-// The kv runs' fixed shape: the value payload per record (the YCSB default
-// field size) and the range-scan length of the scan mix.
+// The kv runs' fixed shape: the preloaded keyspace size, the value payload
+// per record (the YCSB default field size) and the range-scan length of the
+// scan mix.
 const (
+	kvRecords   = 2000
 	kvValueSize = 100
 	kvScanLen   = 10
 )
@@ -46,53 +48,20 @@ type KVOptions struct {
 	// Mix is one of MixReadHeavy, MixUpdateHeavy, MixScan (default
 	// read-heavy).
 	Mix string
-	// Records is the preloaded keyspace size (default 2000).
-	Records int
 	// Ops is the measured operation count.
 	Ops int64
 	// Warmup operations run before measurement starts.
 	Warmup int64
 	// Seed feeds the deterministic generator.
 	Seed uint64
-	// ReadMode routes the mix's point reads and scans through replica
-	// read views: "" or "primary" (the default — every read serialized
-	// through the primary, bit-for-bit today's run), "ryw"
-	// (read-your-writes via the session's commit token), "bounded"
-	// (bounded staleness within StalenessBound), or "quorum" (majority
-	// reads with read repair). See ParseReadMode.
-	ReadMode string
-	// StalenessBound is the "bounded" mode's advertised lag bound in
-	// commit sequences (default 64).
+	// ReadMode routes the mix's point reads and scans: ReadPrimary (the
+	// zero value) serializes every read through the primary; the replica
+	// modes serve them from the backups' applied views under the mode's
+	// contract.
+	ReadMode repro.ReadMode
+	// StalenessBound is ReadBounded's advertised lag bound in commit
+	// sequences.
 	StalenessBound uint64
-}
-
-func (o KVOptions) withDefaults() KVOptions {
-	if o.Mix == "" {
-		o.Mix = MixReadHeavy
-	}
-	if o.Records <= 0 {
-		o.Records = 2000
-	}
-	if o.StalenessBound == 0 {
-		o.StalenessBound = 64
-	}
-	return o
-}
-
-// ParseReadMode maps a RunKV/flag spelling to the facade's read mode.
-func ParseReadMode(s string) (repro.ReadMode, error) {
-	switch s {
-	case "", "primary":
-		return repro.ReadPrimary, nil
-	case "ryw", "read-your-writes":
-		return repro.ReadYourWrites, nil
-	case "bounded":
-		return repro.ReadBounded, nil
-	case "quorum":
-		return repro.ReadQuorum, nil
-	default:
-		return repro.ReadPrimary, fmt.Errorf("tpc: unknown read mode %q (want primary, ryw, bounded or quorum)", s)
-	}
 }
 
 // KVResult is one measured key-value run.
@@ -111,8 +80,6 @@ type KVResult struct {
 	Net repro.Traffic
 	// Keys is the live keyspace size at the end of the run.
 	Keys int
-	// ReadMode echoes the run's read routing ("primary" when unset).
-	ReadMode string
 	// ReplicaReads and PrimaryReads split the measured reads and scans by
 	// who served them (replica modes only; the default mix leaves both 0
 	// and counts reads under Reads/Scans alone). Repaired totals the
@@ -138,7 +105,9 @@ func (r *KVResult) BytesPerOp() float64 {
 // RunKV formats a kv store inside db, preloads the keyspace, warms up,
 // and drives the measured operation mix.
 func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
-	opts = opts.withDefaults()
+	if opts.Mix == "" {
+		opts.Mix = MixReadHeavy
+	}
 	if opts.Ops <= 0 {
 		return KVResult{}, fmt.Errorf("tpc: non-positive kv operation count %d", opts.Ops)
 	}
@@ -149,13 +118,10 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 	// A store with fewer slots than records cannot hold the preload; one
 	// whose regions fill unevenly says so itself (kv.ErrFull from the
 	// preload's Put).
-	if opts.Records >= store.Slots() {
-		return KVResult{}, fmt.Errorf("tpc: %d records leave no slot headroom in the store's %d slots", opts.Records, store.Slots())
+	if kvRecords >= store.Slots() {
+		return KVResult{}, fmt.Errorf("tpc: %d records leave no slot headroom in the store's %d slots", kvRecords, store.Slots())
 	}
-	mode, err := ParseReadMode(opts.ReadMode)
-	if err != nil {
-		return KVResult{}, err
-	}
+	mode := opts.ReadMode
 	replica := mode != repro.ReadPrimary
 	r := NewRand(opts.Seed)
 	value := make([]byte, kvValueSize)
@@ -226,7 +192,7 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 		return nil
 	}
 
-	res := KVResult{Mix: opts.Mix, ReadMode: mode.String()}
+	res := KVResult{Mix: opts.Mix}
 
 	// audit checks one read-back version against the mode's contract.
 	// Note the commit counter (and so the token) advances at local commit:
@@ -318,12 +284,12 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 	// Preload in multi-key transaction batches: one commit per batch
 	// instead of two per key.
 	const batch = 64
-	for base := 0; base < opts.Records; base += batch {
+	for base := 0; base < kvRecords; base += batch {
 		txn, err := store.Begin()
 		if err != nil {
 			return KVResult{}, err
 		}
-		for i := base; i < base+batch && i < opts.Records; i++ {
+		for i := base; i < base+batch && i < kvRecords; i++ {
 			fillValue(int64(i))
 			if replica {
 				stamp(i)
@@ -349,7 +315,7 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 		tok = db.Token(tok)
 		putSeq = db.Committed() // preload commits, all sealed by the flush
 	}
-	nextKey := opts.Records // fresh-key counter for the scan mix's inserts
+	nextKey := kvRecords // fresh-key counter for the scan mix's inserts
 	// scanOnce runs one range scan, routed per the run's read mode.
 	scanOnce := func(measured bool) error {
 		start := key(r.IntN(nextKey))
@@ -413,7 +379,7 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 			}
 			return err
 		case (opts.Mix == MixReadHeavy && draw < 95) || (opts.Mix == MixUpdateHeavy && draw < 50):
-			i := r.IntN(opts.Records)
+			i := r.IntN(kvRecords)
 			if replica {
 				val, rres, err := store.GetAt(key(i), repro.ReadOpts{Mode: mode, Token: tok, Bound: opts.StalenessBound})
 				if err != nil {
@@ -427,7 +393,7 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 			count(&res.Reads)
 			return nil
 		default:
-			i := r.IntN(opts.Records)
+			i := r.IntN(kvRecords)
 			fillValue(int64(i) * 31)
 			if replica {
 				stamp(i)
@@ -479,7 +445,6 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 // burst = 1 is one seal per PUT. Only Updates, Elapsed, OPS, Net and Keys
 // of the result are set.
 func RunKVBurst(db repro.DB, opts KVOptions, burst int) (KVResult, error) {
-	opts = opts.withDefaults()
 	if opts.Ops <= 0 || burst <= 0 {
 		return KVResult{}, fmt.Errorf("tpc: kv burst run needs positive counts, got %d operations in bursts of %d", opts.Ops, burst)
 	}
@@ -487,13 +452,13 @@ func RunKVBurst(db repro.DB, opts KVOptions, burst int) (KVResult, error) {
 	if err != nil {
 		return KVResult{}, err
 	}
-	if opts.Records >= store.Slots() {
-		return KVResult{}, fmt.Errorf("tpc: %d records leave no slot headroom in the store's %d slots", opts.Records, store.Slots())
+	if kvRecords >= store.Slots() {
+		return KVResult{}, fmt.Errorf("tpc: %d records leave no slot headroom in the store's %d slots", kvRecords, store.Slots())
 	}
 	r := NewRand(opts.Seed)
 	value := make([]byte, kvValueSize)
 	key := func(i int) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
-	for i := 0; i < opts.Records; i++ {
+	for i := 0; i < kvRecords; i++ {
 		if err := store.Put(key(i), value); err != nil {
 			return KVResult{}, fmt.Errorf("tpc: kv preload %d: %w", i, err)
 		}
@@ -502,7 +467,7 @@ func RunKVBurst(db repro.DB, opts KVOptions, burst int) (KVResult, error) {
 	run := func(n int64) error {
 		for done := int64(0); done < n; {
 			for i := 0; i < burst && done < n; i++ {
-				if err := b.Put(key(r.IntN(opts.Records)), value); err != nil {
+				if err := b.Put(key(r.IntN(kvRecords)), value); err != nil {
 					_ = b.Seal()
 					return err
 				}
@@ -521,7 +486,7 @@ func RunKVBurst(db repro.DB, opts KVOptions, burst int) (KVResult, error) {
 	if err := run(opts.Ops); err != nil {
 		return KVResult{}, fmt.Errorf("tpc: kv burst run: %w", err)
 	}
-	res := KVResult{Mix: fmt.Sprintf("burst-%d", burst), Ops: opts.Ops, Updates: opts.Ops, ReadMode: "primary"}
+	res := KVResult{Mix: fmt.Sprintf("burst-%d", burst), Ops: opts.Ops, Updates: opts.Ops}
 	res.Elapsed = db.Elapsed()
 	res.Net = db.NetTraffic()
 	res.Keys = store.Len()

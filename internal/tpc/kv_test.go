@@ -36,7 +36,7 @@ func TestRunKVMixes(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				db := kvDeployment(t, shards)
 				res, err := RunKV(db, KVOptions{
-					Mix: mix, Records: 500, Ops: 1500, Warmup: 100, Seed: 7,
+					Mix: mix, Ops: 1500, Warmup: 100, Seed: 7,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -78,7 +78,7 @@ func TestRunKVDeterministic(t *testing.T) {
 		var first KVResult
 		for round := 0; round < 2; round++ {
 			res, err := RunKV(kvDeployment(t, shards), KVOptions{
-				Mix: MixUpdateHeavy, Records: 300, Ops: 800, Warmup: 50, Seed: 11,
+				Mix: MixUpdateHeavy, Ops: 800, Warmup: 50, Seed: 11,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -110,12 +110,12 @@ func TestRunKVBurst(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunKVBurst(db, KVOptions{Records: 300, Ops: 800, Warmup: 50, Seed: 11}, burst)
+		res, err := RunKVBurst(db, KVOptions{Ops: 800, Warmup: 50, Seed: 11}, burst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Updates != 800 || res.Keys != 300 {
-			t.Fatalf("burst %d: %d updates over %d keys, want 800 over 300", burst, res.Updates, res.Keys)
+		if res.Updates != 800 || res.Keys != kvRecords {
+			t.Fatalf("burst %d: %d updates over %d keys, want 800 over %d", burst, res.Updates, res.Keys, kvRecords)
 		}
 		return res
 	}

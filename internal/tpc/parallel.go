@@ -2,20 +2,18 @@ package tpc
 
 import (
 	"fmt"
-	"sync"
 
 	"repro"
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
 
-// RunSharded drives a sharded cluster with opts.Clients concurrent client
-// goroutines, partitioned by shard: client c owns shards {i : i mod C ==
-// c} and interleaves their streams round-robin, so no two clients ever
-// contend on one shard's lock. Each shard gets its own workload instance
+// RunSharded drives a sharded cluster from the calling goroutine,
+// interleaving the shards' streams transaction by transaction so every
+// shard progresses evenly. Each shard gets its own workload instance
 // (built by mk for the shard's size) over its own slice of the database
 // and its own deterministic generator, keeping every shard's transaction
-// stream reproducible regardless of goroutine scheduling.
+// stream reproducible.
 //
 // opts.Txns and opts.Warmup are per shard: the measured total is
 // opts.Txns * Shards. The result reports the paper's metric: simulated
@@ -27,11 +25,6 @@ func RunSharded(sc *repro.ShardedCluster, mk func(dbSize int) (Workload, error),
 		return Result{}, fmt.Errorf("tpc: non-positive per-shard transaction count %d", opts.Txns)
 	}
 	shards := sc.Shards()
-	clients := opts.Clients
-	if clients < 1 || clients > shards {
-		clients = shards
-	}
-
 	streams := make([]*stream, shards)
 	for i := 0; i < shards; i++ {
 		w, err := mk(sc.ShardSize())
@@ -48,16 +41,14 @@ func RunSharded(sc *repro.ShardedCluster, mk func(dbSize int) (Workload, error),
 		}
 	}
 
-	// Warmup runs concurrently too (cache and SAN state carry over into
-	// the measured interval, like the single-stream driver).
-	if opts.Warmup > 0 {
-		if err := driveClients(streams, clients, opts.Warmup); err != nil {
-			return Result{}, fmt.Errorf("tpc: warmup: %w", err)
-		}
+	// Warmup interleaves the shards too (cache and SAN state carry over
+	// into the measured interval, like the single-stream driver).
+	if err := roundRobin(streams, opts.Warmup); err != nil {
+		return Result{}, fmt.Errorf("tpc: warmup: %w", err)
 	}
 	sc.ResetMeasurement()
 
-	if err := driveClients(streams, clients, opts.Txns); err != nil {
+	if err := roundRobin(streams, opts.Txns); err != nil {
 		return Result{}, err
 	}
 
@@ -66,7 +57,6 @@ func RunSharded(sc *repro.ShardedCluster, mk func(dbSize int) (Workload, error),
 		Workload: streams[0].w.Name(),
 		Txns:     opts.Txns * int64(shards),
 		Elapsed:  sim.Time(sc.Elapsed().Nanoseconds()) * sim.Time(sim.Nanosecond),
-		Clients:  clients,
 		Net: map[mem.Category]int64{
 			mem.CatModified: tr.ModifiedBytes,
 			mem.CatUndo:     tr.UndoBytes,
@@ -79,31 +69,14 @@ func RunSharded(sc *repro.ShardedCluster, mk func(dbSize int) (Workload, error),
 	return res, nil
 }
 
-// driveClients runs count transactions on every stream, clients goroutines
-// at a time, client c interleaving its owned streams round-robin.
-func driveClients(streams []*stream, clients int, count int64) error {
-	var wg sync.WaitGroup
-	errs := make([]error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			// Interleave the client's shards transaction by transaction
-			// so every shard progresses evenly.
-			for k := int64(0); k < count; k++ {
-				for i := c; i < len(streams); i += clients {
-					if err := streams[i].one(); err != nil {
-						errs[c] = fmt.Errorf("tpc: shard %d txn %d: %w", i, k, err)
-						return
-					}
-				}
+// roundRobin runs count transactions on every stream, one transaction per
+// stream in turn.
+func roundRobin(streams []*stream, count int64) error {
+	for k := int64(0); k < count; k++ {
+		for i, st := range streams {
+			if err := st.one(); err != nil {
+				return fmt.Errorf("tpc: shard %d txn %d: %w", i, k, err)
 			}
-		}(c)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
 		}
 	}
 	return nil

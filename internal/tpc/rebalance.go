@@ -34,52 +34,20 @@ const auditSlot = 16
 // auditMagic tags the second word of an audit slot.
 const auditMagic uint64 = 0xA5D1_57A3_0B5E_55ED
 
-// The rebalance run's fixed shape: the cap on the windows spent waiting
-// for one growth step's plan to drain (the run errors out if the mover has
-// not finished by then), the version-stamped audit slots reserved at the
-// database tail, and one audit stamp transaction every auditEvery workload
-// transactions.
+// The rebalance run's fixed shape: the simulated duration of one
+// throughput window, the windows measured before the first growth step and
+// after the last, the cap on the windows spent waiting for one growth
+// step's plan to drain (the run errors out if the mover has not finished
+// by then), the version-stamped audit slots reserved at the database tail,
+// and one audit stamp transaction every auditEvery workload transactions.
 const (
-	maxRebalanceWindows = 400
-	auditSlots          = 64
-	auditEvery          = 4
+	rebalanceWindow       = 10 * time.Millisecond
+	rebalanceBaseWindows  = 3
+	rebalanceFinalWindows = 3
+	maxRebalanceWindows   = 400
+	auditSlots            = 64
+	auditEvery            = 4
 )
-
-// RebalanceOptions tunes a RunRebalance timeline.
-type RebalanceOptions struct {
-	// Window is the simulated duration of one throughput window
-	// (default 10 ms).
-	Window time.Duration
-	// BaselineWindows measures the pre-growth baseline (default 3).
-	BaselineWindows int
-	// FinalWindows measures after the last growth step (default 3).
-	FinalWindows int
-	// TargetShards are the growth steps as absolute shard counts, each
-	// larger than the last (default {4, 8} from a 2-shard start). Every
-	// step adds the missing groups and rebalances onto them.
-	TargetShards []int
-	// Warmup transactions run before the first window (cache and SAN
-	// state carry over; counters reset).
-	Warmup int64
-	// Seed feeds the deterministic generator.
-	Seed uint64
-}
-
-func (o RebalanceOptions) withDefaults() RebalanceOptions {
-	if o.Window <= 0 {
-		o.Window = 10 * time.Millisecond
-	}
-	if o.BaselineWindows <= 0 {
-		o.BaselineWindows = 3
-	}
-	if o.FinalWindows <= 0 {
-		o.FinalWindows = 3
-	}
-	if len(o.TargetShards) == 0 {
-		o.TargetShards = []int{4, 8}
-	}
-	return o
-}
 
 // RebalanceResult is the measured timeline plus the migration totals and
 // the acked-write audit verdict.
@@ -108,11 +76,10 @@ type RebalanceResult struct {
 }
 
 // RunRebalance populates the workload over the database minus the audit
-// reserve, warms up, and measures the grow → rebalance → grown timeline
-// on the deployment. Any deployment grows; a Cluster.Shard view refuses
+// reserve, runs warmup transactions, and measures the grow → rebalance →
+// grown timeline on the deployment, the workload drawn from seed. Any deployment grows; a Cluster.Shard view refuses
 // the first AddShards with ErrNotElastic.
-func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), opts RebalanceOptions) (RebalanceResult, error) {
-	opts = opts.withDefaults()
+func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), warmup int64, seed uint64) (RebalanceResult, error) {
 	reserve := auditSlots * auditSlot
 	usable := c.DBSize() - reserve
 	if usable <= 0 {
@@ -166,7 +133,7 @@ func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), opts Rebalan
 		return nil
 	}
 
-	st := &stream{db: c, w: w, r: NewRand(opts.Seed)}
+	st := &stream{db: c, w: w, r: NewRand(seed)}
 	one := func() error {
 		if err := st.one(); err != nil {
 			return err
@@ -176,16 +143,18 @@ func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), opts Rebalan
 		}
 		return nil
 	}
-	tl, err := startTimeline(c, one, opts.Window, opts.Warmup)
+	tl, err := startTimeline(c, one, rebalanceWindow, warmup)
 	if err != nil {
 		return res, err
 	}
-	if err := tl.measureN("baseline", opts.BaselineWindows); err != nil {
+	if err := tl.measureN("baseline", rebalanceBaseWindows); err != nil {
 		return res, err
 	}
 
 	var growPhases []string
-	for _, target := range opts.TargetShards {
+	// The growth steps are absolute shard counts: each adds the missing
+	// groups and rebalances onto them.
+	for _, target := range []int{4, 8} {
 		cur := c.Shards()
 		if target <= cur {
 			return res, fmt.Errorf("tpc: growth target %d not above current %d shards", target, cur)
@@ -208,7 +177,7 @@ func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), opts Rebalan
 		res.BytesShipped += p.BytesShipped
 	}
 
-	if err := tl.measureN("final", opts.FinalWindows); err != nil {
+	if err := tl.measureN("final", rebalanceFinalWindows); err != nil {
 		return res, err
 	}
 	c.Settle()

@@ -23,6 +23,23 @@ func newElastic(t *testing.T, shards int) *repro.ShardedCluster {
 	return sc
 }
 
+// newGrowable is a one-shard deployment built by New, at quorum commit
+// like newElastic's: the cheapest start the growth steps 4 → 8 can take.
+func newGrowable(t *testing.T) *repro.Cluster {
+	t.Helper()
+	c, err := repro.New(repro.Config{
+		Version: repro.V3InlineLog,
+		Backup:  repro.ActiveBackup,
+		DBSize:  4 << 20,
+		Backups: 2,
+		Safety:  repro.QuorumSafe,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // TestRunRebalanceTimeline: the elastic driver grows 2 → 4 → 8 shards
 // mid-workload, every growth step drains, the audit loses nothing, and
 // the timeline covers all three phases.
@@ -30,11 +47,7 @@ func TestRunRebalanceTimeline(t *testing.T) {
 	sc := newElastic(t, 2)
 	res, err := tpc.RunRebalance(sc, func(dbSize int) (tpc.Workload, error) {
 		return tpc.NewDebitCredit(dbSize)
-	}, tpc.RebalanceOptions{
-		TargetShards: []int{4, 8},
-		Warmup:       50,
-		Seed:         11,
-	})
+	}, 50, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +86,9 @@ func TestRunRebalanceTimeline(t *testing.T) {
 // TestRunRebalanceDeterministic: same seed, same simulated outcome.
 func TestRunRebalanceDeterministic(t *testing.T) {
 	run := func() tpc.RebalanceResult {
-		res, err := tpc.RunRebalance(newElastic(t, 2), func(dbSize int) (tpc.Workload, error) {
+		res, err := tpc.RunRebalance(newGrowable(t), func(dbSize int) (tpc.Workload, error) {
 			return tpc.NewDebitCredit(dbSize)
-		}, tpc.RebalanceOptions{TargetShards: []int{4}, Warmup: 20, Seed: 3})
+		}, 20, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,27 +107,19 @@ func TestRunRebalanceDeterministic(t *testing.T) {
 }
 
 // TestRunRebalanceFromNew: a deployment built by New grows like any
-// other — 1 → 2 mid-workload with zero lost acked writes — while a
+// other — 1 → 4 → 8 mid-workload with zero lost acked writes — while a
 // Shard(i) view, whose topology is its parent's, refuses.
 func TestRunRebalanceFromNew(t *testing.T) {
 	mk := func(dbSize int) (tpc.Workload, error) { return tpc.NewDebitCredit(dbSize) }
-	opts := tpc.RebalanceOptions{TargetShards: []int{2}, BaselineWindows: 1, FinalWindows: 1}
-	c, err := repro.New(repro.Config{
-		Version: repro.V3InlineLog,
-		Backup:  repro.ActiveBackup,
-		DBSize:  4 << 20,
-	})
+	c := newGrowable(t)
+	res, err := tpc.RunRebalance(c, mk, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tpc.RunRebalance(c, mk, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RangesMoved == 0 || res.LostAckedWrites != 0 || c.Shards() != 2 {
+	if res.RangesMoved == 0 || res.LostAckedWrites != 0 || c.Shards() != 8 {
 		t.Fatalf("grow from New: %d ranges moved, %d lost acked writes, %d shards", res.RangesMoved, res.LostAckedWrites, c.Shards())
 	}
-	if _, err := tpc.RunRebalance(newElastic(t, 2).Shard(0), mk, opts); !errors.Is(err, repro.ErrNotElastic) {
+	if _, err := tpc.RunRebalance(newElastic(t, 2).Shard(0), mk, 0, 1); !errors.Is(err, repro.ErrNotElastic) {
 		t.Fatalf("RunRebalance on a Shard view = %v, want ErrNotElastic", err)
 	}
 }

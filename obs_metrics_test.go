@@ -395,7 +395,7 @@ func TestChaosEventTimeline(t *testing.T) {
 		}
 	}()
 
-	res, err := tpc.RunChaos(c, w, tpc.ChaosOptions{Warmup: 300, Seed: 1})
+	res, err := tpc.RunChaos(c, w, 300, 1)
 	close(done)
 	if err != nil {
 		t.Fatal(err)

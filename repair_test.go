@@ -287,13 +287,7 @@ func TestAvailabilityAfterPowerFail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := tpc.RunAvailability(powerFailing{c}, w, tpc.AvailabilityOptions{
-				Window:          2 * time.Millisecond,
-				HealthyWindows:  2,
-				RestoredWindows: 2,
-				Warmup:          100,
-				Seed:            3,
-			})
+			res, err := tpc.RunAvailability(powerFailing{c}, w, 100, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
