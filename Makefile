@@ -67,7 +67,9 @@ tables:
 # extension cells lost the configuration knobs only their defaults took.
 # Lowered 21475 -> 21209 by its second part: the fault and kv drivers take
 # only what their cells set, and ablation-2safe folded into repl-degree.
-LOC_CEILING := 21209
+# Lowered 21209 -> 20921 by keeping one path per job: one read route, one
+# clock, one reference executor, one histogram read side.
+LOC_CEILING := 20921
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

@@ -129,7 +129,10 @@ func TestShardedCommitPathZeroAllocs(t *testing.T) {
 // allocation count of the commit path beneath them: none. A Put or Delete
 // is a probe, one Begin, one or two declared writes and a Commit, written
 // straight through — no plan to build, no closure to run — on one shard and
-// on four alike, 1-safe and at a K=3 quorum alike.
+// on four alike, 1-safe and at a K=3 quorum alike. A lookup allocates
+// nothing either: GetAppend reads through the recycled view the primary
+// serves, and on the K=2 row a ReadBounded GetAppendAt through the same
+// view served by a backup.
 func TestKVPutZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -141,6 +144,7 @@ func TestKVPutZeroAllocs(t *testing.T) {
 		"shards=1": {shards: 1},
 		"shards=4": {shards: 4},
 		"quorum":   {shards: 1, cfg: repro.Config{Backups: 3, Safety: repro.QuorumSafe}},
+		"bounded":  {shards: 1, cfg: repro.Config{Backups: 2}},
 	} {
 		t.Run(name, func(t *testing.T) {
 			cfg := tc.cfg
@@ -187,6 +191,32 @@ func TestKVPutZeroAllocs(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(500, insertDelete); allocs != 0 {
 				t.Fatalf("an inserting Put and its Delete allocate %.1f times, want 0", allocs)
+			}
+			// The first pass wrote every even-numbered resident key.
+			dst := make([]byte, 0, len(val))
+			get := func() {
+				if _, err := s.GetAppend(resident[2*i%n], dst); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			if allocs := testing.AllocsPerRun(500, get); allocs != 0 {
+				t.Fatalf("a GetAppend allocates %.1f times, want 0", allocs)
+			}
+			if tc.cfg.Backups != 2 {
+				return
+			}
+			c.Settle()
+			bounded := repro.ReadOpts{Mode: repro.ReadBounded, Bound: 1 << 20}
+			getAt := func() {
+				_, res, err := s.GetAppendAt(resident[2*i%n], dst, bounded)
+				if err != nil || res.Replica == 0 {
+					t.Fatalf("bounded GetAppendAt: %+v, %v", res, err)
+				}
+				i++
+			}
+			if allocs := testing.AllocsPerRun(500, getAt); allocs != 0 {
+				t.Fatalf("a ReadBounded GetAppendAt allocates %.1f times, want 0", allocs)
 			}
 		})
 	}

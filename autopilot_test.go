@@ -10,7 +10,6 @@ import (
 
 var apConfig = repro.AutopilotConfig{
 	HeartbeatPeriod: 50 * time.Microsecond,
-	SuspectTimeout:  200 * time.Microsecond,
 	AutoFailover:    true,
 	AutoRepair:      true,
 	Spares:          2,
@@ -108,7 +107,7 @@ func TestAutopilotUnattended(t *testing.T) {
 	if ev.Kind != "primary" {
 		t.Fatalf("first event %+v, want primary fault", ev)
 	}
-	bound := apConfig.SuspectTimeout + apConfig.HeartbeatPeriod
+	bound := 5 * apConfig.HeartbeatPeriod // Suspect after four, Dead one beat later
 	if ev.MTTD() <= 0 || ev.MTTD() > bound {
 		t.Fatalf("MTTD %v outside (0, %v]", ev.MTTD(), bound)
 	}

@@ -645,6 +645,45 @@ func TestDBConformanceReadOpts(t *testing.T) {
 	}
 }
 
+// TestElapsedCountsReplicaReads: reads served by backups run on the
+// backups' clocks, so a measured interval in which only backups worked is
+// not empty — Elapsed is the longest span of any node, not of the
+// primaries alone — and the next interval starts clean. One shard and four
+// alike.
+func TestElapsedCountsReplicaReads(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db, err := repro.NewSharded(replicatedCfg(), shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; off < db.DBSize(); off += db.DBSize() / 8 {
+				writeAt(t, db, off, 0x3C)
+			}
+			db.Settle()
+			db.ResetMeasurement()
+			if e := db.Elapsed(); e != 0 {
+				t.Fatalf("idle interval has Elapsed %v", e)
+			}
+			// The primaries sit idle: every read is pinned to a backup.
+			buf := make([]byte, 64)
+			for i := 0; i < 64; i++ {
+				off := (i * db.DBSize() / 64) &^ 63
+				if res, err := db.ReadAt(off, buf, repro.ReadOpts{Replica: 1}); err != nil || res.Replica != 1 {
+					t.Fatalf("pinned read at %d: %+v, %v", off, res, err)
+				}
+			}
+			if e := db.Elapsed(); e <= 0 {
+				t.Fatalf("64 backup reads left Elapsed at %v, the idle primaries' span", e)
+			}
+			db.ResetMeasurement()
+			if e := db.Elapsed(); e != 0 {
+				t.Fatalf("after reset, Elapsed %v", e)
+			}
+		})
+	}
+}
+
 // TestDBConformanceMidJoinNeverServes: a replica being rebuilt by the
 // online repair holds a fuzzy copy — a pinned ReadAt must refuse it for
 // the whole transfer, on every target.

@@ -41,12 +41,6 @@ type DB interface {
 	// ReadYourWrites read must observe. Capture it after Commit returns;
 	// merge tokens across shards/sessions with Token.Merge. Never blocks.
 	Token(dst Token) Token
-	// ReplicaElapsed returns the longest simulated time any node —
-	// primary or read-serving backup, across all shards — has accumulated
-	// since the last measurement reset: the wall time of a read-scaled
-	// workload. Equals Elapsed when no backup served a read. Never
-	// blocks the shards.
-	ReplicaElapsed() time.Duration
 	// ReadRaw copies database bytes without charging simulated time
 	// (test oracles, state dumps). It panics if [off, off+len(dst))
 	// falls outside DBSize().
@@ -88,7 +82,9 @@ type DB interface {
 	// measurement reset, by category. Never blocks.
 	NetTraffic() Traffic
 	// Elapsed returns the simulated time consumed since the last
-	// measurement reset (the slowest shard's clock). Never blocks.
+	// measurement reset: the longest span of any node — a shard's primary
+	// or a backup that served a read — since then, so a read-scaled
+	// workload is paced by its busiest node. Never blocks.
 	Elapsed() time.Duration
 	// ResetMeasurement starts a fresh measured interval: statistics
 	// zeroed, cache and link state preserved.

@@ -38,7 +38,7 @@ import (
 //	                           ErrReplicaUnavailable (only for reads
 //	                           pinned via ReadOpts.Replica; routed reads
 //	                           fall back to the primary instead)
-//	DB.Token / ReplicaElapsed  none
+//	DB.Token / Elapsed         none
 //	DB.ReadRaw                 none — panics on an out-of-range span
 //	DB.Flush                   ErrSafetyUnavailable
 //	AckScope.Seal              ErrSafetyUnavailable, ErrCrashed (a primary

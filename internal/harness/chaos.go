@@ -31,7 +31,7 @@ func runChaos(cfg RunConfig) (*Table, error) {
 		events  = 4
 	)
 	hb := 50 * time.Microsecond
-	suspect := 200 * time.Microsecond
+	suspect := 4 * hb // the autopilot's fixed Suspect threshold
 	c, err := repro.New(repro.Config{
 		Version: repro.V3InlineLog,
 		Backup:  repro.ActiveBackup,
@@ -39,7 +39,6 @@ func runChaos(cfg RunConfig) (*Table, error) {
 		Backups: backups,
 		Autopilot: repro.AutopilotConfig{
 			HeartbeatPeriod: hb,
-			SuspectTimeout:  suspect,
 			AutoFailover:    true,
 			AutoRepair:      true,
 			Spares:          2 * events,

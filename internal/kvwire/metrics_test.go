@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// TestMetricsFrame: the METRICS request is an empty-payload frame with an
-// optional flags byte, evolving exactly like the read-consistency tail —
-// absent or zero parses, any assigned bit from a future revision is
-// refused rather than misread.
+// TestMetricsFrame: the METRICS request is an empty-payload frame, parsed
+// like STATS and PING: any byte after the opcode is a trailing byte and
+// the frame is malformed.
 func TestMetricsFrame(t *testing.T) {
 	var req Request
 
@@ -20,13 +19,9 @@ func TestMetricsFrame(t *testing.T) {
 		t.Fatalf("op = %d, want OpMetrics", req.Op)
 	}
 
-	// An explicit flags 0 byte is the same request.
-	if err := ParseRequest([]byte{OpMetrics, 0}, &req); err != nil {
-		t.Fatalf("parse flags-0 METRICS: %v", err)
-	}
-
-	// Unknown flag bits are a future protocol revision: refuse.
-	if err := ParseRequest([]byte{OpMetrics, 1 << 3}, &req); !errors.Is(err, ErrFrame) {
-		t.Fatalf("unknown metrics flag accepted: %v", err)
+	for _, body := range [][]byte{{OpMetrics, 0}, {OpMetrics, 1 << 3}} {
+		if err := ParseRequest(body, &req); !errors.Is(err, ErrFrame) {
+			t.Fatalf("METRICS with trailing byte %#x accepted: %v", body[1], err)
+		}
 	}
 }

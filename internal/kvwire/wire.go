@@ -26,11 +26,7 @@
 //	         u16 klen, key, and for puts u32 vlen, value
 //	OpStats  empty
 //	OpPing   empty
-//	OpMetrics empty [, u8 flags] — the optional flags byte reserves room
-//	         for future scrape filters exactly like the read flags tail:
-//	         no bits are assigned yet, so a frame ending at the opcode is
-//	         flags 0 and any set bit is rejected as malformed (an old
-//	         server visibly refuses new-client extensions)
+//	OpMetrics empty
 //
 // # Read flags tail
 //
@@ -574,21 +570,8 @@ func ParseRequest(body []byte, req *Request) error {
 			}
 			req.Ops = append(req.Ops, o)
 		}
-	case OpStats, OpPing:
+	case OpStats, OpPing, OpMetrics:
 		// No payload.
-	case OpMetrics:
-		// No base payload; the optional flags byte reserves room for
-		// future scrape filters. No bits are assigned yet, so only a
-		// zero flags byte (or none at all) parses.
-		if r.off < len(r.b) {
-			flags, err := r.u8()
-			if err != nil {
-				return err
-			}
-			if flags != 0 {
-				return fmt.Errorf("%w: unknown metrics flags %#x", ErrFrame, flags)
-			}
-		}
 	default:
 		return fmt.Errorf("%w: unknown opcode %d", ErrFrame, op)
 	}

@@ -30,10 +30,10 @@ import (
 // add — cheap enough to call from thousands of client goroutines without
 // coordinating.
 //
-// The zero value is ready to use. Record, Count, Sum, Percentile,
-// Snapshot and Merge may be called concurrently; percentiles read a
-// live histogram with no snapshot (fine for reporting after the workers
-// have joined — use Snapshot for a coherent scrape).
+// The zero value is ready to use, and Record, Snapshot and Reset may be
+// called concurrently. A histogram is read only through its Snapshot,
+// which answers count, mean and percentile queries and merges with
+// others.
 type Hist struct {
 	counts [histBuckets]atomic.Uint64
 	count  atomic.Uint64
@@ -90,34 +90,6 @@ func (h *Hist) Record(d time.Duration) {
 	h.sum.Add(ns)
 }
 
-// Count returns the number of recorded samples.
-func (h *Hist) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the total of all recorded samples.
-func (h *Hist) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
-// Mean returns the average recorded latency (0 with no samples).
-func (h *Hist) Mean() time.Duration {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
-
 // interp returns the value at 1-based rank `pos` of the `c` samples in
 // bucket i, linearly interpolated across the bucket's span. A rank at
 // the bucket's last sample reads the upper edge (the old behavior); a
@@ -132,33 +104,6 @@ func interp(i int, pos, c uint64) time.Duration {
 	return time.Duration(float64(lo) + float64(hi-lo)*float64(pos)/float64(c))
 }
 
-// Percentile returns the latency at quantile q in [0, 1] —
-// Percentile(0.5) is the median, Percentile(0.999) the p999 — with the
-// ~3% relative resolution of the bucketing, interpolated within the
-// landing bucket. Returns 0 with no samples.
-func (h *Hist) Percentile(q float64) time.Duration {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	rank := percentileRank(q, n)
-	var cum uint64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		if c == 0 {
-			continue
-		}
-		cum += c
-		if cum >= rank {
-			return interp(i, rank-(cum-c), c)
-		}
-	}
-	return time.Duration(histValue(histBuckets - 1))
-}
-
 // percentileRank maps quantile q over n samples to a 1-based rank.
 func percentileRank(q float64, n uint64) uint64 {
 	if q < 0 {
@@ -168,20 +113,6 @@ func percentileRank(q float64, n uint64) uint64 {
 		q = 1
 	}
 	return uint64(q*float64(n-1)) + 1
-}
-
-// Merge folds other's samples into h.
-func (h *Hist) Merge(other *Hist) {
-	if h == nil || other == nil {
-		return
-	}
-	for i := range other.counts {
-		if c := other.counts[i].Load(); c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.sum.Add(other.sum.Load())
 }
 
 // Reset zeroes the histogram. Concurrent with Record it is not a
@@ -240,8 +171,10 @@ func (s HistSnapshot) Mean() time.Duration {
 	return time.Duration(s.Sum / s.Count)
 }
 
-// Percentile returns the latency at quantile q, with the same
-// interpolated bucket resolution as Hist.Percentile.
+// Percentile returns the latency at quantile q in [0, 1] —
+// Percentile(0.5) is the median, Percentile(0.999) the p999 — with the
+// ~3% relative resolution of the bucketing, interpolated within the
+// landing bucket. Returns 0 with no samples.
 func (s HistSnapshot) Percentile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0

@@ -36,8 +36,9 @@ func TestHistPercentiles(t *testing.T) {
 	for i := 1; i <= 10_000; i++ {
 		h.Record(time.Duration(i) * time.Microsecond)
 	}
-	if h.Count() != 10_000 {
-		t.Fatalf("count = %d", h.Count())
+	s := h.Snapshot()
+	if s.Count != 10_000 {
+		t.Fatalf("count = %d", s.Count)
 	}
 	checks := []struct {
 		q    float64
@@ -48,17 +49,13 @@ func TestHistPercentiles(t *testing.T) {
 		{0.999, 9990 * time.Microsecond},
 	}
 	for _, c := range checks {
-		got := h.Percentile(c.q)
+		got := s.Percentile(c.q)
 		rel := math.Abs(float64(got-c.want)) / float64(c.want)
 		if rel > 0.05 {
 			t.Errorf("p%g = %v, want ~%v (rel err %.3f)", c.q*100, got, c.want, rel)
 		}
-		snap := h.Snapshot().Percentile(c.q)
-		if snap != got {
-			t.Errorf("snapshot p%g = %v, live %v", c.q*100, snap, got)
-		}
 	}
-	if m := h.Mean(); m < 4500*time.Microsecond || m > 5500*time.Microsecond {
+	if m := s.Mean(); m < 4500*time.Microsecond || m > 5500*time.Microsecond {
 		t.Errorf("mean = %v, want ~5ms", m)
 	}
 }
@@ -75,7 +72,8 @@ func TestHistInterpolation(t *testing.T) {
 	}
 	i := histIndex(uint64(v))
 	lo, hi := time.Duration(histLower(i)), time.Duration(histValue(i))
-	p01, p50, p999 := h.Percentile(0.01), h.Percentile(0.5), h.Percentile(0.999)
+	s := h.Snapshot()
+	p01, p50, p999 := s.Percentile(0.01), s.Percentile(0.5), s.Percentile(0.999)
 	if p01 < lo || p999 > hi {
 		t.Fatalf("percentiles escaped the bucket: p01=%v p999=%v, bucket [%v, %v]", p01, p999, lo, hi)
 	}
@@ -88,8 +86,8 @@ func TestHistInterpolation(t *testing.T) {
 	}
 }
 
-// TestHistSnapshotMerge: merging sparse snapshots equals merging the
-// live histograms.
+// TestHistSnapshotMerge: merging two histograms' sparse snapshots equals
+// the snapshot of one histogram that recorded both populations.
 func TestHistSnapshotMerge(t *testing.T) {
 	var a, b, both Hist
 	for i := 1; i <= 500; i++ {
@@ -100,14 +98,14 @@ func TestHistSnapshotMerge(t *testing.T) {
 		b.Record(time.Duration(i) * time.Millisecond)
 		both.Record(time.Duration(i) * time.Millisecond)
 	}
-	sa := a.Snapshot()
+	sa, sb := a.Snapshot(), both.Snapshot()
 	sa.Merge(b.Snapshot())
-	if sa.Count != both.Count() || time.Duration(sa.Sum) != both.Sum() {
-		t.Fatalf("merged snapshot count/sum = %d/%d, want %d/%v", sa.Count, sa.Sum, both.Count(), both.Sum())
+	if sa.Count != sb.Count || sa.Sum != sb.Sum {
+		t.Fatalf("merged snapshot count/sum = %d/%d, want %d/%d", sa.Count, sa.Sum, sb.Count, sb.Sum)
 	}
 	for _, q := range []float64{0, 0.25, 0.5, 0.9, 0.99, 1} {
-		if got, want := sa.Percentile(q), both.Percentile(q); got != want {
-			t.Fatalf("merged snapshot p%g = %v, live merged %v", q*100, got, want)
+		if got, want := sa.Percentile(q), sb.Percentile(q); got != want {
+			t.Fatalf("merged snapshot p%g = %v, one histogram's %v", q*100, got, want)
 		}
 	}
 	for i := 1; i < len(sa.Buckets); i++ {
@@ -117,8 +115,8 @@ func TestHistSnapshotMerge(t *testing.T) {
 	}
 }
 
-// TestHistMergeConcurrent: concurrent recording plus a merge preserves
-// the total sample count and sum.
+// TestHistMergeConcurrent: concurrent recording plus a snapshot merge
+// preserves the total sample count and sum.
 func TestHistMergeConcurrent(t *testing.T) {
 	var a, b Hist
 	var wg sync.WaitGroup
@@ -133,14 +131,15 @@ func TestHistMergeConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	b.Record(time.Millisecond)
-	b.Merge(&a)
-	if b.Count() != 8001 {
-		t.Fatalf("merged count = %d, want 8001", b.Count())
+	sa, sb := a.Snapshot(), b.Snapshot()
+	sb.Merge(sa)
+	if sb.Count != 8001 {
+		t.Fatalf("merged count = %d, want 8001", sb.Count)
 	}
-	if b.Sum() != a.Sum()+time.Millisecond {
-		t.Fatalf("merged sum = %v, want %v", b.Sum(), a.Sum()+time.Millisecond)
+	if want := sa.Sum + uint64(time.Millisecond); sb.Sum != want {
+		t.Fatalf("merged sum = %d, want %d", sb.Sum, want)
 	}
-	if b.Percentile(1) < time.Millisecond {
-		t.Fatalf("max percentile %v below the merged max", b.Percentile(1))
+	if sb.Percentile(1) < time.Millisecond {
+		t.Fatalf("max percentile %v below the merged max", sb.Percentile(1))
 	}
 }

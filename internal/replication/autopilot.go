@@ -11,12 +11,13 @@
 //     Suspect → Dead on the configured period/timeout. The simulation pumps
 //     the detector at commit grain (every commit, Begin, and Settle), and
 //     transitions are stamped with the threshold-crossing instant, so
-//     detection latency is bounded by SuspectTimeout + HeartbeatPeriod
-//     regardless of pump cadence.
+//     detection latency is bounded by five heartbeat periods (Suspect
+//     after four silent ones, Dead one beat later) regardless of pump
+//     cadence.
 //   - Lease-guarded failover. On primary death the most-caught-up survivor
 //     is promoted — but no earlier than the old primary's dead-declaration
 //     instant, which is also exactly when the old primary's lease (renewed
-//     at each heartbeat round, duration SuspectTimeout + HeartbeatPeriod)
+//     at each heartbeat round, duration five heartbeat periods)
 //     runs out. A deposed primary that is merely partitioned therefore
 //     fences itself — Begin refuses with ErrLeaseExpired — before the new
 //     primary can have accepted its first commit: no split-brain.
@@ -46,11 +47,9 @@ import (
 // group behaves bit-for-bit as without the subsystem).
 type AutopilotConfig struct {
 	// HeartbeatPeriod is the interval between heartbeat rounds; a positive
-	// value enables the autopilot.
+	// value enables the autopilot. A peer silent for suspectBeats periods
+	// is Suspect, and one further missed beat confirms it Dead.
 	HeartbeatPeriod sim.Dur
-	// SuspectTimeout is the silence that makes a peer Suspect; one further
-	// missed beat confirms it Dead. Zero defaults to 4×HeartbeatPeriod.
-	SuspectTimeout sim.Dur
 	// AutoFailover promotes the most-caught-up survivor automatically when
 	// the primary is declared dead.
 	AutoFailover bool
@@ -66,9 +65,13 @@ type AutopilotConfig struct {
 // Enabled reports whether the configuration switches the autopilot on.
 func (a AutopilotConfig) Enabled() bool { return a.HeartbeatPeriod > 0 }
 
+// suspectBeats is how many heartbeat periods of silence make a peer
+// Suspect.
+const suspectBeats = 4
+
 // detectConfig converts to the detector's timing configuration.
 func (a AutopilotConfig) detectConfig() detect.Config {
-	return detect.Config{HeartbeatPeriod: a.HeartbeatPeriod, SuspectTimeout: a.SuspectTimeout}
+	return detect.Config{HeartbeatPeriod: a.HeartbeatPeriod, SuspectTimeout: suspectBeats * a.HeartbeatPeriod}
 }
 
 // FailureEvent is the recorded timeline of one fault the autopilot handled.

@@ -126,19 +126,23 @@ type Group struct {
 	ackBuf []sim.Time
 	freeTx *groupTx
 
-	// Replica-read state (see readview.go): the measurement generation
-	// read-view anchors are tied to, and the round-robin cursor that
-	// spreads routed reads across eligible backups.
-	measureGen uint64
+	// readCursor is the round-robin cursor that spreads routed reads
+	// across eligible backups (see readview.go).
 	readCursor uint64
 }
 
-// measureRef pairs the serving node with the origin of its measured
-// interval; Elapsed loads both in one atomic read.
+// measureRef is the measured interval as Elapsed reads it, in one atomic
+// load: the serving node with the origin of its interval, and each backup
+// that served a read in the interval with its clock reading at the first
+// such read. It is replaced, never mutated.
 type measureRef struct {
-	node   *Node
-	origin sim.Time
+	node    *Node
+	origin  sim.Time
+	readers []measureRef
 }
+
+// span is the simulated time r's node has accumulated since r's origin.
+func (r *measureRef) span() sim.Time { return r.node.Clock.Now() - r.origin }
 
 // NewGroup constructs and wires a deployment of cfg.Backups replicas.
 func NewGroup(cfg Config) (*Group, error) {
@@ -171,12 +175,6 @@ func NewGroup(cfg Config) (*Group, error) {
 	if cfg.Autopilot.Enabled() {
 		if cfg.Mode == Standalone {
 			return nil, ErrAutopilotNeedsPeers
-		}
-		if cfg.Autopilot.SuspectTimeout < 0 {
-			return nil, fmt.Errorf("replication: negative suspect timeout %v", cfg.Autopilot.SuspectTimeout)
-		}
-		if cfg.Autopilot.SuspectTimeout == 0 {
-			cfg.Autopilot.SuspectTimeout = 4 * cfg.Autopilot.HeartbeatPeriod
 		}
 		if cfg.Autopilot.Spares < 0 {
 			return nil, fmt.Errorf("replication: negative spare count %d", cfg.Autopilot.Spares)
@@ -366,13 +364,6 @@ func (g *Group) Safety() Safety { return g.cfg.Safety }
 // Params returns the simulation parameters in effect.
 func (g *Group) Params() *sim.Params { return g.params }
 
-// Link returns the SAN link, or nil in Standalone mode.
-func (g *Group) Link() *sim.Link {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.link
-}
-
 // QuiesceGrace returns the simulated idle time that drains everything in
 // flight: the stale-buffer age, the posted-write window's serialization,
 // and the delivery plus acknowledgement latency. Facades use it as the
@@ -467,21 +458,40 @@ func (g *Group) resetMeasurementLocked() {
 	if g.link != nil {
 		g.link.ResetStats()
 	}
+	// No backup has served a read in the new interval yet: one that does
+	// pins its origin then (see noteReaderLocked).
 	g.servingRef.Store(&measureRef{node: g.primary, origin: g.primary.Clock.Now()})
-	// Invalidate the replica read-view anchors: a backup that serves reads
-	// in the new interval pins a fresh origin on its first served read
-	// (see readBackupLocked), so ReplicaElapsed only counts replicas that
-	// actually served.
-	g.measureGen++
 }
 
-// Elapsed returns the serving node's simulated time since the last
-// ResetMeasurement. Lock-free: safe to sample while transactions run —
-// the node and interval origin are read as one atomic pair, so a
-// concurrent failover can never mix two timelines.
+// noteReaderLocked publishes backup node n as a read server of the measured
+// interval, from its clock reading now, unless it already is one.
+func (g *Group) noteReaderLocked(n *Node) {
+	r := g.servingRef.Load()
+	for _, rd := range r.readers {
+		if rd.node == n {
+			return
+		}
+	}
+	next := *r
+	next.readers = append(slices.Clip(r.readers), measureRef{node: n, origin: n.Clock.Now()})
+	g.servingRef.Store(&next)
+}
+
+// Elapsed returns the simulated time of the measured interval since the
+// last ResetMeasurement: the longest span of the serving node and of every
+// backup that served a read in the interval. The primary and its read
+// views run in parallel on their own CPUs (like the shards of a Cluster),
+// so the interval lasts as long as its busiest node; with no backup-served
+// read it is the serving node's span. Lock-free: safe to sample while
+// transactions run — the nodes and their origins are read as one atomic
+// value, so a concurrent failover can never mix two timelines.
 func (g *Group) Elapsed() sim.Time {
 	r := g.servingRef.Load()
-	return r.node.Clock.Now() - r.origin
+	e := r.span()
+	for i := range r.readers {
+		e = max(e, r.readers[i].span())
+	}
+	return e
 }
 
 // Stats returns the serving store's transaction counters. Lock-free.
@@ -503,18 +513,6 @@ func (g *Group) NetBytes() map[mem.Category]int64 {
 		return map[mem.Category]int64{}
 	}
 	return mc.CategoryBytes()
-}
-
-// Read performs a charged, non-transactional read on the serving store,
-// serialized with the group's transactions.
-func (g *Group) Read(off int, dst []byte) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	err := g.store.Read(off, dst)
-	if g.obs != nil && err == nil {
-		g.obs.readPrimary.Inc()
-	}
-	return err
 }
 
 // ReadRaw copies database bytes without charging simulated time,

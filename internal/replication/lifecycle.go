@@ -107,13 +107,6 @@ type backup struct {
 	// walIdx is this machine's durability slot (directory index) when the
 	// disk tier is enabled; meaningless otherwise.
 	walIdx int
-
-	// Read-view measurement anchor: the replica's clock reading at the
-	// start of the current measured interval (see Group.ReplicaElapsed).
-	// readGen ties the anchor to a measurement generation so replicas
-	// enrolled mid-interval pin a fresh origin on their first served read.
-	readGen    uint64
-	readOrigin sim.Time
 }
 
 // alive reports whether the backup still exists as a machine.

@@ -32,7 +32,6 @@ package replication
 import (
 	"errors"
 
-	"repro/internal/sim"
 	"repro/internal/vista"
 )
 
@@ -48,8 +47,7 @@ var ErrReplicaUnavailable = errors.New("replication: replica cannot serve this r
 type ReadMode int
 
 const (
-	// ReadPrimary serializes the read through the primary (the default;
-	// identical to Group.Read).
+	// ReadPrimary serializes the read through the primary (the default).
 	ReadPrimary ReadMode = iota
 	// ReadYourWrites serves from a backup whose applied sequence has
 	// reached ReadSpec.MinSeq, else the primary.
@@ -113,48 +111,44 @@ func (g *Group) servableLocked(b *backup) bool {
 	return b.state == StateInSync && b.epoch == g.epoch
 }
 
-// readBackupLocked performs the charged read on backup b's database copy,
-// pinning the replica's measured-interval origin on its first served read.
-func (g *Group) readBackupLocked(b *backup, off int, dst []byte) error {
-	db := b.node.Space.ByName(vista.RegionDB)
-	if db == nil || off < 0 || off+len(dst) > db.Size() {
-		return vista.ErrBounds
-	}
-	if b.readGen != g.measureGen {
-		b.readGen = g.measureGen
-		b.readOrigin = b.node.Clock.Now()
-	}
-	b.node.Acc.Read(db.Base+uint64(off), dst)
-	return nil
-}
-
-// ReadAt serves a read from backup replica's applied view and returns the
-// view's commit sequence. Valid only under the active scheme and only from
-// a fully enrolled (InSync, current-epoch) replica — a mid-join replica
-// never serves. The read observes the freshest applied prefix and charges
-// the backup's own CPU, not the primary's.
-func (g *Group) ReadAt(replica, off int, dst []byte) (uint64, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.crashed {
-		return 0, ErrCrashed
-	}
-	b, err := g.backupAt(replica)
-	if err != nil {
-		return 0, err
-	}
-	if g.redo == nil || !g.servableLocked(b) {
-		return 0, ErrReplicaUnavailable
+// eligibleLocked applies what backup b has been delivered and reports its
+// view's commit sequence and whether that view may serve a read under
+// spec: b is servable, and its sequence meets the mode's floor
+// (ReadYourWrites) or bound (ReadBounded). The other modes ask for a
+// servable backup only.
+func (g *Group) eligibleLocked(b *backup, spec ReadSpec, primary uint64) (uint64, bool) {
+	if !g.servableLocked(b) {
+		return 0, false
 	}
 	g.redo.applyDelivered(b)
-	if err := g.readBackupLocked(b, off, dst); err != nil {
-		return 0, err
+	seq := b.appliedTxns
+	switch spec.Mode {
+	case ReadYourWrites:
+		return seq, seq >= spec.MinSeq
+	case ReadBounded:
+		return seq, primary-seq <= spec.Bound
 	}
-	return b.appliedTxns, nil
+	return seq, true
+}
+
+// backupReadLocked performs the charged read on backup r's database copy,
+// whose view is at seq, and publishes the backup as a read server of the
+// measured interval on its first served read (see Elapsed).
+func (g *Group) backupReadLocked(r, off int, dst []byte, seq, primary uint64) (ReadResult, error) {
+	b := g.backups[r]
+	db := b.node.Space.ByName(vista.RegionDB)
+	if db == nil || off < 0 || off+len(dst) > db.Size() {
+		return ReadResult{}, vista.ErrBounds
+	}
+	g.noteReaderLocked(b.node)
+	b.node.Acc.Read(db.Base+uint64(off), dst)
+	return ReadResult{Replica: r + 1, Seq: seq, Primary: primary}, nil
 }
 
 // RouteRead serves one read under spec's consistency discipline, picking a
-// replica (or falling back to the primary) as the mode demands.
+// replica (or falling back to the primary) as the mode demands. It is the
+// group's one read entry: the primary branch is a charged read of the
+// serving store, serialized with the group's transactions.
 func (g *Group) RouteRead(off int, dst []byte, spec ReadSpec) (ReadResult, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -162,57 +156,41 @@ func (g *Group) RouteRead(off int, dst []byte, spec ReadSpec) (ReadResult, error
 		return ReadResult{}, ErrCrashed
 	}
 	primary := g.store.Committed()
-
-	if spec.Replica > 0 {
-		res, err := g.pinnedReadLocked(off, dst, spec, primary)
-		g.observeRoute(res, err, spec.Mode)
-		return res, err
-	}
-	if spec.Mode == ReadPrimary || g.redo == nil || len(g.backups) == 0 {
-		res, err := g.primaryReadLocked(off, dst, primary)
-		g.observeRoute(res, err, ReadPrimary)
-		return res, err
-	}
-	switch spec.Mode {
-	case ReadYourWrites, ReadBounded:
-		n := len(g.backups)
-		start := g.readCursor
-		g.readCursor++
-		for i := 0; i < n; i++ {
-			r := int((start + uint64(i)) % uint64(n))
-			b := g.backups[r]
-			if !g.servableLocked(b) {
-				continue
-			}
-			g.redo.applyDelivered(b)
-			seq := b.appliedTxns
-			if spec.Mode == ReadYourWrites && seq < spec.MinSeq {
-				continue
-			}
-			if spec.Mode == ReadBounded && primary-seq > spec.Bound {
-				continue
-			}
-			if err := g.readBackupLocked(b, off, dst); err != nil {
-				return ReadResult{}, err
-			}
-			res := ReadResult{Replica: r + 1, Seq: seq, Primary: primary}
-			g.observeRoute(res, nil, spec.Mode)
-			return res, nil
-		}
-		// No backup can satisfy the mode right now (all lagging, fenced,
-		// or mid-join): the primary trivially can.
-		res, err := g.primaryReadLocked(off, dst, primary)
-		g.observeRoute(res, err, spec.Mode)
-		return res, err
-	case ReadQuorum:
-		res, err := g.quorumReadLocked(off, dst, primary)
-		g.observeRoute(res, err, spec.Mode)
-		return res, err
+	var (
+		res ReadResult
+		err error
+	)
+	mode := spec.Mode
+	switch {
+	case spec.Replica > 0:
+		res, err = g.pinnedReadLocked(off, dst, spec, primary)
+	case mode == ReadPrimary || !mode.Valid() || g.redo == nil || len(g.backups) == 0:
+		mode = ReadPrimary
+		res, err = g.primaryReadLocked(off, dst, primary)
+	case mode == ReadQuorum:
+		res, err = g.quorumReadLocked(off, dst, primary)
 	default:
-		res, err := g.primaryReadLocked(off, dst, primary)
-		g.observeRoute(res, err, ReadPrimary)
-		return res, err
+		res, err = g.anyReadLocked(off, dst, spec, primary)
 	}
+	g.observeRoute(res, err, mode)
+	return res, err
+}
+
+// anyReadLocked serves a ReadYourWrites or ReadBounded read from the first
+// eligible backup, rotating where the search starts across calls. When no
+// backup qualifies (all lagging, fenced, or mid-join) the primary, which
+// trivially can, serves.
+func (g *Group) anyReadLocked(off int, dst []byte, spec ReadSpec, primary uint64) (ReadResult, error) {
+	n := len(g.backups)
+	start := g.readCursor
+	g.readCursor++
+	for i := 0; i < n; i++ {
+		r := int((start + uint64(i)) % uint64(n))
+		if seq, ok := g.eligibleLocked(g.backups[r], spec, primary); ok {
+			return g.backupReadLocked(r, off, dst, seq, primary)
+		}
+	}
+	return g.primaryReadLocked(off, dst, primary)
 }
 
 // observeRoute counts one routed read's outcome: a replica serve, a
@@ -237,7 +215,7 @@ func (g *Group) observeRoute(res ReadResult, err error, mode ReadMode) {
 }
 
 // primaryReadLocked serves the read through the primary, serialized with
-// the group's transactions exactly like Group.Read.
+// the group's transactions.
 func (g *Group) primaryReadLocked(off int, dst []byte, primary uint64) (ReadResult, error) {
 	if err := g.store.Read(off, dst); err != nil {
 		return ReadResult{}, err
@@ -249,25 +227,15 @@ func (g *Group) primaryReadLocked(off int, dst []byte, primary uint64) (ReadResu
 // the mode's constraint there; it never falls back (the caller owns that
 // policy).
 func (g *Group) pinnedReadLocked(off int, dst []byte, spec ReadSpec, primary uint64) (ReadResult, error) {
-	b, err := g.backupAt(spec.Replica - 1)
-	if err != nil {
+	r := spec.Replica - 1
+	if g.redo == nil || r >= len(g.backups) {
 		return ReadResult{}, ErrReplicaUnavailable
 	}
-	if g.redo == nil || !g.servableLocked(b) {
+	seq, ok := g.eligibleLocked(g.backups[r], spec, primary)
+	if !ok {
 		return ReadResult{}, ErrReplicaUnavailable
 	}
-	g.redo.applyDelivered(b)
-	seq := b.appliedTxns
-	if spec.Mode == ReadYourWrites && seq < spec.MinSeq {
-		return ReadResult{}, ErrReplicaUnavailable
-	}
-	if spec.Mode == ReadBounded && primary-seq > spec.Bound {
-		return ReadResult{}, ErrReplicaUnavailable
-	}
-	if err := g.readBackupLocked(b, off, dst); err != nil {
-		return ReadResult{}, err
-	}
-	return ReadResult{Replica: spec.Replica, Seq: seq, Primary: primary}, nil
+	return g.backupReadLocked(r, off, dst, seq, primary)
 }
 
 // quorumReadLocked reads a majority of the replica group: it inspects (and
@@ -284,62 +252,41 @@ func (g *Group) quorumReadLocked(off int, dst []byte, primary uint64) (ReadResul
 	g.readCursor++
 
 	var (
-		best     *backup
-		bestIdx  int
+		best     = -1
 		maxSeq   uint64
 		views    int
 		repaired int // views whose applied prefix the pump advanced
 	)
 	for i := 0; i < n && views < need; i++ {
 		r := int((start + uint64(i)) % uint64(n))
-		b := g.backups[r]
-		if !g.servableLocked(b) {
+		before := g.backups[r].appliedTxns
+		// The eligibility check applies what was delivered: for a quorum
+		// read that pump is the read repair, an ordered-prefix advance.
+		seq, ok := g.eligibleLocked(g.backups[r], ReadSpec{Mode: ReadQuorum}, primary)
+		if !ok {
 			continue
 		}
-		before := b.appliedTxns
-		g.redo.applyDelivered(b) // the repair pump: ordered-prefix advance
-		if b.appliedTxns > before {
+		if seq > before {
 			repaired++
 		}
 		views++
-		seq := b.appliedTxns
-		if best == nil || seq > maxSeq {
-			best, bestIdx, maxSeq = b, r, seq
+		if best < 0 || seq > maxSeq {
+			best, maxSeq = r, seq
 		}
 	}
+	var (
+		res ReadResult
+		err error
+	)
 	if views < need {
 		// The primary completes the quorum and, as the max-sequence view,
 		// serves the read.
-		res, err := g.primaryReadLocked(off, dst, primary)
-		if err != nil {
-			return res, err
-		}
+		res, err = g.primaryReadLocked(off, dst, primary)
+	} else {
+		res, err = g.backupReadLocked(best, off, dst, maxSeq, primary)
+	}
+	if err == nil {
 		res.Repaired = repaired
-		return res, nil
 	}
-	if err := g.readBackupLocked(best, off, dst); err != nil {
-		return ReadResult{}, err
-	}
-	return ReadResult{Replica: bestIdx + 1, Seq: maxSeq, Primary: primary, Repaired: repaired}, nil
-}
-
-// ReplicaElapsed returns the longest simulated time any node of the group
-// — primary or read-serving backup — has accumulated since the last
-// ResetMeasurement. With reads routed to backups the primary and the K
-// read views run in parallel (like shards of a ShardedCluster), so the
-// interval's wall time is the max over nodes, not the sum. Identical to
-// Elapsed when no backup served a read this interval.
-func (g *Group) ReplicaElapsed() sim.Time {
-	e := g.Elapsed()
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, b := range g.backups {
-		if b.readGen != g.measureGen {
-			continue
-		}
-		if be := b.node.Clock.Now() - b.readOrigin; be > e {
-			e = be
-		}
-	}
-	return e
+	return res, err
 }

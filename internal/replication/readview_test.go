@@ -10,9 +10,15 @@ import (
 	"repro/internal/vista"
 )
 
+// readAt is a read pinned to backup r: RouteRead with ReadSpec.Replica set.
+func readAt(g *replication.Group, r, off int, dst []byte) (uint64, error) {
+	res, err := g.RouteRead(off, dst, replication.ReadSpec{Replica: r + 1})
+	return res.Seq, err
+}
+
 // TestReadAtServesInSyncBackups: every fully enrolled backup of an active
-// group serves ReadAt with the primary's committed data and reports the
-// applied sequence it read at.
+// group serves a pinned read with the primary's committed data and reports
+// the applied sequence it read at.
 func TestReadAtServesInSyncBackups(t *testing.T) {
 	g := newGroup(t, replication.Active, 2, replication.QuorumSafe)
 	for i := 0; i < 5; i++ {
@@ -22,9 +28,9 @@ func TestReadAtServesInSyncBackups(t *testing.T) {
 
 	dst := make([]byte, 64)
 	for r := 0; r < 2; r++ {
-		seq, err := g.ReadAt(r, 3*64, dst)
+		seq, err := readAt(g, r, 3*64, dst)
 		if err != nil {
-			t.Fatalf("ReadAt(backup %d): %v", r, err)
+			t.Fatalf("pinned read of backup %d: %v", r, err)
 		}
 		if seq != g.Committed() {
 			t.Fatalf("backup %d applied seq %d, committed %d", r, seq, g.Committed())
@@ -33,10 +39,10 @@ func TestReadAtServesInSyncBackups(t *testing.T) {
 			t.Fatalf("backup %d served wrong bytes: % x...", r, dst[:8])
 		}
 	}
-	if _, err := g.ReadAt(7, 0, dst); err == nil {
+	if _, err := readAt(g, 7, 0, dst); err == nil {
 		t.Fatal("out-of-range replica index served")
 	}
-	if _, err := g.ReadAt(0, -64, dst); err == nil {
+	if _, err := readAt(g, 0, -64, dst); err == nil {
 		t.Fatal("negative offset served")
 	}
 }
@@ -52,17 +58,17 @@ func TestReadAtRefusesNotFullyEnrolled(t *testing.T) {
 	if err := g.PauseBackup(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.ReadAt(0, 0, dst); !errors.Is(err, replication.ErrReplicaUnavailable) {
+	if _, err := readAt(g, 0, 0, dst); !errors.Is(err, replication.ErrReplicaUnavailable) {
 		t.Fatalf("paused backup served: %v", err)
 	}
 	if err := g.CrashBackup(1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.ReadAt(1, 0, dst); !errors.Is(err, replication.ErrReplicaUnavailable) {
+	if _, err := readAt(g, 1, 0, dst); !errors.Is(err, replication.ErrReplicaUnavailable) {
 		t.Fatalf("crashed backup served: %v", err)
 	}
 	g.SetBackupEpochForTest(2, g.Epoch()+1)
-	if _, err := g.ReadAt(2, 0, dst); !errors.Is(err, replication.ErrReplicaUnavailable) {
+	if _, err := readAt(g, 2, 0, dst); !errors.Is(err, replication.ErrReplicaUnavailable) {
 		t.Fatalf("epoch-fenced backup served: %v", err)
 	}
 }
@@ -74,7 +80,7 @@ func TestReadAtPassiveNeverServes(t *testing.T) {
 	commitSlot(t, g, 0, 0x22)
 	g.Settle(10 * sim.Microsecond)
 	dst := make([]byte, 64)
-	if _, err := g.ReadAt(0, 0, dst); !errors.Is(err, replication.ErrReplicaUnavailable) {
+	if _, err := readAt(g, 0, 0, dst); !errors.Is(err, replication.ErrReplicaUnavailable) {
 		t.Fatalf("passive mirror served a replica read: %v", err)
 	}
 	// Routed reads still work — they fall back to the primary.
@@ -113,7 +119,7 @@ func TestReadAtMidJoinNeverServes(t *testing.T) {
 		commitSlot(t, g, i%64, byte(i))
 		if st := g.BackupState(1); st == replication.StateSyncing || st == replication.StateCatchingUp {
 			probes++
-			if _, err := g.ReadAt(1, 0, dst); !errors.Is(err, replication.ErrReplicaUnavailable) {
+			if _, err := readAt(g, 1, 0, dst); !errors.Is(err, replication.ErrReplicaUnavailable) {
 				t.Fatalf("mid-join replica (state %v) served: %v", st, err)
 			}
 		}
@@ -131,7 +137,7 @@ func TestReadAtMidJoinNeverServes(t *testing.T) {
 	if got := g.BackupState(1); got != replication.StateInSync {
 		t.Fatalf("joiner state %v after cut-over", got)
 	}
-	if _, err := g.ReadAt(1, 0, dst); err != nil {
+	if _, err := readAt(g, 1, 0, dst); err != nil {
 		t.Fatalf("re-enrolled replica refuses reads: %v", err)
 	}
 }
@@ -288,42 +294,89 @@ func TestRouteReadQuorum(t *testing.T) {
 	if _, err := g.RouteRead(0, dst, replication.ReadSpec{Mode: replication.ReadQuorum}); !errors.Is(err, replication.ErrCrashed) {
 		t.Fatalf("crashed group routed a read: %v", err)
 	}
-	if _, err := g.ReadAt(2, 0, dst); !errors.Is(err, replication.ErrCrashed) {
-		t.Fatalf("crashed group served ReadAt: %v", err)
+	if _, err := readAt(g, 2, 0, dst); !errors.Is(err, replication.ErrCrashed) {
+		t.Fatalf("crashed group served a pinned read: %v", err)
 	}
 }
 
-// TestReplicaElapsed: backup-served reads run on the backups' clocks, in
-// parallel with the primary — the measured interval is the max over
-// serving nodes, equals Elapsed when no backup served, and resets with
-// ResetMeasurement.
-func TestReplicaElapsed(t *testing.T) {
+// TestElapsedCountsReplicaReads: backup-served reads run on the backups'
+// clocks, in parallel with the primary, so the measured interval is the
+// longest span of the serving node and every backup that served: past the
+// serving node's own span after backup reads, equal to it when no backup
+// served, and clean again after ResetMeasurement.
+func TestElapsedCountsReplicaReads(t *testing.T) {
 	g := newGroup(t, replication.Active, 2, replication.QuorumSafe)
 	for i := 0; i < 8; i++ {
 		commitSlot(t, g, i, byte(i))
 	}
 	g.Settle(10 * sim.Microsecond)
-	if e, re := g.Elapsed(), g.ReplicaElapsed(); re != e {
-		t.Fatalf("no replica reads yet, ReplicaElapsed %v != Elapsed %v", re, e)
-	}
+	own := func(origin sim.Time) sim.Time { return g.Primary().Clock.Now() - origin }
 
 	// An interval of pure backup reads: the primary sits idle while the
 	// backup's clock accumulates the charged reads.
 	g.ResetMeasurement()
+	origin := g.Primary().Clock.Now()
+	if e := g.Elapsed(); e != own(origin) {
+		t.Fatalf("no replica reads yet, Elapsed %v != the primary's span %v", e, own(origin))
+	}
 	dst := make([]byte, 64)
 	for i := 0; i < 200; i++ {
-		if _, err := g.ReadAt(0, (i%8)*64, dst); err != nil {
+		if _, err := readAt(g, 0, (i%8)*64, dst); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if e, re := g.Elapsed(), g.ReplicaElapsed(); re <= e {
-		t.Fatalf("200 backup reads invisible: ReplicaElapsed %v <= Elapsed %v", re, e)
+	if e := g.Elapsed(); e <= own(origin) {
+		t.Fatalf("200 backup reads invisible: Elapsed %v <= the primary's span %v", e, own(origin))
 	}
 
 	// The next interval starts clean.
 	g.ResetMeasurement()
-	if e, re := g.Elapsed(), g.ReplicaElapsed(); re != e {
-		t.Fatalf("after reset, ReplicaElapsed %v != Elapsed %v", re, e)
+	origin = g.Primary().Clock.Now()
+	if e := g.Elapsed(); e != own(origin) {
+		t.Fatalf("after reset, Elapsed %v != the primary's span %v", e, own(origin))
+	}
+}
+
+// TestElapsedBesideReplicaReads: Elapsed is sampled from another goroutine
+// while commits, backup-served reads and resets publish new read servers —
+// the -race passes' check that the published (clock, origin) pairs need
+// no lock.
+func TestElapsedBesideReplicaReads(t *testing.T) {
+	g := newGroup(t, replication.Active, 2, replication.OneSafe)
+	stop := make(chan struct{})
+	sampled := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				sampled <- n
+				return
+			default:
+			}
+			if e := g.Elapsed(); e < 0 {
+				t.Errorf("Elapsed %v", e)
+			}
+			n++
+		}
+	}()
+	dst := make([]byte, 64)
+	bounded := replication.ReadSpec{Mode: replication.ReadBounded, Bound: 1 << 20}
+	for i := 0; i < 300; i++ {
+		commitSlot(t, g, i%8, byte(i))
+		if i%4 == 0 {
+			g.Settle(g.QuiesceGrace())
+		}
+		if _, err := g.RouteRead((i%8)*64, dst, bounded); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 0 {
+			g.ResetMeasurement()
+		}
+	}
+	close(stop)
+	if n := <-sampled; n == 0 {
+		t.Fatal("Elapsed never sampled")
 	}
 }
 

@@ -42,8 +42,8 @@ func TestTxHandleContract(t *testing.T) {
 					// failover the orphan checks below add.
 					err = g.Repair()
 					mustNil(t, err)
-					if _, err := g.ReadAt(0, 0, make([]byte, 8)); err != nil {
-						t.Fatalf("ReadAt behind the promoted node = %v: not the active path", err)
+					if _, err := g.RouteRead(0, make([]byte, 8), replication.ReadSpec{Replica: 1}); err != nil {
+						t.Fatalf("backup read behind the promoted node = %v: not the active path", err)
 					}
 				}
 				return g

@@ -21,8 +21,6 @@ type Result struct {
 	// Net is the SAN payload broken down as in paper Tables 2/5/7
 	// (zero-valued in standalone runs).
 	Net map[mem.Category]int64
-	// Link carries the SAN's packet statistics.
-	Link sim.LinkStats
 }
 
 // NetTotal returns total SAN payload bytes.
@@ -51,9 +49,6 @@ type Options struct {
 	Warmup int64
 	// Seed feeds the deterministic generator.
 	Seed uint64
-	// Oracle, when set, shadows every committed transaction for state
-	// verification.
-	Oracle *Oracle
 	// AbortEvery aborts one transaction in every AbortEvery (0 = never);
 	// aborted transactions do not count toward Txns.
 	AbortEvery int64
@@ -84,7 +79,7 @@ func Run(pair *replication.Group, w Workload, opts Options) (Result, error) {
 		warmCache(pair, w.DBSize())
 	}
 	for i := int64(0); i < opts.Warmup; i++ {
-		if err := one(pair, w, r, i, false, opts.Oracle); err != nil {
+		if err := one(pair, w, r, i, false); err != nil {
 			return Result{}, fmt.Errorf("tpc: warmup txn %d: %w", i, err)
 		}
 	}
@@ -96,7 +91,7 @@ func Run(pair *replication.Group, w Workload, opts Options) (Result, error) {
 	done := int64(0)
 	for i := opts.Warmup; done < opts.Txns; i++ {
 		abort := opts.AbortEvery > 0 && (i+1)%opts.AbortEvery == 0
-		if err := one(pair, w, r, i, abort, opts.Oracle); err != nil {
+		if err := one(pair, w, r, i, abort); err != nil {
 			return Result{}, fmt.Errorf("tpc: txn %d: %w", i, err)
 		}
 		if !abort {
@@ -109,9 +104,6 @@ func Run(pair *replication.Group, w Workload, opts Options) (Result, error) {
 		Txns:     done,
 		Elapsed:  pair.Elapsed(),
 		Net:      pair.NetBytes(),
-	}
-	if pair.Link() != nil {
-		res.Link = pair.Link().Stats()
 	}
 	if res.Elapsed > 0 {
 		res.TPS = float64(res.Txns) / res.Elapsed.Seconds()
@@ -135,24 +127,20 @@ func warmCache(pair *replication.Group, dbSize int) {
 
 // one executes a single transaction, committing it or (for failure
 // injection) aborting it.
-func one(pair *replication.Group, w Workload, r *rand.Rand, i int64, abort bool, oracle *Oracle) error {
+func one(pair *replication.Group, w Workload, r *rand.Rand, i int64, abort bool) error {
 	tx, err := pair.Begin()
 	if err != nil {
 		return err
 	}
-	var h replication.TxHandle = tx
-	if oracle != nil {
-		h = oracle.wrap(tx)
-	}
-	if err := w.Txn(r, h, i); err != nil {
-		abortErr := h.Abort()
+	if err := w.Txn(r, tx, i); err != nil {
+		abortErr := tx.Abort()
 		if abortErr != nil {
 			return fmt.Errorf("%w (abort also failed: %v)", err, abortErr)
 		}
 		return err
 	}
 	if abort {
-		return h.Abort()
+		return tx.Abort()
 	}
-	return h.Commit()
+	return tx.Commit()
 }

@@ -423,13 +423,7 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 		}
 	}
 	res.Ops = opts.Ops
-	if replica {
-		// A read-scaled run is paced by its busiest node — primary or
-		// read-serving backup — not by the primary alone.
-		res.Elapsed = db.ReplicaElapsed()
-	} else {
-		res.Elapsed = db.Elapsed()
-	}
+	res.Elapsed = db.Elapsed()
 	res.Net = db.NetTraffic()
 	res.Keys = store.Len()
 	if res.Elapsed > 0 {

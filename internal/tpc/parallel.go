@@ -18,7 +18,7 @@ import (
 // opts.Txns and opts.Warmup are per shard: the measured total is
 // opts.Txns * Shards. The result reports the paper's metric: simulated
 // txn/s over the slowest shard's clock.
-// opts.Oracle, AbortEvery, WarmCache and StartMeasured are not supported
+// opts.AbortEvery, WarmCache and StartMeasured are not supported
 // here (they are single-stream concepts).
 func RunSharded(sc *repro.ShardedCluster, mk func(dbSize int) (Workload, error), opts Options) (Result, error) {
 	if opts.Txns <= 0 {

@@ -195,17 +195,22 @@ func TestOrderEntryMixCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle := NewOracle(16 << 20)
-	if err := w.Populate(oracle.Load); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(pair, w, Options{Txns: 2000, Seed: 4, Oracle: oracle}); err != nil {
+	opts := Options{Txns: 2000, Seed: 4}
+	if _, err := Run(pair, w, opts); err != nil {
 		t.Fatal(err)
 	}
 	db := make([]byte, 16<<20)
 	pair.Store().ReadRaw(0, db)
-	if err := oracle.Compare(db); err != nil {
+	w2, err := NewOrderEntry(16 << 20)
+	if err != nil {
 		t.Fatal(err)
+	}
+	ref, err := Replay(w2, opts, opts.Txns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if i := firstMismatch(ref, db); i >= 0 {
+		t.Fatalf("database diverges from Replay at offset %d (%#x != %#x)", i, db[i], ref[i])
 	}
 
 	// District next-order ids advanced (NewOrder ran), warehouse ytd

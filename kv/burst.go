@@ -88,7 +88,8 @@ func (b *Burst) Get(key []byte) ([]byte, error) { return fresh(b.GetAppend(key, 
 // GetAppend is Store.GetAppend inside the burst.
 func (b *Burst) GetAppend(key, dst []byte) ([]byte, error) {
 	b.hold()
-	return b.s.get(key, dst)
+	out, _, err := b.s.getAt(key, dst, repro.ReadOpts{})
+	return out, err
 }
 
 // Put is Store.Put inside the burst.

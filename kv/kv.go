@@ -232,9 +232,9 @@ type Store struct {
 	kbuf []byte
 	vbuf []byte
 
-	// readPrimary is db.Read bound once, so the hot paths stay
-	// allocation-free; vw/vwRead are the recycled replica read view for
-	// GetAt/ScanAt (valid under mu, like the scratch buffers).
+	// readPrimary is db.Read bound once, so the mutations' probes stay
+	// allocation-free; vw/vwRead are the recycled read view every lookup
+	// and scan reads through (valid under mu, like the scratch buffers).
 	readPrimary readFn
 	vw          view
 	vwRead      readFn
@@ -645,17 +645,8 @@ func fresh(val []byte, err error) ([]byte, error) {
 // that copy the value straight into a pooled response buffer. On any
 // error dst is returned unextended.
 func (s *Store) GetAppend(key, dst []byte) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.get(key, dst)
-}
-
-// get is GetAppend under s.mu.
-func (s *Store) get(key, dst []byte) ([]byte, error) {
-	if err := s.check(key); err != nil {
-		return dst, err
-	}
-	return s.getAppend(s.readPrimary, key, dst)
+	out, _, err := s.GetAppendAt(key, dst, repro.ReadOpts{})
+	return out, err
 }
 
 // getAppend is the lookup body — probe, then the value read — with the
@@ -833,13 +824,8 @@ func (s *Store) settle(p probeResult, del bool, err error) error {
 // number of entries delivered to fn; a non-nil fn error stops the scan and
 // is returned. A read error during staging delivers nothing.
 func (s *Store) Scan(start []byte, limit int, fn func(key, value []byte) error) (int, error) {
-	s.mu.Lock()
-	flat, bounds, err := s.stageScan(s.readPrimary, nil, start, limit)
-	s.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	return deliver(flat, bounds, fn)
+	n, _, err := s.ScanAt(start, limit, repro.ReadOpts{}, fn)
+	return n, err
 }
 
 // deliver hands a staged scan to fn, entry by entry.
@@ -858,12 +844,13 @@ type scanEntry struct {
 }
 
 // stageScan copies up to limit live entries out of the tables into one
-// flat buffer, under s.mu. The buffer is call-local: it must survive
-// after the lock is released, and concurrent Scans must not share it, so
-// it cannot live in the Store's recycled scratch space. v is the replica
-// view rd reads through, nil on the primary: an entry whose three reads
-// did not see one view is read again (see view.moved).
-func (s *Store) stageScan(rd readFn, v *view, start []byte, limit int) ([]byte, []scanEntry, error) {
+// flat buffer, under s.mu, reading through the view ScanAt armed. The
+// buffer is call-local: it must survive after the lock is released, and
+// concurrent Scans must not share it, so it cannot live in the Store's
+// recycled scratch space. An entry whose three reads did not see one view
+// is read again (see view.moved).
+func (s *Store) stageScan(start []byte, limit int) ([]byte, []scanEntry, error) {
+	rd, v := s.vwRead, &s.vw
 	if s.broken {
 		return nil, nil, ErrBroken
 	}

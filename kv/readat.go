@@ -1,7 +1,8 @@
-// Replica-served lookups: GetAt and ScanAt are Get and Scan with the
-// charged reads routed through the deployment's replica read views
-// (repro.ReadOpts), so backups serve the read traffic the primary would
-// otherwise absorb.
+// Replica-served lookups: GetAt and ScanAt route a lookup's charged reads
+// through the deployment's replica read views (repro.ReadOpts), so backups
+// serve the read traffic the primary would otherwise absorb. Get and Scan
+// are the same operations with the zero ReadOpts, which the primary
+// serves.
 //
 // One operation, one view: the first routed read picks a serving replica
 // (or the primary) per the consistency mode, and every subsequent read of
@@ -44,7 +45,8 @@ const viewRetries = 2
 
 // view routes one operation's charged reads per the caller's ReadOpts,
 // pinning the replica the first routed read chose. It is recycled under
-// the Store mutex (Store.vw/vwRead), so GetAt/ScanAt stay allocation-free.
+// the Store mutex (Store.vw/vwRead), so every lookup and scan stays
+// allocation-free.
 type view struct {
 	s    *Store
 	opts repro.ReadOpts
@@ -63,22 +65,15 @@ func (v *view) begin(opts repro.ReadOpts) {
 	v.mark()
 }
 
-// mark starts a run of reads that must see one view. The nil view is the
-// primary's, which the store mutex keeps still.
-func (v *view) mark() {
-	if v != nil {
-		v.reads, v.shifted = 0, false
-	}
-}
+// mark starts a run of reads that must see one view.
+func (v *view) mark() { v.reads, v.shifted = 0, false }
 
-// moved reports whether the reads since mark saw more than one view.
-func (v *view) moved() bool { return v != nil && v.shifted }
+// moved reports whether the reads since mark saw more than one view. The
+// primary's view never moves: the store mutex keeps it still.
+func (v *view) moved() bool { return v.shifted }
 
 // read is the operation's readFn.
 func (v *view) read(off int, dst []byte) error {
-	if v.opts.Mode == repro.ReadPrimary && v.opts.Replica == 0 {
-		return v.s.db.Read(off, dst)
-	}
 	res, err := v.s.db.ReadAt(off, dst, v.opts)
 	if err != nil {
 		return err
@@ -126,12 +121,14 @@ func (s *Store) GetAt(key []byte, opts repro.ReadOpts) ([]byte, repro.ReadResult
 func (s *Store) GetAppendAt(key, dst []byte, opts repro.ReadOpts) ([]byte, repro.ReadResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.getAt(key, dst, opts)
+}
+
+// getAt is GetAppendAt under s.mu: every lookup, the primary's included,
+// reads through the recycled view.
+func (s *Store) getAt(key, dst []byte, opts repro.ReadOpts) ([]byte, repro.ReadResult, error) {
 	if err := s.check(key); err != nil {
 		return dst, repro.ReadResult{}, err
-	}
-	if opts.Mode == repro.ReadPrimary && opts.Replica == 0 {
-		out, err := s.getAppend(s.readPrimary, key, dst)
-		return out, repro.ReadResult{}, err
 	}
 	for try := 0; try <= viewRetries; try++ {
 		s.vw.begin(opts)
@@ -143,33 +140,26 @@ func (s *Store) GetAppendAt(key, dst []byte, opts repro.ReadOpts) ([]byte, repro
 			return out, s.vw.res, err
 		}
 	}
-	out, err := s.getAppend(s.readPrimary, key, dst)
-	return out, repro.ReadResult{}, err
+	// The primary, whose view the store mutex keeps still, serves what no
+	// replica view could.
+	s.vw.begin(repro.ReadOpts{})
+	out, err := s.getAppend(s.vwRead, key, dst)
+	return out, s.vw.res, err
 }
 
 // ScanAt is Scan served under opts' consistency discipline: the staged
 // entries come from one replica (or the primary), each entry whole from
-// one view of it, with the same restart-on-primary fallback as GetAt. fn runs after the store lock is
-// released, on slices reused between calls.
+// one view of it, with the same restart-on-primary fallback as GetAt. fn
+// runs after the store lock is released, on slices reused between calls.
 func (s *Store) ScanAt(start []byte, limit int, opts repro.ReadOpts, fn func(key, value []byte) error) (int, repro.ReadResult, error) {
 	s.mu.Lock()
-	var (
-		flat   []byte
-		bounds []scanEntry
-		res    repro.ReadResult
-		err    error
-	)
-	if opts.Mode == repro.ReadPrimary && opts.Replica == 0 {
-		flat, bounds, err = s.stageScan(s.readPrimary, nil, start, limit)
-	} else {
-		s.vw.begin(opts)
-		flat, bounds, err = s.stageScan(s.vwRead, &s.vw, start, limit)
-		if errors.Is(err, repro.ErrReplicaUnavailable) {
-			flat, bounds, err = s.stageScan(s.readPrimary, nil, start, limit)
-		} else {
-			res = s.vw.res
-		}
+	s.vw.begin(opts)
+	flat, bounds, err := s.stageScan(start, limit)
+	if errors.Is(err, repro.ErrReplicaUnavailable) {
+		s.vw.begin(repro.ReadOpts{})
+		flat, bounds, err = s.stageScan(start, limit)
 	}
+	res := s.vw.res
 	s.mu.Unlock()
 	if err != nil {
 		return 0, res, err

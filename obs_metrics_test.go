@@ -364,7 +364,6 @@ func TestChaosEventTimeline(t *testing.T) {
 		Metrics: true,
 		Autopilot: repro.AutopilotConfig{
 			HeartbeatPeriod: 50 * time.Microsecond,
-			SuspectTimeout:  200 * time.Microsecond,
 			AutoFailover:    true,
 			AutoRepair:      true,
 			Spares:          8,

@@ -247,12 +247,10 @@ type Config struct {
 type AutopilotConfig struct {
 	// HeartbeatPeriod is the interval between heartbeat rounds exchanged
 	// over the SAN; a positive value enables the autopilot. Heartbeat
-	// bytes are accounted under Traffic.ControlBytes.
+	// bytes are accounted under Traffic.ControlBytes. A peer silent for
+	// four periods is Suspect and one more missed beat confirms it Dead,
+	// so detection latency is bounded by five periods.
 	HeartbeatPeriod time.Duration
-	// SuspectTimeout is the silence that makes a peer Suspect; one more
-	// missed beat confirms it Dead, so detection latency is bounded by
-	// SuspectTimeout + HeartbeatPeriod. Zero defaults to 4× the period.
-	SuspectTimeout time.Duration
 	// AutoFailover promotes the most-caught-up survivor automatically
 	// when the primary is declared dead, guarded by the primary lease (a
 	// deposed primary whose lease expired refuses new commits with
@@ -411,7 +409,6 @@ func newMember(cfg Config) (*member, error) {
 		CommitBatch: cfg.CommitBatch,
 		Autopilot: replication.AutopilotConfig{
 			HeartbeatPeriod: sim.Dur(cfg.Autopilot.HeartbeatPeriod.Nanoseconds()) * sim.Nanosecond,
-			SuspectTimeout:  sim.Dur(cfg.Autopilot.SuspectTimeout.Nanoseconds()) * sim.Nanosecond,
 			AutoFailover:    cfg.Autopilot.AutoFailover,
 			AutoRepair:      cfg.Autopilot.AutoRepair,
 			Spares:          cfg.Autopilot.Spares,
@@ -427,14 +424,6 @@ func newMember(cfg Config) (*member, error) {
 // readAt performs a charged read of the group's local bytes under opts,
 // with minSeq the group's own element of the caller's token.
 func (m *member) readAt(off int, dst []byte, opts ReadOpts, minSeq uint64) (ReadResult, error) {
-	if opts.Mode == ReadPrimary && opts.Replica == 0 {
-		// The zero-cost default: identical to Read.
-		if err := m.Read(off, dst); err != nil {
-			return ReadResult{}, err
-		}
-		seq := m.Committed()
-		return ReadResult{Replica: 0, Seq: seq, Primary: seq}, nil
-	}
 	return m.RouteRead(off, dst, replication.ReadSpec{
 		Mode:    opts.Mode,
 		MinSeq:  minSeq,

@@ -848,29 +848,19 @@ func (c *Cluster) NetTraffic() Traffic {
 }
 
 // Elapsed returns the simulated time consumed since the last measurement
-// reset: the slowest shard's primary clock. Shards run in parallel on
-// disjoint hardware, so aggregate throughput is total commits divided by
-// this maximum — which is why it grows with the shard count. Never
-// blocks: the serving clocks are sampled atomically.
-func (c *Cluster) Elapsed() time.Duration { return c.slowest((*member).Elapsed) }
-
-// slowest returns the furthest-advanced of the shards' clocks.
-func (c *Cluster) slowest(clock func(*member) sim.Time) time.Duration {
-	var max sim.Time
+// reset: the slowest shard's, where a shard's is the longest span of its
+// primary and of each backup that served it a read (see
+// replication.Group.Elapsed). Shards, and a shard's read views, run in
+// parallel on disjoint hardware, so aggregate throughput is total
+// operations divided by this maximum — which is why it grows with the
+// shard count. Never blocks: the clocks are sampled atomically.
+func (c *Cluster) Elapsed() time.Duration {
+	var e sim.Time
 	for _, m := range c.v().shards {
-		if t := clock(m); t > max {
-			max = t
-		}
+		e = max(e, m.Elapsed())
 	}
-	return max.Duration()
+	return e.Duration()
 }
-
-// ReplicaElapsed returns the longest simulated time any node — primary or
-// read-serving backup, on any shard — has accumulated since the last
-// measurement reset. Replica reads run on the backups' CPUs in parallel
-// with the primary's commits, so a read-scaled workload's wall time is
-// this max, not Elapsed alone; with no replica reads it equals Elapsed.
-func (c *Cluster) ReplicaElapsed() time.Duration { return c.slowest((*member).ReplicaElapsed) }
 
 // ResetMeasurement starts a fresh measured interval on every shard
 // (statistics zeroed, cache and link state preserved) and zeroes the
