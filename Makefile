@@ -68,8 +68,10 @@ tables:
 # Lowered 21475 -> 21209 by its second part: the fault and kv drivers take
 # only what their cells set, and ablation-2safe folded into repl-degree.
 # Lowered 21209 -> 20921 by keeping one path per job: one read route, one
-# clock, one reference executor, one histogram read side.
-LOC_CEILING := 20921
+# clock, one reference executor, one histogram read side. Raised 20921 ->
+# 20959 for backup-served lookups at the primary's view and a read-serving
+# backup's work accumulator; ROADMAP item 19's diet is the payback.
+LOC_CEILING := 20959
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

@@ -130,9 +130,10 @@ func TestShardedCommitPathZeroAllocs(t *testing.T) {
 // is a probe, one Begin, one or two declared writes and a Commit, written
 // straight through — no plan to build, no closure to run — on one shard and
 // on four alike, 1-safe and at a K=3 quorum alike. A lookup allocates
-// nothing either: GetAppend reads through the recycled view the primary
-// serves, and on the K=2 row a ReadBounded GetAppendAt through the same
-// view served by a backup.
+// nothing either: GetAppend reads the primary's view through the recycled
+// view — on the K=3 quorum row served by a backup that has applied all of
+// it — and on the K=2 row a ReadBounded GetAppendAt through the same view
+// is served by a backup.
 func TestKVPutZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -202,6 +203,18 @@ func TestKVPutZeroAllocs(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(500, get); allocs != 0 {
 				t.Fatalf("a GetAppend allocates %.1f times, want 0", allocs)
+			}
+			if tc.cfg.Safety == repro.QuorumSafe {
+				onBackup := func() {
+					_, res, err := s.GetAppendAt(resident[2*i%n], dst, repro.ReadOpts{})
+					if err != nil || res.Replica == 0 {
+						t.Fatalf("GetAppendAt at the primary's view after quorum Puts: %+v, %v; want a backup", res, err)
+					}
+					i++
+				}
+				if allocs := testing.AllocsPerRun(500, onBackup); allocs != 0 {
+					t.Fatalf("a backup-served GetAppend allocates %.1f times, want 0", allocs)
+				}
 			}
 			if tc.cfg.Backups != 2 {
 				return

@@ -233,6 +233,7 @@ func (c *redoChannel) flush() error {
 	// drained by an earlier commit's fence. Letting it linger coalesces
 	// consecutive flushes' pointer updates into one packet.
 	acc.WriteU64(c.ctlIO.Base, c.prodTotal, mem.CatMeta)
+	apply := g.params.ApplyPerRecord + sim.Dur(bytes)*g.params.ApplyPerByte // sim.Ring's
 	first := true
 	for _, b := range g.backups {
 		if !b.acking() {
@@ -244,6 +245,7 @@ func (c *redoChannel) flush() error {
 		} else {
 			b.ring.Publish(g.primary.MC.LastDelivered()+sim.Time(b.ackLag), bytes)
 		}
+		g.workLocked(b.node, apply)
 	}
 	c.pubTotal = c.prodTotal
 

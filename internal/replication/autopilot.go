@@ -415,17 +415,19 @@ func (g *Group) autoFailoverLocked() error {
 			b.node.Clock.AdvanceTo(detectAt)
 		}
 	}
-	oldOrigin := g.servingRef.Load().origin
+	old, interval := g.servingRef.Load(), g.interval
 	if _, err := g.failoverLocked(); err != nil {
 		return err
 	}
 	ev.FailedOverAt = g.primary.Clock.Now()
 	// The promoted clock was advanced onto the old era's timeline, so the
-	// measured interval can continue across the takeover: the detection
-	// wait and the recovery cost stay visible in Elapsed instead of being
-	// reset away (manual Failover keeps its historical reset behavior).
-	if now := g.primary.Clock.Now(); now > oldOrigin {
-		g.servingRef.Store(&measureRef{node: g.primary, origin: oldOrigin})
+	// measured interval can continue across the takeover, its read servers
+	// with it: the detection wait and the recovery cost stay visible in
+	// Elapsed instead of being reset away (manual Failover keeps its
+	// historical reset behavior).
+	if now := g.primary.Clock.Now(); now > old.origin {
+		g.interval = interval
+		g.servingRef.Store(&measureRef{node: g.primary, origin: old.origin, readers: old.readers})
 	}
 	a.events = append(a.events, ev)
 	a.open = append(a.open, len(a.events)-1)

@@ -1,5 +1,7 @@
 package replication
 
+import "repro/internal/sim"
+
 // TransferRate returns the copier's budget rate in bytes per unit of
 // simulated time, for the tests that hold its charges to it.
 func (g *Group) TransferRate() float64 { return g.repairRate() }
@@ -14,3 +16,7 @@ func (g *Group) SetBackupEpochForTest(i, epoch int) {
 		g.backups[i].epoch = epoch
 	}
 }
+
+// Busy returns the node's busy time: the records it applied and the reads
+// it served as a backup.
+func (n *Node) Busy() sim.Time { return n.busy.Now() }

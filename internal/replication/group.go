@@ -106,6 +106,7 @@ type Group struct {
 	// never mix one node's clock with another's origin mid-failover.
 	servingRef   atomic.Pointer[measureRef]
 	servingStore atomic.Pointer[vista.Store]
+	interval     uint64 // numbers the measured interval (see workLocked)
 
 	// Group-commit state (see Config.CommitBatch): commits joined to the
 	// open batch since the last flush, and the simulated time the batch
@@ -132,17 +133,14 @@ type Group struct {
 }
 
 // measureRef is the measured interval as Elapsed reads it, in one atomic
-// load: the serving node with the origin of its interval, and each backup
-// that served a read in the interval with its clock reading at the first
-// such read. It is replaced, never mutated.
+// load: the serving node with its clock reading when the interval began,
+// and each backup that served a read in the interval with its busy reading
+// then (see Node.busy). It is replaced, never mutated.
 type measureRef struct {
 	node    *Node
 	origin  sim.Time
 	readers []measureRef
 }
-
-// span is the simulated time r's node has accumulated since r's origin.
-func (r *measureRef) span() sim.Time { return r.node.Clock.Now() - r.origin }
 
 // NewGroup constructs and wires a deployment of cfg.Backups replicas.
 func NewGroup(cfg Config) (*Group, error) {
@@ -459,12 +457,22 @@ func (g *Group) resetMeasurementLocked() {
 		g.link.ResetStats()
 	}
 	// No backup has served a read in the new interval yet: one that does
-	// pins its origin then (see noteReaderLocked).
+	// joins it then (see noteReaderLocked).
+	g.interval++
 	g.servingRef.Store(&measureRef{node: g.primary, origin: g.primary.Clock.Now()})
 }
 
-// noteReaderLocked publishes backup node n as a read server of the measured
-// interval, from its clock reading now, unless it already is one.
+// workLocked charges d of backup work to node n's busy time, marking where
+// the node's work in the current interval began.
+func (g *Group) workLocked(n *Node, d sim.Dur) {
+	if n.markAt != g.interval {
+		n.mark, n.markAt = n.busy.Now(), g.interval
+	}
+	n.busy.Advance(d)
+}
+
+// noteReaderLocked publishes backup node n, just charged a read, as a read
+// server of the measured interval unless it already is one.
 func (g *Group) noteReaderLocked(n *Node) {
 	r := g.servingRef.Load()
 	for _, rd := range r.readers {
@@ -473,23 +481,23 @@ func (g *Group) noteReaderLocked(n *Node) {
 		}
 	}
 	next := *r
-	next.readers = append(slices.Clip(r.readers), measureRef{node: n, origin: n.Clock.Now()})
+	next.readers = append(slices.Clip(r.readers), measureRef{node: n, origin: n.mark})
 	g.servingRef.Store(&next)
 }
 
 // Elapsed returns the simulated time of the measured interval since the
-// last ResetMeasurement: the longest span of the serving node and of every
-// backup that served a read in the interval. The primary and its read
-// views run in parallel on their own CPUs (like the shards of a Cluster),
-// so the interval lasts as long as its busiest node; with no backup-served
-// read it is the serving node's span. Lock-free: safe to sample while
-// transactions run — the nodes and their origins are read as one atomic
-// value, so a concurrent failover can never mix two timelines.
+// last ResetMeasurement: the longest of the serving node's span and the
+// work (Node.busy) of every backup that served a read in it. The primary
+// and its read views run in parallel on their own CPUs (like the shards of
+// a Cluster), so the interval lasts as long as its busiest node. Lock-free:
+// safe to sample while transactions run — the nodes and their origins are
+// read as one atomic value, so a concurrent failover can never mix two
+// timelines.
 func (g *Group) Elapsed() sim.Time {
 	r := g.servingRef.Load()
-	e := r.span()
-	for i := range r.readers {
-		e = max(e, r.readers[i].span())
+	e := r.node.Clock.Now() - r.origin
+	for _, rd := range r.readers {
+		e = max(e, rd.node.busy.Now()-rd.origin)
 	}
 	return e
 }

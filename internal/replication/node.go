@@ -33,6 +33,13 @@ type Node struct {
 
 	stamps commitStamps // active scheme only
 	lost   bool         // memory gone or out of reach: replace, never re-join
+
+	// busy is the time the node has worked as an active backup, applying
+	// and serving reads (its clock also travels at takeovers); mark is
+	// busy at the node's first work in measured interval markAt.
+	busy   sim.Clock
+	mark   sim.Time
+	markAt uint64
 }
 
 // commitStamps records a node's database dirty-log sequence at each of its

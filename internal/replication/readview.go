@@ -32,6 +32,7 @@ package replication
 import (
 	"errors"
 
+	"repro/internal/sim"
 	"repro/internal/vista"
 )
 
@@ -120,7 +121,9 @@ func (g *Group) eligibleLocked(b *backup, spec ReadSpec, primary uint64) (uint64
 	if !g.servableLocked(b) {
 		return 0, false
 	}
-	g.redo.applyDelivered(b)
+	if b.appliedTxns < primary { // else nothing is left to apply
+		g.redo.applyDelivered(b)
+	}
 	seq := b.appliedTxns
 	switch spec.Mode {
 	case ReadYourWrites:
@@ -131,17 +134,20 @@ func (g *Group) eligibleLocked(b *backup, spec ReadSpec, primary uint64) (uint64
 	return seq, true
 }
 
-// backupReadLocked performs the charged read on backup r's database copy,
-// whose view is at seq, and publishes the backup as a read server of the
+// backupReadLocked performs the charged read on backup r's database copy
+// (the region its commit stamps hold), whose view is at seq, charges it to
+// the backup's busy time and publishes the backup as a read server of the
 // measured interval on its first served read (see Elapsed).
 func (g *Group) backupReadLocked(r, off int, dst []byte, seq, primary uint64) (ReadResult, error) {
-	b := g.backups[r]
-	db := b.node.Space.ByName(vista.RegionDB)
+	n := g.backups[r].node
+	db := n.stamps.db
 	if db == nil || off < 0 || off+len(dst) > db.Size() {
 		return ReadResult{}, vista.ErrBounds
 	}
-	g.noteReaderLocked(b.node)
-	b.node.Acc.Read(db.Base+uint64(off), dst)
+	t0 := n.Clock.Now()
+	n.Acc.Read(db.Base+uint64(off), dst)
+	g.workLocked(n, sim.Dur(n.Clock.Now()-t0))
+	g.noteReaderLocked(n)
 	return ReadResult{Replica: r + 1, Seq: seq, Primary: primary}, nil
 }
 
@@ -177,13 +183,17 @@ func (g *Group) RouteRead(off int, dst []byte, spec ReadSpec) (ReadResult, error
 }
 
 // anyReadLocked serves a ReadYourWrites or ReadBounded read from the first
-// eligible backup, rotating where the search starts across calls. When no
-// backup qualifies (all lagging, fenced, or mid-join) the primary, which
-// trivially can, serves.
+// eligible backup, rotating where the search starts across calls — except
+// at bound 0, the primary's view, where the offset's 4 KiB page picks it,
+// so each backup caches its share of the pages alone. When no backup
+// qualifies (all lagging, fenced, or mid-join) the primary serves.
 func (g *Group) anyReadLocked(off int, dst []byte, spec ReadSpec, primary uint64) (ReadResult, error) {
 	n := len(g.backups)
-	start := g.readCursor
-	g.readCursor++
+	start := uint64(off) >> 12
+	if spec.Mode != ReadBounded || spec.Bound != 0 {
+		start = g.readCursor
+		g.readCursor++
+	}
 	for i := 0; i < n; i++ {
 		r := int((start + uint64(i)) % uint64(n))
 		if seq, ok := g.eligibleLocked(g.backups[r], spec, primary); ok {

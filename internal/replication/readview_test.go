@@ -337,13 +337,100 @@ func TestElapsedCountsReplicaReads(t *testing.T) {
 	}
 }
 
+// TestElapsedCountsReaderWork: a read-serving backup is measured by its
+// work, not by its clock — the reads it served and the records it applied,
+// sim.Ring's ApplyPerRecord plus ApplyPerByte per byte for every batch
+// published to it, which never move its clock.
+func TestElapsedCountsReaderWork(t *testing.T) {
+	g := newGroup(t, replication.Active, 2, replication.QuorumSafe)
+	for i := 0; i < 8; i++ {
+		commitSlot(t, g, i, byte(i))
+	}
+	g.Settle(10 * sim.Microsecond)
+	g.ResetMeasurement()
+	n := g.BackupNode(0)
+	busy0, clock0 := n.Busy(), n.Clock.Now()
+	dst := make([]byte, 64)
+	for i := 0; i < 200; i++ {
+		if _, err := readAt(g, 0, (i%8)*64, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reads := n.Busy() - busy0
+	if reads <= 0 || reads != n.Clock.Now()-clock0 {
+		t.Fatalf("200 reads made %v of busy time and moved the clock %v: want them equal and positive", reads, n.Clock.Now()-clock0)
+	}
+	if e := g.Elapsed(); e < reads {
+		t.Fatalf("Elapsed %v below the reader's work %v", e, reads)
+	}
+
+	const commits = 20
+	clock1 := n.Clock.Now()
+	for i := 0; i < commits; i++ {
+		commitSlot(t, g, i%8, byte(i))
+	}
+	// One 64-byte write's record: an 8-byte header and a 6-byte entry
+	// before the data, padded to 80 bytes.
+	p := g.Params()
+	apply := sim.Time(commits) * sim.Time(p.ApplyPerRecord+80*p.ApplyPerByte)
+	if got := n.Busy() - busy0 - reads; got != apply {
+		t.Fatalf("%d commits added %v of busy time, want %v of applying", commits, got, apply)
+	}
+	if n.Clock.Now() != clock1 {
+		t.Fatal("applying moved the backup's clock")
+	}
+	if e := g.Elapsed(); e < reads+apply {
+		t.Fatalf("Elapsed %v below the reader's work %v", e, reads+apply)
+	}
+}
+
+// TestElapsedCarriesReadersAcrossTakeover: an unattended takeover keeps
+// the measured interval going, and the backups that served reads in it
+// stay in it. The readers' clocks are advanced to the detection instant at
+// the takeover; their work is not.
+func TestElapsedCarriesReadersAcrossTakeover(t *testing.T) {
+	ap := apTiming
+	ap.AutoFailover = true
+	g := newAutopilotGroup(t, replication.Active, 3, replication.QuorumSafe, ap)
+	for i := 0; i < 8; i++ {
+		commitSlot(t, g, i, byte(i))
+	}
+	g.Settle(10 * sim.Microsecond)
+	g.ResetMeasurement()
+	origin := g.Now()
+	n := g.BackupNode(2)
+	busy0 := n.Busy()
+	dst := make([]byte, 64)
+	// Far more work than the detection wait and the takeover cost the
+	// promoted primary's span.
+	for i := 0; n.Busy()-busy0 < sim.Time(50*ap.HeartbeatPeriod); i++ {
+		if _, err := readAt(g, 2, (i%8)*64, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	work := n.Busy() - busy0
+	if err := g.Crash(); err != nil {
+		t.Fatal(err)
+	}
+	commitSlot(t, g, 0, 0xEE) // the Begin detects the crash and takes over
+	if g.Generation() != 1 {
+		t.Fatalf("generation %d after the crash, want 1", g.Generation())
+	}
+	if span := g.Now() - origin; span >= work {
+		t.Fatalf("the promoted primary's span %v already covers the reader's work %v: the test needs more reads", span, work)
+	}
+	if e := g.Elapsed(); e < work {
+		t.Fatalf("the takeover dropped the read server: Elapsed %v < its work %v", e, work)
+	}
+}
+
 // TestElapsedBesideReplicaReads: Elapsed is sampled from another goroutine
 // while commits, backup-served reads and resets publish new read servers —
 // the -race passes' check that the published (clock, origin) pairs need
 // no lock.
 func TestElapsedBesideReplicaReads(t *testing.T) {
 	g := newGroup(t, replication.Active, 2, replication.OneSafe)
-	stop := make(chan struct{})
+	stop, first := make(chan struct{}), make(chan struct{})
 	sampled := make(chan int)
 	go func() {
 		n := 0
@@ -357,9 +444,14 @@ func TestElapsedBesideReplicaReads(t *testing.T) {
 			if e := g.Elapsed(); e < 0 {
 				t.Errorf("Elapsed %v", e)
 			}
-			n++
+			if n++; n == 1 {
+				close(first)
+			}
 		}
 	}()
+	// The reads start once the sampler runs: a loop that finished before
+	// the sampler was first scheduled would check nothing.
+	<-first
 	dst := make([]byte, 64)
 	bounded := replication.ReadSpec{Mode: replication.ReadBounded, Bound: 1 << 20}
 	for i := 0; i < 300; i++ {

@@ -55,9 +55,9 @@ type KVOptions struct {
 	// Seed feeds the deterministic generator.
 	Seed uint64
 	// ReadMode routes the mix's point reads and scans: ReadPrimary (the
-	// zero value) serializes every read through the primary; the replica
-	// modes serve them from the backups' applied views under the mode's
-	// contract.
+	// zero value) reads the primary's view, which kv serves from a backup
+	// that has applied all of it; the replica modes serve them from the
+	// backups' applied views under the mode's contract.
 	ReadMode repro.ReadMode
 	// StalenessBound is ReadBounded's advertised lag bound in commit
 	// sequences.

@@ -1,8 +1,13 @@
 // Replica-served lookups: GetAt and ScanAt route a lookup's charged reads
 // through the deployment's replica read views (repro.ReadOpts), so backups
 // serve the read traffic the primary would otherwise absorb. Get and Scan
-// are the same operations with the zero ReadOpts, which the primary
-// serves.
+// are the same operations with the zero ReadOpts, which asks for the
+// primary's view, not the primary's CPU: read at bound 0 (lookupOpts), it
+// is served by a backup that has applied exactly what the primary
+// committed, with the primary's bytes, and by the primary otherwise — a
+// burst's deferred write, an open group-commit batch, a lingering 1-safe
+// pointer, a passive or standalone deployment, a backup not enrolled in
+// the current epoch. The mutations' own probes read the primary.
 //
 // One operation, one view: the first routed read picks a serving replica
 // (or the primary) per the consistency mode, and every subsequent read of
@@ -42,6 +47,14 @@ import (
 // viewRetries is how often a lookup or scan entry that saw its replica
 // view advance is read again before the primary serves it.
 const viewRetries = 2
+
+// lookupOpts makes a lookup of the unpinned primary a bound-0 read.
+func lookupOpts(opts repro.ReadOpts) repro.ReadOpts {
+	if opts.Mode == repro.ReadPrimary && opts.Replica == 0 {
+		return repro.ReadOpts{Mode: repro.ReadBounded}
+	}
+	return opts
+}
 
 // view routes one operation's charged reads per the caller's ReadOpts,
 // pinning the replica the first routed read chose. It is recycled under
@@ -105,13 +118,8 @@ func (v *view) read(off int, dst []byte) error {
 // returned slice is freshly allocated. The zero ReadOpts is exactly Get.
 func (s *Store) GetAt(key []byte, opts repro.ReadOpts) ([]byte, repro.ReadResult, error) {
 	val, res, err := s.GetAppendAt(key, nil, opts)
-	if err != nil {
-		return nil, res, err
-	}
-	if val == nil {
-		val = []byte{}
-	}
-	return val, res, nil
+	val, err = fresh(val, err)
+	return val, res, err
 }
 
 // GetAppendAt is the allocation-free GetAt: it appends the value to dst
@@ -130,6 +138,7 @@ func (s *Store) getAt(key, dst []byte, opts repro.ReadOpts) ([]byte, repro.ReadR
 	if err := s.check(key); err != nil {
 		return dst, repro.ReadResult{}, err
 	}
+	opts = lookupOpts(opts)
 	for try := 0; try <= viewRetries; try++ {
 		s.vw.begin(opts)
 		out, err := s.getAppend(s.vwRead, key, dst)
@@ -153,7 +162,7 @@ func (s *Store) getAt(key, dst []byte, opts repro.ReadOpts) ([]byte, repro.ReadR
 // runs after the store lock is released, on slices reused between calls.
 func (s *Store) ScanAt(start []byte, limit int, opts repro.ReadOpts, fn func(key, value []byte) error) (int, repro.ReadResult, error) {
 	s.mu.Lock()
-	s.vw.begin(opts)
+	s.vw.begin(lookupOpts(opts))
 	flat, bounds, err := s.stageScan(start, limit)
 	if errors.Is(err, repro.ErrReplicaUnavailable) {
 		s.vw.begin(repro.ReadOpts{})

@@ -78,8 +78,8 @@ func (e *ServerError) Error() string { return "kvclient: server: " + e.Msg }
 // Read modes for Options.ReadMode: where GETs and SCANs may be served.
 // They mirror the repro facade's consistency knob (see repro.ReadOpts).
 const (
-	// ReadPrimary serializes every read through the primary — the
-	// protocol's classic behavior and the default.
+	// ReadPrimary reads the primary's view — served by a backup that has
+	// applied all the primary committed, else the primary; the default.
 	ReadPrimary byte = kvwire.ModePrimary
 	// ReadYourWrites lets backup replicas serve reads that have caught
 	// up to the session's last acknowledged mutation (the client tracks

@@ -118,8 +118,8 @@ const (
 
 // ReadMode selects the consistency discipline of a ReadAt: which replicas
 // may serve the read and how stale a view the caller tolerates. The zero
-// value is ReadPrimary — exactly today's Read, bit-for-bit identical sim
-// metrics — so existing callers pay nothing.
+// value is ReadPrimary, exactly Read. A kv lookup in that mode reads the
+// primary's view instead: ReadBounded at bound 0 (see package kv).
 type ReadMode = replication.ReadMode
 
 // Read modes. Replica reads require the active backup scheme (whose
