@@ -71,7 +71,10 @@ tables:
 # clock, one reference executor, one histogram read side. Raised 20921 ->
 # 20959 for backup-served lookups at the primary's view and a read-serving
 # backup's work accumulator; ROADMAP item 19's diet is the payback.
-LOC_CEILING := 20959
+# Lowered 20959 -> 20812 by one path per measurement, which pays those 38
+# lines back: one transaction interface, one executor and one deployment
+# type for the drivers, one memoized cell runner, one audited kv read path.
+LOC_CEILING := 20812
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

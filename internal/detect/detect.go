@@ -12,16 +12,15 @@
 // # Timing model
 //
 // Peers beat every Config.HeartbeatPeriod. A peer whose last beat is older
-// than SuspectTimeout is Suspect; one more missed beat — SuspectTimeout +
-// HeartbeatPeriod of silence — confirms it Dead. Transitions are stamped
+// than four periods (SuspectAfter) is Suspect; one more missed beat — five
+// periods of silence (DeadAfter) — confirms it Dead. Transitions are stamped
 // with the threshold-crossing instant, not the instant of the Tick that
 // observed them: the simulation pumps the detector at commit grain, and
 // stamping the crossing keeps detection latency a property of the
-// configured timeouts rather than of the pump schedule. The resulting
+// heartbeat period rather than of the pump schedule. The resulting
 // bound, for a peer that fails at time F having last beaten at B ≤ F, is
 //
-//	detectedAt = B + SuspectTimeout + HeartbeatPeriod
-//	           ≤ F + SuspectTimeout + HeartbeatPeriod
+//	detectedAt = B + DeadAfter ≤ F + DeadAfter
 //
 // which is the MTTD guarantee the chaos harness asserts.
 package detect
@@ -39,11 +38,11 @@ type State int
 const (
 	// Alive means heartbeats are arriving within the suspect timeout.
 	Alive State = iota
-	// Suspect means the peer has been silent past SuspectTimeout: it is
+	// Suspect means the peer has been silent past SuspectAfter: it is
 	// excluded from nothing yet, but one more missed beat condemns it.
 	Suspect
-	// Dead means the peer stayed silent past SuspectTimeout plus a full
-	// heartbeat period: the monitor acts (failover, re-enrollment).
+	// Dead means the peer stayed silent past DeadAfter, one heartbeat
+	// period longer: the monitor acts (failover, re-enrollment).
 	Dead
 )
 
@@ -61,20 +60,22 @@ func (s State) String() string {
 	}
 }
 
+// suspectBeats is how many heartbeat periods of silence make a peer
+// Suspect.
+const suspectBeats = 4
+
 // Config times the detector.
 type Config struct {
 	// HeartbeatPeriod is the interval between beats.
 	HeartbeatPeriod sim.Dur
-	// SuspectTimeout is the silence that moves a peer to Suspect.
-	SuspectTimeout sim.Dur
 }
 
 // SuspectAfter returns the silence that makes a peer Suspect.
-func (c Config) SuspectAfter() sim.Dur { return c.SuspectTimeout }
+func (c Config) SuspectAfter() sim.Dur { return suspectBeats * c.HeartbeatPeriod }
 
 // DeadAfter returns the silence that confirms a peer Dead: the suspect
-// timeout plus one more whole missed beat.
-func (c Config) DeadAfter() sim.Dur { return c.SuspectTimeout + c.HeartbeatPeriod }
+// silence plus one more whole missed beat.
+func (c Config) DeadAfter() sim.Dur { return (suspectBeats + 1) * c.HeartbeatPeriod }
 
 // Transition is one observed state change.
 type Transition struct {
@@ -117,21 +118,6 @@ func (d *Detector) Watch(name string, now sim.Time) {
 	p := &peerState{name: name, lastHeard: now}
 	d.peers = append(d.peers, p)
 	d.index[name] = p
-}
-
-// Forget drops a peer from the watch set (it left the membership).
-func (d *Detector) Forget(name string) {
-	p, ok := d.index[name]
-	if !ok {
-		return
-	}
-	delete(d.index, name)
-	for i, q := range d.peers {
-		if q == p {
-			d.peers = append(d.peers[:i], d.peers[i+1:]...)
-			return
-		}
-	}
 }
 
 // Heartbeat records a beat from the peer at the given instant. A beat
@@ -192,14 +178,6 @@ func (d *Detector) State(name string) State {
 		return p.state
 	}
 	return Dead
-}
-
-// LastHeard returns the instant of the peer's most recent beat.
-func (d *Detector) LastHeard(name string) sim.Time {
-	if p, ok := d.index[name]; ok {
-		return p.lastHeard
-	}
-	return 0
 }
 
 // DeadlineFor returns the instant the peer will be declared Dead if it

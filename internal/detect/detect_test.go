@@ -6,12 +6,12 @@ import (
 	"repro/internal/sim"
 )
 
-var cfg = Config{
-	HeartbeatPeriod: 50 * sim.Microsecond,
-	SuspectTimeout:  200 * sim.Microsecond,
-}
+var cfg = Config{HeartbeatPeriod: 50 * sim.Microsecond}
 
 func TestLifecycleThresholds(t *testing.T) {
+	if cfg.SuspectAfter() != 200*sim.Microsecond || cfg.DeadAfter() != 250*sim.Microsecond {
+		t.Fatalf("suspect/dead after %v/%v, want four and five 50µs beats", cfg.SuspectAfter(), cfg.DeadAfter())
+	}
 	d := New(cfg)
 	d.Watch("b0", 0)
 
@@ -25,9 +25,12 @@ func TestLifecycleThresholds(t *testing.T) {
 			t.Fatalf("spurious transitions while beating: %v", trs)
 		}
 	}
-	last := d.LastHeard("b0")
+	last := d.DeadlineFor("b0") - sim.Time(cfg.DeadAfter())
+	if want := sim.Time(1*sim.Millisecond) - sim.Time(cfg.HeartbeatPeriod); last != want {
+		t.Fatalf("last beat %v, want %v", last, want)
+	}
 
-	// Silence past SuspectTimeout: suspect, stamped at the crossing.
+	// Silence past SuspectAfter: suspect, stamped at the crossing.
 	trs := d.Tick(last + sim.Time(cfg.SuspectAfter()) + 1)
 	if len(trs) != 1 || trs[0].To != Suspect {
 		t.Fatalf("transitions = %v, want one ->suspect", trs)
@@ -72,19 +75,17 @@ func TestHeartbeatRevives(t *testing.T) {
 	}
 }
 
-func TestForgetAndUnknown(t *testing.T) {
+func TestUnknownPeer(t *testing.T) {
 	d := New(cfg)
-	d.Watch("b0", 0)
 	d.Watch("b1", 0)
-	d.Forget("b0")
-	if got := d.Peers(); len(got) != 1 || got[0] != "b1" {
-		t.Fatalf("peers after forget = %v", got)
-	}
 	if d.State("b0") != Dead {
 		t.Fatalf("unknown peer state = %v, want dead", d.State("b0"))
 	}
 	if _, ok := d.Heartbeat("b0", 1); ok {
-		t.Fatal("heartbeat from forgotten peer should be ignored")
+		t.Fatal("heartbeat from an unwatched peer should be ignored")
+	}
+	if got := d.Peers(); len(got) != 1 || got[0] != "b1" {
+		t.Fatalf("peers after an unknown beat = %v", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/replication"
 	"repro/internal/sim"
-	"repro/internal/tpc"
 	"repro/internal/vista"
 )
 
@@ -35,25 +34,6 @@ func init() {
 	})
 }
 
-// ablationCell runs Debit-Credit under custom parameters.
-func ablationCell(cfg RunConfig, params sim.Params, ver vista.Version, mode replication.Mode) (tpc.Result, error) {
-	pair, err := replication.NewGroup(replication.Config{
-		Mode:   mode,
-		Store:  vista.Config{Version: ver, DBSize: cfg.DBSize},
-		Params: &params,
-	})
-	if err != nil {
-		return tpc.Result{}, err
-	}
-	w, err := tpc.NewDebitCredit(cfg.DBSize)
-	if err != nil {
-		return tpc.Result{}, err
-	}
-	return tpc.Run(pair, w, tpc.Options{
-		Txns: cfg.DCTxns, Warmup: cfg.Warmup, Seed: cfg.Seed, WarmCache: true,
-	})
-}
-
 // runAblationWriteBuffers sweeps the write-buffer count: the paper's
 // locality argument rests on six buffers being scarce — with many more,
 // scattered stores coalesce longer and mirroring recovers some ground.
@@ -69,7 +49,7 @@ func runAblationWriteBuffers(cfg RunConfig) (*Table, error) {
 		params.WriteBuffers = n
 		row := []string{fmt.Sprintf("%d", n)}
 		for _, v := range []vista.Version{vista.V1MirrorCopy, vista.V2MirrorDiff, vista.V3InlineLog} {
-			res, err := ablationCell(cfg, params, v, replication.Passive)
+			res, err := runCell(cfg, benchDC, groupConfig(v, replication.Passive, cfg.DBSize, &params), cfg.DCTxns)
 			if err != nil {
 				return nil, err
 			}
@@ -98,11 +78,11 @@ func runAblationPacketSize(cfg RunConfig) (*Table, error) {
 		// buffer; caps below 32 split full buffers into several packets
 		// — taking away exactly the aggregation advantage logging lives
 		// on. (Caps above 32 change nothing: the buffer is the limit.)
-		v2, err := ablationCell(cfg, params, vista.V2MirrorDiff, replication.Passive)
+		v2, err := runCell(cfg, benchDC, groupConfig(vista.V2MirrorDiff, replication.Passive, cfg.DBSize, &params), cfg.DCTxns)
 		if err != nil {
 			return nil, err
 		}
-		v3, err := ablationCell(cfg, params, vista.V3InlineLog, replication.Passive)
+		v3, err := runCell(cfg, benchDC, groupConfig(vista.V3InlineLog, replication.Passive, cfg.DBSize, &params), cfg.DCTxns)
 		if err != nil {
 			return nil, err
 		}
@@ -139,11 +119,11 @@ func runAblationCPUSpeed(cfg RunConfig) (*Table, error) {
 	} {
 		params := sim.Default()
 		scaleCPU(&params, scale.factor)
-		alone, err := ablationCell(cfg, params, vista.V0Vista, replication.Standalone)
+		alone, err := runCell(cfg, benchDC, groupConfig(vista.V0Vista, replication.Standalone, cfg.DBSize, &params), cfg.DCTxns)
 		if err != nil {
 			return nil, err
 		}
-		pb, err := ablationCell(cfg, params, vista.V0Vista, replication.Passive)
+		pb, err := runCell(cfg, benchDC, groupConfig(vista.V0Vista, replication.Passive, cfg.DBSize, &params), cfg.DCTxns)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +182,7 @@ func runAblationSANSpeed(cfg RunConfig) (*Table, error) {
 		params.IOStoreWord /= s.div
 		row := []string{s.label}
 		for _, v := range []vista.Version{vista.V0Vista, vista.V2MirrorDiff, vista.V3InlineLog} {
-			res, err := ablationCell(cfg, params, v, replication.Passive)
+			res, err := runCell(cfg, benchDC, groupConfig(v, replication.Passive, cfg.DBSize, &params), cfg.DCTxns)
 			if err != nil {
 				return nil, err
 			}

@@ -43,7 +43,7 @@ func runAvailability(cfg RunConfig) (*Table, error) {
 	if warm > 2000 {
 		warm = 2000
 	}
-	res, err := tpc.RunAvailability(c, w, warm, cfg.Seed)
+	res, err := tpc.RunAvailability(c, c.CrashPrimary, w, warm, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -45,7 +45,7 @@ func runDurability(cfg RunConfig) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			open := func() (tpc.FaultDB, error) {
+			open := func() (*repro.Cluster, error) {
 				return repro.New(repro.Config{
 					Version:     repro.V3InlineLog,
 					Backup:      repro.ActiveBackup,

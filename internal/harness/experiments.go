@@ -70,7 +70,7 @@ func runTable1(cfg RunConfig) (*Table, error) {
 	for _, r := range rows {
 		cells := []string{r.label}
 		for _, bench := range []string{benchDC, benchOE} {
-			res, err := runCell(cfg, bench, vista.V0Vista, r.mode, cfg.DBSize, benchTxns(cfg, bench))
+			res, err := runCell(cfg, bench, groupConfig(vista.V0Vista, r.mode, cfg.DBSize, nil), benchTxns(cfg, bench))
 			if err != nil {
 				return nil, err
 			}
@@ -92,7 +92,7 @@ func runTable2(cfg RunConfig) (*Table, error) {
 	byCat := map[mem.Category][]string{}
 	totals := []string{"Total data"}
 	for _, bench := range []string{benchDC, benchOE} {
-		res, err := runCell(cfg, bench, vista.V0Vista, replication.Passive, cfg.DBSize, benchTxns(cfg, bench))
+		res, err := runCell(cfg, bench, groupConfig(vista.V0Vista, replication.Passive, cfg.DBSize, nil), benchTxns(cfg, bench))
 		if err != nil {
 			return nil, err
 		}
@@ -132,7 +132,7 @@ func versionSweep(cfg RunConfig, id, title string, mode replication.Mode) (*Tabl
 	for _, v := range allVersions {
 		cells := []string{v.String()}
 		for _, bench := range []string{benchDC, benchOE} {
-			res, err := runCell(cfg, bench, v, mode, cfg.DBSize, benchTxns(cfg, bench))
+			res, err := runCell(cfg, bench, groupConfig(v, mode, cfg.DBSize, nil), benchTxns(cfg, bench))
 			if err != nil {
 				return nil, err
 			}
@@ -153,7 +153,7 @@ func runTable5(cfg RunConfig) (*Table, error) {
 	}
 	for _, bench := range []string{benchDC, benchOE} {
 		for _, v := range allVersions {
-			res, err := runCell(cfg, bench, v, replication.Passive, cfg.DBSize, benchTxns(cfg, bench))
+			res, err := runCell(cfg, bench, groupConfig(v, replication.Passive, cfg.DBSize, nil), benchTxns(cfg, bench))
 			if err != nil {
 				return nil, err
 			}
@@ -181,7 +181,7 @@ func runTable6(cfg RunConfig) (*Table, error) {
 	for _, r := range rows {
 		cells := []string{r.label}
 		for _, bench := range []string{benchDC, benchOE} {
-			res, err := runCell(cfg, bench, vista.V3InlineLog, r.mode, cfg.DBSize, benchTxns(cfg, bench))
+			res, err := runCell(cfg, bench, groupConfig(vista.V3InlineLog, r.mode, cfg.DBSize, nil), benchTxns(cfg, bench))
 			if err != nil {
 				return nil, err
 			}
@@ -208,7 +208,7 @@ func runTable7(cfg RunConfig) (*Table, error) {
 			{"Best Passive (Version 3)", replication.Passive},
 			{"Active", replication.Active},
 		} {
-			res, err := runCell(cfg, bench, vista.V3InlineLog, r.mode, cfg.DBSize, benchTxns(cfg, bench))
+			res, err := runCell(cfg, bench, groupConfig(vista.V3InlineLog, r.mode, cfg.DBSize, nil), benchTxns(cfg, bench))
 			if err != nil {
 				return nil, err
 			}
@@ -229,7 +229,7 @@ func runTable8(cfg RunConfig) (*Table, error) {
 	for _, bench := range []string{benchDC, benchOE} {
 		cells := []string{bench}
 		for _, size := range []int{10 << 20, 100 << 20, 1 << 30} {
-			res, err := runCell(cfg, bench, vista.V3InlineLog, replication.Active, size, benchTxns(cfg, bench))
+			res, err := runCell(cfg, bench, groupConfig(vista.V3InlineLog, replication.Active, size, nil), benchTxns(cfg, bench))
 			if err != nil {
 				return nil, err
 			}

@@ -47,22 +47,9 @@ func runReplDegree(cfg RunConfig) (*Table, error) {
 	for k := 1; k <= 3; k++ {
 		row := []string{fmt.Sprintf("%d", k)}
 		for _, s := range []replication.Safety{replication.OneSafe, replication.QuorumSafe, replication.TwoSafe} {
-			group, err := replication.NewGroup(replication.Config{
-				Mode:    replication.Active,
-				Store:   vista.Config{Version: vista.V3InlineLog, DBSize: cfg.DBSize},
-				Backups: k,
-				Safety:  s,
-			})
-			if err != nil {
-				return nil, err
-			}
-			w, err := tpc.NewDebitCredit(cfg.DBSize)
-			if err != nil {
-				return nil, err
-			}
-			res, err := tpc.Run(group, w, tpc.Options{
-				Txns: cfg.DCTxns, Warmup: cfg.Warmup, Seed: cfg.Seed, WarmCache: true,
-			})
+			group := groupConfig(vista.V3InlineLog, replication.Active, cfg.DBSize, nil)
+			group.Backups, group.Safety = k, s
+			res, err := runCell(cfg, benchDC, group, cfg.DCTxns)
 			if err != nil {
 				return nil, err
 			}
@@ -160,23 +147,9 @@ func runGroupCommit(cfg RunConfig) (*Table, error) {
 	for _, batch := range []int{1, 4, 16} {
 		row := []string{fmt.Sprintf("%d", batch)}
 		for _, s := range []replication.Safety{replication.OneSafe, replication.QuorumSafe, replication.TwoSafe} {
-			group, err := replication.NewGroup(replication.Config{
-				Mode:        replication.Active,
-				Store:       vista.Config{Version: vista.V3InlineLog, DBSize: cfg.DBSize},
-				Backups:     3,
-				Safety:      s,
-				CommitBatch: batch,
-			})
-			if err != nil {
-				return nil, err
-			}
-			w, err := tpc.NewDebitCredit(cfg.DBSize)
-			if err != nil {
-				return nil, err
-			}
-			res, err := tpc.Run(group, w, tpc.Options{
-				Txns: txns, Warmup: cfg.Warmup, Seed: cfg.Seed, WarmCache: true,
-			})
+			group := groupConfig(vista.V3InlineLog, replication.Active, cfg.DBSize, nil)
+			group.Backups, group.Safety, group.CommitBatch = 3, s, batch
+			res, err := runCell(cfg, benchDC, group, txns)
 			if err != nil {
 				return nil, err
 			}

@@ -9,11 +9,13 @@ import (
 
 // The kv experiment exercises the redesigned API stack end to end: the
 // typed key-value layer (repro/kv) laid out inside the replicated bytes,
-// driven by the YCSB-style mixes of tpc.RunKV — and, because the driver
-// sees only the DB interface, the same cell runs over one shard and four.
+// driven by the YCSB-style mixes of tpc.RunKV — and, because kv sees only
+// the DB interface, the same cell runs over one shard and four.
 // The per-row comparison is the point: both serve the identical typed
 // workload, every mutation one transaction on the shard its key's region
 // lives on, so the four-shard rows are four commit streams side by side.
+// Every read is audited against the session's latest write, whichever
+// node served it, and a stale one fails the cell.
 func init() {
 	register(Experiment{
 		ID:    "kv",
@@ -67,6 +69,9 @@ func runKV(cfg RunConfig) (*Table, error) {
 			})
 			if err != nil {
 				return nil, fmt.Errorf("harness: kv %s/%s: %w", d.name, mix, err)
+			}
+			if res.StaleViolations != 0 {
+				return nil, fmt.Errorf("harness: kv %s/%s: %d stale-read violations", d.name, mix, res.StaleViolations)
 			}
 			t.Rows = append(t.Rows, kvRow(d.name, res))
 		}

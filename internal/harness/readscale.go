@@ -9,13 +9,14 @@ import (
 
 // The readscale experiment measures the replica-read subsystem: the
 // read-heavy mix on one replicated cluster, once per consistency mode.
-// The primary row is the baseline — every read serialized through the
-// primary, exactly the pre-extension behavior — and the ryw/bounded/
+// The primary row is the baseline — every read at the primary's view,
+// served by a backup only when it has applied all the primary committed,
+// which an open group-commit batch rarely allows — and the ryw/bounded/
 // quorum rows route reads through the backups' applied views, reporting
 // throughput on the replica-aware wall clock (primary and read-serving
 // backups run in parallel). RunKV's built-in staleness audit runs in
-// every replica row: a read that breaks its mode's advertised bound is a
-// counted violation, and the cell fails the repro if any appear.
+// every row: a read that breaks its mode's contract is a counted
+// violation, and the cell fails the repro if any appear.
 func init() {
 	register(Experiment{
 		ID:    "readscale",

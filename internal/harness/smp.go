@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/replication"
 	"repro/internal/sim"
@@ -94,10 +93,7 @@ type traceKey struct {
 	seed  uint64
 }
 
-var (
-	traceMu   sync.Mutex
-	traceMemo = map[traceKey]*sim.Trace{}
-)
+var traceMemo = memo[traceKey, *sim.Trace]{m: map[traceKey]*sim.Trace{}}
 
 // captureTrace runs one stream alone, recording its SAN-interaction trace
 // during the measured interval.
@@ -107,38 +103,26 @@ func captureTrace(cfg RunConfig, bench string, ver vista.Version, mode replicati
 		txns = 1000
 	}
 	key := traceKey{bench: bench, ver: ver, mode: mode, txns: txns, seed: cfg.Seed + streamSeed}
-	traceMu.Lock()
-	if tr, ok := traceMemo[key]; ok {
-		traceMu.Unlock()
-		return tr, nil
-	}
-	traceMu.Unlock()
-
-	pair, err := replication.NewGroup(replication.Config{
-		Mode:  mode,
-		Store: vista.Config{Version: ver, DBSize: smpDBSize},
+	return traceMemo.get(key, func() (*sim.Trace, error) {
+		pair, err := replication.NewGroup(groupConfig(ver, mode, smpDBSize, nil))
+		if err != nil {
+			return nil, err
+		}
+		w, err := newWorkload(bench, smpDBSize)
+		if err != nil {
+			return nil, err
+		}
+		trace := &sim.Trace{}
+		res, err := tpc.Run(pair, w, tpc.Options{
+			Txns:          txns,
+			Warmup:        cfg.Warmup,
+			Seed:          key.seed,
+			StartMeasured: func() { pair.SetTrace(trace) },
+		})
+		if err != nil {
+			return nil, err
+		}
+		trace.Txns = res.Txns
+		return trace, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	w, err := newWorkload(bench, smpDBSize)
-	if err != nil {
-		return nil, err
-	}
-	trace := &sim.Trace{}
-	res, err := tpc.Run(pair, w, tpc.Options{
-		Txns:          txns,
-		Warmup:        cfg.Warmup,
-		Seed:          key.seed,
-		StartMeasured: func() { pair.SetTrace(trace) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	trace.Txns = res.Txns
-
-	traceMu.Lock()
-	traceMemo[key] = trace
-	traceMu.Unlock()
-	return trace, nil
 }

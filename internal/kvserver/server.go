@@ -592,12 +592,7 @@ func (s *Server) execute(b *kv.Burst, req *kvwire.Request, sess *session) []byte
 			n++
 			return nil
 		}
-		var err error
-		if req.Mode == kvwire.ModePrimary {
-			_, err = s.store.Scan(req.Key, req.Limit, entry)
-		} else {
-			_, _, err = s.store.ScanAt(req.Key, req.Limit, sess.readOpts(req), entry)
-		}
+		_, _, err := s.store.ScanAt(req.Key, req.Limit, sess.readOpts(req), entry)
 		if err != nil && !errors.Is(err, errScanTruncated) {
 			kvwire.PutBuf(buf)
 			return s.errResp(err)

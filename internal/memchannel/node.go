@@ -512,16 +512,6 @@ func (n *Node) CategoryBytes() map[mem.Category]int64 {
 	return out
 }
 
-// TotalBytes returns the total payload bytes sent over the SAN. Safe for
-// concurrent use with the emitting stream.
-func (n *Node) TotalBytes() int64 {
-	var t int64
-	for i := range n.catBytes {
-		t += n.catBytes[i].Load()
-	}
-	return t
-}
-
 // ResetStats clears the per-category counters (measurement phases).
 func (n *Node) ResetStats() {
 	for i := range n.catBytes {

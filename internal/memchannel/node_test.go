@@ -208,12 +208,18 @@ func TestCategoryAccounting(t *testing.T) {
 	if got[mem.CatUndo] != 0 || got[mem.CatMeta] != 2 {
 		t.Fatalf("undo/meta = %d/%d, want 0/2", got[mem.CatUndo], got[mem.CatMeta])
 	}
-	if n.TotalBytes() != 6 {
-		t.Fatalf("TotalBytes = %d", n.TotalBytes())
+	total := int64(0)
+	for _, b := range got {
+		total += b
+	}
+	if total != 6 {
+		t.Fatalf("category bytes total %d, want 6", total)
 	}
 	n.ResetStats()
-	if n.TotalBytes() != 0 {
-		t.Fatal("ResetStats kept bytes")
+	for c, b := range n.CategoryBytes() {
+		if b != 0 {
+			t.Fatalf("ResetStats kept %d bytes of %v", b, c)
+		}
 	}
 }
 

@@ -97,9 +97,6 @@ func partSizeFor(shardSize int) int {
 // PartSize returns the partition granularity in bytes.
 func (l *Layout) PartSize() int { return l.partSize }
 
-// Parts returns the partition count tiling the global space.
-func (l *Layout) Parts() int { return len(l.parts) }
-
 // Shards returns the shard slot count, tombstoned slots included.
 func (l *Layout) Shards() int { return len(l.free) }
 

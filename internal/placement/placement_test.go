@@ -182,7 +182,7 @@ func TestLayoutDrainAndRemove(t *testing.T) {
 		}
 		l.Apply(m)
 	}
-	for p := 0; p < l.Parts(); p++ {
+	for p := 0; p < 2*shardSize/l.PartSize(); p++ {
 		if l.Owner(p) == 3 {
 			t.Fatalf("partition %d still on the drained shard", p)
 		}

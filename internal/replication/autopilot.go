@@ -47,8 +47,8 @@ import (
 // group behaves bit-for-bit as without the subsystem).
 type AutopilotConfig struct {
 	// HeartbeatPeriod is the interval between heartbeat rounds; a positive
-	// value enables the autopilot. A peer silent for suspectBeats periods
-	// is Suspect, and one further missed beat confirms it Dead.
+	// value enables the autopilot. A peer silent for four periods is
+	// Suspect, and one further missed beat confirms it Dead.
 	HeartbeatPeriod sim.Dur
 	// AutoFailover promotes the most-caught-up survivor automatically when
 	// the primary is declared dead.
@@ -64,15 +64,6 @@ type AutopilotConfig struct {
 
 // Enabled reports whether the configuration switches the autopilot on.
 func (a AutopilotConfig) Enabled() bool { return a.HeartbeatPeriod > 0 }
-
-// suspectBeats is how many heartbeat periods of silence make a peer
-// Suspect.
-const suspectBeats = 4
-
-// detectConfig converts to the detector's timing configuration.
-func (a AutopilotConfig) detectConfig() detect.Config {
-	return detect.Config{HeartbeatPeriod: a.HeartbeatPeriod, SuspectTimeout: suspectBeats * a.HeartbeatPeriod}
-}
 
 // FailureEvent is the recorded timeline of one fault the autopilot handled.
 // Zero-valued stamps mean "has not happened": a backup event has no
@@ -146,7 +137,7 @@ func newAutopilot(cfg AutopilotConfig) *autopilot {
 // restarts the heartbeat grid at now. A crashed member is not watched: it
 // re-joins at the next repair, which watches it again.
 func (a *autopilot) rewatch(g *Group, now sim.Time) {
-	a.det = detect.New(a.cfg.detectConfig())
+	a.det = detect.New(detect.Config{HeartbeatPeriod: a.cfg.HeartbeatPeriod})
 	a.det.Watch(g.primary.Name, now)
 	for _, b := range g.backups {
 		if b.alive() {

@@ -412,14 +412,25 @@ func (g *Group) durFailoverLocked(promoted *backup) {
 	d.primarySlot = promoted.walIdx
 	d.era++
 	d.seq = g.store.Committed()
-	d.lastCkpt = d.seq
+	_ = g.durOpenEraLocked()
+}
+
+// durOpenEraLocked attaches the sink and checkpoints the serving slot and
+// every in-sync backup's into the current era at the current sequence,
+// returning the first error.
+func (g *Group) durOpenEraLocked() error {
+	d := g.dur
 	g.store.SetSink(d)
-	_ = g.durActivateSlotLocked(d.primarySlot)
+	d.lastCkpt = d.seq
+	err := g.durActivateSlotLocked(d.primarySlot)
 	for _, b := range g.backups {
 		if b.state == StateInSync {
-			_ = g.durActivateSlotLocked(b.walIdx)
+			if e := g.durActivateSlotLocked(b.walIdx); err == nil {
+				err = e
+			}
 		}
 	}
+	return err
 }
 
 // durSettleLocked is Settle's quiet-period hook: outstanding frames
@@ -546,22 +557,10 @@ func (g *Group) initDurability() error {
 		}
 	}
 
-	// Attach the sink and open the restart era: every in-sync member
-	// checkpoints at the current sequence (cut-over hooks above already
-	// activated the rejoined ones).
-	g.store.SetSink(d)
-	d.lastCkpt = d.seq
-	if err := g.durActivateSlotLocked(d.primarySlot); err != nil {
-		return err
-	}
-	for _, b := range g.backups {
-		if b.state == StateInSync {
-			if err := g.durActivateSlotLocked(b.walIdx); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	// Open the restart era: every in-sync member checkpoints at the
+	// current sequence (cut-over hooks above already activated the
+	// rejoined ones).
+	return g.durOpenEraLocked()
 }
 
 // Durability returns the disk tier's current status (zero Enabled when

@@ -234,7 +234,7 @@ func NewGroup(cfg Config) (*Group, error) {
 	if cfg.Autopilot.Enabled() {
 		g.autop = newAutopilot(cfg.Autopilot)
 		now := g.primary.Clock.Now()
-		g.autop.lease = detect.NewLease(cfg.Autopilot.detectConfig().DeadAfter(), now)
+		g.autop.lease = detect.NewLease(detect.Config{HeartbeatPeriod: cfg.Autopilot.HeartbeatPeriod}.DeadAfter(), now)
 		g.autop.rewatch(g, now)
 	}
 	// Cold-restart recovery (and the disk tier's first checkpoints) run

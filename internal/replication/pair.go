@@ -136,10 +136,17 @@ type Config struct {
 // satisfies it, and Group.Begin wraps it in a groupTx, which adds redo
 // capture and the configured commit-safety wait where the mode has them.
 type TxHandle interface {
+	// SetRange declares that [off, off+n) of the database may be
+	// modified, capturing undo information.
 	SetRange(off, n int) error
+	// Write stores src at database offset off, in place.
 	Write(off int, src []byte) error
+	// Read loads database bytes (reads are allowed anywhere).
 	Read(off int, dst []byte) error
+	// Commit makes the transaction durable under the group's commit
+	// safety (1-safe: it does not wait for the backup).
 	Commit() error
+	// Abort rolls the transaction back.
 	Abort() error
 }
 

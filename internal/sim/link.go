@@ -161,12 +161,3 @@ func (l *Link) Stats() LinkStats {
 func (l *Link) ResetStats() {
 	l.stats = LinkStats{SizeHist: make([]int64, l.params.MaxPacket+1)}
 }
-
-// AvgPacketSize returns the mean payload size of all packets, or 0 if no
-// packets were sent.
-func (s *LinkStats) AvgPacketSize() float64 {
-	if s.Packets == 0 {
-		return 0
-	}
-	return float64(s.Bytes) / float64(s.Packets)
-}

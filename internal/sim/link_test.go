@@ -107,9 +107,6 @@ func TestLinkStats(t *testing.T) {
 	if s.SizeHist[4] != 1 || s.SizeHist[32] != 1 {
 		t.Fatalf("size histogram wrong: %v", s.SizeHist)
 	}
-	if got := s.AvgPacketSize(); got != 18 {
-		t.Fatalf("AvgPacketSize() = %v, want 18", got)
-	}
 	l.ResetStats()
 	if got := l.Stats(); got.Packets != 0 || got.Bytes != 0 {
 		t.Fatalf("ResetStats left %+v", got)
@@ -132,12 +129,5 @@ func TestLinkDegenerateSubmits(t *testing.T) {
 	}
 	if got := l.Stats().Bytes; got != 32 {
 		t.Fatalf("oversize packet accounted %d bytes, want 32", got)
-	}
-}
-
-func TestAvgPacketSizeEmpty(t *testing.T) {
-	var s LinkStats
-	if got := s.AvgPacketSize(); got != 0 {
-		t.Fatalf("empty AvgPacketSize() = %v", got)
 	}
 }

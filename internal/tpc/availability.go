@@ -1,6 +1,10 @@
 package tpc
 
-import "time"
+import (
+	"time"
+
+	"repro"
+)
 
 // RunAvailability drives the paper's availability experiment end to end:
 // throughput delivered while a replica fails and recovers. The timeline is
@@ -53,15 +57,16 @@ type AvailabilityResult struct {
 // RunAvailability populates the workload, runs warmup transactions (cache
 // and SAN state carry over; counters reset), and measures the crash →
 // failover → repair → restored timeline on the deployment, drawing the
-// workload from seed. It is written against the DB abstraction: any
-// FaultDB — a Cluster or a ShardedCluster (the crash and repair land on
-// shard 0) — can sit under it.
-func RunAvailability(c FaultDB, w Workload, warmup int64, seed uint64) (AvailabilityResult, error) {
+// workload from seed. crash fails the serving node: c.CrashPrimary keeps
+// its memory for a warm re-join, a power failure loses it and the repair
+// re-seeds a spare. On a multi-shard deployment the crash and repair land
+// on shard 0.
+func RunAvailability(c *repro.Cluster, crash func() error, w Workload, warmup int64, seed uint64) (AvailabilityResult, error) {
 	if err := w.Populate(c.Load); err != nil {
 		return AvailabilityResult{}, err
 	}
-	st := &stream{db: c, w: w, r: NewRand(seed)}
-	tl, err := startTimeline(c, st.one, availWindow, warmup)
+	st := &stream{begin: c.Begin, w: w, r: NewRand(seed)}
+	tl, err := startTimeline(c, func() error { return st.one(false) }, availWindow, warmup)
 	if err != nil {
 		return AvailabilityResult{}, err
 	}
@@ -71,7 +76,7 @@ func RunAvailability(c FaultDB, w Workload, warmup int64, seed uint64) (Availabi
 	}
 
 	// Crash, fail over, and start healing online.
-	if err := c.CrashPrimary(); err != nil {
+	if err := crash(); err != nil {
 		return res, err
 	}
 	res.CrashAt = tl.cum

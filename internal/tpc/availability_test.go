@@ -43,7 +43,7 @@ func TestRunAvailabilityTimeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := tpc.RunAvailability(c, w, 100, 3)
+			res, err := tpc.RunAvailability(c, c.CrashPrimary, w, 100, 3)
 			if err != nil {
 				t.Fatal(err)
 			}

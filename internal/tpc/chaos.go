@@ -75,11 +75,10 @@ type ChaosResult struct {
 
 // RunChaos populates the workload, runs warmup transactions, and runs the
 // fault schedule seed draws against the deployment's autopilot; seed also
-// feeds the workload, making the whole run reproducible. Written against
-// the DB abstraction: any FaultDB with Config.Autopilot enabled
-// (AutoFailover, AutoRepair, and enough Spares for the schedule) can sit
-// under it; the injections land on shard 0.
-func RunChaos(c FaultDB, w Workload, warmup int64, seed uint64) (ChaosResult, error) {
+// feeds the workload, making the whole run reproducible. The deployment
+// needs Config.Autopilot enabled (AutoFailover, AutoRepair, and enough
+// Spares for the schedule); the injections land on shard 0.
+func RunChaos(c *repro.Cluster, w Workload, warmup int64, seed uint64) (ChaosResult, error) {
 	if !c.AutopilotEnabled() {
 		return ChaosResult{}, errors.New("tpc: chaos needs Config.Autopilot enabled")
 	}
@@ -87,10 +86,10 @@ func RunChaos(c FaultDB, w Workload, warmup int64, seed uint64) (ChaosResult, er
 		return ChaosResult{}, err
 	}
 	faults := NewRand(seed ^ 0xC3A05)
-	st := &stream{db: c, w: w, r: NewRand(seed)}
+	st := &stream{begin: c.Begin, w: w, r: NewRand(seed)}
 	// The autopilot keeps Elapsed continuous across unattended takeovers,
 	// so the cumulative timeline needs no stitching here.
-	tl, err := startTimeline(c, st.one, chaosWindow, warmup)
+	tl, err := startTimeline(c, func() error { return st.one(false) }, chaosWindow, warmup)
 	if err != nil {
 		return ChaosResult{}, err
 	}

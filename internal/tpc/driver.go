@@ -2,7 +2,6 @@ package tpc
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"repro/internal/mem"
 	"repro/internal/replication"
@@ -73,13 +72,13 @@ func Run(pair *replication.Group, w Workload, opts Options) (Result, error) {
 	if err := w.Populate(pair.Load); err != nil {
 		return Result{}, err
 	}
-	r := NewRand(opts.Seed)
+	st := &stream{begin: pair.Begin, w: w, r: NewRand(opts.Seed)}
 
 	if opts.WarmCache {
 		warmCache(pair, w.DBSize())
 	}
 	for i := int64(0); i < opts.Warmup; i++ {
-		if err := one(pair, w, r, i, false); err != nil {
+		if err := st.one(false); err != nil {
 			return Result{}, fmt.Errorf("tpc: warmup txn %d: %w", i, err)
 		}
 	}
@@ -89,9 +88,10 @@ func Run(pair *replication.Group, w Workload, opts Options) (Result, error) {
 	}
 
 	done := int64(0)
-	for i := opts.Warmup; done < opts.Txns; i++ {
+	for done < opts.Txns {
+		i := st.n
 		abort := opts.AbortEvery > 0 && (i+1)%opts.AbortEvery == 0
-		if err := one(pair, w, r, i, abort); err != nil {
+		if err := st.one(abort); err != nil {
 			return Result{}, fmt.Errorf("tpc: txn %d: %w", i, err)
 		}
 		if !abort {
@@ -123,24 +123,4 @@ func warmCache(pair *replication.Group, dbSize int) {
 	for off := 0; off < dbSize; off += line {
 		node.Cache.AccessVM(db.Base+uint64(off), 8, false)
 	}
-}
-
-// one executes a single transaction, committing it or (for failure
-// injection) aborting it.
-func one(pair *replication.Group, w Workload, r *rand.Rand, i int64, abort bool) error {
-	tx, err := pair.Begin()
-	if err != nil {
-		return err
-	}
-	if err := w.Txn(r, tx, i); err != nil {
-		abortErr := tx.Abort()
-		if abortErr != nil {
-			return fmt.Errorf("%w (abort also failed: %v)", err, abortErr)
-		}
-		return err
-	}
-	if abort {
-		return tx.Abort()
-	}
-	return tx.Commit()
 }

@@ -89,7 +89,7 @@ type DurabilityResult struct {
 // The drill needs a single replica group (Shards() == 1): the replay
 // oracle reconstructs "state after K commits", which has no meaning
 // across independently-failing shards.
-func RunDurability(open func() (FaultDB, error), w Workload, corrupt string, seed uint64) (DurabilityResult, error) {
+func RunDurability(open func() (*repro.Cluster, error), w Workload, corrupt string, seed uint64) (DurabilityResult, error) {
 	var res DurabilityResult
 	switch corrupt {
 	case TailIntact, TailTorn, TailBitFlip, TailZeroed, TailMixed:
@@ -112,9 +112,9 @@ func RunDurability(open func() (FaultDB, error), w Workload, corrupt string, see
 	}
 	kills := NewRand(seed ^ 0xD15C)
 	kill := durabilityTxns/2 + kills.IntN(durabilityTxns/2+1)
-	st := &stream{db: db, w: w, r: NewRand(seed)}
+	st := &stream{begin: db.Begin, w: w, r: NewRand(seed)}
 	for i := 0; i < kill; i++ {
-		if err := st.one(); err != nil {
+		if err := st.one(false); err != nil {
 			return res, fmt.Errorf("tpc: txn %d: %w", i, err)
 		}
 	}
@@ -166,9 +166,9 @@ func RunDurability(open func() (FaultDB, error), w Workload, corrupt string, see
 
 	// The restarted deployment serves: continue the stream where the
 	// recovered prefix ends, then shut down cleanly.
-	st2 := &stream{db: db2, w: w, r: NewRand(seed ^ 0xAF7E12), n: int64(res.Recovered)}
+	st2 := &stream{begin: db2.Begin, w: w, r: NewRand(seed ^ 0xAF7E12), n: int64(res.Recovered)}
 	for i := 0; i < 5; i++ {
-		if err := st2.one(); err != nil {
+		if err := st2.one(false); err != nil {
 			return res, fmt.Errorf("tpc: post-restart txn %d: %w", i, err)
 		}
 	}

@@ -11,8 +11,8 @@ import (
 // durOpen returns an open callback over one durability directory: each
 // call builds a fresh deployment over the same files, which is exactly
 // what a cold restart is.
-func durOpen(dir string, snapshotEvery int) func() (tpc.FaultDB, error) {
-	return func() (tpc.FaultDB, error) {
+func durOpen(dir string, snapshotEvery int) func() (*repro.Cluster, error) {
+	return func() (*repro.Cluster, error) {
 		return repro.New(repro.Config{
 			Version:     repro.V3InlineLog,
 			Backup:      repro.ActiveBackup,
@@ -29,7 +29,7 @@ func durOpen(dir string, snapshotEvery int) func() (tpc.FaultDB, error) {
 }
 
 func TestRunDurabilityNeedsDisk(t *testing.T) {
-	open := func() (tpc.FaultDB, error) {
+	open := func() (*repro.Cluster, error) {
 		return repro.New(repro.Config{Version: repro.V3InlineLog, Backup: repro.ActiveBackup, DBSize: 4 << 20})
 	}
 	w, err := tpc.NewDebitCredit(4 << 20)
@@ -47,7 +47,7 @@ func TestRunDurabilityNeedsDisk(t *testing.T) {
 // corruption: only a check ahead of the drill can see the mode.
 func TestRunDurabilityRejectsUnknownMode(t *testing.T) {
 	dir, opened := t.TempDir(), 0
-	open := func() (tpc.FaultDB, error) {
+	open := func() (*repro.Cluster, error) {
 		opened++
 		return repro.New(repro.Config{
 			Version:    repro.V3InlineLog,

@@ -10,7 +10,7 @@ import (
 	"repro/kv"
 )
 
-// RunKV drives a YCSB-style key-value workload against any repro.DB
+// RunKV drives a YCSB-style key-value workload against a deployment
 // through the kv layer: the store is formatted inside the deployment's
 // replicated bytes, preloaded with a keyspace, and then hit with one of
 // three operation mixes modeled on the standard YCSB core workloads:
@@ -19,10 +19,9 @@ import (
 //   - update-heavy (YCSB-A): 50% point reads, 50% value updates
 //   - scan (YCSB-E): 95% short range scans, 5% fresh-key inserts
 //
-// Because the driver sees only the DB interface, the same run works over
-// any shard count — the measured difference is exactly the kv layer's
-// (every mutation is one transaction on one shard, so more shards are
-// more commit streams running side by side).
+// The same run works over any shard count — the measured difference is
+// exactly the kv layer's (every mutation is one transaction on one shard,
+// so more shards are more commit streams running side by side).
 
 // The YCSB-style operation mixes RunKV accepts.
 const (
@@ -57,7 +56,8 @@ type KVOptions struct {
 	// ReadMode routes the mix's point reads and scans: ReadPrimary (the
 	// zero value) reads the primary's view, which kv serves from a backup
 	// that has applied all of it; the replica modes serve them from the
-	// backups' applied views under the mode's contract.
+	// backups' applied views under the mode's contract. Every mode is
+	// audited.
 	ReadMode repro.ReadMode
 	// StalenessBound is ReadBounded's advertised lag bound in commit
 	// sequences.
@@ -81,13 +81,12 @@ type KVResult struct {
 	// Keys is the live keyspace size at the end of the run.
 	Keys int
 	// ReplicaReads and PrimaryReads split the measured reads and scans by
-	// who served them (replica modes only; the default mix leaves both 0
-	// and counts reads under Reads/Scans alone). Repaired totals the
-	// quorum-read laggards pumped by read repair.
+	// who served them. Repaired totals the quorum-read laggards pumped by
+	// read repair.
 	ReplicaReads, PrimaryReads, Repaired int64
 	// StaleViolations counts reads that broke their mode's contract —
-	// a read-your-writes or quorum read returning anything but the
-	// session's latest version, or a bounded read staler than its
+	// a primary-view, read-your-writes or quorum read returning anything
+	// but the session's latest version, or a bounded read staler than its
 	// advertised bound. Counted across warmup and the measured interval;
 	// any non-zero value is a consistency bug, and the harness and bench
 	// cells fail on it.
@@ -104,7 +103,7 @@ func (r *KVResult) BytesPerOp() float64 {
 
 // RunKV formats a kv store inside db, preloads the keyspace, warms up,
 // and drives the measured operation mix.
-func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
+func RunKV(db *repro.Cluster, opts KVOptions) (KVResult, error) {
 	if opts.Mix == "" {
 		opts.Mix = MixReadHeavy
 	}
@@ -122,7 +121,6 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 		return KVResult{}, fmt.Errorf("tpc: %d records leave no slot headroom in the store's %d slots", kvRecords, store.Slots())
 	}
 	mode := opts.ReadMode
-	replica := mode != repro.ReadPrimary
 	r := NewRand(opts.Seed)
 	value := make([]byte, kvValueSize)
 	fillValue := func(tag int64) {
@@ -132,7 +130,7 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 	}
 	key := func(i int) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
 
-	// Replica-read audit state: per-key version counters stamped into the
+	// Read audit state: per-key version counters stamped into the
 	// first 8 value bytes (content-only — the sim charges by sizes and
 	// offsets, never byte values), the session's commit token, and — on a
 	// single shard, where the session is the only writer and commits are
@@ -166,17 +164,15 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 	// out here); sharded runs need it because per-shard commit sequences
 	// can't be predicted from a flat session. Read-your-writes and bounded
 	// runs keep full batching: their contracts are auditable from the
-	// token floor and the serving view's own sequence numbers.
-	strictAck := !single || mode == repro.ReadQuorum
+	// token floor and the serving view's own sequence numbers. So does the
+	// primary's view, which holds every write, parked ones included.
+	strictAck := mode != repro.ReadPrimary && (!single || mode == repro.ReadQuorum)
 	// Quorum reads owe every *quorum-acknowledged* commit: any read
 	// majority intersects every commit quorum. Under 1-safe or 2-safe no
 	// commit quorum exists — Flush returns before the backups hold the
 	// batch — so the unconditional quorum-freshness demand only holds on
 	// quorum-committing deployments.
-	quorumAcked := false
-	if sr, ok := db.(interface{ Safety() repro.Safety }); ok {
-		quorumAcked = sr.Safety() == repro.QuorumSafe
-	}
+	quorumAcked := db.Safety() == repro.QuorumSafe
 	// wrote records the session floor after a successful mutation of idx.
 	wrote := func(idx int) error {
 		if strictAck {
@@ -217,8 +213,9 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 			res.StaleViolations++
 		case got == vers[idx]:
 			// Fresh.
-		case rres.Replica == 0:
-			// The primary is never stale — it sees even parked writes.
+		case mode == repro.ReadPrimary || rres.Replica == 0:
+			// The primary's view is never stale — it holds even parked
+			// writes — whichever node served it.
 			res.StaleViolations++
 		case single && rres.Seq >= keySeq[idx]:
 			// Any view whose applied sequence reached the write's commit
@@ -291,9 +288,7 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 		}
 		for i := base; i < base+batch && i < kvRecords; i++ {
 			fillValue(int64(i))
-			if replica {
-				stamp(i)
-			}
+			stamp(i)
 			if err := txn.Put(key(i), value); err != nil {
 				return KVResult{}, fmt.Errorf("tpc: kv preload %d: %w", i, err)
 			}
@@ -302,42 +297,33 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 			return KVResult{}, fmt.Errorf("tpc: kv preload commit: %w", err)
 		}
 	}
-	if replica {
+	if mode != repro.ReadPrimary {
 		if err := db.Flush(); err != nil {
 			return KVResult{}, err
 		}
 		// Let the shipped preload land on every backup before reads route
 		// there: under 1-safe nothing else waits for the deliveries, and a
-		// backup view missing whole preloaded keys would fail lookups
+		// lagging view missing whole preloaded keys would fail lookups
 		// (staleness is a value property, existence is not). Pre-warmup,
-		// so the measured interval is untouched.
+		// so the measured interval is untouched. The primary's view needs
+		// no wait: a backup serves it only once it has applied all of it.
 		db.Settle()
-		tok = db.Token(tok)
-		putSeq = db.Committed() // preload commits, all sealed by the flush
 	}
-	nextKey := kvRecords // fresh-key counter for the scan mix's inserts
+	tok = db.Token(tok)
+	putSeq = db.Committed() // the preload commits
+	nextKey := kvRecords    // fresh-key counter for the scan mix's inserts
+	readOpts := func() repro.ReadOpts {
+		return repro.ReadOpts{Mode: mode, Token: tok, Bound: opts.StalenessBound}
+	}
 	// scanOnce runs one range scan, routed per the run's read mode.
 	scanOnce := func(measured bool) error {
-		start := key(r.IntN(nextKey))
-		var (
-			n   int
-			err error
-		)
-		if replica {
-			var rres repro.ReadResult
-			n, rres, err = store.ScanAt(start, kvScanLen, repro.ReadOpts{Mode: mode, Token: tok, Bound: opts.StalenessBound}, record)
-			if err != nil {
-				pend = pend[:0]
-				return err
-			}
-			flushScanAudit(rres)
-			served(rres, measured)
-		} else {
-			n, err = store.Scan(start, kvScanLen, func(k, v []byte) error { return nil })
-			if err != nil {
-				return err
-			}
+		n, rres, err := store.ScanAt(key(r.IntN(nextKey)), kvScanLen, readOpts(), record)
+		if err != nil {
+			pend = pend[:0]
+			return err
 		}
+		flushScanAudit(rres)
+		served(rres, measured)
 		if measured {
 			res.Scans++
 			res.ScanItems += int64(n)
@@ -358,21 +344,15 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 			// Insert a fresh key; when its region is full substitute a
 			// scan — the mix's dominant operation.
 			fillValue(int64(nextKey))
-			if replica {
-				stamp(nextKey)
-			}
+			stamp(nextKey)
 			err := store.Put(key(nextKey), value)
 			if errors.Is(err, kv.ErrFull) {
-				if replica {
-					vers[nextKey]-- // the write never happened
-				}
+				vers[nextKey]-- // the write never happened
 				return scanOnce(measured)
 			}
 			if err == nil {
-				if replica {
-					if err := wrote(nextKey); err != nil {
-						return err
-					}
+				if err := wrote(nextKey); err != nil {
+					return err
 				}
 				nextKey++
 				count(&res.Inserts)
@@ -380,31 +360,23 @@ func RunKV(db repro.DB, opts KVOptions) (KVResult, error) {
 			return err
 		case (opts.Mix == MixReadHeavy && draw < 95) || (opts.Mix == MixUpdateHeavy && draw < 50):
 			i := r.IntN(kvRecords)
-			if replica {
-				val, rres, err := store.GetAt(key(i), repro.ReadOpts{Mode: mode, Token: tok, Bound: opts.StalenessBound})
-				if err != nil {
-					return err
-				}
-				served(rres, measured)
-				audit(i, binary.BigEndian.Uint64(val[:8]), rres)
-			} else if _, err := store.Get(key(i)); err != nil {
+			val, rres, err := store.GetAt(key(i), readOpts())
+			if err != nil {
 				return err
 			}
+			served(rres, measured)
+			audit(i, binary.BigEndian.Uint64(val[:8]), rres)
 			count(&res.Reads)
 			return nil
 		default:
 			i := r.IntN(kvRecords)
 			fillValue(int64(i) * 31)
-			if replica {
-				stamp(i)
-			}
+			stamp(i)
 			if err := store.Put(key(i), value); err != nil {
 				return err
 			}
-			if replica {
-				if err := wrote(i); err != nil {
-					return err
-				}
+			if err := wrote(i); err != nil {
+				return err
 			}
 			count(&res.Updates)
 			return nil

@@ -6,29 +6,22 @@ import (
 	"repro"
 )
 
-func kvDeployment(t testing.TB, shards int) repro.DB {
+func kvDeployment(t testing.TB, shards int) *repro.Cluster {
 	t.Helper()
-	cfg := repro.Config{
+	c, err := repro.NewSharded(repro.Config{
 		Version: repro.V3InlineLog,
 		Backup:  repro.ActiveBackup,
 		DBSize:  1 << 20,
-	}
-	if shards <= 1 {
-		c, err := repro.New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	sc, err := repro.NewSharded(cfg, shards)
+	}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sc
+	return c
 }
 
-// TestRunKVMixes drives every mix over both facades through the one DB
-// interface and checks the operation accounting.
+// TestRunKVMixes drives every mix in the default mode on one shard and
+// four, and checks the operation accounting and the read audit: every
+// read and scan is counted by who served it, and none is stale.
 func TestRunKVMixes(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		for _, mix := range KVMixes() {
@@ -66,8 +59,43 @@ func TestRunKVMixes(t *testing.T) {
 				if res.Net.Total() == 0 {
 					t.Fatal("no SAN traffic measured on a replicated deployment")
 				}
+				if res.StaleViolations != 0 {
+					t.Fatalf("%d stale-read violations at the primary's view", res.StaleViolations)
+				}
+				if served := res.ReplicaReads + res.PrimaryReads; served != res.Reads+res.Scans {
+					t.Fatalf("%d reads and scans counted by who served them, want %d", served, res.Reads+res.Scans)
+				}
 			})
 		}
+	}
+}
+
+// TestRunKVDefaultModeOnBackups: on readscale's deployment (quorum commit,
+// three backups, a group-commit batch of 96) a backup that has applied all
+// the primary committed serves some default-mode reads, and the audit
+// holds every one of them to the session's latest write.
+func TestRunKVDefaultModeOnBackups(t *testing.T) {
+	c, err := repro.New(repro.Config{
+		Version:     repro.V3InlineLog,
+		Backup:      repro.ActiveBackup,
+		DBSize:      8 << 20,
+		Backups:     3,
+		Safety:      repro.QuorumSafe,
+		CommitBatch: 96,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := RunKV(c, KVOptions{Mix: MixReadHeavy, Ops: 2000, Warmup: 200, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.StaleViolations != 0 {
+		t.Fatalf("%d stale-read violations at the primary's view", res.StaleViolations)
+	}
+	if res.ReplicaReads == 0 || res.ReplicaReads+res.PrimaryReads != res.Reads {
+		t.Fatalf("%d backup-served + %d primary-served reads of %d, want some on backups and all counted",
+			res.ReplicaReads, res.PrimaryReads, res.Reads)
 	}
 }
 

@@ -35,9 +35,9 @@ func RunSharded(sc *repro.ShardedCluster, mk func(dbSize int) (Workload, error),
 			return Result{}, fmt.Errorf("tpc: shard %d populate: %w", i, err)
 		}
 		streams[i] = &stream{
-			db: sc.Shard(i),
-			w:  w,
-			r:  NewRand(opts.Seed + uint64(i)),
+			begin: sc.Shard(i).Begin,
+			w:     w,
+			r:     NewRand(opts.Seed + uint64(i)),
 		}
 	}
 
@@ -74,7 +74,7 @@ func RunSharded(sc *repro.ShardedCluster, mk func(dbSize int) (Workload, error),
 func roundRobin(streams []*stream, count int64) error {
 	for k := int64(0); k < count; k++ {
 		for i, st := range streams {
-			if err := st.one(); err != nil {
+			if err := st.one(false); err != nil {
 				return fmt.Errorf("tpc: shard %d txn %d: %w", i, k, err)
 			}
 		}

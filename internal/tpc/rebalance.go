@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"time"
+
+	"repro"
 )
 
 // RunRebalance drives the elastic-placement experiment end to end:
@@ -79,7 +81,7 @@ type RebalanceResult struct {
 // reserve, runs warmup transactions, and measures the grow → rebalance →
 // grown timeline on the deployment, the workload drawn from seed. Any deployment grows; a Cluster.Shard view refuses
 // the first AddShards with ErrNotElastic.
-func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), warmup int64, seed uint64) (RebalanceResult, error) {
+func RunRebalance(c *repro.Cluster, mk func(dbSize int) (Workload, error), warmup int64, seed uint64) (RebalanceResult, error) {
 	reserve := auditSlots * auditSlot
 	usable := c.DBSize() - reserve
 	if usable <= 0 {
@@ -133,9 +135,9 @@ func RunRebalance(c FaultDB, mk func(dbSize int) (Workload, error), warmup int64
 		return nil
 	}
 
-	st := &stream{db: c, w: w, r: NewRand(seed)}
+	st := &stream{begin: c.Begin, w: w, r: NewRand(seed)}
 	one := func() error {
-		if err := st.one(); err != nil {
+		if err := st.one(false); err != nil {
 			return err
 		}
 		if st.n%auditEvery == 0 {

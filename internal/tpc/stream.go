@@ -7,29 +7,22 @@ import (
 	"repro"
 )
 
-// FaultDB is the driver-facing surface of a deployment under test: the
-// full data plane (repro.DB) plus the fault-injection surface
-// (repro.Admin); *repro.Cluster satisfies it.
-type FaultDB interface {
-	repro.DB
-	repro.Admin
-}
-
-// stream is one deterministic transaction sequence against a DB: the
-// deployment, a workload laid out for it, the stream's generator and its
-// transaction index. It is the single transaction-driving code path every
-// facade-level driver shares — availability, chaos and the sharded
-// multi-client runs all advance their workloads through stream.one.
+// stream is one deterministic transaction sequence: the deployment's Begin,
+// a workload laid out for it, the stream's generator and its transaction
+// index. It is the single transaction-driving code path every driver
+// shares — Run, the timelines, the durability drill and the sharded runs
+// all advance their workloads through stream.one.
 type stream struct {
-	db repro.DB
-	w  Workload
-	r  *rand.Rand
-	n  int64
+	begin func() (repro.Tx, error)
+	w     Workload
+	r     *rand.Rand
+	n     int64
 }
 
-// one executes the stream's next transaction.
-func (s *stream) one() error {
-	tx, err := s.db.Begin()
+// one executes the stream's next transaction, committing it or (for
+// failure injection) aborting it.
+func (s *stream) one(abort bool) error {
+	tx, err := s.begin()
 	if err != nil {
 		return err
 	}
@@ -40,5 +33,8 @@ func (s *stream) one() error {
 		return err
 	}
 	s.n++
+	if abort {
+		return tx.Abort()
+	}
 	return tx.Commit()
 }

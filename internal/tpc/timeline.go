@@ -32,7 +32,7 @@ const maxSettles = 10_000
 // windows while its driver injects faults or topology changes between
 // them.
 type timeline struct {
-	c       FaultDB
+	c       *repro.Cluster
 	one     func() error // runs one transaction of the driver's stream
 	window  time.Duration
 	windows []Window
@@ -44,7 +44,7 @@ type timeline struct {
 
 // startTimeline runs the warm-up transactions (cache and SAN state carry
 // over; counters reset) and returns a timeline at instant zero.
-func startTimeline(c FaultDB, one func() error, window time.Duration, warmup int64) (*timeline, error) {
+func startTimeline(c *repro.Cluster, one func() error, window time.Duration, warmup int64) (*timeline, error) {
 	for i := int64(0); i < warmup; i++ {
 		if err := one(); err != nil {
 			return nil, fmt.Errorf("tpc: warmup txn %d: %w", i, err)

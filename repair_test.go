@@ -248,14 +248,8 @@ func TestRepairLeavesNoBacklog(t *testing.T) {
 	}
 }
 
-// powerFailing is a deployment whose primary crash loses its memory, so the
-// availability timeline heals through a spare and a full transfer.
-type powerFailing struct{ *repro.Cluster }
-
-func (p powerFailing) CrashPrimary() error { return repro.PowerFailPrimary(p.Cluster) }
-
 // TestAvailabilityAfterPowerFail runs the crash→failover→repair timeline with
-// the primary's memory gone. A spare re-seeds in full, so the repair ships
+// the primary's memory gone, so it heals through a spare and a full transfer. A spare re-seeds in full, so the repair ships
 // bytes and takes time. Under 1-safe commits flow in every repair window and
 // the dip stays above zero; under 2-safe with the only backup being the
 // joiner, the group refuses service until the cut-over, so repair windows are
@@ -287,7 +281,7 @@ func TestAvailabilityAfterPowerFail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := tpc.RunAvailability(powerFailing{c}, w, 100, 3)
+			res, err := tpc.RunAvailability(c, func() error { return repro.PowerFailPrimary(c) }, w, 100, 3)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -266,20 +266,7 @@ type AutopilotConfig struct {
 
 // Tx is one open transaction: the paper's RVM-style API (Section 2.1).
 // Writes must fall inside a declared range.
-type Tx interface {
-	// SetRange declares that [off, off+n) of the database may be
-	// modified, capturing undo information.
-	SetRange(off, n int) error
-	// Write stores src at database offset off, in place.
-	Write(off int, src []byte) error
-	// Read loads database bytes (reads are allowed anywhere).
-	Read(off int, dst []byte) error
-	// Commit makes the transaction durable (1-safe: it does not wait
-	// for the backup).
-	Commit() error
-	// Abort rolls the transaction back.
-	Abort() error
-}
+type Tx = replication.TxHandle
 
 // Traffic is the SAN byte breakdown of paper Tables 2, 5 and 7, plus the
 // state-transfer traffic of an online repair and the control-plane traffic
