@@ -74,7 +74,11 @@ tables:
 # Lowered 20959 -> 20812 by one path per measurement, which pays those 38
 # lines back: one transaction interface, one executor and one deployment
 # type for the drivers, one memoized cell runner, one audited kv read path.
-LOC_CEILING := 20812
+# Raised 20812 -> 20839 for the two-stage seal: a scope's seal records its
+# acknowledgement instant in the measured interval instead of idling the
+# primary to it, and every other flush settles it; ROADMAP item 19's diet
+# is the payback.
+LOC_CEILING := 20839
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

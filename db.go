@@ -61,8 +61,8 @@ type DB interface {
 	// DeferAcks opens an acknowledgement-deferral scope on every shard:
 	// until the scope's Seal, commits join the open group-commit batch
 	// without sealing it by count, whatever Config.CommitBatch says, and
-	// Seal pays the one pointer publish, acknowledgement wait and disk
-	// sync for all of them. Commit returns at the local (1-safe) commit
+	// Seal pays the one pointer publish, acknowledgement round trip and
+	// disk sync for all of them. Commit returns at the local (1-safe) commit
 	// point inside a scope; nothing committed there may be acknowledged
 	// to anyone before Seal returns nil. If a primary dies holding such
 	// commits, Begin refuses with ErrCrashed until the scope has sealed —

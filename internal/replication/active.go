@@ -214,10 +214,10 @@ func (c *redoChannel) ship(t *groupTx) error {
 }
 
 // flush publishes the producer pointer covering every record written since
-// the last flush, waits for the batch's acknowledgements under
-// TwoSafe/QuorumSafe, and lets the backups apply the delivered stream. One
-// pointer packet and one ack round trip amortize over the whole batch —
-// the group-commit lever.
+// the last flush, records when its TwoSafe/QuorumSafe acknowledgement
+// arrives, and lets the backups apply the delivered stream. One pointer
+// packet and one ack round trip amortize over the whole batch — the
+// group-commit lever.
 func (c *redoChannel) flush() error {
 	g := c.g
 	if c.prodTotal == c.pubTotal {
@@ -251,7 +251,7 @@ func (c *redoChannel) flush() error {
 
 	var ackErr error
 	if g.cfg.Safety != OneSafe {
-		// Hold the commit until enough backups have applied the batch
+		// Release the commit once enough backups have applied the batch
 		// and their acknowledgements have crossed back — the pointer
 		// must actually leave the write buffers first.
 		acc.Fence()
@@ -270,7 +270,7 @@ func (c *redoChannel) flush() error {
 			ackErr = err
 		} else {
 			g.payRepairLocked(at, false)
-			g.primary.Clock.AdvanceTo(at)
+			g.servingRef.Load().acked.AdvanceTo(at)
 		}
 	}
 

@@ -418,7 +418,9 @@ func (g *Group) autoFailoverLocked() error {
 	// historical reset behavior).
 	if now := g.primary.Clock.Now(); now > old.origin {
 		g.interval = interval
-		g.servingRef.Store(&measureRef{node: g.primary, origin: old.origin, readers: old.readers})
+		next := *g.servingRef.Load()
+		next.origin, next.readers = old.origin, old.readers
+		g.servingRef.Store(&next)
 	}
 	a.events = append(a.events, ev)
 	a.open = append(a.open, len(a.events)-1)

@@ -279,8 +279,8 @@ func (g *Group) joinBatchLocked() error {
 
 // Flush seals and ships the open group-commit batch: the redo-ring
 // producer pointer is published (active scheme) or the write buffers fenced
-// (passive scheme), and under TwoSafe/QuorumSafe the batch's single
-// acknowledgement wait is charged. A no-op when no commits are pending.
+// (passive scheme), and under TwoSafe/QuorumSafe the serving clock idles
+// until it and any batch a scope sealed before it are acknowledged.
 func (g *Group) Flush() error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -291,19 +291,22 @@ func (g *Group) Flush() error {
 // commits join the open batch without sealing it by count, so a caller
 // that acknowledges a run of back-to-back transactions together — a
 // server answering a pipelined burst — pays one pointer publish, one
-// acknowledgement wait and one disk sync for the run, whatever CommitBatch
-// says. Sealing sooner is always safe, so the ring-capacity guard of the
-// active commit path, Flush, Settle and Repair keep sealing inside a
-// scope. Scopes nest; count-based sealing resumes when the last closes.
+// acknowledgement round trip and one disk sync for the run, whatever
+// CommitBatch says. Sealing sooner is always safe, so the ring-capacity
+// guard of the active commit path, Flush, Settle and Repair keep sealing
+// inside a scope. Scopes nest; count-based sealing resumes when the last
+// closes.
 func (g *Group) Defer() {
 	g.mu.Lock()
 	g.deferDepth++
 	g.mu.Unlock()
 }
 
-// Seal closes the scope the matching Defer opened and flushes the open
-// batch. The seal is bound to its scope: if a primary died while a scope
-// held unsealed commits — no delivered pointer ever named them, so no
+// Seal closes the scope the matching Defer opened and seals the open batch
+// without idling the serving clock through its acknowledgement: the
+// caller's responses wait for it, the primary runs the next group (see
+// sealLocked). The seal is bound to its scope: if a primary died while a
+// scope held unsealed commits — no delivered pointer ever named them, so no
 // survivor has them — Seal returns ErrCrashed, Failover or no Failover in
 // between. From that death until the last open scope has sealed, Begin
 // refuses with ErrCrashed as well (the autopilot's unattended takeover
@@ -320,13 +323,23 @@ func (g *Group) Seal() error {
 		}
 		return ErrCrashed
 	}
-	return g.flushLocked()
+	return g.sealLocked()
 }
 
-// flushLocked ships the pending batch. Commits left in an unflushed batch
-// at a primary crash are lost exactly like the paper's 1-safe window —
-// Crash deliberately does not flush.
+// flushLocked seals the pending batch and idles the serving clock until
+// every sealed batch is acknowledged. Commits left in an unflushed batch at
+// a primary crash are lost exactly like the paper's 1-safe window — Crash
+// deliberately does not flush.
 func (g *Group) flushLocked() error {
+	err := g.sealLocked()
+	g.servingRef.Load().settle()
+	return err
+}
+
+// sealLocked ships the pending batch, fenced to the backups, and records its
+// acknowledgement instant in measureRef.acked without waiting for it: a
+// scope's Seal stops here, so the next group runs while it crosses back.
+func (g *Group) sealLocked() error {
 	if g.batchCount == 0 {
 		return nil
 	}
@@ -352,7 +365,8 @@ func (g *Group) flushLocked() error {
 		err = derr
 	}
 	if g.obs != nil && err == nil {
-		g.observeFlush(batch, opened, sealed, int64(g.primary.Clock.Now()))
+		released := max(g.primary.Clock.Now(), g.servingRef.Load().acked.Now())
+		g.observeFlush(batch, opened, sealed, int64(released))
 	}
 	return err
 }
@@ -379,7 +393,7 @@ func (g *Group) flushPassiveLocked() error {
 		return err
 	}
 	g.payRepairLocked(at, false)
-	g.primary.Clock.AdvanceTo(at)
+	g.servingRef.Load().acked.AdvanceTo(at)
 	return nil
 }
 

@@ -20,3 +20,7 @@ func (g *Group) SetBackupEpochForTest(i, epoch int) {
 // Busy returns the node's busy time: the records it applied and the reads
 // it served as a backup.
 func (n *Node) Busy() sim.Time { return n.busy.Now() }
+
+// AckedAt returns the measured interval's outstanding acknowledgement
+// instant: the latest a seal left in flight, zero before any.
+func (g *Group) AckedAt() sim.Time { return g.servingRef.Load().acked.Now() }

@@ -134,13 +134,18 @@ type Group struct {
 
 // measureRef is the measured interval as Elapsed reads it, in one atomic
 // load: the serving node with its clock reading when the interval began,
-// and each backup that served a read in the interval with its busy reading
-// then (see Node.busy). It is replaced, never mutated.
+// the latest acknowledgement instant it sealed (acked, shared by the
+// copies), and each backup that served a read in the interval with its
+// busy reading then (see Node.busy). It is replaced, never mutated.
 type measureRef struct {
 	node    *Node
 	origin  sim.Time
+	acked   *sim.Clock
 	readers []measureRef
 }
+
+// settle idles the serving node until its outstanding acknowledgement.
+func (r *measureRef) settle() { r.node.Clock.AdvanceTo(r.acked.Now()) }
 
 // NewGroup constructs and wires a deployment of cfg.Backups replicas.
 func NewGroup(cfg Config) (*Group, error) {
@@ -456,10 +461,14 @@ func (g *Group) resetMeasurementLocked() {
 	if g.link != nil {
 		g.link.ResetStats()
 	}
-	// No backup has served a read in the new interval yet: one that does
-	// joins it then (see noteReaderLocked).
+	// An acknowledgement in flight is settled on the node that sealed it. No
+	// backup has served a read in the new interval yet: one that does joins
+	// it then (see noteReaderLocked).
+	if r := g.servingRef.Load(); r != nil {
+		r.settle()
+	}
 	g.interval++
-	g.servingRef.Store(&measureRef{node: g.primary, origin: g.primary.Clock.Now()})
+	g.servingRef.Store(&measureRef{node: g.primary, origin: g.primary.Clock.Now(), acked: new(sim.Clock)})
 }
 
 // workLocked charges d of backup work to node n's busy time, marking where
@@ -486,16 +495,16 @@ func (g *Group) noteReaderLocked(n *Node) {
 }
 
 // Elapsed returns the simulated time of the measured interval since the
-// last ResetMeasurement: the longest of the serving node's span and the
-// work (Node.busy) of every backup that served a read in it. The primary
-// and its read views run in parallel on their own CPUs (like the shards of
-// a Cluster), so the interval lasts as long as its busiest node. Lock-free:
-// safe to sample while transactions run — the nodes and their origins are
-// read as one atomic value, so a concurrent failover can never mix two
-// timelines.
+// last ResetMeasurement: the longest of the serving node's span (through
+// the acknowledgement a seal left in flight) and the work (Node.busy) of
+// every backup that served a read in it. The primary and its read views run
+// in parallel on their own CPUs (like the shards of a Cluster), so the
+// interval lasts as long as its busiest node. Lock-free: safe to sample
+// while transactions run — the nodes and their origins are read as one
+// atomic value, so a concurrent failover can never mix two timelines.
 func (g *Group) Elapsed() sim.Time {
 	r := g.servingRef.Load()
-	e := r.node.Clock.Now() - r.origin
+	e := max(r.node.Clock.Now(), r.acked.Now()) - r.origin
 	for _, rd := range r.readers {
 		e = max(e, rd.node.busy.Now()-rd.origin)
 	}

@@ -425,11 +425,12 @@ func TestElapsedCarriesReadersAcrossTakeover(t *testing.T) {
 }
 
 // TestElapsedBesideReplicaReads: Elapsed is sampled from another goroutine
-// while commits, backup-served reads and resets publish new read servers —
+// while commits, scope seals that leave their acknowledgement in flight,
+// backup-served reads and resets publish new read servers and instants —
 // the -race passes' check that the published (clock, origin) pairs need
 // no lock.
 func TestElapsedBesideReplicaReads(t *testing.T) {
-	g := newGroup(t, replication.Active, 2, replication.OneSafe)
+	g := newGroup(t, replication.Active, 2, replication.QuorumSafe)
 	stop, first := make(chan struct{}), make(chan struct{})
 	sampled := make(chan int)
 	go func() {
@@ -455,7 +456,15 @@ func TestElapsedBesideReplicaReads(t *testing.T) {
 	dst := make([]byte, 64)
 	bounded := replication.ReadSpec{Mode: replication.ReadBounded, Bound: 1 << 20}
 	for i := 0; i < 300; i++ {
+		if i%3 == 0 {
+			g.Defer()
+		}
 		commitSlot(t, g, i%8, byte(i))
+		if i%3 == 2 {
+			if err := g.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if i%4 == 0 {
 			g.Settle(g.QuiesceGrace())
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/replication"
 )
 
 func kvDeployment(t testing.TB, shards int) *repro.Cluster {
@@ -122,39 +123,51 @@ func TestRunKVDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunKVBurst: at quorum commit the acknowledgement wait is what a seal
-// costs, so the same PUTs take less simulated time and fewer SAN bytes the
-// more of them share one — and a burst of one is already the whole
-// accounting.
+// TestRunKVBurst: at quorum commit a scope's seal publishes once and its
+// acknowledgement crosses back while the primary runs the next burst, so
+// what a longer burst still buys is fewer seals: one acknowledgement round
+// trip per burst, fewer SAN bytes per PUT, and never less simulated
+// throughput — and a burst of one is already the whole accounting.
 func TestRunKVBurst(t *testing.T) {
-	run := func(burst int) KVResult {
+	const ops = 800
+	run := func(burst int) (KVResult, uint64) {
 		db, err := repro.New(repro.Config{
 			Version: repro.V3InlineLog,
 			Backup:  repro.ActiveBackup,
 			DBSize:  1 << 20,
 			Backups: 2,
 			Safety:  repro.QuorumSafe,
+			Metrics: true,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunKVBurst(db, KVOptions{Ops: 800, Warmup: 50, Seed: 11}, burst)
+		res, err := RunKVBurst(db, KVOptions{Ops: ops, Warmup: 50, Seed: 11}, burst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Updates != 800 || res.Keys != kvRecords {
-			t.Fatalf("burst %d: %d updates over %d keys, want 800 over %d", burst, res.Updates, res.Keys, kvRecords)
+		if res.Updates != ops || res.Keys != kvRecords {
+			t.Fatalf("burst %d: %d updates over %d keys, want %d over %d", burst, res.Updates, res.Keys, ops, kvRecords)
 		}
-		return res
+		return res, db.Metrics().Counter(replication.MetricCommitBatches)
 	}
-	one, eight := run(1), run(8)
-	if eight.OPS < 2*one.OPS {
-		t.Fatalf("8 PUTs per seal ran at %.0f sim-ops/s, not twice the %.0f of one per seal", eight.OPS, one.OPS)
+	var prev KVResult
+	for _, burst := range []int{1, 2, 4, 8, 16} {
+		res, seals := run(burst)
+		if seals != ops/uint64(burst) {
+			t.Fatalf("burst %d: %d acknowledgement round trips for %d PUTs, want %d", burst, seals, ops, ops/burst)
+		}
+		if burst > 1 {
+			if res.BytesPerOp() >= prev.BytesPerOp() {
+				t.Fatalf("burst %d shipped %.1f B/PUT, not fewer than the %.1f of burst %d", burst, res.BytesPerOp(), prev.BytesPerOp(), burst/2)
+			}
+			if res.OPS < prev.OPS {
+				t.Fatalf("burst %d ran at %.0f sim-ops/s, below the %.0f of burst %d", burst, res.OPS, prev.OPS, burst/2)
+			}
+		}
+		prev = res
 	}
-	if eight.BytesPerOp() >= one.BytesPerOp() {
-		t.Fatalf("8 PUTs per seal shipped %.1f B/PUT, not fewer than the %.1f of one per seal", eight.BytesPerOp(), one.BytesPerOp())
-	}
-	if again := run(8); again != eight {
-		t.Fatalf("run not deterministic:\n  %+v\n  %+v", eight, again)
+	if again, _ := run(16); again != prev {
+		t.Fatalf("run not deterministic:\n  %+v\n  %+v", prev, again)
 	}
 }

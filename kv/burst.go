@@ -4,13 +4,15 @@ import "repro"
 
 // Burst runs a sequence of operations as one unit of acknowledgement: it
 // takes the store at its first operation and holds it through Seal, and on
-// a one-shard deployment the mutations' acknowledgement wait is deferred to
-// that Seal — one pointer publish, one quorum wait, one WAL sync for all of
-// them (see repro.DB.DeferAcks). It is what a server answering a pipelined
-// burst of requests uses: no result of a burst operation — reads included —
-// may be shown to anyone before Seal has returned nil. Because the burst
-// holds the store, no other caller can observe a write whose seal is still
-// pending, and a Get inside the burst sees the burst's own writes.
+// a one-shard deployment the mutations' acknowledgement is deferred to that
+// Seal — one pointer publish, one quorum round trip, one WAL sync for all
+// of them (see repro.DB.DeferAcks). The primary runs the next burst while
+// that round trip crosses back, so a longer burst buys fewer seals — SAN
+// bytes and syncs — not less waiting. It is what a server answering a
+// pipelined burst of requests uses: no result of a burst operation — reads
+// included — may be shown to anyone before Seal has returned nil. Because
+// the burst holds the store, no other caller can observe a write whose seal
+// is still pending, and a Get inside the burst sees the burst's own writes.
 //
 // On a multi-shard deployment the burst only holds the store and every
 // commit keeps its own wait. Nothing about ordering requires that — a

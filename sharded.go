@@ -677,8 +677,8 @@ func (c *Cluster) DeferAcks() AckScope {
 }
 
 // Seal closes the scope: every shard's open batch is published, its
-// acknowledgements awaited and, on a durable deployment, its WAL synced,
-// once. ErrSafetyUnavailable means what it means from Commit: committed
+// acknowledgement left in flight and, on a durable deployment, its WAL
+// synced, once. ErrSafetyUnavailable means what it means from Commit: committed
 // on the serving node, acknowledgement discipline not met. ErrCrashed
 // means a primary died while the scope held unsealed commits: they are
 // lost — no survivor has them — nothing committed inside the scope may be
