@@ -77,8 +77,9 @@ tables:
 # Raised 20812 -> 20839 for the two-stage seal: a scope's seal records its
 # acknowledgement instant in the measured interval instead of idling the
 # primary to it, and every other flush settles it; ROADMAP item 19's diet
-# is the payback.
-LOC_CEILING := 20839
+# is the payback. Lowered 20839 -> 20673 by one fault driver: the
+# availability, chaos and rebalance cells are step lists of tpc.Drill.
+LOC_CEILING := 20673
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"time"
 
 	"repro"
 	"repro/internal/tpc"
@@ -39,11 +40,14 @@ func runAvailability(cfg RunConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	warm := cfg.Warmup
-	if warm > 2000 {
-		warm = 2000
+	one, err := tpc.Stream(c, w, cfg.Seed, nil)
+	if err != nil {
+		return nil, err
 	}
-	res, err := tpc.RunAvailability(c, c.CrashPrimary, w, warm, cfg.Seed)
+	windows, err := tpc.Drill(c, one, 10*time.Millisecond, min(cfg.Warmup, 2000),
+		tpc.Step{Phase: "healthy", Windows: 3},
+		tpc.CrashRepair((*repro.Cluster).CrashPrimary),
+		tpc.Step{Phase: "restored", Windows: 3})
 	if err != nil {
 		return nil, err
 	}
@@ -57,14 +61,18 @@ func runAvailability(cfg RunConfig) (*Table, error) {
 			fmt.Sprintf("active backup, K=2, 1-safe commit, %d MB database, 10 ms windows", db>>20),
 			"repair = between the primary crash and the online repair's cut-over; Restored after = crash to full redundancy"),
 	}
+	_, base, _ := tpc.PhaseStats(windows, "healthy")
 	for _, phase := range []string{"healthy", "repair", "restored"} {
-		n, mean, worst := tpc.PhaseStats(res.Windows, phase)
+		n, mean, worst := tpc.PhaseStats(windows, phase)
 		row := []string{phase, fmt.Sprintf("%d", n), f0(mean), f0(worst),
-			fmt.Sprintf("%.2fx", mean/res.BaseTPS), "-", "-", "-"}
+			fmt.Sprintf("%.2fx", mean/base), "-", "-", "-"}
 		if phase == "repair" {
-			row[5] = f1(res.RepairDur.Seconds() * 1e3)
-			row[6] = fmt.Sprintf("%d", res.RepairBytes)
-			row[7] = f1((res.RestoredAt - res.CrashAt).Seconds() * 1e3)
+			// The repair starts at the crash, so its duration is also
+			// the time back to full redundancy.
+			p := c.RepairProgress()
+			row[5] = f1(p.Elapsed.Seconds() * 1e3)
+			row[6] = fmt.Sprintf("%d", p.BytesShipped)
+			row[7] = row[5]
 		}
 		t.Rows = append(t.Rows, row)
 	}

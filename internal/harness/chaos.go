@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"repro"
@@ -28,7 +29,7 @@ func runChaos(cfg RunConfig) (*Table, error) {
 	const (
 		db      = 8 << 20
 		backups = 3
-		events  = 4
+		faults  = 4
 	)
 	hb := 50 * time.Microsecond
 	suspect := 4 * hb // the autopilot's fixed Suspect threshold
@@ -41,7 +42,7 @@ func runChaos(cfg RunConfig) (*Table, error) {
 			HeartbeatPeriod: hb,
 			AutoFailover:    true,
 			AutoRepair:      true,
-			Spares:          2 * events,
+			Spares:          2 * faults,
 		},
 	})
 	if err != nil {
@@ -51,32 +52,63 @@ func runChaos(cfg RunConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	warm := cfg.Warmup
-	if warm > 2000 {
-		warm = 2000
-	}
-	res, err := tpc.RunChaos(c, w, warm, cfg.Seed)
+	ch, err := tpc.NewChaos(c, cfg.Seed)
 	if err != nil {
 		return nil, err
+	}
+	one, err := tpc.Stream(c, w, cfg.Seed, nil)
+	if err != nil {
+		return nil, err
+	}
+	windows, err := tpc.Drill(c, one, 5*time.Millisecond, min(cfg.Warmup, 2000),
+		tpc.Step{Phase: "healthy", Windows: 2}, ch.Step(), tpc.Step{Phase: "tail", Windows: 2})
+	if err != nil {
+		return nil, err
+	}
+	events := c.AutopilotEvents()
+	_, base, _ := tpc.PhaseStats(windows, "healthy")
+	_, _, worst := tpc.PhaseStats(windows, "chaos", "tail")
+	// Detection latency over every event; time to restored over the
+	// events whose repair completed.
+	var mttd, maxMTTD, mttr, maxMTTR time.Duration
+	restored := 0
+	for _, e := range events {
+		mttd += e.MTTD()
+		maxMTTD = max(maxMTTD, e.MTTD())
+		if r := e.MTTR(); r > 0 {
+			mttr += r
+			maxMTTR = max(maxMTTR, r)
+			restored++
+		}
+	}
+	mean := func(sum time.Duration, n int) time.Duration {
+		if n == 0 {
+			return 0
+		}
+		return sum / time.Duration(n)
 	}
 
 	ms := func(d time.Duration) string { return fmt.Sprintf("%.2f", d.Seconds()*1e3) }
 	us := func(d time.Duration) string { return fmt.Sprintf("%.1f", d.Seconds()*1e6) }
+	kinds := make([]string, len(ch.Injected))
+	for i, f := range ch.Injected {
+		kinds[i] = f.Kind
+	}
 	t := &Table{
 		ID:      "chaos",
 		Title:   "Unattended chaos run: per-event fault timeline (Debit-Credit workload)",
 		Headers: []string{"Event", "Kind", "Node", "Failed (ms)", "MTTD (us)", "Failover (us)", "Repair (ms)", "Repair bytes", "MTTR (ms)"},
 		Notes: append(runNotes(cfg),
 			fmt.Sprintf("active backup, K=%d, 1-safe commit, %d MB database, autopilot: heartbeat %v, suspect %v, %d spares",
-				backups, db>>20, hb, suspect, 2*events),
-			fmt.Sprintf("schedule: %d seeded injections (%s); zero manual Failover/Repair calls", len(res.Injected), injectedKinds(res.Injected)),
+				backups, db>>20, hb, suspect, 2*faults),
+			fmt.Sprintf("schedule: %d seeded injections (%s); zero manual Failover/Repair calls", len(ch.Injected), strings.Join(kinds, ", ")),
 			fmt.Sprintf("detection: mean MTTD %s us (max %s, bound %s); restoration: %d/%d events, mean MTTR %s ms (max %s)",
-				us(res.MeanMTTD), us(res.MaxMTTD), us(suspect+hb), res.Restored, len(res.Events), ms(res.MeanMTTR), ms(res.MaxMTTR)),
+				us(mean(mttd, len(events))), us(maxMTTD), us(suspect+hb), restored, len(events), ms(mean(mttr, restored)), ms(maxMTTR)),
 			fmt.Sprintf("throughput: healthy %.0f txn/s, worst window %.0f txn/s (%.0f%% of baseline), %d committed",
-				res.BaseTPS, res.MinTPS, 100*res.MinTPS/res.BaseTPS, res.Committed),
+				base, worst, 100*worst/base, c.Committed()),
 		),
 	}
-	for i, e := range res.Events {
+	for i, e := range events {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", i),
 			e.Kind,
@@ -90,15 +122,4 @@ func runChaos(cfg RunConfig) (*Table, error) {
 		})
 	}
 	return t, nil
-}
-
-func injectedKinds(faults []tpc.InjectedFault) string {
-	s := ""
-	for i, f := range faults {
-		if i > 0 {
-			s += ", "
-		}
-		s += f.Kind
-	}
-	return s
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"time"
 
 	"repro"
 	"repro/internal/tpc"
@@ -34,18 +35,31 @@ func runRebalance(cfg RunConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := tpc.RunRebalance(sc, func(dbSize int) (tpc.Workload, error) {
-		return tpc.NewDebitCredit(dbSize)
-	}, cfg.Warmup, cfg.Seed)
+	// The ledger's stamps ride the stream; its slots sit past the
+	// workload's layout.
+	l, err := tpc.NewLedger(sc)
 	if err != nil {
 		return nil, err
 	}
-
-	if res.LostAckedWrites != 0 {
-		return nil, fmt.Errorf("harness: rebalance lost %d acked writes", res.LostAckedWrites)
+	w, err := tpc.NewDebitCredit(l.Base())
+	if err != nil {
+		return nil, err
+	}
+	one, err := tpc.Stream(sc, w, cfg.Seed, l)
+	if err != nil {
+		return nil, err
+	}
+	phases := []string{"baseline", "grow-4", "grow-8", "final"}
+	windows, err := tpc.Drill(sc, one, 10*time.Millisecond, cfg.Warmup,
+		tpc.Step{Phase: "baseline", Windows: 3}, tpc.Grow(4), tpc.Grow(8), tpc.Step{Phase: "final", Windows: 3})
+	if err != nil {
+		return nil, err
+	}
+	lost := l.Lost()
+	if lost != 0 {
+		return nil, fmt.Errorf("harness: rebalance lost %d acked writes", lost)
 	}
 
-	phases := []string{"baseline", "grow-4", "grow-8", "final"}
 	t := &Table{
 		ID:    "rebalance",
 		Title: "Debit-Credit throughput (txns/sec) while the deployment grows online",
@@ -57,21 +71,23 @@ func runRebalance(cfg RunConfig) (*Table, error) {
 			fmt.Sprintf("the run row covers every window and carries the migration totals and the acked-write audit (Lost acked must be 0); %d cut-over stalls",
 				sc.RebalanceProgress().Stalls)),
 	}
+	_, base, _ := tpc.PhaseStats(windows, "baseline")
 	row := func(name string, phases ...string) []string {
-		n, mean, worst := tpc.PhaseStats(res.Windows, phases...)
+		n, mean, worst := tpc.PhaseStats(windows, phases...)
 		return []string{name, fmt.Sprintf("%d", n), f0(mean), f0(worst),
-			fmt.Sprintf("%.2fx", mean/res.BaseTPS), "-", "-", "-", "-", "-"}
+			fmt.Sprintf("%.2fx", mean/base), "-", "-", "-", "-", "-"}
 	}
 	for _, phase := range phases {
 		t.Rows = append(t.Rows, row(phase, phase))
 	}
+	snap := sc.Metrics()
 	run := row("run", phases...)
 	copy(run[5:], []string{
-		fmt.Sprintf("%d", res.RangesMoved),
-		fmt.Sprintf("%d", res.BytesShipped),
-		fmt.Sprintf("%d", res.PlacementEpoch),
-		fmt.Sprintf("%d", res.AuditWrites),
-		fmt.Sprintf("%d", res.LostAckedWrites),
+		fmt.Sprintf("%d", snap.Counter("place.ranges_moved")),
+		fmt.Sprintf("%d", snap.Counter("place.bytes_shipped")),
+		fmt.Sprintf("%d", sc.PlacementEpoch()),
+		fmt.Sprintf("%d", l.Acked()),
+		fmt.Sprintf("%d", lost),
 	})
 	t.Rows = append(t.Rows, run)
 	return t, nil

@@ -2,21 +2,23 @@ package tpc_test
 
 import (
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/tpc"
 )
 
-// TestRunAvailabilityTimeline runs a small crash→failover→repair timeline
-// and checks the shape of the measured curve: a healthy baseline, a repair
-// phase, a restored tail, commits flowing in every repair window (the
-// non-blocking property at driver level), and an availability dip below the
-// baseline. The crashed primary re-joins from its own memory. Under 1-safe it holds commits the survivor never saw, so
-// the repair has real bytes to ship; under 2-safe every commit it made
-// reached its only backup, so it re-joins at the failover instant with
-// nothing to ship, and the group that would refuse service while degraded
-// never is. The root package's TestAvailabilityAfterPowerFail runs the same
-// timeline with the primary's memory lost, where a 2-safe group does refuse.
+// TestRunAvailabilityTimeline drills a small crash→failover→repair
+// timeline and checks the shape of the measured curve: a healthy baseline,
+// a repair phase, a restored tail, commits flowing in every repair window
+// (the non-blocking property at driver level), and an availability dip
+// below the baseline. The crashed primary re-joins from its own memory.
+// Under 1-safe it holds commits the survivor never saw, so the repair has
+// real bytes to ship; under 2-safe every commit it made reached its only
+// backup, so it re-joins at the failover instant with nothing to ship, and
+// the group that would refuse service while degraded never is. The root
+// package's TestAvailabilityAfterPowerFail drills the same schedule with
+// the primary's memory lost, where a 2-safe group does refuse.
 func TestRunAvailabilityTimeline(t *testing.T) {
 	const db = 4 << 20
 	for _, tc := range []struct {
@@ -39,26 +41,28 @@ func TestRunAvailabilityTimeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, err := tpc.NewDebitCredit(db)
+			windows, err := drillDC(c, nil, 3, 100, 10*time.Millisecond,
+				tpc.Step{Phase: "healthy", Windows: 3},
+				tpc.CrashRepair((*repro.Cluster).CrashPrimary),
+				tpc.Step{Phase: "restored", Windows: 3})
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := tpc.RunAvailability(c, c.CrashPrimary, w, 100, 3)
-			if err != nil {
-				t.Fatal(err)
+			_, base, _ := tpc.PhaseStats(windows, "healthy")
+			_, _, dip := tpc.PhaseStats(windows, "repair")
+			if base <= 0 {
+				t.Fatalf("no healthy baseline: %+v", windows)
 			}
-			if res.BaseTPS <= 0 {
-				t.Fatalf("no healthy baseline: %+v", res)
+			p := c.RepairProgress()
+			if shipped := p.BytesShipped > 0 && p.Elapsed > 0; shipped != tc.ships {
+				t.Fatalf("repair shipped %d bytes in %v, want bytes: %v", p.BytesShipped, p.Elapsed, tc.ships)
 			}
-			if shipped := res.RepairBytes > 0 && res.RepairDur > 0; shipped != tc.ships {
-				t.Fatalf("repair shipped %d bytes in %v, want bytes: %v", res.RepairBytes, res.RepairDur, tc.ships)
-			}
-			if res.RestoredAt < res.CrashAt || (tc.ships && res.RestoredAt == res.CrashAt) {
-				t.Fatalf("restoration instant %v against the crash %v", res.RestoredAt, res.CrashAt)
+			if p.Active || p.Elapsed < 0 {
+				t.Fatalf("repair not through after the drill: %+v", p)
 			}
 			phases := map[string]int{}
 			lastPhase := ""
-			for _, win := range res.Windows {
+			for _, win := range windows {
 				phases[win.Phase]++
 				switch {
 				case win.Phase == "healthy" && lastPhase != "" && lastPhase != "healthy":
@@ -74,8 +78,8 @@ func TestRunAvailabilityTimeline(t *testing.T) {
 			if phases["healthy"] != 3 || phases["restored"] != 3 || phases["repair"] == 0 {
 				t.Fatalf("unexpected phase mix: %v", phases)
 			}
-			if res.MinTPS <= 0 || res.MinTPS >= res.BaseTPS {
-				t.Fatalf("no availability dip: min %f, base %f", res.MinTPS, res.BaseTPS)
+			if dip <= 0 || dip >= base {
+				t.Fatalf("no availability dip: min %f, base %f", dip, base)
 			}
 		})
 	}

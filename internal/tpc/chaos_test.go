@@ -1,6 +1,7 @@
 package tpc_test
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -28,6 +29,22 @@ func chaosCluster(t *testing.T, db int) *repro.Cluster {
 	return c
 }
 
+// chaosDrill drills the chaos cell's schedule on c: two healthy windows,
+// the seeded chaos step, two strict tail windows.
+func chaosDrill(t *testing.T, c *repro.Cluster, warmup int64, seed uint64) ([]tpc.Window, *tpc.Chaos) {
+	t.Helper()
+	ch, err := tpc.NewChaos(c, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	windows, err := drillDC(c, nil, seed, warmup, 5*time.Millisecond,
+		tpc.Step{Phase: "healthy", Windows: 2}, ch.Step(), tpc.Step{Phase: "tail", Windows: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return windows, ch
+}
+
 func TestRunChaosNeedsAutopilot(t *testing.T) {
 	c, err := repro.New(repro.Config{
 		Version: repro.V3InlineLog,
@@ -37,94 +54,69 @@ func TestRunChaosNeedsAutopilot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := tpc.NewDebitCredit(4 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tpc.RunChaos(c, w, 0, 1); err == nil {
+	if _, err := tpc.NewChaos(c, 1); err == nil {
 		t.Fatal("chaos accepted a cluster without autopilot")
 	}
 }
 
 func TestRunChaosUnattended(t *testing.T) {
-	const db = 4 << 20
-	c := chaosCluster(t, db)
-	w, err := tpc.NewDebitCredit(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tpc.RunChaos(c, w, 200, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Injected) < 4 || len(res.Injected) > 8 {
+	c := chaosCluster(t, 4<<20)
+	windows, ch := chaosDrill(t, c, 200, 7)
+	if len(ch.Injected) < 4 || len(ch.Injected) > 8 {
 		// Four events; a crash-during-repair may land as two injections
 		// (backup then mid-repair primary).
-		t.Fatalf("injected %d faults: %+v", len(res.Injected), res.Injected)
+		t.Fatalf("injected %d faults: %+v", len(ch.Injected), ch.Injected)
 	}
-	if len(res.Events) == 0 {
+	events := c.AutopilotEvents()
+	if len(events) == 0 {
 		t.Fatal("no autopilot events recorded")
-	}
-	if res.MeanMTTD <= 0 || res.MaxMTTD < res.MeanMTTD {
-		t.Fatalf("MTTD aggregates inconsistent: mean %v max %v", res.MeanMTTD, res.MaxMTTD)
 	}
 	// Detection latency bound: Suspect after four heartbeat periods, Dead
 	// one beat later.
-	if bound := 250 * time.Microsecond; res.MaxMTTD > bound {
-		t.Fatalf("MaxMTTD %v exceeds bound %v", res.MaxMTTD, bound)
-	}
-	if res.Restored == 0 || res.MeanMTTR <= 0 {
-		t.Fatalf("no restorations recorded: %+v", res)
-	}
-	if res.BaseTPS <= 0 {
-		t.Fatalf("baseline tps %v", res.BaseTPS)
-	}
-	// The tail windows prove committed throughput recovered.
-	var tail float64
-	var tailN int
-	for _, win := range res.Windows {
-		if win.Phase == "tail" {
-			tail += win.TPS
-			tailN++
+	restored := 0
+	for _, e := range events {
+		if d := e.MTTD(); d <= 0 || d > 250*time.Microsecond {
+			t.Fatalf("MTTD %v outside (0, 250us]: %+v", d, e)
+		}
+		if e.MTTR() > 0 {
+			restored++
 		}
 	}
-	if tailN == 0 || tail/float64(tailN) < res.BaseTPS/4 {
-		t.Fatalf("throughput never recovered: tail %.0f vs base %.0f", tail/float64(tailN), res.BaseTPS)
+	if restored == 0 {
+		t.Fatalf("no restorations recorded: %+v", events)
+	}
+	_, base, _ := tpc.PhaseStats(windows, "healthy")
+	if base <= 0 {
+		t.Fatalf("baseline tps %v", base)
+	}
+	// The tail windows prove committed throughput recovered.
+	if n, tail, _ := tpc.PhaseStats(windows, "tail"); n != 2 || tail < base/4 {
+		t.Fatalf("throughput never recovered: %d tail windows at %.0f vs base %.0f", n, tail, base)
 	}
 }
 
 // TestRunChaosDeterministic: the same seed reproduces the same schedule and
 // the same timeline, window for window.
 func TestRunChaosDeterministic(t *testing.T) {
-	const db = 4 << 20
-	run := func() tpc.ChaosResult {
-		c := chaosCluster(t, db)
-		w, err := tpc.NewDebitCredit(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := tpc.RunChaos(c, w, 100, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+	type run struct {
+		windows   []tpc.Window
+		injected  []tpc.InjectedFault
+		events    []repro.FailureEvent
+		committed uint64
 	}
-	a, b := run(), run()
-	if len(a.Windows) != len(b.Windows) || len(a.Injected) != len(b.Injected) {
-		t.Fatalf("run shapes differ: %d/%d windows, %d/%d injections",
-			len(a.Windows), len(b.Windows), len(a.Injected), len(b.Injected))
+	drill := func() run {
+		c := chaosCluster(t, 4<<20)
+		windows, ch := chaosDrill(t, c, 100, 42)
+		return run{windows, ch.Injected, c.AutopilotEvents(), c.Committed()}
 	}
-	for i := range a.Windows {
-		if a.Windows[i] != b.Windows[i] {
-			t.Fatalf("window %d differs: %+v vs %+v", i, a.Windows[i], b.Windows[i])
-		}
+	a, b := drill(), drill()
+	if !slices.Equal(a.windows, b.windows) {
+		t.Fatalf("timelines differ:\n%+v\n%+v", a.windows, b.windows)
 	}
-	for i := range a.Injected {
-		if a.Injected[i] != b.Injected[i] {
-			t.Fatalf("injection %d differs: %+v vs %+v", i, a.Injected[i], b.Injected[i])
-		}
+	if !slices.Equal(a.injected, b.injected) {
+		t.Fatalf("schedules differ:\n%+v\n%+v", a.injected, b.injected)
 	}
-	if a.Committed != b.Committed || a.MeanMTTD != b.MeanMTTD || a.MeanMTTR != b.MeanMTTR {
-		t.Fatalf("aggregates differ: %+v vs %+v", a, b)
+	if !slices.Equal(a.events, b.events) || a.committed != b.committed {
+		t.Fatalf("outcomes differ: %d vs %d committed\n%+v\n%+v", a.committed, b.committed, a.events, b.events)
 	}
 }

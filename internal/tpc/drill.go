@@ -1,0 +1,181 @@
+package tpc
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"time"
+
+	"repro"
+)
+
+// Window is one measured throughput window of a drill.
+type Window struct {
+	// Phase is the name of the step that measured the window.
+	Phase string
+	// Txns is the number of transactions committed in the window.
+	Txns int64
+	// TPS is the window's throughput in transactions per simulated
+	// second.
+	TPS float64
+}
+
+// Action is one change a drill makes to its deployment.
+type Action func(c *repro.Cluster) error
+
+// Step is one stretch of a drill's timeline: an optional action, then
+// the windows measured after it.
+type Step struct {
+	// Phase names the step's windows.
+	Phase string
+	// Act, when set, runs once before the step's first window.
+	Act Action
+	// Before, when set, runs before each of the step's windows with the
+	// window's index within the step: an injector.
+	Before func(c *repro.Cluster, i int) error
+	// Until, when set, ends the step at the first window after which it
+	// reports true, and makes the step's windows degraded: a safety level
+	// that refuses service idles the deployment instead of failing the
+	// drill, so it shows up as an empty or slow window. Windows then caps
+	// the step, and the drill fails if Until still reports false after
+	// that many. Without Until the step measures exactly Windows strict
+	// windows.
+	Until   func(c *repro.Cluster) bool
+	Windows int
+}
+
+// Inject returns s with a also landing before its window i.
+func (s Step) Inject(i int, a Action) Step {
+	before := s.Before
+	s.Before = func(c *repro.Cluster, j int) error {
+		if before != nil {
+			if err := before(c, j); err != nil {
+				return err
+			}
+		}
+		if j != i {
+			return nil
+		}
+		return a(c)
+	}
+	return s
+}
+
+// maxSettles caps the idle steps one degraded window spends waiting for a
+// deployment to regain its safety level.
+const maxSettles = 10_000
+
+// Drill is the one fault-timeline driver: it measures c's throughput in
+// fixed simulated-time windows while a schedule of steps crashes, repairs
+// or grows it between them. It runs warmup transactions of one (cache and
+// SAN state carry over; counters reset), then the steps in order, and
+// returns every window they measured. The availability, chaos and
+// rebalance cells are step lists; each reads its table off the windows
+// and the deployment's own state (RepairProgress, AutopilotEvents, the
+// metrics scrape, PlacementEpoch).
+func Drill(c *repro.Cluster, one func() error, window time.Duration, warmup int64, steps ...Step) ([]Window, error) {
+	for i := int64(0); i < warmup; i++ {
+		if err := one(); err != nil {
+			return nil, fmt.Errorf("tpc: warmup txn %d: %w", i, err)
+		}
+	}
+	c.ResetMeasurement()
+	var windows []Window
+	for _, s := range steps {
+		if s.Act != nil {
+			if err := s.Act(c); err != nil {
+				return windows, fmt.Errorf("tpc: %s step: %w", s.Phase, err)
+			}
+		}
+		for i := 0; ; i++ {
+			if i == s.Windows {
+				if s.Until == nil {
+					break
+				}
+				return windows, fmt.Errorf("tpc: %s did not complete within %d windows", s.Phase, s.Windows)
+			}
+			if s.Before != nil {
+				if err := s.Before(c, i); err != nil {
+					return windows, fmt.Errorf("tpc: %s window %d: %w", s.Phase, i, err)
+				}
+			}
+			w, err := measure(c, one, window, s.Phase, s.Until != nil)
+			if err != nil {
+				return windows, err
+			}
+			windows = append(windows, w)
+			if s.Until != nil && s.Until(c) {
+				break
+			}
+		}
+	}
+	return windows, nil
+}
+
+// measure runs transactions for one window of simulated time. With
+// degraded set, ErrSafetyUnavailable settles the deployment and retries;
+// idle time still heals.
+func measure(c *repro.Cluster, one func() error, window time.Duration, phase string, degraded bool) (Window, error) {
+	startC := c.Committed()
+	start := c.Elapsed()
+	for settles := 0; c.Elapsed()-start < window; {
+		if err := one(); err != nil {
+			if degraded && errors.Is(err, repro.ErrSafetyUnavailable) {
+				if settles++; settles > maxSettles {
+					return Window{}, fmt.Errorf("tpc: %s window: deployment never regained its safety level", phase)
+				}
+				c.Settle()
+				continue
+			}
+			return Window{}, fmt.Errorf("tpc: %s window: %w", phase, err)
+		}
+	}
+	// The committed counter can dip at a takeover (the 1-safe tail died
+	// with the old primary): that is an empty window, not a negative one.
+	n := max(int64(c.Committed())-int64(startC), 0)
+	return Window{Phase: phase, Txns: n, TPS: float64(n) / (c.Elapsed() - start).Seconds()}, nil
+}
+
+// Stream populates w on c and returns the runner of w's transaction
+// stream drawn from seed. With l set, every ledgerEvery-th transaction
+// is followed by one of l's stamps.
+func Stream(c *repro.Cluster, w Workload, seed uint64, l *Ledger) (func() error, error) {
+	if err := w.Populate(c.Load); err != nil {
+		return nil, err
+	}
+	st := &stream{begin: c.Begin, w: w, r: NewRand(seed)}
+	if l == nil {
+		return func() error { return st.one(false) }, nil
+	}
+	return func() error {
+		if err := st.one(false); err != nil {
+			return err
+		}
+		if st.n%ledgerEvery == 0 {
+			return l.stamp()
+		}
+		return nil
+	}, nil
+}
+
+// PhaseStats summarizes the windows that belong to any of the named
+// phases: their count, mean throughput and worst throughput. A window
+// can genuinely hold zero transactions, so a zero worst is a value, not
+// "unset".
+func PhaseStats(windows []Window, phases ...string) (n int, mean, worst float64) {
+	var sum float64
+	for _, w := range windows {
+		if !slices.Contains(phases, w.Phase) {
+			continue
+		}
+		sum += w.TPS
+		if n == 0 || w.TPS < worst {
+			worst = w.TPS
+		}
+		n++
+	}
+	if n > 0 {
+		mean = sum / float64(n)
+	}
+	return n, mean, worst
+}

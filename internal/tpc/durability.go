@@ -107,14 +107,14 @@ func RunDurability(open func() (*repro.Cluster, error), w Workload, corrupt stri
 	if !db.Durability().Enabled {
 		return res, errors.New("tpc: durability drill needs Config.Durability")
 	}
-	if err := w.Populate(db.Load); err != nil {
+	one, err := Stream(db, w, seed, nil)
+	if err != nil {
 		return res, err
 	}
 	kills := NewRand(seed ^ 0xD15C)
 	kill := durabilityTxns/2 + kills.IntN(durabilityTxns/2+1)
-	st := &stream{begin: db.Begin, w: w, r: NewRand(seed)}
 	for i := 0; i < kill; i++ {
-		if err := st.one(false); err != nil {
+		if err := one(); err != nil {
 			return res, fmt.Errorf("tpc: txn %d: %w", i, err)
 		}
 	}

@@ -2,13 +2,16 @@ package tpc_test
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/tpc"
 )
 
-func newElastic(t *testing.T, shards int) *repro.ShardedCluster {
+func newElastic(t *testing.T, shards int) *repro.Cluster {
 	t.Helper()
 	sc, err := repro.NewSharded(repro.Config{
 		Version: repro.V3InlineLog,
@@ -16,6 +19,7 @@ func newElastic(t *testing.T, shards int) *repro.ShardedCluster {
 		DBSize:  8 << 20,
 		Backups: 2,
 		Safety:  repro.QuorumSafe,
+		Metrics: true,
 	}, shards)
 	if err != nil {
 		t.Fatal(err)
@@ -33,6 +37,7 @@ func newGrowable(t *testing.T) *repro.Cluster {
 		DBSize:  4 << 20,
 		Backups: 2,
 		Safety:  repro.QuorumSafe,
+		Metrics: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,86 +45,100 @@ func newGrowable(t *testing.T) *repro.Cluster {
 	return c
 }
 
-// TestRunRebalanceTimeline: the elastic driver grows 2 → 4 → 8 shards
-// mid-workload, every growth step drains, the audit loses nothing, and
-// the timeline covers all three phases.
+// growDrill drills the rebalance cell's schedule on c with a ledger:
+// three baseline windows, growth to 4 and to 8 shards, three final
+// windows.
+func growDrill(c *repro.Cluster, warmup int64, seed uint64) ([]tpc.Window, *tpc.Ledger, error) {
+	l, err := tpc.NewLedger(c)
+	if err != nil {
+		return nil, nil, err
+	}
+	windows, err := drillDC(c, l, seed, warmup, 10*time.Millisecond,
+		tpc.Step{Phase: "baseline", Windows: 3}, tpc.Grow(4), tpc.Grow(8), tpc.Step{Phase: "final", Windows: 3})
+	return windows, l, err
+}
+
+// TestRunRebalanceTimeline: the growth schedule takes a deployment 2 → 4
+// → 8 shards mid-workload, every growth step drains, the ledger loses
+// nothing, and the timeline covers all three phases.
 func TestRunRebalanceTimeline(t *testing.T) {
 	sc := newElastic(t, 2)
-	res, err := tpc.RunRebalance(sc, func(dbSize int) (tpc.Workload, error) {
-		return tpc.NewDebitCredit(dbSize)
-	}, 50, 11)
+	windows, l, err := growDrill(sc, 50, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.Shards() != 8 {
 		t.Fatalf("Shards = %d, want 8", sc.Shards())
 	}
-	if res.LostAckedWrites != 0 {
-		t.Fatalf("LostAckedWrites = %d, want 0", res.LostAckedWrites)
+	if lost := l.Lost(); lost != 0 {
+		t.Fatalf("lost %d acked writes, want 0", lost)
 	}
-	if res.AuditWrites == 0 {
-		t.Fatal("no audit writes acknowledged")
+	if l.Acked() == 0 {
+		t.Fatal("no ledger stamps acknowledged")
 	}
-	if res.RangesMoved <= 0 || res.BytesShipped <= 0 {
-		t.Fatalf("no migration recorded: ranges %d bytes %d", res.RangesMoved, res.BytesShipped)
+	snap := sc.Metrics()
+	moved, shipped := snap.Counter("place.ranges_moved"), snap.Counter("place.bytes_shipped")
+	if moved == 0 || shipped == 0 {
+		t.Fatalf("no migration recorded: ranges %d bytes %d", moved, shipped)
 	}
-	if res.PlacementEpoch != 1+uint64(res.RangesMoved) {
-		t.Fatalf("PlacementEpoch = %d, want %d (1 + one per cut-over)", res.PlacementEpoch, 1+res.RangesMoved)
+	if epoch := sc.PlacementEpoch(); epoch != 1+moved {
+		t.Fatalf("PlacementEpoch = %d, want %d (1 + one per cut-over)", epoch, 1+moved)
 	}
-	if res.BaseTPS <= 0 || res.FinalTPS <= 0 {
-		t.Fatalf("rates not positive: base %f final %f", res.BaseTPS, res.FinalTPS)
+	_, base, _ := tpc.PhaseStats(windows, "baseline")
+	_, final, _ := tpc.PhaseStats(windows, "final")
+	if base <= 0 || final <= 0 {
+		t.Fatalf("rates not positive: base %f final %f", base, final)
 	}
-	if res.MinTPS <= 0 {
-		t.Fatalf("MinTPS = %f, want > 0 (transactions must keep committing mid-migration)", res.MinTPS)
-	}
-	phases := map[string]int{}
-	for _, w := range res.Windows {
-		phases[w.Phase]++
+	if _, _, dip := tpc.PhaseStats(windows, "grow-4", "grow-8"); dip <= 0 {
+		t.Fatalf("worst grow window %f, want > 0 (transactions must keep committing mid-migration)", dip)
 	}
 	for _, p := range []string{"baseline", "grow-4", "grow-8", "final"} {
-		if phases[p] == 0 {
-			t.Fatalf("no %q window in the timeline (got %v)", p, phases)
+		if n, _, _ := tpc.PhaseStats(windows, p); n == 0 {
+			t.Fatalf("no %q window in the timeline: %+v", p, windows)
 		}
 	}
 }
 
 // TestRunRebalanceDeterministic: same seed, same simulated outcome.
 func TestRunRebalanceDeterministic(t *testing.T) {
-	run := func() tpc.RebalanceResult {
-		res, err := tpc.RunRebalance(newGrowable(t), func(dbSize int) (tpc.Workload, error) {
-			return tpc.NewDebitCredit(dbSize)
-		}, 20, 3)
+	type run struct {
+		windows []tpc.Window
+		acked   int64
+		metrics [2]uint64
+	}
+	drill := func() run {
+		c := newGrowable(t)
+		windows, l, err := growDrill(c, 20, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		snap := c.Metrics()
+		return run{windows, l.Acked(), [2]uint64{snap.Counter("place.ranges_moved"), snap.Counter("place.bytes_shipped")}}
 	}
-	a, b := run(), run()
-	if a.BytesShipped != b.BytesShipped || a.RangesMoved != b.RangesMoved ||
-		a.AuditWrites != b.AuditWrites || len(a.Windows) != len(b.Windows) {
+	a, b := drill(), drill()
+	if a.acked != b.acked || a.metrics != b.metrics || !slices.Equal(a.windows, b.windows) {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
-	}
-	for i := range a.Windows {
-		if a.Windows[i] != b.Windows[i] {
-			t.Fatalf("window %d differs: %+v vs %+v", i, a.Windows[i], b.Windows[i])
-		}
 	}
 }
 
 // TestRunRebalanceFromNew: a deployment built by New grows like any
 // other — 1 → 4 → 8 mid-workload with zero lost acked writes — while a
-// Shard(i) view, whose topology is its parent's, refuses.
+// Shard(i) view, whose topology is its parent's, refuses, and so does a
+// growth target the deployment already has.
 func TestRunRebalanceFromNew(t *testing.T) {
-	mk := func(dbSize int) (tpc.Workload, error) { return tpc.NewDebitCredit(dbSize) }
 	c := newGrowable(t)
-	res, err := tpc.RunRebalance(c, mk, 0, 1)
+	_, l, err := growDrill(c, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RangesMoved == 0 || res.LostAckedWrites != 0 || c.Shards() != 8 {
-		t.Fatalf("grow from New: %d ranges moved, %d lost acked writes, %d shards", res.RangesMoved, res.LostAckedWrites, c.Shards())
+	if moved, lost := c.Metrics().Counter("place.ranges_moved"), l.Lost(); moved == 0 || lost != 0 || c.Shards() != 8 {
+		t.Fatalf("grow from New: %d ranges moved, %d lost acked writes, %d shards", moved, lost, c.Shards())
 	}
-	if _, err := tpc.RunRebalance(newElastic(t, 2).Shard(0), mk, 0, 1); !errors.Is(err, repro.ErrNotElastic) {
-		t.Fatalf("RunRebalance on a Shard view = %v, want ErrNotElastic", err)
+	if _, _, err := growDrill(newElastic(t, 2).Shard(0), 0, 1); !errors.Is(err, repro.ErrNotElastic) {
+		t.Fatalf("growing a Shard view = %v, want ErrNotElastic", err)
+	}
+	_, err = drillDC(newElastic(t, 2), nil, 1, 0, 10*time.Millisecond, tpc.Grow(2))
+	if err == nil || !strings.Contains(err.Error(), "growth target 2 not above current 2 shards") {
+		t.Fatalf("growing to the current shard count = %v", err)
 	}
 }

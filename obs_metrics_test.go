@@ -351,9 +351,10 @@ func TestShardedMetricsMerge(t *testing.T) {
 }
 
 // TestChaosEventTimeline is the live-scrape acceptance drill: the seeded
-// unattended chaos run (tpc.RunChaos) with the registry attached, scraped
-// concurrently, must expose each injected fault as a detector transition
-// followed by a failover and a repair cutover in the event ring.
+// unattended chaos schedule (tpc.Chaos), drilled with the registry
+// attached and scraped concurrently, must expose each injected fault as a
+// detector transition followed by a failover and a repair cutover in the
+// event ring.
 func TestChaosEventTimeline(t *testing.T) {
 	const db = 4 << 20
 	c, err := repro.New(repro.Config{
@@ -394,12 +395,22 @@ func TestChaosEventTimeline(t *testing.T) {
 		}
 	}()
 
-	res, err := tpc.RunChaos(c, w, 300, 1)
+	ch, err := tpc.NewChaos(c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := tpc.Stream(c, w, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = tpc.Drill(c, one, 5*time.Millisecond, 300,
+		tpc.Step{Phase: "healthy", Windows: 2}, ch.Step(), tpc.Step{Phase: "tail", Windows: 2})
 	close(done)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Events) == 0 {
+	events := c.AutopilotEvents()
+	if len(events) == 0 {
 		t.Fatal("chaos run injected no faults")
 	}
 	if scrapes.Load() == 0 {
@@ -415,12 +426,12 @@ func TestChaosEventTimeline(t *testing.T) {
 	// noticed by its repair job instead — repair.abort — because the
 	// detector only watches enrolled members).
 	repairs := len(snap.EventsKind(obs.EventRepairStart))
-	if repairs < len(res.Events) {
-		t.Errorf("repair jobs traced: %d, want >= %d handled faults", repairs, len(res.Events))
+	if repairs < len(events) {
+		t.Errorf("repair jobs traced: %d, want >= %d handled faults", repairs, len(events))
 	}
 	primaryCrashes := 0
-	for _, f := range res.Injected {
-		if f.Kind == "crash-primary" {
+	for _, f := range ch.Injected {
+		if f.Kind == tpc.FaultCrashPrimary {
 			primaryCrashes++
 		}
 	}

@@ -248,12 +248,13 @@ func TestRepairLeavesNoBacklog(t *testing.T) {
 	}
 }
 
-// TestAvailabilityAfterPowerFail runs the crash→failover→repair timeline with
-// the primary's memory gone, so it heals through a spare and a full transfer. A spare re-seeds in full, so the repair ships
-// bytes and takes time. Under 1-safe commits flow in every repair window and
-// the dip stays above zero; under 2-safe with the only backup being the
-// joiner, the group refuses service until the cut-over, so repair windows are
-// empty and the dip is a genuine zero that a later positive window must not
+// TestAvailabilityAfterPowerFail drills the crash→failover→repair schedule
+// with the primary's memory gone, so it heals through a spare and a full
+// transfer. A spare re-seeds in full, so the repair ships bytes and takes
+// time. Under 1-safe commits flow in every repair window and the dip stays
+// above zero; under 2-safe with the only backup being the joiner, the
+// group refuses service until the cut-over, so repair windows are empty
+// and the dip is a genuine zero that a later positive window must not
 // overwrite.
 func TestAvailabilityAfterPowerFail(t *testing.T) {
 	const db = 4 << 20
@@ -281,21 +282,27 @@ func TestAvailabilityAfterPowerFail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := tpc.RunAvailability(c, func() error { return repro.PowerFailPrimary(c) }, w, 100, 3)
+			one, err := tpc.Stream(c, w, 3, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.BaseTPS <= 0 {
-				t.Fatalf("no healthy baseline: %+v", res)
+			windows, err := tpc.Drill(c, one, 10*time.Millisecond, 100,
+				tpc.Step{Phase: "healthy", Windows: 3},
+				tpc.CrashRepair(repro.PowerFailPrimary),
+				tpc.Step{Phase: "restored", Windows: 3})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if res.RepairBytes == 0 || res.RepairDur <= 0 {
-				t.Fatalf("repair did no measurable work: %+v", res)
+			_, base, _ := tpc.PhaseStats(windows, "healthy")
+			_, _, dip := tpc.PhaseStats(windows, "repair")
+			if base <= 0 {
+				t.Fatalf("no healthy baseline: %+v", windows)
 			}
-			if res.RestoredAt <= res.CrashAt {
-				t.Fatalf("restoration instant %v not after the crash %v", res.RestoredAt, res.CrashAt)
+			if p := c.RepairProgress(); p.Active || p.BytesShipped == 0 || p.Elapsed <= 0 {
+				t.Fatalf("repair did no measurable work: %+v", p)
 			}
 			empty := 0
-			for _, win := range res.Windows {
+			for _, win := range windows {
 				if win.Phase == "repair" && win.Txns == 0 {
 					empty++
 				}
@@ -304,15 +311,15 @@ func TestAvailabilityAfterPowerFail(t *testing.T) {
 				if empty != 0 {
 					t.Fatalf("%d repair windows committed nothing", empty)
 				}
-				if res.MinTPS <= 0 || res.MinTPS >= res.BaseTPS {
-					t.Fatalf("no availability dip: min %f, base %f", res.MinTPS, res.BaseTPS)
+				if dip <= 0 || dip >= base {
+					t.Fatalf("no availability dip: min %f, base %f", dip, base)
 				}
 			} else {
 				if empty == 0 {
 					t.Fatal("a 2-safe group with no backup committed in every repair window")
 				}
-				if res.MinTPS != 0 {
-					t.Fatalf("MinTPS = %f, want 0: %d repair windows were empty", res.MinTPS, empty)
+				if dip != 0 {
+					t.Fatalf("worst repair window %f, want 0: %d repair windows were empty", dip, empty)
 				}
 			}
 		})
