@@ -79,7 +79,9 @@ tables:
 # primary to it, and every other flush settles it; ROADMAP item 19's diet
 # is the payback. Lowered 20839 -> 20673 by one fault driver: the
 # availability, chaos and rebalance cells are step lists of tpc.Drill.
-LOC_CEILING := 20673
+# Lowered 20673 -> 20669 by deferring on every shard: kv.Burst lost its
+# one-shard fork, its deferring flag and Deferring.
+LOC_CEILING := 20669
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

@@ -129,11 +129,12 @@ func TestShardedCommitPathZeroAllocs(t *testing.T) {
 // allocation count of the commit path beneath them: none. A Put or Delete
 // is a probe, one Begin, one or two declared writes and a Commit, written
 // straight through — no plan to build, no closure to run — on one shard and
-// on four alike, 1-safe and at a K=3 quorum alike. A lookup allocates
-// nothing either: GetAppend reads the primary's view through the recycled
-// view — on the K=3 quorum row served by a backup that has applied all of
-// it — and on the K=2 row a ReadBounded GetAppendAt through the same view
-// is served by a backup.
+// on four alike, 1-safe and at a K=3 quorum alike — and so is a Burst's Put
+// and Seal, which open and close a deferral scope on every shard. A lookup
+// allocates nothing either: GetAppend reads the primary's view through the
+// recycled view — on the K=3 quorum row served by a backup that has applied
+// all of it — and on the K=2 row a ReadBounded GetAppendAt through the same
+// view is served by a backup.
 func TestKVPutZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -192,6 +193,19 @@ func TestKVPutZeroAllocs(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(500, insertDelete); allocs != 0 {
 				t.Fatalf("an inserting Put and its Delete allocate %.1f times, want 0", allocs)
+			}
+			b := s.Burst()
+			burst := func() {
+				if err := b.Put(resident[i%n], val); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.Seal(); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			if allocs := testing.AllocsPerRun(500, burst); allocs != 0 {
+				t.Fatalf("a Burst's Put and Seal allocate %.1f times, want 0", allocs)
 			}
 			// The first pass wrote every even-numbered resident key.
 			dst := make([]byte, 0, len(val))

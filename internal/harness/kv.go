@@ -76,22 +76,28 @@ func runKV(cfg RunConfig) (*Table, error) {
 			t.Rows = append(t.Rows, kvRow(d.name, res))
 		}
 	}
-	// The burst rows: the one-shard store under acknowledgement deferral,
-	// k PUTs per seal — the sim-domain half of what kvserver's pipelined
-	// bursts buy, pinned here because the served figure itself depends on
-	// how frames happen to arrive. They run at quorum commit, not the
-	// cell's 1-safe: the wait a burst defers is the acknowledgement's, and
-	// 1-safe has none.
-	for _, k := range []int{1, 2, 4, 8, 16} {
-		dep, err := repro.New(kvConfig(db, backups, repro.QuorumSafe))
-		if err != nil {
-			return nil, err
+	// The burst rows: the store under acknowledgement deferral, k PUTs per
+	// seal — the sim-domain half of what kvserver's pipelined bursts buy,
+	// pinned here because the served figure itself depends on how frames
+	// happen to arrive. They run at quorum commit, not the cell's 1-safe:
+	// the wait a burst defers is the acknowledgement's, and 1-safe has none.
+	// On four shards a burst's seal covers every shard it touched.
+	for _, d := range []struct {
+		name   string
+		shards int
+		ks     []int
+	}{{"cluster-quorum", 1, []int{1, 2, 4, 8, 16}}, {"sharded4-quorum", 4, []int{1, 16}}} {
+		for _, k := range d.ks {
+			dep, err := repro.NewSharded(kvConfig(db, backups, repro.QuorumSafe), d.shards)
+			if err != nil {
+				return nil, err
+			}
+			res, err := tpc.RunKVBurst(dep, tpc.KVOptions{Ops: kvOps, Warmup: warm, Seed: cfg.Seed}, k)
+			if err != nil {
+				return nil, fmt.Errorf("harness: kv %s/burst-%d: %w", d.name, k, err)
+			}
+			t.Rows = append(t.Rows, kvRow(d.name, res))
 		}
-		res, err := tpc.RunKVBurst(dep, tpc.KVOptions{Ops: kvOps, Warmup: warm, Seed: cfg.Seed}, k)
-		if err != nil {
-			return nil, fmt.Errorf("harness: kv cluster-quorum/burst-%d: %w", k, err)
-		}
-		t.Rows = append(t.Rows, kvRow("cluster-quorum", res))
 	}
 	return t, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -253,9 +254,11 @@ func TestBurstShutdownMidBurst(t *testing.T) {
 }
 
 // TestBurstHeldOnlyWhileASealIsPending: requests are served ahead of their
-// answers only while that saves a mutation its acknowledgement wait. GETs
-// ahead of a burst's first mutation are answered as served, and so is
-// everything on a multi-shard store, where nothing is deferred.
+// answers only while that lets them share a mutation's seal. GETs ahead of
+// a burst's first mutation are answered as served, and so is everything on
+// a multi-shard store: its PUTs defer as well, but a GET staged behind one
+// finds that shard's backups behind the primary and reads the primary, so
+// its reader stages nothing (see sealPending).
 func TestBurstHeldOnlyWhileASealIsPending(t *testing.T) {
 	frames := kvwire.AppendGet(nil, bkey(0))
 	frames = append(frames, kvwire.AppendGet(nil, bkey(1))...)
@@ -377,53 +380,173 @@ func servePipe(t *testing.T, srv *Server) net.Conn {
 	return client
 }
 
-// TestBurstCrashInTheGap is the invariant over TCP: the primary dies
-// after two of a burst's eight PUTs have committed and before the seal.
-// The two commits died with it — so not one of the eight requests may be
-// answered StatusOK, whichever side of the crash it ran on. The client's
-// retry lands all of them once the healer has reopened the store on the
-// promoted survivor, and every key then reads right.
+// TestBurstCrashInTheGap is the invariant over TCP: a primary dies after
+// some of a group's PUTs have committed and before the seal. Those commits
+// died with it — so not one request of the group may be answered StatusOK,
+// whichever side of the crash it ran on, or whichever shard it landed on.
+// The client's retry lands all of them once the healer has reopened the
+// store on the promoted survivor, and every key then reads right.
 func TestBurstCrashInTheGap(t *testing.T) {
-	db := newGateBegin(t)
-	srv, store, conn := serveDB(t, db, kv.Options{}, Config{})
-	defer srv.Close()
-	const keys = 20
-	for i := 0; i < keys; i++ {
-		if err := store.Put(bkey(i), bval("old", i)); err != nil {
+	// One shard: one connection's burst of eight PUTs, the crash after two.
+	t.Run("one-shard", func(t *testing.T) {
+		db := newGateBegin(t)
+		srv, store, conn := serveDB(t, db, kv.Options{}, Config{})
+		defer srv.Close()
+		const keys = 20
+		for i := 0; i < keys; i++ {
+			if err := store.Put(bkey(i), bval("old", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		db.crashAt.Store(3) // between the burst's second commit and its third transaction
+		if _, err := conn.Write(putFrames("new", 8)); err != nil {
 			t.Fatal(err)
 		}
-	}
+		st, _ := readResponses(t, conn, 8)
+		wantStatuses(t, st, repeat(kvwire.StatusRetry, 8)...)
 
-	db.crashAt.Store(3) // between the burst's second commit and its third transaction
-	if _, err := conn.Write(putFrames("new", 8)); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := readResponses(t, conn, 8)
-	wantStatuses(t, st, repeat(kvwire.StatusRetry, 8)...)
+		// What a client does with StatusRetry: send it again until it lands.
+		cl := kvclient.Dial(conn.RemoteAddr().String(), kvclient.Options{Conns: 1, RetryBudget: 20 * time.Second})
+		defer cl.Close()
+		for i := 0; i < 8; i++ {
+			if err := cl.Put(bkey(i), bval("new", i)); err != nil {
+				t.Fatalf("retried put %d: %v", i, err)
+			}
+		}
+		// The healer counts its Reopen just after the store serves again.
+		for deadline := time.Now().Add(5 * time.Second); srv.Stats().Reopens == 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the store was never reopened")
+			}
+		}
+		for i := 0; i < keys; i++ {
+			want := bval("old", i)
+			if i < 8 {
+				want = bval("new", i)
+			}
+			if got, err := cl.Get(bkey(i)); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("key %d reads %q, %v; want %q", i, got, err, want)
+			}
+		}
+	})
 
-	// What a client does with StatusRetry: send it again until it lands.
-	cl := kvclient.Dial(conn.RemoteAddr().String(), kvclient.Options{Conns: 1, RetryBudget: 20 * time.Second})
-	defer cl.Close()
-	for i := 0; i < 8; i++ {
-		if err := cl.Put(bkey(i), bval("new", i)); err != nil {
-			t.Fatalf("retried put %d: %v", i, err)
+	// Four shards: a reader there answers each request as its own burst
+	// (see sealPending), so the group is three connections' requests, parked
+	// behind the first at its Begin. The first two commit — a PUT on shard 0
+	// and a client's DELETE on another — and shard 0's primary dies before
+	// the third; the other shards' seals ship, but the group's answers are
+	// all StatusRetry. The DELETE did apply, so its retry finds the key gone:
+	// the client reports the retried DELETE done, not ErrNotFound.
+	t.Run("four-shards", func(t *testing.T) {
+		c, err := repro.NewSharded(quorumAutopilot(repro.Config{}), 4)
+		if err != nil {
+			t.Fatal(err)
 		}
+		db := &gateBegin{Cluster: c, parked: make(chan struct{}), release: make(chan struct{})}
+		srv, store, a := serveDB(t, db, kv.Options{}, Config{})
+		defer srv.Close()
+		const keys = 20
+		shard := make([]int, keys) // the shard each key's PUT committed on
+		for i := 0; i < keys; i++ {
+			before := shardCommits(c)
+			if err := store.Put(bkey(i), bval("old", i)); err != nil {
+				t.Fatal(err)
+			}
+			after := shardCommits(c)
+			for sh := range after {
+				if after[sh] != before[sh] {
+					shard[i] = sh
+				}
+			}
+		}
+		// A key on shard 0 leads; keys on two other shards follow.
+		group := []int{-1}
+		for i := 0; i < keys; i++ {
+			switch {
+			case shard[i] == 0:
+				if group[0] < 0 {
+					group[0] = i
+				}
+			case len(group) == 1, len(group) == 2 && shard[i] != shard[group[1]]:
+				group = append(group, i)
+			}
+		}
+		if group[0] < 0 || len(group) < 3 {
+			t.Fatalf("keys by shard %v: the test needs one on shard 0 and two elsewhere", shard)
+		}
+		put := func(conn net.Conn, i int) {
+			if _, err := conn.Write(kvwire.AppendPut(nil, bkey(i), bval("new", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.parkAt.Store(1)
+		put(a, group[0])
+		<-db.parked
+		dc := kvclient.Dial(a.RemoteAddr().String(), kvclient.Options{Conns: 1, RetryBudget: 20 * time.Second})
+		defer dc.Close()
+		deleted := make(chan error, 1)
+		go func() { deleted <- dc.Delete(bkey(group[1])) }()
+		for queued(srv) < 1 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		last := dialServer(t, a)
+		put(last, group[2])
+		for queued(srv) < 2 {
+			time.Sleep(100 * time.Microsecond)
+		}
+		db.crashAt.Store(3) // the parked Begin counts: the first two commit, the third meets the crash
+		close(db.release)
+		for _, conn := range []net.Conn{a, last} {
+			st, _ := readResponses(t, conn, 1)
+			wantStatuses(t, st, kvwire.StatusRetry)
+		}
+		if err := <-deleted; err != nil {
+			t.Fatalf("delete of key %d, answered StatusRetry after it applied: %v", group[1], err)
+		}
+		if got := dc.Retries(); got == 0 {
+			t.Fatal("the delete was never retried: its group was not answered StatusRetry")
+		}
+		if got := srv.Stats().Reopens; got != 1 {
+			t.Fatalf("%d reopens, want the leader's one", got)
+		}
+
+		cl := kvclient.Dial(a.RemoteAddr().String(), kvclient.Options{Conns: 1, RetryBudget: 20 * time.Second})
+		defer cl.Close()
+		retried := map[int]bool{}
+		for _, i := range []int{group[0], group[2]} {
+			retried[i] = true
+			if err := cl.Put(bkey(i), bval("new", i)); err != nil {
+				t.Fatalf("retried put of key %d: %v", i, err)
+			}
+		}
+		for i := 0; i < keys; i++ {
+			want := bval("old", i)
+			if retried[i] {
+				want = bval("new", i)
+			}
+			got, err := cl.Get(bkey(i))
+			if i == group[1] {
+				if !errors.Is(err, kvclient.ErrNotFound) {
+					t.Errorf("deleted key %d reads %q, %v; want ErrNotFound", i, got, err)
+				}
+			} else if err != nil || !bytes.Equal(got, want) {
+				t.Errorf("key %d reads %q, %v; want %q", i, got, err, want)
+			}
+		}
+		if err := cl.Delete(bkey(group[1])); !errors.Is(err, kvclient.ErrNotFound) {
+			t.Fatalf("a first DELETE of the absent key %d = %v, want ErrNotFound", group[1], err)
+		}
+	})
+}
+
+// shardCommits returns each shard's committed-transaction count.
+func shardCommits(c *repro.Cluster) []uint64 {
+	n := make([]uint64, c.Shards())
+	for i := range n {
+		n[i] = c.Shard(i).Committed()
 	}
-	// The healer counts its Reopen just after the store serves again.
-	for deadline := time.Now().Add(5 * time.Second); srv.Stats().Reopens == 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the store was never reopened")
-		}
-	}
-	for i := 0; i < keys; i++ {
-		want := bval("old", i)
-		if i < 8 {
-			want = bval("new", i)
-		}
-		if got, err := cl.Get(bkey(i)); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("key %d reads %q, %v; want %q", i, got, err, want)
-		}
-	}
+	return n
 }
 
 // TestServedCommitBatchNeverAcksFromOpenBatch: a deployment built with

@@ -259,10 +259,10 @@ func (s *Server) Metrics() obs.Snapshot {
 // already in its buffer, up to the window. The reader never waits for input
 // it does not hold, so a lone request is a burst of one. PUT, DELETE, TXN
 // and primary-mode GET join the burst; anything else commits the staged
-// burst first, then runs on its own. A burst goes on only while it holds a
-// mutation whose acknowledgement wait a seal will pay (sealPending). It
-// commits in the server's group (commit) with the bursts of every other
-// connection that queued meanwhile, under one seal. The invariant: no
+// burst first, then runs on its own. A burst goes on only on one shard,
+// while it holds a mutation (sealPending). It commits in the server's group
+// (commit) with the bursts of every connection that queued meanwhile,
+// under one deferral scope and one seal on every shard. The invariant: no
 // response — GETs included — is queued before a seal covering every commit
 // it could have observed has returned nil; if the seal fails, every
 // response it covered, in every connection, carries its error instead.
@@ -409,10 +409,10 @@ func isMutation(op byte) bool {
 	return op == kvwire.OpPut || op == kvwire.OpDelete || op == kvwire.OpTxn
 }
 
-// sealPending reports whether the staged burst holds a mutation whose
-// acknowledgement wait its seal will pay: the one reason to stage more
-// requests before answering the ones already staged. kv.Burst defers on a
-// one-shard deployment only.
+// sealPending reports whether to stage more requests before answering the
+// staged ones: on one shard, while the burst holds a mutation. On several,
+// a GET staged behind a PUT reads that shard's primary, its backups behind:
+// served-readmost measured worse (EXPERIMENTS.md, "Staging on four shards").
 func (r *connReader) sealPending() bool { return r.muts > 0 && r.s.db.Shards() == 1 }
 
 // deliver commits the staged burst and queues its responses.
@@ -479,6 +479,8 @@ func (s *Server) commit(r *connReader) {
 	if frames > 0 {
 		s.obs.observeBurst(frames, muts, conns)
 	}
+	// A failed seal answers the group with its error; on several shards a
+	// request answered StatusRetry may have applied (the others' seals did).
 	for _, m := range g {
 		for i := range m.resps {
 			if err != nil {

@@ -59,7 +59,8 @@
 //	StatusNotFound  empty (Get/Delete of an absent key)
 //	StatusRetry     message — the serving deployment is failing over;
 //	                the operation was not acknowledged and is safe to
-//	                retry against the same address
+//	                retry against the same address (on several shards it
+//	                may have applied: a retried Delete may find no key)
 //	StatusDegraded  message — the mutation is durable on the serving
 //	                node but the configured acknowledgement discipline
 //	                was not met (repro.ErrSafetyUnavailable)

@@ -3,81 +3,65 @@ package kv
 import "repro"
 
 // Burst runs a sequence of operations as one unit of acknowledgement: it
-// takes the store at its first operation and holds it through Seal, and on
-// a one-shard deployment the mutations' acknowledgement is deferred to that
-// Seal — one pointer publish, one quorum round trip, one WAL sync for all
-// of them (see repro.DB.DeferAcks). The primary runs the next burst while
-// that round trip crosses back, so a longer burst buys fewer seals — SAN
-// bytes and syncs — not less waiting. It is what a server answering a
-// pipelined burst of requests uses: no result of a burst operation — reads
-// included — may be shown to anyone before Seal has returned nil. Because
-// the burst holds the store, no other caller can observe a write whose seal
-// is still pending, and a Get inside the burst sees the burst's own writes.
+// takes the store at its first operation and holds it through Seal, and
+// the mutations' acknowledgement is deferred to that Seal — on each shard
+// they touched, one pointer publish, one quorum round trip and one WAL sync
+// for all of them (see repro.DB.DeferAcks). The primary runs the next burst
+// while that round trip crosses back, so even a burst of one PUT saves its
+// primary the wait; an idle shard is charged nothing. It is what a server
+// answering a pipelined burst of requests uses: no result of a burst
+// operation — reads included — may be shown to anyone before Seal has
+// returned nil. Because the burst holds the store, no other caller can
+// observe a write whose seal is still pending, and a Get inside the burst
+// sees the burst's own writes.
 //
-// On a multi-shard deployment the burst only holds the store and every
-// commit keeps its own wait. Nothing about ordering requires that — a
-// mutation is one transaction on one shard wherever it lands — it is cost:
-// a scope is a Defer and a Seal on every shard, per burst, and whether a
-// burst spread over several shards earns that back has not been measured.
-// The shape — operate, Seal, then answer — is the same. A deployment that
-// grows under an open burst stays correct for the same reason: the scope
-// keeps covering the shards it opened on, and a mutation that lands on a
-// newer shard is acknowledged on its own.
+// A mutation is one transaction on one shard wherever it lands, so there is
+// no order between shards for the scope to keep, a deployment grown under
+// an open burst included: a mutation on a newer shard is acknowledged on
+// its own.
 //
 // A Burst is reusable: after Seal the next operation takes the store
 // again. It belongs to one goroutine at a time — kvserver's is passed from
 // group leader to group leader — which must not call the Store's own
 // methods (they take the same lock) between an operation and Seal.
 type Burst struct {
-	s         *Store
-	held      bool           // the burst holds s.mu
-	deferring bool           // scope is open
-	scope     repro.AckScope // valid while deferring
+	s     *Store
+	held  bool           // the burst holds s.mu and scope is open
+	scope repro.AckScope // valid while held
 }
 
 // Burst returns an idle burst over the store.
 func (s *Store) Burst() *Burst { return &Burst{s: s} }
 
-// Deferring reports whether the burst holds an open deferral scope: whether
-// going on before Seal can save its mutations an acknowledgement wait.
-// False on a multi-shard deployment and on an idle burst.
-func (b *Burst) Deferring() bool { return b.deferring }
-
-// hold takes the store at the burst's first operation and, on a one-shard
-// deployment, opens the deferral scope.
+// hold takes the store at the burst's first operation and opens the
+// deferral scope on every current shard.
 func (b *Burst) hold() {
 	if b.held {
 		return
 	}
-	s := b.s
-	s.mu.Lock()
+	b.s.mu.Lock()
 	b.held = true
-	if s.db.Shards() == 1 {
-		b.scope = s.db.DeferAcks()
-		b.deferring = true
-	}
+	b.scope = b.s.db.DeferAcks()
 }
 
 // Seal ends the burst: the deferred acknowledgements are collected, the
 // store is released, and only a nil return makes the burst's results fit
-// to show. repro.ErrCrashed means the primary died while the burst held
-// unacknowledged commits: they are gone with it, the deployment admitted
-// nothing further from the burst, the store is broken exactly as by a
-// failed Commit — Reopen after the failover, and every key reads what it
-// held before the burst — and nothing the burst returned may be
-// acknowledged. repro.ErrSafetyUnavailable means what it means from Put:
-// durable on the serving node, acknowledgement discipline not met, the
-// index correct. Seal on an idle burst is a no-op.
+// to show. repro.ErrCrashed — ahead of another shard's degraded seal —
+// means a shard's primary died holding the burst's unacknowledged commits:
+// they are gone, that shard admitted nothing further from the burst, the
+// store is broken as by a failed Commit (Reopen after the failover; that
+// shard's keys read what they held before the burst, the other shards'
+// seals shipped), and nothing the burst returned may be acknowledged.
+// repro.ErrSafetyUnavailable means what it means from Put: durable on the
+// serving node, acknowledgement discipline not met, the index correct.
+// Seal on an idle burst is a no-op.
 func (b *Burst) Seal() error {
 	if !b.held {
 		return nil
 	}
-	var err error
-	if b.deferring {
-		b.deferring = false
-		if err = b.scope.Seal(); err != nil {
-			err = b.s.fail(err)
-		}
+	err := b.scope.Seal()
+	if err != nil {
+		err = b.s.fail(err)
 	}
 	b.held = false
 	b.s.mu.Unlock()

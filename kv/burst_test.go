@@ -218,6 +218,135 @@ func TestBurstCrashInTheGap(t *testing.T) {
 			t.Fatalf("%d live keys after Reopen, want %d", got, keys)
 		}
 	})
+
+	// Four shards: the burst's PUTs land on two of them, and one of those
+	// loses its primary before the seal. Its commits die with it; the other
+	// shard's seal still ships, so after the failover and Reopen those keys
+	// read the burst's values and the dead shard's keys what they held
+	// before it. In the degraded case the live shard is sealed first and
+	// comes back short of its quorum: its ErrSafetyUnavailable must not
+	// hide the later shard's crash, or the store would stay unbroken with
+	// an index over the lost commits.
+	for _, tc := range []struct {
+		name       string
+		live, dead int
+		degraded   bool
+	}{
+		{"four-shards", 2, 1, false},
+		{"four-shards-degraded-before-crashed", 0, 2, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newSharded(t, 4, quorum3(repro.Config{})).(*repro.Cluster)
+			s, err := kv.Open(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			preload(t, s, keys)
+			b := s.Burst()
+			put := map[int]int{}     // the burst's PUTs per shard
+			sealed := map[int]bool{} // the keys it put on the live shard
+			for i := 0; i < keys; i++ {
+				if sh := shardOf(c, s, i); (sh == tc.dead || sh == tc.live) && put[sh] < 3 {
+					put[sh]++
+					sealed[i] = sh == tc.live
+					if err := b.Put(burstKey(i), []byte(fmt.Sprintf("new%03d", i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if put[tc.dead] == 0 || put[tc.live] == 0 {
+				t.Fatalf("PUTs per shard %v: the test needs some on shards %d and %d", put, tc.dead, tc.live)
+			}
+			if tc.degraded {
+				for i := 0; i < 2; i++ {
+					if err := c.Shard(tc.live).CrashBackup(i); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := c.Shard(tc.dead).CrashPrimary(); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Seal(); !errors.Is(err, repro.ErrCrashed) {
+				t.Fatalf("seal after shard %d's crash = %v, want ErrCrashed", tc.dead, err)
+			}
+			if _, err := s.Get(burstKey(0)); !errors.Is(err, kv.ErrBroken) {
+				t.Fatalf("Get on the store after the failed seal = %v, want ErrBroken", err)
+			}
+			if err := c.Shard(tc.dead).Failover(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.degraded {
+				if err := c.Shard(tc.live).Repair(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.Reopen(); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < keys; i++ {
+				prefix := "old"
+				if sealed[i] {
+					prefix = "new"
+				}
+				wantValues(t, s, i, i+1, prefix)
+			}
+			if got := s.Len(); got != keys {
+				t.Fatalf("%d live keys after Reopen, want %d", got, keys)
+			}
+		})
+	}
+
+	// A burst opens on two shards, the deployment grows to four under it,
+	// and a source shard's primary dies before the seal. The moves may have
+	// carried the burst's unsealed writes off the dead shard, so a key may
+	// read either side of the burst — but whole, and every key is there.
+	t.Run("grown-under-the-scope", func(t *testing.T) {
+		c := newSharded(t, 2, quorum3(repro.Config{})).(*repro.Cluster)
+		s, err := kv.Open(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		preload(t, s, keys)
+		b := s.Burst()
+		put := func(from, to int) {
+			for i := from; i < to; i++ {
+				if err := b.Put(burstKey(i), []byte(fmt.Sprintf("new%03d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		put(0, 8)
+		if _, err := c.AddShards(2); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Rebalance(); err != nil {
+			t.Fatal(err)
+		}
+		put(8, keys/2)
+		if err := c.CrashPrimary(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Seal(); !errors.Is(err, repro.ErrCrashed) {
+			t.Fatalf("seal after shard 0's crash = %v, want ErrCrashed", err)
+		}
+		if err := c.Failover(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Reopen(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < keys; i++ {
+			got, err := s.Get(burstKey(i))
+			old, burst := fmt.Sprintf("old%03d", i), fmt.Sprintf("new%03d", i)
+			if err != nil || string(got) != old && (i >= keys/2 || string(got) != burst) {
+				t.Errorf("key %d reads %q, %v; want %q or, from the burst, %q", i, got, err, old, burst)
+			}
+		}
+		if got := s.Len(); got != keys {
+			t.Fatalf("%d live keys after Reopen, want %d", got, keys)
+		}
+	})
 }
 
 // crashBeforeBegin is a deployment whose primary dies the instant before
@@ -307,44 +436,63 @@ func TestBurstTxn(t *testing.T) {
 	}
 }
 
-// TestBurstMultiShardKeepsPerCommitWaits: on several shards nothing is
-// deferred — every PUT is one transaction, its own batch with its own wait
-// — and the burst only holds the store.
-func TestBurstMultiShardKeepsPerCommitWaits(t *testing.T) {
-	db := newSharded(t, 4, quorum3(repro.Config{Metrics: true}))
+// TestBurstMultiShardDefers: on four shards a burst defers too. Its PUTs
+// seal no batch before Seal and one per shard they touched at it, a Get of
+// a deferred key inside the burst finds the backups behind and reads the
+// primary, and after the seal a backup serves it.
+func TestBurstMultiShardDefers(t *testing.T) {
+	c := newSharded(t, 4, quorum3(repro.Config{Metrics: true})).(*repro.Cluster)
+	db := &servedBy{DB: c}
 	s, err := kv.Open(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	preload(t, s, 3)
-	b0, t0 := commitCounters(db)
+	touched := map[int]bool{}
+	for i := 0; i < 3; i++ {
+		touched[shardOf(c, s, i)] = true
+	}
+	b0, t0 := commitCounters(c)
 	b := s.Burst()
 	for i := 0; i < 3; i++ {
 		if err := b.Put(burstKey(i), []byte(fmt.Sprintf("new%03d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, err := b.Get(burstKey(2)); err != nil || string(got) != "new002" {
-		t.Fatalf("Get inside the burst = %q, %v", got, err)
+	if b1, t1 := commitCounters(c); b1 != b0 || t1 != t0 {
+		t.Fatalf("%d batches for %d transactions before the seal, want none", b1-b0, t1-t0)
+	}
+	if got, err := b.Get(burstKey(2)); err != nil || string(got) != "new002" || db.last.Replica != 0 {
+		t.Fatalf("Get inside the burst = %q, %v, served by %d; want the new value from the primary", got, err, db.last.Replica)
 	}
 	if err := b.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if b1, t1 := commitCounters(db); b1-b0 != 3 || t1-t0 != 3 {
-		t.Fatalf("%d batches for %d transactions on four shards, want 3 for 3 PUTs", b1-b0, t1-t0)
+	if b1, t1 := commitCounters(c); int(b1-b0) != len(touched) || t1-t0 != 3 {
+		t.Fatalf("%d batches for %d transactions at the seal, want %d for 3", b1-b0, t1-t0, len(touched))
+	}
+	if got, err := s.Get(burstKey(2)); err != nil || string(got) != "new002" || db.last.Replica == 0 {
+		t.Fatalf("Get after the seal = %q, %v, served by %d; want a backup", got, err, db.last.Replica)
 	}
 	wantValues(t, s, 0, 3, "new")
 }
 
-// TestBurstDeploymentGrowsUnderIt: a burst that opened on one shard —
-// deferring — finds four when its next mutations commit. A PUT is one
+// shardOf returns the shard that key i's region lives on now.
+func shardOf(c *repro.Cluster, s *kv.Store, i int) int {
+	r, _ := s.Place(burstKey(i))
+	return c.ShardFor(r * c.PartSize())
+}
+
+// TestBurstDeploymentGrowsUnderIt: a burst that opened its scope on one
+// shard finds four when its next mutations commit. A PUT is one
 // transaction on one shard wherever its region now lives, so there is no
 // order between groups to protect: PUTs that land on the old shard stay in
 // the burst's scope, PUTs that land on a new one are acknowledged on their
 // own, and the seal answers for the former.
 func TestBurstDeploymentGrowsUnderIt(t *testing.T) {
 	c := newCluster(t, quorum3(repro.Config{Metrics: true})).(*repro.Cluster)
-	s, err := kv.Open(c)
+	db := &servedBy{DB: c}
+	s, err := kv.Open(db)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,33 +510,39 @@ func TestBurstDeploymentGrowsUnderIt(t *testing.T) {
 	}
 	// Enough PUTs after the grow that some land on a shard the scope never
 	// opened on.
-	moved := 0
+	moved, stayed := 0, -1
 	b0, t0 := commitCounters(c)
 	for i := 1; i < keys/2; i++ {
 		if err := b.Put(burstKey(i), []byte(fmt.Sprintf("new%03d", i))); err != nil {
 			t.Fatal(err)
 		}
-		if r, _ := s.Place(burstKey(i)); c.ShardFor(r*c.PartSize()) != 0 {
+		if shardOf(c, s, i) != 0 {
 			moved++
+		} else {
+			stayed = i
 		}
 	}
-	if moved == 0 || moved == keys/2-1 {
+	if stayed < 0 || moved == 0 {
 		t.Fatalf("%d of %d PUTs landed off shard 0; the test needs some on either side", moved, keys/2-1)
 	}
 	// One transaction per PUT. Those off the scope's shard have each sealed
 	// a batch of their own; the rest wait, with the PUT from before the
-	// grow, for the burst's seal to ship them as one.
+	// grow, for the burst's seal to ship them as one — so shard 0's backups
+	// are behind its primary, which serves their keys until the seal.
 	if b1, t1 := commitCounters(c); int(b1-b0) != moved || int(t1-t0) != moved {
 		t.Fatalf("%d batches for %d transactions before the seal, want %d for %d", b1-b0, t1-t0, moved, moved)
 	}
-	if !b.Deferring() {
-		t.Fatal("the scope closed before the seal")
+	if _, err := b.Get(burstKey(stayed)); err != nil || db.last.Replica != 0 {
+		t.Fatalf("Get of a deferred key inside the burst: %v, served by %d; want the primary", err, db.last.Replica)
 	}
 	if err := b.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	if b1, t1 := commitCounters(c); int(b1-b0) != moved+1 || int(t1-t0) != keys/2 {
 		t.Fatalf("%d batches for %d transactions after the seal, want %d for %d", b1-b0, t1-t0, moved+1, keys/2)
+	}
+	if _, err := s.Get(burstKey(stayed)); err != nil || db.last.Replica == 0 {
+		t.Fatalf("Get of the key after the seal: %v, served by %d; want a backup", err, db.last.Replica)
 	}
 	wantValues(t, s, 0, keys/2, "new")
 	wantValues(t, s, keys/2, keys, "old")

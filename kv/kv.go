@@ -49,17 +49,17 @@
 // write, not against its own crashes.
 //
 // A Burst (burst.go) stretches the unit of acknowledgement from one
-// mutation to a run of them: on a one-shard deployment its mutations are
-// back-to-back transactions whose acknowledgement wait is paid once, at
-// Seal. Between a burst's commit and its seal a write is where a 1-safe
-// write always is — committed on the primary, named to no backup — so the
+// mutation to a run of them: its mutations are back-to-back transactions
+// whose acknowledgement wait is paid once per shard they touched, at Seal.
+// Between a burst's commit and its seal a write is where a 1-safe write
+// always is — committed on the primary, named to no backup — so the
 // committed-prefix argument above still gives the survivor a consistent
 // store; what changes is who may see it. The burst holds the store until
 // the seal, so nobody reads such a write; a primary death in that gap
-// fails the seal, the deployment admits nothing further from the burst
-// (no later mutation lands on a survivor that lacks the earlier ones),
-// the Store breaks as for a failed Commit, and after Reopen every key
-// reads what it held before the burst. Put, Delete and Txn.Commit called
+// fails the seal, that shard admits nothing further from the burst (no
+// later mutation lands on a survivor lacking the earlier ones), the Store
+// breaks as for a failed Commit, and after Reopen the dead shard's keys
+// read what they held before the burst. Put, Delete and Txn.Commit called
 // directly are not bursts: each is acknowledged when it returns.
 //
 // # Errors

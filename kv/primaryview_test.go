@@ -148,7 +148,7 @@ func TestPrimaryViewReadsMatchThePrimary(t *testing.T) {
 // applied sequence is behind the primary's and the primary serves the
 // burst's Get of the same key — with the new value.
 func TestBurstGetAfterDeferredPutReadsThePrimary(t *testing.T) {
-	db := &servedBy{DB: newCluster(t, quorum3(repro.Config{}))}
+	db := &servedBy{DB: newCluster(t, quorum3(repro.Config{Metrics: true}))}
 	s, err := kv.Open(db)
 	if err != nil {
 		t.Fatal(err)
@@ -157,12 +157,13 @@ func TestBurstGetAfterDeferredPutReadsThePrimary(t *testing.T) {
 	if got, err := s.Get(burstKey(2)); err != nil || string(got) != "old002" || db.last.Replica == 0 {
 		t.Fatalf("Get after acknowledged Puts = %q, %v, served by %d; want a backup", got, err, db.last.Replica)
 	}
+	b0, _ := commitCounters(db)
 	b := s.Burst()
 	if err := b.Put(burstKey(2), []byte("new002")); err != nil {
 		t.Fatal(err)
 	}
-	if !b.Deferring() {
-		t.Fatal("a one-shard burst does not defer")
+	if b1, _ := commitCounters(db); b1 != b0 {
+		t.Fatalf("the burst's Put sealed %d batches before the burst's seal", b1-b0)
 	}
 	if got, err := b.Get(burstKey(2)); err != nil || string(got) != "new002" || db.last.Replica != 0 {
 		t.Fatalf("burst Get after its deferred Put = %q, %v, served by %d; want the new value from the primary", got, err, db.last.Replica)

@@ -19,7 +19,7 @@
 // error are retried with exponential backoff against a fresh connection
 // until RetryBudget is exhausted; PUT, DELETE and TXN are last-writer-
 // wins idempotent, so re-sending a request whose response was lost is
-// safe.
+// safe (a re-sent DELETE that finds its key gone reports success).
 //
 // Error taxonomy mirrors the wire statuses: ErrNotFound (absent key),
 // ErrDegraded (safety level unmet — the mutation may be durable but was
@@ -390,16 +390,17 @@ func (c *Client) parse(r *request, body []byte) error {
 	return nil
 }
 
-// do runs one operation with the client's retry policy.
+// do runs one operation with the client's retry policy. A re-sent DELETE
+// that finds its key absent is done: an earlier attempt may have removed it.
 func (c *Client) do(r *request) error {
 	deadline := time.Now().Add(c.opts.RetryBudget)
 	backoff := 200 * time.Microsecond
-	for {
+	for resent := false; ; resent = true {
 		if c.closed.Load() {
 			return ErrClosed
 		}
 		err := c.doOnce(r)
-		if err == nil {
+		if err == nil || resent && r.op == kvwire.OpDelete && err == ErrNotFound {
 			return nil
 		}
 		if !retryable(err) || c.opts.RetryBudget < 0 || time.Now().After(deadline) {

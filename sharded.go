@@ -648,13 +648,15 @@ func (c *Cluster) Settle() {
 func (c *Cluster) Flush() error { return c.eachShard((*member).Flush) }
 
 // eachShard runs f on every shard and returns the first failure, naming
-// its shard.
+// its shard (see each).
 func (c *Cluster) eachShard(f func(*member) error) error { return each(c.v().shards, f) }
 
+// each returns the first failure but a later worse one: a degraded shard
+// must not hide another's crash, whose lost commits would pass as durable.
 func each(shards []*member, f func(*member) error) error {
 	var firstErr error
 	for i, m := range shards {
-		if err := f(m); err != nil && firstErr == nil {
+		if err := f(m); err != nil && (firstErr == nil || errors.Is(firstErr, ErrSafetyUnavailable) && !errors.Is(err, ErrSafetyUnavailable)) {
 			firstErr = fmt.Errorf("repro: shard %d: %w", i, err)
 		}
 	}
