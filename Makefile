@@ -81,7 +81,9 @@ tables:
 # availability, chaos and rebalance cells are step lists of tpc.Drill.
 # Lowered 20673 -> 20669 by deferring on every shard: kv.Burst lost its
 # one-shard fork, its deferring flag and Deferring.
-LOC_CEILING := 20669
+# Lowered 20669 -> 20571 by one audit for every drill: the replay oracle
+# replaced tpc.Ledger and the durability drill's own loss count.
+LOC_CEILING := 20571
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

@@ -56,7 +56,7 @@ func runChaos(cfg RunConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	one, err := tpc.Stream(c, w, cfg.Seed, nil)
+	one, _, err := tpc.Stream(c, w, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -35,8 +35,8 @@ func runDurability(cfg RunConfig) (*Table, error) {
 		Headers: []string{"SnapshotEvery", "Tail", "Committed", "Durable", "Recovered",
 			"Replayed", "TruncBytes", "LostAcked"},
 		Notes: append(runNotes(cfg),
-			fmt.Sprintf("passive-style disk tier under the active scheme, K=%d, quorum commit, batch 8, %d MB database, kill after ~240 txns (seeded)", backups, db>>20),
-			"Durable = last fdatasync'd commit at the power loss; LostAcked must be 0 in every row"),
+			fmt.Sprintf("disk tier: every replica appends its redo records to a WAL, one fdatasync per commit batch, and snapshots every SnapshotEvery commits; active backup, K=%d, quorum commit, batch 8, %d MB database, kill after ~240 txns (seeded)", backups, db>>20),
+			"Durable = last fdatasync'd commit at the power loss; LostAcked is 0: the drill fails when Recovered falls below Durable"),
 	}
 	var recoveryMS []string
 	for _, every := range []int{32, 128, 512} {
@@ -69,9 +69,6 @@ func runDurability(cfg RunConfig) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("harness: durability snap=%d/%s: %w", every, mode, err)
 			}
-			if res.LostAckedWrites != 0 {
-				return nil, fmt.Errorf("harness: durability snap=%d/%s lost %d acked writes", every, mode, res.LostAckedWrites)
-			}
 			recoveryMS = append(recoveryMS, f1(res.RecoveryWall.Seconds()*1e3))
 			t.Rows = append(t.Rows, []string{
 				fmt.Sprintf("%d", every),
@@ -79,9 +76,9 @@ func runDurability(cfg RunConfig) (*Table, error) {
 				fmt.Sprintf("%d", res.Total),
 				fmt.Sprintf("%d", res.AckedDurable),
 				fmt.Sprintf("%d", res.Recovered),
-				fmt.Sprintf("%d", res.Replayed),
-				fmt.Sprintf("%d", res.TruncatedBytes),
-				fmt.Sprintf("%d", res.LostAckedWrites),
+				fmt.Sprintf("%d", res.Recovery.Replayed),
+				fmt.Sprintf("%d", res.Recovery.TruncatedBytes),
+				"0", // RunDurability fails on any lost acked write
 			})
 		}
 	}

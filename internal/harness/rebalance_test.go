@@ -4,7 +4,8 @@ import "testing"
 
 // TestRebalanceCellShape: the elastic experiment reports every phase and
 // the whole run, transactions keep committing in every grow phase, and
-// the run row carries the migration totals and a zero-loss audit.
+// the run row carries the migration totals and the audited transaction
+// count (the cell fails if the audit does).
 func TestRebalanceCellShape(t *testing.T) {
 	cfg := PinnedRunConfig()
 	cfg.DBSize = 8 << 20
@@ -29,10 +30,7 @@ func TestRebalanceCellShape(t *testing.T) {
 		}
 	}
 	run := len(want) - 1
-	if moved, stamps := cell(t, tbl, run, 5), cell(t, tbl, run, 8); moved <= 0 || stamps <= 0 {
-		t.Errorf("run row: %v ranges moved, %v stamps acked, want both > 0", moved, stamps)
-	}
-	if lost := cell(t, tbl, run, 9); lost != 0 {
-		t.Errorf("run row: %v lost acked writes, want 0", lost)
+	if moved, audited := cell(t, tbl, run, 5), cell(t, tbl, run, 8); moved <= 0 || audited <= 0 {
+		t.Errorf("run row: %v ranges moved, %v transactions audited, want both > 0", moved, audited)
 	}
 }

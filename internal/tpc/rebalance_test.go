@@ -45,36 +45,28 @@ func newGrowable(t *testing.T) *repro.Cluster {
 	return c
 }
 
-// growDrill drills the rebalance cell's schedule on c with a ledger:
-// three baseline windows, growth to 4 and to 8 shards, three final
-// windows.
-func growDrill(c *repro.Cluster, warmup int64, seed uint64) ([]tpc.Window, *tpc.Ledger, error) {
-	l, err := tpc.NewLedger(c)
-	if err != nil {
-		return nil, nil, err
-	}
-	windows, err := drillDC(c, l, seed, warmup, 10*time.Millisecond,
+// growDrill drills the rebalance cell's schedule on c: three baseline
+// windows, growth to 4 and to 8 shards, three final windows. It returns
+// the windows and the stream's audit.
+func growDrill(c *repro.Cluster, warmup int64, seed uint64) ([]tpc.Window, func() (int64, error), error) {
+	return drillDC(c, seed, warmup, 10*time.Millisecond,
 		tpc.Step{Phase: "baseline", Windows: 3}, tpc.Grow(4), tpc.Grow(8), tpc.Step{Phase: "final", Windows: 3})
-	return windows, l, err
 }
 
 // TestRunRebalanceTimeline: the growth schedule takes a deployment 2 → 4
-// → 8 shards mid-workload, every growth step drains, the ledger loses
-// nothing, and the timeline covers all three phases.
+// → 8 shards mid-workload, every growth step drains, the final image is
+// the replay oracle's, and the timeline covers all three phases.
 func TestRunRebalanceTimeline(t *testing.T) {
 	sc := newElastic(t, 2)
-	windows, l, err := growDrill(sc, 50, 11)
+	windows, audit, err := growDrill(sc, 50, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sc.Shards() != 8 {
 		t.Fatalf("Shards = %d, want 8", sc.Shards())
 	}
-	if lost := l.Lost(); lost != 0 {
-		t.Fatalf("lost %d acked writes, want 0", lost)
-	}
-	if l.Acked() == 0 {
-		t.Fatal("no ledger stamps acknowledged")
+	if audited, err := audit(); err != nil || audited == 0 {
+		t.Fatalf("audit of %d transactions: %v", audited, err)
 	}
 	snap := sc.Metrics()
 	moved, shipped := snap.Counter("place.ranges_moved"), snap.Counter("place.bytes_shipped")
@@ -103,41 +95,48 @@ func TestRunRebalanceTimeline(t *testing.T) {
 func TestRunRebalanceDeterministic(t *testing.T) {
 	type run struct {
 		windows []tpc.Window
-		acked   int64
+		audited int64
 		metrics [2]uint64
 	}
 	drill := func() run {
 		c := newGrowable(t)
-		windows, l, err := growDrill(c, 20, 3)
+		windows, audit, err := growDrill(c, 20, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		audited, err := audit()
 		if err != nil {
 			t.Fatal(err)
 		}
 		snap := c.Metrics()
-		return run{windows, l.Acked(), [2]uint64{snap.Counter("place.ranges_moved"), snap.Counter("place.bytes_shipped")}}
+		return run{windows, audited, [2]uint64{snap.Counter("place.ranges_moved"), snap.Counter("place.bytes_shipped")}}
 	}
 	a, b := drill(), drill()
-	if a.acked != b.acked || a.metrics != b.metrics || !slices.Equal(a.windows, b.windows) {
+	if a.audited != b.audited || a.metrics != b.metrics || !slices.Equal(a.windows, b.windows) {
 		t.Fatalf("non-deterministic: %+v vs %+v", a, b)
 	}
 }
 
 // TestRunRebalanceFromNew: a deployment built by New grows like any
-// other — 1 → 4 → 8 mid-workload with zero lost acked writes — while a
-// Shard(i) view, whose topology is its parent's, refuses, and so does a
-// growth target the deployment already has.
+// other — 1 → 4 → 8 mid-workload to an image the replay oracle agrees
+// with — while a Shard(i) view, whose topology is its parent's, refuses,
+// and so does a growth target the deployment already has.
 func TestRunRebalanceFromNew(t *testing.T) {
 	c := newGrowable(t)
-	_, l, err := growDrill(c, 0, 1)
+	_, audit, err := growDrill(c, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved, lost := c.Metrics().Counter("place.ranges_moved"), l.Lost(); moved == 0 || lost != 0 || c.Shards() != 8 {
-		t.Fatalf("grow from New: %d ranges moved, %d lost acked writes, %d shards", moved, lost, c.Shards())
+	if _, err := audit(); err != nil {
+		t.Fatal(err)
+	}
+	if moved := c.Metrics().Counter("place.ranges_moved"); moved == 0 || c.Shards() != 8 {
+		t.Fatalf("grow from New: %d ranges moved, %d shards", moved, c.Shards())
 	}
 	if _, _, err := growDrill(newElastic(t, 2).Shard(0), 0, 1); !errors.Is(err, repro.ErrNotElastic) {
 		t.Fatalf("growing a Shard view = %v, want ErrNotElastic", err)
 	}
-	_, err = drillDC(newElastic(t, 2), nil, 1, 0, 10*time.Millisecond, tpc.Grow(2))
+	_, _, err = drillDC(newElastic(t, 2), 1, 0, 10*time.Millisecond, tpc.Grow(2))
 	if err == nil || !strings.Contains(err.Error(), "growth target 2 not above current 2 shards") {
 		t.Fatalf("growing to the current shard count = %v", err)
 	}

@@ -2,7 +2,9 @@ package tpc
 
 import (
 	"bytes"
+	"fmt"
 
+	"repro"
 	"repro/internal/replication"
 )
 
@@ -19,6 +21,30 @@ func firstMismatch(a, b []byte) int {
 		}
 	}
 	return -1
+}
+
+// auditImage is the one audit of every drill: c's image over w's layout
+// must be exactly the replay oracle's after k committed transactions of
+// w's stream from seed — no acknowledged byte missing, wherever the
+// placement moved it, and no byte of another transaction applied.
+func auditImage(c *repro.Cluster, w Workload, seed uint64, k int64) error {
+	want, err := Replay(w, Options{Seed: seed}, k)
+	if err != nil {
+		return err
+	}
+	got := make([]byte, len(want))
+	c.ReadRaw(0, got)
+	i := firstMismatch(want, got)
+	if i < 0 {
+		return nil
+	}
+	n := 0
+	for j := i; j < len(want); j++ {
+		if want[j] != got[j] {
+			n++
+		}
+	}
+	return fmt.Errorf("tpc: image diverges from the replay oracle at offset %d after %d transactions (%d bytes differ)", i, k, n)
 }
 
 // shadowTx executes transactions directly against a byte array: the pure

@@ -1,7 +1,6 @@
 package tpc
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -9,8 +8,7 @@ import (
 	"repro"
 )
 
-// The schedules a drill runs: crash and repair, growth, and seeded chaos,
-// plus the acked-write ledger any of them can interleave with the stream.
+// The schedules a drill runs: crash and repair, growth, and seeded chaos.
 
 // Caps on the degraded windows a step may spend waiting for its
 // deployment: an online repair to cut over, a growth step's plan to
@@ -186,92 +184,4 @@ func (ch *Chaos) settled(c *repro.Cluster) bool {
 	}
 	c.Settle()
 	return !c.RepairProgress().Active
-}
-
-// The ledger's shape: version-stamped slots of ledgerSlot bytes — an
-// 8-byte version followed by the version XOR ledgerMagic, so a torn stamp
-// is detectable — reserved at the database tail, one stamp transaction
-// every ledgerEvery stream transactions.
-const (
-	ledgerSlot  = 16
-	ledgerSlots = 64
-	ledgerEvery = 4
-)
-
-const ledgerMagic uint64 = 0xA5D1_57A3_0B5E_55ED
-
-// Ledger is the acked-write audit a drill interleaves with its stream
-// (see Stream): single-slot stamp transactions into slots reserved at the
-// database tail, outside the workload's layout, each slot's highest
-// acknowledged version recorded. Read back after the drill, a slot whose
-// stored version is below its acknowledged one is a lost acked write.
-type Ledger struct {
-	c             *repro.Cluster
-	base          int
-	issued, acked []uint64
-	n, writes     int64
-}
-
-// NewLedger reserves the ledger's slots at the tail of c's database.
-func NewLedger(c *repro.Cluster) (*Ledger, error) {
-	base := c.DBSize() - ledgerSlots*ledgerSlot
-	if base <= 0 {
-		return nil, fmt.Errorf("tpc: database %d too small for %d ledger slots", c.DBSize(), ledgerSlots)
-	}
-	return &Ledger{c: c, base: base, issued: make([]uint64, ledgerSlots), acked: make([]uint64, ledgerSlots)}, nil
-}
-
-// Base returns the offset of the ledger's first slot: the database size
-// left to the workload.
-func (l *Ledger) Base() int { return l.base }
-
-// Acked returns the number of acknowledged stamps.
-func (l *Ledger) Acked() int64 { return l.writes }
-
-// stamp writes the next version into one slot in its own transaction and
-// records the acknowledgement iff Commit returned.
-func (l *Ledger) stamp() error {
-	slot := int(l.n % ledgerSlots)
-	l.n++
-	ver := l.issued[slot] + 1
-	l.issued[slot] = ver
-	var buf [ledgerSlot]byte
-	binary.LittleEndian.PutUint64(buf[0:], ver)
-	binary.LittleEndian.PutUint64(buf[8:], ver^ledgerMagic)
-	tx, err := l.c.Begin()
-	if err != nil {
-		return err
-	}
-	off := l.base + slot*ledgerSlot
-	if err := tx.SetRange(off, ledgerSlot); err == nil {
-		err = tx.Write(off, buf[:])
-	}
-	if err != nil {
-		if abortErr := tx.Abort(); abortErr != nil {
-			return fmt.Errorf("%w (abort also failed: %v)", err, abortErr)
-		}
-		return err
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	l.acked[slot] = ver
-	l.writes++
-	return nil
-}
-
-// Lost reads every slot back and counts the lost acked writes: a slot
-// below its last acknowledged version, past its last issued one, or torn.
-func (l *Ledger) Lost() int64 {
-	var lost int64
-	var buf [ledgerSlot]byte
-	for slot := range ledgerSlots {
-		l.c.ReadRaw(l.base+slot*ledgerSlot, buf[:])
-		got := binary.LittleEndian.Uint64(buf[0:])
-		torn := got != 0 && binary.LittleEndian.Uint64(buf[8:]) != got^ledgerMagic
-		if torn || got < l.acked[slot] || got > l.issued[slot] {
-			lost++
-		}
-	}
-	return lost
 }

@@ -399,7 +399,7 @@ func TestChaosEventTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, err := tpc.Stream(c, w, 1, nil)
+	one, _, err := tpc.Stream(c, w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

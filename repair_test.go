@@ -282,7 +282,7 @@ func TestAvailabilityAfterPowerFail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			one, err := tpc.Stream(c, w, 3, nil)
+			one, _, err := tpc.Stream(c, w, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
