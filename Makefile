@@ -83,7 +83,10 @@ tables:
 # one-shard fork, its deferring flag and Deferring.
 # Lowered 20669 -> 20571 by one audit for every drill: the replay oracle
 # replaced tpc.Ledger and the durability drill's own loss count.
-LOC_CEILING := 20571
+# Raised 20571 -> 20599 for kv overwrites that write only the bytes of the
+# value that differ, and for a shard added mid-run whose clock starts at the
+# deployment's elapsed time; ROADMAP item 19's diet is the payback.
+LOC_CEILING := 20599
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -127,7 +128,9 @@ func TestShardedCommitPathZeroAllocs(t *testing.T) {
 
 // TestKVPutZeroAllocs pins the kv layer's single-key mutations to the
 // allocation count of the commit path beneath them: none. A Put or Delete
-// is a probe, one Begin, one or two declared writes and a Commit, written
+// is a probe, one Begin, one or two declared writes (none for an
+// overwrite with an identical value; the changed range of one that
+// differs) and a Commit, written
 // straight through — no plan to build, no closure to run — on one shard and
 // on four alike, 1-safe and at a K=3 quorum alike — and so is a Burst's Put
 // and Seal, which open and close a deferral scope on every shard. A lookup
@@ -189,7 +192,20 @@ func TestKVPutZeroAllocs(t *testing.T) {
 				insertDelete()
 			}
 			if allocs := testing.AllocsPerRun(500, overwrite); allocs != 0 {
-				t.Fatalf("an overwriting Put allocates %.1f times, want 0", allocs)
+				t.Fatalf("an identical overwriting Put allocates %.1f times, want 0", allocs)
+			}
+			// Each call stamps a value the key has never held, so the
+			// overwrite has bytes to compare and ship.
+			stamped := make([]byte, len(val))
+			changing := func() {
+				binary.BigEndian.PutUint64(stamped, uint64(i+1))
+				if err := s.Put(resident[i%n], stamped); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			if allocs := testing.AllocsPerRun(500, changing); allocs != 0 {
+				t.Fatalf("a changing overwriting Put allocates %.1f times, want 0", allocs)
 			}
 			if allocs := testing.AllocsPerRun(500, insertDelete); allocs != 0 {
 				t.Fatalf("an inserting Put and its Delete allocate %.1f times, want 0", allocs)

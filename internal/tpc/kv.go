@@ -130,12 +130,12 @@ func RunKV(db *repro.Cluster, opts KVOptions) (KVResult, error) {
 	}
 	key := func(i int) []byte { return []byte(fmt.Sprintf("user%08d", i)) }
 
-	// Read audit state: per-key version counters stamped into the
-	// first 8 value bytes (content-only — the sim charges by sizes and
-	// offsets, never byte values), the session's commit token, and — on a
-	// single shard, where the session is the only writer and commits are
-	// serial — the exact commit sequence of each key's latest write
-	// (keySeq), predicted by counting the session's own commits (putSeq).
+	// Read audit state: per-key version counters stamped into the first 8
+	// value bytes (an overwrite ships the bytes that differ, the stamp's
+	// among them), the session's commit token, and — on a single shard,
+	// where the session is the only writer and commits are serial — the
+	// exact commit sequence of each key's latest write (keySeq), predicted
+	// by counting the session's own commits (putSeq).
 	var (
 		tok    repro.Token
 		vers   []uint64
@@ -405,8 +405,9 @@ func RunKV(db *repro.Cluster, opts KVOptions) (KVResult, error) {
 }
 
 // RunKVBurst measures the kv layer under acknowledgement deferral: after
-// the usual preload, opts.Ops value updates of uniformly drawn keys run in
-// bursts of burst PUTs, each burst a kv.Burst sealed once — what kvserver
+// the usual preload, opts.Ops value updates of uniformly drawn keys, each
+// stamping a fresh counter into its value's first 8 bytes, run in bursts of
+// burst PUTs, each burst a kv.Burst sealed once — what kvserver
 // does with the PUTs of one pipelined burst of requests, minus the wire.
 // burst = 1 is one seal per PUT. Only Updates, Elapsed, OPS, Net and Keys
 // of the result are set.
@@ -430,9 +431,12 @@ func RunKVBurst(db repro.DB, opts KVOptions, burst int) (KVResult, error) {
 		}
 	}
 	b := store.Burst()
+	var stamp uint64 // each PUT changes its value, as RunKV's versions do
 	run := func(n int64) error {
 		for done := int64(0); done < n; {
 			for i := 0; i < burst && done < n; i++ {
+				stamp++
+				binary.BigEndian.PutUint64(value[:8], stamp)
 				if err := b.Put(key(r.IntN(kvRecords)), value); err != nil {
 					_ = b.Seal()
 					return err

@@ -141,37 +141,42 @@ func TestBurstHoldsTheStore(t *testing.T) {
 func TestBurstCrashInTheGap(t *testing.T) {
 	const keys = 40
 
-	t.Run("manual-failover", func(t *testing.T) {
-		db := newCluster(t, quorum3(repro.Config{}))
-		admin := db.(repro.Admin)
-		s, err := kv.Open(db)
-		if err != nil {
-			t.Fatal(err)
-		}
-		preload(t, s, keys)
-		b := s.Burst()
-		for i := 0; i < 3; i++ {
-			if err := b.Put(burstKey(i), []byte(fmt.Sprintf("new%03d", i))); err != nil {
+	// A compared overwrite ("old000" → "o__000") writes only its middle
+	// two bytes; the dead primary takes them along, and the key still
+	// reads its whole old value.
+	for name, value := range map[string]string{"manual-failover": "new%03d", "compared-overwrite": "o__%03d"} {
+		t.Run(name, func(t *testing.T) {
+			db := newCluster(t, quorum3(repro.Config{}))
+			admin := db.(repro.Admin)
+			s, err := kv.Open(db)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := admin.CrashPrimary(); err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Seal(); !errors.Is(err, repro.ErrCrashed) {
-			t.Fatalf("seal after the crash = %v, want ErrCrashed", err)
-		}
-		if _, err := s.Get(burstKey(0)); !errors.Is(err, kv.ErrBroken) {
-			t.Fatalf("Get on the store after the failed seal = %v, want ErrBroken", err)
-		}
-		if err := admin.Failover(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Reopen(); err != nil {
-			t.Fatal(err)
-		}
-		wantValues(t, s, 0, keys, "old")
-	})
+			preload(t, s, keys)
+			b := s.Burst()
+			for i := 0; i < 3; i++ {
+				if err := b.Put(burstKey(i), []byte(fmt.Sprintf(value, i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := admin.CrashPrimary(); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Seal(); !errors.Is(err, repro.ErrCrashed) {
+				t.Fatalf("seal after the crash = %v, want ErrCrashed", err)
+			}
+			if _, err := s.Get(burstKey(0)); !errors.Is(err, kv.ErrBroken) {
+				t.Fatalf("Get on the store after the failed seal = %v, want ErrBroken", err)
+			}
+			if err := admin.Failover(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Reopen(); err != nil {
+				t.Fatal(err)
+			}
+			wantValues(t, s, 0, keys, "old")
+		})
+	}
 
 	// The crash lands between the second PUT's probe and its Begin, on a
 	// deployment whose autopilot would promote a survivor at that Begin

@@ -35,18 +35,18 @@
 // Every mutation is one transaction on the underlying DB, confined to one
 // region and therefore to one replica group, which commits it atomically:
 // an insert writes the record and flips its bucket word together, an
-// overwrite rewrites the record in the slot it already has (only the value,
-// when its length is unchanged: header and key already read right), a
-// delete tombstones the bucket word. The replication layer guarantees a committed
-// prefix per group, so after any crash and failover a key reads the whole
-// of its last surviving mutation — there is no intermediate state for a
-// crash to expose and nothing for recovery to reclaim. A multi-key
-// Txn.Commit is one DB transaction too: atomic where its keys share a
-// shard, per shard otherwise (see Txn). Open still validates every
-// reachable bucket (slot range and region, record-header sanity, the
-// key's own region, duplicate references and duplicate keys) and
-// tombstones what fails; that guards against bytes this package did not
-// write, not against its own crashes.
+// overwrite rewrites the record in the slot it already has (when its length
+// is unchanged, only the bytes of the value that differ: every replica holds
+// the rest), a delete tombstones the bucket word. The replication layer
+// guarantees a committed prefix per group, so after any crash and failover
+// a key reads the whole of its last surviving mutation — there is no
+// intermediate state for a crash to expose and nothing for recovery to
+// reclaim. A multi-key Txn.Commit is one DB transaction too: atomic where
+// its keys share a shard, per shard otherwise (see Txn). Open still
+// validates every reachable bucket (slot range and region, record-header
+// sanity, the key's own region, duplicate references and duplicate keys)
+// and tombstones what fails; that guards against bytes this package did
+// not write, not against its own crashes.
 //
 // A Burst (burst.go) stretches the unit of acknowledgement from one
 // mutation to a run of them: its mutations are back-to-back transactions
@@ -761,14 +761,30 @@ func (s *Store) unalloc(p probeResult) {
 }
 
 // writePut issues a put's writes on tx. An overwrite rewrites the record
-// in the slot it has — only its value when the length is unchanged, since
-// the header and the key already read right; an insert writes the record
-// into its allocated slot and flips the bucket word to name it. Both ranges
-// are in the key's region, so the transaction commits them together on one
-// group.
+// in the slot it has — when the length is unchanged, only the one range of
+// its value from the first byte that differs from the stored value (read
+// through tx) to the last, none for an equal value, since every replica
+// already holds the rest; an insert writes the record into its allocated
+// slot and flips the bucket word to name it. Both ranges are in the key's
+// region, so the transaction commits them together on one group.
 func (s *Store) writePut(tx repro.Tx, p probeResult, key, value []byte) error {
 	if p.found && p.valLen == len(value) {
-		return write(tx, s.geo.slotOff(p.slot)+slotHeader+len(key), value)
+		off := s.geo.slotOff(p.slot) + slotHeader + len(key)
+		s.vbuf = grow(s.vbuf, len(value))
+		if err := tx.Read(off, s.vbuf); err != nil {
+			return err
+		}
+		lo, hi := 0, len(value)
+		for lo < hi && s.vbuf[lo] == value[lo] {
+			lo++
+		}
+		for hi > lo && s.vbuf[hi-1] == value[hi-1] {
+			hi--
+		}
+		if lo == hi {
+			return nil
+		}
+		return write(tx, off+lo, value[lo:hi])
 	}
 	n := slotHeader + len(key) + len(value)
 	s.vbuf = grow(s.vbuf, n)

@@ -539,9 +539,10 @@ func TestBrokenAfterObservedCrash(t *testing.T) {
 }
 
 // TestSameLengthOverwriteShipsTheValue: an overwrite that keeps the value's
-// length writes the value alone — the modified bytes shipped grow by exactly
-// its length — while one that changes it rewrites the whole record; both
-// keys read back whole after a crash, a failover and Reopen.
+// length writes no header or key — "first" → "again" changes every byte,
+// so the modified bytes shipped grow by exactly its length — while one
+// that changes it rewrites the whole record; both keys read back whole
+// after a crash, a failover and Reopen.
 func TestSameLengthOverwriteShipsTheValue(t *testing.T) {
 	db := newCluster(t, repro.Config{Backups: 3, Safety: repro.QuorumSafe})
 	s, err := kv.Open(db)
@@ -578,6 +579,101 @@ func TestSameLengthOverwriteShipsTheValue(t *testing.T) {
 		if v, err := s.Get([]byte(key)); err != nil || string(v) != want {
 			t.Fatalf("%s after failover reads %q, %v; want %q", key, v, err, want)
 		}
+	}
+}
+
+// TestOverwriteShipsChangedBytes: a same-length overwrite ships the range
+// from the first byte it changes to the last, wherever that range lies, on
+// one shard and on four at quorum. An identical value ships nothing and
+// still commits. A Txn compares its key's last buffered value with the
+// store's; a Burst compares a PUT with the unsealed PUT before it.
+func TestOverwriteShipsChangedBytes(t *testing.T) {
+	for name, mk := range map[string]func(t *testing.T) repro.DB{
+		"one-shard":   func(t *testing.T) repro.DB { return newCluster(t, quorum3(repro.Config{Metrics: true})) },
+		"four-shards": func(t *testing.T) repro.DB { return newSharded(t, 4, quorum3(repro.Config{Metrics: true})) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			db := mk(t)
+			s, err := kv.Open(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			base := []byte("the quick brown fox jumps over it")
+			n := len(base)
+			// changed returns base with every byte of [from, to) altered.
+			changed := func(from, to int) []byte {
+				v := bytes.Clone(base)
+				for i := from; i < to; i++ {
+					v[i] ^= 0xff
+				}
+				return v
+			}
+			// shipped runs do against a key holding base and returns the
+			// modified bytes it shipped and the transactions it committed.
+			shipped := func(key string, do func() error) (int64, uint64) {
+				t.Helper()
+				if err := s.Put([]byte(key), base); err != nil {
+					t.Fatal(err)
+				}
+				bytes0, txns0 := db.NetTraffic().ModifiedBytes, db.Metrics().Counter("repl.commit.txns")
+				if err := do(); err != nil {
+					t.Fatal(err)
+				}
+				return db.NetTraffic().ModifiedBytes - bytes0, db.Metrics().Counter("repl.commit.txns") - txns0
+			}
+			readsBack := func(key string, want []byte) {
+				t.Helper()
+				if got, err := s.Get([]byte(key)); err != nil || !bytes.Equal(got, want) {
+					t.Fatalf("%s reads %q, %v; want %q", key, got, err, want)
+				}
+			}
+			for _, tc := range []struct {
+				name     string
+				from, to int
+			}{
+				{"start", 0, 3}, {"middle", 10, 14}, {"end", n - 2, n}, {"whole", 0, n}, {"identical", 0, 0},
+			} {
+				val := changed(tc.from, tc.to)
+				got, txns := shipped(tc.name, func() error { return s.Put([]byte(tc.name), val) })
+				if want := int64(tc.to - tc.from); got != want || txns != 1 {
+					t.Errorf("%s: overwrite shipped %d modified bytes in %d commits, want %d in 1", tc.name, got, txns, want)
+				}
+				readsBack(tc.name, val)
+			}
+
+			got, _ := shipped("txn", func() error {
+				txn, err := s.Begin()
+				if err != nil {
+					return err
+				}
+				if err := txn.Put([]byte("txn"), changed(0, n)); err != nil {
+					return err
+				}
+				if err := txn.Put([]byte("txn"), changed(5, 9)); err != nil {
+					return err
+				}
+				return txn.Commit()
+			})
+			if got != 4 {
+				t.Errorf("a Txn's second PUT of a key shipped %d modified bytes, want the 4 it changes in the store", got)
+			}
+			readsBack("txn", changed(5, 9))
+
+			b := s.Burst()
+			got, _ = shipped("burst", func() error {
+				if err := b.Put([]byte("burst"), changed(5, 9)); err != nil {
+					return err
+				}
+				if err := b.Put([]byte("burst"), changed(5, 12)); err != nil {
+					return err
+				}
+				return b.Seal()
+			})
+			if got != 4+3 {
+				t.Errorf("a Burst's two PUTs of a key shipped %d modified bytes, want 4 and then the 3 the second changes", got)
+			}
+			readsBack("burst", changed(5, 12))
+		})
 	}
 }
 

@@ -54,6 +54,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/placement"
+	"repro/internal/sim"
 )
 
 const (
@@ -220,11 +221,15 @@ func (c *Cluster) AddShards(n int) ([]int, error) {
 	v := c.v()
 	list := make([]*member, len(v.shards), len(v.shards)+n)
 	copy(list, v.shards)
+	// A new shard's measured interval starts level with the deployment's,
+	// so the work moved onto it is not free until its clocks catch up.
+	e := sim.Dur(c.elapsed())
 	for i := 0; i < n; i++ {
 		m, err := c.newShard(len(list))
 		if err != nil {
 			return nil, err
 		}
+		m.Primary().Clock.Advance(e)
 		list = append(list, m)
 	}
 	ids := c.layout.Grow(n)

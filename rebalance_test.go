@@ -81,6 +81,35 @@ func shadowTxn(t *testing.T, sc *repro.ShardedCluster, shadow []byte, r *rand.Ra
 	copy(shadow[off:], val[:])
 }
 
+// TestAddedShardStartsAtTheDeploymentsElapsed: a shard added mid-run
+// starts its measured interval level with the deployment's, so the work
+// a rebalance moves onto it is charged from that instant, not from zero.
+func TestAddedShardStartsAtTheDeploymentsElapsed(t *testing.T) {
+	const dbSize = 1 << 20
+	sc, err := repro.NewSharded(elasticConfig(dbSize, false), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := make([]byte, dbSize)
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		shadowTxn(t, sc, shadow, r, r.Intn(dbSize/64)*64)
+	}
+	before := sc.Elapsed()
+	ids, err := sc.AddShards(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.Elapsed(); got != before {
+		t.Fatalf("AddShards moved the deployment's Elapsed %v -> %v", before, got)
+	}
+	for _, id := range ids {
+		if got := sc.Shard(id).Elapsed(); got != before {
+			t.Errorf("added shard %d starts at %v, want the deployment's %v", id, got, before)
+		}
+	}
+}
+
 // TestRebalanceGrowMovesData: the tentpole end to end — grow 2→4, a
 // blocking Rebalance, and a byte-exact audit that the moved ranges
 // carried every committed write with them. Routing, tokens, and the

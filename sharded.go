@@ -856,12 +856,15 @@ func (c *Cluster) NetTraffic() Traffic {
 // parallel on disjoint hardware, so aggregate throughput is total
 // operations divided by this maximum — which is why it grows with the
 // shard count. Never blocks: the clocks are sampled atomically.
-func (c *Cluster) Elapsed() time.Duration {
+func (c *Cluster) Elapsed() time.Duration { return c.elapsed().Duration() }
+
+// elapsed is Elapsed in simulated time.
+func (c *Cluster) elapsed() sim.Time {
 	var e sim.Time
 	for _, m := range c.v().shards {
 		e = max(e, m.Elapsed())
 	}
-	return e.Duration()
+	return e
 }
 
 // ResetMeasurement starts a fresh measured interval on every shard
