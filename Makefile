@@ -86,7 +86,10 @@ tables:
 # Raised 20571 -> 20599 for kv overwrites that write only the bytes of the
 # value that differ, and for a shard added mid-run whose clock starts at the
 # deployment's elapsed time; ROADMAP item 19's diet is the payback.
-LOC_CEILING := 20599
+# Lowered 20599 -> 20596 by one goroutine per connection: kvserver's reader
+# writes its own answers, and the response queue, its writer goroutine and
+# Config.Window went.
+LOC_CEILING := 20596
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

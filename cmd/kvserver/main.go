@@ -11,7 +11,7 @@
 //
 //	kvserver [-addr :7791] [-db-mb 8] [-backups 3]
 //	         [-safety 1safe|2safe|quorum] [-shards 1]
-//	         [-autopilot=true] [-window 64] [-q]
+//	         [-autopilot=true] [-q]
 //	         [-data-dir DIR] [-snapshot-every N]
 //	         [-metrics-addr :7792]
 //
@@ -33,8 +33,8 @@
 // writes survive a full-process kill. Without -data-dir the keyspace is
 // memory-only, exactly as before.
 //
-// SIGINT/SIGTERM drain gracefully: accepted requests are answered,
-// writers flush, the WAL is synced and closed, then the process exits.
+// SIGINT/SIGTERM drain gracefully: accepted requests are answered, the
+// WAL is synced and closed, then the process exits.
 package main
 
 import (
@@ -64,7 +64,6 @@ func main() {
 		safety    = flag.String("safety", "quorum", "commit discipline (1safe, 2safe, quorum)")
 		shards    = flag.Int("shards", 1, "independent replica groups; keys are range-partitioned across them by the store")
 		autopilot = flag.Bool("autopilot", true, "run the autopilot (heartbeat failure detection + unattended failover)")
-		window    = flag.Int("window", 64, "per-connection in-flight response window")
 		dataDir   = flag.String("data-dir", "", "durability directory: per-replica redo WAL + snapshots; relaunch with the same dir to cold-restart from disk (empty = memory-only)")
 		snapEvery = flag.Int("snapshot-every", 0, "checkpoint a snapshot every N commits per replica (0 = default; needs -data-dir)")
 		metrics   = flag.String("metrics-addr", "", "HTTP listen address for the Prometheus /metrics endpoint; also instruments the deployment and serving tier (empty = observability off)")
@@ -130,7 +129,7 @@ func main() {
 	if *quiet {
 		logf = func(string, ...any) {}
 	}
-	scfg := kvserver.Config{Window: *window, Logf: logf}
+	scfg := kvserver.Config{Logf: logf}
 	if *metrics != "" {
 		// The serving tier's own registry; the deployment's (created by
 		// cfg.Metrics above) stays separate and the OpMetrics/HTTP
@@ -176,8 +175,8 @@ func main() {
 	if *metrics != "" {
 		metricsDesc = *metrics
 	}
-	logf("kvserver: serving addr=%s shards=%d backups=%d safety=%s autopilot=%v db_mib=%d window=%d durability=%s metrics=%s",
-		l.Addr(), *shards, *backups, cfg.Safety, *autopilot, *dbMB, *window, durDesc, metricsDesc)
+	logf("kvserver: serving addr=%s shards=%d backups=%d safety=%s autopilot=%v db_mib=%d durability=%s metrics=%s",
+		l.Addr(), *shards, *backups, cfg.Safety, *autopilot, *dbMB, durDesc, metricsDesc)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

@@ -299,14 +299,13 @@ func TestBurstHeldOnlyWhileASealIsPending(t *testing.T) {
 	}
 }
 
-// TestBurstLargerThanWindow: sixteen buffered requests — PUTs that keep a
-// burst going, GETs with large answers — against a window of two and a
-// peer that is not reading. The window bounds what a burst may stage, so
-// the reader ends up blocked on its queue with requests still unserved —
-// and must have let go of the store first: the healer's Reopen and every
-// other connection need it.
-func TestBurstLargerThanWindow(t *testing.T) {
-	_, store, client, big := stallWindow(t)
+// TestBurstUnreadPeerFreesTheStore: sixteen buffered requests — PUTs that
+// keep a burst going, GETs with large answers — from a peer that is not
+// reading. The reader ends up blocked writing the burst's answers — and
+// must have let go of the store first: the healer's Reopen and every other
+// connection need it.
+func TestBurstUnreadPeerFreesTheStore(t *testing.T) {
+	_, store, client, big := stallPeer(t)
 	// Nobody reads the responses yet. The store must come free anyway.
 	got := make(chan error, 1)
 	go func() {
@@ -319,29 +318,29 @@ func TestBurstLargerThanWindow(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("the store is still held while the reader waits for room in its response queue")
+		t.Fatal("the store is still held while the reader waits to write its answers")
 	}
 	readStalled(t, client, big)
 }
 
-// stallWindow serves a store over a window of two and sends one connection
-// sixteen requests whose answers outgrow the window and the writer's
-// buffer; nobody reads them. It returns the server, the store, the
-// connection's client end and the value the GETs among them read.
-func stallWindow(t *testing.T) (*Server, *kv.Store, net.Conn, []byte) {
+// stallPeer serves a store and sends one connection sixteen requests,
+// one burst, whose answers outgrow the connection's 16 KiB write buffer;
+// nobody reads them. It returns the server, the store, the connection's
+// client end and the value the GETs among them read.
+func stallPeer(t *testing.T) (*Server, *kv.Store, net.Conn, []byte) {
 	db := mustCluster(t, quorumAutopilot(repro.Config{}))
 	store, err := kv.OpenWith(db, kv.Options{SlotSize: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Eight of these outgrow the writer's 16 KiB buffer plus two queued.
+	// Eight of these outgrow the write buffer.
 	big := bytes.Repeat([]byte{'v'}, 3900)
 	for i := 0; i < 8; i++ {
 		if err := store.Put(bkey(i), big); err != nil {
 			t.Fatal(err)
 		}
 	}
-	srv := New(store, Config{Window: 2, Logf: t.Logf})
+	srv := New(store, Config{Logf: t.Logf})
 	t.Cleanup(func() { srv.Close() })
 	client := servePipe(t, srv)
 	var frames []byte
@@ -353,7 +352,7 @@ func stallWindow(t *testing.T) (*Server, *kv.Store, net.Conn, []byte) {
 	return srv, store, client, big
 }
 
-// readStalled reads stallWindow's sixteen answers.
+// readStalled reads stallPeer's sixteen answers.
 func readStalled(t *testing.T, client net.Conn, big []byte) {
 	t.Helper()
 	st, bodies := readResponses(t, client, 16)
@@ -366,8 +365,8 @@ func readStalled(t *testing.T, client net.Conn, big []byte) {
 }
 
 // servePipe serves one end of a synchronous pipe and returns the other:
-// nothing is buffered between the server's writer and the test, so an
-// unread response blocks the writer for certain.
+// nothing is buffered between the server and the test, so an unread
+// response blocks the connection's write for certain.
 func servePipe(t *testing.T, srv *Server) net.Conn {
 	client, server := net.Pipe()
 	t.Cleanup(func() { client.Close() })

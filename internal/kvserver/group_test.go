@@ -156,13 +156,13 @@ func TestGroupGetWaitsForTheSeal(t *testing.T) {
 	}
 }
 
-// TestGroupSlowPeerStallsNoOne is TestBurstLargerThanWindow with a second
-// connection: while the first one's peer reads nothing and its reader sits
-// blocked on its full response queue, the second is served round trip
-// after round trip — a reader queues its answers only after it has handed
-// the lead on.
+// TestGroupSlowPeerStallsNoOne is TestBurstUnreadPeerFreesTheStore with a
+// second connection: while the first one's peer reads nothing and its
+// reader sits blocked in its write, the second is served round trip after
+// round trip — a reader writes its answers only after it has handed the
+// lead on.
 func TestGroupSlowPeerStallsNoOne(t *testing.T) {
-	srv, _, stalled, big := stallWindow(t)
+	srv, _, stalled, big := stallPeer(t)
 	other := servePipe(t, srv)
 	for i := 0; i < 20; i++ {
 		frames := kvwire.AppendPut(nil, []byte("other"), bval("v", i))

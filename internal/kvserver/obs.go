@@ -16,15 +16,17 @@ const (
 	// execution, to its encoded response, without the seal of the group
 	// it ran in.
 	MetricOpLatency = "server.op."
-	// MetricWindowOccupancy samples the per-connection response queue
-	// depth at each request (ns-encoded count, like repl.batch.occupancy).
+	// MetricWindowOccupancy samples, at each request, the answers its
+	// connection holds executed but not yet written: in its write buffer
+	// since the last flush, plus those staged ahead of it in its burst
+	// (ns-encoded count, like repl.batch.occupancy).
 	MetricWindowOccupancy = "server.window.occupancy"
 	// MetricBurstFrames, MetricBurstMutations and MetricBurstConns
 	// sample, per seal, how many request frames the seal answered across
 	// every connection of its group, how many of them were mutations (PUT,
 	// DELETE, TXN) — what the deployment's repl.batch.occupancy is made of
 	// — and how many connections they came from. Counts, ns-encoded like
-	// the window occupancy; no time domain.
+	// MetricWindowOccupancy; no time domain.
 	MetricBurstFrames    = "server.burst.frames"
 	MetricBurstMutations = "server.burst.mutations"
 	MetricBurstConns     = "server.burst.conns"
@@ -114,8 +116,8 @@ func (o *serverObs) clock() time.Time {
 
 // observeOp records one executed request: its execution since start under
 // its opcode's histogram (the bad-frame histogram when the opcode never
-// decoded) and the response-queue depth its connection had.
-func (o *serverObs) observeOp(op byte, start time.Time, queued int) {
+// decoded) and the answers its connection held unsent.
+func (o *serverObs) observeOp(op byte, start time.Time, unsent int) {
 	if o.reg == nil {
 		return
 	}
@@ -124,7 +126,7 @@ func (o *serverObs) observeOp(op byte, start time.Time, queued int) {
 		h = o.opLat[op]
 	}
 	h.Record(time.Since(start))
-	o.window.Record(time.Duration(queued))
+	o.window.Record(time.Duration(unsent))
 }
 
 // observeBurst records one seal's shape.

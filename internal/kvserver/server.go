@@ -1,19 +1,18 @@
 // Package kvserver is the TCP front-end over a kv.Store: the piece that
 // turns the in-process reproduction into a system real clients can
 // talk to. It speaks the kvwire length-prefixed binary protocol
-// (PUT/GET/DELETE/SCAN/TXN/STATS/PING), pipelines requests per
-// connection behind a bounded in-flight window, commits the pipelined
-// bursts of every connection as one leader-led group under one seal and
-// answers only after it (see handleConn), recycles every frame
-// buffer through kvwire's pool (no per-operation allocations or
-// goroutines on the steady-state path — two goroutines per connection,
+// (PUT/GET/DELETE/SCAN/TXN/STATS/PING), reads pipelined requests burst
+// by burst, commits the bursts of every connection as one leader-led group
+// under one seal and answers only after it (see handleConn), recycles
+// every frame buffer through kvwire's pool (no per-operation allocations
+// or goroutines on the steady-state path — one goroutine per connection,
 // period), routes GETs and SCANs carrying a kvwire consistency block
 // through the store's replica read views (answering mutations with the
 // commit token that anchors read-your-writes sessions), and maps the
 // deployment's failure taxonomy onto the wire:
 //
 //   - kv.ErrBroken / repro.ErrCrashed / repro.ErrLeaseExpired become
-//     StatusRetry — and before that answer is queued, the reader leading
+//     StatusRetry — and before that answer is written, the reader leading
 //     the commit group re-Opens the store in place (kv.Store.Reopen, whose
 //     admission probe is where an autopilot promotes a survivor;
 //     Admin.Failover first when no autopilot is configured). A StatusRetry
@@ -28,8 +27,8 @@
 //     the connection.
 //
 // Shutdown is a graceful drain: listeners close, connections finish
-// answering every request already read, writers flush, and only then do
-// the sockets close.
+// answering every request already read, and only then do the sockets
+// close.
 package kvserver
 
 import (
@@ -38,7 +37,6 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -52,16 +50,10 @@ import (
 
 // Config tunes a Server. The zero value is serviceable.
 type Config struct {
-	// Window is the per-connection in-flight window: how many parsed-
-	// but-unsent responses may queue before the reader stops consuming
-	// requests (backpressure propagates to the client through TCP). A
-	// connection stages at most as many frames before it joins the commit
-	// group. Default 64.
-	Window int
 	// Logf, when set, receives serving-lifecycle log lines.
 	Logf func(format string, args ...any)
 	// Obs, when set, attaches the server's own instruments (per-opcode
-	// latency, window occupancy, connection churn, error taxonomy) to the
+	// latency, unsent answers, connection churn, error taxonomy) to the
 	// registry and routes heal outcomes through its event ring. Keep
 	// it distinct from the deployment's registry (repro.Config.Metrics):
 	// OpMetrics responses merge the two, so sharing one would double-
@@ -72,12 +64,11 @@ type Config struct {
 
 // Server serves one kv.Store over any number of listeners.
 type Server struct {
-	store  *kv.Store
-	db     repro.DB
-	admin  repro.Admin // nil when the deployment exposes no Admin
-	window int
-	logf   func(string, ...any)
-	obs    serverObs
+	store *kv.Store
+	db    repro.DB
+	admin repro.Admin // nil when the deployment exposes no Admin
+	logf  func(string, ...any)
+	obs   serverObs
 
 	mu    sync.Mutex
 	lns   map[net.Listener]struct{}
@@ -110,23 +101,19 @@ type Server struct {
 // New builds a Server over store. The deployment behind the store is
 // probed for the repro.Admin surface; with it, a heal can drive a manual
 // failover when no autopilot is configured. It starts no goroutine: a
-// server owns none, each connection two.
+// server owns none, each connection one.
 func New(store *kv.Store, cfg Config) *Server {
-	if cfg.Window <= 0 {
-		cfg.Window = 64
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
 	s := &Server{
-		store:  store,
-		db:     store.DB(),
-		burst:  store.Burst(),
-		window: cfg.Window,
-		logf:   cfg.Logf,
-		obs:    newServerObs(cfg.Obs),
-		lns:    make(map[net.Listener]struct{}),
-		conns:  make(map[net.Conn]struct{}),
+		store: store,
+		db:    store.DB(),
+		burst: store.Burst(),
+		logf:  cfg.Logf,
+		obs:   newServerObs(cfg.Obs),
+		lns:   make(map[net.Listener]struct{}),
+		conns: make(map[net.Conn]struct{}),
 	}
 	s.admin, _ = s.db.(repro.Admin)
 	return s
@@ -178,8 +165,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	for l := range s.lns {
 		l.Close()
 	}
-	// Wake blocked readers; requests already parsed keep flowing to the
-	// writers, new ones are not read.
+	// Wake blocked readers; requests already read are answered, new ones
+	// are not read.
 	for c := range s.conns {
 		c.SetReadDeadline(time.Now())
 	}
@@ -251,21 +238,30 @@ func (s *Server) Metrics() obs.Snapshot {
 	return snap
 }
 
-// handleConn runs one connection: a reader that parses requests and stages
-// them burst by burst, and a writer that flushes the bounded response
-// queue. No other goroutines ever exist for the connection.
+// maxBurst caps the frames one burst stages before it joins the commit
+// group.
+const maxBurst = 64
+
+// handleConn runs one connection on its one goroutine: a reader that
+// parses requests, stages them burst by burst and writes their answers
+// itself. No other goroutine ever exists for the connection.
 //
 // A burst is the frame that woke the reader plus every complete frame
-// already in its buffer, up to the window. The reader never waits for input
+// already in its buffer, up to maxBurst. The reader never waits for input
 // it does not hold, so a lone request is a burst of one. PUT, DELETE, TXN
 // and primary-mode GET join the burst; anything else commits the staged
 // burst first, then runs on its own. A burst goes on only on one shard,
 // while it holds a mutation (sealPending). It commits in the server's group
 // (commit) with the bursts of every connection that queued meanwhile,
 // under one deferral scope and one seal on every shard. The invariant: no
-// response — GETs included — is queued before a seal covering every commit
-// it could have observed has returned nil; if the seal fails, every
+// response — GETs included — is written before a seal covering every
+// commit it could have observed has returned nil; if the seal fails, every
 // response it covered, in every connection, carries its error instead.
+//
+// Answers are flushed whenever the next read may block, so the answers of
+// every burst already read leave in one write. A peer that stops reading
+// blocks the reader in that write, after commit has let go of the store. A
+// write that fails ends the connection: nothing more is executed from it.
 func (s *Server) handleConn(c net.Conn) {
 	defer func() {
 		s.mu.Lock()
@@ -276,42 +272,24 @@ func (s *Server) handleConn(c net.Conn) {
 		s.connWg.Done()
 	}()
 
-	out := make(chan []byte, s.window)
-	writerDone := make(chan struct{})
-	go func() {
-		defer close(writerDone)
-		bw := bufio.NewWriterSize(c, 16<<10)
-		var werr error
-		for b := range out {
-			if werr == nil {
-				_, werr = bw.Write(b)
-				// Flush only when the queue is empty: pipelined bursts
-				// coalesce into one syscall.
-				if werr == nil && len(out) == 0 {
-					werr = bw.Flush()
-				}
-			}
-			kvwire.PutBuf(b)
-		}
-		if werr == nil {
-			bw.Flush()
-		}
-	}()
-
-	// The read buffer bounds a burst — a frame it cannot hold whole is
-	// never "already there" and starts the next one — and so does the
-	// window: staged requests are parsed-but-unsent ones too.
+	// The read buffer bounds a burst: a frame it cannot hold whole is never
+	// "already there" and starts the next one.
 	br := bufio.NewReaderSize(c, 16<<10)
-	r := &connReader{s: s, out: out, turn: make(chan bool, 1)}
-	// A drain does not drop what is already off the socket: draining is
-	// looked at only when the buffer holds no whole frame, once per burst.
-	for frameBuffered(br, kvwire.MaxFrame) || !s.draining.Load() {
+	r := &connReader{s: s, bw: bufio.NewWriterSize(c, 16<<10), turn: make(chan bool, 1)}
+	for r.werr == nil {
+		if !frameBuffered(br, kvwire.MaxFrame) {
+			// The next read may block. A drain does not drop what is off
+			// the socket: draining is looked at only here, once per burst.
+			if r.flush(); r.werr != nil || s.draining.Load() {
+				break
+			}
+		}
 		// The frame that wakes the reader: the only read that may block.
 		buf, err := kvwire.ReadFrame(br, kvwire.GetBuf(), kvwire.MaxFrame)
 		fatal := false
 		for err == nil {
 			fatal = r.stage(buf)
-			if fatal || !r.sealPending() || len(r.frames) >= s.window || !frameBuffered(br, kvwire.MaxFrame) {
+			if fatal || !r.sealPending() || len(r.frames) >= maxBurst || !frameBuffered(br, kvwire.MaxFrame) {
 				break
 			}
 			buf, err = kvwire.ReadFrame(br, kvwire.GetBuf(), kvwire.MaxFrame)
@@ -320,7 +298,7 @@ func (s *Server) handleConn(c net.Conn) {
 		if err != nil {
 			kvwire.PutBuf(buf)
 			if errors.Is(err, kvwire.ErrFrame) {
-				out <- s.badFrame(err)
+				r.send(s.badFrame(err))
 			}
 			break
 		}
@@ -328,8 +306,7 @@ func (s *Server) handleConn(c net.Conn) {
 			break
 		}
 	}
-	close(out)
-	<-writerDone
+	r.flush()
 }
 
 // frameBuffered reports whether the next ReadFrame can finish without
@@ -348,7 +325,9 @@ func frameBuffered(br *bufio.Reader, max int) bool {
 // commit, the group's leader owns it.
 type connReader struct {
 	s      *Server
-	out    chan<- []byte
+	bw     *bufio.Writer
+	werr   error            // the first failed write: the connection ends
+	unsent int              // answers in bw since its last flush
 	frames [][]byte         // the staged burst's request frames, pooled
 	reqs   []kvwire.Request // frames[i] parsed; kept, so each Token keeps its storage
 	muts   int              // the mutations among them
@@ -361,7 +340,7 @@ type connReader struct {
 // stage parses one request frame and adds it to the staged burst — or, if
 // it does not join a burst, delivers the staged burst first and serves the
 // frame on its own. fatal reports that the connection must close
-// (malformed frame).
+// (malformed frame, failed write).
 func (r *connReader) stage(frame []byte) (fatal bool) {
 	s := r.s
 	s.ops.Add(1)
@@ -379,6 +358,10 @@ func (r *connReader) stage(frame []byte) (fatal bool) {
 		return false
 	}
 	r.deliver()
+	if r.werr != nil {
+		kvwire.PutBuf(frame)
+		return true
+	}
 	start := s.obs.clock()
 	var resp []byte
 	if perr != nil {
@@ -386,15 +369,15 @@ func (r *connReader) stage(frame []byte) (fatal bool) {
 	} else {
 		resp = s.execute(nil, req, &r.sess)
 	}
-	s.obs.observeOp(req.Op, start, len(r.out))
+	s.obs.observeOp(req.Op, start, r.unsent)
 	kvwire.PutBuf(frame)
 	if retried(resp) {
 		// The heal comes before the answer, and the leader is the one healer.
 		r.heal = true
 		s.commit(r)
 	}
-	r.out <- resp
-	return perr != nil
+	r.send(resp)
+	return perr != nil || r.werr != nil
 }
 
 // joinsBurst reports whether a request runs inside a burst: the mutations,
@@ -415,17 +398,35 @@ func isMutation(op byte) bool {
 // served-readmost measured worse (EXPERIMENTS.md, "Staging on four shards").
 func (r *connReader) sealPending() bool { return r.muts > 0 && r.s.db.Shards() == 1 }
 
-// deliver commits the staged burst and queues its responses.
+// deliver commits the staged burst and buffers its responses.
 func (r *connReader) deliver() {
 	if len(r.frames) == 0 {
 		return
 	}
 	r.s.commit(r)
-	for i, resp := range r.resps {
-		r.out <- resp
-		r.resps[i] = nil
-	}
+	r.send(r.resps...)
+	clear(r.resps)
 	r.resps = r.resps[:0]
+}
+
+// send buffers resps for the connection and returns each buffer to the
+// pool. After the first failed write it only returns them.
+func (r *connReader) send(resps ...[]byte) {
+	for _, b := range resps {
+		if r.werr == nil {
+			_, r.werr = r.bw.Write(b)
+			r.unsent++
+		}
+		kvwire.PutBuf(b)
+	}
+}
+
+// flush writes out the buffered answers.
+func (r *connReader) flush() {
+	if r.werr == nil {
+		r.werr = r.bw.Flush()
+	}
+	r.unsent = 0
 }
 
 // retried reports whether resp answers StatusRetry (resp[4] is a response
@@ -439,7 +440,7 @@ func retried(resp []byte) bool { return resp[4] == kvwire.StatusRetry }
 // every queued burst — those that queue while it runs included — through
 // the one kv.Burst, seals once, heals if anything was answered
 // StatusRetry, releases its members and hands the lead to the first reader
-// queued since. It queues its own answers only after that (deliver), so a
+// queued since. It writes its own answers only after that (deliver), so a
 // slow peer never holds the lead.
 func (s *Server) commit(r *connReader) {
 	s.gmu.Lock()
@@ -470,7 +471,7 @@ func (s *Server) commit(r *connReader) {
 		for j, frame := range m.frames {
 			start := s.obs.clock()
 			m.resps = append(m.resps, s.execute(s.burst, &m.reqs[j], &m.sess))
-			s.obs.observeOp(m.reqs[j].Op, start, len(m.out))
+			s.obs.observeOp(m.reqs[j].Op, start, m.unsent+len(m.resps))
 			kvwire.PutBuf(frame)
 		}
 		m.frames, m.muts = m.frames[:0], 0
@@ -666,7 +667,7 @@ func (s *Server) errResp(err error) []byte {
 	case errors.Is(err, kv.ErrBroken), errors.Is(err, repro.ErrCrashed), errors.Is(err, repro.ErrLeaseExpired):
 		// The serving deployment crashed under the store (or this node
 		// was deposed): retryable. The group's leader heals before this
-		// answer is queued (lead); the client retries against the same
+		// answer is written (commit); the client retries against the same
 		// address.
 		s.retries.Add(1)
 		s.obs.retry.Inc()
@@ -725,9 +726,4 @@ func (s *Server) tryHeal() bool {
 	s.obs.reopenCnt.Inc()
 	s.logf("kvserver: store reopened on the promoted survivor (%d live keys)", s.store.Len())
 	return true
-}
-
-// String names the server for logs.
-func (s *Server) String() string {
-	return fmt.Sprintf("kvserver(window=%d)", s.window)
 }

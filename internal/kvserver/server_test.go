@@ -445,8 +445,8 @@ func TestRetryIsAnInvitationToAHealedStore(t *testing.T) {
 // TestHealThatCannotSucceed: the one backup died before the primary, so no
 // heal can succeed. Every request is answered StatusRetry on the spot,
 // nothing is reopened, nothing polls in the background — the goroutines are
-// the accept loop and two per connection, as before the crash — and a drain
-// has nothing to wait for.
+// the accept loop and the connection's one, as before the crash — and a
+// drain has nothing to wait for.
 func TestHealThatCannotSucceed(t *testing.T) {
 	idle := runtime.NumGoroutine()
 	c := mustCluster(t, repro.Config{Version: repro.V3InlineLog, Backup: repro.ActiveBackup, Backups: 1, DBSize: 4 << 20})
@@ -457,8 +457,8 @@ func TestHealThatCannotSucceed(t *testing.T) {
 	}
 	st, _ := readResponses(t, conn, 1)
 	wantStatuses(t, st, kvwire.StatusOK)
-	if n := runtime.NumGoroutine(); n > idle+3 {
-		t.Fatalf("%d goroutines serve one connection, want the accept loop and two", n-idle)
+	if n := runtime.NumGoroutine(); n > idle+2 {
+		t.Fatalf("%d goroutines serve one connection, want the accept loop and one", n-idle)
 	}
 
 	if err := c.CrashBackup(0); err != nil {
@@ -481,13 +481,147 @@ func TestHealThatCannotSucceed(t *testing.T) {
 	if got := srv.Stats(); got.Reopens != 0 || got.Retries != 50 {
 		t.Fatalf("%d reopens and %d retries, want 0 and 50", got.Reopens, got.Retries)
 	}
-	if n := runtime.NumGoroutine(); n > idle+3 {
-		t.Fatalf("%d goroutines after fifty failed heals, want the accept loop and two for the connection", n-idle)
+	if n := runtime.NumGoroutine(); n > idle+2 {
+		t.Fatalf("%d goroutines after fifty failed heals, want the accept loop and one for the connection", n-idle)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+}
+
+// TestOneGoroutinePerConnection: a connection costs the server one
+// goroutine, its reader, which writes its own answers, and the goroutine
+// goes when the peer hangs up.
+func TestOneGoroutinePerConnection(t *testing.T) {
+	srv, _, addr := serve(t, repro.Config{Backups: 1})
+	defer srv.Close()
+	// settle waits up to 5 s for the goroutine count to reach want — or,
+	// want < 0, to hold still for 100 ms — and returns the last count it
+	// saw. The tests before this one may still be winding down.
+	settle := func(want int) int {
+		n, still := runtime.NumGoroutine(), 0
+		for deadline := time.Now().Add(5 * time.Second); n != want && still < 100 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			if m := runtime.NumGoroutine(); m != n {
+				n, still = m, 0
+			} else if want < 0 {
+				still++
+			}
+		}
+		return n
+	}
+	base := settle(-1)
+	const conns = 8
+	var cs []net.Conn
+	for i := 0; i < conns; i++ {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		c.SetDeadline(time.Now().Add(20 * time.Second))
+		// An answered PUT: the server runs everything it ever will for c.
+		if _, err := c.Write(kvwire.AppendPut(nil, bkey(i), []byte("v"))); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := readResponses(t, c, 1)
+		wantStatuses(t, st, kvwire.StatusOK)
+		cs = append(cs, c)
+	}
+	if n := settle(base + conns); n != base+conns {
+		t.Fatalf("%d connections run %d goroutines, want %d", conns, n-base, conns)
+	}
+	for _, c := range cs {
+		c.Close()
+	}
+	if n := settle(base); n != base {
+		t.Fatalf("%d goroutines outlive their closed connections", n-base)
+	}
+}
+
+// failingListener hands out connections whose every Write after the first
+// fails; failed closes at the first refusal.
+type failingListener struct {
+	net.Listener
+	failed chan struct{}
+	once   sync.Once
+}
+
+func (l *failingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return &failingConn{Conn: c, l: l}, nil
+}
+
+type failingConn struct {
+	net.Conn
+	l      *failingListener
+	writes atomic.Int32
+}
+
+func (c *failingConn) Write(b []byte) (int, error) {
+	if c.writes.Add(1) == 1 {
+		return c.Conn.Write(b)
+	}
+	c.l.once.Do(func() { close(c.l.failed) })
+	return 0, errors.New("write refused")
+}
+
+// TestWriteFailureEndsTheConnection: once a connection cannot be answered,
+// the server closes it and executes nothing more from it — PUTs sent after
+// the failed write never reach the store.
+func TestWriteFailureEndsTheConnection(t *testing.T) {
+	c := mustCluster(t, repro.Config{Version: repro.V3InlineLog, Backup: repro.ActiveBackup, Backups: 1, DBSize: 4 << 20})
+	store, err := kv.Open(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Config{Logf: t.Logf})
+	defer srv.Close()
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := &failingListener{Listener: inner, failed: make(chan struct{})}
+	go srv.Serve(l)
+	conn, err := net.Dial("tcp", inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(20 * time.Second))
+
+	// The first answer is written; the second is refused.
+	if _, err := conn.Write(kvwire.AppendPut(nil, []byte("first"), []byte("v"))); err != nil {
+		t.Fatal(err)
+	}
+	st, _ := readResponses(t, conn, 1)
+	wantStatuses(t, st, kvwire.StatusOK)
+	if _, err := conn.Write(kvwire.AppendPut(nil, []byte("second"), []byte("v"))); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-l.failed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the second PUT was never answered")
+	}
+	// The server may have closed the connection already: a refused write
+	// here is what the test wants.
+	conn.Write(putFrames("after", 8))
+
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ne net.Error
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("the connection is still open 5 s after a failed write (read: %v)", err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := store.Get(bkey(i)); !errors.Is(err, kv.ErrNotFound) {
+			t.Fatalf("Get(%s) after the failed write = %v, want kv.ErrNotFound", bkey(i), err)
+		}
 	}
 }
 
