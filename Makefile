@@ -89,7 +89,12 @@ tables:
 # Lowered 20599 -> 20596 by one goroutine per connection: kvserver's reader
 # writes its own answers, and the response queue, its writer goroutine and
 # Config.Window went.
-LOC_CEILING := 20596
+# Raised 20596 -> 20806 for one transaction per burst: kv's shared open
+# transaction (staging, the undo-share limit, reads through it on a shard
+# it wrote, the loss path), DB.ShardFor, kvserver's tokens taken after the
+# seal, and tpc.Replay's before-images; ROADMAP item 19's diet is the
+# payback.
+LOC_CEILING := 20806
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

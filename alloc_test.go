@@ -20,18 +20,26 @@ import (
 // atomics recording into preallocated buckets, so observability costs
 // cycles, never allocations. The quorum variant (K=3) adds the
 // acknowledgement wait: collecting and ordering the backups' ack times
-// uses the group's scratch and allocates nothing either.
+// uses the group's scratch and allocates nothing either. The V2 variant
+// runs the paper's mirror-by-diff engine under a passive backup: its
+// commit compares each set range with the mirror in the accessor's scratch
+// buffer and allocates nothing either.
 func TestCommitPathZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
+	active := func(cfg repro.Config) repro.Config {
+		cfg.Version, cfg.Backup = repro.V3InlineLog, repro.ActiveBackup
+		return cfg
+	}
 	for name, cfg := range map[string]repro.Config{
-		"bare":         {},
-		"instrumented": {Metrics: true},
-		"quorum":       {Backups: 3, Safety: repro.QuorumSafe},
+		"bare":         active(repro.Config{}),
+		"instrumented": active(repro.Config{Metrics: true}),
+		"quorum":       active(repro.Config{Backups: 3, Safety: repro.QuorumSafe}),
+		"v2":           {Version: repro.V2MirrorDiff, Backup: repro.PassiveBackup},
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfg.Version, cfg.Backup, cfg.DBSize = repro.V3InlineLog, repro.ActiveBackup, 8<<20
+			cfg.DBSize = 8 << 20
 			c, err := repro.New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -133,7 +141,8 @@ func TestShardedCommitPathZeroAllocs(t *testing.T) {
 // differs) and a Commit, written
 // straight through — no plan to build, no closure to run — on one shard and
 // on four alike, 1-safe and at a K=3 quorum alike — and so is a Burst's Put
-// and Seal, which open and close a deferral scope on every shard. A lookup
+// and Seal, which open and close a deferral scope on every shard, and a
+// Burst of three Puts and a Get, which share one transaction. A lookup
 // allocates nothing either: GetAppend reads the primary's view through the
 // recycled view — on the K=3 quorum row served by a backup that has applied
 // all of it — and on the K=2 row a ReadBounded GetAppendAt through the same
@@ -222,6 +231,26 @@ func TestKVPutZeroAllocs(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(500, burst); allocs != 0 {
 				t.Fatalf("a Burst's Put and Seal allocate %.1f times, want 0", allocs)
+			}
+			// Three changing PUTs in one transaction, a GET of the first
+			// through it, one seal.
+			shared := func() {
+				for k := 0; k < 3; k++ {
+					binary.BigEndian.PutUint64(stamped, uint64(i+1))
+					if err := b.Put(resident[(i+k)%n], stamped); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := b.GetAppend(resident[i%n], stamped[:0]); err != nil {
+					t.Fatal(err)
+				}
+				if err := b.Seal(); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			}
+			if allocs := testing.AllocsPerRun(500, shared); allocs != 0 {
+				t.Fatalf("a Burst's three Puts, Get and Seal allocate %.1f times, want 0", allocs)
 			}
 			// The first pass wrote every even-numbered resident key.
 			dst := make([]byte, 0, len(val))

@@ -114,6 +114,11 @@ type DB interface {
 	// epoch, so a transaction confined to the span commits on one replica
 	// group, atomically. Constant for the deployment's life.
 	PartSize() int
+	// ShardFor returns the shard that owns database offset off under the
+	// current placement: always 0 on one shard. It changes only at a
+	// range's cut-over, which waits for any transaction open on the
+	// range's shard.
+	ShardFor(off int) int
 }
 
 // Admin is the fault-injection and recovery surface. The per-group methods

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -112,9 +113,9 @@ func commitCounters(db repro.DB) (batches, txns uint64) {
 }
 
 // TestBurstSealsOnce is the tier-1 guard of the served path's group
-// commit: eight PUT frames arriving in one write are eight transactions
-// under one seal, and a GET pipelined behind a PUT of its key reads that
-// PUT's value.
+// commit: eight PUT frames arriving in one write are one transaction under
+// one seal, and a GET pipelined behind a PUT of its key reads that PUT's
+// value.
 func TestBurstSealsOnce(t *testing.T) {
 	db := mustCluster(t, quorumAutopilot(repro.Config{}))
 	reg := obs.NewRegistry()
@@ -127,8 +128,8 @@ func TestBurstSealsOnce(t *testing.T) {
 	}
 	st, _ := readResponses(t, conn, 8)
 	wantStatuses(t, st, repeat(kvwire.StatusOK, 8)...)
-	if b1, t1 := commitCounters(db); b1-b0 != 1 || t1-t0 != 8 {
-		t.Fatalf("eight pipelined PUTs sealed %d batches for %d transactions, want 1 for 8", b1-b0, t1-t0)
+	if b1, t1 := commitCounters(db); b1-b0 != 1 || t1-t0 != 1 {
+		t.Fatalf("eight pipelined PUTs sealed %d batches for %d transactions, want 1 for 1", b1-b0, t1-t0)
 	}
 
 	frames := kvwire.AppendPut(nil, bkey(3), []byte("fresh"))
@@ -176,8 +177,8 @@ func TestBurstMalformedFrame(t *testing.T) {
 			if _, err := kvwire.ReadFrame(conn, nil, kvwire.MaxFrame); err == nil {
 				t.Fatal("connection still serving after StatusBad")
 			}
-			if b1, t1 := commitCounters(db); b1-b0 != 1 || t1-t0 != 2 {
-				t.Fatalf("%d batches for %d transactions, want 1 for the 2 PUTs before the garbage", b1-b0, t1-t0)
+			if b1, t1 := commitCounters(db); b1-b0 != 1 || t1-t0 != 1 {
+				t.Fatalf("%d batches for %d transactions, want 1 for 1 holding the 2 PUTs before the garbage", b1-b0, t1-t0)
 			}
 			if _, err := store.Get(bkey(9)); err == nil {
 				t.Fatal("the PUT behind the malformed frame was executed")
@@ -189,15 +190,18 @@ func TestBurstMalformedFrame(t *testing.T) {
 	}
 }
 
-// gateBegin is a deployment whose Begins count down to two events. At
-// the parkAt-th it stops and waits: the test learns that a group is under
-// way — its leader holding the store — does what it came to do, and lets it
-// continue. Just before the crashAt-th the primary dies: with the
-// crashAt-th Begin inside a group, that is the gap between the group's
-// earlier commits and its seal. A countdown left at 0 never fires.
+// gateBegin is a deployment whose transactions count down to two events.
+// At the parkAt-th Begin it stops and waits: the test learns that a group
+// is under way — its leader holding the store — does what it came to do,
+// and lets it continue. Just before the crashAt-th step of its
+// transactions — a declared range or a commit — the primary of shard
+// crashShard dies: inside a group, whose mutations share one transaction,
+// that is a crash while the transaction is open. A countdown left at 0
+// never fires.
 type gateBegin struct {
 	*repro.Cluster
 	parkAt, crashAt atomic.Int32
+	crashShard      int
 	parked, release chan struct{}
 }
 
@@ -214,12 +218,33 @@ func (d *gateBegin) Begin() (repro.Tx, error) {
 		close(d.parked)
 		<-d.release
 	}
-	if d.crashAt.Add(-1) == 0 {
-		if err := d.CrashPrimary(); err != nil {
-			return nil, err
-		}
+	tx, err := d.Cluster.Begin()
+	if err != nil {
+		return nil, err
 	}
-	return d.Cluster.Begin()
+	return gatedTx{Tx: tx, d: d}, nil
+}
+
+// gatedTx is a gateBegin transaction: its steps count crashAt down.
+type gatedTx struct {
+	repro.Tx
+	d *gateBegin
+}
+
+func (t gatedTx) step() {
+	if t.d.crashAt.Add(-1) == 0 {
+		t.d.Shard(t.d.crashShard).CrashPrimary()
+	}
+}
+
+func (t gatedTx) SetRange(off, n int) error {
+	t.step()
+	return t.Tx.SetRange(off, n)
+}
+
+func (t gatedTx) Commit() error {
+	t.step()
+	return t.Tx.Commit()
 }
 
 // TestBurstShutdownMidBurst: a drain that starts while a burst runs does
@@ -379,12 +404,13 @@ func servePipe(t *testing.T, srv *Server) net.Conn {
 	return client
 }
 
-// TestBurstCrashInTheGap is the invariant over TCP: a primary dies after
-// some of a group's PUTs have committed and before the seal. Those commits
-// died with it — so not one request of the group may be answered StatusOK,
-// whichever side of the crash it ran on, or whichever shard it landed on.
-// The client's retry lands all of them once the healer has reopened the
-// store on the promoted survivor, and every key then reads right.
+// TestBurstCrashInTheGap is the invariant over TCP: a primary dies while a
+// group's transaction is open, after some of its PUTs have been written
+// and before the seal. Those writes died with it — so not one request of
+// the group may be answered StatusOK, whichever side of the crash it ran
+// on, or whichever shard it landed on. The client's retry lands all of
+// them once the healer has reopened the store on the promoted survivor,
+// and every key then reads right.
 func TestBurstCrashInTheGap(t *testing.T) {
 	// One shard: one connection's burst of eight PUTs, the crash after two.
 	t.Run("one-shard", func(t *testing.T) {
@@ -398,7 +424,7 @@ func TestBurstCrashInTheGap(t *testing.T) {
 			}
 		}
 
-		db.crashAt.Store(3) // between the burst's second commit and its third transaction
+		db.crashAt.Store(3) // between the burst's second PUT and its third, each one range
 		if _, err := conn.Write(putFrames("new", 8)); err != nil {
 			t.Fatal(err)
 		}
@@ -432,11 +458,12 @@ func TestBurstCrashInTheGap(t *testing.T) {
 
 	// Four shards: a reader there answers each request as its own burst
 	// (see sealPending), so the group is three connections' requests, parked
-	// behind the first at its Begin. The first two commit — a PUT on shard 0
-	// and a client's DELETE on another — and shard 0's primary dies before
-	// the third; the other shards' seals ship, but the group's answers are
-	// all StatusRetry. The DELETE did apply, so its retry finds the key gone:
-	// the client reports the retried DELETE done, not ErrNotFound.
+	// behind the first at its Begin: a PUT on shard 0, a client's DELETE on
+	// shard 1 and a PUT on shard 2, in one transaction. Shard 2's primary
+	// dies just before it commits. It commits shard by shard: shards 0 and 1
+	// ship, shard 2 fails, and the group's answers are all StatusRetry. The
+	// DELETE did apply, so its retry finds the key gone: the client reports
+	// the retried DELETE done, not ErrNotFound.
 	t.Run("four-shards", func(t *testing.T) {
 		c, err := repro.NewSharded(quorumAutopilot(repro.Config{}), 4)
 		if err != nil {
@@ -459,20 +486,15 @@ func TestBurstCrashInTheGap(t *testing.T) {
 				}
 			}
 		}
-		// A key on shard 0 leads; keys on two other shards follow.
-		group := []int{-1}
-		for i := 0; i < keys; i++ {
-			switch {
-			case shard[i] == 0:
-				if group[0] < 0 {
-					group[0] = i
-				}
-			case len(group) == 1, len(group) == 2 && shard[i] != shard[group[1]]:
-				group = append(group, i)
+		// The first key on each of shards 0, 1 and 2, in that order.
+		group := []int{-1, -1, -1}
+		for i := keys - 1; i >= 0; i-- {
+			if shard[i] < len(group) {
+				group[shard[i]] = i
 			}
 		}
-		if group[0] < 0 || len(group) < 3 {
-			t.Fatalf("keys by shard %v: the test needs one on shard 0 and two elsewhere", shard)
+		if slices.Contains(group, -1) {
+			t.Fatalf("keys by shard %v: the test needs one on each of shards 0, 1 and 2", shard)
 		}
 		put := func(conn net.Conn, i int) {
 			if _, err := conn.Write(kvwire.AppendPut(nil, bkey(i), bval("new", i))); err != nil {
@@ -494,7 +516,8 @@ func TestBurstCrashInTheGap(t *testing.T) {
 		for queued(srv) < 2 {
 			time.Sleep(100 * time.Microsecond)
 		}
-		db.crashAt.Store(3) // the parked Begin counts: the first two commit, the third meets the crash
+		db.crashShard = 2
+		db.crashAt.Store(4) // three ranges, then the commit meets the crash
 		close(db.release)
 		for _, conn := range []net.Conn{a, last} {
 			st, _ := readResponses(t, conn, 1)
@@ -584,5 +607,52 @@ func TestServedCommitBatchNeverAcksFromOpenBatch(t *testing.T) {
 		if err != nil || len(got) != 8 || binary.BigEndian.Uint64(got) < version[i] {
 			t.Errorf("acknowledged key %d reads %x, %v after the failover; want version %d", i, got, err, version[i])
 		}
+	}
+}
+
+// TestBurstTokenReadYourWrites: a PUT served in a burst is answered with a
+// token taken once the transaction holding it has committed, so a
+// ReadYourWrites GET on a second connection carrying that token sees the
+// PUT. The deployment is 1-safe: the seal's pointer lingers in the
+// primary's write buffer, so the backups, caught up to everything before
+// the burst, have not applied it, and a token taken before the commit would
+// let one of them serve the old value.
+func TestBurstTokenReadYourWrites(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cfg := repro.Config{Version: repro.V3InlineLog, Backup: repro.ActiveBackup, Backups: 2, DBSize: 4 << 20}
+			c, err := repro.NewSharded(cfg, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, store, a := serveDB(t, c, kv.Options{}, Config{})
+			defer srv.Close()
+			const n = 8
+			for i := 0; i < n; i++ {
+				if err := store.Put(bkey(i), bval("old", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Settle()
+			if _, err := a.Write(putFrames("new", n)); err != nil {
+				t.Fatal(err)
+			}
+			st, bodies := readResponses(t, a, n)
+			wantStatuses(t, st, repeat(kvwire.StatusOK, n)...)
+			b := dialServer(t, a)
+			for i, body := range bodies {
+				tok, err := kvwire.ParseTokenBody(body, nil)
+				if err != nil || len(tok) != shards {
+					t.Fatalf("PUT %d answered token %v, %v", i, tok, err)
+				}
+				if _, err := b.Write(kvwire.AppendGetAt(nil, bkey(i), kvwire.ModeRYW, 0, tok)); err != nil {
+					t.Fatal(err)
+				}
+				st, got := readResponses(t, b, 1)
+				if st[0] != kvwire.StatusOK || !bytes.Equal(got[0], bval("new", i)) {
+					t.Fatalf("ReadYourWrites GET of key %d with its PUT's token %v: status %d %q, want %q", i, tok, st[0], got[0], bval("new", i))
+				}
+			}
+		})
 	}
 }

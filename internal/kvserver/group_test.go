@@ -52,7 +52,7 @@ func groupOfTwo(t *testing.T, srv *Server, db *gateBegin, a, b net.Conn, aFrames
 }
 
 // TestGroupTwoConnsOneSeal: two connections' pipelined PUTs that meet in
-// one group are 2n transactions under one seal.
+// one group are one transaction under one seal.
 func TestGroupTwoConnsOneSeal(t *testing.T) {
 	const n = 8
 	db := newGateBegin(t)
@@ -68,8 +68,8 @@ func TestGroupTwoConnsOneSeal(t *testing.T) {
 		st, _ := readResponses(t, c, n)
 		wantStatuses(t, st, repeat(kvwire.StatusOK, n)...)
 	}
-	if b1, t1 := commitCounters(db); b1-b0 != 1 || t1-t0 != 2*n {
-		t.Fatalf("two connections' %d PUTs sealed %d batches for %d transactions, want 1 for %d", n, b1-b0, t1-t0, 2*n)
+	if b1, t1 := commitCounters(db); b1-b0 != 1 || t1-t0 != 1 {
+		t.Fatalf("two connections' %d PUTs sealed %d batches for %d transactions, want 1 for 1", n, b1-b0, t1-t0)
 	}
 	snap := reg.Snapshot()
 	if fr, cn := snap.Hist(MetricBurstFrames), snap.Hist(MetricBurstConns); fr.Count != 1 || fr.Sum != 2*n || cn.Sum != 2 {
@@ -78,10 +78,11 @@ func TestGroupTwoConnsOneSeal(t *testing.T) {
 }
 
 // TestGroupCrashInTheGap: the primary dies after connection a's four PUTs
-// and the first of b's have committed in one group, before its seal. The
-// five commits died with it, so every response of both connections is
-// StatusRetry — b's own failures and every answer the failed seal covered —
-// one heal reopened the store, and every key reads what it held before.
+// and the first of b's have been written in the group's one transaction,
+// before its seal. The five writes died with it, so every response of both
+// connections is StatusRetry — b's own failures and every answer the failed
+// seal covered — one heal reopened the store, and every key reads what it
+// held before.
 func TestGroupCrashInTheGap(t *testing.T) {
 	const n = 4
 	db := newGateBegin(t)
@@ -99,7 +100,7 @@ func TestGroupCrashInTheGap(t *testing.T) {
 	}
 
 	groupOfTwo(t, srv, db, a, b, putFrames("new", n), bFrames)
-	db.crashAt.Store(n + 2) // the parked Begin counts: a's n, b's first, then b's second dies
+	db.crashAt.Store(n + 2) // one range per PUT: a's n, b's first, then b's second dies
 	close(db.release)
 	for _, c := range []net.Conn{a, b} {
 		st, _ := readResponses(t, c, n)
@@ -115,9 +116,9 @@ func TestGroupCrashInTheGap(t *testing.T) {
 	}
 }
 
-// TestGroupGetWaitsForTheSeal: connection b's GET of a key connection a
-// has committed but not sealed is not answered while the seal is pending,
-// and once it is, reads a's value.
+// TestGroupGetWaitsForTheSeal: connection b's GET of a key connection a's
+// group is writing is not answered while the seal is pending, and once it
+// is, reads a's value.
 func TestGroupGetWaitsForTheSeal(t *testing.T) {
 	db := newGateBegin(t)
 	srv, store, a := serveDB(t, db, kv.Options{}, Config{})
@@ -127,8 +128,8 @@ func TestGroupGetWaitsForTheSeal(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// a's leader parks at its second PUT's Begin, the first one committed.
-	db.parkAt.Store(2)
+	// a's leader parks at its transaction's Begin, holding the store.
+	db.parkAt.Store(1)
 	aFrames := kvwire.AppendPut(nil, bkey(0), []byte("new"))
 	aFrames = append(aFrames, kvwire.AppendPut(nil, bkey(1), []byte("other"))...)
 	if _, err := a.Write(aFrames); err != nil {

@@ -482,11 +482,16 @@ func (s *Server) commit(r *connReader) {
 	}
 	// A failed seal answers the group with its error; on several shards a
 	// request answered StatusRetry may have applied (the others' seals did).
+	// A mutation's answer carries a token taken now, once the transaction
+	// holding it has committed.
 	for _, m := range g {
 		for i := range m.resps {
-			if err != nil {
+			switch {
+			case err != nil:
 				kvwire.PutBuf(m.resps[i])
 				m.resps[i] = s.errResp(err)
+			case m.resps[i] == nil:
+				m.resps[i] = s.wrote(&m.sess)
 			}
 			s.needHeal = s.needHeal || retried(m.resps[i])
 		}
@@ -543,8 +548,8 @@ func (sess *session) readOpts(req *kvwire.Request) repro.ReadOpts {
 	return opts
 }
 
-// wrote refreshes the session floor after a successful mutation and
-// seals the response carrying it.
+// wrote refreshes the session floor after a successful mutation has
+// committed and seals the response carrying it.
 func (s *Server) wrote(sess *session) []byte {
 	sess.tok = s.db.Token(sess.tok)
 	return kvwire.AppendOKToken(kvwire.GetBuf(), sess.tok)
@@ -552,14 +557,16 @@ func (s *Server) wrote(sess *session) []byte {
 
 // execute runs one parsed request and encodes the response into a pooled
 // buffer. Requests that join a burst (joinsBurst) go through b; the rest
-// find it idle and take the store themselves.
+// find it idle and take the store themselves. A mutation that succeeded
+// answers nil: it is staged in b's open transaction, and commit answers it
+// with its token once that has committed.
 func (s *Server) execute(b *kv.Burst, req *kvwire.Request, sess *session) []byte {
 	switch req.Op {
 	case kvwire.OpPut:
 		if err := b.Put(req.Key, req.Val); err != nil {
 			return s.errResp(err)
 		}
-		return s.wrote(sess)
+		return nil
 
 	case kvwire.OpGet:
 		buf := kvwire.BeginFrame(kvwire.GetBuf(), kvwire.StatusOK)
@@ -582,7 +589,7 @@ func (s *Server) execute(b *kv.Burst, req *kvwire.Request, sess *session) []byte
 		if err := b.Delete(req.Key); err != nil {
 			return s.errResp(err)
 		}
-		return s.wrote(sess)
+		return nil
 
 	case kvwire.OpScan:
 		buf, countOff := kvwire.BeginScanResponse(kvwire.GetBuf())
@@ -606,7 +613,7 @@ func (s *Server) execute(b *kv.Burst, req *kvwire.Request, sess *session) []byte
 		if err := executeTxn(b, req.Ops); err != nil {
 			return s.errResp(err)
 		}
-		return s.wrote(sess)
+		return nil
 
 	case kvwire.OpStats:
 		data, err := json.Marshal(s.Stats())

@@ -36,6 +36,7 @@ type Accessor struct {
 
 	stats      AccessStats
 	scratchBuf []byte
+	runBuf     []DiffRun // Diff's result, reused by the next call
 	// wordBuf stages fixed-width loads and stores. Routing a stack array
 	// through the IOSink interface would force a heap allocation per call;
 	// the accessor is single-stream and both the backing store and the
@@ -156,7 +157,9 @@ const DiffGranularity = 4
 
 // Diff compares [aAddr,+n) with [bAddr,+n), charging the comparison loop
 // and the cache traffic of reading both operands, and returns the maximal
-// runs (multiples of DiffGranularity) where they differ.
+// runs (multiples of DiffGranularity) where they differ. The operands are
+// read into the accessor's scratch buffer, which Copy reuses, and the runs
+// slice is valid until the next Diff.
 func (a *Accessor) Diff(aAddr, bAddr uint64, n int) []DiffRun {
 	if n <= 0 {
 		return nil
@@ -171,12 +174,12 @@ func (a *Accessor) Diff(aAddr, bAddr uint64, n int) []DiffRun {
 	a.Cache.AccessVM(aAddr, n, false)
 	a.Cache.AccessVM(bAddr, n, false)
 
-	bufA := make([]byte, n)
-	bufB := make([]byte, n)
+	buf := a.scratch(2 * n)
+	bufA, bufB := buf[:n], buf[n:]
 	ra.ReadRaw(int(aAddr-ra.Base), bufA)
 	rb.ReadRaw(int(bAddr-rb.Base), bufB)
 
-	var runs []DiffRun
+	runs := a.runBuf[:0]
 	run := -1
 	for off := 0; off < n; off += DiffGranularity {
 		end := off + DiffGranularity
@@ -197,6 +200,7 @@ func (a *Accessor) Diff(aAddr, bAddr uint64, n int) []DiffRun {
 	if run >= 0 {
 		runs = append(runs, DiffRun{Off: run, Len: n - run})
 	}
+	a.runBuf = runs
 	return runs
 }
 

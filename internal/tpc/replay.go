@@ -49,9 +49,15 @@ func auditImage(c *repro.Cluster, w Workload, seed uint64, k int64) error {
 
 // shadowTx executes transactions directly against a byte array: the pure
 // reference semantics used to reconstruct "state after K commits" for
-// crash/failover verification.
+// crash/failover verification. With keep set it saves the before-image of
+// every write, so Abort can restore exactly the bytes the transaction
+// wrote.
 type shadowTx struct {
-	db []byte
+	db    []byte
+	keep  bool
+	undo  []int  // the offsets of the writes since Commit or Abort, paired with
+	sizes []int  // their lengths; their before-images lie back to back in
+	saved []byte // saved
 }
 
 var _ replication.TxHandle = (*shadowTx)(nil)
@@ -64,12 +70,30 @@ func (t *shadowTx) Read(off int, dst []byte) error {
 }
 
 func (t *shadowTx) Write(off int, src []byte) error {
-	copy(t.db[off:off+len(src)], src)
+	dst := t.db[off : off+len(src)]
+	if t.keep {
+		t.undo, t.sizes = append(t.undo, off), append(t.sizes, len(src))
+		t.saved = append(t.saved, dst...)
+	}
+	copy(dst, src)
 	return nil
 }
 
-func (t *shadowTx) Commit() error { return nil }
-func (t *shadowTx) Abort() error  { return nil }
+func (t *shadowTx) Commit() error {
+	t.undo, t.sizes, t.saved = t.undo[:0], t.sizes[:0], t.saved[:0]
+	return nil
+}
+
+// Abort puts the before-images back, newest first, so a byte written twice
+// gets the value it had before the transaction.
+func (t *shadowTx) Abort() error {
+	pos := len(t.saved)
+	for i := len(t.undo) - 1; i >= 0; i-- {
+		pos -= t.sizes[i]
+		copy(t.db[t.undo[i]:], t.saved[pos:pos+t.sizes[i]])
+	}
+	return t.Commit()
+}
 
 // Replay reconstructs the database image after exactly commits committed
 // transactions of the given workload/seed/abort schedule, mirroring Run's
@@ -89,25 +113,21 @@ func Replay(w Workload, opts Options, commits int64) ([]byte, error) {
 		return nil, err
 	}
 	r := NewRand(opts.Seed)
-	tx := &shadowTx{db: db}
-	scratch := make([]byte, len(db))
+	// Before-images are kept only when an abort is scheduled.
+	tx := &shadowTx{db: db, keep: opts.AbortEvery > 0}
 
 	done := int64(0)
 	for i := int64(0); done < opts.Warmup+commits; i++ {
 		abort := i >= opts.Warmup && opts.AbortEvery > 0 && (i+1)%opts.AbortEvery == 0
-		if abort {
-			// Run against a scratch copy so aborted effects vanish,
-			// while consuming exactly the same randomness.
-			copy(scratch, db)
-			sc := &shadowTx{db: scratch}
-			if err := w.Txn(r, sc, i); err != nil {
-				return nil, err
-			}
-			continue
-		}
 		if err := w.Txn(r, tx, i); err != nil {
 			return nil, err
 		}
+		if abort {
+			// The aborted effects vanish; the randomness stays consumed.
+			tx.Abort()
+			continue
+		}
+		tx.Commit()
 		done++
 	}
 	return db, nil

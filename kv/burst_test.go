@@ -1,6 +1,7 @@
 package kv_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -47,9 +48,9 @@ func commitCounters(db repro.DB) (batches, txns uint64) {
 }
 
 // TestBurstSealsOnce: on a one-shard deployment a burst's mutations are
-// back-to-back transactions under one seal, a Get inside the burst sees
-// the burst's own write, and a direct Put afterwards is acknowledged per
-// call as ever.
+// one transaction under one seal, a Get inside the burst sees the burst's
+// own write, and a direct Put afterwards is its own transaction,
+// acknowledged per call as ever.
 func TestBurstSealsOnce(t *testing.T) {
 	db := newCluster(t, quorum3(repro.Config{Metrics: true}))
 	s, err := kv.Open(db)
@@ -74,8 +75,8 @@ func TestBurstSealsOnce(t *testing.T) {
 	if err := b.Seal(); err != nil {
 		t.Fatalf("seal: %v", err)
 	}
-	if b1, t1 := commitCounters(db); b1-b0 != 1 || t1-t0 != 4 {
-		t.Fatalf("burst sealed %d batches for %d transactions, want 1 for 4", b1-b0, t1-t0)
+	if b1, t1 := commitCounters(db); b1-b0 != 1 || t1-t0 != 1 {
+		t.Fatalf("burst sealed %d batches for %d transactions, want 1 for 1", b1-b0, t1-t0)
 	}
 	wantValues(t, s, 0, 3, "new")
 	if _, err := s.Get(burstKey(3)); !errors.Is(err, kv.ErrNotFound) {
@@ -178,10 +179,59 @@ func TestBurstCrashInTheGap(t *testing.T) {
 		})
 	}
 
-	// The crash lands between the second PUT's probe and its Begin, on a
+	// The primary dies while the burst's transaction is open, and the next
+	// PUT writes into it: that PUT fails, the transaction aborts with every
+	// mutation staged in it, and the seal reports the crash.
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("mutation-after-the-crash/shards=%d", shards), func(t *testing.T) {
+			c := newSharded(t, shards, quorum3(repro.Config{})).(*repro.Cluster)
+			s, err := kv.Open(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			preload(t, s, keys)
+			b := s.Burst()
+			dead := shardOf(c, s, 0)
+			var last int // a key of the dead shard's, PUT after the crash
+			for i := 0; i < keys; i++ {
+				if shardOf(c, s, i) == dead {
+					last = i
+				}
+			}
+			for i := 0; i < keys; i++ {
+				if i != last {
+					if err := b.Put(burstKey(i), []byte(fmt.Sprintf("new%03d", i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if err := c.Shard(dead).CrashPrimary(); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Put(burstKey(last), []byte("lost")); !errors.Is(err, repro.ErrCrashed) {
+				t.Fatalf("PUT on the dead shard = %v, want ErrCrashed", err)
+			}
+			if _, err := b.Get(burstKey(0)); !errors.Is(err, kv.ErrBroken) {
+				t.Fatalf("Get after the lost transaction = %v, want ErrBroken", err)
+			}
+			if err := b.Seal(); !errors.Is(err, repro.ErrCrashed) {
+				t.Fatalf("seal = %v, want ErrCrashed", err)
+			}
+			if err := c.Shard(dead).Failover(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Reopen(); err != nil {
+				t.Fatal(err)
+			}
+			wantValues(t, s, 0, keys, "old")
+		})
+	}
+
+	// The crash lands just before a burst's multi-key Txn begins its own
+	// transaction, once the burst's has committed under the open scope, on a
 	// deployment whose autopilot would promote a survivor at that Begin
-	// without telling anyone — and the PUT, planned over state only the
-	// dead primary had, would commit on a node that never saw the first.
+	// without telling anyone — and the Txn, planned over state only the dead
+	// primary had, would commit on a node that never saw the burst's PUT.
 	// Inside a burst that lost commits the Begin is refused instead; the
 	// takeover waits for Reopen.
 	t.Run("autopilot-crash-before-begin", func(t *testing.T) {
@@ -199,9 +249,16 @@ func TestBurstCrashInTheGap(t *testing.T) {
 		if err := b.Put(burstKey(0), []byte("new000")); err != nil {
 			t.Fatal(err)
 		}
+		txn, err := b.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Put(burstKey(1), []byte("new001")); err != nil {
+			t.Fatal(err)
+		}
 		db.armed = true
-		if err := b.Put(burstKey(1), []byte("new001")); !errors.Is(err, repro.ErrCrashed) {
-			t.Fatalf("PUT whose Begin follows the crash = %v, want ErrCrashed", err)
+		if err := txn.Commit(); !errors.Is(err, repro.ErrCrashed) {
+			t.Fatalf("Txn whose Begin follows the crash = %v, want ErrCrashed", err)
 		}
 		if got := c.Generation(); got != 0 {
 			t.Fatalf("generation %d: a survivor was promoted inside the burst", got)
@@ -225,13 +282,15 @@ func TestBurstCrashInTheGap(t *testing.T) {
 	})
 
 	// Four shards: the burst's PUTs land on two of them, and one of those
-	// loses its primary before the seal. Its commits die with it; the other
-	// shard's seal still ships, so after the failover and Reopen those keys
-	// read the burst's values and the dead shard's keys what they held
-	// before it. In the degraded case the live shard is sealed first and
-	// comes back short of its quorum: its ErrSafetyUnavailable must not
-	// hide the later shard's crash, or the store would stay unbroken with
-	// an index over the lost commits.
+	// loses its primary before the seal. The transaction commits shard by
+	// shard in shard order: the dead shard's commit fails and a later
+	// shard's is aborted, an earlier shard's ships. So after the failover
+	// and Reopen the live shard's keys read the burst's values when it is
+	// the lower, and every other key what it held before the burst. In the
+	// degraded case the live shard is sealed first and comes back short of
+	// its quorum: its ErrSafetyUnavailable must not hide the later shard's
+	// crash, or the store would stay unbroken with an index over the lost
+	// commits.
 	for _, tc := range []struct {
 		name       string
 		live, dead int
@@ -253,7 +312,7 @@ func TestBurstCrashInTheGap(t *testing.T) {
 			for i := 0; i < keys; i++ {
 				if sh := shardOf(c, s, i); (sh == tc.dead || sh == tc.live) && put[sh] < 3 {
 					put[sh]++
-					sealed[i] = sh == tc.live
+					sealed[i] = sh == tc.live && tc.live < tc.dead
 					if err := b.Put(burstKey(i), []byte(fmt.Sprintf("new%03d", i))); err != nil {
 						t.Fatal(err)
 					}
@@ -302,10 +361,12 @@ func TestBurstCrashInTheGap(t *testing.T) {
 		})
 	}
 
-	// A burst opens on two shards, the deployment grows to four under it,
-	// and a source shard's primary dies before the seal. The moves may have
-	// carried the burst's unsealed writes off the dead shard, so a key may
-	// read either side of the burst — but whole, and every key is there.
+	// A burst opens its scope on two shards, the deployment grows to four
+	// under it before its first mutation (a cut-over off a shard the burst's
+	// transaction has written would wait for the seal), its PUTs land on
+	// old and new shards alike, and shard 0's primary dies before the seal.
+	// A key may read either side of the burst — but whole, and every key is
+	// there.
 	t.Run("grown-under-the-scope", func(t *testing.T) {
 		c := newSharded(t, 2, quorum3(repro.Config{})).(*repro.Cluster)
 		s, err := kv.Open(c)
@@ -314,21 +375,20 @@ func TestBurstCrashInTheGap(t *testing.T) {
 		}
 		preload(t, s, keys)
 		b := s.Burst()
-		put := func(from, to int) {
-			for i := from; i < to; i++ {
-				if err := b.Put(burstKey(i), []byte(fmt.Sprintf("new%03d", i))); err != nil {
-					t.Fatal(err)
-				}
-			}
+		if _, err := b.Get(burstKey(0)); err != nil {
+			t.Fatal(err)
 		}
-		put(0, 8)
 		if _, err := c.AddShards(2); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Rebalance(); err != nil {
 			t.Fatal(err)
 		}
-		put(8, keys/2)
+		for i := 0; i < keys/2; i++ {
+			if err := b.Put(burstKey(i), []byte(fmt.Sprintf("new%03d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
 		if err := c.CrashPrimary(); err != nil {
 			t.Fatal(err)
 		}
@@ -442,9 +502,10 @@ func TestBurstTxn(t *testing.T) {
 }
 
 // TestBurstMultiShardDefers: on four shards a burst defers too. Its PUTs
-// seal no batch before Seal and one per shard they touched at it, a Get of
-// a deferred key inside the burst finds the backups behind and reads the
-// primary, and after the seal a backup serves it.
+// commit nothing before Seal and one transaction in one batch per shard
+// they touched at it, a Get of a written key inside the burst reads through
+// the burst's transaction, not a routed read, and after the seal a backup
+// serves it.
 func TestBurstMultiShardDefers(t *testing.T) {
 	c := newSharded(t, 4, quorum3(repro.Config{Metrics: true})).(*repro.Cluster)
 	db := &servedBy{DB: c}
@@ -467,14 +528,15 @@ func TestBurstMultiShardDefers(t *testing.T) {
 	if b1, t1 := commitCounters(c); b1 != b0 || t1 != t0 {
 		t.Fatalf("%d batches for %d transactions before the seal, want none", b1-b0, t1-t0)
 	}
-	if got, err := b.Get(burstKey(2)); err != nil || string(got) != "new002" || db.last.Replica != 0 {
-		t.Fatalf("Get inside the burst = %q, %v, served by %d; want the new value from the primary", got, err, db.last.Replica)
+	db.last.Replica = -1
+	if got, err := b.Get(burstKey(2)); err != nil || string(got) != "new002" || db.last.Replica != -1 {
+		t.Fatalf("Get inside the burst = %q, %v, routed to %d; want the new value through the transaction", got, err, db.last.Replica)
 	}
 	if err := b.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if b1, t1 := commitCounters(c); int(b1-b0) != len(touched) || t1-t0 != 3 {
-		t.Fatalf("%d batches for %d transactions at the seal, want %d for 3", b1-b0, t1-t0, len(touched))
+	if b1, t1 := commitCounters(c); int(b1-b0) != len(touched) || int(t1-t0) != len(touched) {
+		t.Fatalf("%d batches for %d transactions at the seal, want %d for %d", b1-b0, t1-t0, len(touched), len(touched))
 	}
 	if got, err := s.Get(burstKey(2)); err != nil || string(got) != "new002" || db.last.Replica == 0 {
 		t.Fatalf("Get after the seal = %q, %v, served by %d; want a backup", got, err, db.last.Replica)
@@ -489,11 +551,12 @@ func shardOf(c *repro.Cluster, s *kv.Store, i int) int {
 }
 
 // TestBurstDeploymentGrowsUnderIt: a burst that opened its scope on one
-// shard finds four when its next mutations commit. A PUT is one
-// transaction on one shard wherever its region now lives, so there is no
-// order between groups to protect: PUTs that land on the old shard stay in
-// the burst's scope, PUTs that land on a new one are acknowledged on their
-// own, and the seal answers for the former.
+// shard finds four when its mutations run — the deployment grew between
+// its first operation, a Get, and its first write. Its mutations share one
+// transaction wherever their regions now live, so nothing commits before
+// the seal; at it, each shard the transaction wrote commits once, the new
+// ones outside the scope acknowledged at their commit, the scope's shard at
+// its seal, and a Get after it is served by a backup.
 func TestBurstDeploymentGrowsUnderIt(t *testing.T) {
 	c := newCluster(t, quorum3(repro.Config{Metrics: true})).(*repro.Cluster)
 	db := &servedBy{DB: c}
@@ -504,7 +567,7 @@ func TestBurstDeploymentGrowsUnderIt(t *testing.T) {
 	const keys = 64
 	preload(t, s, keys)
 	b := s.Burst()
-	if err := b.Put(burstKey(0), []byte("new000")); err != nil {
+	if _, err := b.Get(burstKey(0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.AddShards(3); err != nil {
@@ -513,42 +576,135 @@ func TestBurstDeploymentGrowsUnderIt(t *testing.T) {
 	if err := c.Rebalance(); err != nil {
 		t.Fatal(err)
 	}
-	// Enough PUTs after the grow that some land on a shard the scope never
-	// opened on.
-	moved, stayed := 0, -1
+	touched := map[int]bool{}
 	b0, t0 := commitCounters(c)
-	for i := 1; i < keys/2; i++ {
+	for i := 0; i < keys/2; i++ {
 		if err := b.Put(burstKey(i), []byte(fmt.Sprintf("new%03d", i))); err != nil {
 			t.Fatal(err)
 		}
-		if shardOf(c, s, i) != 0 {
-			moved++
-		} else {
-			stayed = i
-		}
+		touched[shardOf(c, s, i)] = true
 	}
-	if stayed < 0 || moved == 0 {
-		t.Fatalf("%d of %d PUTs landed off shard 0; the test needs some on either side", moved, keys/2-1)
+	if !touched[0] || len(touched) == 1 {
+		t.Fatalf("the PUTs landed on shards %v; the test needs shard 0 and another", touched)
 	}
-	// One transaction per PUT. Those off the scope's shard have each sealed
-	// a batch of their own; the rest wait, with the PUT from before the
-	// grow, for the burst's seal to ship them as one — so shard 0's backups
-	// are behind its primary, which serves their keys until the seal.
-	if b1, t1 := commitCounters(c); int(b1-b0) != moved || int(t1-t0) != moved {
-		t.Fatalf("%d batches for %d transactions before the seal, want %d for %d", b1-b0, t1-t0, moved, moved)
-	}
-	if _, err := b.Get(burstKey(stayed)); err != nil || db.last.Replica != 0 {
-		t.Fatalf("Get of a deferred key inside the burst: %v, served by %d; want the primary", err, db.last.Replica)
+	if b1, t1 := commitCounters(c); b1 != b0 || t1 != t0 {
+		t.Fatalf("%d batches for %d transactions before the seal, want none", b1-b0, t1-t0)
 	}
 	if err := b.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if b1, t1 := commitCounters(c); int(b1-b0) != moved+1 || int(t1-t0) != keys/2 {
-		t.Fatalf("%d batches for %d transactions after the seal, want %d for %d", b1-b0, t1-t0, moved+1, keys/2)
+	if b1, t1 := commitCounters(c); int(b1-b0) != len(touched) || int(t1-t0) != len(touched) {
+		t.Fatalf("%d batches for %d transactions after the seal, want %d for %d", b1-b0, t1-t0, len(touched), len(touched))
 	}
-	if _, err := s.Get(burstKey(stayed)); err != nil || db.last.Replica == 0 {
-		t.Fatalf("Get of the key after the seal: %v, served by %d; want a backup", err, db.last.Replica)
+	if _, err := s.Get(burstKey(0)); err != nil || db.last.Replica == 0 {
+		t.Fatalf("Get of a burst's key after the seal: %v, served by %d; want a backup", err, db.last.Replica)
 	}
 	wantValues(t, s, 0, keys/2, "new")
 	wantValues(t, s, keys/2, keys, "old")
+}
+
+// TestBurstReadsItsOwnWrites: inside a burst, on one shard and on four,
+// with every backup caught up to its primary's committed counter, so that
+// a bound-0 lookup routed as outside a burst would be served by a backup
+// holding the bytes from before the burst. A GET of a key the burst has
+// overwritten returns the new value, and of one it inserted finds it; a
+// second insert into the chain of the first probes past it, and after the
+// seal both keys read back.
+func TestBurstReadsItsOwnWrites(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c := newSharded(t, shards, quorum3(repro.Config{})).(*repro.Cluster)
+			db := &servedBy{DB: c}
+			s, err := kv.Open(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			preload(t, s, 8)
+			c.Settle()
+			if _, err := s.Get(burstKey(0)); err != nil || db.last.Replica == 0 {
+				t.Fatalf("Get before the burst: %v, served by %d; want a backup", err, db.last.Replica)
+			}
+			x, y := sameBucket(s)
+
+			b := s.Burst()
+			if err := b.Put(burstKey(0), []byte("new000")); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := b.Get(burstKey(0)); err != nil || string(got) != "new000" {
+				t.Fatalf("Get of the burst's overwrite = %q, %v; want %q", got, err, "new000")
+			}
+			if err := b.Put(x, []byte("first")); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := b.Get(x); err != nil || string(got) != "first" {
+				t.Fatalf("Get of the burst's insert = %q, %v; want %q", got, err, "first")
+			}
+			if err := b.Put(y, []byte("second")); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := b.Get(x); err != nil || string(got) != "first" {
+				t.Fatalf("the first insert after the second = %q, %v; want %q", got, err, "first")
+			}
+			if err := b.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			for k, want := range map[string]string{string(burstKey(0)): "new000", string(x): "first", string(y): "second"} {
+				if got, err := s.Get([]byte(k)); err != nil || string(got) != want {
+					t.Errorf("%s after the seal = %q, %v; want %q", k, got, err, want)
+				}
+			}
+			if got := s.Len(); got != 10 {
+				t.Fatalf("%d live keys, want 10", got)
+			}
+		})
+	}
+}
+
+// sameBucket returns two absent keys whose probes start at the same bucket.
+func sameBucket(s *kv.Store) (x, y []byte) {
+	seen := map[int][]byte{}
+	for i := 0; ; i++ {
+		k := []byte(fmt.Sprintf("ins%06d", i))
+		_, b := s.Place(k)
+		if prev, ok := seen[b]; ok {
+			return prev, k
+		}
+		seen[b] = k
+	}
+}
+
+// TestBurstCommitsPastTheUndoLimit: one burst whose inserts declare more
+// undo images than the V3 engine's 1 MiB undo log holds commits as several
+// transactions before its seal, and every key reads back after it.
+func TestBurstCommitsPastTheUndoLimit(t *testing.T) {
+	db := newCluster(t, quorum3(repro.Config{DBSize: 8 << 20, Metrics: true}))
+	s, err := kv.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 6000 // each insert saves about 250 bytes of before-images
+	val := bytes.Repeat([]byte{'v'}, 200)
+	key := func(i int) []byte { return []byte(fmt.Sprintf("big%05d", i)) }
+	_, t0 := commitCounters(db)
+	b := s.Burst()
+	for i := 0; i < n; i++ {
+		if err := b.Put(key(i), val); err != nil {
+			t.Fatalf("PUT %d: %v", i, err)
+		}
+	}
+	_, mid := commitCounters(db)
+	if err := b.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if _, t1 := commitCounters(db); mid == t0 || t1-t0 < 2 {
+		t.Fatalf("%d transactions before the seal and %d in all, want several", mid-t0, t1-t0)
+	}
+	for i := 0; i < n; i++ {
+		if got, err := s.Get(key(i)); err != nil || !bytes.Equal(got, val) {
+			t.Fatalf("key %d reads %d bytes, %v", i, len(got), err)
+		}
+	}
+	if got := s.Len(); got != n {
+		t.Fatalf("%d live keys, want %d", got, n)
+	}
 }

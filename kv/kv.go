@@ -32,9 +32,10 @@
 //
 // # Crash consistency
 //
-// Every mutation is one transaction on the underlying DB, confined to one
-// region and therefore to one replica group, which commits it atomically:
-// an insert writes the record and flips its bucket word together, an
+// Every mutation is confined to one region and therefore to one replica
+// group, and commits there atomically inside one transaction on the
+// underlying DB — its own for Put and Delete, its Burst's shared one inside
+// a Burst: an insert writes the record and flips its bucket word together, an
 // overwrite rewrites the record in the slot it already has (when its length
 // is unchanged, only the bytes of the value that differ: every replica holds
 // the rest), a delete tombstones the bucket word. The replication layer
@@ -48,19 +49,20 @@
 // and tombstones what fails; that guards against bytes this package did
 // not write, not against its own crashes.
 //
-// A Burst (burst.go) stretches the unit of acknowledgement from one
-// mutation to a run of them: its mutations are back-to-back transactions
-// whose acknowledgement wait is paid once per shard they touched, at Seal.
-// Between a burst's commit and its seal a write is where a 1-safe write
-// always is — committed on the primary, named to no backup — so the
-// committed-prefix argument above still gives the survivor a consistent
-// store; what changes is who may see it. The burst holds the store until
-// the seal, so nobody reads such a write; a primary death in that gap
-// fails the seal, that shard admits nothing further from the burst (no
-// later mutation lands on a survivor lacking the earlier ones), the Store
-// breaks as for a failed Commit, and after Reopen the dead shard's keys
-// read what they held before the burst. Put, Delete and Txn.Commit called
-// directly are not bursts: each is acknowledged when it returns.
+// A Burst (burst.go) stretches the unit of commit and of acknowledgement
+// from one mutation to a run of them: its mutations share one transaction,
+// which Seal commits — one redo record on each shard they touched — and
+// whose acknowledgement wait Seal pays once per such shard. Between that
+// commit and the seal a write is where a 1-safe write always is —
+// committed on the primary, named to no backup — so the committed-prefix
+// argument above still gives the survivor a consistent store; what changes
+// is who may see it. The burst holds the store until the seal, so nobody
+// reads such a write; a primary death before the seal fails it, that shard
+// admits nothing further from the burst (no later mutation lands on a
+// survivor lacking the earlier ones), the Store breaks as for a failed
+// Commit, and after Reopen the dead shard's keys read what they held
+// before the burst. Put, Delete and Txn.Commit called directly are not
+// bursts: each is its own transaction, acknowledged when it returns.
 //
 // # Errors
 //
@@ -74,8 +76,9 @@
 //	Scan            ErrBroken, repro.ErrCrashed
 //	Txn.Commit      ErrTxnDone plus everything Put and Delete return
 //	Reopen          ErrBadFormat plus repro errors
-//	Burst.Seal      repro.ErrCrashed (the burst's writes are lost; the
-//	                Store is broken), repro.ErrSafetyUnavailable
+//	Burst.Seal      repro.ErrCrashed or ErrBroken (the burst's writes
+//	                are lost; the Store is broken),
+//	                repro.ErrSafetyUnavailable
 //
 // A repro.ErrSafetyUnavailable from Put, Delete or Txn.Commit means the
 // mutation is durable on the serving node but its acknowledgement
@@ -238,6 +241,11 @@ type Store struct {
 	readPrimary readFn
 	vw          view
 	vwRead      readFn
+
+	// open is the transaction mutations run in; readOpen is readTx bound
+	// once, the probes' route through it.
+	open     sharedTx
+	readOpen readFn
 }
 
 // Open opens (or, on an all-zero database, formats) a key-value store
@@ -256,6 +264,7 @@ func OpenWith(db repro.DB, opt Options) (*Store, error) {
 	}
 	s := &Store{db: db}
 	s.readPrimary = db.Read
+	s.readOpen = s.readTx
 	s.vwRead = s.vw.read
 	s.vw.s = s
 	var head [headerSize]byte
@@ -674,30 +683,33 @@ func (s *Store) getAppend(rd readFn, key, dst []byte) ([]byte, error) {
 func (s *Store) Put(key, value []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.put(key, value)
+	if err := s.put(key, value); err != nil {
+		return err
+	}
+	return s.end()
 }
 
-// put is Put under s.mu.
+// put stages a Put in the open transaction, under s.mu.
 func (s *Store) put(key, value []byte) error {
+	s.room()
 	if err := s.check(key); err != nil {
 		return err
 	}
 	if len(key)+len(value) > s.geo.payload() {
 		return ErrTooLarge
 	}
-	p, err := s.probe(s.readPrimary, key)
+	p, err := s.probe(s.reader(key, s.readPrimary), key)
 	if err != nil {
-		return s.observe(err)
+		return s.lose(err)
 	}
 	if err := s.alloc(&p); err != nil {
 		return err
 	}
-	tx, err := s.db.Begin()
-	if err != nil {
-		s.unalloc(p)
-		return s.observe(err)
+	tx, err := s.openTx()
+	if err == nil {
+		err = s.writePut(tx, p, key, value)
 	}
-	return s.settle(p, false, s.finish(tx, s.writePut(tx, p, key, value)))
+	return s.stage(p, false, err)
 }
 
 // Delete removes key. The tombstoned bucket keeps later entries of the
@@ -705,26 +717,30 @@ func (s *Store) put(key, value []byte) error {
 func (s *Store) Delete(key []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.del(key)
+	if err := s.del(key); err != nil {
+		return err
+	}
+	return s.end()
 }
 
-// del is Delete under s.mu.
+// del stages a Delete in the open transaction, under s.mu.
 func (s *Store) del(key []byte) error {
+	s.room()
 	if err := s.check(key); err != nil {
 		return err
 	}
-	p, err := s.probe(s.readPrimary, key)
+	p, err := s.probe(s.reader(key, s.readPrimary), key)
 	if err != nil {
-		return s.observe(err)
+		return s.lose(err)
 	}
 	if !p.found {
 		return ErrNotFound
 	}
-	tx, err := s.db.Begin()
-	if err != nil {
-		return s.observe(err)
+	tx, err := s.openTx()
+	if err == nil {
+		err = s.writeBucket(tx, p.bucket, bucketTomb)
 	}
-	return s.settle(p, true, s.finish(tx, s.writeBucket(tx, p.bucket, bucketTomb)))
+	return s.stage(p, true, err)
 }
 
 // check validates the key and the store's health.
@@ -807,15 +823,12 @@ func (s *Store) writeBucket(tx repro.Tx, b, word uint64) error {
 // settle folds a mutation into the in-memory acceleration once its
 // transaction has ended with err: applied when it committed (a degraded
 // acknowledgement included — the bytes are there), taken back otherwise.
-func (s *Store) settle(p probeResult, del bool, err error) error {
-	if err != nil && !errors.Is(err, repro.ErrSafetyUnavailable) {
-		if !del {
-			s.unalloc(p)
-		}
-		return err
-	}
+func (s *Store) settle(op stagedOp, err error) {
+	p := op.p
 	switch {
-	case del:
+	case err != nil && !errors.Is(err, repro.ErrSafetyUnavailable):
+		s.unalloc(p)
+	case op.del:
 		s.free[p.region] = append(s.free[p.region], uint32(p.slot))
 		s.live--
 		s.tombs++
@@ -825,7 +838,155 @@ func (s *Store) settle(p probeResult, del bool, err error) error {
 			s.tombs--
 		}
 	}
+}
+
+// sharedTx is the transaction mutations run in: a Put's or Delete's own,
+// committed before it returns, or a Burst's, shared until its Seal. Valid
+// under Store.mu; tx is nil outside a held Burst.
+type sharedTx struct {
+	tx      repro.Tx
+	undo    int        // a bound on the undo-log bytes its mutations declared
+	written []bool     // per shard: tx has written there
+	staged  []stagedOp // its mutations, settled when it ends
+	err     error      // what end must report: a failed commit, a loss
+}
+
+type stagedOp struct {
+	p   probeResult
+	del bool
+}
+
+// txUndoLimit caps sharedTx.undo at a quarter of the V3 engine's 1 MiB undo
+// log, which keeps the transaction's redo record under the redo ring's
+// half-ring limit too; a mutation's undo images are bounded by its record
+// and bucket word, each behind an 8-byte log header and padded to 8 bytes.
+const txUndoLimit = 1 << 18
+
+func (g geometry) mutationUndo() int { return int(g.slotSize) + 32 }
+
+// room commits the open transaction before a mutation that could take it
+// past txUndoLimit; the mutation opens the next.
+func (s *Store) room() {
+	if o := &s.open; len(o.staged) > 0 && o.undo+s.geo.mutationUndo() > txUndoLimit {
+		s.commitOpen()
+	}
+}
+
+// shard returns the shard region r lives on now.
+func (s *Store) shard(r uint64) int { return s.db.ShardFor(int(r * s.geo.partSize)) }
+
+// reader returns how a mutation's probe, or a burst's lookup, of key reads:
+// through the open transaction once it has written the key's shard — its
+// bytes are ahead of every backup there, the primary's committed counter
+// is not — else through rd.
+func (s *Store) reader(key []byte, rd readFn) readFn {
+	o := &s.open
+	if o.tx == nil {
+		return rd
+	}
+	r, _ := s.geo.place(key)
+	if sh := s.shard(r); sh < len(o.written) && o.written[sh] {
+		return s.readOpen
+	}
+	return rd
+}
+
+// readTx is readOpen's body.
+func (s *Store) readTx(off int, dst []byte) error { return s.open.tx.Read(off, dst) }
+
+// openTx returns the open transaction, beginning it if there is none.
+func (s *Store) openTx() (repro.Tx, error) {
+	if s.open.tx == nil {
+		tx, err := s.db.Begin()
+		if err != nil {
+			return nil, err
+		}
+		s.open.tx = tx
+	}
+	return s.open.tx, nil
+}
+
+// stage records a mutation err says was written into the open transaction,
+// or, when it was not, takes it back and loses the transaction.
+func (s *Store) stage(p probeResult, del bool, err error) error {
+	if err != nil {
+		s.unalloc(p)
+		return s.lose(err)
+	}
+	o := &s.open
+	o.staged = append(o.staged, stagedOp{p, del})
+	o.undo += s.geo.mutationUndo()
+	sh := s.shard(p.region)
+	for len(o.written) <= sh {
+		o.written = append(o.written, false)
+	}
+	o.written[sh] = true
+	return nil
+}
+
+// lose aborts the open transaction after a DB error a mutation met in it,
+// taking back every mutation staged there. Their callers were told nil, so
+// the store breaks and end reports the loss: a crash or a deposition as it
+// came, anything else as ErrBroken — never as a degraded acknowledgement,
+// which would pass the lost writes as durable.
+func (s *Store) lose(err error) error {
+	o := &s.open
+	if o.tx != nil {
+		if aerr := o.tx.Abort(); aerr != nil {
+			err = fmt.Errorf("%w (abort also failed: %v)", err, aerr)
+		}
+	}
+	if len(o.staged) > 0 {
+		s.broken = true
+		lost := err
+		if !errors.Is(err, repro.ErrCrashed) && !errors.Is(err, repro.ErrLeaseExpired) {
+			lost = fmt.Errorf("%w: a failed mutation aborted the transaction: %v", ErrBroken, err)
+		}
+		o.err = worse(o.err, lost)
+	}
+	s.settleOpen(err)
+	return s.observe(err)
+}
+
+// commitOpen commits the open transaction; a failure is kept for end.
+func (s *Store) commitOpen() {
+	if o := &s.open; o.tx != nil {
+		err := o.tx.Commit()
+		if err != nil {
+			o.err = worse(o.err, s.fail(err))
+		}
+		s.settleOpen(err)
+	}
+}
+
+// settleOpen settles the open transaction's mutations once it has ended
+// with err, newest first so a failed one's slots go back in the order they
+// came, and clears it.
+func (s *Store) settleOpen(err error) {
+	o := &s.open
+	for i := len(o.staged) - 1; i >= 0; i-- {
+		s.settle(o.staged[i], err)
+	}
+	o.tx, o.undo, o.staged = nil, 0, o.staged[:0]
+	clear(o.written)
+}
+
+// end commits the open transaction and returns what its mutations' callers
+// have yet to hear: the worse of its commit's failure and an earlier loss.
+func (s *Store) end() error {
+	s.commitOpen()
+	err := s.open.err
+	s.open.err = nil
 	return err
+}
+
+// worse returns the one of two errors a caller must hear: a degraded
+// acknowledgement never hides a failure that lost writes.
+func worse(a, b error) error {
+	if a == nil || b != nil && errors.Is(a, repro.ErrSafetyUnavailable) && !errors.Is(b, repro.ErrSafetyUnavailable) {
+		return b
+	}
+	return a
 }
 
 // Scan visits up to limit live entries in bucket order, starting at

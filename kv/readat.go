@@ -133,10 +133,17 @@ func (s *Store) GetAppendAt(key, dst []byte, opts repro.ReadOpts) ([]byte, repro
 }
 
 // getAt is GetAppendAt under s.mu: every lookup, the primary's included,
-// reads through the recycled view.
+// reads through the recycled view — but a burst's, on a shard its open
+// transaction has written.
 func (s *Store) getAt(key, dst []byte, opts repro.ReadOpts) ([]byte, repro.ReadResult, error) {
 	if err := s.check(key); err != nil {
 		return dst, repro.ReadResult{}, err
+	}
+	if rd := s.reader(key, nil); rd != nil {
+		// A burst's lookup on a shard its transaction has written: the
+		// primary's bytes, through the transaction (see Store.reader).
+		out, err := s.getAppend(rd, key, dst)
+		return out, repro.ReadResult{}, err
 	}
 	opts = lookupOpts(opts)
 	for try := 0; try <= viewRetries; try++ {

@@ -126,6 +126,9 @@ func (t *Txn) Commit() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
+	// Inside a burst the transaction is its own: the burst's commits first,
+	// and its Seal reports how that went.
+	s.commitOpen()
 	if s.broken {
 		return ErrBroken
 	}
@@ -143,11 +146,7 @@ func (t *Txn) Commit() error {
 	}
 	// Probe through the transaction: a key sees the flips of the keys
 	// before it. done collects what was issued, to settle after the commit.
-	type issued struct {
-		p   probeResult
-		del bool
-	}
-	var done []issued
+	var done []stagedOp
 	rd := readFn(tx.Read)
 	for _, k := range t.order {
 		op, key := t.ops[k], []byte(k)
@@ -158,11 +157,11 @@ func (t *Txn) Commit() error {
 		switch {
 		case !op.del:
 			if err = s.alloc(&p); err == nil {
-				done = append(done, issued{p, false})
+				done = append(done, stagedOp{p, false})
 				err = s.writePut(tx, p, key, op.val)
 			}
 		case p.found:
-			done = append(done, issued{p, true})
+			done = append(done, stagedOp{p, true})
 			err = s.writeBucket(tx, p.bucket, bucketTomb)
 		}
 		if err != nil {
@@ -176,7 +175,7 @@ func (t *Txn) Commit() error {
 	// Settle newest first so a failed commit's slots go back in the order
 	// they came.
 	for i := len(done) - 1; i >= 0; i-- {
-		s.settle(done[i].p, done[i].del, err)
+		s.settle(done[i], err)
 	}
 	return err
 }
