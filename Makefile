@@ -94,7 +94,10 @@ tables:
 # it wrote, the loss path), DB.ShardFor, kvserver's tokens taken after the
 # seal, and tpc.Replay's before-images; ROADMAP item 19's diet is the
 # payback.
-LOC_CEILING := 20806
+# Lowered 20806 -> 20776 by one staging path in kv: a Txn, the format
+# header and recovery's repair stage in the store's open transaction, and
+# Store.finish and Txn.Commit's own probe / write / settle loop went.
+LOC_CEILING := 20776
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

@@ -17,12 +17,13 @@ import "repro"
 // on a shard the transaction has written, every read goes through it.
 //
 // The transaction commits early, and the next mutation opens another, when
-// its undo images could pass a fixed share of the V3 undo log, and before a
-// multi-key Txn of the burst runs, which commits its own. While open, it
-// holds the transaction slot of every shard it wrote, so a rebalance's
-// cut-over off such a shard waits for the Seal. A DB error inside it aborts
-// it: every mutation staged there is lost, the store breaks, and Seal
-// reports the loss.
+// its undo images could pass a fixed share of the V3 undo log, and when a
+// multi-key Txn of the burst commits: the Txn's keys stage in the next one,
+// unsplit, until Seal. While open, it holds the transaction slot of every
+// shard it wrote, so a rebalance's cut-over off such a shard waits for the
+// Seal. A DB error inside it aborts it: every mutation staged there is
+// lost, the store breaks, and Seal reports the loss — except while a Txn
+// stages, whose Commit reports its own failure and takes back its own keys.
 //
 // A Burst is reusable: after Seal the next operation takes the store
 // again. It belongs to one goroutine at a time — kvserver's is passed from
@@ -100,8 +101,5 @@ func (b *Burst) Delete(key []byte) error {
 // Begin opens a multi-key transaction whose Commit joins the burst.
 func (b *Burst) Begin() (*Txn, error) {
 	b.hold()
-	if b.s.broken {
-		return nil, ErrBroken
-	}
-	return &Txn{s: b.s, b: b, ops: make(map[string]txOp)}, nil
+	return b.s.begin(b)
 }

@@ -227,11 +227,12 @@ func TestBurstCrashInTheGap(t *testing.T) {
 		})
 	}
 
-	// The crash lands just before a burst's multi-key Txn begins its own
-	// transaction, once the burst's has committed under the open scope, on a
-	// deployment whose autopilot would promote a survivor at that Begin
-	// without telling anyone — and the Txn, planned over state only the dead
-	// primary had, would commit on a node that never saw the burst's PUT.
+	// The crash lands just before a burst's multi-key Txn begins the
+	// transaction its keys stage in, once the burst's has committed under
+	// the open scope, on a deployment whose autopilot would promote a
+	// survivor at that Begin without telling anyone — and the Txn, planned
+	// over state only the dead primary had, would commit on a node that
+	// never saw the burst's PUT.
 	// Inside a burst that lost commits the Begin is refused instead; the
 	// takeover waits for Reopen.
 	t.Run("autopilot-crash-before-begin", func(t *testing.T) {

@@ -33,21 +33,21 @@
 // # Crash consistency
 //
 // Every mutation is confined to one region and therefore to one replica
-// group, and commits there atomically inside one transaction on the
-// underlying DB — its own for Put and Delete, its Burst's shared one inside
-// a Burst: an insert writes the record and flips its bucket word together, an
-// overwrite rewrites the record in the slot it already has (when its length
-// is unchanged, only the bytes of the value that differ: every replica holds
+// group, and commits there atomically inside the store's one open
+// transaction on the underlying DB — its own for Put and Delete, its Txn's
+// for a multi-key Txn, its Burst's shared one inside a Burst: an insert
+// writes the record and flips its bucket word together, an overwrite
+// rewrites the record in the slot it already has (when its length is
+// unchanged, only the bytes of the value that differ: every replica holds
 // the rest), a delete tombstones the bucket word. The replication layer
 // guarantees a committed prefix per group, so after any crash and failover
 // a key reads the whole of its last surviving mutation — there is no
 // intermediate state for a crash to expose and nothing for recovery to
-// reclaim. A multi-key Txn.Commit is one DB transaction too: atomic where
-// its keys share a shard, per shard otherwise (see Txn). Open still
-// validates every reachable bucket (slot range and region, record-header
-// sanity, the key's own region, duplicate references and duplicate keys)
-// and tombstones what fails; that guards against bytes this package did
-// not write, not against its own crashes.
+// reclaim. A Txn's keys are atomic where they share a shard, per shard
+// otherwise (see Txn). Open still validates every reachable bucket (slot
+// range and region, record-header sanity, the key's own region, duplicate
+// references and duplicate keys) and tombstones what fails; that guards
+// against bytes this package did not write, not against its own crashes.
 //
 // A Burst (burst.go) stretches the unit of commit and of acknowledgement
 // from one mutation to a run of them: its mutations share one transaction,
@@ -74,7 +74,9 @@
 //	                ErrBroken, repro.ErrCrashed, repro.ErrSafetyUnavailable
 //	Delete          ErrNotFound, ErrEmptyKey, ErrBroken, repro errors
 //	Scan            ErrBroken, repro.ErrCrashed
-//	Txn.Commit      ErrTxnDone plus everything Put and Delete return
+//	Txn.Commit      ErrTxnDone plus everything Put and Delete return, and
+//	                the V3 engine's untyped undo-log overflow (nothing
+//	                applied, the Store still usable)
 //	Reopen          ErrBadFormat plus repro errors
 //	Burst.Seal      repro.ErrCrashed or ErrBroken (the burst's writes
 //	                are lost; the Store is broken),
@@ -121,9 +123,8 @@ var (
 	// slot; nothing is borrowed from another region, so it can come back
 	// while Len is below Slots. Only an insert can meet it: an overwrite
 	// rewrites the record in the slot the key already has and succeeds in
-	// a full region. (Before the REPROKV2 layout updates were out of place
-	// and an overwrite at exact capacity was refused too.) A Delete in the
-	// region makes room for one insert there.
+	// a full region. A Delete in the region makes room for one insert
+	// there.
 	ErrFull = errors.New("kv: the key's region is full")
 	// ErrNotFound is returned by Get and Delete for an absent key.
 	ErrNotFound = errors.New("kv: key not found")
@@ -343,15 +344,15 @@ func (s *Store) format(opt Options) error {
 		return err
 	}
 	s.geo = geo
-	tx, err := s.db.Begin()
-	if err != nil {
-		return s.observe(err)
+	tx, err := s.openTx()
+	if err == nil {
+		err = write(tx, 0, geo.header())
 	}
-	if err := s.finish(tx, write(tx, 0, geo.header())); err != nil {
-		return err
+	if err != nil {
+		return s.lose(err)
 	}
 	s.resetFree(nil)
-	return nil
+	return s.end()
 }
 
 // header encodes the persisted header.
@@ -520,22 +521,6 @@ func (s *Store) observe(err error) error {
 		s.broken = true
 	}
 	return err
-}
-
-// finish ends the transaction a mutation issued its writes on: Commit when
-// they all went through (a failure there breaks the store), Abort with
-// their error otherwise.
-func (s *Store) finish(tx repro.Tx, err error) error {
-	if err != nil {
-		if abortErr := tx.Abort(); abortErr != nil {
-			return s.observe(fmt.Errorf("%w (abort also failed: %v)", err, abortErr))
-		}
-		return s.observe(err)
-	}
-	if err := tx.Commit(); err != nil {
-		return s.fail(err)
-	}
-	return nil
 }
 
 // write declares and writes one range inside tx.
@@ -820,35 +805,16 @@ func (s *Store) writeBucket(tx repro.Tx, b, word uint64) error {
 	return write(tx, s.geo.bucketOff(b), s.word[:])
 }
 
-// settle folds a mutation into the in-memory acceleration once its
-// transaction has ended with err: applied when it committed (a degraded
-// acknowledgement included — the bytes are there), taken back otherwise.
-func (s *Store) settle(op stagedOp, err error) {
-	p := op.p
-	switch {
-	case err != nil && !errors.Is(err, repro.ErrSafetyUnavailable):
-		s.unalloc(p)
-	case op.del:
-		s.free[p.region] = append(s.free[p.region], uint32(p.slot))
-		s.live--
-		s.tombs++
-	case !p.found:
-		s.live++
-		if p.reusedTomb {
-			s.tombs--
-		}
-	}
-}
-
-// sharedTx is the transaction mutations run in: a Put's or Delete's own,
-// committed before it returns, or a Burst's, shared until its Seal. Valid
-// under Store.mu; tx is nil outside a held Burst.
+// sharedTx is the transaction every write of the store runs in: a Put's,
+// Delete's or Txn's own, committed before it returns, or a Burst's, shared
+// until its Seal. Valid under Store.mu; tx is nil outside a held Burst.
 type sharedTx struct {
 	tx      repro.Tx
 	undo    int        // a bound on the undo-log bytes its mutations declared
 	written []bool     // per shard: tx has written there
 	staged  []stagedOp // its mutations, settled when it ends
 	err     error      // what end must report: a failed commit, a loss
+	txn     bool       // a Txn's keys are staging: room keeps tx, lose keeps the store
 }
 
 type stagedOp struct {
@@ -865,9 +831,9 @@ const txUndoLimit = 1 << 18
 func (g geometry) mutationUndo() int { return int(g.slotSize) + 32 }
 
 // room commits the open transaction before a mutation that could take it
-// past txUndoLimit; the mutation opens the next.
+// past txUndoLimit, unless a Txn is staging; the mutation opens the next.
 func (s *Store) room() {
-	if o := &s.open; len(o.staged) > 0 && o.undo+s.geo.mutationUndo() > txUndoLimit {
+	if o := &s.open; !o.txn && len(o.staged) > 0 && o.undo+s.geo.mutationUndo() > txUndoLimit {
 		s.commitOpen()
 	}
 }
@@ -924,9 +890,10 @@ func (s *Store) stage(p probeResult, del bool, err error) error {
 	return nil
 }
 
-// lose aborts the open transaction after a DB error a mutation met in it,
-// taking back every mutation staged there. Their callers were told nil, so
-// the store breaks and end reports the loss: a crash or a deposition as it
+// lose aborts the open transaction after an error a write met in it,
+// taking back every mutation staged there. Unless they are a staging Txn's,
+// whose Commit returns err itself, their callers were told nil, so the
+// store breaks and end reports the loss: a crash or a deposition as it
 // came, anything else as ErrBroken — never as a degraded acknowledgement,
 // which would pass the lost writes as durable.
 func (s *Store) lose(err error) error {
@@ -936,7 +903,7 @@ func (s *Store) lose(err error) error {
 			err = fmt.Errorf("%w (abort also failed: %v)", err, aerr)
 		}
 	}
-	if len(o.staged) > 0 {
+	if len(o.staged) > 0 && !o.txn {
 		s.broken = true
 		lost := err
 		if !errors.Is(err, repro.ErrCrashed) && !errors.Is(err, repro.ErrLeaseExpired) {
@@ -959,13 +926,28 @@ func (s *Store) commitOpen() {
 	}
 }
 
-// settleOpen settles the open transaction's mutations once it has ended
-// with err, newest first so a failed one's slots go back in the order they
-// came, and clears it.
+// settleOpen folds the open transaction's mutations into the in-memory
+// acceleration once it has ended with err — applied when it committed (a
+// degraded acknowledgement included: the bytes are there), taken back
+// otherwise, newest first so a failed one's slots go back in the order
+// they came — and clears it.
 func (s *Store) settleOpen(err error) {
 	o := &s.open
+	kept := err == nil || errors.Is(err, repro.ErrSafetyUnavailable)
 	for i := len(o.staged) - 1; i >= 0; i-- {
-		s.settle(o.staged[i], err)
+		switch p := o.staged[i].p; {
+		case !kept:
+			s.unalloc(p)
+		case o.staged[i].del:
+			s.free[p.region] = append(s.free[p.region], uint32(p.slot))
+			s.live--
+			s.tombs++
+		case !p.found:
+			s.live++
+			if p.reusedTomb {
+				s.tombs--
+			}
+		}
 	}
 	o.tx, o.undo, o.staged = nil, 0, o.staged[:0]
 	clear(o.written)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro"
@@ -478,6 +479,156 @@ func TestTxnKeysShareChains(t *testing.T) {
 			verify(reopened)
 		})
 	}
+}
+
+// bigTxn buffers n inserts of 200-byte values in a transaction of s or of
+// b, when b is not nil.
+func bigTxn(t *testing.T, s *kv.Store, b *kv.Burst, n int) *kv.Txn {
+	t.Helper()
+	begin := s.Begin
+	if b != nil {
+		begin = b.Begin
+	}
+	txn, err := begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte{'v'}, 200)
+	for i := 0; i < n; i++ {
+		if err := txn.Put([]byte(fmt.Sprintf("big%05d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return txn
+}
+
+// TestTxnIsNeverSplit: a transaction whose undo images pass the share a
+// burst commits early at, but fit the engine's log, commits as exactly one
+// DB transaction and reads back whole.
+func TestTxnIsNeverSplit(t *testing.T) {
+	db := newCluster(t, quorum3(repro.Config{DBSize: 8 << 20, Metrics: true}))
+	s, err := kv.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000 // about 250 bytes of before-images each: twice the share
+	txn := bigTxn(t, s, nil, n)
+	_, t0 := commitCounters(db)
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if _, t1 := commitCounters(db); t1-t0 != 1 {
+		t.Fatalf("a %d-key Txn committed as %d transactions, want 1", n, t1-t0)
+	}
+	for i := 0; i < n; i++ {
+		if got, err := s.Get([]byte(fmt.Sprintf("big%05d", i))); err != nil || len(got) != 200 {
+			t.Fatalf("key %d reads %d bytes, %v", i, len(got), err)
+		}
+	}
+	if got := s.Len(); got != n {
+		t.Fatalf("%d live keys, want %d", got, n)
+	}
+}
+
+// TestTxnFailureKeepsTheStore: a transaction the engine refuses — its undo
+// images overflow the V3 log, or an insert meets a full region — applies
+// none of its keys and reports the failure itself. It does not break the
+// store, and inside a burst it takes back none of the burst's own writes.
+func TestTxnFailureKeepsTheStore(t *testing.T) {
+	t.Run("undo-log-full", func(t *testing.T) {
+		s, err := kv.Open(newCluster(t, repro.Config{DBSize: 8 << 20}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		preload(t, s, 3)
+		if err := bigTxn(t, s, nil, 6000).Commit(); err == nil || !strings.Contains(err.Error(), "undo log full") {
+			t.Fatalf("6000-key Txn = %v, want the engine's refusal", err)
+		}
+		if _, err := s.Get([]byte("big00000")); !errors.Is(err, kv.ErrNotFound) {
+			t.Fatalf("a key of the refused Txn reads %v, want ErrNotFound", err)
+		}
+		if got := s.Len(); got != 3 {
+			t.Fatalf("%d live keys after the refused Txn, want 3", got)
+		}
+		if err := s.Put(burstKey(3), []byte("old003")); err != nil {
+			t.Fatalf("PUT after the refused Txn: %v", err)
+		}
+		wantValues(t, s, 0, 4, "old")
+	})
+	t.Run("undo-log-full-in-a-burst", func(t *testing.T) {
+		s, err := kv.Open(newCluster(t, repro.Config{DBSize: 8 << 20}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		preload(t, s, 2)
+		b := s.Burst()
+		if err := b.Put(burstKey(0), []byte("new000")); err != nil {
+			t.Fatal(err)
+		}
+		if err := bigTxn(t, s, b, 6000).Commit(); err == nil || !strings.Contains(err.Error(), "undo log full") {
+			t.Fatalf("6000-key Txn in a burst = %v, want the engine's refusal", err)
+		}
+		if err := b.Put(burstKey(1), []byte("new001")); err != nil {
+			t.Fatalf("burst PUT after the refused Txn: %v", err)
+		}
+		if err := b.Seal(); err != nil {
+			t.Fatalf("seal after a refused Txn = %v, want nil", err)
+		}
+		wantValues(t, s, 0, 2, "new")
+		if got := s.Len(); got != 2 {
+			t.Fatalf("%d live keys after the burst, want 2", got)
+		}
+	})
+	t.Run("full-region-in-a-burst", func(t *testing.T) {
+		s, err := kv.Open(newCluster(t, repro.Config{DBSize: 64 << 10}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		preload(t, s, 1)
+		// Fill the last region: the key it refuses is the Txn's insert,
+		// after a key of region 0 the Txn stages first.
+		regions, _, _ := s.Geometry()
+		var low, extra []byte
+		for i := 0; low == nil || extra == nil; i++ {
+			k := []byte(fmt.Sprintf("fill%06d", i))
+			switch r, _ := s.Place(k); {
+			case r == 0 && low == nil:
+				low = k
+			case r == regions-1 && extra == nil:
+				if err := s.Put(k, []byte("v")); errors.Is(err, kv.ErrFull) {
+					extra = k
+				} else if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		n := s.Len()
+		b := s.Burst()
+		if err := b.Put(burstKey(0), []byte("new000")); err != nil {
+			t.Fatal(err)
+		}
+		txn, err := b.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		txn.Put(low, []byte("v"))
+		txn.Put(extra, []byte("v"))
+		if err := txn.Commit(); !errors.Is(err, kv.ErrFull) {
+			t.Fatalf("Txn inserting into a full region = %v, want ErrFull", err)
+		}
+		if err := b.Seal(); err != nil {
+			t.Fatalf("seal after a refused Txn = %v, want nil", err)
+		}
+		wantValues(t, s, 0, 1, "new")
+		for _, k := range [][]byte{low, extra} {
+			if _, err := s.Get(k); !errors.Is(err, kv.ErrNotFound) {
+				t.Fatalf("a key of the refused Txn reads %v, want ErrNotFound", err)
+			}
+		}
+		if got := s.Len(); got != n {
+			t.Fatalf("%d live keys, want %d", got, n)
+		}
+	})
 }
 
 func TestOpenRejectsGarbage(t *testing.T) {

@@ -23,8 +23,8 @@ import (
 // produced by this package's own crashes; it is the guard against bytes
 // something else wrote.
 //
-// The repair writes go through one ordinary transaction, so they are
-// themselves replicated.
+// The repair writes go through the store's open transaction, like any
+// mutation's, so they are themselves replicated.
 func (s *Store) recover() error {
 	g := s.geo
 	used := make([]bool, g.regions*g.slots)
@@ -92,20 +92,21 @@ func (s *Store) recover() error {
 	}
 	s.resetFree(used)
 
-	if len(clears) > 0 {
-		tx, err := s.db.Begin()
-		if err != nil {
-			return fmt.Errorf("kv: recovery repair: %w", s.observe(err))
-		}
-		for _, b := range clears {
-			if err = s.writeBucket(tx, b, bucketTomb); err != nil {
-				break
-			}
-		}
-		if err := s.finish(tx, err); err != nil {
-			return fmt.Errorf("kv: recovery repair: %w", err)
-		}
-		s.tombs += len(clears)
+	if len(clears) == 0 {
+		return nil
 	}
+	tx, err := s.openTx()
+	for i := 0; err == nil && i < len(clears); i++ {
+		err = s.writeBucket(tx, clears[i], bucketTomb)
+	}
+	if err != nil {
+		err = s.lose(err)
+	} else {
+		err = s.end()
+	}
+	if err != nil {
+		return fmt.Errorf("kv: recovery repair: %w", err)
+	}
+	s.tombs += len(clears)
 	return nil
 }

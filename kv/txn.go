@@ -2,16 +2,17 @@ package kv
 
 import (
 	"cmp"
+	"errors"
 	"slices"
 )
 
 // Txn is a multi-key transaction: reads see the store plus the
 // transaction's own buffered writes; Put and Delete buffer until Commit,
-// which issues every key's mutation — the same writes Store.Put and
-// Store.Delete make — inside one transaction on the underlying DB, keys in
-// ascending region order. Each key is confined to its region, hence to one
-// shard, so each key changes atomically, and all of the transaction's keys
-// on one shard become visible together or not at all. On a one-shard
+// which stages every key through the store's own put and del — the writes
+// Store.Put and Store.Delete make — in the store's open transaction, keys
+// in ascending region order. Each key is confined to its region, hence to
+// one shard, so each key changes atomically, and all of the transaction's
+// keys on one shard become visible together or not at all. On a one-shard
 // deployment that is the whole transaction. On a multi-shard deployment
 // the DB commits the touched shards one after another — the underlying
 // layer has no cross-shard atomic commit — so a crash at the wrong instant
@@ -35,10 +36,15 @@ type txOp struct {
 func (s *Store) Begin() (*Txn, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.begin(nil)
+}
+
+// begin is the one Txn constructor (b nil outside a burst), under s.mu.
+func (s *Store) begin(b *Burst) (*Txn, error) {
 	if s.broken {
 		return nil, ErrBroken
 	}
-	return &Txn{s: s, ops: make(map[string]txOp)}, nil
+	return &Txn{s: s, b: b, ops: make(map[string]txOp)}, nil
 }
 
 // Get returns the value under key as the transaction sees it: a buffered
@@ -109,10 +115,17 @@ func (t *Txn) Abort() error {
 	return nil
 }
 
-// Commit persists every buffered write. On error nothing is applied
-// (single-shard deployments) or at most the keys of a prefix of the shards
-// are (multi-shard; see the type comment). A repro.ErrSafetyUnavailable
-// return means the writes are durable on the serving node but were not
+// Commit stages every buffered write through put and del in the store's
+// open transaction, unsplit whatever its size, after committing what that
+// transaction held (inside a burst, the burst's earlier mutations; Seal
+// reports how that went). Called directly, Commit then commits the keys and
+// returns the result; inside a burst they stay staged until Seal, like a
+// Burst.Put. A failure while they stage aborts the transaction, takes back
+// those keys alone and returns the error, breaking the store only for a
+// crash or a deposition. On error nothing is applied (single-shard
+// deployments) or at most the keys of a prefix of the shards are
+// (multi-shard; see the type comment). A repro.ErrSafetyUnavailable return
+// means the writes are durable on the serving node but were not
 // acknowledged at the configured safety level.
 func (t *Txn) Commit() error {
 	if t.done {
@@ -126,56 +139,32 @@ func (t *Txn) Commit() error {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 	}
-	// Inside a burst the transaction is its own: the burst's commits first,
-	// and its Seal reports how that went.
 	s.commitOpen()
 	if s.broken {
 		return ErrBroken
-	}
-	if len(t.order) == 0 {
-		return nil
 	}
 	// Ascending region order makes the order shards are touched in — and
 	// the charged write sequence — a function of the key set alone.
 	region := func(k string) uint64 { r, _ := s.geo.place([]byte(k)); return r }
 	slices.SortStableFunc(t.order, func(a, b string) int { return cmp.Compare(region(a), region(b)) })
-
-	tx, err := s.db.Begin()
-	if err != nil {
-		return s.observe(err)
-	}
-	// Probe through the transaction: a key sees the flips of the keys
-	// before it. done collects what was issued, to settle after the commit.
-	var done []stagedOp
-	rd := readFn(tx.Read)
+	var err error
+	s.open.txn = true
 	for _, k := range t.order {
-		op, key := t.ops[k], []byte(k)
-		var p probeResult
-		if p, err = s.probe(rd, key); err != nil {
-			break
-		}
-		switch {
-		case !op.del:
-			if err = s.alloc(&p); err == nil {
-				done = append(done, stagedOp{p, false})
-				err = s.writePut(tx, p, key, op.val)
+		if op := t.ops[k]; op.del {
+			if err = s.del([]byte(k)); errors.Is(err, ErrNotFound) {
+				err = nil // deleting an absent key is a no-op
 			}
-		case p.found:
-			done = append(done, stagedOp{p, true})
-			err = s.writeBucket(tx, p.bucket, bucketTomb)
+		} else {
+			err = s.put([]byte(k), op.val)
 		}
 		if err != nil {
+			err = s.lose(err)
 			break
 		}
 	}
-	if err == nil && len(done) == 0 {
-		return s.observe(tx.Abort()) // every op deleted an absent key
+	s.open.txn = false
+	if err != nil || t.b != nil {
+		return err
 	}
-	err = s.finish(tx, err)
-	// Settle newest first so a failed commit's slots go back in the order
-	// they came.
-	for i := len(done) - 1; i >= 0; i-- {
-		s.settle(done[i], err)
-	}
-	return err
+	return s.end()
 }
