@@ -97,7 +97,11 @@ tables:
 # Lowered 20806 -> 20776 by one staging path in kv: a Txn, the format
 # header and recovery's repair stage in the store's open transaction, and
 # Store.finish and Txn.Commit's own probe / write / settle loop went.
-LOC_CEILING := 20776
+# Lowered 20776 -> 20697 by one receiver list in the SAN model: a Memory
+# Channel window maps to a list of receivers and a write buffer keeps
+# category masks, and the inline receiver, the dead window, the unread loss
+# counters and the per-byte accounting loops went.
+LOC_CEILING := 20697
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

@@ -24,7 +24,8 @@ import (
 //	New / NewSharded           ErrShardCount, configuration errors
 //	DB.Begin                   ErrCrashed, ErrSafetyUnavailable,
 //	                           ErrLeaseExpired
-//	Tx.SetRange                ErrBounds, ErrTxDone, ErrCrashed
+//	Tx.SetRange                ErrBounds, ErrTxDone, ErrCrashed,
+//	                           ErrUndoFull (Version 3 only)
 //	Tx.Write                   ErrBounds, ErrWriteOutsideRange, ErrTxDone,
 //	                           ErrCrashed
 //	Tx.Read                    ErrBounds, ErrTxDone, ErrCrashed
@@ -105,6 +106,9 @@ var (
 	// ErrTxDone is returned by operations on a transaction handle that
 	// has already committed or aborted.
 	ErrTxDone = vista.ErrTxDone
+	// ErrUndoFull is returned by Tx.SetRange on a Version 3 engine when
+	// the transaction's before-images no longer fit in its undo log.
+	ErrUndoFull = vista.ErrUndoFull
 	// ErrNoBackup is returned by Failover when no surviving backup can
 	// take over (standalone clusters, or every backup dead).
 	ErrNoBackup = replication.ErrNoBackup

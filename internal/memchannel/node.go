@@ -12,6 +12,7 @@ package memchannel
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -29,31 +30,25 @@ const blockSize = 32
 // node that attached a receive mapping for the page, which is how one
 // primary feeds K backups without K transmissions.
 type Target struct {
-	// Dst is the remote region written by the window; DstOff is the
-	// offset within Dst corresponding to the window's SrcBase.
-	Dst    *mem.Region
-	DstOff int
+	// Dst is the remote region written by the window, at the window's own
+	// offsets.
+	Dst *mem.Region
 	// Down, when non-nil and true at delivery time, drops this receiver's
 	// copy of the payload: the receiver is partitioned or dead. The sender
 	// is unaffected (broadcast has no per-receiver flow control).
 	Down *bool
 }
 
-// Mapping connects a window of this node's I/O space to one or more remote
-// regions (the first receiver inline, extra broadcast receivers in Fanout).
+// Mapping connects a window of this node's I/O space to its broadcast
+// receivers. A window with no receiver delivers nothing, but its stores
+// still leave as packets and are counted.
 type Mapping struct {
 	// SrcBase is the local simulated address of the window.
 	SrcBase uint64
 	// Size is the window length in bytes.
 	Size int
-	// Dst is the remote region written by the window; DstOff is the
-	// offset within Dst corresponding to SrcBase.
-	Dst    *mem.Region
-	DstOff int
-	// Down gates the primary receiver exactly like Target.Down.
-	Down *bool
-	// Fanout lists additional broadcast receivers of the same window.
-	Fanout []Target
+	// To lists the window's receivers.
+	To []Target
 }
 
 // Node is one machine's Memory Channel attachment. It implements
@@ -79,20 +74,19 @@ type Node struct {
 	crashAfter    int64 // fail after this many packets (0 = disabled)
 	emitted       int64
 
-	// catBytes and lost are atomic so aggregate-traffic readers (a
-	// sharded front-end summing NetTraffic across running shards) can
-	// sample them without synchronizing with the emitting stream.
+	// catBytes is atomic so aggregate-traffic readers (a sharded
+	// front-end summing NetTraffic across running shards) can sample it
+	// without synchronizing with the emitting stream.
 	catBytes [mem.NumCategories]atomic.Int64
-	lost     [mem.NumCategories]atomic.Int64
 }
 
 // wbuf is one pending 32-byte coalescing buffer.
 type wbuf struct {
-	block    uint64 // aligned base address
-	mask     uint32 // valid bytes
+	block    uint64                    // aligned base address
+	mask     uint32                    // valid bytes
+	catMask  [mem.NumCategories]uint32 // valid bytes by category: they partition mask
 	openedAt sim.Time
 	data     [blockSize]byte
-	cats     [blockSize]mem.Category
 }
 
 // NewNode returns a node that emits packets onto link and charges stalls to
@@ -104,18 +98,9 @@ func NewNode(p *sim.Params, clock *sim.Clock, link *sim.Link) *Node {
 
 // Map adds an I/O-space window. Windows must not overlap.
 func (n *Node) Map(m Mapping) error {
-	if m.Dst == nil {
-		return fmt.Errorf("memchannel: mapping %#x has nil destination", m.SrcBase)
-	}
-	if m.DstOff+m.Size > m.Dst.Size() {
-		return fmt.Errorf("memchannel: mapping %#x overruns destination %q", m.SrcBase, m.Dst.Name)
-	}
-	for _, t := range m.Fanout {
-		if t.Dst == nil {
-			return fmt.Errorf("memchannel: mapping %#x has nil fanout destination", m.SrcBase)
-		}
-		if t.DstOff+m.Size > t.Dst.Size() {
-			return fmt.Errorf("memchannel: mapping %#x overruns fanout destination %q", m.SrcBase, t.Dst.Name)
+	for _, t := range m.To {
+		if err := m.check(t); err != nil {
+			return err
 		}
 	}
 	for _, o := range n.maps {
@@ -128,62 +113,42 @@ func (n *Node) Map(m Mapping) error {
 	return nil
 }
 
-// AddTarget enrolls an additional broadcast receiver on the already-mapped
-// window at srcBase — how an online repair attaches a joining backup to the
-// live replication stream without rewiring (and thereby disturbing) the
-// serving node's attachment.
-func (n *Node) AddTarget(srcBase uint64, t Target) error {
+// check refuses a receiver that the window could not write whole.
+func (m *Mapping) check(t Target) error {
 	if t.Dst == nil {
-		return fmt.Errorf("memchannel: nil target for window %#x", srcBase)
+		return fmt.Errorf("memchannel: window %#x has a nil receiver", m.SrcBase)
 	}
+	if m.Size > t.Dst.Size() {
+		return fmt.Errorf("memchannel: window %#x overruns receiver %q", m.SrcBase, t.Dst.Name)
+	}
+	return nil
+}
+
+// AddTarget enrolls a broadcast receiver on the already-mapped window at
+// srcBase — how an online repair attaches a joining backup to the live
+// replication stream without rewiring (and thereby disturbing) the serving
+// node's attachment.
+func (n *Node) AddTarget(srcBase uint64, t Target) error {
 	for i := range n.maps {
-		m := &n.maps[i]
-		if m.SrcBase != srcBase {
-			continue
+		if m := &n.maps[i]; m.SrcBase == srcBase {
+			if err := m.check(t); err != nil {
+				return err
+			}
+			m.To = append(m.To, t)
+			return nil
 		}
-		if t.DstOff+m.Size > t.Dst.Size() {
-			return fmt.Errorf("memchannel: target overruns destination %q of window %#x", t.Dst.Name, srcBase)
-		}
-		m.Fanout = append(m.Fanout, t)
-		return nil
 	}
 	return fmt.Errorf("memchannel: no mapped window at %#x", srcBase)
 }
 
 // RemoveTargets detaches every receiver gated by down from all windows —
 // the counterpart of AddTarget, used when a dead backup is dropped so its
-// regions are not pinned (and iterated) by the live mappings forever. If
-// the window's inline receiver is the one removed, the first fanout
-// receiver is promoted into its place; a window left with no receivers is
-// permanently gated.
+// regions are not pinned (and iterated) by the live mappings forever.
 func (n *Node) RemoveTargets(down *bool) {
-	gone := true
 	for i := range n.maps {
-		m := &n.maps[i]
-		kept := m.Fanout[:0]
-		for _, t := range m.Fanout {
-			if t.Down != down {
-				kept = append(kept, t)
-			}
-		}
-		m.Fanout = kept
-		if m.Down == down {
-			if len(m.Fanout) > 0 {
-				t := m.Fanout[0]
-				m.Fanout = append(m.Fanout[:0], m.Fanout[1:]...)
-				m.Dst, m.DstOff, m.Down = t.Dst, t.DstOff, t.Down
-			} else {
-				m.Dst, m.DstOff, m.Down = deadWindow, 0, &gone
-			}
-		}
+		n.maps[i].To = slices.DeleteFunc(n.maps[i].To, func(t Target) bool { return t.Down == down })
 	}
 }
-
-// deadWindow backs windows whose every receiver has been removed: the
-// permanently-gated mapping still needs a non-nil destination to satisfy
-// the mapping invariants, but never receives a byte. Zero bytes map nothing,
-// so its constructor cannot fail.
-var deadWindow, _ = mem.NewRegion("dead-window", 0, 0)
 
 // EmitBulk charges a bulk background transfer (the chunked state copy of an
 // online repair) to the SAN: the bytes occupy the link like any other
@@ -240,75 +205,55 @@ func (n *Node) StoreIO(addr uint64, src []byte, cat mem.Category) {
 
 // storeBlock merges one within-block store into the coalescing buffers.
 func (n *Node) storeBlock(block uint64, off int, src []byte, cat mem.Category) {
-	b := n.findBuf(block)
-	if b == nil {
+	i := len(n.bufs) - 1
+	for i >= 0 && n.bufs[i].block != block {
+		i--
+	}
+	if i < 0 {
 		if len(n.bufs) >= n.params.WriteBuffers {
 			// Buffer pressure: the oldest (partial) buffer is forcibly
 			// evicted, and the CPU waits for the bus to accept it.
 			n.emit(0, true)
 		}
 		n.bufs = append(n.bufs, wbuf{block: block, openedAt: n.clock.Now()})
-		b = &n.bufs[len(n.bufs)-1]
+		i = len(n.bufs) - 1
 	}
-	copy(b.data[off:off+len(src)], src)
-	for i := 0; i < len(src); i++ {
-		b.mask |= 1 << uint(off+i)
-		b.cats[off+i] = cat
+	b := &n.bufs[i]
+	copy(b.data[off:], src)
+	// The store's bytes leave whatever category they were under (with
+	// len(src) == 32 the shift wraps to all ones).
+	stored := (uint32(1)<<len(src) - 1) << off
+	for c := range b.catMask {
+		b.catMask[c] &^= stored
 	}
+	b.catMask[cat] |= stored
+	b.mask |= stored
 	if b.mask == 1<<blockSize-1 {
 		// A naturally filled buffer retires asynchronously through the
 		// posted-write pipeline.
-		n.emitBuf(b, false)
-		n.removeBuf(block)
+		n.emit(i, false)
 	}
 }
 
-func (n *Node) findBuf(block uint64) *wbuf {
-	for i := range n.bufs {
-		if n.bufs[i].block == block {
-			return &n.bufs[i]
-		}
-	}
-	return nil
-}
-
-func (n *Node) removeBuf(block uint64) {
-	for i := range n.bufs {
-		if n.bufs[i].block == block {
-			n.bufs = append(n.bufs[:i], n.bufs[i+1:]...)
-			return
-		}
-	}
-}
-
-// emit flushes the buffer at index i (in FIFO order bookkeeping).
+// emit sends the buffer at index i and drops it from the FIFO.
 func (n *Node) emit(i int, sync bool) {
-	b := n.bufs[i]
-	n.bufs = append(n.bufs[:i], n.bufs[i+1:]...)
-	n.emitBuf(&b, sync)
+	n.emitBuf(&n.bufs[i], sync)
+	n.bufs = slices.Delete(n.bufs, i, i+1)
 }
 
 // emitBuf turns one buffer into a SAN packet: it charges the link, applies
 // the payload to the remote region (posted writes always complete), and
 // accounts the bytes per category.
 func (n *Node) emitBuf(b *wbuf, sync bool) {
-	size := bits.OnesCount32(b.mask)
-	if size == 0 {
-		return
-	}
 	if n.crashAfter > 0 && n.emitted >= n.crashAfter {
 		// Injected mid-stream failure: from the backup's perspective the
 		// primary died here; this and all later packets are lost.
 		n.crashed = true
 	}
 	if n.crashed {
-		for i := 0; i < blockSize; i++ {
-			if b.mask&(1<<uint(i)) != 0 {
-				n.lost[b.cats[i]].Add(1)
-			}
-		}
 		return
 	}
+	size := bits.OnesCount32(b.mask)
 	n.emitted++
 	// A buffer whose payload exceeds the SAN's packet cap leaves as
 	// several packets (the stock Memory Channel II cap equals the
@@ -344,35 +289,20 @@ func (n *Node) emitBuf(b *wbuf, sync bool) {
 	}
 
 	n.apply(b)
-	// Tally per category locally, then publish with one atomic add each:
-	// per-byte atomic increments would put 32 RMWs on the hot path.
-	var tally [mem.NumCategories]int64
-	for i := 0; i < blockSize; i++ {
-		if b.mask&(1<<uint(i)) != 0 {
-			tally[b.cats[i]]++
-		}
-	}
-	for c, v := range tally {
-		if v != 0 {
-			n.catBytes[c].Add(v)
+	for c, m := range b.catMask {
+		if m != 0 {
+			n.catBytes[c].Add(int64(bits.OnesCount32(m)))
 		}
 	}
 }
 
-// apply writes the buffer's valid bytes into the remote region(s).
+// apply writes each run of the buffer's valid bytes to the receivers.
 func (n *Node) apply(b *wbuf) {
-	i := 0
-	for i < blockSize {
-		if b.mask&(1<<uint(i)) == 0 {
-			i++
-			continue
-		}
-		j := i
-		for j < blockSize && b.mask&(1<<uint(j)) != 0 {
-			j++
-		}
+	for m := b.mask; m != 0; {
+		i := bits.TrailingZeros32(m)
+		j := i + bits.TrailingZeros32(^(m >> i))
 		n.applyRange(b.block+uint64(i), b.data[i:j])
-		i = j
+		m &^= uint32(1)<<j - 1
 	}
 }
 
@@ -381,13 +311,9 @@ func (n *Node) applyRange(addr uint64, data []byte) {
 	if m == nil {
 		panic(fmt.Sprintf("memchannel: I/O store [%#x,+%d) hits no mapping", addr, len(data)))
 	}
-	off := int(addr - m.SrcBase)
-	if m.Down == nil || !*m.Down {
-		m.Dst.WriteRaw(m.DstOff+off, data)
-	}
-	for _, t := range m.Fanout {
+	for _, t := range m.To {
 		if t.Down == nil || !*t.Down {
-			t.Dst.WriteRaw(t.DstOff+off, data)
+			t.Dst.WriteRaw(int(addr-m.SrcBase), data)
 		}
 	}
 }
@@ -435,14 +361,6 @@ func (n *Node) drainStale() {
 // are delivered first; only genuinely in-flight bytes die with the node.
 func (n *Node) Crash() {
 	n.drainStale()
-	for i := range n.bufs {
-		b := &n.bufs[i]
-		for j := 0; j < blockSize; j++ {
-			if b.mask&(1<<uint(j)) != 0 {
-				n.lost[b.cats[j]].Add(1)
-			}
-		}
-	}
 	n.bufs = nil
 	n.crashed = true
 }
@@ -516,7 +434,6 @@ func (n *Node) CategoryBytes() map[mem.Category]int64 {
 func (n *Node) ResetStats() {
 	for i := range n.catBytes {
 		n.catBytes[i].Store(0)
-		n.lost[i].Store(0)
 	}
 }
 

@@ -26,7 +26,7 @@ func newTestNode(t *testing.T, size int) (*Node, *mem.Region, *sim.Clock, *sim.L
 	link := sim.NewLink(&p)
 	n := NewNode(&p, clk, link)
 	remote := newRegion(t, "remote", 0, size)
-	if err := n.Map(Mapping{SrcBase: 0, Size: size, Dst: remote}); err != nil {
+	if err := n.Map(Mapping{SrcBase: 0, Size: size, To: []Target{{Dst: remote}}}); err != nil {
 		t.Fatal(err)
 	}
 	return n, remote, clk, link
@@ -128,6 +128,19 @@ func TestCrashLosesBufferedKeepsEmitted(t *testing.T) {
 	if c[0] != 0 {
 		t.Fatal("post-crash store applied")
 	}
+	// Only the emitted byte crossed the SAN.
+	wantCategoryBytes(t, n, map[mem.Category]int64{mem.CatModified: 1})
+}
+
+// wantCategoryBytes fails unless n's per-category byte counts are exactly
+// want (absent categories zero).
+func wantCategoryBytes(t *testing.T, n *Node, want map[mem.Category]int64) {
+	t.Helper()
+	for c, got := range n.CategoryBytes() {
+		if got != want[c] {
+			t.Fatalf("category %v counted %d bytes, want %d (all: %v)", c, got, want[c], n.CategoryBytes())
+		}
+	}
 }
 
 func TestCrashDeliversStaleBuffers(t *testing.T) {
@@ -191,6 +204,7 @@ func TestCrashAfterPacketsFreezesMidStream(t *testing.T) {
 	if !n.Crashed() {
 		t.Fatal("injection did not mark the node crashed")
 	}
+	wantCategoryBytes(t, n, map[mem.Category]int64{mem.CatModified: 2})
 }
 
 func TestCategoryAccounting(t *testing.T) {
@@ -198,29 +212,19 @@ func TestCategoryAccounting(t *testing.T) {
 	n.StoreIO(0, []byte{1, 2, 3, 4}, mem.CatModified)
 	n.StoreIO(4, []byte{5, 6}, mem.CatUndo)
 	n.StoreIO(4, []byte{7, 8}, mem.CatMeta) // overwrites the undo bytes in-buffer
+	// Twelve undo bytes across two blocks (60..63 and 64..71), then a
+	// partial overwrite of four of them (62..65, straddling the boundary)
+	// under a third category.
+	n.StoreIO(60, bytes.Repeat([]byte{9}, 12), mem.CatUndo)
+	n.StoreIO(62, []byte{1, 2, 3, 4}, mem.CatSync)
 	n.Fence()
-	got := n.CategoryBytes()
-	if got[mem.CatModified] != 4 {
-		t.Fatalf("modified = %d", got[mem.CatModified])
-	}
 	// Overwritten-in-buffer bytes count once, under their final category
 	// — wire-accurate accounting.
-	if got[mem.CatUndo] != 0 || got[mem.CatMeta] != 2 {
-		t.Fatalf("undo/meta = %d/%d, want 0/2", got[mem.CatUndo], got[mem.CatMeta])
-	}
-	total := int64(0)
-	for _, b := range got {
-		total += b
-	}
-	if total != 6 {
-		t.Fatalf("category bytes total %d, want 6", total)
-	}
+	wantCategoryBytes(t, n, map[mem.Category]int64{
+		mem.CatModified: 4, mem.CatMeta: 2, mem.CatUndo: 8, mem.CatSync: 4,
+	})
 	n.ResetStats()
-	for c, b := range n.CategoryBytes() {
-		if b != 0 {
-			t.Fatalf("ResetStats kept %d bytes of %v", b, c)
-		}
-	}
+	wantCategoryBytes(t, n, nil)
 }
 
 func TestMappingValidation(t *testing.T) {
@@ -228,17 +232,28 @@ func TestMappingValidation(t *testing.T) {
 	clk := &sim.Clock{}
 	n := NewNode(&p, clk, sim.NewLink(&p))
 	r := newRegion(t, "r", 0, 128)
-	if err := n.Map(Mapping{SrcBase: 0, Size: 256, Dst: r}); err == nil {
-		t.Fatal("mapping overrunning destination accepted")
+	small := newRegion(t, "small", 0, 64)
+	for _, to := range [][]Target{
+		{{Dst: small}},
+		{{Dst: nil}},
+		{{Dst: r}, {Dst: small}}, // the check holds for every receiver
+		{{Dst: r}, {Dst: nil}},
+	} {
+		if err := n.Map(Mapping{SrcBase: 0, Size: 128, To: to}); err == nil {
+			t.Fatalf("receivers %v accepted: nil or smaller than the window", to)
+		}
 	}
-	if err := n.Map(Mapping{SrcBase: 0, Size: 128, Dst: nil}); err == nil {
-		t.Fatal("nil destination accepted")
-	}
-	if err := n.Map(Mapping{SrcBase: 0, Size: 128, Dst: r}); err != nil {
+	if err := n.Map(Mapping{SrcBase: 0, Size: 128, To: []Target{{Dst: r}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Map(Mapping{SrcBase: 64, Size: 64, Dst: r}); err == nil {
+	if err := n.Map(Mapping{SrcBase: 64, Size: 64, To: []Target{{Dst: r}}}); err == nil {
 		t.Fatal("overlapping window accepted")
+	}
+	if err := n.AddTarget(0, Target{Dst: small}); err == nil {
+		t.Fatal("AddTarget accepted a receiver smaller than the window")
+	}
+	if err := n.AddTarget(0, Target{}); err == nil {
+		t.Fatal("AddTarget accepted a nil receiver")
 	}
 }
 
@@ -307,7 +322,7 @@ func TestAddAndRemoveTargets(t *testing.T) {
 	second := newRegion(t, "second", 0, 64)
 	third := newRegion(t, "third", 0, 64)
 	var downFirst, downSecond, downThird bool
-	if err := n.Map(Mapping{SrcBase: 0, Size: 64, Dst: first, Down: &downFirst}); err != nil {
+	if err := n.Map(Mapping{SrcBase: 0, Size: 64, To: []Target{{Dst: first, Down: &downFirst}}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := n.AddTarget(0, Target{Dst: second, Down: &downSecond}); err != nil {
@@ -336,28 +351,29 @@ func TestAddAndRemoveTargets(t *testing.T) {
 		}
 	}
 
-	// Removing the inline receiver promotes a fanout receiver; removing a
-	// fanout receiver detaches it. Neither disturbs the remaining one.
+	// Removing a receiver, first or later in the list, detaches it and
+	// leaves the remaining one on the window.
 	n.RemoveTargets(&downFirst)
 	n.RemoveTargets(&downSecond)
 	write("survivors")
 	if got := read(third, 9); got != "survivors" {
 		t.Fatalf("remaining receiver got %q", got)
 	}
-	if got := read(first, 9); got != "broadcast" {
-		t.Fatalf("removed inline receiver still written: %q", got)
-	}
-	if got := read(second, 9); got != "broadcast" {
-		t.Fatalf("removed fanout receiver still written: %q", got)
+	for _, r := range []*mem.Region{first, second} {
+		if got := read(r, 9); got != "broadcast" {
+			t.Fatalf("removed receiver %s still written: %q", r.Name, got)
+		}
 	}
 
-	// A window stripped of every receiver is permanently gated but still
-	// accepts stores (and new targets later).
+	// A window stripped of every receiver delivers nothing, but its stores
+	// still leave as packets and are counted (and it takes new targets).
 	n.RemoveTargets(&downThird)
+	n.ResetStats()
 	write("nobody...")
 	if got := read(third, 9); got != "survivors" {
 		t.Fatalf("fully-detached window still delivered: %q", got)
 	}
+	wantCategoryBytes(t, n, map[mem.Category]int64{mem.CatModified: 9})
 	fourth := newRegion(t, "fourth", 0, 64)
 	var downFourth bool
 	if err := n.AddTarget(0, Target{Dst: fourth, Down: &downFourth}); err != nil {

@@ -95,7 +95,7 @@ func probeNode(p *sim.Params, n int) (*Node, *sim.Link, error) {
 	node := NewNode(p, new(sim.Clock), link)
 	region, err := mem.NewRegion("probe", 0, n)
 	if err == nil {
-		err = node.Map(Mapping{SrcBase: 0, Size: n, Dst: region})
+		err = node.Map(Mapping{SrcBase: 0, Size: n, To: []Target{{Dst: region}}})
 	}
 	if err != nil {
 		return nil, nil, err

@@ -52,9 +52,8 @@ type redoChannel struct {
 	// allocator per record; the channel is single-stream under the group
 	// mutex, so shared buffers are safe.
 	hdrBuf   [8]byte
-	entBuf   [6]byte
 	ptrBuf   [8]byte
-	applyBuf []byte
+	applyBuf []byte // one whole record, at most the ring's size
 }
 
 // establish opens an era of the active scheme on whichever node now serves:
@@ -321,24 +320,26 @@ func (c *redoChannel) applyDelivered(b *backup) {
 	}
 }
 
-// applyRecord replays one record's writes into backup b's database.
+// applyRecord replays one record's writes into backup b's database, from
+// one read of the whole record.
 func (c *redoChannel) applyRecord(b *backup, off, nWrites, size int) {
-	db := b.node.Space.ByName(vista.RegionDB)
-	pos := off + 8
-	for w := 0; w < nWrites; w++ {
-		b.bRing.ReadRaw(pos, c.entBuf[:])
-		dbOff := int(binary.LittleEndian.Uint32(c.entBuf[0:4]))
-		n := int(binary.LittleEndian.Uint16(c.entBuf[4:6]))
-		if cap(c.applyBuf) < n {
-			c.applyBuf = make([]byte, n)
-		}
-		buf := c.applyBuf[:n]
-		b.bRing.ReadRaw(pos+6, buf)
-		db.WriteRaw(dbOff, buf)
-		pos += 6 + n
+	if cap(c.applyBuf) < size {
+		c.applyBuf = make([]byte, size)
 	}
-	if pos-off > size {
-		panic(fmt.Sprintf("replication: redo record at %d overruns its size %d", off, size))
+	rec := c.applyBuf[:size]
+	b.bRing.ReadRaw(off, rec)
+	db := b.node.Space.ByName(vista.RegionDB)
+	pos := 8
+	for w := 0; w < nWrites; w++ {
+		end := size + 1 // an entry header past the record's end overruns it
+		if pos+6 <= size {
+			end = pos + 6 + int(binary.LittleEndian.Uint16(rec[pos+4:]))
+		}
+		if end > size {
+			panic(fmt.Sprintf("replication: redo record at %d overruns its size %d", off, size))
+		}
+		db.WriteRaw(int(binary.LittleEndian.Uint32(rec[pos:])), rec[pos+6:end])
+		pos = end
 	}
 }
 

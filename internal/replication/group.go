@@ -292,25 +292,32 @@ func (g *Group) attachLocked() error {
 // receivers, each gated by its backup's partition flag.
 func (g *Group) mapFanout() error {
 	for _, r := range g.primary.Space.Regions() {
+		if r.WriteThrough || r.IOOnly {
+			if err := g.primary.MC.Map(memchannel.Mapping{SrcBase: r.Base, Size: r.Size()}); err != nil {
+				return err
+			}
+		}
+	}
+	for _, b := range g.backups {
+		if err := g.wireLocked(b); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// wireLocked adds backup b as a receiver of every window the serving node
+// maps, each copy gated by b's partition flag.
+func (g *Group) wireLocked(b *backup) error {
+	for _, r := range g.primary.Space.Regions() {
 		if !r.WriteThrough && !r.IOOnly {
 			continue
 		}
-		m := memchannel.Mapping{SrcBase: r.Base, Size: r.Size()}
-		for i, b := range g.backups {
-			d := b.node.Space.ByName(r.Name)
-			if d == nil {
-				return fmt.Errorf("replication: backup %q lacks region %q", b.node.Name, r.Name)
-			}
-			if d.Size() < r.Size() {
-				return fmt.Errorf("replication: backup region %q smaller than source", r.Name)
-			}
-			if i == 0 {
-				m.Dst, m.Down = d, &b.off
-			} else {
-				m.Fanout = append(m.Fanout, memchannel.Target{Dst: d, Down: &b.off})
-			}
+		d := b.node.Space.ByName(r.Name)
+		if d == nil {
+			return fmt.Errorf("replication: backup %q lacks region %q", b.node.Name, r.Name)
 		}
-		if err := g.primary.MC.Map(m); err != nil {
+		if err := g.primary.MC.AddTarget(r.Base, memchannel.Target{Dst: d, Down: &b.off}); err != nil {
 			return err
 		}
 	}

@@ -35,11 +35,9 @@ package replication
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"repro/internal/mem"
-	"repro/internal/memchannel"
 	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/vista"
@@ -440,17 +438,8 @@ func (g *Group) enrollFreshLocked(i int, wire bool) (*backup, error) {
 		}
 	}
 	if wire {
-		for _, r := range g.primary.Space.Regions() {
-			if !r.WriteThrough && !r.IOOnly {
-				continue
-			}
-			d := b.node.Space.ByName(r.Name)
-			if d == nil {
-				return nil, fmt.Errorf("replication: joiner %q lacks region %q", b.node.Name, r.Name)
-			}
-			if err := g.primary.MC.AddTarget(r.Base, memchannel.Target{Dst: d, Down: &b.off}); err != nil {
-				return nil, err
-			}
+		if err := g.wireLocked(b); err != nil {
+			return nil, err
 		}
 	}
 	return b, nil

@@ -71,6 +71,9 @@ var (
 	ErrOutOfRange = errors.New("vista: write outside any declared set_range")
 	// ErrBounds is returned for accesses outside the database.
 	ErrBounds = errors.New("vista: access outside database bounds")
+	// ErrUndoFull is returned by a Version 3 SetRange whose before-image
+	// does not fit in what is left of the transaction's undo log.
+	ErrUndoFull = errors.New("vista: undo log full")
 	// ErrCrashed is returned once the store's node has crashed. It is the
 	// one crashed sentinel of every layer above — replication and the
 	// facade alias it — so its message speaks the facade's language.

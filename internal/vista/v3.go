@@ -77,7 +77,7 @@ func (e *v3) setRange(s *Store, off, n int) error {
 	}
 	rec := v3HdrSize + pad8(n)
 	if e.tail+rec > e.logReg.Size() {
-		return fmt.Errorf("vista: undo log full (%d of %d bytes)", e.tail, e.logReg.Size())
+		return fmt.Errorf("%w (%d of %d bytes)", ErrUndoFull, e.tail, e.logReg.Size())
 	}
 	addr := e.logReg.Base + uint64(e.tail)
 	// Header and before-image are appended with strictly sequential

@@ -75,8 +75,8 @@
 //	Delete          ErrNotFound, ErrEmptyKey, ErrBroken, repro errors
 //	Scan            ErrBroken, repro.ErrCrashed
 //	Txn.Commit      ErrTxnDone plus everything Put and Delete return, and
-//	                the V3 engine's untyped undo-log overflow (nothing
-//	                applied, the Store still usable)
+//	                repro.ErrUndoFull (nothing applied, the Store still
+//	                usable)
 //	Reopen          ErrBadFormat plus repro errors
 //	Burst.Seal      repro.ErrCrashed or ErrBroken (the burst's writes
 //	                are lost; the Store is broken),

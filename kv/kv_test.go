@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro"
@@ -541,8 +540,8 @@ func TestTxnFailureKeepsTheStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		preload(t, s, 3)
-		if err := bigTxn(t, s, nil, 6000).Commit(); err == nil || !strings.Contains(err.Error(), "undo log full") {
-			t.Fatalf("6000-key Txn = %v, want the engine's refusal", err)
+		if err := bigTxn(t, s, nil, 6000).Commit(); !errors.Is(err, repro.ErrUndoFull) {
+			t.Fatalf("6000-key Txn = %v, want ErrUndoFull", err)
 		}
 		if _, err := s.Get([]byte("big00000")); !errors.Is(err, kv.ErrNotFound) {
 			t.Fatalf("a key of the refused Txn reads %v, want ErrNotFound", err)
@@ -565,8 +564,8 @@ func TestTxnFailureKeepsTheStore(t *testing.T) {
 		if err := b.Put(burstKey(0), []byte("new000")); err != nil {
 			t.Fatal(err)
 		}
-		if err := bigTxn(t, s, b, 6000).Commit(); err == nil || !strings.Contains(err.Error(), "undo log full") {
-			t.Fatalf("6000-key Txn in a burst = %v, want the engine's refusal", err)
+		if err := bigTxn(t, s, b, 6000).Commit(); !errors.Is(err, repro.ErrUndoFull) {
+			t.Fatalf("6000-key Txn in a burst = %v, want ErrUndoFull", err)
 		}
 		if err := b.Put(burstKey(1), []byte("new001")); err != nil {
 			t.Fatalf("burst PUT after the refused Txn: %v", err)
