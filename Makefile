@@ -101,7 +101,11 @@ tables:
 # Channel window maps to a list of receivers and a write buffer keeps
 # category masks, and the inline receiver, the dead window, the unread loss
 # counters and the per-byte accounting loops went.
-LOC_CEILING := 20697
+# Raised 20697 -> 20756 for heartbeat rounds implied by the commit stream: a
+# flush every heard backup acknowledged stands for its period's round, with
+# the rounds' exchanged/implied counters; ROADMAP item 19's diet is the
+# payback.
+LOC_CEILING := 20756
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

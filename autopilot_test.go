@@ -117,15 +117,28 @@ func TestAutopilotUnattended(t *testing.T) {
 }
 
 // TestAutopilotControlTraffic: heartbeat bytes surface as
-// Traffic.ControlBytes — and stay zero with the autopilot off.
+// Traffic.ControlBytes — and stay zero with the autopilot off. Under
+// quorum the commits' acknowledgements stand for the rounds their periods
+// hold, so only the idle periods ship beats.
 func TestAutopilotControlTraffic(t *testing.T) {
-	run := func(ap repro.AutopilotConfig) repro.Traffic {
+	for _, tc := range []struct {
+		name   string
+		ap     repro.AutopilotConfig
+		safety repro.Safety
+		busy   bool // control bytes while commits flow
+		idle   bool // control bytes once the cluster idles
+	}{
+		{"off", repro.AutopilotConfig{}, repro.OneSafe, false, false},
+		{"1-safe", apConfig, repro.OneSafe, true, true},
+		{"quorum", apConfig, repro.QuorumSafe, false, true},
+	} {
 		c, err := repro.New(repro.Config{
 			Version:   repro.V3InlineLog,
 			Backup:    repro.ActiveBackup,
 			DBSize:    testDB,
 			Backups:   2,
-			Autopilot: ap,
+			Safety:    tc.safety,
+			Autopilot: tc.ap,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -138,19 +151,19 @@ func TestAutopilotControlTraffic(t *testing.T) {
 			must(t, tx.Write(i%64*64, make([]byte, 32)))
 			must(t, tx.Commit())
 		}
-		c.Settle()
-		return c.NetTraffic()
-	}
-	off := run(repro.AutopilotConfig{})
-	if off.ControlBytes != 0 {
-		t.Fatalf("control bytes with autopilot off: %d", off.ControlBytes)
-	}
-	on := run(apConfig)
-	if on.ControlBytes == 0 {
-		t.Fatal("no control bytes with autopilot on")
-	}
-	if on.Total() != on.ModifiedBytes+on.UndoBytes+on.MetaBytes+on.SyncBytes+on.ControlBytes {
-		t.Fatal("Traffic.Total does not include ControlBytes")
+		busy := c.NetTraffic()
+		// Idle for a few heartbeat periods.
+		for start := c.Elapsed(); c.Elapsed()-start < 4*apConfig.HeartbeatPeriod; {
+			c.Settle()
+		}
+		idle := c.NetTraffic()
+		if (busy.ControlBytes > 0) != tc.busy || (idle.ControlBytes > busy.ControlBytes) != tc.idle {
+			t.Fatalf("%s: control bytes %d while busy, %d after Settle; want busy %v, idle %v",
+				tc.name, busy.ControlBytes, idle.ControlBytes, tc.busy, tc.idle)
+		}
+		if idle.Total() != idle.ModifiedBytes+idle.UndoBytes+idle.MetaBytes+idle.SyncBytes+idle.ControlBytes {
+			t.Fatal("Traffic.Total does not include ControlBytes")
+		}
 	}
 }
 

@@ -168,6 +168,9 @@ func (n *Node) EmitBulk(now sim.Time, bytes int, cat mem.Category) sim.Time {
 // direction (heartbeat acknowledgements crossing back from the replicas).
 // The model serializes only this node's transmit direction, so reverse
 // traffic is accounted under mem.CatControl without occupying the link.
+// Only the acks of heartbeat rounds actually exchanged come here: commit
+// acks and consumer-pointer write-backs only time sim.Ring, uncounted, until
+// ROADMAP item 25 decides otherwise (it moves every gated bytes figure).
 func (n *Node) AccountControl(bytes int) {
 	if bytes > 0 {
 		n.catBytes[mem.CatControl].Add(int64(bytes))

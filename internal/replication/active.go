@@ -270,6 +270,7 @@ func (c *redoChannel) flush() error {
 		} else {
 			g.payRepairLocked(at, false)
 			g.servingRef.Load().acked.AdvanceTo(at)
+			g.noteAcksLocked(acks)
 		}
 	}
 

@@ -2,10 +2,12 @@
 // the replica group. With it enabled the cluster notices its own faults and
 // drives the PR 1–3 machinery (Failover, RepairAsync) without an operator:
 //
-//   - Heartbeats. The primary broadcasts a periodic beat over the Memory
-//     Channel and every reachable replica acknowledges it; the bytes occupy
-//     the SAN under mem.CatControl, next to redo and sync traffic, but
-//     bypass the coalescing write buffers — control traffic never enters a
+//   - Heartbeats. A period that carried a commit every reachable replica
+//     acknowledged implies its heartbeat round, and nothing ships.
+//     Otherwise the primary broadcasts a beat over the Memory Channel and
+//     every reachable replica acknowledges it; the bytes occupy the SAN
+//     under mem.CatControl, next to redo and sync traffic, but bypass the
+//     coalescing write buffers — control traffic never enters a
 //     group-commit batch and never extends the Settle quiesce.
 //   - Detection. A detect.Detector moves silent peers through Alive →
 //     Suspect → Dead on the configured period/timeout. The simulation pumps
@@ -17,7 +19,8 @@
 //   - Lease-guarded failover. On primary death the most-caught-up survivor
 //     is promoted — but no earlier than the old primary's dead-declaration
 //     instant, which is also exactly when the old primary's lease (renewed
-//     at each heartbeat round, duration five heartbeat periods)
+//     at each heartbeat round, exchanged or implied, duration five
+//     heartbeat periods)
 //     runs out. A deposed primary that is merely partitioned therefore
 //     fences itself — Begin refuses with ErrLeaseExpired — before the new
 //     primary can have accepted its first commit: no split-brain.
@@ -35,6 +38,7 @@ package replication
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/detect"
 	"repro/internal/mem"
@@ -106,6 +110,10 @@ type autopilot struct {
 	det *detect.Detector
 	// lastBeat is the most recent heartbeat-grid instant processed.
 	lastBeat sim.Time
+	// implied marks the rounds ahead whose period carried an
+	// acknowledgement from every backup they would hear: bit i stands for
+	// the round at lastBeat + (i+1) periods.
+	implied uint64
 	// lease is the serving primary's right to accept commits.
 	lease *detect.Lease
 	// partitioned marks a primary severed from the SAN: it stops
@@ -145,6 +153,7 @@ func (a *autopilot) rewatch(g *Group, now sim.Time) {
 		}
 	}
 	a.lastBeat = now
+	a.implied = 0
 }
 
 // noteFault records a backup's ground-truth fault instant.
@@ -265,9 +274,31 @@ func (g *Group) ackEligibleLocked(b *backup) bool {
 	return b.acking() && b.epoch == g.epoch
 }
 
+// noteAcksLocked takes a flush's acknowledgement instants as heartbeat
+// evidence: when every backup the next round would hear acknowledged, the
+// round whose period (T − HeartbeatPeriod, T] holds the last of them is
+// implied. The flush's ack set is the ack-eligible backups, so a joiner,
+// a gated or a stale-epoch member in the round keeps it exchanged.
+func (g *Group) noteAcksLocked(acks []sim.Time) {
+	a := g.autop
+	if a == nil {
+		return
+	}
+	heard := 0
+	for _, b := range g.backups {
+		if b.heard() {
+			heard++
+		}
+	}
+	if last := slices.Max(acks); len(acks) == heard && last > a.lastBeat {
+		a.implied |= 1 << ((last - a.lastBeat - 1) / sim.Time(a.cfg.HeartbeatPeriod))
+	}
+}
+
 // autopilotPumpLocked advances the failure loop to the primary's current
 // simulated time: heartbeat rounds due since the last pump are exchanged
-// (and charged to the SAN under mem.CatControl), the lease is renewed, the
+// (and charged to the SAN under mem.CatControl) unless a commit's
+// acknowledgements implied them, the lease is renewed, the
 // detector is evaluated, and dead backups trigger self-healing repair.
 // Called at commit grain — every commit, Begin, and Settle — exactly like
 // the repair copier's pump. Primary-death handling lives in Begin (the
@@ -288,21 +319,33 @@ func (g *Group) autopilotPumpLocked() {
 			emit = maxBeatRounds
 			first = a.lastBeat - sim.Time(emit-1)*hp
 		}
+		// The emitted rounds are the span's last; a shift past 63 clears.
+		implied := a.implied >> (rounds - emit)
+		a.implied >>= rounds
 		if !a.partitioned && g.primary.MC != nil {
-			// One broadcast beat per round occupies the forward link; the
-			// per-replica acknowledgements cross the reverse direction and
-			// are accounted without occupying it.
+			// One broadcast beat per exchanged round occupies the forward
+			// link; the per-replica acknowledgements cross the reverse
+			// direction and are accounted without occupying it. An implied
+			// round ships nothing but is heard all the same.
+			exchanged := 0
 			for i := int64(0); i < emit; i++ {
-				g.primary.MC.EmitBulk(first+sim.Time(i)*hp, beatBytes, mem.CatControl)
+				if implied>>i&1 == 0 {
+					g.primary.MC.EmitBulk(first+sim.Time(i)*hp, beatBytes, mem.CatControl)
+					exchanged++
+				}
 			}
 			a.det.Heartbeat(g.primary.Name, a.lastBeat)
 			for _, b := range g.backups {
-				if b.state != StateCrashed && b.state != StatePaused {
-					g.primary.MC.AccountControl(int(emit) * beatBytes)
+				if b.heard() {
+					g.primary.MC.AccountControl(exchanged * beatBytes)
 					a.det.Heartbeat(b.node.Name, a.lastBeat)
 				}
 			}
 			a.lease.Renew(a.lastBeat)
+			if g.obs != nil {
+				g.obs.beatsExchanged.Add(uint64(exchanged))
+				g.obs.beatsImplied.Add(uint64(emit) - uint64(exchanged))
+			}
 		}
 	}
 	for _, tr := range a.det.Tick(now) {

@@ -394,6 +394,7 @@ func (g *Group) flushPassiveLocked() error {
 	}
 	g.payRepairLocked(at, false)
 	g.servingRef.Load().acked.AdvanceTo(at)
+	g.noteAcksLocked(acks)
 	return nil
 }
 

@@ -117,6 +117,10 @@ func (b *backup) alive() bool { return b.state != StateCrashed }
 // data — a joiner counts toward quorum exactly from its cut-over instant.
 func (b *backup) acking() bool { return b.state == StateInSync }
 
+// heard reports whether a heartbeat round reaches the backup: every
+// member neither crashed nor partitioned away.
+func (b *backup) heard() bool { return b.state != StateCrashed && b.state != StatePaused }
+
 // receiving reports whether the backup consumes the live stream (its
 // receive mappings are open).
 func (b *backup) receiving() bool {

@@ -25,6 +25,9 @@ const (
 	MetricReadRepaired   = "repl.read.repaired"   // counter: laggard views pumped by quorum reads
 	MetricBackupLag      = "repl.backup"          // gauge repl.backup<i>.lag: commit seqs behind the primary
 	MetricWALTruncated   = "wal.truncate.bytes"   // counter: torn-tail bytes dropped at recovery
+
+	MetricBeatsExchanged = "repl.heartbeat.exchanged" // counter: rounds that shipped a beat and its acks
+	MetricBeatsImplied   = "repl.heartbeat.implied"   // counter: rounds a fully acknowledged commit stood for
 )
 
 // safetyMetric is the Safety's metric-name suffix (Safety.String uses
@@ -58,6 +61,8 @@ type groupObs struct {
 	readFallback   *obs.Counter
 	readRepaired   *obs.Counter
 	truncBytes     *obs.Counter
+	beatsExchanged *obs.Counter
+	beatsImplied   *obs.Counter
 	backupLag      []*obs.Gauge
 }
 
@@ -80,6 +85,8 @@ func newGroupObs(reg *obs.Registry, cfg Config) *groupObs {
 		readFallback:   reg.Counter(MetricReadFallback),
 		readRepaired:   reg.Counter(MetricReadRepaired),
 		truncBytes:     reg.Counter(MetricWALTruncated),
+		beatsExchanged: reg.Counter(MetricBeatsExchanged),
+		beatsImplied:   reg.Counter(MetricBeatsImplied),
 	}
 	for i := 0; i < cfg.Backups; i++ {
 		o.backupLag = append(o.backupLag, reg.Gauge(backupLagName(i)))
