@@ -105,7 +105,12 @@ tables:
 # flush every heard backup acknowledged stands for its period's round, with
 # the rounds' exchanged/implied counters; ROADMAP item 19's diet is the
 # payback.
-LOC_CEILING := 20756
+# Lowered 20756 -> 20734 by one drill for every fault: the cold restart is a
+# tpc.Drill step over one deployment (Cluster.PowerOn rebuilds the group in
+# place), so RunDurability, its loops and DurabilityResult went; one
+# acknowledgement step serves both backup schemes, and one throughput grid
+# and one traffic grid serve the paper's Tables 1 and 3-7.
+LOC_CEILING := 20734
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

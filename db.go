@@ -169,9 +169,8 @@ type Admin interface {
 	Durability() DurabilityStatus
 	// PowerFail kills every machine of the shard at once — backups
 	// included; nothing past each replica's last fdatasync is guaranteed
-	// on disk. Returns ErrNoDurability without the disk tier. A fresh
-	// New/NewSharded over the same Durability.Dir performs the cold
-	// restart.
+	// on disk. Returns ErrNoDurability without the disk tier.
+	// Cluster.PowerOn performs the cold restart in place.
 	PowerFail() error
 	// WALTails returns, after a PowerFail, the shard's live WAL segments
 	// and their synced offsets — the handles a crash harness uses to tear

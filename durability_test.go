@@ -169,3 +169,46 @@ func TestShardedPowerFailRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPowerOnInPlace: PowerOn rebuilds exactly the shards PowerFail cut,
+// each from its own subdirectory, and the same Cluster serves on; a
+// Shard(i) view cannot publish a rebuilt group.
+func TestPowerOnInPlace(t *testing.T) {
+	dir := t.TempDir()
+	sc, err := repro.NewSharded(durCfg(dir), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	const n = 100
+	for k := 1; k <= n; k++ {
+		durPut(t, sc, k)          // shard 0
+		durPut(t, sc.Shard(2), k) // shard 2, at the same local offsets
+	}
+	sc.Settle()
+	for _, i := range []int{0, 2} {
+		if err := sc.Shard(i).PowerFail(); err != nil {
+			t.Fatalf("shard %d: PowerFail: %v", i, err)
+		}
+	}
+	if err := sc.Shard(0).PowerOn(); !errors.Is(err, repro.ErrNotElastic) {
+		t.Fatalf("PowerOn on a view = %v, want ErrNotElastic", err)
+	}
+	if err := sc.PowerOn(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sc.Committed(); got != 2*n {
+		t.Fatalf("recovered %d commits, want %d", got, 2*n)
+	}
+	for i, restarted := range []bool{true, false, true} {
+		if rec := sc.Shard(i).Durability().Recovery; rec.Recovered != restarted {
+			t.Fatalf("shard %d: recovery %+v, restarted = %v", i, rec, restarted)
+		}
+	}
+	for k := 1; k <= n; k++ {
+		durCheck(t, sc, k)
+		durCheck(t, sc.Shard(2), k)
+	}
+	durPut(t, sc, n+1)
+	durCheck(t, sc, n+1)
+}

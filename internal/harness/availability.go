@@ -36,15 +36,11 @@ func runAvailability(cfg RunConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := tpc.NewDebitCredit(db)
+	stream, err := dcStream(c, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	one, _, err := tpc.Stream(c, w, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	windows, err := tpc.Drill(c, one, 10*time.Millisecond, min(cfg.Warmup, 2000),
+	windows, err := tpc.Drill(c, stream.One, 10*time.Millisecond, min(cfg.Warmup, 2000),
 		tpc.Step{Phase: "healthy", Windows: 3},
 		tpc.CrashRepair((*repro.Cluster).CrashPrimary),
 		tpc.Step{Phase: "restored", Windows: 3})

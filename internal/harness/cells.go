@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro"
 	"repro/internal/replication"
 	"repro/internal/sim"
 	"repro/internal/tpc"
@@ -26,6 +27,16 @@ func newWorkload(bench string, dbSize int) (tpc.Workload, error) {
 	default:
 		return nil, fmt.Errorf("harness: unknown benchmark %q", bench)
 	}
+}
+
+// dcStream returns the Debit-Credit stream drawn from seed over c's whole
+// database: the workload of every drilled cell.
+func dcStream(c *repro.Cluster, seed uint64) (*tpc.Runner, error) {
+	w, err := tpc.NewDebitCredit(c.DBSize())
+	if err != nil {
+		return nil, err
+	}
+	return tpc.Stream(c, w, seed)
 }
 
 // memo is a lock-guarded result cache shared by the measured runs.

@@ -48,19 +48,15 @@ func runChaos(cfg RunConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := tpc.NewDebitCredit(db)
-	if err != nil {
-		return nil, err
-	}
 	ch, err := tpc.NewChaos(c, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	one, _, err := tpc.Stream(c, w, cfg.Seed)
+	stream, err := dcStream(c, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	windows, err := tpc.Drill(c, one, 5*time.Millisecond, min(cfg.Warmup, 2000),
+	windows, err := tpc.Drill(c, stream.One, 5*time.Millisecond, min(cfg.Warmup, 2000),
 		tpc.Step{Phase: "healthy", Windows: 2}, ch.Step(), tpc.Step{Phase: "tail", Windows: 2})
 	if err != nil {
 		return nil, err

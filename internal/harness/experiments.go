@@ -7,7 +7,6 @@ import (
 	"repro/internal/memchannel"
 	"repro/internal/replication"
 	"repro/internal/sim"
-	"repro/internal/tpc"
 	"repro/internal/vista"
 )
 
@@ -54,31 +53,10 @@ func runFig1(cfg RunConfig) (*Table, error) {
 // runTable1 compares the single-machine server with the straightforward
 // write-through port (Version 0 under a passive backup).
 func runTable1(cfg RunConfig) (*Table, error) {
-	t := &Table{
-		ID:      "table1",
-		Title:   "Transaction throughput, straightforward implementation (txns/sec)",
-		Headers: []string{"", "Debit-Credit", "Order-Entry"},
-		Notes:   runNotes(cfg),
-	}
-	rows := []struct {
-		label string
-		mode  replication.Mode
-	}{
-		{"Single machine", replication.Standalone},
-		{"Primary-backup", replication.Passive},
-	}
-	for _, r := range rows {
-		cells := []string{r.label}
-		for _, bench := range []string{benchDC, benchOE} {
-			res, err := runCell(cfg, bench, groupConfig(vista.V0Vista, r.mode, cfg.DBSize, nil), benchTxns(cfg, bench))
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, f0(res.TPS))
-		}
-		t.Rows = append(t.Rows, cells)
-	}
-	return t, nil
+	return tpsGrid(cfg, "table1", "Transaction throughput, straightforward implementation (txns/sec)", []gridRow{
+		{"Single machine", vista.V0Vista, replication.Standalone},
+		{"Primary-backup", vista.V0Vista, replication.Passive},
+	})
 }
 
 // runTable2 breaks down the straightforward port's SAN traffic.
@@ -110,112 +88,38 @@ func runTable2(cfg RunConfig) (*Table, error) {
 
 // runTable3 measures the standalone throughput of all four versions.
 func runTable3(cfg RunConfig) (*Table, error) {
-	return versionSweep(cfg, "table3",
-		"Standalone transaction throughput of the restructured versions (txns/sec)",
-		replication.Standalone)
+	return tpsGrid(cfg, "table3", "Standalone transaction throughput of the restructured versions (txns/sec)",
+		versionRows(replication.Standalone))
 }
 
 // runTable4 measures the passive primary-backup throughput of all versions.
 func runTable4(cfg RunConfig) (*Table, error) {
-	return versionSweep(cfg, "table4",
-		"Primary-backup throughput, passive backup (txns/sec)",
-		replication.Passive)
-}
-
-func versionSweep(cfg RunConfig, id, title string, mode replication.Mode) (*Table, error) {
-	t := &Table{
-		ID:      id,
-		Title:   title,
-		Headers: []string{"", "Debit-Credit", "Order-Entry"},
-		Notes:   runNotes(cfg),
-	}
-	for _, v := range allVersions {
-		cells := []string{v.String()}
-		for _, bench := range []string{benchDC, benchOE} {
-			res, err := runCell(cfg, bench, groupConfig(v, mode, cfg.DBSize, nil), benchTxns(cfg, bench))
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, f0(res.TPS))
-		}
-		t.Rows = append(t.Rows, cells)
-	}
-	return t, nil
+	return tpsGrid(cfg, "table4", "Primary-backup throughput, passive backup (txns/sec)",
+		versionRows(replication.Passive))
 }
 
 // runTable5 breaks down passive-backup traffic per version.
 func runTable5(cfg RunConfig) (*Table, error) {
-	t := &Table{
-		ID:      "table5",
-		Title:   "Data transferred to passive backup (bytes per transaction)",
-		Headers: []string{"Benchmark", "Version", "Modified", "Undo", "Meta", "Total"},
-		Notes:   runNotes(cfg),
-	}
-	for _, bench := range []string{benchDC, benchOE} {
-		for _, v := range allVersions {
-			res, err := runCell(cfg, bench, groupConfig(v, replication.Passive, cfg.DBSize, nil), benchTxns(cfg, bench))
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, trafficRow(bench, v.String(), &res))
-		}
-	}
-	return t, nil
+	return trafficGrid(cfg, "table5", "Data transferred to passive backup (bytes per transaction)", "Version",
+		versionRows(replication.Passive))
+}
+
+// bestPassiveVsActive are the rows of Tables 6 and 7: the best passive
+// scheme and the active backup, both over Version 3.
+var bestPassiveVsActive = []gridRow{
+	{"Best Passive (Version 3)", vista.V3InlineLog, replication.Passive},
+	{"Active", vista.V3InlineLog, replication.Active},
 }
 
 // runTable6 compares the best passive scheme with the active backup.
 func runTable6(cfg RunConfig) (*Table, error) {
-	t := &Table{
-		ID:      "table6",
-		Title:   "Passive vs active backup throughput (txns/sec)",
-		Headers: []string{"", "Debit-Credit", "Order-Entry"},
-		Notes:   runNotes(cfg),
-	}
-	rows := []struct {
-		label string
-		mode  replication.Mode
-	}{
-		{"Best Passive (Version 3)", replication.Passive},
-		{"Active", replication.Active},
-	}
-	for _, r := range rows {
-		cells := []string{r.label}
-		for _, bench := range []string{benchDC, benchOE} {
-			res, err := runCell(cfg, bench, groupConfig(vista.V3InlineLog, r.mode, cfg.DBSize, nil), benchTxns(cfg, bench))
-			if err != nil {
-				return nil, err
-			}
-			cells = append(cells, f0(res.TPS))
-		}
-		t.Rows = append(t.Rows, cells)
-	}
-	return t, nil
+	return tpsGrid(cfg, "table6", "Passive vs active backup throughput (txns/sec)", bestPassiveVsActive)
 }
 
 // runTable7 breaks down traffic for passive V3 versus active.
 func runTable7(cfg RunConfig) (*Table, error) {
-	t := &Table{
-		ID:      "table7",
-		Title:   "Data transferred: best passive vs active (bytes per transaction)",
-		Headers: []string{"Benchmark", "Strategy", "Modified", "Undo", "Meta", "Total"},
-		Notes:   runNotes(cfg),
-	}
-	for _, bench := range []string{benchDC, benchOE} {
-		for _, r := range []struct {
-			label string
-			mode  replication.Mode
-		}{
-			{"Best Passive (Version 3)", replication.Passive},
-			{"Active", replication.Active},
-		} {
-			res, err := runCell(cfg, bench, groupConfig(vista.V3InlineLog, r.mode, cfg.DBSize, nil), benchTxns(cfg, bench))
-			if err != nil {
-				return nil, err
-			}
-			t.Rows = append(t.Rows, trafficRow(bench, r.label, &res))
-		}
-	}
-	return t, nil
+	return trafficGrid(cfg, "table7", "Data transferred: best passive vs active (bytes per transaction)", "Strategy",
+		bestPassiveVsActive)
 }
 
 // runTable8 scales the active backup to larger databases.
@@ -240,14 +144,61 @@ func runTable8(cfg RunConfig) (*Table, error) {
 	return t, nil
 }
 
-func trafficRow(bench, label string, res *tpc.Result) []string {
-	return []string{
-		bench, label,
-		f1(res.PerTxn(res.Net[mem.CatModified])),
-		f1(res.PerTxn(res.Net[mem.CatUndo])),
-		f1(res.PerTxn(res.Net[mem.CatMeta])),
-		f1(res.PerTxn(res.NetTotal())),
+// gridRow is one configuration of a paper table: its label, the engine
+// version and the backup scheme.
+type gridRow struct {
+	label string
+	v     vista.Version
+	mode  replication.Mode
+}
+
+// versionRows are the four versions under one backup scheme.
+func versionRows(mode replication.Mode) []gridRow {
+	var rows []gridRow
+	for _, v := range allVersions {
+		rows = append(rows, gridRow{v.String(), v, mode})
 	}
+	return rows
+}
+
+// tpsGrid is a throughput table: one line per row, one column per
+// benchmark.
+func tpsGrid(cfg RunConfig, id, title string, rows []gridRow) (*Table, error) {
+	t := &Table{ID: id, Title: title, Headers: []string{"", "Debit-Credit", "Order-Entry"}, Notes: runNotes(cfg)}
+	for _, r := range rows {
+		cells := []string{r.label}
+		for _, bench := range []string{benchDC, benchOE} {
+			res, err := runCell(cfg, bench, groupConfig(r.v, r.mode, cfg.DBSize, nil), benchTxns(cfg, bench))
+			if err != nil {
+				return nil, err
+			}
+			cells = append(cells, f0(res.TPS))
+		}
+		t.Rows = append(t.Rows, cells)
+	}
+	return t, nil
+}
+
+// trafficGrid is a SAN traffic table in bytes per transaction: one line
+// per benchmark and row, labelled in the column named col.
+func trafficGrid(cfg RunConfig, id, title, col string, rows []gridRow) (*Table, error) {
+	t := &Table{ID: id, Title: title, Headers: []string{"Benchmark", col, "Modified", "Undo", "Meta", "Total"}, Notes: runNotes(cfg)}
+	for _, bench := range []string{benchDC, benchOE} {
+		for _, r := range rows {
+			res, err := runCell(cfg, bench, groupConfig(r.v, r.mode, cfg.DBSize, nil), benchTxns(cfg, bench))
+			if err != nil {
+				return nil, err
+			}
+			t.Rows = append(t.Rows, []string{
+				bench, r.label,
+				f1(res.PerTxn(res.Net[mem.CatModified])),
+				f1(res.PerTxn(res.Net[mem.CatUndo])),
+				f1(res.PerTxn(res.Net[mem.CatMeta])),
+				f1(res.PerTxn(res.NetTotal())),
+			})
+		}
+	}
+	return t, nil
 }
 
 func runNotes(cfg RunConfig) []string {

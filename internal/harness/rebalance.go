@@ -35,21 +35,17 @@ func runRebalance(cfg RunConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := tpc.NewDebitCredit(sc.DBSize())
-	if err != nil {
-		return nil, err
-	}
-	one, audit, err := tpc.Stream(sc, w, cfg.Seed)
+	stream, err := dcStream(sc, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	phases := []string{"baseline", "grow-4", "grow-8", "final"}
-	windows, err := tpc.Drill(sc, one, 10*time.Millisecond, cfg.Warmup,
+	windows, err := tpc.Drill(sc, stream.One, 10*time.Millisecond, cfg.Warmup,
 		tpc.Step{Phase: "baseline", Windows: 3}, tpc.Grow(4), tpc.Grow(8), tpc.Step{Phase: "final", Windows: 3})
 	if err != nil {
 		return nil, err
 	}
-	audited, err := audit()
+	audited, err := stream.Audit()
 	if err != nil {
 		return nil, fmt.Errorf("harness: rebalance: %w", err)
 	}

@@ -251,27 +251,9 @@ func (c *redoChannel) flush() error {
 	var ackErr error
 	if g.cfg.Safety != OneSafe {
 		// Release the commit once enough backups have applied the batch
-		// and their acknowledgements have crossed back — the pointer
-		// must actually leave the write buffers first.
-		acc.Fence()
-		acks := g.ackBuf[:0]
-		for _, b := range g.backups {
-			if g.ackEligibleLocked(b) {
-				acks = append(acks, b.ring.ConsumerDone()+sim.Time(g.params.LinkLatency)+sim.Time(b.ackLag))
-			}
-		}
-		g.ackBuf = acks[:0]
-		at, err := ackDeadline(acks, g.cfg.Safety, g.cfg.Backups)
-		if err != nil {
-			// Backups failed mid-batch (Begin gates on availability):
-			// the transactions are committed locally but the
-			// acknowledgement discipline cannot be honored.
-			ackErr = err
-		} else {
-			g.payRepairLocked(at, false)
-			g.servingRef.Load().acked.AdvanceTo(at)
-			g.noteAcksLocked(acks)
-		}
+		// and their acknowledgements have crossed back. An error leaves
+		// the batch committed locally, its discipline unmet.
+		ackErr = g.ackLocked()
 	}
 
 	// Apply everything whose pointer actually reached the backups (under

@@ -377,14 +377,28 @@ func (g *Group) flushPassiveLocked() error {
 	if !g.passiveAcksLocked() {
 		return nil
 	}
-	// Everything the batch doubled must leave the write buffers before
-	// any backup can acknowledge it.
+	return g.ackLocked()
+}
+
+// ackLocked is a flushed batch's acknowledgement, for both schemes:
+// everything the batch shipped leaves the write buffers, each
+// ack-eligible backup acknowledges one link latency plus its lag after it
+// holds the batch — an active backup once its ring has applied it, a
+// passive one on delivery — and the discipline's release instant pays the
+// repair copier, advances the acknowledged clock and stands in for the
+// heartbeat round it implies. Too few ackers is ackDeadline's error, with
+// nothing advanced.
+func (g *Group) ackLocked() error {
 	g.primary.Acc.Fence()
 	delivered := g.primary.MC.LastDelivered()
 	acks := g.ackBuf[:0]
 	for _, b := range g.backups {
 		if g.ackEligibleLocked(b) {
-			acks = append(acks, delivered+sim.Time(b.ackLag)+sim.Time(g.params.LinkLatency))
+			held := delivered
+			if g.redo != nil {
+				held = b.ring.ConsumerDone()
+			}
+			acks = append(acks, held+sim.Time(g.params.LinkLatency)+sim.Time(b.ackLag))
 		}
 	}
 	g.ackBuf = acks[:0]

@@ -135,25 +135,51 @@ func measure(c *repro.Cluster, one func() error, window time.Duration, phase str
 	return Window{Phase: phase, Txns: n, TPS: float64(n) / (c.Elapsed() - start).Seconds()}, nil
 }
 
+// Runner is a workload's transaction stream drawn from a seed, bound to
+// one deployment: One runs its next transaction (a drill's one), Audit
+// checks the deployment's image against the replay oracle, and a cold
+// restart rewinds it to the transactions the deployment recovered.
+type Runner struct {
+	c         *repro.Cluster
+	seed      uint64
+	st        stream
+	committed int64
+}
+
 // Stream populates w on c and returns the runner of w's transaction
-// stream drawn from seed, and the stream's audit: c's image over w's
-// layout must equal the replay oracle's after the transactions one has
-// committed so far, whose number it returns.
-func Stream(c *repro.Cluster, w Workload, seed uint64) (one func() error, audit func() (int64, error), err error) {
+// stream drawn from seed.
+func Stream(c *repro.Cluster, w Workload, seed uint64) (*Runner, error) {
 	if err := w.Populate(c.Load); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	st := &stream{begin: c.Begin, w: w, r: NewRand(seed)}
-	var committed int64
-	one = func() error {
-		if err := st.one(false); err != nil {
-			return err
-		}
-		committed++
-		return nil
+	return &Runner{c: c, seed: seed, st: stream{begin: c.Begin, w: w, r: NewRand(seed)}}, nil
+}
+
+// One runs the stream's next transaction.
+func (r *Runner) One() error {
+	if err := r.st.one(false); err != nil {
+		return err
 	}
-	audit = func() (int64, error) { return committed, auditImage(c, w, seed, committed) }
-	return one, audit, nil
+	r.committed++
+	return nil
+}
+
+// Audit checks that the deployment's image over the workload's layout
+// equals the replay oracle's after the transactions One has committed so
+// far, whose number it returns.
+func (r *Runner) Audit() (int64, error) {
+	return r.committed, auditImage(r.c, r.st.w, r.seed, r.committed)
+}
+
+// rewind puts the stream back to k committed transactions: the generator
+// is replayed to where it stood after them.
+func (r *Runner) rewind(k int64) error {
+	_, gen, err := replay(r.st.w, Options{Seed: r.seed}, k)
+	if err != nil {
+		return err
+	}
+	r.st.r, r.st.n, r.committed = gen, k, k
+	return nil
 }
 
 // PhaseStats summarizes the windows that belong to any of the named

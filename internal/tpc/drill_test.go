@@ -20,12 +20,12 @@ func drillDC(c *repro.Cluster, seed uint64, warmup int64, window time.Duration, 
 	if err != nil {
 		return nil, nil, err
 	}
-	one, audit, err := tpc.Stream(c, w, seed)
+	stream, err := tpc.Stream(c, w, seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	windows, err := tpc.Drill(c, one, window, warmup, steps...)
-	return windows, audit, err
+	windows, err := tpc.Drill(c, stream.One, window, warmup, steps...)
+	return windows, stream.Audit, err
 }
 
 // crashBackup is a step action that crashes shard 0's only backup and

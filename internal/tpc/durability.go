@@ -5,22 +5,17 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
-	"time"
 
 	"repro"
 )
 
-// RunDurability is the crash-recovery scenario family of the disk tier: a
-// committed workload is cut down by a full-cluster power loss at a seeded
-// kill point — every machine at once, backups included — the unsynced
-// tail of each replica's WAL is optionally torn, bit-flipped or
-// zero-filled, and a cold restart over the same durability directory must
-// come back with every acked-durable transaction and an image that
-// exactly matches the deterministic replay oracle at whatever sequence it
-// recovered. The driver measures what an operator would: host wall time
-// from "power restored" to "serving again", records replayed, bytes
-// truncated, and — the invariant the whole tier exists for — fails on any
-// lost acked write.
+// The disk tier's fault is a cold restart: a full power loss at a seeded
+// kill point — every machine of the replica group at once, backups
+// included — the unsynced tail of each replica's WAL optionally torn,
+// bit-flipped or zero-filled, and the power back on over the same
+// durability directory, which must come back with every acked-durable
+// transaction and an image that exactly matches the replay oracle at
+// whatever count it recovered.
 
 // Corrupt-tail modes a power loss may leave behind (the unsynced tail of
 // the live WAL segment sat in the page cache; anything can have happened
@@ -40,121 +35,57 @@ const (
 	TailMixed = "mixed"
 )
 
-// durabilityTxns bounds a drill's workload: the power fails after a seeded
-// number of committed transactions in [durabilityTxns/2, durabilityTxns].
-// The bound is fixed because recovery cost is a function of the snapshot
-// interval and the tail, not of how long the run was.
+// durabilityTxns bounds the kill point: a drill warms up to a seeded
+// number of committed transactions in [durabilityTxns/2, durabilityTxns]
+// before the power fails. The bound is fixed because recovery cost is a
+// function of the snapshot interval and the tail, not of how long the run
+// was.
 const durabilityTxns = 240
 
-// DurabilityResult is the measured record of one kill-and-restart drill.
-type DurabilityResult struct {
-	// Total is the locally committed transaction count at the instant
-	// the power failed; AckedDurable is the prefix the last fdatasync
-	// had covered — the transactions whose loss would be a lie to the
-	// client.
-	Total        uint64
-	AckedDurable uint64
-	// Recovered is the committed count the cold restart came back with.
-	// It lies in [AckedDurable, Total], or the drill fails: the unsynced
-	// tail may or may not have survived the tearing, the synced prefix
-	// must have.
-	Recovered uint64
-	// Recovery is what the cold restart found on disk: the winning
-	// snapshot, the WAL records replayed over it, the corrupt bytes
-	// truncated, and how the replicas came back.
-	Recovery repro.RecoveryInfo
-	// RecoveryWall is the host wall time of the cold restart (the
-	// construction of the restarted deployment) — the only number in
-	// the package measured on the host clock, because disk recovery is
-	// host work, not simulated work.
-	RecoveryWall time.Duration
-	// Tails counts the WAL segments the drill corrupted.
-	Tails int
-}
-
-// RunDurability runs one kill-and-restart drill, leaving the unsynced WAL
-// tails to the corrupt treatment (one of the Tail* constants); seed feeds
-// the workload, the kill point and the corruption draws, making the whole
-// drill reproducible. open constructs the deployment; it is called twice —
-// once for the doomed incarnation, once, after the power loss and tail
-// corruption, for the cold restart — and must return a deployment over the
-// same Durability.Dir both times.
-// The drill needs a single replica group (Shards() == 1): the replay
-// oracle reconstructs "state after K commits", which has no meaning
-// across independently-failing shards.
-func RunDurability(open func() (*repro.Cluster, error), w Workload, corrupt string, seed uint64) (DurabilityResult, error) {
-	var res DurabilityResult
+// ColdRestart returns the "restart" step of run's deployment and the
+// seeded kill point a drill warms up to before it. The step cuts the
+// power (PowerFail), leaves the unsynced WAL tails to the corrupt
+// treatment (one of the Tail* constants), powers the deployment back on
+// from its Durability.Dir (PowerOn) and rewinds run to the transactions
+// it recovered; it fails when their number lies outside [the durable
+// prefix, the committed count] at the power loss. It measures no window.
+// Seed feeds the kill point and the corruption draws. The deployment must
+// be one replica group with the disk tier on: the replay oracle's "state
+// after K commits" has no meaning across independently-failing shards.
+func ColdRestart(run *Runner, corrupt string, seed uint64) (Step, int64, error) {
 	switch corrupt {
 	case TailIntact, TailTorn, TailBitFlip, TailZeroed, TailMixed:
 	default:
-		return res, fmt.Errorf("tpc: unknown corrupt-tail mode %q", corrupt)
+		return Step{}, 0, fmt.Errorf("tpc: unknown corrupt-tail mode %q", corrupt)
 	}
-
-	db, err := open()
-	if err != nil {
-		return res, err
+	if run.c.Shards() != 1 {
+		return Step{}, 0, errors.New("tpc: cold restart needs a single replica group")
 	}
-	if db.Shards() != 1 {
-		return res, errors.New("tpc: durability drill needs a single replica group")
+	if !run.c.Durability().Enabled {
+		return Step{}, 0, errors.New("tpc: cold restart needs Config.Durability")
 	}
-	if !db.Durability().Enabled {
-		return res, errors.New("tpc: durability drill needs Config.Durability")
-	}
-	one, _, err := Stream(db, w, seed)
-	if err != nil {
-		return res, err
-	}
-	kills := NewRand(seed ^ 0xD15C)
-	kill := durabilityTxns/2 + kills.IntN(durabilityTxns/2+1)
-	for i := 0; i < kill; i++ {
-		if err := one(); err != nil {
-			return res, fmt.Errorf("tpc: txn %d: %w", i, err)
+	draws := NewRand(seed ^ 0xD15C)
+	kill := int64(durabilityTxns/2 + draws.IntN(durabilityTxns/2+1))
+	restart := func(c *repro.Cluster) error {
+		committed, durable := c.Committed(), c.Durability().DurableSeq
+		if err := c.PowerFail(); err != nil {
+			return err
 		}
-	}
-	res.Total = db.Committed()
-	res.AckedDurable = db.Durability().DurableSeq
-	if err := db.PowerFail(); err != nil {
-		return res, fmt.Errorf("tpc: power fail: %w", err)
-	}
-	tails := db.WALTails()
-	res.Tails = len(tails)
-	for _, tail := range tails {
-		if err := corruptTail(kills, corrupt, tail); err != nil {
-			return res, fmt.Errorf("tpc: corrupt %s: %w", tail.Path, err)
+		for _, tail := range c.WALTails() {
+			if err := corruptTail(draws, corrupt, tail); err != nil {
+				return fmt.Errorf("corrupt %s: %w", tail.Path, err)
+			}
 		}
-	}
-
-	wallStart := time.Now()
-	db2, err := open()
-	if err != nil {
-		return res, fmt.Errorf("tpc: cold restart: %w", err)
-	}
-	res.RecoveryWall = time.Since(wallStart)
-	res.Recovery = db2.Durability().Recovery
-	res.Recovered = db2.Committed()
-	if res.Recovered < res.AckedDurable || res.Recovered > res.Total {
-		return res, fmt.Errorf("tpc: recovered %d commits outside [%d acked durable, %d committed]", res.Recovered, res.AckedDurable, res.Total)
-	}
-	// The recovered image must be exactly "state after Recovered
-	// commits" of the deterministic workload — not one byte of a torn
-	// transaction applied, not one byte of a recovered one missing.
-	if err := auditImage(db2, w, seed, int64(res.Recovered)); err != nil {
-		return res, err
-	}
-
-	// The restarted deployment serves: continue the stream where the
-	// recovered prefix ends, then shut down cleanly.
-	st2 := &stream{begin: db2.Begin, w: w, r: NewRand(seed ^ 0xAF7E12), n: int64(res.Recovered)}
-	for i := 0; i < 5; i++ {
-		if err := st2.one(false); err != nil {
-			return res, fmt.Errorf("tpc: post-restart txn %d: %w", i, err)
+		if err := c.PowerOn(); err != nil {
+			return err
 		}
+		recovered := c.Committed()
+		if recovered < durable || recovered > committed {
+			return fmt.Errorf("recovered %d commits outside [%d acked durable, %d committed]", recovered, durable, committed)
+		}
+		return run.rewind(int64(recovered))
 	}
-	db2.Settle()
-	if err := db2.Close(); err != nil {
-		return res, fmt.Errorf("tpc: close: %w", err)
-	}
-	return res, nil
+	return Step{Phase: "restart", Act: restart}, kill, nil
 }
 
 // corruptTail applies one corrupt-tail mode, already validated, to the

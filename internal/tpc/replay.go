@@ -3,6 +3,7 @@ package tpc
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 
 	"repro"
 	"repro/internal/replication"
@@ -104,13 +105,20 @@ func (t *shadowTx) Abort() error {
 // The returned slice is freshly allocated; w must be a fresh workload laid
 // out for the same database size.
 func Replay(w Workload, opts Options, commits int64) ([]byte, error) {
+	db, _, err := replay(w, opts, commits)
+	return db, err
+}
+
+// replay is Replay that also returns the stream's generator as it stands
+// after the replayed transactions, where a rewound stream resumes.
+func replay(w Workload, opts Options, commits int64) ([]byte, *rand.Rand, error) {
 	db := make([]byte, w.DBSize())
 	load := func(off int, data []byte) error {
 		copy(db[off:off+len(data)], data)
 		return nil
 	}
 	if err := w.Populate(load); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	r := NewRand(opts.Seed)
 	// Before-images are kept only when an abort is scheduled.
@@ -120,7 +128,7 @@ func Replay(w Workload, opts Options, commits int64) ([]byte, error) {
 	for i := int64(0); done < opts.Warmup+commits; i++ {
 		abort := i >= opts.Warmup && opts.AbortEvery > 0 && (i+1)%opts.AbortEvery == 0
 		if err := w.Txn(r, tx, i); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if abort {
 			// The aborted effects vanish; the randomness stays consumed.
@@ -130,5 +138,5 @@ func Replay(w Workload, opts Options, commits int64) ([]byte, error) {
 		tx.Commit()
 		done++
 	}
-	return db, nil
+	return db, r, nil
 }

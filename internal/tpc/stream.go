@@ -10,7 +10,7 @@ import (
 // stream is one deterministic transaction sequence: the deployment's Begin,
 // a workload laid out for it, the stream's generator and its transaction
 // index. It is the single transaction-driving code path every driver
-// shares — Run, Drill's and the durability drill's Stream and the sharded
+// shares — Run, the Runner every drill takes from Stream and the sharded
 // runs all advance their workloads through stream.one.
 type stream struct {
 	begin func() (repro.Tx, error)

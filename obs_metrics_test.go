@@ -399,11 +399,11 @@ func TestChaosEventTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	one, _, err := tpc.Stream(c, w, 1)
+	stream, err := tpc.Stream(c, w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = tpc.Drill(c, one, 5*time.Millisecond, 300,
+	_, err = tpc.Drill(c, stream.One, 5*time.Millisecond, 300,
 		tpc.Step{Phase: "healthy", Windows: 2}, ch.Step(), tpc.Step{Phase: "tail", Windows: 2})
 	close(done)
 	if err != nil {

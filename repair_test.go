@@ -282,11 +282,11 @@ func TestAvailabilityAfterPowerFail(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			one, _, err := tpc.Stream(c, w, 3)
+			stream, err := tpc.Stream(c, w, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			windows, err := tpc.Drill(c, one, 10*time.Millisecond, 100,
+			windows, err := tpc.Drill(c, stream.One, 10*time.Millisecond, 100,
 				tpc.Step{Phase: "healthy", Windows: 3},
 				tpc.CrashRepair(repro.PowerFailPrimary),
 				tpc.Step{Phase: "restored", Windows: 3})

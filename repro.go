@@ -55,6 +55,7 @@
 package repro
 
 import (
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -367,11 +368,13 @@ type Stats = vista.Stats
 type Metrics = obs.Snapshot
 
 // member is one replica group as the router holds it: the group itself,
-// its metrics registry (nil with Config.Metrics off), and the translation
-// of the public configuration and read options into the internal layer's.
+// its metrics registry (nil with Config.Metrics off), whether PowerFail cut
+// its power, and the translation of the public configuration and read
+// options into the internal layer's.
 type member struct {
 	*replication.Group
 	reg *obs.Registry
+	off atomic.Bool
 }
 
 // newMember builds one replica group per cfg, whose DBSize is the group's
