@@ -110,7 +110,10 @@ tables:
 # place), so RunDurability, its loops and DurabilityResult went; one
 # acknowledgement step serves both backup schemes, and one throughput grid
 # and one traffic grid serve the paper's Tables 1 and 3-7.
-LOC_CEILING := 20734
+# Lowered 20734 -> 20730 by one re-join rule for both backup schemes: every
+# node keeps commit stamps on one mark clock, and the passive gate snapshot,
+# the per-region delta map and its since type went.
+LOC_CEILING := 20730
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

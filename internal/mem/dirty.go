@@ -1,29 +1,26 @@
 package mem
 
 // DirtyLog tracks which pages of a region have been written, and when, on a
-// private logical clock: every mark advances the log's sequence number and
-// stamps the covered pages with it. A replica that loses contact with the
-// stream snapshots the sequence at the gating instant (its epoch); when it
-// rejoins, the pages stamped after that epoch are exactly the delta it
-// missed, so re-enrollment ships those pages instead of the whole region.
+// logical clock a node's regions share: every mark advances the clock and
+// stamps the covered pages with it. A replica reads the clock at each commit
+// it provably holds; when it rejoins, the pages either side stamped after
+// their readings for a commit both held are exactly the delta, so
+// re-enrollment ships those pages instead of whole regions.
 //
-// A DirtyLog is owned by the single stream that writes its region (marks
-// happen under the region owner's serialization); it is not safe for
+// A DirtyLog is owned by the single stream that writes its node's regions
+// (marks happen under the node owner's serialization); it is not safe for
 // concurrent use.
 type DirtyLog struct {
 	pageSize int
-	seq      uint64
-	pages    []uint64 // last-mark sequence per page; 0 = never written
+	clock    *uint64
+	pages    []uint64 // last-mark reading per page; 0 = never written
 }
 
 // NewDirtyLog returns a tracker for a region of size bytes at the given
-// page granularity.
-func NewDirtyLog(size, pageSize int) *DirtyLog {
-	if pageSize <= 0 {
-		pageSize = 4096
-	}
+// page granularity, marking on the given clock.
+func NewDirtyLog(size, pageSize int, clock *uint64) *DirtyLog {
 	n := (size + pageSize - 1) / pageSize
-	return &DirtyLog{pageSize: pageSize, pages: make([]uint64, n)}
+	return &DirtyLog{pageSize: pageSize, clock: clock, pages: make([]uint64, n)}
 }
 
 // PageSize returns the tracking granularity in bytes.
@@ -32,22 +29,21 @@ func (d *DirtyLog) PageSize() int { return d.pageSize }
 // Pages returns the number of tracked pages.
 func (d *DirtyLog) Pages() int { return len(d.pages) }
 
-// Seq returns the current mark sequence; a replica records it as its epoch
-// at the instant it stops receiving the stream.
-func (d *DirtyLog) Seq() uint64 { return d.seq }
+// Seq returns the current reading of the clock the node's regions share.
+func (d *DirtyLog) Seq() uint64 { return *d.clock }
 
 // Mark records a write covering [off, off+n).
 func (d *DirtyLog) Mark(off, n int) {
 	if n <= 0 {
 		return
 	}
-	d.seq++
+	*d.clock++
 	last := (off + n - 1) / d.pageSize
 	if last >= len(d.pages) {
 		last = len(d.pages) - 1
 	}
 	for p := off / d.pageSize; p <= last; p++ {
-		d.pages[p] = d.seq
+		d.pages[p] = *d.clock
 	}
 }
 
@@ -57,10 +53,11 @@ func (d *DirtyLog) Mark(off, n int) {
 // destination has written.
 func (d *DirtyLog) Written(p int) bool { return d.pages[p] != 0 }
 
-// Stamp returns the sequence of page p's last mark, 0 if it was never marked.
+// Stamp returns the clock reading of page p's last mark, 0 if it was never
+// marked.
 func (d *DirtyLog) Stamp(p int) uint64 { return d.pages[p] }
 
-// Stamps copies the last-mark sequences of the pages from the one holding
+// Stamps copies the last-mark readings of the pages from the one holding
 // byte off onward into dst: the image a reader keeps of the pages it has
 // read, to tell later which of them were written since.
 func (d *DirtyLog) Stamps(off int, dst []uint64) { copy(dst, d.pages[off/d.pageSize:]) }

@@ -134,8 +134,8 @@ func (r *Region) WriteRaw(off int, src []byte) {
 }
 
 // Release returns the region to a fresh machine's state: it reads zero, holds
-// no host memory, and its dirty log, if any, has marked nothing. On an error
-// (the host refused a fresh mapping) the region is unchanged.
+// no host memory, and its dirty log, if any, has marked nothing (on the same
+// clock). On an error (the host refused a fresh mapping) it is unchanged.
 func (r *Region) Release() error {
 	b, err := newBacking(r.Size())
 	if err != nil {
@@ -143,7 +143,7 @@ func (r *Region) Release() error {
 	}
 	r.backing = b
 	if r.Dirty != nil {
-		r.Dirty = NewDirtyLog(r.Size(), r.Dirty.PageSize())
+		clear(r.Dirty.pages)
 	}
 	return nil
 }

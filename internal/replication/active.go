@@ -85,10 +85,8 @@ func (g *Group) establish() error {
 }
 
 // laneRegions returns n's copy of the redo ring and of the pointer word,
-// placing them past the engine's regions on a node that has none yet, and
-// gives the node its commit-stamp record.
+// placing them past the engine's regions on a node that has none yet.
 func (g *Group) laneRegions(n *Node) (ring, ctl *mem.Region, err error) {
-	n.stamps.init(n.Space.ByName(vista.RegionDB))
 	if ring = n.Space.ByName(regionRedoRing); ring != nil {
 		return ring, n.Space.ByName(regionRingCtl), nil
 	}
@@ -339,7 +337,11 @@ func (c *redoChannel) takeover(b *backup) (*vista.Store, error) {
 	ctl := b.node.Space.ByName(vista.RegionControl)
 	ctl.WriteRaw(0, buf[:])
 
-	return vista.Open(c.g.cfg.Store, b.node.Acc, b.node.Rio)
+	st, err := vista.Open(c.g.cfg.Store, b.node.Acc, b.node.Rio)
+	// The control word is no region the scheme syncs: re-read the applied
+	// commit past it, so the survivors re-synced behind the node stamp it.
+	b.node.stamps.record(b.appliedTxns)
+	return st, err
 }
 
 func pad8(n int) int { return (n + 7) &^ 7 }

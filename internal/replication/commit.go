@@ -372,12 +372,33 @@ func (g *Group) sealLocked() error {
 }
 
 // flushPassiveLocked closes the passive-scheme batch: one buffer drain and
-// one acknowledgement round trip cover every commit in the batch.
+// one acknowledgement round trip cover every commit in the batch, and the
+// drain leaves every in-sync backup holding the last one.
 func (g *Group) flushPassiveLocked() error {
 	if !g.passiveAcksLocked() {
 		return nil
 	}
-	return g.ackLocked()
+	err := g.ackLocked()
+	g.stampInSyncLocked()
+	return err
+}
+
+// stampInSyncLocked records the serving node's last commit on every in-sync
+// backup if the node still holds exactly the state it left (it wrote nothing
+// since its reading for it) and no byte is coalescing toward the backups:
+// their synced bytes are then the node's, as a passive backup's always are
+// and a just re-synced one's. An active backup records each commit as it
+// applies it instead.
+func (g *Group) stampInSyncLocked() {
+	c := g.store.Committed()
+	if at, ok := g.primary.stamps.stamp(c); !ok || at != g.primary.Space.ByName(vista.RegionDB).Dirty.Seq() || (g.primary.MC != nil && g.primary.MC.PendingBufs() > 0) {
+		return
+	}
+	for _, b := range g.backups {
+		if b.state == StateInSync {
+			b.node.stamps.record(c)
+		}
+	}
 }
 
 // ackLocked is a flushed batch's acknowledgement, for both schemes:

@@ -23,27 +23,63 @@ func dbRegion(g *replication.Group, i int) *mem.Region {
 	return n.Space.ByName(vista.RegionDB)
 }
 
+// syncRegions returns node i's copies (-1 is the serving node) of the regions
+// the group's scheme syncs: the serving node's write-through regions in the
+// passive scheme, and the database alone in the active one, whose serving
+// node writes through none.
+func syncRegions(g *replication.Group, i int) []*mem.Region {
+	n := g.Primary()
+	if i >= 0 {
+		n = g.BackupNode(i)
+	}
+	var out []*mem.Region
+	for _, r := range g.Primary().Space.Regions() {
+		if r.WriteThrough || r.Name == vista.RegionDB {
+			out = append(out, n.Space.ByName(r.Name))
+		}
+	}
+	return out
+}
+
+// writtenBytes is what a full transfer of the synced regions ships: the
+// pages the serving node ever wrote.
+func writtenBytes(g *replication.Group) int64 {
+	var n int64
+	for _, r := range syncRegions(g, -1) {
+		for p := 0; p < r.Dirty.Pages(); p++ {
+			if r.Dirty.Written(p) {
+				n += int64(r.Dirty.PageSize())
+			}
+		}
+	}
+	return n
+}
+
 // checkSparse holds a group to what a transfer that skips never-written
-// pages must leave behind: after a quiet moment every in-sync backup's
-// database equals the primary's over its whole size, and on every node a
-// page its dirty log never marked reads all-zero.
+// pages must leave behind: after a quiet moment every in-sync backup's copy
+// of every synced region equals the primary's over its whole size, and on
+// every node a page its dirty log never marked reads all-zero.
 func checkSparse(t *testing.T, g *replication.Group, when string) {
 	t.Helper()
 	g.Settle(g.QuiesceGrace())
-	want := make([]byte, sparseDB)
-	got := make([]byte, sparseDB)
 	zero := make([]byte, 4096)
-	dbRegion(g, -1).ReadRaw(0, want)
+	var want [][]byte
+	for _, r := range syncRegions(g, -1) {
+		want = append(want, make([]byte, r.Size()))
+		r.ReadRaw(0, want[len(want)-1])
+	}
 	for i := -1; i < g.Backups(); i++ {
-		r := dbRegion(g, i)
-		r.ReadRaw(0, got)
-		if i >= 0 && g.BackupState(i) == replication.StateInSync && !bytes.Equal(got, want) {
-			t.Fatalf("%s: in-sync backup %d differs from the primary at byte %d", when, i, firstDiff(got, want))
-		}
-		ps := r.Dirty.PageSize()
-		for p := 0; p < r.Dirty.Pages(); p++ {
-			if !r.Dirty.Written(p) && !bytes.Equal(got[p*ps:(p+1)*ps], zero[:ps]) {
-				t.Fatalf("%s: node %d page %d was never marked written and is not zero", when, i, p)
+		for k, r := range syncRegions(g, i) {
+			got := make([]byte, r.Size())
+			r.ReadRaw(0, got)
+			if i >= 0 && g.BackupState(i) == replication.StateInSync && !bytes.Equal(got, want[k]) {
+				t.Fatalf("%s: in-sync backup %d's %s differs from the primary's at byte %d", when, i, r.Name, firstDiff(got, want[k]))
+			}
+			ps := r.Dirty.PageSize()
+			for p := 0; p < r.Dirty.Pages(); p++ {
+				if page := got[p*ps : min((p+1)*ps, len(got))]; !r.Dirty.Written(p) && !bytes.Equal(page, zero[:len(page)]) {
+					t.Fatalf("%s: node %d's %s page %d was never marked written and is not zero", when, i, r.Name, p)
+				}
 			}
 		}
 	}
@@ -177,15 +213,16 @@ func runSparseScenario(t *testing.T, mode replication.Mode, safety replication.S
 // promoted node — which never wrote that page — must leave it zero there too.
 // The node is either a fresh joiner that copied the page mid-join (re-synced
 // as a survivor by a full transfer) or the old primary itself, re-joining
-// from its own memory by delta.
+// from its own memory after the promoted node has reused the lost commit's
+// number. The passive old primary's commit never left its write buffers.
 func TestSparseTransferZeroesWhatTheSourceNeverWrote(t *testing.T) {
 	const lost = 5 * 4096 // a page nothing else writes
-	newGroup := func(t *testing.T, batch int) *replication.Group {
+	newGroup := func(t *testing.T, mode replication.Mode, batch int) *replication.Group {
 		g, err := replication.NewGroup(replication.Config{
-			Mode:        replication.Active,
+			Mode:        mode,
 			Store:       vista.Config{Version: vista.V3InlineLog, DBSize: sparseDB},
 			Backups:     2,
-			CommitBatch: batch, // the commits below stay in an open batch
+			CommitBatch: batch, // the active commits below stay in an open batch
 		})
 		mustNil(t, err)
 		for _, p := range []int{0, 2, 7} {
@@ -220,7 +257,7 @@ func TestSparseTransferZeroesWhatTheSourceNeverWrote(t *testing.T) {
 	}
 
 	t.Run("fresh-joiner", func(t *testing.T) {
-		g := newGroup(t, 1024)
+		g := newGroup(t, replication.Active, 1024)
 		mustNil(t, g.PowerFailNode(1))
 		// The page is written before the join opens, so the joiner's plan
 		// holds it; every commit here stays in the open batch.
@@ -247,32 +284,38 @@ func TestSparseTransferZeroesWhatTheSourceNeverWrote(t *testing.T) {
 		checkSparse(t, g, "takeover")
 	})
 
-	t.Run("old-primary", func(t *testing.T) {
-		g := newGroup(t, 16)
-		g.Settle(g.QuiesceGrace())
-		commit(t, g, "unpubl'd")
-		failover(t, g)
-		if g.Backups() != 2 || g.BackupState(1) != replication.StateCrashed {
-			t.Fatalf("want a survivor and the old primary kept crashed: %d backups", g.Backups())
-		}
-		mustNil(t, g.Repair())
-		zeroAt(t, g, 1, "the re-joined old primary")
-		checkSparse(t, g, "re-join")
-	})
+	for name, mode := range map[string]replication.Mode{"old-primary": replication.Active, "passive-old-primary": replication.Passive} {
+		t.Run(name, func(t *testing.T) {
+			g := newGroup(t, mode, 16)
+			g.Settle(g.QuiesceGrace())
+			commit(t, g, "unpubl'd")
+			failover(t, g)
+			if g.Backups() != 2 || g.BackupState(1) != replication.StateCrashed {
+				t.Fatalf("want a survivor and the old primary kept crashed: %d backups", g.Backups())
+			}
+			commitSlot(t, g, 0, 1) // the lost commit's number, on another page
+			mustNil(t, g.Repair())
+			zeroAt(t, g, 1, "the re-joined old primary")
+			checkSparse(t, g, "re-join")
+		})
+	}
 }
 
 // TestSparseTransferAfterDirtyGate: a backup partitioned away while the
-// primary's last commit had not reached it — its pointer still in a write
-// buffer, or held back by an open batch — missed a page its gating epochs do
-// not name, so it re-joins by a full transfer, not by delta. Found by
-// TestSparseTransferByteExact; the delta used to leave that commit out.
+// primary's last commit had not reached it — its pointer (active) or its
+// stores (passive) still in a write buffer, or held back by an open batch —
+// holds no stamp for that commit, so it re-joins from the commit before it,
+// whose delta names the page it missed. Found by TestSparseTransferByteExact;
+// the delta used to leave that commit out.
 func TestSparseTransferAfterDirtyGate(t *testing.T) {
 	for name, cfg := range map[string]replication.Config{
-		"lingering-pointer": {},
-		"open-batch":        {Safety: replication.QuorumSafe, CommitBatch: 16},
+		"lingering-pointer":        {Mode: replication.Active},
+		"open-batch":               {Mode: replication.Active, Safety: replication.QuorumSafe, CommitBatch: 16},
+		"passive-lingering-buffer": {Mode: replication.Passive},
+		"passive-open-batch":       {Mode: replication.Passive, Safety: replication.QuorumSafe, CommitBatch: 16},
 	} {
 		t.Run(name, func(t *testing.T) {
-			cfg.Mode, cfg.Backups = replication.Active, 3
+			cfg.Backups = 3
 			cfg.Store = vista.Config{Version: vista.V3InlineLog, DBSize: sparseDB}
 			g, err := replication.NewGroup(cfg)
 			mustNil(t, err)
@@ -280,7 +323,9 @@ func TestSparseTransferAfterDirtyGate(t *testing.T) {
 			g.Settle(g.QuiesceGrace())
 			commitSlot(t, g, 1, 2) // page 0, and not on backup 2 yet
 			mustNil(t, g.PauseBackup(2))
-			commitSlot(t, g, 4096, 3) // another page
+			// Another page, out of band: a commit would rewrite the control
+			// and undo log pages a passive commit's last stores fall on.
+			mustNil(t, g.Load(64*4096, []byte("another page")))
 			mustNil(t, g.ResumeBackup(2))
 			err = g.Repair()
 			mustNil(t, err)

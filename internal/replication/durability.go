@@ -527,8 +527,8 @@ func (g *Group) initDurability() error {
 			if err := g.establish(); err != nil {
 				return err
 			}
-			g.primary.stamps.record(w.Seq)
 		}
+		g.primary.stamps.record(w.Seq)
 
 		// Each backup machine restarts from its own disk: one whose
 		// recovered position matches the winner provably holds the same
@@ -545,6 +545,7 @@ func (g *Group) initDurability() error {
 				lagging++
 			}
 		}
+		g.stampInSyncLocked()
 		if lagging > 0 {
 			d.recovery.Rejoined = lagging
 			if err := g.repairAsyncLocked(); err != nil && !errors.Is(err, ErrNotRepairable) {

@@ -230,12 +230,10 @@ func NewGroup(cfg Config) (*Group, error) {
 		if err := g.establish(); err != nil {
 			return nil, err
 		}
-		// Every node starts out holding the store's opening state.
-		g.primary.stamps.record(store.Committed())
-		for _, b := range g.backups {
-			b.node.stamps.record(store.Committed())
-		}
 	}
+	// Every node starts out holding the store's opening state.
+	g.primary.stamps.record(store.Committed())
+	g.stampInSyncLocked()
 	if cfg.Autopilot.Enabled() {
 		g.autop = newAutopilot(cfg.Autopilot)
 		now := g.primary.Clock.Now()
@@ -581,6 +579,8 @@ func (g *Group) Settle(d sim.Dur) {
 		for _, b := range g.backups {
 			g.redo.applyDelivered(b)
 		}
+	} else if !g.crashed {
+		g.stampInSyncLocked()
 	}
 	if !g.crashed {
 		g.pumpRepairLocked(false)
@@ -733,21 +733,22 @@ func (g *Group) failoverLocked() (*vista.Store, error) {
 
 // demoteLocked keeps the crashed primary's node as a crashed backup that
 // re-joins from its own memory; nil when its memory is gone or out of reach,
-// or its commit stamps do not reach back to t, the promoted prefix (the
-// passive scheme records none). Its database keeps everything, the commits
-// after t it must lose included; its primary-only regions — undo log,
-// control, producer lane — are released.
+// or its commit stamps, cut back to t, the promoted prefix, hold no commit.
+// The regions its scheme syncs keep everything, the commits after t it must
+// lose included; the rest — an active node's undo log and control, the
+// producer lane, a mirror engine's set-range array — are released.
 func (g *Group) demoteLocked(t uint64) *backup {
 	n := g.primary
 	if n.lost || (g.autop != nil && g.autop.partitioned) {
 		return nil
 	}
 	n.stamps.forget(t)
-	if _, ok := n.stamps.stamp(t); !ok {
+	if n.stamps.n == 0 {
 		return nil
 	}
+	sync := g.syncRegionsLocked()
 	for _, r := range n.Space.Regions() {
-		if r.Name != vista.RegionDB {
+		if !slices.Contains(sync, r) {
 			if r.Release() != nil {
 				return nil // the host refused fresh memory: a spare replaces the node
 			}
@@ -784,6 +785,7 @@ func (g *Group) wireSurvivors(backups []*backup) error {
 			g.resyncSurvivorLocked(b)
 		}
 	}
+	g.stampInSyncLocked()
 	return nil
 }
 

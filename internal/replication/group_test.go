@@ -289,16 +289,16 @@ func TestSafetyUnavailable(t *testing.T) {
 	}
 }
 
-// TestRepairRestoresDegree: after a failover, Repair enrolls fresh nodes
-// back up to the configured replication degree and replication is live to
-// all of them.
+// TestRepairRestoresDegree: after a failover that lost the old primary's
+// memory, Repair enrolls fresh nodes back up to the configured replication
+// degree and replication is live to all of them.
 func TestRepairRestoresDegree(t *testing.T) {
 	g := newGroup(t, replication.Passive, 2, replication.OneSafe)
 	for i := 0; i < 25; i++ {
 		commitSlot(t, g, i, 9)
 	}
 	g.Settle(10 * sim.Microsecond)
-	if err := g.Crash(); err != nil {
+	if err := g.PowerFailNode(-1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := g.Failover(); err != nil {

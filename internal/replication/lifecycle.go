@@ -85,16 +85,6 @@ type backup struct {
 	// re-enrolls (see Group.bumpEpochLocked).
 	epoch int
 
-	// Gating snapshot of a passive-scheme backup, captured when it leaves
-	// the live stream: both sides' dirty-log epochs of every recoverable
-	// region, the committed count, and whether the departure was clean (no
-	// bytes still coalescing toward it). An active backup's commit stamps
-	// bound the same gap (see rejoinPlanLocked).
-	gateEpochs    map[string]since
-	gateCommitted uint64
-	gateGen       int
-	cleanGate     bool
-
 	// Active-mode consumer state.
 	ring         *sim.Ring
 	bRing, bCtl  *mem.Region
@@ -180,29 +170,20 @@ func (g *Group) BackupState(i int) BackupState {
 }
 
 // leaveStreamLocked takes backup b off the live stream (a partition or a
-// crash): an active backup applies what was delivered to it, which its commit
-// stamps record; a passive one snapshots its gate, whose epochs bound what it
-// missed only if no byte was still coalescing toward it. A join in flight is
+// crash): an active backup applies what was delivered to it, and a passive
+// one is stamped if it holds the primary's last commit exactly; either way
+// its commit stamps bound what it will have missed. A join in flight is
 // aborted and its copy stays fuzzy.
 func (g *Group) leaveStreamLocked(b *backup) {
 	switch b.state {
 	case StateInSync:
 		if g.redo != nil {
 			g.redo.applyDelivered(b)
-			break
+		} else {
+			g.stampInSyncLocked()
 		}
-		epochs := make(map[string]since)
-		for _, r := range g.syncRegionsLocked() {
-			epochs[r.Name] = since{r.Dirty.Seq(), b.node.Space.ByName(r.Name).Dirty.Seq()}
-		}
-		b.gateEpochs = epochs
-		b.gateCommitted = g.store.Committed()
-		b.gateGen = g.generation
-		b.cleanGate = g.primary.MC == nil || g.primary.MC.PendingBufs() == 0
 	case StateSyncing, StateCatchingUp:
 		g.abortJobLocked(b)
-	case StatePaused, StateGated:
-		// Keep the earlier snapshot: the gap began at the original pause.
 	}
 	if g.autop != nil {
 		g.autop.noteFault(b.node.Name, g.primary.Clock.Now())
@@ -240,8 +221,8 @@ func (g *Group) pauseBackupLocked(b *backup) {
 
 // ResumeBackup reconnects a paused backup. It stays Gated — applying a
 // stream with a gap would tear its copy — until RepairAsync re-enrolls it,
-// shipping only the delta its dirty-epoch snapshot names (or nothing at
-// all when the gap is provably empty).
+// shipping only the pages either side changed since the newest commit both
+// stamped (or nothing at all when the gap is provably empty).
 func (g *Group) ResumeBackup(i int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()

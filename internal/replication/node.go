@@ -17,6 +17,7 @@ import (
 	"repro/internal/memchannel"
 	"repro/internal/rio"
 	"repro/internal/sim"
+	"repro/internal/vista"
 )
 
 // Node bundles one simulated machine: a CPU clock, a private cache
@@ -31,8 +32,8 @@ type Node struct {
 	Acc   *mem.Accessor
 	MC    *memchannel.Node
 
-	stamps commitStamps // active scheme only
-	lost   bool         // memory gone or out of reach: replace, never re-join
+	stamps commitStamps
+	lost   bool // memory gone or out of reach: replace, never re-join
 
 	// busy is the time the node has worked as an active backup, applying
 	// and serving reads (its clock also travels at takeovers); mark is
@@ -42,50 +43,50 @@ type Node struct {
 	markAt uint64
 }
 
-// commitStamps records a node's database dirty-log sequence at each of its
-// last len(at) commits, indexed by commit sequence: at the reading for commit
-// c the database held exactly the state c left, so it can differ from that
-// state only on the pages stamped since. A primary records at each commit, an
-// in-sync backup at each record it applies; a join in flight clears it.
+// commitStamps records a node's mark-clock reading (see mem.DirtyLog) at each
+// commit it provably held, over the last len(at) commit numbers: at the
+// reading for commit c the regions its scheme syncs held exactly the state c
+// left, so they can differ from it only on the pages stamped since. A primary
+// records at each commit; an active backup at each record it applies in sync,
+// and once more after its takeover if promoted; a passive backup, and any
+// re-synced one, whenever its bytes are the serving node's and that node
+// holds its last commit still (see stampInSyncLocked). A join in flight
+// clears the record; a failover cuts it back to the promoted prefix.
 type commitStamps struct {
-	db *mem.Region
-	at []uint64
-	// hi is the newest commit recorded and n how many are, hi among them.
+	space *mem.Space // any region's dirty log reads the node's mark clock
+	at    []uint64   // noReading where the node did not provably hold the commit
+	// hi is the newest commit recorded, and (hi-n, hi] the commits at covers.
 	hi, n uint64
 }
 
-// init allocates the record once: 4096 commits, 15× the widest re-join gap
-// measured (DESIGN.md, repair section); a wider gap takes a full transfer.
-func (s *commitStamps) init(db *mem.Region) {
-	if s.at == nil {
-		s.db, s.at = db, make([]uint64, 4096)
-	}
-}
+const noReading = ^uint64(0)
 
-// record stamps commit c with the log's current sequence. Re-reading the
-// newest commit keeps the older readings (they still bound everything the log
-// stamped since); any other commit that does not follow the newest one
-// starts the record afresh.
+// record reads the clock for commit c. Re-reading the newest commit keeps the
+// older readings (they still bound everything marked since); a later commit
+// keeps them too, the commits skipped holding none; an earlier one, one past
+// the record's reach, or the first starts the record afresh.
 func (s *commitStamps) record(c uint64) {
-	if s.at == nil {
-		return
-	}
+	w := uint64(len(s.at))
 	switch {
-	case s.n > 0 && c == s.hi+1:
-		s.n = min(s.n+1, uint64(len(s.at)))
-	case s.n == 0 || c != s.hi:
+	case s.n == 0 || c < s.hi || c-s.hi >= w:
 		s.n = 1
+	case c > s.hi:
+		for k := s.hi + 1; k < c; k++ {
+			s.at[k%w] = noReading
+		}
+		s.n = min(s.n+c-s.hi, w)
 	}
 	s.hi = c
-	s.at[c%uint64(len(s.at))] = s.db.Dirty.Seq()
+	s.at[c%w] = s.space.ByName(vista.RegionDB).Dirty.Seq()
 }
 
-// stamp returns the log's sequence at commit c, if it is still recorded.
+// stamp returns the reading for commit c, if one is still recorded.
 func (s *commitStamps) stamp(c uint64) (uint64, bool) {
 	if c > s.hi || s.hi-c >= s.n {
 		return 0, false
 	}
-	return s.at[c%uint64(len(s.at))], true
+	v := s.at[c%uint64(len(s.at))]
+	return v, v != noReading
 }
 
 // forget drops the commits after c: a failover chose a lineage that never
@@ -110,6 +111,9 @@ func NewNode(name string, p *sim.Params, link *sim.Link) *Node {
 		Space: sp,
 		Rio:   rio.New(sp),
 		Acc:   mem.NewAccessor(p, clk, ch, sp),
+		// 4096 commits, 15× the widest re-join gap measured (DESIGN.md,
+		// repair section); a wider gap takes a full transfer.
+		stamps: commitStamps{space: sp, at: make([]uint64, 4096)},
 	}
 	if link != nil {
 		n.MC = memchannel.NewNode(p, clk, link)

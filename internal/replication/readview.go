@@ -134,14 +134,14 @@ func (g *Group) eligibleLocked(b *backup, spec ReadSpec, primary uint64) (uint64
 	return seq, true
 }
 
-// backupReadLocked performs the charged read on backup r's database copy
-// (the region its commit stamps hold), whose view is at seq, charges it to
-// the backup's busy time and publishes the backup as a read server of the
-// measured interval on its first served read (see Elapsed).
+// backupReadLocked performs the charged read on backup r's database copy,
+// whose view is at seq, charges it to the backup's busy time and publishes
+// the backup as a read server of the measured interval on its first served
+// read (see Elapsed).
 func (g *Group) backupReadLocked(r, off int, dst []byte, seq, primary uint64) (ReadResult, error) {
 	n := g.backups[r].node
-	db := n.stamps.db
-	if db == nil || off < 0 || off+len(dst) > db.Size() {
+	db := n.Space.ByName(vista.RegionDB)
+	if off < 0 || off+len(dst) > db.Size() {
 		return ReadResult{}, vista.ErrBounds
 	}
 	t0 := n.Clock.Now()

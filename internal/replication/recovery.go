@@ -81,11 +81,6 @@ type RepairStatus struct {
 	Elapsed sim.Dur
 }
 
-// since bounds a delta transfer of one region by a state both ends once held:
-// src and dst are the source's and the destination's dirty-log sequences at
-// that state. The zero value bounds a full transfer.
-type since struct{ src, dst uint64 }
-
 // repairRegion is one region's share of a join.
 type repairRegion struct {
 	src, dst *mem.Region
@@ -93,16 +88,16 @@ type repairRegion struct {
 }
 
 // plan fixes the pages the join must ship when it opens: those the source
-// stamped after s.src or the destination after s.dst. A full transfer skips
+// stamped after its mark-clock reading src or the destination after dst, its
+// readings at a state both held. A full transfer (both readings zero) skips
 // the pages neither log has ever marked: memory starts zeroed and every
 // mutation is marked, so they are zero on both sides. The destination's half
 // takes back what it holds and the source never wrote, such as an old
 // primary's unpublished commits. A page first written after the join opens
 // needs no copy: the live stream delivers it.
-func (rr *repairRegion) plan(s since) {
-	src, dst := rr.src.Dirty, rr.dst.Dirty
-	for p := 0; p < src.Pages(); p++ {
-		if src.Stamp(p) > s.src || dst.Stamp(p) > s.dst {
+func (rr *repairRegion) plan(src, dst uint64) {
+	for p := 0; p < rr.src.Dirty.Pages(); p++ {
+		if rr.src.Dirty.Stamp(p) > src || rr.dst.Dirty.Stamp(p) > dst {
 			rr.pages = append(rr.pages, p)
 		}
 	}
@@ -148,14 +143,11 @@ func (g *Group) repairRate() float64 {
 // applied sequence at takeover, and the engine's local structures are
 // formatted fresh).
 func (g *Group) syncRegionsLocked() []*mem.Region {
+	if g.redo != nil {
+		return []*mem.Region{g.primary.Space.ByName(vista.RegionDB)}
+	}
 	var out []*mem.Region
 	for _, r := range g.primary.Space.Regions() {
-		if g.redo != nil {
-			if r.Name == vista.RegionDB {
-				out = append(out, r)
-			}
-			continue
-		}
 		if r.WriteThrough {
 			out = append(out, r)
 		}
@@ -208,8 +200,7 @@ func (g *Group) repairAsyncLocked() error {
 		if b.state != StateGated && b.state != StateCrashed {
 			continue
 		}
-		epochs, at, ok := g.rejoinPlanLocked(b)
-		if j := newRepairJob(b, g.syncRegionsLocked(), epochs); !ok || at != g.store.Committed() || j.planned > 0 {
+		if j, at := g.rejoinPlanLocked(b); at != g.store.Committed() || j.planned > 0 {
 			g.startJoinLocked(j)
 		} else {
 			// The gap is provably empty: rejoin with no transfer at all.
@@ -217,7 +208,7 @@ func (g *Group) repairAsyncLocked() error {
 				b.appliedTotal, b.appliedTxns = g.redo.prodTotal, at
 			}
 			b.setState(StateInSync)
-			b.fuzzy, b.gateEpochs = false, nil
+			b.fuzzy = false
 			g.durActivateBackupLocked(b)
 		}
 		started = true
@@ -251,7 +242,7 @@ func (g *Group) repairAsyncLocked() error {
 		}
 	}
 	for _, b := range fresh {
-		g.startJoinLocked(newRepairJob(b, g.syncRegionsLocked(), nil))
+		g.startJoinLocked(newRepairJob(b, g.syncRegionsLocked(), 0, 0))
 	}
 	if started {
 		// Membership changed: restore the deterministic per-index ack
@@ -345,25 +336,20 @@ func (g *Group) RepairStatus() RepairStatus {
 	return st
 }
 
-// rejoinPlanLocked bounds the re-join of a backup whose memory survived: the
-// per-region delta epochs and the commit they are relative to, or ok false
-// when only a full transfer is safe. In the active scheme that commit is the
-// newest c the node holds, and the epochs are both sides' readings for c. The
-// passive scheme uses the gate snapshot of a clean departure in this era.
-func (g *Group) rejoinPlanLocked(b *backup) (epochs map[string]since, at uint64, ok bool) {
-	if g.redo != nil {
-		at = b.node.stamps.hi
-		dst, held := b.node.stamps.stamp(at)
-		src, found := g.primary.stamps.stamp(at)
-		if !held || !found {
-			return nil, 0, false
+// rejoinPlanLocked plans the re-join of a backup whose memory survived, in
+// either scheme: the pages either it or the serving node stamped since the
+// newest commit both stamped, at — or, when they share none, every page
+// either ever wrote, and at 0.
+func (g *Group) rejoinPlanLocked(b *backup) (j *repairJob, at uint64) {
+	mine, theirs := &b.node.stamps, &g.primary.stamps
+	for at = min(mine.hi, theirs.hi); at <= mine.hi && mine.hi-at < mine.n && theirs.hi-at < theirs.n; at-- {
+		dst, held := mine.stamp(at)
+		src, found := theirs.stamp(at)
+		if held && found {
+			return newRepairJob(b, g.syncRegionsLocked(), src, dst), at
 		}
-		return map[string]since{vista.RegionDB: {src, dst}}, at, true
 	}
-	if b.fuzzy || !b.cleanGate || b.gateEpochs == nil || b.gateGen != g.generation {
-		return nil, 0, false
-	}
-	return b.gateEpochs, b.gateCommitted, true
+	return newRepairJob(b, g.syncRegionsLocked(), 0, 0), 0
 }
 
 // startJoinLocked attaches job j's backup to the live stream and opens its
@@ -578,10 +564,13 @@ func (g *Group) drainLinkLocked() {
 func (g *Group) cutOverLocked(b *backup) {
 	b.job = nil
 	b.fuzzy = false
-	b.gateEpochs = nil
-	b.node.stamps.record(b.appliedTxns)
 	b.epoch = g.epoch // full member of the current era from this instant
 	b.setState(StateInSync)
+	if g.redo != nil {
+		b.node.stamps.record(b.appliedTxns)
+	} else {
+		g.stampInSyncLocked()
+	}
 	g.durActivateBackupLocked(b)
 	g.emit(obs.EventRepairCutover, g.nodeIndexLocked(b.node.Name), uint64(g.epoch), 0)
 }
@@ -622,11 +611,11 @@ func (g *Group) restoredLocked() bool {
 }
 
 // newRepairJob opens backup b's transfer plan over the given source regions.
-func newRepairJob(b *backup, srcs []*mem.Region, epochs map[string]since) *repairJob {
+func newRepairJob(b *backup, srcs []*mem.Region, src, dst uint64) *repairJob {
 	j := &repairJob{b: b}
-	for _, src := range srcs {
-		rr := repairRegion{src: src, dst: b.node.Space.ByName(src.Name)}
-		rr.plan(epochs[src.Name])
+	for _, r := range srcs {
+		rr := repairRegion{src: r, dst: b.node.Space.ByName(r.Name)}
+		rr.plan(src, dst)
 		for _, p := range rr.pages {
 			_, n := rr.span(p)
 			j.planned += int64(n)
@@ -679,13 +668,11 @@ func (j *repairJob) pay(allow int64) int64 {
 // the re-join rule, driven to completion on the spot. Takeover happens with
 // the cluster already down, so there is no stream to stay available for; the
 // transfer is raw and uncharged, like Load's initial copy, and the survivor
-// emerges InSync.
+// emerges InSync, its synced bytes the serving node's (its caller stamps it).
 func (g *Group) resyncSurvivorLocked(b *backup) {
-	epochs, _, _ := g.rejoinPlanLocked(b)
-	newRepairJob(b, g.syncRegionsLocked(), epochs).pay(math.MaxInt64)
+	j, _ := g.rejoinPlanLocked(b)
+	j.pay(math.MaxInt64)
 	b.job = nil
 	b.fuzzy = false
-	b.gateEpochs = nil
 	b.setState(StateInSync)
-	b.node.stamps.record(g.store.Committed())
 }

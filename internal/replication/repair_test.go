@@ -84,8 +84,9 @@ func TestRepairSealsOpenBatch(t *testing.T) {
 }
 
 // TestChainedFailover is the full cluster life: run, crash, fail over,
-// enroll a fresh backup, run more, crash the survivor, fail over again —
-// every committed transaction must be alive on the third machine.
+// re-join the old primary from its own memory, run more, crash the survivor,
+// fail over again — every committed transaction must be alive on the first
+// machine, serving again.
 func TestChainedFailover(t *testing.T) {
 	for _, first := range []struct {
 		mode replication.Mode
@@ -114,7 +115,7 @@ func TestChainedFailover(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Machine 2 serves; machine 3 enrolls.
+			// Machine 2 serves; machine 1 re-joins as its backup.
 			if err := pair.Repair(); err != nil {
 				t.Fatal(err)
 			}
@@ -149,14 +150,14 @@ func TestChainedFailover(t *testing.T) {
 				t.Fatalf("after chained failover: %d commits survive, want 250", got)
 			}
 
-			// The third machine's database must equal the second's.
+			// The promoted machine's database must equal the serving store's.
 			want := make([]byte, testDB)
 			got := make([]byte, testDB)
 			pair.Store().ReadRaw(0, want)
 			st.ReadRaw(0, got)
 			for i := range got {
 				if got[i] != want[i] {
-					t.Fatalf("third machine diverges at byte %d", i)
+					t.Fatalf("promoted machine diverges at byte %d", i)
 				}
 			}
 

@@ -1,6 +1,7 @@
 package replication_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -11,32 +12,33 @@ import (
 )
 
 // TestWarmRejoinByteExact drives every warm re-join there is — a crashed
-// backup, the crashed primary after a failover, a re-joiner that crashes
-// during its own join, the same node crashing again — through a seeded mix of
-// loads, committed and aborted transactions and crashes that leave an open
-// group-commit batch or an open transaction behind. Every node re-joins from
-// its own memory (no spare is ever enrolled), and after every cut-over each
-// backup's database equals the primary's byte for byte. The passive scheme
-// re-joins a crashed backup by its gate snapshot, so it runs the backup-crash
-// rounds alone.
+// backup, a partitioned one, the crashed primary after a failover, a
+// re-joiner that crashes during its own join, the same node crashing again —
+// through a seeded mix of loads, committed and aborted transactions and
+// crashes that leave an open group-commit batch or an open transaction
+// behind, under both backup schemes. Every node re-joins from its own
+// memory (no spare is ever enrolled), and after every cut-over each backup's
+// copy of every region the scheme syncs equals the primary's byte for byte.
 func TestWarmRejoinByteExact(t *testing.T) {
 	for _, mode := range []replication.Mode{replication.Active, replication.Passive} {
 		for _, batch := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%v/batch%d", mode, batch), func(t *testing.T) {
-				var diverged, warm int
+				var diverged, warm, warmPrimary int
 				for seed := int64(1); seed <= 4; seed++ {
-					d, w := runWarmRejoinScenario(t, mode, batch, seed)
+					d, w, wp := runWarmRejoinScenario(t, mode, batch, seed)
 					diverged += d
 					warm += w
+					warmPrimary += wp
 				}
 				// The schedule must reach the cases it is for: an old
 				// primary holding commits its survivors never saw, and
-				// re-joins that ship less than a full transfer would.
+				// re-joins that ship less than a full transfer would, an
+				// old primary's among them.
 				if mode == replication.Active && batch > 1 && diverged == 0 {
 					t.Error("no primary crash left an open batch behind")
 				}
-				if warm == 0 {
-					t.Error("no re-join shipped less than a full transfer")
+				if warm == 0 || warmPrimary == 0 {
+					t.Errorf("%d re-joins, %d of them an old primary's, shipped less than a full transfer", warm, warmPrimary)
 				}
 			})
 		}
@@ -44,9 +46,10 @@ func TestWarmRejoinByteExact(t *testing.T) {
 }
 
 // runWarmRejoinScenario runs one seeded schedule and returns how many
-// failovers dropped commits the old primary held, and how many re-joins
-// planned fewer bytes than a full transfer of the written pages.
-func runWarmRejoinScenario(t *testing.T, mode replication.Mode, batch int, seed int64) (diverged, warm int) {
+// failovers dropped commits the old primary held, how many re-joins planned
+// fewer bytes than a full transfer of the written pages, and how many of
+// those re-joined an old primary.
+func runWarmRejoinScenario(t *testing.T, mode replication.Mode, batch int, seed int64) (diverged, warm, warmPrimary int) {
 	t.Helper()
 	const k = 3
 	g, err := replication.NewGroup(replication.Config{
@@ -98,22 +101,22 @@ func runWarmRejoinScenario(t *testing.T, mode replication.Mode, batch int, seed 
 		return out
 	}
 	members := names()
-	written := func() int64 {
-		var n int64
-		r := dbRegion(g, -1)
-		for p := 0; p < r.Dirty.Pages(); p++ {
-			if r.Dirty.Written(p) {
-				n += int64(r.Dirty.PageSize())
-			}
-		}
-		return n
-	}
-	repair := func() {
+	// repair starts the re-join and counts it warm if it plans less than a
+	// full transfer; it returns whether it did.
+	repair := func() bool {
 		t.Helper()
-		full := written()
+		full := writtenBytes(g)
 		mustNil(t, g.RepairAsync())
 		if st := g.RepairStatus(); st.Active && st.BytesPlanned < full {
 			warm++
+			return true
+		}
+		return false
+	}
+	primaryRepair := func() {
+		t.Helper()
+		if repair() {
+			warmPrimary++
 		}
 	}
 	heal := func(when string) {
@@ -149,11 +152,7 @@ func runWarmRejoinScenario(t *testing.T, mode replication.Mode, batch int, seed 
 	for round := 0; round < 8; round++ {
 		when := fmt.Sprintf("seed %d round %d", seed, round)
 		victim := rng.Intn(k)
-		cases := 4
-		if mode == replication.Passive {
-			cases = 1
-		}
-		switch rng.Intn(cases) {
+		switch rng.Intn(5) {
 		case 0: // a backup crash; sometimes it crashes again during its own join
 			mustNil(t, g.CrashBackup(victim))
 			traffic(1 + rng.Intn(30))
@@ -169,7 +168,7 @@ func runWarmRejoinScenario(t *testing.T, mode replication.Mode, batch int, seed 
 			traffic(1 + rng.Intn(10))
 			failover()
 			traffic(rng.Intn(20))
-			repair()
+			primaryRepair()
 			heal(when + " old primary re-join")
 		case 2: // the primary dies mid-transaction
 			tx, err := g.Begin()
@@ -178,7 +177,7 @@ func runWarmRejoinScenario(t *testing.T, mode replication.Mode, batch int, seed 
 			failover()
 			_ = tx.Abort() // the handle died with its node
 			traffic(rng.Intn(20))
-			repair()
+			primaryRepair()
 			heal(when + " mid-transaction re-join")
 		case 3: // a backup crash and a primary crash before the repair
 			mustNil(t, g.CrashBackup(victim))
@@ -187,10 +186,16 @@ func runWarmRejoinScenario(t *testing.T, mode replication.Mode, batch int, seed 
 			traffic(rng.Intn(20))
 			repair()
 			heal(when + " two re-joins")
+		case 4: // a partition, resumed after a stretch of traffic
+			mustNil(t, g.PauseBackup(victim))
+			traffic(1 + rng.Intn(30))
+			mustNil(t, g.ResumeBackup(victim))
+			repair()
+			heal(when + " resumed backup re-join")
 		}
 		traffic(rng.Intn(20))
 	}
-	return diverged, warm
+	return diverged, warm, warmPrimary
 }
 
 // TestWarmRejoinPastTheRecord: a crashed backup re-joins by delta while the
@@ -198,12 +203,19 @@ func runWarmRejoinScenario(t *testing.T, mode replication.Mode, batch int, seed 
 // transfer once they outrun it.
 func TestWarmRejoinPastTheRecord(t *testing.T) {
 	for _, tc := range []struct {
+		name    string
+		mode    replication.Mode
 		commits int
 		full    bool
-	}{{10, false}, {5000, true}} {
-		t.Run(fmt.Sprint(tc.commits), func(t *testing.T) {
+	}{
+		{"10", replication.Active, 10, false},
+		{"5000", replication.Active, 5000, true},
+		{"passive-10", replication.Passive, 10, false},
+		{"passive-5000", replication.Passive, 5000, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			g, err := replication.NewGroup(replication.Config{
-				Mode:    replication.Active,
+				Mode:    tc.mode,
 				Store:   vista.Config{Version: vista.V3InlineLog, DBSize: sparseDB},
 				Backups: 1,
 			})
@@ -224,10 +236,71 @@ func TestWarmRejoinPastTheRecord(t *testing.T) {
 			for i := 0; i < tc.commits; i++ {
 				commit(i)
 			}
+			written := writtenBytes(g)
 			mustNil(t, g.RepairAsync())
-			if full := g.RepairStatus().BytesPlanned == 8*4096; full != tc.full {
-				t.Fatalf("planned %d bytes, want a full transfer: %v", g.RepairStatus().BytesPlanned, tc.full)
+			if full := g.RepairStatus().BytesPlanned == written; full != tc.full {
+				t.Fatalf("planned %d of %d written bytes, want a full transfer: %v", g.RepairStatus().BytesPlanned, written, tc.full)
 			}
+			mustNil(t, g.Repair())
+			checkSparse(t, g, "re-join")
+		})
+	}
+}
+
+// TestWarmRejoinOfAResyncedSurvivor: a survivor re-synced behind the promoted
+// node at a failover holds the promoted prefix exactly and stamps it, so a
+// crash right after the takeover re-joins it with nothing to ship.
+func TestWarmRejoinOfAResyncedSurvivor(t *testing.T) {
+	for _, mode := range []replication.Mode{replication.Active, replication.Passive} {
+		t.Run(mode.String(), func(t *testing.T) {
+			g := newGroup(t, mode, 2, replication.OneSafe)
+			commitSlot(t, g, 0, 1)
+			g.Settle(g.QuiesceGrace())
+			mustNil(t, g.PauseBackup(1)) // it lags the node to be promoted
+			for i := 1; i < 20; i++ {
+				commitSlot(t, g, i*64, byte(i))
+			}
+			g.Settle(g.QuiesceGrace())
+			mustNil(t, g.Crash())
+			_, err := g.Failover()
+			mustNil(t, err)
+			// The re-synced survivor comes first, the old primary after it.
+			mustNil(t, g.CrashBackup(0))
+			mustNil(t, g.RepairAsync())
+			if st := g.BackupState(0); st != replication.StateInSync {
+				t.Fatalf("the re-synced survivor is %v after its re-join: it planned a transfer", st)
+			}
+			checkSparse(t, g, "re-join")
+		})
+	}
+}
+
+// TestWarmRejoinPastUncommittedBytes: a passive backup crashes holding
+// commit 1, and the primary then writes bytes no commit names, which the
+// other backup receives before the primary dies: an aborted transaction's
+// retired undo records, or an open transaction's stores that the promoted
+// node's takeover recovery rolls back. The promoted node held commit 1 only
+// before those bytes, so the crashed backup's delta from commit 1 must ship
+// them: no backup may stamp commit 1 after an abort, nor the promoted node
+// after its recovery.
+func TestWarmRejoinPastUncommittedBytes(t *testing.T) {
+	for name, abort := range map[string]bool{"abort": true, "takeover-recovery": false} {
+		t.Run(name, func(t *testing.T) {
+			g := newGroup(t, replication.Passive, 2, replication.OneSafe)
+			commitSlot(t, g, 0, 1)
+			g.Settle(g.QuiesceGrace())
+			mustNil(t, g.CrashBackup(1))
+			tx, err := g.Begin()
+			mustNil(t, err)
+			mustNil(t, tx.SetRange(64*64, 64))
+			mustNil(t, tx.Write(64*64, bytes.Repeat([]byte{2}, 64)))
+			if abort {
+				mustNil(t, tx.Abort())
+			}
+			g.Settle(g.QuiesceGrace()) // the stores reach backup 0
+			mustNil(t, g.Crash())
+			_, err = g.Failover()
+			mustNil(t, err)
 			mustNil(t, g.Repair())
 			checkSparse(t, g, "re-join")
 		})

@@ -178,17 +178,18 @@ const pageStagger = 13 * 8 << 10
 // PlaceRegions materializes specs into a space starting at the given base,
 // returning the first address past the last region (aligned).
 func PlaceRegions(space *mem.Space, specs []RegionSpec, base uint64) (uint64, error) {
+	clock := new(uint64) // the node's one mark clock
 	for i, sp := range specs {
 		r, err := mem.NewRegion(sp.Name, base+uint64(i+1)*pageStagger, sp.Size)
 		if err != nil {
 			return 0, err
 		}
 		r.WriteThrough = sp.Replicated
-		// Every engine region is dirty-tracked so a briefly-partitioned
-		// replica can be delta-resynced: the tracker stamps written pages,
-		// and re-enrollment ships only the pages stamped after the
-		// replica's gating epoch (see replication's online repair).
-		r.Dirty = mem.NewDirtyLog(sp.Size, dirtyPage)
+		// Every engine region is dirty-tracked so a replica whose memory
+		// survived can be delta-resynced: the tracker stamps written pages,
+		// and re-enrollment ships only the pages stamped after a commit both
+		// sides held (see replication's online repair).
+		r.Dirty = mem.NewDirtyLog(sp.Size, dirtyPage, clock)
 		if err := space.Add(r); err != nil {
 			return 0, err
 		}
