@@ -98,15 +98,40 @@ func TestChainedFailover(t *testing.T) {
 		{replication.Active, vista.V3InlineLog},
 	} {
 		t.Run(first.mode.String()+"/"+first.v.String(), func(t *testing.T) {
-			pair := newPair(t, first.mode, first.v)
-			w, err := tpc.NewDebitCredit(testDB)
-			if err != nil {
-				t.Fatal(err)
+			// The oracle is a standalone group driven through the same
+			// two phases of transactions.
+			pair, oracle := newPair(t, first.mode, first.v), newPair(t, replication.Standalone, first.v)
+			first150 := func(g *replication.Group) *tpc.DebitCredit {
+				t.Helper()
+				w, err := tpc.NewDebitCredit(testDB)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := tpc.Run(g, w, tpc.Options{Txns: 150, Seed: 31}); err != nil {
+					t.Fatal(err)
+				}
+				return w
 			}
-			opts := tpc.Options{Txns: 150, Seed: 31}
-			if _, err := tpc.Run(pair, w, opts); err != nil {
-				t.Fatal(err)
+			// More traffic on the repaired deployment (drive the store
+			// directly so the workload continues where it left off).
+			next100 := func(g *replication.Group, w *tpc.DebitCredit) {
+				t.Helper()
+				r := tpc.NewRand(99)
+				for i := int64(0); i < 100; i++ {
+					tx, err := g.Begin()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := w.Txn(r, tx, 1000+i); err != nil {
+						t.Fatal(err)
+					}
+					if err := tx.Commit(); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
+			next100(oracle, first150(oracle))
+			w := first150(pair)
 			pair.Settle(10 * sim.Microsecond)
 			if err := pair.Crash(); err != nil {
 				t.Fatal(err)
@@ -123,21 +148,7 @@ func TestChainedFailover(t *testing.T) {
 				t.Fatalf("survivor lost commits before repair: %d", pair.Store().Committed())
 			}
 
-			// More traffic on the repaired deployment (drive the store
-			// directly so the workload continues where it left off).
-			r := tpc.NewRand(99)
-			for i := int64(0); i < 100; i++ {
-				tx, err := pair.Begin()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := w.Txn(r, tx, 1000+i); err != nil {
-					t.Fatal(err)
-				}
-				if err := tx.Commit(); err != nil {
-					t.Fatal(err)
-				}
-			}
+			next100(pair, w)
 			pair.Settle(10 * sim.Microsecond)
 			if err := pair.Crash(); err != nil {
 				t.Fatal(err)
@@ -150,10 +161,10 @@ func TestChainedFailover(t *testing.T) {
 				t.Fatalf("after chained failover: %d commits survive, want 250", got)
 			}
 
-			// The promoted machine's database must equal the serving store's.
+			// The promoted machine's database must equal the oracle's.
 			want := make([]byte, testDB)
 			got := make([]byte, testDB)
-			pair.Store().ReadRaw(0, want)
+			oracle.Store().ReadRaw(0, want)
 			st.ReadRaw(0, got)
 			for i := range got {
 				if got[i] != want[i] {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/replication"
 	"repro/internal/vista"
 )
@@ -16,7 +17,8 @@ import (
 // re-joiner that crashes during its own join, the same node crashing again —
 // through a seeded mix of loads, committed and aborted transactions and
 // crashes that leave an open group-commit batch or an open transaction
-// behind, under both backup schemes. Every node re-joins from its own
+// behind, under both backup schemes, each with and without group commit
+// (the batching rows check that they batch). Every node re-joins from its own
 // memory (no spare is ever enrolled), and after every cut-over each backup's
 // copy of every region the scheme syncs equals the primary's byte for byte.
 func TestWarmRejoinByteExact(t *testing.T) {
@@ -24,8 +26,14 @@ func TestWarmRejoinByteExact(t *testing.T) {
 		for _, batch := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%v/batch%d", mode, batch), func(t *testing.T) {
 				var diverged, warm, warmPrimary int
+				// A passive 1-safe commit never batches: the passive batch
+				// row runs at quorum.
+				safety := replication.OneSafe
+				if mode == replication.Passive && batch > 1 {
+					safety = replication.QuorumSafe
+				}
 				for seed := int64(1); seed <= 4; seed++ {
-					d, w, wp := runWarmRejoinScenario(t, mode, batch, seed)
+					d, w, wp := runWarmRejoinScenario(t, mode, batch, safety, seed)
 					diverged += d
 					warm += w
 					warmPrimary += wp
@@ -49,16 +57,30 @@ func TestWarmRejoinByteExact(t *testing.T) {
 // failovers dropped commits the old primary held, how many re-joins planned
 // fewer bytes than a full transfer of the written pages, and how many of
 // those re-joined an old primary.
-func runWarmRejoinScenario(t *testing.T, mode replication.Mode, batch int, seed int64) (diverged, warm, warmPrimary int) {
+func runWarmRejoinScenario(t *testing.T, mode replication.Mode, batch int, safety replication.Safety, seed int64) (diverged, warm, warmPrimary int) {
 	t.Helper()
-	const k = 3
+	k := 3
+	if safety == replication.QuorumSafe {
+		k = 5 // a quorum outlives a backup crash and a primary crash together
+	}
+	reg := obs.NewRegistry()
 	g, err := replication.NewGroup(replication.Config{
 		Mode:        mode,
 		Store:       vista.Config{Version: vista.V3InlineLog, DBSize: sparseDB},
 		Backups:     k,
+		Safety:      safety,
 		CommitBatch: batch,
+		Obs:         reg,
 	})
 	mustNil(t, err)
+	if batch > 1 {
+		defer func() {
+			snap := reg.Snapshot()
+			if b, n := snap.Counter(replication.MetricCommitBatches), snap.Counter(replication.MetricCommitTxns); b == 0 || b >= n {
+				t.Errorf("seed %d sealed %d batches for %d transactions: the row does not batch", seed, b, n)
+			}
+		}()
+	}
 	rng := rand.New(rand.NewSource(seed))
 	pages := sparseDB / 4096
 	spot := func() int { return rng.Intn(pages/3)*3*4096 + rng.Intn(4096-64) }

@@ -20,3 +20,10 @@ func (s *Store) BucketOff(b int) int { return s.geo.bucketOff(uint64(b)) }
 
 // SlotOff returns the database offset of slot i's record header.
 func (s *Store) SlotOff(i int) int { return s.geo.slotOff(uint64(i)) }
+
+// FreeSlots returns the length of region r's free-slot list.
+func (s *Store) FreeSlots(r int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.free[r])
+}

@@ -46,8 +46,9 @@
 // reclaim. A Txn's keys are atomic where they share a shard, per shard
 // otherwise (see Txn). Open still validates every reachable bucket (slot
 // range and region, record-header sanity, the key's own region, duplicate
-// references and duplicate keys) and tombstones what fails; that guards
-// against bytes this package did not write, not against its own crashes.
+// references and duplicate keys) and refuses the store with ErrBadFormat
+// at the first that fails: no crash of this package's produces one, so
+// such bytes were written by something else, and recovery does not guess.
 //
 // A Burst (burst.go) stretches the unit of commit and of acknowledgement
 // from one mutation to a run of them: its mutations share one transaction,
@@ -107,8 +108,10 @@ import (
 var (
 	// ErrBadFormat is returned by Open when the database bytes are
 	// neither zeroed (formattable) nor a kv store laid out for this
-	// deployment, and by Reopen when the persisted header no longer
-	// matches the geometry the Store was opened with.
+	// deployment, or hold a reachable record recovery cannot trust (the
+	// error names its region and bucket), and by Reopen for such a record
+	// or when the persisted header no longer matches the geometry the Store
+	// was opened with.
 	ErrBadFormat = errors.New("kv: database bytes are not a kv store")
 	// ErrTooSmall is returned by Open when the database cannot hold one
 	// region with the header, a minimal bucket array and at least one
@@ -288,9 +291,9 @@ func OpenWith(db repro.DB, opt Options) (*Store, error) {
 // Reopen re-runs Open-time recovery in place: it probes every shard that
 // holds a region for admission (which pumps the autopilot, so a dead primary
 // with AutoFailover configured is promoted by the probe itself), checks the
-// persisted header against the geometry the Store was opened with, clears
-// the broken flag and rebuilds the in-memory acceleration from the
-// replicated bytes — exactly what a fresh Open would do, without
+// persisted header against the geometry the Store was opened with and
+// rebuilds the in-memory acceleration from the replicated bytes, clearing
+// the broken flag — exactly what a fresh Open would do, without
 // invalidating the handle callers hold. Geometry never changes after
 // Open, so Reopen assigns none: a header that differs is ErrBadFormat.
 //
@@ -299,7 +302,8 @@ func OpenWith(db repro.DB, opt Options) (*Store, error) {
 // the cluster has failed over, with every acknowledged mutation intact.
 // If the deployment still is not servable — no failover yet, lease still
 // expired, safety level unmet — Reopen returns that error and the Store
-// stays broken; retry after the cluster heals.
+// stays broken; retry after the cluster heals. A store whose bytes recovery
+// refuses (ErrBadFormat) is broken until a Reopen accepts them.
 func (s *Store) Reopen() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -326,13 +330,9 @@ func (s *Store) Reopen() error {
 	} else if g != s.geo {
 		return fmt.Errorf("kv: header geometry changed under an open store: %w", ErrBadFormat)
 	}
-	wasBroken := s.broken
-	s.broken = false
-	if err := s.recover(); err != nil {
-		s.broken = s.broken || wasBroken
-		return err
-	}
-	return nil
+	err = s.recover()
+	s.broken = err != nil
+	return err
 }
 
 // format computes the geometry for the deployment and persists the header

@@ -3,14 +3,16 @@ package kv_test
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro"
 	"repro/kv"
 )
 
-// damage is the raw-byte toolbox of TestRecoverTombstonesWhatItCannotTrust:
+// damage is the raw-byte toolbox of TestOpenRefusesWhatItCannotTrust:
 // it reads and plants bucket words and records beneath an open store, on
 // every replica at once (repro.DB.Load).
 type damage struct {
@@ -75,6 +77,19 @@ func (d damage) emptyAfter(b int) int {
 	return 0
 }
 
+// emptyBefore returns the first empty bucket of b's region, which must lie
+// before b in the bucket array.
+func (d damage) emptyBefore(b int) int {
+	_, buckets, _ := d.s.Geometry()
+	for n := b / buckets * buckets; n < b; n++ {
+		if d.word(n) == 0 {
+			return n
+		}
+	}
+	d.t.Fatal("no empty bucket before the key's")
+	return 0
+}
+
 // freeSlot returns a never-written slot of the region.
 func (d damage) freeSlot(region int) int {
 	_, _, slots := d.s.Geometry()
@@ -89,58 +104,56 @@ func (d damage) freeSlot(region int) int {
 	return 0
 }
 
-// TestRecoverTombstonesWhatItCannotTrust plants, beneath a healthy store,
-// each kind of bucket word recovery refuses to serve a record through, and
-// checks the repair: the word is tombstoned by one replicated transaction,
-// every intact key still reads, the count is right, and the repair is on
-// the survivor after a failover.
-func TestRecoverTombstonesWhatItCannotTrust(t *testing.T) {
+// TestOpenRefusesWhatItCannotTrust plants, beneath a healthy store, each
+// kind of bucket word recovery refuses to serve a record through, and
+// checks the refusal: Open and Reopen return ErrBadFormat naming the
+// victim's region and the rule that failed, neither writes a byte nor ships
+// one, and the refused store takes no Put.
+func TestOpenRefusesWhatItCannotTrust(t *testing.T) {
 	const keys = 50
 	victim := []byte("keep007")
 	name := func(i int) []byte { return []byte(fmt.Sprintf("keep%03d", i)) }
-	value := func(i int) []byte { return []byte(fmt.Sprintf("val%03d", i)) }
 
-	// Each case plants its damage and returns the bucket recovery must
-	// tombstone and what the victim key must read afterwards.
-	cases := map[string]func(d damage) (bad int, victimReads []byte){
-		"slot index out of range": func(d damage) (int, []byte) {
-			regions, _, slots := d.s.Geometry()
-			b, _ := d.locate(victim)
-			bad := d.emptyAfter(b)
-			d.setWord(bad, uint64(regions*slots)+2)
-			return bad, value(7)
-		},
-		"slot in another region": func(d damage) (int, []byte) {
+	// Each case plants its damage in the victim's region and names the
+	// rule the refusal must cite. The out-of-range word follows the
+	// other-region one: without the region rule it panics recovery, and
+	// the first case has then said which rule is missing.
+	cases := []struct {
+		name, why string
+		plant     func(d damage)
+	}{
+		{"slot in another region", "is not the region's", func(d damage) {
 			b, _ := d.locate(victim)
 			region, _ := d.s.Place(victim)
 			for i := 0; ; i++ { // a live record, whole and well-formed, next door
 				if r, _ := d.s.Place(name(i)); r != region {
 					_, slot := d.locate(name(i))
-					bad := d.emptyAfter(b)
-					d.setWord(bad, uint64(slot)+2)
-					return bad, value(7)
+					d.setWord(d.emptyAfter(b), uint64(slot)+2)
+					return
 				}
 			}
-		},
-		"record header longer than a slot": func(d damage) (int, []byte) {
+		}},
+		{"slot index out of range", "is not the region's", func(d damage) {
+			regions, _, slots := d.s.Geometry()
+			b, _ := d.locate(victim)
+			d.setWord(d.emptyAfter(b), uint64(regions*slots)+2)
+		}},
+		{"record header longer than a slot", "implausible record header", func(d damage) {
 			b, _ := d.locate(victim)
 			region, _ := d.s.Place(victim)
-			slot, bad := d.freeSlot(region), d.emptyAfter(b)
+			slot := d.freeSlot(region)
 			d.setRecord(slot, 5, uint32(d.s.SlotPayload()), []byte("bogus"))
-			d.setWord(bad, uint64(slot)+2)
-			return bad, value(7)
-		},
-		"record header of a slot never written": func(d damage) (int, []byte) {
+			d.setWord(d.emptyAfter(b), uint64(slot)+2)
+		}},
+		{"record header of a slot never written", "implausible record header", func(d damage) {
 			b, _ := d.locate(victim)
 			region, _ := d.s.Place(victim)
-			bad := d.emptyAfter(b)
-			d.setWord(bad, uint64(d.freeSlot(region))+2)
-			return bad, value(7)
-		},
-		"key that hashes to another region": func(d damage) (int, []byte) {
+			d.setWord(d.emptyAfter(b), uint64(d.freeSlot(region))+2)
+		}},
+		{"key that hashes to another region", "holds a key of region", func(d damage) {
 			b, _ := d.locate(victim)
 			region, _ := d.s.Place(victim)
-			slot, bad := d.freeSlot(region), d.emptyAfter(b)
+			slot := d.freeSlot(region)
 			for i := 0; ; i++ {
 				alien := []byte(fmt.Sprintf("alien%03d", i))
 				if r, _ := d.s.Place(alien); r != region {
@@ -148,98 +161,68 @@ func TestRecoverTombstonesWhatItCannotTrust(t *testing.T) {
 					break
 				}
 			}
-			d.setWord(bad, uint64(slot)+2)
-			return bad, value(7)
-		},
-		"two buckets naming one slot": func(d damage) (int, []byte) {
+			d.setWord(d.emptyAfter(b), uint64(slot)+2)
+		}},
+		{"two buckets naming one slot", "named by another bucket too", func(d damage) {
 			b, slot := d.locate(victim)
-			bad := d.emptyAfter(b)
-			d.setWord(bad, uint64(slot)+2)
-			return bad, value(7)
-		},
-		"one key live twice, the copy farther along": func(d damage) (int, []byte) {
+			d.setWord(d.emptyAfter(b), uint64(slot)+2)
+		}},
+		{"two buckets naming one slot, the copy first in the region", "named by another bucket too", func(d damage) {
+			b, slot := d.locate(victim)
+			d.setWord(d.emptyBefore(b), uint64(slot)+2)
+		}},
+		{"one key live twice, the copy farther along", "is in bucket", func(d damage) {
 			b, _ := d.locate(victim)
 			region, _ := d.s.Place(victim)
-			slot, bad := d.freeSlot(region), d.emptyAfter(b)
+			slot := d.freeSlot(region)
 			d.setRecord(slot, uint32(len(victim)), 5, append(bytes.Clone(victim), "stale"...))
-			d.setWord(bad, uint64(slot)+2)
-			return bad, value(7)
-		},
-		"one key live twice, the copy nearer": func(d damage) (int, []byte) {
+			d.setWord(d.emptyAfter(b), uint64(slot)+2)
+		}},
+		{"one key live twice, the copy nearer", "is in bucket", func(d damage) {
 			b, original := d.locate(victim)
 			region, _ := d.s.Place(victim)
-			slot, bad := d.freeSlot(region), d.emptyAfter(b)
+			slot := d.freeSlot(region)
 			d.setRecord(slot, uint32(len(victim)), 6, append(bytes.Clone(victim), "nearer"...))
+			d.setWord(d.emptyAfter(b), uint64(original)+2)
 			d.setWord(b, uint64(slot)+2)
-			d.setWord(bad, uint64(original)+2)
-			return bad, []byte("nearer")
-		},
+		}},
 	}
-	for label, plant := range cases {
-		t.Run(label, func(t *testing.T) {
-			db := newCluster(t, quorum3(repro.Config{})) // keeps its quorum through the loss of a primary
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			db := newCluster(t, quorum3(repro.Config{}))
 			s, err := kv.Open(db)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < keys; i++ {
-				if err := s.Put(name(i), value(i)); err != nil {
+				if err := s.Put(name(i), []byte(fmt.Sprintf("val%03d", i))); err != nil {
 					t.Fatal(err)
 				}
 			}
-			d := damage{t: t, db: db, s: s}
-			bad, victimReads := plant(d)
+			tc.plant(damage{t: t, db: db, s: s})
+			region, _ := s.Place(victim)
+			image := make([]byte, db.DBSize())
+			db.ReadRaw(0, image)
+			traffic := db.NetTraffic()
 
-			check := func(s *kv.Store) {
+			refused := func(op string, err error) {
 				t.Helper()
-				if w := d.word(bad); w != 1 {
-					t.Fatalf("the planted bucket word reads %d, want a tombstone", w)
+				if !errors.Is(err, kv.ErrBadFormat) || !strings.Contains(err.Error(), fmt.Sprintf("region %d bucket ", region)) || !strings.Contains(err.Error(), tc.why) {
+					t.Errorf("%s = %v; want ErrBadFormat naming region %d and %q", op, err, region, tc.why)
 				}
-				if s.Len() != keys {
-					t.Fatalf("Len = %d, want %d", s.Len(), keys)
+				after := make([]byte, db.DBSize())
+				if db.ReadRaw(0, after); !bytes.Equal(after, image) {
+					t.Errorf("%s wrote to the refused bytes", op)
 				}
-				for i := 0; i < keys; i++ {
-					want := value(i)
-					if bytes.Equal(name(i), victim) {
-						want = victimReads
-					}
-					if got, err := s.Get(name(i)); err != nil || !bytes.Equal(got, want) {
-						t.Fatalf("key %q reads %q, %v; want %q", name(i), got, err, want)
-					}
+				if got := db.NetTraffic(); got != traffic {
+					t.Errorf("%s shipped %+v, want %+v", op, got, traffic)
 				}
 			}
-			before := db.Stats().Commits
-			repaired, err := kv.Open(db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := db.Stats().Commits - before; n != 1 {
-				t.Fatalf("recovery committed %d transactions, want the one repair", n)
-			}
-			check(repaired)
-
-			admin := db.(repro.Admin)
-			if err := admin.CrashPrimary(); err != nil {
-				t.Fatal(err)
-			}
-			if err := admin.Failover(); err != nil {
-				t.Fatal(err)
-			}
-			before = db.Stats().Commits
-			survivor, err := kv.Open(db)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := db.Stats().Commits - before; n != 0 {
-				t.Fatalf("Open on the survivor committed %d transactions: the repair did not replicate", n)
-			}
-			check(survivor)
-			// The repaired store takes writes in the victim's chain again.
-			if err := survivor.Put(victim, []byte("rewritten")); err != nil {
-				t.Fatal(err)
-			}
-			if got, err := survivor.Get(victim); err != nil || string(got) != "rewritten" {
-				t.Fatalf("victim after a rewrite reads %q, %v", got, err)
+			_, err = kv.Open(db)
+			refused("Open", err)
+			refused("Reopen", s.Reopen())
+			if err := s.Put(name(0), []byte("after")); !errors.Is(err, kv.ErrBroken) {
+				t.Errorf("Put after the refused Reopen = %v, want ErrBroken", err)
 			}
 		})
 	}

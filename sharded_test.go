@@ -455,3 +455,55 @@ func TestShardViewIsTheOnlySelector(t *testing.T) {
 		}
 	}
 }
+
+// TestScopeSealReportsACrashAheadOfADegradedShard: a scope's seal over
+// several shards reports a shard whose primary died holding its unsealed
+// commits with ErrCrashed, even when a shard sealed before it comes back
+// short of its quorum: the degraded acknowledgement must not pass the lost
+// commits off as durable.
+func TestScopeSealReportsACrashAheadOfADegradedShard(t *testing.T) {
+	c, err := repro.NewSharded(repro.Config{
+		Version: repro.V3InlineLog,
+		Backup:  repro.ActiveBackup,
+		Backups: 3,
+		Safety:  repro.QuorumSafe,
+		DBSize:  testDB,
+	}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	offOn := func(shard int) int {
+		for off := 0; ; off += c.PartSize() {
+			if c.ShardFor(off) == shard {
+				return off
+			}
+		}
+	}
+	scope := c.DeferAcks()
+	tx, err := c.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shard := range []int{0, 2} {
+		if err := tx.SetRange(offOn(shard), 8); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Write(offOn(shard), []byte("deferred")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := c.Shard(0).CrashBackup(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Shard(2).CrashPrimary(); err != nil {
+		t.Fatal(err)
+	}
+	if err := scope.Seal(); !errors.Is(err, repro.ErrCrashed) {
+		t.Fatalf("seal = %v, want ErrCrashed", err)
+	}
+}
