@@ -124,7 +124,10 @@ mutants:
 # the per-region delta map and its since type went.
 # Lowered 20730 -> 20698 by kv's recovery refusing what no crash produces:
 # its repair transaction, the clears list and the duplicate resolution went.
-LOC_CEILING := 20698
+# Lowered 20698 -> 20640 by one capture of a transaction's writes: the disk
+# tier encodes its commit frame from the group transaction's staging, so
+# vista.Sink and the tier's own staging went, and a node carries its WAL slot.
+LOC_CEILING := 20640
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

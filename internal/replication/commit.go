@@ -100,7 +100,8 @@ func (g *Group) Begin() (TxHandle, error) {
 }
 
 // groupTx is the one transaction handle of every mode, in every era: it adds
-// the per-operation locking, the redo capture of the active scheme and the
+// the per-operation locking, the capture of the transaction's writes that the
+// active scheme's redo record and the disk tier's commit frame share, and the
 // commit-time shipping, batching and acknowledgement wait to the local
 // engine's transaction. One value and its buffers are recycled per group (a
 // single transaction is open at a time), so a handle must not be used after
@@ -109,8 +110,9 @@ type groupTx struct {
 	g    *Group
 	tx   *vista.Tx
 	done bool
-	// The writes staged for the commit-time redo record (active scheme only):
-	// concatenated payloads, entries indexed via offs/lens.
+	// The writes staged for the commit-time redo record and commit frame
+	// (active scheme or disk tier only): concatenated payloads, entries
+	// indexed via offs/lens.
 	offs []int
 	lens []int
 	data []byte
@@ -133,13 +135,13 @@ func (t *groupTx) Read(off int, dst []byte) error {
 }
 
 // Write performs the local in-place write (doubled onto the backups in the
-// passive scheme) and, in the active scheme, stages the bytes for the
-// commit-time redo record.
+// passive scheme) and, in the active scheme or with the disk tier on, stages
+// the bytes for the commit-time redo record and commit frame.
 func (t *groupTx) Write(off int, src []byte) error {
 	g := t.g
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if err := t.tx.Write(off, src); err != nil || g.redo == nil {
+	if err := t.tx.Write(off, src); err != nil || g.redo == nil && g.dur == nil {
 		return err
 	}
 	for len(src) > 0 {
@@ -213,6 +215,9 @@ func (t *groupTx) Commit() error {
 		shipErr = g.redo.ship(t)
 	}
 	err := t.tx.Commit()
+	if err == nil && g.dur != nil {
+		g.dur.commit(g.store.Committed(), t)
+	}
 	t.releaseLocked()
 	if err != nil {
 		return err

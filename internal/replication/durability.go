@@ -7,14 +7,14 @@
 // mirrors the commit stream, plus periodic snapshot/checkpoint files, on
 // its own directory of the host filesystem.
 //
-// Cost model: the WAL piggybacks on group commit. Commit frames are
-// encoded once per transaction (from the vista.Sink hooks, under the
-// group mutex) into a shared pending buffer; the buffer is appended to
-// every in-sync replica's segment at each batch flush, and the fdatasync
-// is paid once per flush — never per
-// transaction. The disk tier is host-side bookkeeping: it charges no
-// simulated time, and with Durability off the group is bit-for-bit the
-// PR 1–6 simulation.
+// Cost model: the WAL piggybacks on group commit. A commit frame is
+// encoded once per transaction, under the group mutex, from the writes the
+// group transaction staged (the same capture the active scheme's redo
+// record ships), into a shared pending buffer; each batch flush appends
+// the buffer to every in-sync replica's segment and pays one fdatasync,
+// never one per transaction. The disk tier is host-side bookkeeping: it
+// charges no simulated time, and with Durability off the group is
+// bit-for-bit the memory-replicated simulation.
 //
 // Consistency across faults:
 //
@@ -41,7 +41,6 @@ import (
 	"path/filepath"
 
 	"repro/internal/obs"
-	"repro/internal/vista"
 	"repro/internal/wal"
 )
 
@@ -122,26 +121,21 @@ type DurabilityStatus struct {
 	Recovery RecoveryInfo
 }
 
-// durable is the group's durability engine. It implements vista.Sink to
-// observe the serving store's writes and commits; every method runs
-// under the group mutex.
+// durable is the group's durability engine: the group hands it each
+// committed transaction's staged writes and each bulk load, and it ships
+// them to the replicas' WALs at every batch flush. Every method runs under
+// the group mutex.
 type durable struct {
 	cfg DurabilityConfig
 
-	// reps and active are indexed by replica slot (backup.walIdx; the
-	// serving node is primarySlot). A slot is active while its replica
-	// is InSync and checkpointed into the current era.
-	reps        []*wal.Replica
-	active      []bool
-	primarySlot int
+	// reps and active are indexed by replica slot (Node.walSlot). A slot
+	// is active while its replica is InSync and checkpointed into the
+	// current era.
+	reps   []*wal.Replica
+	active []bool
 
 	era uint32
 	seq uint64
-
-	// Per-transaction staging from the sink hooks.
-	offs []int
-	lens []int
-	data []byte
 
 	// pending holds the frames committed since the last batch flush;
 	// one flush appends it to every active replica in a single write.
@@ -175,8 +169,6 @@ type WALTail struct {
 	Synced int64
 }
 
-var _ vista.Sink = (*durable)(nil)
-
 func (d *durable) slotDir(slot int) string {
 	return filepath.Join(d.cfg.Dir, fmt.Sprintf("node-%03d", slot))
 }
@@ -201,41 +193,22 @@ func (d *durable) replica(slot int) (*wal.Replica, error) {
 	return d.reps[slot], nil
 }
 
-// SinkWrite stages one transactional write for the commit frame.
-func (d *durable) SinkWrite(off int, src []byte) {
-	if d.dead {
-		return
+// load records a non-transactional bulk load as a RecLoad frame at the
+// current sequence.
+func (d *durable) load(off int, data []byte) {
+	if !d.dead {
+		d.pending = wal.AppendLoadFrame(d.pending, d.era, d.seq, off, data)
 	}
-	d.offs = append(d.offs, off)
-	d.lens = append(d.lens, len(src))
-	d.data = append(d.data, src...)
 }
 
-// SinkLoad records a non-transactional bulk load as a RecLoad frame at
-// the current sequence.
-func (d *durable) SinkLoad(off int, data []byte) {
-	if d.dead {
-		return
-	}
-	d.pending = wal.AppendLoadFrame(d.pending, d.era, d.seq, off, data)
-}
-
-// SinkCommit seals the staged writes into one commit frame. Encoding
+// commit seals the writes t staged into one commit frame at seq. Encoding
 // happens here, once per transaction; the disk write and fsync wait for
 // the batch flush.
-func (d *durable) SinkCommit(seq uint64) {
+func (d *durable) commit(seq uint64, t *groupTx) {
 	if !d.dead && seq > d.seq {
-		d.pending = wal.AppendCommitFrame(d.pending, d.era, seq, d.offs, d.lens, d.data)
+		d.pending = wal.AppendCommitFrame(d.pending, d.era, seq, t.offs, t.lens, t.data)
 		d.seq = seq
 	}
-	d.resetStaging()
-}
-
-// SinkAbort drops the staged writes.
-func (d *durable) SinkAbort() { d.resetStaging() }
-
-func (d *durable) resetStaging() {
-	d.offs, d.lens, d.data = d.offs[:0], d.lens[:0], d.data[:0]
 }
 
 // appendPending hands the sealed frames to every active replica's
@@ -350,7 +323,7 @@ func (g *Group) durActivateBackupLocked(b *backup) {
 	if d == nil || d.dead {
 		return
 	}
-	_ = g.durActivateSlotLocked(b.walIdx)
+	_ = g.durActivateSlotLocked(b.node.walSlot)
 }
 
 // durDropBackupLocked deactivates a departing backup's slot: cleanly
@@ -361,7 +334,7 @@ func (g *Group) durDropBackupLocked(b *backup, clean bool) {
 	if d == nil || d.dead {
 		return
 	}
-	slot := b.walIdx
+	slot := b.node.walSlot
 	if slot < 0 || slot >= len(d.reps) || !d.active[slot] {
 		return
 	}
@@ -384,48 +357,46 @@ func (g *Group) durCrashLocked() {
 	if d == nil || d.dead {
 		return
 	}
-	if d.active[d.primarySlot] {
-		if rep := d.reps[d.primarySlot]; rep != nil {
+	slot := g.primary.walSlot
+	if d.active[slot] {
+		if rep := d.reps[slot]; rep != nil {
 			rep.Append(d.pending, d.seq)
 			rep.Abandon()
 		}
 	}
-	d.active[d.primarySlot] = false
+	d.active[slot] = false
 	d.pending = d.pending[:0]
-	d.resetStaging()
 }
 
-// durFailoverLocked re-anchors the tier on the promoted survivor: a new
-// era opens and every surviving member checkpoints into it immediately,
-// superseding (by generation) whatever its directory held — including
-// any orphaned old-primary tail beyond the promoted lineage.
-func (g *Group) durFailoverLocked(promoted *backup) {
+// durFailoverLocked re-anchors the tier on the promoted survivor, now the
+// serving node: a new era opens and every surviving member checkpoints
+// into it immediately, superseding (by generation) whatever its directory
+// held — including any orphaned old-primary tail beyond the promoted
+// lineage.
+func (g *Group) durFailoverLocked() {
 	d := g.dur
 	if d == nil || d.dead {
 		return
 	}
 	d.pending = d.pending[:0]
-	d.resetStaging()
 	for slot := range d.active {
 		d.active[slot] = false
 	}
-	d.primarySlot = promoted.walIdx
 	d.era++
 	d.seq = g.store.Committed()
 	_ = g.durOpenEraLocked()
 }
 
-// durOpenEraLocked attaches the sink and checkpoints the serving slot and
-// every in-sync backup's into the current era at the current sequence,
-// returning the first error.
+// durOpenEraLocked checkpoints the serving slot and every in-sync
+// backup's into the current era at the current sequence, returning the
+// first error.
 func (g *Group) durOpenEraLocked() error {
 	d := g.dur
-	g.store.SetSink(d)
 	d.lastCkpt = d.seq
-	err := g.durActivateSlotLocked(d.primarySlot)
+	err := g.durActivateSlotLocked(g.primary.walSlot)
 	for _, b := range g.backups {
 		if b.state == StateInSync {
-			if e := g.durActivateSlotLocked(b.walIdx); err == nil {
+			if e := g.durActivateSlotLocked(b.node.walSlot); err == nil {
 				err = e
 			}
 		}
@@ -475,7 +446,7 @@ func (g *Group) initDurability() error {
 		d.newSlot()
 	}
 	for i, b := range g.backups {
-		b.walIdx = i + 1
+		b.node.walSlot = i + 1
 	}
 
 	dbSize := g.store.DBSize()
@@ -582,7 +553,7 @@ func (g *Group) Durability() DurabilityStatus {
 		Replicas:    len(d.reps),
 		Recovery:    d.recovery,
 	}
-	if rep := d.reps[d.primarySlot]; rep != nil {
+	if rep := d.reps[g.primary.walSlot]; rep != nil {
 		st.DurableSeq = rep.SyncedSeq()
 	}
 	return st
@@ -604,8 +575,8 @@ func (g *Group) PowerFail() error {
 	if d.dead {
 		return ErrCrashed
 	}
-	if d.active[d.primarySlot] {
-		if rep := d.reps[d.primarySlot]; rep != nil {
+	if slot := g.primary.walSlot; d.active[slot] {
+		if rep := d.reps[slot]; rep != nil {
 			rep.Append(d.pending, d.seq)
 		}
 	}

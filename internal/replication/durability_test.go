@@ -58,6 +58,26 @@ func durCommit(t *testing.T, g *replication.Group, k uint64) {
 	}
 }
 
+// durAbort opens a transaction that writes a slot past every one the
+// workload uses and aborts it: no commit frame may carry those bytes.
+func durAbort(t *testing.T, g *replication.Group) {
+	t.Helper()
+	tx, err := g.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := 61 * 64
+	if err := tx.SetRange(off, 16); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Write(off, bytes.Repeat([]byte{0xa5}, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // durOracle is the expected image after transactions 1..seq.
 func durOracle(seq uint64) []byte {
 	img := make([]byte, durDB)
@@ -98,7 +118,9 @@ func TestDurabilityOffByDefault(t *testing.T) {
 
 // TestDurabilityColdRestart: a clean shutdown (Settle makes everything
 // durable) followed by a full-cluster power loss recovers every
-// transaction on reopen, across Standalone and a replicated mode.
+// transaction on reopen, across Standalone and a replicated mode. A
+// transaction aborted after the last checkpoint (at 120) leaves nothing
+// in the replayed tail.
 func TestDurabilityColdRestart(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -117,6 +139,9 @@ func TestDurabilityColdRestart(t *testing.T) {
 			const n = 123
 			for k := uint64(1); k <= n; k++ {
 				durCommit(t, g, k)
+				if k == n-2 {
+					durAbort(t, g)
+				}
 			}
 			g.Settle(g.QuiesceGrace())
 			st := g.Durability()

@@ -417,6 +417,9 @@ func (g *Group) Load(off int, data []byte) error {
 	if err := g.store.Load(off, data); err != nil {
 		return err
 	}
+	if g.dur != nil {
+		g.dur.load(off, data)
+	}
 	for _, name := range []string{vista.RegionDB, vista.RegionMirror} {
 		src := g.primary.Space.ByName(name)
 		if src == nil {
@@ -716,7 +719,7 @@ func (g *Group) failoverLocked() (*vista.Store, error) {
 	// Era transition complete: a fresh membership epoch fences any
 	// acknowledgement stamped by the old era, and the failure loop (when
 	// enabled) rebuilds its watch set around the promoted primary.
-	g.durFailoverLocked(best)
+	g.durFailoverLocked()
 	g.bumpEpochLocked()
 	if a := g.autop; a != nil {
 		now := g.primary.Clock.Now()
@@ -757,9 +760,6 @@ func (g *Group) demoteLocked(t uint64) *backup {
 	}
 	n.MC, n.Acc.IO = nil, nil
 	b := &backup{node: n}
-	if g.dur != nil {
-		b.walIdx = g.dur.primarySlot
-	}
 	b.setState(StateCrashed)
 	return b
 }

@@ -93,10 +93,6 @@ type backup struct {
 
 	// job is the in-flight join while Syncing/CatchingUp.
 	job *repairJob
-
-	// walIdx is this machine's durability slot (directory index) when the
-	// disk tier is enabled; meaningless otherwise.
-	walIdx int
 }
 
 // alive reports whether the backup still exists as a machine.

@@ -34,6 +34,9 @@ type Node struct {
 
 	stamps commitStamps
 	lost   bool // memory gone or out of reach: replace, never re-join
+	// walSlot is the machine's durability slot (directory index) under the
+	// disk tier: 0 for the first primary, then one per backup machine.
+	walSlot int
 
 	// busy is the time the node has worked as an active backup, applying
 	// and serving reads (its clock also travels at takeovers); mark is

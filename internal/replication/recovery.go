@@ -412,7 +412,7 @@ func (g *Group) enrollFreshLocked(i int, wire bool) (*backup, error) {
 	if g.dur != nil {
 		// A fresh machine brings a fresh disk: allocate its slot now so
 		// the cut-over checkpoint has a directory to land in.
-		b.walIdx = g.dur.newSlot()
+		b.node.walSlot = g.dur.newSlot()
 	}
 	b.setState(StateGated) // gated until its join opens the stream
 	if _, err := vista.PlaceRegions(b.node.Space, specs, regionBase); err != nil {

@@ -58,11 +58,6 @@ type Store struct {
 	eng     engine
 	tx      *Tx
 	crashed bool
-	// sink, when set, observes every durable mutation (transactional
-	// writes, loads, commit/abort boundaries) — the replication layer's
-	// durability tier hangs off it. Nil in the default configuration, so
-	// the hot path pays one predictable branch.
-	sink Sink
 
 	// freeTx is the recycled transaction handle: exactly one transaction
 	// is open at a time, so one cached value keeps Begin allocation-free.
@@ -86,22 +81,6 @@ type Stats struct {
 	Commits int64
 	Aborts  int64
 }
-
-// Sink observes the store's durable mutations in API order: the spans an
-// open transaction writes, followed by exactly one SinkCommit (carrying
-// the new committed count) or SinkAbort, plus SinkLoad for initial
-// content installs. Calls arrive under the owning replica group's lock —
-// a Sink needs no locking of its own but must not call back into the
-// store.
-type Sink interface {
-	SinkWrite(off int, src []byte)
-	SinkLoad(off int, data []byte)
-	SinkCommit(seq uint64)
-	SinkAbort()
-}
-
-// SetSink attaches (or with nil detaches) the mutation observer.
-func (s *Store) SetSink(sink Sink) { s.sink = sink }
 
 // InTx reports whether a transaction is open — while one is, the
 // database bytes may contain uncommitted in-place writes, so they are
@@ -256,9 +235,6 @@ func (s *Store) Load(off int, data []byte) error {
 	if m := s.mem.Space().ByName(RegionMirror); m != nil {
 		m.WriteRaw(off, data)
 	}
-	if s.sink != nil {
-		s.sink.SinkLoad(off, data)
-	}
 	return nil
 }
 
@@ -363,9 +339,6 @@ func (t *Tx) Write(off int, src []byte) error {
 		return ErrOutOfRange
 	}
 	s.acc.Write(s.db.Base+uint64(off), src, mem.CatModified)
-	if s.sink != nil {
-		s.sink.SinkWrite(off, src)
-	}
 	return nil
 }
 
@@ -393,9 +366,6 @@ func (t *Tx) Commit() error {
 	if err := s.eng.commit(s); err != nil {
 		return err
 	}
-	if s.sink != nil {
-		s.sink.SinkCommit(s.committed.Load())
-	}
 	t.finish()
 	s.commits.Add(1)
 	return nil
@@ -410,9 +380,6 @@ func (t *Tx) Abort() error {
 	s.acc.Charge(s.acc.Params.TxAbort)
 	if err := s.eng.abort(s); err != nil {
 		return err
-	}
-	if s.sink != nil {
-		s.sink.SinkAbort()
 	}
 	t.finish()
 	s.aborts.Add(1)
