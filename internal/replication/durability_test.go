@@ -3,12 +3,15 @@ package replication_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/replication"
 	"repro/internal/vista"
+	"repro/internal/wal"
 )
 
 const durDB = 1 << 16
@@ -362,5 +365,126 @@ func TestDurabilityMetricsUnchanged(t *testing.T) {
 	if bareT != durT || bareN != durN {
 		t.Fatalf("durability perturbed the simulation: elapsed %d vs %d, net %d vs %d",
 			bareT, durT, bareN, durN)
+	}
+}
+
+// TestDurabilityFollowsMembership: a node's directory mirrors the commit
+// stream exactly while the node is an in-sync member. Each row reads the
+// directories back with wal.Recover after a membership change: a crashed
+// backup's stops at its crash point, a re-joined one's mirrors again in
+// the current era (by the empty-gap re-join and by the cut-over), and the
+// frames Settle leaves pending reach every member's disk.
+func TestDurabilityFollowsMembership(t *testing.T) {
+	modes := []struct {
+		name   string
+		mode   replication.Mode
+		safety replication.Safety
+	}{
+		{"passive-1safe", replication.Passive, replication.OneSafe},
+		{"active-1safe", replication.Active, replication.OneSafe},
+	}
+	// recoverNode reads node n's directory (node-000 is the first
+	// primary's, node-001 backup 0's) as a cold restart would.
+	recoverNode := func(t *testing.T, dir string, n int) *wal.Result {
+		t.Helper()
+		res, err := wal.Recover(filepath.Join(dir, fmt.Sprintf("node-%03d", n)), durDB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// mirrors checks that node n's directory holds the stream at seq in
+	// the group's current era.
+	mirrors := func(t *testing.T, g *replication.Group, dir string, n int, seq uint64) {
+		t.Helper()
+		res := recoverNode(t, dir, n)
+		if era := g.Durability().Era; res.Era != era || res.Seq != seq {
+			t.Fatalf("node %d's directory holds era %d seq %d, want era %d seq %d", n, res.Era, res.Seq, era, seq)
+		}
+		if !bytes.Equal(res.Data, durOracle(seq)) {
+			t.Fatalf("node %d's directory image does not match the oracle at seq %d", n, seq)
+		}
+	}
+	commits := func(t *testing.T, g *replication.Group, from, to uint64) {
+		t.Helper()
+		for k := from; k <= to; k++ {
+			durCommit(t, g, k)
+		}
+		g.Settle(g.QuiesceGrace())
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			t.Run("crash-stops", func(t *testing.T) {
+				dir := t.TempDir()
+				g := durGroup(t, dir, m.mode, 2, m.safety, 4)
+				commits(t, g, 1, 30)
+				if err := g.CrashBackup(0); err != nil {
+					t.Fatal(err)
+				}
+				commits(t, g, 31, 60)
+				if res := recoverNode(t, dir, 1); res.Seq != 30 {
+					t.Fatalf("crashed backup's directory holds seq %d, want its crash point 30", res.Seq)
+				}
+				mirrors(t, g, dir, 0, 60)
+				mirrors(t, g, dir, 2, 60)
+			})
+			t.Run("empty-gap-rejoin", func(t *testing.T) {
+				dir := t.TempDir()
+				g := durGroup(t, dir, m.mode, 2, m.safety, 4)
+				commits(t, g, 1, 30)
+				if err := g.PauseBackup(0); err != nil {
+					t.Fatal(err)
+				}
+				if err := g.ResumeBackup(0); err != nil {
+					t.Fatal(err)
+				}
+				if err := g.Repair(); err != nil {
+					t.Fatal(err)
+				}
+				commits(t, g, 31, 50)
+				mirrors(t, g, dir, 1, 50)
+			})
+			t.Run("cutover-rejoin", func(t *testing.T) {
+				dir := t.TempDir()
+				g := durGroup(t, dir, m.mode, 2, m.safety, 4)
+				commits(t, g, 1, 30)
+				if err := g.CrashBackup(0); err != nil {
+					t.Fatal(err)
+				}
+				commits(t, g, 31, 45)
+				if err := g.Repair(); err != nil {
+					t.Fatal(err)
+				}
+				commits(t, g, 46, 60)
+				mirrors(t, g, dir, 1, 60)
+			})
+			t.Run("settle-syncs-load", func(t *testing.T) {
+				dir := t.TempDir()
+				g := durGroup(t, dir, m.mode, 2, m.safety, 4)
+				commits(t, g, 1, 10)
+				loaded := bytes.Repeat([]byte{0x5c}, 64)
+				if err := g.Load(62*64, loaded); err != nil {
+					t.Fatal(err)
+				}
+				g.Settle(g.QuiesceGrace())
+				if err := g.PowerFail(); err != nil {
+					t.Fatal(err)
+				}
+				for _, tail := range g.WALTails() {
+					if err := os.Truncate(tail.Path, tail.Synced); err != nil {
+						t.Fatal(err)
+					}
+				}
+				g2 := durGroup(t, dir, m.mode, 2, m.safety, 4)
+				got := make([]byte, len(loaded))
+				g2.ReadRaw(62*64, got)
+				if g2.Committed() != 10 || !bytes.Equal(got, loaded) {
+					t.Fatalf("restart recovered seq %d and loaded bytes %x, want seq 10 and %x", g2.Committed(), got[:4], loaded[:4])
+				}
+				if err := g2.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		})
 	}
 }
