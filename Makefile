@@ -127,7 +127,10 @@ mutants:
 # Lowered 20698 -> 20640 by one capture of a transaction's writes: the disk
 # tier encodes its commit frame from the group transaction's staging, so
 # vista.Sink and the tier's own staging went, and a node carries its WAL slot.
-LOC_CEILING := 20640
+# Lowered 20640 -> 20539 by the disk tier following the group's membership: a
+# node carries its WAL writer, and the tier's slot tables and six hooks became
+# one join, one leave, one flush and one era open.
+LOC_CEILING := 20539
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

@@ -504,7 +504,7 @@ func (g *Group) PartitionPrimary() error {
 // crashPrimaryLocked is the shared death of the serving node: Crash uses it
 // for a real fault, the autopilot to depose a partitioned primary.
 func (g *Group) crashPrimaryLocked() {
-	g.durCrashLocked()
+	g.durLeaveLocked(g.primary, false)
 	g.crashed = true
 	if g.deferDepth > 0 && g.batchCount > 0 {
 		// The open scopes' unsealed commits die here; their Seal says so.

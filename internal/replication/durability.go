@@ -11,7 +11,7 @@
 // encoded once per transaction, under the group mutex, from the writes the
 // group transaction staged (the same capture the active scheme's redo
 // record ships), into a shared pending buffer; each batch flush appends
-// the buffer to every in-sync replica's segment and pays one fdatasync,
+// the buffer to every member's segment and pays one fdatasync,
 // never one per transaction. The disk tier is host-side bookkeeping: it
 // charges no simulated time, and with Durability off the group is
 // bit-for-bit the memory-replicated simulation.
@@ -23,20 +23,22 @@
 //     primary's orphaned tail (commits the promoted lineage never saw)
 //     stays on its disk under the old era and older generations, where
 //     the recovery chain rule fences it out.
-//   - Membership. A replica's WAL receives appends only while it is
-//     InSync; a joiner is activated by a fresh checkpoint at cut-over, so
-//     its first segment's base equals the stream position it provably
-//     holds. Paused and crashed replicas are deactivated (their directory
-//     freezes at the departure prefix).
+//   - Membership. A node is a member exactly while its WAL writer has a
+//     segment open: the serving node and every in-sync backup. A node
+//     joins (durJoinLocked) by a fresh checkpoint at its cut-over, so its
+//     newest segment's base is the stream position it provably holds, and
+//     leaves (durLeaveLocked) at a pause or a crash, its directory frozen
+//     at the departure prefix.
 //   - Cold restart. Recovery loads every replica directory, picks the
 //     winner by (era, seq), seeds the serving store with its image and
 //     commit sequence, re-enrolls matching replicas on the spot, and
-//     rejoins lagging ones through the PR 3 chunked-transfer engine.
+//     rejoins lagging ones through the chunked-transfer repair engine.
 package replication
 
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
 
@@ -123,22 +125,19 @@ type DurabilityStatus struct {
 
 // durable is the group's durability engine: the group hands it each
 // committed transaction's staged writes and each bulk load, and it ships
-// them to the replicas' WALs at every batch flush. Every method runs under
+// them to the members' WALs at every batch flush. Every method runs under
 // the group mutex.
 type durable struct {
 	cfg DurabilityConfig
 
-	// reps and active are indexed by replica slot (Node.walSlot). A slot
-	// is active while its replica is InSync and checkpointed into the
-	// current era.
-	reps   []*wal.Replica
-	active []bool
+	// slots counts the node directories (Node.walSlot) handed out so far.
+	slots int
 
 	era uint32
 	seq uint64
 
 	// pending holds the frames committed since the last batch flush;
-	// one flush appends it to every active replica in a single write.
+	// one flush appends it to every member in a single write.
 	pending []byte
 
 	lastCkpt uint64
@@ -148,10 +147,10 @@ type durable struct {
 	dead bool
 
 	// reg is the deployment's metrics registry (nil when uninstrumented);
-	// lazily opened replicas attach to it.
+	// each node's writer attaches to it when it opens.
 	reg *obs.Registry
 
-	// tails records each replica's live segment at the PowerFail instant.
+	// tails records each member's live segment at the PowerFail instant.
 	tails []WALTail
 
 	recovery RecoveryInfo
@@ -173,26 +172,6 @@ func (d *durable) slotDir(slot int) string {
 	return filepath.Join(d.cfg.Dir, fmt.Sprintf("node-%03d", slot))
 }
 
-// newSlot allocates a replica slot (a fresh enrollment's directory).
-func (d *durable) newSlot() int {
-	d.reps = append(d.reps, nil)
-	d.active = append(d.active, false)
-	return len(d.reps) - 1
-}
-
-// replica lazily opens slot's WAL writer.
-func (d *durable) replica(slot int) (*wal.Replica, error) {
-	if d.reps[slot] == nil {
-		r, err := wal.NewReplica(d.slotDir(slot))
-		if err != nil {
-			return nil, err
-		}
-		r.Attach(d.reg, slot)
-		d.reps[slot] = r
-	}
-	return d.reps[slot], nil
-}
-
 // load records a non-transactional bulk load as a RecLoad frame at the
 // current sequence.
 func (d *durable) load(off int, data []byte) {
@@ -211,71 +190,58 @@ func (d *durable) commit(seq uint64, t *groupTx) {
 	}
 }
 
-// appendPending hands the sealed frames to every active replica's
-// segment buffer (no disk I/O yet).
-func (d *durable) appendPending() {
+// walMembers yields the members' writers: the serving node's, then the
+// in-sync backups' in order.
+func (g *Group) walMembers() iter.Seq[*wal.Replica] {
+	return func(yield func(*wal.Replica) bool) {
+		if g.primary.walOpen() && !yield(g.primary.wal) {
+			return
+		}
+		for _, b := range g.backups {
+			if b.node.walOpen() && !yield(b.node.wal) {
+				return
+			}
+		}
+	}
+}
+
+// durAppendLocked hands the sealed frames to every member's segment
+// buffer (no disk I/O yet).
+func (g *Group) durAppendLocked() {
+	d := g.dur
 	if len(d.pending) == 0 {
 		return
 	}
-	for slot, rep := range d.reps {
-		if d.active[slot] && rep != nil {
-			rep.Append(d.pending, d.seq)
-		}
+	for r := range g.walMembers() {
+		r.Append(d.pending, d.seq)
 	}
 	d.pending = d.pending[:0]
 }
 
-// syncActive pays the piggybacked fdatasync on every active replica.
-func (d *durable) syncActive() error {
-	for slot, rep := range d.reps {
-		if d.active[slot] && rep != nil {
-			if err := rep.Sync(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // durFlushLocked is the group-commit piggyback: called once per batch
-// flush (and once per commit in the unbatched modes), it ships the
-// pending frames and syncs them.
+// flush (once per commit in the unbatched modes) and by Settle, it ships
+// the pending frames to every member and syncs them. When a checkpoint is
+// due and the store is between transactions (the image is then
+// committed-consistent), every member snapshots it and rotates its
+// segment; a failure leaves lastCkpt in place, so the next flush retries.
 func (g *Group) durFlushLocked() error {
 	d := g.dur
 	if d == nil || d.dead {
 		return nil
 	}
-	d.appendPending()
-	if err := d.syncActive(); err != nil {
-		return err
+	g.durAppendLocked()
+	for r := range g.walMembers() {
+		if err := r.Sync(); err != nil {
+			return err
+		}
 	}
-	return g.durMaybeCheckpointLocked()
-}
-
-// durMaybeCheckpointLocked runs a checkpoint when one is due and the
-// store is between transactions (the image is committed-consistent).
-func (g *Group) durMaybeCheckpointLocked() error {
-	d := g.dur
-	if d == nil || d.dead {
+	if d.seq-d.lastCkpt < uint64(d.cfg.SnapshotEvery) || g.store.InTx() {
 		return nil
 	}
-	if d.seq-d.lastCkpt >= uint64(d.cfg.SnapshotEvery) && !g.store.InTx() {
-		return g.durCheckpointAllLocked()
-	}
-	return nil
-}
-
-// durCheckpointAllLocked snapshots the committed image onto every active
-// replica and rotates their segments.
-func (g *Group) durCheckpointAllLocked() error {
-	d := g.dur
-	d.appendPending()
 	img := d.image(g)
-	for slot, rep := range d.reps {
-		if d.active[slot] && rep != nil {
-			if err := rep.Checkpoint(d.era, d.seq, img); err != nil {
-				return err
-			}
+	for r := range g.walMembers() {
+		if err := r.Checkpoint(d.era, d.seq, img); err != nil {
+			return err
 		}
 	}
 	d.lastCkpt = d.seq
@@ -294,126 +260,81 @@ func (d *durable) image(g *Group) []byte {
 	return d.img
 }
 
-// durActivateSlotLocked enrolls one replica slot into the current era:
-// a fresh checkpoint at the current sequence seeds its directory, so its
-// first segment's base is exactly the stream position it holds.
-func (g *Group) durActivateSlotLocked(slot int) error {
+// durJoinLocked makes node n a member in the current era: its writer opens
+// in its own directory at its first join, and a fresh checkpoint at the
+// current sequence makes its newest segment's base exactly the stream
+// position n holds. A disk error abandons the writer: the node stays out
+// of the tier rather than failing its join.
+func (g *Group) durJoinLocked(n *Node) error {
 	d := g.dur
-	if d.active[slot] {
+	if d == nil || d.dead {
 		return nil
 	}
-	rep, err := d.replica(slot)
+	if n.wal == nil {
+		r, err := wal.NewReplica(d.slotDir(n.walSlot))
+		if err != nil {
+			return err
+		}
+		r.Attach(d.reg, n.walSlot)
+		n.wal = r
+	}
+	g.durAppendLocked()
+	err := n.wal.Checkpoint(d.era, d.seq, d.image(g))
 	if err != nil {
-		return err
+		n.wal.Abandon()
 	}
-	d.appendPending()
-	if err := rep.Checkpoint(d.era, d.seq, d.image(g)); err != nil {
-		return err
-	}
-	d.active[slot] = true
-	return nil
+	return err
 }
 
-// durActivateBackupLocked is the cut-over hook: a joiner that just
-// reached InSync starts mirroring the stream from a fresh checkpoint.
-// A disk error leaves the slot inactive (the replica simply does not
-// participate in durability) rather than failing the join.
-func (g *Group) durActivateBackupLocked(b *backup) {
+// durLeaveLocked takes node n out of the tier: cleanly (sync and close, so
+// a pause keeps its durable prefix exact) or abandoned (a crash leaves the
+// unsynced tail to the page cache). The serving node's pending frames
+// belong to transactions it committed locally: they reach its page cache,
+// written but not synced, and no other member's.
+func (g *Group) durLeaveLocked(n *Node, clean bool) {
 	d := g.dur
 	if d == nil || d.dead {
 		return
 	}
-	_ = g.durActivateSlotLocked(b.node.walSlot)
-}
-
-// durDropBackupLocked deactivates a departing backup's slot: cleanly
-// (sync and close — a pause keeps its durable prefix exact) or abandoned
-// (a crash leaves the unsynced tail to the page cache).
-func (g *Group) durDropBackupLocked(b *backup, clean bool) {
-	d := g.dur
-	if d == nil || d.dead {
-		return
-	}
-	slot := b.node.walSlot
-	if slot < 0 || slot >= len(d.reps) || !d.active[slot] {
-		return
-	}
-	d.active[slot] = false
-	if rep := d.reps[slot]; rep != nil {
-		if clean {
-			_ = rep.Close()
-		} else {
-			rep.Abandon()
+	if n == g.primary {
+		if n.walOpen() {
+			n.wal.Append(d.pending, d.seq)
 		}
+		d.pending = d.pending[:0]
 	}
-}
-
-// durCrashLocked is the serving machine's death: the frames of locally
-// committed transactions reach its page cache (they were written, not
-// synced) and the replica is abandoned — bytes past the synced offset
-// are at the mercy of the power loss.
-func (g *Group) durCrashLocked() {
-	d := g.dur
-	if d == nil || d.dead {
+	if n.wal == nil {
 		return
 	}
-	slot := g.primary.walSlot
-	if d.active[slot] {
-		if rep := d.reps[slot]; rep != nil {
-			rep.Append(d.pending, d.seq)
-			rep.Abandon()
-		}
+	if clean {
+		_ = n.wal.Close()
+	} else {
+		n.wal.Abandon()
 	}
-	d.active[slot] = false
-	d.pending = d.pending[:0]
 }
 
-// durFailoverLocked re-anchors the tier on the promoted survivor, now the
-// serving node: a new era opens and every surviving member checkpoints
-// into it immediately, superseding (by generation) whatever its directory
-// held — including any orphaned old-primary tail beyond the promoted
-// lineage.
-func (g *Group) durFailoverLocked() {
-	d := g.dur
-	if d == nil || d.dead {
-		return
-	}
-	d.pending = d.pending[:0]
-	for slot := range d.active {
-		d.active[slot] = false
-	}
-	d.era++
-	d.seq = g.store.Committed()
-	_ = g.durOpenEraLocked()
-}
-
-// durOpenEraLocked checkpoints the serving slot and every in-sync
-// backup's into the current era at the current sequence, returning the
-// first error.
+// durOpenEraLocked opens a new era at the committed sequence, at failover
+// and at cold restart: the serving node and every in-sync backup
+// checkpoint into it at once, superseding (by generation) whatever their
+// directories held, a deposed primary's orphaned tail included. It
+// returns the first join's error.
 func (g *Group) durOpenEraLocked() error {
 	d := g.dur
+	if d == nil || d.dead {
+		return nil
+	}
+	d.pending = d.pending[:0]
+	d.era++
+	d.seq = g.store.Committed()
 	d.lastCkpt = d.seq
-	err := g.durActivateSlotLocked(g.primary.walSlot)
+	err := g.durJoinLocked(g.primary)
 	for _, b := range g.backups {
 		if b.state == StateInSync {
-			if e := g.durActivateSlotLocked(b.node.walSlot); err == nil {
+			if e := g.durJoinLocked(b.node); err == nil {
 				err = e
 			}
 		}
 	}
 	return err
-}
-
-// durSettleLocked is Settle's quiet-period hook: outstanding frames
-// become durable and a due checkpoint runs.
-func (g *Group) durSettleLocked() {
-	d := g.dur
-	if d == nil || d.dead {
-		return
-	}
-	d.appendPending()
-	_ = d.syncActive()
-	_ = g.durMaybeCheckpointLocked()
 }
 
 // initDurability opens the disk tier during NewGroup: it recovers every
@@ -433,24 +354,21 @@ func (g *Group) initDurability() error {
 	// Slot 0 is the serving node, 1..B the initial backups. Extra node
 	// directories left by a previous incarnation's spare enrollments
 	// still participate in recovery — their state may be the freshest.
-	slots := 1 + len(g.backups)
+	d.slots = 1 + len(g.backups)
 	if ents, err := os.ReadDir(cfg.Dir); err == nil {
 		for _, e := range ents {
 			var n int
-			if _, err := fmt.Sscanf(e.Name(), "node-%d", &n); err == nil && n+1 > slots {
-				slots = n + 1
+			if _, err := fmt.Sscanf(e.Name(), "node-%d", &n); err == nil && n+1 > d.slots {
+				d.slots = n + 1
 			}
 		}
-	}
-	for i := 0; i < slots; i++ {
-		d.newSlot()
 	}
 	for i, b := range g.backups {
 		b.node.walSlot = i + 1
 	}
 
 	dbSize := g.store.DBSize()
-	results := make([]*wal.Result, slots)
+	results := make([]*wal.Result, d.slots)
 	win := -1
 	var maxEra uint32
 	for i := range results {
@@ -475,9 +393,9 @@ func (g *Group) initDurability() error {
 			win = i
 		}
 	}
-	// Every cold restart opens a fresh era above everything on disk, so
-	// records from any prior incarnation can never chain past it.
-	d.era = maxEra + 1
+	// durOpenEraLocked below opens the restart era above everything on
+	// disk, so records from any prior incarnation can never chain past it.
+	d.era = maxEra
 	g.dur = d
 
 	if win >= 0 {
@@ -491,7 +409,6 @@ func (g *Group) initDurability() error {
 			return err
 		}
 		g.store.AdoptCommitSeq(w.Seq)
-		d.seq = w.Seq
 		if g.redo != nil {
 			// The lane NewGroup opened counts from zero: the restart era's
 			// consumers start at the recovered sequence.
@@ -505,7 +422,6 @@ func (g *Group) initDurability() error {
 		// recovered position matches the winner provably holds the same
 		// prefix and re-enrolls with a raw copy; a lagging (or corrupt)
 		// one must rejoin through the chunked transfer engine.
-		lagging := 0
 		for i, b := range g.backups {
 			res := results[i+1]
 			if res.HadState && res.Era == w.Era && res.Seq == w.Seq {
@@ -513,26 +429,27 @@ func (g *Group) initDurability() error {
 				d.recovery.Resynced++
 			} else {
 				b.setState(StateGated)
-				lagging++
+				d.recovery.Rejoined++
 			}
 		}
 		g.stampInSyncLocked()
-		if lagging > 0 {
-			d.recovery.Rejoined = lagging
-			if err := g.repairAsyncLocked(); err != nil && !errors.Is(err, ErrNotRepairable) {
-				return err
-			}
-			for len(g.jobs) > 0 {
-				g.pumpRepairLocked(true)
-			}
-			g.drainLinkLocked()
-		}
 	}
 
-	// Open the restart era: every in-sync member checkpoints at the
-	// current sequence (cut-over hooks above already activated the
-	// rejoined ones).
-	return g.durOpenEraLocked()
+	// The serving node and the re-enrolled backups checkpoint into the
+	// restart era; the lagging ones join it at their cut-over.
+	if err := g.durOpenEraLocked(); err != nil {
+		return err
+	}
+	if d.recovery.Rejoined > 0 {
+		if err := g.repairAsyncLocked(); err != nil && !errors.Is(err, ErrNotRepairable) {
+			return err
+		}
+		for len(g.jobs) > 0 {
+			g.pumpRepairLocked(true)
+		}
+		g.drainLinkLocked()
+	}
+	return nil
 }
 
 // Durability returns the disk tier's current status (zero Enabled when
@@ -550,11 +467,11 @@ func (g *Group) Durability() DurabilityStatus {
 		Era:         d.era,
 		Seq:         d.seq,
 		SnapshotSeq: d.lastCkpt,
-		Replicas:    len(d.reps),
+		Replicas:    d.slots,
 		Recovery:    d.recovery,
 	}
-	if rep := d.reps[g.primary.walSlot]; rep != nil {
-		st.DurableSeq = rep.SyncedSeq()
+	if r := g.primary.wal; r != nil {
+		st.DurableSeq = r.SyncedSeq()
 	}
 	return st
 }
@@ -575,20 +492,13 @@ func (g *Group) PowerFail() error {
 	if d.dead {
 		return ErrCrashed
 	}
-	if slot := g.primary.walSlot; d.active[slot] {
-		if rep := d.reps[slot]; rep != nil {
-			rep.Append(d.pending, d.seq)
-		}
+	if g.primary.walOpen() {
+		g.primary.wal.Append(d.pending, d.seq)
 	}
 	d.pending = d.pending[:0]
-	for slot, rep := range d.reps {
-		if rep != nil {
-			if p := rep.SegmentPath(); p != "" {
-				d.tails = append(d.tails, WALTail{Path: p, Synced: rep.SyncedBytes()})
-			}
-			rep.Abandon()
-		}
-		d.active[slot] = false
+	for r := range g.walMembers() {
+		d.tails = append(d.tails, WALTail{Path: r.SegmentPath(), Synced: r.SyncedBytes()})
+		r.Abandon()
 	}
 	d.dead = true
 	if !g.crashed {
@@ -617,22 +527,6 @@ func (g *Group) WALTails() []WALTail {
 	return append([]WALTail(nil), g.dur.tails...)
 }
 
-// WALDirs returns each replica slot's durability directory (nil when the
-// tier is off) — the scenario layer's handle for tail corruption.
-func (g *Group) WALDirs() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	d := g.dur
-	if d == nil {
-		return nil
-	}
-	dirs := make([]string, len(d.reps))
-	for i := range d.reps {
-		dirs[i] = d.slotDir(i)
-	}
-	return dirs
-}
-
 // Close flushes and closes every WAL replica; the group's simulated
 // state is untouched. A no-op without the disk tier.
 func (g *Group) Close() error {
@@ -642,15 +536,12 @@ func (g *Group) Close() error {
 	if d == nil || d.dead {
 		return nil
 	}
-	d.appendPending()
+	g.durAppendLocked()
 	var first error
-	for slot, rep := range d.reps {
-		if rep != nil {
-			if err := rep.Close(); err != nil && first == nil {
-				first = err
-			}
+	for r := range g.walMembers() {
+		if err := r.Close(); err != nil && first == nil {
+			first = err
 		}
-		d.active[slot] = false
 	}
 	d.dead = true
 	return first

@@ -588,7 +588,8 @@ func (g *Group) Settle(d sim.Dur) {
 	if !g.crashed {
 		g.pumpRepairLocked(false)
 		g.autopilotPumpLocked()
-		g.durSettleLocked()
+		// A failed sync keeps its frames buffered for the next flush.
+		_ = g.durFlushLocked()
 	}
 }
 
@@ -718,8 +719,10 @@ func (g *Group) failoverLocked() (*vista.Store, error) {
 	}
 	// Era transition complete: a fresh membership epoch fences any
 	// acknowledgement stamped by the old era, and the failure loop (when
-	// enabled) rebuilds its watch set around the promoted primary.
-	g.durFailoverLocked()
+	// enabled) rebuilds its watch set around the promoted primary. A
+	// member whose disk fails the era's checkpoint leaves the disk tier;
+	// the takeover stands.
+	_ = g.durOpenEraLocked()
 	g.bumpEpochLocked()
 	if a := g.autop; a != nil {
 		now := g.primary.Clock.Now()

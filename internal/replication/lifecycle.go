@@ -211,7 +211,7 @@ func (g *Group) pauseBackupLocked(b *backup) {
 	g.leaveStreamLocked(b)
 	// A partition is not a power loss: the replica's WAL closes cleanly
 	// at its frozen prefix.
-	g.durDropBackupLocked(b, true)
+	g.durLeaveLocked(b.node, true)
 	b.setState(StatePaused)
 }
 
@@ -253,7 +253,7 @@ func (g *Group) crashBackupLocked(b *backup) {
 		return
 	}
 	g.leaveStreamLocked(b)
-	g.durDropBackupLocked(b, false)
+	g.durLeaveLocked(b.node, false)
 	b.setState(StateCrashed)
 }
 

@@ -18,6 +18,7 @@ import (
 	"repro/internal/rio"
 	"repro/internal/sim"
 	"repro/internal/vista"
+	"repro/internal/wal"
 )
 
 // Node bundles one simulated machine: a CPU clock, a private cache
@@ -34,9 +35,12 @@ type Node struct {
 
 	stamps commitStamps
 	lost   bool // memory gone or out of reach: replace, never re-join
-	// walSlot is the machine's durability slot (directory index) under the
-	// disk tier: 0 for the first primary, then one per backup machine.
+	// walSlot names the machine's directory under the disk tier (0 for the
+	// first primary, then one per backup machine), and wal is its writer
+	// there, opened at the node's first join. The node is a member of the
+	// tier exactly while wal has a segment open.
 	walSlot int
+	wal     *wal.Replica
 
 	// busy is the time the node has worked as an active backup, applying
 	// and serving reads (its clock also travels at takeovers); mark is
@@ -45,6 +49,9 @@ type Node struct {
 	mark   sim.Time
 	markAt uint64
 }
+
+// walOpen reports whether the node is a member of the disk tier.
+func (n *Node) walOpen() bool { return n.wal != nil && n.wal.SegmentPath() != "" }
 
 // commitStamps records a node's mark-clock reading (see mem.DirtyLog) at each
 // commit it provably held, over the last len(at) commit numbers: at the

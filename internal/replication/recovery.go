@@ -209,7 +209,7 @@ func (g *Group) repairAsyncLocked() error {
 			}
 			b.setState(StateInSync)
 			b.fuzzy = false
-			g.durActivateBackupLocked(b)
+			_ = g.durJoinLocked(b.node)
 		}
 		started = true
 	}
@@ -410,9 +410,10 @@ func (g *Group) enrollFreshLocked(i int, wire bool) (*backup, error) {
 		ackLag: ackStagger(g.params, i),
 	}
 	if g.dur != nil {
-		// A fresh machine brings a fresh disk: allocate its slot now so
-		// the cut-over checkpoint has a directory to land in.
-		b.node.walSlot = g.dur.newSlot()
+		// A fresh machine brings a fresh disk: a directory of its own for
+		// its writer to open at its cut-over.
+		b.node.walSlot = g.dur.slots
+		g.dur.slots++
 	}
 	b.setState(StateGated) // gated until its join opens the stream
 	if _, err := vista.PlaceRegions(b.node.Space, specs, regionBase); err != nil {
@@ -571,7 +572,7 @@ func (g *Group) cutOverLocked(b *backup) {
 	} else {
 		g.stampInSyncLocked()
 	}
-	g.durActivateBackupLocked(b)
+	_ = g.durJoinLocked(b.node)
 	g.emit(obs.EventRepairCutover, g.nodeIndexLocked(b.node.Name), uint64(g.epoch), 0)
 }
 

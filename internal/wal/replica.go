@@ -60,9 +60,6 @@ func NewReplica(dir string) (*Replica, error) {
 	return r, nil
 }
 
-// Dir returns the replica's directory.
-func (r *Replica) Dir() string { return r.dir }
-
 // SegmentPath returns the current segment's path ("" before Start).
 func (r *Replica) SegmentPath() string {
 	if r.f == nil {
