@@ -76,29 +76,40 @@ func TestRingOwnerExcluding(t *testing.T) {
 
 func TestTableUniformMatchesStride(t *testing.T) {
 	const stride = 64 << 10
-	tb := Uniform(1, stride)
-	if !tb.IsUniform() {
-		t.Fatal("uniform table not flagged uniform")
+	tb := NewLayout(4, stride, 0).Compile(1)
+	if n := len(tb.Ranges()); n != 4 {
+		t.Fatalf("fresh four-shard layout compiled to %d ranges, want 4", n)
 	}
-	for _, off := range []int{0, 1, stride - 1, stride, 3*stride + 17} {
-		sh, lo, run := tb.Locate(off)
-		if sh != off/stride || lo != off%stride || run != stride-off%stride {
-			t.Fatalf("Locate(%d) = (%d,%d,%d), want (%d,%d,%d)",
-				off, sh, lo, run, off/stride, off%stride, stride-off%stride)
+	for s := 0; s < 4; s++ {
+		for _, off := range []int{s * stride, s*stride + 1, s*stride + 17, (s+1)*stride - 1} {
+			sh, lo, run := tb.Locate(off)
+			if sh != off/stride || lo != off%stride || run != stride-off%stride {
+				t.Fatalf("Locate(%d) = (%d,%d,%d), want (%d,%d,%d)",
+					off, sh, lo, run, off/stride, off%stride, stride-off%stride)
+			}
 		}
 	}
 }
 
 func TestLayoutCompileUniform(t *testing.T) {
-	l := NewLayout(4, 256<<10, 0)
+	const shardSize = 256 << 10
+	l := NewLayout(4, shardSize, 0)
 	tb := l.Compile(1)
-	if !tb.IsUniform() || tb.Epoch != 1 {
-		t.Fatalf("fresh layout compiled non-uniform (epoch %d)", tb.Epoch)
+	if tb.Epoch != 1 {
+		t.Fatalf("fresh layout compiled at epoch %d", tb.Epoch)
 	}
-	if l.PartSize()%pageSize != 0 || (256<<10)%l.PartSize() != 0 {
+	if n := len(tb.Ranges()); n != 4 {
+		t.Fatalf("fresh four-shard layout compiled to %d ranges, want 4", n)
+	}
+	for i, r := range tb.Ranges() {
+		if want := (Range{Start: i * shardSize, End: (i + 1) * shardSize, Shard: i}); r != want {
+			t.Fatalf("range %d = %+v, want %+v", i, r, want)
+		}
+	}
+	if l.PartSize()%pageSize != 0 || shardSize%l.PartSize() != 0 {
 		t.Fatalf("partition size %d does not tile the shard", l.PartSize())
 	}
-	if per := (256 << 10) / l.PartSize(); per < 16 {
+	if per := shardSize / l.PartSize(); per < 16 {
 		t.Fatalf("only %d partitions per shard", per)
 	}
 }
@@ -131,17 +142,14 @@ func TestLayoutGrowPlanApplyCompile(t *testing.T) {
 	if total >= span || total < span/16 {
 		t.Fatalf("grow moved %d of %d bytes", total, span)
 	}
-	// Before any Apply the routing is still the uniform fast path.
-	if !l.Compile(1).IsUniform() {
-		t.Fatal("unapplied plan already changed routing")
+	// Before any Apply the routing is still one range per shard.
+	if n := len(l.Compile(1).Ranges()); n != 2 {
+		t.Fatalf("unapplied plan already changed routing: %d ranges", n)
 	}
 	for _, m := range moves {
 		l.Apply(m)
 	}
 	tb := l.Compile(2)
-	if tb.IsUniform() {
-		t.Fatal("applied plan still uniform")
-	}
 	// The compiled table must tile the whole span and agree with the
 	// layout's partition ownership.
 	covered := 0

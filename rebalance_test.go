@@ -416,6 +416,21 @@ func TestRemoveShardDrains(t *testing.T) {
 	}
 }
 
+// TestShardForStaysInTheDeployment: an offset at or past Capacity has no
+// owner, and ShardFor pins it to the last shard rather than answering an
+// index outside [0, Shards()) — on a fresh deployment as on a rebalanced
+// one.
+func TestShardForStaysInTheDeployment(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		sc := newSharded(t, shards)
+		for _, off := range []int{sc.Capacity(), 2 * sc.Capacity()} {
+			if got := sc.ShardFor(off); got != sc.Shards()-1 {
+				t.Fatalf("%d shards: ShardFor(%d) = %d, want the last shard %d", shards, off, got, sc.Shards()-1)
+			}
+		}
+	}
+}
+
 // TestElasticDegenerate: the static layout is the degenerate
 // single-epoch ring — without elastic calls the routing is bit-for-bit
 // the fixed off/ShardSize arithmetic. A Shard(i) view refuses the elastic

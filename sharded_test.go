@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro"
@@ -88,8 +89,8 @@ func TestShardedDBSizeBound(t *testing.T) {
 
 // TestShardedPartialCommit: a shard crashing between a multi-shard
 // transaction's writes and its commit leaves the earlier shards
-// committed; the failure surfaces as a *PartialCommitError naming the
-// committed and aborted shards.
+// committed and the later ones rolled back; the failure is the crash,
+// named by its shard.
 func TestShardedPartialCommit(t *testing.T) {
 	sc := newSharded(t, 3)
 	tx, err := sc.Begin()
@@ -105,18 +106,8 @@ func TestShardedPartialCommit(t *testing.T) {
 	// Shard 1 dies before the commit fan-out reaches it.
 	must(t, sc.Shard(1).CrashPrimary())
 	err = tx.Commit()
-	var pce *repro.PartialCommitError
-	if !errors.As(err, &pce) {
-		t.Fatalf("commit error %v (%T), want *PartialCommitError", err, err)
-	}
-	if pce.Failed != 1 {
-		t.Fatalf("Failed = %d, want 1", pce.Failed)
-	}
-	if len(pce.Committed) != 1 || pce.Committed[0] != 0 {
-		t.Fatalf("Committed = %v, want [0]", pce.Committed)
-	}
-	if len(pce.Aborted) != 1 || pce.Aborted[0] != 2 {
-		t.Fatalf("Aborted = %v, want [2]", pce.Aborted)
+	if !errors.Is(err, repro.ErrCrashed) || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("commit error %v, want ErrCrashed naming shard 1", err)
 	}
 	// The committed shard's write is visible; the aborted shard's is not.
 	got := make([]byte, 8)
@@ -137,7 +128,7 @@ func TestShardedPartialCommit(t *testing.T) {
 // collect its configured acknowledgements (backups died mid-transaction)
 // is NOT a failed shard — its data is durable and visible, later shards
 // still commit, and the degradation surfaces as ErrSafetyUnavailable
-// rather than a PartialCommitError.
+// rather than a crash.
 func TestShardedAckDegradation(t *testing.T) {
 	sc, err := repro.NewSharded(repro.Config{
 		Version: repro.V3InlineLog,
@@ -163,12 +154,8 @@ func TestShardedAckDegradation(t *testing.T) {
 	must(t, sc.Shard(1).CrashBackup(0))
 	must(t, sc.Shard(1).CrashBackup(1))
 	err = tx.Commit()
-	if !errors.Is(err, repro.ErrSafetyUnavailable) {
-		t.Fatalf("commit error %v, want ErrSafetyUnavailable", err)
-	}
-	var pce *repro.PartialCommitError
-	if errors.As(err, &pce) {
-		t.Fatalf("ack degradation misreported as partial commit: %v", pce)
+	if !errors.Is(err, repro.ErrSafetyUnavailable) || errors.Is(err, repro.ErrCrashed) {
+		t.Fatalf("commit error %v, want ErrSafetyUnavailable and no crash", err)
 	}
 	// Every shard committed, the degraded one included.
 	for shard := 0; shard < 3; shard++ {
