@@ -130,7 +130,10 @@ mutants:
 # Lowered 20640 -> 20539 by the disk tier following the group's membership: a
 # node carries its WAL writer, and the tier's slot tables and six hooks became
 # one join, one leave, one flush and one era open.
-LOC_CEILING := 20539
+# Lowered 20539 -> 20409 by the facade routing one way: placement's
+# divide-only table, the transaction's three span walks and
+# PartialCommitError went.
+LOC_CEILING := 20409
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

@@ -162,7 +162,7 @@ type Admin interface {
 	// Backups returns the shard's current backup count.
 	Backups() int
 	// AutopilotEnabled reports whether the unattended failure loop is
-	// on (per shard, configured uniformly).
+	// on (per shard, configured alike on every shard).
 	AutopilotEnabled() bool
 	// Durability returns the disk tier's status for the shard; the zero
 	// value with Config.Durability off.

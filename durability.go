@@ -30,9 +30,9 @@ type DurabilityStatus = replication.DurabilityStatus
 // PowerFail, with the offset the last fdatasync covered.
 type WALTail = replication.WALTail
 
-// Durability returns the disk tier's status for the first shard (the tier
-// is configured uniformly, so Enabled is uniform too); the zero value with
-// the tier off.
+// Durability returns the disk tier's status for the first shard (every
+// shard has the same tier configuration, so Enabled holds for all); the
+// zero value with the tier off.
 func (c *Cluster) Durability() DurabilityStatus { return c.first().Durability() }
 
 // PowerFail kills every machine of the first shard at this instant: unlike

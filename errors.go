@@ -3,7 +3,6 @@ package repro
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/placement"
 	"repro/internal/replication"
@@ -30,9 +29,10 @@ import (
 //	                           ErrCrashed
 //	Tx.Read                    ErrBounds, ErrTxDone, ErrCrashed
 //	Tx.Commit                  ErrTxDone, ErrCrashed, ErrSafetyUnavailable
-//	                           (committed locally, acks not collected),
-//	                           *PartialCommitError (two or more shards
-//	                           touched)
+//	                           (committed locally, acks not collected);
+//	                           with two or more shards touched, the
+//	                           failed shard is named and the shards
+//	                           before it have committed
 //	Tx.Abort                   ErrTxDone, ErrCrashed
 //	DB.Read / DB.Load          ErrBounds, ErrCrashed (Read only)
 //	DB.ReadAt                  ErrBounds, ErrCrashed,
@@ -133,35 +133,6 @@ var (
 	// lack the free partition slots to absorb the drained shard's data.
 	ErrNoCapacity = placement.ErrNoCapacity
 )
-
-// PartialCommitError reports a multi-shard commit that failed part-way: the
-// shards in Committed had already committed when shard Failed's commit
-// returned Err, and the remaining touched shards were rolled back
-// (Aborted). Cross-shard atomicity is out of scope by design, so callers
-// that span shards must be prepared to observe — and, if needed,
-// compensate — the committed subset.
-type PartialCommitError struct {
-	// Committed lists shard indices whose commit completed, in commit
-	// order.
-	Committed []int
-	// Failed is the shard whose commit returned Err.
-	Failed int
-	// Aborted lists shard indices rolled back after the failure.
-	Aborted []int
-	// Err is the underlying commit failure on shard Failed.
-	Err error
-}
-
-// Error implements error.
-func (e *PartialCommitError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "repro: partial sharded commit: shard %d failed: %v", e.Failed, e.Err)
-	fmt.Fprintf(&b, " (committed %v, aborted %v)", e.Committed, e.Aborted)
-	return b.String()
-}
-
-// Unwrap exposes the underlying shard failure to errors.Is/As.
-func (e *PartialCommitError) Unwrap() error { return e.Err }
 
 // recoveryErr reports the failure of a Failover or Repair: the operation's
 // own two sentinels come back bare, anything else names the operation.

@@ -49,11 +49,10 @@ type Layout struct {
 	free    [][]int // per shard: free local slots, ascending
 	removed []bool  // tombstoned (drained) shards, excluded from planning
 	ring    *Ring
-	uniform bool // still bit-for-bit the construction-time striping
 }
 
 // NewLayout returns the construction-time layout: shards groups of
-// shardSize bytes each (a pageSize multiple), uniformly striped —
+// shardSize bytes each (a pageSize multiple), striped in order —
 // partition p lives on shard p/perShard at local slot p%perShard. vnodes
 // tunes the ring (DefaultVnodes if <= 0).
 func NewLayout(shards, shardSize, vnodes int) *Layout {
@@ -64,7 +63,6 @@ func NewLayout(shards, shardSize, vnodes int) *Layout {
 		shardSize: shardSize,
 		partSize:  partSizeFor(shardSize),
 		ring:      NewRing(vnodes),
-		uniform:   true,
 	}
 	per := shardSize / l.partSize
 	l.parts = make([]slot, shards*per)
@@ -274,8 +272,7 @@ func coalesce(moves []Move) []Move {
 
 // Apply commits one completed move into the layout: the covered
 // partitions re-home to their reserved destination slots and the vacated
-// source slots return to the free pool. The layout leaves the uniform
-// fast path permanently on the first Apply.
+// source slots return to the free pool.
 func (l *Layout) Apply(m Move) {
 	p0, p1 := m.Start/l.partSize, m.End/l.partSize
 	for p := p0; p < p1; p++ {
@@ -286,7 +283,6 @@ func (l *Layout) Apply(m Move) {
 		}
 		l.release(int(old.shard), int(old.local))
 	}
-	l.uniform = false
 }
 
 // release returns a local slot to a shard's free pool, keeping it
@@ -300,13 +296,10 @@ func (l *Layout) release(shard, lo int) {
 	l.free[shard] = f
 }
 
-// Compile builds the immutable routing table for the current placement.
-// While the layout is untouched it returns the uniform fast path —
-// bit-for-bit the pre-placement arithmetic.
+// Compile builds the immutable routing table for the current placement,
+// merging contiguous partitions: an untouched layout compiles to one range
+// per shard.
 func (l *Layout) Compile(epoch uint64) *Table {
-	if l.uniform {
-		return Uniform(epoch, l.shardSize)
-	}
 	var ranges []Range
 	for p, s := range l.parts {
 		start := p * l.partSize

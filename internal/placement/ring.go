@@ -15,10 +15,9 @@
 //     plan moves a departing shard's partitions to their ring successors.
 //   - Table is the compiled, immutable routing table the facade's hot
 //     paths read through an atomic pointer: sorted global ranges, each
-//     mapping to a (shard, local offset) pair, with a divide-only fast
-//     path while the layout is still the construction-time uniform
-//     striping — so a deployment that never rebalances routes bit-for-bit
-//     like the fixed arithmetic it replaced.
+//     mapping to a (shard, local offset) pair. Contiguous partitions
+//     merge, so a deployment that never rebalances routes through one
+//     range per shard.
 //
 // The package is pure bookkeeping: no locks, no clocks, no I/O. The
 // rebalance engine in the repro facade owns mutation ordering and

@@ -21,22 +21,8 @@ type Range struct {
 // flip mid-operation.
 type Table struct {
 	// Epoch is the placement version, 1 for the construction-time layout.
-	Epoch uint64
-
-	// stride > 0 is the uniform fast path: shard = off/stride,
-	// local = off%stride — bit-for-bit the fixed arithmetic the facade
-	// used before placement existed. Exactly one of stride/ranges is set.
-	stride int
+	Epoch  uint64
 	ranges []Range
-}
-
-// Uniform returns the degenerate table for the construction-time
-// striping: shard i owns [i*stride, (i+1)*stride).
-func Uniform(epoch uint64, stride int) *Table {
-	if stride <= 0 {
-		panic(fmt.Sprintf("placement: non-positive stride %d", stride))
-	}
-	return &Table{Epoch: epoch, stride: stride}
 }
 
 // FromRanges returns a table routing through an explicit sorted tiling.
@@ -55,36 +41,16 @@ func FromRanges(epoch uint64, ranges []Range) *Table {
 	return &Table{Epoch: epoch, ranges: ranges}
 }
 
-// IsUniform reports whether the table is still the construction-time
-// striping (the divide-only fast path).
-func (t *Table) IsUniform() bool { return t.stride > 0 }
-
-// Ranges returns a copy of the table's tiling; for a uniform table it
-// returns nil (the tiling is implicit in the stride).
-func (t *Table) Ranges() []Range {
-	if t.ranges == nil {
-		return nil
-	}
-	out := make([]Range, len(t.ranges))
-	copy(out, t.ranges)
-	return out
-}
-
 // Locate routes one global offset: the owning shard, the local offset on
 // that shard, and run — the count of bytes from off (inclusive) that stay
 // contiguous on the same shard and local span, so callers split
 // multi-shard operations by walking Locate over the span.
 func (t *Table) Locate(off int) (shard, local, run int) {
-	if t.stride > 0 {
-		local = off % t.stride
-		return off / t.stride, local, t.stride - local
-	}
 	i := sort.Search(len(t.ranges), func(i int) bool { return t.ranges[i].End > off })
 	if i == len(t.ranges) {
 		// Past the covered span — only reachable through the public
-		// ShardFor probe, never through bounds-checked operations; pin to
-		// the last range like the old off/stride arithmetic pinned to the
-		// last shard.
+		// ShardFor probe, never through bounds-checked operations: pin to
+		// the last range, so the answer is a shard of the deployment.
 		i--
 	}
 	r := t.ranges[i]

@@ -417,9 +417,8 @@ func TestRemoveShardDrains(t *testing.T) {
 }
 
 // TestShardForStaysInTheDeployment: an offset at or past Capacity has no
-// owner, and ShardFor pins it to the last shard rather than answering an
-// index outside [0, Shards()) — on a fresh deployment as on a rebalanced
-// one.
+// owner, and ShardFor pins it to the last shard, as a rebalanced
+// deployment does, rather than answering an index outside [0, Shards()).
 func TestShardForStaysInTheDeployment(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		sc := newSharded(t, shards)

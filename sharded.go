@@ -33,9 +33,9 @@ import (
 // boundary are split. A transaction that touches several shards commits
 // on each touched shard independently, in shard order — there is no
 // cross-shard atomic commit (the paper's API leaves concurrency control,
-// and a fortiori distributed commit, to a separate layer); a mid-commit
-// failure surfaces as a *PartialCommitError naming the shards that did
-// and did not commit.
+// and a fortiori distributed commit, to a separate layer): a shard whose
+// commit fails is named in the error, the shards before it have
+// committed and the ones after it are rolled back.
 //
 // # Concurrency
 //
@@ -232,7 +232,7 @@ func (c *Cluster) Shard(i int) *Cluster {
 	}
 	view := newCluster(c.cfg, c.shardSize, c.shardSize)
 	view.partSize, view.loads = c.partSize, c.loads
-	view.view.Store(&placeView{shards: v.shards[i : i+1 : i+1], table: placement.Uniform(1, c.shardSize)})
+	view.view.Store(&placeView{shards: v.shards[i : i+1 : i+1], table: placement.FromRanges(1, []placement.Range{{End: c.shardSize}})})
 	return view
 }
 
@@ -394,12 +394,11 @@ func (c *Cluster) Begin() (Tx, error) {
 	return t, nil
 }
 
-// shardedTx routes transactional operations by offset. The hot-path
-// methods walk the placement split inline (closure-free) so a warmed
-// transaction performs no allocation. A per-shard handle's error goes out
-// as it came: the crashed sentinel is one value from the store up, so a
-// crash that orphans the transaction is ErrCrashed from whichever method
-// meets it first.
+// shardedTx routes transactional operations by offset. A warmed
+// transaction performs no allocation: the closures its methods pass to walk
+// do not escape. A per-shard handle's error goes out as it came: the
+// crashed sentinel is one value from the store up, so a crash that orphans
+// the transaction is ErrCrashed from whichever method meets it first.
 type shardedTx struct {
 	c       *Cluster
 	open    []replication.TxHandle
@@ -425,14 +424,6 @@ func (t *shardedTx) at(v *placeView, i int) (replication.TxHandle, error) {
 		t.touched++
 	}
 	return t.open[i], nil
-}
-
-// check refuses a completed handle and validates [off, off+n).
-func (t *shardedTx) check(off, n int) error {
-	if t.done {
-		return ErrTxDone
-	}
-	return t.c.checkRange(off, n)
 }
 
 // route resolves one span under the current snapshot and acquires the
@@ -462,88 +453,55 @@ func (t *shardedTx) route(off int) (tx replication.TxHandle, so, run int, ok boo
 	return tx, so, run, true, nil
 }
 
-func (t *shardedTx) SetRange(off, n int) error {
-	if err := t.check(off, n); err != nil {
+// walk checks [off, off+n), then calls f once per ownership run, in order:
+// the run is the span's bytes [pos, pos+cnt), at local offset so on the
+// shard whose handle is tx. A run whose routing flipped while its shard was
+// acquired is routed again.
+func (t *shardedTx) walk(off, n int, f func(tx replication.TxHandle, so, pos, cnt int) error) error {
+	if t.done {
+		return ErrTxDone
+	}
+	if err := t.c.checkRange(off, n); err != nil {
 		return err
 	}
-	for n > 0 {
-		tx, so, run, ok, err := t.route(off)
+	for pos := 0; pos < n; {
+		tx, so, run, ok, err := t.route(off + pos)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			continue
 		}
-		cnt := run
-		if cnt > n {
-			cnt = n
-		}
-		if err := tx.SetRange(so, cnt); err != nil {
+		cnt := min(run, n-pos)
+		if err := f(tx, so, pos, cnt); err != nil {
 			return err
 		}
-		off += cnt
-		n -= cnt
+		pos += cnt
 	}
 	return nil
+}
+
+func (t *shardedTx) SetRange(off, n int) error {
+	return t.walk(off, n, func(tx replication.TxHandle, so, _, cnt int) error { return tx.SetRange(so, cnt) })
 }
 
 func (t *shardedTx) Write(off int, src []byte) error {
-	if err := t.check(off, len(src)); err != nil {
-		return err
-	}
-	pos := 0
-	for pos < len(src) {
-		tx, so, run, ok, err := t.route(off)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		cnt := run
-		if cnt > len(src)-pos {
-			cnt = len(src) - pos
-		}
-		if err := tx.Write(so, src[pos:pos+cnt]); err != nil {
-			return err
-		}
-		off += cnt
-		pos += cnt
-	}
-	return nil
+	return t.walk(off, len(src), func(tx replication.TxHandle, so, pos, cnt int) error {
+		return tx.Write(so, src[pos:pos+cnt])
+	})
 }
 
 func (t *shardedTx) Read(off int, dst []byte) error {
-	if err := t.check(off, len(dst)); err != nil {
-		return err
-	}
-	pos := 0
-	for pos < len(dst) {
-		tx, so, run, ok, err := t.route(off)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		cnt := run
-		if cnt > len(dst)-pos {
-			cnt = len(dst) - pos
-		}
-		if err := tx.Read(so, dst[pos:pos+cnt]); err != nil {
-			return err
-		}
-		off += cnt
-		pos += cnt
-	}
-	return nil
+	return t.walk(off, len(dst), func(tx replication.TxHandle, so, pos, cnt int) error {
+		return tx.Read(so, dst[pos:pos+cnt])
+	})
 }
 
-// Commit commits every touched shard in shard order. With one shard
-// touched its error is returned as is. With several, a mid-list failure
-// leaves earlier shards committed and later ones aborted — cross-shard
-// atomicity is out of scope (see the type comment) — and is reported as a
-// *PartialCommitError naming both sets.
+// Commit commits every touched shard in shard order. A failure is reported
+// by shardErr: as is with one shard touched, naming the shard otherwise.
+// The shards before a failed one have committed and the ones after it are
+// rolled back — cross-shard atomicity is out of scope (see the type
+// comment).
 func (t *shardedTx) Commit() error { return t.finish(true) }
 
 // Abort rolls every touched shard back.
@@ -565,47 +523,30 @@ func (t *shardedTx) finish(commit bool) error {
 	t.done = true
 	c := t.c
 	var firstErr, ackErr error
-	var pce *PartialCommitError
 	for i, tx := range t.open {
 		if tx == nil {
 			continue
 		}
+		var err error
 		switch {
 		case commit && firstErr == nil:
-			err := tx.Commit()
-			switch {
-			case err == nil:
-			case errors.Is(err, ErrSafetyUnavailable):
+			err = tx.Commit()
+			if errors.Is(err, ErrSafetyUnavailable) {
 				// The shard committed locally but could not collect the
 				// configured acknowledgements (backups failed
 				// mid-transaction): its data is durable and visible, so
-				// it belongs to the committed set. Keep committing the
-				// remaining shards and surface the degradation.
+				// keep committing the remaining shards and surface the
+				// degradation.
 				if ackErr == nil {
 					ackErr = t.shardErr(i, err)
 				}
-			case t.touched == 1:
-				// No committed or aborted set to report.
-				firstErr = err
-			default:
-				// Build the partial-commit report only on the failure
-				// path: the clean path stays allocation-free.
-				pce = &PartialCommitError{Failed: i, Err: err}
-				for j := 0; j < i; j++ {
-					if t.open[j] != nil {
-						pce.Committed = append(pce.Committed, j)
-					}
-				}
-				firstErr = pce
+				err = nil
 			}
 		default:
-			err := tx.Abort()
-			if pce != nil {
-				pce.Aborted = append(pce.Aborted, i)
-			}
-			if err != nil && firstErr == nil {
-				firstErr = t.shardErr(i, err)
-			}
+			err = tx.Abort()
+		}
+		if err != nil && firstErr == nil {
+			firstErr = t.shardErr(i, err)
 		}
 	}
 	clear(t.open)
@@ -781,7 +722,7 @@ func (c *Cluster) Generation() int {
 }
 
 // AutopilotEnabled reports whether the unattended failure loop is on
-// (configured uniformly across shards).
+// (configured alike on every shard).
 func (c *Cluster) AutopilotEnabled() bool { return c.first().Autopilot().Enabled }
 
 // AutopilotEvents returns the fault timeline the autopilot recorded: one
