@@ -133,7 +133,9 @@ mutants:
 # Lowered 20539 -> 20409 by the facade routing one way: placement's
 # divide-only table, the transaction's three span walks and
 # PartialCommitError went.
-LOC_CEILING := 20409
+# Lowered 20409 -> 20233 by placement without the ring: one directory planner
+# evens out grows and drains, and Ring, its hashing and Cluster.pending went.
+LOC_CEILING := 20233
 
 loc:
 	@n=$$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l); \

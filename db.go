@@ -191,8 +191,8 @@ type Admin interface {
 	// joins no future plan. ErrNoSuchShard outside [0, Shards()) or
 	// already drained.
 	RemoveShard(shard int) error
-	// Rebalance plans the minimal-move redistribution toward the shards
-	// added since the last rebalance and blocks until every range has
+	// Rebalance plans the moves that even out the serving shards'
+	// partition counts, to within one, and blocks until every range has
 	// migrated and cut over. A no-op (nil) when the placement is already
 	// balanced.
 	Rebalance() error

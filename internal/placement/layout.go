@@ -1,3 +1,25 @@
+// Package placement decides which shard group owns which slice of a
+// sharded deployment's global offset space — and lets that decision
+// change while the deployment serves.
+//
+// Two layers:
+//
+//   - Layout is the directory: where every fixed-size partition lives
+//     (shard + local slot). Its one planner evens out the serving shards'
+//     partition counts: a grow plan moves partitions from the fullest
+//     shards to the emptiest until the counts differ by at most one; a
+//     drain plan moves a leaving shard's partitions, and only those, to
+//     the emptiest survivors.
+//   - Table is the compiled, immutable routing table the facade's hot
+//     paths read through an atomic pointer: sorted global ranges, each
+//     mapping to a (shard, local offset) pair. Contiguous partitions
+//     merge, so a deployment that never rebalances routes through one
+//     range per shard.
+//
+// The package is pure bookkeeping: no locks, no clocks, no I/O. The
+// rebalance engine in the repro facade owns mutation ordering and
+// publishes compiled Tables; everything here is deterministic in its
+// inputs, so tests reproduce exact move plans.
 package placement
 
 import (
@@ -48,13 +70,12 @@ type Layout struct {
 	parts   []slot  // partition -> current home
 	free    [][]int // per shard: free local slots, ascending
 	removed []bool  // tombstoned (drained) shards, excluded from planning
-	ring    *Ring
 }
 
 // NewLayout returns the construction-time layout: shards groups of
 // shardSize bytes each (a pageSize multiple), striped in order —
-// partition p lives on shard p/perShard at local slot p%perShard. vnodes
-// tunes the ring (DefaultVnodes if <= 0).
+// partition p lives on shard p/perShard at local slot p%perShard.
+// vnodes is unused, kept so that existing callers compile.
 func NewLayout(shards, shardSize, vnodes int) *Layout {
 	if shards < 1 || shardSize < pageSize || shardSize%pageSize != 0 {
 		panic(fmt.Sprintf("placement: bad layout geometry shards=%d shardSize=%d", shards, shardSize))
@@ -62,7 +83,6 @@ func NewLayout(shards, shardSize, vnodes int) *Layout {
 	l := &Layout{
 		shardSize: shardSize,
 		partSize:  partSizeFor(shardSize),
-		ring:      NewRing(vnodes),
 	}
 	per := shardSize / l.partSize
 	l.parts = make([]slot, shards*per)
@@ -71,9 +91,6 @@ func NewLayout(shards, shardSize, vnodes int) *Layout {
 	}
 	l.free = make([][]int, shards)
 	l.removed = make([]bool, shards)
-	for i := 0; i < shards; i++ {
-		l.ring.Add(i)
-	}
 	return l
 }
 
@@ -117,8 +134,8 @@ func (l *Layout) Removed(shard int) bool {
 // Owner returns partition p's current home shard.
 func (l *Layout) Owner(p int) int { return int(l.parts[p].shard) }
 
-// Grow appends n empty shard slots (all local slots free), places them
-// on the ring, and returns their ids.
+// Grow appends n empty shard slots (all local slots free) and returns
+// their ids.
 func (l *Layout) Grow(n int) []int {
 	per := l.shardSize / l.partSize
 	var ids []int
@@ -130,14 +147,13 @@ func (l *Layout) Grow(n int) []int {
 		}
 		l.free = append(l.free, slots)
 		l.removed = append(l.removed, false)
-		l.ring.Add(id)
 		ids = append(ids, id)
 	}
 	return ids
 }
 
-// Remove tombstones an empty shard slot: off the ring, excluded from all
-// future planning. It panics if the shard still owns partitions — drain
+// Remove tombstones an empty shard slot, excluded from all future
+// planning. It panics if the shard still owns partitions — drain
 // first (PlanDrain + Apply).
 func (l *Layout) Remove(shard int) {
 	for p, s := range l.parts {
@@ -147,127 +163,95 @@ func (l *Layout) Remove(shard int) {
 	}
 	l.removed[shard] = true
 	l.free[shard] = nil
-	l.ring.Remove(shard)
 }
 
-// PlanGrow plans the minimal-move rebalance after Grow: every partition
-// whose ring owner is one of the newly added shards moves there (slots
-// allowing); everything else stays put. With the added shards holding
-// ~added/total of the ring, the plan moves ~that fraction of the space.
-// Destination slots are allocated here (ascending), so the returned
-// moves must each be Apply'd (or the layout rebuilt) — a plan is not a
-// dry run. Adjacent partitions heading the same way coalesce.
-func (l *Layout) PlanGrow(added []int) []Move {
-	isNew := map[int]bool{}
-	for _, s := range added {
-		isNew[s] = true
-	}
-	var moves []Move
-	for p := range l.parts {
-		owner, ok := l.ring.Owner(PartKey(p))
-		if !ok || !isNew[owner] || int(l.parts[p].shard) == owner {
-			continue
-		}
-		if m, ok := l.reserve(p, owner); ok {
-			moves = append(moves, m)
-		}
-	}
-	return coalesce(moves)
+// PlanGrow plans the moves that even out the serving shards: partitions
+// leave the fullest shards for the emptiest until the counts differ by at
+// most one. Destination slots are allocated here (ascending), so the
+// returned moves must each be Apply'd (or the layout rebuilt) — a plan is
+// not a dry run. Adjacent partitions heading the same way coalesce.
+func (l *Layout) PlanGrow() []Move {
+	moves, _ := l.plan(-1)
+	return moves
 }
 
-// PlanDrain plans moving every partition off shard: each goes to its
-// ring successor (the first clockwise owner that is neither the draining
-// shard nor tombstoned), falling back to any serving shard with a free
-// slot. ErrNoCapacity if the survivors cannot absorb it all; the layout
-// is left unchanged in that case.
+// PlanDrain plans moving every partition off shard, and nothing else, each
+// to the serving shard holding the fewest partitions at the time.
+// ErrNoCapacity if the survivors cannot absorb it all; the layout is left
+// unchanged in that case.
 func (l *Layout) PlanDrain(shard int) ([]Move, error) {
-	needed := 0
+	moves, stranded := l.plan(shard)
+	if stranded > 0 {
+		return nil, fmt.Errorf("placement: draining shard %d strands %d partitions: %w", shard, stranded, ErrNoCapacity)
+	}
+	return moves, nil
+}
+
+// plan is the one planner; leaving is the draining shard, or -1 for a
+// grow. Its counting pass moves one partition at a time from the donor —
+// the leaving shard, else the serving shard holding the most — to the
+// serving shard holding the fewest that has a free slot, ties to the lower
+// id. A grow stops once the counts differ by at most one, a drain once the
+// leaving shard is empty; a drain that runs out of free slots first plans
+// nothing and reports how many partitions it stranded. The hand-out pass
+// then gives each donor's partitions away in ascending order, lower
+// receivers first, so each donor → receiver run coalesces into one Move.
+func (l *Layout) plan(leaving int) (moves []Move, stranded int) {
+	count := make([]int, len(l.free))
 	for _, s := range l.parts {
-		if int(s.shard) == shard {
-			needed++
+		count[s.shard]++
+	}
+	room := make([]int, len(l.free))
+	for s, f := range l.free {
+		room[s] = len(f)
+	}
+	gives := make([][]int, len(l.free)) // per donor: its receivers, one per partition
+	for {
+		d, r := leaving, -1
+		for s := range count {
+			if l.removed[s] || s == leaving {
+				continue
+			}
+			if leaving < 0 && (d < 0 || count[s] > count[d]) {
+				d = s
+			}
+			if room[s] > 0 && (r < 0 || count[s] < count[r]) {
+				r = s
+			}
 		}
-	}
-	avail := 0
-	for i, f := range l.free {
-		if i != shard && !l.removed[i] {
-			avail += len(f)
+		if r < 0 || count[d] == 0 || leaving < 0 && count[d]-count[r] <= 1 {
+			break
 		}
+		count[d]--
+		count[r]++
+		room[r]--
+		gives[d] = append(gives[d], r)
 	}
-	if avail < needed {
-		return nil, fmt.Errorf("placement: draining shard %d needs %d slots, %d free elsewhere: %w",
-			shard, needed, avail, ErrNoCapacity)
+	if leaving >= 0 && count[leaving] > 0 {
+		return nil, count[leaving]
 	}
-	skip := func(s int) bool { return s == shard || l.Removed(s) }
-	var moves []Move
-	for p := range l.parts {
-		if int(l.parts[p].shard) != shard {
+	for _, g := range gives {
+		sort.Ints(g)
+	}
+	for p, s := range l.parts {
+		g := gives[s.shard]
+		if len(g) == 0 {
 			continue
 		}
-		if owner, ok := l.ring.OwnerExcluding(PartKey(p), skip); ok {
-			if m, mok := l.reserve(p, owner); mok {
-				moves = append(moves, m)
-				continue
-			}
+		// The receiver's lowest free slot; a partition that extends the
+		// last move on both ends joins it.
+		r, lo := g[0], l.free[g[0]][0]
+		gives[s.shard], l.free[r] = g[1:], l.free[r][1:]
+		m := Move{Start: p * l.partSize, End: (p + 1) * l.partSize,
+			From: int(s.shard), FromLocal: int(s.local) * l.partSize, To: r, ToLocal: lo * l.partSize}
+		if n := len(moves) - 1; n >= 0 && moves[n].End == m.Start && moves[n].From == m.From && moves[n].To == m.To &&
+			moves[n].FromLocal+moves[n].Bytes() == m.FromLocal && moves[n].ToLocal+moves[n].Bytes() == m.ToLocal {
+			moves[n].End = m.End
+			continue
 		}
-		// Successor full (or no ring successor): first serving shard
-		// with room.
-		placed := false
-		for s := range l.free {
-			if skip(s) {
-				continue
-			}
-			if m, mok := l.reserve(p, s); mok {
-				moves = append(moves, m)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			// The capacity pre-check makes this unreachable; keep the
-			// invariant loud rather than silently leaving data behind.
-			panic(fmt.Sprintf("placement: no slot for partition %d despite capacity check", p))
-		}
+		moves = append(moves, m)
 	}
-	return coalesce(moves), nil
-}
-
-// reserve allocates the lowest free slot on dst for partition p and
-// returns the single-partition move. ok is false when dst has no room
-// (the partition then stays where it is).
-func (l *Layout) reserve(p, dst int) (Move, bool) {
-	if dst < 0 || dst >= len(l.free) || len(l.free[dst]) == 0 {
-		return Move{}, false
-	}
-	lo := l.free[dst][0]
-	l.free[dst] = l.free[dst][1:]
-	cur := l.parts[p]
-	return Move{
-		Start:     p * l.partSize,
-		End:       (p + 1) * l.partSize,
-		From:      int(cur.shard),
-		FromLocal: int(cur.local) * l.partSize,
-		To:        dst,
-		ToLocal:   lo * l.partSize,
-	}, true
-}
-
-// coalesce merges moves that are adjacent in global space with the same
-// endpoints and contiguous local offsets.
-func coalesce(moves []Move) []Move {
-	var out []Move
-	for _, m := range moves {
-		if n := len(out); n > 0 {
-			prev := &out[n-1]
-			run := prev.End - prev.Start
-			if m.Start == prev.End && m.From == prev.From && m.To == prev.To &&
-				m.FromLocal == prev.FromLocal+run && m.ToLocal == prev.ToLocal+run {
-				prev.End = m.End
-				continue
-			}
-		}
-		out = append(out, m)
-	}
-	return out
+	return moves, 0
 }
 
 // Apply commits one completed move into the layout: the covered

@@ -1,76 +1,119 @@
 package placement
 
 import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
-func TestRingDeterministicOwner(t *testing.T) {
-	a, b := NewRing(0), NewRing(0)
-	for i := 0; i < 4; i++ {
-		a.Add(i)
-		b.Add(i)
+// counts returns each shard slot's partition count.
+func (l *Layout) counts() []int {
+	c := make([]int, l.Shards())
+	for p := range l.parts {
+		c[l.Owner(p)]++
 	}
-	for p := 0; p < 256; p++ {
-		oa, ok := a.Owner(PartKey(p))
-		ob, _ := b.Owner(PartKey(p))
-		if !ok || oa != ob {
-			t.Fatalf("partition %d: owners %d vs %d (ok=%v)", p, oa, ob, ok)
-		}
-	}
+	return c
 }
 
-func TestRingMinimalMovement(t *testing.T) {
-	r := NewRing(0)
-	for i := 0; i < 4; i++ {
-		r.Add(i)
+// TestLayoutPlanProperties drives seeded random sequences of Grow,
+// PlanGrow and PlanDrain + Remove, applying every plan, and checks the
+// planner's contract at each step: a grow leaves the serving shards'
+// counts within one of each other and moves exactly the partitions above
+// the balanced targets (the fullest shards keep the spare ones); a drain
+// moves exactly the leaving shard's partitions and keeps balanced counts
+// balanced; no move lands on a removed or leaving shard; and
+// ErrNoCapacity leaves the layout as it was.
+func TestLayoutPlanProperties(t *testing.T) {
+	seeds := 1000
+	if testing.Short() {
+		seeds = 200
 	}
-	const parts = 1024
-	before := make([]int, parts)
-	for p := range before {
-		before[p], _ = r.Owner(PartKey(p))
-	}
-	r.Add(4)
-	moved := 0
-	for p := range before {
-		after, _ := r.Owner(PartKey(p))
-		if after != before[p] {
-			moved++
-			if after != 4 {
-				t.Fatalf("partition %d moved %d -> %d, not to the new shard", p, before[p], after)
+	refused := 0
+	for seed := 0; seed < seeds; seed++ {
+		r := rand.New(rand.NewSource(int64(seed)))
+		l := NewLayout(1+r.Intn(4), (16+r.Intn(3)*8)*pageSize, 0)
+		part := l.PartSize()
+		// spread is max - min over the serving shards' counts.
+		spread := func() int {
+			lo, hi := len(l.parts), 0
+			for s, n := range l.counts() {
+				if !l.Removed(s) {
+					lo, hi = min(lo, n), max(hi, n)
+				}
+			}
+			return hi - lo
+		}
+		apply := func(op string, moves []Move, leaving int) int {
+			moved := 0
+			for _, m := range moves {
+				if l.Removed(m.To) || m.To == leaving || m.From == m.To {
+					t.Fatalf("seed %d: %s move %+v lands on shard %d (removed %v)", seed, op, m, m.To, l.Removed(m.To))
+				}
+				moved += m.Bytes() / part
+				l.Apply(m)
+			}
+			return moved
+		}
+		for step := 0; step < 12; step++ {
+			switch op := r.Intn(3); {
+			case op == 0 && l.Shards() < 12:
+				l.Grow(1 + r.Intn(3))
+			case op == 1:
+				// The balanced targets: q each, q+1 for the rem fullest.
+				var serving []int
+				for s := 0; s < l.Shards(); s++ {
+					if !l.Removed(s) {
+						serving = append(serving, s)
+					}
+				}
+				c := l.counts()
+				sort.SliceStable(serving, func(i, j int) bool { return c[serving[i]] > c[serving[j]] })
+				q, rem := len(l.parts)/len(serving), len(l.parts)%len(serving)
+				want := 0
+				for i, s := range serving {
+					target := q
+					if i < rem {
+						target++
+					}
+					want += max(0, c[s]-target)
+				}
+				if got := apply("grow", l.PlanGrow(), -1); got != want {
+					t.Fatalf("seed %d: grow moved %d partitions, want %d (counts %v)", seed, got, want, c)
+				}
+				if d := spread(); d > 1 {
+					t.Fatalf("seed %d: grown counts %v spread %d", seed, l.counts(), d)
+				}
+			case op == 2 && l.Serving() > 1:
+				leaving := r.Intn(l.Shards())
+				if l.Removed(leaving) {
+					continue
+				}
+				before, balanced := fmt.Sprint(l.parts, l.free, l.removed), spread() <= 1
+				has := l.counts()[leaving]
+				moves, err := l.PlanDrain(leaving)
+				if errors.Is(err, ErrNoCapacity) {
+					refused++
+					if after := fmt.Sprint(l.parts, l.free, l.removed); after != before {
+						t.Fatalf("seed %d: a refused drain changed the layout", seed)
+					}
+					continue
+				} else if err != nil {
+					t.Fatal(err)
+				}
+				if got := apply("drain", moves, leaving); got != has {
+					t.Fatalf("seed %d: draining shard %d moved %d partitions, it held %d", seed, leaving, got, has)
+				}
+				l.Remove(leaving)
+				if d := spread(); balanced && d > 1 {
+					t.Fatalf("seed %d: drain unbalanced counts %v", seed, l.counts())
+				}
 			}
 		}
 	}
-	// The new shard should capture roughly 1/5 of the space; accept a
-	// generous band around it.
-	if moved < parts/10 || moved > parts/2 {
-		t.Fatalf("adding 1 of 5 shards moved %d/%d partitions", moved, parts)
-	}
-	// Removing it restores the old ownership exactly.
-	r.Remove(4)
-	for p := range before {
-		after, _ := r.Owner(PartKey(p))
-		if after != before[p] {
-			t.Fatalf("partition %d did not return to shard %d after removal", p, before[p])
-		}
-	}
-}
-
-func TestRingOwnerExcluding(t *testing.T) {
-	r := NewRing(8)
-	for i := 0; i < 3; i++ {
-		r.Add(i)
-	}
-	key := PartKey(7)
-	first, ok := r.Owner(key)
-	if !ok {
-		t.Fatal("empty owner on a populated ring")
-	}
-	second, ok := r.OwnerExcluding(key, func(s int) bool { return s == first })
-	if !ok || second == first {
-		t.Fatalf("successor %d (ok=%v) should differ from owner %d", second, ok, first)
-	}
-	if _, ok := r.OwnerExcluding(key, func(int) bool { return true }); ok {
-		t.Fatal("all-excluded lookup reported an owner")
+	if refused == 0 {
+		t.Fatal("no sequence ran out of capacity; ErrNoCapacity went untested")
 	}
 }
 
@@ -113,7 +156,7 @@ func TestLayoutGrowPlanApplyCompile(t *testing.T) {
 	if len(added) != 2 || added[0] != 2 || added[1] != 3 {
 		t.Fatalf("Grow ids = %v", added)
 	}
-	moves := l.PlanGrow(added)
+	moves := l.PlanGrow()
 	if len(moves) == 0 {
 		t.Fatal("grow plan moved nothing")
 	}
@@ -130,9 +173,11 @@ func TestLayoutGrowPlanApplyCompile(t *testing.T) {
 		}
 		total += m.Bytes()
 	}
+	// 16 partitions on each of the two old shards even out to 8 on each
+	// of four: half the space moves.
 	span := 2 * shardSize
-	if total >= span || total < span/16 {
-		t.Fatalf("grow moved %d of %d bytes", total, span)
+	if total != span/2 {
+		t.Fatalf("grow moved %d of %d bytes, want %d", total, span, span/2)
 	}
 	// Before any Apply the routing is still one range per shard.
 	if n := len(l.Compile(1).ranges); n != 2 {
@@ -168,8 +213,8 @@ func TestLayoutGrowPlanApplyCompile(t *testing.T) {
 func TestLayoutDrainAndRemove(t *testing.T) {
 	const shardSize = 256 << 10
 	l := NewLayout(2, shardSize, 0)
-	added := l.Grow(2)
-	for _, m := range l.PlanGrow(added) {
+	l.Grow(2)
+	for _, m := range l.PlanGrow() {
 		l.Apply(m)
 	}
 	moves, err := l.PlanDrain(3)
@@ -192,8 +237,8 @@ func TestLayoutDrainAndRemove(t *testing.T) {
 		t.Fatalf("removed=%v serving=%d", l.Removed(3), l.Serving())
 	}
 	// A later grow-plan never lands partitions on the tombstone.
-	added = l.Grow(1)
-	for _, m := range l.PlanGrow(added) {
+	l.Grow(1)
+	for _, m := range l.PlanGrow() {
 		if m.To == 3 || m.From == 3 {
 			t.Fatalf("post-remove plan touches the tombstone: %+v", m)
 		}

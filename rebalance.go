@@ -207,9 +207,9 @@ func (c *Cluster) lockTopology() error {
 // AddShards appends n empty shard groups — built from the deployment's
 // template configuration, durability subdirectories included — and
 // returns their ids. The new shards own no ranges until Rebalance (or
-// RebalanceAsync) moves ~added/total of the space onto them; until then
-// routing, and every existing metric, is untouched. ErrRebalanceActive
-// while a rebalance is running.
+// RebalanceAsync) moves their share of the partitions onto them; until
+// then routing, and every existing metric, is untouched.
+// ErrRebalanceActive while a rebalance is running.
 func (c *Cluster) AddShards(n int) ([]int, error) {
 	if n < 1 {
 		return nil, ErrShardCount
@@ -233,14 +233,13 @@ func (c *Cluster) AddShards(n int) ([]int, error) {
 		list = append(list, m)
 	}
 	ids := c.layout.Grow(n)
-	c.pending = append(c.pending, ids...)
 	c.view.Store(&placeView{shards: list, table: v.table})
 	return ids, nil
 }
 
-// RebalanceAsync plans the minimal-move redistribution toward the shards
-// added since the last plan and starts the mover: every partition whose
-// ring owner is a new shard migrates there, ~added/total of the space.
+// RebalanceAsync plans the moves that even out the serving shards and
+// starts the mover: partitions leave the shards holding the most for the
+// shards holding the fewest until the counts differ by at most one.
 // Returns immediately; the mover rides the commit stream (Commit/Abort
 // and Settle pump it) — watch RebalanceProgress, or call Rebalance to
 // block. Nil with nothing to do; ErrRebalanceActive if already running.
@@ -249,11 +248,7 @@ func (c *Cluster) RebalanceAsync() error {
 		return err
 	}
 	defer c.admin.Unlock()
-	if len(c.pending) == 0 {
-		return nil
-	}
-	moves := c.layout.PlanGrow(c.pending)
-	c.pending = nil
+	moves := c.layout.PlanGrow()
 	if len(moves) == 0 {
 		return nil
 	}
@@ -274,12 +269,12 @@ func (c *Cluster) Rebalance() error {
 	return c.drive()
 }
 
-// RemoveShard drains every range off the shard onto its ring successors
-// (a blocking online rebalance) and tombstones it: the id keeps indexing
-// Token/Stats but owns no data and joins no future plan. ErrNoCapacity
-// when the survivors cannot absorb the data; ErrShardCount when it is
-// the last serving shard. If a crash interrupts the drain, repair the
-// group, finish the moves with Rebalance, then call RemoveShard again.
+// RemoveShard drains every range off the shard onto the emptiest
+// survivors (a blocking online rebalance) and tombstones it: the id keeps
+// indexing Token/Stats but owns no data and joins no future plan.
+// ErrNoCapacity when the survivors cannot absorb the data; ErrShardCount
+// when it is the last serving shard. If a crash interrupts the drain,
+// repair the group, finish the moves with Rebalance, then call it again.
 func (c *Cluster) RemoveShard(shard int) error {
 	if err := c.lockTopology(); err != nil {
 		return err
@@ -291,14 +286,6 @@ func (c *Cluster) RemoveShard(shard int) error {
 	}
 	if c.layout.Serving() <= 1 {
 		return ErrShardCount
-	}
-	// A shard added but never rebalanced onto simply leaves the pending
-	// list again.
-	for i, id := range c.pending {
-		if id == shard {
-			c.pending = append(c.pending[:i], c.pending[i+1:]...)
-			break
-		}
 	}
 	moves, err := c.layout.PlanDrain(shard)
 	if err != nil {

@@ -366,8 +366,8 @@ func TestRebalanceCrashDuringMove(t *testing.T) {
 	}
 }
 
-// TestRemoveShardDrains: draining re-homes every range onto the ring
-// successors, the tombstoned id stays valid for indexing but owns
+// TestRemoveShardDrains: draining re-homes every range onto the
+// survivors, the tombstoned id stays valid for indexing but owns
 // nothing, and the data survives byte-exact.
 func TestRemoveShardDrains(t *testing.T) {
 	const dbSize = 1 << 20
@@ -414,6 +414,42 @@ func TestRemoveShardDrains(t *testing.T) {
 	if tok := sc.Token(nil); len(tok) != 4 {
 		t.Fatalf("token length %d", len(tok))
 	}
+}
+
+// TestRemoveShardBeforeRebalance: a shard added and removed again before
+// any Rebalance owns nothing, so its drain ships nothing and cuts nothing
+// over; the next Rebalance gives the other added shard its share of the
+// pages and the removed id none, and every byte survives.
+func TestRemoveShardBeforeRebalance(t *testing.T) {
+	const dbSize = 1 << 20
+	sc, err := repro.NewSharded(elasticConfig(dbSize, false), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow := shadowFill(t, sc, dbSize, 9)
+	ids, err := sc.AddShards(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.RemoveShard(ids[1]); err != nil {
+		t.Fatal(err)
+	}
+	if p := sc.RebalanceProgress(); sc.PlacementEpoch() != 1 || p.Moves != 0 || p.BytesShipped != 0 {
+		t.Fatalf("removing an empty shard moved data: epoch %d, progress %+v", sc.PlacementEpoch(), p)
+	}
+	if err := sc.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	pages := make([]int, sc.Shards())
+	for off := 0; off < dbSize; off += 4096 {
+		pages[sc.ShardFor(off)]++
+	}
+	// Three serving shards: half of a third of the pages is a share
+	// whichever way the planner rounds.
+	if pages[ids[1]] != 0 || pages[ids[0]] < dbSize/4096/6 {
+		t.Fatalf("pages per shard %v: added shard %d wants its share, removed shard %d none", pages, ids[0], ids[1])
+	}
+	shadowAudit(t, sc, shadow, "rebalanced after removing an added shard")
 }
 
 // TestShardForStaysInTheDeployment: an offset at or past Capacity has no

@@ -67,11 +67,10 @@ type Cluster struct {
 	view atomic.Pointer[placeView]
 
 	// admin serializes topology mutation (AddShards, RemoveShard, the
-	// planning half of Rebalance) and guards layout + pending. A Shard(i)
-	// view has no layout: its topology is its parent's.
-	admin   sync.Mutex
-	layout  *placement.Layout
-	pending []int // shards added since the last rebalance plan
+	// planning half of Rebalance) and guards layout. A Shard(i) view has
+	// no layout: its topology is its parent's.
+	admin  sync.Mutex
+	layout *placement.Layout
 
 	// mig is the range mover's state; see rebalance.go.
 	mig migState
